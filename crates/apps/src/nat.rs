@@ -11,7 +11,7 @@
 use flexsfp_fabric::resources::{table1, ResourceManifest};
 use flexsfp_obs::{CacheStats, FlightStamp, StageStamp};
 use flexsfp_ppe::action::{Action, ActionEngine, ActionOutcome};
-use flexsfp_ppe::cache::{self, FlowCache, PlanOp, PlanRecorder};
+use flexsfp_ppe::cache::{self, FlowCache, FlowKey, KeyHint, PlanOp, PlanRecorder, BATCH_WINDOW};
 use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::tables::{HashTable, TableError};
 use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
@@ -50,13 +50,13 @@ pub struct StaticNat {
 
 /// Build the NAT's two-stage stamp (match, then rewrite) under the
 /// 4 + 3·stages cycle model. On a table miss only the match stage runs.
-fn nat_stamp(cache_hit: bool, stage_stats: &[(u8, bool)]) -> FlightStamp {
+fn nat_stamp(cache_hit: bool, stage_stats: impl IntoIterator<Item = (u8, bool)>) -> FlightStamp {
     FlightStamp {
         cache_hit,
         stages: stage_stats
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, &(stage, hit))| StageStamp {
+            .map(|(i, (stage, hit))| StageStamp {
                 stage,
                 hit,
                 start_cycle: 4 + 3 * i as u32,
@@ -133,7 +133,7 @@ impl StaticNat {
             }
             if self.flight_enabled {
                 // Parser rejected it before the match stage: empty stamp.
-                self.last_flight = Some(nat_stamp(false, &[]));
+                self.last_flight = Some(nat_stamp(false, []));
             }
             return Verdict::Drop;
         };
@@ -147,7 +147,7 @@ impl StaticNat {
             self.engine.counters.count(counters::NON_IP, packet.len());
             if self.flight_enabled {
                 // No IPv4 source to match on: the match stage missed.
-                self.last_flight = Some(nat_stamp(false, &[(0, false)]));
+                self.last_flight = Some(nat_stamp(false, [(0, false)]));
             }
             return Verdict::Forward;
         };
@@ -162,7 +162,7 @@ impl StaticNat {
                     });
                 }
                 if self.flight_enabled {
-                    self.last_flight = Some(nat_stamp(false, &[(0, true), (1, true)]));
+                    self.last_flight = Some(nat_stamp(false, [(0, true), (1, true)]));
                 }
                 match self
                     .engine
@@ -185,7 +185,7 @@ impl StaticNat {
                 self.engine.counters.count(counters::MISSED, packet.len());
                 if self.flight_enabled {
                     // Only the match stage ran; the rewrite was skipped.
-                    self.last_flight = Some(nat_stamp(false, &[(0, false)]));
+                    self.last_flight = Some(nat_stamp(false, [(0, false)]));
                 }
             }
         }
@@ -194,45 +194,54 @@ impl StaticNat {
 }
 
 impl StaticNat {
-    /// `process` with a caller-supplied key hint: a dispatcher that
-    /// already extracted this frame's
-    /// [`FlowKey`](flexsfp_ppe::cache::FlowKey) passes it through so
-    /// the cache lookup skips the re-parse.
-    fn process_hinted(
+    /// The key the flow cache is consulted under: the hint's, extracted
+    /// now if the dispatcher did not, or `None` when the cache is off,
+    /// the packet travels the untranslated direction or the frame has
+    /// no canonical key.
+    fn cache_key(&self, ctx: &ProcessContext, packet: &[u8], hint: KeyHint) -> Option<FlowKey> {
+        if self.cache_enabled && ctx.direction == self.translate_direction {
+            hint.resolve(packet, ctx.direction)
+        } else {
+            None
+        }
+    }
+
+    /// Process one packet whose cache key is already resolved
+    /// ([`cache_key`](Self::cache_key)); `None` takes the slow path
+    /// without consulting the cache.
+    fn process_keyed(
         &mut self,
         ctx: &ProcessContext,
         packet: &mut Vec<u8>,
-        hint: flexsfp_ppe::cache::KeyHint,
+        key: Option<FlowKey>,
     ) -> Verdict {
         if ctx.direction != self.translate_direction {
             if self.flight_enabled {
                 // Bypassed the pipeline entirely: empty stage list.
-                self.last_flight = Some(nat_stamp(false, &[]));
+                self.last_flight = Some(nat_stamp(false, []));
             }
             return Verdict::Forward;
         }
-        if self.cache_enabled {
-            if let Some(key) = hint.resolve(packet, ctx.direction) {
-                if let Some(plan) = self.cache.lookup(&key) {
-                    // Fast path: shallow key parse only — no parser
-                    // walk, no table lookup, no checksum recompute.
-                    if self.flight_enabled {
-                        // Replay the recorded stage footprint so the
-                        // postcard matches the slow path bit-for-bit
-                        // (only `cache_hit` tells the paths apart).
-                        self.last_flight = Some(nat_stamp(true, &plan.stage_stats));
-                    }
-                    return cache::replay(plan, packet, &mut self.engine.counters);
-                }
-                let mut rec = PlanRecorder::new();
-                let verdict = self.process_slow(ctx, packet, Some(&mut rec));
-                if let Some(plan) = rec.finish(verdict) {
-                    self.cache.insert(key, plan);
-                }
-                return verdict;
+        let Some(key) = key else {
+            return self.process_slow(ctx, packet, None);
+        };
+        if let Some(plan) = self.cache.lookup(&key) {
+            // Fast path: shallow key parse only — no parser walk, no
+            // table lookup, no checksum recompute.
+            if self.flight_enabled {
+                // Replay the recorded stage footprint so the postcard
+                // matches the slow path bit-for-bit (only `cache_hit`
+                // tells the paths apart).
+                self.last_flight = Some(nat_stamp(true, plan.stage_stats.iter()));
             }
+            return cache::replay(plan, packet, &mut self.engine.counters);
         }
-        self.process_slow(ctx, packet, None)
+        let mut rec = PlanRecorder::new();
+        let verdict = self.process_slow(ctx, packet, Some(&mut rec));
+        if let Some(plan) = rec.finish(verdict) {
+            self.cache.insert(key, plan);
+        }
+        verdict
     }
 }
 
@@ -242,13 +251,33 @@ impl PacketProcessor for StaticNat {
     }
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
-        self.process_hinted(ctx, packet, flexsfp_ppe::cache::KeyHint::Unknown)
+        let key = self.cache_key(ctx, packet, KeyHint::Unknown);
+        self.process_keyed(ctx, packet, key)
     }
 
     fn process_batch(&mut self, batch: &mut [flexsfp_ppe::engine::BatchPacket]) {
-        // Honor each slot's pre-parsed key hint (single-parse path).
-        for slot in batch {
-            slot.verdict = self.process_hinted(&slot.ctx, &mut slot.frame, slot.key);
+        for window in batch.chunks_mut(BATCH_WINDOW) {
+            // Pass 1: resolve every slot's key once (honoring the
+            // dispatcher's pre-parsed hint) and touch what pass 2 will
+            // read — the cache sets, then the table buckets of the
+            // packets whose tags already say the cache will miss — so
+            // the window's cache misses overlap instead of queueing.
+            let mut keys = [None; BATCH_WINDOW];
+            for (slot, key) in window.iter().zip(&mut keys) {
+                *key = self.cache_key(&slot.ctx, &slot.frame, slot.key);
+            }
+            let mut misses = self.cache.touch_window(&keys);
+            while misses != 0 {
+                if let Some(key) = &keys[misses.trailing_zeros() as usize] {
+                    self.table.touch(&key.src_ip());
+                }
+                misses &= misses - 1;
+            }
+            // Pass 2: the per-packet logic, in order — a miss on one
+            // packet still makes the next packet of its flow hit.
+            for (slot, key) in window.iter_mut().zip(keys) {
+                slot.verdict = self.process_keyed(&slot.ctx, &mut slot.frame, key);
+            }
         }
     }
 
@@ -651,6 +680,122 @@ mod tests {
         let mut pkt = udp_frame(0x0102_0304);
         n.process(&ProcessContext::egress(), &mut pkt);
         assert_eq!(n.table_stats().unwrap().misses, 1);
+    }
+
+    /// `process_batch` (two-pass: touch the window, then process it)
+    /// against per-packet `process`, over windows built to break a
+    /// batched implementation: repeated flows, a miss followed by hits
+    /// of the same flow inside one window, keyless frames, both
+    /// directions, every kind of key hint, a window longer than one
+    /// pass, and a table write between windows.
+    #[test]
+    fn batch_equals_scalar() {
+        use flexsfp_ppe::engine::BatchPacket;
+        let egress = ProcessContext::egress();
+        let arp = PacketBuilder::ethernet(
+            MacAddr::BROADCAST,
+            MacAddr([2; 6]),
+            flexsfp_wire::EtherType::Arp,
+            &[0u8; 28],
+        );
+        let tcp = |src: u32| {
+            PacketBuilder::eth_ipv4_tcp(
+                MacAddr([1; 6]),
+                MacAddr([2; 6]),
+                src,
+                DST,
+                4000,
+                443,
+                9,
+                TcpFlags::syn_only(),
+                b"x",
+            )
+        };
+        let unmapped = 0x0a0b_0c0d;
+        // (direction, frame) per packet, window by window.
+        let mut windows: Vec<Vec<(ProcessContext, Vec<u8>)>> = vec![
+            // Miss, then hits of the same flow; an unmapped flow twice.
+            vec![
+                (egress, udp_frame(PRIVATE)),
+                (egress, udp_frame(PRIVATE)),
+                (egress, udp_frame(unmapped)),
+                (egress, arp.clone()),
+                (ProcessContext::ingress(), udp_frame(PRIVATE)),
+                (egress, udp_frame(PRIVATE)),
+                (egress, tcp(PRIVATE)),
+                (egress, vec![0u8; 9]),
+                (egress, udp_frame(unmapped)),
+                (egress, tcp(PRIVATE)),
+            ],
+            // A single packet: the shortest window.
+            vec![(egress, udp_frame(PRIVATE))],
+        ];
+        // Longer than BATCH_WINDOW: three passes, flows straddling them.
+        windows.push(
+            (0..70u32)
+                .map(|i| match i % 5 {
+                    0 => (egress, udp_frame(PRIVATE + i % 3)),
+                    1 => (egress, tcp(PRIVATE + i % 2)),
+                    2 => (ProcessContext::ingress().at(u64::from(i)), tcp(PRIVATE)),
+                    3 => (egress.at(u64::from(i)), arp.clone()),
+                    _ => (egress, udp_frame(unmapped + i % 4)),
+                })
+                .collect(),
+        );
+        let build = || {
+            let mut n = nat_with_mapping();
+            n.add_mapping(PRIVATE + 1, PUBLIC + 1).unwrap();
+            n.set_flow_cache(true);
+            n.set_flight_recording(true);
+            n
+        };
+        let (mut batched, mut scalar) = (build(), build());
+        // Pass 1 only touches anything once more plans are resident than
+        // fit an L2: warm both caches past that point, then keep the
+        // warm-up flows in the mix so the touched sets matter.
+        let crowd: Vec<_> = (0..5_000u32)
+            .map(|i| (egress, udp_frame(0x0a10_0000 + i)))
+            .collect();
+        windows.push(crowd.clone());
+        windows.push(crowd);
+        for round in 0..3 {
+            for (w, window) in windows.iter().enumerate() {
+                let mut batch: Vec<BatchPacket> = window
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (ctx, frame))| {
+                        // Every hint a dispatcher may hand down.
+                        let hint = match (i + round) % 3 {
+                            0 => KeyHint::Unknown,
+                            _ => KeyHint::compute(frame, ctx.direction),
+                        };
+                        BatchPacket::with_key(*ctx, frame.clone(), hint)
+                    })
+                    .collect();
+                batched.process_batch(&mut batch);
+                for (slot, (ctx, frame)) in batch.iter().zip(window) {
+                    let mut frame = frame.clone();
+                    let verdict = scalar.process(ctx, &mut frame);
+                    assert_eq!(slot.verdict, verdict, "round {round} window {w}");
+                    assert_eq!(slot.frame, frame, "round {round} window {w}");
+                }
+                assert_eq!(batched.flight_stamp(), scalar.flight_stamp());
+                assert_eq!(batched.cache_stats(), scalar.cache_stats());
+                assert_eq!(batched.cache_occupancy(), scalar.cache_occupancy());
+                assert_eq!(batched.table_stats(), scalar.table_stats());
+                for idx in [counters::TRANSLATED, counters::MISSED, counters::NON_IP] {
+                    assert_eq!(batched.counter(idx), scalar.counter(idx));
+                }
+            }
+            // A control-plane write between rounds: every plan is stale.
+            for n in [&mut batched, &mut scalar] {
+                n.add_mapping(PRIVATE, PUBLIC + 0x100 + round as u32)
+                    .unwrap();
+            }
+        }
+        let s = batched.cache_stats().unwrap();
+        assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0);
+        assert!(batched.cache_occupancy().unwrap() > 4_096);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use flexsfp_ppe::cache::{replay, ActionPlan, FlowCache, FlowKey, PlanOp};
 use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, Verdict};
 use flexsfp_wire::builder::PacketBuilder;
-use flexsfp_wire::MacAddr;
+use flexsfp_wire::{checksum, MacAddr};
 use std::hint::black_box;
 
 const FLOWS: u32 = 64;
@@ -40,10 +40,9 @@ fn nat_plan(flow: u32) -> ActionPlan {
                 len: 4,
                 data: (0x6540_0000u32 + flow).to_be_bytes(),
             },
-            PlanOp::IncrCheck32 {
+            PlanOp::IncrCheck {
                 offset: 24,
-                old: 0xc0a8_0000 + flow,
-                new: 0x6540_0000 + flow,
+                delta: checksum::delta32(0xc0a8_0000 + flow, 0x6540_0000 + flow),
                 udp: false,
             },
         ],
@@ -137,7 +136,7 @@ fn bench_replay(c: &mut Criterion) {
         b.iter(|| {
             buf.clear();
             buf.extend_from_slice(&frame);
-            black_box(replay(&plan, &mut buf, &mut counters))
+            black_box(replay(plan.view(), &mut buf, &mut counters))
         })
     });
     group.finish();

@@ -7,6 +7,8 @@
 //! physical realities that matter to that FSM: erase-before-write
 //! semantics and sector granularity.
 
+use std::sync::OnceLock;
+
 /// Total size: 128 Mb = 16 MiB.
 pub const FLASH_BYTES: usize = 16 * 1024 * 1024;
 /// Erase sector size (typical 64 KiB for this class of part).
@@ -46,11 +48,35 @@ impl core::fmt::Display for FlashError {
 
 impl std::error::Error for FlashError {}
 
+/// `serde` form of the lazily materialized array: the bytes themselves.
+#[cfg(feature = "serde")]
+mod lazy_array {
+    use super::FLASH_BYTES;
+    use std::sync::OnceLock;
+
+    pub fn serialize<S: serde::Serializer>(
+        data: &OnceLock<Vec<u8>>,
+        s: S,
+    ) -> Result<S::Ok, S::Error> {
+        serde::Serialize::serialize(data.get_or_init(|| vec![0xff; FLASH_BYTES]), s)
+    }
+
+    pub fn deserialize<'de, D: serde::Deserializer<'de>>(
+        d: D,
+    ) -> Result<OnceLock<Vec<u8>>, D::Error> {
+        <Vec<u8> as serde::Deserialize>::deserialize(d).map(OnceLock::from)
+    }
+}
+
 /// The SPI flash device.
 #[derive(Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpiFlash {
-    data: Vec<u8>,
+    /// The array, materialized (all 0xFF) by the first access. A module
+    /// that never stages an image or reboots from flash — every
+    /// dataplane run — never pays for 16 MiB of first-touched memory.
+    #[cfg_attr(feature = "serde", serde(with = "lazy_array"))]
+    data: OnceLock<Vec<u8>>,
     /// Cumulative erase operations (wear proxy).
     pub erase_count: u64,
     /// Cumulative bytes programmed.
@@ -66,7 +92,7 @@ pub struct SpiFlash {
 impl std::fmt::Debug for SpiFlash {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpiFlash")
-            .field("bytes", &self.data.len())
+            .field("bytes", &FLASH_BYTES)
             .field("erase_count", &self.erase_count)
             .field("programmed_bytes", &self.programmed_bytes)
             .finish()
@@ -84,7 +110,7 @@ impl SpiFlash {
     /// factory can write it); call [`SpiFlash::protect_golden`] after.
     pub fn new() -> SpiFlash {
         SpiFlash {
-            data: vec![0xff; FLASH_BYTES],
+            data: OnceLock::new(),
             erase_count: 0,
             programmed_bytes: 0,
             golden_protected: false,
@@ -105,6 +131,15 @@ impl SpiFlash {
         self.injected_fault = Some(err);
     }
 
+    fn array(&self) -> &[u8] {
+        self.data.get_or_init(|| vec![0xff; FLASH_BYTES])
+    }
+
+    fn array_mut(&mut self) -> &mut [u8] {
+        self.array();
+        self.data.get_mut().expect("materialized just above")
+    }
+
     fn take_injected_fault(&mut self) -> Result<(), FlashError> {
         match self.injected_fault.take() {
             Some(e) => Err(e),
@@ -122,7 +157,7 @@ impl SpiFlash {
             return Err(FlashError::WriteProtected);
         }
         self.take_injected_fault()?;
-        self.data[start..start + SECTOR_BYTES].fill(0xff);
+        self.array_mut()[start..start + SECTOR_BYTES].fill(0xff);
         self.erase_count += 1;
         Ok(())
     }
@@ -143,12 +178,13 @@ impl SpiFlash {
         // Check erase state: every programmed bit must currently be 1
         // wherever the new value wants a 1... more precisely new & !old
         // must be 0 (cannot set bits).
-        for (old, new) in self.data[addr..end].iter().zip(bytes) {
+        let target = &mut self.array_mut()[addr..end];
+        for (old, new) in target.iter().zip(bytes) {
             if *new & !*old != 0 {
                 return Err(FlashError::NotErased);
             }
         }
-        self.data[addr..end].copy_from_slice(bytes);
+        target.copy_from_slice(bytes);
         self.programmed_bytes += bytes.len() as u64;
         Ok(())
     }
@@ -159,7 +195,7 @@ impl SpiFlash {
         if end > FLASH_BYTES {
             return Err(FlashError::OutOfRange);
         }
-        Ok(&self.data[addr..end])
+        Ok(&self.array()[addr..end])
     }
 
     /// Base address of design slot `slot`.
@@ -200,6 +236,23 @@ impl SpiFlash {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn array_materializes_on_first_access_only() {
+        let mut f = SpiFlash::new();
+        f.protect_golden();
+        // Construction, protection and refused operations touch nothing.
+        assert_eq!(f.erase_sector(0), Err(FlashError::WriteProtected));
+        assert_eq!(f.read(FLASH_BYTES, 1), Err(FlashError::OutOfRange));
+        assert!(f.clone().data.get().is_none());
+        // A blank part reads as erased, wherever it is read.
+        assert_eq!(f.read_slot(3, 4).unwrap(), &[0xff; 4]);
+        assert_eq!(f.data.get().map(Vec::len), Some(FLASH_BYTES));
+        // And a part first touched by a write behaves like any other.
+        let mut g = SpiFlash::new();
+        g.program(SLOT_BYTES, &[0x12]).unwrap();
+        assert_eq!(g.read(SLOT_BYTES - 1, 3).unwrap(), &[0xff, 0x12, 0xff]);
+    }
 
     #[test]
     fn program_requires_erase() {

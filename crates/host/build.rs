@@ -15,6 +15,13 @@ fn main() {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into());
     println!("cargo:rustc-env=FLEXSFP_GIT_DESCRIBE={describe}");
-    // Re-stamp when HEAD moves; harmless if the path does not exist.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-stamp when HEAD moves. A path cargo cannot find counts as
+    // changed on every build, so a tree without `.git` (an archive, the
+    // benchmark's checkout) must not name it: there the stamp can only
+    // change with this script.
+    if std::path::Path::new("../../.git/HEAD").exists() {
+        println!("cargo:rerun-if-changed=../../.git/HEAD");
+    } else {
+        println!("cargo:rerun-if-changed=build.rs");
+    }
 }

@@ -14,16 +14,22 @@
 //! * [`ActionPlan`] — the memoized outcome: an ordered list of
 //!   [`PlanOp`] byte edits (absolute rewrites whose values are
 //!   flow-constant, RFC 1624 incremental checksum patches, VLAN tag
-//!   push/pop, counter increments) plus the final [`Verdict`];
+//!   push/pop, counter increments) plus the final [`Verdict`]. It is
+//!   the heap-backed *interchange* form; the cache stores plans as
+//!   fixed-size [`InlinePlan`]s and hands them out as [`PlanView`]s;
 //! * [`FlowCache`] — a fixed-capacity, set-associative (4-way) cache
 //!   from key to plan with hit/miss/evict/invalidate counters and an
 //!   **epoch**: every control-plane table mutation bumps the epoch, and
 //!   a plan recorded under an older epoch is discarded at lookup time,
-//!   so a stale plan is never replayed;
+//!   so a stale plan is never replayed. A way is one 64-byte slot
+//!   (key, epoch and plan together) behind a 1-byte fingerprint tag,
+//!   so a hit reads one tag line and one slot and chases no pointer;
 //! * [`PlanRecorder`] + [`compile_action`] — used by the slow path to
 //!   record a plan *while* executing the reference action
 //!   implementations, so the replay semantics (including the UDP
 //!   zero-checksum special cases) mirror [`crate::action`] exactly.
+//!   Recording fills an [`InlinePlan`] in place: a miss allocates
+//!   nothing unless the plan outgrows the inline form.
 //!
 //! # Keying contract
 //!
@@ -45,12 +51,19 @@ use crate::engine::{Direction, Verdict};
 use crate::parser::{ParsedPacket, L4};
 use flexsfp_obs::CacheStats;
 use flexsfp_wire::{checksum, EtherType};
+use std::collections::HashMap;
 
 /// Associativity of the cache (entries per set).
 pub const WAYS: usize = 4;
 
 /// Default flow capacity (sets × ways) of a processor's cache.
 pub const DEFAULT_FLOWS: usize = 4096;
+
+/// Packets a cache-owning processor's `process_batch` handles per
+/// two-pass window: touch every packet's cache set first, then run the
+/// per-packet logic in order. Equals the module's PPE batch, and is
+/// small enough that the window's keys stay on the stack.
+pub const BATCH_WINDOW: usize = 32;
 
 /// L4 classification bits of a [`FlowKey`] (mirrors what the full
 /// parser would produce for the same frame).
@@ -258,7 +271,8 @@ impl KeyHint {
     }
 }
 
-/// One replayable edit unit of an [`ActionPlan`].
+/// One replayable edit unit of an [`ActionPlan`]. Eight bytes, so the
+/// four ops of a NAT plan share a cache slot's line with its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// Write `data[..len]` at `offset` (values are flow-constant).
@@ -271,29 +285,20 @@ pub enum PlanOp {
         data: [u8; 4],
     },
     /// RFC 1624 incremental patch of the 16-bit checksum at `offset`
-    /// for a 32-bit field change `old → new` — replayed through
-    /// [`checksum::update32`] so it is bit-exact with the slow path.
-    /// With `udp`, the UDP special cases apply: a stored checksum of
-    /// zero ("no checksum") is left untouched, and a patched result of
-    /// zero is folded to `0xffff`.
-    IncrCheck32 {
+    /// for one field change, carried as the change's precomputed
+    /// one's-complement [`delta`](checksum::delta32) and replayed
+    /// through [`checksum::apply_delta`] — bit-exact with the
+    /// `update16`/`update32` the slow path runs, at a third of their
+    /// size. With `udp`, the UDP special cases apply: a stored checksum
+    /// of zero ("no checksum") is left untouched, and a patched result
+    /// of zero is folded to `0xffff`.
+    IncrCheck {
         /// Byte offset of the checksum field.
         offset: u16,
-        /// Old 32-bit field value.
-        old: u32,
-        /// New 32-bit field value.
-        new: u32,
+        /// `checksum::delta16`/`delta32` of the field change.
+        delta: u16,
         /// Apply UDP zero-checksum semantics.
         udp: bool,
-    },
-    /// RFC 1624 incremental patch for a 16-bit field change.
-    IncrCheck16 {
-        /// Byte offset of the checksum field.
-        offset: u16,
-        /// Old 16-bit field value.
-        old: u16,
-        /// New 16-bit field value.
-        new: u16,
     },
     /// Insert a 4-byte VLAN tag (TPID + TCI) after the MAC addresses.
     PushTag {
@@ -311,7 +316,9 @@ pub enum PlanOp {
     },
 }
 
-/// A memoized, replayable per-flow outcome.
+/// A memoized, replayable per-flow outcome — the heap-backed
+/// interchange form. [`FlowCache::insert`] accepts it; inside the cache
+/// a plan lives as an [`InlinePlan`] and comes back as a [`PlanView`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActionPlan {
     /// Ordered edits to apply.
@@ -326,37 +333,238 @@ pub struct ActionPlan {
     pub cycles: u64,
 }
 
+impl ActionPlan {
+    /// Borrow the plan for [`replay`].
+    pub fn view(&self) -> PlanView<'_> {
+        PlanView {
+            ops: &self.ops,
+            verdict: self.verdict,
+            stage_stats: StageStats::Listed(&self.stage_stats),
+            cycles: self.cycles,
+        }
+    }
+}
+
+/// A plan's per-stage (index, hit) attribution, in whichever form the
+/// plan keeps it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StageStats<'a> {
+    /// Stages `0..n` in order — what every pipeline records — with
+    /// stage `i`'s hit in bit `i`.
+    Dense {
+        /// Stages attributed.
+        n: u8,
+        /// Bit `i` set: stage `i` hit.
+        hits: u8,
+    },
+    /// An explicit list (the interchange form).
+    Listed(&'a [(u8, bool)]),
+}
+
+impl StageStats<'_> {
+    /// Number of attributions.
+    pub fn len(&self) -> usize {
+        match self {
+            StageStats::Dense { n, .. } => usize::from(*n),
+            StageStats::Listed(list) => list.len(),
+        }
+    }
+
+    /// True when no stage ran.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `(stage, hit)` pairs in recording order.
+    pub fn iter(&self) -> impl Iterator<Item = (u8, bool)> + '_ {
+        (0..self.len()).map(move |i| match self {
+            StageStats::Dense { hits, .. } => (i as u8, hits >> i & 1 != 0),
+            StageStats::Listed(list) => list[i],
+        })
+    }
+}
+
+/// A borrowed plan: what [`FlowCache::lookup`] returns and [`replay`]
+/// consumes, whichever form the plan is stored in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanView<'a> {
+    /// Ordered edits to apply.
+    pub ops: &'a [PlanOp],
+    /// Final verdict.
+    pub verdict: Verdict,
+    /// Per-stage (index, hit) attribution.
+    pub stage_stats: StageStats<'a>,
+    /// PPE cycles the slow path charged.
+    pub cycles: u64,
+}
+
+/// Ops an [`InlinePlan`] holds: the NAT's translated-flow plan (address
+/// write, IP and L4 checksum patches, counter) exactly.
+pub const INLINE_OPS: usize = 4;
+
+/// Stage attributions an [`InlinePlan`] holds: one per stage of the
+/// deepest pipeline the fabric fits.
+pub const INLINE_STAGES: usize = crate::pipeline::MAX_STAGES;
+
+const _: () = assert!(INLINE_STAGES <= 8 && INLINE_OPS < 0xf);
+const _: () = assert!(core::mem::size_of::<PlanOp>() == 8);
+
+/// A plan in fixed-size `Copy` form: what a cache slot stores and what
+/// [`PlanRecorder`] records into, so neither a hit nor a miss touches
+/// the heap. 36 bytes: a 4-byte header and [`INLINE_OPS`] ops. A plan
+/// with more ops, more than [`INLINE_STAGES`] stage attributions or
+/// attributions that are not stages `0..n` in order, or a cycle count
+/// above `u8::MAX` does not fit and stays an [`ActionPlan`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
+pub struct InlinePlan {
+    cycles: u8,
+    /// Ops in the low nibble, stage attributions in the high one;
+    /// [`InlinePlan::SPILLED`] in a slot whose plan is in the spill
+    /// table.
+    counts: u8,
+    verdict: Verdict,
+    /// Bit `i` set: stage `i` hit.
+    stage_hits: u8,
+    ops: [PlanOp; INLINE_OPS],
+}
+
+impl InlinePlan {
+    const EMPTY: InlinePlan = InlinePlan {
+        cycles: 0,
+        counts: 0,
+        verdict: Verdict::Forward,
+        stage_hits: 0,
+        ops: [PlanOp::PopTag; INLINE_OPS],
+    };
+
+    /// `counts` of a slot whose plan lives in the cache's spill table.
+    const SPILLED: u8 = u8::MAX;
+
+    fn n_ops(&self) -> usize {
+        usize::from(self.counts & 0xf)
+    }
+
+    fn n_stats(&self) -> usize {
+        usize::from(self.counts >> 4)
+    }
+
+    /// Append an op; `false` when the plan is full.
+    fn push_op(&mut self, op: PlanOp) -> bool {
+        let n = self.n_ops();
+        if n == INLINE_OPS {
+            return false;
+        }
+        self.ops[n] = op;
+        self.counts += 1;
+        true
+    }
+
+    /// Append a stage attribution; `false` when it is not the next
+    /// stage in order or the plan is full.
+    fn push_stat(&mut self, stage: u8, hit: bool) -> bool {
+        let n = self.n_stats();
+        if n == INLINE_STAGES || usize::from(stage) != n {
+            return false;
+        }
+        self.stage_hits |= u8::from(hit) << n;
+        self.counts += 1 << 4;
+        true
+    }
+
+    /// Pack `plan`, or `None` when it does not fit.
+    fn pack(plan: &ActionPlan) -> Option<InlinePlan> {
+        let mut inline = InlinePlan {
+            cycles: u8::try_from(plan.cycles).ok()?,
+            verdict: plan.verdict,
+            ..InlinePlan::EMPTY
+        };
+        let fits = plan.ops.iter().all(|&op| inline.push_op(op))
+            && plan
+                .stage_stats
+                .iter()
+                .all(|&(stage, hit)| inline.push_stat(stage, hit));
+        fits.then_some(inline)
+    }
+
+    fn to_heap(self) -> ActionPlan {
+        let v = self.view();
+        ActionPlan {
+            ops: v.ops.to_vec(),
+            verdict: v.verdict,
+            stage_stats: v.stage_stats.iter().collect(),
+            cycles: v.cycles,
+        }
+    }
+
+    /// Borrow the plan for [`replay`].
+    pub fn view(&self) -> PlanView<'_> {
+        PlanView {
+            ops: &self.ops[..self.n_ops()],
+            verdict: self.verdict,
+            stage_stats: StageStats::Dense {
+                n: self.n_stats() as u8,
+                hits: self.stage_hits,
+            },
+            cycles: u64::from(self.cycles),
+        }
+    }
+}
+
+/// A finished plan in the form the cache will store it: inline when it
+/// fits, on the heap when it does not.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CachedPlan {
+    /// Fits a cache slot.
+    Inline(InlinePlan),
+    /// Outgrew the inline form; the cache keeps it in its spill table.
+    Spilled(ActionPlan),
+}
+
+impl CachedPlan {
+    /// Borrow the plan for [`replay`].
+    pub fn view(&self) -> PlanView<'_> {
+        match self {
+            CachedPlan::Inline(p) => p.view(),
+            CachedPlan::Spilled(p) => p.view(),
+        }
+    }
+}
+
+impl From<ActionPlan> for CachedPlan {
+    fn from(plan: ActionPlan) -> CachedPlan {
+        match InlinePlan::pack(&plan) {
+            Some(inline) => CachedPlan::Inline(inline),
+            None => CachedPlan::Spilled(plan),
+        }
+    }
+}
+
 /// Replay a plan against a packet. Counter increments land in
 /// `counters`; byte edits mirror the reference action implementations
 /// bit for bit (parity-tested against cache-off runs).
-pub fn replay(plan: &ActionPlan, packet: &mut Vec<u8>, counters: &mut CounterBank) -> Verdict {
-    for op in &plan.ops {
+pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBank) -> Verdict {
+    for op in plan.ops {
         match *op {
             PlanOp::Write { offset, len, data } => {
                 let o = offset as usize;
-                packet[o..o + len as usize].copy_from_slice(&data[..len as usize]);
+                if len == 4 {
+                    // An address: one fixed-size store, no memcpy call.
+                    packet[o..o + 4].copy_from_slice(&data);
+                } else {
+                    packet[o..o + len as usize].copy_from_slice(&data[..len as usize]);
+                }
             }
-            PlanOp::IncrCheck32 {
-                offset,
-                old,
-                new,
-                udp,
-            } => {
+            PlanOp::IncrCheck { offset, delta, udp } => {
                 let o = offset as usize;
                 let oldc = u16::from_be_bytes([packet[o], packet[o + 1]]);
                 if udp && oldc == 0 {
                     continue;
                 }
-                let mut newc = checksum::update32(oldc, old, new);
+                let mut newc = checksum::apply_delta(oldc, delta);
                 if udp && newc == 0 {
                     newc = 0xffff;
                 }
-                packet[o..o + 2].copy_from_slice(&newc.to_be_bytes());
-            }
-            PlanOp::IncrCheck16 { offset, old, new } => {
-                let o = offset as usize;
-                let oldc = u16::from_be_bytes([packet[o], packet[o + 1]]);
-                let newc = checksum::update16(oldc, old, new);
                 packet[o..o + 2].copy_from_slice(&newc.to_be_bytes());
             }
             PlanOp::PushTag { bytes } => {
@@ -376,33 +584,59 @@ pub fn replay(plan: &ActionPlan, packet: &mut Vec<u8>, counters: &mut CounterBan
 /// Records a plan alongside slow-path execution. Starts valid; any
 /// uncacheable action or verdict invalidates it, in which case
 /// [`PlanRecorder::finish`] returns `None` and nothing is cached.
-#[derive(Debug, Default)]
+///
+/// Records straight into an [`InlinePlan`], so a cache miss allocates
+/// nothing; the first op, stage attribution or cycle count that does
+/// not fit moves the recording to a heap [`ActionPlan`].
+#[derive(Debug)]
 pub struct PlanRecorder {
-    ops: Vec<PlanOp>,
-    stage_stats: Vec<(u8, bool)>,
-    cycles: u64,
+    inline: InlinePlan,
+    /// Takes over from `inline` once the plan outgrew it.
+    spilled: Option<ActionPlan>,
     invalid: bool,
+}
+
+impl Default for PlanRecorder {
+    fn default() -> PlanRecorder {
+        PlanRecorder::new()
+    }
 }
 
 impl PlanRecorder {
     /// A fresh, valid recorder.
     pub fn new() -> PlanRecorder {
-        PlanRecorder::default()
+        PlanRecorder {
+            inline: InlinePlan::EMPTY,
+            spilled: None,
+            invalid: false,
+        }
+    }
+
+    /// The heap plan, moving what was recorded inline into it first.
+    fn spill(&mut self) -> &mut ActionPlan {
+        self.spilled.get_or_insert_with(|| self.inline.to_heap())
     }
 
     /// Append an op.
     pub fn push(&mut self, op: PlanOp) {
-        self.ops.push(op);
+        if self.spilled.is_some() || !self.inline.push_op(op) {
+            self.spill().ops.push(op);
+        }
     }
 
     /// Record one pipeline stage's hit/miss attribution.
     pub fn stage_stat(&mut self, stage: u8, hit: bool) {
-        self.stage_stats.push((stage, hit));
+        if self.spilled.is_some() || !self.inline.push_stat(stage, hit) {
+            self.spill().stage_stats.push((stage, hit));
+        }
     }
 
     /// Record the PPE cycle charge.
     pub fn set_cycles(&mut self, cycles: u64) {
-        self.cycles = cycles;
+        match (self.spilled.as_mut(), u8::try_from(cycles)) {
+            (None, Ok(c)) => self.inline.cycles = c,
+            _ => self.spill().cycles = cycles,
+        }
     }
 
     /// Mark the flow uncacheable (an impure action ran).
@@ -411,15 +645,16 @@ impl PlanRecorder {
     }
 
     /// Finish recording. Returns `None` when the flow is uncacheable.
-    pub fn finish(self, verdict: Verdict) -> Option<ActionPlan> {
+    pub fn finish(self, verdict: Verdict) -> Option<CachedPlan> {
         if self.invalid || verdict == Verdict::ToControlPlane {
             return None;
         }
-        Some(ActionPlan {
-            ops: self.ops,
-            verdict,
-            stage_stats: self.stage_stats,
-            cycles: self.cycles,
+        Some(match self.spilled {
+            Some(plan) => CachedPlan::Spilled(ActionPlan { verdict, ..plan }),
+            None => CachedPlan::Inline(InlinePlan {
+                verdict,
+                ..self.inline
+            }),
         })
     }
 }
@@ -448,10 +683,10 @@ pub fn compile_action(
                     len: 1,
                     data: [(new_word & 0xff) as u8, 0, 0, 0],
                 });
-                rec.push(PlanOp::IncrCheck16 {
+                rec.push(PlanOp::IncrCheck {
                     offset: (ip.offset + 10) as u16,
-                    old: old_word,
-                    new: new_word,
+                    delta: checksum::delta16(old_word, new_word),
+                    udp: false,
                 });
             }
         }
@@ -520,27 +755,25 @@ fn compile_rewrite_addr(
         len: 4,
         data: new.to_be_bytes(),
     });
-    rec.push(PlanOp::IncrCheck32 {
+    let delta = checksum::delta32(old, new);
+    rec.push(PlanOp::IncrCheck {
         offset: (ip.offset + 10) as u16,
-        old,
-        new,
+        delta,
         udp: false,
     });
     if let Some(l4_off) = parsed.l4_offset {
         match parsed.l4 {
             L4::Tcp { .. } if packet.len() >= l4_off + 18 => {
-                rec.push(PlanOp::IncrCheck32 {
+                rec.push(PlanOp::IncrCheck {
                     offset: (l4_off + 16) as u16,
-                    old,
-                    new,
+                    delta,
                     udp: false,
                 });
             }
             L4::Udp { .. } if packet.len() >= l4_off + 8 => {
-                rec.push(PlanOp::IncrCheck32 {
+                rec.push(PlanOp::IncrCheck {
                     offset: (l4_off + 6) as u16,
-                    old,
-                    new,
+                    delta,
                     udp: true,
                 });
             }
@@ -549,35 +782,70 @@ fn compile_rewrite_addr(
     }
 }
 
-/// One way's key/epoch metadata, kept separate from the plan storage so
-/// the lookup scan stays within a couple of cache lines per set.
+/// One way of the cache: key, epoch and plan side by side in 64 bytes,
+/// so a hit costs one slot fetch and no pointer chase. Key and plan
+/// share the slab on purpose: a dense key-only slab scans faster, but a
+/// second large slab is a second TLB miss per hit. No alignment
+/// attribute either: an over-aligned slab goes through the allocator's
+/// aligned path, which neither recycles freed blocks nor leaves the
+/// heap unfragmented (it cost `nat_hot` a fifth of its set-up time and
+/// RSS when tried); at `malloc`'s 16 bytes a slot spans two lines at
+/// most.
 #[derive(Debug, Clone, Copy)]
-struct SlotMeta {
+#[repr(C)]
+struct Slot {
     key: FlowKey,
-    epoch: u64,
-    valid: bool,
+    /// Low half of the cache epoch the plan was recorded under.
+    epoch: u32,
+    /// `counts == InlinePlan::SPILLED` marks a plan held in
+    /// [`FlowCache::spill`] under this slot's index.
+    plan: InlinePlan,
 }
 
-const EMPTY_META: SlotMeta = SlotMeta {
+const _: () = assert!(core::mem::size_of::<Slot>() == 64);
+
+const EMPTY_SLOT: Slot = Slot {
     key: FlowKey([0; 3]),
     epoch: 0,
-    valid: false,
+    plan: InlinePlan::EMPTY,
 };
+
+/// Resident plans up to which [`FlowCache::touch_window`] does nothing:
+/// 4 096 slots are 256 KB, inside the per-core L2 of anything current,
+/// where a probe is a hit already.
+const L2_RESIDENT_PLANS: usize = 4096;
+
+/// Slot epoch no live plan carries: [`FlowCache::bump_epoch`] skips it
+/// and restamps every resident slot with it when the 32-bit slot epoch
+/// wraps, so a plan from 2³² bumps ago can never look current.
+const STALE_EPOCH: u32 = u32::MAX;
+
+/// Nonzero 1-byte fingerprint from the hash bits furthest from the
+/// set-index bits; 0 is reserved for "empty way".
+fn fingerprint(hash: u64) -> u8 {
+    ((hash >> 56) as u8).max(1)
+}
 
 /// Fixed-capacity, set-associative microflow cache with configurable
 /// geometry (sets × ways; [`WAYS`]-way by default).
 ///
-/// Keys/epochs live in a dense metadata array scanned on lookup; the
-/// heavier [`ActionPlan`]s sit in a parallel array touched only on a
-/// hit.
+/// Laid out like [`HashTable`](crate::tables::HashTable): a dense array
+/// of 1-byte fingerprint tags (0 = empty way) scanned on every probe,
+/// and one slab of slots touched only where a tag matches.
 #[derive(Debug)]
 pub struct FlowCache {
-    meta: Vec<SlotMeta>,
-    plans: Vec<Option<ActionPlan>>,
+    tags: Vec<u8>,
+    slots: Vec<Slot>,
+    /// Plans too large for a slot, by slot index. Empty for every
+    /// in-tree processor; exists so no recordable plan is refused.
+    spill: HashMap<usize, ActionPlan>,
     set_mask: usize,
     ways: usize,
     victim: Vec<u8>,
+    /// Lifetime epoch, as [`FlowCache::epoch`] reports it.
     epoch: u64,
+    /// The epoch as slots store it; never [`STALE_EPOCH`].
+    slot_epoch: u32,
     /// Slots currently holding a plan (valid, any epoch) — maintained
     /// on insert/invalidate so occupancy telemetry is O(1).
     resident: usize,
@@ -605,12 +873,16 @@ impl FlowCache {
         assert!(sets > 0 && ways > 0 && ways <= 255);
         let sets = sets.next_power_of_two();
         FlowCache {
-            meta: vec![EMPTY_META; sets * ways],
-            plans: vec![None; sets * ways],
+            tags: vec![0; sets * ways],
+            // Written, not zero-mapped: first touch of the slab belongs
+            // to construction, not to the first packets.
+            slots: vec![EMPTY_SLOT; sets * ways],
+            spill: HashMap::new(),
             set_mask: sets - 1,
             ways,
             victim: vec![0; sets],
             epoch: 0,
+            slot_epoch: 0,
             resident: 0,
             stats: CacheStats::default(),
         }
@@ -628,7 +900,7 @@ impl FlowCache {
 
     /// Total plan capacity (sets × ways).
     pub fn capacity(&self) -> usize {
-        self.meta.len()
+        self.tags.len()
     }
 
     /// Slots currently holding a plan, in O(1). Counts every valid
@@ -646,8 +918,24 @@ impl FlowCache {
     /// Invalidate every cached plan in O(1): entries recorded under
     /// older epochs are discarded lazily at lookup time. Call on every
     /// table insert/remove/modify.
+    ///
+    /// Slots keep 32 bits of the epoch. Once per 2³² − 1 bumps those
+    /// wrap; the wrap restamps every resident slot as stale (O(capacity))
+    /// so counters and occupancy read exactly as with a 64-bit epoch.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
+        self.slot_epoch += 1;
+        if self.slot_epoch == STALE_EPOCH {
+            for (slot, _) in self
+                .slots
+                .iter_mut()
+                .zip(&self.tags)
+                .filter(|(_, &t)| t != 0)
+            {
+                slot.epoch = STALE_EPOCH;
+            }
+            self.slot_epoch = 0;
+        }
     }
 
     /// Lifetime hit/miss/evict/invalidate counters.
@@ -657,30 +945,124 @@ impl FlowCache {
 
     /// Live (current-epoch) entries — O(capacity), for tests/telemetry.
     pub fn live_len(&self) -> usize {
-        self.meta
+        self.slots
             .iter()
-            .filter(|m| m.valid && m.epoch == self.epoch)
+            .zip(&self.tags)
+            .filter(|(s, &t)| t != 0 && s.epoch == self.slot_epoch)
             .count()
+    }
+
+    /// First slot of `key`'s set and the tag a way holding it carries.
+    #[inline]
+    fn locate(&self, key: &FlowKey) -> (usize, u8) {
+        let h = key.hash();
+        ((h as usize & self.set_mask) * self.ways, fingerprint(h))
+    }
+
+    /// The way of `key`'s set holding `key`, scanning tags first.
+    #[inline]
+    fn find(&self, key: &FlowKey) -> Option<usize> {
+        let (base, fp) = self.locate(key);
+        let tags = &self.tags[base..base + self.ways];
+        let slots = &self.slots[base..base + self.ways];
+        let way = tags
+            .iter()
+            .zip(slots)
+            .position(|(&tag, slot)| tag == fp && slot.key == *key);
+        way.map(|w| base + w)
+    }
+
+    /// Pass 1 of a batch window: load what pass 2's [`lookup`]s (and
+    /// the [`insert`]s after its misses) will read, with no side effect
+    /// on the cache. Returns a bitmask of the keys whose tags already
+    /// say the lookup will miss, so the caller can touch its slow
+    /// path's state for those too.
+    ///
+    /// Two short loops over independent loads — every tag line, then
+    /// every slot — instead of one long per-packet iteration: a slot's
+    /// address depends on its tag line, and with the dependent pair
+    /// inside one iteration the out-of-order window holds two or three
+    /// packets and the misses queue. Split, a window's slot fetches are
+    /// all in flight together. The crate forbids `unsafe`, so there is
+    /// no prefetch intrinsic: these are plain loads kept alive by
+    /// `black_box`, which costs the core the same miss slot and
+    /// nothing else.
+    ///
+    /// [`lookup`]: Self::lookup
+    /// [`insert`]: Self::insert
+    pub fn touch_window(&self, keys: &[Option<FlowKey>; BATCH_WINDOW]) -> u32 {
+        const NONE: usize = usize::MAX;
+        if self.resident <= L2_RESIDENT_PLANS {
+            // The plans in use fit a core's L2: there is no miss to
+            // overlap, and the §5.1 path should not pay for the loads.
+            return 0;
+        }
+        let mut bases = [NONE; BATCH_WINDOW];
+        let mut found = [NONE; BATCH_WINDOW];
+        for ((key, base), found) in keys.iter().zip(&mut bases).zip(&mut found) {
+            let Some(key) = key else { continue };
+            let (b, fp) = self.locate(key);
+            *base = b;
+            // Last match wins scanning backwards: the first matching
+            // way, as `find` picks it, without a branch per tag.
+            for (w, &tag) in self.tags[b..b + self.ways].iter().enumerate().rev() {
+                if tag == fp {
+                    *found = b + w;
+                }
+            }
+        }
+        let mut misses = 0u32;
+        for (i, (&base, &found)) in bases.iter().zip(&found).enumerate() {
+            if found != NONE {
+                // A hit reads the whole slot: first word to last op.
+                let slot = &self.slots[found];
+                std::hint::black_box((slot.key.0[0], slot.plan.ops[INLINE_OPS - 1]));
+            } else if base != NONE {
+                misses |= 1 << i;
+                // The insert after the miss reads the epoch of every
+                // occupied way up to the first free one, and writes there.
+                for w in base..base + self.ways {
+                    std::hint::black_box(self.slots[w].epoch);
+                    if self.tags[w] == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        misses
+    }
+
+    /// The plan stored at slot `i`.
+    #[inline]
+    fn plan_at(&self, i: usize) -> PlanView<'_> {
+        let plan = &self.slots[i].plan;
+        if plan.counts == InlinePlan::SPILLED {
+            self.spill[&i].view()
+        } else {
+            plan.view()
+        }
+    }
+
+    /// Drop slot `i`'s spilled plan, if it has one.
+    #[inline]
+    fn release(&mut self, i: usize) {
+        if self.slots[i].plan.counts == InlinePlan::SPILLED {
+            self.spill.remove(&i);
+        }
     }
 
     /// Look up a plan. Counts a hit or a miss; a stale-epoch entry is
     /// discarded (counted as an invalidation *and* a miss).
-    pub fn lookup(&mut self, key: &FlowKey) -> Option<&ActionPlan> {
-        let base = (key.hash() as usize & self.set_mask) * self.ways;
-        let set = &mut self.meta[base..base + self.ways];
-        for (w, m) in set.iter_mut().enumerate() {
-            if m.valid && m.key == *key {
-                if m.epoch == self.epoch {
-                    self.stats.hits += 1;
-                    return self.plans[base + w].as_ref();
-                }
-                m.valid = false;
-                self.plans[base + w] = None;
-                self.resident -= 1;
-                self.stats.invalidations += 1;
-                self.stats.misses += 1;
-                return None;
+    pub fn lookup(&mut self, key: &FlowKey) -> Option<PlanView<'_>> {
+        if let Some(i) = self.find(key) {
+            if self.slots[i].epoch == self.slot_epoch {
+                self.stats.hits += 1;
+                return Some(self.plan_at(i));
             }
+            self.release(i);
+            self.tags[i] = 0;
+            self.resident -= 1;
+            self.stats.invalidations += 1;
         }
         self.stats.misses += 1;
         None
@@ -689,29 +1071,45 @@ impl FlowCache {
     /// Insert a plan recorded under the current epoch. Prefers the
     /// entry's own slot (re-record) or an empty/stale way; otherwise
     /// evicts round-robin within the set.
-    pub fn insert(&mut self, key: FlowKey, plan: ActionPlan) {
-        let set = key.hash() as usize & self.set_mask;
-        let base = set * self.ways;
-        let meta = SlotMeta {
-            key,
-            epoch: self.epoch,
-            valid: true,
-        };
+    pub fn insert(&mut self, key: FlowKey, plan: impl Into<CachedPlan>) {
+        let (base, fp) = self.locate(&key);
         // Same key or a free/stale way first.
-        for w in 0..self.ways {
-            let m = &self.meta[base + w];
-            if !m.valid || m.key == key || m.epoch != self.epoch {
-                self.resident += usize::from(!m.valid);
-                self.meta[base + w] = meta;
-                self.plans[base + w] = Some(plan);
-                return;
+        let preferred = (base..base + self.ways).find(|&i| {
+            let s = &self.slots[i];
+            self.tags[i] == 0 || (self.tags[i] == fp && s.key == key) || s.epoch != self.slot_epoch
+        });
+        let i = match preferred {
+            Some(i) => {
+                self.resident += usize::from(self.tags[i] == 0);
+                i
             }
+            None => {
+                let set = base / self.ways;
+                let w = usize::from(self.victim[set]) % self.ways;
+                self.victim[set] = self.victim[set].wrapping_add(1);
+                self.stats.evictions += 1;
+                base + w
+            }
+        };
+        if self.tags[i] != 0 {
+            self.release(i);
         }
-        let w = usize::from(self.victim[set]) % self.ways;
-        self.victim[set] = self.victim[set].wrapping_add(1);
-        self.meta[base + w] = meta;
-        self.plans[base + w] = Some(plan);
-        self.stats.evictions += 1;
+        let plan = match plan.into() {
+            CachedPlan::Inline(inline) => inline,
+            CachedPlan::Spilled(heap) => {
+                self.spill.insert(i, heap);
+                InlinePlan {
+                    counts: InlinePlan::SPILLED,
+                    ..InlinePlan::EMPTY
+                }
+            }
+        };
+        self.tags[i] = fp;
+        self.slots[i] = Slot {
+            key,
+            epoch: self.slot_epoch,
+            plan,
+        };
     }
 }
 
@@ -900,7 +1298,7 @@ mod tests {
         let plan = rec.finish(Verdict::Forward).unwrap();
         let mut fast = udp_frame();
         let mut bank = CounterBank::new(4);
-        assert_eq!(replay(&plan, &mut fast, &mut bank), Verdict::Forward);
+        assert_eq!(replay(plan.view(), &mut fast, &mut bank), Verdict::Forward);
         assert_eq!(fast, slow, "replayed bytes must equal slow-path bytes");
         assert_eq!(bank.get(0).packets, 1);
         assert_eq!(bank.get(0).bytes, engine.counters.get(0).bytes);
@@ -912,15 +1310,14 @@ mod tests {
         // Zero the UDP checksum (legal: "no checksum computed").
         zeroed[40] = 0;
         zeroed[41] = 0;
-        let plan = plan(vec![PlanOp::IncrCheck32 {
+        let plan = plan(vec![PlanOp::IncrCheck {
             offset: 40,
-            old: SRC,
-            new: 0x6540_0001,
+            delta: checksum::delta32(SRC, 0x6540_0001),
             udp: true,
         }]);
         let before = zeroed.clone();
         let mut bank = CounterBank::new(1);
-        replay(&plan, &mut zeroed, &mut bank);
+        replay(plan.view(), &mut zeroed, &mut bank);
         assert_eq!(zeroed, before, "zero UDP checksum must stay zero");
     }
 
@@ -932,10 +1329,10 @@ mod tests {
         let push = plan(vec![PlanOp::PushTag {
             bytes: [0x81, 0x00, 0x00, 0x64],
         }]);
-        replay(&push, &mut pkt, &mut bank);
+        replay(push.view(), &mut pkt, &mut bank);
         assert_eq!(Parser::default().parse(&pkt).unwrap().vlans, vec![100u16]);
         let pop = plan(vec![PlanOp::PopTag]);
-        replay(&pop, &mut pkt, &mut bank);
+        replay(pop.view(), &mut pkt, &mut bank);
         assert_eq!(pkt, orig);
     }
 
@@ -1043,5 +1440,269 @@ mod tests {
         assert!(rec.finish(Verdict::Forward).is_none());
         let rec = PlanRecorder::new();
         assert!(rec.finish(Verdict::ToControlPlane).is_none());
+    }
+
+    #[test]
+    fn recorder_spills_what_the_inline_form_cannot_hold() {
+        // Exactly INLINE_OPS ops and dense stats: inline.
+        let mut rec = PlanRecorder::new();
+        for i in 0..INLINE_OPS as u32 {
+            rec.push(PlanOp::Count { index: i });
+        }
+        rec.stage_stat(0, true);
+        rec.stage_stat(1, false);
+        rec.set_cycles(10);
+        let fits = rec.finish(Verdict::Drop).unwrap();
+        assert!(matches!(fits, CachedPlan::Inline(_)));
+        let v = fits.view();
+        assert_eq!(v.ops.len(), INLINE_OPS);
+        assert_eq!(v.ops[3], PlanOp::Count { index: 3 });
+        assert_eq!(
+            v.stage_stats.iter().collect::<Vec<_>>(),
+            [(0, true), (1, false)]
+        );
+        assert_eq!((v.verdict, v.cycles), (Verdict::Drop, 10));
+        // One op more, an out-of-order stage or a wide cycle count
+        // each move the recording to the heap with nothing lost.
+        let overflow: [fn(&mut PlanRecorder); 3] = [
+            |r| r.push(PlanOp::PopTag),
+            |r| r.stage_stat(5, true),
+            |r| r.set_cycles(1_000),
+        ];
+        for spill in overflow {
+            let mut rec = PlanRecorder::new();
+            for i in 0..INLINE_OPS as u32 {
+                rec.push(PlanOp::Count { index: i });
+            }
+            rec.stage_stat(0, true);
+            rec.set_cycles(7);
+            spill(&mut rec);
+            rec.push(PlanOp::Count { index: 99 });
+            let plan = rec.finish(Verdict::Forward).unwrap();
+            assert!(matches!(plan, CachedPlan::Spilled(_)));
+            let v = plan.view();
+            assert_eq!(v.ops[0], PlanOp::Count { index: 0 });
+            assert_eq!(*v.ops.last().unwrap(), PlanOp::Count { index: 99 });
+            assert_eq!(v.stage_stats.iter().next(), Some((0, true)));
+            assert!(v.cycles == 7 || v.cycles == 1_000);
+        }
+    }
+
+    /// The obvious cache the real one must be indistinguishable from:
+    /// per-set vectors of `(key, epoch, valid, plan)`, a 64-bit epoch,
+    /// heap plans, and the insert preference spelled out.
+    struct ModelCache {
+        sets: Vec<Vec<(FlowKey, u64, bool, ActionPlan)>>,
+        victim: Vec<u8>,
+        epoch: u64,
+        stats: CacheStats,
+    }
+
+    impl ModelCache {
+        fn new(sets: usize, ways: usize) -> ModelCache {
+            let empty = (FlowKey([0; 3]), 0, false, plan(vec![]));
+            ModelCache {
+                sets: vec![vec![empty; ways]; sets],
+                victim: vec![0; sets],
+                epoch: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_of(&self, key: &FlowKey) -> usize {
+            key.hash() as usize & (self.sets.len() - 1)
+        }
+
+        fn lookup(&mut self, key: &FlowKey) -> Option<ActionPlan> {
+            let set = self.set_of(key);
+            for way in &mut self.sets[set] {
+                if way.2 && way.0 == *key {
+                    if way.1 == self.epoch {
+                        self.stats.hits += 1;
+                        return Some(way.3.clone());
+                    }
+                    way.2 = false;
+                    self.stats.invalidations += 1;
+                    break;
+                }
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        fn insert(&mut self, key: FlowKey, plan: ActionPlan) {
+            let set = self.set_of(&key);
+            let ways = &mut self.sets[set];
+            let entry = (key, self.epoch, true, plan);
+            // Same key → free → stale, in way order; else round-robin.
+            if let Some(way) = ways
+                .iter_mut()
+                .find(|w| !w.2 || w.0 == key || w.1 != self.epoch)
+            {
+                *way = entry;
+                return;
+            }
+            let w = usize::from(self.victim[set]) % ways.len();
+            self.victim[set] = self.victim[set].wrapping_add(1);
+            ways[w] = entry;
+            self.stats.evictions += 1;
+        }
+
+        fn resident(&self) -> usize {
+            self.sets.iter().flatten().filter(|w| w.2).count()
+        }
+
+        fn live_len(&self) -> usize {
+            let live = |w: &&(FlowKey, u64, bool, ActionPlan)| w.2 && w.1 == self.epoch;
+            self.sets.iter().flatten().filter(live).count()
+        }
+    }
+
+    fn owned(v: PlanView<'_>) -> ActionPlan {
+        ActionPlan {
+            ops: v.ops.to_vec(),
+            verdict: v.verdict,
+            stage_stats: v.stage_stats.iter().collect(),
+            cycles: v.cycles,
+        }
+    }
+
+    /// Seeded random insert/lookup/bump sequences over 1-, 4- and 8-way
+    /// geometries — with plans on both sides of every inline limit, and
+    /// one run taken across the slot-epoch wrap — must be
+    /// indistinguishable from the model on every observable.
+    #[test]
+    fn cache_matches_the_obvious_model() {
+        let mut state = 0x5eed_cafe_f00d_0001u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for (sets, ways, near_wrap) in [(8, 1, false), (4, 4, false), (2, 8, false), (4, 4, true)] {
+            let mut cache = FlowCache::with_geometry(sets, ways);
+            let mut model = ModelCache::new(sets, ways);
+            let mut spilled_seen = false;
+            for step in 0..30_000 {
+                if near_wrap && step == 60 {
+                    // Skip ahead to three bumps short of the slot-epoch
+                    // wrap, with plans of the first epochs still resident:
+                    // the epochs they carry come round again right after.
+                    let skipped = u64::from(STALE_EPOCH - 3 - cache.slot_epoch);
+                    assert!(cache.slot_epoch > 2 && cache.resident() > 8);
+                    cache.slot_epoch = STALE_EPOCH - 3;
+                    cache.epoch += skipped;
+                    model.epoch += skipped;
+                }
+                // 48 keys over at most 16 ways: every set overflows.
+                let k = next() % 48;
+                let key = FlowKey([k, k.wrapping_mul(0x9e37_79b9), k << 7]);
+                match next() % 20 {
+                    0..=9 => {
+                        let got = cache.lookup(&key).map(owned);
+                        assert_eq!(got, model.lookup(&key), "step {step}");
+                    }
+                    10..=17 => {
+                        // 0..=6 ops; stats dense or not; cycles narrow or wide.
+                        let r = next();
+                        let n_stats = (r >> 8) % 4;
+                        let p = ActionPlan {
+                            ops: (0..r % 7)
+                                .map(|i| PlanOp::Count {
+                                    index: (r >> 16) as u32 + i as u32,
+                                })
+                                .collect(),
+                            verdict: if r & 0x80 == 0 {
+                                Verdict::Forward
+                            } else {
+                                Verdict::Drop
+                            },
+                            stage_stats: (0..n_stats)
+                                .map(|i| {
+                                    (((r >> 40) % 8 == 0) as u8 + i as u8, r >> (20 + i) & 1 == 1)
+                                })
+                                .collect(),
+                            cycles: if (r >> 48) % 8 == 0 {
+                                300
+                            } else {
+                                4 + 3 * n_stats
+                            },
+                        };
+                        spilled_seen |= InlinePlan::pack(&p).is_none();
+                        cache.insert(key, p.clone());
+                        model.insert(key, p);
+                    }
+                    _ => {
+                        cache.bump_epoch();
+                        model.epoch += 1;
+                    }
+                }
+                assert_eq!(cache.stats(), model.stats, "step {step}");
+                assert_eq!(cache.resident(), model.resident(), "step {step}");
+                assert_eq!(cache.epoch(), model.epoch);
+                if step % 64 == 0 {
+                    assert_eq!(cache.live_len(), model.live_len(), "step {step}");
+                }
+            }
+            assert!(spilled_seen, "the spill path was never taken");
+            assert!(cache.stats().evictions > 0 && cache.stats().invalidations > 0);
+            // The spill table holds exactly the resident oversize plans.
+            let oversize =
+                |w: &&(FlowKey, u64, bool, ActionPlan)| w.2 && InlinePlan::pack(&w.3).is_none();
+            assert_eq!(
+                cache.spill.len(),
+                model.sets.iter().flatten().filter(oversize).count()
+            );
+            if near_wrap {
+                assert!(cache.slot_epoch < 1 << 20, "the slot epoch never wrapped");
+            }
+        }
+    }
+
+    #[test]
+    fn touch_window_predicts_misses_and_changes_nothing() {
+        let key = |i: u64| FlowKey([i, i.wrapping_mul(0x9e37_79b9_7f4a_7c15), i << 9]);
+        let absent = key(1_000_000);
+        let mut c = FlowCache::new(16_384);
+        c.insert(key(0), plan(vec![]));
+        let mut window = [None; BATCH_WINDOW];
+        window[3] = Some(absent);
+        // While the resident plans fit an L2 there is nothing to touch,
+        // and so nothing is predicted.
+        assert_eq!(c.touch_window(&window), 0);
+        for i in 1..8_000 {
+            c.insert(key(i), plan(vec![]));
+        }
+        assert!(c.resident() > L2_RESIDENT_PLANS);
+        let present = (0..8_000).map(key).find(|k| c.find(k).is_some());
+        window[0] = present;
+        let (stats, resident) = (c.stats(), c.resident());
+        // Slot 0 holds a resident key, slot 3 an absent one, the rest
+        // carry no key: only slot 3 is a predicted miss.
+        assert_eq!(c.touch_window(&window), 1 << 3);
+        assert_eq!((c.stats(), c.resident()), (stats, resident));
+        assert!(c.lookup(&present.unwrap()).is_some());
+        assert!(c.lookup(&absent).is_none());
+    }
+
+    #[test]
+    fn slot_epoch_wrap_never_revives_a_plan() {
+        let mut c = FlowCache::new(8);
+        let old = flow_key(1);
+        c.insert(old, plan(vec![]));
+        // `old` was recorded at slot epoch 0. Pretend 2^32 - 2 bumps
+        // went by without a lookup of it; the next one wraps to 0.
+        c.slot_epoch = STALE_EPOCH - 1;
+        c.bump_epoch();
+        assert_eq!(c.slot_epoch, 0);
+        assert_eq!((c.resident(), c.live_len()), (1, 0));
+        assert!(
+            c.lookup(&old).is_none(),
+            "a plan from 2^32 bumps ago replayed"
+        );
+        assert_eq!(c.stats().invalidations, 1);
+        assert_eq!(c.resident(), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! the NAT's "translate source A to B" without one rule per action.
 
 use crate::action::{Action, ActionEngine, ActionOutcome, VerdictAction};
-use crate::cache::{self, FlowCache, PlanRecorder};
+use crate::cache::{self, FlowCache, FlowKey, PlanRecorder, BATCH_WINDOW};
 use crate::engine::{BatchPacket, PacketProcessor, ProcessContext, Verdict};
 use crate::match_kinds::{LpmTable, TernaryTable};
 use crate::meter::TokenBucket;
@@ -575,81 +575,94 @@ fn run_stage_actions(
 }
 
 impl Pipeline {
-    /// [`PacketProcessor::process`] with a caller-supplied key hint:
-    /// when the dispatcher already extracted this frame's
-    /// [`FlowKey`](crate::cache::FlowKey), the cache lookup reuses it
-    /// instead of re-parsing.
-    fn process_hinted(
+    /// The key the flow cache is consulted under: the hint's, extracted
+    /// now if the dispatcher did not, or `None` when the cache is off,
+    /// the program is uncacheable or the frame has no canonical key.
+    fn cache_key(
+        &mut self,
+        ctx: &ProcessContext,
+        packet: &[u8],
+        hint: crate::cache::KeyHint,
+    ) -> Option<FlowKey> {
+        if self.cache_enabled && self.is_cacheable() {
+            hint.resolve(packet, ctx.direction)
+        } else {
+            None
+        }
+    }
+
+    /// Process one packet whose cache key is already resolved
+    /// ([`cache_key`](Self::cache_key)); `None` takes the slow path
+    /// without consulting the cache.
+    fn process_keyed(
         &mut self,
         ctx: &ProcessContext,
         packet: &mut Vec<u8>,
-        hint: crate::cache::KeyHint,
+        key: Option<FlowKey>,
     ) -> Verdict {
-        if self.cache_enabled && self.is_cacheable() {
-            if let Some(key) = hint.resolve(packet, ctx.direction) {
-                if let Some(plan) = self.cache.lookup(&key) {
-                    // Fast path: replay the memoized plan — no parse, no
-                    // table lookups. Stage hit/miss counters and miss
-                    // events replay from the recorded footprint so
-                    // telemetry is identical either way.
-                    self.stats.packets += 1;
-                    for &(si, stage_hit) in &plan.stage_stats {
-                        let stage = &mut self.stages[si as usize];
-                        if stage_hit {
-                            stage.hits += 1;
-                        } else {
-                            stage.misses += 1;
-                            self.obs
-                                .events
-                                .record(ctx.timestamp_ns, EventKind::TableMiss { stage: si });
-                        }
-                    }
-                    if self.flight_enabled {
-                        // Rebuild the stamp from the recorded footprint:
-                        // stage order and hit pattern replay exactly, so
-                        // a packet's postcard is identical whether the
-                        // cache intercepted it or not (only `cache_hit`
-                        // tells them apart).
-                        self.last_flight = Some(FlightStamp {
-                            cache_hit: true,
-                            stages: plan
-                                .stage_stats
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &(si, stage_hit))| StageStamp {
-                                    stage: si,
-                                    hit: stage_hit,
-                                    start_cycle: stage_start_cycle(i),
-                                    end_cycle: stage_start_cycle(i + 1),
-                                })
-                                .collect(),
-                        });
-                    }
-                    let cycles = plan.cycles;
-                    let verdict = cache::replay(plan, packet, &mut self.engine.counters);
-                    self.obs.stage_cycles.record(cycles);
-                    if verdict == Verdict::Drop {
-                        self.stats.drops += 1;
-                        self.obs.events.record(
-                            ctx.timestamp_ns,
-                            EventKind::Drop {
-                                reason: DropReason::App,
-                            },
-                        );
-                    }
-                    return verdict;
+        let Some(key) = key else {
+            return self.process_slow(ctx, packet, None);
+        };
+        if let Some(plan) = self.cache.lookup(&key) {
+            // Fast path: replay the memoized plan — no parse, no
+            // table lookups. Stage hit/miss counters and miss
+            // events replay from the recorded footprint so
+            // telemetry is identical either way.
+            self.stats.packets += 1;
+            for (si, stage_hit) in plan.stage_stats.iter() {
+                let stage = &mut self.stages[si as usize];
+                if stage_hit {
+                    stage.hits += 1;
+                } else {
+                    stage.misses += 1;
+                    self.obs
+                        .events
+                        .record(ctx.timestamp_ns, EventKind::TableMiss { stage: si });
                 }
-                // Miss: run the full pipeline and record a plan for the
-                // next packet of this flow.
-                let mut rec = PlanRecorder::new();
-                let verdict = self.process_slow(ctx, packet, Some(&mut rec));
-                if let Some(plan) = rec.finish(verdict) {
-                    self.cache.insert(key, plan);
-                }
-                return verdict;
             }
+            if self.flight_enabled {
+                // Rebuild the stamp from the recorded footprint:
+                // stage order and hit pattern replay exactly, so
+                // a packet's postcard is identical whether the
+                // cache intercepted it or not (only `cache_hit`
+                // tells them apart).
+                self.last_flight = Some(FlightStamp {
+                    cache_hit: true,
+                    stages: plan
+                        .stage_stats
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (si, stage_hit))| StageStamp {
+                            stage: si,
+                            hit: stage_hit,
+                            start_cycle: stage_start_cycle(i),
+                            end_cycle: stage_start_cycle(i + 1),
+                        })
+                        .collect(),
+                });
+            }
+            let cycles = plan.cycles;
+            let verdict = cache::replay(plan, packet, &mut self.engine.counters);
+            self.obs.stage_cycles.record(cycles);
+            if verdict == Verdict::Drop {
+                self.stats.drops += 1;
+                self.obs.events.record(
+                    ctx.timestamp_ns,
+                    EventKind::Drop {
+                        reason: DropReason::App,
+                    },
+                );
+            }
+            return verdict;
         }
-        self.process_slow(ctx, packet, None)
+        // Miss: run the full pipeline and record a plan for the
+        // next packet of this flow.
+        let mut rec = PlanRecorder::new();
+        let verdict = self.process_slow(ctx, packet, Some(&mut rec));
+        if let Some(plan) = rec.finish(verdict) {
+            self.cache.insert(key, plan);
+        }
+        verdict
     }
 }
 
@@ -659,14 +672,27 @@ impl PacketProcessor for Pipeline {
     }
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
-        self.process_hinted(ctx, packet, crate::cache::KeyHint::Unknown)
+        let key = self.cache_key(ctx, packet, crate::cache::KeyHint::Unknown);
+        self.process_keyed(ctx, packet, key)
     }
 
     fn process_batch(&mut self, batch: &mut [BatchPacket]) {
-        // Devirtualized batch loop honoring each slot's pre-parsed key
-        // hint — the single-parse contract of the dispatch pipeline.
-        for slot in batch {
-            slot.verdict = self.process_hinted(&slot.ctx, &mut slot.frame, slot.key);
+        for window in batch.chunks_mut(BATCH_WINDOW) {
+            // Pass 1: resolve every slot's key once (honoring the
+            // dispatcher's pre-parsed hint) and touch the cache sets, so
+            // the window's cache misses overlap instead of queueing.
+            // (Which tables a miss will probe depends on the program,
+            // so only the cache is touched.)
+            let mut keys = [None; BATCH_WINDOW];
+            for (slot, key) in window.iter().zip(&mut keys) {
+                *key = self.cache_key(&slot.ctx, &slot.frame, slot.key);
+            }
+            self.cache.touch_window(&keys);
+            // Pass 2: the per-packet logic, in order — a miss on one
+            // packet still makes the next packet of its flow hit.
+            for (slot, key) in window.iter_mut().zip(keys) {
+                slot.verdict = self.process_keyed(&slot.ctx, &mut slot.frame, key);
+            }
         }
     }
 
@@ -1081,6 +1107,93 @@ mod tests {
         assert!(p.flight_stamp().unwrap().stages.is_empty());
         p.set_flight_recording(false);
         assert_eq!(p.flight_stamp(), None);
+    }
+
+    /// `process_batch` (two-pass) against per-packet `process` on a
+    /// cacheable pipeline: repeated flows, a miss then hits of one flow
+    /// inside a window, keyless and runt frames, both directions, every
+    /// kind of key hint, a window longer than one pass, and a table
+    /// write between rounds.
+    #[test]
+    fn batch_equals_scalar() {
+        use crate::cache::KeyHint;
+        let arp = PacketBuilder::ethernet(
+            MacAddr::BROADCAST,
+            MacAddr([2; 6]),
+            flexsfp_wire::EtherType::Arp,
+            &[0u8; 28],
+        );
+        let window = |n: u32| -> Vec<(ProcessContext, Vec<u8>)> {
+            (0..n)
+                .map(|i| {
+                    let ctx = ProcessContext::egress().at(u64::from(i));
+                    match i % 6 {
+                        0 | 1 => (ctx, frame(SRC, 53)),
+                        2 => (ctx, frame(0x0a0a_0a0a, 99 + (i % 4) as u16)),
+                        3 => (ProcessContext::ingress().at(u64::from(i)), frame(SRC, 53)),
+                        4 => (ctx, arp.clone()),
+                        _ => (ctx, vec![0u8; 6]),
+                    }
+                })
+                .collect()
+        };
+        let build = || {
+            let mut p = nat_pipeline();
+            p.set_flow_cache(true);
+            p.set_flight_recording(true);
+            p
+        };
+        let (mut batched, mut scalar) = (build(), build());
+        for round in 0..3u32 {
+            for n in [7, 1, 70] {
+                let packets = window(n);
+                let mut batch: Vec<BatchPacket> = packets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (ctx, f))| {
+                        let hint = match (i as u32 + round) % 3 {
+                            0 => KeyHint::Unknown,
+                            _ => KeyHint::compute(f, ctx.direction),
+                        };
+                        BatchPacket::with_key(*ctx, f.clone(), hint)
+                    })
+                    .collect();
+                batched.process_batch(&mut batch);
+                for (slot, (ctx, f)) in batch.iter().zip(&packets) {
+                    let mut f = f.clone();
+                    assert_eq!(slot.verdict, scalar.process(ctx, &mut f));
+                    assert_eq!(slot.frame, f, "round {round} window of {n}");
+                }
+                assert_eq!(batched.flight_stamp(), scalar.flight_stamp());
+                assert_eq!(batched.cache_stats(), scalar.cache_stats());
+                assert_eq!(batched.stats(), scalar.stats());
+                assert_eq!(batched.stages()[0].hits, scalar.stages()[0].hits);
+                assert_eq!(batched.stages()[0].misses, scalar.stages()[0].misses);
+                for idx in 0..2 {
+                    assert_eq!(
+                        batched.engine.counters.get(idx),
+                        scalar.engine.counters.get(idx)
+                    );
+                }
+                assert_eq!(batched.drain_events(), scalar.drain_events());
+                assert_eq!(
+                    batched.obs.stage_cycles.count(),
+                    scalar.obs.stage_cycles.count()
+                );
+            }
+            // A control-plane write between rounds: every plan is stale.
+            for p in [&mut batched, &mut scalar] {
+                let mut key = [0u8; 13];
+                key[..4].copy_from_slice(&SRC.to_be_bytes());
+                if let Some(Matcher::Exact { table, .. }) =
+                    p.stage_mut(0).map(|stage| &mut stage.matcher)
+                {
+                    table.insert(key, 0x6440_0100 + round).unwrap();
+                }
+            }
+        }
+        let s = batched.cache_stats().unwrap();
+        assert!(s.hits > 0 && s.misses > 0 && s.invalidations > 0);
     }
 
     #[test]

@@ -230,6 +230,20 @@ impl<K: TableKey, V: Copy> HashTable<K, V> {
             .map(|e| e.value)
     }
 
+    /// Load `key`'s bucket — its tags and its slots — changing nothing
+    /// and counting nothing: a batch processor calls this for a whole
+    /// window before the lookups, so their cache misses overlap. Both
+    /// addresses follow from the hash alone, so neither load waits for
+    /// the other (a `peek` would fetch the slot only after the tags).
+    pub fn touch(&self, key: &K) {
+        let base = self.bucket_of(key) * self.ways;
+        std::hint::black_box((
+            self.tags[base],
+            self.slots[base].is_some(),
+            self.slots[base + self.ways - 1].is_some(),
+        ));
+    }
+
     /// Insert or update. Fails with [`TableError::BucketFull`] when the
     /// bucket has no free way (the hardware has nowhere to put it —
     /// there is no probing across buckets).

@@ -9,13 +9,22 @@ use crate::rate::LineRateCalc;
 use crate::rng::Xoshiro256;
 use flexsfp_wire::builder::PacketBuilder;
 use flexsfp_wire::tcp::TcpFlags;
-use flexsfp_wire::{MacAddr, PacketArena};
+use flexsfp_wire::{checksum, MacAddr, PacketArena};
 use std::collections::VecDeque;
 
-/// Constant payload filler (the generator's payload byte is 0x5a). Sized
-/// for the largest standard frame so the per-packet path never allocates
-/// a scratch payload buffer.
-const PAYLOAD_FILL: [u8; 1514] = [0x5a; 1514];
+/// The generator's payload byte.
+const FILL: u8 = 0x5a;
+
+/// Constant payload filler. Sized for the largest standard frame so the
+/// per-packet path never allocates a scratch payload buffer.
+const PAYLOAD_FILL: [u8; 1514] = [FILL; 1514];
+
+/// MAC addresses every generated frame carries.
+const DST_MAC: u64 = 0x02_00_00_00_00_01;
+const SRC_MAC: u64 = 0x02_00_00_00_00_02;
+
+/// Ethernet + IPv4 + UDP header bytes.
+const UDP_HEADERS: usize = 14 + 20 + 8;
 
 /// One generated packet.
 #[derive(Debug, Clone)]
@@ -90,17 +99,46 @@ pub struct FlowSpec {
     pub tcp: bool,
 }
 
+/// The flow population's addressing: flow `i`'s 5-tuple is arithmetic
+/// in `i`, so neither the builder nor the stream keeps a per-flow table.
+#[derive(Debug, Clone, Copy)]
+struct FlowSpace {
+    flows: usize,
+    src_base: u32,
+    dst_base: u32,
+    dport: u16,
+}
+
+impl FlowSpace {
+    fn spec(&self, i: usize, tcp: bool) -> FlowSpec {
+        FlowSpec {
+            src: self.src_base.wrapping_add(i as u32),
+            dst: self.dst_base.wrapping_add((i % 16) as u32),
+            sport: 1024 + (i % 60_000) as u16,
+            dport: self.dport,
+            tcp,
+        }
+    }
+}
+
+/// Which flows are TCP, one bit per flow index.
+#[derive(Debug, Clone)]
+struct TcpSet(Vec<u64>);
+
+impl TcpSet {
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 != 0
+    }
+}
+
 /// Builder for packet traces.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     seed: u64,
     rate: LineRateCalc,
-    flows: usize,
+    space: FlowSpace,
     size: SizeModel,
     arrival: ArrivalModel,
-    src_base: u32,
-    dst_base: u32,
-    dport: u16,
     tcp_share: f64,
     microbursts: Vec<(u64, usize)>,
 }
@@ -112,12 +150,14 @@ impl TraceBuilder {
         TraceBuilder {
             seed,
             rate: LineRateCalc::TEN_GIG,
-            flows: 64,
+            space: FlowSpace {
+                flows: 64,
+                src_base: 0xc0a8_0000,
+                dst_base: 0x0808_0000,
+                dport: 80,
+            },
             size: SizeModel::Imix,
             arrival: ArrivalModel::Paced { utilization: 0.5 },
-            src_base: 0xc0a8_0000,
-            dst_base: 0x0808_0000,
-            dport: 80,
             tcp_share: 0.0,
             microbursts: Vec::new(),
         }
@@ -132,7 +172,7 @@ impl TraceBuilder {
     /// Set the number of distinct flows.
     pub fn flows(mut self, n: usize) -> TraceBuilder {
         assert!(n > 0);
-        self.flows = n;
+        self.space.flows = n;
         self
     }
 
@@ -151,19 +191,19 @@ impl TraceBuilder {
     /// Set the base of the source address range (one address per flow,
     /// ascending).
     pub fn src_base(mut self, base: u32) -> TraceBuilder {
-        self.src_base = base;
+        self.space.src_base = base;
         self
     }
 
     /// Set the base of the destination address range.
     pub fn dst_base(mut self, base: u32) -> TraceBuilder {
-        self.dst_base = base;
+        self.space.dst_base = base;
         self
     }
 
     /// Set the destination port.
     pub fn dport(mut self, p: u16) -> TraceBuilder {
-        self.dport = p;
+        self.space.dport = p;
         self
     }
 
@@ -180,17 +220,26 @@ impl TraceBuilder {
         self
     }
 
+    /// Draw each flow's protocol, in flow order, from the population's
+    /// own RNG stream.
+    fn tcp_set(&self) -> TcpSet {
+        let mut rng = Xoshiro256::seed_from_u64(self.seed ^ 0xf10f_f10f);
+        let mut bits = vec![0u64; self.space.flows.div_ceil(64)];
+        // No draw is below a zero share, and nothing else reads this
+        // RNG: an all-UDP population needs no draws at all.
+        if self.tcp_share > 0.0 {
+            for i in 0..self.space.flows {
+                bits[i / 64] |= u64::from(rng.next_f64() < self.tcp_share) << (i % 64);
+            }
+        }
+        TcpSet(bits)
+    }
+
     /// The flow population this builder will use.
     pub fn flow_specs(&self) -> Vec<FlowSpec> {
-        let mut rng = Xoshiro256::seed_from_u64(self.seed ^ 0xf10f_f10f);
-        (0..self.flows)
-            .map(|i| FlowSpec {
-                src: self.src_base.wrapping_add(i as u32),
-                dst: self.dst_base.wrapping_add((i % 16) as u32),
-                sport: 1024 + (i % 60_000) as u16,
-                dport: self.dport,
-                tcp: rng.next_f64() < self.tcp_share,
-            })
+        let tcp = self.tcp_set();
+        (0..self.space.flows)
+            .map(|i| self.space.spec(i, tcp.contains(i)))
             .collect()
     }
 
@@ -198,8 +247,7 @@ impl TraceBuilder {
     /// any reusable vector); at most one allocation, and none once `buf`
     /// has full-frame capacity.
     fn build_frame_into(flow: &FlowSpec, len: usize, seq: u32, buf: &mut Vec<u8>) {
-        let dst_mac = MacAddr::from(0x02_00_00_00_00_01u64);
-        let src_mac = MacAddr::from(0x02_00_00_00_00_02u64);
+        let (dst_mac, src_mac) = (MacAddr::from(DST_MAC), MacAddr::from(SRC_MAC));
         let headers = if flow.tcp { 14 + 20 + 20 } else { 14 + 20 + 8 };
         let payload_len = len.saturating_sub(headers);
         // Oversized (jumbo) requests fall back to a scratch payload; every
@@ -208,7 +256,7 @@ impl TraceBuilder {
         let payload: &[u8] = if payload_len <= PAYLOAD_FILL.len() {
             &PAYLOAD_FILL[..payload_len]
         } else {
-            scratch = vec![0x5au8; payload_len];
+            scratch = vec![FILL; payload_len];
             &scratch
         };
         if flow.tcp {
@@ -267,7 +315,7 @@ impl TraceBuilder {
     ///
     /// [`FlexSfp::run_stream_with`]: https://docs.rs/flexsfp-core
     pub fn stream_pooled(&self, count: usize, arena: PacketArena) -> TraceStream {
-        let flows = self.flow_specs();
+        let tcp = self.tcp_set();
         // Microbursts: back-to-back 1514 B frames at line rate. They are
         // few and bounded by configuration, so they are materialized up
         // front and stably merged with the paced stream. Stable sort here
@@ -277,18 +325,20 @@ impl TraceBuilder {
         for &(at_ns, packets) in &self.microbursts {
             let gap_ns = self.rate.gap_ns(1514, 1.0);
             for k in 0..packets {
-                let flow = &flows[k % flows.len()];
+                let i = k % self.space.flows;
+                let flow = self.space.spec(i, tcp.contains(i));
                 bursts.push(TracePacket {
                     arrival_ns: at_ns + (k as f64 * gap_ns) as u64,
-                    frame: Self::build_frame(flow, 1514, k as u32),
+                    frame: Self::build_frame(&flow, 1514, k as u32),
                 });
             }
         }
         bursts.sort_by_key(|p| p.arrival_ns);
-        let templates = vec![Vec::new(); flows.len()];
         TraceStream {
             rng: Xoshiro256::seed_from_u64(self.seed),
-            flows,
+            space: self.space,
+            tcp,
+            udp: UdpTemplate::new(self.space.dport),
             size: self.size,
             arrival: self.arrival,
             rate: self.rate,
@@ -297,33 +347,107 @@ impl TraceBuilder {
             next_seq: 0,
             count,
             bursts: bursts.into(),
-            templates,
-            template_bytes: 0,
-            template_budget: TEMPLATE_BYTE_BUDGET,
             last_gap: (usize::MAX, 0.0),
         }
     }
 }
 
-/// Frame templates kept per flow. Fixed and IMIX size models are fully
-/// covered (≤3 distinct lengths); wide Uniform models fall back to
-/// building frames past the cap.
-const TEMPLATES_PER_FLOW: usize = 4;
+/// The Internet checksum of a header whose 16-bit words add up to
+/// `sum`. Exact, not incremental: one's-complement addition is
+/// associative and commutative, and folding any positive sum lands on
+/// the one representative in `1..=0xffff` of its class modulo `0xffff`,
+/// so regrouping the words into precomputed partial sums gives the very
+/// bits [`checksum::checksum`] gives over the finished header.
+fn finish_checksum(sum: u32) -> u16 {
+    !(checksum::fold(sum) as u16)
+}
 
-/// Global cap on cached template frame bytes per stream. At city scale
-/// (256k+ flows × up to 4 IMIX templates of up to ~1.5 kB each) an
-/// unbounded per-flow cache would cost hundreds of megabytes; past this
-/// budget frames are simply built instead of memoized, which changes
-/// nothing about the output bytes (pinned by golden-digest tests) —
-/// only the amortized build cost for the coldest flows.
-const TEMPLATE_BYTE_BUDGET: usize = 8 << 20;
+/// The one UDP frame every UDP flow of a stream is stamped from. The
+/// frame builder does not consume the sequence number and the payload
+/// is constant filler, so a UDP frame is a pure function of (source,
+/// destination, source port, length): copy the template's first `len`
+/// bytes, patch those fields and both length fields, and rebuild both
+/// checksums from the partial sums of everything that never changes.
+#[derive(Debug)]
+struct UdpTemplate {
+    /// A full-size frame from the reference builder with every
+    /// per-packet field zeroed.
+    frame: Vec<u8>,
+    /// One's-complement sum of the IPv4 header's constant fields.
+    ip_base: u32,
+    /// One's-complement sum of the constants the UDP checksum covers: the
+    /// pseudo-header's protocol and the destination port.
+    udp_base: u32,
+}
+
+impl UdpTemplate {
+    fn new(dport: u16) -> UdpTemplate {
+        let mut frame = Vec::new();
+        PacketBuilder::eth_ipv4_udp_into(
+            &mut frame,
+            MacAddr::from(DST_MAC),
+            MacAddr::from(SRC_MAC),
+            0,
+            0,
+            0,
+            dport,
+            &PAYLOAD_FILL[..PAYLOAD_FILL.len() - UDP_HEADERS],
+        );
+        // IPv4 total length and checksum, UDP length and checksum.
+        for field in [16, 24, 38, 40] {
+            frame[field..field + 2].fill(0);
+        }
+        UdpTemplate {
+            ip_base: checksum::raw_sum(&frame[14..34]),
+            udp_base: 17 + checksum::raw_sum(&frame[34..UDP_HEADERS]),
+            frame,
+        }
+    }
+
+    /// Write `flow`'s `len`-byte frame into `out`: byte for byte what
+    /// [`PacketBuilder::eth_ipv4_udp_into`] builds. `len` must not
+    /// exceed the template (`PAYLOAD_FILL.len()`).
+    fn stamp(&self, flow: &FlowSpec, len: usize, out: &mut Vec<u8>) {
+        let payload_len = len.saturating_sub(UDP_HEADERS);
+        let body = UDP_HEADERS + payload_len;
+        out.clear();
+        out.extend_from_slice(&self.frame[..body]);
+        if body < 60 {
+            out.resize(60, 0); // Ethernet minimum: zero padding, not filler
+        }
+        let ip_total = (20 + 8 + payload_len) as u16;
+        let udp_len = (8 + payload_len) as u16;
+        let addrs = (flow.src >> 16) + (flow.src & 0xffff) + (flow.dst >> 16) + (flow.dst & 0xffff);
+        let ip_check = finish_checksum(self.ip_base + u32::from(ip_total) + addrs);
+        let filler = u32::from(u16::from_be_bytes([FILL, FILL])) * (payload_len / 2) as u32
+            + u32::from(u16::from_be_bytes([FILL, 0])) * (payload_len % 2) as u32;
+        let mut udp_check = finish_checksum(
+            self.udp_base + addrs + u32::from(flow.sport) + 2 * u32::from(udp_len) + filler,
+        );
+        if udp_check == 0 {
+            udp_check = 0xffff; // RFC 768: zero means "no checksum"
+        }
+        let h = &mut out[..UDP_HEADERS];
+        h[16..18].copy_from_slice(&ip_total.to_be_bytes());
+        h[24..26].copy_from_slice(&ip_check.to_be_bytes());
+        h[26..30].copy_from_slice(&flow.src.to_be_bytes());
+        h[30..34].copy_from_slice(&flow.dst.to_be_bytes());
+        h[34..36].copy_from_slice(&flow.sport.to_be_bytes());
+        h[38..40].copy_from_slice(&udp_len.to_be_bytes());
+        h[40..42].copy_from_slice(&udp_check.to_be_bytes());
+    }
+}
 
 /// Streaming counterpart of [`TraceBuilder::build`]; see
 /// [`TraceBuilder::stream`]. Yields packets sorted by arrival time.
 #[derive(Debug)]
 pub struct TraceStream {
     rng: Xoshiro256,
-    flows: Vec<FlowSpec>,
+    space: FlowSpace,
+    tcp: TcpSet,
+    /// UDP frames are stamped from this; TCP flows embed the per-packet
+    /// sequence number and are always built in full.
+    udp: UdpTemplate,
     size: SizeModel,
     arrival: ArrivalModel,
     rate: LineRateCalc,
@@ -332,21 +456,6 @@ pub struct TraceStream {
     next_seq: usize,
     count: usize,
     bursts: VecDeque<TracePacket>,
-    /// Per-flow `(len, frame)` template cache for UDP flows. The UDP
-    /// frame builder does not consume the sequence number, so a UDP
-    /// frame is a pure function of (flow, length): after the first
-    /// build, subsequent packets of the flow/length are a straight
-    /// memcpy. TCP flows embed the per-packet sequence number and are
-    /// always built in full. Byte-for-byte output equality with the
-    /// uncached path is pinned by golden-digest tests.
-    templates: Vec<Vec<(u32, Vec<u8>)>>,
-    /// Frame bytes currently held by `templates`, bounded by
-    /// `template_budget`.
-    template_bytes: usize,
-    /// The stream's cap on cached template bytes
-    /// ([`TEMPLATE_BYTE_BUDGET`]; tests shrink it to cover the
-    /// budget-exhausted path cheaply).
-    template_budget: usize,
     /// One-entry memo of `rate.gap_ns(len, utilization)` keyed on frame
     /// length — the gap is a pure function of length for a fixed stream.
     last_gap: (usize, f64),
@@ -357,13 +466,6 @@ impl TraceStream {
     /// [`TraceBuilder::stream_pooled`]).
     pub fn arena(&self) -> &PacketArena {
         &self.arena
-    }
-
-    /// Shrink the template byte budget so tests can exercise the
-    /// budget-exhausted path without generating megabytes of flows.
-    #[cfg(test)]
-    fn set_template_budget(&mut self, bytes: usize) {
-        self.template_budget = bytes;
     }
 }
 
@@ -393,24 +495,14 @@ impl Iterator for TraceStream {
             _ => {}
         }
         let arrival_ns = main_arrival.expect("paced packet pending");
-        let flow_idx = self.rng.range_usize(0, self.flows.len());
-        let flow = &self.flows[flow_idx];
+        let flow_idx = self.rng.range_usize(0, self.space.flows);
+        let flow = self.space.spec(flow_idx, self.tcp.contains(flow_idx));
         let len = self.size.sample(&mut self.rng);
         let mut frame = self.arena.lease();
-        let slot = &mut self.templates[flow_idx];
-        if flow.tcp {
-            TraceBuilder::build_frame_into(flow, len, self.next_seq as u32, &mut frame);
-        } else if let Some((_, t)) = slot.iter().find(|(l, _)| *l == len as u32) {
-            frame.clear();
-            frame.extend_from_slice(t);
+        if flow.tcp || len > PAYLOAD_FILL.len() {
+            TraceBuilder::build_frame_into(&flow, len, self.next_seq as u32, &mut frame);
         } else {
-            TraceBuilder::build_frame_into(flow, len, self.next_seq as u32, &mut frame);
-            if slot.len() < TEMPLATES_PER_FLOW
-                && self.template_bytes + frame.len() <= self.template_budget
-            {
-                self.template_bytes += frame.len();
-                slot.push((len as u32, frame.clone()));
-            }
+            self.udp.stamp(&flow, len, &mut frame);
         }
         let mean_gap = if self.last_gap.0 == frame.len() {
             self.last_gap.1
@@ -467,21 +559,88 @@ mod tests {
         assert!(a.iter().zip(&c).any(|(x, y)| x.frame != y.frame));
     }
 
+    /// What `stamp` must reproduce: the reference builder's frame.
+    fn built(flow: &FlowSpec, len: usize) -> Vec<u8> {
+        assert!(!flow.tcp);
+        TraceBuilder::build_frame(flow, len, 0)
+    }
+
     #[test]
-    fn template_budget_does_not_change_output() {
-        // Starve the template cache: every frame takes the build path
-        // instead of the memcpy path, and the bytes must not change.
-        let builder = TraceBuilder::new(42).flows(16).tcp_share(0.25);
-        let cached: Vec<_> = builder.stream(600).collect();
-        let mut starved_stream = builder.stream(600);
-        starved_stream.set_template_budget(0);
-        let starved: Vec<_> = starved_stream.by_ref().collect();
-        assert_eq!(starved_stream.template_bytes, 0);
-        assert_eq!(cached.len(), starved.len());
-        for (x, y) in cached.iter().zip(&starved) {
-            assert_eq!(x.arrival_ns, y.arrival_ns);
-            assert_eq!(x.frame, y.frame);
+    fn stamped_udp_frames_equal_the_builder() {
+        let mut rng = Xoshiro256::seed_from_u64(0x57a3_9ed0);
+        let mut out = Vec::new();
+        for i in 0..10_000 {
+            let dport = rng.next_u64() as u16;
+            let template = UdpTemplate::new(dport);
+            let flow = FlowSpec {
+                src: rng.next_u64() as u32,
+                dst: rng.next_u64() as u32,
+                sport: rng.next_u64() as u16,
+                dport,
+                tcp: false,
+            };
+            // Every IMIX length, the runt and padded ones below the
+            // Ethernet minimum, odd and even payloads, the largest.
+            let len = match i % 8 {
+                0 => 60,
+                1 => 590,
+                2 => 1514,
+                3 => rng.range_inclusive_usize(0, 61),
+                _ => rng.range_inclusive_usize(42, 1514),
+            };
+            template.stamp(&flow, len, &mut out);
+            assert_eq!(out, built(&flow, len), "{flow:?} at {len} B");
         }
+    }
+
+    #[test]
+    fn stamped_udp_checksum_of_zero_is_sent_as_ffff() {
+        // Solve for the source port that makes the checksummed words
+        // add up to 0xffff, so the complement is 0x0000: RFC 768 sends
+        // 0xffff instead, and so must the stamp.
+        let template = UdpTemplate::new(80);
+        let mut flow = FlowSpec {
+            src: 0xc0a8_0007,
+            dst: 0x0808_0003,
+            sport: 0,
+            dport: 80,
+            tcp: false,
+        };
+        for len in [60, 61, 590, 1514] {
+            flow.sport = 0;
+            let zero_port = built(&flow, len);
+            let check = u16::from_be_bytes([zero_port[40], zero_port[41]]);
+            // With sport 0 the words sum to !check; sport = check tops
+            // them up to 0xffff.
+            flow.sport = check;
+            let reference = built(&flow, len);
+            assert_eq!(reference[40..42], [0xff, 0xff], "not the zero case");
+            let mut out = Vec::new();
+            template.stamp(&flow, len, &mut out);
+            assert_eq!(out, reference);
+        }
+    }
+
+    #[test]
+    fn streamed_udp_frames_equal_the_builder_across_the_jumbo_fallback() {
+        // Lengths on both sides of the template's size: past it the
+        // stream builds the frame in full.
+        let b = TraceBuilder::new(17)
+            .flows(40)
+            .tcp_share(0.3)
+            .sizes(SizeModel::Uniform(60, 1_600));
+        let specs = b.flow_specs();
+        let (mut udp, mut jumbo) = (0, 0);
+        for p in b.stream(3_000) {
+            let src = u32::from_be_bytes(p.frame[26..30].try_into().unwrap());
+            let flow = &specs[(src - 0xc0a8_0000) as usize];
+            if !flow.tcp {
+                assert_eq!(p.frame, built(flow, p.frame.len()));
+                udp += 1;
+                jumbo += usize::from(p.frame.len() > PAYLOAD_FILL.len());
+            }
+        }
+        assert!(udp > 1_500 && jumbo > 20, "{udp} UDP, {jumbo} jumbo");
     }
 
     #[test]

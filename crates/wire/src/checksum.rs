@@ -23,11 +23,14 @@ pub fn raw_sum(data: &[u8]) -> u32 {
 }
 
 /// Fold a 32-bit running sum into 16 bits of one's-complement arithmetic.
-pub fn fold(mut sum: u32) -> u32 {
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    sum
+///
+/// Two end-around adds, unconditionally: the first leaves at most
+/// `0x1fffe`, the second at most `0xffff`, and either is the identity
+/// on a sum that already fits — so this is the "repeat while it
+/// carries" loop without a data-dependent branch on every checksum.
+pub fn fold(sum: u32) -> u32 {
+    let sum = (sum & 0xffff) + (sum >> 16);
+    (sum & 0xffff) + (sum >> 16)
 }
 
 /// RFC 1071 Internet checksum of `data` (the value to place in the
@@ -67,9 +70,110 @@ pub fn update32(old_check: u16, old: u32, new: u32) -> u16 {
     update16(c, old as u16, new as u16)
 }
 
+/// The one's-complement amount a 16-bit field change `old → new` adds
+/// to a checksum's complement: RFC 1624's `~m + m'`, folded. Computed
+/// once per flow and replayed with [`apply_delta`].
+pub fn delta16(old: u16, new: u16) -> u16 {
+    fold(u32::from(!old) + u32::from(new)) as u16
+}
+
+/// [`delta16`] for a 32-bit field (e.g. an IPv4 address): the sum of
+/// both halves' deltas, folded.
+pub fn delta32(old: u32, new: u32) -> u16 {
+    let halves =
+        u32::from(!(old >> 16) as u16) + (new >> 16) + u32::from(!(old as u16)) + (new & 0xffff);
+    fold(halves) as u16
+}
+
+/// Patch checksum `old_check` by a precomputed field-change delta
+/// (`HC' = ~(~HC + delta)`). Bit-identical to [`update16`] /
+/// [`update32`] on the same change: one's-complement addition is
+/// associative, every partial sum folds to the one representative in
+/// `1..=0xffff` of its class modulo `0xffff`, and the only sum that
+/// folds to zero is the all-zero one — which both forms reach under
+/// exactly the same condition (`~HC = 0` and a zero delta).
+pub fn apply_delta(old_check: u16, delta: u16) -> u16 {
+    !(fold(u32::from(!old_check) + u32::from(delta)) as u16)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Values that sit on every one's-complement edge: both zeros, the
+    /// carry boundary and their neighbours.
+    const EDGES: [u16; 8] = [0, 1, 2, 0x7fff, 0x8000, 0xfffd, 0xfffe, 0xffff];
+
+    #[test]
+    fn delta_patch_equals_incremental_update_16() {
+        for &c in &EDGES {
+            for &o in &EDGES {
+                for &n in &EDGES {
+                    assert_eq!(apply_delta(c, delta16(o, n)), update16(c, o, n));
+                }
+            }
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (c, o, n) = (x as u16, (x >> 16) as u16, (x >> 32) as u16);
+            assert_eq!(apply_delta(c, delta16(o, n)), update16(c, o, n));
+        }
+    }
+
+    #[test]
+    fn delta_patch_equals_incremental_update_32() {
+        let words = |hi: u16, lo: u16| u32::from(hi) << 16 | u32::from(lo);
+        for &c in &EDGES {
+            for &oh in &EDGES {
+                for &ol in &EDGES {
+                    for &nh in &EDGES {
+                        for &nl in &EDGES {
+                            let (o, n) = (words(oh, ol), words(nh, nl));
+                            assert_eq!(apply_delta(c, delta32(o, n)), update32(c, o, n));
+                        }
+                    }
+                }
+            }
+        }
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let c = x as u16;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (o, n) = (x as u32, (x >> 32) as u32);
+            assert_eq!(apply_delta(c, delta32(o, n)), update32(c, o, n));
+        }
+    }
+
+    #[test]
+    fn fold_is_the_carry_loop_without_the_loop() {
+        let looped = |mut sum: u32| {
+            while sum > 0xffff {
+                sum = (sum & 0xffff) + (sum >> 16);
+            }
+            sum
+        };
+        for hi in [0u32, 1, 2, 0x7fff, 0x8000, 0xfffe, 0xffff] {
+            for &lo in &EDGES {
+                let sum = hi << 16 | u32::from(lo);
+                assert_eq!(fold(sum), looped(sum), "{sum:#x}");
+            }
+        }
+        let mut x = 0x1234_5678_9abc_def1u64;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            assert_eq!(fold(x as u32), looped(x as u32));
+        }
+    }
 
     /// The worked example from RFC 1071 §3.
     #[test]
