@@ -17,7 +17,6 @@ use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpRe
 
 /// What a matching rule does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AclAction {
     /// Let the packet through.
     Permit,
@@ -30,7 +29,6 @@ pub enum AclAction {
 /// One ACL rule over the IPv4 5-tuple; `None` fields are wildcards.
 /// Address fields take `(addr, prefix_len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AclRule {
     /// Source prefix.
     pub src: Option<(u32, u8)>,

@@ -11,8 +11,8 @@
 //! 4. **FIFO sizing** — how much buffering rescues an overloaded
 //!    Two-Way-Core at 1× clock (it cannot: the deficit is sustained).
 
-use flexsfp_core::auth::AuthKey;
-use flexsfp_core::control::{ControlPlane, ControlRequest};
+use crate::ctl::control_frame;
+use flexsfp_core::control::ControlRequest;
 use flexsfp_core::module::{FlexSfp, ModuleConfig, SimPacket};
 use flexsfp_core::ShellKind;
 use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
@@ -20,11 +20,9 @@ use flexsfp_fabric::{ClockDomain, Device};
 use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::Direction;
 use flexsfp_traffic::{SizeModel, TraceBuilder};
-use flexsfp_wire::builder::PacketBuilder;
 
 /// Control-share sweep point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControlSharePoint {
     /// Fraction of offered frames that are control traffic.
     pub share: f64,
@@ -42,7 +40,6 @@ flexsfp_obs::impl_json_struct!(ControlSharePoint {
 
 /// NAT table-size sweep point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TableSizePoint {
     /// Flow capacity.
     pub capacity: usize,
@@ -63,7 +60,6 @@ flexsfp_obs::impl_json_struct!(TableSizePoint {
 
 /// Chain-depth sweep point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChainDepthPoint {
     /// Stages in the chain.
     pub depth: usize,
@@ -84,7 +80,6 @@ flexsfp_obs::impl_json_struct!(ChainDepthPoint {
 
 /// FIFO sweep point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FifoPoint {
     /// FIFO capacity, KiB.
     pub fifo_kib: usize,
@@ -96,7 +91,6 @@ flexsfp_obs::impl_json_struct!(FifoPoint { fifo_kib, delivery });
 
 /// The combined report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Ablation 1.
     pub control_share: Vec<ControlSharePoint>,
@@ -118,8 +112,6 @@ flexsfp_obs::impl_json_struct!(Report {
 fn control_share_sweep(n: usize) -> Vec<ControlSharePoint> {
     crate::par::par_map(vec![0.0, 0.01, 0.05, 0.10, 0.20], |share| {
         let mut module = FlexSfp::passthrough();
-        let mgmt_mac = module.config.mgmt_mac;
-        let mgmt_ip = module.config.mgmt_ip;
         let data = TraceBuilder::new(0xab)
             .sizes(SizeModel::Fixed(60))
             .arrivals(flexsfp_traffic::gen::ArrivalModel::Paced { utilization: 1.0 })
@@ -134,22 +126,10 @@ fn control_share_sweep(n: usize) -> Vec<ControlSharePoint> {
         for (i, p) in data.into_iter().enumerate() {
             if i % every == every - 1 {
                 // Replace with a control ping at the same slot.
-                let payload = ControlPlane::encode_request(
-                    &AuthKey::DEFAULT,
-                    &ControlRequest::Ping { nonce: i as u64 },
-                );
                 packets.push(SimPacket {
                     arrival_ns: p.arrival_ns,
                     direction: Direction::EdgeToOptical,
-                    frame: PacketBuilder::eth_ipv4_udp(
-                        mgmt_mac,
-                        flexsfp_wire::MacAddr([0xee; 6]),
-                        0x0a000101,
-                        mgmt_ip,
-                        40_000,
-                        flexsfp_core::control::CONTROL_PORT,
-                        &payload,
-                    ),
+                    frame: control_frame(&module.config, &ControlRequest::Ping { nonce: i as u64 }),
                 });
             } else {
                 data_count += 1;

@@ -55,28 +55,131 @@
 //! budget (25 k instead of 100 k), never the topology.
 
 use flexsfp_bench::{
-    ablations, fig1, fig2, latency, linerate, perf, power, rack, scaling, slo, soak, table1,
+    ablations, fig1, fig2, latency, linerate, par, perf, power, rack, scaling, slo, soak, table1,
     table2, table3,
 };
-use flexsfp_obs::SloSpec;
+use flexsfp_obs::json::Value;
+use flexsfp_obs::{SloSpec, ToJson};
+
+/// The flags an experiment may read.
+struct Opts {
+    quick: bool,
+    breach: bool,
+    shards: Option<usize>,
+    trace_path: Option<String>,
+}
+
+impl Opts {
+    /// The packet budget: the CI size under `--quick`, else the full one.
+    fn packets(&self, quick: usize, full: usize) -> usize {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// `--shards`, defaulting to one shard per available core, capped
+    /// at 4 — the scaling point the committed baselines record.
+    fn shards(&self) -> usize {
+        self.shards
+            .unwrap_or_else(|| par::effective_parallelism().min(4))
+    }
+}
+
+/// What one experiment hands back: the human-readable table, the JSON
+/// report, and whether its gate (if it has one) passed.
+type Outcome = (String, Value, bool);
+
+fn outcome<R: ToJson>(report: &R, render: fn(&R) -> String, healthy: bool) -> Outcome {
+    (render(report), report.to_json(), healthy)
+}
+
+/// One experiment: its subcommand, the baseline file it records in the
+/// current directory (if any), and how to run it.
+type Experiment = (&'static str, Option<&'static str>, fn(&Opts) -> Outcome);
+
+/// Every experiment, in the order `all` runs them. Adding one is one row.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table1", None, |_| {
+        outcome(&table1::run(), table1::render, true)
+    }),
+    ("table2", None, |_| {
+        outcome(&table2::run(), table2::render, true)
+    }),
+    ("table3", None, |_| {
+        outcome(&table3::run(), table3::render, true)
+    }),
+    ("fig1", None, |_| {
+        outcome(&fig1::run(20_000), fig1::render, true)
+    }),
+    ("fig2", None, |_| outcome(&fig2::run(), fig2::render, true)),
+    ("linerate", None, |_| {
+        outcome(&linerate::run(20_000), linerate::render, true)
+    }),
+    ("power", None, |_| {
+        outcome(&power::run(), power::render, true)
+    }),
+    ("scaling", None, |_| {
+        outcome(&scaling::run(), scaling::render, true)
+    }),
+    ("ablations", None, |_| {
+        outcome(&ablations::run(30_000), ablations::render, true)
+    }),
+    ("latency", None, |_| {
+        outcome(&latency::run(20_000), latency::render, true)
+    }),
+    ("perf", Some("BENCH_throughput.json"), |o| {
+        let packets = o.packets(perf::QUICK_PACKETS, perf::FULL_PACKETS);
+        let (mut text, json, healthy) =
+            outcome(&perf::run(packets, o.shards()), perf::render, true);
+        if let Some(path) = &o.trace_path {
+            let trace = perf::chrome_trace(perf::TRACE_PACKETS, perf::TRACE_EVERY);
+            std::fs::write(path, format!("{}\n", trace.to_string_pretty()))
+                .unwrap_or_else(|e| panic!("write {path}: {e}"));
+            text += &format!("\nwrote {path} (chrome://tracing JSON — open in Perfetto)");
+        }
+        (text, json, healthy)
+    }),
+    ("slo", None, |o| {
+        let spec = if o.breach {
+            slo::breach_spec()
+        } else {
+            SloSpec::generous()
+        };
+        let r = slo::run(o.packets(slo::QUICK_PACKETS, slo::FULL_PACKETS), spec);
+        outcome(&r, slo::render, r.report.healthy)
+    }),
+    ("soak", Some("BENCH_soak.json"), |o| {
+        let packets = o.packets(soak::QUICK_PACKETS, soak::FULL_PACKETS);
+        let r = soak::run(packets, o.shards());
+        outcome(&r, soak::render, r.healthy)
+    }),
+    ("rack", Some("BENCH_rack.json"), |o| {
+        let r = rack::run(o.packets(rack::QUICK_PACKETS, rack::FULL_PACKETS));
+        outcome(&r, rack::render, r.healthy)
+    }),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let quick = args.iter().any(|a| a == "--quick");
-    let breach = args.iter().any(|a| a == "--breach");
+    let mut opts = Opts {
+        quick: args.iter().any(|a| a == "--quick"),
+        breach: args.iter().any(|a| a == "--breach"),
+        shards: None,
+        trace_path: None,
+    };
 
     // `--trace` and `--shards` consume the next argument as their
     // value, so the subcommand scan has to step over those values.
-    let mut trace_path: Option<String> = None;
-    let mut shards: Option<usize> = None;
     let mut cmd: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--trace" => {
                 match args.get(i + 1) {
-                    Some(path) if !path.starts_with("--") => trace_path = Some(path.clone()),
+                    Some(path) if !path.starts_with("--") => opts.trace_path = Some(path.clone()),
                     _ => {
                         eprintln!("--trace requires a file path argument");
                         std::process::exit(2);
@@ -87,7 +190,7 @@ fn main() {
             }
             "--shards" => {
                 match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => shards = Some(n),
+                    Some(n) if n > 0 => opts.shards = Some(n),
                     _ => {
                         eprintln!("--shards requires a positive integer argument");
                         std::process::exit(2);
@@ -107,194 +210,39 @@ fn main() {
     }
     let cmd = cmd.unwrap_or("all");
 
-    let known = [
-        "table1",
-        "table2",
-        "table3",
-        "fig1",
-        "fig2",
-        "linerate",
-        "power",
-        "scaling",
-        "ablations",
-        "latency",
-        "perf",
-        "slo",
-        "soak",
-        "rack",
-        "all",
-    ];
-    if !known.contains(&cmd) {
+    let selected: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|(name, ..)| cmd == "all" || cmd == *name)
+        .collect();
+    if selected.is_empty() {
+        let known: Vec<&str> = EXPERIMENTS
+            .iter()
+            .map(|(name, ..)| *name)
+            .chain(["all"])
+            .collect();
         eprintln!("unknown experiment '{cmd}'; expected one of {known:?}");
         std::process::exit(2);
     }
 
     let mut exit_code = 0;
-    let mut run_one = |name: &str| match name {
-        "table1" => {
-            let r = table1::run();
-            println!("{}", table1::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
+    for (_, baseline, run) in selected {
+        let (text, report, healthy) = run(&opts);
+        println!("{text}");
+        let report = report.to_string_pretty();
+        if let Some(file) = baseline {
+            std::fs::write(file, format!("{report}\n"))
+                .unwrap_or_else(|e| panic!("write {file}: {e}"));
+            println!("wrote {file}");
         }
-        "table2" => {
-            let r = table2::run();
-            println!("{}", table2::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
+        if json {
+            println!("{report}");
         }
-        "table3" => {
-            let r = table3::run();
-            println!("{}", table3::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
+        if !healthy {
+            exit_code = 1;
         }
-        "fig1" => {
-            let r = fig1::run(20_000);
-            println!("{}", fig1::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
-        }
-        "fig2" => {
-            let r = fig2::run();
-            println!("{}", fig2::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
-        }
-        "linerate" => {
-            let r = linerate::run(20_000);
-            println!("{}", linerate::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
-        }
-        "power" => {
-            let r = power::run();
-            println!("{}", power::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
-        }
-        "scaling" => {
-            let r = scaling::run();
-            println!("{}", scaling::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
-        }
-        "latency" => {
-            let r = latency::run(20_000);
-            println!("{}", latency::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
-        }
-        "ablations" => {
-            let r = ablations::run(30_000);
-            println!("{}", ablations::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
-        }
-        "perf" => {
-            let packets = if quick {
-                perf::QUICK_PACKETS
-            } else {
-                perf::FULL_PACKETS
-            };
-            // Default shard count: one shard per available core, capped
-            // at 4 — the scaling point the committed baseline records.
-            let shards =
-                shards.unwrap_or_else(|| flexsfp_bench::par::effective_parallelism().min(4));
-            let r = perf::run(packets, shards);
-            println!("{}", perf::render(&r));
-            let text = flexsfp_obs::ToJson::to_json(&r).to_string_pretty();
-            std::fs::write("BENCH_throughput.json", format!("{text}\n"))
-                .expect("write BENCH_throughput.json");
-            println!("wrote BENCH_throughput.json");
-            if let Some(path) = &trace_path {
-                let trace = perf::chrome_trace(perf::TRACE_PACKETS, perf::TRACE_EVERY);
-                std::fs::write(path, format!("{}\n", trace.to_string_pretty()))
-                    .unwrap_or_else(|e| panic!("write {path}: {e}"));
-                println!("wrote {path} (chrome://tracing JSON — open in Perfetto)");
-            }
-            if json {
-                println!("{text}");
-            }
-        }
-        "slo" => {
-            let packets = if quick {
-                slo::QUICK_PACKETS
-            } else {
-                slo::FULL_PACKETS
-            };
-            let spec = if breach {
-                slo::breach_spec()
-            } else {
-                SloSpec::generous()
-            };
-            let r = slo::run(packets, spec);
-            println!("{}", slo::render(&r));
-            if json {
-                println!("{}", flexsfp_obs::ToJson::to_json(&r).to_string_pretty());
-            }
-            if !r.report.healthy {
-                exit_code = 1;
-            }
-        }
-        "soak" => {
-            let packets = if quick {
-                soak::QUICK_PACKETS
-            } else {
-                soak::FULL_PACKETS
-            };
-            let shards =
-                shards.unwrap_or_else(|| flexsfp_bench::par::effective_parallelism().min(4));
-            let r = soak::run(packets, shards);
-            println!("{}", soak::render(&r));
-            let text = flexsfp_obs::ToJson::to_json(&r).to_string_pretty();
-            std::fs::write("BENCH_soak.json", format!("{text}\n")).expect("write BENCH_soak.json");
-            println!("wrote BENCH_soak.json");
-            if json {
-                println!("{text}");
-            }
-            if !r.healthy {
-                exit_code = 1;
-            }
-        }
-        "rack" => {
-            let packets = if quick {
-                rack::QUICK_PACKETS
-            } else {
-                rack::FULL_PACKETS
-            };
-            let r = rack::run(packets);
-            println!("{}", rack::render(&r));
-            let text = flexsfp_obs::ToJson::to_json(&r).to_string_pretty();
-            std::fs::write("BENCH_rack.json", format!("{text}\n")).expect("write BENCH_rack.json");
-            println!("wrote BENCH_rack.json");
-            if json {
-                println!("{text}");
-            }
-            if !r.healthy {
-                exit_code = 1;
-            }
-        }
-        _ => unreachable!(),
-    };
-
-    if cmd == "all" {
-        for name in &known[..known.len() - 1] {
-            run_one(name);
+        if cmd == "all" {
             println!();
         }
-    } else {
-        run_one(cmd);
     }
     std::process::exit(exit_code);
 }

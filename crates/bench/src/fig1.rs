@@ -16,7 +16,6 @@ use flexsfp_traffic::{LineRateCalc, SizeModel, TraceBuilder};
 
 /// One measured operating point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Shell name.
     pub shell: String,
@@ -49,7 +48,6 @@ flexsfp_obs::impl_json_struct!(Point {
 
 /// The report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// All measured points.
     pub points: Vec<Point>,

@@ -11,7 +11,6 @@ use flexsfp_fabric::resources::Device;
 
 /// One inventory line.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Component {
     /// Component name.
     pub name: String,
@@ -25,7 +24,6 @@ flexsfp_obs::impl_json_struct!(Component { name, detail, ok });
 
 /// The report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Inventory lines.
     pub components: Vec<Component>,

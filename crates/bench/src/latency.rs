@@ -18,7 +18,6 @@ use flexsfp_wire::PacketArena;
 
 /// Latency of one placement.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlacementLatency {
     /// Placement name.
     pub placement: String,
@@ -39,7 +38,6 @@ flexsfp_obs::impl_json_struct!(PlacementLatency {
 
 /// Early-enforcement accounting for one placement.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnforcementRow {
     /// Placement name.
     pub placement: String,
@@ -58,7 +56,6 @@ flexsfp_obs::impl_json_struct!(EnforcementRow {
 
 /// The report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Latency comparison at moderate load.
     pub latency: Vec<PlacementLatency>,

@@ -20,7 +20,7 @@
 //! | city-soak SLO workload | [`soak`] | `soak` |
 //! | rack-scale crossbar workload | [`rack`] | `rack` |
 //!
-//! Each module exposes a `run()` returning a serde-serializable report
+//! Each module exposes a `run()` returning a JSON-serializable report
 //! and a `render()` producing the human-readable table with the same
 //! rows the paper prints. The `experiments` binary wires them to a CLI.
 //!
@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+mod ctl;
 pub mod fig1;
 pub mod fig2;
 pub mod latency;

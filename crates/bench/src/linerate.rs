@@ -15,7 +15,6 @@ use flexsfp_wire::PacketArena;
 
 /// One frame-size measurement.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Frame size (no FCS), bytes.
     pub frame_len: usize,
@@ -42,7 +41,6 @@ flexsfp_obs::impl_json_struct!(Point {
 
 /// The report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Per-size points.
     pub points: Vec<Point>,

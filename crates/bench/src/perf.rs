@@ -30,9 +30,11 @@
 //! measured against.
 
 use crate::render;
-use crate::shard::{self, run_sharded, run_sharded_timed};
+use crate::shard::{self, run_sharded};
 use flexsfp_apps::StaticNat;
-use flexsfp_core::module::{FlexSfp, Interface, ModuleConfig, SimPacket, PPE_BATCH};
+use flexsfp_core::module::{
+    FlexSfp, ModuleConfig, OutputDigest, OutputPacket, SimPacket, PPE_BATCH,
+};
 use flexsfp_obs::CacheStats;
 use flexsfp_ppe::Direction;
 use flexsfp_traffic::gen::ArrivalModel;
@@ -67,31 +69,6 @@ const PRIVATE_BASE: u32 = 0xc0a8_0000;
 const PUBLIC_BASE: u32 = 0x6540_0000;
 /// Frame length under test: minimum-size (worst-case packet rate).
 const FRAME_LEN: usize = 60;
-
-/// Per-packet wall-clock attribution across the four sharded-pipeline
-/// stages, measured by [`shard::run_sharded_timed`] (engines inline,
-/// messages through real batched rings) on a digest-verified pass.
-/// Nanoseconds per offered packet; `dispatch` covers accounting, the
-/// single fused [`flexsfp_ppe::FlowKey`] extraction, control
-/// classification, and shard routing.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StageCycles {
-    /// Dispatcher ns/packet.
-    pub dispatch: f64,
-    /// Ring transport ns/packet (batched push/pop).
-    pub ring: f64,
-    /// Shard engine ns/packet (the PPE work itself).
-    pub shard: f64,
-    /// Reconciler ns/packet (ordering window + release).
-    pub reconcile: f64,
-}
-
-flexsfp_obs::impl_json_struct!(StageCycles {
-    dispatch,
-    ring,
-    shard,
-    reconcile
-});
 
 /// Host provenance recorded alongside every committed benchmark JSON,
 /// so two baseline files are never compared without knowing whether
@@ -176,8 +153,6 @@ pub struct Report {
     /// every layout fits in L1, at 64 k flows only one-line-per-probe
     /// layouts stay fast.
     pub mpps_64k_flows: f64,
-    /// Where the sharded pipeline's cycles go, per packet.
-    pub stage_cycles: StageCycles,
     /// Flow-cache hit rate over the cache-on pass, 0..=1.
     pub cache_hit_rate: f64,
     /// FNV-1a digest (hex) over every output packet's departure time,
@@ -212,7 +187,6 @@ flexsfp_obs::impl_json_struct!(Report {
     mpps_sharded,
     shards,
     mpps_64k_flows,
-    stage_cycles,
     cache_hit_rate,
     digest,
     forwarded,
@@ -234,14 +208,14 @@ pub(crate) fn nat_module() -> FlexSfp {
     FlexSfp::new(ModuleConfig::default(), Box::new(nat))
 }
 
-/// A NAT sized for the high-flow variant: `flows` mappings in a
-/// `capacity`-slot table. At ~50 % load a few percent of the
+/// The high-flow variant's NAT: [`HIGH_FLOWS`] mappings in a
+/// [`HIGH_FLOW_TABLE`]-slot table. At ~50 % load a few percent of the
 /// population lands in full 4-way buckets; those subscribers miss and
 /// pass untranslated, exactly like the hardware table would behave, so
 /// the digest-verified passes still agree byte for byte.
-fn nat_module_sized(flows: usize, capacity: usize) -> FlexSfp {
-    let mut nat = StaticNat::with_capacity(capacity);
-    for i in 0..flows as u32 {
+fn high_flow_nat_module() -> FlexSfp {
+    let mut nat = StaticNat::with_capacity(HIGH_FLOW_TABLE);
+    for i in 0..HIGH_FLOWS as u32 {
         let _ = nat.add_mapping(PRIVATE_BASE.wrapping_add(i), PUBLIC_BASE.wrapping_add(i));
     }
     FlexSfp::new(ModuleConfig::default(), Box::new(nat))
@@ -259,17 +233,6 @@ fn peak_rss_kb() -> u64 {
         })
         .unwrap_or(0)
 }
-
-/// 64-bit FNV-1a fold of `bytes` into `state`.
-fn fnv1a(state: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *state ^= b as u64;
-        *state = state.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Timed measurement passes per cache setting; the minimum wall-clock
 /// wins (host interference only ever slows a pass down).
@@ -300,100 +263,121 @@ fn workload_flows(
         })
 }
 
-/// One verified (untimed, digesting) pass over the workload.
-struct Verified {
+/// One pass over the workload: which population runs, through what.
+#[derive(Clone, Copy)]
+struct Pass {
+    /// Flow population of the generated stream.
+    flows: usize,
+    /// Builds the NAT module provisioned for `flows`.
+    nat: fn() -> FlexSfp,
+    /// PPE flow cache on (memoized plans) or off (full slow path).
+    cache: bool,
+    /// Flight recorder armed at 1-in-[`TRACE_EVERY`] sampling.
+    recorder: bool,
+    /// `Some(n)`: through [`run_sharded`] at `n` shards; `None`: one
+    /// serial module.
+    shards: Option<usize>,
+}
+
+/// The §5.1 workload in the measured default configuration: flow
+/// cache on, flight recorder disarmed, one serial module.
+const BASE: Pass = Pass {
+    flows: FLOWS,
+    nat: nat_module,
+    cache: true,
+    recorder: false,
+    shards: None,
+};
+
+/// The high-flow variant, same configuration.
+const HIGH: Pass = Pass {
+    flows: HIGH_FLOWS,
+    nat: high_flow_nat_module,
+    ..BASE
+};
+
+/// What one streamed pass reports back.
+struct PassRun {
     forwarded: u64,
     offered: u64,
-    digest: u64,
     cache: CacheStats,
+    /// Frame copies made by the sharded pipeline (0 when serial).
+    frame_copies: u64,
+    /// Wall-clock of the streaming run itself: generation + simulation,
+    /// module construction excluded when serial (the sharded run builds
+    /// its modules on the shards' own threads, inside the clock).
+    wall_s: f64,
+    /// Frame buffers the pass's arena heap-allocated / leased.
     arena_allocations: u64,
     arena_leases: u64,
 }
 
-/// Stream the workload with the flow cache on or off — and optionally
-/// the flight recorder armed — folding every output packet into an
-/// FNV-1a digest.
-fn verify_pass(packets: usize, cache_on: bool, recorder: bool) -> Verified {
-    let mut module = nat_module();
-    module.app_mut().set_flow_cache(cache_on);
-    if recorder {
-        module.enable_flight_recorder(TRACE_EVERY, SEED, 256);
-    }
-    let arena = PacketArena::new();
-    let mut digest = FNV_OFFSET;
-    let report = module.run_stream_with(workload(packets, &arena), |out| {
-        fnv1a(&mut digest, &out.departure_ns.to_le_bytes());
-        fnv1a(
-            &mut digest,
-            &[matches!(out.egress, Interface::Optical) as u8],
-        );
-        fnv1a(&mut digest, &(out.frame.len() as u32).to_le_bytes());
-        fnv1a(&mut digest, &out.frame);
-        arena.recycle(out.frame);
-    });
-    Verified {
-        forwarded: report.forwarded.0 + report.forwarded.1,
-        offered: report.offered,
-        digest,
-        cache: module.app_mut().cache_stats().unwrap_or_default(),
-        arena_allocations: arena.allocations(),
-        arena_leases: arena.leases(),
-    }
-}
-
-/// One digesting pass of the high-flow workload: [`HIGH_FLOWS`] flows
-/// against a [`HIGH_FLOW_TABLE`]-slot NAT.
-fn verify_pass_high(packets: usize, cache_on: bool) -> u64 {
-    let mut module = nat_module_sized(HIGH_FLOWS, HIGH_FLOW_TABLE);
-    module.app_mut().set_flow_cache(cache_on);
-    let arena = PacketArena::new();
-    let mut digest = FNV_OFFSET;
-    module.run_stream_with(workload_flows(packets, HIGH_FLOWS, &arena), |out| {
-        fnv1a(&mut digest, &out.departure_ns.to_le_bytes());
-        fnv1a(
-            &mut digest,
-            &[matches!(out.egress, Interface::Optical) as u8],
-        );
-        fnv1a(&mut digest, &(out.frame.len() as u32).to_le_bytes());
-        fnv1a(&mut digest, &out.frame);
-        arena.recycle(out.frame);
-    });
-    digest
-}
-
-/// Best-of-[`MEASURE_REPS`] wall-clock for the high-flow workload,
-/// cache on, recycle-only sink.
-fn measure_pass_high(packets: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..MEASURE_REPS {
-        let mut module = nat_module_sized(HIGH_FLOWS, HIGH_FLOW_TABLE);
-        module.app_mut().set_flow_cache(true);
-        let arena = PacketArena::new();
-        let t0 = Instant::now();
-        module.run_stream_with(workload_flows(packets, HIGH_FLOWS, &arena), |out| {
-            arena.recycle(out.frame)
-        });
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Best-of-[`MEASURE_REPS`] wall-clock for the workload with a
-/// recycle-only sink.
-fn measure_pass(packets: usize, cache_on: bool, recorder: bool) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..MEASURE_REPS {
-        let mut module = nat_module();
-        module.app_mut().set_flow_cache(cache_on);
-        if recorder {
+impl Pass {
+    fn module(&self) -> FlexSfp {
+        let mut module = (self.nat)();
+        module.app_mut().set_flow_cache(self.cache);
+        if self.recorder {
             module.enable_flight_recorder(TRACE_EVERY, SEED, 256);
         }
-        let arena = PacketArena::new();
-        let t0 = Instant::now();
-        module.run_stream_with(workload(packets, &arena), |out| arena.recycle(out.frame));
-        best = best.min(t0.elapsed().as_secs_f64());
+        module
     }
-    best
+
+    /// Stream `packets` frames from a fresh arena through the pass,
+    /// showing every output to `observe` before recycling its frame.
+    fn stream(&self, packets: usize, mut observe: impl FnMut(&OutputPacket)) -> PassRun {
+        let arena = PacketArena::new();
+        let workload = workload_flows(packets, self.flows, &arena);
+        let sink = |out: OutputPacket| {
+            observe(&out);
+            arena.recycle(out.frame);
+        };
+        let (report, cache, frame_copies, wall) = match self.shards {
+            None => {
+                let mut module = self.module();
+                let t0 = Instant::now();
+                let report = module.run_stream_with(workload, sink);
+                let wall = t0.elapsed();
+                let cache = module.app_mut().cache_stats().unwrap_or_default();
+                (report, cache, 0, wall)
+            }
+            Some(shards) => {
+                let config = ModuleConfig::default();
+                let t0 = Instant::now();
+                let run = run_sharded(shards, &config, |_| self.module(), workload, sink);
+                (
+                    run.report,
+                    run.snapshot.cache,
+                    run.frame_copies,
+                    t0.elapsed(),
+                )
+            }
+        };
+        PassRun {
+            forwarded: report.forwarded.0 + report.forwarded.1,
+            offered: report.offered,
+            cache,
+            frame_copies,
+            wall_s: wall.as_secs_f64(),
+            arena_allocations: arena.allocations(),
+            arena_leases: arena.leases(),
+        }
+    }
+}
+
+/// One verified (untimed) pass: stream `pass`, folding every output
+/// packet into the canonical [`OutputDigest`].
+fn verify(packets: usize, pass: Pass) -> (u64, PassRun) {
+    let mut digest = OutputDigest::default();
+    let run = pass.stream(packets, |out| digest.fold(out));
+    (digest.value(), run)
+}
+
+/// Best-of-[`MEASURE_REPS`] wall-clock for `pass` with a recycle-only
+/// sink.
+fn measure(packets: usize, pass: Pass) -> f64 {
+    (0..MEASURE_REPS)
+        .map(|_| pass.stream(packets, |_| {}).wall_s)
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Upper bound on frame buffers a sharded run may hold in flight — the
@@ -407,98 +391,8 @@ fn measure_pass(packets: usize, cache_on: bool, recorder: bool) -> f64 {
 /// so the bound holds for either transport.
 pub fn sharded_arena_bound(shards: usize) -> u64 {
     2 * shard::BARRIER_EVERY
-        + (shards as u64)
-            * (2 * (shard::RING_CHUNKS * shard::CHUNK) as u64 + (shard::CHUNK + PPE_BATCH) as u64)
+        + (shards as u64) * (2 * shard::RING_ITEMS as u64 + (shard::CHUNK + PPE_BATCH) as u64)
         + 64
-}
-
-/// A per-shard module in the measured default configuration: flow
-/// cache on, flight recorder disarmed.
-fn shard_module() -> FlexSfp {
-    let mut module = nat_module();
-    module.app_mut().set_flow_cache(true);
-    module
-}
-
-/// One verified (untimed, digesting) sharded pass: same digest fold as
-/// [`verify_pass`], over the reconciled output stream.
-fn verify_pass_sharded(packets: usize, shards: usize) -> Verified {
-    let arena = PacketArena::new();
-    let mut digest = FNV_OFFSET;
-    let run = run_sharded(
-        shards,
-        &ModuleConfig::default(),
-        |_| shard_module(),
-        workload(packets, &arena),
-        |out| {
-            fnv1a(&mut digest, &out.departure_ns.to_le_bytes());
-            fnv1a(
-                &mut digest,
-                &[matches!(out.egress, Interface::Optical) as u8],
-            );
-            fnv1a(&mut digest, &(out.frame.len() as u32).to_le_bytes());
-            fnv1a(&mut digest, &out.frame);
-            arena.recycle(out.frame);
-        },
-    );
-    Verified {
-        forwarded: run.report.forwarded.0 + run.report.forwarded.1,
-        offered: run.report.offered,
-        digest,
-        cache: run.snapshot.cache,
-        arena_allocations: arena.allocations(),
-        arena_leases: arena.leases(),
-    }
-}
-
-/// Best-of-[`MEASURE_REPS`] wall-clock for the sharded run with a
-/// recycle-only sink.
-fn measure_pass_sharded(packets: usize, shards: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..MEASURE_REPS {
-        let arena = PacketArena::new();
-        let t0 = Instant::now();
-        run_sharded(
-            shards,
-            &ModuleConfig::default(),
-            |_| shard_module(),
-            workload(packets, &arena),
-            |out| arena.recycle(out.frame),
-        );
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Best-of-[`MEASURE_REPS`] instrumented pass: per-stage wall-clock
-/// attribution from [`run_sharded_timed`], taking the breakdown of the
-/// rep with the lowest total (same minimum-wall-clock rationale as the
-/// throughput passes), normalized to ns per offered packet.
-fn measure_pass_staged(packets: usize, shards: usize) -> StageCycles {
-    let mut best_total = u64::MAX;
-    let mut best = StageCycles::default();
-    for _ in 0..MEASURE_REPS {
-        let arena = PacketArena::new();
-        let (_, stage) = run_sharded_timed(
-            shards,
-            &ModuleConfig::default(),
-            |_| shard_module(),
-            workload(packets, &arena),
-            |out| arena.recycle(out.frame),
-        );
-        let total = stage.dispatch_ns + stage.ring_ns + stage.shard_ns + stage.reconcile_ns;
-        if total < best_total {
-            best_total = total;
-            let per = |ns: u64| ns as f64 / packets as f64;
-            best = StageCycles {
-                dispatch: per(stage.dispatch_ns),
-                ring: per(stage.ring_ns),
-                shard: per(stage.shard_ns),
-                reconcile: per(stage.reconcile_ns),
-            };
-        }
-    }
-    best
 }
 
 /// Run the throughput measurement over `packets` minimum-size frames:
@@ -520,60 +414,43 @@ fn measure_pass_staged(packets: usize, shards: usize) -> StageCycles {
 /// regression gate CI runs through this path.
 pub fn run(packets: usize, shards: usize) -> Report {
     let shards = shards.max(1);
-    let off = verify_pass(packets, false, false);
-    let on = verify_pass(packets, true, false);
+    let cache_off = Pass {
+        cache: false,
+        ..BASE
+    };
+    let recording = Pass {
+        recorder: true,
+        ..BASE
+    };
+    let sharded_pass = Pass {
+        shards: Some(shards),
+        ..BASE
+    };
+    let (off_digest, _) = verify(packets, cache_off);
+    let (digest, on) = verify(packets, BASE);
     assert_eq!(
-        on.digest, off.digest,
-        "flow cache changed observable output (cache-on {:016x} vs cache-off {:016x})",
-        on.digest, off.digest
+        digest, off_digest,
+        "flow cache changed observable output (cache-on {digest:016x} vs cache-off {off_digest:016x})"
     );
-    let traced = verify_pass(packets, true, true);
+    let (traced_digest, _) = verify(packets, recording);
     assert_eq!(
-        traced.digest, on.digest,
-        "flight recorder changed observable output (recorder-on {:016x} vs recorder-off {:016x})",
-        traced.digest, on.digest
+        traced_digest, digest,
+        "flight recorder changed observable output (recorder-on {traced_digest:016x} vs recorder-off {digest:016x})"
     );
-    let sharded = verify_pass_sharded(packets, shards);
+    let (sharded_digest, sharded) = verify(packets, sharded_pass);
     assert_eq!(
-        sharded.digest, on.digest,
-        "sharded dataplane changed observable output at {} shards ({:016x} vs serial {:016x})",
-        shards, sharded.digest, on.digest
+        sharded_digest, digest,
+        "sharded dataplane changed observable output at {shards} shards ({sharded_digest:016x} vs serial {digest:016x})"
     );
     assert_eq!(sharded.forwarded, on.forwarded);
     assert_eq!(sharded.offered, on.offered);
-    // The instrumented pipeline is the real pipeline with clocks in
-    // it: it must reproduce the digest too, and the dataplane-only
-    // workload must cross it without a single frame copy.
-    {
-        let arena = PacketArena::new();
-        let mut timed_digest = FNV_OFFSET;
-        let (timed, _) = run_sharded_timed(
-            shards,
-            &ModuleConfig::default(),
-            |_| shard_module(),
-            workload(packets, &arena),
-            |out| {
-                fnv1a(&mut timed_digest, &out.departure_ns.to_le_bytes());
-                fnv1a(
-                    &mut timed_digest,
-                    &[matches!(out.egress, Interface::Optical) as u8],
-                );
-                fnv1a(&mut timed_digest, &(out.frame.len() as u32).to_le_bytes());
-                fnv1a(&mut timed_digest, &out.frame);
-                arena.recycle(out.frame);
-            },
-        );
-        assert_eq!(
-            timed_digest, on.digest,
-            "instrumented sharded pipeline changed observable output ({timed_digest:016x} vs serial {:016x})",
-            on.digest
-        );
-        assert_eq!(
-            timed.frame_copies, 0,
-            "dataplane workload must be zero-copy, saw {} copies",
-            timed.frame_copies
-        );
-    }
+    // The dataplane-only workload must cross the sharded pipeline
+    // without a single frame copy.
+    assert_eq!(
+        sharded.frame_copies, 0,
+        "dataplane workload must be zero-copy, saw {} copies",
+        sharded.frame_copies
+    );
     // O(1)-memory gates: in-flight frame windows, not trace length.
     assert!(
         on.arena_allocations <= 48,
@@ -589,23 +466,26 @@ pub fn run(packets: usize, shards: usize) -> Report {
     );
     // High-flow variant: cache on/off must agree at 64 k flows too
     // (full buckets, set-conflict evictions) before it is timed.
-    let high_on = verify_pass_high(packets, true);
-    let high_off = verify_pass_high(packets, false);
+    let high_cache_off = Pass {
+        cache: false,
+        ..HIGH
+    };
+    let (high_on, _) = verify(packets, HIGH);
+    let (high_off, _) = verify(packets, high_cache_off);
     assert_eq!(
         high_on, high_off,
         "flow cache changed observable output at {HIGH_FLOWS} flows \
          ({high_on:016x} vs {high_off:016x})"
     );
-    let off_wall_s = measure_pass(packets, false, false);
-    let wall_s = measure_pass(packets, true, false);
+    let off_wall_s = measure(packets, cache_off);
+    let wall_s = measure(packets, BASE);
     // Independent re-measurement of the identical recorder-disarmed
     // configuration: its delta from `mpps` is pure run-to-run noise,
     // which is exactly the budget CI holds the sampler branch to.
-    let tracing_off_wall_s = measure_pass(packets, true, false);
-    let tracing_on_wall_s = measure_pass(packets, true, true);
-    let sharded_wall_s = measure_pass_sharded(packets, shards);
-    let high_wall_s = measure_pass_high(packets);
-    let stage_cycles = measure_pass_staged(packets, shards);
+    let tracing_off_wall_s = measure(packets, BASE);
+    let tracing_on_wall_s = measure(packets, recording);
+    let sharded_wall_s = measure(packets, sharded_pass);
+    let high_wall_s = measure(packets, HIGH);
 
     Report {
         packets: packets as u64,
@@ -619,9 +499,8 @@ pub fn run(packets: usize, shards: usize) -> Report {
         mpps_sharded: packets as f64 / sharded_wall_s / 1e6,
         shards: shards as u64,
         mpps_64k_flows: packets as f64 / high_wall_s / 1e6,
-        stage_cycles,
         cache_hit_rate: on.cache.hit_rate(),
-        digest: format!("{:016x}", on.digest),
+        digest: format!("{digest:016x}"),
         forwarded: on.forwarded,
         delivery: on.forwarded as f64 / on.offered.max(1) as f64,
         peak_rss_kb: peak_rss_kb(),
@@ -667,18 +546,12 @@ pub fn render(r: &Report) -> String {
         render::grouped(r.peak_rss_kb),
         r.arena_allocations.to_string(),
     ]];
-    let s = &r.stage_cycles;
     format!(
         "perf: streaming NAT workload (simulator throughput; output digest {} identical cache-on/off, recorder-on/off and serial/sharded)\n\
-         host: {} cores, {}\n\
-         stage ns/pkt: dispatch {} | ring {} | shard {} | reconcile {}\n{}",
+         host: {} cores, {}\n{}",
         r.digest,
         r.host.cores,
         r.host.cpu_model,
-        render::f(s.dispatch, 1),
-        render::f(s.ring, 1),
-        render::f(s.shard, 1),
-        render::f(s.reconcile, 1),
         render::table(
             &[
                 "packets",
@@ -719,12 +592,6 @@ mod tests {
         assert!(r.mpps_tracing_on > 0.0);
         assert!(r.mpps_sharded > 0.0);
         assert_eq!(r.shards, 2);
-        // The stage attribution accounts for real time: the shard
-        // stage (the PPE work) dominates a healthy pipeline and none
-        // of the stages may be negative.
-        let s = &r.stage_cycles;
-        assert!(s.shard > 0.0, "shard stage unmeasured");
-        assert!(s.dispatch >= 0.0 && s.ring >= 0.0 && s.reconcile >= 0.0);
         assert_eq!(r.arena_leases, 20_000);
         // O(1) memory: the arena never holds more than the in-flight
         // window of frames — one PPE batch plus generator slack — no

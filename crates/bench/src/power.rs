@@ -10,7 +10,6 @@ use flexsfp_host::testbed::{PowerMeasurement, PowerTestbed};
 
 /// The report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// NIC-level three-point measurement under stress.
     pub nic_only_w: f64,

@@ -16,7 +16,6 @@ use flexsfp_fabric::ClockDomain;
 
 /// One (width, clock) design point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Datapath width, bits.
     pub width_bits: u32,
@@ -43,7 +42,6 @@ flexsfp_obs::impl_json_struct!(Point {
 
 /// The report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// All sweep points.
     pub points: Vec<Point>,

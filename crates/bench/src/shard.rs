@@ -79,18 +79,14 @@ use flexsfp_wire::{
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Dispatcher-to-shard ring capacity in historical chunk units; with
-/// item rings the capacity is [`RING_ITEMS`] = `RING_CHUNKS * CHUNK`
-/// messages (kept equal to the old chunked capacity so the arena
-/// in-flight bound is unchanged).
-pub const RING_CHUNKS: usize = 64;
 /// Messages staged per batched ring operation: one position publish
 /// per `CHUNK` packets instead of per packet.
 pub const CHUNK: usize = 64;
-/// Ring capacity in messages.
-pub const RING_ITEMS: usize = RING_CHUNKS * CHUNK;
+/// Dispatcher-to-shard (and shard-to-dispatcher) ring capacity in
+/// messages; it bounds the frames in flight per ring, a term of
+/// [`crate::perf::sharded_arena_bound`].
+pub const RING_ITEMS: usize = 64 * CHUNK;
 /// Global-sequence distance between flush barriers on the threaded
 /// transport. Bounds reconciler window growth to roughly one barrier
 /// interval plus the in-flight ring contents, and bounds how long a
@@ -940,163 +936,6 @@ fn merge(stats: DispatchStats, recon: Reconciler, shards: usize) -> ShardedRun {
         frame_copies: stats.frame_copies,
         chunk_allocs: stats.chunk_allocs,
     }
-}
-
-/// Wall-clock attribution of a sharded run across the four pipeline
-/// stages, from [`run_sharded_timed`]. Nanoseconds, summed over the
-/// whole run; divide by the packet count for per-packet figures.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StageNanos {
-    /// Dispatcher: accounting, the fused key extraction, control
-    /// classification and shard routing.
-    pub dispatch_ns: u64,
-    /// Ring transport: batched `push_slice`/`pop_chunk` message moves.
-    pub ring_ns: u64,
-    /// Shard engines: `StreamSession` offers, PPE batches, flushes.
-    pub shard_ns: u64,
-    /// Reconciler: window insert + ordered release to the sink.
-    pub reconcile_ns: u64,
-}
-
-/// A transport that runs the engines synchronously but routes every
-/// message through real SPSC rings, timing each stage as it goes: the
-/// measurement rig behind [`run_sharded_timed`]. Ring costs are the
-/// true batched-ring costs (same ops the threaded transport issues),
-/// just without a second thread racing on them.
-struct TimedTransport {
-    engines: Vec<ShardEngine>,
-    rings: Vec<(Producer<ShardMsg>, Consumer<ShardMsg>)>,
-    staged: Vec<Vec<ShardMsg>>,
-    inbox: Vec<ShardMsg>,
-    outbuf: Vec<ShardOut>,
-    ring_ns: u64,
-    shard_ns: u64,
-    reconcile_ns: u64,
-}
-
-impl TimedTransport {
-    fn new(engines: Vec<ShardEngine>) -> TimedTransport {
-        let shards = engines.len();
-        TimedTransport {
-            engines,
-            rings: (0..shards).map(|_| channel(RING_ITEMS)).collect(),
-            staged: (0..shards).map(|_| Vec::with_capacity(CHUNK)).collect(),
-            inbox: Vec::with_capacity(CHUNK),
-            outbuf: Vec::with_capacity(2 * CHUNK),
-            ring_ns: 0,
-            shard_ns: 0,
-            reconcile_ns: 0,
-        }
-    }
-
-    fn pump<F: FnMut(OutputPacket)>(&mut self, shard: usize, recon: &mut Reconciler, sink: &mut F) {
-        if self.staged[shard].is_empty() {
-            return;
-        }
-        // Ring stage: the staged batch crosses a real ring.
-        let t0 = Instant::now();
-        let (tx, rx) = &mut self.rings[shard];
-        while !self.staged[shard].is_empty() {
-            tx.push_slice(&mut self.staged[shard]);
-        }
-        while rx.pop_chunk(&mut self.inbox, RING_ITEMS) > 0 {}
-        let t1 = Instant::now();
-        // Shard stage: the engine consumes the batch.
-        let engine = &mut self.engines[shard];
-        let outbuf = &mut self.outbuf;
-        for msg in self.inbox.drain(..) {
-            engine.handle(msg, &mut |out| outbuf.push(out));
-        }
-        let t2 = Instant::now();
-        // Reconcile stage: outputs enter the ordering window.
-        for out in self.outbuf.drain(..) {
-            recon.accept(shard, out, sink);
-        }
-        let t3 = Instant::now();
-        self.ring_ns += (t1 - t0).as_nanos() as u64;
-        self.shard_ns += (t2 - t1).as_nanos() as u64;
-        self.reconcile_ns += (t3 - t2).as_nanos() as u64;
-    }
-}
-
-impl<F: FnMut(OutputPacket)> Transport<F> for TimedTransport {
-    fn send(
-        &mut self,
-        shard: usize,
-        msg: ShardMsg,
-        recon: &mut Reconciler,
-        sink: &mut F,
-        _stats: &mut DispatchStats,
-    ) {
-        self.staged[shard].push(msg);
-        if self.staged[shard].len() >= CHUNK {
-            self.pump(shard, recon, sink);
-        }
-    }
-
-    fn flush(&mut self, recon: &mut Reconciler, sink: &mut F, _stats: &mut DispatchStats) {
-        for shard in 0..self.staged.len() {
-            self.pump(shard, recon, sink);
-        }
-    }
-
-    fn poll(&mut self, _recon: &mut Reconciler, _sink: &mut F) {}
-    fn wait_done(&mut self, _recon: &mut Reconciler, _sink: &mut F) {}
-    fn barrier_every(&self) -> u64 {
-        INLINE_BARRIER_EVERY
-    }
-}
-
-/// [`run_sharded`] with per-stage wall-clock attribution, on one
-/// thread: engines run synchronously (like the inline transport), but
-/// every message crosses a real batched SPSC ring so the ring stage is
-/// measured with the ops the threaded transport actually issues. The
-/// output stream is digest-identical to both the serial and the
-/// sharded paths — the instrumented pipeline is the real pipeline with
-/// clocks between stages, not a model of it.
-pub fn run_sharded_timed<I, M, F>(
-    shards: usize,
-    config: &ModuleConfig,
-    make_module: M,
-    packets: I,
-    mut sink: F,
-) -> (ShardedRun, StageNanos)
-where
-    I: IntoIterator<Item = SimPacket>,
-    M: Fn(usize) -> FlexSfp,
-    F: FnMut(OutputPacket),
-{
-    let shards = shards.max(1);
-    let classifier = ControlPlane::new(config.mgmt_mac, config.mgmt_ip, config.auth_key);
-    let copies = SharedPacketArena::new();
-    let mut recon = Reconciler::new(shards);
-    let mut transport = TimedTransport::new(
-        (0..shards)
-            .map(|i| ShardEngine::new(make_module(i), i == 0))
-            .collect(),
-    );
-    let t0 = Instant::now();
-    let mut stats = drive(
-        packets,
-        shards,
-        &classifier,
-        &copies,
-        &mut transport,
-        &mut recon,
-        &mut sink,
-    );
-    let total_ns = t0.elapsed().as_nanos() as u64;
-    stats.chunk_allocs = shards as u64 + 2;
-    let stage = StageNanos {
-        dispatch_ns: total_ns
-            .saturating_sub(transport.ring_ns)
-            .saturating_sub(transport.shard_ns)
-            .saturating_sub(transport.reconcile_ns),
-        ring_ns: transport.ring_ns,
-        shard_ns: transport.shard_ns,
-        reconcile_ns: transport.reconcile_ns,
-    };
-    (merge(stats, recon, shards), stage)
 }
 
 #[cfg(test)]

@@ -40,18 +40,18 @@
 //!
 //! [`flash_crowd`]: flexsfp_traffic::profiles::flash_crowd
 
+use crate::ctl::control_frame;
 use crate::perf::{self, host_meta, HostMeta};
 use crate::render;
 use crate::shard::run_sharded;
 use flexsfp_apps::StaticNat;
-use flexsfp_core::control::{ControlPlane, ControlRequest, CtlTableOp, CONTROL_PORT};
-use flexsfp_core::module::{FlexSfp, Interface, ModuleConfig, SimPacket};
+use flexsfp_core::control::{ControlRequest, CtlTableOp};
+use flexsfp_core::module::{FlexSfp, ModuleConfig, OutputDigest, SimPacket};
 use flexsfp_obs::slo::{SloReport, SloSpec};
 use flexsfp_obs::TableTelemetry;
 use flexsfp_ppe::Direction;
 use flexsfp_traffic::{profiles, TraceBuilder, TraceStream};
-use flexsfp_wire::builder::PacketBuilder;
-use flexsfp_wire::{MacAddr, PacketArena};
+use flexsfp_wire::PacketArena;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -192,17 +192,6 @@ flexsfp_obs::impl_json_struct!(Outcome {
     host
 });
 
-/// 64-bit FNV-1a fold of `bytes` into `state`.
-fn fnv1a(state: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *state ^= b as u64;
-        *state = state.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// One diurnal phase: a preset builder and how many paced packets of
 /// it the soak draws (0 = burst-only interlude).
 struct Phase {
@@ -291,20 +280,6 @@ fn churn_ops(boundary: usize, subscribers: usize) -> Vec<CtlTableOp> {
     ops
 }
 
-/// Build an authenticated in-band control frame carrying a table op.
-fn control_frame(config: &ModuleConfig, op: CtlTableOp) -> Vec<u8> {
-    let payload = ControlPlane::encode_request(&config.auth_key, &ControlRequest::Table(op));
-    PacketBuilder::eth_ipv4_udp(
-        config.mgmt_mac,
-        MacAddr([0xee; 6]),
-        0x0a00_0101,
-        config.mgmt_ip,
-        40_000,
-        CONTROL_PORT,
-        &payload,
-    )
-}
-
 /// Streams the phased day in arrival order with O(1) memory: one live
 /// [`TraceStream`] at a time, each phase offset past the last arrival
 /// seen, churn control frames emitted in the inter-phase gap.
@@ -352,7 +327,7 @@ impl Iterator for PhasedStream {
                     self.ctrl.push_back(SimPacket {
                         arrival_ns: t,
                         direction: Direction::EdgeToOptical,
-                        frame: control_frame(&self.config, op),
+                        frame: control_frame(&self.config, &ControlRequest::Table(op)),
                     });
                 }
                 self.boundary += 1;
@@ -431,20 +406,15 @@ fn run_scaled(
     let mut module = nat_module(subscribers, table_capacity);
     module.configure_windows(WINDOW_NS, WINDOW_CAPACITY);
     let arena = PacketArena::new();
-    let mut digest = FNV_OFFSET;
+    let mut digest = OutputDigest::default();
     let report = module.run_stream_with(
         stream(packets, subscribers, attack_sources, &arena),
         |out| {
-            fnv1a(&mut digest, &out.departure_ns.to_le_bytes());
-            fnv1a(
-                &mut digest,
-                &[matches!(out.egress, Interface::Optical) as u8],
-            );
-            fnv1a(&mut digest, &(out.frame.len() as u32).to_le_bytes());
-            fnv1a(&mut digest, &out.frame);
+            digest.fold(&out);
             arena.recycle(out.frame);
         },
     );
+    let digest = digest.value();
     let arena_allocations = arena.allocations();
     // The serial perf bound is 48; the soak adds burst and control
     // frames built outside the arena, so allow a little slack while
@@ -465,23 +435,18 @@ fn run_scaled(
     // Sharded verification pass: byte-identical output or abort.
     {
         let arena = PacketArena::new();
-        let mut sharded_digest = FNV_OFFSET;
+        let mut sharded_digest = OutputDigest::default();
         let run = run_sharded(
             shards,
             &ModuleConfig::default(),
             |_| nat_module(subscribers, table_capacity),
             stream(packets, subscribers, attack_sources, &arena),
             |out| {
-                fnv1a(&mut sharded_digest, &out.departure_ns.to_le_bytes());
-                fnv1a(
-                    &mut sharded_digest,
-                    &[matches!(out.egress, Interface::Optical) as u8],
-                );
-                fnv1a(&mut sharded_digest, &(out.frame.len() as u32).to_le_bytes());
-                fnv1a(&mut sharded_digest, &out.frame);
+                sharded_digest.fold(&out);
                 arena.recycle(out.frame);
             },
         );
+        let sharded_digest = sharded_digest.value();
         assert_eq!(
             sharded_digest, digest,
             "sharded soak diverged from serial at {shards} shards \

@@ -11,7 +11,6 @@ use flexsfp_ppe::PacketProcessor;
 
 /// One row of the table.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Row {
     /// Component name.
     pub component: String,
@@ -23,7 +22,6 @@ flexsfp_obs::impl_json_struct!(Row { component, usage });
 
 /// The full report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Per-component rows.
     pub rows: Vec<Row>,

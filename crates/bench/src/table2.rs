@@ -7,7 +7,6 @@ use flexsfp_fabric::resources::Device;
 
 /// The report: per-design fits plus the reference device row.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Fit rows.
     pub designs: Vec<DesignFit>,

@@ -6,7 +6,6 @@ use flexsfp_cost::ideal_scaling::Range;
 
 /// One rendered row.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Row {
     /// Solution name.
     pub name: String,
@@ -30,7 +29,6 @@ flexsfp_obs::impl_json_struct!(Row {
 
 /// The report.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Table rows.
     pub rows: Vec<Row>,

@@ -15,25 +15,20 @@ use flexsfp_apps::{
     DnsFilter, Ipv6SubscriberFilter, L4LoadBalancer, PerSourceRateLimiter, Sanitizer, StaticNat,
     SynFloodGuard, TelemetryProbe, TunnelGateway, VlanTagger,
 };
-use flexsfp_core::control::{ControlPlane, ControlRequest, CtlTableOp, CONTROL_PORT};
-use flexsfp_core::module::{FlexSfp, Interface, ModuleConfig, SimPacket};
+use flexsfp_core::control::{ControlRequest, CtlTableOp};
+use flexsfp_core::module::{FlexSfp, ModuleConfig, OutputDigest, SimPacket};
 use flexsfp_ppe::{Direction, PacketProcessor};
 use flexsfp_traffic::gen::ArrivalModel;
 use flexsfp_traffic::{SizeModel, TraceBuilder};
-use flexsfp_wire::builder::PacketBuilder;
-use flexsfp_wire::MacAddr;
+
+#[path = "../src/ctl.rs"]
+mod ctl;
+use ctl::control_frame;
 
 const PRIVATE_BASE: u32 = 0xc0a8_0000;
 const PUBLIC_BASE: u32 = 0x6540_0000;
 const FLOWS: usize = 32;
 const PACKETS: usize = 6_000;
-
-fn fnv1a(state: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *state ^= b as u64;
-        *state = state.wrapping_mul(0x100_0000_01b3);
-    }
-}
 
 /// Run `packets` through a module built around `app` and digest every
 /// output packet (departure, egress, frame bytes). Returns the digest
@@ -45,17 +40,9 @@ fn digest_run(
 ) -> (u64, u64) {
     app.set_flow_cache(cache_on);
     let mut module = FlexSfp::new(ModuleConfig::default(), app);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let report = module.run_stream_with(packets, |out| {
-        fnv1a(&mut digest, &out.departure_ns.to_le_bytes());
-        fnv1a(
-            &mut digest,
-            &[matches!(out.egress, Interface::Optical) as u8],
-        );
-        fnv1a(&mut digest, &(out.frame.len() as u32).to_le_bytes());
-        fnv1a(&mut digest, &out.frame);
-    });
-    (digest, report.forwarded.0 + report.forwarded.1)
+    let mut digest = OutputDigest::default();
+    let report = module.run_stream_with(packets, |out| digest.fold(&out));
+    (digest.value(), report.forwarded.0 + report.forwarded.1)
 }
 
 /// A mixed UDP/TCP workload with IMIX-ish sizes over the NAT source
@@ -158,26 +145,12 @@ fn every_app_is_cache_transparent() {
     assert_eq!(checked, 22, "11 apps x 2 seeds");
 }
 
-/// Build an authenticated in-band control frame carrying a NAT table op.
-fn control_frame(module: &FlexSfp, op: CtlTableOp) -> Vec<u8> {
-    let payload = ControlPlane::encode_request(&module.config.auth_key, &ControlRequest::Table(op));
-    PacketBuilder::eth_ipv4_udp(
-        module.config.mgmt_mac,
-        MacAddr([0xee; 6]),
-        0x0a00_0101,
-        module.config.mgmt_ip,
-        40_000,
-        CONTROL_PORT,
-        &payload,
-    )
-}
-
 /// Interleave table-mutating control frames into the data stream:
 /// every mapping is remapped to a new public address mid-run, then one
 /// mapping is deleted. Cached plans recorded before each mutation are
 /// stale afterwards; the cache-on run must still match cache-off byte
 /// for byte.
-fn mutating_stream(module: &FlexSfp) -> Vec<SimPacket> {
+fn mutating_stream(config: &ModuleConfig) -> Vec<SimPacket> {
     let mut packets = workload(0x51);
     let n = packets.len();
     for i in 0..4 {
@@ -201,7 +174,7 @@ fn mutating_stream(module: &FlexSfp) -> Vec<SimPacket> {
             SimPacket {
                 arrival_ns,
                 direction: Direction::EdgeToOptical,
-                frame: control_frame(module, op),
+                frame: control_frame(config, &ControlRequest::Table(op)),
             },
         );
     }
@@ -214,16 +187,11 @@ fn mid_stream_table_mutations_invalidate_cached_plans() {
         let mut app = nat_app();
         app.set_flow_cache(cache_on);
         let mut module = FlexSfp::new(ModuleConfig::default(), app);
-        let stream = mutating_stream(&module);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let stream = mutating_stream(&module.config);
+        let mut digest = OutputDigest::default();
         let mut saw_new_public = false;
         let report = module.run_stream_with(stream, |out| {
-            fnv1a(&mut digest, &out.departure_ns.to_le_bytes());
-            fnv1a(
-                &mut digest,
-                &[matches!(out.egress, Interface::Optical) as u8],
-            );
-            fnv1a(&mut digest, &out.frame);
+            digest.fold(&out);
             // Post-mutation frames must carry the remapped public
             // address — a stale replayed plan would keep the old one.
             if out.frame.len() >= 30 {
@@ -235,7 +203,7 @@ fn mid_stream_table_mutations_invalidate_cached_plans() {
         });
         assert_eq!(report.control_handled, 4, "all mutations handled");
         assert!(saw_new_public, "remapped address visible in output");
-        digest
+        digest.value()
     };
     assert_eq!(
         run(true),
@@ -261,16 +229,16 @@ fn clearing_the_table_mid_stream_stays_transparent() {
             SimPacket {
                 arrival_ns,
                 direction: Direction::EdgeToOptical,
-                frame: control_frame(&module, CtlTableOp::Clear { table: 0 }),
+                frame: control_frame(
+                    &module.config,
+                    &ControlRequest::Table(CtlTableOp::Clear { table: 0 }),
+                ),
             },
         );
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let report = module.run_stream_with(packets, |out| {
-            fnv1a(&mut digest, &out.departure_ns.to_le_bytes());
-            fnv1a(&mut digest, &out.frame);
-        });
+        let mut digest = OutputDigest::default();
+        let report = module.run_stream_with(packets, |out| digest.fold(&out));
         assert_eq!(report.control_handled, 1);
-        digest
+        digest.value()
     };
     assert_eq!(run(true), run(false), "table clear: cache-on diverged");
 }

@@ -20,13 +20,17 @@ use flexsfp_apps::{
     SynFloodGuard, TelemetryProbe, TunnelGateway, VlanTagger,
 };
 use flexsfp_bench::shard::run_sharded;
-use flexsfp_core::control::{ControlPlane, ControlRequest, CtlTableOp, CONTROL_PORT};
-use flexsfp_core::module::{FlexSfp, Interface, ModuleConfig, OutputPacket, SimPacket, SimReport};
+use flexsfp_core::control::{ControlRequest, CtlTableOp};
+use flexsfp_core::module::{
+    FlexSfp, ModuleConfig, OutputDigest, OutputPacket, SimPacket, SimReport,
+};
 use flexsfp_ppe::{Direction, PacketProcessor};
 use flexsfp_traffic::gen::ArrivalModel;
 use flexsfp_traffic::{SizeModel, TraceBuilder};
-use flexsfp_wire::builder::PacketBuilder;
-use flexsfp_wire::MacAddr;
+
+#[path = "../src/ctl.rs"]
+mod ctl;
+use ctl::control_frame;
 
 const PRIVATE_BASE: u32 = 0xc0a8_0000;
 const PUBLIC_BASE: u32 = 0x6540_0000;
@@ -136,21 +140,14 @@ fn run_stream_drop_sink_matches_run_aggregates() {
 /// 4096 threaded, `shard::INLINE_BARRIER_EVERY` = 256 inline).
 const SHARD_PACKETS: usize = 10_000;
 
-/// 64-bit FNV-1a fold of `bytes` into `state`.
-fn fnv1a(state: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *state ^= b as u64;
-        *state = state.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// Fold one output packet into the running stream digest. Order
-/// matters: the digest pins the sink *order*, not just the set.
-fn fold_output(digest: &mut u64, out: &OutputPacket) {
-    fnv1a(digest, &out.departure_ns.to_le_bytes());
-    fnv1a(digest, &[matches!(out.egress, Interface::Optical) as u8]);
-    fnv1a(digest, &(out.frame.len() as u32).to_le_bytes());
-    fnv1a(digest, &out.frame);
+/// Make `run_sharded` pick the threaded transport for the holder of the
+/// returned guard. A live threaded run is a process-wide parallel region
+/// that clamps every concurrent `run_sharded` to the inline transport, so
+/// the sharded tests of this binary take turns.
+fn force_threaded() -> std::sync::MutexGuard<'static, ()> {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    std::env::set_var("FLEXSFP_THREADS", "4");
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Build the §3 application under test by name, fresh state each call.
@@ -231,12 +228,13 @@ fn shard_workload() -> Vec<SimPacket> {
         .collect()
 }
 
-/// Serial reference: `run_stream_with` sink-order digest + report.
+/// Serial reference: `run_stream_with` sink-order digest + report. Order
+/// matters: the digest pins the sink *order*, not just the set.
 fn serial_reference(app: &str, packets: Vec<SimPacket>) -> (u64, SimReport) {
     let mut module = FlexSfp::new(ModuleConfig::default(), app_by_name(app));
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let report = module.run_stream_with(packets, |out| fold_output(&mut digest, &out));
-    (digest, report)
+    let mut digest = OutputDigest::default();
+    let report = module.run_stream_with(packets, |out| digest.fold(&out));
+    (digest.value(), report)
 }
 
 /// Every aggregate the merged sharded report promises to reproduce.
@@ -318,18 +316,19 @@ fn assert_reports_match(app: &str, shards: usize, sharded: &SimReport, serial: &
 /// the inline transport. Both must be indistinguishable from serial.
 #[test]
 fn sharded_run_is_digest_identical_to_serial_for_every_app() {
-    std::env::set_var("FLEXSFP_THREADS", "4");
+    let _threaded = force_threaded();
     for app in ALL_APPS {
         let (serial_digest, serial_report) = serial_reference(app, shard_workload());
         for shards in [1usize, 2, 4, 8] {
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut digest = OutputDigest::default();
             let run = run_sharded(
                 shards,
                 &ModuleConfig::default(),
                 |_| FlexSfp::new(ModuleConfig::default(), app_by_name(app)),
                 shard_workload(),
-                |out| fold_output(&mut digest, &out),
+                |out| digest.fold(&out),
             );
+            let digest = digest.value();
             assert_eq!(
                 digest, serial_digest,
                 "app `{app}` at {shards} shards: output stream diverged from serial \
@@ -346,27 +345,13 @@ fn sharded_run_is_digest_identical_to_serial_for_every_app() {
     }
 }
 
-/// Build an authenticated in-band control frame carrying a NAT table op.
-fn control_frame(config: &ModuleConfig, op: CtlTableOp) -> Vec<u8> {
-    let payload = ControlPlane::encode_request(&config.auth_key, &ControlRequest::Table(op));
-    PacketBuilder::eth_ipv4_udp(
-        config.mgmt_mac,
-        MacAddr([0xee; 6]),
-        0x0a00_0101,
-        config.mgmt_ip,
-        40_000,
-        CONTROL_PORT,
-        &payload,
-    )
-}
-
 /// Control frames must replicate to every shard (lockstep table state)
 /// while only the primary answers: a stream with mid-run NAT table
 /// mutations still matches serial byte for byte, and the control
 /// counters don't multiply by the shard count.
 #[test]
 fn sharded_run_replicates_control_mutations_to_every_shard() {
-    std::env::set_var("FLEXSFP_THREADS", "4");
+    let _threaded = force_threaded();
     let config = ModuleConfig::default();
     let mutating_stream = || {
         let mut packets = shard_workload();
@@ -392,28 +377,26 @@ fn sharded_run_replicates_control_mutations_to_every_shard() {
                 SimPacket {
                     arrival_ns,
                     direction: Direction::EdgeToOptical,
-                    frame: control_frame(&config, op),
+                    frame: control_frame(&config, &ControlRequest::Table(op)),
                 },
             );
         }
         packets
     };
 
-    let mut serial_digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut serial_digest = OutputDigest::default();
     let serial = FlexSfp::new(config.clone(), app_by_name("nat"))
-        .run_stream_with(mutating_stream(), |out| {
-            fold_output(&mut serial_digest, &out)
-        });
+        .run_stream_with(mutating_stream(), |out| serial_digest.fold(&out));
     assert_eq!(serial.control_handled, 4, "all four table ops handled");
 
     for shards in [2usize, 4] {
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = OutputDigest::default();
         let run = run_sharded(
             shards,
             &config,
             |_| FlexSfp::new(config.clone(), app_by_name("nat")),
             mutating_stream(),
-            |out| fold_output(&mut digest, &out),
+            |out| digest.fold(&out),
         );
         assert_eq!(
             digest, serial_digest,
@@ -431,7 +414,7 @@ fn sharded_run_replicates_control_mutations_to_every_shard() {
 /// plus 2 per worker (inbox + outbuf) — independent of trace length.
 #[test]
 fn threaded_transport_is_zero_copy_with_constant_chunk_allocs() {
-    std::env::set_var("FLEXSFP_THREADS", "4");
+    let _threaded = force_threaded();
     let shards = 4usize;
     let config = ModuleConfig::default();
     let long_trace = || {
@@ -477,7 +460,7 @@ fn threaded_transport_is_zero_copy_with_constant_chunk_allocs() {
             SimPacket {
                 arrival_ns,
                 direction: Direction::EdgeToOptical,
-                frame: control_frame(&config, op),
+                frame: control_frame(&config, &ControlRequest::Table(op)),
             },
         );
     }

@@ -17,7 +17,6 @@ pub const MAGIC: &[u8; 4] = b"FSBS";
 
 /// Bitstream metadata.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitstreamMeta {
     /// Application identifier (resolved through the module's app
     /// factory at boot, standing in for the synthesized netlist).
@@ -30,13 +29,7 @@ pub struct BitstreamMeta {
     /// Datapath clock the design closed timing at, Hz.
     pub clock_hz: u64,
     /// Free-form application configuration (e.g. initial table rules).
-    #[cfg_attr(feature = "serde", serde(skip, default = "default_config"))]
     pub config: Value,
-}
-
-#[cfg(feature = "serde")]
-fn default_config() -> Value {
-    Value::Null
 }
 
 impl ToJson for BitstreamMeta {

@@ -29,7 +29,6 @@ pub const MAGIC: &[u8; 4] = b"FSCP";
 
 /// Serializable mirror of [`TableOp`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CtlTableOp {
     /// Insert or update.
     Insert {
@@ -80,7 +79,6 @@ impl CtlTableOp {
 
 /// Serializable mirror of [`TableOpResult`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CtlTableResult {
     /// Operation applied.
     Ok,
@@ -119,7 +117,6 @@ impl From<TableOpResult> for CtlTableResult {
 
 /// A control request.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ControlRequest {
     /// Liveness probe.
     Ping {
@@ -174,7 +171,6 @@ pub enum ControlRequest {
 
 /// A control response.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ControlResponse {
     /// Ping echo.
     Pong {

@@ -31,7 +31,7 @@ use flexsfp_obs::{
 use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::{BatchPacket, Direction, KeyHint, PacketProcessor, ProcessContext, Verdict};
 use flexsfp_traffic::rng::Xoshiro256;
-use flexsfp_wire::MacAddr;
+use flexsfp_wire::{fnv1a, MacAddr, FNV1A_OFFSET};
 use std::collections::VecDeque;
 
 /// PPE batch size: packets admitted to the PPE are queued and handed to
@@ -154,6 +154,35 @@ pub struct OutputPacket {
     pub frame: Vec<u8>,
     /// Module transit latency, ns.
     pub latency_ns: f64,
+}
+
+/// The canonical digest of an output stream: an FNV-1a fold of every
+/// packet's departure time (LE), egress interface (one byte, 1 =
+/// optical), frame length (`u32` LE) and frame bytes, in sink order.
+/// Two runs with equal digests emitted the same frames, with the same
+/// timing, in the same order — what every parity check compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutputDigest(u64);
+
+impl Default for OutputDigest {
+    fn default() -> Self {
+        OutputDigest(FNV1A_OFFSET)
+    }
+}
+
+impl OutputDigest {
+    /// Fold one output packet into the digest.
+    pub fn fold(&mut self, out: &OutputPacket) {
+        let mut h = fnv1a(self.0, &out.departure_ns.to_le_bytes());
+        h = fnv1a(h, &[matches!(out.egress, Interface::Optical) as u8]);
+        h = fnv1a(h, &(out.frame.len() as u32).to_le_bytes());
+        self.0 = fnv1a(h, &out.frame);
+    }
+
+    /// The digest of everything folded so far.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Drop reasons.
@@ -1622,6 +1651,26 @@ mod tests {
                 frame: data_frame(len),
             })
             .collect()
+    }
+
+    #[test]
+    fn output_digest_is_the_pinned_order_sensitive_fnv1a_fold() {
+        assert_eq!(OutputDigest::default().value(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        let out = |departure_ns, egress| OutputPacket {
+            departure_ns,
+            egress,
+            frame: data_frame(60),
+            latency_ns: 0.0,
+        };
+        let (a, b) = (out(100, Interface::Optical), out(200, Interface::Edge));
+        let digest_of = |outs: [&OutputPacket; 2]| {
+            let mut d = OutputDigest::default();
+            outs.into_iter().for_each(|o| d.fold(o));
+            d.value()
+        };
+        assert_ne!(digest_of([&a, &b]), digest_of([&b, &a]));
+        assert_ne!(digest_of([&a, &b]), OutputDigest::default().value());
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::ideal_scaling::Range;
 
 /// One BOM line item.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BomItem {
     /// Component name.
     pub name: String,
@@ -22,7 +21,6 @@ pub struct BomItem {
 
 /// The FlexSFP prototype bill of materials.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlexSfpBom {
     /// Line items.
     pub items: Vec<BomItem>,

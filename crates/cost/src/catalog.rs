@@ -15,7 +15,6 @@ use crate::ideal_scaling::{per_10g, Range};
 
 /// One acceleration solution.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Solution {
     /// Display name (the Table 3 row label).
     pub name: String,

@@ -10,7 +10,6 @@ use flexsfp_fabric::resources::{normalize, Device};
 
 /// Vendor logic unit a design was reported in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LogicUnit {
     /// Xilinx 6-input LUTs.
     Lut6,
@@ -22,7 +21,6 @@ pub enum LogicUnit {
 
 /// One published design (a Table 2 row).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PublishedDesign {
     /// Design name.
     pub name: String,
@@ -47,7 +45,6 @@ impl PublishedDesign {
 
 /// Fit assessment of a design against a device.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DesignFit {
     /// Design name.
     pub name: String,

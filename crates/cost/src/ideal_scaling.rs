@@ -8,7 +8,6 @@
 
 /// An inclusive numeric range (costs and powers are quoted as bands).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Range {
     /// Lower bound.
     pub min: f64,

@@ -11,7 +11,6 @@ const FS_PER_PS: u64 = 1_000;
 
 /// A fixed-frequency clock domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClockDomain {
     hz: u64,
 }

@@ -48,34 +48,12 @@ impl core::fmt::Display for FlashError {
 
 impl std::error::Error for FlashError {}
 
-/// `serde` form of the lazily materialized array: the bytes themselves.
-#[cfg(feature = "serde")]
-mod lazy_array {
-    use super::FLASH_BYTES;
-    use std::sync::OnceLock;
-
-    pub fn serialize<S: serde::Serializer>(
-        data: &OnceLock<Vec<u8>>,
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        serde::Serialize::serialize(data.get_or_init(|| vec![0xff; FLASH_BYTES]), s)
-    }
-
-    pub fn deserialize<'de, D: serde::Deserializer<'de>>(
-        d: D,
-    ) -> Result<OnceLock<Vec<u8>>, D::Error> {
-        <Vec<u8> as serde::Deserialize>::deserialize(d).map(OnceLock::from)
-    }
-}
-
 /// The SPI flash device.
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpiFlash {
     /// The array, materialized (all 0xFF) by the first access. A module
     /// that never stages an image or reboots from flash — every
     /// dataplane run — never pays for 16 MiB of first-touched memory.
-    #[cfg_attr(feature = "serde", serde(with = "lazy_array"))]
     data: OnceLock<Vec<u8>>,
     /// Cumulative erase operations (wear proxy).
     pub erase_count: u64,
@@ -83,9 +61,7 @@ pub struct SpiFlash {
     pub programmed_bytes: u64,
     golden_protected: bool,
     /// One-shot fault injected with [`SpiFlash::inject_fault`]; the next
-    /// erase or program consumes it and fails. Excluded from `serde`
-    /// snapshots: a pending fault is test scaffolding, not device state.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// erase or program consumes it and fails.
     injected_fault: Option<FlashError>,
 }
 

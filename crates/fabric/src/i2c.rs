@@ -16,7 +16,6 @@ pub const ADDR_A2: u8 = 0x51;
 
 /// Decoded SFF-8472 diagnostic values.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DomReading {
     /// Module temperature in °C.
     pub temperature_c: f64,
@@ -44,7 +43,6 @@ impl DomReading {
 
 /// The module's management EEPROM + diagnostics, as seen over I2C.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ManagementInterface {
     a0: Vec<u8>,
     a2: Vec<u8>,

@@ -14,7 +14,6 @@ use crate::resources::ResourceManifest;
 
 /// Decomposed module power, watts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerBreakdown {
     /// Optical subsystem: laser driver, VCSEL bias, limiting amp, CDR.
     pub optics_w: f64,
@@ -35,7 +34,6 @@ impl PowerBreakdown {
 
 /// SFP+ MSA power classification levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PowerClass {
     /// Power Level I: ≤ 1.0 W.
     Level1,
@@ -75,7 +73,6 @@ impl PowerClass {
 
 /// The power model with calibration constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerModel {
     /// Optics power at idle (laser bias etc.).
     pub optics_static_w: f64,

@@ -12,7 +12,6 @@ use std::ops::{Add, AddAssign};
 /// 4-input LUTs, flip-flops, uSRAM blocks (64×12 b each) and LSRAM blocks
 /// (20 kb each).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResourceManifest {
     /// 4-input look-up tables.
     pub lut4: u64,
@@ -108,7 +107,6 @@ impl std::iter::Sum for ResourceManifest {
 
 /// An FPGA device with its resource capacities.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Device {
     /// Marketing/device name.
     pub name: String,
@@ -168,7 +166,6 @@ impl Device {
 /// Result of checking a design against a device, with the percentage
 /// utilizations the paper reports in Table 1.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FitReport {
     /// Device name.
     pub device: String,

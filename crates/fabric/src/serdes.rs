@@ -15,7 +15,6 @@ pub const MAX_FRAME_BYTES: usize = 1518;
 
 /// Nominal line rates the model supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LineRate {
     /// 10GBASE-R: 10.3125 GBd, 10 Gb/s MAC rate.
     TenGig,
@@ -50,7 +49,6 @@ impl LineRate {
 
 /// Health state of one optical lane, driven by the failure model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpticalHealth {
     /// Transmit optical power in dBm (healthy VCSEL ≈ -2 dBm).
     pub tx_power_dbm: f64,
@@ -69,7 +67,6 @@ impl Default for OpticalHealth {
 
 /// One direction of a transceiver lane, with frame/byte counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LaneCounters {
     /// Frames transferred.
     pub frames: u64,
@@ -82,7 +79,6 @@ pub struct LaneCounters {
 /// A bidirectional transceiver: the electrical-edge or optical-side
 /// SerDes of the module.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transceiver {
     /// Identifying label ("electrical", "optical").
     pub name: String,

@@ -11,7 +11,6 @@ use crate::resources::{ResourceManifest, LSRAM_BLOCK_BITS, USRAM_BLOCK_BITS};
 
 /// The two embedded memory types of the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemoryKind {
     /// 64×12 b distributed blocks.
     Usram,
@@ -21,7 +20,6 @@ pub enum MemoryKind {
 
 /// A memory requirement: some number of words of some width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TableShape {
     /// Number of addressable entries.
     pub entries: u64,
@@ -46,7 +44,6 @@ impl TableShape {
 
 /// Placement decision for one table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Placement {
     /// Chosen memory kind.
     pub kind: MemoryKind,

@@ -32,7 +32,6 @@ impl BusWord {
 /// Datapath width in bits; only power-of-two widths realizable on the
 /// fabric are allowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BusWidth {
     /// 64-bit datapath (the SFP+ prototype).
     W64,
@@ -73,7 +72,6 @@ impl BusWidth {
 
 /// A datapath configuration: bus width and clock domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DatapathConfig {
     /// Bus width.
     pub width: BusWidth,

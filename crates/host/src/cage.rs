@@ -1,14 +1,13 @@
-//! Shared SFP-cage plumbing for the bridging hosts.
+//! The SFP cage: one port's optional FlexSFP bump-in-the-wire.
 //!
-//! Both [`LegacySwitch`](crate::LegacySwitch) and
-//! [`CrossbarSwitch`](crate::CrossbarSwitch) put an optional FlexSFP
-//! bump-in-the-wire in every port. A frame crossing a cage has more
-//! possible fates than "came out the far side or didn't": the module
+//! [`CrossbarSwitch`](crate::CrossbarSwitch) puts a cage in every port,
+//! crossed once on ingress and once on egress. A frame crossing a cage
+//! has more possible fates than "came out the far side or didn't": the module
 //! may drop it (its own [`DropStats`](flexsfp_core::module::DropStats) says so),
 //! reflect it back out the interface it came from, divert it to the
 //! control plane, duplicate it (a mirror app), or absorb it into a
 //! control-plane exchange. [`ModulePass`] captures every one of those
-//! outcomes per pass so the switches can conserve frames exactly
+//! outcomes per pass so the switch can conserve frames exactly
 //! instead of inferring "dropped" from a missing output.
 
 use flexsfp_core::module::{FlexSfp, Interface, SimPacket};

@@ -1,27 +1,37 @@
-//! The rack-scale crosspoint-queued crossbar switch (ROADMAP item 2).
+//! The switch: a crosspoint-queued crossbar with a FlexSFP cage per port.
 //!
-//! [`LegacySwitch`](crate::LegacySwitch) models the §2.1 retrofit: an
-//! instant, zero-queue ASIC with a FlexSFP cage per port. A rack-scale
-//! ToR cannot be instant — 47 access ports converging on one uplink
-//! *queue*, and where there are queues there is loss and latency. This
-//! module scales the same cage pipeline up onto a FlexCross-style
-//! crosspoint-queued crossbar (see PAPERS.md): every (input, output)
+//! The bridge itself is fixed-function — MAC learning, flooding, a
+//! hairpin filter; it cannot filter, tag or observe. Each port's SFP
+//! cage may hold a FlexSFP; frames entering a port traverse that module
+//! optical→edge (toward the fabric) and frames leaving traverse
+//! edge→optical, so the module is a per-port bump-in-the-wire exactly as
+//! the paper's §2.1 retrofit describes: "each port becomes a
+//! programmable enforcement point … without any modification to the
+//! chassis or switch OS".
+//!
+//! The fabric is FlexCross-style (see PAPERS.md): every (input, output)
 //! pair owns a bounded FIFO from [`flexsfp_fabric::xbar`], each output
 //! port arbitrates round-robin over its column (so one congested
 //! output never head-of-line-blocks traffic toward another), and each
-//! granted frame serializes onto the wire at 10G line rate.
+//! granted frame serializes onto the wire at 10G line rate. The §2.1
+//! retrofit is this switch with idle outputs: a frame injected while
+//! its egress port is free is granted at once and comes back from
+//! [`CrossbarSwitch::inject`] itself, departing one wire time later. A
+//! rack-scale ToR — 47 access ports converging on one uplink — is the
+//! same switch with its queues in use, and where there are queues there
+//! is loss and latency.
 //!
-//! Accounting is exact, per copy: the [`SwitchStats`] conservation
-//! identity of the legacy bridge extends with two crossbar terms —
-//! frames dropped on a full crosspoint and frames still queued — and
-//! [`CrossbarStats::conserved`] checks it. Queue-induced latency
-//! (enqueue → grant) feeds a [`LatencyHistogram`] so the rack workload
-//! can gate on p99.9; per-crosspoint depth/drop/arbitration counters
-//! export as [`XbarTelemetry`] for the `flexsfp_xbar_*` Prometheus
-//! family.
+//! Accounting is exact, per copy: every frame the switch receives —
+//! plus every copy created by flooding or by a duplicating module — ends
+//! in exactly one counted fate ([`SwitchStats`]), extended with two
+//! crossbar terms — frames dropped on a full crosspoint and frames still
+//! queued — and [`CrossbarStats::conserved`] checks the identity.
+//! Queue-induced latency (enqueue → grant) feeds a [`LatencyHistogram`]
+//! so the rack workload can gate on p99.9; per-crosspoint
+//! depth/drop/arbitration counters export as [`XbarTelemetry`] for the
+//! `flexsfp_xbar_*` Prometheus family.
 
-use crate::cage::{through_cage, Cage};
-use crate::switch::SwitchStats;
+use crate::cage::{through_cage, Cage, ModulePass};
 use flexsfp_core::module::FlexSfp;
 use flexsfp_fabric::xbar::CrosspointMatrix;
 use flexsfp_obs::{CrosspointCounters, LatencyHistogram, TelemetrySnapshot, XbarTelemetry};
@@ -59,6 +69,75 @@ pub struct TimedDelivery {
     pub departure_ns: u64,
 }
 
+/// The bridge pipeline's frame accounting.
+///
+/// The counters split into *sources* (frames entering the pipeline:
+/// received from the wire, copies created by flooding, copies created
+/// by modules) and *sinks* (final fates: delivered, dropped, diverted,
+/// filtered, absorbed). [`CrossbarStats::conserved`] asserts the two
+/// balance once the queue terms are added — the switch cannot leak a
+/// frame without the identity breaking.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SwitchStats {
+    /// Frames received across all ports.
+    pub received: u64,
+    /// Frames flooded (unknown destination).
+    pub flooded: u64,
+    /// Extra copies created by flooding (fanout − 1 per flooded frame).
+    pub flood_copies: u64,
+    /// Extra copies created by modules (mirror outputs, control-plane
+    /// replies emitted next to a diverted request).
+    pub module_copies: u64,
+    /// Frames dropped by port modules, folded from each module's own
+    /// per-run [`DropStats`](flexsfp_core::module::DropStats) — app
+    /// verdicts, FIFO overflow and parse errors alike.
+    pub dropped_by_modules: u64,
+    /// Module outputs that emerged on the unexpected interface
+    /// (reflected back instead of passing through).
+    pub diverted_by_modules: u64,
+    /// Frames diverted to a module's control plane.
+    pub to_control: u64,
+    /// Frames consumed by a module with no other accounted fate (e.g.
+    /// a control exchange that produced no reply).
+    pub absorbed_by_modules: u64,
+    /// Frames that failed Ethernet validation after the ingress cage.
+    pub dropped_malformed: u64,
+    /// Frames filtered because the destination sat on the ingress port
+    /// (or the flood fanout was empty).
+    pub filtered_hairpin: u64,
+    /// Frames delivered out of ports.
+    pub delivered: u64,
+}
+
+impl SwitchStats {
+    /// Frames that entered the pipeline: received plus every created
+    /// copy.
+    pub fn sources(&self) -> u64 {
+        self.received + self.flood_copies + self.module_copies
+    }
+
+    /// Frames that reached a final counted fate.
+    pub fn sinks(&self) -> u64 {
+        self.delivered
+            + self.dropped_by_modules
+            + self.diverted_by_modules
+            + self.to_control
+            + self.absorbed_by_modules
+            + self.dropped_malformed
+            + self.filtered_hairpin
+    }
+
+    /// Fold a cage pass into the counters (everything except the
+    /// matched outputs, whose fate the caller decides).
+    fn absorb_pass(&mut self, pass: &ModulePass) {
+        self.dropped_by_modules += pass.dropped;
+        self.diverted_by_modules += pass.diverted;
+        self.to_control += pass.to_control;
+        self.module_copies += pass.gains();
+        self.absorbed_by_modules += pass.absorbed();
+    }
+}
+
 /// Crossbar statistics: the bridge counters plus the two queue terms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CrossbarStats {
@@ -80,7 +159,7 @@ impl CrossbarStats {
 }
 
 /// An N-port crosspoint-queued crossbar whose SFP cages accept FlexSFP
-/// modules, exactly as the legacy switch's do.
+/// modules.
 pub struct CrossbarSwitch {
     cages: Vec<Cage>,
     mac_table: HashMap<MacAddr, usize>,
@@ -353,6 +432,32 @@ mod tests {
         assert_eq!(s.sw.delivered, 5);
         assert_eq!(s.queued, 0);
         assert!(s.conserved(), "{s:?}");
+    }
+
+    #[test]
+    fn idle_outputs_deliver_from_inject_one_wire_time_later() {
+        // The retrofit shape: injections spaced wider than a frame's
+        // wire time find every output idle, so nothing ever waits in a
+        // crosspoint and `inject` itself hands back the deliveries.
+        let mut sw = CrossbarSwitch::new(3, 16);
+        let wire_ns = serialize_ns(frame(HOST_B, HOST_A, 80).len());
+        // A floods to both other ports; B's reply and A's next frame
+        // find both hosts learned and go unicast.
+        let steps = [
+            (0, HOST_B, HOST_A, 2),
+            (1, HOST_A, HOST_B, 1),
+            (0, HOST_B, HOST_A, 1),
+        ];
+        for (i, (port, dst, src, fanout)) in steps.into_iter().enumerate() {
+            let t = i as u64 * 2 * wire_ns;
+            let out = sw.inject(port, frame(dst, src, 80), t);
+            assert_eq!(out.len(), fanout);
+            assert!(out.iter().all(|d| d.departure_ns == t + wire_ns));
+            assert_eq!(sw.stats().queued, 0);
+        }
+        assert!(sw.drain().is_empty());
+        assert_eq!(sw.queue_latency().max(), 0);
+        assert!(sw.stats().conserved(), "{:?}", sw.stats());
     }
 
     #[test]

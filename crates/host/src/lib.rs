@@ -8,13 +8,13 @@
 //! * [`chaos`] — deterministic fault injection for the control channel
 //!   and the fiber span: seeded drop/duplicate/corrupt/flap/jitter
 //!   plans used by the resilience test suite;
-//! * [`switch`] — the §2.1 retrofit scenario: a fixed-function legacy
-//!   L2 switch whose SFP cages accept FlexSFPs, turning every port into
-//!   a programmable enforcement point;
-//! * [`crossbar`] — the rack-scale crosspoint-queued crossbar ToR: the
-//!   same cage pipeline on a FlexCross-style fabric with per-crosspoint
-//!   FIFOs, round-robin output arbitration, line-rate serialization and
-//!   an exact per-copy conservation identity;
+//! * [`crossbar`] — the switch: a fixed-function L2 bridge whose SFP
+//!   cages accept FlexSFPs, turning every port into a programmable
+//!   enforcement point (the §2.1 retrofit), on a FlexCross-style
+//!   crosspoint-queued fabric with per-crosspoint FIFOs, round-robin
+//!   output arbitration, line-rate serialization and an exact per-copy
+//!   conservation identity — one model from a 4-port retrofit with idle
+//!   outputs to a rack-scale ToR;
 //! * [`nic`] — the Thunderbolt 10 G NIC of the §5 power testbed;
 //! * [`testbed`] — the power-measurement experiment itself;
 //! * [`fleet`] — orchestration across many modules: parallel rolling
@@ -35,16 +35,14 @@ pub mod fleet;
 pub mod link;
 pub mod mgmt;
 pub mod nic;
-pub mod switch;
 pub mod testbed;
 
 pub use baselines::ProcessingPath;
 pub use chaos::{FaultPlan, ImpairStats, ImpairedPort, LinkChaosStats, LossyLink};
 pub use collector::FleetCollector;
-pub use crossbar::{CrossbarStats, CrossbarSwitch, TimedDelivery};
+pub use crossbar::{CrossbarStats, CrossbarSwitch, SwitchStats, TimedDelivery};
 pub use fleet::FleetManager;
 pub use link::FiberLink;
 pub use mgmt::ManagementClient;
 pub use nic::HostNic;
-pub use switch::{Delivery, LegacySwitch, SwitchStats};
 pub use testbed::PowerTestbed;

@@ -16,7 +16,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DropReason {
     /// Ingress FIFO overflowed (module could not keep up with arrivals).
     FifoOverflow,
@@ -47,7 +46,6 @@ impl DropReason {
 
 /// What happened, without the when.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EventKind {
     /// A packet was dropped for the given reason.
     Drop {
@@ -190,7 +188,6 @@ impl FromJson for EventKind {
 
 /// One traced dataplane event.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataplaneEvent {
     /// Module-local timestamp of the event, nanoseconds.
     pub timestamp_ns: u64,

@@ -37,7 +37,6 @@ fn quantize(v: f64) -> u128 {
 /// A mergeable log-linear latency histogram over `u64` nanosecond
 /// values with ≤1 % relative quantile error and bounded memory.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyHistogram {
     /// Bucket counts, grown on demand up to the highest recorded index
     /// (at most 3 776 entries for the full `u64` range).

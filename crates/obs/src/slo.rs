@@ -12,7 +12,6 @@ use crate::timeseries::WindowedSeries;
 
 /// What the dataplane must achieve, per window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SloSpec {
     /// Per-window p99.9 forwarding latency must stay at or below this
     /// many nanoseconds.
@@ -39,7 +38,6 @@ impl SloSpec {
 
 /// One window that violated one metric of the spec.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SloBreach {
     /// Start of the breaching window, nanoseconds.
     pub window_start_ns: u64,
@@ -54,7 +52,6 @@ pub struct SloBreach {
 
 /// The outcome of evaluating a spec over a series.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SloReport {
     /// True when no window breached any metric.
     pub healthy: bool,

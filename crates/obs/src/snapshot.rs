@@ -29,7 +29,6 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
 /// client used to return — with four same-typed fields, a tuple is an
 /// invitation to swap tx for rx silently.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DomSnapshot {
     /// Transmit optical power, dBm.
     pub tx_power_dbm: f64,
@@ -61,7 +60,6 @@ impl DomSnapshot {
 
 /// Frame/byte/error counters for one direction of one port.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PortCounters {
     /// Frames seen.
     pub frames: u64,
@@ -82,7 +80,6 @@ impl PortCounters {
 
 /// Lifetime packet-drop counters, broken out by reason.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DropCounters {
     /// Dropped because the ingress FIFO overflowed.
     pub fifo_overflow: u64,
@@ -118,7 +115,6 @@ impl DropCounters {
 /// touched a table since it was recorded) counts one `invalidation`
 /// (invalidated lookups also count as misses).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Lookups that replayed a memoized plan.
     pub hits: u64,
@@ -161,7 +157,6 @@ impl CacheStats {
 /// `hits`/`misses`/`insert_failures` are monotonic counters. All zero
 /// when the running app exposes no table.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TableTelemetry {
     /// Total entry slots (buckets × ways).
     pub capacity: u64,
@@ -205,7 +200,6 @@ impl TableTelemetry {
 /// down, how many requests it had to reject. The host-side half
 /// (retries, backoff, resyncs) lives in the management client.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CtrlCounters {
     /// Duplicate last-chunk retransmits acknowledged idempotently.
     pub dup_chunk_acks: u64,
@@ -220,7 +214,6 @@ pub struct CtrlCounters {
 
 /// One module's full telemetry export for one scrape.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TelemetrySnapshot {
     /// Module identifier (serial).
     pub module_id: String,

@@ -21,7 +21,6 @@ pub const DEFAULT_WINDOW_CAPACITY: usize = 32;
 
 /// One fixed-width time bucket of dataplane activity.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowBucket {
     /// Bucket start, nanoseconds since module boot (aligned to the
     /// series width; 0 for the evicted catch-all).
@@ -121,7 +120,6 @@ impl WindowBucket {
 /// exist, the oldest is merged into the `evicted` catch-all — samples
 /// are conserved across rotation, never double-counted or lost.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowedSeries {
     width_ns: u64,
     capacity: u64,

@@ -21,7 +21,6 @@ pub const DEFAULT_FLIGHT_RING_CAPACITY: usize = 256;
 /// Cycle-resolution timestamps for one match-action stage of one
 /// sampled packet, relative to pipeline entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StageStamp {
     /// Stage index in the pipeline.
     pub stage: u8,
@@ -36,7 +35,6 @@ pub struct StageStamp {
 /// The pipeline-side half of a postcard: what the packet processor
 /// observed while handling the sampled packet.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlightStamp {
     /// Whether the microflow action cache served this packet.
     pub cache_hit: bool,
@@ -48,7 +46,6 @@ pub struct FlightStamp {
 
 /// Final disposition of a sampled packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FlightVerdict {
     /// Forwarded out an egress interface.
     Forwarded {
@@ -116,7 +113,6 @@ impl FromJson for FlightVerdict {
 
 /// One sampled packet's complete postcard.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlightRecord {
     /// Monotonic sample sequence number (lifetime, never resets —
     /// gaps across drains reveal ring overwrites).

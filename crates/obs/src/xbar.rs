@@ -13,7 +13,6 @@
 
 /// Lifetime counters of one crosspoint queue that saw traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrosspointCounters {
     /// Ingress port of the crosspoint.
     pub input: u64,
@@ -42,7 +41,6 @@ crate::impl_json_struct!(CrosspointCounters {
 /// counters, per-output arbitration grants and the sparse per-crosspoint
 /// detail.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct XbarTelemetry {
     /// Port count (the matrix is square).
     pub ports: u64,

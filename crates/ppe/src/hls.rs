@@ -15,7 +15,6 @@ use flexsfp_fabric::sram::{MemoryKind, MemoryPlanner, TableShape};
 
 /// Result of "synthesizing" a packet program.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthesisReport {
     /// Estimated fabric resources.
     pub manifest: ResourceManifest,

@@ -9,21 +9,11 @@
 //! both — forever. An intentional change to the generator or the
 //! xoshiro256** port must update the digests here, consciously.
 //!
-//! Runs with default features only; the digest is an in-tree FNV-1a.
+//! Runs with default features only; the digest is `flexsfp_wire::fnv1a`.
 
 use flexsfp_traffic::gen::{ArrivalModel, SizeModel, TraceBuilder, TracePacket};
 use flexsfp_traffic::rng::Xoshiro256;
-
-/// 64-bit FNV-1a over the concatenation fed so far.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+use flexsfp_wire::{fnv1a, FNV1A_OFFSET as FNV_OFFSET};
 
 /// Digest a trace: every packet's little-endian arrival time followed by
 /// its frame bytes, all chained through one FNV-1a state.

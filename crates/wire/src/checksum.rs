@@ -96,6 +96,20 @@ pub fn apply_delta(old_check: u16, delta: u16) -> u16 {
     !(fold(u32::from(!old_check) + u32::from(delta)) as u16)
 }
 
+/// FNV-1a 64-bit offset basis: the state every [`fnv1a`] fold starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a 64-bit FNV-1a `state` and return the new state.
+/// Not a wire checksum: the workspace's one order-sensitive digest, for
+/// pinning traces and output streams in tests and benchmark reports.
+pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x0100_0000_01b3);
+    }
+    state
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,6 +38,7 @@ pub use addr::{EtherType, IpProtocol, MacAddr};
 pub use arena::{PacketArena, SharedPacketArena};
 pub use arp::{ArpOperation, ArpPacket};
 pub use builder::PacketBuilder;
+pub use checksum::{fnv1a, FNV1A_OFFSET};
 pub use dns::{DnsHeader, DnsQuestion};
 pub use ethernet::EthernetFrame;
 pub use gre::GrePacket;
