@@ -185,35 +185,6 @@ impl OutputDigest {
     }
 }
 
-/// Drop reasons.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropStats {
-    /// Ingress FIFO overflow (PPE oversubscribed).
-    pub fifo_overflow: u64,
-    /// Application verdict.
-    pub app: u64,
-    /// Optical link down (laser failed / disabled lane).
-    pub link: u64,
-    /// Out-of-order arrival in the offered trace (host-composed traces
-    /// must be sorted; stragglers are dropped, not fatal).
-    pub unsorted: u64,
-}
-
-impl DropStats {
-    /// Fold another run's drops into this one (shard-report merge).
-    pub fn merge(&mut self, other: &DropStats) {
-        self.fifo_overflow += other.fifo_overflow;
-        self.app += other.app;
-        self.link += other.link;
-        self.unsorted += other.unsorted;
-    }
-
-    /// Total drops.
-    pub fn total(&self) -> u64 {
-        self.fifo_overflow + self.app + self.link + self.unsorted
-    }
-}
-
 /// Latency aggregate over forwarded packets, backed by the shared
 /// log-linear histogram (`flexsfp-obs`): percentiles within 1 %
 /// relative error, bounded memory, and lossless merging across runs
@@ -292,8 +263,9 @@ pub struct SimReport {
     pub forwarded: (u64, u64),
     /// Bytes forwarded (total).
     pub forwarded_bytes: u64,
-    /// Drops by reason.
-    pub drops: DropStats,
+    /// Drops by reason — the same counters the module exports for its
+    /// lifetime in every telemetry snapshot.
+    pub drops: DropCounters,
     /// Packets diverted to the control plane by app verdict.
     pub to_control: u64,
     /// Control-protocol requests handled (frames answered).
@@ -330,11 +302,12 @@ impl SimReport {
 /// Constructs an application from bitstream metadata at boot.
 pub type AppFactory = Box<dyn Fn(&BitstreamMeta) -> Option<Box<dyn PacketProcessor>> + Send>;
 
-/// Timing metadata for a packet waiting in the PPE batch. The queueing
-/// model runs at admit time (admission order is arrival order), so the
-/// departure time is already known when the packet joins the batch.
+/// Tag and timing of one dataplane packet on its way to dispatch. The
+/// queueing model runs at admit time (admission order is arrival
+/// order), so the departure time is already known when the packet joins
+/// the batch; the bypass path fills in its own two SerDes crossings.
 #[derive(Debug, Clone, Copy)]
-struct PendingPpe {
+struct Transit {
     /// Caller-supplied input tag (the global input sequence number in
     /// sharded runs), threaded through to the sink unchanged.
     tag: u64,
@@ -377,18 +350,176 @@ struct FlightState {
     seq: u64,
 }
 
-impl FlightState {
-    /// Stamp and ring-buffer one sampled packet's postcard.
-    fn push(
+/// Queue observation taken at admit time for a sampled packet. The
+/// bypass path has no PPE queue: its postcards carry the all-zero
+/// default.
+#[derive(Debug, Clone, Copy, Default)]
+struct FlightCapture {
+    queue_bytes: u64,
+    queue_pkts: u64,
+}
+
+/// The one accounting context of the per-packet path: everything a
+/// packet's fate is booked into — the run's report and clock, both
+/// lanes, the event ring, the lifetime drop counters, the windowed
+/// series and the flight ring — borrowed for as long as one fate (or
+/// one batch of them) takes. Built only by [`FlexSfp::accounts`], the
+/// one place the module's fields are split.
+struct Accounts<'a> {
+    report: &'a mut SimReport,
+    last_time_ns: &'a mut u64,
+    edge: &'a mut Transceiver,
+    optical: &'a mut Transceiver,
+    events: &'a mut EventRing,
+    lifetime_drops: &'a mut DropCounters,
+    windows: &'a mut WindowedSeries,
+    flight: Option<&'a mut FlightState>,
+}
+
+/// The drop-reason table, counter half: which counter a reason bumps.
+fn drop_counter(drops: &mut DropCounters, reason: DropReason) -> &mut u64 {
+    match reason {
+        DropReason::FifoOverflow => &mut drops.fifo_overflow,
+        DropReason::App => &mut drops.app,
+        DropReason::LinkDown => &mut drops.link,
+        DropReason::UnsortedArrival => &mut drops.unsorted,
+        DropReason::ParseError => {
+            unreachable!("a parse failure is the application's drop verdict, not a module drop")
+        }
+    }
+}
+
+impl Accounts<'_> {
+    /// Book one dropped packet: the run's and the lifetime counter, a
+    /// `Drop` event, and the window `ts` falls in. Only the
+    /// application's own verdict is an explained drop; every other
+    /// reason counts against the SLO's unexplained-drop bound.
+    fn drop(&mut self, reason: DropReason, ts: u64) -> FlightVerdict {
+        *drop_counter(&mut self.report.drops, reason) += 1;
+        *drop_counter(self.lifetime_drops, reason) += 1;
+        self.events.record(ts, EventKind::Drop { reason });
+        self.windows.record_drop(ts, reason != DropReason::App);
+        FlightVerdict::Dropped { reason }
+    }
+
+    /// Ingress lane accounting; false when the lane is disabled.
+    fn receive(&mut self, direction: Direction, len: usize) -> bool {
+        match direction {
+            Direction::EdgeToOptical => self.edge.record_rx(len),
+            Direction::OpticalToEdge => self.optical.record_rx(len),
+        }
+    }
+
+    /// The egress gate: lane accounting, and on the optical lane the
+    /// link budget, which no longer closes once the laser has degraded.
+    fn transmit(&mut self, egress: Interface, len: usize) -> bool {
+        match egress {
+            Interface::Edge => self.edge.record_tx(len),
+            Interface::Optical => self.optical.link_up(3.0) && self.optical.record_tx(len),
+        }
+    }
+
+    /// Hand one output to the sink and advance the run's clock.
+    fn emit<F: FnMut(u64, OutputPacket)>(&mut self, tag: u64, out: OutputPacket, sink: &mut F) {
+        *self.last_time_ns = (*self.last_time_ns).max(out.departure_ns);
+        sink(tag, out);
+    }
+
+    /// A frame the control plane originates (microservice or control
+    /// reply) leaves `egress` after the softcore's ~10 µs.
+    fn reply<F: FnMut(u64, OutputPacket)>(
         &mut self,
+        tag: u64,
         arrival_ns: u64,
-        cap: FlightCapture,
+        egress: Interface,
+        frame: Vec<u8>,
+        sink: &mut F,
+    ) {
+        match egress {
+            Interface::Edge => self.edge.record_tx(frame.len()),
+            Interface::Optical => self.optical.record_tx(frame.len()),
+        };
+        let out = OutputPacket {
+            departure_ns: arrival_ns + 10_000,
+            egress,
+            frame,
+            latency_ns: 10_000.0,
+        };
+        self.emit(tag, out, sink);
+    }
+
+    /// Verdict dispatch for one processed packet: drop/divert
+    /// accounting, egress lane accounting, latency recording,
+    /// time-series feeding and output emission — shared exactly by the
+    /// batched and bypass paths. Returns what became of the packet.
+    fn dispatch<F: FnMut(u64, OutputPacket)>(
+        &mut self,
+        t: Transit,
+        frame: Vec<u8>,
+        verdict: Verdict,
+        direction: Direction,
+        sink: &mut F,
+    ) -> FlightVerdict {
+        let natural = Interface::egress_for(direction);
+        let egress = match verdict {
+            Verdict::Drop => return self.drop(DropReason::App, t.arrival_ns),
+            Verdict::ToControlPlane => {
+                self.report.to_control += 1;
+                return FlightVerdict::ToControl;
+            }
+            Verdict::Forward => natural,
+            Verdict::Reflect => natural.other(),
+        };
+        if !self.transmit(egress, frame.len()) {
+            return self.drop(DropReason::LinkDown, t.arrival_ns);
+        }
+
+        // u128 division compiles to a libcall; simulated times fit u64
+        // femtoseconds (~5 h) in practice, so divide in u64 (a
+        // multiply-shift) and keep the wide division as the fallback.
+        let departure_ns = if t.departure_fs <= u128::from(u64::MAX) {
+            (t.departure_fs as u64) / 1_000_000
+        } else {
+            (t.departure_fs / 1_000_000) as u64
+        };
+        let transit_fs = t.departure_fs - t.arrival_fs;
+        let latency_ns = if transit_fs <= u128::from(u64::MAX) {
+            transit_fs as u64 as f64 / 1e6
+        } else {
+            transit_fs as f64 / 1e6
+        };
+        self.report.latency.record(latency_ns);
+        self.windows.record_forwarded(departure_ns, latency_ns);
+        match egress {
+            Interface::Edge => self.report.forwarded.0 += 1,
+            Interface::Optical => self.report.forwarded.1 += 1,
+        }
+        self.report.forwarded_bytes += frame.len() as u64;
+        let out = OutputPacket {
+            departure_ns,
+            egress,
+            frame,
+            latency_ns,
+        };
+        self.emit(t.tag, out, sink);
+        FlightVerdict::Forwarded { departure_ns }
+    }
+
+    /// Stamp and ring-buffer a sampled packet's postcard; `cap` is
+    /// `None` for the unsampled majority.
+    fn postcard(
+        &mut self,
+        cap: Option<FlightCapture>,
+        arrival_ns: u64,
         stamp: FlightStamp,
         verdict: FlightVerdict,
     ) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ring.push(FlightRecord {
+        let (Some(cap), Some(flight)) = (cap, self.flight.as_deref_mut()) else {
+            return;
+        };
+        let seq = flight.seq;
+        flight.seq += 1;
+        flight.ring.push(FlightRecord {
             seq,
             arrival_ns,
             queue_bytes: cap.queue_bytes,
@@ -397,228 +528,6 @@ impl FlightState {
             stages: stamp.stages,
             verdict,
         });
-    }
-}
-
-/// Queue observation taken at admit time for a sampled packet.
-#[derive(Debug, Clone, Copy)]
-struct FlightCapture {
-    queue_bytes: u64,
-    queue_pkts: u64,
-}
-
-/// What became of a dispatched packet — feeds the flight recorder's
-/// verdict and the windowed time-series.
-#[derive(Debug, Clone, Copy)]
-enum DispatchOutcome {
-    /// Emitted to an egress lane at the given simulated time.
-    Forwarded {
-        /// Departure time, ns.
-        departure_ns: u64,
-    },
-    /// The application's verdict was `Drop` (an explained, policy drop).
-    AppDrop,
-    /// The egress lane refused the frame (link down / budget).
-    LinkDrop,
-    /// Diverted to the embedded control plane.
-    ToControl,
-}
-
-impl DispatchOutcome {
-    fn verdict(self) -> FlightVerdict {
-        match self {
-            DispatchOutcome::Forwarded { departure_ns } => {
-                FlightVerdict::Forwarded { departure_ns }
-            }
-            DispatchOutcome::AppDrop => FlightVerdict::Dropped {
-                reason: DropReason::App,
-            },
-            DispatchOutcome::LinkDrop => FlightVerdict::Dropped {
-                reason: DropReason::LinkDown,
-            },
-            DispatchOutcome::ToControl => FlightVerdict::ToControl,
-        }
-    }
-}
-
-/// Verdict dispatch for one processed packet: drop/divert accounting,
-/// egress lane accounting, latency recording, time-series feeding and
-/// output emission. A free function over the module's disjoint fields
-/// so the batched and bypass paths share one exact implementation.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_output<F: FnMut(u64, OutputPacket)>(
-    tag: u64,
-    frame: Vec<u8>,
-    verdict: Verdict,
-    direction: Direction,
-    arrival_ns: u64,
-    arrival_fs: u128,
-    departure_fs: u128,
-    report: &mut SimReport,
-    edge: &mut Transceiver,
-    optical: &mut Transceiver,
-    events: &mut EventRing,
-    lifetime_drops: &mut DropCounters,
-    windows: &mut WindowedSeries,
-    last_time_ns: &mut u64,
-    sink: &mut F,
-) -> DispatchOutcome {
-    match verdict {
-        Verdict::Drop => {
-            report.drops.app += 1;
-            lifetime_drops.app += 1;
-            events.record(
-                arrival_ns,
-                EventKind::Drop {
-                    reason: DropReason::App,
-                },
-            );
-            windows.record_drop(arrival_ns, false);
-            return DispatchOutcome::AppDrop;
-        }
-        Verdict::ToControlPlane => {
-            report.to_control += 1;
-            return DispatchOutcome::ToControl;
-        }
-        Verdict::Forward | Verdict::Reflect => {}
-    }
-
-    let natural = Interface::egress_for(direction);
-    let egress = if verdict == Verdict::Reflect {
-        natural.other()
-    } else {
-        natural
-    };
-
-    // Egress accounting; the optical lane drops when the link budget
-    // no longer closes (degraded laser).
-    let tx_ok = match egress {
-        Interface::Edge => edge.record_tx(frame.len()),
-        Interface::Optical => {
-            if optical.link_up(3.0) {
-                optical.record_tx(frame.len())
-            } else {
-                false
-            }
-        }
-    };
-    if !tx_ok {
-        report.drops.link += 1;
-        lifetime_drops.link += 1;
-        events.record(
-            arrival_ns,
-            EventKind::Drop {
-                reason: DropReason::LinkDown,
-            },
-        );
-        windows.record_drop(arrival_ns, true);
-        return DispatchOutcome::LinkDrop;
-    }
-
-    // u128 division compiles to a libcall; simulated times fit u64
-    // femtoseconds (~5 h) in practice, so divide in u64 (a
-    // multiply-shift) and keep the wide division as the fallback.
-    let departure_ns = if departure_fs <= u128::from(u64::MAX) {
-        (departure_fs as u64) / 1_000_000
-    } else {
-        (departure_fs / 1_000_000) as u64
-    };
-    let transit_fs = departure_fs - arrival_fs;
-    let latency_ns = if transit_fs <= u128::from(u64::MAX) {
-        transit_fs as u64 as f64 / 1e6
-    } else {
-        transit_fs as f64 / 1e6
-    };
-    report.latency.record(latency_ns);
-    windows.record_forwarded(departure_ns, latency_ns);
-    match egress {
-        Interface::Edge => report.forwarded.0 += 1,
-        Interface::Optical => report.forwarded.1 += 1,
-    }
-    report.forwarded_bytes += frame.len() as u64;
-    *last_time_ns = (*last_time_ns).max(departure_ns);
-    sink(
-        tag,
-        OutputPacket {
-            departure_ns,
-            egress,
-            frame,
-            latency_ns,
-        },
-    );
-    DispatchOutcome::Forwarded { departure_ns }
-}
-
-/// Run the pending PPE batch through the application and dispatch every
-/// slot's verdict in admission order. When `capture` is set, the
-/// newest slot is a sampled packet (the sampler forces an immediate
-/// flush) and its postcard is completed here: the application's stage
-/// stamp joins the queue observation and the dispatch verdict.
-#[allow(clippy::too_many_arguments)]
-fn flush_ppe_batch<F: FnMut(u64, OutputPacket)>(
-    app: &mut dyn PacketProcessor,
-    batch: &mut Vec<BatchPacket>,
-    pending: &mut Vec<PendingPpe>,
-    report: &mut SimReport,
-    edge: &mut Transceiver,
-    optical: &mut Transceiver,
-    events: &mut EventRing,
-    lifetime_drops: &mut DropCounters,
-    windows: &mut WindowedSeries,
-    last_cache: &mut CacheStats,
-    capture: Option<(FlightCapture, &mut FlightState)>,
-    last_time_ns: &mut u64,
-    sink: &mut F,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    app.process_batch(batch);
-    // Fold this batch's cache-counter delta into the window its newest
-    // packet lands in. Saturating: a reboot swaps the application and
-    // resets its counters mid-run.
-    let cache_ts = pending.last().map_or(0, |p| p.arrival_ns);
-    if let Some(stats) = app.cache_stats() {
-        windows.record_cache(
-            cache_ts,
-            stats.hits.saturating_sub(last_cache.hits),
-            stats.misses.saturating_sub(last_cache.misses),
-            stats.evictions.saturating_sub(last_cache.evictions),
-            app.cache_occupancy().unwrap_or(0),
-        );
-        *last_cache = stats;
-    }
-    // The sampled packet is the newest slot, so the processor's most
-    // recent stamp is its stage trace.
-    let stamp = capture
-        .as_ref()
-        .map(|_| app.flight_stamp().unwrap_or_default());
-    let mut capture = capture;
-    let newest = batch.len() - 1;
-    for (i, (slot, meta)) in batch.drain(..).zip(pending.drain(..)).enumerate() {
-        let outcome = dispatch_output(
-            meta.tag,
-            slot.frame,
-            slot.verdict,
-            slot.ctx.direction,
-            meta.arrival_ns,
-            meta.arrival_fs,
-            meta.departure_fs,
-            report,
-            edge,
-            optical,
-            events,
-            lifetime_drops,
-            windows,
-            last_time_ns,
-            sink,
-        );
-        if i == newest {
-            if let Some((cap, state)) = capture.take() {
-                let stamp = stamp.clone().unwrap_or_default();
-                state.push(meta.arrival_ns, cap, stamp, outcome.verdict());
-            }
-        }
     }
 }
 
@@ -650,19 +559,24 @@ impl PpeServer {
         }
     }
 
+    /// Entries that completed service by `arrival_fs` have left the
+    /// FIFO. Idempotent, so observing the queue before admitting to it
+    /// does not perturb the model.
+    fn retire(&mut self, arrival_fs: u128) {
+        while let Some(front) = self.in_flight.front() {
+            if front.finish_fs > arrival_fs {
+                break;
+            }
+            self.backlog -= front.bytes;
+            self.in_flight.pop_front();
+        }
+    }
+
     /// Try to admit a packet arriving at `arrival_fs` needing
     /// `service_fs` of PPE time. Returns the service start time, or
     /// `None` on FIFO overflow.
     fn admit(&mut self, arrival_fs: u128, len: usize, service_fs: u128) -> Option<u128> {
-        // Entries that completed service have left the FIFO.
-        while let Some(front) = self.in_flight.front() {
-            if front.finish_fs <= arrival_fs {
-                self.backlog -= front.bytes;
-                self.in_flight.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.retire(arrival_fs);
         if self.backlog + len > self.fifo_bytes {
             return None;
         }
@@ -677,20 +591,13 @@ impl PpeServer {
         Some(start)
     }
 
-    /// The queue a packet arriving at `arrival_fs` would see: entries
-    /// that completed service leave first, then the remaining backlog
-    /// is the depth. The eviction is the same one `admit` performs (and
-    /// is idempotent), so observing first does not perturb the model.
-    fn depth_at(&mut self, arrival_fs: u128) -> (u64, u64) {
-        while let Some(front) = self.in_flight.front() {
-            if front.finish_fs <= arrival_fs {
-                self.backlog -= front.bytes;
-                self.in_flight.pop_front();
-            } else {
-                break;
-            }
+    /// The queue a packet arriving at `arrival_fs` would see.
+    fn depth_at(&mut self, arrival_fs: u128) -> FlightCapture {
+        self.retire(arrival_fs);
+        FlightCapture {
+            queue_bytes: self.backlog as u64,
+            queue_pkts: self.in_flight.len() as u64,
         }
-        (self.backlog as u64, self.in_flight.len() as u64)
     }
 }
 
@@ -1132,6 +1039,25 @@ impl FlexSfp {
         }
     }
 
+    /// Split the module into the per-packet accounting context of one
+    /// run (`report`, `last_time_ns` are the session's).
+    fn accounts<'a>(
+        &'a mut self,
+        report: &'a mut SimReport,
+        last_time_ns: &'a mut u64,
+    ) -> Accounts<'a> {
+        Accounts {
+            report,
+            last_time_ns,
+            edge: &mut self.edge,
+            optical: &mut self.optical,
+            events: &mut self.events,
+            lifetime_drops: &mut self.lifetime_drops,
+            windows: &mut self.windows,
+            flight: self.flight.as_mut(),
+        }
+    }
+
     /// Produce one telemetry export: lifetime counters and latency
     /// histogram, the DOM/laser-health readout, and the drained event
     /// ring (module trace buffer plus the running app's own ring).
@@ -1206,49 +1132,55 @@ pub struct StreamSession {
     /// runtime divisor, and fixed-size workloads repeat one length.
     last_beats: (usize, u128),
     batch: Vec<BatchPacket>,
-    pending: Vec<PendingPpe>,
+    pending: Vec<Transit>,
 }
 
 impl StreamSession {
-    /// Run the pending PPE batch (if any) against the module, with an
-    /// optional flight capture for the newest slot. All the disjoint
-    /// module fields the flush needs are split here, in one place.
+    fn accounts<'a>(&'a mut self, m: &'a mut FlexSfp) -> Accounts<'a> {
+        m.accounts(&mut self.report, &mut self.last_time_ns)
+    }
+
+    /// Run the pending PPE batch (if any) through the application and
+    /// dispatch every slot's verdict in admission order. When `cap` is
+    /// set, the newest slot is a sampled packet (the sampler forces an
+    /// immediate flush) and its postcard is completed here: the
+    /// application's stage stamp joins the queue observation and the
+    /// dispatch verdict.
     fn flush_batch<F: FnMut(u64, OutputPacket)>(
         &mut self,
         m: &mut FlexSfp,
         cap: Option<FlightCapture>,
         sink: &mut F,
     ) {
-        let FlexSfp {
-            app,
-            edge,
-            optical,
-            events,
-            lifetime_drops,
-            windows,
-            last_cache,
-            flight,
-            ..
-        } = m;
-        let capture = match (cap, flight.as_mut()) {
-            (Some(c), Some(state)) => Some((c, state)),
-            _ => None,
+        let Some(&newest) = self.pending.last() else {
+            return;
         };
-        flush_ppe_batch(
-            app.as_mut(),
-            &mut self.batch,
-            &mut self.pending,
-            &mut self.report,
-            edge,
-            optical,
-            events,
-            lifetime_drops,
-            windows,
-            last_cache,
-            capture,
-            &mut self.last_time_ns,
-            sink,
-        );
+        m.app.process_batch(&mut self.batch);
+        // Fold this batch's cache-counter delta into the window its
+        // newest packet lands in. Saturating: a reboot swaps the
+        // application and resets its counters mid-run.
+        if let Some(stats) = m.app.cache_stats() {
+            m.windows.record_cache(
+                newest.arrival_ns,
+                stats.hits.saturating_sub(m.last_cache.hits),
+                stats.misses.saturating_sub(m.last_cache.misses),
+                stats.evictions.saturating_sub(m.last_cache.evictions),
+                m.app.cache_occupancy().unwrap_or(0),
+            );
+            m.last_cache = stats;
+        }
+        // The sampled packet is the newest slot, so the processor's most
+        // recent stamp is its stage trace, and the last verdict
+        // dispatched below is its fate.
+        let stamp = cap.and_then(|_| m.app.flight_stamp()).unwrap_or_default();
+        let mut acct = m.accounts(&mut self.report, &mut self.last_time_ns);
+        let mut fate = None;
+        for (slot, t) in self.batch.drain(..).zip(self.pending.drain(..)) {
+            fate = Some(acct.dispatch(t, slot.frame, slot.verdict, slot.ctx.direction, sink));
+        }
+        if let Some(fate) = fate {
+            acct.postcard(cap, newest.arrival_ns, stamp, fate);
+        }
     }
 
     /// Flush the pending PPE batch to the sink. Offers already do this
@@ -1278,11 +1210,17 @@ impl StreamSession {
     /// [`FlowKey`](flexsfp_ppe::FlowKey) once for flow hashing and
     /// hands it down here, so the shard neither re-parses for the
     /// control-plane arbiter nor for the microflow cache — the
-    /// single-parse path. `offer` itself calls this with
-    /// [`KeyHint::Unknown`]: the gates then stay conservative and the
-    /// one extraction happens lazily in the PPE pipeline, so the
-    /// serial path performs exactly one parse too (and none for
-    /// packets the pipeline never keys).
+    /// single-parse path: every downstream decision (the microservice
+    /// filter, the arbiter filter, the PPE's flow cache) reuses the
+    /// key. `offer` itself calls this with [`KeyHint::Unknown`]: the
+    /// gates then stay conservative and the one extraction happens
+    /// lazily in the PPE pipeline, so the serial path performs exactly
+    /// one parse too (and none for packets the pipeline never keys —
+    /// cache disabled, bypass).
+    ///
+    /// The path is the paper's Figure 1, in order: ingress accounting,
+    /// the microservice gate, the arbiter, then FIFO admission into the
+    /// PPE batch (or the bypass), and dispatch when the batch flushes.
     pub fn offer_with_key<F: FnMut(u64, OutputPacket)>(
         &mut self,
         m: &mut FlexSfp,
@@ -1291,279 +1229,184 @@ impl StreamSession {
         hint: KeyHint,
         sink: &mut F,
     ) {
+        let ts = pkt.arrival_ns;
         self.report.offered += 1;
         self.report.offered_bytes += pkt.frame.len() as u64;
-        if pkt.arrival_ns < self.prev_arrival {
+        if ts < self.prev_arrival {
             // Straggler in a host-composed trace: drop and count
             // before it reaches ingress accounting.
-            self.report.drops.unsorted += 1;
-            m.lifetime_drops.unsorted += 1;
-            m.events.record(
-                pkt.arrival_ns,
-                EventKind::Drop {
-                    reason: DropReason::UnsortedArrival,
-                },
-            );
-            m.windows.record_drop(pkt.arrival_ns, true);
+            self.accounts(m).drop(DropReason::UnsortedArrival, ts);
             return;
         }
-        self.prev_arrival = pkt.arrival_ns;
-        self.last_time_ns = self.last_time_ns.max(pkt.arrival_ns);
+        self.prev_arrival = ts;
+        self.last_time_ns = self.last_time_ns.max(ts);
+        let mut acct = self.accounts(m);
+        if !acct.receive(pkt.direction, pkt.frame.len()) {
+            acct.drop(DropReason::LinkDown, ts);
+            return;
+        }
+        if self.answer_microservice(m, tag, &pkt, hint, sink)
+            || self.divert_control(m, tag, &pkt, hint, sink)
+        {
+            return;
+        }
 
-        // Ingress accounting.
-        let (rx_ok, _ingress) = match pkt.direction {
-            Direction::EdgeToOptical => (m.edge.record_rx(pkt.frame.len()), Interface::Edge),
-            Direction::OpticalToEdge => (m.optical.record_rx(pkt.frame.len()), Interface::Optical),
+        let arrival_fs = u128::from(ts) * 1_000_000;
+        // One sampler draw per dataplane packet (PPE and bypass
+        // alike), taken before the FIFO decision so overflow drops
+        // are observable in the flight record too. Control and
+        // microservice frames diverted above never draw.
+        let sampled = m.flight.as_mut().is_some_and(|f| f.sampler.sample());
+        if !m.config.shell.ppe_applies(pkt.direction) {
+            // Bypass path: SerDes in, merge, SerDes out. Flush so
+            // outputs still reach the sink in arrival order. No PPE
+            // queue and no stages here: a sampled packet gets an honest
+            // all-zero postcard bar the verdict.
+            self.flush_batch(m, None, sink);
+            let t = Transit {
+                tag,
+                arrival_ns: ts,
+                arrival_fs,
+                departure_fs: arrival_fs + 2 * self.serdes_fs,
+            };
+            let mut acct = self.accounts(m);
+            let fate = acct.dispatch(t, pkt.frame, Verdict::Forward, pkt.direction, sink);
+            let cap = sampled.then(FlightCapture::default);
+            acct.postcard(cap, ts, FlightStamp::default(), fate);
+            return;
+        }
+
+        let len = pkt.frame.len();
+        if self.last_beats.0 != len {
+            self.last_beats = (len, u128::from(m.config.datapath.beats_for(len)));
+        }
+        let service_fs = self.last_beats.1 * self.ppe_period_fs;
+        // Observe the queue a sampled packet meets before it is
+        // admitted (admission changes the backlog).
+        let cap = sampled.then(|| self.server.depth_at(arrival_fs));
+        let Some(start_fs) = self.server.admit(arrival_fs, len, service_fs) else {
+            let mut acct = self.accounts(m);
+            let fate = acct.drop(DropReason::FifoOverflow, ts);
+            acct.postcard(cap, ts, FlightStamp::default(), fate);
+            return;
         };
-        if !rx_ok {
-            self.report.drops.link += 1;
-            m.lifetime_drops.link += 1;
-            m.events.record(
-                pkt.arrival_ns,
-                EventKind::Drop {
-                    reason: DropReason::LinkDown,
-                },
-            );
-            m.windows.record_drop(pkt.arrival_ns, true);
-            return;
+        let ctx = ProcessContext {
+            timestamp_ns: ts,
+            direction: pkt.direction,
+        };
+        self.batch.push(BatchPacket::with_key(ctx, pkt.frame, hint));
+        self.pending.push(Transit {
+            tag,
+            arrival_ns: ts,
+            arrival_fs,
+            departure_fs: start_fs
+                + service_fs
+                + self.pipeline_cycles * self.ppe_period_fs
+                + 2 * self.serdes_fs,
+        });
+        // A sampled packet flushes immediately: batching is
+        // semantically per-packet, so results are unchanged, and the
+        // postcard completes while the packet is the processor's most
+        // recent.
+        if sampled || self.batch.len() == PPE_BATCH {
+            self.flush_batch(m, cap, sink);
         }
+    }
 
-        // The single-parse contract: a dispatcher that already
-        // extracted the microflow key passes it in, and every
-        // downstream decision — the microservice filter, the
-        // control-plane arbiter filter, and the PPE's flow cache —
-        // reuses it instead of re-parsing. With no hint (`Unknown`,
-        // the serial path) the gates stay conservative and the one
-        // extraction happens lazily in the PPE pipeline, exactly
-        // where it always did — frames the pipeline never keys
-        // (cache disabled, bypass) are never parsed for a key at all.
-        let key = hint;
-
-        // Active-Control-Plane shell: the control plane terminates
-        // traffic addressed to the module itself (ARP, ICMP echo)
-        // from either interface — the §4.1 "microservice node".
-        //
-        // Fast filter: an untagged canonical-IPv4 frame (the key
-        // extracted and saw no VLANs) can only be a microservice frame
-        // if it is ICMP addressed to the management IP — `respond`
-        // parses the same bytes at the same offsets. Keyless frames
-        // (ARP, non-IPv4, odd shapes) and tagged frames still take the
-        // full parse, so behavior is unchanged.
-        if m.config.shell.control_plane_active() {
-            let maybe_mine = match key {
+    /// Active-Control-Plane shell: the control plane terminates
+    /// traffic addressed to the module itself (ARP, ICMP echo) from
+    /// either interface — the §4.1 "microservice node". True when
+    /// `pkt` was such a frame and has been answered.
+    ///
+    /// Fast filter: an untagged canonical-IPv4 frame (the key
+    /// extracted and saw no VLANs) can only be a microservice frame
+    /// if it is ICMP addressed to the management IP — `respond`
+    /// parses the same bytes at the same offsets. Keyless frames
+    /// (ARP, non-IPv4, odd shapes) and tagged frames still take the
+    /// full parse, so behavior is unchanged.
+    fn answer_microservice<F: FnMut(u64, OutputPacket)>(
+        &mut self,
+        m: &mut FlexSfp,
+        tag: u64,
+        pkt: &SimPacket,
+        hint: KeyHint,
+        sink: &mut F,
+    ) -> bool {
+        let maybe_mine = m.config.shell.control_plane_active()
+            && match hint {
                 KeyHint::Key(k) => {
                     k.vlan_count() != 0 || (k.dst_ip() == m.config.mgmt_ip && k.proto() == 1)
                 }
                 _ => true,
             };
-            if let Some((_svc, reply)) = maybe_mine
-                .then(|| {
-                    crate::microservice::respond(&pkt.frame, m.config.mgmt_mac, m.config.mgmt_ip)
-                })
-                .flatten()
-            {
-                // Keep sink emission in arrival order.
-                self.flush_batch(m, None, sink);
-                self.report.cp_originated += 1;
-                // Replies exit the interface the request arrived on;
-                // the softcore path costs ~10 µs.
-                let back = match pkt.direction {
-                    Direction::EdgeToOptical => Interface::Edge,
-                    Direction::OpticalToEdge => Interface::Optical,
-                };
-                let departure = pkt.arrival_ns + 10_000;
-                match back {
-                    Interface::Edge => m.edge.record_tx(reply.len()),
-                    Interface::Optical => m.optical.record_tx(reply.len()),
-                };
-                sink(
-                    tag,
-                    OutputPacket {
-                        departure_ns: departure,
-                        egress: back,
-                        frame: reply,
-                        latency_ns: 10_000.0,
-                    },
-                );
-                self.last_time_ns = self.last_time_ns.max(departure);
-                return;
-            }
-        }
+        let Some((_svc, reply)) = maybe_mine
+            .then(|| crate::microservice::respond(&pkt.frame, m.config.mgmt_mac, m.config.mgmt_ip))
+            .flatten()
+        else {
+            return false;
+        };
+        // Keep sink emission in arrival order.
+        self.flush_batch(m, None, sink);
+        self.report.cp_originated += 1;
+        // Replies exit the interface the request arrived on.
+        let back = Interface::egress_for(pkt.direction).other();
+        self.accounts(m)
+            .reply(tag, pkt.arrival_ns, back, reply, sink);
+        true
+    }
 
-        // Arbiter: control-plane frames divert before the PPE. The
-        // pending batch must run first: control ops mutate tables,
-        // and earlier packets belong to the pre-mutation state.
-        //
-        // Fast filter: `classify` demands unicast-to-us IPv4 to the
-        // management IP on the control port. For an untagged frame
-        // whose key extracted, the destination IP in the key is the
-        // one `classify` would read, so a mismatch proves the frame is
-        // dataplane without the full parse (this removes the last
-        // per-packet parse from the serial fast path). Tagged or
-        // keyless frames fall through to `classify` unchanged.
-        let maybe_control = match key {
+    /// Arbiter: control-plane frames divert before the PPE. True when
+    /// `pkt` was one (answered, or rejected and traced).
+    ///
+    /// Fast filter: `classify` demands unicast-to-us IPv4 to the
+    /// management IP on the control port. For an untagged frame
+    /// whose key extracted, the destination IP in the key is the
+    /// one `classify` would read, so a mismatch proves the frame is
+    /// dataplane without the full parse (this removes the last
+    /// per-packet parse from the serial fast path). Tagged or
+    /// keyless frames fall through to `classify` unchanged.
+    fn divert_control<F: FnMut(u64, OutputPacket)>(
+        &mut self,
+        m: &mut FlexSfp,
+        tag: u64,
+        pkt: &SimPacket,
+        hint: KeyHint,
+        sink: &mut F,
+    ) -> bool {
+        let maybe_control = match hint {
             KeyHint::Key(k) => m.control.may_classify(&k),
             _ => true,
         };
-        if pkt.direction == Direction::EdgeToOptical
-            && maybe_control
-            && m.control.classify(&pkt.frame)
+        if pkt.direction != Direction::EdgeToOptical
+            || !maybe_control
+            || !m.control.classify(&pkt.frame)
         {
-            self.flush_batch(m, None, sink);
-            let dom = m.mgmt.read_dom();
-            let mut ctx = ControlContext {
-                app: m.app.as_mut(),
-                flash: &mut m.flash,
-                dom,
-                module_id: &m.config.id,
-                app_version: m.app_version,
-                boots: m.boots,
-            };
-            if let Some(resp) = m.control.handle_frame(&pkt.frame, &mut ctx) {
-                self.report.control_handled += 1;
-                // Response merges into the edge-bound stream; the
-                // control path is slow (softcore), model 10 µs.
-                let departure = pkt.arrival_ns + 10_000;
-                m.edge.record_tx(resp.len());
-                sink(
-                    tag,
-                    OutputPacket {
-                        departure_ns: departure,
-                        egress: Interface::Edge,
-                        frame: resp,
-                        latency_ns: 10_000.0,
-                    },
-                );
-                self.last_time_ns = self.last_time_ns.max(departure);
-            } else {
-                // A classified control frame that failed decode or
-                // authentication: trace the rejection.
-                m.events.record(pkt.arrival_ns, EventKind::AuthReject);
-            }
-            m.maybe_reboot();
-            return;
+            return false;
         }
-
-        let arrival_fs = u128::from(pkt.arrival_ns) * 1_000_000;
-        let uses_ppe = m.config.shell.ppe_applies(pkt.direction);
-        // One sampler draw per dataplane packet (PPE and bypass
-        // alike), taken before the FIFO decision so overflow drops
-        // are observable in the flight record too. Control and
-        // microservice frames diverted above never draw.
-        let sampled = match m.flight.as_mut() {
-            Some(f) => f.sampler.sample(),
-            None => false,
+        // The pending batch must run first: control ops mutate tables,
+        // and earlier packets belong to the pre-mutation state.
+        self.flush_batch(m, None, sink);
+        let dom = m.mgmt.read_dom();
+        let mut ctx = ControlContext {
+            app: m.app.as_mut(),
+            flash: &mut m.flash,
+            dom,
+            module_id: &m.config.id,
+            app_version: m.app_version,
+            boots: m.boots,
         };
-
-        if uses_ppe {
-            let beats = if self.last_beats.0 == pkt.frame.len() {
-                self.last_beats.1
-            } else {
-                let b = u128::from(m.config.datapath.beats_for(pkt.frame.len()));
-                self.last_beats = (pkt.frame.len(), b);
-                b
-            };
-            let service_fs = beats * self.ppe_period_fs;
-            // Observe the queue a sampled packet meets before it is
-            // admitted (admission changes the backlog).
-            let depth = if sampled {
-                Some(self.server.depth_at(arrival_fs))
-            } else {
-                None
-            };
-            let Some(start_fs) = self.server.admit(arrival_fs, pkt.frame.len(), service_fs) else {
-                self.report.drops.fifo_overflow += 1;
-                m.lifetime_drops.fifo_overflow += 1;
-                m.events.record(
-                    pkt.arrival_ns,
-                    EventKind::Drop {
-                        reason: DropReason::FifoOverflow,
-                    },
-                );
-                m.windows.record_drop(pkt.arrival_ns, true);
-                if sampled {
-                    if let Some(state) = m.flight.as_mut() {
-                        let (queue_bytes, queue_pkts) = depth.unwrap_or((0, 0));
-                        state.push(
-                            pkt.arrival_ns,
-                            FlightCapture {
-                                queue_bytes,
-                                queue_pkts,
-                            },
-                            FlightStamp::default(),
-                            FlightVerdict::Dropped {
-                                reason: DropReason::FifoOverflow,
-                            },
-                        );
-                    }
-                }
-                return;
-            };
-            let ctx = ProcessContext {
-                timestamp_ns: pkt.arrival_ns,
-                direction: pkt.direction,
-            };
-            self.batch.push(BatchPacket::with_key(ctx, pkt.frame, key));
-            self.pending.push(PendingPpe {
-                tag,
-                arrival_ns: pkt.arrival_ns,
-                arrival_fs,
-                departure_fs: start_fs
-                    + service_fs
-                    + self.pipeline_cycles * self.ppe_period_fs
-                    + 2 * self.serdes_fs,
-            });
-            if sampled {
-                // A sampled packet flushes immediately: batching is
-                // semantically per-packet, so results are unchanged,
-                // and the postcard completes while the packet is the
-                // processor's most recent.
-                let (queue_bytes, queue_pkts) = depth.unwrap_or((0, 0));
-                let cap = FlightCapture {
-                    queue_bytes,
-                    queue_pkts,
-                };
-                self.flush_batch(m, Some(cap), sink);
-            } else if self.batch.len() == PPE_BATCH {
-                self.flush_batch(m, None, sink);
-            }
+        if let Some(resp) = m.control.handle_frame(&pkt.frame, &mut ctx) {
+            self.report.control_handled += 1;
+            // The response merges into the edge-bound stream.
+            self.accounts(m)
+                .reply(tag, pkt.arrival_ns, Interface::Edge, resp, sink);
         } else {
-            // Bypass path: SerDes in, merge, SerDes out. Flush so
-            // outputs still reach the sink in arrival order.
-            self.flush_batch(m, None, sink);
-            let outcome = dispatch_output(
-                tag,
-                pkt.frame,
-                Verdict::Forward,
-                pkt.direction,
-                pkt.arrival_ns,
-                arrival_fs,
-                arrival_fs + 2 * self.serdes_fs,
-                &mut self.report,
-                &mut m.edge,
-                &mut m.optical,
-                &mut m.events,
-                &mut m.lifetime_drops,
-                &mut m.windows,
-                &mut self.last_time_ns,
-                sink,
-            );
-            if sampled {
-                if let Some(state) = m.flight.as_mut() {
-                    // No PPE queue and no stages on the bypass path:
-                    // an honest all-zero postcard bar the verdict.
-                    state.push(
-                        pkt.arrival_ns,
-                        FlightCapture {
-                            queue_bytes: 0,
-                            queue_pkts: 0,
-                        },
-                        FlightStamp::default(),
-                        outcome.verdict(),
-                    );
-                }
-            }
+            // A classified control frame that failed decode or
+            // authentication: trace the rejection.
+            m.events.record(pkt.arrival_ns, EventKind::AuthReject);
         }
+        m.maybe_reboot();
+        true
     }
 
     /// Close the run: flush the final partial batch, stamp the

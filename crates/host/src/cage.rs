@@ -3,7 +3,7 @@
 //! [`CrossbarSwitch`](crate::CrossbarSwitch) puts a cage in every port,
 //! crossed once on ingress and once on egress. A frame crossing a cage
 //! has more possible fates than "came out the far side or didn't": the module
-//! may drop it (its own [`DropStats`](flexsfp_core::module::DropStats) says so),
+//! may drop it (its report's [`drops`](flexsfp_core::module::SimReport::drops) say so),
 //! reflect it back out the interface it came from, divert it to the
 //! control plane, duplicate it (a mirror app), or absorb it into a
 //! control-plane exchange. [`ModulePass`] captures every one of those
@@ -46,7 +46,7 @@ pub(crate) struct ModulePass {
     /// toward where the frame came from).
     pub diverted: u64,
     /// Frames the module itself dropped, from its own per-run
-    /// [`DropStats`](flexsfp_core::module::DropStats) — app verdicts, FIFO
+    /// [`drops`](flexsfp_core::module::SimReport::drops) — app verdicts, FIFO
     /// overflow and parse errors alike, not inferred from absence.
     pub dropped: u64,
     /// Frames diverted to the module's control plane.

@@ -89,7 +89,7 @@ pub struct SwitchStats {
     /// replies emitted next to a diverted request).
     pub module_copies: u64,
     /// Frames dropped by port modules, folded from each module's own
-    /// per-run [`DropStats`](flexsfp_core::module::DropStats) — app
+    /// per-run [`drops`](flexsfp_core::module::SimReport::drops) — app
     /// verdicts, FIFO overflow and parse errors alike.
     pub dropped_by_modules: u64,
     /// Module outputs that emerged on the unexpected interface
