@@ -426,7 +426,9 @@ impl Accounts<'_> {
     }
 
     /// A frame the control plane originates (microservice or control
-    /// reply) leaves `egress` after the softcore's ~10 µs.
+    /// reply) leaves `egress` after the softcore's ~10 µs, through the
+    /// same gate as dataplane output. False when the lane refused it:
+    /// that is a link drop, not a reply.
     fn reply<F: FnMut(u64, OutputPacket)>(
         &mut self,
         tag: u64,
@@ -434,11 +436,11 @@ impl Accounts<'_> {
         egress: Interface,
         frame: Vec<u8>,
         sink: &mut F,
-    ) {
-        match egress {
-            Interface::Edge => self.edge.record_tx(frame.len()),
-            Interface::Optical => self.optical.record_tx(frame.len()),
-        };
+    ) -> bool {
+        if !self.transmit(egress, frame.len()) {
+            self.drop(DropReason::LinkDown, arrival_ns);
+            return false;
+        }
         let out = OutputPacket {
             departure_ns: arrival_ns + 10_000,
             egress,
@@ -446,6 +448,7 @@ impl Accounts<'_> {
             latency_ns: 10_000.0,
         };
         self.emit(tag, out, sink);
+        true
     }
 
     /// Verdict dispatch for one processed packet: drop/divert
@@ -831,51 +834,30 @@ impl FlexSfp {
         self.mgmt.update_dom(temp, 3.3, &self.optical.health, rx_mw);
     }
 
-    /// Handle a control request arriving on the out-of-band management
-    /// port (the arbiter's third port in Figure 1) — payload-level, no
-    /// Ethernet framing. Returns the encoded response payload.
-    pub fn handle_oob(&mut self, payload: &[u8]) -> Option<Vec<u8>> {
-        let Some(req) = self.control.decode(payload) else {
-            self.clock_ns += 1;
-            self.events.record(self.clock_ns, EventKind::AuthReject);
-            return None;
-        };
-        // Telemetry is answered at module level: the generic handler
-        // cannot see the transceivers, event ring or laser model.
-        if matches!(req, ControlRequest::ReadTelemetry) {
-            let snap = self.telemetry_snapshot();
-            return Some(
-                self.control
-                    .encode(&ControlResponse::Telemetry(Box::new(snap))),
-            );
-        }
-        // The flight ring likewise lives in the shell, not the control
-        // plane: drain and answer before the generic handler.
-        if matches!(req, ControlRequest::ReadFlightRecords) {
-            let records = self.drain_flight_records();
-            return Some(
-                self.control
-                    .encode(&ControlResponse::FlightRecords(records)),
-            );
-        }
-        // A commit flashes the image staged at `slot`; remember it so
-        // the success can be traced as a Reprogram event.
-        let committing_slot = match (&req, self.control.update_state()) {
-            (ControlRequest::CommitUpdate, UpdateState::Receiving { slot, .. }) => {
-                Some(*slot as u8)
-            }
+    /// Stamp an event raised on the control path, which carries no
+    /// packet timestamps: one tick past the simulated-time high-water
+    /// mark.
+    fn trace(&mut self, kind: EventKind) {
+        self.clock_ns += 1;
+        self.events.record(self.clock_ns, kind);
+    }
+
+    /// Run `f` against the control plane with the module state a
+    /// request handler may touch — the one path in-band control frames
+    /// and the OOB port share. What `f` did to the update FSM is traced
+    /// here, whichever port it came in on: a commit that flashed its
+    /// slot is a `Reprogram`, and an abort that tore down an active
+    /// update is an `UpdateAbort`, so a host resynchronising after
+    /// channel loss is visible in the ring.
+    fn with_control<R>(
+        &mut self,
+        f: impl FnOnce(&mut ControlPlane, &mut ControlContext<'_>) -> R,
+    ) -> R {
+        let receiving = match self.control.update_state() {
+            UpdateState::Receiving { slot, .. } => Some(*slot as u8),
             _ => None,
         };
-        // An abort that lands while an update is active tears it down;
-        // trace that as its own event so a host resynchronising after
-        // channel loss is visible in the ring.
-        let aborting_update = matches!(
-            (&req, self.control.update_state()),
-            (
-                ControlRequest::AbortUpdate,
-                UpdateState::Receiving { .. } | UpdateState::Staged { .. }
-            )
-        );
+        let aborts = self.control.ctrl_counters().update_aborts;
         let dom = self.mgmt.read_dom();
         let mut ctx = ControlContext {
             app: self.app.as_mut(),
@@ -885,19 +867,41 @@ impl FlexSfp {
             app_version: self.app_version,
             boots: self.boots,
         };
-        let resp = self.control.handle(req, &mut ctx);
-        if let (Some(slot), ControlResponse::Ack) = (committing_slot, &resp) {
-            self.clock_ns += 1;
-            self.events
-                .record(self.clock_ns, EventKind::Reprogram { slot });
+        let out = f(&mut self.control, &mut ctx);
+        if let (Some(slot), UpdateState::Staged { .. }) = (receiving, self.control.update_state()) {
+            self.trace(EventKind::Reprogram { slot });
         }
-        if aborting_update && matches!(resp, ControlResponse::Ack) {
-            self.clock_ns += 1;
-            self.events.record(self.clock_ns, EventKind::UpdateAbort);
+        if self.control.ctrl_counters().update_aborts > aborts {
+            self.trace(EventKind::UpdateAbort);
         }
-        let encoded = self.control.encode(&resp);
-        self.maybe_reboot();
-        Some(encoded)
+        out
+    }
+
+    /// Handle a control request arriving on the out-of-band management
+    /// port (the arbiter's third port in Figure 1) — payload-level, no
+    /// Ethernet framing. Returns the encoded response payload.
+    pub fn handle_oob(&mut self, payload: &[u8]) -> Option<Vec<u8>> {
+        let Some(req) = self.control.decode(payload) else {
+            self.trace(EventKind::AuthReject);
+            return None;
+        };
+        let resp = match req {
+            // Telemetry and the flight ring are answered at module
+            // level: the generic handler cannot see the transceivers,
+            // event ring, laser model or flight recorder.
+            ControlRequest::ReadTelemetry => {
+                ControlResponse::Telemetry(Box::new(self.telemetry_snapshot()))
+            }
+            ControlRequest::ReadFlightRecords => {
+                ControlResponse::FlightRecords(self.drain_flight_records())
+            }
+            req => {
+                let resp = self.with_control(|control, ctx| control.handle(req, ctx));
+                self.maybe_reboot();
+                resp
+            }
+        };
+        Some(self.control.encode(&resp))
     }
 
     /// Consume a pending activation and reboot from that flash slot.
@@ -913,14 +917,10 @@ impl FlexSfp {
         // what keeps a rollback from wedging the next deploy.
         self.control.reset_update();
         let ok = self.try_boot_slot(slot);
-        self.clock_ns += 1;
-        self.events.record(
-            self.clock_ns,
-            EventKind::Reboot {
-                slot: slot as u8,
-                ok,
-            },
-        );
+        self.trace(EventKind::Reboot {
+            slot: slot as u8,
+            ok,
+        });
         if ok {
             return true;
         }
@@ -1347,11 +1347,12 @@ impl StreamSession {
         };
         // Keep sink emission in arrival order.
         self.flush_batch(m, None, sink);
-        self.report.cp_originated += 1;
         // Replies exit the interface the request arrived on.
         let back = Interface::egress_for(pkt.direction).other();
-        self.accounts(m)
-            .reply(tag, pkt.arrival_ns, back, reply, sink);
+        let mut acct = self.accounts(m);
+        if acct.reply(tag, pkt.arrival_ns, back, reply, sink) {
+            acct.report.cp_originated += 1;
+        }
         true
     }
 
@@ -1386,24 +1387,17 @@ impl StreamSession {
         // The pending batch must run first: control ops mutate tables,
         // and earlier packets belong to the pre-mutation state.
         self.flush_batch(m, None, sink);
-        let dom = m.mgmt.read_dom();
-        let mut ctx = ControlContext {
-            app: m.app.as_mut(),
-            flash: &mut m.flash,
-            dom,
-            module_id: &m.config.id,
-            app_version: m.app_version,
-            boots: m.boots,
-        };
-        if let Some(resp) = m.control.handle_frame(&pkt.frame, &mut ctx) {
-            self.report.control_handled += 1;
-            // The response merges into the edge-bound stream.
-            self.accounts(m)
-                .reply(tag, pkt.arrival_ns, Interface::Edge, resp, sink);
-        } else {
+        match m.with_control(|control, ctx| control.handle_frame(&pkt.frame, ctx)) {
+            Some(resp) => {
+                // The response merges into the edge-bound stream.
+                let mut acct = self.accounts(m);
+                if acct.reply(tag, pkt.arrival_ns, Interface::Edge, resp, sink) {
+                    acct.report.control_handled += 1;
+                }
+            }
             // A classified control frame that failed decode or
             // authentication: trace the rejection.
-            m.events.record(pkt.arrival_ns, EventKind::AuthReject);
+            None => m.events.record(pkt.arrival_ns, EventKind::AuthReject),
         }
         m.maybe_reboot();
         true
@@ -1494,6 +1488,75 @@ mod tests {
                 frame: data_frame(len),
             })
             .collect()
+    }
+
+    /// `req`, authenticated, in a UDP frame to the module's management
+    /// address from a host station.
+    fn control_frame(config: &ModuleConfig, req: &ControlRequest) -> Vec<u8> {
+        PacketBuilder::eth_ipv4_udp(
+            config.mgmt_mac,
+            MacAddr([0xee; 6]),
+            0x0a000101,
+            config.mgmt_ip,
+            40_000,
+            crate::control::CONTROL_PORT,
+            &ControlPlane::encode_request(&config.auth_key, req),
+        )
+    }
+
+    /// An ICMP echo request to the module's own management IP.
+    fn echo_request(config: &ModuleConfig) -> Vec<u8> {
+        let mut icmp_bytes = vec![0u8; 8 + 4];
+        {
+            let mut p = flexsfp_wire::IcmpPacket::new_unchecked(&mut icmp_bytes);
+            p.set_msg_type(flexsfp_wire::IcmpType::EchoRequest);
+            p.set_echo_ident(1);
+            p.set_echo_seq(1);
+        }
+        flexsfp_wire::IcmpPacket::new_unchecked(&mut icmp_bytes).fill_checksum();
+        let ip = PacketBuilder::ipv4(
+            0x0a000101,
+            config.mgmt_ip,
+            flexsfp_wire::IpProtocol::Icmp,
+            &icmp_bytes,
+        );
+        PacketBuilder::ethernet(
+            config.mgmt_mac,
+            MacAddr([0xee; 6]),
+            flexsfp_wire::EtherType::Ipv4,
+            &ip,
+        )
+    }
+
+    /// The §5.1 passthrough bitstream at `version`, with its CRC.
+    fn passthrough_image(version: u32) -> (Vec<u8>, u32) {
+        let bs = Bitstream::new(
+            "passthrough",
+            version,
+            ResourceManifest::new(100, 100, 0, 0),
+            156_250_000,
+        );
+        let image = bs.to_bytes();
+        let crc = flexsfp_fabric::hash::crc32(&image);
+        (image, crc)
+    }
+
+    /// The request sequence that deploys `image` to `slot` and boots it.
+    fn ota_requests(slot: usize, image: &[u8], crc32: u32) -> Vec<ControlRequest> {
+        let mut reqs = vec![ControlRequest::BeginUpdate {
+            slot,
+            total_len: image.len(),
+            crc32,
+        }];
+        for (seq, chunk) in image.chunks(crate::reprogram::MAX_CHUNK).enumerate() {
+            reqs.push(ControlRequest::UpdateChunk {
+                seq: seq as u32,
+                data: chunk.to_vec(),
+            });
+        }
+        reqs.push(ControlRequest::CommitUpdate);
+        reqs.push(ControlRequest::Activate { slot });
+        reqs
     }
 
     #[test]
@@ -1594,17 +1657,7 @@ mod tests {
     #[test]
     fn control_frames_divert_and_answer() {
         let mut m = FlexSfp::passthrough();
-        let payload =
-            ControlPlane::encode_request(&AuthKey::DEFAULT, &ControlRequest::Ping { nonce: 5 });
-        let frame = PacketBuilder::eth_ipv4_udp(
-            m.config.mgmt_mac,
-            MacAddr([0xee; 6]),
-            0x0a000101,
-            m.config.mgmt_ip,
-            40_000,
-            crate::control::CONTROL_PORT,
-            &payload,
-        );
+        let frame = control_frame(&m.config, &ControlRequest::Ping { nonce: 5 });
         let report = m.run(vec![SimPacket {
             arrival_ns: 0,
             direction: Direction::EdgeToOptical,
@@ -1640,55 +1693,75 @@ mod tests {
     #[test]
     fn ota_update_and_reboot_via_oob() {
         let mut m = FlexSfp::passthrough();
-        let bs = Bitstream::new(
-            "passthrough",
-            7,
-            ResourceManifest::new(100, 100, 0, 0),
-            156_250_000,
-        );
-        let image = bs.to_bytes();
-        let crc = flexsfp_fabric::hash::crc32(&image);
+        let (image, crc) = passthrough_image(7);
         let key = AuthKey::DEFAULT;
-        let send = |m: &mut FlexSfp, req: &ControlRequest| -> ControlResponse {
-            let payload = ControlPlane::encode_request(&key, req);
-            let resp = m.handle_oob(&payload).unwrap();
-            ControlPlane::decode_response(&key, &resp).unwrap()
-        };
-        assert_eq!(
-            send(
-                &mut m,
-                &ControlRequest::BeginUpdate {
-                    slot: 1,
-                    total_len: image.len(),
-                    crc32: crc
-                }
-            ),
-            ControlResponse::Ack
-        );
-        for (seq, chunk) in image.chunks(crate::reprogram::MAX_CHUNK).enumerate() {
+        for req in ota_requests(1, &image, crc) {
+            let resp = m
+                .handle_oob(&ControlPlane::encode_request(&key, &req))
+                .unwrap();
             assert_eq!(
-                send(
-                    &mut m,
-                    &ControlRequest::UpdateChunk {
-                        seq: seq as u32,
-                        data: chunk.to_vec()
-                    }
-                ),
-                ControlResponse::Ack
+                ControlPlane::decode_response(&key, &resp).unwrap(),
+                ControlResponse::Ack,
+                "{req:?}"
             );
         }
-        assert_eq!(
-            send(&mut m, &ControlRequest::CommitUpdate),
-            ControlResponse::Ack
-        );
-        assert_eq!(
-            send(&mut m, &ControlRequest::Activate { slot: 1 }),
-            ControlResponse::Ack
-        );
         // The module rebooted into version 7.
         assert_eq!(m.boots(), 2);
         assert_eq!(m.app_version(), 7);
         assert_eq!(m.app_name(), "passthrough");
+    }
+
+    #[test]
+    fn ota_driven_in_band_is_traced_like_oob() {
+        // The same deploy as above, but every request arrives as a
+        // control frame on the wire: the commit and the reboot must
+        // both be in the event ring, in that order.
+        let mut m = FlexSfp::passthrough();
+        let (image, crc) = passthrough_image(7);
+        let trace: Vec<SimPacket> = ota_requests(1, &image, crc)
+            .iter()
+            .enumerate()
+            .map(|(i, req)| SimPacket {
+                arrival_ns: i as u64 * 20_000,
+                direction: Direction::EdgeToOptical,
+                frame: control_frame(&m.config, req),
+            })
+            .collect();
+        let report = m.run(trace);
+        assert_eq!(report.control_handled, report.offered);
+        assert_eq!((m.boots(), m.app_version()), (2, 7));
+        let snap = m.telemetry_snapshot();
+        let kinds: Vec<&EventKind> = snap.events.iter().map(|e| &e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                &EventKind::Reprogram { slot: 1 },
+                &EventKind::Reboot { slot: 1, ok: true }
+            ]
+        );
+
+        // An in-band abort of an active transfer is traced too.
+        let abort = [
+            ControlRequest::BeginUpdate {
+                slot: 2,
+                total_len: image.len(),
+                crc32: crc,
+            },
+            ControlRequest::AbortUpdate,
+        ];
+        m.run(
+            abort
+                .iter()
+                .map(|req| SimPacket {
+                    arrival_ns: 0,
+                    direction: Direction::EdgeToOptical,
+                    frame: control_frame(&m.config, req),
+                })
+                .collect(),
+        );
+        let snap = m.telemetry_snapshot();
+        assert_eq!(snap.events.len(), 1);
+        assert_eq!(snap.events[0].kind, EventKind::UpdateAbort);
     }
 
     #[test]
@@ -1737,6 +1810,56 @@ mod tests {
         // ...but the edge-bound direction still works (electrical).
         let rev = m.run(line_rate_trace(Direction::OpticalToEdge, 50, 64));
         assert_eq!(rev.forwarded.0, 50);
+    }
+
+    #[test]
+    fn failed_laser_also_silences_replies_toward_the_fibre() {
+        // A laser below the link budget cannot carry the control
+        // plane's own frames either: a ping from the fibre side gets no
+        // answer and is booked as a link drop, while the same ping from
+        // the host side is still answered out the electrical lane.
+        let mut m = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(PassThrough));
+        m.config.shell = ShellKind::ActiveControlPlane;
+        m.set_laser_ttf_hours(10_000.0);
+        m.age_laser(20_000.0);
+        let ping = |arrival_ns, direction| SimPacket {
+            arrival_ns,
+            direction,
+            frame: echo_request(&ModuleConfig::default()),
+        };
+        let tx_before = m.optical.tx.frames;
+        let report = m.run(vec![
+            ping(0, Direction::OpticalToEdge),
+            ping(100, Direction::EdgeToOptical),
+        ]);
+        assert_eq!(report.cp_originated, 1);
+        assert_eq!(report.drops.link, 1);
+        assert_eq!(report.outputs.len(), 1);
+        assert_eq!(report.outputs[0].egress, Interface::Edge);
+        assert_eq!(m.optical.tx.frames, tx_before);
+        assert_eq!(
+            report.offered,
+            report.forwarded.0
+                + report.forwarded.1
+                + report.drops.total()
+                + report.to_control
+                + report.cp_originated
+                + report.control_handled
+        );
+        let snap = m.telemetry_snapshot();
+        assert_eq!(snap.drops.link, 1);
+        assert_eq!(
+            snap.events
+                .iter()
+                .map(|e| (e.timestamp_ns, &e.kind))
+                .collect::<Vec<_>>(),
+            [(
+                0,
+                &EventKind::Drop {
+                    reason: DropReason::LinkDown
+                }
+            )]
+        );
     }
 
     #[test]
@@ -1801,26 +1924,7 @@ mod tests {
         m.config.shell = crate::ShellKind::ActiveControlPlane;
         // An ICMP echo request to the module's own management IP,
         // arriving from the optical side.
-        let mut icmp_bytes = vec![0u8; 8 + 4];
-        {
-            let mut p = flexsfp_wire::IcmpPacket::new_unchecked(&mut icmp_bytes);
-            p.set_msg_type(flexsfp_wire::IcmpType::EchoRequest);
-            p.set_echo_ident(1);
-            p.set_echo_seq(1);
-        }
-        flexsfp_wire::IcmpPacket::new_unchecked(&mut icmp_bytes).fill_checksum();
-        let ip = PacketBuilder::ipv4(
-            0x0a000101,
-            m.config.mgmt_ip,
-            flexsfp_wire::IpProtocol::Icmp,
-            &icmp_bytes,
-        );
-        let ping = PacketBuilder::ethernet(
-            m.config.mgmt_mac,
-            MacAddr([0xee; 6]),
-            flexsfp_wire::EtherType::Ipv4,
-            &ip,
-        );
+        let ping = echo_request(&m.config);
         let report = m.run(vec![
             SimPacket {
                 arrival_ns: 0,
