@@ -487,33 +487,6 @@ impl FleetCollector {
         }
 
         p.header(
-            "flexsfp_trace_events_overwritten_total",
-            "Trace events lost to ring overwrite before they could be drained.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_trace_events_overwritten_total",
-                &[("module", id)],
-                rec.snapshot.events_overwritten as f64,
-            );
-        }
-        p.header(
-            "flexsfp_trace_events_drained_total",
-            "Trace events successfully drained over all scrapes.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_trace_events_drained_total",
-                &[("module", id)],
-                rec.snapshot.events_drained as f64,
-            );
-        }
-        // The same counters under the shorter canonical names; the
-        // `flexsfp_trace_events_*` spellings above stay for existing
-        // dashboards.
-        p.header(
             "flexsfp_events_overwritten_total",
             "Dataplane events lost to ring overwrite before draining.",
             "counter",
