@@ -15,10 +15,12 @@
 use crate::chaos::ImpairStats;
 use crate::mgmt::{MgmtError, TransportStats};
 use flexsfp_obs::{
-    DataplaneEvent, LatencyHistogram, PromText, SloReport, SloSpec, TelemetrySnapshot, ToJson,
-    Value, WindowBucket, WindowedSeries, XbarTelemetry,
+    DataplaneEvent, LatencyHistogram, SloReport, SloSpec, TelemetrySnapshot, ToJson, Value,
+    WindowedSeries, XbarTelemetry,
 };
 use std::collections::BTreeMap;
+
+mod families;
 
 /// Git revision baked in at build time (`git describe`, or `unknown`
 /// outside a checkout) — exported through `flexsfp_build_info`.
@@ -75,25 +77,16 @@ impl FleetCollector {
     /// snapshot's drained events are appended to the module's host-side
     /// event log.
     pub fn ingest(&mut self, snapshot: TelemetrySnapshot) {
+        let mut events = self
+            .modules
+            .get_mut(&snapshot.module_id)
+            .map(|rec| std::mem::take(&mut rec.events))
+            .unwrap_or_default();
+        events.extend(snapshot.events.iter().cloned());
+        let excess = events.len().saturating_sub(EVENT_LOG_CAPACITY);
+        events.drain(..excess);
         let id = snapshot.module_id.clone();
-        match self.modules.get_mut(&id) {
-            Some(rec) => {
-                rec.events.extend(snapshot.events.iter().cloned());
-                if rec.events.len() > EVENT_LOG_CAPACITY {
-                    let excess = rec.events.len() - EVENT_LOG_CAPACITY;
-                    rec.events.drain(..excess);
-                }
-                rec.snapshot = snapshot;
-            }
-            None => {
-                let mut events = snapshot.events.clone();
-                if events.len() > EVENT_LOG_CAPACITY {
-                    let excess = events.len() - EVENT_LOG_CAPACITY;
-                    events.drain(..excess);
-                }
-                self.modules.insert(id, ModuleRecord { snapshot, events });
-            }
-        }
+        self.modules.insert(id, ModuleRecord { snapshot, events });
     }
 
     /// Ingest a whole sweep (e.g. `FleetManager::telemetry_snapshots`).
@@ -223,611 +216,10 @@ impl FleetCollector {
             .sum()
     }
 
-    /// Render the fleet as Prometheus text exposition.
+    /// Render the fleet as Prometheus text exposition: every family in
+    /// the `families` table whose source is set, in table order.
     pub fn render_prometheus(&self) -> String {
-        let mut p = PromText::new();
-
-        p.header(
-            "flexsfp_build_info",
-            "Collector build identity (value is always 1).",
-            "gauge",
-        );
-        p.sample(
-            "flexsfp_build_info",
-            &[
-                ("version", env!("CARGO_PKG_VERSION")),
-                ("git", GIT_DESCRIBE),
-            ],
-            1.0,
-        );
-
-        p.header("flexsfp_modules", "Modules reporting telemetry.", "gauge");
-        p.sample("flexsfp_modules", &[], self.modules.len() as f64);
-
-        p.header(
-            "flexsfp_app_info",
-            "Running packet-processing application (value is always 1).",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            let s = &rec.snapshot;
-            let version = s.app_version.to_string();
-            p.sample(
-                "flexsfp_app_info",
-                &[("module", id), ("app", &s.app), ("version", &version)],
-                1.0,
-            );
-        }
-
-        p.header(
-            "flexsfp_boots_total",
-            "Lifetime module boot count.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_boots_total",
-                &[("module", id)],
-                f64::from(rec.snapshot.boots),
-            );
-        }
-
-        p.header(
-            "flexsfp_frames_total",
-            "Frames per module, port (edge/optical) and direction (rx/tx).",
-            "counter",
-        );
-        self.port_samples(&mut p, "flexsfp_frames_total", |c| c.frames as f64);
-        p.header(
-            "flexsfp_bytes_total",
-            "Bytes per module, port (edge/optical) and direction (rx/tx).",
-            "counter",
-        );
-        self.port_samples(&mut p, "flexsfp_bytes_total", |c| c.bytes as f64);
-        p.header(
-            "flexsfp_errors_total",
-            "Errored frames per module, port and direction.",
-            "counter",
-        );
-        self.port_samples(&mut p, "flexsfp_errors_total", |c| c.errors as f64);
-
-        p.header(
-            "flexsfp_drops_total",
-            "Packets dropped, by module and reason.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            let d = &rec.snapshot.drops;
-            for (reason, n) in [
-                ("fifo_overflow", d.fifo_overflow),
-                ("app", d.app),
-                ("link", d.link),
-                ("unsorted", d.unsorted),
-            ] {
-                p.sample(
-                    "flexsfp_drops_total",
-                    &[("module", id), ("reason", reason)],
-                    n as f64,
-                );
-            }
-        }
-
-        p.header(
-            "flexsfp_flow_cache_total",
-            "Microflow action cache lookups, by module and outcome.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            let c = &rec.snapshot.cache;
-            for (outcome, n) in [
-                ("hit", c.hits),
-                ("miss", c.misses),
-                ("eviction", c.evictions),
-                ("invalidation", c.invalidations),
-            ] {
-                p.sample(
-                    "flexsfp_flow_cache_total",
-                    &[("module", id), ("outcome", outcome)],
-                    n as f64,
-                );
-            }
-        }
-        p.header(
-            "flexsfp_flow_cache_hit_ratio",
-            "Microflow cache hit ratio over the module lifetime (0 when the cache is unused).",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_flow_cache_hit_ratio",
-                &[("module", id)],
-                rec.snapshot.cache.hit_rate(),
-            );
-        }
-
-        p.header(
-            "flexsfp_table_lookups_total",
-            "Exact-match table lookups, by module and outcome.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            let t = &rec.snapshot.table;
-            for (outcome, n) in [("hit", t.hits), ("miss", t.misses)] {
-                p.sample(
-                    "flexsfp_table_lookups_total",
-                    &[("module", id), ("outcome", outcome)],
-                    n as f64,
-                );
-            }
-        }
-        p.header(
-            "flexsfp_table_insert_failures_total",
-            "Exact-match table inserts rejected with a full bucket.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_table_insert_failures_total",
-                &[("module", id)],
-                rec.snapshot.table.insert_failures as f64,
-            );
-        }
-        p.header(
-            "flexsfp_table_entries",
-            "Occupied exact-match table entries (0 when the app has no table).",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_table_entries",
-                &[("module", id)],
-                rec.snapshot.table.occupied as f64,
-            );
-        }
-        p.header(
-            "flexsfp_table_capacity",
-            "Total exact-match table entry slots (buckets x ways).",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_table_capacity",
-                &[("module", id)],
-                rec.snapshot.table.capacity as f64,
-            );
-        }
-        p.header(
-            "flexsfp_table_load_factor",
-            "Exact-match table occupancy as a fraction of capacity.",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_table_load_factor",
-                &[("module", id)],
-                rec.snapshot.table.load_factor(),
-            );
-        }
-
-        p.header(
-            "flexsfp_latency_ns",
-            "Per-module lifetime forwarding latency, nanoseconds.",
-            "summary",
-        );
-        for (id, rec) in &self.modules {
-            Self::summary_samples(
-                &mut p,
-                "flexsfp_latency_ns",
-                Some(id),
-                &rec.snapshot.latency,
-            );
-        }
-
-        p.header(
-            "flexsfp_fleet_latency_ns",
-            "Fleet-wide forwarding latency (per-module histograms merged).",
-            "summary",
-        );
-        Self::summary_samples(
-            &mut p,
-            "flexsfp_fleet_latency_ns",
-            None,
-            &self.fleet_latency(),
-        );
-
-        p.header(
-            "flexsfp_laser_healthy",
-            "1 when the laser is diagnosed healthy, else 0.",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_laser_healthy",
-                &[("module", id)],
-                if rec.snapshot.laser_healthy { 1.0 } else { 0.0 },
-            );
-        }
-        p.header(
-            "flexsfp_laser_fault_info",
-            "Current laser fault diagnosis label (value is always 1).",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_laser_fault_info",
-                &[("module", id), ("fault", &rec.snapshot.laser_fault)],
-                1.0,
-            );
-        }
-
-        for (name, help, get) in [
-            (
-                "flexsfp_tx_power_dbm",
-                "DOM transmit optical power, dBm.",
-                (|s: &TelemetrySnapshot| s.dom.tx_power_dbm) as fn(&TelemetrySnapshot) -> f64,
-            ),
-            (
-                "flexsfp_rx_power_dbm",
-                "DOM receive optical power, dBm.",
-                |s| s.dom.rx_power_dbm,
-            ),
-            ("flexsfp_bias_ma", "DOM laser bias current, mA.", |s| {
-                s.dom.bias_ma
-            }),
-            (
-                "flexsfp_temperature_c",
-                "Module case temperature, °C.",
-                |s| s.dom.temp_c,
-            ),
-        ] {
-            p.header(name, help, "gauge");
-            for (id, rec) in &self.modules {
-                p.sample(name, &[("module", id)], get(&rec.snapshot));
-            }
-        }
-
-        p.header(
-            "flexsfp_events_overwritten_total",
-            "Dataplane events lost to ring overwrite before draining.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_events_overwritten_total",
-                &[("module", id)],
-                rec.snapshot.events_overwritten as f64,
-            );
-        }
-        p.header(
-            "flexsfp_events_drained_total",
-            "Dataplane events drained over all scrapes.",
-            "counter",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_events_drained_total",
-                &[("module", id)],
-                rec.snapshot.events_drained as f64,
-            );
-        }
-
-        // Windowed (recent) views, computed over the live ring only —
-        // the lifetime histogram above cannot show a regression that
-        // started a minute ago; these can.
-        p.header(
-            "flexsfp_window_latency_p999_ns",
-            "p99.9 forwarding latency over the retained windows, nanoseconds.",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            let recent = Self::recent(&rec.snapshot.windows);
-            p.sample(
-                "flexsfp_window_latency_p999_ns",
-                &[("module", id)],
-                recent.latency.p999() as f64,
-            );
-        }
-        p.header(
-            "flexsfp_window_forwarded_pps",
-            "Forwarding rate over the retained windows, packets per second.",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            p.sample(
-                "flexsfp_window_forwarded_pps",
-                &[("module", id)],
-                Self::window_rate(&rec.snapshot.windows),
-            );
-        }
-        p.header(
-            "flexsfp_window_unexplained_drop_ratio",
-            "Unexplained drops / packets over the retained windows.",
-            "gauge",
-        );
-        for (id, rec) in &self.modules {
-            let recent = Self::recent(&rec.snapshot.windows);
-            p.sample(
-                "flexsfp_window_unexplained_drop_ratio",
-                &[("module", id)],
-                recent.unexplained_drop_rate(),
-            );
-        }
-        p.header(
-            "flexsfp_fleet_window_latency_p999_ns",
-            "Fleet-wide p99.9 over the retained windows (bucket-merged).",
-            "gauge",
-        );
-        p.sample(
-            "flexsfp_fleet_window_latency_p999_ns",
-            &[],
-            Self::recent(&self.fleet_windows()).latency.p999() as f64,
-        );
-
-        // SLO verdicts, when a spec is configured.
-        if let Some(spec) = self.slo {
-            p.header(
-                "flexsfp_slo_healthy",
-                "1 when the module meets the fleet SLO spec over its windows.",
-                "gauge",
-            );
-            let reports = self.slo_reports();
-            for (id, report) in &reports {
-                p.sample(
-                    "flexsfp_slo_healthy",
-                    &[("module", id)],
-                    if report.healthy { 1.0 } else { 0.0 },
-                );
-            }
-            p.header(
-                "flexsfp_slo_breached_windows",
-                "Windows breaching the SLO spec in the latest evaluation.",
-                "gauge",
-            );
-            for (id, report) in &reports {
-                p.sample(
-                    "flexsfp_slo_breached_windows",
-                    &[("module", id)],
-                    report.breaches.len() as f64,
-                );
-            }
-            p.header(
-                "flexsfp_slo_windows_evaluated",
-                "Non-empty windows evaluated against the SLO spec.",
-                "gauge",
-            );
-            for (id, report) in &reports {
-                p.sample(
-                    "flexsfp_slo_windows_evaluated",
-                    &[("module", id)],
-                    report.windows_evaluated as f64,
-                );
-            }
-            for (name, help, v) in [
-                (
-                    "flexsfp_slo_p999_latency_bound_ns",
-                    "Configured p99.9 latency bound, nanoseconds.",
-                    spec.p999_latency_ns as f64,
-                ),
-                (
-                    "flexsfp_slo_max_unexplained_drop_rate",
-                    "Configured unexplained-drop ceiling (fraction of packets).",
-                    spec.max_unexplained_drop_rate,
-                ),
-                (
-                    "flexsfp_slo_min_cache_hit_rate",
-                    "Configured flow-cache hit-rate floor.",
-                    spec.min_cache_hit_rate,
-                ),
-            ] {
-                p.header(name, help, "gauge");
-                p.sample(name, &[], v);
-            }
-        }
-
-        // Control-channel resilience counters (§5.3): the module-side
-        // update FSM view…
-        for (name, help, get) in [
-            (
-                "flexsfp_ctrl_dup_chunk_acks_total",
-                "Retransmitted update chunks acknowledged idempotently.",
-                (|s: &TelemetrySnapshot| s.ctrl.dup_chunk_acks) as fn(&TelemetrySnapshot) -> u64,
-            ),
-            (
-                "flexsfp_ctrl_update_aborts_total",
-                "In-progress updates torn down by AbortUpdate.",
-                |s| s.ctrl.update_aborts,
-            ),
-            (
-                "flexsfp_ctrl_update_errors_total",
-                "Update protocol requests rejected by the FSM.",
-                |s| s.ctrl.update_errors,
-            ),
-            (
-                "flexsfp_ctrl_status_queries_total",
-                "QueryUpdate progress probes answered.",
-                |s| s.ctrl.status_queries,
-            ),
-        ] {
-            p.header(name, help, "counter");
-            for (id, rec) in &self.modules {
-                p.sample(name, &[("module", id)], get(&rec.snapshot) as f64);
-            }
-        }
-
-        // …the host-side transport view…
-        if let Some(t) = self.transport {
-            for (name, help, v) in [
-                (
-                    "flexsfp_ctrl_retries_total",
-                    "Control requests retransmitted after a timeout.",
-                    t.retries,
-                ),
-                (
-                    "flexsfp_ctrl_timeouts_total",
-                    "Control exchanges that got no response.",
-                    t.timeouts,
-                ),
-                (
-                    "flexsfp_ctrl_aborts_sent_total",
-                    "AbortUpdate teardowns sent by the client.",
-                    t.aborts_sent,
-                ),
-                (
-                    "flexsfp_ctrl_resyncs_total",
-                    "Deploy resynchronisations via QueryUpdate.",
-                    t.resyncs,
-                ),
-                (
-                    "flexsfp_ctrl_backoff_ns_total",
-                    "Cumulative virtual retry backoff, nanoseconds.",
-                    t.backoff_ns,
-                ),
-            ] {
-                p.header(name, help, "counter");
-                p.sample(name, &[], v as f64);
-            }
-        }
-
-        // …and the cable's own fault accounting, when fault injection
-        // (or an equivalently instrumented channel) is in the path.
-        if !self.channels.is_empty() {
-            p.header(
-                "flexsfp_ctrl_link_faults_total",
-                "Control-channel faults by module and kind.",
-                "counter",
-            );
-            for (id, s) in &self.channels {
-                for (kind, n) in [
-                    ("drop", s.request_drops + s.response_drops),
-                    ("duplicate", s.duplicates),
-                    ("corruption", s.corruptions),
-                    ("flap", s.flaps),
-                ] {
-                    p.sample(
-                        "flexsfp_ctrl_link_faults_total",
-                        &[("module", id), ("kind", kind)],
-                        n as f64,
-                    );
-                }
-            }
-        }
-
-        // The crossbar fabric, when a rack switch reports: aggregate
-        // geometry and flow, per-output arbitration, and the sparse
-        // per-crosspoint queue detail.
-        if !self.xbars.is_empty() {
-            for (name, help, kind, get) in [
-                (
-                    "flexsfp_xbar_ports",
-                    "Crossbar port count (the matrix is square).",
-                    "gauge",
-                    (|x: &XbarTelemetry| x.ports) as fn(&XbarTelemetry) -> u64,
-                ),
-                (
-                    "flexsfp_xbar_depth",
-                    "Slots per crosspoint queue.",
-                    "gauge",
-                    |x| x.depth,
-                ),
-                (
-                    "flexsfp_xbar_enqueued_total",
-                    "Frames accepted into crosspoint queues.",
-                    "counter",
-                    |x| x.enqueued,
-                ),
-                (
-                    "flexsfp_xbar_granted_total",
-                    "Frames granted by output arbitration.",
-                    "counter",
-                    |x| x.granted,
-                ),
-                (
-                    "flexsfp_xbar_dropped_total",
-                    "Frames rejected on a full crosspoint queue.",
-                    "counter",
-                    |x| x.dropped,
-                ),
-                (
-                    "flexsfp_xbar_queued",
-                    "Frames currently parked in crosspoint queues.",
-                    "gauge",
-                    |x| x.queued(),
-                ),
-                (
-                    "flexsfp_xbar_depth_high_water",
-                    "Deepest occupancy any crosspoint ever reached.",
-                    "gauge",
-                    |x| x.high_water,
-                ),
-            ] {
-                p.header(name, help, kind);
-                for (id, x) in &self.xbars {
-                    p.sample(name, &[("switch", id)], get(x) as f64);
-                }
-            }
-            p.header(
-                "flexsfp_xbar_output_grants_total",
-                "Arbitration grants issued, by switch and output port.",
-                "counter",
-            );
-            for (id, x) in &self.xbars {
-                for (output, n) in x.output_grants.iter().enumerate() {
-                    let output = output.to_string();
-                    p.sample(
-                        "flexsfp_xbar_output_grants_total",
-                        &[("switch", id), ("output", &output)],
-                        *n as f64,
-                    );
-                }
-            }
-            for (name, help, kind, get) in [
-                (
-                    "flexsfp_xbar_crosspoint_enqueued_total",
-                    "Frames accepted, by switch and crosspoint (sparse).",
-                    "counter",
-                    (|c: &flexsfp_obs::CrosspointCounters| c.enqueued)
-                        as fn(&flexsfp_obs::CrosspointCounters) -> u64,
-                ),
-                (
-                    "flexsfp_xbar_crosspoint_dropped_total",
-                    "Frames rejected on a full queue, by switch and crosspoint (sparse).",
-                    "counter",
-                    |c| c.dropped,
-                ),
-                (
-                    "flexsfp_xbar_crosspoint_high_water",
-                    "Deepest queue occupancy, by switch and crosspoint (sparse).",
-                    "gauge",
-                    |c| c.high_water,
-                ),
-            ] {
-                p.header(name, help, kind);
-                for (id, x) in &self.xbars {
-                    for c in &x.crosspoints {
-                        let input = c.input.to_string();
-                        let output = c.output.to_string();
-                        p.sample(
-                            name,
-                            &[("switch", id), ("input", &input), ("output", &output)],
-                            get(c) as f64,
-                        );
-                    }
-                }
-            }
-        }
-
-        p.header(
-            "flexsfp_scrape_failures_total",
-            "Sweep entries that failed to scrape (module unreachable).",
-            "counter",
-        );
-        p.sample(
-            "flexsfp_scrape_failures_total",
-            &[],
-            self.scrape_failures as f64,
-        );
-
-        p.into_string()
+        families::render(self)
     }
 
     /// Latest snapshots (and accumulated event logs) as a JSON document,
@@ -847,76 +239,6 @@ impl FleetCollector {
             })
             .collect();
         Value::Object(doc).to_string_pretty()
-    }
-
-    /// Merge of the live (in-ring) windows only — the "recent" view the
-    /// window gauges are computed from (the evicted catch-all belongs
-    /// to the lifetime figures).
-    fn recent(series: &WindowedSeries) -> WindowBucket {
-        let mut acc = WindowBucket::default();
-        for w in series.windows() {
-            acc.merge(w);
-        }
-        acc
-    }
-
-    /// Forwarding rate over the retained windows, packets per second.
-    fn window_rate(series: &WindowedSeries) -> f64 {
-        let live = series.windows();
-        if live.is_empty() {
-            return 0.0;
-        }
-        let span_ns = live.len() as f64 * series.width_ns() as f64;
-        Self::recent(series).forwarded as f64 * 1e9 / span_ns
-    }
-
-    fn port_samples(
-        &self,
-        p: &mut PromText,
-        name: &str,
-        get: impl Fn(&flexsfp_obs::PortCounters) -> f64,
-    ) {
-        for (id, rec) in &self.modules {
-            let s = &rec.snapshot;
-            for (port, dir, c) in [
-                ("edge", "rx", &s.edge_rx),
-                ("edge", "tx", &s.edge_tx),
-                ("optical", "rx", &s.optical_rx),
-                ("optical", "tx", &s.optical_tx),
-            ] {
-                p.sample(
-                    name,
-                    &[("module", id), ("port", port), ("direction", dir)],
-                    get(c),
-                );
-            }
-        }
-    }
-
-    fn summary_samples(p: &mut PromText, name: &str, module: Option<&str>, h: &LatencyHistogram) {
-        for (q, v) in [
-            ("0.5", h.p50()),
-            ("0.9", h.p90()),
-            ("0.99", h.p99()),
-            ("0.999", h.p999()),
-        ] {
-            match module {
-                Some(id) => p.sample(name, &[("module", id), ("quantile", q)], v as f64),
-                None => p.sample(name, &[("quantile", q)], v as f64),
-            };
-        }
-        let sum_name = format!("{name}_sum");
-        let count_name = format!("{name}_count");
-        match module {
-            Some(id) => {
-                p.sample(&sum_name, &[("module", id)], h.sum());
-                p.sample(&count_name, &[("module", id)], h.count() as f64);
-            }
-            None => {
-                p.sample(&sum_name, &[], h.sum());
-                p.sample(&count_name, &[], h.count() as f64);
-            }
-        }
     }
 }
 
@@ -1047,6 +369,34 @@ mod tests {
         assert_eq!(c.recent_events("FSFP-0000").unwrap().len(), 60);
         assert_eq!(c.module("FSFP-0000").unwrap().events.len(), 20);
         assert_eq!(c.module("FSFP-0000").unwrap().drops.app, 60);
+    }
+
+    #[test]
+    fn event_log_keeps_the_newest_entries_at_the_cap() {
+        let f = fleet(1);
+        let mut snap = f.telemetry_snapshots().remove(0).unwrap();
+        let numbered = |range: std::ops::Range<u64>| -> Vec<DataplaneEvent> {
+            range
+                .map(|timestamp_ns| DataplaneEvent {
+                    timestamp_ns,
+                    kind: flexsfp_obs::EventKind::ParseError,
+                })
+                .collect()
+        };
+        let cap = EVENT_LOG_CAPACITY as u64;
+        let stamps = |c: &FleetCollector| -> Vec<u64> {
+            let log = c.recent_events("FSFP-0000").unwrap();
+            log.iter().map(|e| e.timestamp_ns).collect()
+        };
+        // A first snapshot that alone overflows the log…
+        let mut c = FleetCollector::new();
+        snap.events = numbered(0..cap + 10);
+        c.ingest(snap.clone());
+        assert_eq!(stamps(&c), (10..cap + 10).collect::<Vec<_>>());
+        // …and a later one that pushes the oldest out.
+        snap.events = numbered(cap + 10..cap + 15);
+        c.ingest(snap);
+        assert_eq!(stamps(&c), (15..cap + 15).collect::<Vec<_>>());
     }
 
     #[test]
