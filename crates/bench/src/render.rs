@@ -50,6 +50,22 @@ pub fn grouped(v: u64) -> String {
     out
 }
 
+/// The tail of an SLO report: the first five breaches, one per line,
+/// and a count of the rest.
+pub(crate) fn breaches(report: &flexsfp_obs::SloReport) -> String {
+    let mut out = String::new();
+    for b in report.breaches.iter().take(5) {
+        out.push_str(&format!(
+            "\n  breach @ {} ns: {} = {:.3} (bound {:.3})",
+            b.window_start_ns, b.metric, b.value, b.bound
+        ));
+    }
+    if report.breaches.len() > 5 {
+        out.push_str(&format!("\n  … and {} more", report.breaches.len() - 5));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

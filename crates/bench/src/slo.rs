@@ -79,8 +79,8 @@ pub fn render(o: &Outcome) -> String {
         o.report.breaches.len().to_string(),
         if o.report.healthy { "yes" } else { "NO" }.to_string(),
     ]];
-    let mut out = format!(
-        "slo: §5.1 NAT workload vs spec (p99.9 ≤ {} ns, unexplained drops ≤ {:.2}%, cache hits ≥ {:.0}%)\n{}",
+    format!(
+        "slo: §5.1 NAT workload vs spec (p99.9 ≤ {} ns, unexplained drops ≤ {:.2}%, cache hits ≥ {:.0}%)\n{}{}",
         o.spec.p999_latency_ns,
         o.spec.max_unexplained_drop_rate * 100.0,
         o.spec.min_cache_hit_rate * 100.0,
@@ -94,18 +94,9 @@ pub fn render(o: &Outcome) -> String {
                 "healthy",
             ],
             &rows,
-        )
-    );
-    for b in o.report.breaches.iter().take(5) {
-        out.push_str(&format!(
-            "\n  breach @ {} ns: {} = {:.3} (bound {:.3})",
-            b.window_start_ns, b.metric, b.value, b.bound
-        ));
-    }
-    if o.report.breaches.len() > 5 {
-        out.push_str(&format!("\n  … and {} more", o.report.breaches.len() - 5));
-    }
-    out
+        ),
+        render::breaches(&o.report)
+    )
 }
 
 #[cfg(test)]

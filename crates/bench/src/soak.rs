@@ -555,15 +555,7 @@ pub fn render(o: &Outcome) -> String {
             o.cache_hit_floor * 100.0
         ));
     }
-    for b in o.report.breaches.iter().take(5) {
-        out.push_str(&format!(
-            "\n  breach @ {} ns: {} = {:.3} (bound {:.3})",
-            b.window_start_ns, b.metric, b.value, b.bound
-        ));
-    }
-    if o.report.breaches.len() > 5 {
-        out.push_str(&format!("\n  … and {} more", o.report.breaches.len() - 5));
-    }
+    out.push_str(&render::breaches(&o.report));
     out
 }
 
