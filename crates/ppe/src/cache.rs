@@ -16,7 +16,10 @@
 //!   flow-constant, RFC 1624 incremental checksum patches, VLAN tag
 //!   push/pop, counter increments) plus the final [`Verdict`]. It is
 //!   the heap-backed *interchange* form; the cache stores plans as
-//!   fixed-size [`InlinePlan`]s and hands them out as [`PlanView`]s;
+//!   fixed-size [`InlinePlan`]s and hands them out as [`PlanView`]s.
+//!   A plan that does not fit an [`InlinePlan`] is not cached — like a
+//!   full bucket in [`crate::tables`], it is refused, not moved to
+//!   another memory — and its flow stays on the slow path;
 //! * [`FlowCache`] — a fixed-capacity, set-associative (4-way) cache
 //!   from key to plan with hit/miss/evict/invalidate counters and an
 //!   **epoch**: every control-plane table mutation bumps the epoch, and
@@ -28,8 +31,8 @@
 //!   record a plan *while* executing the reference action
 //!   implementations, so the replay semantics (including the UDP
 //!   zero-checksum special cases) mirror [`crate::action`] exactly.
-//!   Recording fills an [`InlinePlan`] in place: a miss allocates
-//!   nothing unless the plan outgrows the inline form.
+//!   Recording fills an [`InlinePlan`] in place, so a miss allocates
+//!   nothing.
 //!
 //! # Keying contract
 //!
@@ -51,7 +54,6 @@ use crate::engine::{Direction, Verdict};
 use crate::parser::{ParsedPacket, L4};
 use flexsfp_obs::CacheStats;
 use flexsfp_wire::{checksum, EtherType};
-use std::collections::HashMap;
 
 /// Associativity of the cache (entries per set).
 pub const WAYS: usize = 4;
@@ -333,59 +335,36 @@ pub struct ActionPlan {
     pub cycles: u64,
 }
 
-impl ActionPlan {
-    /// Borrow the plan for [`replay`].
-    pub fn view(&self) -> PlanView<'_> {
-        PlanView {
-            ops: &self.ops,
-            verdict: self.verdict,
-            stage_stats: StageStats::Listed(&self.stage_stats),
-            cycles: self.cycles,
-        }
-    }
-}
-
-/// A plan's per-stage (index, hit) attribution, in whichever form the
-/// plan keeps it.
+/// A cached plan's per-stage hit attribution: stages `0..n` in order —
+/// what every pipeline records — with stage `i`'s hit in bit `i`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StageStats<'a> {
-    /// Stages `0..n` in order — what every pipeline records — with
-    /// stage `i`'s hit in bit `i`.
-    Dense {
-        /// Stages attributed.
-        n: u8,
-        /// Bit `i` set: stage `i` hit.
-        hits: u8,
-    },
-    /// An explicit list (the interchange form).
-    Listed(&'a [(u8, bool)]),
+pub struct StageStats {
+    /// Stages attributed.
+    n: u8,
+    /// Bit `i` set: stage `i` hit.
+    hits: u8,
 }
 
-impl StageStats<'_> {
+impl StageStats {
     /// Number of attributions.
     pub fn len(&self) -> usize {
-        match self {
-            StageStats::Dense { n, .. } => usize::from(*n),
-            StageStats::Listed(list) => list.len(),
-        }
+        usize::from(self.n)
     }
 
     /// True when no stage ran.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.n == 0
     }
 
     /// The `(stage, hit)` pairs in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = (u8, bool)> + '_ {
-        (0..self.len()).map(move |i| match self {
-            StageStats::Dense { hits, .. } => (i as u8, hits >> i & 1 != 0),
-            StageStats::Listed(list) => list[i],
-        })
+    pub fn iter(&self) -> impl Iterator<Item = (u8, bool)> {
+        let hits = self.hits;
+        (0..self.n).map(move |i| (i, hits >> i & 1 != 0))
     }
 }
 
 /// A borrowed plan: what [`FlowCache::lookup`] returns and [`replay`]
-/// consumes, whichever form the plan is stored in.
+/// consumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanView<'a> {
     /// Ordered edits to apply.
@@ -393,7 +372,7 @@ pub struct PlanView<'a> {
     /// Final verdict.
     pub verdict: Verdict,
     /// Per-stage (index, hit) attribution.
-    pub stage_stats: StageStats<'a>,
+    pub stage_stats: StageStats,
     /// PPE cycles the slow path charged.
     pub cycles: u64,
 }
@@ -414,14 +393,12 @@ const _: () = assert!(core::mem::size_of::<PlanOp>() == 8);
 /// the heap. 36 bytes: a 4-byte header and [`INLINE_OPS`] ops. A plan
 /// with more ops, more than [`INLINE_STAGES`] stage attributions or
 /// attributions that are not stages `0..n` in order, or a cycle count
-/// above `u8::MAX` does not fit and stays an [`ActionPlan`].
+/// above `u8::MAX` does not fit and is not cached.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C)]
 pub struct InlinePlan {
     cycles: u8,
-    /// Ops in the low nibble, stage attributions in the high one;
-    /// [`InlinePlan::SPILLED`] in a slot whose plan is in the spill
-    /// table.
+    /// Ops in the low nibble, stage attributions in the high one.
     counts: u8,
     verdict: Verdict,
     /// Bit `i` set: stage `i` hit.
@@ -437,9 +414,6 @@ impl InlinePlan {
         stage_hits: 0,
         ops: [PlanOp::PopTag; INLINE_OPS],
     };
-
-    /// `counts` of a slot whose plan lives in the cache's spill table.
-    const SPILLED: u8 = u8::MAX;
 
     fn n_ops(&self) -> usize {
         usize::from(self.counts & 0xf)
@@ -472,37 +446,12 @@ impl InlinePlan {
         true
     }
 
-    /// Pack `plan`, or `None` when it does not fit.
-    fn pack(plan: &ActionPlan) -> Option<InlinePlan> {
-        let mut inline = InlinePlan {
-            cycles: u8::try_from(plan.cycles).ok()?,
-            verdict: plan.verdict,
-            ..InlinePlan::EMPTY
-        };
-        let fits = plan.ops.iter().all(|&op| inline.push_op(op))
-            && plan
-                .stage_stats
-                .iter()
-                .all(|&(stage, hit)| inline.push_stat(stage, hit));
-        fits.then_some(inline)
-    }
-
-    fn to_heap(self) -> ActionPlan {
-        let v = self.view();
-        ActionPlan {
-            ops: v.ops.to_vec(),
-            verdict: v.verdict,
-            stage_stats: v.stage_stats.iter().collect(),
-            cycles: v.cycles,
-        }
-    }
-
     /// Borrow the plan for [`replay`].
     pub fn view(&self) -> PlanView<'_> {
         PlanView {
             ops: &self.ops[..self.n_ops()],
             verdict: self.verdict,
-            stage_stats: StageStats::Dense {
+            stage_stats: StageStats {
                 n: self.n_stats() as u8,
                 hits: self.stage_hits,
             },
@@ -511,31 +460,33 @@ impl InlinePlan {
     }
 }
 
-/// A finished plan in the form the cache will store it: inline when it
-/// fits, on the heap when it does not.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CachedPlan {
-    /// Fits a cache slot.
-    Inline(InlinePlan),
-    /// Outgrew the inline form; the cache keeps it in its spill table.
-    Spilled(ActionPlan),
-}
+/// Packs the interchange form; the error hands back a plan that does
+/// not fit.
+impl TryFrom<ActionPlan> for InlinePlan {
+    type Error = ActionPlan;
 
-impl CachedPlan {
-    /// Borrow the plan for [`replay`].
-    pub fn view(&self) -> PlanView<'_> {
-        match self {
-            CachedPlan::Inline(p) => p.view(),
-            CachedPlan::Spilled(p) => p.view(),
-        }
-    }
-}
-
-impl From<ActionPlan> for CachedPlan {
-    fn from(plan: ActionPlan) -> CachedPlan {
-        match InlinePlan::pack(&plan) {
-            Some(inline) => CachedPlan::Inline(inline),
-            None => CachedPlan::Spilled(plan),
+    // Inlined into `insert::<ActionPlan>`, which other crates
+    // instantiate: as a call it moves the 56-byte plan in and out and
+    // costs flexbench's `ppe.cache.insert_ns` kernel 10 ns of its 16.
+    #[inline]
+    fn try_from(plan: ActionPlan) -> Result<InlinePlan, ActionPlan> {
+        let Ok(cycles) = u8::try_from(plan.cycles) else {
+            return Err(plan);
+        };
+        let mut inline = InlinePlan {
+            cycles,
+            verdict: plan.verdict,
+            ..InlinePlan::EMPTY
+        };
+        let fits = plan.ops.iter().all(|&op| inline.push_op(op))
+            && plan
+                .stage_stats
+                .iter()
+                .all(|&(stage, hit)| inline.push_stat(stage, hit));
+        if fits {
+            Ok(inline)
+        } else {
+            Err(plan)
         }
     }
 }
@@ -587,12 +538,10 @@ pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBa
 ///
 /// Records straight into an [`InlinePlan`], so a cache miss allocates
 /// nothing; the first op, stage attribution or cycle count that does
-/// not fit moves the recording to a heap [`ActionPlan`].
+/// not fit invalidates the recording like an impure action does.
 #[derive(Debug)]
 pub struct PlanRecorder {
-    inline: InlinePlan,
-    /// Takes over from `inline` once the plan outgrew it.
-    spilled: Option<ActionPlan>,
+    plan: InlinePlan,
     invalid: bool,
 }
 
@@ -606,36 +555,26 @@ impl PlanRecorder {
     /// A fresh, valid recorder.
     pub fn new() -> PlanRecorder {
         PlanRecorder {
-            inline: InlinePlan::EMPTY,
-            spilled: None,
+            plan: InlinePlan::EMPTY,
             invalid: false,
         }
     }
 
-    /// The heap plan, moving what was recorded inline into it first.
-    fn spill(&mut self) -> &mut ActionPlan {
-        self.spilled.get_or_insert_with(|| self.inline.to_heap())
-    }
-
     /// Append an op.
     pub fn push(&mut self, op: PlanOp) {
-        if self.spilled.is_some() || !self.inline.push_op(op) {
-            self.spill().ops.push(op);
-        }
+        self.invalid |= !self.plan.push_op(op);
     }
 
     /// Record one pipeline stage's hit/miss attribution.
     pub fn stage_stat(&mut self, stage: u8, hit: bool) {
-        if self.spilled.is_some() || !self.inline.push_stat(stage, hit) {
-            self.spill().stage_stats.push((stage, hit));
-        }
+        self.invalid |= !self.plan.push_stat(stage, hit);
     }
 
     /// Record the PPE cycle charge.
     pub fn set_cycles(&mut self, cycles: u64) {
-        match (self.spilled.as_mut(), u8::try_from(cycles)) {
-            (None, Ok(c)) => self.inline.cycles = c,
-            _ => self.spill().cycles = cycles,
+        match u8::try_from(cycles) {
+            Ok(c) => self.plan.cycles = c,
+            Err(_) => self.invalid = true,
         }
     }
 
@@ -645,16 +584,13 @@ impl PlanRecorder {
     }
 
     /// Finish recording. Returns `None` when the flow is uncacheable.
-    pub fn finish(self, verdict: Verdict) -> Option<CachedPlan> {
+    pub fn finish(self, verdict: Verdict) -> Option<InlinePlan> {
         if self.invalid || verdict == Verdict::ToControlPlane {
             return None;
         }
-        Some(match self.spilled {
-            Some(plan) => CachedPlan::Spilled(ActionPlan { verdict, ..plan }),
-            None => CachedPlan::Inline(InlinePlan {
-                verdict,
-                ..self.inline
-            }),
+        Some(InlinePlan {
+            verdict,
+            ..self.plan
         })
     }
 }
@@ -795,10 +731,8 @@ fn compile_rewrite_addr(
 #[repr(C)]
 struct Slot {
     key: FlowKey,
-    /// Low half of the cache epoch the plan was recorded under.
+    /// [`FlowCache::slot_epoch`] at recording time, or [`STALE_EPOCH`].
     epoch: u32,
-    /// `counts == InlinePlan::SPILLED` marks a plan held in
-    /// [`FlowCache::spill`] under this slot's index.
     plan: InlinePlan,
 }
 
@@ -826,8 +760,7 @@ fn fingerprint(hash: u64) -> u8 {
     ((hash >> 56) as u8).max(1)
 }
 
-/// Fixed-capacity, set-associative microflow cache with configurable
-/// geometry (sets × ways; [`WAYS`]-way by default).
+/// Fixed-capacity, [`WAYS`]-way set-associative microflow cache.
 ///
 /// Laid out like [`HashTable`](crate::tables::HashTable): a dense array
 /// of 1-byte fingerprint tags (0 = empty way) scanned on every probe,
@@ -836,14 +769,8 @@ fn fingerprint(hash: u64) -> u8 {
 pub struct FlowCache {
     tags: Vec<u8>,
     slots: Vec<Slot>,
-    /// Plans too large for a slot, by slot index. Empty for every
-    /// in-tree processor; exists so no recordable plan is refused.
-    spill: HashMap<usize, ActionPlan>,
     set_mask: usize,
-    ways: usize,
     victim: Vec<u8>,
-    /// Lifetime epoch, as [`FlowCache::epoch`] reports it.
-    epoch: u64,
     /// The epoch as slots store it; never [`STALE_EPOCH`].
     slot_epoch: u32,
     /// Slots currently holding a plan (valid, any epoch) — maintained
@@ -862,40 +789,18 @@ impl FlowCache {
     /// A cache holding about `flows` plans (rounded up to a power-of-two
     /// number of [`WAYS`]-way sets).
     pub fn new(flows: usize) -> FlowCache {
-        FlowCache::with_geometry(flows.max(WAYS).div_ceil(WAYS), WAYS)
-    }
-
-    /// A cache with explicit geometry: `sets` sets (rounded up to a
-    /// power of two) of `ways` entries each. Higher associativity
-    /// absorbs heavy-hitter skew (many hot flows colliding into one
-    /// set) at the cost of a longer probe scan.
-    pub fn with_geometry(sets: usize, ways: usize) -> FlowCache {
-        assert!(sets > 0 && ways > 0 && ways <= 255);
-        let sets = sets.next_power_of_two();
+        let sets = flows.max(WAYS).div_ceil(WAYS).next_power_of_two();
         FlowCache {
-            tags: vec![0; sets * ways],
+            tags: vec![0; sets * WAYS],
             // Written, not zero-mapped: first touch of the slab belongs
             // to construction, not to the first packets.
-            slots: vec![EMPTY_SLOT; sets * ways],
-            spill: HashMap::new(),
+            slots: vec![EMPTY_SLOT; sets * WAYS],
             set_mask: sets - 1,
-            ways,
             victim: vec![0; sets],
-            epoch: 0,
             slot_epoch: 0,
             resident: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.set_mask + 1
-    }
-
-    /// Entries per set (associativity).
-    pub fn ways(&self) -> usize {
-        self.ways
     }
 
     /// Total plan capacity (sets × ways).
@@ -910,11 +815,6 @@ impl FlowCache {
         self.resident
     }
 
-    /// The current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Invalidate every cached plan in O(1): entries recorded under
     /// older epochs are discarded lazily at lookup time. Call on every
     /// table insert/remove/modify.
@@ -923,7 +823,6 @@ impl FlowCache {
     /// wrap; the wrap restamps every resident slot as stale (O(capacity))
     /// so counters and occupancy read exactly as with a 64-bit epoch.
     pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
         self.slot_epoch += 1;
         if self.slot_epoch == STALE_EPOCH {
             for (slot, _) in self
@@ -943,8 +842,9 @@ impl FlowCache {
         self.stats
     }
 
-    /// Live (current-epoch) entries — O(capacity), for tests/telemetry.
-    pub fn live_len(&self) -> usize {
+    /// Live (current-epoch) entries — O(capacity).
+    #[cfg(test)]
+    fn live_len(&self) -> usize {
         self.slots
             .iter()
             .zip(&self.tags)
@@ -956,15 +856,15 @@ impl FlowCache {
     #[inline]
     fn locate(&self, key: &FlowKey) -> (usize, u8) {
         let h = key.hash();
-        ((h as usize & self.set_mask) * self.ways, fingerprint(h))
+        ((h as usize & self.set_mask) * WAYS, fingerprint(h))
     }
 
     /// The way of `key`'s set holding `key`, scanning tags first.
     #[inline]
     fn find(&self, key: &FlowKey) -> Option<usize> {
         let (base, fp) = self.locate(key);
-        let tags = &self.tags[base..base + self.ways];
-        let slots = &self.slots[base..base + self.ways];
+        let tags = &self.tags[base..base + WAYS];
+        let slots = &self.slots[base..base + WAYS];
         let way = tags
             .iter()
             .zip(slots)
@@ -1005,7 +905,7 @@ impl FlowCache {
             *base = b;
             // Last match wins scanning backwards: the first matching
             // way, as `find` picks it, without a branch per tag.
-            for (w, &tag) in self.tags[b..b + self.ways].iter().enumerate().rev() {
+            for (w, &tag) in self.tags[b..b + WAYS].iter().enumerate().rev() {
                 if tag == fp {
                     *found = b + w;
                 }
@@ -1021,7 +921,7 @@ impl FlowCache {
                 misses |= 1 << i;
                 // The insert after the miss reads the epoch of every
                 // occupied way up to the first free one, and writes there.
-                for w in base..base + self.ways {
+                for w in base..base + WAYS {
                     std::hint::black_box(self.slots[w].epoch);
                     if self.tags[w] == 0 {
                         break;
@@ -1032,34 +932,14 @@ impl FlowCache {
         misses
     }
 
-    /// The plan stored at slot `i`.
-    #[inline]
-    fn plan_at(&self, i: usize) -> PlanView<'_> {
-        let plan = &self.slots[i].plan;
-        if plan.counts == InlinePlan::SPILLED {
-            self.spill[&i].view()
-        } else {
-            plan.view()
-        }
-    }
-
-    /// Drop slot `i`'s spilled plan, if it has one.
-    #[inline]
-    fn release(&mut self, i: usize) {
-        if self.slots[i].plan.counts == InlinePlan::SPILLED {
-            self.spill.remove(&i);
-        }
-    }
-
     /// Look up a plan. Counts a hit or a miss; a stale-epoch entry is
     /// discarded (counted as an invalidation *and* a miss).
     pub fn lookup(&mut self, key: &FlowKey) -> Option<PlanView<'_>> {
         if let Some(i) = self.find(key) {
             if self.slots[i].epoch == self.slot_epoch {
                 self.stats.hits += 1;
-                return Some(self.plan_at(i));
+                return Some(self.slots[i].plan.view());
             }
-            self.release(i);
             self.tags[i] = 0;
             self.resident -= 1;
             self.stats.invalidations += 1;
@@ -1070,11 +950,13 @@ impl FlowCache {
 
     /// Insert a plan recorded under the current epoch. Prefers the
     /// entry's own slot (re-record) or an empty/stale way; otherwise
-    /// evicts round-robin within the set.
-    pub fn insert(&mut self, key: FlowKey, plan: impl Into<CachedPlan>) {
+    /// evicts round-robin within the set. A plan that does not fit an
+    /// [`InlinePlan`] is refused: nothing is cached and nothing changes.
+    pub fn insert(&mut self, key: FlowKey, plan: impl TryInto<InlinePlan>) {
+        let Ok(plan) = plan.try_into() else { return };
         let (base, fp) = self.locate(&key);
         // Same key or a free/stale way first.
-        let preferred = (base..base + self.ways).find(|&i| {
+        let preferred = (base..base + WAYS).find(|&i| {
             let s = &self.slots[i];
             self.tags[i] == 0 || (self.tags[i] == fp && s.key == key) || s.epoch != self.slot_epoch
         });
@@ -1084,24 +966,11 @@ impl FlowCache {
                 i
             }
             None => {
-                let set = base / self.ways;
-                let w = usize::from(self.victim[set]) % self.ways;
+                let set = base / WAYS;
+                let w = usize::from(self.victim[set]) % WAYS;
                 self.victim[set] = self.victim[set].wrapping_add(1);
                 self.stats.evictions += 1;
                 base + w
-            }
-        };
-        if self.tags[i] != 0 {
-            self.release(i);
-        }
-        let plan = match plan.into() {
-            CachedPlan::Inline(inline) => inline,
-            CachedPlan::Spilled(heap) => {
-                self.spill.insert(i, heap);
-                InlinePlan {
-                    counts: InlinePlan::SPILLED,
-                    ..InlinePlan::EMPTY
-                }
             }
         };
         self.tags[i] = fp;
@@ -1142,6 +1011,10 @@ mod tests {
             stage_stats: Vec::new(),
             cycles: 7,
         }
+    }
+
+    fn inline(ops: Vec<PlanOp>) -> InlinePlan {
+        plan(ops).try_into().unwrap()
     }
 
     #[test]
@@ -1310,7 +1183,7 @@ mod tests {
         // Zero the UDP checksum (legal: "no checksum computed").
         zeroed[40] = 0;
         zeroed[41] = 0;
-        let plan = plan(vec![PlanOp::IncrCheck {
+        let plan = inline(vec![PlanOp::IncrCheck {
             offset: 40,
             delta: checksum::delta32(SRC, 0x6540_0001),
             udp: true,
@@ -1326,12 +1199,12 @@ mod tests {
         let orig = udp_frame();
         let mut pkt = orig.clone();
         let mut bank = CounterBank::new(1);
-        let push = plan(vec![PlanOp::PushTag {
+        let push = inline(vec![PlanOp::PushTag {
             bytes: [0x81, 0x00, 0x00, 0x64],
         }]);
         replay(push.view(), &mut pkt, &mut bank);
         assert_eq!(Parser::default().parse(&pkt).unwrap().vlans, vec![100u16]);
-        let pop = plan(vec![PlanOp::PopTag]);
+        let pop = inline(vec![PlanOp::PopTag]);
         replay(pop.view(), &mut pkt, &mut bank);
         assert_eq!(pkt, orig);
     }
@@ -1378,29 +1251,6 @@ mod tests {
     }
 
     #[test]
-    fn geometry_is_configurable() {
-        let c = FlowCache::with_geometry(3, 8); // sets round to a power of two
-        assert_eq!((c.sets(), c.ways(), c.capacity()), (4, 8, 32));
-        let d = FlowCache::new(4096);
-        assert_eq!((d.sets(), d.ways(), d.capacity()), (1024, WAYS, 4096));
-    }
-
-    #[test]
-    fn wider_ways_absorb_colliding_flows() {
-        // One set: every flow collides. 8 ways hold 8 distinct flows
-        // with zero evictions; the 9th evicts.
-        let mut c = FlowCache::with_geometry(1, 8);
-        for sport in 0..8u16 {
-            c.insert(flow_key(sport), plan(vec![]));
-        }
-        assert_eq!(c.stats().evictions, 0);
-        assert_eq!(c.resident(), 8);
-        c.insert(flow_key(8), plan(vec![]));
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.resident(), 8, "eviction replaces, never grows");
-    }
-
-    #[test]
     fn resident_gauge_tracks_slot_transitions() {
         let mut c = FlowCache::new(8);
         let k = flow_key(1);
@@ -1443,17 +1293,19 @@ mod tests {
     }
 
     #[test]
-    fn recorder_spills_what_the_inline_form_cannot_hold() {
-        // Exactly INLINE_OPS ops and dense stats: inline.
-        let mut rec = PlanRecorder::new();
-        for i in 0..INLINE_OPS as u32 {
-            rec.push(PlanOp::Count { index: i });
-        }
-        rec.stage_stat(0, true);
-        rec.stage_stat(1, false);
-        rec.set_cycles(10);
-        let fits = rec.finish(Verdict::Drop).unwrap();
-        assert!(matches!(fits, CachedPlan::Inline(_)));
+    fn recorder_refuses_what_the_inline_form_cannot_hold() {
+        let full = || {
+            let mut rec = PlanRecorder::new();
+            for i in 0..INLINE_OPS as u32 {
+                rec.push(PlanOp::Count { index: i });
+            }
+            rec.stage_stat(0, true);
+            rec.stage_stat(1, false);
+            rec.set_cycles(10);
+            rec
+        };
+        // Exactly INLINE_OPS ops and dense stats: recorded in full.
+        let fits = full().finish(Verdict::Drop).unwrap();
         let v = fits.view();
         assert_eq!(v.ops.len(), INLINE_OPS);
         assert_eq!(v.ops[3], PlanOp::Count { index: 3 });
@@ -1462,35 +1314,24 @@ mod tests {
             [(0, true), (1, false)]
         );
         assert_eq!((v.verdict, v.cycles), (Verdict::Drop, 10));
-        // One op more, an out-of-order stage or a wide cycle count
-        // each move the recording to the heap with nothing lost.
+        // One op more, an out-of-order stage or a wide cycle count each
+        // make the flow uncacheable, whatever is recorded afterwards.
         let overflow: [fn(&mut PlanRecorder); 3] = [
             |r| r.push(PlanOp::PopTag),
             |r| r.stage_stat(5, true),
             |r| r.set_cycles(1_000),
         ];
-        for spill in overflow {
-            let mut rec = PlanRecorder::new();
-            for i in 0..INLINE_OPS as u32 {
-                rec.push(PlanOp::Count { index: i });
-            }
-            rec.stage_stat(0, true);
+        for outgrow in overflow {
+            let mut rec = full();
+            outgrow(&mut rec);
             rec.set_cycles(7);
-            spill(&mut rec);
-            rec.push(PlanOp::Count { index: 99 });
-            let plan = rec.finish(Verdict::Forward).unwrap();
-            assert!(matches!(plan, CachedPlan::Spilled(_)));
-            let v = plan.view();
-            assert_eq!(v.ops[0], PlanOp::Count { index: 0 });
-            assert_eq!(*v.ops.last().unwrap(), PlanOp::Count { index: 99 });
-            assert_eq!(v.stage_stats.iter().next(), Some((0, true)));
-            assert!(v.cycles == 7 || v.cycles == 1_000);
+            assert!(rec.finish(Verdict::Forward).is_none());
         }
     }
 
     /// The obvious cache the real one must be indistinguishable from:
     /// per-set vectors of `(key, epoch, valid, plan)`, a 64-bit epoch,
-    /// heap plans, and the insert preference spelled out.
+    /// heap plans, and the fit rule and insert preference spelled out.
     struct ModelCache {
         sets: Vec<Vec<(FlowKey, u64, bool, ActionPlan)>>,
         victim: Vec<u8>,
@@ -1499,10 +1340,10 @@ mod tests {
     }
 
     impl ModelCache {
-        fn new(sets: usize, ways: usize) -> ModelCache {
+        fn new(sets: usize) -> ModelCache {
             let empty = (FlowKey([0; 3]), 0, false, plan(vec![]));
             ModelCache {
-                sets: vec![vec![empty; ways]; sets],
+                sets: vec![vec![empty; WAYS]; sets],
                 victim: vec![0; sets],
                 epoch: 0,
                 stats: CacheStats::default(),
@@ -1530,7 +1371,19 @@ mod tests {
             None
         }
 
+        /// What a slot can hold: [`INLINE_OPS`] ops, stages `0..n` in
+        /// order up to [`INLINE_STAGES`], a cycle count of one byte.
+        fn fits(plan: &ActionPlan) -> bool {
+            plan.ops.len() <= INLINE_OPS
+                && plan.stage_stats.len() <= INLINE_STAGES
+                && (0u8..).zip(&plan.stage_stats).all(|(i, s)| s.0 == i)
+                && plan.cycles <= 255
+        }
+
         fn insert(&mut self, key: FlowKey, plan: ActionPlan) {
+            if !ModelCache::fits(&plan) {
+                return; // refused: not cached, nothing changes
+            }
             let set = self.set_of(&key);
             let ways = &mut self.sets[set];
             let entry = (key, self.epoch, true, plan);
@@ -1567,10 +1420,10 @@ mod tests {
         }
     }
 
-    /// Seeded random insert/lookup/bump sequences over 1-, 4- and 8-way
-    /// geometries — with plans on both sides of every inline limit, and
-    /// one run taken across the slot-epoch wrap — must be
-    /// indistinguishable from the model on every observable.
+    /// Seeded random insert/lookup/bump sequences over 1, 4 and 8 sets
+    /// — with plans on both sides of every inline limit, and one run
+    /// taken across the slot-epoch wrap — must be indistinguishable
+    /// from the model on every observable.
     #[test]
     fn cache_matches_the_obvious_model() {
         let mut state = 0x5eed_cafe_f00d_0001u64;
@@ -1581,22 +1434,29 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        for (sets, ways, near_wrap) in [(8, 1, false), (4, 4, false), (2, 8, false), (4, 4, true)] {
-            let mut cache = FlowCache::with_geometry(sets, ways);
-            let mut model = ModelCache::new(sets, ways);
-            let mut spilled_seen = false;
+        for (sets, near_wrap) in [(1, false), (4, false), (8, false), (4, true)] {
+            let mut cache = FlowCache::new(sets * WAYS);
+            let mut model = ModelCache::new(sets);
+            assert_eq!(cache.capacity(), sets * WAYS);
+            let (mut refused, mut cached) = (0, 0);
+            let mut crossed = !near_wrap;
             for step in 0..30_000 {
-                if near_wrap && step == 60 {
-                    // Skip ahead to three bumps short of the slot-epoch
-                    // wrap, with plans of the first epochs still resident:
-                    // the epochs they carry come round again right after.
-                    let skipped = u64::from(STALE_EPOCH - 3 - cache.slot_epoch);
-                    assert!(cache.slot_epoch > 2 && cache.resident() > 8);
-                    cache.slot_epoch = STALE_EPOCH - 3;
-                    cache.epoch += skipped;
-                    model.epoch += skipped;
+                if !crossed && cache.slot_epoch > 2 && cache.live_len() > 2 {
+                    // Skip ahead to one bump short of the slot-epoch wrap,
+                    // then bump across it and back up to where the epoch
+                    // stands now: this epoch's plans are still resident,
+                    // and unless the wrap restamped them look current.
+                    crossed = true;
+                    let now = cache.slot_epoch;
+                    model.epoch += u64::from(STALE_EPOCH - 1 - now);
+                    cache.slot_epoch = STALE_EPOCH - 1;
+                    for _ in 0..=now {
+                        cache.bump_epoch();
+                        model.epoch += 1;
+                    }
+                    assert_eq!((cache.slot_epoch, cache.live_len()), (now, 0));
                 }
-                // 48 keys over at most 16 ways: every set overflows.
+                // 48 keys over at most 32 ways: every set overflows.
                 let k = next() % 48;
                 let key = FlowKey([k, k.wrapping_mul(0x9e37_79b9), k << 7]);
                 match next() % 20 {
@@ -1630,7 +1490,11 @@ mod tests {
                                 4 + 3 * n_stats
                             },
                         };
-                        spilled_seen |= InlinePlan::pack(&p).is_none();
+                        if ModelCache::fits(&p) {
+                            cached += 1;
+                        } else {
+                            refused += 1;
+                        }
                         cache.insert(key, p.clone());
                         model.insert(key, p);
                     }
@@ -1641,23 +1505,13 @@ mod tests {
                 }
                 assert_eq!(cache.stats(), model.stats, "step {step}");
                 assert_eq!(cache.resident(), model.resident(), "step {step}");
-                assert_eq!(cache.epoch(), model.epoch);
                 if step % 64 == 0 {
                     assert_eq!(cache.live_len(), model.live_len(), "step {step}");
                 }
             }
-            assert!(spilled_seen, "the spill path was never taken");
+            assert!(refused > 1_000 && cached > 1_000, "{refused} / {cached}");
             assert!(cache.stats().evictions > 0 && cache.stats().invalidations > 0);
-            // The spill table holds exactly the resident oversize plans.
-            let oversize =
-                |w: &&(FlowKey, u64, bool, ActionPlan)| w.2 && InlinePlan::pack(&w.3).is_none();
-            assert_eq!(
-                cache.spill.len(),
-                model.sets.iter().flatten().filter(oversize).count()
-            );
-            if near_wrap {
-                assert!(cache.slot_epoch < 1 << 20, "the slot epoch never wrapped");
-            }
+            assert!(crossed, "the slot epoch never wrapped");
         }
     }
 

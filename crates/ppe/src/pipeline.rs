@@ -822,17 +822,38 @@ mod tests {
         PacketBuilder::eth_ipv4_udp(MacAddr([1; 6]), MacAddr([2; 6]), src, DST, 999, dport, b"d")
     }
 
-    fn nat_pipeline() -> Pipeline {
+    /// `SRC` → 100.64.0.1.
+    fn nat_table() -> HashTable<[u8; 13], u32> {
         let mut table = HashTable::with_capacity(1024);
         let mut key = [0u8; 13];
         key[..4].copy_from_slice(&SRC.to_be_bytes());
         table.insert(key, 0x64400001).unwrap();
+        table
+    }
+
+    /// Matches dst port 53 (bytes 11..13 of the 5-tuple key).
+    fn dns_acl() -> TernaryTable<u32> {
+        let mut acl = TernaryTable::new(16);
+        let mut value = [0u8; 13];
+        value[11..13].copy_from_slice(&53u16.to_be_bytes());
+        let mut mask = [0u8; 13];
+        mask[11..13].copy_from_slice(&0xffffu16.to_be_bytes());
+        acl.insert(crate::match_kinds::TernaryEntry {
+            value,
+            mask,
+            priority: 1,
+            data: 0,
+        });
+        acl
+    }
+
+    fn nat_pipeline() -> Pipeline {
         PipelineBuilder::new("mini-nat")
             .stage(Stage {
                 name: "snat".into(),
                 matcher: Matcher::Exact {
                     selector: KeySelector::SrcIp,
-                    table,
+                    table: nat_table(),
                 },
                 param_action: ParamAction::SetIpv4Src,
                 on_hit: vec![Action::Count(0)],
@@ -871,24 +892,12 @@ mod tests {
 
     #[test]
     fn ternary_acl_drop_stage() {
-        let mut acl = TernaryTable::new(16);
-        // Block dst port 53 (bytes 11..13 of the 5-tuple key).
-        let mut value = [0u8; 13];
-        value[11..13].copy_from_slice(&53u16.to_be_bytes());
-        let mut mask = [0u8; 13];
-        mask[11..13].copy_from_slice(&0xffffu16.to_be_bytes());
-        acl.insert(crate::match_kinds::TernaryEntry {
-            value,
-            mask,
-            priority: 1,
-            data: 0,
-        });
         let mut p = PipelineBuilder::new("acl")
             .stage(Stage {
                 name: "block-dns".into(),
                 matcher: Matcher::Ternary {
                     selector: KeySelector::FiveTuple,
-                    table: acl,
+                    table: dns_acl(),
                 },
                 param_action: ParamAction::None,
                 on_hit: vec![Action::Emit(VerdictAction::Drop)],
@@ -1063,6 +1072,98 @@ mod tests {
         let s = cached.cache_stats().unwrap();
         assert_eq!((s.hits, s.misses), (6, 3));
         assert!(uncached.cache_stats().unwrap().lookups() == 0);
+    }
+
+    /// A NAT stage, `depth - 2` counting stages and a DNS-blocking ACL.
+    /// The longest plan is the NAT hit's three ops plus one count per
+    /// later stage: at depth 2 exactly [`cache::INLINE_OPS`], and at
+    /// depth [`MAX_STAGES`] every flow's plan has more.
+    fn nat_acl_pipeline(depth: usize) -> Pipeline {
+        let mut b = PipelineBuilder::new("nat-acl").stage(Stage {
+            name: "snat".into(),
+            matcher: Matcher::Exact {
+                selector: KeySelector::SrcIp,
+                table: nat_table(),
+            },
+            param_action: ParamAction::SetIpv4Src,
+            on_hit: vec![],
+            on_miss: vec![Action::Count(0)],
+            hits: 0,
+            misses: 0,
+        });
+        for i in 1..depth - 1 {
+            b = b.stage(Stage::always(&format!("count-{i}"), vec![Action::Count(i)]));
+        }
+        b.stage(Stage {
+            name: "block-dns".into(),
+            matcher: Matcher::Ternary {
+                selector: KeySelector::FiveTuple,
+                table: dns_acl(),
+            },
+            param_action: ParamAction::None,
+            on_hit: vec![Action::Emit(VerdictAction::Drop)],
+            on_miss: vec![Action::Count(depth - 1)],
+            hits: 0,
+            misses: 0,
+        })
+        .build()
+    }
+
+    /// A plan the cache refuses is invisible: a seeded trace through a
+    /// program whose every plan outgrows the inline form reads the same
+    /// on every observable with the cache on as with it off, and nothing
+    /// is cached. The same trace through a program that fits does hit.
+    #[test]
+    fn a_refused_plan_is_invisible() {
+        use flexsfp_traffic::rng::Xoshiro256;
+        for (depth, fits) in [(MAX_STAGES, false), (2, true)] {
+            let mut cached = nat_acl_pipeline(depth);
+            let mut uncached = nat_acl_pipeline(depth);
+            cached.set_flow_cache(true);
+            assert!(cached.is_cacheable());
+            let mut rng = Xoshiro256::seed_from_u64(0x16_f10c);
+            for t in 0..4_000u64 {
+                // 32 flows: NAT hit or miss × forwarded or DNS-dropped.
+                let r = rng.next_u64();
+                let src = [SRC, 0x0a0a_0a0a, SRC + 1, 0xc0a8_0105][r as usize % 4];
+                let dport = [53, 80, 443, 99, 123, 8080, 22, 25][(r >> 8) as usize % 8];
+                let mut a = frame(src, dport);
+                let mut b = a.clone();
+                let ctx = ProcessContext::egress().at(t);
+                assert_eq!(cached.process(&ctx, &mut a), uncached.process(&ctx, &mut b));
+                assert_eq!(a, b, "depth {depth}, packet {t}");
+                if t % 64 == 63 {
+                    // `TableMiss` and `Drop` events, in order, timestamped.
+                    let events = cached.drain_events();
+                    assert!(events.len() >= 64);
+                    assert_eq!(events, uncached.drain_events());
+                }
+            }
+            assert_eq!(cached.stats(), uncached.stats());
+            assert!(cached.stats().drops > 0);
+            for (c, u) in cached.stages().iter().zip(uncached.stages()) {
+                assert_eq!((c.hits, c.misses), (u.hits, u.misses), "{}", c.name);
+            }
+            for idx in 0..MAX_STAGES {
+                assert_eq!(
+                    cached.engine.counters.get(idx),
+                    uncached.engine.counters.get(idx)
+                );
+            }
+            assert_eq!(cached.events_lost(), 0);
+            assert_eq!(
+                cached.obs.stage_cycles.count(),
+                uncached.obs.stage_cycles.count()
+            );
+            let s = cached.cache_stats().unwrap();
+            if fits {
+                assert_eq!((s.misses, cached.cache.resident()), (32, 32));
+                assert_eq!(s.hits, 4_000 - 32);
+            } else {
+                assert_eq!((s.hits, s.misses), (0, 4_000));
+                assert_eq!(cached.cache.resident(), 0);
+            }
+        }
     }
 
     #[test]

@@ -492,8 +492,8 @@ mod tests {
     /// insert/update/remove/lookup operations must agree with the
     /// reference map on every observable, with BucketFull rejections
     /// exactly when the model already holds `ways` keys of the same
-    /// bucket. Runs unconditionally (the proptest variant in
-    /// `tests/prop.rs` explores more schedules behind the feature gate).
+    /// bucket. (`tests/prop.rs` runs 256 shorter schedules over a
+    /// smaller table, with `clear` and a full iteration.)
     #[test]
     fn flat_table_matches_btreemap_model() {
         use std::collections::BTreeMap;

@@ -1,136 +1,154 @@
-#![cfg(feature = "proptest")]
-// Needs the proptest dev-dependency; see "Building" in the README.
 //! Property tests for PPE invariants: tables vs a model, meters vs an
 //! analytic bound, codelet verifier robustness, LPM vs naive search.
+//!
+//! Each property runs [`CASES`] seeded cases under plain `cargo test`;
+//! a failure names the case's seed, which reproduces it alone.
 
 use flexsfp_ppe::codelet::{self, AluOp, Cmp, Field, Insn, Operand, VerdictCode, WField};
+use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::match_kinds::LpmTable;
 use flexsfp_ppe::meter::{Color, TokenBucket};
 use flexsfp_ppe::tables::{HashTable, TableError};
-use proptest::prelude::*;
-use std::collections::HashMap;
+use flexsfp_traffic::rng::Xoshiro256;
+use std::collections::{BTreeMap, HashMap};
 
-proptest! {
-    /// The hardware hash table agrees with a HashMap model on every
-    /// lookup, modulo capacity-induced insertion failures (which the
-    /// model then also forgets).
-    #[test]
-    fn hash_table_vs_model(
-        ops in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<bool>()), 0..300),
-    ) {
+const CASES: u64 = 256;
+
+/// Run `property` over [`CASES`] generators seeded `seed`, `seed + 1`, ….
+fn for_each_case(seed: u64, mut property: impl FnMut(&mut Xoshiro256, u64)) {
+    for case in seed..seed + CASES {
+        property(&mut Xoshiro256::seed_from_u64(case), case);
+    }
+}
+
+/// The hardware hash table agrees with a HashMap model on every
+/// lookup, modulo capacity-induced insertion failures (which the
+/// model then also forgets).
+#[test]
+fn hash_table_vs_model() {
+    for_each_case(0x7ab1e, |rng, case| {
         let mut table: HashTable<u32, u16> = HashTable::new(16, 2);
         let mut model: HashMap<u32, u16> = HashMap::new();
-        for (k, v, is_insert) in ops {
-            let key = u32::from(k); // small key space forces collisions
-            if is_insert {
+        for _ in 0..rng.range_usize(0, 300) {
+            let r = rng.next_u64();
+            let key = u32::from(r as u8); // small key space forces collisions
+            let v = (r >> 8) as u16;
+            if r >> 24 & 1 == 1 {
                 match table.insert(key, v) {
                     Ok(()) => {
                         model.insert(key, v);
                     }
                     Err(TableError::BucketFull) => {
                         // Model must NOT have it (update would succeed).
-                        prop_assert!(!model.contains_key(&key));
+                        assert!(!model.contains_key(&key), "case {case:#x}");
                     }
                 }
             } else {
-                prop_assert_eq!(table.remove(&key), model.remove(&key));
+                assert_eq!(table.remove(&key), model.remove(&key), "case {case:#x}");
             }
-            prop_assert_eq!(table.len(), model.len());
+            assert_eq!(table.len(), model.len(), "case {case:#x}");
         }
         for (k, v) in &model {
-            prop_assert_eq!(table.peek(k), Some(*v));
+            assert_eq!(table.peek(k), Some(*v), "case {case:#x}");
         }
-    }
+    });
+}
 
-    /// The flat fingerprinted layout agrees with an ordered BTreeMap
-    /// model under arbitrary insert/remove/peek/clear interleavings,
-    /// and a full iteration yields exactly the model's entries. The
-    /// tiny key space forces both bucket collisions and 1-byte
-    /// fingerprint aliases, which must fall through to the full key
-    /// compare — never resolve to another key's value.
-    #[test]
-    fn flat_table_vs_btreemap_model(
-        ops in proptest::collection::vec((any::<u8>(), any::<u16>(), 0u8..10), 0..400),
-    ) {
-        use std::collections::BTreeMap;
+/// The flat fingerprinted layout agrees with an ordered BTreeMap
+/// model under arbitrary insert/remove/peek/clear interleavings,
+/// and a full iteration yields exactly the model's entries. The
+/// tiny key space forces both bucket collisions and 1-byte
+/// fingerprint aliases, which must fall through to the full key
+/// compare — never resolve to another key's value.
+#[test]
+fn flat_table_vs_btreemap_model() {
+    for_each_case(0xf1a7, |rng, case| {
         let mut table: HashTable<u32, u16> = HashTable::new(8, 2);
         let mut model: BTreeMap<u32, u16> = BTreeMap::new();
-        for (k, v, action) in ops {
-            let key = u32::from(k % 64);
-            match action {
+        for _ in 0..rng.range_usize(0, 400) {
+            let r = rng.next_u64();
+            let key = r as u32 % 64;
+            let v = (r >> 8) as u16;
+            match (r >> 24) % 10 {
                 0..=5 => match table.insert(key, v) {
                     Ok(()) => {
                         model.insert(key, v);
                     }
                     Err(TableError::BucketFull) => {
-                        prop_assert!(!model.contains_key(&key));
+                        assert!(!model.contains_key(&key), "case {case:#x}");
                     }
                 },
-                6..=7 => prop_assert_eq!(table.remove(&key), model.remove(&key)),
-                8 => prop_assert_eq!(table.peek(&key), model.get(&key).copied()),
+                6..=7 => assert_eq!(table.remove(&key), model.remove(&key), "case {case:#x}"),
+                8 => assert_eq!(table.peek(&key), model.get(&key).copied(), "case {case:#x}"),
                 _ => {
                     table.clear();
                     model.clear();
                 }
             }
-            prop_assert_eq!(table.len(), model.len());
-            prop_assert!(table.load_factor() <= 1.0);
+            assert_eq!(table.len(), model.len(), "case {case:#x}");
+            assert!(table.load_factor() <= 1.0);
         }
         let mut got: Vec<(u32, u16)> = table.iter().collect();
         got.sort_unstable();
         let want: Vec<(u32, u16)> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want, "case {case:#x}");
+    });
+}
 
-    /// Token bucket conformance: green bytes over any packet schedule
-    /// never exceed burst + rate × elapsed.
-    #[test]
-    fn token_bucket_long_run_bound(
-        rate_kbps in 1u64..100_000,
-        burst in 64u64..100_000,
-        packets in proptest::collection::vec((1usize..2000, 0u64..1_000_000), 1..200),
-    ) {
-        let rate_bps = rate_kbps * 1000;
+/// Token bucket conformance: green bytes over any packet schedule
+/// never exceed burst + rate × elapsed.
+#[test]
+fn token_bucket_long_run_bound() {
+    for_each_case(0x70c3, |rng, case| {
+        let rate_bps = rng.range_u64(1, 100_000) * 1000;
+        let burst = rng.range_u64(64, 100_000);
         let mut tb = TokenBucket::new(rate_bps, burst);
         let mut now = 0u64;
         let mut green_bytes = 0u64;
-        for (len, gap) in packets {
-            now += gap;
+        for _ in 0..rng.range_usize(1, 200) {
+            let len = rng.range_usize(1, 2000);
+            now += rng.range_u64(0, 1_000_000);
             if tb.meter(len, now) == Color::Green {
                 green_bytes += len as u64;
             }
         }
         let budget = burst as f64 + (rate_bps / 8) as f64 * (now as f64 / 1e9);
-        prop_assert!(
+        assert!(
             green_bytes as f64 <= budget + 2000.0,
-            "green {green_bytes} > budget {budget}"
+            "case {case:#x}: green {green_bytes} > budget {budget}"
         );
-    }
+    });
+}
 
-    /// The codelet verifier never panics on arbitrary instruction
-    /// sequences, and every program it accepts terminates in the
-    /// interpreter.
-    #[test]
-    fn verifier_total_and_sound(
-        raw in proptest::collection::vec((0u8..10, any::<u8>(), any::<u8>(), any::<u64>(), 0u16..16), 1..40),
-    ) {
-        let insns: Vec<Insn> = raw
-            .into_iter()
-            .map(|(op, a, b, imm, off)| match op {
-                0 => Insn::LdImm(a % 12, imm),
-                1 => Insn::LdField(a % 12, Field::SrcIp),
-                2 => Insn::Alu(AluOp::Add, a % 12, Operand::Imm(imm)),
-                3 => Insn::Alu(AluOp::Xor, a % 12, Operand::Reg(b % 12)),
-                4 => Insn::Jmp(off),
-                5 => Insn::JmpIf(Cmp::Gt, a % 12, Operand::Imm(imm), off),
-                6 => Insn::Lookup(a % 3, b % 12),
-                7 => Insn::SetField(WField::Dscp, a % 12),
-                8 => Insn::Count(u16::from(a)),
-                _ => Insn::Return(VerdictCode::Forward),
+/// The codelet verifier never panics on arbitrary instruction
+/// sequences, and every program it accepts terminates in the
+/// interpreter.
+#[test]
+fn verifier_total_and_sound() {
+    use flexsfp_ppe::{PacketProcessor, ProcessContext};
+    let mut accepted = 0;
+    for_each_case(0xc0de, |rng, _| {
+        let insns: Vec<Insn> = (0..rng.range_usize(1, 40))
+            .map(|_| {
+                let r = rng.next_u64();
+                let (a, b, off) = ((r >> 8) as u8, (r >> 16) as u8, (r >> 24) as u16 % 16);
+                let imm = rng.next_u64();
+                match r % 10 {
+                    0 => Insn::LdImm(a % 12, imm),
+                    1 => Insn::LdField(a % 12, Field::SrcIp),
+                    2 => Insn::Alu(AluOp::Add, a % 12, Operand::Imm(imm)),
+                    3 => Insn::Alu(AluOp::Xor, a % 12, Operand::Reg(b % 12)),
+                    4 => Insn::Jmp(off),
+                    5 => Insn::JmpIf(Cmp::Gt, a % 12, Operand::Imm(imm), off),
+                    6 => Insn::Lookup(a % 3, b % 12),
+                    7 => Insn::SetField(WField::Dscp, a % 12),
+                    8 => Insn::Count(u16::from(a)),
+                    _ => Insn::Return(VerdictCode::Forward),
+                }
             })
             .collect();
-        let verdict = codelet::verify(&insns, 1);
-        if verdict.is_ok() {
+        if codelet::verify(&insns, 1).is_ok() {
+            accepted += 1;
             // Accepted programs must run to completion on a packet.
             let table = HashTable::with_capacity(16);
             let mut app = codelet::Codelet::new("fuzz", insns, vec![table]).unwrap();
@@ -143,79 +161,89 @@ proptest! {
                 2,
                 b"x",
             );
-            use flexsfp_ppe::{PacketProcessor, ProcessContext};
             let _ = app.process(&ProcessContext::egress(), &mut frame);
         }
-    }
+    });
+    assert!(accepted > 0, "no generated program passed the verifier");
+}
 
-    /// LPM lookup equals the naive longest-match scan.
-    #[test]
-    fn lpm_vs_naive(
-        prefixes in proptest::collection::vec((any::<u32>(), 0u8..=32, any::<u16>()), 0..50),
-        probes in proptest::collection::vec(any::<u32>(), 1..50),
-    ) {
+/// LPM lookup equals the naive longest-match scan.
+#[test]
+fn lpm_vs_naive() {
+    let mask = |len: u8| match len {
+        0 => 0,
+        _ => u32::MAX << (32 - u32::from(len)),
+    };
+    for_each_case(0x1b3, |rng, case| {
         let mut lpm = LpmTable::new();
         let mut naive: Vec<(u32, u8, u16)> = Vec::new();
-        for (prefix, len, v) in prefixes {
-            let mask = if len == 0 { 0 } else { u32::MAX << (32 - u32::from(len)) };
-            let masked = prefix & mask;
+        for _ in 0..rng.range_usize(0, 50) {
+            let r = rng.next_u64();
+            let len = (r >> 32) as u8 % 33;
+            let (masked, v) = (r as u32 & mask(len), (r >> 40) as u16);
             lpm.insert(masked, len, v);
             naive.retain(|(p, l, _)| !(*p == masked && *l == len));
             naive.push((masked, len, v));
         }
-        for addr in probes {
+        for _ in 0..rng.range_usize(1, 50) {
+            // Half the probes fall inside an installed prefix.
+            let r = rng.next_u64();
+            let addr = match naive.get((r >> 32) as usize % (2 * naive.len() + 1)) {
+                Some(&(p, l, _)) => p | (r as u32 & !mask(l)),
+                None => r as u32,
+            };
             let expect = naive
                 .iter()
-                .filter(|(p, l, _)| {
-                    let mask = if *l == 0 { 0 } else { u32::MAX << (32 - u32::from(*l)) };
-                    addr & mask == *p
-                })
+                .filter(|(p, l, _)| addr & mask(*l) == *p)
                 .max_by_key(|(_, l, _)| *l)
                 .map(|(_, l, v)| (*l, *v));
-            prop_assert_eq!(lpm.lookup(addr), expect);
+            assert_eq!(lpm.lookup(addr), expect, "case {case:#x}, {addr:#x}");
         }
-    }
+    });
+}
 
-    /// `CounterBank::snapshot` is consistent under interleaved `count`
-    /// calls: every snapshot equals a model accumulated from exactly
-    /// the counts issued so far — no torn, stale or phantom values.
-    #[test]
-    fn counter_snapshot_consistent_under_interleaved_counts(
-        events in proptest::collection::vec((0usize..6, 1usize..2000, any::<bool>()), 0..300),
-    ) {
-        let mut bank = flexsfp_ppe::counters::CounterBank::new(4);
-        let mut model = vec![(0u64, 0u64); 4]; // (packets, bytes)
-        for (idx, bytes, snapshot_now) in events {
+/// `CounterBank::snapshot` is consistent under interleaved `count`
+/// calls: every snapshot equals a model accumulated from exactly
+/// the counts issued so far — no torn, stale or phantom values.
+#[test]
+fn counter_snapshot_consistent_under_interleaved_counts() {
+    for_each_case(0xc047, |rng, case| {
+        let mut bank = CounterBank::new(4);
+        let mut model = [(0u64, 0u64); 4]; // (packets, bytes)
+        for _ in 0..rng.range_usize(0, 300) {
+            // Indices 4 and 5 are out of range: counted nowhere.
+            let (idx, bytes) = (rng.range_usize(0, 6), rng.range_usize(1, 2000));
             bank.count(idx, bytes);
             if idx < 4 {
                 model[idx].0 += 1;
                 model[idx].1 += bytes as u64;
             }
-            if snapshot_now {
+            if rng.chance(0.5) {
                 let snap = bank.snapshot();
-                prop_assert_eq!(snap.len(), 4);
+                assert_eq!(snap.len(), 4);
                 for (i, c) in snap.iter().enumerate() {
-                    prop_assert_eq!((c.packets, c.bytes), model[i]);
+                    assert_eq!((c.packets, c.bytes), model[i], "case {case:#x}");
                     // Point reads agree with the latched bank.
-                    prop_assert_eq!(bank.get(i), *c);
+                    assert_eq!(bank.get(i), *c, "case {case:#x}");
                 }
             }
         }
-    }
+    });
+}
 
-    /// Counters: count/snapshot_and_clear over arbitrary interleavings
-    /// never lose or duplicate a byte.
-    #[test]
-    fn counter_export_lossless(
-        events in proptest::collection::vec((0usize..4, 1usize..2000, any::<bool>()), 0..200),
-    ) {
-        let mut bank = flexsfp_ppe::counters::CounterBank::new(4);
-        let mut exported = vec![0u64; 4];
-        let mut total = vec![0u64; 4];
-        for (idx, bytes, export_now) in events {
+/// Counters: count/snapshot_and_clear over arbitrary interleavings
+/// never lose or duplicate a byte.
+#[test]
+fn counter_export_lossless() {
+    for_each_case(0xe4b0, |rng, case| {
+        let mut bank = CounterBank::new(4);
+        let mut exported = [0u64; 4];
+        let mut total = [0u64; 4];
+        for _ in 0..rng.range_usize(0, 200) {
+            let (idx, bytes) = (rng.range_usize(0, 4), rng.range_usize(1, 2000));
             bank.count(idx, bytes);
             total[idx] += bytes as u64;
-            if export_now {
+            if rng.chance(0.5) {
                 for (i, c) in bank.snapshot_and_clear().into_iter().enumerate() {
                     exported[i] += c.bytes;
                 }
@@ -224,6 +252,6 @@ proptest! {
         for (i, c) in bank.snapshot().into_iter().enumerate() {
             exported[i] += c.bytes;
         }
-        prop_assert_eq!(exported, total);
-    }
+        assert_eq!(exported, total, "case {case:#x}");
+    });
 }
