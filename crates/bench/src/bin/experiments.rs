@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! cargo run -p flexsfp-bench --bin experiments -- <subcommand> [--json] [--quick]
+//!     [--breach] [--shards N] [--trace FILE]
 //!
 //! subcommands:
 //!   table1     Table 1  — NAT resource usage per component
@@ -21,6 +22,7 @@
 //!   all        everything above in order
 //! ```
 //!
+//! Any other flag is an error (exit 2), as is an unknown subcommand.
 //! `--json` additionally emits the machine-readable report on stdout.
 //! `--quick` shrinks the `perf` run to its CI size (200 k packets instead
 //! of 2 M) and the `slo` run to 20 k packets; the JSON baseline is
@@ -62,6 +64,7 @@ use flexsfp_obs::json::Value;
 use flexsfp_obs::{SloSpec, ToJson};
 
 /// The flags an experiment may read.
+#[derive(Default)]
 struct Opts {
     quick: bool,
     breach: bool,
@@ -161,54 +164,46 @@ const EXPERIMENTS: &[Experiment] = &[
     }),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let mut opts = Opts {
-        quick: args.iter().any(|a| a == "--quick"),
-        breach: args.iter().any(|a| a == "--breach"),
-        shards: None,
-        trace_path: None,
-    };
+const USAGE: &str = "usage: experiments [<subcommand>] [--json] [--quick] [--breach] \
+                     [--shards N] [--trace FILE]";
 
-    // `--trace` and `--shards` consume the next argument as their
-    // value, so the subcommand scan has to step over those values.
-    let mut cmd: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace" => {
-                match args.get(i + 1) {
-                    Some(path) if !path.starts_with("--") => opts.trace_path = Some(path.clone()),
-                    _ => {
-                        eprintln!("--trace requires a file path argument");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-                continue;
-            }
-            "--shards" => {
-                match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => opts.shards = Some(n),
-                    _ => {
-                        eprintln!("--shards requires a positive integer argument");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-                continue;
-            }
-            a if a.starts_with("--") => {}
-            a => {
-                if cmd.is_none() {
-                    cmd = Some(a);
-                }
+/// Scan the command line into the subcommand (`all` when none is
+/// named), whether `--json` was given, and the experiments' flags.
+/// `Err` says which argument is at fault: a flag that does not exist
+/// must stop the run, not start the full-size one.
+fn scan(args: &[String]) -> Result<(&str, bool, Opts), String> {
+    let mut opts = Opts::default();
+    let mut json = false;
+    let mut cmd = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json = true,
+            "--quick" => opts.quick = true,
+            "--breach" => opts.breach = true,
+            "--trace" => match args.next() {
+                Some(path) if !path.starts_with("--") => opts.trace_path = Some(path.clone()),
+                _ => return Err("--trace requires a file path argument".into()),
+            },
+            "--shards" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => opts.shards = Some(n),
+                _ => return Err("--shards requires a positive integer argument".into()),
+            },
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            name => {
+                cmd.get_or_insert(name);
             }
         }
-        i += 1;
     }
-    let cmd = cmd.unwrap_or("all");
+    Ok((cmd.unwrap_or("all"), json, opts))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, json, opts) = scan(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let selected: Vec<&Experiment> = EXPERIMENTS
         .iter()
@@ -245,4 +240,44 @@ fn main() {
         }
     }
     std::process::exit(exit_code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn scan_reads_every_flag_and_the_subcommand() {
+        let line = args("--json perf --quick --shards 2 --trace out.json --breach");
+        let (cmd, json, opts) = scan(&line).unwrap();
+        assert_eq!((cmd, json), ("perf", true));
+        assert!(opts.quick && opts.breach);
+        assert_eq!(opts.shards, Some(2));
+        assert_eq!(opts.trace_path.as_deref(), Some("out.json"));
+        // Nothing given: every experiment, full size, no JSON.
+        let (cmd, json, opts) = scan(&[]).unwrap();
+        assert_eq!(
+            (cmd, json, opts.quick, opts.shards),
+            ("all", false, false, None)
+        );
+    }
+
+    #[test]
+    fn scan_rejects_what_it_does_not_know() {
+        // A misspelt --quick must not fall through to the 2 M-packet run.
+        assert_eq!(
+            scan(&args("perf --quik")).err().unwrap(),
+            "unknown flag '--quik'"
+        );
+        assert!(scan(&args("--help")).is_err());
+        assert!(scan(&args("perf --shards")).is_err());
+        assert!(scan(&args("perf --shards 0")).is_err());
+        assert!(scan(&args("perf --shards --quick")).is_err());
+        assert!(scan(&args("perf --trace")).is_err());
+        assert!(scan(&args("perf --trace --quick")).is_err());
+    }
 }
