@@ -21,7 +21,7 @@
 //! output stream must reproduce the serial digest exactly — before its
 //! aggregate throughput is measured as `mpps_sharded`. Timing then
 //! comes from separate measurement passes with a recycle-only sink,
-//! repeated [`MEASURE_REPS`] times taking the minimum wall-clock —
+//! repeated `MEASURE_REPS` times taking the minimum wall-clock —
 //! interference on a shared host only ever inflates time, so the
 //! minimum is the cleanest estimate of what the simulator costs.
 //!

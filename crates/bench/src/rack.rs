@@ -13,8 +13,8 @@
 //! The run is judged on three things:
 //!
 //! * **exact packet conservation** — per ToR, the
-//!   [`CrossbarStats::conserved`] identity must close after the final
-//!   drain; across the rack, every frame the chaos layer delivered
+//!   [`flexsfp_host::CrossbarStats::conserved`] identity must close
+//!   after the final drain; across the rack, every frame the chaos layer delivered
 //!   (plus every flood and module copy) must be found again as an
 //!   access delivery, a module drop/diversion/absorption, a
 //!   control-plane punt, a malformed or hairpin filter, or a

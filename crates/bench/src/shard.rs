@@ -1,9 +1,9 @@
 //! The sharded multicore dataplane: one simulation spread across every
 //! core, digest-identical to the serial path.
 //!
-//! `run_stream` drives one [`FlexSfp`] on one thread — ~11 Mpps on the
-//! committed baseline, and the ceiling for every rack- and city-scale
-//! experiment built on top of it. This module splits a single workload
+//! `run_stream` drives one [`FlexSfp`] on one thread — `mpps` in the
+//! committed `BENCH_throughput.json`, and the ceiling for every rack-
+//! and city-scale experiment built on top of it. This module splits a single workload
 //! across N per-core module instances the way an RSS-capable NIC
 //! splits a line into queues:
 //!
@@ -14,7 +14,7 @@
 //!    ([`ControlPlane::may_classify`]), and the key hint the shard's
 //!    flow cache will use — no stage downstream re-parses the frame.
 //!    Frames the key cannot describe (non-IPv4, options, deep tag
-//!    stacks) take [`slow_flow_hash`], a full shallow parse that
+//!    stacks) take `slow_flow_hash`, a full shallow parse that
 //!    agrees with the fused path wherever both are defined (the
 //!    parse-edge-case suite pins this). Frames the control plane
 //!    claims are *broadcast* to all shards (see below).

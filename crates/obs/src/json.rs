@@ -1,5 +1,5 @@
 //! Minimal in-tree JSON: a dynamic [`Value`], a strict parser, compact
-//! and pretty emitters, the [`json!`] construction macro and the
+//! and pretty emitters, the [`json!`](crate::json!) construction macro and the
 //! [`ToJson`]/[`FromJson`] conversion traits.
 //!
 //! This module exists so the default-feature workspace builds with zero

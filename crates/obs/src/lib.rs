@@ -30,7 +30,7 @@
 //!   module snapshots, with sparse per-crosspoint counters;
 //! * [`prometheus`] — Prometheus text-exposition rendering helpers used
 //!   by the host-side fleet collector;
-//! * [`json`] — a dependency-free JSON value/parser/emitter (with the
+//! * [`mod@json`] — a dependency-free JSON value/parser/emitter (with the
 //!   [`json!`] macro and [`json::ToJson`]/[`json::FromJson`] traits)
 //!   that the control plane, bitstream container and exporters use so
 //!   the default build needs no registry access.
