@@ -1,70 +1,86 @@
-//! Bounded single-producer/single-consumer rings.
+//! Bounded single-producer/single-consumer rings that move chunks.
 //!
-//! The sharded dataplane moves packets from the dispatcher core to the
-//! per-shard worker cores over exactly this structure: a fixed-capacity
-//! ring, one writer, one reader, no shared locks on the hot path. The
-//! workspace forbids `unsafe`, so instead of the classic
-//! raw-slot/`UnsafeCell` construction the ring pairs monotone atomic
-//! head/tail counters with one `Mutex<Option<T>>` per slot. The
-//! counters alone decide who may touch a slot — the producer writes
-//! slot `tail` only while `tail - head < capacity`, the consumer reads
-//! slot `head` only while `head < tail` — so every slot lock is
-//! uncontended by construction and compiles to an unconteded
-//! atomic exchange; the SPSC protocol itself stays wait-free.
+//! The sharded dataplane hands packets from the dispatcher core to the
+//! worker cores, and outputs back, over exactly this structure: a
+//! fixed-depth ring, one writer, one reader. What crosses it is never
+//! an item but a *chunk* — a whole `Vec<T>` of messages the producer
+//! staged — so the cost of a crossing is paid once per chunk, however
+//! many messages it carries.
+//!
+//! # What a slot is
+//!
+//! A slot is one `Mutex<Vec<T>>`, and it holds one chunk or an empty
+//! vector. [`Producer::push_slice`] *swaps* the caller's full vector
+//! for the slot's empty one; [`Consumer::pop_chunk`] swaps it out again
+//! for the caller's empty one. Nothing is copied per item: a crossing
+//! is one lock, one three-word swap and one position publish per end.
+//! The monotone `head`/`tail` counters count chunks, and `capacity`
+//! (the argument of [`channel`]) is the number of chunks the ring can
+//! hold, not the number of items; a chunk is as long as the producer
+//! made it.
+//!
+//! # Why the lock is uncontended
+//!
+//! The workspace forbids `unsafe`, so instead of the classic
+//! raw-slot/`UnsafeCell` construction each slot sits behind a `Mutex`.
+//! The counters alone decide who may touch a slot — the producer
+//! writes slot `tail` only while `tail - head < capacity`, the consumer
+//! reads slot `head` only while `head < tail` — so the two ends never
+//! hold the same slot's lock at once and every `lock()` is an
+//! uncontended atomic exchange. Each end keeps a private copy of its
+//! own position and a cached snapshot of the other end's, refreshed
+//! with an `Acquire` load only when the ring looks full (producer) or
+//! empty (consumer).
+//!
+//! # Where buffers come from and go
+//!
+//! The ring allocates nothing but its slot array: every slot starts as
+//! an unallocated `Vec`. Buffers enter from the callers. On its first
+//! lap the producer receives those unallocated vectors back from
+//! `push_slice` and sizes them as it sees fit; from then on it
+//! receives the buffers the consumer swapped in, so a ring of depth
+//! `d` settles on `d + 2` buffers (one per slot, one in each caller's
+//! hands) that circulate for as long as it lives. The consumer only
+//! swaps when its buffer is empty and the chunk fits its `max`;
+//! otherwise it drains the front of the chunk in place and the slot
+//! keeps its buffer.
 //!
 //! Ends are typed: [`channel`] returns a [`Producer`]/[`Consumer`]
 //! pair, neither clonable, both `Send`, so the single-producer/
-//! single-consumer discipline is enforced at compile time rather than
-//! asked for in a comment.
-//!
-//! # Batched operation and cached positions
-//!
-//! Each end keeps a private copy of its *own* monotone position (the
-//! producer owns `tail`, the consumer owns `head` — nobody else writes
-//! them) and a *cached* snapshot of the opposite end's position. The
-//! cache is refreshed with an `Acquire` load only when the ring looks
-//! full (producer) or empty (consumer), so in steady state a whole
-//! batch of operations costs one atomic refresh plus one `Release`
-//! publish instead of two atomic loads and one store per item.
-//! [`Producer::push_slice`] and [`Consumer::pop_chunk`] take this to
-//! its conclusion: move up to a whole slice of items across the ring
-//! under a single position publish each.
-//!
-//! Backpressure is explicit and accounted: a full ring rejects the
-//! push (handing items back), and counts the rejection
-//! ([`Producer::rejected`]) so a dispatcher can report how often it
-//! stalled on each shard.
+//! single-consumer discipline is enforced at compile time. Backpressure
+//! is explicit: a full ring moves nothing and returns 0, leaving the
+//! caller's chunk untouched to retry. Dropping the producer marks the
+//! ring closed ([`Consumer::is_closed`]), which is how each side of
+//! the dataplane learns that the thread at the other end is gone.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Shared state behind one ring: the slot array and the monotone
-/// position counters. `head`/`tail` count *items*, not slots — the slot
-/// index is `position % capacity` — so full (`tail - head == capacity`)
-/// and empty (`tail == head`) are unambiguous without a wasted slot.
+/// position counters. `head`/`tail` count *chunks* — the slot index is
+/// `position % capacity` — so full (`tail - head == capacity`) and
+/// empty (`tail == head`) are unambiguous without a wasted slot. A
+/// slot outside `[head, tail)` holds an empty vector.
 struct Shared<T> {
-    slots: Box<[Mutex<Option<T>>]>,
+    slots: Box<[Mutex<Vec<T>>]>,
     /// Next position to pop; owned by the consumer, read by the producer.
     head: AtomicUsize,
     /// Next position to push; owned by the producer, read by the consumer.
     tail: AtomicUsize,
-    /// Push attempts refused because the ring was full.
-    rejected: AtomicUsize,
     /// Set when the producer end is dropped.
     closed: AtomicBool,
 }
 
-/// Create a bounded SPSC ring holding up to `capacity` items.
+/// Create a bounded SPSC ring holding up to `capacity` chunks.
 ///
 /// # Panics
 /// Panics if `capacity` is zero.
 pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "ring capacity must be nonzero");
     let shared = Arc::new(Shared {
-        slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+        slots: (0..capacity).map(|_| Mutex::new(Vec::new())).collect(),
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
-        rejected: AtomicUsize::new(0),
         closed: AtomicBool::new(false),
     });
     (
@@ -88,102 +104,43 @@ pub struct Producer<T> {
     tail: usize,
     /// Last observed consumer `head`; refreshed (Acquire) only when the
     /// ring looks full, so steady-state pushes skip the atomic load.
+    /// It can only under-report free slots, never over-report.
     head_cache: usize,
 }
 
 impl<T> Producer<T> {
-    /// Slots free by the cached view, refreshing the cache from the
-    /// consumer's published `head` only when the cached view says full.
-    /// The cache is conservative: it can only under-report free space,
-    /// never over-report, so the SPSC safety argument is unchanged.
-    fn free_slots(&mut self, want: usize) -> usize {
-        let cap = self.shared.slots.len();
-        let mut free = cap - self.tail.wrapping_sub(self.head_cache);
-        if free < want {
-            // Acquire pairs with the consumer's Release store of
-            // `head`: once we observe a slot as vacated, the
-            // consumer's `take` of the old value has happened-before
-            // our write.
-            self.head_cache = self.shared.head.load(Ordering::Acquire);
-            free = cap - self.tail.wrapping_sub(self.head_cache);
-        }
-        free
-    }
-
-    /// Try to enqueue `item`. On a full ring the item is handed back
-    /// unchanged and the rejection is counted — the caller decides
-    /// whether to spin, yield, or drop.
-    pub fn try_push(&mut self, item: T) -> Result<(), T> {
-        if self.free_slots(1) == 0 {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(item);
-        }
-        let s = &*self.shared;
-        *s.slots[self.tail % s.slots.len()]
-            .lock()
-            .expect("ring slot lock") = Some(item);
-        self.tail = self.tail.wrapping_add(1);
-        // Release publishes the slot write to the consumer's Acquire
-        // load of `tail`.
-        s.tail.store(self.tail, Ordering::Release);
-        Ok(())
-    }
-
-    /// Batch push: move as many items as fit from the *front* of
-    /// `items` into the ring, preserving order, under a single
-    /// position publish. Returns the number moved; the remainder stays
-    /// in `items` (front-aligned) for the caller to retry. A call that
-    /// cannot move every offered item counts one rejection event.
+    /// Move the whole of `items` into the ring as one chunk and return
+    /// its length, leaving `items` an empty vector to stage the next
+    /// chunk in — on the first lap an unallocated one, afterwards a
+    /// buffer the consumer handed back. Returns 0 and leaves `items`
+    /// untouched when it is empty or the ring is full; the caller
+    /// decides whether to spin, yield, or drop.
     pub fn push_slice(&mut self, items: &mut Vec<T>) -> usize {
         if items.is_empty() {
             return 0;
         }
-        let n = self.free_slots(items.len()).min(items.len());
-        if n < items.len() {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            if n == 0 {
+        let s = &*self.shared;
+        let cap = s.slots.len();
+        if self.tail.wrapping_sub(self.head_cache) == cap {
+            // Acquire pairs with the consumer's Release store of
+            // `head`: once we observe a slot as vacated, the consumer's
+            // swap out of it has happened-before our swap in.
+            self.head_cache = s.head.load(Ordering::Acquire);
+            if self.tail.wrapping_sub(self.head_cache) == cap {
                 return 0;
             }
         }
-        let s = &*self.shared;
-        let cap = s.slots.len();
-        for (i, item) in items.drain(..n).enumerate() {
-            *s.slots[self.tail.wrapping_add(i) % cap]
-                .lock()
-                .expect("ring slot lock") = Some(item);
-        }
-        self.tail = self.tail.wrapping_add(n);
+        let n = items.len();
+        std::mem::swap(
+            &mut *s.slots[self.tail % cap].lock().expect("ring slot lock"),
+            items,
+        );
+        debug_assert!(items.is_empty(), "a vacant slot holds an empty vector");
+        self.tail = self.tail.wrapping_add(1);
+        // Release publishes the slot write to the consumer's Acquire
+        // load of `tail`.
         s.tail.store(self.tail, Ordering::Release);
         n
-    }
-
-    /// Items successfully pushed since creation.
-    pub fn pushed(&self) -> usize {
-        self.shared.tail.load(Ordering::Relaxed)
-    }
-
-    /// Push attempts refused because the ring was full (backpressure
-    /// events; a partial [`push_slice`](Self::push_slice) counts one).
-    pub fn rejected(&self) -> usize {
-        self.shared.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        let s = &*self.shared;
-        s.tail
-            .load(Ordering::Relaxed)
-            .wrapping_sub(s.head.load(Ordering::Acquire))
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Slot capacity of the ring.
-    pub fn capacity(&self) -> usize {
-        self.shared.slots.len()
     }
 }
 
@@ -207,288 +164,246 @@ pub struct Consumer<T> {
 }
 
 impl<T> Consumer<T> {
-    /// Items available by the cached view, refreshing from the
-    /// producer's published `tail` only when the cache says empty.
-    fn available(&mut self) -> usize {
-        let mut avail = self.tail_cache.wrapping_sub(self.head);
-        if avail == 0 {
-            // Acquire pairs with the producer's Release store of `tail`.
-            self.tail_cache = self.shared.tail.load(Ordering::Acquire);
-            avail = self.tail_cache.wrapping_sub(self.head);
-        }
-        avail
-    }
-
-    /// Try to dequeue the oldest item; `None` when the ring is empty.
-    pub fn try_pop(&mut self) -> Option<T> {
-        if self.available() == 0 {
-            return None;
-        }
-        let s = &*self.shared;
-        let item = s.slots[self.head % s.slots.len()]
-            .lock()
-            .expect("ring slot lock")
-            .take();
-        self.head = self.head.wrapping_add(1);
-        // Release hands the vacated slot back to the producer.
-        s.head.store(self.head, Ordering::Release);
-        item
-    }
-
-    /// Batch pop: append up to `max` queued items to `out`, preserving
-    /// order, under a single position publish. Returns the number
-    /// appended (0 when the ring is empty).
+    /// Append up to `max` items from the front of the oldest chunk to
+    /// `out`, preserving order, and return how many (0 when the ring
+    /// is empty). One call never crosses a chunk boundary. When `out`
+    /// is empty and the whole chunk fits `max`, the chunk's buffer is
+    /// swapped for `out`'s and no item moves; otherwise the items are
+    /// drained across and the slot is released once the chunk is used
+    /// up.
     pub fn pop_chunk(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let n = self.available().min(max);
-        if n == 0 {
-            return 0;
-        }
         let s = &*self.shared;
-        let cap = s.slots.len();
-        out.reserve(n);
-        for i in 0..n {
-            let item = s.slots[self.head.wrapping_add(i) % cap]
-                .lock()
-                .expect("ring slot lock")
-                .take()
-                .expect("counters said occupied");
-            out.push(item);
+        if self.tail_cache == self.head {
+            // Acquire pairs with the producer's Release store of `tail`.
+            self.tail_cache = s.tail.load(Ordering::Acquire);
+            if self.tail_cache == self.head {
+                return 0;
+            }
         }
-        self.head = self.head.wrapping_add(n);
-        s.head.store(self.head, Ordering::Release);
+        let mut chunk = s.slots[self.head % s.slots.len()]
+            .lock()
+            .expect("ring slot lock");
+        let n = chunk.len().min(max);
+        if out.is_empty() && n == chunk.len() {
+            std::mem::swap(&mut *chunk, out);
+        } else {
+            out.extend(chunk.drain(..n));
+        }
+        if chunk.is_empty() {
+            drop(chunk);
+            self.head = self.head.wrapping_add(1);
+            // Release hands the vacated slot back to the producer.
+            s.head.store(self.head, Ordering::Release);
+        }
         n
     }
 
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        let s = &*self.shared;
-        s.tail
-            .load(Ordering::Acquire)
-            .wrapping_sub(s.head.load(Ordering::Relaxed))
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Items successfully popped since creation.
-    pub fn popped(&self) -> usize {
-        self.shared.head.load(Ordering::Relaxed)
-    }
-
-    /// True once the producer end has been dropped. The ring may still
-    /// hold items; drain until [`try_pop`](Self::try_pop) returns
-    /// `None` *after* observing this.
+    /// True once the producer end has been dropped. Read it *before*
+    /// draining: every chunk pushed before the drop is then visible to
+    /// the [`pop_chunk`](Self::pop_chunk) calls that follow, so an
+    /// empty ring after a `true` is the end of the stream.
     pub fn is_closed(&self) -> bool {
         self.shared.closed.load(Ordering::Acquire)
-    }
-
-    /// Slot capacity of the ring.
-    pub fn capacity(&self) -> usize {
-        self.shared.slots.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
-    fn empty_ring_pops_none() {
+    fn empty_ring_pops_nothing() {
         let (_p, mut c) = channel::<u32>(4);
-        assert!(c.is_empty());
-        assert_eq!(c.try_pop(), None);
-        assert_eq!(c.popped(), 0);
+        let mut out = vec![7];
+        assert_eq!(c.pop_chunk(&mut out, 64), 0);
+        assert_eq!(out, vec![7]);
     }
 
     #[test]
-    fn full_ring_rejects_and_accounts() {
-        let (mut p, mut c) = channel(2);
-        assert_eq!(p.try_push(1u32), Ok(()));
-        assert_eq!(p.try_push(2), Ok(()));
-        // Full: the item comes back and the rejection is counted.
-        assert_eq!(p.try_push(3), Err(3));
-        assert_eq!(p.try_push(4), Err(4));
-        assert_eq!(p.rejected(), 2);
-        assert_eq!(p.pushed(), 2);
-        assert_eq!(p.len(), 2);
-        // Draining one slot re-admits exactly one push.
-        assert_eq!(c.try_pop(), Some(1));
-        assert_eq!(p.try_push(3), Ok(()));
-        assert_eq!(p.try_push(5), Err(5));
-        assert_eq!(p.rejected(), 3);
-    }
-
-    #[test]
-    fn wraparound_preserves_fifo_order() {
-        let (mut p, mut c) = channel(3);
-        let mut next = 0u64;
-        let mut expect = 0u64;
-        // 10 laps over a 3-slot ring: every slot index is reused in
-        // both phases of the position counters.
-        for _ in 0..10 {
-            while p.try_push(next).is_ok() {
-                next += 1;
-            }
-            while let Some(v) = c.try_pop() {
-                assert_eq!(v, expect);
-                expect += 1;
-            }
-        }
-        assert_eq!(expect, next);
-        assert_eq!(p.pushed(), c.popped());
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn close_is_visible_after_drop() {
-        let (p, mut c) = channel::<u8>(2);
-        assert!(!c.is_closed());
-        drop(p);
-        assert!(c.is_closed());
-        assert_eq!(c.try_pop(), None);
-    }
-
-    #[test]
-    fn non_copy_items_move_through() {
-        let (mut p, mut c) = channel(2);
-        p.try_push(String::from("alpha")).unwrap();
-        p.try_push(String::from("beta")).unwrap();
-        assert_eq!(c.try_pop().as_deref(), Some("alpha"));
-        assert_eq!(c.try_pop().as_deref(), Some("beta"));
-    }
-
-    #[test]
-    fn push_slice_moves_front_and_keeps_remainder() {
-        let (mut p, mut c) = channel::<u32>(3);
-        let mut items = vec![10, 11, 12, 13, 14];
-        // Only 3 fit; the remainder stays front-aligned and the
-        // shortfall counts one rejection event.
-        assert_eq!(p.push_slice(&mut items), 3);
-        assert_eq!(items, vec![13, 14]);
-        assert_eq!(p.rejected(), 1);
-        // Completely full: nothing moves, one more rejection.
-        assert_eq!(p.push_slice(&mut items), 0);
-        assert_eq!(items, vec![13, 14]);
-        assert_eq!(p.rejected(), 2);
-        // FIFO order is the slice order.
+    fn full_ring_hands_the_chunk_back_untouched() {
+        let (mut p, mut c) = channel::<u32>(2);
+        assert_eq!(p.push_slice(&mut vec![1, 2, 3]), 3);
+        assert_eq!(p.push_slice(&mut vec![4]), 1);
+        // Capacity counts chunks, not items: two chunks fill the ring.
+        let mut refused = vec![5, 6];
+        assert_eq!(p.push_slice(&mut refused), 0);
+        assert_eq!(refused, vec![5, 6]);
+        // Draining one chunk re-admits exactly one push.
         let mut out = Vec::new();
         assert_eq!(c.pop_chunk(&mut out, 64), 3);
-        assert_eq!(out, vec![10, 11, 12]);
-        // Remainder fits now; empty-slice pushes are free no-ops.
-        assert_eq!(p.push_slice(&mut items), 2);
-        assert_eq!(p.push_slice(&mut items), 0);
-        assert_eq!(p.rejected(), 2);
+        assert_eq!(out, vec![1, 2, 3]);
+        assert_eq!(p.push_slice(&mut refused), 2);
+        assert!(refused.is_empty());
+        assert_eq!(p.push_slice(&mut vec![7]), 0);
+        // Empty pushes are free no-ops, full ring or not.
+        assert_eq!(p.push_slice(&mut Vec::new()), 0);
     }
 
     #[test]
-    fn pop_chunk_respects_max_and_appends() {
-        let (mut p, mut c) = channel::<u32>(8);
-        let mut items: Vec<u32> = (0..6).collect();
-        assert_eq!(p.push_slice(&mut items), 6);
-        let mut out = vec![99];
+    fn buffers_circulate_instead_of_being_copied() {
+        let (mut p, mut c) = channel::<u64>(1);
+        let mut staged: Vec<u64> = Vec::with_capacity(64);
+        let mut out: Vec<u64> = Vec::with_capacity(32);
+        staged.extend(0..10);
+        let sent = staged.as_ptr();
+        assert_eq!(p.push_slice(&mut staged), 10);
+        // First lap: the slot's own vector comes back, unallocated.
+        assert_eq!(staged.capacity(), 0);
+        let spare = out.as_ptr();
+        assert_eq!(c.pop_chunk(&mut out, 64), 10);
+        assert_eq!(out.as_ptr(), sent, "the chunk's buffer itself moved");
+        // Second lap: the producer gets the consumer's old buffer.
+        staged.push(10);
+        assert_eq!(p.push_slice(&mut staged), 1);
+        assert_eq!(staged.as_ptr(), spare);
+        assert!(staged.is_empty() && staged.capacity() >= 32);
+    }
+
+    #[test]
+    fn pop_chunk_drains_when_it_cannot_swap() {
+        let (mut p, mut c) = channel::<u32>(2);
+        assert_eq!(p.push_slice(&mut (0..6).collect()), 6);
+        assert_eq!(p.push_slice(&mut vec![6]), 1);
+        // Chunk longer than `max`: front-drained over two calls, and the
+        // slot stays occupied in between.
+        let mut out = Vec::new();
         assert_eq!(c.pop_chunk(&mut out, 4), 4);
-        assert_eq!(out, vec![99, 0, 1, 2, 3]);
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(p.push_slice(&mut vec![9]), 0, "still two chunks queued");
+        // Non-empty caller buffer: appended to, never replaced; the
+        // call stops at the chunk boundary.
         assert_eq!(c.pop_chunk(&mut out, 4), 2);
-        assert_eq!(out, vec![99, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(c.pop_chunk(&mut out, 4), 1);
+        assert_eq!(out, vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(c.pop_chunk(&mut out, 0), 0);
         assert_eq!(c.pop_chunk(&mut out, 4), 0);
-        assert_eq!(c.popped(), 6);
     }
 
     #[test]
-    fn batch_ops_wrap_around_the_slot_array() {
-        let (mut p, mut c) = channel::<u64>(5);
+    fn close_is_visible_after_drop_and_after_the_last_chunk() {
+        let (mut p, mut c) = channel::<String>(2);
+        assert!(!c.is_closed());
+        p.push_slice(&mut vec![String::from("alpha"), String::from("beta")]);
+        drop(p);
+        assert!(c.is_closed());
+        let mut out = Vec::new();
+        assert_eq!(c.pop_chunk(&mut out, 64), 2);
+        assert_eq!(out, ["alpha", "beta"]);
+        assert_eq!(c.pop_chunk(&mut out, 64), 0);
+    }
+
+    /// One call on one end of the ring, as the schedule enumerator
+    /// issues it.
+    #[derive(Clone, Copy, Debug)]
+    enum Call {
+        /// `push_slice` of a chunk this long.
+        Push(usize),
+        /// `pop_chunk(out, MAX)` with `out` empty or holding one item.
+        Pop { out_empty: bool },
+    }
+
+    /// The `max` every enumerated `pop_chunk` passes.
+    const MAX: usize = 3;
+    /// Marks the item a non-empty caller buffer starts with.
+    const SENTINEL: u64 = u64::MAX;
+
+    /// Replay `schedule` on a fresh ring of `depth` chunks beside the
+    /// obvious model — a bounded `VecDeque` of chunks — comparing every
+    /// return value and every caller buffer, then drain both and check
+    /// that each pushed item came out exactly once, in order.
+    fn replay(depth: usize, schedule: &[Call]) {
+        let (mut p, mut c) = channel::<u64>(depth);
+        let mut model: VecDeque<VecDeque<u64>> = VecDeque::new();
         let mut next = 0u64;
         let mut expect = 0u64;
-        let mut out = Vec::new();
-        // Uneven batch sizes against a 5-slot ring: every lap crosses
-        // the wrap point at a different offset.
-        for lap in 0..40 {
-            let mut batch: Vec<u64> = (next..next + 3 + (lap % 3)).collect();
-            let pushed = p.push_slice(&mut batch) as u64;
-            next += pushed;
-            c.pop_chunk(&mut out, 2 + (lap as usize % 4));
-            for v in out.drain(..) {
-                assert_eq!(v, expect, "reordered across wrap");
+        let mut check_order = |out: &[u64]| {
+            for &v in out.iter().filter(|&&v| v != SENTINEL) {
+                assert_eq!(v, expect, "lost or reordered in {schedule:?}");
                 expect += 1;
             }
-        }
-        while c.pop_chunk(&mut out, 64) > 0 {
-            for v in out.drain(..) {
-                assert_eq!(v, expect);
-                expect += 1;
+        };
+        for (step, call) in schedule.iter().enumerate() {
+            let ctx = || format!("depth {depth}, step {step} of {schedule:?}");
+            match *call {
+                Call::Push(len) => {
+                    let mut items: Vec<u64> = (next..next + len as u64).collect();
+                    let moved = p.push_slice(&mut items);
+                    if len == 0 || model.len() == depth {
+                        assert_eq!(moved, 0, "{}", ctx());
+                        assert_eq!(items.len(), len, "refused chunk changed: {}", ctx());
+                    } else {
+                        assert_eq!(moved, len, "{}", ctx());
+                        assert!(items.is_empty(), "{}", ctx());
+                        model.push_back((next..next + len as u64).collect());
+                        next += len as u64;
+                    }
+                }
+                Call::Pop { out_empty } => {
+                    let mut out = if out_empty { vec![] } else { vec![SENTINEL] };
+                    let mut want = out.clone();
+                    if let Some(chunk) = model.front_mut() {
+                        want.extend(chunk.drain(..chunk.len().min(MAX)));
+                        if chunk.is_empty() {
+                            model.pop_front();
+                        }
+                    }
+                    let got = c.pop_chunk(&mut out, MAX);
+                    assert_eq!(got, want.len() - usize::from(!out_empty), "{}", ctx());
+                    assert_eq!(out, want, "{}", ctx());
+                    check_order(&out);
+                }
             }
         }
-        assert_eq!(expect, next);
-        assert_eq!(p.pushed(), c.popped());
-    }
-
-    #[test]
-    fn mixed_item_and_batch_ops_interleave_in_order() {
-        let (mut p, mut c) = channel::<u32>(4);
-        p.try_push(0).unwrap();
-        let mut batch = vec![1, 2];
-        assert_eq!(p.push_slice(&mut batch), 2);
-        assert_eq!(c.try_pop(), Some(0));
+        // A pop that finds anything takes at least one item, so `next`
+        // of them empty the ring (a bounded loop: a ring that never
+        // empties must fail this test, not hang it).
         let mut out = Vec::new();
-        assert_eq!(c.pop_chunk(&mut out, 8), 2);
-        assert_eq!(out, vec![1, 2]);
+        for _ in 0..next {
+            c.pop_chunk(&mut out, MAX);
+        }
+        assert_eq!(c.pop_chunk(&mut out, MAX), 0, "{schedule:?}");
+        check_order(&out);
+        assert_eq!(expect, next, "items left behind by {schedule:?}");
     }
 
-    /// Two-thread stress: 10^6 items with seeded (reproducible) pacing
-    /// jitter on both ends must arrive complete and in order, with
-    /// pushes + rejections exactly accounting for every attempt.
+    /// The slot type's safety net: every interleaving of producer and
+    /// consumer calls up to `DEPTH` calls long — chunk lengths 0, 1,
+    /// `max` and `max + 1`, caller buffer empty and not, ring depths 1
+    /// to 3 — agrees with the model on order, loss, return values and
+    /// the full and empty edges.
     #[test]
-    fn spsc_stress_no_loss_no_reorder() {
+    fn every_short_call_schedule_matches_the_model() {
+        const CALLS: [Call; 6] = [
+            Call::Push(0),
+            Call::Push(1),
+            Call::Push(MAX),
+            Call::Push(MAX + 1),
+            Call::Pop { out_empty: true },
+            Call::Pop { out_empty: false },
+        ];
+        const DEPTH: u32 = 7;
+        for depth in 1..=3 {
+            for code in 0..CALLS.len().pow(DEPTH) {
+                let schedule: Vec<Call> = (0..DEPTH)
+                    .map(|i| CALLS[code / CALLS.len().pow(i) % CALLS.len()])
+                    .collect();
+                replay(depth, &schedule);
+            }
+        }
+    }
+
+    /// Two-thread stress: the producer moves 10^6 items in seeded
+    /// variable-size chunks, the consumer pops under a seeded variable
+    /// `max` (so it both swaps and drains); everything arrives complete
+    /// and in order.
+    #[test]
+    fn spsc_chunk_stress_no_loss_no_reorder() {
         use flexsfp_traffic::rng::Xoshiro256;
 
         const ITEMS: u64 = 1_000_000;
-        let (mut p, mut c) = channel::<u64>(64);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut rng = Xoshiro256::seed_from_u64(0x51);
-                let mut v = 0u64;
-                while v < ITEMS {
-                    match p.try_push(v) {
-                        Ok(()) => v += 1,
-                        Err(_) => std::thread::yield_now(),
-                    }
-                    // Seeded jitter: occasionally stall the producer so
-                    // the consumer sees empty rings mid-run too.
-                    if rng.next_u64().is_multiple_of(4096) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            let mut rng = Xoshiro256::seed_from_u64(0xbeef);
-            let mut expect = 0u64;
-            while expect < ITEMS {
-                match c.try_pop() {
-                    Some(v) => {
-                        assert_eq!(v, expect, "reordered or lost item");
-                        expect += 1;
-                    }
-                    None => std::thread::yield_now(),
-                }
-                if rng.next_u64().is_multiple_of(4096) {
-                    std::thread::yield_now();
-                }
-            }
-            assert_eq!(c.try_pop(), None);
-            assert_eq!(c.popped(), ITEMS as usize);
-        });
-    }
-
-    /// Batched two-thread stress: the producer moves items in seeded
-    /// variable-size slices, the consumer drains in seeded variable-size
-    /// chunks; everything arrives complete and in order.
-    #[test]
-    fn spsc_batch_stress_no_loss_no_reorder() {
-        use flexsfp_traffic::rng::Xoshiro256;
-
-        const ITEMS: u64 = 1_000_000;
-        let (mut p, mut c) = channel::<u64>(64);
+        let (mut p, mut c) = channel::<u64>(8);
         std::thread::scope(|s| {
             s.spawn(move || {
                 let mut rng = Xoshiro256::seed_from_u64(0xa11);
@@ -517,8 +432,7 @@ mod tests {
                     expect += 1;
                 }
             }
-            assert_eq!(c.try_pop(), None);
-            assert_eq!(c.popped(), ITEMS as usize);
+            assert_eq!(c.pop_chunk(&mut out, 64), 0);
         });
     }
 }
