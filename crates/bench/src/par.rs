@@ -58,6 +58,19 @@ fn resolve_parallelism(
     }
 }
 
+/// Worker threads for a sharded run of `shards` shards on a host with
+/// `threads` effective threads, pure for testability: the dispatcher
+/// keeps one thread to itself and the shards' lanes are dealt over the
+/// rest, never more workers than shards. 0 means there is nothing to
+/// gain from a second thread (one shard, or one thread) and the run
+/// goes inline on the caller's.
+pub(crate) fn shard_workers(shards: usize, threads: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
+    shards.min(threads.saturating_sub(1))
+}
+
 /// The number of worker threads a new parallel region should use:
 /// `FLEXSFP_THREADS` if set to a positive integer, else
 /// [`std::thread::available_parallelism`] — clamped to 1 inside an
@@ -174,6 +187,22 @@ mod tests {
         // An active region clamps everything — including overrides.
         assert_eq!(resolve_parallelism(8, Some("4"), 1), 1);
         assert_eq!(resolve_parallelism(8, None, 2), 1);
+    }
+
+    #[test]
+    fn sharded_runs_never_outnumber_the_cores() {
+        // (shards, threads) → workers beside the dispatcher.
+        assert_eq!(shard_workers(2, 2), 1);
+        assert_eq!(shard_workers(2, 3), 2);
+        assert_eq!(shard_workers(8, 2), 1);
+        assert_eq!(shard_workers(4, 4), 3);
+        assert_eq!(shard_workers(2, 64), 2);
+        // One thread, or one shard, is the inline transport.
+        for n in 1..=8 {
+            assert_eq!(shard_workers(n, 1), 0);
+            assert_eq!(shard_workers(1, n), 0);
+        }
+        assert_eq!(shard_workers(4, 0), 0);
     }
 
     #[test]

@@ -32,9 +32,7 @@
 use crate::render;
 use crate::shard::{self, run_sharded};
 use flexsfp_apps::StaticNat;
-use flexsfp_core::module::{
-    FlexSfp, ModuleConfig, OutputDigest, OutputPacket, SimPacket, PPE_BATCH,
-};
+use flexsfp_core::module::{FlexSfp, ModuleConfig, OutputDigest, OutputPacket, SimPacket};
 use flexsfp_obs::CacheStats;
 use flexsfp_ppe::Direction;
 use flexsfp_traffic::gen::ArrivalModel;
@@ -384,15 +382,20 @@ fn measure(packets: usize, pass: Pass) -> f64 {
 /// sharded counterpart of the serial `arena_allocations ≤ 48` O(1)
 /// witness. Constant in trace length by construction: up to one
 /// reconciler barrier interval buffered awaiting watermarks (twice,
-/// for heap plus dispatcher slack), both ring directions full, one
-/// partial dispatch chunk and one PPE batch window per shard, plus
-/// generator slack. Uses the threaded cadence `BARRIER_EVERY`, which
-/// dominates the inline transport's tighter `INLINE_BARRIER_EVERY`,
-/// so the bound holds for either transport.
+/// for heap plus dispatcher slack), every chunk buffer of every lane
+/// full, plus generator slack. A lane has `2 · RING_CHUNKS` ring slots
+/// and four buffers outside them — the dispatcher's staging chunk, the
+/// worker's inbox, the PPE batch window and the worker's output
+/// buffer — and none holds more than `OUT_CHUNK` = `CHUNK + PPE_BATCH`
+/// frames: that `+ PPE_BATCH` is the term that covers the output
+/// chunks a worker pushes slightly over `CHUNK` (up to
+/// `CHUNK + PPE_BATCH − 1`, when the message that fills the buffer
+/// emits a whole batch). Uses the threaded cadence `BARRIER_EVERY`,
+/// which dominates the inline transport's tighter
+/// `INLINE_BARRIER_EVERY`, so the bound holds for either transport.
 pub fn sharded_arena_bound(shards: usize) -> u64 {
-    2 * shard::BARRIER_EVERY
-        + (shards as u64) * (2 * shard::RING_ITEMS as u64 + (shard::CHUNK + PPE_BATCH) as u64)
-        + 64
+    let lane_buffers = 2 * shard::RING_CHUNKS + 4;
+    2 * shard::BARRIER_EVERY + (shards * lane_buffers * shard::OUT_CHUNK) as u64 + 64
 }
 
 /// Run the throughput measurement over `packets` minimum-size frames:

@@ -18,17 +18,22 @@
 //!    agrees with the fused path wherever both are defined (the
 //!    parse-edge-case suite pins this). Frames the control plane
 //!    claims are *broadcast* to all shards (see below).
-//! 2. **Per-shard modules** — each worker core owns a full [`FlexSfp`]
-//!    (its own flow cache, PPE server model, flight recorder,
-//!    windowed telemetry), fed over a bounded SPSC ring
-//!    ([`flexsfp_fabric::ring`]) via batched `push_slice`/`pop_chunk`
-//!    ops that publish one atomic position per chunk. Staging buffers
-//!    persist for the life of the run — the steady state allocates
-//!    O(shards) chunk buffers total ([`ShardedRun::chunk_allocs`]).
-//!    Frames cross the rings as moves; the only copy anywhere in the
-//!    pipeline is the control-frame broadcast, leased from a
-//!    [`SharedPacketArena`] and accounted in
-//!    [`ShardedRun::frame_copies`].
+//! 2. **Per-shard modules** — each shard is a full [`FlexSfp`] (its
+//!    own flow cache, PPE server model, flight recorder, windowed
+//!    telemetry), fed over a bounded SPSC ring
+//!    ([`flexsfp_fabric::ring`]) whose slots hold whole chunks:
+//!    `push_slice`/`pop_chunk` swap a staged `Vec` of up to [`CHUNK`]
+//!    messages across under one lock and one position publish. The
+//!    run never has more runnable threads than
+//!    [`par::effective_parallelism`] says the host has: the dispatcher
+//!    plus `min(shards, threads − 1)` workers, each stepping the lanes
+//!    of shards `w, w + W, …` round-robin. Chunk buffers circulate for
+//!    the life of the run — all are made at set-up — so it allocates
+//!    O(shards) of them whatever the trace length
+//!    ([`ShardedRun::chunk_allocs`]). Frames cross
+//!    the rings as moves; the only copy anywhere in the pipeline is
+//!    the control-frame broadcast, leased from a [`SharedPacketArena`]
+//!    and accounted in [`ShardedRun::frame_copies`].
 //! 3. **Reconcile** — a sequence-indexed window buffer merges the
 //!    shard output streams back into exactly the serial sink order.
 //!    Watermarks make the merge safe and bounded: at a per-transport
@@ -67,7 +72,7 @@
 //! histograms merge exactly.
 
 use crate::par;
-use flexsfp_core::module::OutputPacket;
+use flexsfp_core::module::{OutputPacket, PPE_BATCH};
 use flexsfp_core::{ControlPlane, FlexSfp, ModuleConfig, SimPacket, SimReport, StreamSession};
 use flexsfp_fabric::hash::crc32;
 use flexsfp_fabric::ring::{channel, Consumer, Producer};
@@ -77,16 +82,27 @@ use flexsfp_wire::{
     EtherType, EthernetFrame, IpProtocol, Ipv4Packet, Ipv6Packet, SharedPacketArena, VlanFrame,
 };
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Messages staged per batched ring operation: one position publish
-/// per `CHUNK` packets instead of per packet.
+/// Messages staged per ring crossing: one slot lock and one position
+/// publish per `CHUNK` packets instead of per packet.
 pub const CHUNK: usize = 64;
-/// Dispatcher-to-shard (and shard-to-dispatcher) ring capacity in
-/// messages; it bounds the frames in flight per ring, a term of
-/// [`crate::perf::sharded_arena_bound`].
-pub const RING_ITEMS: usize = 64 * CHUNK;
+/// Capacity of a shard→dispatcher chunk buffer. A worker pushes its
+/// output buffer once it holds `CHUNK` outputs, and the message that
+/// gets it there can emit a whole PPE batch (or a flushed partial one
+/// plus a watermark), so an output chunk runs to `CHUNK + PPE_BATCH − 1`
+/// messages.
+pub(crate) const OUT_CHUNK: usize = CHUNK + PPE_BATCH;
+/// Depth of every dispatcher→shard and shard→dispatcher ring, in
+/// chunks. It bounds the frames in flight per ring — a term of
+/// `perf::sharded_arena_bound` — and with them how far the dispatcher
+/// may run ahead of a shard. The two sides are a pipeline of bursty
+/// stages (the dispatcher feeds nothing while it releases a barrier
+/// interval to the sink), and backlog is what keeps one busy through
+/// the other's burst: on the 2-core sandbox 8 → 32 chunks is worth a
+/// tenth of the 2-shard throughput and 32 → 64 nothing, while every
+/// chunk of depth keeps 128 more frames (1.5 KB each) live per shard.
+/// At 32 the slot buffers of a run are `2 · shards · 32` of ≈ 5.5 KB.
+pub(crate) const RING_CHUNKS: usize = 32;
 /// Global-sequence distance between flush barriers on the threaded
 /// transport. Bounds reconciler window growth to roughly one barrier
 /// interval plus the in-flight ring contents, and bounds how long a
@@ -517,17 +533,50 @@ impl<F: FnMut(OutputPacket)> Transport<F> for InlineTransport {
     }
 }
 
-/// Threaded transport: one worker thread per shard, batched SPSC item
-/// rings both ways. Staging buffers are allocated once per shard and
-/// drained in place by `push_slice`, so the steady state performs no
-/// chunk allocation at all (`chunk_allocs` counts the setup buffers).
+/// Threaded transport: chunk rings to and from every shard's lane.
+/// The dispatcher stages up to [`CHUNK`] messages per shard and swaps
+/// the full buffer into the ring; what `push_slice` hands back is the
+/// next staging buffer. Every buffer that will ever go round is made
+/// at set-up ([`sized_ring`]), so the run itself allocates none.
 struct ThreadedTransport {
     to_shard: Vec<Producer<ShardMsg>>,
     from_shard: Vec<Consumer<ShardOut>>,
-    /// Per-shard persistent staging for outgoing messages.
+    /// Per-shard staging for outgoing messages.
     staged: Vec<Vec<ShardMsg>>,
-    /// Persistent scratch for draining shard outputs.
+    /// The chunk of shard outputs being reconciled.
     inbox: Vec<ShardOut>,
+}
+
+/// The one place a threaded run makes a chunk buffer, so that
+/// [`ShardedRun::chunk_allocs`] is a count and not a formula.
+fn chunk_buf<T>(chunk: usize, chunk_allocs: &mut u64) -> Vec<T> {
+    *chunk_allocs += 1;
+    Vec::with_capacity(chunk)
+}
+
+/// A ring of [`RING_CHUNKS`] chunks whose slots already hold buffers
+/// of `chunk` messages, plus one more such buffer for its producer to
+/// stage in. A ring's slots start unallocated and take whatever
+/// buffers its callers swap in, so this takes it round once: a
+/// one-message chunk (`filler`) is pushed into each slot and popped
+/// straight back out in exchange for a fresh buffer, which the slot
+/// keeps. The buffers a run circulates are then `RING_CHUNKS + 2` per
+/// ring from its first packet, whatever its length.
+fn sized_ring<T>(
+    chunk: usize,
+    filler: T,
+    chunk_allocs: &mut u64,
+) -> (Producer<T>, Consumer<T>, Vec<T>) {
+    let (mut tx, mut rx) = channel(RING_CHUNKS);
+    let mut lap = chunk_buf(chunk, chunk_allocs);
+    lap.push(filler);
+    for _ in 0..RING_CHUNKS {
+        tx.push_slice(&mut lap);
+        lap = chunk_buf(chunk, chunk_allocs);
+        rx.pop_chunk(&mut lap, usize::MAX);
+    }
+    lap.clear();
+    (tx, rx, lap)
 }
 
 impl ThreadedTransport {
@@ -538,32 +587,46 @@ impl ThreadedTransport {
         sink: &mut F,
         stats: &mut DispatchStats,
     ) {
+        if self.staged[shard].is_empty() {
+            return;
+        }
         let mut stalled = false;
-        while !self.staged[shard].is_empty() {
-            if self.to_shard[shard].push_slice(&mut self.staged[shard]) == 0 {
-                // Backpressure: the shard's ring is full. Drain
-                // outputs so workers (and the reconciler) make
-                // progress, then retry.
-                if !stalled {
-                    stats.backpressure += 1;
-                    stalled = true;
-                }
-                self.drain(recon, sink);
-                std::thread::yield_now();
+        while self.to_shard[shard].push_slice(&mut self.staged[shard]) == 0 {
+            // Backpressure: the shard's ring is full. Drain outputs so
+            // workers (and the reconciler) make progress, then retry.
+            if !stalled {
+                stats.backpressure += 1;
+                stalled = true;
             }
+            self.drain(recon, sink);
+            std::thread::yield_now();
         }
     }
 
+    /// Move every queued shard output into the reconciler.
+    ///
+    /// # Panics
+    /// Panics, naming the shard, if a shard's outbound ring closed
+    /// before its `Done` arrived: the worker that owned it unwound, and
+    /// waiting on it would never end (`thread::scope` re-raises a
+    /// worker's panic only once the dispatcher leaves the scope).
     fn drain<F: FnMut(OutputPacket)>(&mut self, recon: &mut Reconciler, sink: &mut F) {
         let ThreadedTransport {
             from_shard, inbox, ..
         } = self;
         for (shard, rx) in from_shard.iter_mut().enumerate() {
-            while rx.pop_chunk(inbox, CHUNK) > 0 {
+            // Read before draining, so that a `Done` pushed ahead of
+            // the drop is already in the reconciler when it is judged.
+            let closed = rx.is_closed();
+            while rx.pop_chunk(inbox, usize::MAX) > 0 {
                 for out in inbox.drain(..) {
                     recon.accept(shard, out, sink);
                 }
             }
+            assert!(
+                !closed || recon.results[shard].is_some(),
+                "shard {shard}'s worker died before the shard reported Done"
+            );
         }
     }
 }
@@ -744,9 +807,12 @@ pub struct ShardedRun {
     /// from dispatcher to shard to reconciler, so a workload without
     /// control frames shows 0 — the zero-copy witness.
     pub frame_copies: u64,
-    /// Message-buffer allocations for ring staging over the whole run.
-    /// Buffers persist and are drained in place, so this is O(shards)
-    /// regardless of trace length (0 on the inline transport).
+    /// Chunk buffers made for the rings over the whole run. All are
+    /// made at set-up and circulate from then on — per shard two rings
+    /// of slot buffers plus the one in each producer's hands and the
+    /// lane's inbox, and the dispatcher's one drain inbox — so this is
+    /// O(shards) regardless of trace length (0 on the inline
+    /// transport).
     pub chunk_allocs: u64,
 }
 
@@ -759,11 +825,21 @@ pub struct ShardedRun {
 /// dispatcher classifies control frames with — shards are replicas of
 /// one logical module, not distinct devices.
 ///
-/// With one shard, with `FLEXSFP_THREADS=1`, or when invoked from
+/// The run never has more runnable threads than
+/// [`par::effective_parallelism`] allows: the calling thread
+/// dispatches and reconciles, and `min(shards, threads − 1)` workers
+/// share the shards between them. With one shard, with one effective
+/// thread (`FLEXSFP_THREADS=1`, a one-core host) or when invoked from
 /// inside another parallel region (a `par_map` sweep point or another
 /// sharded run), everything runs inline on the calling thread — same
-/// engines, same reconciler, byte-identical output — instead of
-/// oversubscribing the host.
+/// engines, same reconciler, byte-identical output.
+///
+/// # Panics
+/// Panics if a worker thread panics (in `make_module` or in a module):
+/// the dispatcher finds the dead worker's ring closed and fails the
+/// run, naming the shard, instead of waiting for it. A panic in `sink`
+/// or in `packets` unwinds through here likewise; the workers notice
+/// and stop.
 pub fn run_sharded<I, M, F>(
     shards: usize,
     config: &ModuleConfig,
@@ -781,7 +857,8 @@ where
     let copies = SharedPacketArena::new();
     let mut recon = Reconciler::new(shards);
 
-    let stats = if shards == 1 || par::effective_parallelism() == 1 {
+    let workers = par::shard_workers(shards, par::effective_parallelism());
+    let stats = if workers == 0 {
         let mut transport = InlineTransport {
             engines: (0..shards)
                 .map(|i| ShardEngine::new(make_module(i), i == 0))
@@ -801,35 +878,42 @@ where
         // parallel work (a sweep inside an app, another sharded run)
         // clamps to one thread instead of multiplying.
         let _region = par::RegionGuard::enter();
-        let chunk_allocs = Arc::new(AtomicU64::new(0));
+        // Rings and every chunk buffer are made here, before the
+        // workers exist: `RING_CHUNKS + 1` per ring, a lane's inbox,
+        // and the one inbox all outbound rings drain into.
+        let mut chunk_allocs = 0;
+        let mut transport = ThreadedTransport {
+            to_shard: Vec::with_capacity(shards),
+            from_shard: Vec::with_capacity(shards),
+            staged: Vec::with_capacity(shards),
+            inbox: chunk_buf(OUT_CHUNK, &mut chunk_allocs),
+        };
+        let mut links: Vec<Vec<Link>> = (0..workers).map(|_| Vec::new()).collect();
+        for shard in 0..shards {
+            let (msg_tx, rx, staging) = sized_ring(CHUNK, ShardMsg::Eof, &mut chunk_allocs);
+            let (tx, out_rx, outbuf) =
+                sized_ring(OUT_CHUNK, ShardOut::Watermark(0), &mut chunk_allocs);
+            transport.to_shard.push(msg_tx);
+            transport.from_shard.push(out_rx);
+            transport.staged.push(staging);
+            links[shard % workers].push(Link {
+                shard,
+                rx,
+                tx,
+                inbox: chunk_buf(CHUNK, &mut chunk_allocs),
+                outbuf,
+            });
+        }
         std::thread::scope(|scope| {
-            let mut to_shard = Vec::with_capacity(shards);
-            let mut from_shard = Vec::with_capacity(shards);
-            for i in 0..shards {
-                let (msg_tx, msg_rx) = channel::<ShardMsg>(RING_ITEMS);
-                let (out_tx, out_rx) = channel::<ShardOut>(RING_ITEMS);
-                to_shard.push(msg_tx);
-                from_shard.push(out_rx);
+            for links in links {
                 let make_module = &make_module;
-                let allocs = Arc::clone(&chunk_allocs);
-                scope.spawn(move || {
-                    worker_loop(
-                        ShardEngine::new(make_module(i), i == 0),
-                        msg_rx,
-                        out_tx,
-                        &allocs,
-                    )
-                });
+                scope.spawn(move || worker_loop(links, make_module));
             }
-            // Dispatcher-side buffers: one staging vec per shard plus
-            // the shared drain scratch.
-            chunk_allocs.fetch_add(shards as u64 + 1, Ordering::Relaxed);
-            let mut transport = ThreadedTransport {
-                to_shard,
-                from_shard,
-                staged: (0..shards).map(|_| Vec::with_capacity(CHUNK)).collect(),
-                inbox: Vec::with_capacity(CHUNK),
-            };
+            // The transport moves into this closure so that a panic on
+            // this thread drops it — closing every inbound ring, which
+            // is what tells the workers to stop — before the scope
+            // waits for them.
+            let mut transport = transport;
             let mut stats = drive(
                 packets,
                 shards,
@@ -839,7 +923,7 @@ where
                 &mut recon,
                 &mut sink,
             );
-            stats.chunk_allocs = chunk_allocs.load(Ordering::Relaxed);
+            stats.chunk_allocs = chunk_allocs;
             stats
         })
     };
@@ -847,41 +931,100 @@ where
     merge(stats, recon, shards)
 }
 
-/// The worker side of the threaded transport: pop message batches,
-/// handle them, push output batches — all through persistent buffers
-/// and the ring's batched ops, so the worker performs no per-packet
-/// allocation and one atomic position publish per chunk. Outputs
-/// buffer up to [`CHUNK`] deep but always flush at barriers and Eof,
-/// so watermark latency is bounded by the barrier cadence.
-fn worker_loop(
-    mut engine: ShardEngine,
-    mut rx: Consumer<ShardMsg>,
-    mut tx: Producer<ShardOut>,
-    allocs: &AtomicU64,
-) {
-    // The worker's two persistent buffers (counted for the O(shards)
-    // chunk-allocation witness).
-    allocs.fetch_add(2, Ordering::Relaxed);
-    let mut inbox: Vec<ShardMsg> = Vec::with_capacity(CHUNK);
-    let mut outbuf: Vec<ShardOut> = Vec::with_capacity(2 * CHUNK);
-    loop {
-        if rx.pop_chunk(&mut inbox, CHUNK) == 0 {
-            std::thread::yield_now();
-            continue;
+/// The worker side of one shard's rings, as the dispatcher hands it
+/// over: which shard, the two ring ends, and the chunk buffers the
+/// lane pops into and fills.
+struct Link {
+    shard: usize,
+    rx: Consumer<ShardMsg>,
+    tx: Producer<ShardOut>,
+    inbox: Vec<ShardMsg>,
+    outbuf: Vec<ShardOut>,
+}
+
+/// Everything one shard needs on the worker that runs it.
+struct Lane {
+    engine: ShardEngine,
+    link: Link,
+}
+
+/// What one [`Lane::step`] found.
+enum Step {
+    /// No chunk was waiting.
+    Idle,
+    /// A chunk was handled; there may be more.
+    Worked,
+    /// The shard reported `Done`, or the dispatcher is gone: retire.
+    Finished,
+}
+
+impl Lane {
+    /// Handle at most one inbound chunk. Outputs buffer up to
+    /// [`CHUNK`] deep but always go out at barriers and Eof, so
+    /// watermark latency is bounded by the barrier cadence.
+    ///
+    /// The inbound ring closes only when the dispatcher's transport is
+    /// dropped, which a finished run does after every `Done` and an
+    /// unwinding one at any time: a lane that finds it closed has
+    /// nobody left to work for, and says so instead of waiting.
+    fn step(&mut self) -> Step {
+        let Link {
+            rx,
+            tx,
+            inbox,
+            outbuf,
+            ..
+        } = &mut self.link;
+        if rx.pop_chunk(inbox, CHUNK) == 0 {
+            return if rx.is_closed() {
+                Step::Finished
+            } else {
+                Step::Idle
+            };
         }
         for msg in inbox.drain(..) {
             let flush_now = matches!(msg, ShardMsg::Barrier { .. } | ShardMsg::Eof);
-            let done = engine.handle(msg, &mut |out| outbuf.push(out));
+            let done = self.engine.handle(msg, &mut |out| outbuf.push(out));
             if outbuf.len() >= CHUNK || (flush_now && !outbuf.is_empty()) {
-                while !outbuf.is_empty() {
-                    if tx.push_slice(&mut outbuf) == 0 {
-                        std::thread::yield_now();
+                while tx.push_slice(outbuf) == 0 {
+                    if rx.is_closed() {
+                        return Step::Finished;
                     }
+                    std::thread::yield_now();
                 }
             }
             if done {
-                return;
+                return Step::Finished;
             }
+        }
+        Step::Worked
+    }
+}
+
+/// The worker side of the threaded transport: build this worker's
+/// shards (on this thread, as [`run_sharded`] promises), then step
+/// their lanes round-robin, one chunk each, until all have finished —
+/// yielding the core only when a whole round found no work.
+fn worker_loop<M: Fn(usize) -> FlexSfp>(links: Vec<Link>, make_module: &M) {
+    let mut lanes: Vec<Lane> = links
+        .into_iter()
+        .map(|link| Lane {
+            engine: ShardEngine::new(make_module(link.shard), link.shard == 0),
+            link,
+        })
+        .collect();
+    while !lanes.is_empty() {
+        let mut worked = false;
+        lanes.retain_mut(|lane| match lane.step() {
+            Step::Idle => true,
+            Step::Worked => {
+                worked = true;
+                true
+            }
+            Step::Finished => false,
+        });
+        if !worked {
+            std::thread::yield_now();
         }
     }
 }

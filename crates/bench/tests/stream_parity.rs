@@ -140,14 +140,23 @@ fn run_stream_drop_sink_matches_run_aggregates() {
 /// 4096 threaded, `shard::INLINE_BARRIER_EVERY` = 256 inline).
 const SHARD_PACKETS: usize = 10_000;
 
-/// Make `run_sharded` pick the threaded transport for the holder of the
-/// returned guard. A live threaded run is a process-wide parallel region
-/// that clamps every concurrent `run_sharded` to the inline transport, so
-/// the sharded tests of this binary take turns.
-fn force_threaded() -> std::sync::MutexGuard<'static, ()> {
+/// Make `run_sharded` see `threads` effective threads for the holder of
+/// the returned guard. A live threaded run is a process-wide parallel
+/// region that clamps every concurrent `run_sharded` to the inline
+/// transport, and the override is process-wide too, so the sharded
+/// tests of this binary take turns.
+fn force_threads(threads: usize) -> std::sync::MutexGuard<'static, ()> {
     static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    std::env::set_var("FLEXSFP_THREADS", "4");
-    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    let turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    std::env::set_var("FLEXSFP_THREADS", threads.to_string());
+    turn
+}
+
+/// Four effective threads: the threaded transport even on a one-core
+/// runner, with a worker per shard at 2 shards and three workers
+/// sharing the lanes at 4 and 8.
+fn force_threaded() -> std::sync::MutexGuard<'static, ()> {
+    force_threads(4)
 }
 
 /// Build the §3 application under test by name, fresh state each call.
@@ -345,57 +354,57 @@ fn sharded_run_is_digest_identical_to_serial_for_every_app() {
     }
 }
 
-/// Control frames must replicate to every shard (lockstep table state)
-/// while only the primary answers: a stream with mid-run NAT table
-/// mutations still matches serial byte for byte, and the control
-/// counters don't multiply by the shard count.
-#[test]
-fn sharded_run_replicates_control_mutations_to_every_shard() {
-    let _threaded = force_threaded();
-    let config = ModuleConfig::default();
-    let mutating_stream = || {
-        let mut packets = shard_workload();
-        let n = packets.len();
-        for i in 0..4 {
-            let at = n * (i + 1) / 5;
-            let arrival_ns = packets[at].arrival_ns;
-            let flow = (i as u32) % FLOWS as u32;
-            let op = if i == 3 {
-                CtlTableOp::Delete {
-                    table: 0,
-                    key: (PRIVATE_BASE + flow).to_be_bytes().to_vec(),
-                }
-            } else {
-                CtlTableOp::Insert {
-                    table: 0,
-                    key: (PRIVATE_BASE + flow).to_be_bytes().to_vec(),
-                    value: (PUBLIC_BASE + 0x100 + flow).to_be_bytes().to_vec(),
-                }
-            };
-            packets.insert(
-                at,
-                SimPacket {
-                    arrival_ns,
-                    direction: Direction::EdgeToOptical,
-                    frame: control_frame(&config, &ControlRequest::Table(op)),
-                },
-            );
-        }
-        packets
-    };
+/// The IMIX workload with four in-band NAT table writes (three
+/// inserts, one delete) spread through it.
+fn control_mutating_stream(config: &ModuleConfig) -> Vec<SimPacket> {
+    let mut packets = shard_workload();
+    let n = packets.len();
+    for i in 0..4 {
+        let at = n * (i + 1) / 5;
+        let arrival_ns = packets[at].arrival_ns;
+        let flow = (i as u32) % FLOWS as u32;
+        let op = if i == 3 {
+            CtlTableOp::Delete {
+                table: 0,
+                key: (PRIVATE_BASE + flow).to_be_bytes().to_vec(),
+            }
+        } else {
+            CtlTableOp::Insert {
+                table: 0,
+                key: (PRIVATE_BASE + flow).to_be_bytes().to_vec(),
+                value: (PUBLIC_BASE + 0x100 + flow).to_be_bytes().to_vec(),
+            }
+        };
+        packets.insert(
+            at,
+            SimPacket {
+                arrival_ns,
+                direction: Direction::EdgeToOptical,
+                frame: control_frame(config, &ControlRequest::Table(op)),
+            },
+        );
+    }
+    packets
+}
 
+/// [`control_mutating_stream`] through NAT at each of `shard_counts`
+/// must match the serial run byte for byte and report for report.
+fn assert_control_mutations_replicate(shard_counts: &[usize]) {
+    let config = ModuleConfig::default();
     let mut serial_digest = OutputDigest::default();
     let serial = FlexSfp::new(config.clone(), app_by_name("nat"))
-        .run_stream_with(mutating_stream(), |out| serial_digest.fold(&out));
+        .run_stream_with(control_mutating_stream(&config), |out| {
+            serial_digest.fold(&out)
+        });
     assert_eq!(serial.control_handled, 4, "all four table ops handled");
 
-    for shards in [2usize, 4] {
+    for &shards in shard_counts {
         let mut digest = OutputDigest::default();
         let run = run_sharded(
             shards,
             &config,
             |_| FlexSfp::new(config.clone(), app_by_name("nat")),
-            mutating_stream(),
+            control_mutating_stream(&config),
             |out| digest.fold(&out),
         );
         assert_eq!(
@@ -406,28 +415,55 @@ fn sharded_run_replicates_control_mutations_to_every_shard() {
     }
 }
 
+/// Control frames must replicate to every shard (lockstep table state)
+/// while only the primary answers: a stream with mid-run NAT table
+/// mutations still matches serial byte for byte, and the control
+/// counters don't multiply by the shard count.
+#[test]
+fn sharded_run_replicates_control_mutations_to_every_shard() {
+    let _threaded = force_threaded();
+    assert_control_mutations_replicate(&[2, 4]);
+}
+
+/// The same stream with more shards than threads: at 2 effective
+/// threads one worker steps every lane, at 3 two workers split them,
+/// so barriers and control broadcasts reach a worker that is in the
+/// middle of another shard's chunk — and nothing observable may move.
+#[test]
+fn lanes_sharing_a_worker_replicate_control_mutations() {
+    for threads in [2, 3] {
+        let _threaded = force_threads(threads);
+        assert_control_mutations_replicate(&[4, 8]);
+    }
+}
+
 /// The tentpole's two resource witnesses on the threaded transport:
 /// a dataplane-only stream crosses dispatcher → ring → shard →
 /// reconciler with **zero** frame copies (frames move end to end), and
-/// ring staging allocates a constant number of message buffers —
-/// `shards + 1` on the dispatcher (per-shard staging + drain scratch)
-/// plus 2 per worker (inbox + outbuf) — independent of trace length.
+/// every chunk buffer the rings will ever circulate is made at set-up:
+/// per shard two rings of `RING_CHUNKS` slot buffers plus the one in
+/// their producer's hands, and the lane's inbox; and the dispatcher's
+/// one drain inbox — `1 + shards · (2 · RING_CHUNKS + 3)`, whatever the
+/// trace length.
 #[test]
 fn threaded_transport_is_zero_copy_with_constant_chunk_allocs() {
+    /// `shard::RING_CHUNKS`, which is private to the crate.
+    const RING_CHUNKS: u64 = 32;
     let _threaded = force_threaded();
     let shards = 4usize;
     let config = ModuleConfig::default();
-    let long_trace = || {
+    let trace = |packets: usize| {
         TraceBuilder::new(0x51)
             .flows(FLOWS)
             .src_base(PRIVATE_BASE)
             .sizes(SizeModel::Imix)
             .arrivals(ArrivalModel::Paced { utilization: 0.8 })
             .tcp_share(0.5)
-            .build(50_000)
+            .build(packets)
             .into_iter()
             .map(|p| as_sim(p.arrival_ns, p.frame))
     };
+    let long_trace = || trace(50_000);
 
     let run = run_sharded(
         shards,
@@ -439,10 +475,21 @@ fn threaded_transport_is_zero_copy_with_constant_chunk_allocs() {
     assert_eq!(run.frame_copies, 0, "dataplane frames must move, not copy");
     assert_eq!(
         run.chunk_allocs,
-        3 * shards as u64 + 1,
-        "ring staging must reuse its buffers: O(shards) allocations over 50k packets"
+        1 + shards as u64 * (2 * RING_CHUNKS + 3),
+        "the rings must circulate the buffers made at set-up"
     );
     assert_eq!(run.routed.iter().sum::<u64>(), 50_000);
+    let short = run_sharded(
+        shards,
+        &config,
+        |_| FlexSfp::new(config.clone(), app_by_name("nat")),
+        trace(5_000),
+        |_| {},
+    );
+    assert_eq!(
+        short.chunk_allocs, run.chunk_allocs,
+        "chunk buffers are O(shards), not O(packets): 5 000 and 50 000 packets"
+    );
 
     // Control frames are the one accounted copy: each broadcast leases
     // shards−1 duplicates from the shared arena, nothing else copies.
