@@ -144,7 +144,7 @@ impl PacketProcessor for L4LoadBalancer {
         };
         match self
             .engine
-            .apply(Action::SetIpv4Dst(backend), ctx, packet, &parsed)
+            .apply(Action::SetIpv4Dst(backend), ctx, packet, &parsed, None)
         {
             ActionOutcome::Continue { .. } => {}
             ActionOutcome::Final(v) => return v,

@@ -10,8 +10,8 @@
 
 use flexsfp_fabric::resources::{table1, ResourceManifest};
 use flexsfp_obs::{CacheStats, FlightStamp, StageStamp};
-use flexsfp_ppe::action::{Action, ActionEngine, ActionOutcome};
-use flexsfp_ppe::cache::{self, FlowCache, FlowKey, KeyHint, PlanOp, PlanRecorder, BATCH_WINDOW};
+use flexsfp_ppe::action::{Action, ActionEngine};
+use flexsfp_ppe::cache::{self, FlowCache, FlowKey, KeyHint, PlanRecorder, BATCH_WINDOW};
 use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::tables::{HashTable, TableError};
 use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
@@ -137,58 +137,31 @@ impl StaticNat {
             }
             return Verdict::Drop;
         };
-        let Some(ip) = parsed.ipv4 else {
-            if let Some(r) = rec.as_deref_mut() {
-                r.stage_stat(0, false);
-                r.push(PlanOp::Count {
-                    index: counters::NON_IP as u32,
-                });
-            }
-            self.engine.counters.count(counters::NON_IP, packet.len());
-            if self.flight_enabled {
+        // The stage footprint, the rewrite and the counter of each outcome.
+        let (stages, public, counter): (&[(u8, bool)], _, _) =
+            match parsed.ipv4.map(|ip| self.table.lookup(&ip.src)) {
                 // No IPv4 source to match on: the match stage missed.
-                self.last_flight = Some(nat_stamp(false, [(0, false)]));
-            }
-            return Verdict::Forward;
-        };
-        match self.table.lookup(&ip.src) {
-            Some(public) => {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.stage_stat(0, true);
-                    r.stage_stat(1, true);
-                    cache::compile_action(&Action::SetIpv4Src(public), packet, &parsed, r);
-                    r.push(PlanOp::Count {
-                        index: counters::TRANSLATED as u32,
-                    });
-                }
-                if self.flight_enabled {
-                    self.last_flight = Some(nat_stamp(false, [(0, true), (1, true)]));
-                }
-                match self
-                    .engine
-                    .apply(Action::SetIpv4Src(public), ctx, packet, &parsed)
-                {
-                    ActionOutcome::Continue { .. } => {}
-                    ActionOutcome::Final(v) => return v,
-                }
-                self.engine
-                    .counters
-                    .count(counters::TRANSLATED, packet.len());
-            }
-            None => {
-                if let Some(r) = rec {
-                    r.stage_stat(0, false);
-                    r.push(PlanOp::Count {
-                        index: counters::MISSED as u32,
-                    });
-                }
-                self.engine.counters.count(counters::MISSED, packet.len());
-                if self.flight_enabled {
-                    // Only the match stage ran; the rewrite was skipped.
-                    self.last_flight = Some(nat_stamp(false, [(0, false)]));
-                }
+                None => (&[(0, false)], None, counters::NON_IP),
+                // Only the match stage ran; the rewrite was skipped.
+                Some(None) => (&[(0, false)], None, counters::MISSED),
+                Some(Some(public)) => (&[(0, true), (1, true)], Some(public), counters::TRANSLATED),
+            };
+        if let Some(r) = rec.as_deref_mut() {
+            for &(stage, hit) in stages {
+                r.stage_stat(stage, hit);
             }
         }
+        if self.flight_enabled {
+            self.last_flight = Some(nat_stamp(false, stages.iter().copied()));
+        }
+        // Both actions are pure, so each outcome is `Continue`.
+        if let Some(public) = public {
+            let rewrite = Action::SetIpv4Src(public);
+            self.engine
+                .apply(rewrite, ctx, packet, &parsed, rec.as_deref_mut());
+        }
+        self.engine
+            .apply(Action::Count(counter), ctx, packet, &parsed, rec);
         Verdict::Forward
     }
 }

@@ -128,7 +128,10 @@ impl TunnelGateway {
                 let Some(parsed) = self.parser.parse(packet) else {
                     return Verdict::Drop;
                 };
-                match self.engine.apply(Action::DecapTunnel, ctx, packet, &parsed) {
+                match self
+                    .engine
+                    .apply(Action::DecapTunnel, ctx, packet, &parsed, None)
+                {
                     ActionOutcome::Continue { .. } => {}
                     ActionOutcome::Final(v) => return v,
                 }
@@ -171,7 +174,10 @@ impl PacketProcessor for TunnelGateway {
                 if parsed.ipv4.is_none() && !matches!(self.kind, TunnelKind::Vxlan { .. }) {
                     return Verdict::Forward;
                 }
-                match self.engine.apply(self.encap_action(), ctx, packet, &parsed) {
+                match self
+                    .engine
+                    .apply(self.encap_action(), ctx, packet, &parsed, None)
+                {
                     ActionOutcome::Continue { .. } => {}
                     ActionOutcome::Final(v) => return v,
                 }

@@ -67,7 +67,7 @@ impl VlanTagger {
         packet: &mut Vec<u8>,
     ) -> Option<Verdict> {
         let parsed = self.parser.parse(packet)?;
-        match self.engine.apply(action, ctx, packet, &parsed) {
+        match self.engine.apply(action, ctx, packet, &parsed, None) {
             ActionOutcome::Continue { .. } => None,
             ActionOutcome::Final(v) => Some(v),
         }

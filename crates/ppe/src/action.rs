@@ -7,14 +7,13 @@
 //! functions — multi-field parse/edit, label/tunnel manipulation,
 //! per-packet hashing for steering, and in-band timestamping" (§5.3).
 
+use crate::cache::{self, PlanOp, PlanRecorder};
 use crate::counters::CounterBank;
 use crate::engine::{ProcessContext, Verdict};
 use crate::meter::{Color, TokenBucket};
-use crate::parser::{ParsedPacket, L4};
+use crate::parser::ParsedPacket;
 use flexsfp_wire::builder::PacketBuilder;
-use flexsfp_wire::{
-    checksum, ethernet, ipv4::Ipv4Packet, vlan, EtherType, EthernetFrame, IpProtocol,
-};
+use flexsfp_wire::{ethernet, ipv4::Ipv4Packet, EtherType, EthernetFrame, IpProtocol};
 
 /// One action unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,6 +77,31 @@ pub enum Action {
     Emit(VerdictAction),
 }
 
+impl Action {
+    /// True for the actions whose edit is a function of the flow key and
+    /// the action's own operands alone: field rewrites with
+    /// flow-constant values, tag push/pop, counting (a pure increment).
+    /// These compile to [`PlanOp`]s, so a plan recorded on a flow's first
+    /// packet replays bit-exactly on every later one. Meters and TTL are
+    /// time- and data-dependent; encap/decap embeds per-packet bytes
+    /// (lengths, entropy hashes). This is the one list of pure actions:
+    /// [`ActionEngine::apply`] and the pipeline's cacheability analysis
+    /// both ask it.
+    pub fn is_pure(&self) -> bool {
+        matches!(
+            self,
+            Action::SetIpv4Src(_)
+                | Action::SetIpv4Dst(_)
+                | Action::SetDscp(_)
+                | Action::SetVlanVid(_)
+                | Action::PushVlan { .. }
+                | Action::PushSTag { .. }
+                | Action::PopVlan
+                | Action::Count(_)
+        )
+    }
+}
+
 /// Verdicts an action can emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerdictAction {
@@ -132,52 +156,59 @@ impl ActionEngine {
     }
 
     /// Apply one action. `parsed` must describe the current `packet`.
+    ///
+    /// A pure action ([`Action::is_pure`]) is compiled against the packet
+    /// into [`PlanOp`]s, which are appended to `rec` when the caller is
+    /// recording a plan for the flow cache and then run: the ops are the
+    /// edit, so what a cached flow replays is what its first packet
+    /// executed. Any other edit invalidates `rec`; an
+    /// [`Emit`](Action::Emit) leaves it alone, because
+    /// [`PlanRecorder::finish`] takes the verdict.
+    //
+    // Forced inline, with the compile step and the op loop behind it:
+    // callers name the variant, so inlined the compile folds to that
+    // variant's arm and the loop to its ops. Left to the `#[inline]`
+    // hint all three stayed calls, and the NAT slow path read 87–100
+    // ns/packet against the parent's 51–60 (CHANGES.md, PR 19).
+    #[inline(always)]
     pub fn apply(
         &mut self,
         action: Action,
         ctx: &ProcessContext,
         packet: &mut Vec<u8>,
         parsed: &ParsedPacket,
+        rec: Option<&mut PlanRecorder>,
     ) -> ActionOutcome {
+        let Some(ops) = cache::compile_action(&action, packet, parsed) else {
+            return self.impure(action, ctx, packet, parsed, rec);
+        };
+        let ops = ops.as_slice();
+        if let Some(rec) = rec {
+            ops.iter().for_each(|&op| rec.push(op));
+        }
+        cache::run_ops(ops, packet, &mut self.counters);
+        ActionOutcome::Continue {
+            modified: ops.iter().any(|op| !matches!(op, PlanOp::Count { .. })),
+        }
+    }
+
+    /// The actions no plan can hold, each with its own implementation.
+    fn impure(
+        &mut self,
+        action: Action,
+        ctx: &ProcessContext,
+        packet: &mut Vec<u8>,
+        parsed: &ParsedPacket,
+        rec: Option<&mut PlanRecorder>,
+    ) -> ActionOutcome {
+        if let Action::Emit(v) = action {
+            return ActionOutcome::Final(v.to_verdict());
+        }
+        if let Some(rec) = rec {
+            rec.invalidate();
+        }
         match action {
-            Action::SetIpv4Src(new) => rewrite_addr(packet, parsed, new, true),
-            Action::SetIpv4Dst(new) => rewrite_addr(packet, parsed, new, false),
-            Action::SetDscp(dscp) => set_dscp(packet, parsed, dscp),
             Action::DecTtl => dec_ttl(packet, parsed),
-            Action::PushVlan { vid, pcp } => {
-                *packet = vlan::push_tag(
-                    packet,
-                    EtherType::Vlan,
-                    vlan::Tci {
-                        pcp,
-                        dei: false,
-                        vid,
-                    },
-                )
-                .expect("frame validated by parser");
-                ActionOutcome::Continue { modified: true }
-            }
-            Action::PushSTag { vid } => {
-                *packet = vlan::push_tag(
-                    packet,
-                    EtherType::QinQ,
-                    vlan::Tci {
-                        pcp: 0,
-                        dei: false,
-                        vid,
-                    },
-                )
-                .expect("frame validated by parser");
-                ActionOutcome::Continue { modified: true }
-            }
-            Action::PopVlan => match vlan::pop_tag(packet) {
-                Ok((_tci, untagged)) => {
-                    *packet = untagged;
-                    ActionOutcome::Continue { modified: true }
-                }
-                Err(_) => ActionOutcome::Continue { modified: false },
-            },
-            Action::SetVlanVid(vid) => set_vlan_vid(packet, parsed, vid),
             Action::EncapGre { src, dst, key } => encap_ip_layer(packet, parsed, |inner| {
                 PacketBuilder::gre_encap(src, dst, Some(key), inner)
             }),
@@ -198,10 +229,6 @@ impl ActionEngine {
                 ActionOutcome::Continue { modified: true }
             }
             Action::DecapTunnel => decap_tunnel(packet, parsed),
-            Action::Count(idx) => {
-                self.counters.count(idx, packet.len());
-                ActionOutcome::Continue { modified: false }
-            }
             Action::Meter(idx) => match self.meters.get_mut(idx) {
                 Some(m) => match m.meter(packet.len(), ctx.timestamp_ns) {
                     Color::Green => ActionOutcome::Continue { modified: false },
@@ -209,74 +236,8 @@ impl ActionEngine {
                 },
                 None => ActionOutcome::Continue { modified: false },
             },
-            Action::Emit(v) => ActionOutcome::Final(v.to_verdict()),
+            pure => unreachable!("{pure:?} compiles to plan ops"),
         }
-    }
-}
-
-/// Rewrite src or dst IPv4 address with incremental IP-header and
-/// L4 (TCP/UDP pseudo-header) checksum maintenance — the NAT fast path.
-fn rewrite_addr(packet: &mut [u8], parsed: &ParsedPacket, new: u32, is_src: bool) -> ActionOutcome {
-    let Some(ip) = parsed.ipv4 else {
-        return ActionOutcome::Continue { modified: false };
-    };
-    let old = if is_src { ip.src } else { ip.dst };
-    if old == new {
-        return ActionOutcome::Continue { modified: false };
-    }
-    {
-        let mut view = Ipv4Packet::new_unchecked(&mut packet[ip.offset..]);
-        if is_src {
-            view.rewrite_src_incremental(new);
-        } else {
-            view.rewrite_dst_incremental(new);
-        }
-    }
-    // Patch the L4 checksum (pseudo-header includes the addresses).
-    if let Some(l4_off) = parsed.l4_offset {
-        match parsed.l4 {
-            L4::Tcp { .. } => {
-                let coff = l4_off + 16;
-                if packet.len() >= coff + 2 {
-                    let oldc = u16::from_be_bytes([packet[coff], packet[coff + 1]]);
-                    let newc = checksum::update32(oldc, old, new);
-                    packet[coff..coff + 2].copy_from_slice(&newc.to_be_bytes());
-                }
-            }
-            L4::Udp { .. } => {
-                let coff = l4_off + 6;
-                if packet.len() >= coff + 2 {
-                    let oldc = u16::from_be_bytes([packet[coff], packet[coff + 1]]);
-                    if oldc != 0 {
-                        let mut newc = checksum::update32(oldc, old, new);
-                        if newc == 0 {
-                            newc = 0xffff;
-                        }
-                        packet[coff..coff + 2].copy_from_slice(&newc.to_be_bytes());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    ActionOutcome::Continue { modified: true }
-}
-
-fn set_dscp(packet: &mut [u8], parsed: &ParsedPacket, dscp: u8) -> ActionOutcome {
-    let Some(ip) = parsed.ipv4 else {
-        return ActionOutcome::Continue { modified: false };
-    };
-    let old_word = u16::from_be_bytes([packet[ip.offset], packet[ip.offset + 1]]);
-    Ipv4Packet::new_unchecked(&mut packet[ip.offset..]).set_dscp(dscp);
-    let new_word = u16::from_be_bytes([packet[ip.offset], packet[ip.offset + 1]]);
-    if old_word != new_word {
-        let coff = ip.offset + 10;
-        let oldc = u16::from_be_bytes([packet[coff], packet[coff + 1]]);
-        let newc = checksum::update16(oldc, old_word, new_word);
-        packet[coff..coff + 2].copy_from_slice(&newc.to_be_bytes());
-        ActionOutcome::Continue { modified: true }
-    } else {
-        ActionOutcome::Continue { modified: false }
     }
 }
 
@@ -289,19 +250,6 @@ fn dec_ttl(packet: &mut [u8], parsed: &ParsedPacket) -> ActionOutcome {
     }
     let mut view = Ipv4Packet::new_unchecked(&mut packet[ip.offset..]);
     view.decrement_ttl();
-    ActionOutcome::Continue { modified: true }
-}
-
-fn set_vlan_vid(packet: &mut [u8], parsed: &ParsedPacket, vid: u16) -> ActionOutcome {
-    if parsed.vlans.is_empty() {
-        return ActionOutcome::Continue { modified: false };
-    }
-    let off = ethernet::HEADER_LEN;
-    let tci = vlan::Tci {
-        vid,
-        ..vlan::Tci::from_u16(u16::from_be_bytes([packet[off], packet[off + 1]]))
-    };
-    packet[off..off + 2].copy_from_slice(&tci.to_u16().to_be_bytes());
     ActionOutcome::Continue { modified: true }
 }
 
@@ -346,7 +294,7 @@ fn decap_tunnel(packet: &mut Vec<u8>, parsed: &ParsedPacket) -> ActionOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::Parser;
+    use crate::parser::{Parser, L4};
     use flexsfp_wire::tcp::TcpSegment;
     use flexsfp_wire::udp::UdpDatagram;
     use flexsfp_wire::MacAddr;
@@ -373,7 +321,7 @@ mod tests {
 
     fn apply(e: &mut ActionEngine, action: Action, pkt: &mut Vec<u8>) -> ActionOutcome {
         let parsed = Parser::default().parse(pkt).unwrap();
-        e.apply(action, &ProcessContext::egress(), pkt, &parsed)
+        e.apply(action, &ProcessContext::egress(), pkt, &parsed, None)
     }
 
     #[test]

@@ -27,12 +27,19 @@
 //!   so a stale plan is never replayed. A way is one 64-byte slot
 //!   (key, epoch and plan together) behind a 1-byte fingerprint tag,
 //!   so a hit reads one tag line and one slot and chases no pointer;
-//! * [`PlanRecorder`] + [`compile_action`] — used by the slow path to
-//!   record a plan *while* executing the reference action
-//!   implementations, so the replay semantics (including the UDP
-//!   zero-checksum special cases) mirror [`crate::action`] exactly.
-//!   Recording fills an [`InlinePlan`] in place, so a miss allocates
-//!   nothing.
+//! * [`PlanRecorder`] — what the slow path hands
+//!   [`ActionEngine::apply`](crate::action::ActionEngine::apply) to
+//!   record a plan *by* executing it. `apply` compiles a pure action
+//!   against the packet into at most three [`PlanOp`]s, returned by
+//!   value, appends them to the recorder and runs them through the op
+//!   loop [`replay`] runs. Each pure action's edit has that one
+//!   implementation, so a flow's first packet and its later ones are
+//!   edited by the same code (including the UDP zero-checksum special
+//!   cases) and there is no second copy to keep in step. What holds the
+//!   ops to the wire formats is outside the datapath: the seeded
+//!   differential oracle in `tests/oracle.rs`, written with
+//!   `flexsfp_wire` alone. Recording fills an [`InlinePlan`] in place,
+//!   so a miss allocates nothing.
 //!
 //! # Keying contract
 //!
@@ -288,12 +295,13 @@ pub enum PlanOp {
     },
     /// RFC 1624 incremental patch of the 16-bit checksum at `offset`
     /// for one field change, carried as the change's precomputed
-    /// one's-complement [`delta`](checksum::delta32) and replayed
-    /// through [`checksum::apply_delta`] — bit-exact with the
-    /// `update16`/`update32` the slow path runs, at a third of their
-    /// size. With `udp`, the UDP special cases apply: a stored checksum
-    /// of zero ("no checksum") is left untouched, and a patched result
-    /// of zero is folded to `0xffff`.
+    /// one's-complement [`delta`](checksum::delta32) and run through
+    /// [`checksum::apply_delta`] — bit-exact with
+    /// [`checksum::update16`]/[`update32`](checksum::update32) on the
+    /// same change, at a third of their operands' size. With `udp`, the
+    /// UDP special cases apply: a stored checksum of zero ("no
+    /// checksum") is left untouched, and a patched result of zero is
+    /// folded to `0xffff`.
     IncrCheck {
         /// Byte offset of the checksum field.
         offset: u16,
@@ -491,11 +499,14 @@ impl TryFrom<ActionPlan> for InlinePlan {
     }
 }
 
-/// Replay a plan against a packet. Counter increments land in
-/// `counters`; byte edits mirror the reference action implementations
-/// bit for bit (parity-tested against cache-off runs).
-pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBank) -> Verdict {
-    for op in plan.ops {
+/// Run plan ops against a packet, in order: the one implementation of
+/// every pure action's byte edits. [`replay`] runs a cached plan's ops
+/// through it and [`ActionEngine::apply`](crate::action::ActionEngine::apply)
+/// the ops one action just compiled to, so a flow's first packet and its
+/// thousandth are edited by the same code.
+#[inline(always)]
+pub(crate) fn run_ops(ops: &[PlanOp], packet: &mut Vec<u8>, counters: &mut CounterBank) {
+    for op in ops {
         match *op {
             PlanOp::Write { offset, len, data } => {
                 let o = offset as usize;
@@ -519,7 +530,12 @@ pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBa
                 packet[o..o + 2].copy_from_slice(&newc.to_be_bytes());
             }
             PlanOp::PushTag { bytes } => {
-                packet.splice(12..12, bytes);
+                // Open four bytes behind the MAC addresses in place;
+                // `splice` does the same through an iterator, slower.
+                let len = packet.len();
+                packet.resize(len + 4, 0);
+                packet.copy_within(12..len, 16);
+                packet[12..16].copy_from_slice(&bytes);
             }
             PlanOp::PopTag => {
                 packet.drain(12..16);
@@ -529,6 +545,12 @@ pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBa
             }
         }
     }
+}
+
+/// Replay a plan against a packet: run its ops, return its verdict.
+/// Counter increments land in `counters`.
+pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBank) -> Verdict {
+    run_ops(plan.ops, packet, counters);
     plan.verdict
 }
 
@@ -595,90 +617,126 @@ impl PlanRecorder {
     }
 }
 
-/// Compile one action into plan ops, mirroring the dynamic no-op and
-/// bounds conditions of [`crate::action`] exactly. Must be called with
-/// the pre-action `packet`/`parsed` state (i.e. immediately *before*
-/// `ActionEngine::apply` runs the same action). Invalidates the
-/// recorder for actions outside the cacheable vocabulary.
-pub fn compile_action(
+/// Ops the longest action compiles to: an address rewrite is the write,
+/// the IP checksum patch and the L4 checksum patch.
+const ACTION_OPS: usize = 3;
+
+/// What one pure action compiles to against one packet, by value: up to
+/// [`ACTION_OPS`] ops on the stack, none when the action is a no-op
+/// there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ActionOps {
+    ops: [PlanOp; ACTION_OPS],
+    len: usize,
+}
+
+impl ActionOps {
+    const NONE: ActionOps = ActionOps {
+        ops: [PlanOp::PopTag; ACTION_OPS],
+        len: 0,
+    };
+
+    #[inline]
+    fn push(&mut self, op: PlanOp) {
+        self.ops[self.len] = op;
+        self.len += 1;
+    }
+
+    /// The ops, in the order they run.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[PlanOp] {
+        &self.ops[..self.len]
+    }
+}
+
+/// Compile one action against the packet it is about to edit (`parsed`
+/// describes `packet`): the ops that *are* the edit, or `None` for an
+/// action [`Action::is_pure`] excludes. The dynamic no-op and bounds
+/// conditions live here and nowhere else — no IPv4 layer, an address or
+/// DSCP already in place, no tag to pop or re-number, an L4 checksum
+/// field a truncated frame cuts off — and each compiles to fewer ops or
+/// none. [`ActionEngine::apply`](crate::action::ActionEngine::apply) is
+/// the one caller: it records the ops and runs them through
+/// [`run_ops`].
+#[inline(always)]
+pub(crate) fn compile_action(
     action: &Action,
     packet: &[u8],
     parsed: &ParsedPacket,
-    rec: &mut PlanRecorder,
-) {
+) -> Option<ActionOps> {
+    if !action.is_pure() {
+        return None;
+    }
+    let mut ops = ActionOps::NONE;
     match *action {
-        Action::SetIpv4Src(new) => compile_rewrite_addr(packet, parsed, new, true, rec),
-        Action::SetIpv4Dst(new) => compile_rewrite_addr(packet, parsed, new, false, rec),
+        Action::SetIpv4Src(new) => compile_rewrite_addr(packet, parsed, new, true, &mut ops),
+        Action::SetIpv4Dst(new) => compile_rewrite_addr(packet, parsed, new, false, &mut ops),
         Action::SetDscp(dscp) => {
-            let Some(ip) = parsed.ipv4 else { return };
-            let old_word = u16::from_be_bytes([packet[ip.offset], packet[ip.offset + 1]]);
-            let new_word = (old_word & 0xff03) | (u16::from(dscp) << 2 & 0x00fc);
-            if old_word != new_word {
-                rec.push(PlanOp::Write {
-                    offset: (ip.offset + 1) as u16,
-                    len: 1,
-                    data: [(new_word & 0xff) as u8, 0, 0, 0],
-                });
-                rec.push(PlanOp::IncrCheck {
-                    offset: (ip.offset + 10) as u16,
-                    delta: checksum::delta16(old_word, new_word),
-                    udp: false,
-                });
+            if let Some(ip) = parsed.ipv4 {
+                let old_word = u16::from_be_bytes([packet[ip.offset], packet[ip.offset + 1]]);
+                let new_word = (old_word & 0xff03) | (u16::from(dscp) << 2 & 0x00fc);
+                if old_word != new_word {
+                    ops.push(PlanOp::Write {
+                        offset: (ip.offset + 1) as u16,
+                        len: 1,
+                        data: [(new_word & 0xff) as u8, 0, 0, 0],
+                    });
+                    ops.push(PlanOp::IncrCheck {
+                        offset: (ip.offset + 10) as u16,
+                        delta: checksum::delta16(old_word, new_word),
+                        udp: false,
+                    });
+                }
             }
         }
         Action::SetVlanVid(vid) => {
-            if parsed.vlans.is_empty() {
-                return;
+            if !parsed.vlans.is_empty() {
+                let old_tci = u16::from_be_bytes([packet[14], packet[15]]);
+                let new_tci = (old_tci & 0xf000) | (vid & 0x0fff);
+                ops.push(PlanOp::Write {
+                    offset: 14,
+                    len: 2,
+                    data: [(new_tci >> 8) as u8, (new_tci & 0xff) as u8, 0, 0],
+                });
             }
-            let old_tci = u16::from_be_bytes([packet[14], packet[15]]);
-            let new_tci = (old_tci & 0xf000) | (vid & 0x0fff);
-            rec.push(PlanOp::Write {
-                offset: 14,
-                len: 2,
-                data: [(new_tci >> 8) as u8, (new_tci & 0xff) as u8, 0, 0],
-            });
         }
         Action::PushVlan { vid, pcp } => {
             let tci = (u16::from(pcp & 0x7) << 13) | (vid & 0x0fff);
             let mut bytes = [0u8; 4];
             bytes[..2].copy_from_slice(&0x8100u16.to_be_bytes());
             bytes[2..].copy_from_slice(&tci.to_be_bytes());
-            rec.push(PlanOp::PushTag { bytes });
+            ops.push(PlanOp::PushTag { bytes });
         }
         Action::PushSTag { vid } => {
             let mut bytes = [0u8; 4];
             bytes[..2].copy_from_slice(&0x88a8u16.to_be_bytes());
             bytes[2..].copy_from_slice(&(vid & 0x0fff).to_be_bytes());
-            rec.push(PlanOp::PushTag { bytes });
+            ops.push(PlanOp::PushTag { bytes });
         }
         Action::PopVlan => {
-            // pop_tag is a no-op unless the outer ethertype is a tag.
+            // A no-op unless the outer ethertype is a tag with room behind it.
             if packet.len() >= 18
                 && EtherType::from_u16(u16::from_be_bytes([packet[12], packet[13]])).is_vlan()
             {
-                rec.push(PlanOp::PopTag);
+                ops.push(PlanOp::PopTag);
             }
         }
-        Action::Count(idx) => rec.push(PlanOp::Count { index: idx as u32 }),
-        Action::Emit(_) => {} // the verdict is recorded by finish()
-        // Data- or time-dependent actions: never cacheable.
-        Action::DecTtl
-        | Action::EncapGre { .. }
-        | Action::EncapIpIp { .. }
-        | Action::EncapVxlan { .. }
-        | Action::DecapTunnel
-        | Action::Meter(_) => rec.invalidate(),
+        Action::Count(idx) => ops.push(PlanOp::Count { index: idx as u32 }),
+        _ => unreachable!("`Action::is_pure` admits only the actions compiled above"),
     }
+    Some(ops)
 }
 
-/// Shared compile path for src/dst rewrites, mirroring
-/// `action::rewrite_addr` (including its L4 patch conditions).
+/// Shared compile path for src/dst rewrites: the address, the IP header
+/// checksum, and the TCP/UDP checksum (whose pseudo-header covers the
+/// addresses) where the frame still holds that field.
+#[inline(always)]
 fn compile_rewrite_addr(
     packet: &[u8],
     parsed: &ParsedPacket,
     new: u32,
     is_src: bool,
-    rec: &mut PlanRecorder,
+    ops: &mut ActionOps,
 ) {
     let Some(ip) = parsed.ipv4 else { return };
     let old = if is_src { ip.src } else { ip.dst };
@@ -686,13 +744,13 @@ fn compile_rewrite_addr(
         return;
     }
     let addr_off = ip.offset + if is_src { 12 } else { 16 };
-    rec.push(PlanOp::Write {
+    ops.push(PlanOp::Write {
         offset: addr_off as u16,
         len: 4,
         data: new.to_be_bytes(),
     });
     let delta = checksum::delta32(old, new);
-    rec.push(PlanOp::IncrCheck {
+    ops.push(PlanOp::IncrCheck {
         offset: (ip.offset + 10) as u16,
         delta,
         udp: false,
@@ -700,14 +758,14 @@ fn compile_rewrite_addr(
     if let Some(l4_off) = parsed.l4_offset {
         match parsed.l4 {
             L4::Tcp { .. } if packet.len() >= l4_off + 18 => {
-                rec.push(PlanOp::IncrCheck {
+                ops.push(PlanOp::IncrCheck {
                     offset: (l4_off + 16) as u16,
                     delta,
                     udp: false,
                 });
             }
             L4::Udp { .. } if packet.len() >= l4_off + 8 => {
-                rec.push(PlanOp::IncrCheck {
+                ops.push(PlanOp::IncrCheck {
                     offset: (l4_off + 6) as u16,
                     delta,
                     udp: true,
@@ -1148,33 +1206,44 @@ mod tests {
         assert_eq!(parsed.l4, L4::Other);
     }
 
+    /// A plan recorded while `apply` edits one packet, then replayed on a
+    /// fresh copy of it: both must land on the bytes a reference written
+    /// with `flexsfp_wire` alone computes. The seeded matrix (every pure
+    /// action, second packets of a flow) is `tests/oracle.rs`.
     #[test]
     fn replay_matches_slow_path_rewrite() {
         use crate::action::{ActionEngine, ActionOutcome};
+        use flexsfp_wire::ipv4::Ipv4Packet;
         let new_src = 0x6540_0001;
-        // Slow path.
+        // Reference: the IP header's own incremental rewrite, then the
+        // same RFC 1624 update on the UDP checksum at 14 + 20 + 6.
+        let mut want = udp_frame();
+        Ipv4Packet::new_unchecked(&mut want[14..]).rewrite_src_incremental(new_src);
+        let udp_check = u16::from_be_bytes([want[40], want[41]]);
+        want[40..42].copy_from_slice(&checksum::update32(udp_check, SRC, new_src).to_be_bytes());
+        // Slow path, recording.
         let mut slow = udp_frame();
         let parsed = Parser::default().parse(&slow).unwrap();
         let mut engine = ActionEngine::new(4, Vec::new());
         let mut rec = PlanRecorder::new();
-        compile_action(&Action::SetIpv4Src(new_src), &slow, &parsed, &mut rec);
-        compile_action(&Action::Count(0), &slow, &parsed, &mut rec);
-        let out = engine.apply(
-            Action::SetIpv4Src(new_src),
-            &crate::engine::ProcessContext::egress(),
-            &mut slow,
-            &parsed,
-        );
-        assert_eq!(out, ActionOutcome::Continue { modified: true });
-        engine.counters.count(0, slow.len());
+        let ctx = crate::engine::ProcessContext::egress();
+        for (action, modified) in [
+            (Action::SetIpv4Src(new_src), true),
+            (Action::Count(0), false),
+        ] {
+            let out = engine.apply(action, &ctx, &mut slow, &parsed, Some(&mut rec));
+            assert_eq!(out, ActionOutcome::Continue { modified });
+        }
+        assert_eq!(slow, want, "slow-path bytes must equal the reference");
         // Replay on a fresh copy of the same flow.
         let plan = rec.finish(Verdict::Forward).unwrap();
+        assert_eq!(plan.view().ops.len(), 4);
         let mut fast = udp_frame();
         let mut bank = CounterBank::new(4);
         assert_eq!(replay(plan.view(), &mut fast, &mut bank), Verdict::Forward);
-        assert_eq!(fast, slow, "replayed bytes must equal slow-path bytes");
+        assert_eq!(fast, want, "replayed bytes must equal the reference");
+        assert_eq!(bank.get(0), engine.counters.get(0));
         assert_eq!(bank.get(0).packets, 1);
-        assert_eq!(bank.get(0).bytes, engine.counters.get(0).bytes);
     }
 
     #[test]
@@ -1283,10 +1352,17 @@ mod tests {
 
     #[test]
     fn recorder_invalidation_blocks_caching() {
-        let f = udp_frame();
+        let mut f = udp_frame();
         let parsed = Parser::default().parse(&f).unwrap();
+        assert!(compile_action(&Action::Meter(0), &f, &parsed).is_none());
         let mut rec = PlanRecorder::new();
-        compile_action(&Action::Meter(0), &f, &parsed, &mut rec);
+        crate::action::ActionEngine::new(0, Vec::new()).apply(
+            Action::Meter(0),
+            &crate::engine::ProcessContext::egress(),
+            &mut f,
+            &parsed,
+            Some(&mut rec),
+        );
         assert!(rec.finish(Verdict::Forward).is_none());
         let rec = PlanRecorder::new();
         assert!(rec.finish(Verdict::ToControlPlane).is_none());

@@ -270,7 +270,11 @@ pub struct Pipeline {
     last_flight: Option<FlightStamp>,
 }
 
-/// Cycle the stage at `idx` begins under the 4 + 3·stages model.
+/// The PPE latency model, in one place: 4 fixed cycles, then 3 per
+/// match-action stage. The stage at `idx` begins at this cycle, and a
+/// packet that ran `idx` stages has occupied the pipeline for as many —
+/// which is also what its plan's `cycles` holds, one stage attribution
+/// being recorded per stage run.
 fn stage_start_cycle(idx: usize) -> u32 {
     4 + 3 * idx as u32
 }
@@ -326,7 +330,9 @@ impl Pipeline {
             self.obs
                 .events
                 .record(ctx.timestamp_ns, EventKind::ParseError);
-            self.obs.stage_cycles.record(4);
+            self.obs
+                .stage_cycles
+                .record(u64::from(stage_start_cycle(0)));
             if let Some(r) = rec {
                 r.invalidate();
             }
@@ -336,7 +342,8 @@ impl Pipeline {
             }
             return Verdict::Drop;
         };
-        let mut stages_run = 0u64;
+        let mut stages_run = 0;
+        let mut verdict = Verdict::Forward;
         for idx in 0..self.stages.len() {
             stages_run += 1;
             let hit = self.stages[idx].lookup(&parsed);
@@ -369,37 +376,32 @@ impl Pipeline {
                 &mut parsed,
                 rec.as_deref_mut(),
             ) {
-                match v {
-                    Verdict::Drop => {
-                        self.stats.drops += 1;
-                        self.obs.events.record(
-                            ctx.timestamp_ns,
-                            EventKind::Drop {
-                                reason: DropReason::App,
-                            },
-                        );
-                    }
-                    Verdict::ToControlPlane => self.stats.to_control += 1,
-                    _ => {}
-                }
-                if let Some(r) = rec {
-                    r.set_cycles(4 + 3 * stages_run);
-                }
-                self.obs.stage_cycles.record(4 + 3 * stages_run);
-                if let Some(f) = flight.take() {
-                    self.last_flight = Some(f);
-                }
-                return v;
+                verdict = v;
+                break;
             }
         }
-        if let Some(r) = rec {
-            r.set_cycles(4 + 3 * stages_run);
+        match verdict {
+            Verdict::Drop => {
+                self.stats.drops += 1;
+                self.obs.events.record(
+                    ctx.timestamp_ns,
+                    EventKind::Drop {
+                        reason: DropReason::App,
+                    },
+                );
+            }
+            Verdict::ToControlPlane => self.stats.to_control += 1,
+            _ => {}
         }
-        self.obs.stage_cycles.record(4 + 3 * stages_run);
+        let cycles = u64::from(stage_start_cycle(stages_run));
+        if let Some(r) = rec {
+            r.set_cycles(cycles);
+        }
+        self.obs.stage_cycles.record(cycles);
         if let Some(f) = flight.take() {
             self.last_flight = Some(f);
         }
-        Verdict::Forward
+        verdict
     }
 }
 
@@ -410,30 +412,11 @@ fn selector_cacheable(selector: &KeySelector) -> bool {
     !matches!(selector, KeySelector::SrcMac | KeySelector::SrcPrefix64)
 }
 
-/// True when replaying this action is bit-exact for every packet of a
-/// flow: field rewrites with flow-constant values, tag push/pop,
-/// counting (a pure increment), and forward/drop verdicts. Meters and
-/// TTL are time/data-dependent; encap/decap embeds per-packet bytes
-/// (lengths, entropy hashes); `ToControlPlane` must always take the
-/// slow path so the control plane sees every such packet.
-fn action_cacheable(action: &Action) -> bool {
-    matches!(
-        action,
-        Action::SetIpv4Src(_)
-            | Action::SetIpv4Dst(_)
-            | Action::SetDscp(_)
-            | Action::SetVlanVid(_)
-            | Action::PushVlan { .. }
-            | Action::PushSTag { .. }
-            | Action::PopVlan
-            | Action::Count(_)
-            | Action::Emit(VerdictAction::Forward | VerdictAction::Drop)
-    )
-}
-
-/// Whole-program cacheability: every stage's selector and both action
-/// lists must qualify (all [`ParamAction`] kinds are pure by
-/// construction).
+/// Whole-program cacheability: every stage's selector must qualify, and
+/// every listed action be a pure edit ([`Action::is_pure`], which every
+/// [`ParamAction`] kind is by construction) or a forward/drop verdict.
+/// `ToControlPlane` must always take the slow path so the control plane
+/// sees every such packet.
 fn pipeline_cacheable(stages: &[Stage]) -> bool {
     stages.iter().all(|s| {
         let selector_ok = match &s.matcher {
@@ -442,7 +425,14 @@ fn pipeline_cacheable(stages: &[Stage]) -> bool {
             | Matcher::Lpm { selector, .. }
             | Matcher::Ternary { selector, .. } => selector_cacheable(selector),
         };
-        selector_ok && s.on_hit.iter().chain(&s.on_miss).all(action_cacheable)
+        selector_ok
+            && s.on_hit.iter().chain(&s.on_miss).all(|a| {
+                a.is_pure()
+                    || matches!(
+                        a,
+                        Action::Emit(VerdictAction::Forward | VerdictAction::Drop)
+                    )
+            })
     })
 }
 
@@ -509,51 +499,29 @@ fn run_stage_actions(
     parsed: &mut ParsedPacket,
     mut rec: Option<&mut PlanRecorder>,
 ) -> Option<Verdict> {
-    // Param action first.
-    let mut reparse = false;
-    if let Some(v) = hit_value {
-        let action = match stage.param_action {
-            ParamAction::None => None,
-            ParamAction::SetIpv4Src => Some(Action::SetIpv4Src(v)),
-            ParamAction::SetIpv4Dst => Some(Action::SetIpv4Dst(v)),
-            ParamAction::SetVlanVid => Some(Action::SetVlanVid((v & 0xfff) as u16)),
-            ParamAction::Count => Some(Action::Count(v as usize)),
-            ParamAction::SetDscp => Some(Action::SetDscp((v & 0x3f) as u8)),
-        };
-        if let Some(a) = action {
-            if let Some(r) = rec.as_deref_mut() {
-                cache::compile_action(&a, packet, parsed, r);
-            }
-            match engine.apply(a, ctx, packet, parsed) {
-                ActionOutcome::Continue { modified } => {
-                    if modified {
-                        if is_structural(&a) {
-                            reparse = true;
-                        } else {
-                            patch_parsed(&a, parsed);
-                        }
-                    }
-                }
-                ActionOutcome::Final(v) => return Some(v),
-            }
-        }
-    }
+    // Param action first, then the hit or miss list.
+    let param = hit_value.and_then(|v| match stage.param_action {
+        ParamAction::None => None,
+        ParamAction::SetIpv4Src => Some(Action::SetIpv4Src(v)),
+        ParamAction::SetIpv4Dst => Some(Action::SetIpv4Dst(v)),
+        ParamAction::SetVlanVid => Some(Action::SetVlanVid((v & 0xfff) as u16)),
+        ParamAction::Count => Some(Action::Count(v as usize)),
+        ParamAction::SetDscp => Some(Action::SetDscp((v & 0x3f) as u8)),
+    });
     let actions = if hit_value.is_some() {
         &stage.on_hit
     } else {
         &stage.on_miss
     };
-    for &a in actions {
+    let mut reparse = false;
+    for a in param.into_iter().chain(actions.iter().copied()) {
         if reparse {
             if let Some(p) = parser.parse(packet) {
                 *parsed = p;
             }
             reparse = false;
         }
-        if let Some(r) = rec.as_deref_mut() {
-            cache::compile_action(&a, packet, parsed, r);
-        }
-        match engine.apply(a, ctx, packet, parsed) {
+        match engine.apply(a, ctx, packet, parsed, rec.as_deref_mut()) {
             ActionOutcome::Continue { modified } => {
                 if modified {
                     if is_structural(&a) {
