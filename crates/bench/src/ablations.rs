@@ -110,48 +110,54 @@ flexsfp_obs::impl_json_struct!(Report {
 });
 
 fn control_share_sweep(n: usize) -> Vec<ControlSharePoint> {
-    crate::par::par_map(vec![0.0, 0.01, 0.05, 0.10, 0.20], |share| {
-        let mut module = FlexSfp::passthrough();
-        let data = TraceBuilder::new(0xab)
-            .sizes(SizeModel::Fixed(60))
-            .arrivals(flexsfp_traffic::gen::ArrivalModel::Paced { utilization: 1.0 })
-            .build(n);
-        let every = if share == 0.0 {
-            usize::MAX
-        } else {
-            (1.0 / share) as usize
-        };
-        let mut packets: Vec<SimPacket> = Vec::with_capacity(n);
-        let mut data_count = 0u64;
-        for (i, p) in data.into_iter().enumerate() {
-            if i % every == every - 1 {
-                // Replace with a control ping at the same slot.
-                packets.push(SimPacket {
-                    arrival_ns: p.arrival_ns,
-                    direction: Direction::EdgeToOptical,
-                    frame: control_frame(&module.config, &ControlRequest::Ping { nonce: i as u64 }),
-                });
+    [0.0, 0.01, 0.05, 0.10, 0.20]
+        .into_iter()
+        .map(|share| {
+            let mut module = FlexSfp::passthrough();
+            let data = TraceBuilder::new(0xab)
+                .sizes(SizeModel::Fixed(60))
+                .arrivals(flexsfp_traffic::gen::ArrivalModel::Paced { utilization: 1.0 })
+                .build(n);
+            let every = if share == 0.0 {
+                usize::MAX
             } else {
-                data_count += 1;
-                packets.push(SimPacket {
-                    arrival_ns: p.arrival_ns,
-                    direction: Direction::EdgeToOptical,
-                    frame: p.frame,
-                });
+                (1.0 / share) as usize
+            };
+            let mut packets: Vec<SimPacket> = Vec::with_capacity(n);
+            let mut data_count = 0u64;
+            for (i, p) in data.into_iter().enumerate() {
+                if i % every == every - 1 {
+                    // Replace with a control ping at the same slot.
+                    packets.push(SimPacket {
+                        arrival_ns: p.arrival_ns,
+                        direction: Direction::EdgeToOptical,
+                        frame: control_frame(
+                            &module.config,
+                            &ControlRequest::Ping { nonce: i as u64 },
+                        ),
+                    });
+                } else {
+                    data_count += 1;
+                    packets.push(SimPacket {
+                        arrival_ns: p.arrival_ns,
+                        direction: Direction::EdgeToOptical,
+                        frame: p.frame,
+                    });
+                }
             }
-        }
-        let report = module.run(packets);
-        let delivered = report.forwarded.0 + report.forwarded.1;
-        ControlSharePoint {
-            share,
-            data_delivery: if data_count == 0 {
-                1.0
-            } else {
-                delivered as f64 / data_count as f64
-            },
-            control_handled: report.control_handled,
-        }
-    })
+            let report = module.run(packets);
+            let delivered = report.forwarded.0 + report.forwarded.1;
+            ControlSharePoint {
+                share,
+                data_delivery: if data_count == 0 {
+                    1.0
+                } else {
+                    delivered as f64 / data_count as f64
+                },
+                control_handled: report.control_handled,
+            }
+        })
+        .collect()
 }
 
 fn table_size_sweep() -> Vec<TableSizePoint> {
@@ -210,39 +216,42 @@ fn chain_depth_sweep() -> Vec<ChainDepthPoint> {
 }
 
 fn fifo_sweep(n: usize) -> Vec<FifoPoint> {
-    crate::par::par_map(vec![16usize, 64, 256, 1024], |kib| {
-        let mut module = FlexSfp::new(
-            ModuleConfig {
-                shell: ShellKind::TwoWayCore,
-                ppe_clock: ClockDomain::XGMII_10G,
-                fifo_bytes: kib * 1024,
-                ..Default::default()
-            },
-            Box::new(PassThrough),
-        );
-        let base = TraceBuilder::new(0xcd)
-            .sizes(SizeModel::Fixed(60))
-            .arrivals(flexsfp_traffic::gen::ArrivalModel::Paced { utilization: 1.0 })
-            .build(n);
-        let mut packets = Vec::with_capacity(2 * n);
-        for p in base {
-            packets.push(SimPacket {
-                arrival_ns: p.arrival_ns,
-                direction: Direction::EdgeToOptical,
-                frame: p.frame.clone(),
-            });
-            packets.push(SimPacket {
-                arrival_ns: p.arrival_ns,
-                direction: Direction::OpticalToEdge,
-                frame: p.frame,
-            });
-        }
-        let report = module.run(packets);
-        FifoPoint {
-            fifo_kib: kib,
-            delivery: report.delivery_ratio(),
-        }
-    })
+    [16usize, 64, 256, 1024]
+        .into_iter()
+        .map(|kib| {
+            let mut module = FlexSfp::new(
+                ModuleConfig {
+                    shell: ShellKind::TwoWayCore,
+                    ppe_clock: ClockDomain::XGMII_10G,
+                    fifo_bytes: kib * 1024,
+                    ..Default::default()
+                },
+                Box::new(PassThrough),
+            );
+            let base = TraceBuilder::new(0xcd)
+                .sizes(SizeModel::Fixed(60))
+                .arrivals(flexsfp_traffic::gen::ArrivalModel::Paced { utilization: 1.0 })
+                .build(n);
+            let mut packets = Vec::with_capacity(2 * n);
+            for p in base {
+                packets.push(SimPacket {
+                    arrival_ns: p.arrival_ns,
+                    direction: Direction::EdgeToOptical,
+                    frame: p.frame.clone(),
+                });
+                packets.push(SimPacket {
+                    arrival_ns: p.arrival_ns,
+                    direction: Direction::OpticalToEdge,
+                    frame: p.frame,
+                });
+            }
+            let report = module.run(packets);
+            FifoPoint {
+                fifo_kib: kib,
+                delivery: report.delivery_ratio(),
+            }
+        })
+        .collect()
 }
 
 /// Run all ablations (`n` packets for the traffic-driven ones).

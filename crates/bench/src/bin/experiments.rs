@@ -62,6 +62,7 @@ use flexsfp_bench::{
 };
 use flexsfp_obs::json::Value;
 use flexsfp_obs::{SloSpec, ToJson};
+use std::io::{self, Write};
 
 /// The flags an experiment may read.
 #[derive(Default)]
@@ -219,24 +220,41 @@ fn main() {
         std::process::exit(2);
     }
 
+    // Every report goes through this one handle, so a reader that went
+    // away is an error value here and not a panic inside `println!`.
+    let mut out = io::stdout().lock();
     let mut exit_code = 0;
     for (_, baseline, run) in selected {
         let (text, report, healthy) = run(&opts);
-        println!("{text}");
-        let report = report.to_string_pretty();
-        if let Some(file) = baseline {
-            std::fs::write(file, format!("{report}\n"))
-                .unwrap_or_else(|e| panic!("write {file}: {e}"));
-            println!("wrote {file}");
-        }
-        if json {
-            println!("{report}");
-        }
         if !healthy {
             exit_code = 1;
         }
-        if cmd == "all" {
-            println!();
+        let written = (|| {
+            writeln!(out, "{text}")?;
+            let report = report.to_string_pretty();
+            if let Some(file) = baseline {
+                std::fs::write(file, format!("{report}\n"))
+                    .unwrap_or_else(|e| panic!("write {file}: {e}"));
+                writeln!(out, "wrote {file}")?;
+            }
+            if json {
+                writeln!(out, "{report}")?;
+            }
+            if cmd == "all" {
+                writeln!(out)?;
+            }
+            out.flush()
+        })();
+        match written {
+            Ok(()) => {}
+            // The reader closed the pipe (`experiments all | head -1`):
+            // it wants no more, so stop before the next experiment runs
+            // or records a baseline.
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => break,
+            Err(e) => {
+                eprintln!("stdout: {e}");
+                std::process::exit(1);
+            }
         }
     }
     std::process::exit(exit_code);

@@ -98,24 +98,24 @@ pub fn run(n: usize) -> Report {
     }
 
     // The three placements are independent servers over the same arrival
-    // sequence — one sweep point each.
-    let latency = crate::par::par_map(
-        vec![
-            ProcessingPath::flexsfp(1),
-            ProcessingPath::smartnic(1),
-            ProcessingPath::host_cpu(1),
-        ],
-        |mut path| {
-            let name = path.name;
-            let stats = path.run(&arrivals);
-            PlacementLatency {
-                placement: name.into(),
-                mean_ns: stats.mean_ns(),
-                p99_ns: stats.quantile_ns(0.99),
-                max_ns: stats.max_ns(),
-            }
-        },
-    );
+    // sequence.
+    let latency = [
+        ProcessingPath::flexsfp(1),
+        ProcessingPath::smartnic(1),
+        ProcessingPath::host_cpu(1),
+    ]
+    .into_iter()
+    .map(|mut path| {
+        let name = path.name;
+        let stats = path.run(&arrivals);
+        PlacementLatency {
+            placement: name.into(),
+            mean_ns: stats.mean_ns(),
+            p99_ns: stats.quantile_ns(0.99),
+            max_ns: stats.max_ns(),
+        }
+    })
+    .collect();
 
     // Early enforcement: 20% of traffic is policy-blocked. At the cable
     // the doomed bytes never touch the downstream link; at the NIC they

@@ -23,11 +23,6 @@
 //! Each module exposes a `run()` returning a JSON-serializable report
 //! and a `render()` producing the human-readable table with the same
 //! rows the paper prints. The `experiments` binary wires them to a CLI.
-//!
-//! Sweeps with independent points run on scoped worker threads via
-//! [`par::par_map`] (one module instance per point, results in input
-//! order), so multi-core hosts cut sweep wall-clock without changing any
-//! output byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

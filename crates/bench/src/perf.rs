@@ -126,11 +126,6 @@ pub struct Report {
     pub mpps: f64,
     /// Same measurement with the flow cache disabled (full slow path).
     pub mpps_cache_off: f64,
-    /// Independent re-measurement of the default configuration — flow
-    /// cache on, flight recorder disarmed. The observability hooks
-    /// (always-on windowed counters, the sampler branch) must leave
-    /// this within measurement noise of `mpps`; CI enforces the ratio.
-    pub mpps_tracing_off: f64,
     /// Same measurement with the flight recorder armed at 1-in-64
     /// sampling — what continuous postcard collection costs.
     pub mpps_tracing_on: f64,
@@ -180,7 +175,6 @@ flexsfp_obs::impl_json_struct!(Report {
     wall_s,
     mpps,
     mpps_cache_off,
-    mpps_tracing_off,
     mpps_tracing_on,
     mpps_sharded,
     shards,
@@ -482,10 +476,6 @@ pub fn run(packets: usize, shards: usize) -> Report {
     );
     let off_wall_s = measure(packets, cache_off);
     let wall_s = measure(packets, BASE);
-    // Independent re-measurement of the identical recorder-disarmed
-    // configuration: its delta from `mpps` is pure run-to-run noise,
-    // which is exactly the budget CI holds the sampler branch to.
-    let tracing_off_wall_s = measure(packets, BASE);
     let tracing_on_wall_s = measure(packets, recording);
     let sharded_wall_s = measure(packets, sharded_pass);
     let high_wall_s = measure(packets, HIGH);
@@ -497,7 +487,6 @@ pub fn run(packets: usize, shards: usize) -> Report {
         wall_s,
         mpps: packets as f64 / wall_s / 1e6,
         mpps_cache_off: packets as f64 / off_wall_s / 1e6,
-        mpps_tracing_off: packets as f64 / tracing_off_wall_s / 1e6,
         mpps_tracing_on: packets as f64 / tracing_on_wall_s / 1e6,
         mpps_sharded: packets as f64 / sharded_wall_s / 1e6,
         shards: shards as u64,
@@ -539,7 +528,6 @@ pub fn render(r: &Report) -> String {
         render::f(r.wall_s, 3),
         render::f(r.mpps, 3),
         render::f(r.mpps_cache_off, 3),
-        render::f(r.mpps_tracing_off, 3),
         render::f(r.mpps_tracing_on, 3),
         render::f(r.mpps_sharded, 3),
         r.shards.to_string(),
@@ -563,7 +551,6 @@ pub fn render(r: &Report) -> String {
                 "wall s",
                 "Mpps",
                 "Mpps (no cache)",
-                "Mpps (rec off)",
                 "Mpps (rec 1/64)",
                 "Mpps (sharded)",
                 "shards",
@@ -591,7 +578,6 @@ mod tests {
         assert!((r.delivery - 1.0).abs() < 1e-9);
         assert!(r.mpps > 0.0);
         assert!(r.mpps_cache_off > 0.0);
-        assert!(r.mpps_tracing_off > 0.0);
         assert!(r.mpps_tracing_on > 0.0);
         assert!(r.mpps_sharded > 0.0);
         assert_eq!(r.shards, 2);

@@ -73,15 +73,13 @@ fn estimate_power(width: BusWidth, clock: ClockDomain) -> f64 {
     model.power(&design, clock, 2, 1.0, 1.0).total_w()
 }
 
-/// Run the sweep. The (width × clock) points are independent, so they
-/// go through the scoped-thread sweep runner.
+/// Run the sweep over the (width × clock) points.
 pub fn run() -> Report {
     let clocks = [ClockDomain::XGMII_10G, ClockDomain::XGMII_10G_X2];
-    let pairs: Vec<(BusWidth, ClockDomain)> = BusWidth::all()
+    let pairs = BusWidth::all()
         .into_iter()
-        .flat_map(|width| clocks.into_iter().map(move |clock| (width, clock)))
-        .collect();
-    let points = crate::par::par_map(pairs, |(width, clock)| {
+        .flat_map(|width| clocks.into_iter().map(move |clock| (width, clock)));
+    let points = pairs.map(|(width, clock)| {
         let cfg = DatapathConfig { width, clock };
         // Line rate must hold across the whole frame-size range:
         // small frames stress packet rate, large frames stress raw
@@ -105,7 +103,9 @@ pub fn run() -> Report {
             power_class: PowerClass::classify(power_w).map(|c| format!("{c:?}")),
         }
     });
-    Report { points }
+    Report {
+        points: points.collect(),
+    }
 }
 
 /// Render the sweep.

@@ -10,7 +10,7 @@
 //! 1. **Dispatch** — the dispatcher extracts each frame's microflow
 //!    key ([`flexsfp_ppe::FlowKey`]) exactly once and derives
 //!    everything from it: the CRC-32 flow hash that picks the shard
-//!    ([`shard_for`]), the control-plane negative filter
+//!    (`hash_of_key`), the control-plane negative filter
 //!    ([`ControlPlane::may_classify`]), and the key hint the shard's
 //!    flow cache will use — no stage downstream re-parses the frame.
 //!    Frames the key cannot describe (non-IPv4, options, deep tag
@@ -118,35 +118,11 @@ pub const BARRIER_EVERY: u64 = 4096;
 /// far inside the sharded arena bound.
 pub const INLINE_BARRIER_EVERY: u64 = 1024;
 
-/// Shallow-parse `frame` and pick its shard among `shards` by flow
-/// hash: CRC-32 (the fabric hash primitive) over the packed
-/// src/dst/proto/ports 5-tuple for IPv4 with a valid first-fragment
-/// L4 header, src/dst for other IPv4, the analogous tuple for IPv6
-/// (with a bounded extension-header walk), and the MAC pair for
-/// anything else. Up to two VLAN tags are transparent. Every packet
-/// of a flow — and every non-flow frame between the same two
-/// stations — lands on the same shard.
-pub fn shard_for(frame: &[u8], shards: usize) -> usize {
-    shard_index(flow_hash(frame), shards.max(1))
-}
-
 /// Map a 32-bit flow hash onto `shards` buckets with a multiply-shift
 /// (Lemire) reduction: uniform like `% shards` but free of the
 /// per-packet integer division a runtime modulus would cost.
 fn shard_index(hash: u32, shards: usize) -> usize {
     ((u64::from(hash) * shards as u64) >> 32) as usize
-}
-
-/// The fused hash: one [`FlowKey`] extraction covers the common case;
-/// frames the key cannot describe take the full shallow parse. Both
-/// paths agree wherever both are defined.
-fn flow_hash(frame: &[u8]) -> u32 {
-    // The key's direction bit does not feed the hash, so either
-    // direction yields the same result.
-    match FlowKey::extract(frame, Direction::EdgeToOptical) {
-        Some(key) => hash_of_key(&key),
-        None => slow_flow_hash(frame),
-    }
 }
 
 /// Flow hash from an already-extracted key: no frame access at all.
@@ -171,6 +147,14 @@ fn hash_of_key(key: &FlowKey) -> u32 {
 /// shape — and the oracle the fused path is property-tested against:
 /// whenever [`FlowKey::extract`] succeeds, this function returns
 /// exactly [`hash_of_key`] of that key.
+///
+/// CRC-32 (the fabric hash primitive) over the packed
+/// src/dst/proto/ports 5-tuple for IPv4 with a valid first-fragment
+/// L4 header, src/dst for other IPv4, the analogous tuple for IPv6
+/// (with a bounded extension-header walk), and the MAC pair for
+/// anything else. Up to two VLAN tags are transparent. Every packet
+/// of a flow — and every non-flow frame between the same two
+/// stations — lands on the same shard.
 fn slow_flow_hash(frame: &[u8]) -> u32 {
     let mac_hash = |f: &[u8]| crc32(f.get(0..12).unwrap_or(f));
     let Ok(eth) = EthernetFrame::new_checked(frame) else {
@@ -828,11 +812,10 @@ pub struct ShardedRun {
 /// The run never has more runnable threads than
 /// [`par::effective_parallelism`] allows: the calling thread
 /// dispatches and reconciles, and `min(shards, threads − 1)` workers
-/// share the shards between them. With one shard, with one effective
-/// thread (`FLEXSFP_THREADS=1`, a one-core host) or when invoked from
-/// inside another parallel region (a `par_map` sweep point or another
-/// sharded run), everything runs inline on the calling thread — same
-/// engines, same reconciler, byte-identical output.
+/// share the shards between them. With one shard or one effective
+/// thread (`FLEXSFP_THREADS=1`, a one-core host) everything runs inline
+/// on the calling thread — same engines, same reconciler,
+/// byte-identical output.
 ///
 /// # Panics
 /// Panics if a worker thread panics (in `make_module` or in a module):
@@ -874,10 +857,7 @@ where
             &mut sink,
         )
     } else {
-        // Worker threads + rings. Register the region so nested
-        // parallel work (a sweep inside an app, another sharded run)
-        // clamps to one thread instead of multiplying.
-        let _region = par::RegionGuard::enter();
+        // Worker threads + rings.
         // Rings and every chunk buffer are made here, before the
         // workers exist: `RING_CHUNKS + 1` per ring, a lane's inbox,
         // and the one inbox all outbound rings drain into.
@@ -1084,6 +1064,21 @@ fn merge(stats: DispatchStats, recon: Reconciler, shards: usize) -> ShardedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The hash `drive` routes by: [`hash_of_key`] where the frame has
+    /// a key, the full shallow parse where it has none.
+    fn flow_hash(frame: &[u8]) -> u32 {
+        // The key's direction bit does not feed the hash, so either
+        // direction yields the same result.
+        match FlowKey::extract(frame, Direction::EdgeToOptical) {
+            Some(key) => hash_of_key(&key),
+            None => slow_flow_hash(frame),
+        }
+    }
+
+    fn shard_for(frame: &[u8], shards: usize) -> usize {
+        shard_index(flow_hash(frame), shards)
+    }
 
     /// Minimal Ethernet/IPv4/UDP frame with the given 5-tuple, padded
     /// with `extra` payload bytes.

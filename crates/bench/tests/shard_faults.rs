@@ -27,8 +27,8 @@ const SHARDS: usize = 2;
 const PACKETS: usize = 20_000;
 
 /// Make `run_sharded` see `threads` effective threads for the holder of
-/// the returned guard; the override and the parallel-region clamp are
-/// both process-wide, so the tests of this binary take turns.
+/// the returned guard; the override is process-wide, so the tests of
+/// this binary take turns.
 fn force_threads(threads: usize) -> std::sync::MutexGuard<'static, ()> {
     static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());

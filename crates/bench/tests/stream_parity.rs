@@ -141,9 +141,7 @@ fn run_stream_drop_sink_matches_run_aggregates() {
 const SHARD_PACKETS: usize = 10_000;
 
 /// Make `run_sharded` see `threads` effective threads for the holder of
-/// the returned guard. A live threaded run is a process-wide parallel
-/// region that clamps every concurrent `run_sharded` to the inline
-/// transport, and the override is process-wide too, so the sharded
+/// the returned guard. The override is process-wide, so the sharded
 /// tests of this binary take turns.
 fn force_threads(threads: usize) -> std::sync::MutexGuard<'static, ()> {
     static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
