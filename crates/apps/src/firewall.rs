@@ -8,7 +8,7 @@
 //! serialized rule encoding).
 
 use flexsfp_fabric::resources::ResourceManifest;
-use flexsfp_obs::json::{FromJson, ToJson, Value};
+use flexsfp_obs::json::{FromJson, Value};
 use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::match_kinds::{TernaryEntry, TernaryTable};
 use flexsfp_ppe::parser::Parser;
@@ -46,30 +46,7 @@ pub struct AclRule {
     pub action: AclAction,
 }
 
-impl ToJson for AclAction {
-    fn to_json(&self) -> Value {
-        Value::Str(
-            match self {
-                AclAction::Permit => "Permit",
-                AclAction::Deny => "Deny",
-                AclAction::Punt => "Punt",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for AclAction {
-    fn from_json(v: &Value) -> Option<AclAction> {
-        match v.as_str()? {
-            "Permit" => Some(AclAction::Permit),
-            "Deny" => Some(AclAction::Deny),
-            "Punt" => Some(AclAction::Punt),
-            _ => None,
-        }
-    }
-}
-
+flexsfp_obs::impl_json_enum!(AclAction { Permit, Deny, Punt });
 flexsfp_obs::impl_json_struct!(AclRule {
     src,
     dst,
@@ -289,6 +266,7 @@ impl PacketProcessor for AclFirewall {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexsfp_obs::json::ToJson;
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::MacAddr;
 

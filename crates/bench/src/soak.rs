@@ -45,11 +45,11 @@ use crate::perf::{self, host_meta, HostMeta};
 use crate::render;
 use crate::shard::run_sharded;
 use flexsfp_apps::StaticNat;
-use flexsfp_core::control::{ControlRequest, CtlTableOp};
+use flexsfp_core::control::ControlRequest;
 use flexsfp_core::module::{FlexSfp, ModuleConfig, OutputDigest, SimPacket};
 use flexsfp_obs::slo::{SloReport, SloSpec};
 use flexsfp_obs::TableTelemetry;
-use flexsfp_ppe::Direction;
+use flexsfp_ppe::{Direction, TableOp};
 use flexsfp_traffic::{profiles, TraceBuilder, TraceStream};
 use flexsfp_wire::PacketArena;
 use std::collections::VecDeque;
@@ -252,7 +252,7 @@ fn phases(packets: usize, subscribers: usize, attack_sources: usize) -> Vec<Phas
 /// [`CHURN_REMAPS`] subscribers into a fresh public block, then delete
 /// [`CHURN_DELETES`] more. Every op bumps the microflow-cache epoch,
 /// so each boundary wipes every memoized plan in the module.
-fn churn_ops(boundary: usize, subscribers: usize) -> Vec<CtlTableOp> {
+fn churn_ops(boundary: usize, subscribers: usize) -> Vec<TableOp> {
     let base = boundary * (CHURN_REMAPS + CHURN_DELETES);
     let key = |j: usize| {
         SUB_BASE
@@ -262,7 +262,7 @@ fn churn_ops(boundary: usize, subscribers: usize) -> Vec<CtlTableOp> {
     };
     let mut ops = Vec::with_capacity(CHURN_REMAPS + CHURN_DELETES);
     for j in 0..CHURN_REMAPS {
-        ops.push(CtlTableOp::Insert {
+        ops.push(TableOp::Insert {
             table: 0,
             key: key(j),
             value: (PUB_BASE + REMAP_OFFSET)
@@ -272,7 +272,7 @@ fn churn_ops(boundary: usize, subscribers: usize) -> Vec<CtlTableOp> {
         });
     }
     for j in 0..CHURN_DELETES {
-        ops.push(CtlTableOp::Delete {
+        ops.push(TableOp::Delete {
             table: 0,
             key: key(CHURN_REMAPS + j),
         });

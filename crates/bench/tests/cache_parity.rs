@@ -15,9 +15,9 @@ use flexsfp_apps::{
     DnsFilter, Ipv6SubscriberFilter, L4LoadBalancer, PerSourceRateLimiter, Sanitizer, StaticNat,
     SynFloodGuard, TelemetryProbe, TunnelGateway, VlanTagger,
 };
-use flexsfp_core::control::{ControlRequest, CtlTableOp};
+use flexsfp_core::control::ControlRequest;
 use flexsfp_core::module::{FlexSfp, ModuleConfig, OutputDigest, SimPacket};
-use flexsfp_ppe::{Direction, PacketProcessor};
+use flexsfp_ppe::{Direction, PacketProcessor, TableOp};
 use flexsfp_traffic::gen::ArrivalModel;
 use flexsfp_traffic::{SizeModel, TraceBuilder};
 
@@ -158,12 +158,12 @@ fn mutating_stream(config: &ModuleConfig) -> Vec<SimPacket> {
         let arrival_ns = packets[at].arrival_ns;
         let flow = (i as u32) % FLOWS as u32;
         let op = if i == 3 {
-            CtlTableOp::Delete {
+            TableOp::Delete {
                 table: 0,
                 key: (PRIVATE_BASE + flow).to_be_bytes().to_vec(),
             }
         } else {
-            CtlTableOp::Insert {
+            TableOp::Insert {
                 table: 0,
                 key: (PRIVATE_BASE + flow).to_be_bytes().to_vec(),
                 value: (PUBLIC_BASE + 0x100 + flow).to_be_bytes().to_vec(),
@@ -231,7 +231,7 @@ fn clearing_the_table_mid_stream_stays_transparent() {
                 direction: Direction::EdgeToOptical,
                 frame: control_frame(
                     &module.config,
-                    &ControlRequest::Table(CtlTableOp::Clear { table: 0 }),
+                    &ControlRequest::Table(TableOp::Clear { table: 0 }),
                 ),
             },
         );

@@ -20,11 +20,11 @@ use flexsfp_apps::{
     SynFloodGuard, TelemetryProbe, TunnelGateway, VlanTagger,
 };
 use flexsfp_bench::shard::run_sharded;
-use flexsfp_core::control::{ControlRequest, CtlTableOp};
+use flexsfp_core::control::ControlRequest;
 use flexsfp_core::module::{
     FlexSfp, ModuleConfig, OutputDigest, OutputPacket, SimPacket, SimReport,
 };
-use flexsfp_ppe::{Direction, PacketProcessor};
+use flexsfp_ppe::{Direction, PacketProcessor, TableOp};
 use flexsfp_traffic::gen::ArrivalModel;
 use flexsfp_traffic::{SizeModel, TraceBuilder};
 
@@ -362,12 +362,12 @@ fn control_mutating_stream(config: &ModuleConfig) -> Vec<SimPacket> {
         let arrival_ns = packets[at].arrival_ns;
         let flow = (i as u32) % FLOWS as u32;
         let op = if i == 3 {
-            CtlTableOp::Delete {
+            TableOp::Delete {
                 table: 0,
                 key: (PRIVATE_BASE + flow).to_be_bytes().to_vec(),
             }
         } else {
-            CtlTableOp::Insert {
+            TableOp::Insert {
                 table: 0,
                 key: (PRIVATE_BASE + flow).to_be_bytes().to_vec(),
                 value: (PUBLIC_BASE + 0x100 + flow).to_be_bytes().to_vec(),
@@ -495,7 +495,7 @@ fn threaded_transport_is_zero_copy_with_constant_chunk_allocs() {
     for i in 0..4u32 {
         let at = with_control.len() * (i as usize + 1) / 5;
         let arrival_ns = with_control[at].arrival_ns;
-        let op = CtlTableOp::Insert {
+        let op = TableOp::Insert {
             table: 0,
             key: (PRIVATE_BASE + i).to_be_bytes().to_vec(),
             value: (PUBLIC_BASE + 0x200 + i).to_be_bytes().to_vec(),

@@ -32,31 +32,16 @@ pub struct BitstreamMeta {
     pub config: Value,
 }
 
-impl ToJson for BitstreamMeta {
-    fn to_json(&self) -> Value {
-        flexsfp_obs::json!({
-            "app": self.app.as_str(),
-            "version": self.version,
-            "manifest": self.manifest.to_json(),
-            "clock_hz": self.clock_hz,
-            "config": self.config.clone(),
-        })
-    }
-}
-
-impl FromJson for BitstreamMeta {
-    fn from_json(v: &Value) -> Option<BitstreamMeta> {
-        let object = v.as_object()?;
-        Some(BitstreamMeta {
-            app: String::from_json(object.get("app")?)?,
-            version: u32::from_json(object.get("version")?)?,
-            manifest: ResourceManifest::from_json(object.get("manifest")?)?,
-            clock_hz: u64::from_json(object.get("clock_hz")?)?,
-            // Absent config defaults to null (images from older tools).
-            config: object.get("config").cloned().unwrap_or(Value::Null),
-        })
-    }
-}
+// A key an image leaves out decodes as `null`: an error for the typed
+// fields, the "no configuration" value for `config` (older tools wrote
+// none).
+flexsfp_obs::impl_json_struct!(BitstreamMeta {
+    app,
+    version,
+    manifest,
+    clock_hz,
+    config,
+});
 
 /// A complete bitstream: metadata + payload.
 #[derive(Debug, Clone, PartialEq)]

@@ -12,6 +12,11 @@
 //! (in [`crate::module`]) routes such frames here from either the edge
 //! interface or the out-of-band management port without disturbing the
 //! dataplane.
+//!
+//! The messages are [`ControlRequest`] and [`ControlResponse`]. A table
+//! operation travels as the PPE's own [`TableOp`] and is answered with
+//! its [`TableOpResult`]; nothing is transcribed on the way. How an enum
+//! looks as JSON is decided in one place, `flexsfp_obs::impl_json_enum!`.
 
 use crate::auth::{self, AuthKey};
 use crate::reprogram::{UpdateError, UpdateFsm, UpdateState};
@@ -27,93 +32,10 @@ pub const CONTROL_PORT: u16 = 5577;
 /// Control payload magic.
 pub const MAGIC: &[u8; 4] = b"FSCP";
 
-/// Serializable mirror of [`TableOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CtlTableOp {
-    /// Insert or update.
-    Insert {
-        /// Table id.
-        table: u8,
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Value bytes.
-        value: Vec<u8>,
-    },
-    /// Delete an entry.
-    Delete {
-        /// Table id.
-        table: u8,
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// Read an entry.
-    Read {
-        /// Table id.
-        table: u8,
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// Read a counter.
-    ReadCounter {
-        /// Counter index.
-        index: u32,
-    },
-    /// Clear a table.
-    Clear {
-        /// Table id.
-        table: u8,
-    },
-}
-
-impl CtlTableOp {
-    fn to_table_op(&self) -> TableOp {
-        match self.clone() {
-            CtlTableOp::Insert { table, key, value } => TableOp::Insert { table, key, value },
-            CtlTableOp::Delete { table, key } => TableOp::Delete { table, key },
-            CtlTableOp::Read { table, key } => TableOp::Read { table, key },
-            CtlTableOp::ReadCounter { index } => TableOp::ReadCounter { index },
-            CtlTableOp::Clear { table } => TableOp::Clear { table },
-        }
-    }
-}
-
-/// Serializable mirror of [`TableOpResult`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CtlTableResult {
-    /// Operation applied.
-    Ok,
-    /// Read value.
-    Value(Vec<u8>),
-    /// Counter value.
-    Counter {
-        /// Packets.
-        packets: u64,
-        /// Bytes.
-        bytes: u64,
-    },
-    /// Key absent.
-    NotFound,
-    /// Table/bucket full.
-    TableFull,
-    /// Bad key/value encoding.
-    BadEncoding,
-    /// Unsupported by the running application.
-    Unsupported,
-}
-
-impl From<TableOpResult> for CtlTableResult {
-    fn from(r: TableOpResult) -> Self {
-        match r {
-            TableOpResult::Ok => CtlTableResult::Ok,
-            TableOpResult::Value(v) => CtlTableResult::Value(v),
-            TableOpResult::Counter { packets, bytes } => CtlTableResult::Counter { packets, bytes },
-            TableOpResult::NotFound => CtlTableResult::NotFound,
-            TableOpResult::TableFull => CtlTableResult::TableFull,
-            TableOpResult::BadEncoding => CtlTableResult::BadEncoding,
-            TableOpResult::Unsupported => CtlTableResult::Unsupported,
-        }
-    }
-}
+/// The name `benchmark/src/surface.rs` imports for [`TableOp`]; the
+/// benchmark's files are frozen to the PRs it judges, so this one line
+/// stays until a benchmark PR imports the real name.
+pub use flexsfp_ppe::TableOp as CtlTableOp;
 
 /// A control request.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,7 +48,7 @@ pub enum ControlRequest {
     /// Module identity and status.
     GetInfo,
     /// Table/counter operation.
-    Table(CtlTableOp),
+    Table(TableOp),
     /// Read digital optical monitoring values.
     ReadDom,
     /// Read a full telemetry snapshot (counters, latency histogram,
@@ -191,7 +113,7 @@ pub enum ControlResponse {
         update_state: String,
     },
     /// Table operation result.
-    Table(CtlTableResult),
+    Table(TableOpResult),
     /// DOM readings.
     Dom {
         /// Temperature, °C.
@@ -232,287 +154,53 @@ pub enum ControlResponse {
     Error(String),
 }
 
-// Hand-written JSON codecs for the control messages, byte-compatible
-// with serde's externally tagged enum encoding (unit variant → string,
-// data variant → single-key object) so captures from serde-built peers
-// still decode.
+// Externally tagged, as serde would encode them, so captures from
+// serde-built peers still decode.
+flexsfp_obs::impl_json_enum!(ControlRequest {
+    Ping { nonce },
+    GetInfo,
+    Table(op),
+    ReadDom,
+    ReadTelemetry,
+    ReadFlightRecords,
+    BeginUpdate { slot, total_len, crc32 },
+    UpdateChunk { seq, data },
+    CommitUpdate,
+    Activate { slot },
+    AbortUpdate,
+    QueryUpdate,
+});
+flexsfp_obs::impl_json_enum!(ControlResponse {
+    Pong { nonce },
+    Info { module_id, app, app_version, boots, update_state },
+    Table(result),
+    Dom { temperature_c, vcc_v, tx_bias_ma, tx_power_mw, rx_power_mw },
+    Telemetry(snapshot),
+    FlightRecords(records),
+    UpdateStatus { state, slot, total_len, crc32, next_seq, received },
+    Ack,
+    Error(message),
+});
 
-impl ToJson for CtlTableOp {
-    fn to_json(&self) -> Value {
-        match self {
-            CtlTableOp::Insert { table, key, value } => flexsfp_obs::json!({
-                "Insert": {"table": *table, "key": key.to_json(), "value": value.to_json()}
-            }),
-            CtlTableOp::Delete { table, key } => {
-                flexsfp_obs::json!({"Delete": {"table": *table, "key": key.to_json()}})
-            }
-            CtlTableOp::Read { table, key } => {
-                flexsfp_obs::json!({"Read": {"table": *table, "key": key.to_json()}})
-            }
-            CtlTableOp::ReadCounter { index } => {
-                flexsfp_obs::json!({"ReadCounter": {"index": *index}})
-            }
-            CtlTableOp::Clear { table } => flexsfp_obs::json!({"Clear": {"table": *table}}),
-        }
-    }
+/// Frame `msg` as a control payload: `MAGIC | tag | JSON`, the tag
+/// taken over the JSON under `key`.
+fn seal<T: ToJson>(key: &AuthKey, msg: &T) -> Vec<u8> {
+    let body = msg.to_json().to_string().into_bytes();
+    let mut out = Vec::with_capacity(12 + body.len());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&auth::tag(key, &body));
+    out.extend_from_slice(&body);
+    out
 }
 
-impl FromJson for CtlTableOp {
-    fn from_json(v: &Value) -> Option<CtlTableOp> {
-        let (tag, body) = single_variant(v)?;
-        match tag {
-            "Insert" => Some(CtlTableOp::Insert {
-                table: u8::from_json(&body["table"])?,
-                key: Vec::<u8>::from_json(&body["key"])?,
-                value: Vec::<u8>::from_json(&body["value"])?,
-            }),
-            "Delete" => Some(CtlTableOp::Delete {
-                table: u8::from_json(&body["table"])?,
-                key: Vec::<u8>::from_json(&body["key"])?,
-            }),
-            "Read" => Some(CtlTableOp::Read {
-                table: u8::from_json(&body["table"])?,
-                key: Vec::<u8>::from_json(&body["key"])?,
-            }),
-            "ReadCounter" => Some(CtlTableOp::ReadCounter {
-                index: u32::from_json(&body["index"])?,
-            }),
-            "Clear" => Some(CtlTableOp::Clear {
-                table: u8::from_json(&body["table"])?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl ToJson for CtlTableResult {
-    fn to_json(&self) -> Value {
-        match self {
-            CtlTableResult::Ok => Value::Str("Ok".into()),
-            CtlTableResult::NotFound => Value::Str("NotFound".into()),
-            CtlTableResult::TableFull => Value::Str("TableFull".into()),
-            CtlTableResult::BadEncoding => Value::Str("BadEncoding".into()),
-            CtlTableResult::Unsupported => Value::Str("Unsupported".into()),
-            CtlTableResult::Value(v) => flexsfp_obs::json!({"Value": v.to_json()}),
-            CtlTableResult::Counter { packets, bytes } => {
-                flexsfp_obs::json!({"Counter": {"packets": *packets, "bytes": *bytes}})
-            }
-        }
-    }
-}
-
-impl FromJson for CtlTableResult {
-    fn from_json(v: &Value) -> Option<CtlTableResult> {
-        if let Some(name) = v.as_str() {
-            return match name {
-                "Ok" => Some(CtlTableResult::Ok),
-                "NotFound" => Some(CtlTableResult::NotFound),
-                "TableFull" => Some(CtlTableResult::TableFull),
-                "BadEncoding" => Some(CtlTableResult::BadEncoding),
-                "Unsupported" => Some(CtlTableResult::Unsupported),
-                _ => None,
-            };
-        }
-        let (tag, body) = single_variant(v)?;
-        match tag {
-            "Value" => Some(CtlTableResult::Value(Vec::<u8>::from_json(body)?)),
-            "Counter" => Some(CtlTableResult::Counter {
-                packets: u64::from_json(&body["packets"])?,
-                bytes: u64::from_json(&body["bytes"])?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl ToJson for ControlRequest {
-    fn to_json(&self) -> Value {
-        match self {
-            ControlRequest::GetInfo => Value::Str("GetInfo".into()),
-            ControlRequest::ReadDom => Value::Str("ReadDom".into()),
-            ControlRequest::ReadTelemetry => Value::Str("ReadTelemetry".into()),
-            ControlRequest::ReadFlightRecords => Value::Str("ReadFlightRecords".into()),
-            ControlRequest::CommitUpdate => Value::Str("CommitUpdate".into()),
-            ControlRequest::AbortUpdate => Value::Str("AbortUpdate".into()),
-            ControlRequest::QueryUpdate => Value::Str("QueryUpdate".into()),
-            ControlRequest::Ping { nonce } => flexsfp_obs::json!({"Ping": {"nonce": *nonce}}),
-            ControlRequest::Table(op) => flexsfp_obs::json!({"Table": op.to_json()}),
-            ControlRequest::BeginUpdate {
-                slot,
-                total_len,
-                crc32,
-            } => flexsfp_obs::json!({
-                "BeginUpdate": {"slot": *slot as u64, "total_len": *total_len as u64, "crc32": *crc32}
-            }),
-            ControlRequest::UpdateChunk { seq, data } => {
-                flexsfp_obs::json!({"UpdateChunk": {"seq": *seq, "data": data.to_json()}})
-            }
-            ControlRequest::Activate { slot } => {
-                flexsfp_obs::json!({"Activate": {"slot": *slot as u64}})
-            }
-        }
-    }
-}
-
-impl FromJson for ControlRequest {
-    fn from_json(v: &Value) -> Option<ControlRequest> {
-        if let Some(name) = v.as_str() {
-            return match name {
-                "GetInfo" => Some(ControlRequest::GetInfo),
-                "ReadDom" => Some(ControlRequest::ReadDom),
-                "ReadTelemetry" => Some(ControlRequest::ReadTelemetry),
-                "ReadFlightRecords" => Some(ControlRequest::ReadFlightRecords),
-                "CommitUpdate" => Some(ControlRequest::CommitUpdate),
-                "AbortUpdate" => Some(ControlRequest::AbortUpdate),
-                "QueryUpdate" => Some(ControlRequest::QueryUpdate),
-                _ => None,
-            };
-        }
-        let (tag, body) = single_variant(v)?;
-        match tag {
-            "Ping" => Some(ControlRequest::Ping {
-                nonce: u64::from_json(&body["nonce"])?,
-            }),
-            "Table" => Some(ControlRequest::Table(CtlTableOp::from_json(body)?)),
-            "BeginUpdate" => Some(ControlRequest::BeginUpdate {
-                slot: usize::from_json(&body["slot"])?,
-                total_len: usize::from_json(&body["total_len"])?,
-                crc32: u32::from_json(&body["crc32"])?,
-            }),
-            "UpdateChunk" => Some(ControlRequest::UpdateChunk {
-                seq: u32::from_json(&body["seq"])?,
-                data: Vec::<u8>::from_json(&body["data"])?,
-            }),
-            "Activate" => Some(ControlRequest::Activate {
-                slot: usize::from_json(&body["slot"])?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl ToJson for ControlResponse {
-    fn to_json(&self) -> Value {
-        match self {
-            ControlResponse::Ack => Value::Str("Ack".into()),
-            ControlResponse::Pong { nonce } => flexsfp_obs::json!({"Pong": {"nonce": *nonce}}),
-            ControlResponse::Info {
-                module_id,
-                app,
-                app_version,
-                boots,
-                update_state,
-            } => flexsfp_obs::json!({
-                "Info": {
-                    "module_id": module_id.as_str(),
-                    "app": app.as_str(),
-                    "app_version": *app_version,
-                    "boots": *boots,
-                    "update_state": update_state.as_str(),
-                }
-            }),
-            ControlResponse::Table(r) => flexsfp_obs::json!({"Table": r.to_json()}),
-            ControlResponse::Dom {
-                temperature_c,
-                vcc_v,
-                tx_bias_ma,
-                tx_power_mw,
-                rx_power_mw,
-            } => flexsfp_obs::json!({
-                "Dom": {
-                    "temperature_c": *temperature_c,
-                    "vcc_v": *vcc_v,
-                    "tx_bias_ma": *tx_bias_ma,
-                    "tx_power_mw": *tx_power_mw,
-                    "rx_power_mw": *rx_power_mw,
-                }
-            }),
-            ControlResponse::Telemetry(snap) => {
-                flexsfp_obs::json!({"Telemetry": snap.to_json()})
-            }
-            ControlResponse::FlightRecords(records) => {
-                flexsfp_obs::json!({"FlightRecords": records.to_json()})
-            }
-            ControlResponse::UpdateStatus {
-                state,
-                slot,
-                total_len,
-                crc32,
-                next_seq,
-                received,
-            } => flexsfp_obs::json!({
-                "UpdateStatus": {
-                    "state": state.as_str(),
-                    "slot": *slot as u64,
-                    "total_len": *total_len as u64,
-                    "crc32": *crc32,
-                    "next_seq": *next_seq,
-                    "received": *received as u64,
-                }
-            }),
-            ControlResponse::Error(msg) => flexsfp_obs::json!({"Error": msg.as_str()}),
-        }
-    }
-}
-
-impl FromJson for ControlResponse {
-    fn from_json(v: &Value) -> Option<ControlResponse> {
-        if let Some(name) = v.as_str() {
-            return match name {
-                "Ack" => Some(ControlResponse::Ack),
-                _ => None,
-            };
-        }
-        let (tag, body) = single_variant(v)?;
-        match tag {
-            "Pong" => Some(ControlResponse::Pong {
-                nonce: u64::from_json(&body["nonce"])?,
-            }),
-            "Info" => Some(ControlResponse::Info {
-                module_id: String::from_json(&body["module_id"])?,
-                app: String::from_json(&body["app"])?,
-                app_version: u32::from_json(&body["app_version"])?,
-                boots: u32::from_json(&body["boots"])?,
-                update_state: String::from_json(&body["update_state"])?,
-            }),
-            "Table" => Some(ControlResponse::Table(CtlTableResult::from_json(body)?)),
-            "Dom" => Some(ControlResponse::Dom {
-                temperature_c: f64::from_json(&body["temperature_c"])?,
-                vcc_v: f64::from_json(&body["vcc_v"])?,
-                tx_bias_ma: f64::from_json(&body["tx_bias_ma"])?,
-                tx_power_mw: f64::from_json(&body["tx_power_mw"])?,
-                rx_power_mw: f64::from_json(&body["rx_power_mw"])?,
-            }),
-            "Telemetry" => Some(ControlResponse::Telemetry(Box::new(
-                flexsfp_obs::TelemetrySnapshot::from_json(body)?,
-            ))),
-            "FlightRecords" => Some(ControlResponse::FlightRecords(Vec::<
-                flexsfp_obs::FlightRecord,
-            >::from_json(
-                body
-            )?)),
-            "UpdateStatus" => Some(ControlResponse::UpdateStatus {
-                state: String::from_json(&body["state"])?,
-                slot: usize::from_json(&body["slot"])?,
-                total_len: usize::from_json(&body["total_len"])?,
-                crc32: u32::from_json(&body["crc32"])?,
-                next_seq: u32::from_json(&body["next_seq"])?,
-                received: usize::from_json(&body["received"])?,
-            }),
-            "Error" => Some(ControlResponse::Error(String::from_json(body)?)),
-            _ => None,
-        }
-    }
-}
-
-/// Split an externally tagged data variant: exactly one key, its value.
-fn single_variant(v: &Value) -> Option<(&str, &Value)> {
-    let object = v.as_object()?;
-    if object.len() != 1 {
+/// The message inside a control payload, or `None` for anything but
+/// the magic, a tag that verifies under `key`, and JSON that is a `T`.
+fn open<T: FromJson>(key: &AuthKey, payload: &[u8]) -> Option<T> {
+    let (tag, body) = payload.strip_prefix(MAGIC)?.split_first_chunk::<8>()?;
+    if !auth::verify(key, body, tag) {
         return None;
     }
-    let (tag, body) = object.iter().next()?;
-    Some((tag.as_str(), body))
+    T::from_json(&Value::parse(std::str::from_utf8(body).ok()?).ok()?)
 }
 
 /// Authentication/framing statistics.
@@ -664,49 +352,23 @@ impl ControlPlane {
 
     /// Decode and authenticate a control payload.
     pub fn decode(&self, payload: &[u8]) -> Option<ControlRequest> {
-        if payload.len() < 12 || &payload[..4] != MAGIC {
-            return None;
-        }
-        let tag: [u8; 8] = payload[4..12].try_into().unwrap();
-        let body = &payload[12..];
-        if !auth::verify(&self.key, body, &tag) {
-            return None;
-        }
-        ControlRequest::from_json(&Value::parse(std::str::from_utf8(body).ok()?).ok()?)
+        open(&self.key, payload)
     }
 
     /// Encode (and tag) a response payload.
     pub fn encode<T: ToJson>(&self, msg: &T) -> Vec<u8> {
-        let body = msg.to_json().to_string().into_bytes();
-        let mut out = Vec::with_capacity(12 + body.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&auth::tag(&self.key, &body));
-        out.extend_from_slice(&body);
-        out
+        seal(&self.key, msg)
     }
 
     /// Build an authenticated request payload (host-side helper shares
     /// the same key material via `flexsfp-host`).
     pub fn encode_request(key: &AuthKey, req: &ControlRequest) -> Vec<u8> {
-        let body = req.to_json().to_string().into_bytes();
-        let mut out = Vec::with_capacity(12 + body.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&auth::tag(key, &body));
-        out.extend_from_slice(&body);
-        out
+        seal(key, req)
     }
 
     /// Decode a response payload under `key` (host-side helper).
     pub fn decode_response(key: &AuthKey, payload: &[u8]) -> Option<ControlResponse> {
-        if payload.len() < 12 || &payload[..4] != MAGIC {
-            return None;
-        }
-        let tag: [u8; 8] = payload[4..12].try_into().unwrap();
-        let body = &payload[12..];
-        if !auth::verify(key, body, &tag) {
-            return None;
-        }
-        ControlResponse::from_json(&Value::parse(std::str::from_utf8(body).ok()?).ok()?)
+        open(key, payload)
     }
 
     /// Execute one request.
@@ -720,9 +382,7 @@ impl ControlPlane {
                 boots: ctx.boots,
                 update_state: format!("{:?}", self.fsm.state()),
             },
-            ControlRequest::Table(op) => {
-                ControlResponse::Table(ctx.app.control_op(&op.to_table_op()).into())
-            }
+            ControlRequest::Table(op) => ControlResponse::Table(ctx.app.control_op(&op)),
             ControlRequest::ReadTelemetry => {
                 // The snapshot needs module-level state (transceivers,
                 // event ring, laser model); FlexSfp::handle_oob
@@ -982,10 +642,10 @@ mod tests {
         let (mut app, mut flash) = ctx_parts();
         let mut ctx = make_ctx(&mut app, &mut flash);
         let resp = cp.handle(
-            ControlRequest::Table(CtlTableOp::ReadCounter { index: 0 }),
+            ControlRequest::Table(TableOp::ReadCounter { index: 0 }),
             &mut ctx,
         );
-        assert_eq!(resp, ControlResponse::Table(CtlTableResult::Unsupported));
+        assert_eq!(resp, ControlResponse::Table(TableOpResult::Unsupported));
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! forwards control frames) can carry it.
 
 use flexsfp_core::auth::AuthKey;
-use flexsfp_core::control::{
-    ControlPlane, ControlRequest, ControlResponse, CtlTableOp, CtlTableResult,
-};
+use flexsfp_core::control::{ControlPlane, ControlRequest, ControlResponse};
 use flexsfp_core::module::FlexSfp;
 use flexsfp_core::reprogram::MAX_CHUNK;
 use flexsfp_fabric::hash::crc32;
 use flexsfp_obs::{DomSnapshot, FlightRecord, TelemetrySnapshot};
+use flexsfp_ppe::{TableOp, TableOpResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -321,8 +320,8 @@ impl ManagementClient {
     pub fn table_op<P: ModulePort>(
         &self,
         port: &mut P,
-        op: CtlTableOp,
-    ) -> Result<CtlTableResult, MgmtError> {
+        op: TableOp,
+    ) -> Result<TableOpResult, MgmtError> {
         match self.call_retry(port, &ControlRequest::Table(op))? {
             ControlResponse::Table(r) => Ok(r),
             ControlResponse::Error(e) => Err(MgmtError::Module(e)),
@@ -336,8 +335,8 @@ impl ManagementClient {
         port: &mut P,
         index: u32,
     ) -> Result<(u64, u64), MgmtError> {
-        match self.table_op(port, CtlTableOp::ReadCounter { index })? {
-            CtlTableResult::Counter { packets, bytes } => Ok((packets, bytes)),
+        match self.table_op(port, TableOp::ReadCounter { index })? {
+            TableOpResult::Counter { packets, bytes } => Ok((packets, bytes)),
             _ => Err(MgmtError::Unexpected),
         }
     }
@@ -352,13 +351,13 @@ impl ManagementClient {
         loop {
             let value = match self.table_op(
                 port,
-                CtlTableOp::Read {
+                TableOp::Read {
                     table: 2,
                     key: vec![],
                 },
             )? {
-                CtlTableResult::Value(v) => v,
-                CtlTableResult::Unsupported => return Err(MgmtError::Unexpected),
+                TableOpResult::Value(v) => v,
+                TableOpResult::Unsupported => return Err(MgmtError::Unexpected),
                 _ => return Err(MgmtError::Unexpected),
             };
             let batch =
@@ -756,18 +755,18 @@ mod tests {
         let r = c
             .table_op(
                 &mut m,
-                CtlTableOp::Insert {
+                TableOp::Insert {
                     table: 0,
                     key: 0xc0a80001u32.to_be_bytes().to_vec(),
                     value: 0x65000001u32.to_be_bytes().to_vec(),
                 },
             )
             .unwrap();
-        assert_eq!(r, CtlTableResult::Ok);
+        assert_eq!(r, TableOpResult::Ok);
         let read = c
             .table_op(
                 &mut m,
-                CtlTableOp::Read {
+                TableOp::Read {
                     table: 0,
                     key: 0xc0a80001u32.to_be_bytes().to_vec(),
                 },
@@ -775,7 +774,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             read,
-            CtlTableResult::Value(0x65000001u32.to_be_bytes().to_vec())
+            TableOpResult::Value(0x65000001u32.to_be_bytes().to_vec())
         );
         let (packets, _bytes) = c.read_counter(&mut m, 0).unwrap();
         assert_eq!(packets, 0);

@@ -8,10 +8,11 @@
 //! with each drain, so event loss shows up in telemetry instead of
 //! disappearing.
 
-use crate::json::{FromJson, ToJson, Value};
 use std::collections::VecDeque;
 
 /// Default ring capacity; matches a small on-module SRAM trace buffer.
+/// Flight records are bigger than trace events, so their ring holds as
+/// many rather than more.
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Why a packet was dropped.
@@ -99,92 +100,23 @@ impl EventKind {
     }
 }
 
-impl ToJson for DropReason {
-    fn to_json(&self) -> Value {
-        // Externally tagged, matching serde's default enum encoding.
-        Value::Str(
-            match self {
-                DropReason::FifoOverflow => "FifoOverflow",
-                DropReason::App => "App",
-                DropReason::LinkDown => "LinkDown",
-                DropReason::ParseError => "ParseError",
-                DropReason::UnsortedArrival => "UnsortedArrival",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for DropReason {
-    fn from_json(v: &Value) -> Option<DropReason> {
-        match v.as_str()? {
-            "FifoOverflow" => Some(DropReason::FifoOverflow),
-            "App" => Some(DropReason::App),
-            "LinkDown" => Some(DropReason::LinkDown),
-            "ParseError" => Some(DropReason::ParseError),
-            "UnsortedArrival" => Some(DropReason::UnsortedArrival),
-            _ => None,
-        }
-    }
-}
-
-impl ToJson for EventKind {
-    fn to_json(&self) -> Value {
-        match self {
-            EventKind::ParseError => Value::Str("ParseError".into()),
-            EventKind::AuthReject => Value::Str("AuthReject".into()),
-            EventKind::LinkDown => Value::Str("LinkDown".into()),
-            EventKind::UpdateAbort => Value::Str("UpdateAbort".into()),
-            EventKind::Drop { reason } => {
-                crate::json!({"Drop": {"reason": reason.to_json()}})
-            }
-            EventKind::TableMiss { stage } => {
-                crate::json!({"TableMiss": {"stage": *stage}})
-            }
-            EventKind::Reprogram { slot } => {
-                crate::json!({"Reprogram": {"slot": *slot}})
-            }
-            EventKind::Reboot { slot, ok } => {
-                crate::json!({"Reboot": {"slot": *slot, "ok": *ok}})
-            }
-        }
-    }
-}
-
-impl FromJson for EventKind {
-    fn from_json(v: &Value) -> Option<EventKind> {
-        if let Some(name) = v.as_str() {
-            return match name {
-                "ParseError" => Some(EventKind::ParseError),
-                "AuthReject" => Some(EventKind::AuthReject),
-                "LinkDown" => Some(EventKind::LinkDown),
-                "UpdateAbort" => Some(EventKind::UpdateAbort),
-                _ => None,
-            };
-        }
-        let object = v.as_object()?;
-        let (tag, body) = object.iter().next()?;
-        if object.len() != 1 {
-            return None;
-        }
-        match tag.as_str() {
-            "Drop" => Some(EventKind::Drop {
-                reason: DropReason::from_json(&body["reason"])?,
-            }),
-            "TableMiss" => Some(EventKind::TableMiss {
-                stage: u8::from_json(&body["stage"])?,
-            }),
-            "Reprogram" => Some(EventKind::Reprogram {
-                slot: u8::from_json(&body["slot"])?,
-            }),
-            "Reboot" => Some(EventKind::Reboot {
-                slot: u8::from_json(&body["slot"])?,
-                ok: body["ok"].as_bool()?,
-            }),
-            _ => None,
-        }
-    }
-}
+crate::impl_json_enum!(DropReason {
+    FifoOverflow,
+    App,
+    LinkDown,
+    ParseError,
+    UnsortedArrival,
+});
+crate::impl_json_enum!(EventKind {
+    Drop { reason },
+    ParseError,
+    TableMiss { stage },
+    Reprogram { slot },
+    Reboot { slot, ok },
+    AuthReject,
+    LinkDown,
+    UpdateAbort,
+});
 
 /// One traced dataplane event.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,27 +129,31 @@ pub struct DataplaneEvent {
 
 crate::impl_json_struct!(DataplaneEvent { timestamp_ns, kind });
 
-/// Fixed-capacity overwrite-oldest event ring with loss accounting.
+/// Fixed-capacity overwrite-oldest ring with loss accounting: the one
+/// implementation behind [`EventRing`] and [`crate::FlightRing`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct EventRing {
-    ring: VecDeque<DataplaneEvent>,
+pub struct TraceRing<T> {
+    ring: VecDeque<T>,
     capacity: usize,
-    /// Lifetime count of events pushed out of the ring unread.
+    /// Lifetime count of items pushed out of the ring unread.
     overwritten: u64,
-    /// Lifetime count of events handed to a drain call.
+    /// Lifetime count of items handed to a drain call.
     drained: u64,
 }
 
-impl Default for EventRing {
-    fn default() -> EventRing {
-        EventRing::new(DEFAULT_RING_CAPACITY)
+/// The dataplane event ring.
+pub type EventRing = TraceRing<DataplaneEvent>;
+
+impl<T> Default for TraceRing<T> {
+    fn default() -> TraceRing<T> {
+        TraceRing::new(DEFAULT_RING_CAPACITY)
     }
 }
 
-impl EventRing {
-    /// A ring holding at most `capacity` undrained events.
-    pub fn new(capacity: usize) -> EventRing {
-        EventRing {
+impl<T> TraceRing<T> {
+    /// A ring holding at most `capacity` undrained items (at least 1).
+    pub fn new(capacity: usize) -> TraceRing<T> {
+        TraceRing {
             ring: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
             overwritten: 0,
@@ -225,51 +161,53 @@ impl EventRing {
         }
     }
 
-    /// Push an event, overwriting (and counting) the oldest when full.
-    pub fn push(&mut self, event: DataplaneEvent) {
+    /// Push an item, overwriting (and counting) the oldest when full.
+    pub fn push(&mut self, item: T) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.overwritten += 1;
         }
-        self.ring.push_back(event);
+        self.ring.push_back(item);
     }
 
-    /// Convenience: push an event from its parts.
-    pub fn record(&mut self, timestamp_ns: u64, kind: EventKind) {
-        self.push(DataplaneEvent { timestamp_ns, kind });
-    }
-
-    /// Remove and return all buffered events, oldest first.
-    pub fn drain(&mut self) -> Vec<DataplaneEvent> {
-        let out: Vec<DataplaneEvent> = self.ring.drain(..).collect();
+    /// Remove and return all buffered items, oldest first.
+    pub fn drain(&mut self) -> Vec<T> {
+        let out: Vec<T> = self.ring.drain(..).collect();
         self.drained += out.len() as u64;
         out
     }
 
-    /// Events currently buffered.
+    /// Items currently buffered.
     pub fn len(&self) -> usize {
         self.ring.len()
     }
 
-    /// True when no events are buffered.
+    /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
 
-    /// Maximum number of buffered events.
+    /// Maximum number of buffered items.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Lifetime count of events lost to overwrite — never resets, so a
+    /// Lifetime count of items lost to overwrite — never resets, so a
     /// collector diffing successive snapshots sees every loss window.
     pub fn overwritten(&self) -> u64 {
         self.overwritten
     }
 
-    /// Lifetime count of events successfully drained.
+    /// Lifetime count of items successfully drained.
     pub fn drained(&self) -> u64 {
         self.drained
+    }
+}
+
+impl EventRing {
+    /// Convenience: push an event from its parts.
+    pub fn record(&mut self, timestamp_ns: u64, kind: EventKind) {
+        self.push(DataplaneEvent { timestamp_ns, kind });
     }
 }
 

@@ -807,6 +807,18 @@ impl<T: ToJson> ToJson for &T {
     }
 }
 
+impl<T: ToJson> ToJson for Box<T> {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(v: &Value) -> Option<Box<T>> {
+        T::from_json(v).map(Box::new)
+    }
+}
+
 impl<T: ToJson> ToJson for BTreeMap<String, T> {
     fn to_json(&self) -> Value {
         Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
@@ -882,6 +894,133 @@ macro_rules! impl_json_struct {
             }
         }
     };
+}
+
+/// Derive [`ToJson`]/[`FromJson`] for an enum in serde's externally
+/// tagged form, the one format every wire enum of the workspace uses.
+/// Each variant is listed in the shape it is declared in:
+///
+/// * unit, `Name` → the string `"Name"`;
+/// * newtype, `Name(binding)` → `{"Name": value}`;
+/// * record, `Name { field, … }` → `{"Name": {"field": value, …}}`.
+///
+/// Encoding matches on `self`, so a variant missing from the list does
+/// not compile. Decoding is total: an unknown name, a unit variant sent
+/// as an object, a data variant sent as a string, an object with any
+/// number of keys but one, and a body a field does not decode from are
+/// all `None`. Members of a record body that the variant does not name
+/// are ignored.
+///
+/// ```
+/// use flexsfp_obs::json::{FromJson, ToJson, Value};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Op {
+///     Clear,
+///     Echo(String),
+///     Read { table: u8, key: Vec<u8> },
+/// }
+/// flexsfp_obs::impl_json_enum!(Op { Clear, Echo(text), Read { table, key } });
+///
+/// let op = Op::Read { table: 1, key: vec![7] };
+/// assert_eq!(op.to_json().to_string(), r#"{"Read":{"key":[7],"table":1}}"#);
+/// assert_eq!(Op::Clear.to_json().to_string(), r#""Clear""#);
+/// assert_eq!(Op::from_json(&Value::parse(r#"{"Echo":"hi"}"#).unwrap()), Some(Op::Echo("hi".into())));
+/// assert_eq!(Op::from_json(&Value::parse(r#"{"Clear":{}}"#).unwrap()), None);
+/// ```
+#[macro_export]
+macro_rules! impl_json_enum {
+    ($ty:ty {
+        $(
+            $variant:ident
+            $( ( $inner:ident ) )?
+            $( { $( $field:ident ),* $(,)? } )?
+        ),+ $(,)?
+    }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Value {
+                match self {
+                    $(
+                        Self::$variant $( ( $inner ) )? $( { $( $field ),* } )? => {
+                            $crate::json_enum_internal!(
+                                @encode $variant $( ( $inner ) )? $( { $( $field ),* } )?
+                            )
+                        }
+                    )+
+                }
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Value) -> ::core::option::Option<Self> {
+                // A string names a unit variant; an object of exactly
+                // one key names a data variant and holds its body.
+                let (tag, body) = match v {
+                    $crate::json::Value::Str(tag) => (tag.as_str(), ::core::option::Option::None),
+                    $crate::json::Value::Object(object) => {
+                        if object.len() != 1 {
+                            return ::core::option::Option::None;
+                        }
+                        let (tag, body) = object.iter().next()?;
+                        (tag.as_str(), ::core::option::Option::Some(body))
+                    }
+                    _ => return ::core::option::Option::None,
+                };
+                match tag {
+                    $(
+                        ::core::stringify!($variant) => {
+                            $crate::json_enum_internal!(
+                                @decode body, $variant $( ( $inner ) )? $( { $( $field ),* } )?
+                            )
+                        }
+                    )+
+                    _ => ::core::option::Option::None,
+                }
+            }
+        }
+    };
+}
+
+/// Implementation detail of [`impl_json_enum!`]: what one variant of
+/// each shape encodes to and decodes from.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! json_enum_internal {
+    (@tagged $variant:ident, $body:expr) => {
+        $crate::json::Value::Object(::std::collections::BTreeMap::from([(
+            ::std::string::String::from(::core::stringify!($variant)),
+            $body,
+        )]))
+    };
+    (@encode $variant:ident) => {
+        $crate::json::Value::Str(::std::string::String::from(::core::stringify!($variant)))
+    };
+    (@encode $variant:ident ( $inner:ident )) => {
+        $crate::json_enum_internal!(@tagged $variant, $crate::json::ToJson::to_json($inner))
+    };
+    (@encode $variant:ident { $( $field:ident ),* }) => {
+        $crate::json_enum_internal!(
+            @tagged $variant,
+            $crate::json::Value::Object(::std::collections::BTreeMap::from([$((
+                ::std::string::String::from(::core::stringify!($field)),
+                $crate::json::ToJson::to_json($field),
+            )),*]))
+        )
+    };
+    (@decode $body:ident, $variant:ident) => {
+        match $body {
+            ::core::option::Option::None => ::core::option::Option::Some(Self::$variant),
+            ::core::option::Option::Some(_) => ::core::option::Option::None,
+        }
+    };
+    (@decode $body:ident, $variant:ident ( $inner:ident )) => {
+        ::core::option::Option::Some(Self::$variant($crate::json::FromJson::from_json($body?)?))
+    };
+    (@decode $body:ident, $variant:ident { $( $field:ident ),* }) => {{
+        let body = $body?;
+        ::core::option::Option::Some(Self::$variant {
+            $( $field: $crate::json::FromJson::from_json(body.get(::core::stringify!($field)))? ),*
+        })
+    }};
 }
 
 // -------------------------------------------------------------- json!
@@ -1174,6 +1313,52 @@ mod tests {
         assert_eq!(back, d);
         // A missing non-optional field fails to parse.
         assert!(Demo::from_json(&json!({"name": "x"})).is_none());
+    }
+
+    #[test]
+    fn enum_macro_is_externally_tagged_and_total() {
+        #[derive(Debug, PartialEq)]
+        enum Demo {
+            Idle,
+            Note(Box<String>),
+            Move { x: i32, y: Option<u8> },
+        }
+        impl_json_enum!(Demo {
+            Idle,
+            Note(text),
+            Move { x, y },
+        });
+        for (value, text) in [
+            (Demo::Idle, r#""Idle""#),
+            (Demo::Note(Box::new("hi".into())), r#"{"Note":"hi"}"#),
+            (
+                Demo::Move { x: -3, y: None },
+                r#"{"Move":{"x":-3,"y":null}}"#,
+            ),
+        ] {
+            assert_eq!(value.to_json().to_string(), text);
+            assert_eq!(Demo::from_json(&Value::parse(text).unwrap()), Some(value));
+        }
+        // A missing optional field is absent; an unnamed member is ignored.
+        assert_eq!(
+            Demo::from_json(&json!({"Move": {"x": 1, "z": true}})),
+            Some(Demo::Move { x: 1, y: None })
+        );
+        for refused in [
+            json!("Note"),
+            json!("Nope"),
+            json!({"Idle": null}),
+            json!({"Nope": 1}),
+            json!({"Note": 5}),
+            json!({"Move": 5}),
+            json!({"Move": {"y": 1}}),
+            json!({"Idle": null, "Note": "x"}),
+            json!({}),
+            json!(["Idle"]),
+            json!(null),
+        ] {
+            assert_eq!(Demo::from_json(&refused), None, "{refused}");
+        }
     }
 
     #[test]

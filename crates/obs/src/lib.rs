@@ -52,7 +52,7 @@ pub mod timeseries;
 pub mod trace;
 pub mod xbar;
 
-pub use events::{DataplaneEvent, DropReason, EventKind, EventRing};
+pub use events::{DataplaneEvent, DropReason, EventKind, EventRing, TraceRing};
 pub use histogram::LatencyHistogram;
 pub use json::{FromJson, ToJson, Value};
 pub use prometheus::PromText;

@@ -9,14 +9,8 @@
 //! batch of records as chrome://tracing trace-event JSON so a run can
 //! be opened directly in Perfetto.
 
-use crate::events::DropReason;
-use crate::json::{FromJson, ToJson, Value};
-use std::collections::VecDeque;
-
-/// Default flight-ring capacity; sampled postcards are bigger than
-/// trace events, so the ring matches [`crate::events::DEFAULT_RING_CAPACITY`]
-/// rather than exceeding it.
-pub const DEFAULT_FLIGHT_RING_CAPACITY: usize = 256;
+use crate::events::{DropReason, TraceRing};
+use crate::json::{ToJson, Value};
 
 /// Cycle-resolution timestamps for one match-action stage of one
 /// sampled packet, relative to pipeline entry.
@@ -72,44 +66,11 @@ impl FlightVerdict {
     }
 }
 
-impl ToJson for FlightVerdict {
-    fn to_json(&self) -> Value {
-        match self {
-            FlightVerdict::ToControl => Value::Str("ToControl".into()),
-            FlightVerdict::Forwarded { departure_ns } => {
-                crate::json!({"Forwarded": {"departure_ns": *departure_ns}})
-            }
-            FlightVerdict::Dropped { reason } => {
-                crate::json!({"Dropped": {"reason": reason.to_json()}})
-            }
-        }
-    }
-}
-
-impl FromJson for FlightVerdict {
-    fn from_json(v: &Value) -> Option<FlightVerdict> {
-        if let Some(name) = v.as_str() {
-            return match name {
-                "ToControl" => Some(FlightVerdict::ToControl),
-                _ => None,
-            };
-        }
-        let object = v.as_object()?;
-        if object.len() != 1 {
-            return None;
-        }
-        let (tag, body) = object.iter().next()?;
-        match tag.as_str() {
-            "Forwarded" => Some(FlightVerdict::Forwarded {
-                departure_ns: u64::from_json(&body["departure_ns"])?,
-            }),
-            "Dropped" => Some(FlightVerdict::Dropped {
-                reason: DropReason::from_json(&body["reason"])?,
-            }),
-            _ => None,
-        }
-    }
-}
+crate::impl_json_enum!(FlightVerdict {
+    Forwarded { departure_ns },
+    Dropped { reason },
+    ToControl,
+});
 
 /// One sampled packet's complete postcard.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,74 +110,9 @@ crate::impl_json_struct!(FlightRecord {
     verdict
 });
 
-/// Fixed-capacity overwrite-oldest ring of flight records with the
-/// same loss accounting as [`crate::EventRing`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightRing {
-    ring: VecDeque<FlightRecord>,
-    capacity: usize,
-    overwritten: u64,
-    drained: u64,
-}
-
-impl Default for FlightRing {
-    fn default() -> FlightRing {
-        FlightRing::new(DEFAULT_FLIGHT_RING_CAPACITY)
-    }
-}
-
-impl FlightRing {
-    /// A ring holding at most `capacity` undrained records.
-    pub fn new(capacity: usize) -> FlightRing {
-        FlightRing {
-            ring: VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-            overwritten: 0,
-            drained: 0,
-        }
-    }
-
-    /// Push a record, overwriting (and counting) the oldest when full.
-    pub fn push(&mut self, record: FlightRecord) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.overwritten += 1;
-        }
-        self.ring.push_back(record);
-    }
-
-    /// Remove and return all buffered records, oldest first.
-    pub fn drain(&mut self) -> Vec<FlightRecord> {
-        let out: Vec<FlightRecord> = self.ring.drain(..).collect();
-        self.drained += out.len() as u64;
-        out
-    }
-
-    /// Records currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no records are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Maximum number of buffered records.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lifetime count of records lost to overwrite.
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten
-    }
-
-    /// Lifetime count of records successfully drained.
-    pub fn drained(&self) -> u64 {
-        self.drained
-    }
-}
+/// The flight-record ring: overwrite-oldest, with the same loss
+/// accounting as [`crate::EventRing`].
+pub type FlightRing = TraceRing<FlightRecord>;
 
 /// Render flight records as chrome://tracing trace-event JSON
 /// (the "JSON Array Format" with a `traceEvents` wrapper), loadable
@@ -279,6 +175,7 @@ pub fn chrome_trace(module_id: &str, records: &[FlightRecord], cycle_ns: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::FromJson;
 
     fn record(seq: u64) -> FlightRecord {
         FlightRecord {

@@ -141,6 +141,24 @@ pub enum TableOpResult {
     Unsupported,
 }
 
+// The control protocol carries both enums as they are declared here.
+flexsfp_obs::impl_json_enum!(TableOp {
+    Insert { table, key, value },
+    Delete { table, key },
+    Read { table, key },
+    ReadCounter { index },
+    Clear { table },
+});
+flexsfp_obs::impl_json_enum!(TableOpResult {
+    Ok,
+    Value(value),
+    Counter { packets, bytes },
+    NotFound,
+    TableFull,
+    BadEncoding,
+    Unsupported,
+});
+
 /// One slot of a processing batch: the packet, its per-packet context,
 /// and the verdict the processor writes back.
 #[derive(Debug)]

@@ -119,7 +119,7 @@ fn ota_swap_from_nat_to_firewall_changes_behaviour() {
     client
         .table_op(
             &mut module,
-            flexsfp::core::control::CtlTableOp::Insert {
+            flexsfp::ppe::TableOp::Insert {
                 table: 0,
                 key: vec![],
                 value: flexsfp_obs::ToJson::to_json(&rule).to_string().into_bytes(),

@@ -10,12 +10,12 @@
 //! aborts an OTA update.
 
 use flexsfp::apps::{AclAction, AclFirewall, AclRule, StaticNat};
-use flexsfp::core::control::{ControlPlane, ControlRequest, CtlTableOp, CONTROL_PORT};
+use flexsfp::core::control::{ControlPlane, ControlRequest, CONTROL_PORT};
 use flexsfp::core::module::{FlexSfp, ModuleConfig, OutputDigest, SimPacket, SimReport};
 use flexsfp::core::ShellKind;
 use flexsfp::fabric::clock::ClockDomain;
 use flexsfp::obs::{FlightRecord, TelemetrySnapshot, ToJson};
-use flexsfp::ppe::{Direction, PacketProcessor};
+use flexsfp::ppe::{Direction, PacketProcessor, TableOp};
 use flexsfp::traffic::rng::Xoshiro256;
 use flexsfp::wire::builder::PacketBuilder;
 use flexsfp::wire::{
@@ -287,7 +287,7 @@ fn every_branch_trace_is_pinned() {
         rng: Xoshiro256::seed_from_u64(0x5f9_2025),
         now_ns: 0,
     };
-    let remap = ControlRequest::Table(CtlTableOp::Insert {
+    let remap = ControlRequest::Table(TableOp::Insert {
         table: 0,
         key: 0xc0a8_0003u32.to_be_bytes().to_vec(),
         value: 0x0b0b_0b0bu32.to_be_bytes().to_vec(),
