@@ -1,8 +1,10 @@
-#![cfg(feature = "proptest")]
-// Needs the proptest dev-dependency; see "Building" in the README.
 //! Property tests for core-module invariants: bitstream container
 //! robustness, authentication soundness, and the update FSM under
 //! arbitrary chunkings.
+//!
+//! Each property runs a fixed number of seeded cases under plain
+//! `cargo test`; a failure names the case's seed, which reproduces it
+//! alone.
 
 use flexsfp_core::auth::{self, AuthKey};
 use flexsfp_core::bitstream::Bitstream;
@@ -10,112 +12,147 @@ use flexsfp_core::reprogram::{UpdateFsm, MAX_CHUNK};
 use flexsfp_fabric::hash::crc32;
 use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_fabric::SpiFlash;
-use proptest::prelude::*;
+use flexsfp_traffic::rng::Xoshiro256;
 
-proptest! {
-    /// Bitstream serialization round-trips arbitrary metadata.
-    #[test]
-    fn bitstream_round_trip(
-        app in "[a-z]{1,12}",
-        version in any::<u32>(),
-        lut in 0u64..200_000,
-        ff in 0u64..200_000,
-        usram in 0u64..2_000,
-        lsram in 0u64..700,
-        clock in 1u64..500_000_000,
-    ) {
-        let bs = Bitstream::new(&app, version, ResourceManifest::new(lut, ff, usram, lsram), clock);
-        let parsed = Bitstream::from_bytes(&bs.to_bytes()).unwrap();
-        prop_assert_eq!(parsed, bs);
+const CASES: u64 = 256;
+
+/// A commit materialises the 16 MiB flash model and erases a 4 MiB slot;
+/// two dozen cases cover the chunkings.
+const FLASH_CASES: u64 = 24;
+
+/// Run `property` over `cases` generators seeded `seed`, `seed + 1`, ….
+fn for_each_case(seed: u64, cases: u64, mut property: impl FnMut(&mut Xoshiro256, u64)) {
+    for case in seed..seed + cases {
+        property(&mut Xoshiro256::seed_from_u64(case), case);
     }
-
-    /// Arbitrary bytes never panic the bitstream parser, and any
-    /// single-bit flip of a valid image is detected.
-    #[test]
-    fn bitstream_integrity(
-        junk in proptest::collection::vec(any::<u8>(), 0..300),
-        flip_bit in any::<u16>(),
-    ) {
-        let _ = Bitstream::from_bytes(&junk);
-        let bs = Bitstream::new("app", 1, ResourceManifest::ZERO, 1);
-        let mut bytes = bs.to_bytes();
-        let pos = usize::from(flip_bit) % (bytes.len() * 8);
-        bytes[pos / 8] ^= 1 << (pos % 8);
-        prop_assert!(Bitstream::from_bytes(&bytes).is_err(), "bit flip at {pos} undetected");
-    }
-
-    /// Authentication: tags verify for the exact (key, message) pair and
-    /// fail for any prefix/suffix/other-key variation.
-    #[test]
-    fn auth_soundness(
-        key_bytes in any::<[u8; 16]>(),
-        msg in proptest::collection::vec(any::<u8>(), 0..200),
-        extra in any::<u8>(),
-    ) {
-        let key = AuthKey(key_bytes);
-        let tag = auth::tag(&key, &msg);
-        prop_assert!(auth::verify(&key, &msg, &tag));
-        // Extension attack: appending a byte must break the tag.
-        let mut extended = msg.clone();
-        extended.push(extra);
-        prop_assert!(!auth::verify(&key, &extended, &tag));
-        // Truncation breaks it too (when non-empty).
-        if !msg.is_empty() {
-            prop_assert!(!auth::verify(&key, &msg[..msg.len() - 1], &tag));
-        }
-        // A different key fails (with overwhelming probability).
-        let mut other = key_bytes;
-        other[0] ^= 1;
-        prop_assert!(!auth::verify(&AuthKey(other), &msg, &tag));
-    }
-
 }
 
-proptest! {
-    // Each case allocates a 16 MiB flash model and erases a 4 MiB slot;
-    // 24 cases give good coverage without dominating the suite runtime.
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Between `lo` and `hi - 1` random bytes.
+fn bytes(rng: &mut Xoshiro256, lo: usize, hi: usize) -> Vec<u8> {
+    (0..rng.range_usize(lo, hi))
+        .map(|_| rng.next_u64() as u8)
+        .collect()
+}
 
-    /// The update FSM accepts any chunking of a valid image and commits
-    /// exactly the original bytes to flash.
-    #[test]
-    fn update_fsm_arbitrary_chunking(
-        image in proptest::collection::vec(any::<u8>(), 1..5_000),
-        chunk_sizes in proptest::collection::vec(1usize..MAX_CHUNK, 1..40),
-        slot in 1usize..4,
-    ) {
+/// Bitstream serialization round-trips arbitrary metadata.
+#[test]
+fn bitstream_round_trip() {
+    for_each_case(0xb175, CASES, |rng, case| {
+        let app: String = (0..rng.range_usize(1, 13))
+            .map(|_| char::from(b'a' + rng.range_u64(0, 26) as u8))
+            .collect();
+        // The payload is 100 bits per LUT, up to 2 MiB, and a round trip
+        // CRCs every byte twice: draw the LUT count's magnitude uniformly
+        // so most images stay small and a few reach full size.
+        let manifest = ResourceManifest::new(
+            rng.range_u64(0, 200_000) >> rng.range_u64(0, 18),
+            rng.range_u64(0, 200_000),
+            rng.range_u64(0, 2_000),
+            rng.range_u64(0, 700),
+        );
+        let bs = Bitstream::new(
+            &app,
+            rng.next_u64() as u32,
+            manifest,
+            rng.range_u64(1, 500_000_000),
+        );
+        let parsed = Bitstream::from_bytes(&bs.to_bytes());
+        assert_eq!(parsed, Ok(bs), "case {case:#x}");
+    });
+}
+
+/// Arbitrary bytes never panic the bitstream parser, and any single-bit
+/// flip of a valid image is detected.
+#[test]
+fn bitstream_integrity() {
+    let valid = Bitstream::new("app", 1, ResourceManifest::ZERO, 1).to_bytes();
+    for_each_case(0x1d7e6, CASES, |rng, case| {
+        let _ = Bitstream::from_bytes(&bytes(rng, 0, 300));
+        let mut image = valid.clone();
+        let pos = rng.range_usize(0, image.len() * 8);
+        image[pos / 8] ^= 1 << (pos % 8);
+        assert!(
+            Bitstream::from_bytes(&image).is_err(),
+            "case {case:#x}: bit flip at {pos} undetected"
+        );
+    });
+}
+
+/// Authentication: tags verify for the exact (key, message) pair and
+/// fail for any prefix/suffix/other-key variation.
+#[test]
+fn auth_soundness() {
+    for_each_case(0xa074, CASES, |rng, case| {
+        let mut key_bytes = [0u8; 16];
+        key_bytes.fill_with(|| rng.next_u64() as u8);
+        let key = AuthKey(key_bytes);
+        let msg = bytes(rng, 0, 200);
+        let tag = auth::tag(&key, &msg);
+        assert!(auth::verify(&key, &msg, &tag), "case {case:#x}");
+        // Extension attack: appending a byte must break the tag.
+        let mut extended = msg.clone();
+        extended.push(rng.next_u64() as u8);
+        assert!(!auth::verify(&key, &extended, &tag), "case {case:#x}");
+        // Truncation breaks it too (when non-empty).
+        if let Some((_, truncated)) = msg.split_last() {
+            assert!(!auth::verify(&key, truncated, &tag), "case {case:#x}");
+        }
+        // A different key fails (with overwhelming probability).
+        key_bytes[0] ^= 1;
+        assert!(
+            !auth::verify(&AuthKey(key_bytes), &msg, &tag),
+            "case {case:#x}"
+        );
+    });
+}
+
+/// The update FSM accepts any chunking of a valid image and commits
+/// exactly the original bytes to flash.
+#[test]
+fn update_fsm_arbitrary_chunking() {
+    for_each_case(0xc4a2c, FLASH_CASES, |rng, case| {
+        let image = bytes(rng, 1, 5_000);
+        let chunk_sizes: Vec<usize> = (0..rng.range_usize(1, 40))
+            .map(|_| rng.range_usize(1, MAX_CHUNK))
+            .collect();
+        let slot = rng.range_usize(1, 4);
         let mut fsm = UpdateFsm::new();
         let mut flash = SpiFlash::new();
         fsm.begin(slot, image.len(), crc32(&image)).unwrap();
         let mut sent = 0usize;
-        let mut seq = 0u32;
-        let mut size_iter = chunk_sizes.iter().cycle();
-        while sent < image.len() {
-            let take = (*size_iter.next().unwrap()).min(image.len() - sent);
-            fsm.chunk(seq, &image[sent..sent + take]).unwrap();
+        for (seq, size) in chunk_sizes.iter().cycle().enumerate() {
+            if sent == image.len() {
+                break;
+            }
+            let take = (*size).min(image.len() - sent);
+            fsm.chunk(seq as u32, &image[sent..sent + take]).unwrap();
             sent += take;
-            seq += 1;
         }
-        let committed_slot = fsm.commit(&mut flash).unwrap();
-        prop_assert_eq!(committed_slot, slot);
-        prop_assert_eq!(flash.read_slot(slot, image.len()).unwrap(), &image[..]);
-    }
+        assert_eq!(fsm.commit(&mut flash), Ok(slot), "case {case:#x}");
+        assert_eq!(
+            flash.read_slot(slot, image.len()).unwrap(),
+            &image[..],
+            "case {case:#x}"
+        );
+    });
+}
 
-    /// A wrong CRC is always rejected and leaves the slot erased.
-    #[test]
-    fn update_fsm_rejects_bad_crc(
-        image in proptest::collection::vec(any::<u8>(), 1..2_000),
-        wrong in any::<u32>(),
-    ) {
-        let good = crc32(&image);
-        prop_assume!(wrong != good);
+/// A wrong CRC is always rejected and leaves the slot erased.
+#[test]
+fn update_fsm_rejects_bad_crc() {
+    for_each_case(0xbadc2c, FLASH_CASES, |rng, case| {
+        let image = bytes(rng, 1, 2_000);
+        let wrong = rng.next_u64() as u32;
+        if wrong == crc32(&image) {
+            return;
+        }
         let mut fsm = UpdateFsm::new();
         let mut flash = SpiFlash::new();
         fsm.begin(1, image.len(), wrong).unwrap();
         for (seq, chunk) in image.chunks(MAX_CHUNK).enumerate() {
             fsm.chunk(seq as u32, chunk).unwrap();
         }
-        prop_assert!(fsm.commit(&mut flash).is_err());
-        prop_assert_eq!(flash.read_slot(1, 4).unwrap(), &[0xff; 4]);
-    }
+        assert!(fsm.commit(&mut flash).is_err(), "case {case:#x}");
+        assert_eq!(flash.read_slot(1, 4).unwrap(), &[0xff; 4], "case {case:#x}");
+    });
 }

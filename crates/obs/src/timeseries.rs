@@ -9,7 +9,8 @@
 //! Rotation never loses data: when a bucket ages out of the ring it is
 //! merged into a single `evicted` catch-all bucket, so the union of the
 //! evicted bucket and the live windows always equals the lifetime
-//! aggregate (a property the proptest suite checks bit-for-bit).
+//! aggregate, and the ring never holds more than its capacity (both
+//! checked bit for bit over seeded timestamp patterns in `tests/prop.rs`).
 
 use crate::histogram::LatencyHistogram;
 
@@ -174,36 +175,25 @@ impl WindowedSeries {
     /// evicted catch-all so a late sample is counted, not lost.
     fn bucket_mut(&mut self, timestamp_ns: u64) -> &mut WindowBucket {
         let start = self.aligned(timestamp_ns);
-        // Fast path: the newest window (packets arrive nearly in order).
-        match self.windows.last().map(|w| w.start_ns) {
-            Some(last) if last == start => {}
-            Some(last) if start > last => {
-                self.windows.push(WindowBucket::at(start));
-                if self.windows.len() as u64 > self.capacity {
-                    let old = self.windows.remove(0);
-                    self.evicted.merge(&old);
-                }
-            }
-            Some(_) => {
-                // Slightly out of order: reverse scan the short ring.
-                if let Some(idx) = self.windows.iter().rposition(|w| w.start_ns == start) {
-                    return &mut self.windows[idx];
-                }
-                if self.windows.first().map(|w| w.start_ns > start) == Some(true) {
-                    return &mut self.evicted;
-                }
-                // A gap between live windows: insert in order.
-                let at = self
-                    .windows
-                    .iter()
-                    .position(|w| w.start_ns > start)
-                    .unwrap_or(self.windows.len());
-                self.windows.insert(at, WindowBucket::at(start));
-                return &mut self.windows[at];
-            }
-            None => self.windows.push(WindowBucket::at(start)),
+        // Reverse scan: packets arrive nearly in order, so the newest
+        // window almost always ends it at once.
+        let at = match self.windows.iter().rposition(|w| w.start_ns <= start) {
+            Some(idx) if self.windows[idx].start_ns == start => return &mut self.windows[idx],
+            Some(idx) => idx + 1,
+            None if self.windows.is_empty() => 0,
+            None => return &mut self.evicted,
+        };
+        // A new newest window, or a gap between two live ones: either
+        // way the ring grew, so rotate whatever no longer fits.
+        self.windows.insert(at, WindowBucket::at(start));
+        let excess = self.windows.len().saturating_sub(self.capacity());
+        for old in self.windows.drain(..excess) {
+            self.evicted.merge(&old);
         }
-        self.windows.last_mut().expect("just pushed")
+        match at.checked_sub(excess) {
+            Some(idx) => &mut self.windows[idx],
+            None => &mut self.evicted,
+        }
     }
 
     /// Record a forwarded packet and its latency at `timestamp_ns`.
@@ -368,6 +358,34 @@ mod tests {
         );
         assert_eq!(s.windows()[0].forwarded, 2);
         assert_eq!(s.windows()[1].drops_app, 1);
+    }
+
+    #[test]
+    fn a_gap_window_at_capacity_evicts_the_oldest() {
+        let mut s = WindowedSeries::new(10, 2);
+        for t in [0u64, 20, 10] {
+            s.record_forwarded(t, t as f64);
+        }
+        let starts: Vec<u64> = s.windows().iter().map(|w| w.start_ns).collect();
+        assert_eq!(starts, vec![10, 20]);
+        // The late sample went into the gap window, not the evicted one.
+        assert_eq!(s.windows()[0].latency.max(), 10);
+        assert_eq!(s.evicted().forwarded, 1);
+        assert_eq!(s.lifetime().forwarded, 3);
+    }
+
+    #[test]
+    fn late_samples_between_live_windows_never_grow_the_ring() {
+        let mut s = WindowedSeries::new(10, 4);
+        s.record_forwarded(0, 1.0);
+        for pair in 1..=10_000u64 {
+            // A new newest window, then a late sample in the gap it left.
+            s.record_forwarded(pair * 20, 1.0);
+            s.record_drop(pair * 20 - 10, true);
+            assert!(s.windows().len() <= s.capacity());
+        }
+        assert_eq!(s.lifetime().forwarded, 10_001);
+        assert_eq!(s.lifetime().drops_unexplained, 10_000);
     }
 
     #[test]

@@ -1,11 +1,48 @@
-#![cfg(feature = "proptest")]
-// Needs the proptest dev-dependency; see "Building" in the README.
 //! Property tests for the observability primitives: the histogram's
-//! relative-error bound, merge-equals-concatenation, and event-ring
-//! loss accounting.
+//! relative-error bound, merge-equals-concatenation, trace-ring loss
+//! accounting and windowed-series conservation under a bounded ring.
+//!
+//! Each property runs [`CASES`] seeded cases under plain `cargo test`;
+//! a failure names the case's seed, which reproduces it alone.
 
-use flexsfp_obs::{DataplaneEvent, EventKind, EventRing, LatencyHistogram, WindowedSeries};
-use proptest::prelude::*;
+use flexsfp_obs::{
+    DataplaneEvent, EventKind, FlightRecord, FlightVerdict, FromJson, LatencyHistogram, ToJson,
+    TraceRing, Value, WindowedSeries,
+};
+use flexsfp_traffic::rng::Xoshiro256;
+
+const CASES: u64 = 256;
+
+/// Run `property` over [`CASES`] generators seeded `seed`, `seed + 1`, ….
+fn for_each_case(seed: u64, mut property: impl FnMut(&mut Xoshiro256, u64)) {
+    for case in seed..seed + CASES {
+        property(&mut Xoshiro256::seed_from_u64(case), case);
+    }
+}
+
+/// Between `lo` and `hi - 1` samples drawn by `draw`.
+fn samples(
+    rng: &mut Xoshiro256,
+    lo: usize,
+    hi: usize,
+    mut draw: impl FnMut(&mut Xoshiro256) -> u64,
+) -> Vec<u64> {
+    (0..rng.range_usize(lo, hi)).map(|_| draw(rng)).collect()
+}
+
+/// Any `u64`, with the magnitude itself drawn uniformly so small and
+/// huge values are equally likely.
+fn any_u64(rng: &mut Xoshiro256) -> u64 {
+    rng.next_u64() >> rng.range_u64(0, 64)
+}
+
+fn histogram_of(samples: &[u64]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::new();
+    for &s in samples {
+        h.record(s);
+    }
+    h
+}
 
 /// The exact sample quantile using the same rank rule as the
 /// histogram: the `ceil(q·n)`-th smallest sample, clamped to `[1, n]`.
@@ -15,182 +52,198 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[(target - 1) as usize]
 }
 
-/// Allowed absolute error at a given exact value: 1 % relative, with a
-/// ±1 floor for the integer rounding of tiny values.
-fn tolerance(exact: u64) -> f64 {
-    (exact as f64 * 0.01).max(1.0)
+/// `h`'s estimate of quantile `q` is within 1 % of the exact sample
+/// quantile, with a ±1 floor for the integer rounding of tiny values.
+fn assert_quantile_close(h: &LatencyHistogram, sorted: &[u64], q: f64, case: u64) {
+    let exact = exact_quantile(sorted, q);
+    let approx = h.value_at_quantile(q);
+    let err = approx.abs_diff(exact) as f64;
+    assert!(
+        err <= (exact as f64 * 0.01).max(1.0),
+        "case {case:#x}: q={q} exact={exact} approx={approx} err={err}"
+    );
 }
 
-proptest! {
-    /// For arbitrary u64 samples, every quantile estimate is within
-    /// 1 % relative error of the exact sample quantile computed with
-    /// the same rank rule.
-    #[test]
-    fn quantile_relative_error_bound(
-        mut samples in prop::collection::vec(any::<u64>(), 1..500),
-        quantiles in prop::collection::vec(0.0f64..=1.0, 1..8),
-    ) {
-        let mut h = LatencyHistogram::new();
-        for &s in &samples {
-            h.record(s);
+/// For arbitrary u64 samples, every quantile estimate is within 1 %
+/// relative error of the exact sample quantile computed with the same
+/// rank rule.
+#[test]
+fn quantile_relative_error_bound() {
+    for_each_case(0x9e0, |rng, case| {
+        let mut xs = samples(rng, 1, 500, any_u64);
+        let h = histogram_of(&xs);
+        xs.sort_unstable();
+        for _ in 0..rng.range_usize(1, 8) {
+            // The top of the range is the closed end: q = 1 is the maximum.
+            let q = if rng.chance(0.1) { 1.0 } else { rng.next_f64() };
+            assert_quantile_close(&h, &xs, q, case);
         }
-        samples.sort_unstable();
-        for q in quantiles {
-            let exact = exact_quantile(&samples, q);
-            let approx = h.value_at_quantile(q);
-            let err = approx.abs_diff(exact) as f64;
-            prop_assert!(
-                err <= tolerance(exact),
-                "q={} exact={} approx={} err={}", q, exact, approx, err
-            );
-        }
-    }
+    });
+}
 
-    /// merge(a, b) produces quantiles equal (within bound) to the
-    /// quantiles of the concatenated sample stream — in fact the
-    /// merged histogram is bit-identical to one fed both streams.
-    #[test]
-    fn merge_quantiles_equal_concat(
-        xs in prop::collection::vec(0u64..1_000_000, 0..300),
-        ys in prop::collection::vec(0u64..1_000_000, 0..300),
-    ) {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut concat = LatencyHistogram::new();
-        for &x in &xs {
-            a.record(x);
-            concat.record(x);
-        }
-        for &y in &ys {
-            b.record(y);
-            concat.record(y);
-        }
-        a.merge(&b);
-        prop_assert_eq!(&a, &concat);
-
-        let mut all: Vec<u64> = xs.iter().chain(ys.iter()).copied().collect();
+/// merge(a, b) is bit-identical to one histogram fed both streams, so
+/// its quantiles are those of the concatenated samples.
+#[test]
+fn merge_quantiles_equal_concat() {
+    for_each_case(0x3e96e, |rng, case| {
+        let xs = samples(rng, 0, 300, |r| r.range_u64(0, 1_000_000));
+        let ys = samples(rng, 0, 300, |r| r.range_u64(0, 1_000_000));
+        let mut all: Vec<u64> = xs.iter().chain(&ys).copied().collect();
+        let mut merged = histogram_of(&xs);
+        merged.merge(&histogram_of(&ys));
+        assert_eq!(merged, histogram_of(&all), "case {case:#x}");
         if !all.is_empty() {
             all.sort_unstable();
             for q in [0.5, 0.9, 0.99, 0.999] {
-                let exact = exact_quantile(&all, q);
-                let approx = a.value_at_quantile(q);
-                let err = approx.abs_diff(exact) as f64;
-                prop_assert!(
-                    err <= tolerance(exact),
-                    "q={} exact={} approx={}", q, exact, approx
-                );
+                assert_quantile_close(&merged, &all, q, case);
             }
         }
-    }
+    });
+}
 
-    /// Exact min/max/count survive any merge order.
-    #[test]
-    fn merge_preserves_exact_extrema(
-        xs in prop::collection::vec(any::<u64>(), 1..100),
-        ys in prop::collection::vec(any::<u64>(), 1..100),
-    ) {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        for &x in &xs { a.record(x); }
-        for &y in &ys { b.record(y); }
-        a.merge(&b);
-        let true_min = xs.iter().chain(ys.iter()).copied().min().unwrap();
-        let true_max = xs.iter().chain(ys.iter()).copied().max().unwrap();
-        prop_assert_eq!(a.min(), true_min);
-        prop_assert_eq!(a.max(), true_max);
-        prop_assert_eq!(a.count(), (xs.len() + ys.len()) as u64);
-    }
+/// Exact min/max/count survive any merge order.
+#[test]
+fn merge_preserves_exact_extrema() {
+    for_each_case(0xe87, |rng, case| {
+        let xs = samples(rng, 1, 100, any_u64);
+        let ys = samples(rng, 1, 100, any_u64);
+        let mut a = histogram_of(&xs);
+        a.merge(&histogram_of(&ys));
+        let all = || xs.iter().chain(&ys).copied();
+        assert_eq!(Some(a.min()), all().min(), "case {case:#x}");
+        assert_eq!(Some(a.max()), all().max(), "case {case:#x}");
+        assert_eq!(a.count(), (xs.len() + ys.len()) as u64, "case {case:#x}");
+    });
+}
 
-    /// The event ring never loses events silently: across any sequence
-    /// of pushes and drains, pushed == drained + overwritten + buffered.
-    #[test]
-    fn event_ring_conserves_events(
-        capacity in 1usize..32,
-        ops in prop::collection::vec(prop::bool::ANY, 0..400),
-    ) {
-        let mut ring = EventRing::new(capacity);
-        let mut pushed = 0u64;
-        let mut collected = 0u64;
-        for (t, op) in ops.into_iter().enumerate() {
-            if op {
-                ring.push(DataplaneEvent {
-                    timestamp_ns: t as u64,
-                    kind: EventKind::AuthReject,
-                });
+/// A trace ring never loses items silently: across any sequence of
+/// pushes and drains, pushed == drained + overwritten + buffered, and
+/// what is buffered is the newest items in order.
+fn ring_conserves<T: PartialEq + std::fmt::Debug>(seed: u64, make: impl Fn(u64) -> T) {
+    for_each_case(seed, |rng, case| {
+        let capacity = rng.range_usize(1, 32);
+        let mut ring = TraceRing::new(capacity);
+        let (mut pushed, mut collected) = (0u64, 0u64);
+        for _ in 0..rng.range_usize(0, 400) {
+            if rng.chance(0.5) {
+                ring.push(make(pushed));
                 pushed += 1;
             } else {
-                collected += ring.drain().len() as u64;
+                let out = ring.drain();
+                collected += out.len() as u64;
+                let newest: Vec<T> = (pushed - out.len() as u64..pushed).map(&make).collect();
+                assert_eq!(out, newest, "case {case:#x}");
             }
+            assert!(ring.len() <= capacity, "case {case:#x}");
         }
-        prop_assert_eq!(ring.drained(), collected);
-        prop_assert_eq!(
+        assert_eq!(ring.drained(), collected, "case {case:#x}");
+        assert_eq!(
             pushed,
-            ring.drained() + ring.overwritten() + ring.len() as u64
+            ring.drained() + ring.overwritten() + ring.len() as u64,
+            "case {case:#x}"
         );
-    }
+    });
+}
 
-    /// Merging every rotated window histogram (the evicted catch-all
-    /// plus the live ring) is bit-identical to a lifetime histogram fed
-    /// the same latency stream — rotation never loses or double-counts
-    /// a sample, whatever the width, capacity and timestamp pattern.
-    #[test]
-    fn window_rotation_conserves_histogram(
-        width in 1u64..5_000,
-        capacity in 1usize..16,
-        samples in prop::collection::vec((0u64..1_000_000, 0u64..1_000_000), 0..400),
-    ) {
+#[test]
+fn event_ring_conserves_events() {
+    ring_conserves(0xe4e27, |t| DataplaneEvent {
+        timestamp_ns: t,
+        kind: EventKind::AuthReject,
+    });
+    ring_conserves(0xf11647, |seq| FlightRecord {
+        seq,
+        arrival_ns: seq * 100,
+        queue_bytes: 0,
+        queue_pkts: 0,
+        cache_hit: seq % 2 == 0,
+        stages: Vec::new(),
+        verdict: FlightVerdict::ToControl,
+    });
+}
+
+/// Merging every rotated window histogram (the evicted catch-all plus
+/// the live ring) is bit-identical to a lifetime histogram fed the same
+/// latency stream — rotation never loses or double-counts a sample,
+/// whatever the width, capacity and timestamp pattern — and the ring
+/// never holds more live windows than its capacity.
+#[test]
+fn window_rotation_conserves_histogram() {
+    for_each_case(0x21d0, |rng, case| {
+        let width = rng.range_u64(1, 5_000);
+        let capacity = rng.range_usize(1, 16);
         let mut series = WindowedSeries::new(width, capacity);
         let mut lifetime = LatencyHistogram::new();
-        for &(ts, lat) in &samples {
+        let n = rng.range_usize(0, 400);
+        for _ in 0..n {
+            let (ts, lat) = (rng.range_u64(0, 1_000_000), rng.range_u64(0, 1_000_000));
             series.record_forwarded(ts, lat as f64);
             lifetime.record_f64(lat as f64);
+            assert!(series.windows().len() <= capacity, "case {case:#x}");
         }
         let merged = series.lifetime();
-        prop_assert_eq!(&merged.latency, &lifetime);
-        prop_assert_eq!(merged.forwarded, samples.len() as u64);
-        prop_assert!(series.windows().len() <= capacity);
-    }
+        assert_eq!(merged.latency, lifetime, "case {case:#x}");
+        assert_eq!(merged.forwarded, n as u64, "case {case:#x}");
+        assert!(
+            series
+                .windows()
+                .windows(2)
+                .all(|w| w[0].start_ns < w[1].start_ns),
+            "case {case:#x}: live windows out of order"
+        );
+    });
+}
 
-    /// Counter conservation across rotation boundaries: forwarded,
-    /// drop and cache counters summed over evicted + live windows equal
-    /// exactly what was recorded, for any interleaving of record kinds
-    /// (including out-of-order and ancient timestamps).
-    #[test]
-    fn window_rotation_conserves_counters(
-        width in 1u64..2_000,
-        capacity in 1usize..8,
-        ops in prop::collection::vec((0u64..200_000, 0u8..4, 0u64..10, 0u64..10), 0..300),
-    ) {
+/// Counter conservation across rotation boundaries: forwarded, drop and
+/// cache counters summed over evicted + live windows equal exactly what
+/// was recorded, for any interleaving of record kinds (including
+/// out-of-order and ancient timestamps), within the capacity bound.
+#[test]
+fn window_rotation_conserves_counters() {
+    for_each_case(0xc0047, |rng, case| {
+        let width = rng.range_u64(1, 2_000);
+        let capacity = rng.range_usize(1, 8);
         let mut series = WindowedSeries::new(width, capacity);
-        let (mut fwd, mut app, mut unexplained, mut hits, mut misses, mut evictions) =
-            (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-        for &(ts, kind, h, m) in &ops {
-            match kind {
-                0 => { series.record_forwarded(ts, ts as f64); fwd += 1; }
-                1 => { series.record_drop(ts, false); app += 1; }
-                2 => { series.record_drop(ts, true); unexplained += 1; }
+        let (mut fwd, mut app, mut unexplained) = (0u64, 0u64, 0u64);
+        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        for _ in 0..rng.range_usize(0, 300) {
+            let ts = rng.range_u64(0, 200_000);
+            match rng.range_u64(0, 4) {
+                0 => {
+                    series.record_forwarded(ts, ts as f64);
+                    fwd += 1;
+                }
+                1 => {
+                    series.record_drop(ts, false);
+                    app += 1;
+                }
+                2 => {
+                    series.record_drop(ts, true);
+                    unexplained += 1;
+                }
                 _ => {
-                    // Derive an eviction delta and occupancy gauge from the
-                    // same drawn values so they exercise the new fields.
+                    // An eviction delta and an occupancy gauge derived
+                    // from the same draws; all-zero deltas record nothing.
+                    let (h, m) = (rng.range_u64(0, 10), rng.range_u64(0, 10));
                     series.record_cache(ts, h, m, h % 3, h + m);
-                    hits += h; misses += m;
-                    if h != 0 || m != 0 || h % 3 != 0 { evictions += h % 3; }
+                    hits += h;
+                    misses += m;
+                    evictions += h % 3;
                 }
             }
+            assert!(series.windows().len() <= capacity, "case {case:#x}");
         }
         let total = series.lifetime();
-        prop_assert_eq!(total.forwarded, fwd);
-        prop_assert_eq!(total.drops_app, app);
-        prop_assert_eq!(total.drops_unexplained, unexplained);
-        prop_assert_eq!(total.cache_hits, hits);
-        prop_assert_eq!(total.cache_misses, misses);
-        prop_assert_eq!(total.cache_evictions, evictions);
-        prop_assert_eq!(total.latency.count(), fwd);
+        assert_eq!(total.forwarded, fwd, "case {case:#x}");
+        assert_eq!(total.drops_app, app, "case {case:#x}");
+        assert_eq!(total.drops_unexplained, unexplained, "case {case:#x}");
+        assert_eq!(total.cache_hits, hits, "case {case:#x}");
+        assert_eq!(total.cache_misses, misses, "case {case:#x}");
+        assert_eq!(total.cache_evictions, evictions, "case {case:#x}");
+        assert_eq!(total.latency.count(), fwd, "case {case:#x}");
         // The JSON wire format carries the whole series losslessly.
-        use flexsfp_obs::{FromJson, ToJson, Value};
-        let back = WindowedSeries::from_json(
-            &Value::parse(&series.to_json().to_string()).unwrap()
-        ).unwrap();
-        prop_assert_eq!(back, series);
-    }
+        let text = series.to_json().to_string();
+        let back = WindowedSeries::from_json(&Value::parse(&text).unwrap());
+        assert_eq!(back, Some(series), "case {case:#x}");
+    });
 }
