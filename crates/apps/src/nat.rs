@@ -9,12 +9,14 @@
 //! keys and values are 4-byte big-endian IPv4 addresses).
 
 use flexsfp_fabric::resources::{table1, ResourceManifest};
-use flexsfp_obs::{CacheStats, FlightStamp, StageStamp};
+use flexsfp_obs::{CacheStats, FlightStamp};
 use flexsfp_ppe::action::{Action, ActionEngine};
 use flexsfp_ppe::cache::{self, FlowCache, FlowKey, KeyHint, PlanRecorder, BATCH_WINDOW};
 use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::tables::{HashTable, TableError};
-use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
+use flexsfp_ppe::{
+    stamp_stages, Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict,
+};
 
 /// Counter indices exposed by the NAT.
 pub mod counters {
@@ -46,24 +48,6 @@ pub struct StaticNat {
     flight_enabled: bool,
     /// Stamp of the most recently processed packet while stamping is on.
     last_flight: Option<FlightStamp>,
-}
-
-/// Build the NAT's two-stage stamp (match, then rewrite) under the
-/// 4 + 3·stages cycle model. On a table miss only the match stage runs.
-fn nat_stamp(cache_hit: bool, stage_stats: impl IntoIterator<Item = (u8, bool)>) -> FlightStamp {
-    FlightStamp {
-        cache_hit,
-        stages: stage_stats
-            .into_iter()
-            .enumerate()
-            .map(|(i, (stage, hit))| StageStamp {
-                stage,
-                hit,
-                start_cycle: 4 + 3 * i as u32,
-                end_cycle: 4 + 3 * (i as u32 + 1),
-            })
-            .collect(),
-    }
 }
 
 impl Default for StaticNat {
@@ -133,7 +117,7 @@ impl StaticNat {
             }
             if self.flight_enabled {
                 // Parser rejected it before the match stage: empty stamp.
-                self.last_flight = Some(nat_stamp(false, []));
+                self.last_flight = Some(stamp_stages(false, []));
             }
             return Verdict::Drop;
         };
@@ -152,7 +136,7 @@ impl StaticNat {
             }
         }
         if self.flight_enabled {
-            self.last_flight = Some(nat_stamp(false, stages.iter().copied()));
+            self.last_flight = Some(stamp_stages(false, stages.iter().copied()));
         }
         // Both actions are pure, so each outcome is `Continue`.
         if let Some(public) = public {
@@ -191,7 +175,7 @@ impl StaticNat {
         if ctx.direction != self.translate_direction {
             if self.flight_enabled {
                 // Bypassed the pipeline entirely: empty stage list.
-                self.last_flight = Some(nat_stamp(false, []));
+                self.last_flight = Some(stamp_stages(false, []));
             }
             return Verdict::Forward;
         }
@@ -205,7 +189,7 @@ impl StaticNat {
                 // Replay the recorded stage footprint so the postcard
                 // matches the slow path bit-for-bit (only `cache_hit`
                 // tells the paths apart).
-                self.last_flight = Some(nat_stamp(true, plan.stage_stats.iter()));
+                self.last_flight = Some(stamp_stages(true, plan.stage_stats.iter()));
             }
             return cache::replay(plan, packet, &mut self.engine.counters);
         }

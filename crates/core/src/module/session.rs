@@ -10,7 +10,7 @@ use flexsfp_fabric::serdes::Transceiver;
 use flexsfp_obs::{
     DropCounters, DropReason, EventKind, EventRing, FlightStamp, FlightVerdict, WindowedSeries,
 };
-use flexsfp_ppe::{BatchPacket, Direction, KeyHint, ProcessContext, Verdict};
+use flexsfp_ppe::{stage_start_cycle, BatchPacket, Direction, KeyHint, ProcessContext, Verdict};
 use std::collections::VecDeque;
 
 /// PPE batch size: packets admitted to the PPE are queued and handed to
@@ -331,7 +331,7 @@ impl StreamSession {
             server: PpeServer::new(m.config.fifo_bytes),
             serdes_fs: (m.config.serdes_latency_ns * 1e6) as u128,
             ppe_period_fs: m.config.ppe_clock.period_fs() as u128,
-            pipeline_cycles: 4 + 3 * u128::from(m.app.pipeline_depth()),
+            pipeline_cycles: u128::from(stage_start_cycle(m.app.pipeline_depth() as usize)),
             last_time_ns: 0,
             prev_arrival: 0,
             last_beats: (usize::MAX, 0),

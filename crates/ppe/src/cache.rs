@@ -339,7 +339,8 @@ pub struct ActionPlan {
     /// Per-stage (index, hit) attribution for pipeline replay, so
     /// stage hit/miss counters and miss events stay exact.
     pub stage_stats: Vec<(u8, bool)>,
-    /// PPE cycles the slow path charged (4 + 3 × stages run).
+    /// PPE cycles the slow path charged: [`crate::stage_start_cycle`] of
+    /// the number of stages run.
     pub cycles: u64,
 }
 

@@ -46,5 +46,7 @@ pub use engine::{
     BatchPacket, Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict,
 };
 pub use parser::{ParsedPacket, Parser};
-pub use pipeline::{Pipeline, PipelineBuilder, PipelineObs, Stage};
+pub use pipeline::{
+    stage_start_cycle, stamp_stages, Pipeline, PipelineBuilder, PipelineObs, Stage,
+};
 pub use tables::HashTable;

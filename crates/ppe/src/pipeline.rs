@@ -275,8 +275,28 @@ pub struct Pipeline {
 /// packet that ran `idx` stages has occupied the pipeline for as many —
 /// which is also what its plan's `cycles` holds, one stage attribution
 /// being recorded per stage run.
-fn stage_start_cycle(idx: usize) -> u32 {
+pub fn stage_start_cycle(idx: usize) -> u32 {
     4 + 3 * idx as u32
+}
+
+/// The flight stamp of a packet that ran `stages`: `(stage, hit)`
+/// attributions in the order they ran, each given its cycles by
+/// [`stage_start_cycle`]. A plan records the same attributions, so a
+/// cache hit's stamp is the slow path's but for `cache_hit`.
+pub fn stamp_stages(cache_hit: bool, stages: impl IntoIterator<Item = (u8, bool)>) -> FlightStamp {
+    FlightStamp {
+        cache_hit,
+        stages: stages
+            .into_iter()
+            .enumerate()
+            .map(|(i, (stage, hit))| StageStamp {
+                stage,
+                hit,
+                start_cycle: stage_start_cycle(i),
+                end_cycle: stage_start_cycle(i + 1),
+            })
+            .collect(),
+    }
 }
 
 impl Pipeline {
@@ -319,11 +339,8 @@ impl Pipeline {
         mut rec: Option<&mut PlanRecorder>,
     ) -> Verdict {
         self.stats.packets += 1;
-        let mut flight = if self.flight_enabled {
-            Some(FlightStamp::default())
-        } else {
-            None
-        };
+        // The stage attributions of a stamped packet.
+        let mut flight = self.flight_enabled.then(Vec::new);
         let Some(mut parsed) = self.parser.parse(packet) else {
             // Unparseable runt: hardware drops it.
             self.stats.drops += 1;
@@ -336,9 +353,9 @@ impl Pipeline {
             if let Some(r) = rec {
                 r.invalidate();
             }
-            if let Some(f) = flight.take() {
+            if flight.is_some() {
                 // Parser rejected it before any stage ran: empty stamp.
-                self.last_flight = Some(f);
+                self.last_flight = Some(stamp_stages(false, []));
             }
             return Verdict::Drop;
         };
@@ -351,12 +368,7 @@ impl Pipeline {
                 r.stage_stat(idx as u8, hit.is_some());
             }
             if let Some(f) = flight.as_mut() {
-                f.stages.push(StageStamp {
-                    stage: idx as u8,
-                    hit: hit.is_some(),
-                    start_cycle: stage_start_cycle(idx),
-                    end_cycle: stage_start_cycle(idx + 1),
-                });
+                f.push((idx as u8, hit.is_some()));
             }
             if hit.is_some() {
                 self.stages[idx].hits += 1;
@@ -398,8 +410,8 @@ impl Pipeline {
             r.set_cycles(cycles);
         }
         self.obs.stage_cycles.record(cycles);
-        if let Some(f) = flight.take() {
-            self.last_flight = Some(f);
+        if let Some(f) = flight {
+            self.last_flight = Some(stamp_stages(false, f));
         }
         verdict
     }
@@ -594,20 +606,7 @@ impl Pipeline {
                 // a packet's postcard is identical whether the
                 // cache intercepted it or not (only `cache_hit`
                 // tells them apart).
-                self.last_flight = Some(FlightStamp {
-                    cache_hit: true,
-                    stages: plan
-                        .stage_stats
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (si, stage_hit))| StageStamp {
-                            stage: si,
-                            hit: stage_hit,
-                            start_cycle: stage_start_cycle(i),
-                            end_cycle: stage_start_cycle(i + 1),
-                        })
-                        .collect(),
-                });
+                self.last_flight = Some(stamp_stages(true, plan.stage_stats.iter()));
             }
             let cycles = plan.cycles;
             let verdict = cache::replay(plan, packet, &mut self.engine.counters);
