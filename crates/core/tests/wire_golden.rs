@@ -155,7 +155,7 @@ fn every_response_variant() {
         (TableOpResult::BadEncoding, r#"{"Table":"BadEncoding"}"#),
         (TableOpResult::Unsupported, r#"{"Table":"Unsupported"}"#),
     ] {
-        pin(ControlResponse::Table(result.into()), text);
+        pin(ControlResponse::Table(result), text);
     }
     pin(
         ControlResponse::Dom {

@@ -1320,17 +1320,17 @@ mod tests {
         #[derive(Debug, PartialEq)]
         enum Demo {
             Idle,
-            Note(Box<String>),
+            Note(Box<i32>),
             Move { x: i32, y: Option<u8> },
         }
         impl_json_enum!(Demo {
             Idle,
-            Note(text),
+            Note(code),
             Move { x, y },
         });
         for (value, text) in [
             (Demo::Idle, r#""Idle""#),
-            (Demo::Note(Box::new("hi".into())), r#"{"Note":"hi"}"#),
+            (Demo::Note(Box::new(-2)), r#"{"Note":-2}"#),
             (
                 Demo::Move { x: -3, y: None },
                 r#"{"Move":{"x":-3,"y":null}}"#,
@@ -1349,10 +1349,10 @@ mod tests {
             json!("Nope"),
             json!({"Idle": null}),
             json!({"Nope": 1}),
-            json!({"Note": 5}),
+            json!({"Note": "x"}),
             json!({"Move": 5}),
             json!({"Move": {"y": 1}}),
-            json!({"Idle": null, "Note": "x"}),
+            json!({"Idle": null, "Note": 1}),
             json!({}),
             json!(["Idle"]),
             json!(null),
