@@ -1007,10 +1007,7 @@ macro_rules! json_enum_internal {
         )
     };
     (@decode $body:ident, $variant:ident) => {
-        match $body {
-            ::core::option::Option::None => ::core::option::Option::Some(Self::$variant),
-            ::core::option::Option::Some(_) => ::core::option::Option::None,
-        }
+        $body.is_none().then_some(Self::$variant)
     };
     (@decode $body:ident, $variant:ident ( $inner:ident )) => {
         ::core::option::Option::Some(Self::$variant($crate::json::FromJson::from_json($body?)?))

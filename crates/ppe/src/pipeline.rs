@@ -340,7 +340,9 @@ impl Pipeline {
     ) -> Verdict {
         self.stats.packets += 1;
         // The stage attributions of a stamped packet.
-        let mut flight = self.flight_enabled.then(Vec::new);
+        let mut flight = self
+            .flight_enabled
+            .then(|| Vec::with_capacity(self.stages.len()));
         let Some(mut parsed) = self.parser.parse(packet) else {
             // Unparseable runt: hardware drops it.
             self.stats.drops += 1;
