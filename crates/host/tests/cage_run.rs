@@ -18,9 +18,11 @@
 //! as unsorted); same-instant frames through a shared PPE (a server
 //! that is not fresh per frame would queue the second); ARP and ICMP
 //! echo for the module itself; in-band `Ping` and table-write control
-//! frames; runts; a disabled lane; and an in-band OTA commit + activate
-//! in the middle, after which the application, and with it the
-//! pipeline depth every latency sample depends on, is a different one.
+//! frames; runts; a disabled lane; a configuration rewritten through
+//! `module_mut` (FIFO size, PPE clock, SerDes latency); and an in-band
+//! OTA commit + activate in the middle, after which the application,
+//! and with it the pipeline depth every latency sample depends on, is a
+//! different one.
 //! It runs for each of the 11 §3 applications from
 //! [`flexsfp_apps::factory`], on alternating shells, and for an
 //! Active-Control-Plane module.
@@ -32,6 +34,7 @@ use flexsfp_core::control::{ControlPlane, ControlRequest, CONTROL_PORT};
 use flexsfp_core::module::{FlexSfp, Interface, ModuleConfig, SimPacket};
 use flexsfp_core::reprogram::MAX_CHUNK;
 use flexsfp_core::{Bitstream, ShellKind};
+use flexsfp_fabric::clock::ClockDomain;
 use flexsfp_fabric::hash::crc32;
 use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_host::crossbar::serialize_ns;
@@ -204,6 +207,9 @@ enum Step {
     },
     OpticalLane(bool),
     EdgeLane(bool),
+    /// The operator rewrites the configuration `module_mut` hands out:
+    /// a FIFO only small frames fit, the other PPE clock, faster SerDes.
+    Reconfigure,
 }
 
 /// The whole sequence for one module. Data frames come from a seeded
@@ -305,6 +311,10 @@ fn script(config: &ModuleConfig, swap_to: &Bitstream, seed: u64) -> Vec<Step> {
             }
             108 => {
                 steps.push(Step::EdgeLane(true));
+                continue;
+            }
+            112 => {
+                steps.push(Step::Reconfigure);
                 continue;
             }
             // The OTA, one request every other step, traffic between.
@@ -500,6 +510,18 @@ fn assert_cage_is_one_run_per_frame(
                     } else {
                         m.edge.disable();
                     }
+                }
+            }
+            Step::Reconfigure => {
+                let seated = sw.module_mut(CAGE).expect("seated");
+                for m in [seated, &mut twin.module] {
+                    m.config.fifo_bytes = 600;
+                    m.config.serdes_latency_ns = 80.0;
+                    m.config.ppe_clock = if m.config.ppe_clock == ClockDomain::XGMII_10G {
+                        ClockDomain::XGMII_10G_X2
+                    } else {
+                        ClockDomain::XGMII_10G
+                    };
                 }
             }
         }
