@@ -13,6 +13,16 @@
 //! unit tests queue integers. Buffering reuses [`crate::fifo::Fifo`],
 //! so per-crosspoint occupancy, high-water and overflow statistics come
 //! for free and flow into the `flexsfp_xbar_*` telemetry family.
+//!
+//! An arbiter in hardware does not visit its column's queues: each
+//! crosspoint raises a valid bit and a priority encoder picks the first
+//! one at or after the round-robin pointer. The model does the same.
+//! Per output it keeps one bit per input whose crosspoint holds an item
+//! (a `u64` per 64 inputs) and a count of the items in the column, so
+//! an empty column is refused on the count alone, a grant is a
+//! `trailing_zeros` over at most a column's words plus one, and
+//! occupancy is read, never summed. A call costs what it moves, not
+//! what the matrix could hold.
 
 use crate::fifo::{Fifo, FifoStats};
 
@@ -41,6 +51,41 @@ pub struct CrosspointMatrix<T> {
     rr_next: Vec<usize>,
     /// Per-output grant counters.
     grants: Vec<u64>,
+    /// Per output, `words` consecutive `u64`s: bit `input % 64` of word
+    /// `input / 64` is set exactly while that crosspoint holds an item.
+    valid: Vec<u64>,
+    /// `u64`s per column of `valid`.
+    words: usize,
+    /// Items queued toward each output.
+    column_len: Vec<usize>,
+    /// Items queued anywhere.
+    occupancy: usize,
+}
+
+/// The first set bit of `column` at or after bit `start`, wrapping past
+/// the column's end once: the order a scan `start, start + 1, …` over
+/// the inputs visits them in. `None` when no bit is set.
+fn first_valid_from(column: &[u64], start: usize) -> Option<usize> {
+    let (start_word, start_bit) = (start / 64, start % 64);
+    let at_or_after = !0u64 << start_bit;
+    // The start word's upper part, every other word in order, and last
+    // the start word's lower part.
+    let upper = column[start_word] & at_or_after;
+    if upper != 0 {
+        return Some(start_word * 64 + upper.trailing_zeros() as usize);
+    }
+    for step in 1..=column.len() {
+        let word = (start_word + step) % column.len();
+        let bits = if step == column.len() {
+            column[word] & !at_or_after
+        } else {
+            column[word]
+        };
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
+        }
+    }
+    None
 }
 
 impl<T> CrosspointMatrix<T> {
@@ -48,11 +93,16 @@ impl<T> CrosspointMatrix<T> {
     /// `ports` or `depth` is zero.
     pub fn new(ports: usize, depth: usize) -> CrosspointMatrix<T> {
         assert!(ports > 0, "crossbar needs at least one port");
+        let words = ports.div_ceil(64);
         CrosspointMatrix {
             ports,
             queues: (0..ports * ports).map(|_| Fifo::new(depth)).collect(),
             rr_next: vec![0; ports],
             grants: vec![0; ports],
+            valid: vec![0; ports * words],
+            words,
+            column_len: vec![0; ports],
+            occupancy: 0,
         }
     }
 
@@ -76,41 +126,50 @@ impl<T> CrosspointMatrix<T> {
     /// item comes back in `Err` and the crosspoint counts the drop.
     pub fn offer(&mut self, input: usize, output: usize, item: T) -> Result<(), T> {
         let i = self.idx(input, output);
-        self.queues[i].push(item)
+        self.queues[i].push(item)?;
+        self.valid[output * self.words + input / 64] |= 1 << (input % 64);
+        self.column_len[output] += 1;
+        self.occupancy += 1;
+        Ok(())
     }
 
     /// Grant one item toward `output`: round-robin over the output's
     /// column starting after the last granted input. Returns the
     /// granted input and the item, or `None` when the column is empty.
     pub fn arbitrate(&mut self, output: usize) -> Option<(usize, T)> {
-        let start = self.rr_next[output];
-        for step in 0..self.ports {
-            let input = (start + step) % self.ports;
-            let i = self.idx(input, output);
-            if let Some(item) = self.queues[i].pop() {
-                self.rr_next[output] = (input + 1) % self.ports;
-                self.grants[output] += 1;
-                return Some((input, item));
-            }
+        if self.column_len[output] == 0 {
+            return None;
         }
-        None
+        let column = output * self.words..(output + 1) * self.words;
+        let input = first_valid_from(&self.valid[column], self.rr_next[output])
+            .expect("a column that counts an item has a valid bit set");
+        let i = self.idx(input, output);
+        let item = self.queues[i]
+            .pop()
+            .expect("a valid bit marks a crosspoint that holds an item");
+        if self.queues[i].is_empty() {
+            self.valid[output * self.words + input / 64] &= !(1 << (input % 64));
+        }
+        self.column_len[output] -= 1;
+        self.occupancy -= 1;
+        self.rr_next[output] = (input + 1) % self.ports;
+        self.grants[output] += 1;
+        Some((input, item))
     }
 
     /// Items queued toward `output` across all inputs.
     pub fn column_len(&self, output: usize) -> usize {
-        (0..self.ports)
-            .map(|input| self.queues[self.idx(input, output)].len())
-            .sum()
+        self.column_len[output]
     }
 
     /// Items queued anywhere in the matrix.
     pub fn occupancy(&self) -> usize {
-        self.queues.iter().map(Fifo::len).sum()
+        self.occupancy
     }
 
     /// True when no crosspoint holds an item.
     pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(Fifo::is_empty)
+        self.occupancy == 0
     }
 
     /// Lifetime statistics of one crosspoint queue.
