@@ -162,6 +162,12 @@ impl LatencyStats {
         self.hist.record_f64(l);
     }
 
+    /// The histogram itself, for a run that records into a longer-lived
+    /// one in place of its own.
+    pub(super) fn histogram_mut(&mut self) -> &mut LatencyHistogram {
+        &mut self.hist
+    }
+
     /// Fold another run's latency population into this one — exact,
     /// because the underlying histogram merge is exact (shard-report
     /// merge).

@@ -228,7 +228,7 @@ struct InFlight {
 }
 
 /// A busy-server + finite-FIFO model of the PPE.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PpeServer {
     free_fs: u128,
     fifo_bytes: usize,
@@ -239,13 +239,13 @@ struct PpeServer {
 }
 
 impl PpeServer {
-    fn new(fifo_bytes: usize) -> PpeServer {
-        PpeServer {
-            free_fs: 0,
-            fifo_bytes,
-            in_flight: VecDeque::new(),
-            backlog: 0,
-        }
+    /// An idle server with an empty `fifo_bytes` FIFO, on the queue
+    /// buffer it already has.
+    fn reset(&mut self, fifo_bytes: usize) {
+        self.free_fs = 0;
+        self.fifo_bytes = fifo_bytes;
+        self.in_flight.clear();
+        self.backlog = 0;
     }
 
     /// Entries that completed service by `arrival_fs` have left the
@@ -326,18 +326,35 @@ pub struct StreamSession {
 impl StreamSession {
     /// A fresh run against `m`, with `m`'s clocks and FIFO geometry.
     pub(super) fn new(m: &FlexSfp) -> StreamSession {
-        StreamSession {
+        let mut session = StreamSession {
             report: SimReport::default(),
-            server: PpeServer::new(m.config.fifo_bytes),
-            serdes_fs: (m.config.serdes_latency_ns * 1e6) as u128,
-            ppe_period_fs: m.config.ppe_clock.period_fs() as u128,
-            pipeline_cycles: u128::from(stage_start_cycle(m.app.pipeline_depth() as usize)),
+            server: PpeServer::default(),
+            serdes_fs: 0,
+            ppe_period_fs: 0,
+            pipeline_cycles: 0,
             last_time_ns: 0,
             prev_arrival: 0,
             last_beats: (usize::MAX, 0),
             batch: Vec::with_capacity(PPE_BATCH),
             pending: Vec::with_capacity(PPE_BATCH),
-        }
+        };
+        session.rewind(m);
+        session
+    }
+
+    /// Back to the first instant of a fresh run against `m` as it is
+    /// now — an OTA reboot may have swapped the application, and the
+    /// configuration is a public field — keeping only the buffers.
+    fn rewind(&mut self, m: &FlexSfp) {
+        debug_assert!(self.batch.is_empty() && self.pending.is_empty());
+        self.report = SimReport::default();
+        self.server.reset(m.config.fifo_bytes);
+        self.serdes_fs = (m.config.serdes_latency_ns * 1e6) as u128;
+        self.ppe_period_fs = m.config.ppe_clock.period_fs() as u128;
+        self.pipeline_cycles = u128::from(stage_start_cycle(m.app.pipeline_depth() as usize));
+        self.last_time_ns = 0;
+        self.prev_arrival = 0;
+        self.last_beats = (usize::MAX, 0);
     }
 
     fn accounts<'a>(&'a mut self, m: &'a mut FlexSfp) -> Accounts<'a> {
@@ -607,6 +624,14 @@ impl StreamSession {
         true
     }
 
+    /// The end of a run, bar its latency population: flush the final
+    /// partial batch, stamp the duration, advance the module's clock.
+    fn close<F: FnMut(u64, OutputPacket)>(&mut self, m: &mut FlexSfp, sink: &mut F) {
+        self.flush_batch(m, None, sink);
+        self.report.duration_ns = self.last_time_ns;
+        m.clock_ns = m.clock_ns.max(self.last_time_ns);
+    }
+
     /// Close the run: flush the final partial batch, stamp the
     /// duration, and fold the run into the module's lifetime
     /// telemetry — byte-identical to how `run_stream_with` ends.
@@ -615,11 +640,38 @@ impl StreamSession {
         m: &mut FlexSfp,
         sink: &mut F,
     ) -> SimReport {
-        self.flush_batch(m, None, sink);
-        self.report.duration_ns = self.last_time_ns;
+        self.close(m, sink);
         m.lifetime_latency.merge(self.report.latency.histogram());
-        m.clock_ns = m.clock_ns.max(self.last_time_ns);
         self.report
+    }
+
+    /// One packet as one whole, independent run on this session's
+    /// buffers: what [`FlexSfp::run`]`(vec![pkt])` does to the module
+    /// and to the sink, without what it allocates. Whatever the session
+    /// was in the middle of must have been flushed; the run starts from
+    /// a fresh PPE server and a zero clock, re-reads the module's
+    /// configuration and pipeline depth, and ends like
+    /// [`finish`](Self::finish). This is how a switch cage carries one
+    /// frame: consecutive frames reach a cage with no ordering between
+    /// their timestamps, so they cannot share a stream.
+    ///
+    /// The returned report is the run's, valid until the next call,
+    /// with `outputs` empty (they went to the sink, in processing
+    /// order) and `latency` empty: the run records straight into the
+    /// module's lifetime histogram, where `finish` would have merged
+    /// the sample a moment later.
+    pub fn run_one<F: FnMut(u64, OutputPacket)>(
+        &mut self,
+        m: &mut FlexSfp,
+        pkt: SimPacket,
+        sink: &mut F,
+    ) -> &SimReport {
+        self.rewind(m);
+        std::mem::swap(self.report.latency.histogram_mut(), &mut m.lifetime_latency);
+        self.offer(m, 0, pkt, sink);
+        self.close(m, sink);
+        std::mem::swap(self.report.latency.histogram_mut(), &mut m.lifetime_latency);
+        &self.report
     }
 }
 
