@@ -9,8 +9,23 @@
 //! control-plane exchange. [`ModulePass`] captures every one of those
 //! outcomes per pass so the switch can conserve frames exactly
 //! instead of inferring "dropped" from a missing output.
+//!
+//! One frame, one run. A pass is
+//! [`StreamSession::run_one`]: what `FlexSfp::run(vec![frame])` does,
+//! on run state the seat keeps from pass to pass so that a frame in
+//! steady state allocates nothing. The passes of one cage do not form a
+//! stream and must not be made into one: an output that fell idle
+//! before `now` grants its next parked frame at that earlier instant,
+//! so a cage sees egress grants stamped before ingress frames it has
+//! already carried, which a stream would drop as unsorted arrivals. So
+//! every pass starts from an idle PPE and an empty FIFO, re-reads the
+//! module's clocks, FIFO size and pipeline depth (an OTA reboot swaps
+//! the application; [`CrossbarSwitch::module_mut`](crate::CrossbarSwitch::module_mut)
+//! hands out the configuration), and a cage module's FIFO never carries
+//! backlog from one frame to the next. Queueing in the switch is the
+//! crosspoints' job.
 
-use flexsfp_core::module::{FlexSfp, Interface, SimPacket};
+use flexsfp_core::module::{FlexSfp, Interface, OutputPacket, SimPacket, StreamSession};
 use flexsfp_ppe::Direction;
 
 /// What a port forwards through.
@@ -18,14 +33,26 @@ pub(crate) enum Cage {
     /// A plain fixed-function SFP: transparent.
     StandardSfp,
     /// A FlexSFP module.
-    FlexSfp(Box<FlexSfp>),
+    FlexSfp(Box<Seat>),
+}
+
+/// A seated module and the run state its passes reuse.
+pub(crate) struct Seat {
+    pub module: FlexSfp,
+    /// Made by the first frame through the cage, not at seat time.
+    run: Option<StreamSession>,
 }
 
 impl Cage {
+    /// A cage holding `module`.
+    pub(crate) fn seat(module: FlexSfp) -> Cage {
+        Cage::FlexSfp(Box::new(Seat { module, run: None }))
+    }
+
     /// The module in the cage, if any.
     pub(crate) fn module_mut(&mut self) -> Option<&mut FlexSfp> {
         match self {
-            Cage::FlexSfp(m) => Some(m),
+            Cage::FlexSfp(seat) => Some(&mut seat.module),
             Cage::StandardSfp => None,
         }
     }
@@ -34,14 +61,15 @@ impl Cage {
 /// The fully-accounted outcome of one frame offered to one cage.
 ///
 /// Conservation per pass: the one offered frame plus any copies the
-/// module created equals `matched.len() + diverted + dropped +
-/// to_control + absorbed() - gains()` — rearranged, `gains()` counts
-/// module-created copies (sources) and `absorbed()` counts frames the
-/// module consumed without any other accounted fate (sinks).
+/// module created equals `matched + diverted + dropped + to_control +
+/// absorbed() - gains()` — rearranged, `gains()` counts module-created
+/// copies (sources) and `absorbed()` counts frames the module consumed
+/// without any other accounted fate (sinks).
 pub(crate) struct ModulePass {
-    /// Outputs that emerged on the expected egress interface, in
-    /// departure order — all of them, not just the first.
-    pub matched: Vec<Vec<u8>>,
+    /// Outputs that emerged on the expected egress interface — all of
+    /// them, not just the first; the frames themselves went to the
+    /// pass's sink.
+    pub matched: u64,
     /// Outputs that emerged on the *other* interface (reflected back
     /// toward where the frame came from).
     pub diverted: u64,
@@ -56,7 +84,7 @@ pub(crate) struct ModulePass {
 impl ModulePass {
     /// Accounted fates of this pass (outputs + drops + control).
     fn outcomes(&self) -> u64 {
-        self.matched.len() as u64 + self.diverted + self.dropped + self.to_control
+        self.matched + self.diverted + self.dropped + self.to_control
     }
 
     /// Copies the module created beyond the one frame offered — a
@@ -73,43 +101,48 @@ impl ModulePass {
     }
 }
 
-/// Pass one frame through `cage` in `direction` at `t_ns` and account
-/// every outcome.
+/// Pass one frame through `cage` in `direction` at `t_ns`: every output
+/// that emerges on the expected egress interface goes to `matched`, in
+/// the order the module produced it, and every other outcome is
+/// accounted in the returned [`ModulePass`].
 pub(crate) fn through_cage(
     cage: &mut Cage,
     frame: Vec<u8>,
     direction: Direction,
     t_ns: u64,
+    mut matched: impl FnMut(Vec<u8>),
 ) -> ModulePass {
+    let mut pass = ModulePass {
+        matched: 0,
+        diverted: 0,
+        dropped: 0,
+        to_control: 0,
+    };
     match cage {
-        Cage::StandardSfp => ModulePass {
-            matched: vec![frame],
-            diverted: 0,
-            dropped: 0,
-            to_control: 0,
-        },
-        Cage::FlexSfp(m) => {
-            let report = m.run(vec![SimPacket {
+        Cage::StandardSfp => {
+            pass.matched = 1;
+            matched(frame);
+        }
+        Cage::FlexSfp(seat) => {
+            let Seat { module, run } = &mut **seat;
+            let run = run.get_or_insert_with(|| module.begin_stream());
+            let expect = Interface::egress_for(direction);
+            let pkt = SimPacket {
                 arrival_ns: t_ns,
                 direction,
                 frame,
-            }]);
-            let expect = Interface::egress_for(direction);
-            let mut matched = Vec::new();
-            let mut diverted = 0;
-            for o in report.outputs {
-                if o.egress == expect {
-                    matched.push(o.frame);
+            };
+            let report = run.run_one(module, pkt, &mut |_tag, out: OutputPacket| {
+                if out.egress == expect {
+                    pass.matched += 1;
+                    matched(out.frame);
                 } else {
-                    diverted += 1;
+                    pass.diverted += 1;
                 }
-            }
-            ModulePass {
-                matched,
-                diverted,
-                dropped: report.drops.total(),
-                to_control: report.to_control,
-            }
+            });
+            pass.dropped = report.drops.total();
+            pass.to_control = report.to_control;
         }
     }
+    pass
 }

@@ -158,16 +158,83 @@ impl CrossbarStats {
     }
 }
 
+/// The fixed-function half of the switch, everything but the cages:
+/// the learning table, the crosspoint fabric and the frame accounting.
+struct Bridge {
+    mac_table: HashMap<MacAddr, usize>,
+    matrix: CrosspointMatrix<QueuedFrame>,
+    /// One bit per output whose column holds a frame (a `u64` per 64
+    /// outputs), so servicing visits the outputs with work to do and
+    /// not every port on every injection.
+    backlogged: Vec<u64>,
+    stats: SwitchStats,
+    crosspoint_dropped: u64,
+}
+
+impl Bridge {
+    /// Validate, learn, pick egress ports, park each copy in its
+    /// crosspoint queue.
+    fn enqueue(&mut self, port: usize, mut frame: Vec<u8>, t_ns: u64) {
+        let Ok(eth) = EthernetFrame::new_checked(&frame[..]) else {
+            self.stats.dropped_malformed += 1;
+            return;
+        };
+        let (src, dst) = (eth.src(), eth.dst());
+        if src.is_unicast() {
+            self.mac_table.insert(src, port);
+        }
+        match self.mac_table.get(&dst) {
+            Some(&p) if p != port => self.park(port, p, frame, t_ns),
+            // The destination is on the ingress port.
+            Some(_) => self.stats.filtered_hairpin += 1,
+            None => {
+                self.stats.flooded += 1;
+                let ports = self.matrix.ports();
+                if ports == 1 {
+                    self.stats.filtered_hairpin += 1; // nowhere to flood to
+                    return;
+                }
+                self.stats.flood_copies += ports as u64 - 2;
+                let mut egress = (0..ports).filter(|&p| p != port).peekable();
+                while let Some(p) = egress.next() {
+                    let copy = if egress.peek().is_some() {
+                        frame.clone()
+                    } else {
+                        std::mem::take(&mut frame)
+                    };
+                    self.park(port, p, copy, t_ns);
+                }
+            }
+        }
+    }
+
+    /// Offer one copy to the (`input`, `output`) crosspoint.
+    fn park(&mut self, input: usize, output: usize, frame: Vec<u8>, enqueue_ns: u64) {
+        let queued = QueuedFrame { frame, enqueue_ns };
+        if self.matrix.offer(input, output, queued).is_ok() {
+            self.backlogged[output / 64] |= 1 << (output % 64);
+        } else {
+            self.crosspoint_dropped += 1;
+        }
+    }
+
+    /// Grant one frame toward `output`, if its column holds any.
+    fn grant(&mut self, output: usize) -> Option<QueuedFrame> {
+        let (_input, q) = self.matrix.arbitrate(output)?;
+        if self.matrix.column_len(output) == 0 {
+            self.backlogged[output / 64] &= !(1 << (output % 64));
+        }
+        Some(q)
+    }
+}
+
 /// An N-port crosspoint-queued crossbar whose SFP cages accept FlexSFP
 /// modules.
 pub struct CrossbarSwitch {
     cages: Vec<Cage>,
-    mac_table: HashMap<MacAddr, usize>,
-    matrix: CrosspointMatrix<QueuedFrame>,
+    bridge: Bridge,
     /// Per-output: the time the port finishes its current transmission.
     out_free_ns: Vec<u64>,
-    stats: SwitchStats,
-    crosspoint_dropped: u64,
     queue_latency: LatencyHistogram,
     time_ns: u64,
 }
@@ -178,11 +245,14 @@ impl CrossbarSwitch {
     pub fn new(ports: usize, depth: usize) -> CrossbarSwitch {
         CrossbarSwitch {
             cages: (0..ports).map(|_| Cage::StandardSfp).collect(),
-            mac_table: HashMap::new(),
-            matrix: CrosspointMatrix::new(ports, depth),
+            bridge: Bridge {
+                mac_table: HashMap::new(),
+                matrix: CrosspointMatrix::new(ports, depth),
+                backlogged: vec![0; ports.div_ceil(64)],
+                stats: SwitchStats::default(),
+                crosspoint_dropped: 0,
+            },
             out_free_ns: vec![0; ports],
-            stats: SwitchStats::default(),
-            crosspoint_dropped: 0,
             queue_latency: LatencyHistogram::new(),
             time_ns: 0,
         }
@@ -195,13 +265,13 @@ impl CrossbarSwitch {
 
     /// Swap the SFP in `port` for a FlexSFP — the drop-in upgrade.
     pub fn insert_flexsfp(&mut self, port: usize, module: FlexSfp) {
-        self.cages[port] = Cage::FlexSfp(Box::new(module));
+        self.cages[port] = Cage::seat(module);
     }
 
     /// Revert `port` to a standard SFP.
     pub fn remove_flexsfp(&mut self, port: usize) -> Option<FlexSfp> {
         match std::mem::replace(&mut self.cages[port], Cage::StandardSfp) {
-            Cage::FlexSfp(m) => Some(*m),
+            Cage::FlexSfp(seat) => Some(seat.module),
             Cage::StandardSfp => None,
         }
     }
@@ -214,15 +284,15 @@ impl CrossbarSwitch {
 
     /// Learned MAC table size.
     pub fn learned(&self) -> usize {
-        self.mac_table.len()
+        self.bridge.mac_table.len()
     }
 
     /// Statistics snapshot, including the current queue occupancy.
     pub fn stats(&self) -> CrossbarStats {
         CrossbarStats {
-            sw: self.stats,
-            crosspoint_dropped: self.crosspoint_dropped,
-            queued: self.matrix.occupancy() as u64,
+            sw: self.bridge.stats,
+            crosspoint_dropped: self.bridge.crosspoint_dropped,
+            queued: self.bridge.matrix.occupancy() as u64,
         }
     }
 
@@ -233,79 +303,60 @@ impl CrossbarSwitch {
     }
 
     /// Offer a frame arriving from the wire on `port` at `t_ns`, then
-    /// service every output up to that instant. Injection times must be
-    /// globally non-decreasing — the service model (and each cage's
-    /// stream clock) advances with them.
+    /// service every backlogged output up to that instant. Injection
+    /// times must be globally non-decreasing: the service model's clock
+    /// advances with them.
+    ///
+    /// A cage's module keeps no clock of its own between frames. Each
+    /// frame crossing a cage, on ingress here or on egress at its
+    /// grant, is one independent run of that one frame through the
+    /// module ([`StreamSession::run_one`](flexsfp_core::module::StreamSession::run_one)):
+    /// a fresh PPE server, lifetime telemetry carried over. It has to
+    /// be. An output that fell idle at `out_free_ns < t_ns` grants its
+    /// next parked frame at that earlier instant, so a cage can see a
+    /// grant stamped *before* an ingress it has already carried; a
+    /// stream would refuse it as an unsorted arrival. One consequence
+    /// is that a cage module's ingress FIFO never carries backlog from
+    /// one frame to the next: what queues in this switch queues in the
+    /// crosspoints.
     pub fn inject(&mut self, port: usize, frame: Vec<u8>, t_ns: u64) -> Vec<TimedDelivery> {
         assert!(port < self.cages.len(), "no such port");
         self.time_ns = self.time_ns.max(t_ns);
-        self.stats.received += 1;
+        let bridge = &mut self.bridge;
+        bridge.stats.received += 1;
         // Ingress: wire → module (optical side faces the wire) → fabric.
-        let pass = through_cage(&mut self.cages[port], frame, Direction::OpticalToEdge, t_ns);
-        self.stats.absorb_pass(&pass);
-        for frame in pass.matched {
-            self.enqueue(port, frame, t_ns);
-        }
-        self.service(self.time_ns)
-    }
-
-    /// The bridge half: validate, learn, pick egress ports, park each
-    /// copy in its crosspoint queue.
-    fn enqueue(&mut self, port: usize, frame: Vec<u8>, t_ns: u64) {
-        let Ok(eth) = EthernetFrame::new_checked(&frame[..]) else {
-            self.stats.dropped_malformed += 1;
-            return;
-        };
-        let src = eth.src();
-        if src.is_unicast() {
-            self.mac_table.insert(src, port);
-        }
-        let dst = eth.dst();
-        let egress_ports: Vec<usize> = match self.mac_table.get(&dst) {
-            Some(&p) if p != port => vec![p],
-            Some(_) => Vec::new(), // destination is on the ingress port
-            None => {
-                self.stats.flooded += 1;
-                (0..self.cages.len()).filter(|&p| p != port).collect()
-            }
-        };
-        if egress_ports.is_empty() {
-            self.stats.filtered_hairpin += 1;
-            return;
-        }
-        self.stats.flood_copies += egress_ports.len() as u64 - 1;
-        let last = egress_ports.len();
-        let mut frame = frame;
-        for (i, p) in egress_ports.into_iter().enumerate() {
-            let copy = if i + 1 == last {
-                std::mem::take(&mut frame)
-            } else {
-                frame.clone()
-            };
-            let queued = QueuedFrame {
-                frame: copy,
-                enqueue_ns: t_ns,
-            };
-            if self.matrix.offer(port, p, queued).is_err() {
-                self.crosspoint_dropped += 1;
-            }
-        }
-    }
-
-    /// Service every output port up to `now`: while a port is idle and
-    /// its column holds frames, grant round-robin, serialize at line
-    /// rate, and run the granted frame through the egress cage.
-    fn service(&mut self, now: u64) -> Vec<TimedDelivery> {
+        let pass = through_cage(
+            &mut self.cages[port],
+            frame,
+            Direction::OpticalToEdge,
+            t_ns,
+            |frame| bridge.enqueue(port, frame, t_ns),
+        );
+        self.bridge.stats.absorb_pass(&pass);
         let mut out = Vec::new();
-        for p in 0..self.cages.len() {
-            while self.out_free_ns[p] <= now {
-                let Some((_input, q)) = self.matrix.arbitrate(p) else {
-                    break;
-                };
-                self.transmit(p, q, &mut out);
+        self.service(Some(self.time_ns), &mut out);
+        out
+    }
+
+    /// Service every backlogged output, in port order: while the port
+    /// is idle at `until` (`None`: regardless of the clock) and its
+    /// column holds frames, grant round-robin, serialize at line rate,
+    /// and run the granted frame through the egress cage.
+    fn service(&mut self, until: Option<u64>, out: &mut Vec<TimedDelivery>) {
+        for word in 0..self.bridge.backlogged.len() {
+            // Serving an output changes no other output's backlog.
+            let mut bits = self.bridge.backlogged[word];
+            while bits != 0 {
+                let p = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while until.is_none_or(|now| self.out_free_ns[p] <= now) {
+                    let Some(q) = self.bridge.grant(p) else {
+                        break;
+                    };
+                    self.transmit(p, q, out);
+                }
             }
         }
-        out
     }
 
     /// Drain every remaining queued frame regardless of the clock (end
@@ -313,11 +364,7 @@ impl CrossbarSwitch {
     /// conservation identity closes without an in-flight term.
     pub fn drain(&mut self) -> Vec<TimedDelivery> {
         let mut out = Vec::new();
-        for p in 0..self.cages.len() {
-            while let Some((_input, q)) = self.matrix.arbitrate(p) {
-                self.transmit(p, q, &mut out);
-            }
-        }
+        self.service(None, &mut out);
         out.sort_by_key(|d| d.departure_ns);
         out
     }
@@ -335,27 +382,27 @@ impl CrossbarSwitch {
             q.frame,
             Direction::EdgeToOptical,
             grant_ns,
+            |frame| {
+                out.push(TimedDelivery {
+                    port: p,
+                    frame,
+                    departure_ns: done_ns,
+                })
+            },
         );
-        self.stats.absorb_pass(&pass);
-        for f in pass.matched {
-            self.stats.delivered += 1;
-            out.push(TimedDelivery {
-                port: p,
-                frame: f,
-                departure_ns: done_ns,
-            });
-        }
+        self.bridge.stats.delivered += pass.matched;
+        self.bridge.stats.absorb_pass(&pass);
     }
 
     /// Switch-level crossbar telemetry: geometry, aggregates,
     /// per-output grants and the sparse per-crosspoint counters.
     pub fn telemetry(&self) -> XbarTelemetry {
         let ports = self.cages.len();
-        let totals = self.matrix.totals();
+        let totals = self.bridge.matrix.totals();
         let mut crosspoints = Vec::new();
         for input in 0..ports {
             for output in 0..ports {
-                let s = self.matrix.crosspoint_stats(input, output);
+                let s = self.bridge.matrix.crosspoint_stats(input, output);
                 if s.pushed == 0 && s.overflows == 0 {
                     continue;
                 }
@@ -371,12 +418,12 @@ impl CrossbarSwitch {
         }
         XbarTelemetry {
             ports: ports as u64,
-            depth: self.matrix.depth() as u64,
+            depth: self.bridge.matrix.depth() as u64,
             enqueued: totals.enqueued,
             granted: totals.granted,
             dropped: totals.dropped,
             high_water: totals.high_water as u64,
-            output_grants: (0..ports).map(|p| self.matrix.grants(p)).collect(),
+            output_grants: (0..ports).map(|p| self.bridge.matrix.grants(p)).collect(),
             crosspoints,
         }
     }
