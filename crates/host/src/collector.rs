@@ -248,6 +248,7 @@ mod tests {
     use crate::fleet::FleetManager;
     use flexsfp_core::auth::AuthKey;
     use flexsfp_core::module::{FlexSfp, ModuleConfig, SimPacket};
+    use flexsfp_obs::FromJson;
     use flexsfp_ppe::Direction;
 
     fn fleet(n: usize) -> FleetManager {
@@ -324,6 +325,56 @@ mod tests {
         // The fleet histogram equals the merge of the stored ones.
         assert_eq!(c.fleet_latency().count(), 70);
         assert_eq!(c.fleet_drops(), 0);
+    }
+
+    #[test]
+    fn a_snapshot_with_a_crafted_histogram_never_reaches_the_fleet_merge() {
+        // A snapshot arrives as text from a module the collector does
+        // not control. Whatever of it decodes is ingested, merged and
+        // rendered, and none of that may panic; a latency histogram
+        // whose fields disagree must not decode in the first place
+        // (`min > max` alone would panic the quantile clamp below).
+        let f = fleet(1);
+        f.with_module(0, |m| m.run(packets(12)));
+        let honest = f.telemetry_snapshots().remove(0).expect("scraped");
+        let doc = honest.to_json();
+        let latency = doc.get("latency").as_object().expect("an object").clone();
+        let crafted = |key: &str, value: Value| {
+            let mut latency = latency.clone();
+            latency.insert(key.to_string(), value);
+            let mut doc = doc.as_object().expect("an object").clone();
+            doc.insert("latency".to_string(), Value::Object(latency));
+            Value::Object(doc)
+        };
+        let max = honest.latency.max();
+        let documents = [
+            ("untouched", doc.clone(), true),
+            ("min above max", crafted("min", (max + 1).to_json()), false),
+            (
+                "max beyond the buckets",
+                crafted("max", u64::MAX.to_json()),
+                false,
+            ),
+            (
+                "count above the buckets' sum",
+                crafted("count", 1_000u64.to_json()),
+                false,
+            ),
+            (
+                "no buckets",
+                crafted("counts", Vec::<u64>::new().to_json()),
+                false,
+            ),
+        ];
+        for (what, doc, decodes) in documents {
+            let snapshot = TelemetrySnapshot::from_json(&doc);
+            assert_eq!(snapshot.is_some(), decodes, "{what}");
+            let mut c = FleetCollector::new();
+            c.ingest_all(snapshot);
+            assert_eq!(c.fleet_latency().count(), if decodes { 12 } else { 0 });
+            assert!(c.fleet_latency().p999() <= max, "{what}");
+            assert!(!c.render_prometheus().is_empty(), "{what}");
+        }
     }
 
     #[test]

@@ -291,19 +291,54 @@ impl crate::json::ToJson for LatencyHistogram {
     }
 }
 
+impl LatencyHistogram {
+    /// Do the fields agree with each other the way recording and
+    /// merging leave them? The text a histogram is decoded from comes
+    /// from a module, so it is input: `count` is the sum of the
+    /// buckets, an empty histogram is the default one, and otherwise
+    /// `min` and `max` fall in the lowest and the highest occupied
+    /// bucket. Everything that indexes, clamps or walks by `min`/`max`
+    /// (`value_at_quantile`'s `clamp(min, max)` panics on `min > max`)
+    /// may then trust them.
+    fn is_consistent(&self) -> bool {
+        let total = self
+            .counts
+            .iter()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if total != Some(self.count) {
+            return false;
+        }
+        let occupied = |&c: &u64| c > 0;
+        match (
+            self.counts.iter().position(occupied),
+            self.counts.iter().rposition(occupied),
+        ) {
+            (Some(lowest), Some(highest)) => {
+                self.min <= self.max
+                    && index_for(self.min) == lowest
+                    && index_for(self.max) == highest
+            }
+            _ => *self == LatencyHistogram::default(),
+        }
+    }
+}
+
 impl crate::json::FromJson for LatencyHistogram {
+    /// Total: a document whose fields disagree with each other decodes
+    /// to `None`, like one with a field missing.
     fn from_json(v: &crate::json::Value) -> Option<Self> {
         let object = v.as_object()?;
         let field = |k: &str| object.get(k).unwrap_or(&crate::json::Value::Null);
         let hi: u64 = crate::json::FromJson::from_json(field("sum_q_hi"))?;
         let lo: u64 = crate::json::FromJson::from_json(field("sum_q_lo"))?;
-        Some(LatencyHistogram {
+        let decoded = LatencyHistogram {
             counts: crate::json::FromJson::from_json(field("counts"))?,
             count: crate::json::FromJson::from_json(field("count"))?,
             sum_q: (u128::from(hi) << 64) | u128::from(lo),
             min: crate::json::FromJson::from_json(field("min"))?,
             max: crate::json::FromJson::from_json(field("max"))?,
-        })
+        };
+        decoded.is_consistent().then_some(decoded)
     }
 }
 
@@ -476,6 +511,64 @@ mod tests {
         let back = LatencyHistogram::from_json(&h.to_json()).expect("round trip");
         assert_eq!(back, h);
         assert_eq!(back.sum_quanta(), h.sum_quanta());
+    }
+
+    #[test]
+    fn fields_that_disagree_do_not_decode() {
+        use crate::json::{FromJson, ToJson, Value};
+        let mut h = LatencyHistogram::new();
+        for v in [40, 300, 300, 9_000] {
+            h.record(v);
+        }
+        let good = h.to_json();
+        assert_eq!(LatencyHistogram::from_json(&good), Some(h));
+        assert_eq!(
+            LatencyHistogram::from_json(&LatencyHistogram::new().to_json()),
+            Some(LatencyHistogram::new())
+        );
+        // One field rewritten at a time; each leaves a document whose
+        // fields no recording could have produced.
+        let with = |key: &str, value: Value| {
+            let mut doc = good.as_object().unwrap().clone();
+            doc.insert(key.to_string(), value);
+            Value::Object(doc)
+        };
+        let rejected = [
+            (
+                "count above the buckets' sum",
+                with("count", 5u64.to_json()),
+            ),
+            (
+                "count below the buckets' sum",
+                with("count", 3u64.to_json()),
+            ),
+            ("min above max", with("min", 9_001u64.to_json())),
+            ("min below the lowest bucket", with("min", 39u64.to_json())),
+            ("max beyond the buckets", with("max", u64::MAX.to_json())),
+            (
+                "max below the highest bucket",
+                with("max", 300u64.to_json()),
+            ),
+            (
+                "no buckets under a count",
+                with("counts", Vec::<u64>::new().to_json()),
+            ),
+            (
+                "buckets whose sum overflows",
+                with("counts", vec![u64::MAX, u64::MAX].to_json()),
+            ),
+        ];
+        for (what, doc) in &rejected {
+            assert_eq!(LatencyHistogram::from_json(doc), None, "{what}");
+        }
+        // An empty histogram that claims an extreme is not the empty one.
+        let mut empty = LatencyHistogram::new()
+            .to_json()
+            .as_object()
+            .unwrap()
+            .clone();
+        empty.insert("max".to_string(), 7u64.to_json());
+        assert_eq!(LatencyHistogram::from_json(&Value::Object(empty)), None);
     }
 
     #[test]
