@@ -122,12 +122,20 @@ impl<T> CrosspointMatrix<T> {
         input * self.ports + output
     }
 
+    /// Where the (input, output) crosspoint's valid bit lives: the word
+    /// of `valid` and the bit in it.
+    #[inline]
+    fn valid_bit(&self, input: usize, output: usize) -> (usize, u64) {
+        (output * self.words + input / 64, 1 << (input % 64))
+    }
+
     /// Offer an item to the (input, output) crosspoint. On overflow the
     /// item comes back in `Err` and the crosspoint counts the drop.
     pub fn offer(&mut self, input: usize, output: usize, item: T) -> Result<(), T> {
         let i = self.idx(input, output);
         self.queues[i].push(item)?;
-        self.valid[output * self.words + input / 64] |= 1 << (input % 64);
+        let (word, bit) = self.valid_bit(input, output);
+        self.valid[word] |= bit;
         self.column_len[output] += 1;
         self.occupancy += 1;
         Ok(())
@@ -148,7 +156,8 @@ impl<T> CrosspointMatrix<T> {
             .pop()
             .expect("a valid bit marks a crosspoint that holds an item");
         if self.queues[i].is_empty() {
-            self.valid[output * self.words + input / 64] &= !(1 << (input % 64));
+            let (word, bit) = self.valid_bit(input, output);
+            self.valid[word] &= !bit;
         }
         self.column_len[output] -= 1;
         self.occupancy -= 1;

@@ -65,6 +65,7 @@ impl Cage {
 /// absorbed() - gains()` — rearranged, `gains()` counts module-created
 /// copies (sources) and `absorbed()` counts frames the module consumed
 /// without any other accounted fate (sinks).
+#[derive(Default)]
 pub(crate) struct ModulePass {
     /// Outputs that emerged on the expected egress interface — all of
     /// them, not just the first; the frames themselves went to the
@@ -112,12 +113,7 @@ pub(crate) fn through_cage(
     t_ns: u64,
     mut matched: impl FnMut(Vec<u8>),
 ) -> ModulePass {
-    let mut pass = ModulePass {
-        matched: 0,
-        diverted: 0,
-        dropped: 0,
-        to_control: 0,
-    };
+    let mut pass = ModulePass::default();
     match cage {
         Cage::StandardSfp => {
             pass.matched = 1;
