@@ -251,13 +251,7 @@ impl PacketProcessor for AclFirewall {
                     TableOpResult::NotFound
                 }
             }
-            TableOp::ReadCounter { index } => {
-                let c = self.counters.get(*index as usize);
-                TableOpResult::Counter {
-                    packets: c.packets,
-                    bytes: c.bytes,
-                }
-            }
+            TableOp::ReadCounter { index } => self.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }

@@ -193,13 +193,7 @@ impl PacketProcessor for L4LoadBalancer {
                 self.set_backends(next);
                 TableOpResult::Ok
             }
-            TableOp::ReadCounter { index } => {
-                let c = self.engine.counters.get(*index as usize);
-                TableOpResult::Counter {
-                    packets: c.packets,
-                    bytes: c.bytes,
-                }
-            }
+            TableOp::ReadCounter { index } => self.engine.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }

@@ -222,13 +222,7 @@ impl PacketProcessor for TunnelGateway {
                 self.remote = u32::from_be_bytes(bytes);
                 TableOpResult::Ok
             }
-            TableOp::ReadCounter { index } => {
-                let c = self.engine.counters.get(*index as usize);
-                TableOpResult::Counter {
-                    packets: c.packets,
-                    bytes: c.bytes,
-                }
-            }
+            TableOp::ReadCounter { index } => self.engine.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }

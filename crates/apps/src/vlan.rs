@@ -161,13 +161,7 @@ impl PacketProcessor for VlanTagger {
                 self.access_vid = u16::from_be_bytes(bytes) & 0x0fff;
                 TableOpResult::Ok
             }
-            TableOp::ReadCounter { index } => {
-                let c = self.engine.counters.get(*index as usize);
-                TableOpResult::Counter {
-                    packets: c.packets,
-                    bytes: c.bytes,
-                }
-            }
+            TableOp::ReadCounter { index } => self.engine.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }

@@ -141,6 +141,16 @@ pub enum TableOpResult {
     Unsupported,
 }
 
+/// What [`TableOp::ReadCounter`] answers with.
+impl From<crate::counters::Counter> for TableOpResult {
+    fn from(c: crate::counters::Counter) -> TableOpResult {
+        TableOpResult::Counter {
+            packets: c.packets,
+            bytes: c.bytes,
+        }
+    }
+}
+
 // The control protocol carries both enums as they are declared here.
 flexsfp_obs::impl_json_enum!(TableOp {
     Insert { table, key, value },
