@@ -11,12 +11,11 @@
 use flexsfp_fabric::resources::{table1, ResourceManifest};
 use flexsfp_obs::{CacheStats, FlightStamp};
 use flexsfp_ppe::action::{Action, ActionEngine};
-use flexsfp_ppe::cache::{self, FlowCache, FlowKey, KeyHint, PlanRecorder, BATCH_WINDOW};
+use flexsfp_ppe::cache::{FlowFront, FlowKey, FlowProgram, PlanRecorder, PlanView};
+use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::tables::{HashTable, TableError};
-use flexsfp_ppe::{
-    stamp_stages, Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict,
-};
+use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 
 /// Counter indices exposed by the NAT.
 pub mod counters {
@@ -31,23 +30,24 @@ pub mod counters {
 /// The flow capacity of the §5.1 prototype table.
 pub const FLOW_CAPACITY: usize = 32_768;
 
+/// The direction that gets translated (the paper's "outgoing traffic":
+/// edge→optical); the other passes through untouched.
+pub const TRANSLATE_DIRECTION: Direction = Direction::EdgeToOptical;
+
 /// Static 1:1 source NAT.
 pub struct StaticNat {
-    table: HashTable<u32, u32>,
-    engine: ActionEngine,
-    parser: Parser,
-    /// Which direction gets translated (the paper's "outgoing traffic":
-    /// edge→optical).
-    pub translate_direction: Direction,
     /// Microflow action cache: the resolved rewrite + counter plan per
     /// 5-tuple, skipping the full parse and table lookup on hits. Every
     /// mapping mutation bumps its epoch, so stale plans never replay.
-    cache: FlowCache,
-    cache_enabled: bool,
-    /// Flight-recorder stamping switch (off by default).
-    flight_enabled: bool,
-    /// Stamp of the most recently processed packet while stamping is on.
-    last_flight: Option<FlightStamp>,
+    front: FlowFront,
+    nat: Translator,
+}
+
+/// The NAT minus its [`FlowFront`]: what the front drives.
+struct Translator {
+    table: HashTable<u32, u32>,
+    engine: ActionEngine,
+    parser: Parser,
 }
 
 impl Default for StaticNat {
@@ -68,56 +68,72 @@ impl StaticNat {
     /// moment the live flow set outgrows it.
     pub fn with_capacity(capacity: usize) -> StaticNat {
         let table = HashTable::with_capacity(capacity);
-        let cache = FlowCache::new(table.capacity());
         StaticNat {
-            table,
-            engine: ActionEngine::new(4, Vec::new()),
-            parser: Parser::default(),
-            translate_direction: Direction::EdgeToOptical,
-            cache,
-            cache_enabled: false,
-            flight_enabled: false,
-            last_flight: None,
+            front: FlowFront::new(table.capacity()),
+            nat: Translator {
+                table,
+                engine: ActionEngine::new(4, Vec::new()),
+                parser: Parser::default(),
+            },
         }
     }
 
     /// Install a translation `private → public`.
     pub fn add_mapping(&mut self, private: u32, public: u32) -> Result<(), TableError> {
-        self.cache.bump_epoch();
-        self.table.insert(private, public)
+        self.front.bump_epoch();
+        self.nat.table.insert(private, public)
     }
 
     /// Remove a translation.
     pub fn remove_mapping(&mut self, private: u32) -> Option<u32> {
-        self.cache.bump_epoch();
-        self.table.remove(&private)
+        self.front.bump_epoch();
+        self.nat.table.remove(&private)
     }
 
     /// Installed mappings.
     pub fn mapping_count(&self) -> usize {
-        self.table.len()
+        self.nat.table.len()
     }
 
     /// Read a counter.
     pub fn counter(&self, idx: usize) -> flexsfp_ppe::counters::Counter {
-        self.engine.counters.get(idx)
+        self.nat.engine.counters.get(idx)
+    }
+}
+
+impl FlowProgram for Translator {
+    #[inline(always)]
+    fn cacheable(&self, ctx: &ProcessContext) -> bool {
+        ctx.direction == TRANSLATE_DIRECTION
+    }
+
+    #[inline(always)]
+    fn hit(&mut self, _ctx: &ProcessContext, _plan: PlanView<'_>) -> &mut CounterBank {
+        &mut self.engine.counters
+    }
+
+    #[inline(always)]
+    fn touch_miss(&self, key: &FlowKey) {
+        self.table.touch(&key.src_ip());
     }
 
     /// The full parse → lookup → rewrite path, optionally recording a
     /// replay plan for the flow cache.
-    fn process_slow(
+    #[inline]
+    fn slow_path(
         &mut self,
         ctx: &ProcessContext,
         packet: &mut Vec<u8>,
         mut rec: Option<&mut PlanRecorder>,
     ) -> Verdict {
+        if ctx.direction != TRANSLATE_DIRECTION {
+            // Bypasses the pipeline entirely: no stage runs.
+            return Verdict::Forward;
+        }
         let Some(parsed) = self.parser.parse(packet) else {
+            // Parser rejected it before the match stage.
             if let Some(r) = rec {
                 r.invalidate();
-            }
-            if self.flight_enabled {
-                // Parser rejected it before the match stage: empty stamp.
-                self.last_flight = Some(stamp_stages(false, []));
             }
             return Verdict::Drop;
         };
@@ -135,9 +151,6 @@ impl StaticNat {
                 r.stage_stat(stage, hit);
             }
         }
-        if self.flight_enabled {
-            self.last_flight = Some(stamp_stages(false, stages.iter().copied()));
-        }
         // Both actions are pure, so each outcome is `Continue`.
         if let Some(public) = public {
             let rewrite = Action::SetIpv4Src(public);
@@ -150,124 +163,44 @@ impl StaticNat {
     }
 }
 
-impl StaticNat {
-    /// The key the flow cache is consulted under: the hint's, extracted
-    /// now if the dispatcher did not, or `None` when the cache is off,
-    /// the packet travels the untranslated direction or the frame has
-    /// no canonical key.
-    fn cache_key(&self, ctx: &ProcessContext, packet: &[u8], hint: KeyHint) -> Option<FlowKey> {
-        if self.cache_enabled && ctx.direction == self.translate_direction {
-            hint.resolve(packet, ctx.direction)
-        } else {
-            None
-        }
-    }
-
-    /// Process one packet whose cache key is already resolved
-    /// ([`cache_key`](Self::cache_key)); `None` takes the slow path
-    /// without consulting the cache.
-    fn process_keyed(
-        &mut self,
-        ctx: &ProcessContext,
-        packet: &mut Vec<u8>,
-        key: Option<FlowKey>,
-    ) -> Verdict {
-        if ctx.direction != self.translate_direction {
-            if self.flight_enabled {
-                // Bypassed the pipeline entirely: empty stage list.
-                self.last_flight = Some(stamp_stages(false, []));
-            }
-            return Verdict::Forward;
-        }
-        let Some(key) = key else {
-            return self.process_slow(ctx, packet, None);
-        };
-        if let Some(plan) = self.cache.lookup(&key) {
-            // Fast path: shallow key parse only — no parser walk, no
-            // table lookup, no checksum recompute.
-            if self.flight_enabled {
-                // Replay the recorded stage footprint so the postcard
-                // matches the slow path bit-for-bit (only `cache_hit`
-                // tells the paths apart).
-                self.last_flight = Some(stamp_stages(true, plan.stage_stats.iter()));
-            }
-            return cache::replay(plan, packet, &mut self.engine.counters);
-        }
-        let mut rec = PlanRecorder::new();
-        let verdict = self.process_slow(ctx, packet, Some(&mut rec));
-        if let Some(plan) = rec.finish(verdict) {
-            self.cache.insert(key, plan);
-        }
-        verdict
-    }
-}
-
 impl PacketProcessor for StaticNat {
     fn name(&self) -> &str {
         "nat"
     }
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
-        let key = self.cache_key(ctx, packet, KeyHint::Unknown);
-        self.process_keyed(ctx, packet, key)
+        self.front.process(&mut self.nat, ctx, packet)
     }
 
     fn process_batch(&mut self, batch: &mut [flexsfp_ppe::engine::BatchPacket]) {
-        for window in batch.chunks_mut(BATCH_WINDOW) {
-            // Pass 1: resolve every slot's key once (honoring the
-            // dispatcher's pre-parsed hint) and touch what pass 2 will
-            // read — the cache sets, then the table buckets of the
-            // packets whose tags already say the cache will miss — so
-            // the window's cache misses overlap instead of queueing.
-            let mut keys = [None; BATCH_WINDOW];
-            for (slot, key) in window.iter().zip(&mut keys) {
-                *key = self.cache_key(&slot.ctx, &slot.frame, slot.key);
-            }
-            let mut misses = self.cache.touch_window(&keys);
-            while misses != 0 {
-                if let Some(key) = &keys[misses.trailing_zeros() as usize] {
-                    self.table.touch(&key.src_ip());
-                }
-                misses &= misses - 1;
-            }
-            // Pass 2: the per-packet logic, in order — a miss on one
-            // packet still makes the next packet of its flow hit.
-            for (slot, key) in window.iter_mut().zip(keys) {
-                slot.verdict = self.process_keyed(&slot.ctx, &mut slot.frame, key);
-            }
-        }
+        self.front.process_batch(&mut self.nat, batch);
     }
 
     fn set_flow_cache(&mut self, enabled: bool) -> bool {
-        self.cache_enabled = enabled;
-        true
+        self.front.set_flow_cache(enabled)
     }
 
     fn set_flight_recording(&mut self, enabled: bool) -> bool {
-        self.flight_enabled = enabled;
-        if !enabled {
-            self.last_flight = None;
-        }
-        true
+        self.front.set_flight_recording(enabled)
     }
 
     fn flight_stamp(&self) -> Option<FlightStamp> {
-        self.last_flight.clone()
+        self.front.flight_stamp()
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.cache.stats())
+        self.front.cache_stats()
     }
 
     fn cache_occupancy(&self) -> Option<u64> {
-        Some(self.cache.resident() as u64)
+        self.front.cache_occupancy()
     }
 
     fn table_stats(&self) -> Option<flexsfp_obs::TableTelemetry> {
-        let s = self.table.stats();
+        let s = self.nat.table.stats();
         Some(flexsfp_obs::TableTelemetry {
-            capacity: self.table.capacity() as u64,
-            occupied: self.table.len() as u64,
+            capacity: self.nat.table.capacity() as u64,
+            occupied: self.nat.table.len() as u64,
             hits: s.hits,
             misses: s.misses,
             insert_failures: s.insert_failures,
@@ -278,11 +211,11 @@ impl PacketProcessor for StaticNat {
         // The calibrated synthesis result from Table 1 ("NAT app" row)
         // for the prototype capacity; other capacities scale the LSRAM
         // share via the memory planner.
-        if self.table.capacity() == FLOW_CAPACITY {
+        if self.nat.table.capacity() == FLOW_CAPACITY {
             table1::NAT_APP
         } else {
             let mem = flexsfp_fabric::sram::MemoryPlanner::plan(&[
-                flexsfp_fabric::sram::TableShape::new(self.table.capacity() as u64, 96),
+                flexsfp_fabric::sram::TableShape::new(self.nat.table.capacity() as u64, 96),
             ]);
             ResourceManifest::new(table1::NAT_APP.lut4, table1::NAT_APP.ff, mem.usram + 36, 0)
                 + ResourceManifest::new(0, 0, 0, mem.lsram)
@@ -324,23 +257,17 @@ impl PacketProcessor for StaticNat {
                 let Some(k) = ip_key(key) else {
                     return TableOpResult::BadEncoding;
                 };
-                match self.table.peek(&k) {
+                match self.nat.table.peek(&k) {
                     Some(v) => TableOpResult::Value(v.to_be_bytes().to_vec()),
                     None => TableOpResult::NotFound,
                 }
             }
             TableOp::Clear { table: 0 } => {
-                self.cache.bump_epoch();
-                self.table.clear();
+                self.front.bump_epoch();
+                self.nat.table.clear();
                 TableOpResult::Ok
             }
-            TableOp::ReadCounter { index } => {
-                let c = self.engine.counters.get(*index as usize);
-                TableOpResult::Counter {
-                    packets: c.packets,
-                    bytes: c.bytes,
-                }
-            }
+            TableOp::ReadCounter { index } => self.nat.engine.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }
@@ -349,6 +276,7 @@ impl PacketProcessor for StaticNat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexsfp_ppe::KeyHint;
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::ipv4::Ipv4Packet;
     use flexsfp_wire::tcp::TcpFlags;

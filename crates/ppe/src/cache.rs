@@ -57,9 +57,10 @@
 
 use crate::action::Action;
 use crate::counters::CounterBank;
-use crate::engine::{Direction, Verdict};
+use crate::engine::{BatchPacket, Direction, ProcessContext, Verdict};
 use crate::parser::{ParsedPacket, L4};
-use flexsfp_obs::CacheStats;
+use crate::pipeline::stamp_stages;
+use flexsfp_obs::{CacheStats, FlightStamp};
 use flexsfp_wire::{checksum, EtherType};
 
 /// Associativity of the cache (entries per set).
@@ -1038,6 +1039,189 @@ impl FlowCache {
             epoch: self.slot_epoch,
             plan,
         };
+    }
+}
+
+/// What a [`FlowFront`] drives: a processor minus its flow cache.
+pub trait FlowProgram {
+    /// Whether a packet in this context may be served from the cache.
+    fn cacheable(&self, ctx: &ProcessContext) -> bool;
+
+    /// The full path. With `rec` it records what it does: the plan the
+    /// front caches and the stage attributions it stamps.
+    fn slow_path(
+        &mut self,
+        ctx: &ProcessContext,
+        packet: &mut Vec<u8>,
+        rec: Option<&mut PlanRecorder>,
+    ) -> Verdict;
+
+    /// A packet is about to be served from `plan`: account whatever the
+    /// slow path would have beyond the plan's own ops, and hand out the
+    /// counters the replay increments.
+    fn hit(&mut self, ctx: &ProcessContext, plan: PlanView<'_>) -> &mut CounterBank;
+
+    /// Load what the slow path will read for `key`, whose lookup a
+    /// batch window's first pass predicts will miss.
+    fn touch_miss(&self, _key: &FlowKey) {}
+}
+
+/// The microflow cache as a processor owns it: the [`FlowCache`], the
+/// switches for it and for flight stamping, and the one policy for when
+/// a packet takes a memoised plan and how a window is prefetched. The
+/// owner bumps the epoch on every mutation plans were resolved against.
+#[derive(Debug)]
+pub struct FlowFront {
+    pub(crate) cache: FlowCache,
+    cache_enabled: bool,
+    /// Flight-recorder stamping switch (off by default: the hot path
+    /// pays one predictable branch per packet for it).
+    flight_enabled: bool,
+    /// Stamp of the most recently processed packet while stamping is on.
+    last_flight: Option<FlightStamp>,
+}
+
+impl FlowFront {
+    /// A front over a cache of about `flows` plans, both switches off.
+    pub fn new(flows: usize) -> FlowFront {
+        FlowFront {
+            cache: FlowCache::new(flows),
+            cache_enabled: false,
+            flight_enabled: false,
+            last_flight: None,
+        }
+    }
+
+    /// See [`FlowCache::bump_epoch`].
+    pub fn bump_epoch(&mut self) {
+        self.cache.bump_epoch();
+    }
+
+    /// [`PacketProcessor::set_flow_cache`](crate::PacketProcessor::set_flow_cache).
+    pub fn set_flow_cache(&mut self, enabled: bool) -> bool {
+        self.cache_enabled = enabled;
+        true
+    }
+
+    /// [`PacketProcessor::set_flight_recording`](crate::PacketProcessor::set_flight_recording).
+    pub fn set_flight_recording(&mut self, enabled: bool) -> bool {
+        self.flight_enabled = enabled;
+        if !enabled {
+            self.last_flight = None;
+        }
+        true
+    }
+
+    /// [`PacketProcessor::flight_stamp`](crate::PacketProcessor::flight_stamp).
+    pub fn flight_stamp(&self) -> Option<FlightStamp> {
+        self.last_flight.clone()
+    }
+
+    /// [`PacketProcessor::cache_stats`](crate::PacketProcessor::cache_stats).
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        Some(self.cache.stats())
+    }
+
+    /// [`PacketProcessor::cache_occupancy`](crate::PacketProcessor::cache_occupancy).
+    pub fn cache_occupancy(&self) -> Option<u64> {
+        Some(self.cache.resident() as u64)
+    }
+
+    /// The key the cache is consulted under: the hint's, extracted now
+    /// if the dispatcher did not, or `None` when the cache is off, the
+    /// program rules the packet out or the frame has no canonical key.
+    #[inline(always)]
+    fn key(
+        &self,
+        cacheable: bool,
+        ctx: &ProcessContext,
+        packet: &[u8],
+        hint: KeyHint,
+    ) -> Option<FlowKey> {
+        if self.cache_enabled && cacheable {
+            hint.resolve(packet, ctx.direction)
+        } else {
+            None
+        }
+    }
+
+    /// Process one packet under its [`key`](Self::key); `None` takes the
+    /// slow path without consulting the cache.
+    fn process_keyed(
+        &mut self,
+        program: &mut impl FlowProgram,
+        ctx: &ProcessContext,
+        packet: &mut Vec<u8>,
+        key: Option<FlowKey>,
+    ) -> Verdict {
+        if let Some(plan) = key.and_then(|key| self.cache.lookup(&key)) {
+            // Fast path: no parse, no table lookup, no checksum
+            // recompute. The recorded stage footprint stamps the packet
+            // as the slow path did (only `cache_hit` tells them apart).
+            if self.flight_enabled {
+                self.last_flight = Some(stamp_stages(true, plan.stage_stats.iter()));
+            }
+            return replay(plan, packet, program.hit(ctx, plan));
+        }
+        // Miss or no key: the full path, recorded when there is a plan
+        // to cache for the flow's next packet or a stamp to build.
+        let mut rec = PlanRecorder::new();
+        let recording = key.is_some() || self.flight_enabled;
+        let verdict = program.slow_path(ctx, packet, recording.then_some(&mut rec));
+        if self.flight_enabled {
+            self.last_flight = Some(stamp_stages(false, rec.plan.view().stage_stats.iter()));
+        }
+        if let (Some(key), Some(plan)) = (key, rec.finish(verdict)) {
+            self.cache.insert(key, plan);
+        }
+        verdict
+    }
+
+    /// [`PacketProcessor::process`](crate::PacketProcessor::process) for
+    /// `program` behind this front.
+    #[inline]
+    pub fn process(
+        &mut self,
+        program: &mut impl FlowProgram,
+        ctx: &ProcessContext,
+        packet: &mut Vec<u8>,
+    ) -> Verdict {
+        let key = self.key(program.cacheable(ctx), ctx, packet, KeyHint::Unknown);
+        self.process_keyed(program, ctx, packet, key)
+    }
+
+    /// [`PacketProcessor::process_batch`](crate::PacketProcessor::process_batch)
+    /// for `program` behind this front.
+    #[inline]
+    pub fn process_batch(&mut self, program: &mut impl FlowProgram, batch: &mut [BatchPacket]) {
+        for window in batch.chunks_mut(BATCH_WINDOW) {
+            // Pass 1: resolve every slot's key once (honoring the
+            // dispatcher's pre-parsed hint) and touch what pass 2 will
+            // read — the cache sets, then the program's own state for
+            // the packets whose tags already say the cache will miss —
+            // so the window's cache misses overlap instead of queueing.
+            let mut keys = [None; BATCH_WINDOW];
+            for (slot, key) in window.iter().zip(&mut keys) {
+                *key = self.key(
+                    program.cacheable(&slot.ctx),
+                    &slot.ctx,
+                    &slot.frame,
+                    slot.key,
+                );
+            }
+            let mut misses = self.cache.touch_window(&keys);
+            while misses != 0 {
+                if let Some(key) = &keys[misses.trailing_zeros() as usize] {
+                    program.touch_miss(key);
+                }
+                misses &= misses - 1;
+            }
+            // Pass 2: the per-packet logic, in order — a miss on one
+            // packet still makes the next packet of its flow hit.
+            for (slot, key) in window.iter_mut().zip(keys) {
+                slot.verdict = self.process_keyed(program, &slot.ctx, &mut slot.frame, key);
+            }
+        }
     }
 }
 

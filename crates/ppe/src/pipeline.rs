@@ -7,7 +7,8 @@
 //! the NAT's "translate source A to B" without one rule per action.
 
 use crate::action::{Action, ActionEngine, ActionOutcome, VerdictAction};
-use crate::cache::{self, FlowCache, FlowKey, PlanRecorder, BATCH_WINDOW};
+use crate::cache::{FlowFront, FlowProgram, PlanRecorder, PlanView, DEFAULT_FLOWS};
+use crate::counters::CounterBank;
 use crate::engine::{BatchPacket, PacketProcessor, ProcessContext, Verdict};
 use crate::match_kinds::{LpmTable, TernaryTable};
 use crate::meter::TokenBucket;
@@ -256,18 +257,22 @@ pub struct Pipeline {
     /// Event trace ring and stage-timing histogram.
     pub obs: PipelineObs,
     /// The microflow action cache fronting the stages.
-    cache: FlowCache,
-    cache_enabled: bool,
+    front: FlowFront,
     /// Static analysis result: every stage's selector is covered by the
     /// flow key and every action is pure (bit-exact replayable).
     cacheable: bool,
     /// Set by [`Pipeline::stage_mut`]; re-runs the analysis lazily.
     cache_dirty: bool,
-    /// Flight-recorder stamping switch (off by default: the hot path
-    /// pays exactly one predictable branch per packet for it).
-    flight_enabled: bool,
-    /// Stamp of the most recently processed packet while stamping is on.
-    last_flight: Option<FlightStamp>,
+}
+
+/// A pipeline minus its [`FlowFront`]: what the front drives.
+struct Program<'a> {
+    cacheable: bool,
+    parser: &'a Parser,
+    stages: &'a mut [Stage],
+    engine: &'a mut ActionEngine,
+    stats: &'a mut PipelineStats,
+    obs: &'a mut PipelineObs,
 }
 
 /// The PPE latency model, in one place: 4 fixed cycles, then 3 per
@@ -310,7 +315,7 @@ impl Pipeline {
     /// invalidate memoized plans — and schedules a re-run of the
     /// cacheability analysis.
     pub fn stage_mut(&mut self, idx: usize) -> Option<&mut Stage> {
-        self.cache.bump_epoch();
+        self.front.bump_epoch();
         self.cache_dirty = true;
         self.stages.get_mut(idx)
     }
@@ -330,21 +335,36 @@ impl Pipeline {
         self.cacheable
     }
 
+    /// The front and the rest of the pipeline, borrowed apart.
+    fn split(&mut self) -> (&mut FlowFront, Program<'_>) {
+        let program = Program {
+            cacheable: self.is_cacheable(),
+            parser: &self.parser,
+            stages: &mut self.stages,
+            engine: &mut self.engine,
+            stats: &mut self.stats,
+            obs: &mut self.obs,
+        };
+        (&mut self.front, program)
+    }
+}
+
+impl FlowProgram for Program<'_> {
+    fn cacheable(&self, _ctx: &ProcessContext) -> bool {
+        self.cacheable
+    }
+
     /// The full parse → match → action path, optionally recording a
     /// replay plan for the flow cache.
-    fn process_slow(
+    fn slow_path(
         &mut self,
         ctx: &ProcessContext,
         packet: &mut Vec<u8>,
         mut rec: Option<&mut PlanRecorder>,
     ) -> Verdict {
         self.stats.packets += 1;
-        // The stage attributions of a stamped packet.
-        let mut flight = self
-            .flight_enabled
-            .then(|| Vec::with_capacity(self.stages.len()));
         let Some(mut parsed) = self.parser.parse(packet) else {
-            // Unparseable runt: hardware drops it.
+            // Unparseable runt: hardware drops it before any stage runs.
             self.stats.drops += 1;
             self.obs
                 .events
@@ -354,10 +374,6 @@ impl Pipeline {
                 .record(u64::from(stage_start_cycle(0)));
             if let Some(r) = rec {
                 r.invalidate();
-            }
-            if flight.is_some() {
-                // Parser rejected it before any stage ran: empty stamp.
-                self.last_flight = Some(stamp_stages(false, []));
             }
             return Verdict::Drop;
         };
@@ -369,31 +385,105 @@ impl Pipeline {
             if let Some(r) = rec.as_deref_mut() {
                 r.stage_stat(idx as u8, hit.is_some());
             }
-            if let Some(f) = flight.as_mut() {
-                f.push((idx as u8, hit.is_some()));
-            }
-            if hit.is_some() {
-                self.stages[idx].hits += 1;
-            } else {
-                self.stages[idx].misses += 1;
-                self.obs
-                    .events
-                    .record(ctx.timestamp_ns, EventKind::TableMiss { stage: idx as u8 });
-            }
-            if let Some(v) = run_stage_actions(
-                &mut self.engine,
-                &self.parser,
-                &self.stages[idx],
-                hit,
-                ctx,
-                packet,
-                &mut parsed,
-                rec.as_deref_mut(),
-            ) {
+            self.attribute(ctx, idx as u8, hit.is_some());
+            let actions = self.run_stage_actions(idx, hit, ctx, packet, &mut parsed, &mut rec);
+            if let Some(v) = actions {
                 verdict = v;
                 break;
             }
         }
+        let cycles = u64::from(stage_start_cycle(stages_run));
+        if let Some(r) = rec {
+            r.set_cycles(cycles);
+        }
+        self.finish(ctx, verdict, cycles);
+        verdict
+    }
+
+    /// Stage hit/miss counters and miss events replay from the recorded
+    /// footprint, so telemetry is identical either way.
+    fn hit(&mut self, ctx: &ProcessContext, plan: PlanView<'_>) -> &mut CounterBank {
+        self.stats.packets += 1;
+        for (stage, hit) in plan.stage_stats.iter() {
+            self.attribute(ctx, stage, hit);
+        }
+        self.finish(ctx, plan.verdict, plan.cycles);
+        &mut self.engine.counters
+    }
+}
+
+impl Program<'_> {
+    /// Run one stage's param action plus its hit/miss action list.
+    fn run_stage_actions(
+        &mut self,
+        idx: usize,
+        hit_value: Option<u32>,
+        ctx: &ProcessContext,
+        packet: &mut Vec<u8>,
+        parsed: &mut ParsedPacket,
+        rec: &mut Option<&mut PlanRecorder>,
+    ) -> Option<Verdict> {
+        let stage = &self.stages[idx];
+        // Param action first, then the hit or miss list.
+        let param = hit_value.and_then(|v| match stage.param_action {
+            ParamAction::None => None,
+            ParamAction::SetIpv4Src => Some(Action::SetIpv4Src(v)),
+            ParamAction::SetIpv4Dst => Some(Action::SetIpv4Dst(v)),
+            ParamAction::SetVlanVid => Some(Action::SetVlanVid((v & 0xfff) as u16)),
+            ParamAction::Count => Some(Action::Count(v as usize)),
+            ParamAction::SetDscp => Some(Action::SetDscp((v & 0x3f) as u8)),
+        });
+        let actions = if hit_value.is_some() {
+            &stage.on_hit
+        } else {
+            &stage.on_miss
+        };
+        let mut reparse = false;
+        for a in param.into_iter().chain(actions.iter().copied()) {
+            if reparse {
+                if let Some(p) = self.parser.parse(packet) {
+                    *parsed = p;
+                }
+                reparse = false;
+            }
+            match self
+                .engine
+                .apply(a, ctx, packet, parsed, rec.as_deref_mut())
+            {
+                ActionOutcome::Continue { modified } => {
+                    if modified {
+                        if is_structural(&a) {
+                            reparse = true;
+                        } else {
+                            patch_parsed(&a, parsed);
+                        }
+                    }
+                }
+                ActionOutcome::Final(v) => return Some(v),
+            }
+        }
+        if reparse {
+            if let Some(p) = self.parser.parse(packet) {
+                *parsed = p;
+            }
+        }
+        None
+    }
+
+    /// Count one stage's outcome; a miss is also a trace event.
+    fn attribute(&mut self, ctx: &ProcessContext, stage: u8, hit: bool) {
+        if hit {
+            self.stages[usize::from(stage)].hits += 1;
+        } else {
+            self.stages[usize::from(stage)].misses += 1;
+            self.obs
+                .events
+                .record(ctx.timestamp_ns, EventKind::TableMiss { stage });
+        }
+    }
+
+    /// Account a packet's verdict and the cycles it occupied the PPE.
+    fn finish(&mut self, ctx: &ProcessContext, verdict: Verdict, cycles: u64) {
         match verdict {
             Verdict::Drop => {
                 self.stats.drops += 1;
@@ -407,15 +497,7 @@ impl Pipeline {
             Verdict::ToControlPlane => self.stats.to_control += 1,
             _ => {}
         }
-        let cycles = u64::from(stage_start_cycle(stages_run));
-        if let Some(r) = rec {
-            r.set_cycles(cycles);
-        }
         self.obs.stage_cycles.record(cycles);
-        if let Some(f) = flight {
-            self.last_flight = Some(stamp_stages(false, f));
-        }
-        verdict
     }
 }
 
@@ -499,170 +581,19 @@ fn patch_parsed(action: &Action, parsed: &mut ParsedPacket) {
     }
 }
 
-/// Run one stage's param action plus its hit/miss action list. A free
-/// function over disjoint pipeline fields so the per-packet path borrows
-/// the action lists in place instead of cloning them.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_actions(
-    engine: &mut ActionEngine,
-    parser: &Parser,
-    stage: &Stage,
-    hit_value: Option<u32>,
-    ctx: &ProcessContext,
-    packet: &mut Vec<u8>,
-    parsed: &mut ParsedPacket,
-    mut rec: Option<&mut PlanRecorder>,
-) -> Option<Verdict> {
-    // Param action first, then the hit or miss list.
-    let param = hit_value.and_then(|v| match stage.param_action {
-        ParamAction::None => None,
-        ParamAction::SetIpv4Src => Some(Action::SetIpv4Src(v)),
-        ParamAction::SetIpv4Dst => Some(Action::SetIpv4Dst(v)),
-        ParamAction::SetVlanVid => Some(Action::SetVlanVid((v & 0xfff) as u16)),
-        ParamAction::Count => Some(Action::Count(v as usize)),
-        ParamAction::SetDscp => Some(Action::SetDscp((v & 0x3f) as u8)),
-    });
-    let actions = if hit_value.is_some() {
-        &stage.on_hit
-    } else {
-        &stage.on_miss
-    };
-    let mut reparse = false;
-    for a in param.into_iter().chain(actions.iter().copied()) {
-        if reparse {
-            if let Some(p) = parser.parse(packet) {
-                *parsed = p;
-            }
-            reparse = false;
-        }
-        match engine.apply(a, ctx, packet, parsed, rec.as_deref_mut()) {
-            ActionOutcome::Continue { modified } => {
-                if modified {
-                    if is_structural(&a) {
-                        reparse = true;
-                    } else {
-                        patch_parsed(&a, parsed);
-                    }
-                }
-            }
-            ActionOutcome::Final(v) => return Some(v),
-        }
-    }
-    if reparse {
-        if let Some(p) = parser.parse(packet) {
-            *parsed = p;
-        }
-    }
-    None
-}
-
-impl Pipeline {
-    /// The key the flow cache is consulted under: the hint's, extracted
-    /// now if the dispatcher did not, or `None` when the cache is off,
-    /// the program is uncacheable or the frame has no canonical key.
-    fn cache_key(
-        &mut self,
-        ctx: &ProcessContext,
-        packet: &[u8],
-        hint: crate::cache::KeyHint,
-    ) -> Option<FlowKey> {
-        if self.cache_enabled && self.is_cacheable() {
-            hint.resolve(packet, ctx.direction)
-        } else {
-            None
-        }
-    }
-
-    /// Process one packet whose cache key is already resolved
-    /// ([`cache_key`](Self::cache_key)); `None` takes the slow path
-    /// without consulting the cache.
-    fn process_keyed(
-        &mut self,
-        ctx: &ProcessContext,
-        packet: &mut Vec<u8>,
-        key: Option<FlowKey>,
-    ) -> Verdict {
-        let Some(key) = key else {
-            return self.process_slow(ctx, packet, None);
-        };
-        if let Some(plan) = self.cache.lookup(&key) {
-            // Fast path: replay the memoized plan — no parse, no
-            // table lookups. Stage hit/miss counters and miss
-            // events replay from the recorded footprint so
-            // telemetry is identical either way.
-            self.stats.packets += 1;
-            for (si, stage_hit) in plan.stage_stats.iter() {
-                let stage = &mut self.stages[si as usize];
-                if stage_hit {
-                    stage.hits += 1;
-                } else {
-                    stage.misses += 1;
-                    self.obs
-                        .events
-                        .record(ctx.timestamp_ns, EventKind::TableMiss { stage: si });
-                }
-            }
-            if self.flight_enabled {
-                // Rebuild the stamp from the recorded footprint:
-                // stage order and hit pattern replay exactly, so
-                // a packet's postcard is identical whether the
-                // cache intercepted it or not (only `cache_hit`
-                // tells them apart).
-                self.last_flight = Some(stamp_stages(true, plan.stage_stats.iter()));
-            }
-            let cycles = plan.cycles;
-            let verdict = cache::replay(plan, packet, &mut self.engine.counters);
-            self.obs.stage_cycles.record(cycles);
-            if verdict == Verdict::Drop {
-                self.stats.drops += 1;
-                self.obs.events.record(
-                    ctx.timestamp_ns,
-                    EventKind::Drop {
-                        reason: DropReason::App,
-                    },
-                );
-            }
-            return verdict;
-        }
-        // Miss: run the full pipeline and record a plan for the
-        // next packet of this flow.
-        let mut rec = PlanRecorder::new();
-        let verdict = self.process_slow(ctx, packet, Some(&mut rec));
-        if let Some(plan) = rec.finish(verdict) {
-            self.cache.insert(key, plan);
-        }
-        verdict
-    }
-}
-
 impl PacketProcessor for Pipeline {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
-        let key = self.cache_key(ctx, packet, crate::cache::KeyHint::Unknown);
-        self.process_keyed(ctx, packet, key)
+        let (front, mut program) = self.split();
+        front.process(&mut program, ctx, packet)
     }
 
     fn process_batch(&mut self, batch: &mut [BatchPacket]) {
-        for window in batch.chunks_mut(BATCH_WINDOW) {
-            // Pass 1: resolve every slot's key once (honoring the
-            // dispatcher's pre-parsed hint) and touch the cache sets, so
-            // the window's cache misses overlap instead of queueing.
-            // (Which tables a miss will probe depends on the program,
-            // so only the cache is touched.)
-            let mut keys = [None; BATCH_WINDOW];
-            for (slot, key) in window.iter().zip(&mut keys) {
-                *key = self.cache_key(&slot.ctx, &slot.frame, slot.key);
-            }
-            self.cache.touch_window(&keys);
-            // Pass 2: the per-packet logic, in order — a miss on one
-            // packet still makes the next packet of its flow hit.
-            for (slot, key) in window.iter_mut().zip(keys) {
-                slot.verdict = self.process_keyed(&slot.ctx, &mut slot.frame, key);
-            }
-        }
+        let (front, mut program) = self.split();
+        front.process_batch(&mut program, batch);
     }
 
     fn pipeline_depth(&self) -> u32 {
@@ -670,24 +601,23 @@ impl PacketProcessor for Pipeline {
     }
 
     fn set_flow_cache(&mut self, enabled: bool) -> bool {
-        self.cache_enabled = enabled;
-        true
+        self.front.set_flow_cache(enabled)
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.cache.stats())
+        self.front.cache_stats()
+    }
+
+    fn cache_occupancy(&self) -> Option<u64> {
+        self.front.cache_occupancy()
     }
 
     fn set_flight_recording(&mut self, enabled: bool) -> bool {
-        self.flight_enabled = enabled;
-        if !enabled {
-            self.last_flight = None;
-        }
-        true
+        self.front.set_flight_recording(enabled)
     }
 
     fn flight_stamp(&self) -> Option<FlightStamp> {
-        self.last_flight.clone()
+        self.front.flight_stamp()
     }
 
     fn resource_manifest(&self) -> flexsfp_fabric::ResourceManifest {
@@ -766,12 +696,9 @@ impl PipelineBuilder {
             engine: ActionEngine::new(self.counters, self.meters),
             stats: PipelineStats::default(),
             obs: PipelineObs::default(),
-            cache: FlowCache::default(),
-            cache_enabled: false,
+            front: FlowFront::new(DEFAULT_FLOWS),
             cacheable,
             cache_dirty: false,
-            flight_enabled: false,
-            last_flight: None,
         }
     }
 }
@@ -1126,11 +1053,11 @@ mod tests {
             );
             let s = cached.cache_stats().unwrap();
             if fits {
-                assert_eq!((s.misses, cached.cache.resident()), (32, 32));
+                assert_eq!((s.misses, cached.front.cache.resident()), (32, 32));
                 assert_eq!(s.hits, 4_000 - 32);
             } else {
                 assert_eq!((s.hits, s.misses), (0, 4_000));
-                assert_eq!(cached.cache.resident(), 0);
+                assert_eq!(cached.front.cache.resident(), 0);
             }
         }
     }
@@ -1291,6 +1218,19 @@ mod tests {
         assert_eq!(ip.src(), new_public);
         assert!(ip.verify_checksum());
         assert_eq!(p.cache_stats().unwrap().invalidations, 1);
+    }
+
+    #[test]
+    fn cache_occupancy_exported() {
+        // The session's per-window occupancy gauge reads this: `None`
+        // (the trait default) recorded a pipeline's as 0 however full.
+        let mut p = nat_pipeline();
+        p.set_flow_cache(true);
+        assert_eq!(p.cache_occupancy(), Some(0));
+        for dport in [53, 80, 53] {
+            p.process(&ProcessContext::egress(), &mut frame(SRC, dport));
+        }
+        assert_eq!(p.cache_occupancy(), Some(2));
     }
 
     #[test]
