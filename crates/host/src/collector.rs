@@ -378,6 +378,62 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_with_a_crafted_series_never_reaches_the_fleet_merge() {
+        // The windowed series' methods divide by its width and keep its
+        // windows sorted on the width's grid: a series whose fields
+        // disagree must not decode, or merging it with a second module's
+        // live window panics (`"width_ns": 0` did, in `aligned`).
+        let f = fleet(2);
+        for i in 0..2 {
+            f.with_module(i, |m| m.run(packets(12)));
+        }
+        let mut scraped = f.telemetry_snapshots().into_iter().flatten();
+        let (honest, other) = (scraped.next().unwrap(), scraped.next().unwrap());
+        assert!(!other.windows.windows().is_empty());
+        let doc = honest.to_json();
+        let series = doc.get("windows").as_object().expect("an object").clone();
+        let crafted = |key: &str, value: Value| {
+            let mut series = series.clone();
+            series.insert(key.to_string(), value);
+            let mut doc = doc.as_object().expect("an object").clone();
+            doc.insert("windows".to_string(), Value::Object(series));
+            Value::Object(doc)
+        };
+        let live = honest.windows.windows();
+        let mut unsorted = live.to_vec();
+        unsorted.push(live[0].clone());
+        let mut off_grid = live.to_vec();
+        off_grid[0].start_ns += 1;
+        let documents = [
+            ("untouched", doc.clone(), true),
+            ("zero width", crafted("width_ns", 0u64.to_json()), false),
+            ("zero capacity", crafted("capacity", 0u64.to_json()), false),
+            (
+                "a start off the grid",
+                crafted("windows", off_grid.to_json()),
+                false,
+            ),
+            (
+                "a window twice",
+                crafted("windows", unsorted.to_json()),
+                false,
+            ),
+        ];
+        for (what, doc, decodes) in documents {
+            let snapshot = TelemetrySnapshot::from_json(&doc);
+            assert_eq!(snapshot.is_some(), decodes, "{what}");
+            let mut c = FleetCollector::new();
+            c.set_slo_spec(SloSpec::generous());
+            c.ingest_all(snapshot);
+            c.ingest(other.clone());
+            let forwarded = if decodes { 24 } else { 12 };
+            assert_eq!(c.fleet_windows().lifetime().forwarded, forwarded, "{what}");
+            assert_eq!(c.slo_reports().len(), c.len(), "{what}");
+            assert!(!c.render_prometheus().is_empty(), "{what}");
+        }
+    }
+
+    #[test]
     fn reingest_replaces_rather_than_double_counts() {
         let f = fleet(1);
         f.with_module(0, |m| {

@@ -864,9 +864,18 @@ impl_json_tuple! {
 /// Derive [`ToJson`]/[`FromJson`] for a plain struct as a JSON object
 /// with one member per named field (fields must implement the traits;
 /// works with private fields when invoked in the defining module).
+///
+/// A type whose fields must agree with each other names the check after
+/// the field list, `… } if Type::coherent`, a `fn(&Type) -> bool`: a
+/// document whose fields each decode but fail it decodes to `None`, so
+/// text from outside can build no value the type's own constructors
+/// could not.
 #[macro_export]
 macro_rules! impl_json_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::impl_json_struct!($ty { $($field),+ } if |_: &$ty| true);
+    };
+    ($ty:ty { $($field:ident),+ $(,)? } if $coherent:expr) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Value {
                 let mut object = ::std::collections::BTreeMap::new();
@@ -891,6 +900,7 @@ macro_rules! impl_json_struct {
                         )?,
                     )+
                 })
+                .filter($coherent)
             }
         }
     };

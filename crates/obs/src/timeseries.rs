@@ -170,6 +170,21 @@ impl WindowedSeries {
         timestamp_ns - timestamp_ns % self.width_ns
     }
 
+    /// What [`new`](Self::new) and recording guarantee and every method
+    /// relies on (`aligned` divides by the width), asked of a decoded
+    /// series: width and capacity at least 1, no more live windows than
+    /// the capacity, their starts aligned and strictly ascending.
+    fn coherent(&self) -> bool {
+        self.width_ns >= 1
+            && self.capacity >= 1
+            && self.windows.len() as u64 <= self.capacity
+            && self.windows.iter().all(|w| w.start_ns % self.width_ns == 0)
+            && self
+                .windows
+                .windows(2)
+                .all(|w| w[0].start_ns < w[1].start_ns)
+    }
+
     /// The bucket covering `timestamp_ns`, creating (and rotating) as
     /// needed. Timestamps older than the oldest live window land in the
     /// evicted catch-all so a late sample is counted, not lost.
@@ -290,7 +305,7 @@ crate::impl_json_struct!(WindowedSeries {
     capacity,
     windows,
     evicted
-});
+} if WindowedSeries::coherent);
 
 #[cfg(test)]
 mod tests {
@@ -480,6 +495,42 @@ mod tests {
         let back = WindowedSeries::from_json(&Value::parse(&json).unwrap()).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.lifetime(), s.lifetime());
+    }
+
+    #[test]
+    fn fields_that_disagree_do_not_decode() {
+        let mut s = WindowedSeries::new(100, 2);
+        s.record_forwarded(150, 1.0);
+        s.record_forwarded(250, 1.0);
+        let good = s.to_json();
+        assert_eq!(WindowedSeries::from_json(&good), Some(s.clone()));
+        let crafted = |key: &str, value: Value| {
+            let mut doc = good.as_object().expect("an object").clone();
+            doc.insert(key.to_string(), value);
+            Value::Object(doc)
+        };
+        let starts = |starts: &[u64]| {
+            let windows: Vec<WindowBucket> = starts.iter().map(|&t| WindowBucket::at(t)).collect();
+            crafted("windows", windows.to_json())
+        };
+        for (what, doc) in [
+            ("zero width", crafted("width_ns", 0u64.to_json())),
+            ("zero capacity", crafted("capacity", 0u64.to_json())),
+            (
+                "more windows than capacity",
+                crafted("capacity", 1u64.to_json()),
+            ),
+            ("a start off the grid", starts(&[100, 250])),
+            ("starts out of order", starts(&[200, 100])),
+            ("a start twice", starts(&[100, 100])),
+        ] {
+            assert_eq!(WindowedSeries::from_json(&doc), None, "{what}");
+        }
+        // What decodes merges and records without a panic.
+        let mut back = WindowedSeries::from_json(&starts(&[0, 100])).unwrap();
+        back.merge(&s);
+        back.record_drop(1_000, true);
+        assert_eq!(back.lifetime().forwarded, 2);
     }
 
     #[test]
