@@ -1,6 +1,8 @@
-//! Fleet operations: telemetry collection, OTA rollout and laser-fault
-//! diagnosis across a pool of FlexSFPs (§3 monitoring, §4.1 fleet
-//! orchestration, §5.3 failure recovery).
+//! Fleet operations: telemetry collection, the metrics pipeline (scrape
+//! over the authenticated management channel, Prometheus text and JSON
+//! out of the collector), OTA rollout and laser-fault diagnosis across a
+//! pool of FlexSFPs (§3 monitoring, §4.1 fleet orchestration, §5.3
+//! failure recovery).
 //!
 //! Run with: `cargo run --example fleet_telemetry`
 
@@ -9,7 +11,7 @@ use flexsfp::apps::TelemetryProbe;
 use flexsfp::core::bitstream::Bitstream;
 use flexsfp::core::module::{FlexSfp, ModuleConfig, SimPacket};
 use flexsfp::fabric::resources::ResourceManifest;
-use flexsfp::host::FleetManager;
+use flexsfp::host::{FleetCollector, FleetManager};
 use flexsfp::ppe::Direction;
 use flexsfp::traffic::{SizeModel, TraceBuilder};
 use flexsfp_core::auth::AuthKey;
@@ -97,6 +99,48 @@ fn main() {
         health[5].as_ref().unwrap().diagnosis,
         FaultDiagnosis::LaserDegradation | FaultDiagnosis::LaserFailed
     ));
+
+    // Scrape: one authenticated snapshot per module, drained event
+    // rings included, ingested into the collector. A module that failed
+    // to answer would count as a scrape failure instead of aborting the
+    // sweep. The collector renders the whole fleet both ways.
+    let mut collector = FleetCollector::new();
+    assert_eq!(
+        collector.ingest_sweep(fleet.telemetry_snapshots()),
+        fleet.len()
+    );
+    collector.set_transport_stats(fleet.client().transport_stats());
+    let text = collector.render_prometheus();
+    let json = collector.to_json();
+    for (title, document) in [
+        ("Prometheus text exposition", &text),
+        ("JSON export", &json),
+    ] {
+        println!("\n=== {title} (truncated) ===");
+        for line in document.lines().take(30) {
+            println!("{line}");
+        }
+        println!("... ({} bytes total)", document.len());
+    }
+    assert_eq!(collector.len(), 8);
+    for sample in [
+        "flexsfp_frames_total{module=\"RING-A-03\",port=\"edge\",direction=\"rx\"} 5080",
+        "flexsfp_bytes_total{module=\"RING-A-03\",port=\"optical\",direction=\"tx\"}",
+        "flexsfp_latency_ns{module=\"RING-A-03\",quantile=\"0.99\"}",
+        "flexsfp_fleet_latency_ns{quantile=\"0.99\"}",
+        "flexsfp_laser_healthy{module=\"RING-A-00\"} 1",
+    ] {
+        assert!(text.contains(sample), "missing {sample}");
+    }
+    let fleet_hist = collector.fleet_latency();
+    println!(
+        "fleet latency: {} samples, p50 {} ns, p99 {} ns, max {} ns",
+        fleet_hist.count(),
+        fleet_hist.p50(),
+        fleet_hist.p99(),
+        fleet_hist.max()
+    );
+    assert!(fleet_hist.count() > 0 && fleet_hist.p99() >= fleet_hist.p50());
 
     // Roll out a new telemetry build fleet-wide, four modules at a time.
     let image = Bitstream::new(
