@@ -39,7 +39,12 @@
 //!   ops to the wire formats is outside the datapath: the seeded
 //!   differential oracle in `tests/oracle.rs`, written with
 //!   `flexsfp_wire` alone. Recording fills an [`InlinePlan`] in place,
-//!   so a miss allocates nothing.
+//!   so a miss allocates nothing;
+//! * [`FlowFront`] — the cache as a processor owns it, with the one
+//!   policy for when a packet takes a memoised plan and how a batch
+//!   window is prefetched; a processor supplies a [`FlowProgram`] (which
+//!   packets qualify, its slow path, what a hit accounts besides the
+//!   replay, what to touch for a predicted miss) and nothing else.
 //!
 //! # Keying contract
 //!

@@ -386,8 +386,8 @@ impl FlowProgram for Program<'_> {
                 r.stage_stat(idx as u8, hit.is_some());
             }
             self.attribute(ctx, idx as u8, hit.is_some());
-            let actions = self.run_stage_actions(idx, hit, ctx, packet, &mut parsed, &mut rec);
-            if let Some(v) = actions {
+            let rec = rec.as_deref_mut();
+            if let Some(v) = self.run_stage_actions(idx, hit, ctx, packet, &mut parsed, rec) {
                 verdict = v;
                 break;
             }
@@ -421,7 +421,7 @@ impl Program<'_> {
         ctx: &ProcessContext,
         packet: &mut Vec<u8>,
         parsed: &mut ParsedPacket,
-        rec: &mut Option<&mut PlanRecorder>,
+        mut rec: Option<&mut PlanRecorder>,
     ) -> Option<Verdict> {
         let stage = &self.stages[idx];
         // Param action first, then the hit or miss list.
