@@ -34,17 +34,16 @@
 use crate::perf::{host_meta, HostMeta};
 use crate::render;
 use flexsfp_apps::{AclAction, AclFirewall, AclRule};
-use flexsfp_core::module::{FlexSfp, Interface, ModuleConfig, OutputPacket};
+use flexsfp_core::module::{FlexSfp, ModuleConfig};
 use flexsfp_core::ShellKind;
-use flexsfp_host::{CrossbarSwitch, FaultPlan, FiberLink, FleetCollector, LossyLink};
+use flexsfp_host::rack::{HostSpan, Rack, Topology, Uplink};
+use flexsfp_host::{CrossbarStats, CrossbarSwitch, FaultPlan, FiberLink, FleetCollector};
 use flexsfp_obs::LatencyHistogram;
 use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::Direction;
 use flexsfp_traffic::profiles;
 use flexsfp_wire::builder::PacketBuilder;
 use flexsfp_wire::MacAddr;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
 /// Ports per ToR.
 pub const TOR_PORTS: usize = 48;
@@ -196,39 +195,6 @@ fn h32(x: u32, salt: u64) -> u64 {
     v
 }
 
-/// One frame arriving at a ToR port (post-chaos).
-struct Inj {
-    t_ns: u64,
-    tor: usize,
-    port: usize,
-    frame: Vec<u8>,
-}
-
-/// One frame crossing the uplink span, due at the peer at `t_ns`.
-struct Handoff {
-    t_ns: u64,
-    seq: u64,
-    tor: usize,
-    frame: Vec<u8>,
-}
-
-impl PartialEq for Handoff {
-    fn eq(&self, other: &Handoff) -> bool {
-        (self.t_ns, self.seq) == (other.t_ns, other.seq)
-    }
-}
-impl Eq for Handoff {}
-impl PartialOrd for Handoff {
-    fn partial_cmp(&self, other: &Handoff) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Handoff {
-    fn cmp(&self, other: &Handoff) -> std::cmp::Ordering {
-        (self.t_ns, self.seq).cmp(&(other.t_ns, other.seq))
-    }
-}
-
 /// Build one ToR: pass-through FlexSFPs in every access cage except
 /// port 0 (kept a standard SFP so runts reach the bridge's malformed
 /// path), and an ACL firewall screening the uplink's wire-side ingress.
@@ -263,55 +229,31 @@ fn build_tor(tor: usize) -> CrossbarSwitch {
     sw
 }
 
-/// Push `frame`, emitted by `host` at `t_ns`, through that host's
-/// impaired access span into the injection list.
-fn emit(
-    links: &mut [LossyLink],
-    injections: &mut Vec<Inj>,
-    host: usize,
-    t_ns: u64,
-    frame: Vec<u8>,
-) {
-    let carried = links[host].carry(&[OutputPacket {
-        departure_ns: t_ns,
-        egress: Interface::Optical,
-        frame,
-        latency_ns: 0.0,
-    }]);
-    for p in carried {
-        injections.push(Inj {
-            t_ns: p.arrival_ns,
-            tor: host / ACCESS,
-            port: host % ACCESS,
-            frame: p.frame,
-        });
-    }
-}
-
-/// Route one batch of crossbar deliveries: access deliveries are the
-/// rack's output, uplink deliveries become handoff events at the peer.
-fn route(
-    deliveries: Vec<flexsfp_host::TimedDelivery>,
-    tor: usize,
-    heap: &mut BinaryHeap<Reverse<Handoff>>,
-    seq: &mut u64,
-    uplink_tx: &mut [u64; 2],
-    delivered_access: &mut u64,
-    uplink_delay_ns: u64,
-) {
-    for d in deliveries {
-        if d.port == UPLINK {
-            uplink_tx[tor] += 1;
-            *seq += 1;
-            heap.push(Reverse(Handoff {
-                t_ns: d.departure_ns + uplink_delay_ns,
-                seq: *seq,
-                tor: 1 - tor,
-                frame: d.frame,
-            }));
-        } else {
-            *delivered_access += 1;
-        }
+/// The rack as a value: two ToRs, [`HOSTS`] hosts behind seeded lossy
+/// access spans (host `h` on port `h % ACCESS` of ToR `h / ACCESS`),
+/// and one uplink joining the two [`UPLINK`] ports.
+fn topology() -> Topology {
+    let hosts = (0..HOSTS)
+        .map(|h| HostSpan {
+            link: FiberLink::new(ACCESS_M).impaired(
+                FaultPlan::ideal(SEED ^ (h as u64).wrapping_mul(0x51ed))
+                    .with_drop(0.01)
+                    .with_duplicate(0.005)
+                    .with_corrupt(0.005)
+                    .with_jitter(200),
+            ),
+            tor: h / ACCESS,
+            port: h % ACCESS,
+        })
+        .collect();
+    Topology {
+        tors: vec![build_tor(0), build_tor(1)],
+        hosts,
+        uplinks: vec![Uplink {
+            a: (0, UPLINK),
+            b: (1, UPLINK),
+            link: FiberLink::new(UPLINK_M),
+        }],
     }
 }
 
@@ -319,25 +261,12 @@ fn route(
 ///
 /// # Panics
 ///
-/// Panics if any conservation identity fails to close — a leak is a
-/// correctness failure, not a verdict. An SLO breach or missing
-/// telemetry makes the returned [`Outcome`] unhealthy (and the CLI
-/// exit nonzero) without panicking.
+/// Panics if any conservation identity fails to close
+/// ([`Rack::run_to_quiescence`]) — a leak is a correctness failure, not
+/// a verdict. An SLO breach or missing telemetry makes the returned
+/// [`Outcome`] unhealthy (and the CLI exit nonzero) without panicking.
 pub fn run(packets: usize) -> Outcome {
-    let uplink_delay_ns = FiberLink::new(UPLINK_M).delay_ns() as u64;
-    let mut links: Vec<LossyLink> = (0..HOSTS)
-        .map(|h| {
-            FiberLink::new(ACCESS_M).impaired(
-                FaultPlan::ideal(SEED ^ (h as u64).wrapping_mul(0x51ed))
-                    .with_drop(0.01)
-                    .with_duplicate(0.005)
-                    .with_corrupt(0.005)
-                    .with_jitter(200),
-            )
-        })
-        .collect();
-    let mut injections: Vec<Inj> = Vec::with_capacity(packets + HOSTS + 128);
-    let mut emitted = 0u64;
+    let mut rack = Rack::new(topology());
 
     // Warm-up: every host broadcasts once, so both ToRs learn every MAC
     // (the peer learns it behind the uplink port as the flood crosses).
@@ -351,14 +280,7 @@ pub fn run(packets: usize) -> Outcome {
             67,
             b"warmup",
         );
-        emitted += 1;
-        emit(
-            &mut links,
-            &mut injections,
-            h,
-            h as u64 * WARMUP_SPACING_NS,
-            frame,
-        );
+        rack.emit(h, h as u64 * WARMUP_SPACING_NS, frame);
     }
 
     // Main phase: the flash-crowd trace, compressed, with each flow
@@ -370,14 +292,7 @@ pub fn run(packets: usize) -> Outcome {
         if i % RUNT_EVERY == RUNT_EVERY - 1 {
             // A host NIC glitch: a 7-byte runt on a standard-SFP port.
             let tor = (i / RUNT_EVERY) % 2;
-            emitted += 1;
-            emit(
-                &mut links,
-                &mut injections,
-                tor * ACCESS,
-                t_ns,
-                vec![0x55; 7],
-            );
+            rack.emit(tor * ACCESS, t_ns, vec![0x55; 7]);
             continue;
         }
         let mut frame = tp.frame;
@@ -393,173 +308,58 @@ pub fn run(packets: usize) -> Outcome {
         };
         frame[0..6].copy_from_slice(&host_mac(dst_tor, dst_port).0);
         frame[6..12].copy_from_slice(&host_mac(src_tor, src_port).0);
-        emitted += 1;
-        emit(&mut links, &mut injections, src_host, t_ns, frame);
-    }
-    // Chaos jitter perturbs arrival order; restore it (stable, so
-    // same-instant frames keep their emission order).
-    injections.sort_by_key(|e| e.t_ns);
-    let mut injections: VecDeque<Inj> = injections.into();
-
-    // The event loop: pop the earliest of (next access arrival, next
-    // uplink handoff), inject, route the resulting deliveries.
-    let mut tors = [build_tor(0), build_tor(1)];
-    let mut heap: BinaryHeap<Reverse<Handoff>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut uplink_tx = [0u64; 2];
-    let mut uplink_rx = [0u64; 2];
-    let mut delivered_access = 0u64;
-    loop {
-        let take_handoff = match (injections.front(), heap.peek()) {
-            (Some(inj), Some(Reverse(h))) => h.t_ns <= inj.t_ns,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => break,
-        };
-        let (tor, port, frame, t_ns) = if take_handoff {
-            let Reverse(h) = heap.pop().expect("peeked");
-            uplink_rx[h.tor] += 1;
-            (h.tor, UPLINK, h.frame, h.t_ns)
-        } else {
-            let inj = injections.pop_front().expect("peeked");
-            (inj.tor, inj.port, inj.frame, inj.t_ns)
-        };
-        let out = tors[tor].inject(port, frame, t_ns);
-        route(
-            out,
-            tor,
-            &mut heap,
-            &mut seq,
-            &mut uplink_tx,
-            &mut delivered_access,
-            uplink_delay_ns,
-        );
+        rack.emit(src_host, t_ns, frame);
     }
 
-    // Final drains: empty every crosspoint, re-injecting whatever the
-    // drain pushes across the uplink, until the rack is quiescent.
-    loop {
-        for (tor, sw) in tors.iter_mut().enumerate() {
-            let out = sw.drain();
-            route(
-                out,
-                tor,
-                &mut heap,
-                &mut seq,
-                &mut uplink_tx,
-                &mut delivered_access,
-                uplink_delay_ns,
-            );
-        }
-        while let Some(Reverse(h)) = heap.pop() {
-            uplink_rx[h.tor] += 1;
-            let out = tors[h.tor].inject(UPLINK, h.frame, h.t_ns);
-            route(
-                out,
-                h.tor,
-                &mut heap,
-                &mut seq,
-                &mut uplink_tx,
-                &mut delivered_access,
-                uplink_delay_ns,
-            );
-        }
-        if heap.is_empty() && tors.iter().map(|t| t.stats().queued).sum::<u64>() == 0 {
-            break;
-        }
-    }
-
-    // Accounting: per-ToR identities, the uplink handoff identity, and
-    // the rack-level identity over everything the chaos layer delivered.
-    let chaos = links
-        .iter()
-        .fold(flexsfp_host::LinkChaosStats::default(), |mut acc, l| {
-            let s = l.stats();
-            acc.offered += s.offered;
-            acc.delivered += s.delivered;
-            acc.dropped += s.dropped;
-            acc.duplicated += s.duplicated;
-            acc.corrupted += s.corrupted;
-            acc.jitter_ns_total += s.jitter_ns_total;
-            acc
-        });
-    let (s0, s1) = (tors[0].stats(), tors[1].stats());
-    assert!(s0.conserved(), "tor0 leaked: {s0:?}");
-    assert!(s1.conserved(), "tor1 leaked: {s1:?}");
-    assert_eq!(
-        uplink_tx[0], uplink_rx[1],
-        "uplink frames lost between ToR 0 and ToR 1"
-    );
-    assert_eq!(
-        uplink_tx[1], uplink_rx[0],
-        "uplink frames lost between ToR 1 and ToR 0"
-    );
-    assert_eq!(
-        chaos.delivered,
-        s0.sw.received + s1.sw.received - uplink_rx[0] - uplink_rx[1],
-        "chaos deliveries and ToR receptions disagree"
-    );
-    let sum = |f: fn(&flexsfp_host::SwitchStats) -> u64| f(&s0.sw) + f(&s1.sw);
-    let rack_sources = chaos.delivered + sum(|s| s.flood_copies) + sum(|s| s.module_copies);
-    let rack_sinks = delivered_access
-        + sum(|s| s.dropped_by_modules)
-        + sum(|s| s.diverted_by_modules)
-        + sum(|s| s.to_control)
-        + sum(|s| s.absorbed_by_modules)
-        + sum(|s| s.dropped_malformed)
-        + sum(|s| s.filtered_hairpin)
-        + s0.crosspoint_dropped
-        + s1.crosspoint_dropped;
-    assert_eq!(rack_sources, rack_sinks, "rack-level conservation leaked");
-    let conserved = true; // the asserts above are the proof
+    // The rack orders the arrivals and the uplink hand-offs, drains to
+    // quiescence and asserts its composed identity there.
+    rack.run_to_quiescence(|_, _| {});
+    let stats = rack.stats();
+    let conserved = rack.conserved();
 
     // Telemetry: merge the queue-latency histograms, scrape everything
     // through one collector.
     let mut queue_latency = LatencyHistogram::new();
-    queue_latency.merge(tors[0].queue_latency());
-    queue_latency.merge(tors[1].queue_latency());
+    for tor in rack.tors() {
+        queue_latency.merge(tor.queue_latency());
+    }
     let queue_p999_ns = queue_latency.p999();
+    let high_water = rack.tors().iter().map(|t| t.telemetry().high_water);
+    let crosspoint_high_water = high_water.max().unwrap_or(0);
 
     let mut collector = FleetCollector::new();
-    let mut modules = 0u64;
-    for (i, tor) in tors.iter_mut().enumerate() {
-        let snaps = tor.module_snapshots();
-        modules += snaps.len() as u64;
-        collector.ingest_all(snaps);
-        let id = format!("tor{i}");
-        collector.set_xbar_stats(&id, tor.telemetry());
-    }
+    rack.scrape(&mut collector);
     let prom = collector.render_prometheus();
     let xbar_samples = prom
         .lines()
         .filter(|l| l.starts_with("flexsfp_xbar_"))
         .count() as u64;
 
-    let (t0, t1) = (tors[0].telemetry(), tors[1].telemetry());
+    let sum = |f: fn(&CrossbarStats) -> u64| stats.tors.iter().map(f).sum::<u64>();
     let healthy = conserved && queue_p999_ns <= P999_BOUND_NS && xbar_samples > 0;
     Outcome {
-        packets: emitted,
+        packets: stats.emitted,
         hosts: HOSTS as u64,
-        modules,
-        link_offered: chaos.offered,
-        link_delivered: chaos.delivered,
-        link_dropped: chaos.dropped,
-        link_duplicated: chaos.duplicated,
-        link_corrupted: chaos.corrupted,
-        uplink_ab: uplink_tx[0],
-        uplink_ba: uplink_tx[1],
-        delivered_access,
-        flooded: sum(|s| s.flooded),
-        flood_copies: sum(|s| s.flood_copies),
-        module_copies: sum(|s| s.module_copies),
-        dropped_by_modules: sum(|s| s.dropped_by_modules),
-        diverted_by_modules: sum(|s| s.diverted_by_modules),
-        to_control: sum(|s| s.to_control),
-        absorbed_by_modules: sum(|s| s.absorbed_by_modules),
-        dropped_malformed: sum(|s| s.dropped_malformed),
-        filtered_hairpin: sum(|s| s.filtered_hairpin),
-        crosspoint_dropped: s0.crosspoint_dropped + s1.crosspoint_dropped,
-        crosspoint_high_water: t0.high_water.max(t1.high_water),
+        modules: collector.len() as u64,
+        link_offered: stats.links.offered,
+        link_delivered: stats.links.delivered,
+        link_dropped: stats.links.dropped,
+        link_duplicated: stats.links.duplicated,
+        link_corrupted: stats.links.corrupted,
+        uplink_ab: stats.uplinks[0].tx[0],
+        uplink_ba: stats.uplinks[0].tx[1],
+        delivered_access: stats.delivered_access,
+        flooded: sum(|s| s.sw.flooded),
+        flood_copies: sum(|s| s.sw.flood_copies),
+        module_copies: sum(|s| s.sw.module_copies),
+        dropped_by_modules: sum(|s| s.sw.dropped_by_modules),
+        diverted_by_modules: sum(|s| s.sw.diverted_by_modules),
+        to_control: sum(|s| s.sw.to_control),
+        absorbed_by_modules: sum(|s| s.sw.absorbed_by_modules),
+        dropped_malformed: sum(|s| s.sw.dropped_malformed),
+        filtered_hairpin: sum(|s| s.sw.filtered_hairpin),
+        crosspoint_dropped: sum(|s| s.crosspoint_dropped),
+        crosspoint_high_water,
         queue_p999_ns,
         p999_bound_ns: P999_BOUND_NS,
         xbar_samples,

@@ -269,6 +269,18 @@ pub struct LinkChaosStats {
     pub jitter_ns_total: u64,
 }
 
+impl LinkChaosStats {
+    /// Fold another span's accounting into this one.
+    pub fn merge(&mut self, other: &LinkChaosStats) {
+        self.offered += other.offered;
+        self.delivered += other.delivered;
+        self.dropped += other.dropped;
+        self.duplicated += other.duplicated;
+        self.corrupted += other.corrupted;
+        self.jitter_ns_total += other.jitter_ns_total;
+    }
+}
+
 /// A [`FiberLink`] with a [`FaultPlan`] applied to the dataplane path:
 /// lossy-mode carriage with per-packet drop/duplicate/corrupt/jitter.
 #[derive(Debug)]
@@ -305,31 +317,52 @@ impl LossyLink {
     pub fn carry(&mut self, outputs: &[OutputPacket]) -> Vec<SimPacket> {
         let clean = self.link.carry(outputs);
         let mut out: Vec<SimPacket> = Vec::with_capacity(clean.len());
-        for mut pkt in clean {
-            self.stats.offered += 1;
-            if self.plan.drop_p > 0.0 && self.rng.chance(self.plan.drop_p) {
-                self.stats.dropped += 1;
-                continue;
-            }
-            if self.plan.jitter_ns > 0 {
-                let extra = self.rng.exp(self.plan.jitter_ns as f64) as u64;
-                self.stats.jitter_ns_total += extra;
-                pkt.arrival_ns += extra;
-            }
-            if self.plan.corrupt_p > 0.0 && self.rng.chance(self.plan.corrupt_p) {
-                self.stats.corrupted += 1;
-                flip_random_bit(&mut self.rng, &mut pkt.frame);
-            }
-            if self.plan.duplicate_p > 0.0 && self.rng.chance(self.plan.duplicate_p) {
-                self.stats.duplicated += 1;
-                self.stats.delivered += 1;
-                out.push(pkt.clone());
-            }
-            self.stats.delivered += 1;
-            out.push(pkt);
+        for pkt in clean {
+            self.impair(pkt.arrival_ns, pkt.frame, |arrival_ns, frame| {
+                out.push(SimPacket {
+                    arrival_ns,
+                    direction: pkt.direction,
+                    frame,
+                })
+            });
         }
         out.sort_by_key(|p| p.arrival_ns);
         out
+    }
+
+    /// One frame across the span, due at the far end at `arrival_ns`
+    /// on a clean fiber: `deliver` gets it (late by the jitter, maybe
+    /// with a flipped bit) once, twice when the span duplicated it, or
+    /// not at all when it was lost. The draws come in a fixed order —
+    /// drop, jitter, corrupt (and which bit), duplicate — so a seed
+    /// replays the same faults however the frames are handed in.
+    pub(crate) fn impair(
+        &mut self,
+        mut arrival_ns: u64,
+        mut frame: Vec<u8>,
+        mut deliver: impl FnMut(u64, Vec<u8>),
+    ) {
+        self.stats.offered += 1;
+        if self.plan.drop_p > 0.0 && self.rng.chance(self.plan.drop_p) {
+            self.stats.dropped += 1;
+            return;
+        }
+        if self.plan.jitter_ns > 0 {
+            let extra = self.rng.exp(self.plan.jitter_ns as f64) as u64;
+            self.stats.jitter_ns_total += extra;
+            arrival_ns += extra;
+        }
+        if self.plan.corrupt_p > 0.0 && self.rng.chance(self.plan.corrupt_p) {
+            self.stats.corrupted += 1;
+            flip_random_bit(&mut self.rng, &mut frame);
+        }
+        if self.plan.duplicate_p > 0.0 && self.rng.chance(self.plan.duplicate_p) {
+            self.stats.duplicated += 1;
+            self.stats.delivered += 1;
+            deliver(arrival_ns, frame.clone());
+        }
+        self.stats.delivered += 1;
+        deliver(arrival_ns, frame);
     }
 }
 

@@ -15,6 +15,9 @@
 //!   output arbitration, line-rate serialization and an exact per-copy
 //!   conservation identity — one model from a 4-port retrofit with idle
 //!   outputs to a rack-scale ToR;
+//! * [`rack`] — the rack: ToRs, the hosts behind their access spans and
+//!   the uplinks between them on one clock, with the one event order
+//!   and the composed conservation identity;
 //! * [`nic`] — the Thunderbolt 10 G NIC of the §5 power testbed;
 //! * [`testbed`] — the power-measurement experiment itself;
 //! * [`fleet`] — orchestration across many modules: parallel rolling
@@ -35,6 +38,7 @@ pub mod fleet;
 pub mod link;
 pub mod mgmt;
 pub mod nic;
+pub mod rack;
 pub mod testbed;
 
 pub use baselines::ProcessingPath;
@@ -45,4 +49,5 @@ pub use fleet::FleetManager;
 pub use link::FiberLink;
 pub use mgmt::ManagementClient;
 pub use nic::HostNic;
+pub use rack::Rack;
 pub use testbed::PowerTestbed;
