@@ -32,8 +32,8 @@
 //!    O(shards) of them whatever the trace length
 //!    ([`ShardedRun::chunk_allocs`]). Frames cross
 //!    the rings as moves; the only copy anywhere in the pipeline is
-//!    the control-frame broadcast, leased from a [`SharedPacketArena`]
-//!    and accounted in [`ShardedRun::frame_copies`].
+//!    the control-frame broadcast, accounted in
+//!    [`ShardedRun::frame_copies`].
 //! 3. **Reconcile** — a sequence-indexed window buffer merges the
 //!    shard output streams back into exactly the serial sink order.
 //!    Watermarks make the merge safe and bounded: at a per-transport
@@ -78,9 +78,7 @@ use flexsfp_fabric::hash::crc32;
 use flexsfp_fabric::ring::{channel, Consumer, Producer};
 use flexsfp_obs::TelemetrySnapshot;
 use flexsfp_ppe::{Direction, FlowKey, KeyHint};
-use flexsfp_wire::{
-    EtherType, EthernetFrame, IpProtocol, Ipv4Packet, Ipv6Packet, SharedPacketArena, VlanFrame,
-};
+use flexsfp_wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, Ipv6Packet, VlanFrame};
 use std::collections::VecDeque;
 
 /// Messages staged per ring crossing: one slot lock and one position
@@ -660,7 +658,6 @@ fn drive<I, F, T>(
     packets: I,
     shards: usize,
     classifier: &ControlPlane,
-    copies: &SharedPacketArena,
     transport: &mut T,
     recon: &mut Reconciler,
     sink: &mut F,
@@ -709,14 +706,13 @@ where
             // Broadcast: every shard must replay the mutation in
             // stream position. Shard 0 answers; replicas suppress.
             // The original frame moves to the last shard; the other
-            // copies are the pipeline's only frame copies, leased
-            // from the shared arena and accounted.
+            // copies are the pipeline's only frame copies, accounted.
             stats.frame_copies += shards as u64 - 1;
             for shard in 0..shards - 1 {
                 let dup = SimPacket {
                     arrival_ns: pkt.arrival_ns,
                     direction: pkt.direction,
-                    frame: copies.lease_copy(&pkt.frame),
+                    frame: pkt.frame.clone(),
                 };
                 transport.send(
                     shard,
@@ -837,7 +833,6 @@ where
 {
     let shards = shards.max(1);
     let classifier = ControlPlane::new(config.mgmt_mac, config.mgmt_ip, config.auth_key);
-    let copies = SharedPacketArena::new();
     let mut recon = Reconciler::new(shards);
 
     let workers = par::shard_workers(shards, par::effective_parallelism());
@@ -851,7 +846,6 @@ where
             packets,
             shards,
             &classifier,
-            &copies,
             &mut transport,
             &mut recon,
             &mut sink,
@@ -898,7 +892,6 @@ where
                 packets,
                 shards,
                 &classifier,
-                &copies,
                 &mut transport,
                 &mut recon,
                 &mut sink,

@@ -15,7 +15,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default per-buffer capacity: a full 1514-byte Ethernet frame (no FCS)
 /// rounded up to a friendly power-of-two-ish size with headroom for an
@@ -126,122 +125,6 @@ impl PacketArena {
     }
 }
 
-#[derive(Debug, Default)]
-struct SharedArenaStats {
-    leases: AtomicU64,
-    allocations: AtomicU64,
-    recycles: AtomicU64,
-    discards: AtomicU64,
-}
-
-#[derive(Debug)]
-struct SharedArenaInner {
-    free: std::sync::Mutex<Vec<Vec<u8>>>,
-    frame_capacity: usize,
-    stats: SharedArenaStats,
-}
-
-/// The thread-safe sibling of [`PacketArena`]: the same lease/recycle
-/// contract and counters, but clonable across threads, so the sharded
-/// dataplane's dispatcher, workers, and reconciler can draw from and
-/// return to one pool. Frames then cross the shard boundary as moves
-/// of pool-leased buffers — the O(1) allocation witness spans the
-/// whole pipeline instead of one thread.
-///
-/// The pool lock is taken once per lease/recycle, off the per-byte
-/// path; counters are relaxed atomics.
-#[derive(Debug, Clone)]
-pub struct SharedPacketArena {
-    inner: std::sync::Arc<SharedArenaInner>,
-}
-
-impl Default for SharedPacketArena {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedPacketArena {
-    /// An empty shared arena with the [`DEFAULT_FRAME_CAPACITY`].
-    pub fn new() -> Self {
-        Self::with_frame_capacity(DEFAULT_FRAME_CAPACITY)
-    }
-
-    /// An empty shared arena whose buffers reserve `frame_capacity` bytes.
-    pub fn with_frame_capacity(frame_capacity: usize) -> Self {
-        SharedPacketArena {
-            inner: std::sync::Arc::new(SharedArenaInner {
-                free: std::sync::Mutex::new(Vec::new()),
-                frame_capacity,
-                stats: SharedArenaStats::default(),
-            }),
-        }
-    }
-
-    /// Capacity reserved in each freshly allocated buffer.
-    pub fn frame_capacity(&self) -> usize {
-        self.inner.frame_capacity
-    }
-
-    /// Lease an empty buffer: pooled if available, freshly allocated
-    /// otherwise.
-    pub fn lease(&self) -> Vec<u8> {
-        self.inner.stats.leases.fetch_add(1, Ordering::Relaxed);
-        if let Some(buf) = self.inner.free.lock().expect("arena pool lock").pop() {
-            return buf;
-        }
-        self.inner.stats.allocations.fetch_add(1, Ordering::Relaxed);
-        Vec::with_capacity(self.inner.frame_capacity)
-    }
-
-    /// Lease a buffer pre-filled with a copy of `bytes` — the one
-    /// accounted copy the sharded path makes (control broadcast).
-    pub fn lease_copy(&self, bytes: &[u8]) -> Vec<u8> {
-        let mut buf = self.lease();
-        buf.extend_from_slice(bytes);
-        buf
-    }
-
-    /// Return a buffer to the pool (cleared; discarded if it lost the
-    /// arena's frame capacity).
-    pub fn recycle(&self, mut buf: Vec<u8>) {
-        let s = &self.inner.stats;
-        if buf.capacity() < self.inner.frame_capacity {
-            s.discards.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        buf.clear();
-        s.recycles.fetch_add(1, Ordering::Relaxed);
-        self.inner.free.lock().expect("arena pool lock").push(buf);
-    }
-
-    /// Buffers currently sitting in the pool.
-    pub fn pooled(&self) -> usize {
-        self.inner.free.lock().expect("arena pool lock").len()
-    }
-
-    /// Total leases served (pooled + freshly allocated).
-    pub fn leases(&self) -> u64 {
-        self.inner.stats.leases.load(Ordering::Relaxed)
-    }
-
-    /// Fresh heap allocations performed — the O(1)-memory witness
-    /// across every thread sharing this pool.
-    pub fn allocations(&self) -> u64 {
-        self.inner.stats.allocations.load(Ordering::Relaxed)
-    }
-
-    /// Buffers successfully returned to the pool.
-    pub fn recycles(&self) -> u64 {
-        self.inner.stats.recycles.load(Ordering::Relaxed)
-    }
-
-    /// Buffers rejected at recycle time for having lost their capacity.
-    pub fn discards(&self) -> u64 {
-        self.inner.stats.discards.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,34 +176,5 @@ mod tests {
         handle.recycle(arena.lease());
         assert_eq!(arena.pooled(), 1);
         assert_eq!(arena.leases(), 1);
-    }
-
-    #[test]
-    fn shared_arena_pools_across_threads() {
-        let arena = SharedPacketArena::new();
-        // Lease on this thread, recycle on another, lease back here:
-        // one allocation total.
-        let buf = arena.lease();
-        let remote = arena.clone();
-        std::thread::spawn(move || remote.recycle(buf))
-            .join()
-            .unwrap();
-        let again = arena.lease();
-        assert!(again.is_empty());
-        assert_eq!(arena.allocations(), 1);
-        assert_eq!(arena.leases(), 2);
-        assert_eq!(arena.recycles(), 1);
-    }
-
-    #[test]
-    fn shared_arena_lease_copy_accounts_one_lease() {
-        let arena = SharedPacketArena::with_frame_capacity(256);
-        let copy = arena.lease_copy(&[1, 2, 3]);
-        assert_eq!(copy, vec![1, 2, 3]);
-        assert_eq!(arena.leases(), 1);
-        // Undersized recycles are discarded, like the single-thread pool.
-        arena.recycle(Vec::with_capacity(16));
-        assert_eq!(arena.pooled(), 0);
-        assert_eq!(arena.discards(), 1);
     }
 }

@@ -35,7 +35,7 @@ pub mod vlan;
 pub mod vxlan;
 
 pub use addr::{EtherType, IpProtocol, MacAddr};
-pub use arena::{PacketArena, SharedPacketArena};
+pub use arena::PacketArena;
 pub use arp::{ArpOperation, ArpPacket};
 pub use builder::PacketBuilder;
 pub use checksum::{fnv1a, FNV1A_OFFSET};
