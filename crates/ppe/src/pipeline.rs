@@ -11,7 +11,6 @@ use crate::cache::{FlowFront, FlowProgram, PlanRecorder, PlanView, DEFAULT_FLOWS
 use crate::counters::CounterBank;
 use crate::engine::{BatchPacket, PacketProcessor, ProcessContext, Verdict};
 use crate::match_kinds::{LpmTable, TernaryTable};
-use crate::meter::TokenBucket;
 use crate::parser::{ParsedPacket, Parser, L4};
 use crate::tables::{HashTable, TableKey};
 use flexsfp_obs::{
@@ -637,40 +636,20 @@ impl PacketProcessor for Pipeline {
 #[derive(Debug)]
 pub struct PipelineBuilder {
     name: String,
-    parser: Parser,
     stages: Vec<Stage>,
-    counters: usize,
-    meters: Vec<TokenBucket>,
 }
+
+/// Counters in every pipeline's bank. With the default parser and no
+/// meters, this is the whole of a pipeline's fixed configuration.
+const COUNTERS: usize = 16;
 
 impl PipelineBuilder {
     /// Start a pipeline named `name`.
     pub fn new(name: &str) -> PipelineBuilder {
         PipelineBuilder {
             name: name.into(),
-            parser: Parser::default(),
             stages: Vec::new(),
-            counters: 16,
-            meters: Vec::new(),
         }
-    }
-
-    /// Override the parser configuration.
-    pub fn parser(mut self, parser: Parser) -> PipelineBuilder {
-        self.parser = parser;
-        self
-    }
-
-    /// Set the counter bank size.
-    pub fn counters(mut self, n: usize) -> PipelineBuilder {
-        self.counters = n;
-        self
-    }
-
-    /// Append a meter, returning its index via the builder order.
-    pub fn meter(mut self, m: TokenBucket) -> PipelineBuilder {
-        self.meters.push(m);
-        self
     }
 
     /// Append a stage. Panics beyond [`MAX_STAGES`] — the fabric cannot
@@ -691,9 +670,9 @@ impl PipelineBuilder {
         let cacheable = pipeline_cacheable(&self.stages);
         Pipeline {
             name: self.name,
-            parser: self.parser,
+            parser: Parser::default(),
             stages: self.stages,
-            engine: ActionEngine::new(self.counters, self.meters),
+            engine: ActionEngine::new(COUNTERS, Vec::new()),
             stats: PipelineStats::default(),
             obs: PipelineObs::default(),
             front: FlowFront::new(DEFAULT_FLOWS),
