@@ -212,8 +212,7 @@ impl FleetCollector {
     pub fn fleet_drops(&self) -> u64 {
         self.modules
             .values()
-            .map(|r| r.snapshot.drops.total())
-            .sum()
+            .fold(0, |sum, r| sum.saturating_add(r.snapshot.drops.total()))
     }
 
     /// Render the fleet as Prometheus text exposition: every family in
@@ -431,6 +430,107 @@ mod tests {
             assert_eq!(c.slo_reports().len(), c.len(), "{what}");
             assert!(!c.render_prometheus().is_empty(), "{what}");
         }
+    }
+
+    /// `doc` with every lifetime and per-window counter at `u64::MAX`
+    /// and every latency histogram one bucket holding `u64::MAX`
+    /// samples: each field is a value a module could have sent.
+    fn saturated(doc: &Value) -> Value {
+        const COUNTERS: [&str; 22] = [
+            "frames",
+            "bytes",
+            "errors",
+            "fifo_overflow",
+            "app",
+            "link",
+            "unsorted",
+            "hits",
+            "misses",
+            "evictions",
+            "invalidations",
+            "insert_failures",
+            "events_overwritten",
+            "events_drained",
+            "forwarded",
+            "drops_app",
+            "drops_unexplained",
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+            "cache_occupancy",
+            "dup_chunk_acks",
+        ];
+        match doc {
+            Value::Object(fields) => Value::Object(
+                fields
+                    .iter()
+                    .map(|(key, value)| {
+                        let value = match value {
+                            Value::UInt(_) if COUNTERS.contains(&key.as_str()) => {
+                                Value::UInt(u64::MAX)
+                            }
+                            Value::Object(_) if key == "latency" => {
+                                let mut full = LatencyHistogram::new();
+                                full.record_n(700, u64::MAX);
+                                full.to_json()
+                            }
+                            other => saturated(other),
+                        };
+                        (key.clone(), value)
+                    })
+                    .collect(),
+            ),
+            Value::Array(items) => Value::Array(items.iter().map(saturated).collect()),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn snapshots_with_every_counter_at_the_maximum_merge_and_render() {
+        // Every sum a collector runs over decoded snapshots saturates:
+        // `"cache": {"hits": 18446744073709551615, "misses": 1}` alone
+        // used to overflow `CacheStats::lookups()` under the hit-ratio
+        // family, and two such modules every fleet-wide merge.
+        let f = fleet(2);
+        for i in 0..2 {
+            f.with_module(i, |m| m.run(packets(12)));
+        }
+        let mut c = FleetCollector::new();
+        c.set_slo_spec(SloSpec::generous());
+        for honest in f.telemetry_snapshots().into_iter().flatten() {
+            let text = saturated(&honest.to_json()).to_string_pretty();
+            let doc = Value::parse(&text).expect("well-formed");
+            let snapshot = TelemetrySnapshot::from_json(&doc).expect("decodes");
+            assert_eq!(snapshot.cache.hits, u64::MAX);
+            assert_eq!(snapshot.latency.count(), u64::MAX);
+            assert_eq!(snapshot.windows.windows()[0].forwarded, u64::MAX);
+            c.ingest(snapshot);
+        }
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.fleet_drops(), u64::MAX);
+        let latency = c.fleet_latency();
+        assert_eq!(latency.count(), u64::MAX);
+        assert_eq!((latency.p50(), latency.max()), (700, 700));
+        let lifetime = c.fleet_windows().lifetime();
+        assert_eq!(lifetime.forwarded, u64::MAX);
+        assert_eq!(lifetime.packets(), u64::MAX);
+        assert_eq!(lifetime.cache_hit_rate(), Some(1.0));
+        assert_eq!(c.slo_reports().len(), 2);
+        let text = c.render_prometheus();
+        assert!(text.contains("flexsfp_flow_cache_hit_ratio{module=\"FSFP-0000\"} 1\n"));
+        assert!(!c.to_json().is_empty());
+
+        // The hit-ratio family's first operand pair, as the issue
+        // found it: one module, hits at the maximum and one miss.
+        let mut one = f.telemetry_snapshots().remove(0).expect("scraped");
+        one.cache.hits = u64::MAX;
+        one.cache.misses = 1;
+        let doc = Value::parse(&one.to_json().to_string_pretty()).expect("well-formed");
+        let mut c = FleetCollector::new();
+        c.ingest_all(TelemetrySnapshot::from_json(&doc));
+        assert!(c
+            .render_prometheus()
+            .contains("flexsfp_flow_cache_hit_ratio{module=\"FSFP-0000\"} 1\n"));
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl LatencyHistogram {
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
+            cum = cum.saturating_add(c);
             if cum >= target {
                 return value_for(i).clamp(self.min, self.max);
             }
@@ -226,7 +226,8 @@ impl LatencyHistogram {
     /// Merge another histogram into this one. Bucket counts add, so the
     /// result is identical to having recorded both sample streams into
     /// one histogram (mergeability is what lets the fleet collector
-    /// aggregate per-module histograms without raw samples).
+    /// aggregate per-module histograms without raw samples). The adds
+    /// saturate: what a collector merges was decoded from text.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if other.count == 0 {
             return;
@@ -235,7 +236,7 @@ impl LatencyHistogram {
             self.counts.resize(other.counts.len(), 0);
         }
         for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
+            self.counts[i] = self.counts[i].saturating_add(c);
         }
         if self.count == 0 {
             self.min = other.min;
@@ -244,7 +245,7 @@ impl LatencyHistogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum_q = self.sum_q.saturating_add(other.sum_q);
     }
 

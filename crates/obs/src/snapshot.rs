@@ -72,9 +72,9 @@ pub struct PortCounters {
 impl PortCounters {
     /// Fold another port's counters into this one (shard merge).
     pub fn merge(&mut self, other: &PortCounters) {
-        self.frames += other.frames;
-        self.bytes += other.bytes;
-        self.errors += other.errors;
+        self.frames = self.frames.saturating_add(other.frames);
+        self.bytes = self.bytes.saturating_add(other.bytes);
+        self.errors = self.errors.saturating_add(other.errors);
     }
 }
 
@@ -92,17 +92,21 @@ pub struct DropCounters {
 }
 
 impl DropCounters {
-    /// Total drops across all reasons.
+    /// Total drops across all reasons (saturating, like every sum
+    /// here: a collector runs them over snapshots decoded from text).
     pub fn total(&self) -> u64 {
-        self.fifo_overflow + self.app + self.link + self.unsorted
+        self.fifo_overflow
+            .saturating_add(self.app)
+            .saturating_add(self.link)
+            .saturating_add(self.unsorted)
     }
 
     /// Fold another module's drop counters into this one (shard merge).
     pub fn merge(&mut self, other: &DropCounters) {
-        self.fifo_overflow += other.fifo_overflow;
-        self.app += other.app;
-        self.link += other.link;
-        self.unsorted += other.unsorted;
+        self.fifo_overflow = self.fifo_overflow.saturating_add(other.fifo_overflow);
+        self.app = self.app.saturating_add(other.app);
+        self.link = self.link.saturating_add(other.link);
+        self.unsorted = self.unsorted.saturating_add(other.unsorted);
     }
 }
 
@@ -129,15 +133,15 @@ pub struct CacheStats {
 impl CacheStats {
     /// Fold another cache's counters into this one (shard merge).
     pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.invalidations += other.invalidations;
+        self.hits = self.hits.saturating_add(other.hits);
+        self.misses = self.misses.saturating_add(other.misses);
+        self.evictions = self.evictions.saturating_add(other.evictions);
+        self.invalidations = self.invalidations.saturating_add(other.invalidations);
     }
 
     /// Total lookups (hits + misses).
     pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
+        self.hits.saturating_add(self.misses)
     }
 
     /// Fraction of lookups served from the cache (0.0 when idle).

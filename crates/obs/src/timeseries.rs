@@ -71,7 +71,9 @@ impl WindowBucket {
 
     /// Packets observed in this window (forwarded plus all drops).
     pub fn packets(&self) -> u64 {
-        self.forwarded + self.drops_app + self.drops_unexplained
+        self.forwarded
+            .saturating_add(self.drops_app)
+            .saturating_add(self.drops_unexplained)
     }
 
     /// Fraction of observed packets dropped unexplained (0.0 when the
@@ -86,7 +88,7 @@ impl WindowBucket {
 
     /// Cache hit rate over this window, `None` when it saw no lookups.
     pub fn cache_hit_rate(&self) -> Option<f64> {
-        let lookups = self.cache_hits + self.cache_misses;
+        let lookups = self.cache_hits.saturating_add(self.cache_misses);
         if lookups == 0 {
             None
         } else {
@@ -104,12 +106,14 @@ impl WindowBucket {
             self.start_ns = self.start_ns.min(other.start_ns);
         }
         self.latency.merge(&other.latency);
-        self.forwarded += other.forwarded;
-        self.drops_app += other.drops_app;
-        self.drops_unexplained += other.drops_unexplained;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
+        self.forwarded = self.forwarded.saturating_add(other.forwarded);
+        self.drops_app = self.drops_app.saturating_add(other.drops_app);
+        self.drops_unexplained = self
+            .drops_unexplained
+            .saturating_add(other.drops_unexplained);
+        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
+        self.cache_misses = self.cache_misses.saturating_add(other.cache_misses);
+        self.cache_evictions = self.cache_evictions.saturating_add(other.cache_evictions);
         self.cache_occupancy = self.cache_occupancy.max(other.cache_occupancy);
     }
 }
