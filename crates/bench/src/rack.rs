@@ -1,6 +1,6 @@
 //! Rack-scale crossbar workload (`experiments rack`).
 //!
-//! Two 48-port crosspoint-queued ToRs ([`CrossbarSwitch`]) joined by an
+//! A [`Rack`] of two 48-port crosspoint-queued ToRs joined by an
 //! uplink span, 94 subscriber hosts on the access ports, a FlexSFP in
 //! nearly every cage (pass-through modules on the access ports, an ACL
 //! firewall screening each uplink's ingress), and every access link
@@ -12,13 +12,9 @@
 //!
 //! The run is judged on three things:
 //!
-//! * **exact packet conservation** — per ToR, the
-//!   [`flexsfp_host::CrossbarStats::conserved`] identity must close
-//!   after the final drain; across the rack, every frame the chaos layer delivered
-//!   (plus every flood and module copy) must be found again as an
-//!   access delivery, a module drop/diversion/absorption, a
-//!   control-plane punt, a malformed or hairpin filter, or a
-//!   crosspoint drop. No leaks, per copy, under loss;
+//! * **exact packet conservation** — [`Rack::conserved`], the rack's
+//!   composed identity, must close once the rack is quiet. No leaks,
+//!   per copy, under loss;
 //! * **an SLO gate on queue-induced latency** — the two ToRs'
 //!   enqueue→grant histograms merge and the p99.9 must stay under
 //!   [`P999_BOUND_NS`];
@@ -233,22 +229,20 @@ fn build_tor(tor: usize) -> CrossbarSwitch {
 /// access spans (host `h` on port `h % ACCESS` of ToR `h / ACCESS`),
 /// and one uplink joining the two [`UPLINK`] ports.
 fn topology() -> Topology {
-    let hosts = (0..HOSTS)
-        .map(|h| HostSpan {
-            link: FiberLink::new(ACCESS_M).impaired(
-                FaultPlan::ideal(SEED ^ (h as u64).wrapping_mul(0x51ed))
-                    .with_drop(0.01)
-                    .with_duplicate(0.005)
-                    .with_corrupt(0.005)
-                    .with_jitter(200),
-            ),
-            tor: h / ACCESS,
-            port: h % ACCESS,
-        })
-        .collect();
+    let span = |h: usize| HostSpan {
+        link: FiberLink::new(ACCESS_M).impaired(
+            FaultPlan::ideal(SEED ^ (h as u64).wrapping_mul(0x51ed))
+                .with_drop(0.01)
+                .with_duplicate(0.005)
+                .with_corrupt(0.005)
+                .with_jitter(200),
+        ),
+        tor: h / ACCESS,
+        port: h % ACCESS,
+    };
     Topology {
         tors: vec![build_tor(0), build_tor(1)],
-        hosts,
+        hosts: (0..HOSTS).map(span).collect(),
         uplinks: vec![Uplink {
             a: (0, UPLINK),
             b: (1, UPLINK),
@@ -346,8 +340,8 @@ pub fn run(packets: usize) -> Outcome {
         link_dropped: stats.links.dropped,
         link_duplicated: stats.links.duplicated,
         link_corrupted: stats.links.corrupted,
-        uplink_ab: stats.uplinks[0].tx[0],
-        uplink_ba: stats.uplinks[0].tx[1],
+        uplink_ab: stats.uplink_tx[0][0],
+        uplink_ba: stats.uplink_tx[0][1],
         delivered_access: stats.delivered_access,
         flooded: sum(|s| s.sw.flooded),
         flood_copies: sum(|s| s.sw.flood_copies),

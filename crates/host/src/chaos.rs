@@ -318,30 +318,17 @@ impl LossyLink {
         let clean = self.link.carry(outputs);
         let mut out: Vec<SimPacket> = Vec::with_capacity(clean.len());
         for pkt in clean {
-            self.impair(pkt.arrival_ns, pkt.frame, |arrival_ns, frame| {
-                out.push(SimPacket {
-                    arrival_ns,
-                    direction: pkt.direction,
-                    frame,
-                })
-            });
+            self.impair(pkt, |pkt| out.push(pkt));
         }
         out.sort_by_key(|p| p.arrival_ns);
         out
     }
 
-    /// One frame across the span, due at the far end at `arrival_ns`
-    /// on a clean fiber: `deliver` gets it (late by the jitter, maybe
-    /// with a flipped bit) once, twice when the span duplicated it, or
-    /// not at all when it was lost. The draws come in a fixed order —
-    /// drop, jitter, corrupt (and which bit), duplicate — so a seed
-    /// replays the same faults however the frames are handed in.
-    pub(crate) fn impair(
-        &mut self,
-        mut arrival_ns: u64,
-        mut frame: Vec<u8>,
-        mut deliver: impl FnMut(u64, Vec<u8>),
-    ) {
+    /// One frame across the span, `pkt` being its arrival on a clean
+    /// fiber: `deliver` gets it (late by the jitter, maybe with a
+    /// flipped bit) once, twice when duplicated, never when lost. The
+    /// draws keep one order: drop, jitter, corrupt, which bit, duplicate.
+    pub(crate) fn impair(&mut self, mut pkt: SimPacket, mut deliver: impl FnMut(SimPacket)) {
         self.stats.offered += 1;
         if self.plan.drop_p > 0.0 && self.rng.chance(self.plan.drop_p) {
             self.stats.dropped += 1;
@@ -350,19 +337,19 @@ impl LossyLink {
         if self.plan.jitter_ns > 0 {
             let extra = self.rng.exp(self.plan.jitter_ns as f64) as u64;
             self.stats.jitter_ns_total += extra;
-            arrival_ns += extra;
+            pkt.arrival_ns += extra;
         }
         if self.plan.corrupt_p > 0.0 && self.rng.chance(self.plan.corrupt_p) {
             self.stats.corrupted += 1;
-            flip_random_bit(&mut self.rng, &mut frame);
+            flip_random_bit(&mut self.rng, &mut pkt.frame);
         }
         if self.plan.duplicate_p > 0.0 && self.rng.chance(self.plan.duplicate_p) {
             self.stats.duplicated += 1;
             self.stats.delivered += 1;
-            deliver(arrival_ns, frame.clone());
+            deliver(pkt.clone());
         }
         self.stats.delivered += 1;
-        deliver(arrival_ns, frame);
+        deliver(pkt);
     }
 }
 

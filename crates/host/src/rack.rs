@@ -4,30 +4,29 @@
 //! A [`Rack`] is built from a [`Topology`]: the [`CrossbarSwitch`]es
 //! with their cages already seated, the `(tor, port)` each host's
 //! [`LossyLink`] lands on, and the port pairs an uplink [`FiberLink`]
-//! joins. Two ToRs and one uplink is one such value; N ToRs under a
-//! spine is another. A caller emits frames from hosts, steps events (or
-//! runs to quiescence) and is handed every frame that leaves an access
-//! port; a frame that leaves an uplink port is the rack's own business.
+//! joins — two ToRs and one uplink, or N ToRs under a spine. A caller
+//! emits frames from hosts, steps events (or runs to quiescence) and is
+//! handed every frame that leaves an access port; a frame that leaves
+//! an uplink port is the rack's own business.
 //!
 //! # Event order
 //!
-//! There is one queue, and two kinds of event in it: an **arrival** (a
-//! host's frame reaching its ToR port, after the access span delayed,
-//! jittered, duplicated, corrupted or lost it) and a **hand-off** (a
-//! frame that left an uplink port reaching the peer port, one
-//! propagation delay after its wire departure). [`Rack::step`] takes
+//! One queue holds two kinds of event: an **arrival** (a host's frame
+//! reaching its ToR port, after the access span delayed, jittered,
+//! duplicated, corrupted or lost it) and a **hand-off** (a frame that
+//! left an uplink port reaching the peer port, one propagation delay
+//! after its wire departure). [`Rack::step`] injects into its ToR
 //!
 //! 1. the earliest event;
 //! 2. at one instant, a hand-off before an arrival (the tie rule: the
 //!    frame already inside the rack goes first);
 //! 3. within a kind at one instant, the order the events were made:
 //!    emission order for arrivals, the order the ToRs handed frames
-//!    back for hand-offs
+//!    back for hand-offs.
 //!
-//! and injects it into its ToR. [`Rack::run_to_quiescence`] steps until
-//! the queue is empty, drains every ToR's crosspoints regardless of
-//! the clock (in ToR order), and repeats while a drain pushed a frame
-//! across an uplink.
+//! [`Rack::run_to_quiescence`] steps until the queue is empty, drains
+//! every ToR's crosspoints regardless of the clock (in ToR order), and
+//! repeats while a drain pushed a frame across an uplink.
 //!
 //! # Conservation
 //!
@@ -48,6 +47,8 @@ use crate::chaos::{LinkChaosStats, LossyLink};
 use crate::collector::FleetCollector;
 use crate::crossbar::{CrossbarStats, CrossbarSwitch, TimedDelivery};
 use crate::link::FiberLink;
+use flexsfp_core::module::SimPacket;
+use flexsfp_ppe::Direction;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -78,17 +79,8 @@ pub struct Topology {
     pub tors: Vec<CrossbarSwitch>,
     /// The hosts, indexed as [`Rack::emit`] names them.
     pub hosts: Vec<HostSpan>,
-    /// The uplinks, indexed as [`RackStats::uplinks`] reports them.
+    /// The uplinks, indexed as [`RackStats::uplink_tx`] reports them.
     pub uplinks: Vec<Uplink>,
-}
-
-/// Frames one uplink carried, by direction (see [`Uplink`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UplinkStats {
-    /// Frames that left the sending end.
-    pub tx: [u64; 2],
-    /// Frames injected at the receiving end.
-    pub rx: [u64; 2],
 }
 
 /// Every counter [`Rack::conserved`] is built from.
@@ -98,8 +90,11 @@ pub struct RackStats {
     pub emitted: u64,
     /// The access spans' accounting, merged over all hosts.
     pub links: LinkChaosStats,
-    /// Per uplink, in topology order.
-    pub uplinks: Vec<UplinkStats>,
+    /// Per uplink and direction (see [`Uplink`]), frames that left the
+    /// sending end.
+    pub uplink_tx: Vec<[u64; 2]>,
+    /// Per uplink and direction, frames injected at the receiving end.
+    pub uplink_rx: Vec<[u64; 2]>,
     /// Frames that left access ports: the rack's output.
     pub delivered_access: u64,
     /// Per ToR, in topology order.
@@ -135,17 +130,39 @@ struct Event {
     frame: Vec<u8>,
 }
 
+/// The pending events and the stamp that keeps their making order.
+#[derive(Default)]
+struct Queue {
+    heap: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+}
+
+impl Queue {
+    fn push(&mut self, t_ns: u64, kind: Kind, tor: usize, port: usize, frame: Vec<u8>) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Reverse(Event {
+            t_ns,
+            kind,
+            seq,
+            tor,
+            port,
+            frame,
+        }));
+    }
+}
+
 /// A rack in motion (see the module docs).
 pub struct Rack {
     tors: Vec<CrossbarSwitch>,
     hosts: Vec<HostSpan>,
     /// `peers[tor][port]`: the far end, when the port is an uplink.
     peers: Vec<Vec<Option<Peer>>>,
-    events: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    queue: Queue,
     emitted: u64,
     delivered_access: u64,
-    uplinks: Vec<UplinkStats>,
+    uplink_tx: Vec<[u64; 2]>,
+    uplink_rx: Vec<[u64; 2]>,
 }
 
 impl Rack {
@@ -156,14 +173,10 @@ impl Rack {
     /// Panics if the topology names a ToR or port that does not exist,
     /// gives a port two uplinks, or lands a host on an uplink port.
     pub fn new(topology: Topology) -> Rack {
-        let Topology {
-            tors,
-            hosts,
-            uplinks,
-        } = topology;
+        let Topology { tors, hosts, .. } = topology;
         let mut peers: Vec<Vec<Option<Peer>>> =
             tors.iter().map(|t| vec![None; t.ports()]).collect();
-        for (uplink, u) in uplinks.iter().enumerate() {
+        for (uplink, u) in topology.uplinks.iter().enumerate() {
             let delay_ns = u.link.delay_ns() as u64;
             for (dir, (from, to)) in [(u.a, u.b), (u.b, u.a)].into_iter().enumerate() {
                 let end = &mut peers[from.0][from.1];
@@ -178,20 +191,17 @@ impl Rack {
                 });
             }
         }
-        for h in &hosts {
-            assert!(
-                peers[h.tor][h.port].is_none(),
-                "a host lands on uplink port {:?}",
-                (h.tor, h.port)
-            );
+        for at in hosts.iter().map(|h| (h.tor, h.port)) {
+            let uplink = peers[at.0][at.1].is_some();
+            assert!(!uplink, "a host lands on uplink port {at:?}");
         }
         Rack {
-            uplinks: vec![UplinkStats::default(); uplinks.len()],
+            uplink_tx: vec![[0; 2]; topology.uplinks.len()],
+            uplink_rx: vec![[0; 2]; topology.uplinks.len()],
             tors,
             hosts,
             peers,
-            events: BinaryHeap::new(),
-            seq: 0,
+            queue: Queue::default(),
             emitted: 0,
             delivered_access: 0,
         }
@@ -202,10 +212,14 @@ impl Rack {
     pub fn emit(&mut self, host: usize, t_ns: u64, frame: Vec<u8>) {
         self.emitted += 1;
         let HostSpan { link, tor, port } = &mut self.hosts[host];
-        let (events, seq) = (&mut self.events, &mut self.seq);
-        let clean_ns = t_ns + link.link().delay_ns() as u64;
-        link.impair(clean_ns, frame, |t_ns, frame| {
-            push(events, seq, t_ns, Kind::Arrival, (*tor, *port), frame)
+        let clean = SimPacket {
+            arrival_ns: t_ns + link.link().delay_ns() as u64,
+            direction: Direction::OpticalToEdge,
+            frame,
+        };
+        link.impair(clean, |p| {
+            self.queue
+                .push(p.arrival_ns, Kind::Arrival, *tor, *port, p.frame)
         });
     }
 
@@ -213,12 +227,12 @@ impl Rack {
     /// hand every frame that left an access port to `sink` with its ToR
     /// index. False, and nothing done, when no event is pending.
     pub fn step(&mut self, mut sink: impl FnMut(usize, TimedDelivery)) -> bool {
-        let Some(Reverse(e)) = self.events.pop() else {
+        let Some(Reverse(e)) = self.queue.heap.pop() else {
             return false;
         };
         if e.kind == Kind::Handoff {
             let back = self.peers[e.tor][e.port].expect("hand-offs land on uplink ports");
-            self.uplinks[back.uplink].rx[1 - back.dir] += 1;
+            self.uplink_rx[back.uplink][1 - back.dir] += 1;
         }
         let out = self.tors[e.tor].inject(e.port, e.frame, e.t_ns);
         self.route(e.tor, out, &mut sink);
@@ -239,7 +253,7 @@ impl Rack {
                 let out = self.tors[tor].drain();
                 self.route(tor, out, &mut sink);
             }
-            if self.events.is_empty() {
+            if self.queue.heap.is_empty() {
                 break;
             }
         }
@@ -260,17 +274,10 @@ impl Rack {
                 sink(tor, d);
                 continue;
             };
-            self.uplinks[peer.uplink].tx[peer.dir] += 1;
+            self.uplink_tx[peer.uplink][peer.dir] += 1;
             let due_ns = d.departure_ns + peer.delay_ns;
-            let to = (peer.tor, peer.port);
-            push(
-                &mut self.events,
-                &mut self.seq,
-                due_ns,
-                Kind::Handoff,
-                to,
-                d.frame,
-            );
+            self.queue
+                .push(due_ns, Kind::Handoff, peer.tor, peer.port, d.frame);
         }
     }
 
@@ -283,7 +290,8 @@ impl Rack {
         RackStats {
             emitted: self.emitted,
             links,
-            uplinks: self.uplinks.clone(),
+            uplink_tx: self.uplink_tx.clone(),
+            uplink_rx: self.uplink_rx.clone(),
             delivered_access: self.delivered_access,
             tors: self.tors.iter().map(CrossbarSwitch::stats).collect(),
         }
@@ -295,14 +303,14 @@ impl Rack {
     pub fn conserved(&self) -> bool {
         let s = self.stats();
         let over_tors = |f: fn(&CrossbarStats) -> u64| s.tors.iter().map(f).sum::<u64>();
-        let uplink_rx: u64 = s.uplinks.iter().map(|u| u.rx[0] + u.rx[1]).sum();
+        let uplink_rx: u64 = s.uplink_rx.iter().flatten().sum();
         let sources = s.links.delivered + over_tors(|t| t.sw.flood_copies + t.sw.module_copies);
         let sinks = s.delivered_access
             + over_tors(|t| t.sw.sinks() - t.sw.delivered + t.crosspoint_dropped);
         s.tors.iter().all(CrossbarStats::conserved)
             && s.links.offered == s.emitted
             && s.links.offered + s.links.duplicated == s.links.delivered + s.links.dropped
-            && s.uplinks.iter().all(|u| u.tx == u.rx)
+            && s.uplink_tx == s.uplink_rx
             && s.links.delivered + uplink_rx == over_tors(|t| t.sw.received)
             && sources == sinks
     }
@@ -320,26 +328,6 @@ impl Rack {
             collector.set_xbar_stats(&format!("tor{i}"), tor.telemetry());
         }
     }
-}
-
-/// Queue one injection at `(tor, port)`, stamped with the next `seq`.
-fn push(
-    events: &mut BinaryHeap<Reverse<Event>>,
-    seq: &mut u64,
-    t_ns: u64,
-    kind: Kind,
-    (tor, port): (usize, usize),
-    frame: Vec<u8>,
-) {
-    *seq += 1;
-    events.push(Reverse(Event {
-        t_ns,
-        kind,
-        seq: *seq,
-        tor,
-        port,
-        frame,
-    }));
 }
 
 #[cfg(test)]
@@ -386,8 +374,7 @@ mod tests {
         rack.run_to_quiescence(|tor, d| out.push((tor, d.port, d.frame)));
         assert_eq!(out, vec![(1, 0, frame(1, 0)), (0, 0, frame(0, 1))]);
         let s = rack.stats();
-        assert_eq!(s.uplinks[0].tx, [1, 1]);
-        assert_eq!(s.uplinks[0].rx, [1, 1]);
+        assert_eq!((s.uplink_tx[0], s.uplink_rx[0]), ([1, 1], [1, 1]));
         assert_eq!((s.emitted, s.delivered_access), (2, 2));
         assert!(rack.conserved());
     }
@@ -406,7 +393,7 @@ mod tests {
         let mut rack = Rack::new(pair());
         exchange(&mut rack);
         rack.run_to_quiescence(|_, _| {});
-        rack.uplinks[0].rx[1] += 1;
+        rack.uplink_rx[0][1] += 1;
         assert!(!rack.conserved());
     }
 
@@ -415,7 +402,7 @@ mod tests {
     fn quiescence_asserts_the_identity() {
         let mut rack = Rack::new(pair());
         exchange(&mut rack);
-        rack.uplinks[0].tx[0] += 1;
+        rack.uplink_tx[0][0] += 1;
         rack.run_to_quiescence(|_, _| {});
     }
 

@@ -639,8 +639,7 @@ pub struct PipelineBuilder {
     stages: Vec<Stage>,
 }
 
-/// Counters in every pipeline's bank. With the default parser and no
-/// meters, this is the whole of a pipeline's fixed configuration.
+/// Counters in every pipeline's bank (default parser, no meters).
 const COUNTERS: usize = 16;
 
 impl PipelineBuilder {
