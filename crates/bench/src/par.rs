@@ -1,7 +1,8 @@
 //! Thread-count policy of the sharded dataplane.
 //!
-//! [`shard::run_sharded`](crate::shard::run_sharded) is the only thing
-//! in the workspace that spawns threads, and nothing nests it, so the
+//! Nothing nests [`shard::run_sharded`](crate::shard::run_sharded), and
+//! the one other spawner in the workspace,
+//! `flexsfp_host::FleetManager::deploy_all`, sizes its own pool, so the
 //! policy is two pure functions: how many threads the host has
 //! ([`effective_parallelism`]: the `FLEXSFP_THREADS` environment
 //! variable, else [`std::thread::available_parallelism`]) and how many

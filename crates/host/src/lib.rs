@@ -49,5 +49,4 @@ pub use fleet::FleetManager;
 pub use link::FiberLink;
 pub use mgmt::ManagementClient;
 pub use nic::HostNic;
-pub use rack::Rack;
 pub use testbed::PowerTestbed;
