@@ -1,4 +1,5 @@
-//! The fleet collector's Prometheus exposition, pinned whole.
+//! The fleet collector's Prometheus exposition and JSON export, pinned
+//! whole.
 //!
 //! One deterministic fleet that exercises every family the collector
 //! can emit is rendered and compared byte for byte with
@@ -6,10 +7,12 @@
 //! `golden/empty.prom`); only the `git="…"` label value, which moves
 //! with every commit, is normalised. The same documents are then parsed
 //! the way Prometheus's text parser would and checked for the
-//! structural rules a scrape depends on.
+//! structural rules a scrape depends on. The same fleet's `to_json()`
+//! is compared byte for byte with `golden/fleet.json`; the empty
+//! collector's is `{}`.
 //!
-//! After an intended change to the exposition, rewrite the golden
-//! files with
+//! After an intended change to the exposition or the export, rewrite
+//! the golden files with
 //! `cargo test -p flexsfp-host --test exposition -- --ignored regenerate_golden`
 //! and review the diff.
 
@@ -185,7 +188,17 @@ fn empty_collector_matches_golden() {
 }
 
 #[test]
-#[ignore = "rewrites tests/golden/*.prom from the current renderer"]
+fn full_fleet_json_matches_golden() {
+    assert_matches_golden(&full_fleet().to_json(), "fleet.json");
+}
+
+#[test]
+fn empty_collector_json_is_an_empty_object() {
+    assert_eq!(FleetCollector::new().to_json(), "{}");
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/* from the current renderers"]
 fn regenerate_golden() {
     std::fs::create_dir_all(golden_path("")).unwrap();
     for (name, c) in [
@@ -194,6 +207,7 @@ fn regenerate_golden() {
     ] {
         std::fs::write(golden_path(name), normalise(&c.render_prometheus())).unwrap();
     }
+    std::fs::write(golden_path("fleet.json"), full_fleet().to_json()).unwrap();
 }
 
 /// The fixture really reaches what the golden file is meant to pin.
