@@ -14,8 +14,9 @@
 
 use crate::chaos::ImpairStats;
 use crate::mgmt::{MgmtError, TransportStats};
+use flexsfp_obs::json::Writer;
 use flexsfp_obs::{
-    DataplaneEvent, LatencyHistogram, SloReport, SloSpec, TelemetrySnapshot, ToJson, Value,
+    DataplaneEvent, LatencyHistogram, SloReport, SloSpec, TelemetrySnapshot, ToJson,
     WindowedSeries, XbarTelemetry,
 };
 use std::collections::BTreeMap;
@@ -221,23 +222,23 @@ impl FleetCollector {
         families::render(self)
     }
 
-    /// Latest snapshots (and accumulated event logs) as a JSON document,
-    /// keyed by module id.
+    /// Latest snapshots (and accumulated event logs) as a pretty JSON
+    /// document, `{id: {"recent_events": [...], "snapshot": {...}}}` in
+    /// module-id order. Streamed through one [`Writer`]: members come in
+    /// byte order of their names, so the text is the bytes the same
+    /// document built as a [`Value`](flexsfp_obs::Value) tree renders,
+    /// and no tree is built.
     pub fn to_json(&self) -> String {
-        let doc: BTreeMap<String, Value> = self
-            .modules
-            .iter()
-            .map(|(id, rec)| {
-                (
-                    id.clone(),
-                    flexsfp_obs::json!({
-                        "snapshot": rec.snapshot.to_json(),
-                        "recent_events": rec.events.to_json(),
-                    }),
-                )
-            })
-            .collect();
-        Value::Object(doc).to_string_pretty()
+        let mut w = Writer::pretty();
+        w.begin_object();
+        for (id, rec) in &self.modules {
+            w.key(id).begin_object();
+            rec.events.write_json(w.key("recent_events"));
+            rec.snapshot.write_json(w.key("snapshot"));
+            w.end_object();
+        }
+        w.end_object();
+        w.into_string()
     }
 }
 
@@ -247,7 +248,7 @@ mod tests {
     use crate::fleet::FleetManager;
     use flexsfp_core::auth::AuthKey;
     use flexsfp_core::module::{FlexSfp, ModuleConfig, SimPacket};
-    use flexsfp_obs::FromJson;
+    use flexsfp_obs::{FromJson, Value};
     use flexsfp_ppe::Direction;
 
     fn fleet(n: usize) -> FleetManager {
@@ -531,6 +532,41 @@ mod tests {
         assert!(c
             .render_prometheus()
             .contains("flexsfp_flow_cache_hit_ratio{module=\"FSFP-0000\"} 1\n"));
+    }
+
+    #[test]
+    fn a_snapshot_with_a_number_beyond_f64_never_reaches_the_renderers() {
+        // `1e400` is well-formed JSON whose `f64` is infinite. Decoded,
+        // it rendered `flexsfp_temperature_c{…} inf`, which is no
+        // exposition text, and exported `null`, which no longer decodes
+        // as a snapshot: the parser refuses it instead.
+        let f = fleet(1);
+        f.with_module(0, |m| m.run(packets(12)));
+        let honest = f.telemetry_snapshots().remove(0).expect("scraped");
+        let text = honest.to_json().to_string();
+        let temp = format!("\"temp_c\":{}", Value::Float(honest.dom.temp_c));
+        assert!(text.contains(&temp), "{text}");
+        for huge in ["1e400", "-1e400", "1".repeat(400).as_str()] {
+            let crafted = text.replace(&temp, &format!("\"temp_c\":{huge}"));
+            let parsed = Value::parse(&crafted);
+            let mut c = FleetCollector::new();
+            c.ingest_all(parsed.iter().filter_map(TelemetrySnapshot::from_json));
+            let prom = c.render_prometheus();
+            for sample in prom.lines().filter(|l| !l.starts_with('#')) {
+                let value = sample.rsplit(' ').next().unwrap_or_default();
+                assert!(value.parse::<f64>().is_ok_and(f64::is_finite), "{sample}");
+            }
+            let export = Value::parse(&c.to_json()).expect("the export parses");
+            for (id, module) in export.as_object().expect("an object") {
+                assert!(
+                    TelemetrySnapshot::from_json(&module["snapshot"]).is_some(),
+                    "{huge}: {id}'s export does not decode"
+                );
+            }
+            let error = parsed.expect_err(huge);
+            assert_eq!(error.message, "number out of range", "{huge}");
+            assert_eq!(&crafted[error.offset..][..huge.len()], huge);
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use flexsfp_obs::{
     CrosspointCounters, LatencyHistogram, PortCounters, PromText, SloReport, SloSpec,
     TelemetrySnapshot, WindowBucket, WindowedSeries, XbarTelemetry,
 };
+use std::fmt::Display;
 
 const VERSION: &str = env!("CARGO_PKG_VERSION");
 
@@ -84,13 +85,17 @@ struct Samples<'a> {
 }
 
 impl<'a> Samples<'a> {
-    fn put_as(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let all: Vec<_> = self.scope.iter().chain(labels).copied().collect();
-        self.p.sample(name, &all, value);
+    /// One sample named `name`, the scope label first. A label value is
+    /// anything `Display`; the labels are chained, not collected, and
+    /// each is formatted straight into the document.
+    fn put_as(&mut self, name: impl Display, labels: &[(&str, &dyn Display)], value: f64) {
+        let scope = self.scope.as_ref().map(|(k, v)| (*k, v as &dyn Display));
+        let labels = scope.into_iter().chain(labels.iter().copied());
+        self.p.sample(name, labels, value);
     }
 
     /// One sample carrying `labels` after the scope label.
-    fn put(&mut self, labels: &[(&str, &str)], value: f64) {
+    fn put(&mut self, labels: &[(&str, &dyn Display)], value: f64) {
         self.put_as(self.name, labels, value);
     }
 
@@ -114,10 +119,11 @@ impl<'a> Samples<'a> {
             ("0.99", h.p99()),
             ("0.999", h.p999()),
         ] {
-            self.put(&[("quantile", q)], v as f64);
+            self.put(&[("quantile", &q)], v as f64);
         }
-        self.put_as(&format!("{}_sum", self.name), &[], h.sum());
-        self.put_as(&format!("{}_count", self.name), &[], h.count() as f64);
+        let name = self.name;
+        self.put_as(format_args!("{name}_sum"), &[], h.sum());
+        self.put_as(format_args!("{name}_count"), &[], h.count() as f64);
     }
 
     /// Run `emit` once per `(id, instance)`, under `label="id"`.
@@ -171,15 +177,14 @@ fn ports(s: &TelemetrySnapshot, out: &mut Samples<'_>, get: fn(&PortCounters) ->
         ("optical", "rx", &s.optical_rx),
         ("optical", "tx", &s.optical_tx),
     ] {
-        out.put(&[("port", port), ("direction", dir)], get(c) as f64);
+        out.put(&[("port", &port), ("direction", &dir)], get(c) as f64);
     }
 }
 
 /// One sample per crosspoint that ever saw a frame.
 fn crosspoints(x: &XbarTelemetry, out: &mut Samples<'_>, get: fn(&CrosspointCounters) -> u64) {
     for c in &x.crosspoints {
-        let (input, output) = (c.input.to_string(), c.output.to_string());
-        out.put(&[("input", &input), ("output", &output)], get(c) as f64);
+        out.put(&[("input", &c.input), ("output", &c.output)], get(c) as f64);
     }
 }
 
@@ -191,7 +196,7 @@ static FAMILIES: &[Family] = &[
     Gauge.family(
         "flexsfp_build_info",
         "Collector build identity (value is always 1).",
-        Fleet(|_, out| out.put(&[("version", VERSION), ("git", GIT_DESCRIBE)], 1.0)),
+        Fleet(|_, out| out.put(&[("version", &VERSION), ("git", &GIT_DESCRIBE)], 1.0)),
     ),
     Gauge.family(
         "flexsfp_modules",
@@ -201,10 +206,7 @@ static FAMILIES: &[Family] = &[
     Gauge.family(
         "flexsfp_app_info",
         "Running packet-processing application (value is always 1).",
-        Module(|s, out| {
-            let version = s.app_version.to_string();
-            out.put(&[("app", &s.app), ("version", &version)], 1.0);
-        }),
+        Module(|s, out| out.put(&[("app", &s.app), ("version", &s.app_version)], 1.0)),
     ),
     Counter.family(
         "flexsfp_boots_total",
@@ -499,7 +501,7 @@ static FAMILIES: &[Family] = &[
         "Arbitration grants issued, by switch and output port.",
         Xbar(|x, out| {
             for (output, n) in x.output_grants.iter().enumerate() {
-                out.put(&[("output", &output.to_string())], *n as f64);
+                out.put(&[("output", &output)], *n as f64);
             }
         }),
     ),

@@ -290,6 +290,19 @@ impl crate::json::ToJson for LatencyHistogram {
         object.insert(String::from("max"), crate::json::ToJson::to_json(&self.max));
         crate::json::Value::Object(object)
     }
+
+    /// The members of `to_json` in byte order of their names, as its map
+    /// holds them.
+    fn write_json(&self, w: &mut crate::json::Writer) {
+        w.begin_object();
+        w.key("count").u64(self.count);
+        crate::json::ToJson::write_json(&self.counts, w.key("counts"));
+        w.key("max").u64(self.max);
+        w.key("min").u64(self.min);
+        w.key("sum_q_hi").u64((self.sum_q >> 64) as u64);
+        w.key("sum_q_lo").u64(self.sum_q as u64);
+        w.end_object();
+    }
 }
 
 impl LatencyHistogram {

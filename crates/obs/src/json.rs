@@ -1,6 +1,6 @@
-//! Minimal in-tree JSON: a dynamic [`Value`], a strict parser, compact
-//! and pretty emitters, the [`json!`](crate::json!) construction macro and the
-//! [`ToJson`]/[`FromJson`] conversion traits.
+//! Minimal in-tree JSON: a dynamic [`Value`], a strict parser, one
+//! emitter ([`Writer`], compact or pretty), the [`json!`](crate::json!)
+//! construction macro and the [`ToJson`]/[`FromJson`] conversion traits.
 //!
 //! This module exists so the default-feature workspace builds with zero
 //! external dependencies: the control plane, the bitstream container,
@@ -9,9 +9,17 @@
 //! is plain RFC 8259 JSON; the API deliberately mirrors the small slice
 //! of `serde_json` the workspace used (`Value`, `json!`, `as_u64`,
 //! indexing), so swapping back is a path change, not a rewrite.
+//!
+//! Every text this module emits goes through [`Writer`]: `Value`'s
+//! `Display` and [`Value::to_string_pretty`] walk a tree through it, and
+//! [`ToJson::write_json`] streams a typed value through it without
+//! building one — the same bytes either way. The tree exists for
+//! reading: what [`Value::parse`] returns and [`FromJson`] decodes from.
+//! The parser accepts only numbers the emitter can write back: one whose
+//! `f64` is not finite (`1e400`) is an error.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 ///
@@ -169,9 +177,9 @@ impl Value {
 
     /// Render with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        write_pretty(self, 0, &mut out);
-        out
+        let mut w = Writer::pretty();
+        self.write_json(&mut w);
+        w.into_string()
     }
 }
 
@@ -191,112 +199,260 @@ impl std::ops::Index<usize> for Value {
 
 // ---------------------------------------------------------------- emit
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// The one JSON emitter: appends a document's text to a `String` as its
+/// parts are written, compact (`{"a":[1,2]}`) or pretty (two-space
+/// indentation, `": "` after a name, empty containers as `[]`/`{}`).
+///
+/// The caller writes values in document order — `begin_object`, then
+/// `key` and a value per member, then `end_object` — and the writer
+/// supplies every separator, newline and indent. Nothing is allocated
+/// but the text itself: numbers are formatted and strings escaped
+/// straight into it. A float keeps a `.` or an exponent so it parses
+/// back as a float, and a non-finite one (no JSON spelling) is `null`.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    pretty: bool,
+    /// Containers open around the next value.
+    depth: usize,
+    /// Nothing written yet in the innermost open container.
+    first: bool,
+    /// A member name was just written; its value takes no separator.
+    after_key: bool,
 }
 
-/// Emit a float so it re-parses as a float: finite values keep a `.` or
-/// exponent; non-finite values (invalid JSON) degrade to `null`.
-fn write_float(f: f64, out: &mut String) {
-    if !f.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let s = format!("{f}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
+/// A struct member as `impl_json_struct!` lists it: the name, and how
+/// to write that field of a `T`.
+type Member<T> = (&'static str, fn(&T, &mut Writer));
 
-fn write_compact(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Float(f) => write_float(*f, out),
-        Value::Str(s) => write_escaped(s, out),
-        Value::Array(a) => {
-            out.push('[');
-            for (i, e) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(e, out);
-            }
-            out.push(']');
-        }
-        Value::Object(m) => {
-            out.push('{');
-            for (i, (k, e)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_compact(e, out);
-            }
-            out.push('}');
+impl Writer {
+    fn new(pretty: bool) -> Writer {
+        Writer {
+            out: String::new(),
+            pretty,
+            depth: 0,
+            first: true,
+            after_key: false,
         }
     }
-}
 
-fn write_pretty(v: &Value, indent: usize, out: &mut String) {
-    match v {
-        Value::Array(a) if !a.is_empty() => {
-            out.push_str("[\n");
-            for (i, e) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&"  ".repeat(indent + 1));
-                write_pretty(e, indent + 1, out);
-            }
-            out.push('\n');
-            out.push_str(&"  ".repeat(indent));
-            out.push(']');
+    /// A writer of compact text, as [`Value`]'s `Display` renders.
+    pub fn compact() -> Writer {
+        Writer::new(false)
+    }
+
+    /// A writer of indented text, as [`Value::to_string_pretty`] renders.
+    pub fn pretty() -> Writer {
+        Writer::new(true)
+    }
+
+    /// The text written so far.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// What goes before any value: nothing after a member name or at the
+    /// top level; otherwise a comma unless it is the container's first,
+    /// and in pretty text a new line indented to the depth.
+    fn separate(&mut self) {
+        if std::mem::take(&mut self.after_key) || self.depth == 0 {
+            return;
         }
-        Value::Object(m) if !m.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, e)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&"  ".repeat(indent + 1));
-                write_escaped(k, out);
-                out.push_str(": ");
-                write_pretty(e, indent + 1, out);
-            }
-            out.push('\n');
-            out.push_str(&"  ".repeat(indent));
-            out.push('}');
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
         }
-        other => write_compact(other, out),
+        if self.pretty {
+            self.newline(self.depth);
+        }
+    }
+
+    fn newline(&mut self, depth: usize) {
+        const SPACES: &str = "                                ";
+        self.out.push('\n');
+        let mut indent = 2 * depth;
+        while indent > 0 {
+            let n = indent.min(SPACES.len());
+            self.out.push_str(&SPACES[..n]);
+            indent -= n;
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.separate();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        // An empty container closes on the line it opened on.
+        if self.pretty && !self.first {
+            self.newline(self.depth);
+        }
+        self.first = false;
+        self.out.push(bracket);
+    }
+
+    /// Open an array; its elements follow, then [`end_array`](Self::end_array).
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Close the innermost array.
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Open an object; `key` and a value per member follow, then
+    /// [`end_object`](Self::end_object).
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Close the innermost object.
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// A member's name; the next value written is its value.
+    pub fn key(&mut self, name: &str) -> &mut Writer {
+        self.separate();
+        self.escaped(name);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.separate();
+        self.out.push_str("null");
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.separate();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&mut self, n: u64) {
+        self.separate();
+        self.digits(n);
+    }
+
+    /// A signed integer.
+    pub fn i64(&mut self, n: i64) {
+        self.separate();
+        if n < 0 {
+            self.out.push('-');
+        }
+        self.digits(n.unsigned_abs());
+    }
+
+    /// A float: `40.0`, not `40`, so it parses back as a float; `null`
+    /// when it is not finite.
+    pub fn f64(&mut self, f: f64) {
+        self.separate();
+        if !f.is_finite() {
+            self.out.push_str("null");
+            return;
+        }
+        let start = self.out.len();
+        // `fmt::Write` into a `String` cannot fail.
+        let _ = write!(self.out, "{f}");
+        if !self.out[start..].contains(['.', 'e', 'E']) {
+            self.out.push_str(".0");
+        }
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) {
+        self.separate();
+        self.escaped(s);
+    }
+
+    fn digits(&mut self, mut n: u64) {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.out
+            .push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    }
+
+    /// `s` quoted, with `"`, `\` and every control character escaped
+    /// and the runs between them copied whole.
+    fn escaped(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.out.push('"');
+        let mut run = 0;
+        for (at, &b) in s.as_bytes().iter().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0c => "\\f",
+                0x00..=0x1f => "\\u00",
+                _ => continue,
+            };
+            // Every byte matched above is ASCII, so `at` is a char boundary.
+            self.out.push_str(&s[run..at]);
+            self.out.push_str(escape);
+            if escape == "\\u00" {
+                self.out.push(char::from(HEX[usize::from(b >> 4)]));
+                self.out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+            run = at + 1;
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    /// `members` in byte order of their names: the order a `BTreeMap`
+    /// keeps, so a struct streams its members where its tree holds them.
+    /// `impl_json_struct!` sorts its field list with this at compile time.
+    #[doc(hidden)]
+    pub const fn sort_members<T, const N: usize>(mut members: [Member<T>; N]) -> [Member<T>; N] {
+        const fn before(a: &str, b: &str) -> bool {
+            let (a, b) = (a.as_bytes(), b.as_bytes());
+            let mut i = 0;
+            while i < a.len() && i < b.len() {
+                if a[i] != b[i] {
+                    return a[i] < b[i];
+                }
+                i += 1;
+            }
+            a.len() < b.len()
+        }
+        let mut i = 1;
+        while i < N {
+            let mut j = i;
+            while j > 0 && before(members[j].0, members[j - 1].0) {
+                members.swap(j, j - 1);
+                j -= 1;
+            }
+            i += 1;
+        }
+        members
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        write_compact(self, &mut s);
-        f.write_str(&s)
+        let mut w = Writer::compact();
+        self.write_json(&mut w);
+        f.write_str(&w.into_string())
     }
 }
 
@@ -584,9 +740,17 @@ impl<'a> Parser<'a> {
                 return Ok(Value::UInt(n));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| self.err("malformed number"))
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            // `1e400`: RFC 8259 §9 lets a parser limit the range, and an
+            // infinite float is a value the emitter could only write
+            // back as `null`.
+            Ok(_) => Err(ParseError {
+                message: "number out of range",
+                offset: start,
+            }),
+            Err(_) => Err(self.err("malformed number")),
+        }
     }
 }
 
@@ -676,6 +840,16 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 pub trait ToJson {
     /// The JSON representation.
     fn to_json(&self) -> Value;
+
+    /// Write the text of [`to_json`](Self::to_json) through `w`. The
+    /// default builds that tree and walks it; the scalars, the
+    /// containers, `impl_json_struct!` types and [`LatencyHistogram`]
+    /// write themselves without one.
+    ///
+    /// [`LatencyHistogram`]: crate::LatencyHistogram
+    fn write_json(&self, w: &mut Writer) {
+        self.to_json().write_json(w);
+    }
 }
 
 /// Types that can reconstruct themselves from a JSON [`Value`].
@@ -687,6 +861,19 @@ pub trait FromJson: Sized {
 impl ToJson for Value {
     fn to_json(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(n) => w.i64(*n),
+            Value::UInt(n) => w.u64(*n),
+            Value::Float(f) => w.f64(*f),
+            Value::Str(s) => w.str(s),
+            Value::Array(a) => a.write_json(w),
+            Value::Object(m) => m.write_json(w),
+        }
     }
 }
 
@@ -701,6 +888,9 @@ macro_rules! impl_json_uint {
         impl ToJson for $t {
             fn to_json(&self) -> Value {
                 Value::UInt(*self as u64)
+            }
+            fn write_json(&self, w: &mut Writer) {
+                w.u64(*self as u64);
             }
         }
         impl FromJson for $t {
@@ -718,6 +908,9 @@ macro_rules! impl_json_int {
             fn to_json(&self) -> Value {
                 Value::from(*self)
             }
+            fn write_json(&self, w: &mut Writer) {
+                w.i64(*self as i64);
+            }
         }
         impl FromJson for $t {
             fn from_json(v: &Value) -> Option<$t> {
@@ -732,6 +925,9 @@ impl ToJson for f64 {
     fn to_json(&self) -> Value {
         Value::Float(*self)
     }
+    fn write_json(&self, w: &mut Writer) {
+        w.f64(*self);
+    }
 }
 
 impl FromJson for f64 {
@@ -743,6 +939,9 @@ impl FromJson for f64 {
 impl ToJson for bool {
     fn to_json(&self) -> Value {
         Value::Bool(*self)
+    }
+    fn write_json(&self, w: &mut Writer) {
+        w.bool(*self);
     }
 }
 
@@ -756,6 +955,9 @@ impl ToJson for String {
     fn to_json(&self) -> Value {
         Value::Str(self.clone())
     }
+    fn write_json(&self, w: &mut Writer) {
+        w.str(self);
+    }
 }
 
 impl FromJson for String {
@@ -768,11 +970,21 @@ impl ToJson for str {
     fn to_json(&self) -> Value {
         Value::Str(self.to_string())
     }
+    fn write_json(&self, w: &mut Writer) {
+        w.str(self);
+    }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_array();
+        for e in self {
+            e.write_json(w);
+        }
+        w.end_array();
     }
 }
 
@@ -787,6 +999,12 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(t) => t.to_json(),
             None => Value::Null,
+        }
+    }
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Some(t) => t.write_json(w),
+            None => w.null(),
         }
     }
 }
@@ -805,11 +1023,17 @@ impl<T: ToJson> ToJson for &T {
     fn to_json(&self) -> Value {
         (*self).to_json()
     }
+    fn write_json(&self, w: &mut Writer) {
+        (*self).write_json(w);
+    }
 }
 
 impl<T: ToJson> ToJson for Box<T> {
     fn to_json(&self) -> Value {
         (**self).to_json()
+    }
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w);
     }
 }
 
@@ -822,6 +1046,13 @@ impl<T: FromJson> FromJson for Box<T> {
 impl<T: ToJson> ToJson for BTreeMap<String, T> {
     fn to_json(&self) -> Value {
         Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        for (k, v) in self {
+            v.write_json(w.key(k));
+        }
+        w.end_object();
     }
 }
 
@@ -864,6 +1095,8 @@ impl_json_tuple! {
 /// Derive [`ToJson`]/[`FromJson`] for a plain struct as a JSON object
 /// with one member per named field (fields must implement the traits;
 /// works with private fields when invoked in the defining module).
+/// `write_json` streams the members in byte order of their names, the
+/// order the tree's map emits them in, whatever order the list has.
 ///
 /// A type whose fields must agree with each other names the check after
 /// the field list, `… } if Type::coherent`, a `fn(&Type) -> bool`: a
@@ -886,6 +1119,20 @@ macro_rules! impl_json_struct {
                     );
                 )+
                 $crate::json::Value::Object(object)
+            }
+            fn write_json(&self, w: &mut $crate::json::Writer) {
+                const MEMBERS: &[(&str, fn(&$ty, &mut $crate::json::Writer))] =
+                    &$crate::json::Writer::sort_members([$((
+                        ::core::stringify!($field),
+                        |v: &$ty, w: &mut $crate::json::Writer| {
+                            $crate::json::ToJson::write_json(&v.$field, w)
+                        },
+                    )),+]);
+                w.begin_object();
+                for (name, write) in MEMBERS {
+                    write(self, w.key(name));
+                }
+                w.end_object();
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -1253,6 +1500,20 @@ mod tests {
     }
 
     #[test]
+    fn numbers_beyond_f64_are_rejected() {
+        let digits = "9".repeat(400);
+        for text in ["1e400", "-1e400", "1.5E+309", digits.as_str()] {
+            let doc = format!("[0, {text}]");
+            let error = Value::parse(&doc).expect_err(text);
+            assert_eq!((error.message, error.offset), ("number out of range", 4));
+        }
+        // The largest finite float and an underflow to zero still parse.
+        let max = Value::Float(f64::MAX).to_string();
+        assert_eq!(Value::parse(&max), Ok(Value::Float(f64::MAX)));
+        assert_eq!(Value::parse("1e-400"), Ok(Value::Float(0.0)));
+    }
+
+    #[test]
     fn deep_nesting_bounded() {
         let text = "[".repeat(1000) + &"]".repeat(1000);
         assert!(Value::parse(&text).is_err());
@@ -1320,6 +1581,36 @@ mod tests {
         assert_eq!(back, d);
         // A missing non-optional field fails to parse.
         assert!(Demo::from_json(&json!({"name": "x"})).is_none());
+    }
+
+    #[test]
+    fn struct_macro_streams_members_in_byte_order() {
+        struct Demo {
+            counts: Vec<u8>,
+            count: u8,
+            b: bool,
+            a_b: Option<u8>,
+            a: String,
+        }
+        impl_json_struct!(Demo {
+            counts,
+            count,
+            b,
+            a_b,
+            a
+        });
+        let d = Demo {
+            counts: vec![2],
+            count: 1,
+            b: true,
+            a_b: None,
+            a: "x".into(),
+        };
+        let text = r#"{"a":"x","a_b":null,"b":true,"count":1,"counts":[2]}"#;
+        let mut w = Writer::compact();
+        d.write_json(&mut w);
+        assert_eq!(w.into_string(), text);
+        assert_eq!(d.to_json().to_string(), text);
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! A minimal builder for the text format scraped by Prometheus
 //! (`# HELP` / `# TYPE` headers followed by `name{labels} value`
 //! samples). Only the subset the fleet collector needs — counters,
-//! gauges and summaries — no client-library dependency.
+//! gauges and summaries — no client-library dependency. A sample's
+//! name, label values and value are formatted straight into the
+//! document, so rendering allocates nothing but the document.
+
+use std::fmt::{self, Write};
 
 /// Builder for a Prometheus text-exposition document.
 #[derive(Debug, Default)]
@@ -11,28 +15,21 @@ pub struct PromText {
     out: String,
 }
 
-/// Escape a label value per the exposition format: backslash, double
-/// quote and newline must be escaped.
-fn escape_label(v: &str) -> String {
-    let mut s = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => s.push_str("\\\\"),
-            '"' => s.push_str("\\\""),
-            '\n' => s.push_str("\\n"),
-            c => s.push(c),
-        }
-    }
-    s
-}
+/// A label value as it is written: backslash, double quote and newline
+/// escaped, per the exposition format.
+struct LabelValue<'a>(&'a mut String);
 
-/// Format a sample value: integers render without a decimal point,
-/// everything else with enough digits to round-trip.
-fn format_value(v: f64) -> String {
-    if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+impl Write for LabelValue<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            match c {
+                '\\' => self.0.push_str("\\\\"),
+                '"' => self.0.push_str("\\\""),
+                '\n' => self.0.push_str("\\n"),
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -58,24 +55,38 @@ impl PromText {
         self
     }
 
-    /// Emit one sample line with the given `(key, value)` labels.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut PromText {
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                self.out.push_str(k);
-                self.out.push_str("=\"");
-                self.out.push_str(&escape_label(v));
-                self.out.push('"');
-            }
+    /// Emit one sample line with the given `(key, value)` labels, in
+    /// order. A name or a label value is anything `Display` — a summary's
+    /// `format_args!("{name}_sum")`, a port number — written, and a label
+    /// value escaped, as it is formatted. The value is written without a
+    /// decimal point when it is an integer, and otherwise with enough
+    /// digits to round-trip.
+    pub fn sample<'l>(
+        &mut self,
+        name: impl fmt::Display,
+        labels: impl IntoIterator<Item = (&'l str, &'l dyn fmt::Display)>,
+        value: f64,
+    ) -> &mut PromText {
+        // `fmt::Write` into a `String` cannot fail.
+        let _ = write!(self.out, "{name}");
+        let mut open = false;
+        for (key, v) in labels {
+            self.out.push(if open { ',' } else { '{' });
+            open = true;
+            self.out.push_str(key);
+            self.out.push_str("=\"");
+            let _ = write!(LabelValue(&mut self.out), "{v}");
+            self.out.push('"');
+        }
+        if open {
             self.out.push('}');
         }
         self.out.push(' ');
-        self.out.push_str(&format_value(value));
+        let _ = if value.is_finite() && value.fract() == 0.0 && value.abs() < 1e15 {
+            write!(self.out, "{}", value as i64)
+        } else {
+            write!(self.out, "{value}")
+        };
         self.out.push('\n');
         self
     }
@@ -99,8 +110,8 @@ mod tests {
     fn renders_header_and_samples() {
         let mut p = PromText::new();
         p.header("flexsfp_rx_frames_total", "Frames received", "counter");
-        p.sample("flexsfp_rx_frames_total", &[("module", "0")], 42.0);
-        p.sample("flexsfp_rx_frames_total", &[("module", "1")], 7.0);
+        p.sample("flexsfp_rx_frames_total", [("module", &"0" as _)], 42.0);
+        p.sample("flexsfp_rx_frames_total", [("module", &1 as _)], 7.0);
         let text = p.into_string();
         assert!(text.contains("# HELP flexsfp_rx_frames_total Frames received\n"));
         assert!(text.contains("# TYPE flexsfp_rx_frames_total counter\n"));
@@ -111,29 +122,35 @@ mod tests {
     #[test]
     fn bare_sample_has_no_braces() {
         let mut p = PromText::new();
-        p.sample("up", &[], 1.0);
-        assert_eq!(p.as_str(), "up 1\n");
+        p.sample("up", [], 1.0);
+        p.sample(format_args!("{}_count", "lat"), [], 2.0);
+        assert_eq!(p.as_str(), "up 1\nlat_count 2\n");
     }
 
     #[test]
     fn escapes_label_values() {
         let mut p = PromText::new();
-        p.sample("m", &[("app", "a\"b\\c\nd")], 1.0);
+        p.sample("m", [("app", &"a\"b\\c\nd" as _)], 1.0);
         assert_eq!(p.as_str(), "m{app=\"a\\\"b\\\\c\\nd\"} 1\n");
     }
 
     #[test]
     fn formats_integers_and_floats() {
-        assert_eq!(format_value(3.0), "3");
-        assert_eq!(format_value(-12.0), "-12");
-        assert_eq!(format_value(0.5), "0.5");
-        assert_eq!(format_value(314.159), "314.159");
+        let mut p = PromText::new();
+        for v in [3.0, -12.0, 0.5, 314.159] {
+            p.sample("v", [], v);
+        }
+        assert_eq!(p.as_str(), "v 3\nv -12\nv 0.5\nv 314.159\n");
     }
 
     #[test]
     fn multiple_labels_render_comma_separated() {
         let mut p = PromText::new();
-        p.sample("lat", &[("module", "2"), ("quantile", "0.99")], 312.0);
+        p.sample(
+            "lat",
+            [("module", &2 as _), ("quantile", &"0.99" as _)],
+            312.0,
+        );
         assert_eq!(p.as_str(), "lat{module=\"2\",quantile=\"0.99\"} 312\n");
     }
 }
