@@ -84,9 +84,8 @@ impl Action {
     /// These compile to [`PlanOp`]s, so a plan recorded on a flow's first
     /// packet replays bit-exactly on every later one. Meters and TTL are
     /// time- and data-dependent; encap/decap embeds per-packet bytes
-    /// (lengths, entropy hashes). This is the one list of pure actions:
-    /// [`ActionEngine::apply`] and the pipeline's cacheability analysis
-    /// both ask it.
+    /// (lengths, entropy hashes). This is the one list of pure actions,
+    /// and [`ActionEngine::apply`] asks it.
     pub fn is_pure(&self) -> bool {
         matches!(
             self,

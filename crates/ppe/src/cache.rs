@@ -55,10 +55,10 @@
 //! action/selector vocabulary reads: direction, VLAN count + both raw
 //! TCIs, the IPv4 5-tuple, the DSCP/ECN byte, and the fragment/L4
 //! structure bits. It does *not* cover MACs, TTL, IP options, payload
-//! bytes or packet length — processors keying on those (or running
-//! data-dependent actions like metering, TTL decrement or
-//! entropy-hashed encapsulation) must not record plans; the pipeline's
-//! static cacheability analysis enforces this for table pipelines.
+//! bytes or packet length — processors keying on those must not record
+//! plans, and [`ActionEngine::apply`](crate::action::ActionEngine::apply)
+//! invalidates the recording of every data-dependent action (metering,
+//! TTL decrement, entropy-hashed encapsulation).
 
 use crate::action::Action;
 use crate::counters::CounterBank;
@@ -342,16 +342,15 @@ pub struct ActionPlan {
     /// Final verdict (never [`Verdict::ToControlPlane`] — those flows
     /// are uncacheable by construction).
     pub verdict: Verdict,
-    /// Per-stage (index, hit) attribution for pipeline replay, so
-    /// stage hit/miss counters and miss events stay exact.
+    /// Per-stage (index, hit) attribution, stamped on a replayed packet.
     pub stage_stats: Vec<(u8, bool)>,
-    /// PPE cycles the slow path charged: [`crate::stage_start_cycle`] of
-    /// the number of stages run.
+    /// Nothing reads this: a cached plan does not keep it. It goes when
+    /// the benchmark's plan-insert kernel stops setting it.
     pub cycles: u64,
 }
 
 /// A cached plan's per-stage hit attribution: stages `0..n` in order —
-/// what every pipeline records — with stage `i`'s hit in bit `i`.
+/// what the slow path records — with stage `i`'s hit in bit `i`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageStats {
     /// Stages attributed.
@@ -388,8 +387,6 @@ pub struct PlanView<'a> {
     pub verdict: Verdict,
     /// Per-stage (index, hit) attribution.
     pub stage_stats: StageStats,
-    /// PPE cycles the slow path charged.
-    pub cycles: u64,
 }
 
 /// Ops an [`InlinePlan`] holds: the NAT's translated-flow plan (address
@@ -405,14 +402,13 @@ const _: () = assert!(core::mem::size_of::<PlanOp>() == 8);
 
 /// A plan in fixed-size `Copy` form: what a cache slot stores and what
 /// [`PlanRecorder`] records into, so neither a hit nor a miss touches
-/// the heap. 36 bytes: a 4-byte header and [`INLINE_OPS`] ops. A plan
-/// with more ops, more than [`INLINE_STAGES`] stage attributions or
-/// attributions that are not stages `0..n` in order, or a cycle count
-/// above `u8::MAX` does not fit and is not cached.
+/// the heap. 36 bytes: a 3-byte header, a byte of padding and
+/// [`INLINE_OPS`] ops. A plan with more ops, more than [`INLINE_STAGES`]
+/// stage attributions or attributions that are not stages `0..n` in
+/// order does not fit and is not cached.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C)]
 pub struct InlinePlan {
-    cycles: u8,
     /// Ops in the low nibble, stage attributions in the high one.
     counts: u8,
     verdict: Verdict,
@@ -423,7 +419,6 @@ pub struct InlinePlan {
 
 impl InlinePlan {
     const EMPTY: InlinePlan = InlinePlan {
-        cycles: 0,
         counts: 0,
         verdict: Verdict::Forward,
         stage_hits: 0,
@@ -470,7 +465,6 @@ impl InlinePlan {
                 n: self.n_stats() as u8,
                 hits: self.stage_hits,
             },
-            cycles: u64::from(self.cycles),
         }
     }
 }
@@ -485,11 +479,7 @@ impl TryFrom<ActionPlan> for InlinePlan {
     // costs flexbench's `ppe.cache.insert_ns` kernel 10 ns of its 16.
     #[inline]
     fn try_from(plan: ActionPlan) -> Result<InlinePlan, ActionPlan> {
-        let Ok(cycles) = u8::try_from(plan.cycles) else {
-            return Err(plan);
-        };
         let mut inline = InlinePlan {
-            cycles,
             verdict: plan.verdict,
             ..InlinePlan::EMPTY
         };
@@ -566,8 +556,8 @@ pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBa
 /// [`PlanRecorder::finish`] returns `None` and nothing is cached.
 ///
 /// Records straight into an [`InlinePlan`], so a cache miss allocates
-/// nothing; the first op, stage attribution or cycle count that does
-/// not fit invalidates the recording like an impure action does.
+/// nothing; the first op or stage attribution that does not fit
+/// invalidates the recording like an impure action does.
 #[derive(Debug)]
 pub struct PlanRecorder {
     plan: InlinePlan,
@@ -594,17 +584,9 @@ impl PlanRecorder {
         self.invalid |= !self.plan.push_op(op);
     }
 
-    /// Record one pipeline stage's hit/miss attribution.
+    /// Record one stage's hit/miss attribution.
     pub fn stage_stat(&mut self, stage: u8, hit: bool) {
         self.invalid |= !self.plan.push_stat(stage, hit);
-    }
-
-    /// Record the PPE cycle charge.
-    pub fn set_cycles(&mut self, cycles: u64) {
-        match u8::try_from(cycles) {
-            Ok(c) => self.plan.cycles = c,
-            Err(_) => self.invalid = true,
-        }
     }
 
     /// Mark the flow uncacheable (an impure action ran).
@@ -1061,10 +1043,9 @@ pub trait FlowProgram {
         rec: Option<&mut PlanRecorder>,
     ) -> Verdict;
 
-    /// A packet is about to be served from `plan`: account whatever the
-    /// slow path would have beyond the plan's own ops, and hand out the
-    /// counters the replay increments.
-    fn hit(&mut self, ctx: &ProcessContext, plan: PlanView<'_>) -> &mut CounterBank;
+    /// A packet is about to be served from a plan: the counters its
+    /// replay increments.
+    fn hit(&mut self) -> &mut CounterBank;
 
     /// Load what the slow path will read for `key`, whose lookup a
     /// batch window's first pass predicts will miss.
@@ -1166,7 +1147,7 @@ impl FlowFront {
             if self.flight_enabled {
                 self.last_flight = Some(stamp_stages(true, plan.stage_stats.iter()));
             }
-            return replay(plan, packet, program.hit(ctx, plan));
+            return replay(plan, packet, program.hit());
         }
         // Miss or no key: the full path, recorded when there is a plan
         // to cache for the flow's next packet or a stamp to build.
@@ -1567,7 +1548,6 @@ mod tests {
             }
             rec.stage_stat(0, true);
             rec.stage_stat(1, false);
-            rec.set_cycles(10);
             rec
         };
         // Exactly INLINE_OPS ops and dense stats: recorded in full.
@@ -1579,18 +1559,15 @@ mod tests {
             v.stage_stats.iter().collect::<Vec<_>>(),
             [(0, true), (1, false)]
         );
-        assert_eq!((v.verdict, v.cycles), (Verdict::Drop, 10));
-        // One op more, an out-of-order stage or a wide cycle count each
-        // make the flow uncacheable, whatever is recorded afterwards.
-        let overflow: [fn(&mut PlanRecorder); 3] = [
-            |r| r.push(PlanOp::PopTag),
-            |r| r.stage_stat(5, true),
-            |r| r.set_cycles(1_000),
-        ];
+        assert_eq!(v.verdict, Verdict::Drop);
+        // One op more or an out-of-order stage each make the flow
+        // uncacheable, whatever is recorded afterwards.
+        let overflow: [fn(&mut PlanRecorder); 2] =
+            [|r| r.push(PlanOp::PopTag), |r| r.stage_stat(5, true)];
         for outgrow in overflow {
             let mut rec = full();
             outgrow(&mut rec);
-            rec.set_cycles(7);
+            rec.stage_stat(2, true);
             assert!(rec.finish(Verdict::Forward).is_none());
         }
     }
@@ -1638,12 +1615,11 @@ mod tests {
         }
 
         /// What a slot can hold: [`INLINE_OPS`] ops, stages `0..n` in
-        /// order up to [`INLINE_STAGES`], a cycle count of one byte.
+        /// order up to [`INLINE_STAGES`].
         fn fits(plan: &ActionPlan) -> bool {
             plan.ops.len() <= INLINE_OPS
                 && plan.stage_stats.len() <= INLINE_STAGES
                 && (0u8..).zip(&plan.stage_stats).all(|(i, s)| s.0 == i)
-                && plan.cycles <= 255
         }
 
         fn insert(&mut self, key: FlowKey, plan: ActionPlan) {
@@ -1682,7 +1658,7 @@ mod tests {
             ops: v.ops.to_vec(),
             verdict: v.verdict,
             stage_stats: v.stage_stats.iter().collect(),
-            cycles: v.cycles,
+            cycles: 0,
         }
     }
 
@@ -1731,7 +1707,7 @@ mod tests {
                         assert_eq!(got, model.lookup(&key), "step {step}");
                     }
                     10..=17 => {
-                        // 0..=6 ops; stats dense or not; cycles narrow or wide.
+                        // 0..=6 ops; stats dense or not.
                         let r = next();
                         let n_stats = (r >> 8) % 4;
                         let p = ActionPlan {
@@ -1750,11 +1726,7 @@ mod tests {
                                     (((r >> 40) % 8 == 0) as u8 + i as u8, r >> (20 + i) & 1 == 1)
                                 })
                                 .collect(),
-                            cycles: if (r >> 48) % 8 == 0 {
-                                300
-                            } else {
-                                4 + 3 * n_stats
-                            },
+                            cycles: 0,
                         };
                         if ModelCache::fits(&p) {
                             cached += 1;

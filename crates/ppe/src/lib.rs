@@ -1,14 +1,16 @@
 //! # flexsfp-ppe
 //!
 //! The Packet Processing Engine (PPE) — the programmable heart of a
-//! FlexSFP module (§4.2 of the paper) — and its programming model:
+//! FlexSFP module (§4.2 of the paper) — and its programming model. What
+//! runs in it is the 11 §3 apps of `flexsfp_apps` and [`codelet`]s; a
+//! [`pipeline`] is a description the [`hls`] model only costs.
 //!
 //! * [`engine`] — the [`engine::PacketProcessor`] trait
 //!   every application implements, verdicts and processing context;
 //! * [`parser`] — the configurable header parser producing the field
 //!   bundle match stages key on;
-//! * [`pipeline`] — RMT-style match-action pipelines (compact chains of
-//!   3–4 stages, per §5.3);
+//! * [`pipeline`] — match-action pipeline descriptions (compact chains
+//!   of 3–4 stages, per §5.3);
 //! * [`tables`] — the hardware hash-table model (bucketized, CRC-indexed)
 //!   backing exact-match stages such as the NAT's 32 k flow table;
 //! * [`match_kinds`] — exact / longest-prefix / ternary match tables;
@@ -16,7 +18,7 @@
 //!   hash-steer, count, meter, timestamp, drop);
 //! * [`cache`] — the microflow action cache: set-associative per-flow
 //!   memoization of fully-resolved action plans with epoch-based
-//!   invalidation (the fast path in front of every pipeline);
+//!   invalidation (the fast path in front of the NAT);
 //! * [`state`] — FlowBlaze-style per-flow EFSM state tables;
 //! * [`meter`] — token-bucket meters for rate limiting;
 //! * [`counters`] — counters with atomic snapshot semantics;
@@ -46,7 +48,5 @@ pub use engine::{
     BatchPacket, Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict,
 };
 pub use parser::{ParsedPacket, Parser};
-pub use pipeline::{
-    stage_start_cycle, stamp_stages, Pipeline, PipelineBuilder, PipelineObs, Stage,
-};
+pub use pipeline::{stage_start_cycle, stamp_stages, Pipeline, PipelineBuilder, Stage};
 pub use tables::HashTable;
