@@ -65,9 +65,6 @@ fn drop_counter(drops: &mut DropCounters, reason: DropReason) -> &mut u64 {
         DropReason::App => &mut drops.app,
         DropReason::LinkDown => &mut drops.link,
         DropReason::UnsortedArrival => &mut drops.unsorted,
-        DropReason::ParseError => {
-            unreachable!("a parse failure is the application's drop verdict, not a module drop")
-        }
     }
 }
 

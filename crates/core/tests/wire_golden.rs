@@ -226,7 +226,6 @@ fn every_drop_reason_event_kind_and_flight_verdict() {
     pin(DropReason::FifoOverflow, r#""FifoOverflow""#);
     pin(DropReason::App, r#""App""#);
     pin(DropReason::LinkDown, r#""LinkDown""#);
-    pin(DropReason::ParseError, r#""ParseError""#);
     pin(DropReason::UnsortedArrival, r#""UnsortedArrival""#);
 
     pin(
@@ -396,6 +395,16 @@ fn malformed_shapes_stay_refused() {
     refuse::<EventKind>(r#"{"Drop":{"reason":"Nope"}}"#);
     refuse::<FlightVerdict>(r#"{"Forwarded":{"departure_ns":-5}}"#);
     refuse::<FlightVerdict>(r#"{"Forwarded":{}}"#);
+}
+
+/// No code drops a packet for a parse error (an application's parser
+/// failing is its own drop verdict), so no such reason decodes: a peer
+/// that sends one is refused like any unknown reason.
+#[test]
+fn a_parse_error_drop_does_not_decode() {
+    refuse::<DropReason>(r#""ParseError""#);
+    refuse::<EventKind>(r#"{"Drop":{"reason":"ParseError"}}"#);
+    refuse::<FlightVerdict>(r#"{"Dropped":{"reason":"ParseError"}}"#);
 }
 
 /// What a lenient peer may send and still be understood: members a

@@ -24,8 +24,6 @@ pub enum DropReason {
     App,
     /// The egress link was down or unusable.
     LinkDown,
-    /// The in-pipeline parser rejected the packet.
-    ParseError,
     /// The packet arrived out of order in an offered trace (host-composed
     /// traces must be sorted by arrival time; stragglers are dropped and
     /// counted instead of aborting the run).
@@ -39,7 +37,6 @@ impl DropReason {
             DropReason::FifoOverflow => "fifo_overflow",
             DropReason::App => "app",
             DropReason::LinkDown => "link_down",
-            DropReason::ParseError => "parse_error",
             DropReason::UnsortedArrival => "unsorted_arrival",
         }
     }
@@ -104,7 +101,6 @@ crate::impl_json_enum!(DropReason {
     FifoOverflow,
     App,
     LinkDown,
-    ParseError,
     UnsortedArrival,
 });
 crate::impl_json_enum!(EventKind {

@@ -311,11 +311,10 @@ fn any_series(rng: &mut Xoshiro256) -> WindowedSeries {
 }
 
 fn any_events(rng: &mut Xoshiro256) -> Vec<DataplaneEvent> {
-    const REASONS: [DropReason; 5] = [
+    const REASONS: [DropReason; 4] = [
         DropReason::FifoOverflow,
         DropReason::App,
         DropReason::LinkDown,
-        DropReason::ParseError,
         DropReason::UnsortedArrival,
     ];
     (0..rng.range_usize(0, 10))
