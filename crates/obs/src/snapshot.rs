@@ -185,15 +185,15 @@ impl TableTelemetry {
     }
 
     /// Fold another shard's table telemetry into this one. Counters
-    /// add; `capacity` and `occupied` take the maximum — shards hold
-    /// *replicas* of the same table (control frames are broadcast), so
-    /// summing them would multiply the apparent occupancy.
+    /// add, saturating; `capacity` and `occupied` take the maximum —
+    /// shards hold *replicas* of the same table (control frames are
+    /// broadcast), so summing them would multiply the apparent occupancy.
     pub fn merge_shard(&mut self, other: &TableTelemetry) {
         self.capacity = self.capacity.max(other.capacity);
         self.occupied = self.occupied.max(other.occupied);
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.insert_failures += other.insert_failures;
+        self.hits = self.hits.saturating_add(other.hits);
+        self.misses = self.misses.saturating_add(other.misses);
+        self.insert_failures = self.insert_failures.saturating_add(other.insert_failures);
     }
 }
 
@@ -214,6 +214,16 @@ pub struct CtrlCounters {
     /// `QueryUpdate` progress probes served (each one is a host
     /// resynchronising after a lost exchange).
     pub status_queries: u64,
+}
+
+impl CtrlCounters {
+    /// Fold another shard's counters into this one, saturating.
+    fn merge(&mut self, other: &CtrlCounters) {
+        self.dup_chunk_acks = self.dup_chunk_acks.saturating_add(other.dup_chunk_acks);
+        self.update_aborts = self.update_aborts.saturating_add(other.update_aborts);
+        self.update_errors = self.update_errors.saturating_add(other.update_errors);
+        self.status_queries = self.status_queries.saturating_add(other.status_queries);
+    }
 }
 
 /// One module's full telemetry export for one scrape.
@@ -277,11 +287,12 @@ impl TelemetrySnapshot {
     /// Additive state (port/drop/cache/ctrl counters, the latency
     /// histogram, the windowed series, event-loss tallies) merges
     /// exactly — every underlying structure is mergeable without
-    /// approximation. Event traces concatenate and re-sort by
-    /// timestamp. Identity fields (`module_id`, `app`, `app_version`,
-    /// the DOM/laser readout) keep this snapshot's values — shards run
-    /// identical images, so shard 0 speaks for the fleet — while `seq`
-    /// and `boots` take the maximum across shards.
+    /// approximation — and saturates at `u64::MAX`, since a collector
+    /// merges snapshots decoded from text. Event traces concatenate and
+    /// re-sort by timestamp. Identity fields (`module_id`, `app`,
+    /// `app_version`, the DOM/laser readout) keep this snapshot's values
+    /// — shards run identical images, so shard 0 speaks for the fleet —
+    /// while `seq` and `boots` take the maximum across shards.
     pub fn merge_shard(&mut self, other: &TelemetrySnapshot) {
         self.seq = self.seq.max(other.seq);
         self.boots = self.boots.max(other.boots);
@@ -293,14 +304,13 @@ impl TelemetrySnapshot {
         self.latency.merge(&other.latency);
         self.events.extend(other.events.iter().cloned());
         self.events.sort_by_key(|e| e.timestamp_ns);
-        self.events_overwritten += other.events_overwritten;
-        self.events_drained += other.events_drained;
+        self.events_overwritten = self
+            .events_overwritten
+            .saturating_add(other.events_overwritten);
+        self.events_drained = self.events_drained.saturating_add(other.events_drained);
         self.cache.merge(&other.cache);
         self.table.merge_shard(&other.table);
-        self.ctrl.dup_chunk_acks += other.ctrl.dup_chunk_acks;
-        self.ctrl.update_aborts += other.ctrl.update_aborts;
-        self.ctrl.update_errors += other.ctrl.update_errors;
-        self.ctrl.status_queries += other.ctrl.status_queries;
+        self.ctrl.merge(&other.ctrl);
         self.windows.merge(&other.windows);
     }
 }
@@ -469,69 +479,70 @@ mod tests {
         assert!((back.table.load_factor() - 0.25).abs() < 1e-12);
     }
 
+    /// Shard `shard`'s snapshot of one NAT module.
+    fn shard_snap(shard: u64) -> TelemetrySnapshot {
+        let mut latency = LatencyHistogram::new();
+        latency.record(100 * (shard + 1));
+        let mut windows = crate::timeseries::WindowedSeries::new(1_000_000, 8);
+        windows.record_forwarded(500, 100.0 * (shard + 1) as f64);
+        TelemetrySnapshot {
+            module_id: format!("FSFP-S{shard}"),
+            seq: 1 + shard,
+            app: "nat44".into(),
+            app_version: 1,
+            boots: 1,
+            edge_rx: PortCounters {
+                frames: 10 + shard,
+                bytes: 640,
+                errors: 0,
+            },
+            edge_tx: PortCounters::default(),
+            optical_rx: PortCounters::default(),
+            optical_tx: PortCounters {
+                frames: 10 + shard,
+                bytes: 640,
+                errors: shard,
+            },
+            drops: DropCounters {
+                fifo_overflow: shard,
+                app: 1,
+                link: 0,
+                unsorted: 0,
+            },
+            latency,
+            dom: DomSnapshot::from_milliwatts(1.0, 0.8, 6.0, 40.0),
+            laser_fault: "healthy".into(),
+            laser_healthy: true,
+            events: vec![DataplaneEvent {
+                timestamp_ns: 10 - shard,
+                kind: EventKind::AuthReject,
+            }],
+            events_overwritten: shard,
+            events_drained: 1,
+            cache: CacheStats {
+                hits: 100 * (shard + 1),
+                misses: 10,
+                evictions: 0,
+                invalidations: 0,
+            },
+            table: TableTelemetry {
+                capacity: 1024,
+                occupied: 100 + shard,
+                hits: 50,
+                misses: 5,
+                insert_failures: shard,
+            },
+            ctrl: CtrlCounters {
+                dup_chunk_acks: shard,
+                update_aborts: 0,
+                update_errors: 0,
+                status_queries: 1,
+            },
+            windows,
+        }
+    }
     #[test]
     fn shard_merge_sums_counters_and_histograms() {
-        fn shard_snap(shard: u64) -> TelemetrySnapshot {
-            let mut latency = LatencyHistogram::new();
-            latency.record(100 * (shard + 1));
-            let mut windows = crate::timeseries::WindowedSeries::new(1_000_000, 8);
-            windows.record_forwarded(500, 100.0 * (shard + 1) as f64);
-            TelemetrySnapshot {
-                module_id: format!("FSFP-S{shard}"),
-                seq: 1 + shard,
-                app: "nat44".into(),
-                app_version: 1,
-                boots: 1,
-                edge_rx: PortCounters {
-                    frames: 10 + shard,
-                    bytes: 640,
-                    errors: 0,
-                },
-                edge_tx: PortCounters::default(),
-                optical_rx: PortCounters::default(),
-                optical_tx: PortCounters {
-                    frames: 10 + shard,
-                    bytes: 640,
-                    errors: shard,
-                },
-                drops: DropCounters {
-                    fifo_overflow: shard,
-                    app: 1,
-                    link: 0,
-                    unsorted: 0,
-                },
-                latency,
-                dom: DomSnapshot::from_milliwatts(1.0, 0.8, 6.0, 40.0),
-                laser_fault: "healthy".into(),
-                laser_healthy: true,
-                events: vec![DataplaneEvent {
-                    timestamp_ns: 10 - shard,
-                    kind: EventKind::AuthReject,
-                }],
-                events_overwritten: shard,
-                events_drained: 1,
-                cache: CacheStats {
-                    hits: 100 * (shard + 1),
-                    misses: 10,
-                    evictions: 0,
-                    invalidations: 0,
-                },
-                table: TableTelemetry {
-                    capacity: 1024,
-                    occupied: 100 + shard,
-                    hits: 50,
-                    misses: 5,
-                    insert_failures: shard,
-                },
-                ctrl: CtrlCounters {
-                    dup_chunk_acks: shard,
-                    update_aborts: 0,
-                    update_errors: 0,
-                    status_queries: 1,
-                },
-                windows,
-            }
-        }
         let mut merged = shard_snap(0);
         merged.merge_shard(&shard_snap(1));
         // Additive state sums exactly...
@@ -558,6 +569,48 @@ mod tests {
         assert_eq!(merged.module_id, "FSFP-S0");
         assert_eq!(merged.seq, 2);
         assert_eq!(merged.boots, 1);
+    }
+
+    /// A collector merges snapshots decoded from text, so every sum
+    /// saturates: two shards at `u64::MAX` merge to `u64::MAX`, never
+    /// to an overflow panic (debug) or a wrapped count (release).
+    #[test]
+    fn shard_merge_saturates_decoded_counters() {
+        use crate::json::{FromJson, ToJson, Value};
+        let mut full = shard_snap(0);
+        let s = &mut full;
+        for field in [
+            &mut s.events_overwritten,
+            &mut s.events_drained,
+            &mut s.table.hits,
+            &mut s.table.misses,
+            &mut s.table.insert_failures,
+            &mut s.ctrl.dup_chunk_acks,
+            &mut s.ctrl.update_aborts,
+            &mut s.ctrl.update_errors,
+            &mut s.ctrl.status_queries,
+        ] {
+            *field = u64::MAX;
+        }
+        let text = full.to_json().to_string();
+        let decoded = TelemetrySnapshot::from_json(&Value::parse(&text).unwrap()).unwrap();
+        let mut merged = decoded.clone();
+        merged.merge_shard(&decoded);
+        let (t, c) = (merged.table, merged.ctrl);
+        assert_eq!(
+            [
+                merged.events_overwritten,
+                merged.events_drained,
+                t.hits,
+                t.misses,
+                t.insert_failures,
+                c.dup_chunk_acks,
+                c.update_aborts,
+                c.update_errors,
+                c.status_queries,
+            ],
+            [u64::MAX; 9]
+        );
     }
 
     #[test]
