@@ -158,12 +158,8 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    pub(super) fn record(&mut self, l: f64) {
-        self.hist.record_f64(l);
-    }
-
-    /// The histogram itself, for a run that records into a longer-lived
-    /// one in place of its own.
+    /// The histogram itself: what the dispatch loop records into, and
+    /// what a run that records into a longer-lived one swaps out.
     pub(super) fn histogram_mut(&mut self) -> &mut LatencyHistogram {
         &mut self.hist
     }

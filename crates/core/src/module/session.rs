@@ -12,6 +12,7 @@ use flexsfp_obs::{
 };
 use flexsfp_ppe::{stage_start_cycle, BatchPacket, Direction, KeyHint, ProcessContext, Verdict};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// PPE batch size: packets admitted to the PPE are queued and handed to
 /// [`process_batch`](flexsfp_ppe::PacketProcessor::process_batch) in
@@ -47,6 +48,12 @@ struct Transit {
 /// series and the flight ring — borrowed for as long as one fate (or
 /// one batch of them) takes. Built only by [`Accounts::new`], the one
 /// place the module's fields are split.
+///
+/// Forwarded latency is booked per run, not per packet: consecutive
+/// forwards with bit-identical latency that depart in one window are
+/// one `n`-fold insert into the run's histogram and the window's. The
+/// run settles before anything else writes the series (a drop) and when
+/// the context is dropped, so no bucket sees its writes reordered.
 struct Accounts<'a> {
     report: &'a mut SimReport,
     last_time_ns: &'a mut u64,
@@ -56,6 +63,16 @@ struct Accounts<'a> {
     lifetime_drops: &'a mut DropCounters,
     windows: &'a mut WindowedSeries,
     flight: Option<&'a mut FlightState>,
+    run: LatencyRun,
+}
+
+/// Forwards booked but not yet recorded: `n` of them, each `latency_ns`
+/// (compared by bits), departing in `window`.
+#[derive(Default)]
+struct LatencyRun {
+    window: Range<u64>,
+    latency_ns: f64,
+    n: u64,
 }
 
 /// The drop-reason table, counter half: which counter a reason bumps.
@@ -81,7 +98,33 @@ impl<'a> Accounts<'a> {
             lifetime_drops: &mut m.lifetime_drops,
             windows: &mut m.windows,
             flight: m.flight.as_mut(),
+            run: LatencyRun::default(),
         }
+    }
+
+    /// Book one forwarded packet's latency, extending the pending run
+    /// or settling it and starting the next.
+    fn forwarded(&mut self, departure_ns: u64, latency_ns: f64) {
+        let run = &self.run;
+        if latency_ns.to_bits() != run.latency_ns.to_bits() || !run.window.contains(&departure_ns) {
+            self.settle();
+            self.run.window = self.windows.window_of(departure_ns);
+            self.run.latency_ns = latency_ns;
+        }
+        self.run.n += 1;
+    }
+
+    /// Record the pending run, if any.
+    fn settle(&mut self) {
+        let run = &mut self.run;
+        if run.n == 0 {
+            return;
+        }
+        let hist = self.report.latency.histogram_mut();
+        hist.record_f64_n(run.latency_ns, run.n);
+        self.windows
+            .record_forwarded_n(run.window.start, run.latency_ns, run.n);
+        run.n = 0;
     }
 
     /// Book one dropped packet: the run's and the lifetime counter, a
@@ -92,16 +135,22 @@ impl<'a> Accounts<'a> {
         *drop_counter(&mut self.report.drops, reason) += 1;
         *drop_counter(self.lifetime_drops, reason) += 1;
         self.events.record(ts, EventKind::Drop { reason });
+        self.settle();
         self.windows.record_drop(ts, reason != DropReason::App);
         FlightVerdict::Dropped { reason }
     }
 
-    /// Ingress lane accounting; false when the lane is disabled.
-    fn receive(&mut self, direction: Direction, len: usize) -> bool {
-        match direction {
+    /// Ingress lane accounting. False when the lane is disabled: the
+    /// packet arriving at `ts` is then booked as a link drop.
+    fn receive(&mut self, direction: Direction, len: usize, ts: u64) -> bool {
+        let up = match direction {
             Direction::EdgeToOptical => self.edge.record_rx(len),
             Direction::OpticalToEdge => self.optical.record_rx(len),
+        };
+        if !up {
+            self.drop(DropReason::LinkDown, ts);
         }
+        up
     }
 
     /// The egress gate: lane accounting, and on the optical lane the
@@ -185,8 +234,7 @@ impl<'a> Accounts<'a> {
         } else {
             transit_fs as f64 / 1e6
         };
-        self.report.latency.record(latency_ns);
-        self.windows.record_forwarded(departure_ns, latency_ns);
+        self.forwarded(departure_ns, latency_ns);
         match egress {
             Interface::Edge => self.report.forwarded.0 += 1,
             Interface::Optical => self.report.forwarded.1 += 1,
@@ -214,6 +262,12 @@ impl<'a> Accounts<'a> {
         if let (Some(cap), Some(flight)) = (cap, self.flight.as_deref_mut()) {
             flight.push(arrival_ns, cap, stamp, verdict);
         }
+    }
+}
+
+impl Drop for Accounts<'_> {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -458,9 +512,7 @@ impl StreamSession {
         }
         self.prev_arrival = ts;
         self.last_time_ns = self.last_time_ns.max(ts);
-        let mut acct = self.accounts(m);
-        if !acct.receive(pkt.direction, pkt.frame.len()) {
-            acct.drop(DropReason::LinkDown, ts);
+        if !self.accounts(m).receive(pkt.direction, pkt.frame.len(), ts) {
             return;
         }
         if self.answer_microservice(m, tag, &pkt, hint, sink)

@@ -95,6 +95,28 @@ impl LatencyHistogram {
 
     /// Record `n` occurrences of the same sample.
     pub fn record_n(&mut self, v: u64, n: u64) {
+        self.add(v, u128::from(v) << SUM_QUANTUM_BITS, n);
+    }
+
+    /// Record a floating-point nanosecond sample (rounded to the
+    /// nearest integer bucket; the exact value still feeds the mean).
+    pub fn record_f64(&mut self, v: f64) {
+        self.record_f64_n(v, 1);
+    }
+
+    /// Record `n` occurrences of the same floating-point sample: exactly
+    /// what `n` calls of [`record_f64`](Self::record_f64) leave.
+    pub fn record_f64_n(&mut self, v: f64, n: u64) {
+        let clamped = if v.is_finite() { v.max(0.0) } else { 0.0 };
+        let rounded = clamped.round().min(u64::MAX as f64) as u64;
+        self.add(rounded, quantize(clamped), n);
+    }
+
+    /// The one recording body: `n` samples in `v`'s bucket, each adding
+    /// `quanta` to the sum. Every counter saturates, as in
+    /// [`merge`](Self::merge), so `n` at once equals `n` one at a time
+    /// even at the top of the range.
+    fn add(&mut self, v: u64, quanta: u128, n: u64) {
         if n == 0 {
             return;
         }
@@ -102,7 +124,7 @@ impl LatencyHistogram {
         if self.counts.len() <= idx {
             self.counts.resize(idx + 1, 0);
         }
-        self.counts[idx] += n;
+        self.counts[idx] = self.counts[idx].saturating_add(n);
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -110,33 +132,10 @@ impl LatencyHistogram {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
-        self.count += n;
-        self.sum_q = self.sum_q.saturating_add(
-            u128::from(v)
-                .saturating_mul(u128::from(n))
-                .saturating_mul(1u128 << SUM_QUANTUM_BITS),
-        );
-    }
-
-    /// Record a floating-point nanosecond sample (rounded to the
-    /// nearest integer bucket; the exact value still feeds the mean).
-    pub fn record_f64(&mut self, v: f64) {
-        let clamped = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        let rounded = clamped.round().min(u64::MAX as f64) as u64;
-        let idx = index_for(rounded);
-        if self.counts.len() <= idx {
-            self.counts.resize(idx + 1, 0);
-        }
-        self.counts[idx] += 1;
-        if self.count == 0 {
-            self.min = rounded;
-            self.max = rounded;
-        } else {
-            self.min = self.min.min(rounded);
-            self.max = self.max.max(rounded);
-        }
-        self.count += 1;
-        self.sum_q = self.sum_q.saturating_add(quantize(clamped));
+        self.count = self.count.saturating_add(n);
+        self.sum_q = self
+            .sum_q
+            .saturating_add(quanta.saturating_mul(u128::from(n)));
     }
 
     /// Total samples recorded.
@@ -583,6 +582,22 @@ mod tests {
             .clone();
         empty.insert("max".to_string(), 7u64.to_json());
         assert_eq!(LatencyHistogram::from_json(&Value::Object(empty)), None);
+    }
+
+    #[test]
+    fn recording_saturates_like_merge() {
+        use crate::json::{FromJson, ToJson};
+        // The `u64::MAX`-count bucket the collector's saturation test
+        // and the property generators build, then more of the same.
+        let mut h = LatencyHistogram::new();
+        h.record_n(700, u64::MAX);
+        h.record(700);
+        h.record_f64(700.25);
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(h.nonzero_buckets().collect::<Vec<_>>(), [(700, u64::MAX)]);
+        // count = Σ counts still holds, so the histogram's own export
+        // decodes.
+        assert_eq!(LatencyHistogram::from_json(&h.to_json()), Some(h));
     }
 
     #[test]

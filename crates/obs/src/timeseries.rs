@@ -215,22 +215,41 @@ impl WindowedSeries {
         }
     }
 
+    /// The `[start, end)` of the window `timestamp_ns` falls in: every
+    /// timestamp in it is recorded into the same bucket until something
+    /// else rotates the ring.
+    pub fn window_of(&self, timestamp_ns: u64) -> std::ops::Range<u64> {
+        let start = self.aligned(timestamp_ns);
+        start..start.saturating_add(self.width_ns)
+    }
+
     /// Record a forwarded packet and its latency at `timestamp_ns`.
     pub fn record_forwarded(&mut self, timestamp_ns: u64, latency_ns: f64) {
+        self.record_forwarded_n(timestamp_ns, latency_ns, 1);
+    }
+
+    /// Record `n` forwarded packets of one latency at `timestamp_ns`:
+    /// exactly what `n` calls of
+    /// [`record_forwarded`](Self::record_forwarded) leave.
+    pub fn record_forwarded_n(&mut self, timestamp_ns: u64, latency_ns: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let b = self.bucket_mut(timestamp_ns);
-        b.forwarded += 1;
-        b.latency.record_f64(latency_ns);
+        b.forwarded = b.forwarded.saturating_add(n);
+        b.latency.record_f64_n(latency_ns, n);
     }
 
     /// Record a dropped packet; `unexplained` is true for drops the app
     /// did not ask for (FIFO overflow, link down, unsorted arrival).
     pub fn record_drop(&mut self, timestamp_ns: u64, unexplained: bool) {
         let b = self.bucket_mut(timestamp_ns);
-        if unexplained {
-            b.drops_unexplained += 1;
+        let counter = if unexplained {
+            &mut b.drops_unexplained
         } else {
-            b.drops_app += 1;
-        }
+            &mut b.drops_app
+        };
+        *counter = counter.saturating_add(1);
     }
 
     /// Attribute a delta of microflow-cache activity to `timestamp_ns`:
@@ -251,9 +270,9 @@ impl WindowedSeries {
             return;
         }
         let b = self.bucket_mut(timestamp_ns);
-        b.cache_hits += hits;
-        b.cache_misses += misses;
-        b.cache_evictions += evictions;
+        b.cache_hits = b.cache_hits.saturating_add(hits);
+        b.cache_misses = b.cache_misses.saturating_add(misses);
+        b.cache_evictions = b.cache_evictions.saturating_add(evictions);
         b.cache_occupancy = b.cache_occupancy.max(occupancy);
     }
 
@@ -535,6 +554,47 @@ mod tests {
         back.merge(&s);
         back.record_drop(1_000, true);
         assert_eq!(back.lifetime().forwarded, 2);
+    }
+
+    #[test]
+    fn window_of_is_the_bucket_a_timestamp_lands_in() {
+        let mut s = WindowedSeries::new(1_000, 4);
+        assert_eq!(s.window_of(1_234), 1_000..2_000);
+        assert_eq!(s.window_of(999), 0..1_000);
+        assert_eq!(s.window_of(u64::MAX), u64::MAX - u64::MAX % 1_000..u64::MAX);
+        s.record_forwarded(1_999, 1.0);
+        assert_eq!(s.windows()[0].start_ns, s.window_of(1_999).start);
+    }
+
+    #[test]
+    fn recording_saturates_like_merge() {
+        let mut full = WindowBucket {
+            forwarded: u64::MAX,
+            drops_app: u64::MAX,
+            drops_unexplained: u64::MAX,
+            cache_hits: u64::MAX,
+            cache_misses: u64::MAX,
+            cache_evictions: u64::MAX,
+            ..WindowBucket::at(0)
+        };
+        full.latency.record_n(7, u64::MAX);
+        let mut s = WindowedSeries {
+            width_ns: 100,
+            capacity: 2,
+            windows: vec![full.clone()],
+            evicted: WindowBucket::default(),
+        };
+        s.record_forwarded(50, 7.0);
+        s.record_drop(50, true);
+        s.record_drop(50, false);
+        s.record_cache(50, 1, 1, 1, 3);
+        // Every counter stays at the top; only the sum still grows.
+        full.cache_occupancy = 3;
+        full.latency.record_f64(7.0);
+        assert_eq!(full.latency.count(), u64::MAX);
+        assert_eq!(s.windows(), [full]);
+        let back = WindowedSeries::from_json(&s.to_json());
+        assert_eq!(back, Some(s));
     }
 
     #[test]

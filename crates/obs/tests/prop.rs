@@ -251,6 +251,77 @@ fn window_rotation_conserves_counters() {
     });
 }
 
+/// A latency `record_f64` must take: NaN, ±∞, a negative, `1e30`, any
+/// bit pattern, or an ordinary reading.
+fn any_latency(rng: &mut Xoshiro256) -> f64 {
+    match rng.range_u64(0, 7) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -rng.next_f64() * 1_000.0,
+        4 => 1e30,
+        5 => f64::from_bits(rng.next_u64()),
+        _ => rng.next_f64() * 5_000.0,
+    }
+}
+
+/// `record_f64_n(v, n)` and `record_n(v, n)` leave exactly what `n`
+/// single records leave — counts, extrema and the saturating sum — from
+/// an empty, an ordinary, a `u64::MAX`-count or a saturated-sum
+/// histogram.
+#[test]
+fn record_n_equals_n_single_records() {
+    for_each_case(0x4ec0, |rng, case| {
+        let mut start = any_histogram(rng);
+        if rng.chance(0.25) {
+            start.record_f64(f64::MAX);
+            assert_eq!(start.sum_quanta(), u128::MAX, "case {case:#x}");
+        }
+        let (v, n) = (any_latency(rng), rng.range_u64(0, 50));
+        let (mut once, mut singly) = (start.clone(), start.clone());
+        once.record_f64_n(v, n);
+        (0..n).for_each(|_| singly.record_f64(v));
+        assert_eq!(once, singly, "case {case:#x}: record_f64_n({v}, {n})");
+        let v = any_u64(rng);
+        let (mut once, mut singly) = (start.clone(), start);
+        once.record_n(v, n);
+        (0..n).for_each(|_| singly.record(v));
+        assert_eq!(once, singly, "case {case:#x}: record_n({v}, {n})");
+    });
+}
+
+/// `record_forwarded_n(ts, lat, n)` leaves exactly what `n`
+/// `record_forwarded(ts, lat)` calls leave, interleaved with drops and
+/// cache deltas at out-of-order timestamps that rotate the ring.
+#[test]
+fn record_forwarded_n_equals_n_single_records() {
+    for_each_case(0xf0a4d, |rng, case| {
+        let mut once = WindowedSeries::new(rng.range_u64(1, 2_000), rng.range_usize(1, 8));
+        let mut singly = once.clone();
+        for _ in 0..rng.range_usize(0, 200) {
+            let ts = rng.range_u64(0, 100_000);
+            match rng.range_u64(0, 4) {
+                0 | 1 => {
+                    let (lat, n) = (any_latency(rng), rng.range_u64(0, 50));
+                    once.record_forwarded_n(ts, lat, n);
+                    (0..n).for_each(|_| singly.record_forwarded(ts, lat));
+                }
+                2 => {
+                    let unexplained = rng.chance(0.5);
+                    once.record_drop(ts, unexplained);
+                    singly.record_drop(ts, unexplained);
+                }
+                _ => {
+                    let (h, m) = (rng.range_u64(0, 5), rng.range_u64(0, 5));
+                    once.record_cache(ts, h, m, h % 2, h + m);
+                    singly.record_cache(ts, h, m, h % 2, h + m);
+                }
+            }
+            assert_eq!(once, singly, "case {case:#x}");
+        }
+    });
+}
+
 /// `write_json` writes, compact and pretty, exactly the bytes the tree
 /// `to_json()` builds renders.
 fn assert_streams_its_tree<T: ToJson>(value: &T, case: u64) {
