@@ -289,7 +289,7 @@ impl TraceBuilder {
     }
 
     /// Generate `count` packets (plus any injected microbursts), sorted
-    /// by arrival time.
+    /// by arrival time, each frame's buffer sized to the frame.
     ///
     /// Equivalent to `self.stream(count).collect()` — the materialized and
     /// streaming paths share one generator, so they can never diverge.
@@ -303,18 +303,21 @@ impl TraceBuilder {
     /// RNG stream, same frames, same arrival order — holding only O(1)
     /// state (plus any injected microbursts, which are pre-materialized).
     /// Memory no longer scales with trace length, so 10M+-packet runs
-    /// are feasible.
+    /// are feasible. Each frame is a fresh buffer sized to the frame.
     pub fn stream(&self, count: usize) -> TraceStream {
-        self.stream_pooled(count, PacketArena::new())
+        self.stream_from(count, None)
     }
 
     /// Like [`stream`](Self::stream), but lease frame buffers from the
-    /// caller's [`PacketArena`]. A consumer that recycles frames back into
-    /// the same arena (e.g. after [`FlexSfp::run_stream_with`] emits them)
-    /// keeps the whole run allocation-free in steady state.
-    ///
-    /// [`FlexSfp::run_stream_with`]: https://docs.rs/flexsfp-core
+    /// caller's [`PacketArena`], so each paced frame reserves the arena's
+    /// frame capacity. A consumer that recycles frames back into the same
+    /// arena (e.g. after `FlexSfp::run_stream_with` in `flexsfp-core`
+    /// emits them) keeps the whole run allocation-free in steady state.
     pub fn stream_pooled(&self, count: usize, arena: PacketArena) -> TraceStream {
+        self.stream_from(count, Some(arena))
+    }
+
+    fn stream_from(&self, count: usize, arena: Option<PacketArena>) -> TraceStream {
         let tcp = self.tcp_set();
         // Microbursts: back-to-back 1514 B frames at line rate. They are
         // few and bounded by configuration, so they are materialized up
@@ -411,6 +414,7 @@ impl UdpTemplate {
         let payload_len = len.saturating_sub(UDP_HEADERS);
         let body = UDP_HEADERS + payload_len;
         out.clear();
+        out.reserve(body.max(60)); // exact in a fresh buffer, where padding would double it
         out.extend_from_slice(&self.frame[..body]);
         if body < 60 {
             out.resize(60, 0); // Ethernet minimum: zero padding, not filler
@@ -451,7 +455,9 @@ pub struct TraceStream {
     size: SizeModel,
     arrival: ArrivalModel,
     rate: LineRateCalc,
-    arena: PacketArena,
+    /// Paced frames are leased from here; without one each is a fresh
+    /// buffer the builders size to the frame.
+    arena: Option<PacketArena>,
     t_fs: u128, // femtoseconds for exact pacing
     next_seq: usize,
     count: usize,
@@ -459,14 +465,6 @@ pub struct TraceStream {
     /// One-entry memo of `rate.gap_ns(len, utilization)` keyed on frame
     /// length — the gap is a pure function of length for a fixed stream.
     last_gap: (usize, f64),
-}
-
-impl TraceStream {
-    /// The arena frames are leased from (clone of the handle passed to
-    /// [`TraceBuilder::stream_pooled`]).
-    pub fn arena(&self) -> &PacketArena {
-        &self.arena
-    }
 }
 
 impl Iterator for TraceStream {
@@ -498,7 +496,10 @@ impl Iterator for TraceStream {
         let flow_idx = self.rng.range_usize(0, self.space.flows);
         let flow = self.space.spec(flow_idx, self.tcp.contains(flow_idx));
         let len = self.size.sample(&mut self.rng);
-        let mut frame = self.arena.lease();
+        let mut frame = self
+            .arena
+            .as_ref()
+            .map_or_else(Vec::new, PacketArena::lease);
         if flow.tcp || len > PAYLOAD_FILL.len() {
             TraceBuilder::build_frame_into(&flow, len, self.next_seq as u32, &mut frame);
         } else {
@@ -590,6 +591,9 @@ mod tests {
             };
             template.stamp(&flow, len, &mut out);
             assert_eq!(out, built(&flow, len), "{flow:?} at {len} B");
+            let mut fresh = Vec::new();
+            template.stamp(&flow, len, &mut fresh);
+            assert_eq!(fresh.capacity(), fresh.len(), "a fresh {len} B stamp");
         }
     }
 
