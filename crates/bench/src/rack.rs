@@ -260,54 +260,7 @@ fn topology() -> Topology {
 /// a verdict. An SLO breach or missing telemetry makes the returned
 /// [`Outcome`] unhealthy (and the CLI exit nonzero) without panicking.
 pub fn run(packets: usize) -> Outcome {
-    let mut rack = Rack::new(topology());
-
-    // Warm-up: every host broadcasts once, so both ToRs learn every MAC
-    // (the peer learns it behind the uplink port as the flood crosses).
-    for h in 0..HOSTS {
-        let frame = PacketBuilder::eth_ipv4_udp(
-            MacAddr([0xff; 6]),
-            host_mac(h / ACCESS, h % ACCESS),
-            0x0a00_0000 + h as u32,
-            0xffff_ffff,
-            68,
-            67,
-            b"warmup",
-        );
-        rack.emit(h, h as u64 * WARMUP_SPACING_NS, frame);
-    }
-
-    // Main phase: the flash-crowd trace, compressed, with each flow
-    // pinned to a source host by its source IP and to a destination
-    // host (3/4 of the time on the other ToR) by its destination IP.
-    let trace = profiles::flash_crowd(SEED, FLOWS).build(packets);
-    for (i, tp) in trace.into_iter().enumerate() {
-        let t_ns = MAIN_OFFSET_NS + tp.arrival_ns * COMPRESS_NUM / COMPRESS_DEN;
-        if i % RUNT_EVERY == RUNT_EVERY - 1 {
-            // A host NIC glitch: a 7-byte runt on a standard-SFP port.
-            let tor = (i / RUNT_EVERY) % 2;
-            rack.emit(tor * ACCESS, t_ns, vec![0x55; 7]);
-            continue;
-        }
-        let mut frame = tp.frame;
-        let sip = u32::from_be_bytes(frame[26..30].try_into().unwrap());
-        let dip = u32::from_be_bytes(frame[30..34].try_into().unwrap());
-        let src_host = (h32(sip, 1) % HOSTS as u64) as usize;
-        let (src_tor, src_port) = (src_host / ACCESS, src_host % ACCESS);
-        let dst_port = (h32(dip, 2) % ACCESS as u64) as usize;
-        let dst_tor = if h32(dip, 3) % 4 < CROSS_QUARTERS {
-            1 - src_tor
-        } else {
-            src_tor
-        };
-        frame[0..6].copy_from_slice(&host_mac(dst_tor, dst_port).0);
-        frame[6..12].copy_from_slice(&host_mac(src_tor, src_port).0);
-        rack.emit(src_host, t_ns, frame);
-    }
-
-    // The rack orders the arrivals and the uplink hand-offs, drains to
-    // quiescence and asserts its composed identity there.
-    rack.run_to_quiescence(|_, _| {});
+    let mut rack = drive(packets);
     let stats = rack.stats();
     let conserved = rack.conserved();
 
@@ -361,6 +314,64 @@ pub fn run(packets: usize) -> Outcome {
         healthy,
         host: host_meta(),
     }
+}
+
+/// The rack [`run`] judges: its traffic over `packets` main-phase trace
+/// slots, drained to quiescence, not yet scraped.
+///
+/// # Panics
+///
+/// As [`run`], when a conservation identity fails to close.
+pub fn drive(packets: usize) -> Rack {
+    let mut rack = Rack::new(topology());
+
+    // Warm-up: every host broadcasts once, so both ToRs learn every MAC
+    // (the peer learns it behind the uplink port as the flood crosses).
+    for h in 0..HOSTS {
+        let frame = PacketBuilder::eth_ipv4_udp(
+            MacAddr([0xff; 6]),
+            host_mac(h / ACCESS, h % ACCESS),
+            0x0a00_0000 + h as u32,
+            0xffff_ffff,
+            68,
+            67,
+            b"warmup",
+        );
+        rack.emit(h, h as u64 * WARMUP_SPACING_NS, frame);
+    }
+
+    // Main phase: the flash-crowd trace, compressed, with each flow
+    // pinned to a source host by its source IP and to a destination
+    // host (3/4 of the time on the other ToR) by its destination IP.
+    let trace = profiles::flash_crowd(SEED, FLOWS).build(packets);
+    for (i, tp) in trace.into_iter().enumerate() {
+        let t_ns = MAIN_OFFSET_NS + tp.arrival_ns * COMPRESS_NUM / COMPRESS_DEN;
+        if i % RUNT_EVERY == RUNT_EVERY - 1 {
+            // A host NIC glitch: a 7-byte runt on a standard-SFP port.
+            let tor = (i / RUNT_EVERY) % 2;
+            rack.emit(tor * ACCESS, t_ns, vec![0x55; 7]);
+            continue;
+        }
+        let mut frame = tp.frame;
+        let sip = u32::from_be_bytes(frame[26..30].try_into().unwrap());
+        let dip = u32::from_be_bytes(frame[30..34].try_into().unwrap());
+        let src_host = (h32(sip, 1) % HOSTS as u64) as usize;
+        let (src_tor, src_port) = (src_host / ACCESS, src_host % ACCESS);
+        let dst_port = (h32(dip, 2) % ACCESS as u64) as usize;
+        let dst_tor = if h32(dip, 3) % 4 < CROSS_QUARTERS {
+            1 - src_tor
+        } else {
+            src_tor
+        };
+        frame[0..6].copy_from_slice(&host_mac(dst_tor, dst_port).0);
+        frame[6..12].copy_from_slice(&host_mac(src_tor, src_port).0);
+        rack.emit(src_host, t_ns, frame);
+    }
+
+    // The rack orders the arrivals and the uplink hand-offs, drains to
+    // quiescence and asserts its composed identity there.
+    rack.run_to_quiescence(|_, _| {});
+    rack
 }
 
 /// Human-readable report: topology, chaos, conservation, the gate.

@@ -8,13 +8,16 @@
 //! parses back equal to it: a value the parser accepts is one the
 //! emitter can write. A floor on how many mutants still parse keeps the
 //! mutator from rotting into garbage the parser refuses at its first
-//! byte.
+//! byte. Every parsed mutant of the fleet export then goes, module by
+//! module, through `TelemetrySnapshot::from_json`, which must refuse
+//! what it cannot decode without panicking or allocating by a number it
+//! read.
 
 use flexsfp::core::auth::AuthKey;
 use flexsfp::core::bitstream::Bitstream;
 use flexsfp::core::control::{ControlPlane, ControlRequest, MAGIC};
 use flexsfp::fabric::resources::ResourceManifest;
-use flexsfp::obs::{json, ToJson, Value};
+use flexsfp::obs::{json, FromJson, TelemetrySnapshot, ToJson, Value};
 use flexsfp::ppe::engine::TableOp;
 use flexsfp::traffic::rng::Xoshiro256;
 
@@ -24,6 +27,9 @@ mod vectors;
 
 /// Mutants parsed, re-emitted and parsed again.
 const MUTANTS: usize = 10_000;
+
+/// The corpus entry whose mutants are also decoded as snapshots.
+const FLEET: &str = "golden/fleet.json";
 
 /// `(name, text)`: one document of each kind the parser is fed.
 fn corpus() -> Vec<(String, String)> {
@@ -46,7 +52,7 @@ fn corpus() -> Vec<(String, String)> {
     let meta = Bitstream::new("firewall", 3, manifest, 156_250_000).with_config(rules);
     let mut corpus = vec![
         (
-            "golden/fleet.json".to_string(),
+            FLEET.to_string(),
             include_str!("../crates/host/tests/golden/fleet.json").to_string(),
         ),
         ("a sealed request's body".to_string(), body),
@@ -114,6 +120,7 @@ fn parsed_mutants_re_emit_to_themselves() {
     }
     let mut rng = Xoshiro256::seed_from_u64(0x150f);
     let mut parsed = 0;
+    let (mut fleet_modules, mut decoded) = (0, 0);
     for case in 0..MUTANTS {
         let (name, text) = &corpus[rng.range_usize(0, corpus.len())];
         let mut bytes = text.clone().into_bytes();
@@ -123,6 +130,13 @@ fn parsed_mutants_re_emit_to_themselves() {
             continue;
         };
         parsed += 1;
+        if name == FLEET {
+            for module in value.as_object().into_iter().flat_map(|m| m.values()) {
+                fleet_modules += 1;
+                let snapshot = TelemetrySnapshot::from_json(&module["snapshot"]);
+                decoded += usize::from(snapshot.is_some());
+            }
+        }
         for (form, emitted) in [
             ("compact", value.to_string()),
             ("pretty", value.to_string_pretty()),
@@ -139,4 +153,8 @@ fn parsed_mutants_re_emit_to_themselves() {
         "only {parsed} of {MUTANTS} mutants still parsed"
     );
     assert!(parsed < MUTANTS, "no mutant was refused");
+    assert!(
+        0 < decoded && decoded < fleet_modules,
+        "{decoded} of {fleet_modules} mutated fleet modules decoded"
+    );
 }
