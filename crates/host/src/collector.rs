@@ -222,14 +222,17 @@ impl FleetCollector {
         families::render(self)
     }
 
-    /// Latest snapshots (and accumulated event logs) as a pretty JSON
+    /// Latest snapshots (and accumulated event logs) as a compact JSON
     /// document, `{id: {"recent_events": [...], "snapshot": {...}}}` in
-    /// module-id order. Streamed through one [`Writer`]: members come in
-    /// byte order of their names, so the text is the bytes the same
-    /// document built as a [`Value`](flexsfp_obs::Value) tree renders,
-    /// and no tree is built.
+    /// module-id order. A latency histogram's `counts` lists only its
+    /// occupied buckets, as `[index, count]` pairs. Streamed through one
+    /// [`Writer`]: members come in byte order of their names, so the
+    /// text is the bytes the same document built as a
+    /// [`Value`](flexsfp_obs::Value) tree renders, and no tree is built.
+    /// For a human, re-render the parsed text with
+    /// [`Value::to_string_pretty`](flexsfp_obs::Value::to_string_pretty).
     pub fn to_json(&self) -> String {
-        let mut w = Writer::pretty();
+        let mut w = Writer::compact();
         w.begin_object();
         for (id, rec) in &self.modules {
             w.key(id).begin_object();
@@ -347,6 +350,20 @@ mod tests {
             Value::Object(doc)
         };
         let max = honest.latency.max();
+        // The honest `[index, count]` pairs with the last one rewritten:
+        // split in two, or followed by an empty bucket, it sums to the
+        // same count.
+        let mut pairs = latency["counts"].as_array().expect("pairs").clone();
+        let (last, count) = pairs
+            .pop()
+            .and_then(|p| <(u64, u64)>::from_json(&p))
+            .unwrap();
+        assert!(count > 1, "the split needs two samples in one bucket");
+        let listed = |rewritten: &[(u64, u64)]| {
+            let mut pairs = pairs.clone();
+            pairs.extend(rewritten.iter().map(ToJson::to_json));
+            crafted("counts", Value::Array(pairs))
+        };
         let documents = [
             ("untouched", doc.clone(), true),
             ("min above max", crafted("min", (max + 1).to_json()), false),
@@ -363,6 +380,22 @@ mod tests {
             (
                 "no buckets",
                 crafted("counts", Vec::<u64>::new().to_json()),
+                false,
+            ),
+            ("the pairs rewritten", listed(&[(last, count)]), true),
+            (
+                "an index far off the grid",
+                listed(&[(1_000_000_000_000, count)]),
+                false,
+            ),
+            (
+                "a bucket listed twice",
+                listed(&[(last, count - 1), (last, 1)]),
+                false,
+            ),
+            (
+                "an empty bucket after the last",
+                listed(&[(last, count), (last + 1, 0)]),
                 false,
             ),
         ];

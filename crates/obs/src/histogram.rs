@@ -10,12 +10,16 @@
 //! memory). Two histograms recorded on different modules merge by adding
 //! bucket counts, which is exactly what the fleet collector does.
 
+use crate::json::{FromJson, ToJson, Value, Writer};
+
 /// log2 of the number of linear sub-buckets per power-of-two tier.
 const SUB_BUCKET_BITS: u32 = 7;
 /// Linear sub-buckets per tier (values below this are recorded exactly).
 const SUB_BUCKET_COUNT: u64 = 1 << SUB_BUCKET_BITS; // 128
 /// Upper half of a tier's sub-buckets (the part each new tier adds).
 const SUB_BUCKET_HALF: u64 = SUB_BUCKET_COUNT / 2; // 64
+/// Buckets in the whole grid: `index_for(u64::MAX) + 1`.
+const BUCKETS: usize = 3_776;
 
 /// log2 of the fixed-point quantum for the running sum: sums are held
 /// as integer multiples of 2^-20 ns (≈ 1 fs), so addition is exact,
@@ -250,11 +254,13 @@ impl LatencyHistogram {
 
     /// Iterate non-empty buckets as `(representative_value, count)`.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (value_for(i), c))
+        self.occupied().map(|(i, c)| (value_for(i), c))
+    }
+
+    /// Non-empty buckets as `(index, count)`: the JSON form's `counts`.
+    fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let counts = self.counts.iter().copied().enumerate();
+        counts.filter(|&(_, c)| c > 0)
     }
 
     /// Number of allocated buckets (memory-bound diagnostics).
@@ -264,38 +270,33 @@ impl LatencyHistogram {
 }
 
 // Hand-written (not `impl_json_struct!`) because the in-tree JSON
-// `Value` has no 128-bit number: the fixed-point sum crosses the wire
-// as two u64 halves.
-impl crate::json::ToJson for LatencyHistogram {
-    fn to_json(&self) -> crate::json::Value {
-        let mut object = std::collections::BTreeMap::new();
-        object.insert(
-            String::from("counts"),
-            crate::json::ToJson::to_json(&self.counts),
-        );
-        object.insert(
-            String::from("count"),
-            crate::json::ToJson::to_json(&self.count),
-        );
-        object.insert(
-            String::from("sum_q_hi"),
-            crate::json::ToJson::to_json(&((self.sum_q >> 64) as u64)),
-        );
-        object.insert(
-            String::from("sum_q_lo"),
-            crate::json::ToJson::to_json(&(self.sum_q as u64)),
-        );
-        object.insert(String::from("min"), crate::json::ToJson::to_json(&self.min));
-        object.insert(String::from("max"), crate::json::ToJson::to_json(&self.max));
-        crate::json::Value::Object(object)
+// `Value` has no 128-bit number, so the fixed-point sum crosses the
+// wire as two u64 halves, and because `counts` is sparse: the occupied
+// buckets as `[index, count]` pairs in index order. A rack's histograms
+// span hundreds of nanoseconds to tens of microseconds and leave nearly
+// every bucket between `min` and `max` empty.
+impl ToJson for LatencyHistogram {
+    fn to_json(&self) -> Value {
+        crate::json!({
+            "count": self.count,
+            "counts": self.occupied().collect::<Vec<_>>().to_json(),
+            "max": self.max,
+            "min": self.min,
+            "sum_q_hi": (self.sum_q >> 64) as u64,
+            "sum_q_lo": self.sum_q as u64,
+        })
     }
 
     /// The members of `to_json` in byte order of their names, as its map
     /// holds them.
-    fn write_json(&self, w: &mut crate::json::Writer) {
+    fn write_json(&self, w: &mut Writer) {
         w.begin_object();
         w.key("count").u64(self.count);
-        crate::json::ToJson::write_json(&self.counts, w.key("counts"));
+        w.key("counts").begin_array();
+        for pair in self.occupied() {
+            pair.write_json(w);
+        }
+        w.end_array();
         w.key("max").u64(self.max);
         w.key("min").u64(self.min);
         w.key("sum_q_hi").u64((self.sum_q >> 64) as u64);
@@ -336,20 +337,29 @@ impl LatencyHistogram {
     }
 }
 
-impl crate::json::FromJson for LatencyHistogram {
+impl FromJson for LatencyHistogram {
     /// Total: a document whose fields disagree with each other decodes
-    /// to `None`, like one with a field missing.
-    fn from_json(v: &crate::json::Value) -> Option<Self> {
-        let object = v.as_object()?;
-        let field = |k: &str| object.get(k).unwrap_or(&crate::json::Value::Null);
-        let hi: u64 = crate::json::FromJson::from_json(field("sum_q_hi"))?;
-        let lo: u64 = crate::json::FromJson::from_json(field("sum_q_lo"))?;
+    /// to `None`, like one with a field missing. So does a pair whose
+    /// index is off the grid or not above the previous one, or whose
+    /// count is zero, and it does before any bucket is allocated for it.
+    fn from_json(v: &Value) -> Option<Self> {
+        let mut counts = Vec::new();
+        for pair in v["counts"].as_array()? {
+            let (index, count): (usize, u64) = FromJson::from_json(pair)?;
+            if index >= BUCKETS || index < counts.len() || count == 0 {
+                return None;
+            }
+            counts.resize(index, 0);
+            counts.push(count);
+        }
+        let hi: u64 = FromJson::from_json(&v["sum_q_hi"])?;
+        let lo: u64 = FromJson::from_json(&v["sum_q_lo"])?;
         let decoded = LatencyHistogram {
-            counts: crate::json::FromJson::from_json(field("counts"))?,
-            count: crate::json::FromJson::from_json(field("count"))?,
+            counts,
+            count: FromJson::from_json(&v["count"])?,
             sum_q: (u128::from(hi) << 64) | u128::from(lo),
-            min: crate::json::FromJson::from_json(field("min"))?,
-            max: crate::json::FromJson::from_json(field("max"))?,
+            min: FromJson::from_json(&v["min"])?,
+            max: FromJson::from_json(&v["max"])?,
         };
         decoded.is_consistent().then_some(decoded)
     }
@@ -483,7 +493,8 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(u64::MAX);
         h.record(0);
-        assert!(h.bucket_capacity() <= 3776, "{}", h.bucket_capacity());
+        assert_eq!(h.bucket_capacity(), BUCKETS);
+        assert_eq!(index_for(u64::MAX), BUCKETS - 1);
         assert_eq!(h.max(), u64::MAX);
         // The p100 estimate stays within 1 % even at the top of range.
         let err = h.value_at_quantile(1.0).abs_diff(u64::MAX) as f64;
@@ -534,6 +545,10 @@ mod tests {
             h.record(v);
         }
         let good = h.to_json();
+        assert_eq!(
+            good.to_string(),
+            r#"{"count":4,"counts":[[40,1],[203,2],[518,1]],"max":9000,"min":40,"sum_q_hi":0,"sum_q_lo":10108272640}"#
+        );
         assert_eq!(LatencyHistogram::from_json(&good), Some(h));
         assert_eq!(
             LatencyHistogram::from_json(&LatencyHistogram::new().to_json()),
@@ -546,6 +561,7 @@ mod tests {
             doc.insert(key.to_string(), value);
             Value::Object(doc)
         };
+        let counts = |text: &str| with("counts", Value::parse(text).unwrap());
         let rejected = [
             (
                 "count above the buckets' sum",
@@ -562,14 +578,34 @@ mod tests {
                 "max below the highest bucket",
                 with("max", 300u64.to_json()),
             ),
-            (
-                "no buckets under a count",
-                with("counts", Vec::<u64>::new().to_json()),
-            ),
+            ("no buckets under a count", counts("[]")),
             (
                 "buckets whose sum overflows",
-                with("counts", vec![u64::MAX, u64::MAX].to_json()),
+                counts("[[40,18446744073709551615],[203,18446744073709551615]]"),
             ),
+            // What the pair form alone can say: each of these a decoder
+            // that places or adds pairs would accept, or allocate by.
+            ("an index far off the grid", counts("[[1000000000000,1]]")),
+            ("an index at the grid", counts("[[40,1],[203,2],[3776,1]]")),
+            (
+                "a bucket listed twice",
+                counts("[[40,1],[203,1],[203,1],[518,1]]"),
+            ),
+            ("buckets out of order", counts("[[203,2],[40,1],[518,1]]")),
+            (
+                "an empty bucket between",
+                counts("[[40,1],[100,0],[203,2],[518,1]]"),
+            ),
+            (
+                "an empty bucket after",
+                counts("[[40,1],[203,2],[518,1],[600,0]]"),
+            ),
+            (
+                "a negative index",
+                counts("[[-1,0],[40,1],[203,2],[518,1]]"),
+            ),
+            ("a pair of three", counts("[[40,1,0],[203,2],[518,1]]")),
+            ("a dense array", counts("[0,1,2,1]")),
         ];
         for (what, doc) in &rejected {
             assert_eq!(LatencyHistogram::from_json(doc), None, "{what}");
