@@ -11,11 +11,11 @@
 use super::{FleetCollector, GIT_DESCRIBE};
 use crate::chaos::ImpairStats;
 use crate::mgmt::TransportStats;
+use flexsfp_obs::prometheus::Label::{self, Int, Text};
 use flexsfp_obs::{
     CrosspointCounters, LatencyHistogram, PortCounters, PromText, SloReport, SloSpec,
     TelemetrySnapshot, WindowBucket, WindowedSeries, XbarTelemetry,
 };
-use std::fmt::Display;
 
 const VERSION: &str = env!("CARGO_PKG_VERSION");
 
@@ -85,18 +85,18 @@ struct Samples<'a> {
 }
 
 impl<'a> Samples<'a> {
-    /// One sample named `name`, the scope label first. A label value is
-    /// anything `Display`; the labels are chained, not collected, and
-    /// each is formatted straight into the document.
-    fn put_as(&mut self, name: impl Display, labels: &[(&str, &dyn Display)], value: f64) {
-        let scope = self.scope.as_ref().map(|(k, v)| (*k, v as &dyn Display));
+    /// One sample named by `name`'s parts, the scope label first. The
+    /// labels are chained, not collected, and each is written straight
+    /// into the document.
+    fn put_as(&mut self, name: &[&str], labels: &[(&str, Label<'_>)], value: f64) {
+        let scope = self.scope.map(|(k, v)| (k, Text(v)));
         let labels = scope.into_iter().chain(labels.iter().copied());
         self.p.sample(name, labels, value);
     }
 
     /// One sample carrying `labels` after the scope label.
-    fn put(&mut self, labels: &[(&str, &dyn Display)], value: f64) {
-        self.put_as(self.name, labels, value);
+    fn put(&mut self, labels: &[(&str, Label<'_>)], value: f64) {
+        self.put_as(&[self.name], labels, value);
     }
 
     /// The one sample of a family with no labels of its own.
@@ -107,7 +107,7 @@ impl<'a> Samples<'a> {
     /// One sample per `(label value, count)` pair under label `key`.
     fn by(&mut self, key: &str, counts: &[(&str, u64)]) {
         for (v, n) in counts {
-            self.put(&[(key, v)], *n as f64);
+            self.put(&[(key, Text(v))], *n as f64);
         }
     }
 
@@ -119,11 +119,11 @@ impl<'a> Samples<'a> {
             ("0.99", h.p99()),
             ("0.999", h.p999()),
         ] {
-            self.put(&[("quantile", &q)], v as f64);
+            self.put(&[("quantile", Text(q))], v as f64);
         }
         let name = self.name;
-        self.put_as(format_args!("{name}_sum"), &[], h.sum());
-        self.put_as(format_args!("{name}_count"), &[], h.count() as f64);
+        self.put_as(&[name, "_sum"], &[], h.sum());
+        self.put_as(&[name, "_count"], &[], h.count() as f64);
     }
 
     /// Run `emit` once per `(id, instance)`, under `label="id"`.
@@ -177,14 +177,20 @@ fn ports(s: &TelemetrySnapshot, out: &mut Samples<'_>, get: fn(&PortCounters) ->
         ("optical", "rx", &s.optical_rx),
         ("optical", "tx", &s.optical_tx),
     ] {
-        out.put(&[("port", &port), ("direction", &dir)], get(c) as f64);
+        out.put(
+            &[("port", Text(port)), ("direction", Text(dir))],
+            get(c) as f64,
+        );
     }
 }
 
 /// One sample per crosspoint that ever saw a frame.
 fn crosspoints(x: &XbarTelemetry, out: &mut Samples<'_>, get: fn(&CrosspointCounters) -> u64) {
     for c in &x.crosspoints {
-        out.put(&[("input", &c.input), ("output", &c.output)], get(c) as f64);
+        out.put(
+            &[("input", Int(c.input)), ("output", Int(c.output))],
+            get(c) as f64,
+        );
     }
 }
 
@@ -196,7 +202,12 @@ static FAMILIES: &[Family] = &[
     Gauge.family(
         "flexsfp_build_info",
         "Collector build identity (value is always 1).",
-        Fleet(|_, out| out.put(&[("version", &VERSION), ("git", &GIT_DESCRIBE)], 1.0)),
+        Fleet(|_, out| {
+            out.put(
+                &[("version", Text(VERSION)), ("git", Text(GIT_DESCRIBE))],
+                1.0,
+            )
+        }),
     ),
     Gauge.family(
         "flexsfp_modules",
@@ -206,7 +217,10 @@ static FAMILIES: &[Family] = &[
     Gauge.family(
         "flexsfp_app_info",
         "Running packet-processing application (value is always 1).",
-        Module(|s, out| out.put(&[("app", &s.app), ("version", &s.app_version)], 1.0)),
+        Module(|s, out| {
+            let version = u64::from(s.app_version);
+            out.put(&[("app", Text(&s.app)), ("version", Int(version))], 1.0);
+        }),
     ),
     Counter.family(
         "flexsfp_boots_total",
@@ -307,7 +321,7 @@ static FAMILIES: &[Family] = &[
     Gauge.family(
         "flexsfp_laser_fault_info",
         "Current laser fault diagnosis label (value is always 1).",
-        Module(|s, out| out.put(&[("fault", &s.laser_fault)], 1.0)),
+        Module(|s, out| out.put(&[("fault", Text(&s.laser_fault))], 1.0)),
     ),
     Gauge.family(
         "flexsfp_tx_power_dbm",
@@ -501,7 +515,7 @@ static FAMILIES: &[Family] = &[
         "Arbitration grants issued, by switch and output port.",
         Xbar(|x, out| {
             for (output, n) in x.output_grants.iter().enumerate() {
-                out.put(&[("output", &output)], *n as f64);
+                out.put(&[("output", Int(output as u64))], *n as f64);
             }
         }),
     ),
