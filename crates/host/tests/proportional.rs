@@ -15,7 +15,13 @@
 //! collector's `to_json()` is timed against `Value::parse` of the text
 //! it wrote. Building the document as a `Value` tree and rendering that
 //! read 1.4 of the parse in a release build and 1.1 in a debug one;
-//! streaming it through one `Writer` reads 0.3 and 0.4–0.5.
+//! streaming it through one `Writer` read 0.3 and 0.4–0.5. Written
+//! compact, with each histogram's occupied buckets only, it reads
+//! 0.30–0.32 and 0.55: the write and the parse both take about a third
+//! of what the pretty, dense document cost them.
+//!
+//! Beside the ratio, the same export's size is held under a ceiling, so
+//! a return to pretty text or dense bucket arrays fails here.
 
 use flexsfp_core::module::FlexSfp;
 use flexsfp_host::crossbar::serialize_ns;
@@ -72,9 +78,11 @@ fn an_injection_costs_the_same_on_8_and_on_64_ports() {
 }
 
 /// A collector holding `modules` snapshots the shape of a rack scrape's:
-/// a lifetime histogram and eight 1 ms windows of samples spread over
-/// 0.5–20 µs, so the histograms' dense bucket arrays are most of the
-/// document, and a log of drop events.
+/// a lifetime histogram and eight 1 ms windows, and a log of drop
+/// events. As in the rack, the latencies sit in a few buckets around
+/// three frame sizes' transit times, and one sample in sixteen waits in
+/// a crosspoint queue for up to 75 µs: nearly every bucket between a
+/// histogram's `min` and `max` is empty.
 fn fleet(modules: u64) -> FleetCollector {
     let mut c = FleetCollector::new();
     let template = FlexSfp::passthrough().telemetry_snapshot();
@@ -84,7 +92,10 @@ fn fleet(modules: u64) -> FleetCollector {
         snapshot.latency = LatencyHistogram::new();
         snapshot.windows = WindowedSeries::default();
         for i in 0..4_000 {
-            let latency_ns = 500 + (i * 7_919 + m * 104_729) % 19_500;
+            let latency_ns = match i % 16 {
+                0 => 1_500 + (i * 7_919 + m * 104_729) % 73_500,
+                r => [315, 640, 1_480][r as usize % 3] + i % 5,
+            };
             snapshot.latency.record(latency_ns);
             snapshot
                 .windows
@@ -131,5 +142,19 @@ fn a_fleet_export_costs_less_than_half_of_parsing_it() {
     assert!(
         ratio < bound,
         "writing the export cost {ratio:.2}x parsing it ({write:?} against {parse:?})"
+    );
+}
+
+/// `fleet(46).to_json().len()` is 670 677 bytes, compact with sparse
+/// histograms; this is that plus 10 %. Pretty with dense bucket arrays,
+/// the same fleet wrote 6 573 215 bytes, and compact but dense 1 093 039.
+const EXPORT_CEILING: usize = 737_745;
+
+#[test]
+fn a_fleet_export_stays_compact_and_sparse() {
+    let len = fleet(46).to_json().len();
+    assert!(
+        len <= EXPORT_CEILING,
+        "the export grew to {len} bytes, past its {EXPORT_CEILING}-byte ceiling"
     );
 }
