@@ -12,6 +12,7 @@ use flexsfp::core::bitstream::Bitstream;
 use flexsfp::core::module::{FlexSfp, ModuleConfig, SimPacket};
 use flexsfp::fabric::resources::ResourceManifest;
 use flexsfp::host::{FleetCollector, FleetManager};
+use flexsfp::obs::Value;
 use flexsfp::ppe::Direction;
 use flexsfp::traffic::{SizeModel, TraceBuilder};
 use flexsfp_core::auth::AuthKey;
@@ -111,16 +112,21 @@ fn main() {
     );
     collector.set_transport_stats(fleet.client().transport_stats());
     let text = collector.render_prometheus();
+    // The JSON export is compact on the wire; parsed and re-rendered
+    // indented, it reads.
     let json = collector.to_json();
-    for (title, document) in [
-        ("Prometheus text exposition", &text),
-        ("JSON export", &json),
+    let indented = Value::parse(&json)
+        .expect("the export parses")
+        .to_string_pretty();
+    for (title, document, bytes) in [
+        ("Prometheus text exposition", &text, text.len()),
+        ("JSON export, indented", &indented, json.len()),
     ] {
         println!("\n=== {title} (truncated) ===");
         for line in document.lines().take(30) {
             println!("{line}");
         }
-        println!("... ({} bytes total)", document.len());
+        println!("... ({bytes} bytes total)");
     }
     assert_eq!(collector.len(), 8);
     for sample in [
