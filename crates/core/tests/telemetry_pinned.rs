@@ -7,10 +7,11 @@
 //!
 //! Each scenario pins the output digest, the FNV-1a of
 //! `telemetry_snapshot()`'s compact JSON (which carries the lifetime
-//! histogram and every window's histogram, `sum` halves included), the
-//! FNV-1a of the `Debug` text of the snapshot that JSON decodes back to,
-//! and the run's latency population: count, sum in quanta, min, max,
-//! p50 and p99. A change to how forwarded packets are recorded passes
+//! histogram and every window's histogram, `sum` halves included) as
+//! `to_json()` renders it and as `write_json` streams it, the FNV-1a of
+//! the `Debug` text of the snapshot that JSON decodes back to, and the
+//! run's latency population: count, sum in quanta, min, max, p50 and
+//! p99. A change to how forwarded packets are recorded passes
 //! this file unmodified or it changed what the module exports. A change
 //! to the wire form alone moves `snapshot` and leaves `decoded` where it
 //! was.
@@ -19,6 +20,7 @@ use flexsfp_apps::StaticNat;
 use flexsfp_core::module::{FlexSfp, ModuleConfig, OutputDigest, OutputPacket, SimPacket};
 use flexsfp_core::ShellKind;
 use flexsfp_fabric::clock::ClockDomain;
+use flexsfp_obs::json::Writer;
 use flexsfp_obs::{FromJson, LatencyHistogram, TelemetrySnapshot, ToJson, Value};
 use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::{Direction, PacketProcessor};
@@ -69,6 +71,7 @@ fn latency(h: &LatencyHistogram) -> Latency {
 struct Pinned {
     outputs: Hex,
     snapshot: Hex,
+    streamed: Hex,
     decoded: Hex,
     latency: Latency,
 }
@@ -79,12 +82,15 @@ struct Pinned {
 fn pinned(m: &mut FlexSfp, outputs: OutputDigest, run: Option<&LatencyHistogram>) -> Pinned {
     let snap = m.telemetry_snapshot();
     let text = snap.to_json().to_string();
+    let mut w = Writer::compact();
+    snap.write_json(&mut w);
     let parsed = Value::parse(&text).expect("the export parses");
     let decoded = TelemetrySnapshot::from_json(&parsed).expect("the export decodes");
     assert_eq!(decoded, snap, "the export decodes to the snapshot");
     Pinned {
         outputs: Hex(outputs.value()),
         snapshot: Hex(fnv1a(FNV1A_OFFSET, text.as_bytes())),
+        streamed: Hex(fnv1a(FNV1A_OFFSET, w.into_string().as_bytes())),
         decoded: Hex(fnv1a(FNV1A_OFFSET, format!("{decoded:?}").as_bytes())),
         latency: latency(run.unwrap_or(&snap.latency)),
     }
@@ -163,6 +169,7 @@ fn paced_nat_equal_latencies() {
         Pinned {
             outputs: Hex(0xcffc5663e00f77e5),
             snapshot: Hex(0xe9a5969f14337ec3),
+            streamed: Hex(0xe9a5969f14337ec3),
             decoded: Hex(0xe37fae2b6d8c6f21),
             latency: Latency {
                 count: 30000,
@@ -191,6 +198,7 @@ fn metro_imix_latencies_vary_by_size() {
         Pinned {
             outputs: Hex(0x7db90b80fb58c0e0),
             snapshot: Hex(0xb0c1fe22a027f611),
+            streamed: Hex(0xb0c1fe22a027f611),
             decoded: Hex(0xee4a250e709d4337),
             latency: Latency {
                 count: 8000,
@@ -224,6 +232,7 @@ fn fifo_overflow_across_rotation() {
         Pinned {
             outputs: Hex(0x1ad1dbd801e16e7f),
             snapshot: Hex(0xe8623023f2a1b1d6),
+            streamed: Hex(0xe8623023f2a1b1d6),
             decoded: Hex(0x0b4dc2a8d762afe6),
             latency: Latency {
                 count: 4995,
@@ -276,6 +285,7 @@ fn dead_laser_drops_between_forwards() {
         Pinned {
             outputs: Hex(0x7598b64bd6a4b469),
             snapshot: Hex(0x289da56ef7695cb9),
+            streamed: Hex(0x289da56ef7695cb9),
             decoded: Hex(0x9dd7bf7866d3fc3c),
             latency: Latency {
                 count: 2000,
@@ -307,6 +317,7 @@ fn flight_recorder_flushes_per_sample() {
         Pinned {
             outputs: Hex(0xec92fc520d03e843),
             snapshot: Hex(0x621516107974cc30),
+            streamed: Hex(0x621516107974cc30),
             decoded: Hex(0x8b4bfaba650b8a13),
             latency: Latency {
                 count: 6000,
@@ -339,6 +350,7 @@ fn one_way_filter_bypass() {
         Pinned {
             outputs: Hex(0x11a674b3bb8b993f),
             snapshot: Hex(0x32369802c9210503),
+            streamed: Hex(0x32369802c9210503),
             decoded: Hex(0x973641a6ad2dc584),
             latency: Latency {
                 count: 6000,
@@ -371,6 +383,7 @@ fn run_one_frames() {
         Pinned {
             outputs: Hex(0x2786f5a8f887ab66),
             snapshot: Hex(0xc6371e7c68441388),
+            streamed: Hex(0xc6371e7c68441388),
             decoded: Hex(0xbee9044428f1d541),
             latency: Latency {
                 count: 800,

@@ -6,7 +6,9 @@
 //! encodes to, decoded back and compared; then the malformed shapes a
 //! decoder fed untrusted bytes must refuse. The format is serde's
 //! externally tagged one (unit variant → string, data variant →
-//! single-key object), keys in `BTreeMap` order.
+//! single-key object), keys in `BTreeMap` order. Every literal is the
+//! text `write_json` streams, and one bitstream image, whose CRC covers
+//! its metadata text, is pinned by its hash.
 
 use std::fmt::Debug;
 
@@ -16,18 +18,27 @@ use flexsfp_core::bitstream::{Bitstream, BitstreamError, BitstreamMeta};
 use flexsfp_core::control::{ControlPlane, ControlRequest, ControlResponse};
 use flexsfp_core::module::{FlexSfp, SimPacket};
 use flexsfp_fabric::resources::ResourceManifest;
-use flexsfp_obs::json::{FromJson, ToJson, Value};
+use flexsfp_obs::json::{FromJson, ToJson, Value, Writer};
 use flexsfp_obs::{DropReason, EventKind, FlightRecord, FlightVerdict, StageStamp};
 use flexsfp_ppe::{Direction, TableOpResult};
 use flexsfp_wire::builder::PacketBuilder;
-use flexsfp_wire::MacAddr;
+use flexsfp_wire::{fnv1a, MacAddr, FNV1A_OFFSET};
 
 fn parse(text: &str) -> Value {
     Value::parse(text).unwrap_or_else(|e| panic!("golden text {text} is not JSON: {e}"))
 }
 
-/// `value` encodes to exactly `text`, and `text` decodes to `value`.
+/// The compact text `value` streams through a [`Writer`].
+fn streamed<T: ToJson>(value: &T) -> String {
+    let mut w = Writer::compact();
+    value.write_json(&mut w);
+    w.into_string()
+}
+
+/// `value` encodes to exactly `text`, streamed and as a tree, and
+/// `text` decodes to `value`.
 fn pin<T: ToJson + FromJson + PartialEq + Debug>(value: T, text: &str) {
+    assert_eq!(streamed(&value), text, "streaming {value:?}");
     assert_eq!(value.to_json().to_string(), text, "encoding {value:?}");
     assert_eq!(
         T::from_json(&parse(text)).as_ref(),
@@ -48,6 +59,7 @@ fn refuse<T: FromJson + Debug>(text: &str) {
 fn pin_table_request(text: &str, debug: &str) {
     let request = ControlRequest::from_json(&parse(text)).unwrap_or_else(|| panic!("{text}"));
     assert_eq!(format!("{request:?}"), debug, "decoding {text}");
+    assert_eq!(streamed(&request), text, "streaming {debug}");
     assert_eq!(request.to_json().to_string(), text, "encoding {debug}");
 }
 
@@ -328,6 +340,42 @@ fn bitstream_metadata() {
     let mut broken = b"FSBS\0\0\0\x02{}".to_vec();
     broken.extend_from_slice(&flexsfp_fabric::hash::crc32(&broken).to_be_bytes());
     assert_eq!(Bitstream::from_bytes(&broken), Err(BitstreamError::BadMeta));
+}
+
+/// A whole image, configuration included: its CRC, and the `crc32` a
+/// `BeginUpdate` announces, are taken over these bytes, so the
+/// metadata's text must not move by a byte.
+#[test]
+fn bitstream_image_is_pinned() {
+    let image = Bitstream::new(
+        "nat",
+        3,
+        ResourceManifest::new(9_122, 11_294, 36, 160),
+        156_250_000,
+    )
+    .with_config(flexsfp_obs::json!({
+        "table_size": 32768,
+        "mappings": [[3232235521u32, 1698693121u32], [3232235522u32, 1698693122u32]],
+        "label": "edge \"a\"",
+        "ratio": 0.75,
+        "spare": null,
+    }))
+    .to_bytes();
+    assert_eq!(
+        (image.len(), Hex(fnv1a(FNV1A_OFFSET, &image))),
+        (114_280, Hex(0xae1a6ad8f572c69b)),
+        "the image's length and hash"
+    );
+}
+
+/// An FNV-1a hash that prints the way it is written above.
+#[derive(PartialEq)]
+struct Hex(u64);
+
+impl Debug for Hex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Hex({:#018x})", self.0)
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@ use flexsfp::core::control::{ControlPlane, ControlRequest, CONTROL_PORT};
 use flexsfp::core::module::{FlexSfp, ModuleConfig, OutputDigest, SimPacket, SimReport};
 use flexsfp::core::ShellKind;
 use flexsfp::fabric::clock::ClockDomain;
+use flexsfp::obs::json::Writer;
 use flexsfp::obs::{FlightRecord, FromJson, TelemetrySnapshot, ToJson, Value};
 use flexsfp::ppe::{Direction, PacketProcessor, TableOp};
 use flexsfp::traffic::rng::Xoshiro256;
@@ -90,6 +91,13 @@ fn hash_json<T: ToJson>(v: &T) -> Hex {
     Hex(fnv1a(FNV1A_OFFSET, v.to_json().to_string().as_bytes()))
 }
 
+/// The hash of the compact text `v` streams through a [`Writer`].
+fn hash_streamed<T: ToJson>(v: &T) -> Hex {
+    let mut w = Writer::compact();
+    v.write_json(&mut w);
+    Hex(fnv1a(FNV1A_OFFSET, w.into_string().as_bytes()))
+}
+
 /// The hash of the `Debug` text of what `v`'s JSON decodes back to: a
 /// change to the wire form alone moves [`hash_json`], not this.
 fn hash_decoded<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(v: &T) -> Hex {
@@ -158,8 +166,9 @@ fn counters(r: &SimReport) -> Counters {
 /// ring (count, first and last `(timestamp, label)`, and a hash over
 /// the full kind + timestamp list), the drained flight records (count,
 /// verdict-label tally, hash over every field), the window totals, a
-/// hash over every bucket's JSON and one over what that JSON decodes
-/// to, and the four lane frame counters.
+/// hash over every bucket's JSON as `to_json()` renders it, one as
+/// `write_json` streams it and one over what that JSON decodes to, and
+/// the four lane frame counters.
 #[derive(Debug, PartialEq)]
 struct Telemetry {
     events: usize,
@@ -175,6 +184,7 @@ struct Telemetry {
     window_totals: [u64; 6],
     live_windows: usize,
     windows_hash: Hex,
+    windows_streamed: Hex,
     windows_decoded: Hex,
     /// edge rx, edge tx, optical rx, optical tx.
     lane_frames: [u64; 4],
@@ -213,6 +223,7 @@ fn telemetry(snap: &TelemetrySnapshot, flights: &[FlightRecord]) -> Telemetry {
         ],
         live_windows: snap.windows.windows().len(),
         windows_hash: hash_json(&snap.windows),
+        windows_streamed: hash_streamed(&snap.windows),
         windows_decoded: hash_decoded(&snap.windows),
         lane_frames: [
             snap.edge_rx.frames,
@@ -406,6 +417,7 @@ fn every_branch_trace_is_pinned() {
                 window_totals: [1419, 0, 75, 412, 413, 0],
                 live_windows: 28,
                 windows_hash: Hex(0x02ad1f1c01fa2670),
+                windows_streamed: Hex(0x02ad1f1c01fa2670),
                 windows_decoded: Hex(0x7d5fe35972f8992f),
                 lane_frames: [903, 597, 596, 827],
                 lane_errors: [0, 0, 0, 0],
@@ -437,6 +449,7 @@ fn every_branch_trace_is_pinned() {
                 window_totals: [1530, 0, 263, 581, 432, 0],
                 live_windows: 34,
                 windows_hash: Hex(0x71c461bc05b14ac6),
+                windows_streamed: Hex(0x71c461bc05b14ac6),
                 windows_decoded: Hex(0xe3b2fed75558049e),
                 lane_frames: [1092, 709, 707, 827],
                 lane_errors: [0, 0, 0, 0],
@@ -468,6 +481,7 @@ fn every_branch_trace_is_pinned() {
                 window_totals: [369, 62, 0, 0, 0, 0],
                 live_windows: 12,
                 windows_hash: Hex(0x5d4f55f97fba5fc1),
+                windows_streamed: Hex(0x5d4f55f97fba5fc1),
                 windows_decoded: Hex(0x1e81add98a5f3d2a),
                 lane_frames: [298, 71, 202, 298],
                 lane_errors: [0, 0, 0, 0],
@@ -499,6 +513,7 @@ fn every_branch_trace_is_pinned() {
                 window_totals: [384, 73, 60, 0, 0, 0],
                 live_windows: 14,
                 windows_hash: Hex(0xe43e0900410fb581),
+                windows_streamed: Hex(0xe43e0900410fb581),
                 windows_decoded: Hex(0x0aa960957ec1ad19),
                 lane_frames: [358, 86, 242, 298],
                 lane_errors: [0, 0, 0, 0],
@@ -530,6 +545,7 @@ fn every_branch_trace_is_pinned() {
                 window_totals: [384, 73, 160, 0, 0, 0],
                 live_windows: 16,
                 windows_hash: Hex(0xf4763579b9e84186),
+                windows_streamed: Hex(0xf4763579b9e84186),
                 windows_decoded: Hex(0x9c9e07a66ef1bbb6),
                 lane_frames: [414, 86, 242, 298],
                 lane_errors: [0, 0, 44, 0],
