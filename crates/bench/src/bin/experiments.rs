@@ -60,7 +60,7 @@ use flexsfp_bench::{
     ablations, fig1, fig2, latency, linerate, par, perf, power, rack, scaling, slo, soak, table1,
     table2, table3,
 };
-use flexsfp_obs::json::Value;
+use flexsfp_obs::json;
 use flexsfp_obs::{SloSpec, ToJson};
 use std::io::{self, Write};
 
@@ -92,11 +92,11 @@ impl Opts {
 }
 
 /// What one experiment hands back: the human-readable table, the JSON
-/// report, and whether its gate (if it has one) passed.
-type Outcome = (String, Value, bool);
+/// report's indented text, and whether its gate (if it has one) passed.
+type Outcome = (String, String, bool);
 
 fn outcome<R: ToJson>(report: &R, render: fn(&R) -> String, healthy: bool) -> Outcome {
-    (render(report), report.to_json(), healthy)
+    (render(report), json::to_string_pretty(report), healthy)
 }
 
 /// One experiment: its subcommand, the baseline file it records in the
@@ -231,7 +231,6 @@ fn main() {
         }
         let written = (|| {
             writeln!(out, "{text}")?;
-            let report = report.to_string_pretty();
             if let Some(file) = baseline {
                 std::fs::write(file, format!("{report}\n"))
                     .unwrap_or_else(|e| panic!("write {file}: {e}"));

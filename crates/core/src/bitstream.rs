@@ -10,7 +10,7 @@
 
 use flexsfp_fabric::hash::crc32;
 use flexsfp_fabric::resources::ResourceManifest;
-use flexsfp_obs::json::{FromJson, ToJson, Value};
+use flexsfp_obs::json::{self, FromJson, Value};
 
 /// Magic bytes introducing a FlexSFP bitstream image.
 pub const MAGIC: &[u8; 4] = b"FSBS";
@@ -98,7 +98,7 @@ impl Bitstream {
 
     /// Serialize: `MAGIC | meta_len:u32 | meta_json | payload | crc32`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let meta = self.meta.to_json().to_string().into_bytes();
+        let meta = json::to_string(&self.meta).into_bytes();
         let mut out = Vec::with_capacity(4 + 4 + meta.len() + self.payload.len() + 4);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(meta.len() as u32).to_be_bytes());

@@ -22,7 +22,7 @@ use crate::auth::{self, AuthKey};
 use crate::reprogram::{UpdateError, UpdateFsm, UpdateState};
 use flexsfp_fabric::flash::SpiFlash;
 use flexsfp_fabric::i2c::DomReading;
-use flexsfp_obs::json::{FromJson, ToJson, Value};
+use flexsfp_obs::json::{self, FromJson, ToJson, Value};
 use flexsfp_ppe::{PacketProcessor, TableOp, TableOpResult};
 use flexsfp_wire::builder::PacketBuilder;
 use flexsfp_wire::{EthernetFrame, Ipv4Packet, MacAddr, UdpDatagram};
@@ -185,7 +185,7 @@ flexsfp_obs::impl_json_enum!(ControlResponse {
 /// Frame `msg` as a control payload: `MAGIC | tag | JSON`, the tag
 /// taken over the JSON under `key`.
 fn seal<T: ToJson>(key: &AuthKey, msg: &T) -> Vec<u8> {
-    let body = msg.to_json().to_string().into_bytes();
+    let body = json::to_string(msg).into_bytes();
     let mut out = Vec::with_capacity(12 + body.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&auth::tag(key, &body));

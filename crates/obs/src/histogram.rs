@@ -276,19 +276,8 @@ impl LatencyHistogram {
 // span hundreds of nanoseconds to tens of microseconds and leave nearly
 // every bucket between `min` and `max` empty.
 impl ToJson for LatencyHistogram {
-    fn to_json(&self) -> Value {
-        crate::json!({
-            "count": self.count,
-            "counts": self.occupied().collect::<Vec<_>>().to_json(),
-            "max": self.max,
-            "min": self.min,
-            "sum_q_hi": (self.sum_q >> 64) as u64,
-            "sum_q_lo": self.sum_q as u64,
-        })
-    }
-
-    /// The members of `to_json` in byte order of their names, as its map
-    /// holds them.
+    /// The members in byte order of their names, as a parsed object's
+    /// map holds them.
     fn write_json(&self, w: &mut Writer) {
         w.begin_object();
         w.key("count").u64(self.count);

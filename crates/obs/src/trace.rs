@@ -10,7 +10,7 @@
 //! be opened directly in Perfetto.
 
 use crate::events::{DropReason, TraceRing};
-use crate::json::{ToJson, Value};
+use crate::json::Value;
 
 /// Cycle-resolution timestamps for one match-action stage of one
 /// sampled packet, relative to pipeline entry.
@@ -167,7 +167,7 @@ pub fn chrome_trace(module_id: &str, records: &[FlightRecord], cycle_ns: f64) ->
         }
     }
     crate::json!({
-        "traceEvents": events.to_json(),
+        "traceEvents": Value::Array(events),
         "displayTimeUnit": "ns".to_string()
     })
 }
@@ -175,7 +175,7 @@ pub fn chrome_trace(module_id: &str, records: &[FlightRecord], cycle_ns: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::FromJson;
+    use crate::json::{FromJson, ToJson};
 
     fn record(seq: u64) -> FlightRecord {
         FlightRecord {

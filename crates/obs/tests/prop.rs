@@ -1,16 +1,13 @@
 //! Property tests for the observability primitives: the histogram's
 //! relative-error bound, merge-equals-concatenation, trace-ring loss
-//! accounting, windowed-series conservation under a bounded ring, and
-//! the streamed JSON of every telemetry type equal to its tree's text.
+//! accounting, and windowed-series conservation under a bounded ring.
 //!
 //! Each property runs [`CASES`] seeded cases under plain `cargo test`;
 //! a failure names the case's seed, which reproduces it alone.
 
-use flexsfp_obs::json::Writer;
 use flexsfp_obs::{
-    CacheStats, CrosspointCounters, CtrlCounters, DataplaneEvent, DomSnapshot, DropCounters,
-    DropReason, EventKind, FlightRecord, FlightVerdict, FromJson, LatencyHistogram, PortCounters,
-    TableTelemetry, TelemetrySnapshot, ToJson, TraceRing, Value, WindowedSeries, XbarTelemetry,
+    DataplaneEvent, EventKind, FlightRecord, FlightVerdict, FromJson, LatencyHistogram, ToJson,
+    TraceRing, Value, WindowedSeries,
 };
 use flexsfp_traffic::rng::Xoshiro256;
 
@@ -322,37 +319,6 @@ fn record_forwarded_n_equals_n_single_records() {
     });
 }
 
-/// `write_json` writes, compact and pretty, exactly the bytes the tree
-/// `to_json()` builds renders.
-fn assert_streams_its_tree<T: ToJson>(value: &T, case: u64) {
-    let tree = value.to_json();
-    for (mut w, want) in [
-        (Writer::compact(), tree.to_string()),
-        (Writer::pretty(), tree.to_string_pretty()),
-    ] {
-        value.write_json(&mut w);
-        assert_eq!(w.into_string(), want, "case {case:#x}");
-    }
-}
-
-/// Text with every kind of character the emitter treats differently.
-fn any_string(rng: &mut Xoshiro256) -> String {
-    const CHARS: [char; 10] = ['a', 'Z', '"', '\\', '/', '\n', '\u{1}', '\u{7f}', 'é', '😀'];
-    (0..rng.range_usize(0, 12))
-        .map(|_| CHARS[rng.range_usize(0, CHARS.len())])
-        .collect()
-}
-
-/// Any bit pattern (NaN, ±∞, subnormals, ±0 included) or an ordinary
-/// reading.
-fn any_f64(rng: &mut Xoshiro256) -> f64 {
-    if rng.chance(0.5) {
-        f64::from_bits(rng.next_u64())
-    } else {
-        rng.next_f64() * 200.0 - 100.0
-    }
-}
-
 /// Empty, one bucket holding `u64::MAX` samples, or up to 200 samples.
 fn any_histogram(rng: &mut Xoshiro256) -> LatencyHistogram {
     let mut h = LatencyHistogram::new();
@@ -366,145 +332,4 @@ fn any_histogram(rng: &mut Xoshiro256) -> LatencyHistogram {
         }
     }
     h
-}
-
-fn any_series(rng: &mut Xoshiro256) -> WindowedSeries {
-    let mut series = WindowedSeries::new(rng.range_u64(1, 5_000), rng.range_usize(1, 6));
-    for _ in 0..rng.range_usize(0, 60) {
-        let ts = rng.range_u64(0, 50_000);
-        match rng.range_u64(0, 3) {
-            0 => series.record_forwarded(ts, rng.range_u64(0, 100_000) as f64),
-            1 => series.record_drop(ts, rng.chance(0.5)),
-            _ => series.record_cache(ts, rng.range_u64(0, 9), rng.range_u64(0, 9), 1, 7),
-        }
-    }
-    series
-}
-
-fn any_events(rng: &mut Xoshiro256) -> Vec<DataplaneEvent> {
-    const REASONS: [DropReason; 4] = [
-        DropReason::FifoOverflow,
-        DropReason::App,
-        DropReason::LinkDown,
-        DropReason::UnsortedArrival,
-    ];
-    (0..rng.range_usize(0, 10))
-        .map(|_| {
-            let slot = rng.range_u64(0, 256) as u8;
-            let kind = match rng.range_u64(0, 8) {
-                0 => EventKind::Drop {
-                    reason: REASONS[rng.range_usize(0, REASONS.len())],
-                },
-                1 => EventKind::ParseError,
-                2 => EventKind::TableMiss { stage: slot },
-                3 => EventKind::Reprogram { slot },
-                4 => EventKind::Reboot {
-                    slot,
-                    ok: rng.chance(0.5),
-                },
-                5 => EventKind::AuthReject,
-                6 => EventKind::LinkDown,
-                _ => EventKind::UpdateAbort,
-            };
-            DataplaneEvent {
-                timestamp_ns: any_u64(rng),
-                kind,
-            }
-        })
-        .collect()
-}
-
-fn any_xbar(rng: &mut Xoshiro256) -> XbarTelemetry {
-    XbarTelemetry {
-        ports: any_u64(rng),
-        depth: any_u64(rng),
-        enqueued: any_u64(rng),
-        granted: any_u64(rng),
-        dropped: any_u64(rng),
-        high_water: any_u64(rng),
-        output_grants: samples(rng, 0, 10, any_u64),
-        crosspoints: (0..rng.range_usize(0, 6))
-            .map(|_| CrosspointCounters {
-                input: any_u64(rng),
-                output: any_u64(rng),
-                enqueued: any_u64(rng),
-                granted: any_u64(rng),
-                dropped: any_u64(rng),
-                high_water: any_u64(rng),
-            })
-            .collect(),
-    }
-}
-
-fn any_snapshot(rng: &mut Xoshiro256) -> TelemetrySnapshot {
-    let mut port = || PortCounters {
-        frames: any_u64(rng),
-        bytes: any_u64(rng),
-        errors: any_u64(rng),
-    };
-    let (edge_rx, edge_tx, optical_rx, optical_tx) = (port(), port(), port(), port());
-    TelemetrySnapshot {
-        module_id: any_string(rng),
-        seq: any_u64(rng),
-        app: any_string(rng),
-        app_version: rng.next_u64() as u32,
-        boots: rng.next_u64() as u32,
-        edge_rx,
-        edge_tx,
-        optical_rx,
-        optical_tx,
-        drops: DropCounters {
-            fifo_overflow: any_u64(rng),
-            app: any_u64(rng),
-            link: any_u64(rng),
-            unsorted: any_u64(rng),
-        },
-        latency: any_histogram(rng),
-        dom: DomSnapshot {
-            tx_power_dbm: any_f64(rng),
-            rx_power_dbm: any_f64(rng),
-            bias_ma: any_f64(rng),
-            temp_c: any_f64(rng),
-        },
-        laser_fault: any_string(rng),
-        laser_healthy: rng.chance(0.5),
-        events: any_events(rng),
-        events_overwritten: any_u64(rng),
-        events_drained: any_u64(rng),
-        cache: CacheStats {
-            hits: any_u64(rng),
-            misses: any_u64(rng),
-            evictions: any_u64(rng),
-            invalidations: any_u64(rng),
-        },
-        table: TableTelemetry {
-            capacity: any_u64(rng),
-            occupied: any_u64(rng),
-            hits: any_u64(rng),
-            misses: any_u64(rng),
-            insert_failures: any_u64(rng),
-        },
-        ctrl: CtrlCounters {
-            dup_chunk_acks: any_u64(rng),
-            update_aborts: any_u64(rng),
-            update_errors: any_u64(rng),
-            status_queries: any_u64(rng),
-        },
-        windows: any_series(rng),
-    }
-}
-
-/// Every type the fleet scrape streams writes, compact and pretty, the
-/// bytes of its tree: the histogram (empty and `u64::MAX`-count ones
-/// included), the windowed series, crossbar telemetry, an event log and
-/// a whole snapshot.
-#[test]
-fn streamed_json_equals_the_tree_text() {
-    for_each_case(0x57ea, |rng, case| {
-        assert_streams_its_tree(&any_histogram(rng), case);
-        assert_streams_its_tree(&any_series(rng), case);
-        assert_streams_its_tree(&any_xbar(rng), case);
-        assert_streams_its_tree(&any_events(rng), case);
-        assert_streams_its_tree(&any_snapshot(rng), case);
-    });
 }
