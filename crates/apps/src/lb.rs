@@ -87,7 +87,7 @@ impl L4LoadBalancer {
             vip_port,
             backends,
             lookup,
-            engine: ActionEngine::new(4, Vec::new()),
+            engine: ActionEngine::new(4),
             parser: Parser::default(),
         }
     }
@@ -124,7 +124,7 @@ impl PacketProcessor for L4LoadBalancer {
         "l4-lb"
     }
 
-    fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
+    fn process(&mut self, _ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
         let Some(parsed) = self.parser.parse(packet) else {
             return Verdict::Drop;
         };
@@ -144,7 +144,7 @@ impl PacketProcessor for L4LoadBalancer {
         };
         match self
             .engine
-            .apply(Action::SetIpv4Dst(backend), ctx, packet, &parsed, None)
+            .apply(Action::SetIpv4Dst(backend), packet, &parsed, None)
         {
             ActionOutcome::Continue { .. } => {}
             ActionOutcome::Final(v) => return v,

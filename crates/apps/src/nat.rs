@@ -72,7 +72,7 @@ impl StaticNat {
             front: FlowFront::new(table.capacity()),
             nat: Translator {
                 table,
-                engine: ActionEngine::new(4, Vec::new()),
+                engine: ActionEngine::new(4),
                 parser: Parser::default(),
             },
         }
@@ -155,10 +155,10 @@ impl FlowProgram for Translator {
         if let Some(public) = public {
             let rewrite = Action::SetIpv4Src(public);
             self.engine
-                .apply(rewrite, ctx, packet, &parsed, rec.as_deref_mut());
+                .apply(rewrite, packet, &parsed, rec.as_deref_mut());
         }
         self.engine
-            .apply(Action::Count(counter), ctx, packet, &parsed, rec);
+            .apply(Action::Count(counter), packet, &parsed, rec);
         Verdict::Forward
     }
 }

@@ -58,7 +58,7 @@ impl TunnelGateway {
             kind,
             local,
             remote,
-            engine: ActionEngine::new(4, Vec::new()),
+            engine: ActionEngine::new(4),
             parser: Parser::default(),
         }
     }
@@ -122,7 +122,7 @@ impl TunnelGateway {
         }
     }
 
-    fn decap(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
+    fn decap(&mut self, packet: &mut Vec<u8>) -> Verdict {
         match self.kind {
             TunnelKind::Gre { .. } | TunnelKind::IpIp => {
                 let Some(parsed) = self.parser.parse(packet) else {
@@ -130,7 +130,7 @@ impl TunnelGateway {
                 };
                 match self
                     .engine
-                    .apply(Action::DecapTunnel, ctx, packet, &parsed, None)
+                    .apply(Action::DecapTunnel, packet, &parsed, None)
                 {
                     ActionOutcome::Continue { .. } => {}
                     ActionOutcome::Final(v) => return v,
@@ -176,7 +176,7 @@ impl PacketProcessor for TunnelGateway {
                 }
                 match self
                     .engine
-                    .apply(self.encap_action(), ctx, packet, &parsed, None)
+                    .apply(self.encap_action(), packet, &parsed, None)
                 {
                     ActionOutcome::Continue { .. } => {}
                     ActionOutcome::Final(v) => return v,
@@ -186,7 +186,7 @@ impl PacketProcessor for TunnelGateway {
             }
             Direction::OpticalToEdge => {
                 if self.is_our_tunnel(packet) {
-                    self.decap(ctx, packet)
+                    self.decap(packet)
                 } else {
                     self.engine.counters.count(counters::PASSED, packet.len());
                     Verdict::Forward

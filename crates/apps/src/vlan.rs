@@ -44,7 +44,7 @@ impl VlanTagger {
             pcp: 0,
             s_tag: None,
             drop_tagged_ingress: true,
-            engine: ActionEngine::new(4, Vec::new()),
+            engine: ActionEngine::new(4),
             parser: Parser::default(),
         }
     }
@@ -60,14 +60,9 @@ impl VlanTagger {
         self.engine.counters.get(idx)
     }
 
-    fn apply(
-        &mut self,
-        action: Action,
-        ctx: &ProcessContext,
-        packet: &mut Vec<u8>,
-    ) -> Option<Verdict> {
+    fn apply(&mut self, action: Action, packet: &mut Vec<u8>) -> Option<Verdict> {
         let parsed = self.parser.parse(packet)?;
-        match self.engine.apply(action, ctx, packet, &parsed, None) {
+        match self.engine.apply(action, packet, &parsed, None) {
             ActionOutcome::Continue { .. } => None,
             ActionOutcome::Final(v) => Some(v),
         }
@@ -98,13 +93,12 @@ impl PacketProcessor for VlanTagger {
                             vid: self.access_vid,
                             pcp: self.pcp,
                         },
-                        ctx,
                         packet,
                     ) {
                         return v;
                     }
                     if let Some(s_vid) = self.s_tag {
-                        if let Some(v) = self.apply(Action::PushSTag { vid: s_vid }, ctx, packet) {
+                        if let Some(v) = self.apply(Action::PushSTag { vid: s_vid }, packet) {
                             return v;
                         }
                     }
@@ -124,7 +118,7 @@ impl PacketProcessor for VlanTagger {
                     if !tagged {
                         break;
                     }
-                    if let Some(v) = self.apply(Action::PopVlan, ctx, packet) {
+                    if let Some(v) = self.apply(Action::PopVlan, packet) {
                         return v;
                     }
                     stripped = true;

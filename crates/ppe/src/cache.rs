@@ -642,9 +642,8 @@ impl ActionOps {
 /// describes `packet`): the ops that *are* the edit, or `None` for an
 /// action [`Action::is_pure`] excludes. The dynamic no-op and bounds
 /// conditions live here and nowhere else — no IPv4 layer, an address or
-/// DSCP already in place, no tag to pop or re-number, an L4 checksum
-/// field a truncated frame cuts off — and each compiles to fewer ops or
-/// none. [`ActionEngine::apply`](crate::action::ActionEngine::apply) is
+/// DSCP already in place, no tag to pop, an L4 checksum field a
+/// truncated frame cuts off — and each compiles to fewer ops or none. [`ActionEngine::apply`](crate::action::ActionEngine::apply) is
 /// the one caller: it records the ops and runs them through
 /// [`run_ops`].
 #[inline(always)]
@@ -676,17 +675,6 @@ pub(crate) fn compile_action(
                         udp: false,
                     });
                 }
-            }
-        }
-        Action::SetVlanVid(vid) => {
-            if !parsed.vlans.is_empty() {
-                let old_tci = u16::from_be_bytes([packet[14], packet[15]]);
-                let new_tci = (old_tci & 0xf000) | (vid & 0x0fff);
-                ops.push(PlanOp::Write {
-                    offset: 14,
-                    len: 2,
-                    data: [(new_tci >> 8) as u8, (new_tci & 0xff) as u8, 0, 0],
-                });
             }
         }
         Action::PushVlan { vid, pcp } => {
@@ -1395,14 +1383,13 @@ mod tests {
         // Slow path, recording.
         let mut slow = udp_frame();
         let parsed = Parser::default().parse(&slow).unwrap();
-        let mut engine = ActionEngine::new(4, Vec::new());
+        let mut engine = ActionEngine::new(4);
         let mut rec = PlanRecorder::new();
-        let ctx = crate::engine::ProcessContext::egress();
         for (action, modified) in [
             (Action::SetIpv4Src(new_src), true),
             (Action::Count(0), false),
         ] {
-            let out = engine.apply(action, &ctx, &mut slow, &parsed, Some(&mut rec));
+            let out = engine.apply(action, &mut slow, &parsed, Some(&mut rec));
             assert_eq!(out, ActionOutcome::Continue { modified });
         }
         assert_eq!(slow, want, "slow-path bytes must equal the reference");
@@ -1525,11 +1512,10 @@ mod tests {
     fn recorder_invalidation_blocks_caching() {
         let mut f = udp_frame();
         let parsed = Parser::default().parse(&f).unwrap();
-        assert!(compile_action(&Action::Meter(0), &f, &parsed).is_none());
+        assert!(compile_action(&Action::DecapTunnel, &f, &parsed).is_none());
         let mut rec = PlanRecorder::new();
-        crate::action::ActionEngine::new(0, Vec::new()).apply(
-            Action::Meter(0),
-            &crate::engine::ProcessContext::egress(),
+        crate::action::ActionEngine::new(0).apply(
+            Action::DecapTunnel,
             &mut f,
             &parsed,
             Some(&mut rec),

@@ -265,7 +265,7 @@ impl Codelet {
             name: name.into(),
             program,
             tables,
-            engine: ActionEngine::new(64, Vec::new()),
+            engine: ActionEngine::new(64),
             parser: Parser::default(),
         })
     }
@@ -385,7 +385,7 @@ impl PacketProcessor for Codelet {
                         WField::DstIp => Action::SetIpv4Dst(v as u32),
                         WField::Dscp => Action::SetDscp((v & 0x3f) as u8),
                     };
-                    match self.engine.apply(action, ctx, packet, &parsed, None) {
+                    match self.engine.apply(action, packet, &parsed, None) {
                         ActionOutcome::Continue { modified } => {
                             if modified {
                                 if let Some(p) = self.parser.parse(packet) {

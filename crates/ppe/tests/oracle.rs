@@ -14,7 +14,7 @@
 use flexsfp_ppe::action::{Action, ActionEngine, ActionOutcome};
 use flexsfp_ppe::cache::{replay, PlanRecorder};
 use flexsfp_ppe::counters::CounterBank;
-use flexsfp_ppe::{Direction, FlowKey, Parser, ProcessContext, Verdict};
+use flexsfp_ppe::{Direction, FlowKey, Parser, Verdict};
 use flexsfp_traffic::rng::Xoshiro256;
 use flexsfp_wire::vlan::{self, Tci};
 use flexsfp_wire::{
@@ -29,11 +29,10 @@ const FRAMES: u64 = 2_048;
 const COUNTERS: usize = 4;
 
 /// The pure actions, by the name a failure prints.
-const KINDS: [&str; 8] = [
+const KINDS: [&str; 7] = [
     "SetIpv4Src",
     "SetIpv4Dst",
     "SetDscp",
-    "SetVlanVid",
     "PushVlan",
     "PushSTag",
     "PopVlan",
@@ -314,19 +313,6 @@ fn reference(action: Action, frame: &mut Vec<u8>, counters: &mut [(u64, u64)]) -
             ip.set_header_checksum(patched);
             true
         }
-        Action::SetVlanVid(vid) => {
-            let tagged = frame.len() >= ethernet::HEADER_LEN + vlan::TAG_LEN
-                && EthernetFrame::new_unchecked(&frame[..])
-                    .ethertype()
-                    .is_vlan();
-            if !tagged {
-                return false;
-            }
-            let mut tag = VlanFrame::new_unchecked(&mut frame[ethernet::HEADER_LEN..]);
-            let tci = Tci { vid, ..tag.tci() };
-            tag.set_tci(tci);
-            true
-        }
         Action::PushVlan { vid, pcp } => {
             let tci = Tci {
                 pcp,
@@ -393,15 +379,14 @@ fn draw_action(kind: usize, flow: &Flow, frame: &[u8], rng: &mut Xoshiro256) -> 
             0 => flow.tos >> 2, // the codepoint already there
             _ => (r >> 8) as u8,
         }),
-        3 => Action::SetVlanVid((r >> 8) as u16),
-        4 => Action::PushVlan {
+        3 => Action::PushVlan {
             vid: (r >> 8) as u16,
             pcp: (r >> 24) as u8,
         },
-        5 => Action::PushSTag {
+        4 => Action::PushSTag {
             vid: (r >> 8) as u16,
         },
-        6 => Action::PopVlan,
+        5 => Action::PopVlan,
         _ => Action::Count((r >> 8) as usize % (COUNTERS + 2)),
     }
 }
@@ -417,7 +402,7 @@ fn apply(
     let parsed = Parser::default()
         .parse(&packet)
         .expect("14 bytes and more parse");
-    let out = engine.apply(action, &ProcessContext::egress(), &mut packet, &parsed, rec);
+    let out = engine.apply(action, &mut packet, &parsed, rec);
     (out, packet)
 }
 
@@ -436,7 +421,7 @@ fn apply_equals_the_wire_level_reference() {
     let (mut zero_kept, mut sent_as_ffff, mut in_place, mut tcp, mut cut) = (0, 0, 0, 0, 0);
     for (kind, name) in KINDS.iter().enumerate() {
         let mut rng = Xoshiro256::seed_from_u64(0x0a_c1e + kind as u64);
-        let mut engine = ActionEngine::new(COUNTERS, Vec::new());
+        let mut engine = ActionEngine::new(COUNTERS);
         let mut model = [(0u64, 0u64); COUNTERS];
         for i in 0..FRAMES {
             let flow = Flow::draw(&mut rng);
@@ -484,7 +469,7 @@ fn apply_equals_the_wire_level_reference() {
 fn a_recorded_plan_replays_on_the_flows_next_packet() {
     for (kind, name) in KINDS.iter().enumerate() {
         let mut rng = Xoshiro256::seed_from_u64(0x2e_91a7 + kind as u64);
-        let mut slow = ActionEngine::new(COUNTERS, Vec::new());
+        let mut slow = ActionEngine::new(COUNTERS);
         let mut fast = CounterBank::new(COUNTERS);
         let mut replayed = 0;
         for i in 0..FRAMES {
@@ -498,7 +483,7 @@ fn a_recorded_plan_replays_on_the_flows_next_packet() {
                 continue;
             }
             let mut rec = PlanRecorder::new();
-            let mut scratch = ActionEngine::new(COUNTERS, Vec::new());
+            let mut scratch = ActionEngine::new(COUNTERS);
             apply(&mut scratch, action, &first, Some(&mut rec));
             let plan = rec.finish(Verdict::Forward).expect("a pure action records");
             let mut got = second.clone();
