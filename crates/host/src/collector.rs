@@ -225,10 +225,9 @@ impl FleetCollector {
     /// Latest snapshots (and accumulated event logs) as a compact JSON
     /// document, `{id: {"recent_events": [...], "snapshot": {...}}}` in
     /// module-id order. A latency histogram's `counts` lists only its
-    /// occupied buckets, as `[index, count]` pairs. Streamed through one
-    /// [`Writer`]: members come in byte order of their names, so the
-    /// text is the bytes the same document built as a
-    /// [`Value`](flexsfp_obs::Value) tree renders, and no tree is built.
+    /// occupied buckets, as `[index, count]` pairs. Written through one
+    /// [`Writer`] by each type's `write_json`, members in byte order of
+    /// their names; no tree is built.
     /// For a human, re-render the parsed text with
     /// [`Value::to_string_pretty`](flexsfp_obs::Value::to_string_pretty).
     pub fn to_json(&self) -> String {
