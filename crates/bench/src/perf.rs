@@ -617,6 +617,25 @@ mod tests {
     }
 
     #[test]
+    fn a_sharded_run_keeps_minimum_frames_in_small_buffers() {
+        // Thousands of frames are in flight between the dispatcher and
+        // the workers; each should hold its 60 B, not a full MTU.
+        let arena = PacketArena::new();
+        let mut widest = 0;
+        run_sharded(
+            2,
+            &ModuleConfig::default(),
+            |_| nat_module(),
+            workload(20_000, &arena),
+            |out| {
+                widest = widest.max(out.frame.capacity());
+                arena.recycle(out.frame);
+            },
+        );
+        assert!(widest <= 128, "the sink saw a {widest} B buffer");
+    }
+
+    #[test]
     fn sharded_bound_is_constant_in_trace_length() {
         // The bound depends on shard count and the pipeline's constant
         // windows only — nothing about it may scale with packets.

@@ -98,7 +98,7 @@ pub(crate) const OUT_CHUNK: usize = CHUNK + PPE_BATCH;
 /// interval to the sink), and backlog is what keeps one busy through
 /// the other's burst: on the 2-core sandbox 8 → 32 chunks is worth a
 /// tenth of the 2-shard throughput and 32 → 64 nothing, while every
-/// chunk of depth keeps 128 more frames (1.5 KB each) live per shard.
+/// chunk of depth keeps 128 more frames (128 B or more each) live per shard.
 /// At 32 the slot buffers of a run are `2 · shards · 32` of ≈ 5.5 KB.
 pub(crate) const RING_CHUNKS: usize = 32;
 /// Global-sequence distance between flush barriers on the threaded

@@ -309,8 +309,8 @@ impl TraceBuilder {
     }
 
     /// Like [`stream`](Self::stream), but lease frame buffers from the
-    /// caller's [`PacketArena`], so each paced frame reserves the arena's
-    /// frame capacity. A consumer that recycles frames back into the same
+    /// caller's [`PacketArena`], each paced frame from the arena's class
+    /// for its length. A consumer that recycles frames back into the same
     /// arena (e.g. after `FlexSfp::run_stream_with` in `flexsfp-core`
     /// emits them) keeps the whole run allocation-free in steady state.
     pub fn stream_pooled(&self, count: usize, arena: PacketArena) -> TraceStream {
@@ -499,7 +499,7 @@ impl Iterator for TraceStream {
         let mut frame = self
             .arena
             .as_ref()
-            .map_or_else(Vec::new, PacketArena::lease);
+            .map_or_else(Vec::new, |arena| arena.lease_for(len));
         if flow.tcp || len > PAYLOAD_FILL.len() {
             TraceBuilder::build_frame_into(&flow, len, self.next_seq as u32, &mut frame);
         } else {

@@ -125,9 +125,28 @@ fn pooled_stream_is_allocation_bounded_and_identical() {
         arena.recycle(p.frame);
     }
     assert_eq!(digest, 0x73d7_765a_9dcd_1ece);
-    // One frame in flight at a time => one buffer ever allocated.
-    assert_eq!(arena.allocations(), 1);
+    // One frame in flight at a time => one buffer ever allocated per
+    // size class, and IMIX fills both.
+    assert_eq!(arena.allocations(), 2);
     assert_eq!(arena.leases(), 64);
+}
+
+#[test]
+fn a_pooled_minimum_frame_leases_a_small_buffer() {
+    use flexsfp_wire::PacketArena;
+    let arena = PacketArena::new();
+    let b = TraceBuilder::new(3)
+        .tcp_share(0.25)
+        .sizes(SizeModel::Fixed(60));
+    for p in b.stream_pooled(256, arena.clone()) {
+        assert_eq!(p.frame.len(), 60);
+        assert!(
+            p.frame.capacity() <= 128,
+            "a 60 B frame reserved {} B",
+            p.frame.capacity()
+        );
+        arena.recycle(p.frame);
+    }
 }
 
 #[test]
@@ -167,7 +186,8 @@ fn rack_shaped() -> [(TraceBuilder, usize, usize); 2] {
 #[test]
 fn rack_shaped_traces_build_what_the_pooled_stream_yields() {
     use flexsfp_wire::PacketArena;
-    for (b, n, bursts) in rack_shaped() {
+    // IMIX fills both size classes; jumbo frames take the full one only.
+    for ((b, n, bursts), classes) in rack_shaped().into_iter().zip([2, 1]) {
         let built = b.build(n);
         assert_eq!(built.len(), n + bursts);
         let arena = PacketArena::new();
@@ -179,10 +199,11 @@ fn rack_shaped_traces_build_what_the_pooled_stream_yields() {
             yielded += 1;
         }
         assert_eq!(yielded, built.len());
-        // Every paced frame goes back to the arena, so one buffer serves
-        // the whole stream. Burst frames are built before the stream
-        // starts, each to its own 1 514 B, and the arena refuses them.
-        assert_eq!(arena.allocations(), 1);
+        // Every paced frame goes back to the arena, so one buffer per
+        // size class serves the whole stream. Burst frames are built
+        // before the stream starts, each to its own 1 514 B, and the
+        // arena, already holding every buffer it made, refuses them.
+        assert_eq!(arena.allocations(), classes);
         assert_eq!(arena.leases(), n as u64);
         assert_eq!(arena.recycles(), n as u64);
         assert_eq!(arena.discards(), bursts as u64);
@@ -198,11 +219,15 @@ fn materialised_frames_reserve_their_bytes_and_pooled_ones_the_arena_capacity() 
             assert_eq!(p.frame.capacity(), p.frame.len());
         }
         // Burst frames are the stream's own, built to their 1 514 B
-        // before any lease; every paced frame is an arena buffer.
+        // before any lease; every paced frame is an arena buffer of the
+        // class for its length.
         let pooled: Vec<TracePacket> = b.stream_pooled(n, PacketArena::new()).collect();
         let leased = pooled
             .iter()
-            .filter(|p| p.frame.capacity() >= DEFAULT_FRAME_CAPACITY)
+            .filter(|p| match p.frame.len() {
+                ..=64 => p.frame.capacity() == 128,
+                _ => p.frame.capacity() >= DEFAULT_FRAME_CAPACITY,
+            })
             .count();
         assert_eq!(leased, n);
         assert_eq!(pooled.len() - leased, bursts);
