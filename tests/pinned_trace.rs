@@ -413,12 +413,12 @@ fn every_branch_trace_is_pinned() {
                 events_hash: Hex(0x0206b2a5838a46c5),
                 flights: 217,
                 flight_verdicts: [202, 15, 0, 0, 0],
-                flights_hash: Hex(0x1b740af7b3830c02),
-                window_totals: [1419, 0, 75, 412, 413, 0],
+                flights_hash: Hex(0x034fe726ebf29349),
+                window_totals: [1419, 0, 75, 549, 276, 0],
                 live_windows: 28,
-                windows_hash: Hex(0x02ad1f1c01fa2670),
-                windows_streamed: Hex(0x02ad1f1c01fa2670),
-                windows_decoded: Hex(0x7d5fe35972f8992f),
+                windows_hash: Hex(0xd990144c506502a2),
+                windows_streamed: Hex(0xd990144c506502a2),
+                windows_decoded: Hex(0x9660a4c484703929),
                 lane_frames: [903, 597, 596, 827],
                 lane_errors: [0, 0, 0, 0],
                 lifetime_drops: 75,
@@ -445,12 +445,12 @@ fn every_branch_trace_is_pinned() {
                 events_hash: Hex(0xe3b5888c200ae78b),
                 flights: 50,
                 flight_verdicts: [17, 0, 0, 33, 0],
-                flights_hash: Hex(0xd14fc5591e4384f6),
-                window_totals: [1530, 0, 263, 581, 432, 0],
+                flights_hash: Hex(0x2c9776f0fe67140b),
+                window_totals: [1530, 0, 263, 726, 287, 0],
                 live_windows: 34,
-                windows_hash: Hex(0x71c461bc05b14ac6),
-                windows_streamed: Hex(0x71c461bc05b14ac6),
-                windows_decoded: Hex(0xe3b2fed75558049e),
+                windows_hash: Hex(0xa3a030947621e0df),
+                windows_streamed: Hex(0xa3a030947621e0df),
+                windows_decoded: Hex(0x861cef16c0ee5df7),
                 lane_frames: [1092, 709, 707, 827],
                 lane_errors: [0, 0, 0, 0],
                 lifetime_drops: 263,
