@@ -31,8 +31,10 @@ const SUM_QUANTUM_BITS: u32 = 20;
 /// Quantize a nonnegative finite nanosecond sample to sum quanta.
 fn quantize(v: f64) -> u128 {
     let scaled = (v * (1u64 << SUM_QUANTUM_BITS) as f64).round();
-    if scaled >= u128::MAX as f64 {
-        u128::MAX
+    // f64→u128 is a libcall: go through u64 below 2⁶⁴ quanta (≈ 4.9
+    // hours). Both casts saturate, so the top is `u128::MAX`.
+    if scaled < u64::MAX as f64 {
+        u128::from(scaled as u64)
     } else {
         scaled as u128
     }
@@ -357,6 +359,42 @@ impl FromJson for LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The u64 shortcut is the plain u128 cast at, just below and just
+    /// above 2⁶⁴ quanta, and saturates at the top as that cast does.
+    #[test]
+    fn quantize_matches_the_u128_cast_across_two_to_the_64_quanta() {
+        let per_ns = (1u64 << SUM_QUANTUM_BITS) as f64;
+        let cast = |v: f64| {
+            let scaled = (v * per_ns).round();
+            if scaled >= u128::MAX as f64 {
+                u128::MAX
+            } else {
+                scaled as u128
+            }
+        };
+        let edge = 2f64.powi(64) / per_ns;
+        let cases = [
+            0.0,
+            0.4,
+            0.5,
+            1_234.567,
+            edge.next_down(),
+            edge,
+            edge.next_up(),
+            edge * 3.0,
+            2f64.powi(128) / per_ns,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for v in cases {
+            assert_eq!(quantize(v), cast(v), "{v:e} ns");
+        }
+        assert_eq!(quantize(edge.next_down()), (1 << 64) - 2048);
+        assert_eq!(quantize(edge), 1 << 64);
+        assert_eq!(quantize(edge.next_up()), (1 << 64) + 4096);
+        assert_eq!(quantize(f64::MAX), u128::MAX);
+    }
 
     #[test]
     fn small_values_are_exact() {
