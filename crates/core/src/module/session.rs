@@ -75,6 +75,24 @@ struct LatencyRun {
     n: u64,
 }
 
+/// A femtosecond span in nanoseconds, exactly `fs as f64 / 1e6`.
+/// Below 2⁶⁴ fs the u64 conversion is one instruction; the u128 one is
+/// a libcall that LLVM hoists above an inline branch, so it lives in
+/// [`wide_fs_to_ns`], which nothing can hoist out of.
+fn fs_to_ns(fs: u128) -> f64 {
+    match u64::try_from(fs) {
+        Ok(fs) => fs as f64 / 1e6,
+        Err(_) => wide_fs_to_ns(fs),
+    }
+}
+
+/// [`fs_to_ns`] at and above 2⁶⁴ fs (≈ 5 simulated hours).
+#[cold]
+#[inline(never)]
+fn wide_fs_to_ns(fs: u128) -> f64 {
+    fs as f64 / 1e6
+}
+
 /// The drop-reason table, counter half: which counter a reason bumps.
 fn drop_counter(drops: &mut DropCounters, reason: DropReason) -> &mut u64 {
     match reason {
@@ -228,12 +246,7 @@ impl<'a> Accounts<'a> {
         } else {
             (t.departure_fs / 1_000_000) as u64
         };
-        let transit_fs = t.departure_fs - t.arrival_fs;
-        let latency_ns = if transit_fs <= u128::from(u64::MAX) {
-            transit_fs as u64 as f64 / 1e6
-        } else {
-            transit_fs as f64 / 1e6
-        };
+        let latency_ns = fs_to_ns(t.departure_fs - t.arrival_fs);
         self.forwarded(departure_ns, latency_ns);
         match egress {
             Interface::Edge => self.report.forwarded.0 += 1,
@@ -737,6 +750,40 @@ mod tests {
     use flexsfp_fabric::clock::ClockDomain;
     use flexsfp_ppe::engine::{DropAll, PassThrough};
     use flexsfp_wire::MacAddr;
+
+    /// Both arms are the plain u128 conversion, bit for bit, at, just
+    /// below and just above 2⁶⁴ fs, and at the top of the range.
+    #[test]
+    fn fs_to_ns_matches_the_u128_conversion_across_two_to_the_64_fs() {
+        let edge = 1u128 << 64;
+        let cases = [
+            0,
+            1,
+            999_999,
+            1_000_000,
+            315_000_000,
+            edge - 4097,
+            edge - 2048,
+            edge - 1,
+            edge,
+            edge + 1,
+            edge + 4096,
+            edge * 3,
+            u128::MAX,
+        ];
+        for fs in cases {
+            assert_eq!(
+                fs_to_ns(fs).to_bits(),
+                (fs as f64 / 1e6).to_bits(),
+                "{fs} fs"
+            );
+        }
+        assert_eq!(fs_to_ns(315_000_000), 315.0);
+        // 2⁶⁴ − 1 rounds up to 2⁶⁴ on either side of the branch.
+        assert_eq!(fs_to_ns(edge - 1), fs_to_ns(edge));
+        assert_eq!(fs_to_ns(edge), 2f64.powi(64) / 1e6);
+        assert_eq!(fs_to_ns(u128::MAX), 2f64.powi(128) / 1e6);
+    }
 
     #[test]
     fn passthrough_forwards_at_line_rate() {
