@@ -138,6 +138,16 @@ pub struct Report {
     pub mpps_sharded: f64,
     /// Shard count the `mpps_sharded` measurement used.
     pub shards: u64,
+    /// Backpressure episodes of the timed sharded pass that set
+    /// `mpps_sharded` ([`shard::ShardedRun::backpressure`]). This and
+    /// the next two are counts, not clocks.
+    pub backpressure: u64,
+    /// The dispatcher's yields on a full ring in that pass
+    /// ([`shard::ShardedRun::full_ring_yields`]).
+    pub full_ring_yields: u64,
+    /// Rounds in which that pass's workers found no chunk
+    /// ([`shard::ShardedRun::idle_rounds`]).
+    pub idle_rounds: u64,
     /// Serial cache-on throughput of the high-flow variant: the same
     /// paced minimum-frame workload over [`HIGH_FLOWS`] flows against a
     /// NAT provisioned at [`HIGH_FLOW_TABLE`] slots. Digest-verified
@@ -178,6 +188,9 @@ flexsfp_obs::impl_json_struct!(Report {
     mpps_tracing_on,
     mpps_sharded,
     shards,
+    backpressure,
+    full_ring_yields,
+    idle_rounds,
     mpps_64k_flows,
     cache_hit_rate,
     digest,
@@ -295,6 +308,9 @@ struct PassRun {
     cache: CacheStats,
     /// Frame copies made by the sharded pipeline (0 when serial).
     frame_copies: u64,
+    /// The sharded pipeline's backpressure episodes, full-ring yields
+    /// and idle worker rounds (0 when serial).
+    waits: [u64; 3],
     /// Wall-clock of the streaming run itself: generation + simulation,
     /// module construction excluded when serial (the sharded run builds
     /// its modules on the shards' own threads, inside the clock).
@@ -323,24 +339,27 @@ impl Pass {
             observe(&out);
             arena.recycle(out.frame);
         };
-        let (report, cache, frame_copies, wall) = match self.shards {
+        let (report, cache, frame_copies, waits, wall) = match self.shards {
             None => {
                 let mut module = self.module();
                 let t0 = Instant::now();
                 let report = module.run_stream_with(workload, sink);
                 let wall = t0.elapsed();
                 let cache = module.app_mut().cache_stats().unwrap_or_default();
-                (report, cache, 0, wall)
+                (report, cache, 0, [0; 3], wall)
             }
             Some(shards) => {
                 let config = ModuleConfig::default();
                 let t0 = Instant::now();
                 let run = run_sharded(shards, &config, |_| self.module(), workload, sink);
+                let wall = t0.elapsed();
+                let waits = [run.backpressure, run.full_ring_yields, run.idle_rounds];
                 (
                     run.report,
                     run.snapshot.cache,
                     run.frame_copies,
-                    t0.elapsed(),
+                    waits,
+                    wall,
                 )
             }
         };
@@ -349,6 +368,7 @@ impl Pass {
             offered: report.offered,
             cache,
             frame_copies,
+            waits,
             wall_s: wall.as_secs_f64(),
             arena_allocations: arena.allocations(),
             arena_leases: arena.leases(),
@@ -364,12 +384,13 @@ fn verify(packets: usize, pass: Pass) -> (u64, PassRun) {
     (digest.value(), run)
 }
 
-/// Best-of-[`MEASURE_REPS`] wall-clock for `pass` with a recycle-only
-/// sink.
-fn measure(packets: usize, pass: Pass) -> f64 {
+/// The fastest of [`MEASURE_REPS`] passes of `pass` with a
+/// recycle-only sink.
+fn measure(packets: usize, pass: Pass) -> PassRun {
     (0..MEASURE_REPS)
-        .map(|_| pass.stream(packets, |_| {}).wall_s)
-        .fold(f64::INFINITY, f64::min)
+        .map(|_| pass.stream(packets, |_| {}))
+        .min_by(|a, b| a.wall_s.total_cmp(&b.wall_s))
+        .expect("at least one rep")
 }
 
 /// Upper bound on frame buffers a sharded run may hold in flight — the
@@ -474,11 +495,13 @@ pub fn run(packets: usize, shards: usize) -> Report {
         "flow cache changed observable output at {HIGH_FLOWS} flows \
          ({high_on:016x} vs {high_off:016x})"
     );
-    let off_wall_s = measure(packets, cache_off);
-    let wall_s = measure(packets, BASE);
-    let tracing_on_wall_s = measure(packets, recording);
-    let sharded_wall_s = measure(packets, sharded_pass);
-    let high_wall_s = measure(packets, HIGH);
+    let off_wall_s = measure(packets, cache_off).wall_s;
+    let wall_s = measure(packets, BASE).wall_s;
+    let tracing_on_wall_s = measure(packets, recording).wall_s;
+    let timed_sharded = measure(packets, sharded_pass);
+    let sharded_wall_s = timed_sharded.wall_s;
+    let [backpressure, full_ring_yields, idle_rounds] = timed_sharded.waits;
+    let high_wall_s = measure(packets, HIGH).wall_s;
 
     Report {
         packets: packets as u64,
@@ -490,6 +513,9 @@ pub fn run(packets: usize, shards: usize) -> Report {
         mpps_tracing_on: packets as f64 / tracing_on_wall_s / 1e6,
         mpps_sharded: packets as f64 / sharded_wall_s / 1e6,
         shards: shards as u64,
+        backpressure,
+        full_ring_yields,
+        idle_rounds,
         mpps_64k_flows: packets as f64 / high_wall_s / 1e6,
         cache_hit_rate: on.cache.hit_rate(),
         digest: format!("{digest:016x}"),
@@ -531,6 +557,9 @@ pub fn render(r: &Report) -> String {
         render::f(r.mpps_tracing_on, 3),
         render::f(r.mpps_sharded, 3),
         r.shards.to_string(),
+        render::grouped(r.backpressure),
+        render::grouped(r.full_ring_yields),
+        render::grouped(r.idle_rounds),
         render::f(r.mpps_64k_flows, 3),
         render::f(r.cache_hit_rate * 100.0, 2),
         render::f(r.delivery * 100.0, 2),
@@ -554,6 +583,9 @@ pub fn render(r: &Report) -> String {
                 "Mpps (rec 1/64)",
                 "Mpps (sharded)",
                 "shards",
+                "backpressure",
+                "full-ring yields",
+                "idle rounds",
                 "Mpps (64k flows)",
                 "cache hit %",
                 "delivery %",

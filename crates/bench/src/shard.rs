@@ -21,19 +21,17 @@
 //! 2. **Per-shard modules** — each shard is a full [`FlexSfp`] (its
 //!    own flow cache, PPE server model, flight recorder, windowed
 //!    telemetry), fed over a bounded SPSC ring
-//!    ([`flexsfp_fabric::ring`]) whose slots hold whole chunks:
-//!    `push_slice`/`pop_chunk` swap a staged `Vec` of up to [`CHUNK`]
-//!    messages across under one lock and one position publish. The
-//!    run never has more runnable threads than
-//!    [`par::effective_parallelism`] says the host has: the dispatcher
-//!    plus `min(shards, threads − 1)` workers, each stepping the lanes
-//!    of shards `w, w + W, …` round-robin. Chunk buffers circulate for
-//!    the life of the run — all are made at set-up — so it allocates
-//!    O(shards) of them whatever the trace length
-//!    ([`ShardedRun::chunk_allocs`]). Frames cross
-//!    the rings as moves; the only copy anywhere in the pipeline is
-//!    the control-frame broadcast, accounted in
-//!    [`ShardedRun::frame_copies`].
+//!    ([`flexsfp_fabric::ring`]) whose slots hold whole chunks of up
+//!    to [`CHUNK`] messages, swapped under one lock and one publish.
+//!    The dispatcher plus `min(shards, threads − 1)` workers run
+//!    ([`par::effective_parallelism`]), each worker stepping the lanes
+//!    of shards `w, w + W, …` round-robin. A lane touches every frame
+//!    of a chunk before it handles any: the dispatcher's core wrote
+//!    them, and misses taken together overlap where one per packet
+//!    stalls. Chunk buffers are all made at set-up
+//!    ([`ShardedRun::chunk_allocs`]); frames cross the rings as moves,
+//!    and the only copy is the control-frame broadcast
+//!    ([`ShardedRun::frame_copies`]).
 //! 3. **Reconcile** — a sequence-indexed window buffer merges the
 //!    shard output streams back into exactly the serial sink order.
 //!    Watermarks make the merge safe and bounded: at a per-transport
@@ -121,6 +119,24 @@ pub const INLINE_BARRIER_EVERY: u64 = 1024;
 /// per-packet integer division a runtime modulus would cost.
 fn shard_index(hash: u32, shards: usize) -> usize {
     ((u64::from(hash) * shards as u64) >> 32) as usize
+}
+
+/// Take a frame's header lines into this core's cache, writable. A
+/// frame the other core just wrote is a miss wherever it is first read;
+/// touching a whole chunk's frames back to back lets those misses
+/// overlap instead of stalling one packet at a time. The store writes
+/// back the byte it read, which also claims the line for the edits
+/// that follow. (No prefetch intrinsic: the workspace forbids
+/// `unsafe`.)
+fn touch_header(frame: &mut [u8]) {
+    // The first and last of the first 64 bytes: the one or two cache
+    // lines the header spans, wherever the buffer starts.
+    let Some(last) = frame.len().min(64).checked_sub(1) else {
+        return;
+    };
+    for i in [0, last] {
+        frame[i] = std::hint::black_box(frame[i]);
+    }
 }
 
 /// Flow hash from an already-extracted key: no frame access at all.
@@ -454,6 +470,8 @@ struct DispatchStats {
     unsorted: u64,
     last_arrival_ns: u64,
     backpressure: u64,
+    full_ring_yields: u64,
+    idle_rounds: u64,
     routed: Vec<u64>,
     frame_copies: u64,
     chunk_allocs: u64,
@@ -581,6 +599,7 @@ impl ThreadedTransport {
                 stalled = true;
             }
             self.drain(recon, sink);
+            stats.full_ring_yields += 1;
             std::thread::yield_now();
         }
     }
@@ -678,6 +697,8 @@ where
     // runtime value, and a u64 division per packet is real money at
     // ~100 ns/packet budgets.
     let mut until_barrier = barrier_every;
+    // Outputs come back a chunk at a time, so look for them as often.
+    let mut until_poll = CHUNK;
     for pkt in packets {
         stats.offered += 1;
         stats.offered_bytes += pkt.frame.len() as u64;
@@ -758,7 +779,11 @@ where
             }
             transport.flush(recon, sink, &mut stats);
         }
-        transport.poll(recon, sink);
+        until_poll -= 1;
+        if until_poll == 0 {
+            until_poll = CHUNK;
+            transport.poll(recon, sink);
+        }
     }
     for shard in 0..shards {
         transport.send(shard, ShardMsg::Eof, recon, sink, &mut stats);
@@ -780,6 +805,14 @@ pub struct ShardedRun {
     pub shards: usize,
     /// Dispatcher stall episodes on full shard rings (backpressure).
     pub backpressure: u64,
+    /// Times the dispatcher yielded its core because a shard's ring was
+    /// full: how long the [`ShardedRun::backpressure`] episodes lasted,
+    /// summed over the rings. 0 on the inline transport.
+    pub full_ring_yields: u64,
+    /// Rounds in which a worker found no chunk in any of its lanes and
+    /// yielded, summed over the workers: how long they waited on the
+    /// dispatcher. 0 on the inline transport.
+    pub idle_rounds: u64,
     /// Dataplane packets routed per shard (control broadcasts excluded).
     pub routed: Vec<u64>,
     /// Frame copies made anywhere in the pipeline. Only control-frame
@@ -879,10 +912,13 @@ where
             });
         }
         std::thread::scope(|scope| {
-            for links in links {
-                let make_module = &make_module;
-                scope.spawn(move || worker_loop(links, make_module));
-            }
+            let workers: Vec<_> = links
+                .into_iter()
+                .map(|links| {
+                    let make_module = &make_module;
+                    scope.spawn(move || worker_loop(links, make_module))
+                })
+                .collect();
             // The transport moves into this closure so that a panic on
             // this thread drops it — closing every inbound ring, which
             // is what tells the workers to stop — before the scope
@@ -897,6 +933,12 @@ where
                 &mut sink,
             );
             stats.chunk_allocs = chunk_allocs;
+            // Every lane has reported `Done`, so every worker is on its
+            // way out.
+            stats.idle_rounds = workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .sum();
             stats
         })
     };
@@ -955,6 +997,11 @@ impl Lane {
                 Step::Idle
             };
         }
+        for msg in inbox.iter_mut() {
+            if let ShardMsg::Packet { pkt, .. } | ShardMsg::Control { pkt, .. } = msg {
+                touch_header(&mut pkt.frame);
+            }
+        }
         for msg in inbox.drain(..) {
             let flush_now = matches!(msg, ShardMsg::Barrier { .. } | ShardMsg::Eof);
             let done = self.engine.handle(msg, &mut |out| outbuf.push(out));
@@ -977,8 +1024,9 @@ impl Lane {
 /// The worker side of the threaded transport: build this worker's
 /// shards (on this thread, as [`run_sharded`] promises), then step
 /// their lanes round-robin, one chunk each, until all have finished —
-/// yielding the core only when a whole round found no work.
-fn worker_loop<M: Fn(usize) -> FlexSfp>(links: Vec<Link>, make_module: &M) {
+/// yielding the core only when a whole round found no work. Returns
+/// how many rounds did ([`ShardedRun::idle_rounds`]).
+fn worker_loop<M: Fn(usize) -> FlexSfp>(links: Vec<Link>, make_module: &M) -> u64 {
     let mut lanes: Vec<Lane> = links
         .into_iter()
         .map(|link| Lane {
@@ -986,6 +1034,7 @@ fn worker_loop<M: Fn(usize) -> FlexSfp>(links: Vec<Link>, make_module: &M) {
             link,
         })
         .collect();
+    let mut idle_rounds = 0;
     while !lanes.is_empty() {
         let mut worked = false;
         lanes.retain_mut(|lane| match lane.step() {
@@ -994,12 +1043,19 @@ fn worker_loop<M: Fn(usize) -> FlexSfp>(links: Vec<Link>, make_module: &M) {
                 worked = true;
                 true
             }
-            Step::Finished => false,
+            // Retiring is not waiting: only a round of `Idle` lanes
+            // counts and yields.
+            Step::Finished => {
+                worked = true;
+                false
+            }
         });
         if !worked {
+            idle_rounds += 1;
             std::thread::yield_now();
         }
     }
+    idle_rounds
 }
 
 /// Merge the dispatcher's accounting and every shard's report and
@@ -1048,6 +1104,8 @@ fn merge(stats: DispatchStats, recon: Reconciler, shards: usize) -> ShardedRun {
         snapshot: snapshot.expect("at least one shard"),
         shards,
         backpressure: stats.backpressure,
+        full_ring_yields: stats.full_ring_yields,
+        idle_rounds: stats.idle_rounds,
         routed: stats.routed,
         frame_copies: stats.frame_copies,
         chunk_allocs: stats.chunk_allocs,

@@ -523,3 +523,127 @@ fn threaded_transport_is_zero_copy_with_constant_chunk_allocs() {
         "only control broadcasts may copy"
     );
 }
+
+/// The run's two wait counts: 0 on the inline transport, and on the
+/// threaded one the sums over every ring and every worker. The waits
+/// are the program's own scheduling, so the threaded runs provoke them
+/// by making one side slow. At 3 effective threads two workers share
+/// the lanes. Odd shards take 200 ms to build on their worker, and
+/// 40 000 packets overfill their rings meanwhile, so the dispatcher
+/// yields on them. The sink sleeps 100 ms at its first output, so every
+/// worker runs dry at least once and the sum is at least one round per
+/// worker. None of it may move an output.
+#[test]
+fn shard_wait_counts_are_zero_inline_and_summed_over_workers() {
+    let workload = || {
+        TraceBuilder::new(0x51)
+            .flows(FLOWS)
+            .src_base(PRIVATE_BASE)
+            .sizes(SizeModel::Imix)
+            .arrivals(ArrivalModel::Paced { utilization: 0.8 })
+            .build(40_000)
+            .into_iter()
+            .map(|p| as_sim(p.arrival_ns, p.frame))
+    };
+    let (serial_digest, serial_report) = serial_reference("nat", workload().collect());
+    let run = |shards: usize, slow: bool| {
+        let mut digest = OutputDigest::default();
+        let mut slept = !slow;
+        let run = run_sharded(
+            shards,
+            &ModuleConfig::default(),
+            |shard| {
+                if slow && shard % 2 == 1 {
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                }
+                FlexSfp::new(ModuleConfig::default(), app_by_name("nat"))
+            },
+            workload(),
+            |out| {
+                if !slept {
+                    slept = true;
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                }
+                digest.fold(&out)
+            },
+        );
+        assert_eq!(digest.value(), serial_digest, "{shards} shards");
+        assert_reports_match("nat", shards, &run.report, &serial_report);
+        run
+    };
+    {
+        let _inline = force_threads(1);
+        for shards in [1, 2, 4] {
+            let r = run(shards, false);
+            assert_eq!(
+                (r.backpressure, r.full_ring_yields, r.idle_rounds),
+                (0, 0, 0),
+                "the inline transport never waits ({shards} shards)"
+            );
+        }
+    }
+    let _threaded = force_threads(3);
+    for shards in [2, 4] {
+        let r = run(shards, true);
+        assert!(r.backpressure >= 1, "{shards} shards: no full ring");
+        assert!(
+            r.full_ring_yields >= r.backpressure,
+            "{shards} shards: every episode yields at least once"
+        );
+        assert!(
+            r.idle_rounds >= 2,
+            "{shards} shards: two workers, {} idle rounds",
+            r.idle_rounds
+        );
+    }
+}
+
+/// The threaded lanes read every frame's first and last header byte
+/// before handling a chunk, so frames shorter than any header must
+/// cross them untouched: every seventh frame of the IMIX workload is
+/// cut to 0, 1, 13 or 59 bytes (prefixes of a workload frame) or to an
+/// Ethernet header announcing IPv4 followed by ten bytes of it. The
+/// arrival times stay, so no queue forms that the workload lacks. Every
+/// app, at 2 and 4 shards on forced threads, must match serial byte for
+/// byte.
+#[test]
+fn threaded_lanes_carry_frames_shorter_than_a_header() {
+    let workload = || {
+        let mut packets = shard_workload();
+        let whole = packets[0].frame.clone();
+        let mut truncated_ipv4 = whole[..14].to_vec();
+        truncated_ipv4[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
+        truncated_ipv4.extend_from_slice(&whole[14..24]);
+        let shorts = [
+            Vec::new(),
+            whole[..1].to_vec(),
+            whole[..13].to_vec(),
+            whole[..59].to_vec(),
+            truncated_ipv4,
+        ];
+        for (i, pkt) in packets.iter_mut().enumerate().skip(3).step_by(7) {
+            pkt.frame = shorts[i / 7 % shorts.len()].clone();
+        }
+        packets
+    };
+    let _threaded = force_threaded();
+    for app in ALL_APPS {
+        let (serial_digest, serial_report) = serial_reference(app, workload());
+        for shards in [2, 4] {
+            let mut digest = OutputDigest::default();
+            let run = run_sharded(
+                shards,
+                &ModuleConfig::default(),
+                |_| FlexSfp::new(ModuleConfig::default(), app_by_name(app)),
+                workload(),
+                |out| digest.fold(&out),
+            );
+            assert_eq!(
+                digest.value(),
+                serial_digest,
+                "app `{app}` at {shards} shards: short frames changed the stream"
+            );
+            assert_reports_match(app, shards, &run.report, &serial_report);
+        }
+    }
+}
