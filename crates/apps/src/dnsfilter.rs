@@ -17,15 +17,13 @@ use flexsfp_wire::dns::DnsHeader;
 
 /// Filter statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FilterStats {
+pub(crate) struct FilterStats {
     /// DNS queries inspected.
     pub inspected: u64,
     /// Queries dropped on a blocklist hit.
     pub blocked_dns: u64,
     /// TCP/443 packets to blocked DoH resolvers dropped.
     pub blocked_doh: u64,
-    /// Malformed DNS punted to the control plane.
-    pub punted_malformed: u64,
 }
 
 /// The DNS/DoH filter application.
@@ -33,9 +31,7 @@ pub struct DnsFilter {
     blocked_domains: Vec<String>,
     doh_resolvers: HashTable<u32, u32>,
     /// Statistics.
-    pub stats: FilterStats,
-    /// Punt malformed DNS to the control plane instead of forwarding.
-    pub punt_malformed: bool,
+    stats: FilterStats,
     parser: Parser,
 }
 
@@ -52,8 +48,7 @@ impl DnsFilter {
             blocked_domains: Vec::new(),
             doh_resolvers: HashTable::with_capacity(1024),
             stats: FilterStats::default(),
-            punt_malformed: false,
-            parser: Parser::default(),
+            parser: Parser,
         }
     }
 
@@ -105,14 +100,8 @@ impl PacketProcessor for DnsFilter {
                         }
                         Verdict::Forward
                     }
-                    None => {
-                        if self.punt_malformed {
-                            self.stats.punted_malformed += 1;
-                            Verdict::ToControlPlane
-                        } else {
-                            Verdict::Forward
-                        }
-                    }
+                    // Malformed DNS is not ours to judge: it passes.
+                    None => Verdict::Forward,
                 }
             }
             L4::Tcp { dst_port: 443, .. } => {
@@ -302,9 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn malformed_dns_punt_mode() {
+    fn malformed_dns_is_forwarded() {
         let mut f = filter();
-        f.punt_malformed = true;
         let mut junk = PacketBuilder::eth_ipv4_udp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
@@ -316,9 +304,8 @@ mod tests {
         );
         assert_eq!(
             f.process(&ProcessContext::egress(), &mut junk),
-            Verdict::ToControlPlane
+            Verdict::Forward
         );
-        assert_eq!(f.stats.punted_malformed, 1);
     }
 
     #[test]

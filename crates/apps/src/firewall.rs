@@ -116,13 +116,13 @@ fn prefix_mask(len: u8) -> u32 {
 /// Counter indices.
 pub mod counters {
     /// Permitted packets.
-    pub const PERMITTED: usize = 0;
+    pub(crate) const PERMITTED: usize = 0;
     /// Denied packets.
     pub const DENIED: usize = 1;
     /// Punted packets.
-    pub const PUNTED: usize = 2;
+    pub(crate) const PUNTED: usize = 2;
     /// Non-matchable (non-IPv4-TCP/UDP) packets.
-    pub const UNMATCHED: usize = 3;
+    pub(crate) const UNMATCHED: usize = 3;
 }
 
 /// The ACL firewall application.
@@ -143,7 +143,7 @@ impl AclFirewall {
         AclFirewall {
             table: TernaryTable::new(capacity),
             counters: CounterBank::new(8),
-            parser: Parser::default(),
+            parser: Parser,
             default_action: AclAction::Permit,
             screen_direction: None,
         }
@@ -157,11 +157,6 @@ impl AclFirewall {
     /// Remove all rules at `priority`; returns how many were removed.
     pub fn remove_priority(&mut self, priority: u32) -> usize {
         self.table.remove_priority(priority)
-    }
-
-    /// Installed rules.
-    pub fn rule_count(&self) -> usize {
-        self.table.len()
     }
 
     /// Read a counter.

@@ -15,21 +15,21 @@ use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 
 /// Size of the Maglev lookup table (a prime, per the Maglev paper).
-pub const TABLE_SIZE: usize = 65_537;
+pub(crate) const TABLE_SIZE: usize = 65_537;
 
 /// Counter indices.
 pub mod counters {
     /// VIP packets steered.
-    pub const STEERED: usize = 0;
+    pub(crate) const STEERED: usize = 0;
     /// Non-VIP packets passed through.
     pub const PASSED: usize = 1;
     /// VIP packets dropped because no backend is healthy.
-    pub const NO_BACKEND: usize = 2;
+    pub(crate) const NO_BACKEND: usize = 2;
 }
 
 /// Build a Maglev lookup table mapping `TABLE_SIZE` slots onto the given
 /// backends (by index). Returns an empty Vec when `backends` is empty.
-pub fn maglev_table(backends: &[u32], table_size: usize) -> Vec<u32> {
+pub(crate) fn maglev_table(backends: &[u32], table_size: usize) -> Vec<u32> {
     if backends.is_empty() {
         return Vec::new();
     }
@@ -88,7 +88,7 @@ impl L4LoadBalancer {
             backends,
             lookup,
             engine: ActionEngine::new(4),
-            parser: Parser::default(),
+            parser: Parser,
         }
     }
 
@@ -98,13 +98,13 @@ impl L4LoadBalancer {
     }
 
     /// Replace the backend set (rebuilds the Maglev table).
-    pub fn set_backends(&mut self, backends: Vec<u32>) {
+    pub(crate) fn set_backends(&mut self, backends: Vec<u32>) {
         self.lookup = maglev_table(&backends, TABLE_SIZE);
         self.backends = backends;
     }
 
     /// The backend a given 4-tuple steers to (diagnostics / tests).
-    pub fn backend_for(&self, src: u32, dst: u32, sport: u16, dport: u16) -> Option<u32> {
+    pub(crate) fn backend_for(&self, src: u32, dst: u32, sport: u16, dport: u16) -> Option<u32> {
         if self.lookup.is_empty() {
             return None;
         }

@@ -20,19 +20,19 @@ use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpRe
 /// Counter indices exposed by the NAT.
 pub mod counters {
     /// Packets translated.
-    pub const TRANSLATED: usize = 0;
+    pub(crate) const TRANSLATED: usize = 0;
     /// Packets passed through untranslated (table miss).
-    pub const MISSED: usize = 1;
+    pub(crate) const MISSED: usize = 1;
     /// Non-IPv4 packets passed through.
-    pub const NON_IP: usize = 2;
+    pub(crate) const NON_IP: usize = 2;
 }
 
 /// The flow capacity of the §5.1 prototype table.
-pub const FLOW_CAPACITY: usize = 32_768;
+pub(crate) const FLOW_CAPACITY: usize = 32_768;
 
 /// The direction that gets translated (the paper's "outgoing traffic":
 /// edge→optical); the other passes through untouched.
-pub const TRANSLATE_DIRECTION: Direction = Direction::EdgeToOptical;
+pub(crate) const TRANSLATE_DIRECTION: Direction = Direction::EdgeToOptical;
 
 /// Static 1:1 source NAT.
 pub struct StaticNat {
@@ -74,7 +74,7 @@ impl StaticNat {
             nat: Translator {
                 table,
                 engine: ActionEngine::new(4),
-                parser: Parser::default(),
+                parser: Parser,
             },
         }
     }
@@ -86,14 +86,9 @@ impl StaticNat {
     }
 
     /// Remove a translation.
-    pub fn remove_mapping(&mut self, private: u32) -> Option<u32> {
+    pub(crate) fn remove_mapping(&mut self, private: u32) -> Option<u32> {
         self.front.bump_dependency(private);
         self.nat.table.remove(&private)
-    }
-
-    /// Installed mappings.
-    pub fn mapping_count(&self) -> usize {
-        self.nat.table.len()
     }
 
     /// Read a counter.

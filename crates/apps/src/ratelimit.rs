@@ -14,7 +14,7 @@ use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdi
 
 /// Counter-style statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LimiterStats {
+pub(crate) struct LimiterStats {
     /// Packets passed (green).
     pub passed: u64,
     /// Packets dropped (red).
@@ -29,7 +29,7 @@ pub struct PerSourceRateLimiter {
     classifier: LpmTable<u32>,
     buckets: Vec<TokenBucket>,
     /// Statistics.
-    pub stats: LimiterStats,
+    stats: LimiterStats,
     parser: Parser,
 }
 
@@ -46,7 +46,7 @@ impl PerSourceRateLimiter {
             classifier: LpmTable::new(),
             buckets: Vec::new(),
             stats: LimiterStats::default(),
-            parser: Parser::default(),
+            parser: Parser,
         }
     }
 
@@ -57,11 +57,6 @@ impl PerSourceRateLimiter {
         self.buckets.push(TokenBucket::new(rate_bps, burst_bytes));
         self.classifier.insert(prefix, len, idx as u32);
         idx
-    }
-
-    /// Number of configured limits.
-    pub fn limit_count(&self) -> usize {
-        self.buckets.len()
     }
 }
 
@@ -265,7 +260,7 @@ mod tests {
             }),
             TableOpResult::Ok
         );
-        assert_eq!(rl.limit_count(), 1);
+        assert_eq!(rl.buckets.len(), 1);
         let mut pkt = frame(0x0a000001, 1000);
         assert_eq!(
             rl.process(&ProcessContext::egress().at(0), &mut pkt),

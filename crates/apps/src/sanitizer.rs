@@ -99,7 +99,7 @@ impl Sanitizer {
         Sanitizer {
             policy,
             stats: SanitizerStats::default(),
-            parser: Parser::default(),
+            parser: Parser,
         }
     }
 }

@@ -30,7 +30,7 @@ const ACK: u8 = 0x10;
 
 /// Guard statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GuardStats {
+pub(crate) struct GuardStats {
     /// TCP packets inspected.
     pub inspected: u64,
     /// Packets dropped while a source was quarantined.
@@ -43,7 +43,7 @@ pub struct GuardStats {
 pub struct SynFloodGuard {
     efsm: EfsmTable<u32>,
     /// Statistics.
-    pub stats: GuardStats,
+    stats: GuardStats,
     /// Deficit (SYNs minus ACKs) that triggers quarantine.
     pub threshold: u64,
     parser: Parser,
@@ -107,13 +107,8 @@ impl SynFloodGuard {
             efsm: EfsmTable::new(capacity, transitions),
             stats: GuardStats::default(),
             threshold,
-            parser: Parser::default(),
+            parser: Parser,
         }
-    }
-
-    /// Is `src` currently quarantined?
-    pub fn is_quarantined(&self, src: u32) -> bool {
-        self.efsm.peek(&src).is_some_and(|f| f.state == QUARANTINED)
     }
 
     /// Tracked sources.
@@ -193,6 +188,10 @@ mod tests {
     use flexsfp_wire::MacAddr;
 
     const ATTACKER: u32 = 0x0bad0001;
+
+    fn quarantined(g: &SynFloodGuard, src: u32) -> bool {
+        g.efsm.peek(&src).is_some_and(|f| f.state == QUARANTINED)
+    }
     const CLIENT: u32 = 0xc0a80001;
     const SERVER: u32 = 0x0a000050;
 
@@ -241,7 +240,7 @@ mod tests {
                 Verdict::Forward
             );
         }
-        assert!(!g.is_quarantined(CLIENT));
+        assert!(!quarantined(&g, CLIENT));
         assert_eq!(g.stats.dropped, 0);
     }
 
@@ -258,7 +257,7 @@ mod tests {
         }
         // Threshold 10: the 12th SYN (deficit 11 > 10) is dropped.
         assert_eq!(dropped_at, Some(11));
-        assert!(g.is_quarantined(ATTACKER));
+        assert!(quarantined(&g, ATTACKER));
         // Everything from the attacker drops during quarantine.
         let mut a = tcp(ATTACKER, ack(), 1);
         assert_eq!(
@@ -271,7 +270,7 @@ mod tests {
             g.process(&ProcessContext::egress().at(2_100_000), &mut s),
             Verdict::Forward
         );
-        assert!(!g.is_quarantined(ATTACKER));
+        assert!(!quarantined(&g, ATTACKER));
     }
 
     #[test]
@@ -281,7 +280,7 @@ mod tests {
             let mut s = tcp(ATTACKER, syn(), 6000 + i as u16);
             let _ = g.process(&ProcessContext::egress().at(i * 100), &mut s);
         }
-        assert!(g.is_quarantined(ATTACKER));
+        assert!(quarantined(&g, ATTACKER));
         let mut s = tcp(CLIENT, syn(), 5000);
         assert_eq!(
             g.process(&ProcessContext::egress().at(2_000), &mut s),
@@ -317,7 +316,7 @@ mod tests {
             let mut s = tcp(ATTACKER, syn(), 6000 + i as u16);
             let _ = g.process(&ProcessContext::egress().at(i * 100), &mut s);
         }
-        assert!(g.is_quarantined(ATTACKER));
+        assert!(quarantined(&g, ATTACKER));
         assert_eq!(
             g.control_op(&TableOp::Delete {
                 table: 0,
@@ -325,7 +324,7 @@ mod tests {
             }),
             TableOpResult::Ok
         );
-        assert!(!g.is_quarantined(ATTACKER));
+        assert!(!quarantined(&g, ATTACKER));
         let mut s = tcp(ATTACKER, syn(), 9000);
         assert_eq!(
             g.process(&ProcessContext::egress().at(99_999), &mut s),

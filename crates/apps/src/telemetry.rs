@@ -21,7 +21,7 @@ use flexsfp_wire::ipv4::Ipv4Packet;
 
 /// One flow record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlowRecord {
+pub(crate) struct FlowRecord {
     /// Packets seen.
     pub packets: u64,
     /// Bytes seen.
@@ -34,7 +34,7 @@ pub struct FlowRecord {
 
 /// Microburst detector state.
 #[derive(Debug, Clone, Copy)]
-pub struct MicroburstDetector {
+pub(crate) struct MicroburstDetector {
     /// Window length, ns.
     pub window_ns: u64,
     /// Bytes within a window that constitute a burst.
@@ -87,11 +87,11 @@ pub struct ExportRecord {
     /// Flow key.
     pub key: FiveTuple,
     /// The accounted record.
-    pub record: FlowRecord,
+    record: FlowRecord,
 }
 
 /// Serialized size of one [`ExportRecord`].
-pub const EXPORT_RECORD_BYTES: usize = 40;
+pub(crate) const EXPORT_RECORD_BYTES: usize = 40;
 
 impl ExportRecord {
     /// Serialize to the 40-byte wire layout.
@@ -139,7 +139,7 @@ impl ExportRecord {
 pub struct TelemetryProbe {
     flows: HashTable<FiveTuple, FlowRecord>,
     /// Microburst detector over all traffic.
-    pub microburst: MicroburstDetector,
+    microburst: MicroburstDetector,
     /// Enable in-band timestamp tagging (IPv4 ID rewrite).
     pub tag_timestamps: bool,
     parser: Parser,
@@ -155,33 +155,15 @@ impl TelemetryProbe {
             flows: HashTable::with_capacity(flow_capacity),
             microburst: MicroburstDetector::new(window_ns, burst_threshold_bytes),
             tag_timestamps: false,
-            parser: Parser::default(),
+            parser: Parser,
             untracked: 0,
         }
-    }
-
-    /// Number of tracked flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Read one flow record.
-    pub fn flow(&self, key: &FiveTuple) -> Option<FlowRecord> {
-        self.flows.peek(key)
-    }
-
-    /// Export all flow records and reset the cache (read-and-reset, so
-    /// consecutive exports never double-count).
-    pub fn export_and_reset(&mut self) -> Vec<(FiveTuple, FlowRecord)> {
-        let records: Vec<_> = self.flows.iter().collect();
-        self.flows.clear();
-        records
     }
 
     /// Serialize up to `max` flow records in the NetFlow-like wire
     /// format and evict them from the cache — the control plane reads
     /// this in slices so one export never exceeds a control frame.
-    pub fn export_wire(&mut self, max: usize) -> Vec<u8> {
+    pub(crate) fn export_wire(&mut self, max: usize) -> Vec<u8> {
         let batch: Vec<(FiveTuple, FlowRecord)> = self.flows.iter().take(max).collect();
         let mut out = Vec::with_capacity(4 + batch.len() * EXPORT_RECORD_BYTES);
         out.extend_from_slice(&(batch.len() as u32).to_be_bytes());
@@ -193,7 +175,7 @@ impl TelemetryProbe {
     }
 }
 
-/// Parse an [`TelemetryProbe::export_wire`] payload back into records
+/// Parse a `TelemetryProbe::export_wire` payload back into records
 /// (the host-side collector's decoder).
 pub fn parse_export(payload: &[u8]) -> Option<Vec<ExportRecord>> {
     if payload.len() < 4 {
@@ -317,28 +299,12 @@ mod tests {
         }
         let mut other = frame(6000);
         p.process(&ProcessContext::egress().at(9_999), &mut other);
-        assert_eq!(p.flow_count(), 2);
-        let rec = p.flow(&(SRC, DST, 17, 5000, 80)).unwrap();
+        assert_eq!(p.flows.len(), 2);
+        let rec = p.flows.peek(&(SRC, DST, 17, 5000, 80)).unwrap();
         assert_eq!(rec.packets, 5);
         assert_eq!(rec.first_ns, 0);
         assert_eq!(rec.last_ns, 4000);
         assert!(rec.bytes > 0);
-    }
-
-    #[test]
-    fn export_and_reset_is_lossless() {
-        let mut p = probe();
-        let mut pkt = frame(5000);
-        p.process(&ProcessContext::egress(), &mut pkt);
-        let first = p.export_and_reset();
-        assert_eq!(first.len(), 1);
-        assert_eq!(p.flow_count(), 0);
-        let mut pkt2 = frame(5000);
-        p.process(&ProcessContext::egress().at(100), &mut pkt2);
-        let second = p.export_and_reset();
-        // Packet counts across exports sum to the true total.
-        let total: u64 = first.iter().chain(&second).map(|(_, r)| r.packets).sum();
-        assert_eq!(total, 2);
     }
 
     #[test]
@@ -442,7 +408,7 @@ mod tests {
             let mut pkt = frame(sport);
             p.process(&ProcessContext::egress().at(1_000), &mut pkt);
         }
-        assert_eq!(p.flow_count(), 10);
+        assert_eq!(p.flows.len(), 10);
         // Export in slices of 4: 4 + 4 + 2.
         let mut all = Vec::new();
         loop {
@@ -454,7 +420,7 @@ mod tests {
             all.extend(records);
         }
         assert_eq!(all.len(), 10);
-        assert_eq!(p.flow_count(), 0);
+        assert_eq!(p.flows.len(), 0);
         let mut sports: Vec<u16> = all.iter().map(|r| r.key.3).collect();
         sports.sort();
         assert_eq!(sports, (5000..5010).collect::<Vec<_>>());

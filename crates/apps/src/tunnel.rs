@@ -32,9 +32,9 @@ pub enum TunnelKind {
 /// Counter indices.
 pub mod counters {
     /// Frames encapsulated.
-    pub const ENCAPPED: usize = 0;
+    pub(crate) const ENCAPPED: usize = 0;
     /// Frames decapsulated.
-    pub const DECAPPED: usize = 1;
+    pub(crate) const DECAPPED: usize = 1;
     /// Reverse-direction frames that were not our tunnel.
     pub const PASSED: usize = 2;
 }
@@ -59,7 +59,7 @@ impl TunnelGateway {
             local,
             remote,
             engine: ActionEngine::new(4),
-            parser: Parser::default(),
+            parser: Parser,
         }
     }
 
@@ -265,7 +265,7 @@ mod tests {
         // swapping outer addresses.
         let mut returning = pkt.clone();
         {
-            let parsed = Parser::default().parse(&returning).unwrap();
+            let parsed = Parser.parse(&returning).unwrap();
             let ip = parsed.ipv4.unwrap();
             let mut view = Ipv4Packet::new_unchecked(&mut returning[ip.offset..]);
             view.set_src(REMOTE);
@@ -317,7 +317,7 @@ mod tests {
         gw_a.process(&ProcessContext::egress(), &mut pkt);
         // Swap addresses for the return.
         {
-            let parsed = Parser::default().parse(&pkt).unwrap();
+            let parsed = Parser.parse(&pkt).unwrap();
             let ip = parsed.ipv4.unwrap();
             let mut view = Ipv4Packet::new_unchecked(&mut pkt[ip.offset..]);
             view.set_src(REMOTE);
@@ -365,7 +365,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(gw.counter(counters::ENCAPPED).packets, 1);
-        let p = Parser::default().parse(&arp).unwrap();
+        let p = Parser.parse(&arp).unwrap();
         assert!(p.ipv4.is_some());
     }
 

@@ -14,12 +14,12 @@ use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpRe
 /// Counter indices.
 pub mod counters {
     /// Frames tagged on ingress-to-network.
-    pub const TAGGED: usize = 0;
+    pub(crate) const TAGGED: usize = 0;
     /// Frames untagged toward the host.
-    pub const UNTAGGED: usize = 1;
+    pub(crate) const UNTAGGED: usize = 1;
     /// Frames dropped because they arrived already-tagged on an access
     /// port (tag spoofing).
-    pub const SPOOF_DROPPED: usize = 2;
+    pub(crate) const SPOOF_DROPPED: usize = 2;
 }
 
 /// The VLAN access tagger / QinQ application.
@@ -45,7 +45,7 @@ impl VlanTagger {
             s_tag: None,
             drop_tagged_ingress: true,
             engine: ActionEngine::new(4),
-            parser: Parser::default(),
+            parser: Parser,
         }
     }
 
@@ -190,7 +190,7 @@ mod tests {
             t.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Forward
         );
-        let p = Parser::default().parse(&pkt).unwrap();
+        let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![100]);
         assert_eq!(t.counter(counters::TAGGED).packets, 1);
 
@@ -209,7 +209,7 @@ mod tests {
         let mut pkt = frame();
         let orig = pkt.clone();
         t.process(&ProcessContext::egress(), &mut pkt);
-        let p = Parser::default().parse(&pkt).unwrap();
+        let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![500, 10]);
         // Full strip on the way back.
         t.process(&ProcessContext::ingress(), &mut pkt);
@@ -266,7 +266,7 @@ mod tests {
         );
         let mut pkt = frame();
         t.process(&ProcessContext::egress(), &mut pkt);
-        let p = Parser::default().parse(&pkt).unwrap();
+        let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![200]);
     }
 

@@ -11,7 +11,7 @@ use flexsfp_fabric::resources::Device;
 
 /// One inventory line.
 #[derive(Debug, Clone)]
-pub struct Component {
+pub(crate) struct Component {
     /// Component name.
     pub name: String,
     /// Key property.
@@ -26,7 +26,7 @@ flexsfp_obs::impl_json_struct!(Component { name, detail, ok });
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Inventory lines.
-    pub components: Vec<Component>,
+    components: Vec<Component>,
     /// Every self-check passed.
     pub all_ok: bool,
 }

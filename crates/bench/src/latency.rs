@@ -18,7 +18,7 @@ use flexsfp_wire::PacketArena;
 
 /// Latency of one placement.
 #[derive(Debug, Clone)]
-pub struct PlacementLatency {
+pub(crate) struct PlacementLatency {
     /// Placement name.
     pub placement: String,
     /// Mean, ns.
@@ -38,7 +38,7 @@ flexsfp_obs::impl_json_struct!(PlacementLatency {
 
 /// Early-enforcement accounting for one placement.
 #[derive(Debug, Clone)]
-pub struct EnforcementRow {
+pub(crate) struct EnforcementRow {
     /// Placement name.
     pub placement: String,
     /// Bytes of doomed traffic carried over the downstream link before
@@ -58,9 +58,9 @@ flexsfp_obs::impl_json_struct!(EnforcementRow {
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Latency comparison at moderate load.
-    pub latency: Vec<PlacementLatency>,
+    latency: Vec<PlacementLatency>,
     /// Early-enforcement comparison (20 % of traffic blocked).
-    pub enforcement: Vec<EnforcementRow>,
+    enforcement: Vec<EnforcementRow>,
     /// Blocked fraction used.
     pub blocked_fraction: f64,
     /// Offered load where each placement saturates (fraction of 10G

@@ -58,9 +58,9 @@ const FLOWS: usize = 64;
 /// table and flow cache working set no longer fit in L1/L2, so this is
 /// the measurement the cache-geometry and table-layout work is judged
 /// by. The NAT table is provisioned at 2× (131 072 slots, ~50 % load).
-pub const HIGH_FLOWS: usize = 65_536;
+pub(crate) const HIGH_FLOWS: usize = 65_536;
 /// Table capacity backing the high-flow variant.
-pub const HIGH_FLOW_TABLE: usize = 131_072;
+pub(crate) const HIGH_FLOW_TABLE: usize = 131_072;
 /// Private source base (192.168.0.0).
 const PRIVATE_BASE: u32 = 0xc0a8_0000;
 /// Public pool base (101.64.0.0).
@@ -149,8 +149,8 @@ pub struct Report {
     /// ([`shard::ShardedRun::idle_rounds`]).
     pub idle_rounds: u64,
     /// Serial cache-on throughput of the high-flow variant: the same
-    /// paced minimum-frame workload over [`HIGH_FLOWS`] flows against a
-    /// NAT provisioned at [`HIGH_FLOW_TABLE`] slots. Digest-verified
+    /// paced minimum-frame workload over `HIGH_FLOWS` flows against a
+    /// NAT provisioned at `HIGH_FLOW_TABLE` slots. Digest-verified
     /// cache-on vs cache-off first, like the base workload. The flat
     /// table's cache-geometry claim lives or dies here: at 64 flows
     /// every layout fits in L1, at 64 k flows only one-line-per-probe

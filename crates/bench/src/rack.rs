@@ -17,7 +17,7 @@
 //!   per copy, under loss;
 //! * **an SLO gate on queue-induced latency** — the two ToRs'
 //!   enqueue→grant histograms merge and the p99.9 must stay under
-//!   [`P999_BOUND_NS`];
+//!   `P999_BOUND_NS`;
 //! * **telemetry reaching the collector** — both ToRs' `flexsfp_xbar_*`
 //!   families and all ~94 cage-module snapshots must render from one
 //!   [`FleetCollector`] scrape.
@@ -60,7 +60,7 @@ pub const FULL_PACKETS: usize = 100_000;
 /// Packets in the `--quick` (CI) run.
 pub const QUICK_PACKETS: usize = 25_000;
 /// Queue-induced (enqueue → grant) p99.9 bound, ns, over both ToRs.
-pub const P999_BOUND_NS: u64 = 150_000;
+pub(crate) const P999_BOUND_NS: u64 = 150_000;
 
 /// Seed for traffic, host assignment and every per-link fault plan.
 const SEED: u64 = 0x4ac4;

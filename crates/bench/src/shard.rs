@@ -22,7 +22,7 @@
 //!    own flow cache, PPE server model, flight recorder, windowed
 //!    telemetry), fed over a bounded SPSC ring
 //!    ([`flexsfp_fabric::ring`]) whose slots hold whole chunks of up
-//!    to [`CHUNK`] messages, swapped under one lock and one publish.
+//!    to `CHUNK` messages, swapped under one lock and one publish.
 //!    The dispatcher plus `min(shards, threads − 1)` workers run
 //!    ([`par::effective_parallelism`]), each worker stepping the lanes
 //!    of shards `w, w + W, …` round-robin. A lane touches every frame
@@ -35,7 +35,7 @@
 //! 3. **Reconcile** — a sequence-indexed window buffer merges the
 //!    shard output streams back into exactly the serial sink order.
 //!    Watermarks make the merge safe and bounded: at a per-transport
-//!    cadence ([`BARRIER_EVERY`] threaded, [`INLINE_BARRIER_EVERY`]
+//!    cadence ([`BARRIER_EVERY`] threaded, `INLINE_BARRIER_EVERY`
 //!    inline) the dispatcher broadcasts a flush barrier; a shard that
 //!    has flushed everything up to sequence `s` says so, and the
 //!    window releases outputs only below the minimum watermark across
@@ -81,7 +81,7 @@ use std::collections::VecDeque;
 
 /// Messages staged per ring crossing: one slot lock and one position
 /// publish per `CHUNK` packets instead of per packet.
-pub const CHUNK: usize = 64;
+pub(crate) const CHUNK: usize = 64;
 /// Capacity of a shard→dispatcher chunk buffer. A worker pushes its
 /// output buffer once it holds `CHUNK` outputs, and the message that
 /// gets it there can emit a whole PPE batch (or a flushed partial one
@@ -112,7 +112,7 @@ pub const BARRIER_EVERY: u64 = 4096;
 /// can recycle them. 1024 keeps the flush tax under a percent while
 /// the window (≈48 KB of slots plus the frames) still sits in L2,
 /// far inside the sharded arena bound.
-pub const INLINE_BARRIER_EVERY: u64 = 1024;
+pub(crate) const INLINE_BARRIER_EVERY: u64 = 1024;
 
 /// Map a 32-bit flow hash onto `shards` buckets with a multiply-shift
 /// (Lemire) reduction: uniform like `% shards` but free of the

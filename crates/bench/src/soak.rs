@@ -2,7 +2,7 @@
 //!
 //! The flow-scale counterpart of [`crate::slo`]: instead of 64 flows at
 //! a steady load, this streams a metro-ISP aggregation port through a
-//! whole synthetic day — a [`SUBSCRIBERS`]-flow CGNAT population riding
+//! whole synthetic day — a `SUBSCRIBERS`-flow CGNAT population riding
 //! a diurnal load curve (overnight trough → morning ramp → daytime
 //! plateau → evening peak), a flash-crowd surge with microburst
 //! interludes, and a volumetric DDoS phase from an unmapped source
@@ -31,7 +31,7 @@
 //!   cache floor is 0: at 256 k flows, windows dominated by first-touch
 //!   lookups legitimately sit near 0 % and are not a defect;
 //! * **over the lifetime** — the aggregate cache hit rate must clear
-//!   [`LIFETIME_CACHE_FLOOR`], which is where cache-geometry
+//!   `LIFETIME_CACHE_FLOOR`, which is where cache-geometry
 //!   regressions at city scale actually show up.
 //!
 //! `BENCH_soak.json` (written by the `soak` subcommand, committed at
@@ -56,13 +56,13 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Subscriber flow population — a city, not a rack (§2.1 aggregation).
-pub const SUBSCRIBERS: usize = 262_144;
+pub(crate) const SUBSCRIBERS: usize = 262_144;
 /// NAT exact-match table capacity backing the population (~50 % load;
 /// a few percent of inserts land in full 4-way buckets and those
 /// subscribers deterministically pass untranslated, as hardware would).
-pub const TABLE_CAPACITY: usize = 524_288;
+pub(crate) const TABLE_CAPACITY: usize = 524_288;
 /// Distinct sources in the DDoS phase (all unmapped: pure miss traffic).
-pub const ATTACK_SOURCES: usize = 16_384;
+pub(crate) const ATTACK_SOURCES: usize = 16_384;
 /// Packets in the full soak.
 pub const FULL_PACKETS: usize = 2_000_000;
 /// Packets in the `--quick` (CI) soak. The flow population does not
@@ -71,7 +71,7 @@ pub const QUICK_PACKETS: usize = 500_000;
 /// Aggregate cache hit rate the lifetime gate requires. Generous on a
 /// healthy run (the full soak sits far above it) but a cache-geometry
 /// regression that thrashes at 256 k flows falls straight through it.
-pub const LIFETIME_CACHE_FLOOR: f64 = 0.10;
+pub(crate) const LIFETIME_CACHE_FLOOR: f64 = 0.10;
 
 /// Telemetry window width: 10 ms, wide enough that the multi-second
 /// simulated day fits the ring with room to spare.
@@ -104,7 +104,7 @@ const REMAP_OFFSET: u32 = 0x0010_0000;
 /// and no per-window cache floor — first-touch windows at city scale
 /// legitimately sit near 0 %. The cache is gated over the lifetime by
 /// [`LIFETIME_CACHE_FLOOR`] instead.
-pub fn soak_spec() -> SloSpec {
+pub(crate) fn soak_spec() -> SloSpec {
     SloSpec {
         p999_latency_ns: 100_000,
         max_unexplained_drop_rate: 0.0,
@@ -374,8 +374,8 @@ fn nat_module(subscribers: usize, capacity: usize) -> FlexSfp {
     module
 }
 
-/// Run the full soak at the committed scale: [`SUBSCRIBERS`] flows,
-/// [`ATTACK_SOURCES`] DDoS sources, [`TABLE_CAPACITY`] table slots.
+/// Run the full soak at the committed scale: `SUBSCRIBERS` flows,
+/// `ATTACK_SOURCES` DDoS sources, `TABLE_CAPACITY` table slots.
 ///
 /// # Panics
 ///

@@ -47,7 +47,7 @@ fn sipround(v: &mut [u64; 4]) {
 }
 
 /// SipHash-2-4 of `data` under `key`, returning the 64-bit tag.
-pub fn siphash24(key: &AuthKey, data: &[u8]) -> u64 {
+pub(crate) fn siphash24(key: &AuthKey, data: &[u8]) -> u64 {
     let k0 = u64::from_le_bytes(key.0[0..8].try_into().unwrap());
     let k1 = u64::from_le_bytes(key.0[8..16].try_into().unwrap());
     let mut v = [

@@ -137,11 +137,6 @@ impl Bitstream {
             payload: data[8 + meta_len..body_len].to_vec(),
         })
     }
-
-    /// Total serialized size.
-    pub fn size_bytes(&self) -> usize {
-        self.to_bytes().len()
-    }
 }
 
 fn synth_payload(app: &str, version: u32, manifest: &ResourceManifest) -> Vec<u8> {
@@ -218,7 +213,7 @@ mod tests {
         let big = Bitstream::new("b", 1, ResourceManifest::new(100_000, 0, 0, 0), 1);
         assert!(big.payload.len() > small.payload.len());
         // Fits in a 4 MiB flash slot.
-        assert!(big.size_bytes() < flexsfp_fabric::flash::SLOT_BYTES);
+        assert!(big.to_bytes().len() < flexsfp_fabric::flash::SLOT_BYTES);
     }
 
     #[test]

@@ -203,15 +203,6 @@ fn open<T: FromJson>(key: &AuthKey, payload: &[u8]) -> Option<T> {
     T::from_json(&Value::parse(std::str::from_utf8(body).ok()?).ok()?)
 }
 
-/// Authentication/framing statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControlStats {
-    /// Well-formed, authenticated requests handled.
-    pub handled: u64,
-    /// Frames rejected for bad framing or failed authentication.
-    pub rejected: u64,
-}
-
 /// Everything a request handler may touch — borrowed from the module to
 /// keep the control plane itself free of ownership cycles.
 pub struct ControlContext<'a> {
@@ -238,7 +229,6 @@ pub struct ControlPlane {
     pub ip: u32,
     key: AuthKey,
     fsm: UpdateFsm,
-    stats: ControlStats,
     /// Set when an `Activate` was accepted; the module consumes it and
     /// reboots from the slot.
     pub pending_activation: Option<usize>,
@@ -255,17 +245,11 @@ impl ControlPlane {
             ip,
             key,
             fsm: UpdateFsm::new(),
-            stats: ControlStats::default(),
             pending_activation: None,
             update_aborts: 0,
             update_errors: 0,
             status_queries: 0,
         }
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> ControlStats {
-        self.stats
     }
 
     /// Update FSM state (for Info reports and tests).
@@ -329,14 +313,7 @@ impl ControlPlane {
         let eth = EthernetFrame::new_checked(frame).ok()?;
         let ip = Ipv4Packet::new_checked(eth.payload()).ok()?;
         let udp = UdpDatagram::new_checked(ip.payload()).ok()?;
-        let request = match self.decode(udp.payload()) {
-            Some(r) => r,
-            None => {
-                self.stats.rejected += 1;
-                return None;
-            }
-        };
-        self.stats.handled += 1;
+        let request = self.decode(udp.payload())?;
         let response = self.handle(request, ctx);
         let payload = self.encode(&response);
         Some(PacketBuilder::eth_ipv4_udp(
@@ -578,7 +555,6 @@ mod tests {
         let resp = ControlPlane::decode_response(&AuthKey::from_passphrase("test"), udp.payload())
             .unwrap();
         assert_eq!(resp, ControlResponse::Pong { nonce: 77 });
-        assert_eq!(cp.stats().handled, 1);
     }
 
     #[test]
@@ -601,7 +577,6 @@ mod tests {
             &payload,
         );
         assert!(cp.handle_frame(&frame, &mut ctx).is_none());
-        assert_eq!(cp.stats().rejected, 1);
         assert_eq!(cp.pending_activation, None);
     }
 

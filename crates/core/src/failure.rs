@@ -38,18 +38,11 @@ impl Default for VcselModel {
 }
 
 impl VcselModel {
-    /// Sample a device's TTF (hours) from the lognormal using a standard
-    /// normal variate `z` supplied by the caller (keeps this crate
-    /// rand-free; callers draw `z` from a seeded RNG).
-    pub fn sample_ttf_hours(&self, z: f64) -> f64 {
-        self.median_ttf_hours * (self.sigma * z).exp()
-    }
-
     /// Cap on the consumed-life fraction used by [`VcselModel::health_at`].
     /// At 4× TTF the power drop is 48 dB — far past any failure
     /// threshold — so capping there keeps every output finite without
     /// changing values anywhere in the physically meaningful range.
-    pub const LIFE_CAP: f64 = 4.0;
+    pub(crate) const LIFE_CAP: f64 = 4.0;
 
     /// Optical state at `age_hours` for a device with the given `ttf`.
     ///
@@ -87,11 +80,6 @@ impl VcselModel {
             tx_power_dbm: self.initial_power_dbm - drop_db,
             bias_ma: bias,
         }
-    }
-
-    /// True once the device has crossed the −3 dB failure criterion.
-    pub fn is_failed(&self, health: &OpticalHealth) -> bool {
-        health.tx_power_dbm <= self.initial_power_dbm - 3.0
     }
 }
 
@@ -184,17 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_median_and_spread() {
-        let m = VcselModel::default();
-        assert!((m.sample_ttf_hours(0.0) - 250_000.0).abs() < 1.0);
-        // ±1σ spread.
-        assert!(m.sample_ttf_hours(1.0) > 400_000.0);
-        assert!(m.sample_ttf_hours(-1.0) < 150_000.0);
-        // Monotone in z.
-        assert!(m.sample_ttf_hours(2.0) > m.sample_ttf_hours(1.0));
-    }
-
-    #[test]
     fn degradation_is_gradual_and_hits_3db_at_ttf() {
         let m = VcselModel::default();
         let ttf = 100_000.0;
@@ -204,8 +181,8 @@ mod tests {
         assert!(young.tx_power_dbm > mid.tx_power_dbm);
         assert!(mid.tx_power_dbm > old.tx_power_dbm);
         assert!((old.tx_power_dbm - (m.initial_power_dbm - 3.0)).abs() < 1e-9);
-        assert!(m.is_failed(&old));
-        assert!(!m.is_failed(&mid));
+        assert!(old.tx_power_dbm <= m.initial_power_dbm - 3.0);
+        assert!(mid.tx_power_dbm > m.initial_power_dbm - 3.0);
         // Bias rises with age.
         assert!(old.bias_ma > young.bias_ma);
     }
@@ -217,7 +194,7 @@ mod tests {
         // emit -inf power; now it reads as "past end of life".
         let h = m.health_at(1_000.0, 0.0);
         assert!(h.tx_power_dbm.is_finite() && h.bias_ma.is_finite());
-        assert!(m.is_failed(&h));
+        assert!(h.tx_power_dbm <= m.initial_power_dbm - 3.0);
         // 0/0 used to be NaN; a zero-age device on a zero TTF reads as
         // beginning of life.
         let h = m.health_at(0.0, 0.0);
@@ -227,7 +204,7 @@ mod tests {
         // Negative TTF is nonsense input, not a license for -inf.
         let h = m.health_at(5_000.0, -1.0);
         assert!(h.tx_power_dbm.is_finite() && h.bias_ma.is_finite());
-        assert!(m.is_failed(&h));
+        assert!(h.tx_power_dbm <= m.initial_power_dbm - 3.0);
         // NaN age reads as beginning of life, not NaN power.
         let h = m.health_at(f64::NAN, 100_000.0);
         assert!(h.tx_power_dbm.is_finite() && h.bias_ma.is_finite());
@@ -237,7 +214,7 @@ mod tests {
         assert_eq!(h.tx_power_dbm, m.initial_power_dbm);
         let h = m.health_at(f64::INFINITY, 100_000.0);
         assert!(h.tx_power_dbm.is_finite());
-        assert!(m.is_failed(&h));
+        assert!(h.tx_power_dbm <= m.initial_power_dbm - 3.0);
         // Deep into wear-out the drop is capped, never -inf.
         let h = m.health_at(1.0e9, 1.0);
         assert!(h.tx_power_dbm >= m.initial_power_dbm - 3.0 * VcselModel::LIFE_CAP.powi(2));

@@ -6,7 +6,7 @@
 //! as a self-contained microservice node." The minimal useful
 //! microservices are the ones that make the module addressable on the
 //! network it lives in: an ARP responder and an ICMP echo responder for
-//! the management address. The [`respond`] entry point inspects a frame
+//! the management address. The `respond` entry point inspects a frame
 //! and, when it targets the module, produces the reply the control
 //! plane originates.
 
@@ -16,19 +16,10 @@ use flexsfp_wire::{
     Ipv4Packet, MacAddr,
 };
 
-/// Which microservice produced a reply (for statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Service {
-    /// ARP responder.
-    Arp,
-    /// ICMP echo responder.
-    Ping,
-}
-
 /// Inspect `frame`; when it is an ARP request or ICMP echo request for
 /// `(mac, ip)`, build the reply frame the control plane sends back out
 /// the interface the request arrived on.
-pub fn respond(frame: &[u8], mac: MacAddr, ip: u32) -> Option<(Service, Vec<u8>)> {
+pub(crate) fn respond(frame: &[u8], mac: MacAddr, ip: u32) -> Option<Vec<u8>> {
     let eth = EthernetFrame::new_checked(frame).ok()?;
     match eth.ethertype() {
         EtherType::Arp => {
@@ -46,9 +37,11 @@ pub fn respond(frame: &[u8], mac: MacAddr, ip: u32) -> Option<(Service, Vec<u8>)
                 a.set_target_mac(req.sender_mac());
                 a.set_target_ip(req.sender_ip());
             }
-            Some((
-                Service::Arp,
-                PacketBuilder::ethernet(req.sender_mac(), mac, EtherType::Arp, &reply),
+            Some(PacketBuilder::ethernet(
+                req.sender_mac(),
+                mac,
+                EtherType::Arp,
+                &reply,
             ))
         }
         EtherType::Ipv4 => {
@@ -76,9 +69,11 @@ pub fn respond(frame: &[u8], mac: MacAddr, ip: u32) -> Option<(Service, Vec<u8>)
             reply_icmp[icmp::HEADER_LEN..].copy_from_slice(echo.payload());
             IcmpPacket::new_unchecked(&mut reply_icmp).fill_checksum();
             let reply_ip = PacketBuilder::ipv4(ip, ipv4.src(), IpProtocol::Icmp, &reply_icmp);
-            Some((
-                Service::Ping,
-                PacketBuilder::ethernet(eth.src(), mac, EtherType::Ipv4, &reply_ip),
+            Some(PacketBuilder::ethernet(
+                eth.src(),
+                mac,
+                EtherType::Ipv4,
+                &reply_ip,
             ))
         }
         _ => None,
@@ -122,8 +117,7 @@ mod tests {
 
     #[test]
     fn answers_arp_for_our_ip() {
-        let (svc, reply) = respond(&arp_request(OUR_IP), OUR_MAC, OUR_IP).unwrap();
-        assert_eq!(svc, Service::Arp);
+        let reply = respond(&arp_request(OUR_IP), OUR_MAC, OUR_IP).unwrap();
         let eth = EthernetFrame::new_checked(&reply[..]).unwrap();
         assert_eq!(eth.dst(), PEER_MAC);
         assert_eq!(eth.src(), OUR_MAC);
@@ -142,8 +136,7 @@ mod tests {
     #[test]
     fn answers_ping_with_payload_echo() {
         let payload = b"flexsfp-alive";
-        let (svc, reply) = respond(&ping_request(OUR_IP, payload), OUR_MAC, OUR_IP).unwrap();
-        assert_eq!(svc, Service::Ping);
+        let reply = respond(&ping_request(OUR_IP, payload), OUR_MAC, OUR_IP).unwrap();
         let eth = EthernetFrame::new_checked(&reply[..]).unwrap();
         assert_eq!(eth.dst(), PEER_MAC);
         let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();

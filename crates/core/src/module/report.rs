@@ -196,11 +196,6 @@ impl LatencyStats {
         self.hist.p50() as f64
     }
 
-    /// 90th-percentile latency, ns.
-    pub fn p90_ns(&self) -> f64 {
-        self.hist.p90() as f64
-    }
-
     /// 99th-percentile latency, ns.
     pub fn p99_ns(&self) -> f64 {
         self.hist.p99() as f64

@@ -622,7 +622,7 @@ impl StreamSession {
                 }
                 _ => true,
             };
-        let Some((_svc, reply)) = maybe_mine
+        let Some(reply) = maybe_mine
             .then(|| crate::microservice::respond(&pkt.frame, m.config.mgmt_mac, m.config.mgmt_ip))
             .flatten()
         else {

@@ -200,7 +200,7 @@ impl FlexSfp {
     /// Total design manifest: application + interfaces + control
     /// plane + shell plumbing (the Table 1 decomposition; the
     /// control-plane row is the Mi-V only for the softcore class).
-    pub fn design_manifest(&self) -> ResourceManifest {
+    pub(crate) fn design_manifest(&self) -> ResourceManifest {
         self.app.resource_manifest()
             + self.config.cp_class.manifest()
             + table1::ELECTRICAL_IF

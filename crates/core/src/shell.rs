@@ -43,15 +43,6 @@ impl ShellKind {
         }
     }
 
-    /// The clock multiplier the shell needs on the PPE to keep line rate
-    /// on every port it serves (the §4.1 "Processing Load" point).
-    pub fn required_ppe_clock_factor(&self) -> u64 {
-        match self {
-            ShellKind::OneWayFilter { .. } => 1,
-            ShellKind::TwoWayCore | ShellKind::ActiveControlPlane => 2,
-        }
-    }
-
     /// Can the control plane originate its own traffic?
     pub fn control_plane_active(&self) -> bool {
         matches!(self, ShellKind::ActiveControlPlane)
@@ -93,19 +84,6 @@ pub enum ControlPlaneClass {
     Soc,
 }
 
-/// Control-plane capabilities applications may require.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpFeature {
-    /// Static rule loading / coarse-grained table updates.
-    StaticRules,
-    /// Authenticated OTA reprogramming.
-    OtaUpdate,
-    /// Full RPC protocols / REST APIs for orchestration systems.
-    RestApi,
-    /// Running containerized microservices on a standard OS.
-    LinuxServices,
-}
-
 impl ControlPlaneClass {
     /// Fabric resources the control plane consumes. The softcore is
     /// fabric logic (the Table 1 Mi-V row); a hard SoC lives next to
@@ -126,24 +104,6 @@ impl ControlPlaneClass {
             ControlPlaneClass::Soc => 1.2,
         }
     }
-
-    /// Additional unit cost, USD (the "more expensive" half of §4.1).
-    pub fn extra_cost_usd(&self) -> f64 {
-        match self {
-            ControlPlaneClass::Softcore => 0.0,
-            ControlPlaneClass::Soc => 45.0,
-        }
-    }
-
-    /// Which control-plane features this class supports.
-    pub fn supports(&self, feature: CpFeature) -> bool {
-        match self {
-            ControlPlaneClass::Softcore => {
-                matches!(feature, CpFeature::StaticRules | CpFeature::OtaUpdate)
-            }
-            ControlPlaneClass::Soc => true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +115,6 @@ mod tests {
         let s = ShellKind::one_way_egress();
         assert!(s.ppe_applies(Direction::EdgeToOptical));
         assert!(!s.ppe_applies(Direction::OpticalToEdge));
-        assert_eq!(s.required_ppe_clock_factor(), 1);
         assert!(!s.control_plane_active());
     }
 
@@ -169,11 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn two_way_applies_everywhere_and_needs_2x() {
+    fn two_way_applies_everywhere() {
         for s in [ShellKind::TwoWayCore, ShellKind::ActiveControlPlane] {
             assert!(s.ppe_applies(Direction::EdgeToOptical));
             assert!(s.ppe_applies(Direction::OpticalToEdge));
-            assert_eq!(s.required_ppe_clock_factor(), 2);
         }
         assert!(ShellKind::ActiveControlPlane.control_plane_active());
         assert!(!ShellKind::TwoWayCore.control_plane_active());
@@ -203,32 +161,8 @@ mod tests {
         // The softcore is the Table 1 Mi-V row; the SoC burns no LUTs.
         assert_eq!(soft.manifest().lut4, 8_696);
         assert_eq!(soc.manifest(), ResourceManifest::ZERO);
-        // Power and cost go the other way.
+        // Power goes the other way.
         assert_eq!(soft.extra_power_w(), 0.0);
         assert!(soc.extra_power_w() > 1.0);
-        assert!(soc.extra_cost_usd() > soft.extra_cost_usd());
-    }
-
-    #[test]
-    fn feature_matrix_matches_paper() {
-        let soft = ControlPlaneClass::Softcore;
-        let soc = ControlPlaneClass::Soc;
-        // "use cases such as firewalling, tunneling, or in-line
-        // telemetry often require only static rule loading" — the
-        // softcore suffices there, plus OTA updates.
-        assert!(soft.supports(CpFeature::StaticRules));
-        assert!(soft.supports(CpFeature::OtaUpdate));
-        // "...complex services such as RPC protocols or REST APIs" need
-        // the SoC class.
-        assert!(!soft.supports(CpFeature::RestApi));
-        assert!(!soft.supports(CpFeature::LinuxServices));
-        for f in [
-            CpFeature::StaticRules,
-            CpFeature::OtaUpdate,
-            CpFeature::RestApi,
-            CpFeature::LinuxServices,
-        ] {
-            assert!(soc.supports(f));
-        }
     }
 }

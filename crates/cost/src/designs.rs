@@ -10,18 +10,16 @@ use flexsfp_fabric::resources::{normalize, Device};
 
 /// Vendor logic unit a design was reported in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogicUnit {
+pub(crate) enum LogicUnit {
     /// Xilinx 6-input LUTs.
     Lut6,
     /// Intel adaptive logic modules.
     Alm,
-    /// Already in 4-input LEs.
-    Le,
 }
 
 /// One published design (a Table 2 row).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PublishedDesign {
+pub(crate) struct PublishedDesign {
     /// Design name.
     pub name: String,
     /// Reported logic count in `unit`s.
@@ -38,7 +36,6 @@ impl PublishedDesign {
         match self.unit {
             LogicUnit::Lut6 => normalize::lut6_to_le(self.logic),
             LogicUnit::Alm => normalize::alm_to_le(self.logic),
-            LogicUnit::Le => self.logic,
         }
     }
 }
@@ -74,7 +71,7 @@ impl DesignFit {
 }
 
 /// The Table 2 rows.
-pub fn published_designs() -> Vec<PublishedDesign> {
+pub(crate) fn published_designs() -> Vec<PublishedDesign> {
     vec![
         PublishedDesign {
             name: "FlowBlaze (1 stage)".into(),
@@ -151,16 +148,5 @@ mod tests {
         // Pigasus and ClickNP exceed the fabric outright.
         assert!(!by_name("Pigasus").logic_fits);
         assert!(!by_name("ClickNP").logic_fits);
-    }
-
-    #[test]
-    fn le_unit_passthrough() {
-        let d = PublishedDesign {
-            name: "x".into(),
-            logic: 1234,
-            unit: LogicUnit::Le,
-            bram_kbits: 0,
-        };
-        assert_eq!(d.logic_le(), 1234);
     }
 }

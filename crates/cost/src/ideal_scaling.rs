@@ -46,11 +46,6 @@ impl Range {
         v >= self.min && v <= self.max
     }
 
-    /// True when the two ranges overlap.
-    pub fn overlaps(&self, other: &Range) -> bool {
-        self.min <= other.max && other.min <= self.max
-    }
-
     /// Format as "a-b" (or "a" when exact), trimming trailing zeros.
     pub fn fmt_band(&self, digits: usize) -> String {
         if (self.max - self.min).abs() < f64::EPSILON {
@@ -90,8 +85,6 @@ mod tests {
         assert!(r.contains(1.0));
         assert!(r.contains(3.0));
         assert!(!r.contains(3.01));
-        assert!(r.overlaps(&Range::new(2.5, 9.0)));
-        assert!(!r.overlaps(&Range::new(3.5, 9.0)));
         assert_eq!(r.fmt_band(0), "1-3");
         assert_eq!(Range::exact(1.5).fmt_band(1), "1.5");
     }

@@ -7,8 +7,6 @@
 //! * [`catalog`] — the solutions of Table 3 (BlueField-2 DPU, many-core
 //!   SmartNICs, FPGA SmartNICs, FlexSFP) with raw prices/power and
 //!   their normalized columns;
-//! * [`bom`] — the FlexSFP bill of materials underlying the $250–300
-//!   estimate;
 //! * [`designs`] — the published FPGA designs of Table 2, normalized to
 //!   4-input logic-element equivalents and fit-checked against the
 //!   MPF200T.
@@ -16,12 +14,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bom;
 pub mod catalog;
 pub mod designs;
 pub mod ideal_scaling;
 
-pub use bom::FlexSfpBom;
 pub use catalog::{solutions, Solution};
-pub use designs::{published_designs, DesignFit, PublishedDesign};
+pub use designs::DesignFit;
 pub use ideal_scaling::{per_10g, Range};

@@ -5,10 +5,6 @@
 //! Two-Way-Core shell raises the PPE clock to absorb the doubled packet
 //! rate; [`ClockDomain`] makes such ratios explicit.
 
-/// One picosecond in femtoseconds, the internal time base. Femtoseconds
-/// keep integer arithmetic exact at 312.5 MHz (3 200 000 fs period).
-const FS_PER_PS: u64 = 1_000;
-
 /// A fixed-frequency clock domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockDomain {
@@ -22,7 +18,7 @@ impl ClockDomain {
     pub const XGMII_10G_X2: ClockDomain = ClockDomain { hz: 312_500_000 };
 
     /// A domain at `hz` hertz. Panics on a zero frequency.
-    pub fn from_hz(hz: u64) -> ClockDomain {
+    pub(crate) fn from_hz(hz: u64) -> ClockDomain {
         assert!(hz > 0, "clock frequency must be non-zero");
         ClockDomain { hz }
     }
@@ -46,22 +42,6 @@ impl ClockDomain {
     /// divide 10^15, which all realistic fabric clocks do).
     pub fn period_fs(&self) -> u64 {
         1_000_000_000_000_000 / self.hz
-    }
-
-    /// Period in picoseconds (rounded down).
-    pub fn period_ps(&self) -> u64 {
-        self.period_fs() / FS_PER_PS
-    }
-
-    /// Nanoseconds covered by `cycles` cycles, as f64.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 * self.period_fs() as f64 / 1e6
-    }
-
-    /// Cycles elapsed in `ns` nanoseconds (rounded up — a partial cycle
-    /// still occupies the pipeline).
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        (ns * 1e6 / self.period_fs() as f64).ceil() as u64
     }
 
     /// A domain scaled by an integer multiplier (e.g. ×2 for the
@@ -97,17 +77,7 @@ mod tests {
     #[test]
     fn period_is_exact() {
         assert_eq!(ClockDomain::XGMII_10G.period_fs(), 6_400_000);
-        assert_eq!(ClockDomain::XGMII_10G.period_ps(), 6_400);
         assert_eq!(ClockDomain::XGMII_10G_X2.period_fs(), 3_200_000);
-    }
-
-    #[test]
-    fn time_conversions_round_trip() {
-        let c = ClockDomain::XGMII_10G;
-        assert!((c.cycles_to_ns(156_250_000) - 1e9).abs() < 1.0);
-        assert_eq!(c.ns_to_cycles(6.4), 1);
-        assert_eq!(c.ns_to_cycles(6.5), 2); // partial cycle rounds up
-        assert_eq!(c.ns_to_cycles(0.0), 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl<T> Fifo<T> {
     }
 
     /// True when full (the next push would drop).
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.items.len() >= self.capacity
     }
 

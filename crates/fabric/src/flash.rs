@@ -175,7 +175,7 @@ impl SpiFlash {
     }
 
     /// Base address of design slot `slot`.
-    pub fn slot_base(slot: usize) -> Result<usize, FlashError> {
+    pub(crate) fn slot_base(slot: usize) -> Result<usize, FlashError> {
         if slot >= SLOTS {
             return Err(FlashError::BadSlot);
         }

@@ -73,7 +73,7 @@ pub const RSS_DEFAULT_KEY: [u8; 40] = [
 
 /// Toeplitz hash of `input` under `key` (must be at least
 /// `input.len() + 4` bytes long).
-pub fn toeplitz(key: &[u8], input: &[u8]) -> u32 {
+pub(crate) fn toeplitz(key: &[u8], input: &[u8]) -> u32 {
     assert!(
         key.len() >= input.len() + 4,
         "Toeplitz key too short for input"
@@ -98,14 +98,6 @@ pub fn toeplitz(key: &[u8], input: &[u8]) -> u32 {
         }
     }
     result
-}
-
-/// Toeplitz hash of an IPv4 2-tuple (src, dst) in RSS field order.
-pub fn toeplitz_v4_2tuple(key: &[u8], src: u32, dst: u32) -> u32 {
-    let mut input = [0u8; 8];
-    input[0..4].copy_from_slice(&src.to_be_bytes());
-    input[4..8].copy_from_slice(&dst.to_be_bytes());
-    toeplitz(key, &input)
 }
 
 /// Toeplitz hash of an IPv4 4-tuple (src, dst, sport, dport) in RSS
@@ -163,9 +155,6 @@ mod tests {
         let dst = u32::from_be_bytes([161, 142, 100, 80]);
         let h = toeplitz_v4_4tuple(&RSS_DEFAULT_KEY, src, dst, 2794, 1766);
         assert_eq!(h, 0x51cc_c178);
-        // 2-tuple variant: 66.9.149.187 -> 161.142.100.80 => 0x323e8fc2
-        let h2 = toeplitz_v4_2tuple(&RSS_DEFAULT_KEY, src, dst);
-        assert_eq!(h2, 0x323e_8fc2);
     }
 
     #[test]
@@ -177,7 +166,6 @@ mod tests {
             toeplitz_v4_4tuple(&RSS_DEFAULT_KEY, src, dst, 14230, 4739),
             0xc626_b0ea
         );
-        assert_eq!(toeplitz_v4_2tuple(&RSS_DEFAULT_KEY, src, dst), 0xd718_262a);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 use crate::serdes::OpticalHealth;
 
 /// I2C address of the identification EEPROM.
-pub const ADDR_A0: u8 = 0x50;
+pub(crate) const ADDR_A0: u8 = 0x50;
 /// I2C address of the diagnostics page.
-pub const ADDR_A2: u8 = 0x51;
+pub(crate) const ADDR_A2: u8 = 0x51;
 
 /// Decoded SFF-8472 diagnostic values.
 #[derive(Debug, Clone, Copy, PartialEq)]

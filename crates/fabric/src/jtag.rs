@@ -2,21 +2,7 @@
 //!
 //! "During prototype phase, the bitstream is loaded via JTAG, while in
 //! production artifacts are deployed remotely" (§4.2). The JTAG path is a
-//! trusted, physical-access-only channel: no authentication, direct write
-//! into a flash slot plus immediate device (re)configuration.
-
-use crate::flash::{FlashError, SpiFlash};
-
-/// The result of a JTAG programming session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JtagReport {
-    /// Bytes written.
-    pub bytes: usize,
-    /// Flash slot used.
-    pub slot: usize,
-    /// IDCODE read back from the scan chain.
-    pub idcode: u32,
-}
+//! trusted, physical-access-only channel; the model is its scan chain.
 
 /// A JTAG adapter attached to the module's test header.
 #[derive(Debug, Clone)]
@@ -39,24 +25,6 @@ impl JtagAdapter {
     pub fn scan(&self) -> u32 {
         self.idcode
     }
-
-    /// Program `image` into flash `slot` over JTAG (erases the slot
-    /// first) and verify by read-back.
-    pub fn program_slot(
-        &self,
-        flash: &mut SpiFlash,
-        slot: usize,
-        image: &[u8],
-    ) -> Result<JtagReport, FlashError> {
-        flash.write_slot(slot, image)?;
-        let back = flash.read_slot(slot, image.len())?;
-        debug_assert_eq!(back, image, "flash read-back mismatch");
-        Ok(JtagReport {
-            bytes: image.len(),
-            slot,
-            idcode: self.idcode,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -66,27 +34,5 @@ mod tests {
     #[test]
     fn scan_returns_polarfire_idcode() {
         assert_eq!(JtagAdapter::default().scan(), 0x0f81_81cf);
-    }
-
-    #[test]
-    fn program_and_verify() {
-        let mut flash = SpiFlash::new();
-        let adapter = JtagAdapter::default();
-        let image = vec![0x5au8; 4096];
-        let report = adapter.program_slot(&mut flash, 1, &image).unwrap();
-        assert_eq!(report.bytes, 4096);
-        assert_eq!(report.slot, 1);
-        assert_eq!(flash.read_slot(1, 4096).unwrap(), &image[..]);
-    }
-
-    #[test]
-    fn jtag_respects_golden_protection() {
-        let mut flash = SpiFlash::new();
-        flash.protect_golden();
-        let adapter = JtagAdapter::default();
-        assert_eq!(
-            adapter.program_slot(&mut flash, 0, b"x"),
-            Err(FlashError::WriteProtected)
-        );
     }
 }

@@ -47,5 +47,5 @@ pub use flash::SpiFlash;
 pub use power::PowerModel;
 pub use resources::{Device, FitReport, ResourceManifest};
 pub use serdes::Transceiver;
-pub use stream::{BusWord, DatapathConfig};
+pub use stream::DatapathConfig;
 pub use xbar::{CrosspointMatrix, XbarTotals};

@@ -47,7 +47,7 @@ pub enum PowerClass {
 
 impl PowerClass {
     /// The class ceiling in watts.
-    pub fn limit_w(&self) -> f64 {
+    pub(crate) fn limit_w(&self) -> f64 {
         match self {
             PowerClass::Level1 => 1.0,
             PowerClass::Level2 => 1.5,
@@ -117,7 +117,7 @@ impl PowerModel {
     /// "Active units" of a design for the dynamic term: LUTs and FFs
     /// count 1 each, each SRAM block counts 100 (clock tree + sense
     /// amps dominate small-block energy).
-    pub fn active_units(design: &ResourceManifest) -> f64 {
+    pub(crate) fn active_units(design: &ResourceManifest) -> f64 {
         (design.lut4 + design.ff + 100 * (design.usram + design.lsram)) as f64
     }
 

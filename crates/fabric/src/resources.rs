@@ -56,11 +56,6 @@ impl ResourceManifest {
         }
     }
 
-    /// Total on-chip SRAM bits this manifest consumes.
-    pub fn sram_bits(&self) -> u64 {
-        self.usram * USRAM_BLOCK_BITS + self.lsram * LSRAM_BLOCK_BITS
-    }
-
     /// Scale every resource by an integer factor (e.g. per-stage cost ×
     /// number of stages).
     pub fn scaled(&self, factor: u64) -> ResourceManifest {
@@ -140,19 +135,6 @@ impl Device {
         }
     }
 
-    /// A larger hypothetical device for §5.3 scaling studies (≈ 500 k LE
-    /// class, e.g. an MPF500T-like part).
-    pub fn mpf500t_class() -> Device {
-        Device {
-            name: "MPF500T-class".into(),
-            capacity: ResourceManifest::new(481_000, 481_000, 4_440, 1_520),
-            logic_elements: 481_000,
-            bram_kbits: 33_000,
-            max_fabric_hz: 500_000_000,
-            process_nm: 28,
-        }
-    }
-
     /// Check whether `used` fits this device and produce a report.
     pub fn fit(&self, used: ResourceManifest) -> FitReport {
         FitReport {
@@ -197,38 +179,15 @@ impl FitReport {
             pct(self.used.lsram, self.available.lsram),
         )
     }
-
-    /// The most utilized resource class as `(name, pct)` — the scaling
-    /// bottleneck.
-    pub fn bottleneck(&self) -> (&'static str, u32) {
-        let (l, f, u, s) = self.utilization_pct();
-        let mut best = ("4LUT", l);
-        for cand in [("FF", f), ("uSRAM", u), ("LSRAM", s)] {
-            if cand.1 > best.1 {
-                best = cand;
-            }
-        }
-        best
-    }
-
-    /// Headroom remaining in each class (saturating).
-    pub fn headroom(&self) -> ResourceManifest {
-        ResourceManifest {
-            lut4: self.available.lut4.saturating_sub(self.used.lut4),
-            ff: self.available.ff.saturating_sub(self.used.ff),
-            usram: self.available.usram.saturating_sub(self.used.usram),
-            lsram: self.available.lsram.saturating_sub(self.used.lsram),
-        }
-    }
 }
 
 /// Normalization factors between vendor logic units and 4-input logic
 /// elements, as used by Table 2.
 pub mod normalize {
     /// One Xilinx 6-input LUT ≈ 1.6 four-input logic elements.
-    pub const LUT6_TO_LE: f64 = 1.6;
+    pub(crate) const LUT6_TO_LE: f64 = 1.6;
     /// One Intel ALM ≈ 2.0 four-input logic elements.
-    pub const ALM_TO_LE: f64 = 2.0;
+    pub(crate) const ALM_TO_LE: f64 = 2.0;
 
     /// Convert a LUT6 count to LE equivalents.
     pub fn lut6_to_le(lut6: u64) -> u64 {
@@ -320,28 +279,10 @@ mod tests {
     }
 
     #[test]
-    fn sram_bits_accounting() {
-        let m = ResourceManifest::new(0, 0, 2, 3);
-        assert_eq!(m.sram_bits(), 2 * 768 + 3 * 20 * 1024);
-    }
-
-    #[test]
-    fn fit_report_bottleneck_and_headroom() {
-        let dev = Device::mpf200t();
-        let r = dev.fit(table1::USED);
-        // LSRAM is the most utilized class for the NAT design.
-        assert_eq!(r.bottleneck().0, "LSRAM");
-        let head = r.headroom();
-        assert_eq!(head.lut4, 192_408 - 31_455);
-        assert_eq!(head.lsram, 616 - 164);
-    }
-
-    #[test]
     fn overflow_design_does_not_fit() {
         let dev = Device::mpf200t();
         let r = dev.fit(ResourceManifest::new(200_000, 0, 0, 0));
         assert!(!r.fits());
-        assert_eq!(r.headroom().lut4, 0);
     }
 
     #[test]

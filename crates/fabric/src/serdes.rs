@@ -7,11 +7,7 @@
 //! throughout the workspace leans on this arithmetic.
 
 /// Ethernet per-packet line overhead: 7 B preamble + 1 B SFD + 12 B IFG.
-pub const LINE_OVERHEAD_BYTES: usize = 20;
-/// Minimum Ethernet frame (with FCS) on the wire.
-pub const MIN_FRAME_BYTES: usize = 64;
-/// Maximum standard Ethernet frame (with FCS).
-pub const MAX_FRAME_BYTES: usize = 1518;
+pub(crate) const LINE_OVERHEAD_BYTES: usize = 20;
 
 /// Nominal line rates the model supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

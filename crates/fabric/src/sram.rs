@@ -62,13 +62,13 @@ pub struct Placement {
 pub struct MemoryPlanner;
 
 /// Native LSRAM organisation: 1024 words × 20 bits.
-pub const LSRAM_WORDS: u64 = 1024;
+pub(crate) const LSRAM_WORDS: u64 = 1024;
 /// Native LSRAM word width in bits.
-pub const LSRAM_WIDTH: u64 = 20;
+pub(crate) const LSRAM_WIDTH: u64 = 20;
 /// Native uSRAM organisation: 64 words × 12 bits.
-pub const USRAM_WORDS: u64 = 64;
+pub(crate) const USRAM_WORDS: u64 = 64;
 /// Native uSRAM word width in bits.
-pub const USRAM_WIDTH: u64 = 12;
+pub(crate) const USRAM_WIDTH: u64 = 12;
 
 impl MemoryPlanner {
     /// Decide a placement for `shape`.
@@ -110,74 +110,6 @@ impl MemoryPlanner {
             }
         }
         m
-    }
-}
-
-/// A behavioural single-cycle-read SRAM holding `words` of `width_bits`
-/// (values stored as u64, masked to width). Models the dataplane's table
-/// memories; read latency is handled by the pipeline model, not here.
-#[derive(Debug, Clone)]
-pub struct Sram {
-    words: Vec<u64>,
-    width_bits: u64,
-    reads: u64,
-    writes: u64,
-}
-
-impl Sram {
-    /// Allocate an SRAM of `words` entries, each `width_bits` wide
-    /// (≤ 64 in the behavioural model).
-    pub fn new(words: usize, width_bits: u64) -> Sram {
-        assert!(width_bits > 0 && width_bits <= 64);
-        Sram {
-            words: vec![0; words],
-            width_bits,
-            reads: 0,
-            writes: 0,
-        }
-    }
-
-    fn mask(&self) -> u64 {
-        if self.width_bits == 64 {
-            u64::MAX
-        } else {
-            (1 << self.width_bits) - 1
-        }
-    }
-
-    /// Number of words.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// True when the SRAM has zero words.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Read word `addr`; out-of-range reads return `None`.
-    pub fn read(&mut self, addr: usize) -> Option<u64> {
-        self.reads += 1;
-        self.words.get(addr).copied()
-    }
-
-    /// Write word `addr`; the value is masked to the word width.
-    /// Out-of-range writes return `false`.
-    pub fn write(&mut self, addr: usize, value: u64) -> bool {
-        self.writes += 1;
-        let mask = self.mask();
-        match self.words.get_mut(addr) {
-            Some(w) => {
-                *w = value & mask;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// `(reads, writes)` access counters — feed the dynamic power model.
-    pub fn access_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 }
 
@@ -231,23 +163,5 @@ mod tests {
     #[test]
     fn shape_total_bits() {
         assert_eq!(TableShape::new(1024, 20).total_bits(), 20 * 1024);
-    }
-
-    #[test]
-    fn sram_read_write_mask() {
-        let mut s = Sram::new(16, 12);
-        assert!(s.write(3, 0xfff0));
-        assert_eq!(s.read(3), Some(0xff0));
-        assert_eq!(s.read(99), None);
-        assert!(!s.write(99, 1));
-        assert_eq!(s.access_counts(), (2, 2));
-        assert_eq!(s.len(), 16);
-    }
-
-    #[test]
-    fn sram_full_width() {
-        let mut s = Sram::new(2, 64);
-        s.write(0, u64::MAX);
-        assert_eq!(s.read(0), Some(u64::MAX));
     }
 }

@@ -106,14 +106,8 @@ impl DatapathConfig {
 
     /// Maximum sustainable packet rate (packets/s) for fixed-size `len`
     /// packets, limited purely by bus occupancy (back-to-back beats).
-    pub fn max_pps(&self, len: usize) -> f64 {
+    pub(crate) fn max_pps(&self, len: usize) -> f64 {
         self.clock.hz() as f64 / self.beats_for(len) as f64
-    }
-
-    /// Effective payload throughput (bits/s) for fixed-size `len` packets,
-    /// accounting for the partially-filled final beat.
-    pub fn effective_bps(&self, len: usize) -> f64 {
-        self.max_pps(len) * (len as f64) * 8.0
     }
 
     /// True if this datapath can sustain `line_rate_bps` of Ethernet
@@ -262,15 +256,6 @@ mod tests {
         // 8 beats per 64B frame -> 156.25e6/8 = 19.53 Mpps bus limit,
         // comfortably above the 14.88 Mpps 10G line-rate arrival.
         assert!((cfg.max_pps(64) - 19_531_250.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn effective_bps_accounts_for_padding() {
-        let cfg = DatapathConfig::prototype_10g();
-        // 65-byte packets need 9 beats; efficiency = 65/72.
-        let eff = cfg.effective_bps(65);
-        let expected = 10_000_000_000.0 * 65.0 / 72.0;
-        assert!((eff - expected).abs() / expected < 1e-9);
     }
 
     #[test]

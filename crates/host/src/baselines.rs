@@ -14,7 +14,7 @@ use flexsfp_traffic::rng::Xoshiro256;
 
 /// One processed packet's outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathOutput {
+pub(crate) struct PathOutput {
     /// Departure time, ns.
     pub departure_ns: u64,
     /// Total added latency, ns.
@@ -121,7 +121,7 @@ impl ProcessingPath {
     }
 
     /// Process one packet arriving at `arrival_ns`.
-    pub fn process(&mut self, arrival_ns: u64) -> PathOutput {
+    fn process(&mut self, arrival_ns: u64) -> PathOutput {
         let start = self.server_free_ns.max(arrival_ns as f64);
         let finish = start + self.service_ns;
         self.server_free_ns = finish;

@@ -29,7 +29,7 @@ pub const GIT_DESCRIBE: &str = env!("FLEXSFP_GIT_DESCRIBE");
 
 /// Traced events retained per module on the host (ring rings drain into
 /// this bounded log; oldest entries are discarded first).
-pub const EVENT_LOG_CAPACITY: usize = 1024;
+pub(crate) const EVENT_LOG_CAPACITY: usize = 1024;
 
 /// Per-module state held by the collector.
 #[derive(Debug, Clone)]
@@ -193,7 +193,7 @@ impl FleetCollector {
     }
 
     /// Accumulated event trace for one module (most recent
-    /// [`EVENT_LOG_CAPACITY`] entries).
+    /// `EVENT_LOG_CAPACITY` entries).
     pub fn recent_events(&self, module_id: &str) -> Option<&[DataplaneEvent]> {
         self.modules.get(module_id).map(|r| r.events.as_slice())
     }
@@ -207,13 +207,6 @@ impl FleetCollector {
             merged.merge(&rec.snapshot.latency);
         }
         merged
-    }
-
-    /// Total drops across the fleet, all reasons.
-    pub fn fleet_drops(&self) -> u64 {
-        self.modules
-            .values()
-            .fold(0, |sum, r| sum.saturating_add(r.snapshot.drops.total()))
     }
 
     /// Render the fleet as Prometheus text exposition: every family in
@@ -326,7 +319,6 @@ mod tests {
 
         // The fleet histogram equals the merge of the stored ones.
         assert_eq!(c.fleet_latency().count(), 70);
-        assert_eq!(c.fleet_drops(), 0);
     }
 
     #[test]
@@ -540,7 +532,6 @@ mod tests {
             c.ingest(snapshot);
         }
         assert_eq!(c.len(), 2);
-        assert_eq!(c.fleet_drops(), u64::MAX);
         let latency = c.fleet_latency();
         assert_eq!(latency.count(), u64::MAX);
         assert_eq!((latency.p50(), latency.max()), (700, 700));

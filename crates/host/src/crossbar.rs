@@ -40,10 +40,10 @@ use flexsfp_wire::{EthernetFrame, MacAddr};
 use std::collections::HashMap;
 
 /// Port line rate, bits per nanosecond (10 Gb/s).
-pub const LINE_RATE_BITS_PER_NS: u64 = 10;
+pub(crate) const LINE_RATE_BITS_PER_NS: u64 = 10;
 
 /// Per-frame wire overhead: preamble + SFD + minimum inter-frame gap.
-pub const FRAME_OVERHEAD_BYTES: u64 = 20;
+pub(crate) const FRAME_OVERHEAD_BYTES: u64 = 20;
 
 /// Wire time of one frame at port line rate, ns.
 pub fn serialize_ns(frame_len: usize) -> u64 {

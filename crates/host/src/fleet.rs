@@ -52,9 +52,9 @@ pub struct DeployReport {
     pub quarantined: Vec<String>,
 }
 
-/// Default number of consecutive failed deploys before a module is
-/// quarantined out of rollouts.
-pub const DEFAULT_QUARANTINE_AFTER: u32 = 3;
+/// Consecutive failed deploys before a module is quarantined out of
+/// rollouts.
+const QUARANTINE_AFTER: u32 = 3;
 
 /// The fleet manager. Modules are individually locked so managed
 /// operations on different modules proceed in parallel.
@@ -66,7 +66,6 @@ pub struct FleetManager<P = FlexSfp> {
     modules: Vec<Mutex<P>>,
     client: ManagementClient,
     deploy_failures: Vec<AtomicU32>,
-    quarantine_after: u32,
 }
 
 impl FleetManager<FlexSfp> {
@@ -98,18 +97,12 @@ impl<P> FleetManager<P> {
         &self.client
     }
 
-    /// Quarantine a module after this many consecutive failed deploys
-    /// (default [`DEFAULT_QUARANTINE_AFTER`]).
-    pub fn set_quarantine_threshold(&mut self, after: u32) {
-        self.quarantine_after = after.max(1);
-    }
-
     /// Indices of modules currently quarantined from rollouts.
     pub fn quarantined(&self) -> Vec<usize> {
         self.deploy_failures
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.load(Ordering::Relaxed) >= self.quarantine_after)
+            .filter(|(_, f)| f.load(Ordering::Relaxed) >= QUARANTINE_AFTER)
             .map(|(i, _)| i)
             .collect()
     }
@@ -124,7 +117,6 @@ impl<P: ModulePort + Send> FleetManager<P> {
             modules: modules.into_iter().map(Mutex::new).collect(),
             client,
             deploy_failures: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            quarantine_after: DEFAULT_QUARANTINE_AFTER,
         }
     }
 
@@ -159,7 +151,7 @@ impl<P: ModulePort + Send> FleetManager<P> {
                     }
                     let mut module = self.modules[idx].lock().unwrap();
                     let id = self.module_id(&mut *module, idx);
-                    if self.deploy_failures[idx].load(Ordering::Relaxed) >= self.quarantine_after {
+                    if self.deploy_failures[idx].load(Ordering::Relaxed) >= QUARANTINE_AFTER {
                         report.lock().unwrap().quarantined.push(id);
                         continue;
                     }
@@ -364,18 +356,17 @@ mod tests {
 
     #[test]
     fn repeat_offenders_get_quarantined() {
-        let mut f = fleet(2);
-        f.set_quarantine_threshold(2);
+        let f = fleet(2);
         let image =
             Bitstream::new("passthrough", 9, ResourceManifest::ZERO, 156_250_000).to_bytes();
-        // Two failing rollouts (slot 0 is protected) build the streak…
-        for _ in 0..2 {
+        // Failing rollouts (slot 0 is protected) build the streak…
+        for _ in 0..QUARANTINE_AFTER {
             let r = f.deploy_all(0, &image, 1);
             assert_eq!(r.rolled_back.len(), 2);
             assert!(r.quarantined.is_empty());
         }
         assert_eq!(f.quarantined(), vec![0, 1]);
-        // …and the third skips both modules entirely.
+        // …and the next skips both modules entirely.
         let r = f.deploy_all(0, &image, 1);
         assert!(r.rolled_back.is_empty() && r.updated.is_empty());
         assert_eq!(r.quarantined.len(), 2);

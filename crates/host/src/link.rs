@@ -17,7 +17,7 @@ pub struct FiberLink {
 }
 
 /// Propagation speed in fiber: ~4.9 ns per metre.
-pub const NS_PER_METER: f64 = 4.9;
+pub(crate) const NS_PER_METER: f64 = 4.9;
 
 impl FiberLink {
     /// A span of `length_m` metres with typical multimode loss.
@@ -36,7 +36,7 @@ impl FiberLink {
 
     /// Convert one module's optical egress into the peer's optical
     /// ingress trace (arrival-sorted, delay applied). Frames are cloned;
-    /// use [`carry_owned`](Self::carry_owned) when the outputs are no
+    /// use `carry_owned` when the outputs are no
     /// longer needed.
     pub fn carry(&self, outputs: &[OutputPacket]) -> Vec<SimPacket> {
         self.carry_owned(outputs.iter().cloned())
@@ -45,7 +45,7 @@ impl FiberLink {
     /// Like [`carry`](Self::carry), but consume the outputs and move each
     /// frame into the peer's ingress trace without copying — the
     /// zero-clone path for chained fleet runs.
-    pub fn carry_owned<I>(&self, outputs: I) -> Vec<SimPacket>
+    pub(crate) fn carry_owned<I>(&self, outputs: I) -> Vec<SimPacket>
     where
         I: IntoIterator<Item = OutputPacket>,
     {

@@ -10,7 +10,7 @@ use flexsfp_core::control::{ControlPlane, ControlRequest, ControlResponse};
 use flexsfp_core::module::FlexSfp;
 use flexsfp_core::reprogram::MAX_CHUNK;
 use flexsfp_fabric::hash::crc32;
-use flexsfp_obs::{DomSnapshot, FlightRecord, TelemetrySnapshot};
+use flexsfp_obs::{DomSnapshot, TelemetrySnapshot};
 use flexsfp_ppe::{TableOp, TableOpResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -120,7 +120,7 @@ struct TransportCounters {
 
 /// Update FSM phase as reported by a `QueryUpdate` probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdatePhase {
+pub(crate) enum UpdatePhase {
     /// No update in progress.
     Idle,
     /// Mid-transfer.
@@ -133,7 +133,7 @@ pub enum UpdatePhase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateStatus {
     /// FSM phase.
-    pub phase: UpdatePhase,
+    phase: UpdatePhase,
     /// Target slot of the in-progress/staged update.
     pub slot: usize,
     /// Declared total image length.
@@ -302,20 +302,6 @@ impl ManagementClient {
         }
     }
 
-    /// Drain the module's flight recorder: the sampled-packet
-    /// postcards accumulated since the previous drain, oldest first.
-    /// Empty when the recorder is disarmed.
-    pub fn read_flight_records<P: ModulePort>(
-        &self,
-        port: &mut P,
-    ) -> Result<Vec<FlightRecord>, MgmtError> {
-        match self.call_retry(port, &ControlRequest::ReadFlightRecords)? {
-            ControlResponse::FlightRecords(records) => Ok(records),
-            ControlResponse::Error(e) => Err(MgmtError::Module(e)),
-            _ => Err(MgmtError::Unexpected),
-        }
-    }
-
     /// Execute a table operation.
     pub fn table_op<P: ModulePort>(
         &self,
@@ -341,36 +327,11 @@ impl ManagementClient {
         }
     }
 
-    /// Drain NetFlow-like export records from a telemetry module
-    /// (repeatedly reads table 2 until the module reports no more).
-    pub fn collect_flows<P: ModulePort>(
+    /// Query the module's update FSM progress.
+    pub(crate) fn update_status<P: ModulePort>(
         &self,
         port: &mut P,
-    ) -> Result<Vec<flexsfp_apps::telemetry::ExportRecord>, MgmtError> {
-        let mut all = Vec::new();
-        loop {
-            let value = match self.table_op(
-                port,
-                TableOp::Read {
-                    table: 2,
-                    key: vec![],
-                },
-            )? {
-                TableOpResult::Value(v) => v,
-                TableOpResult::Unsupported => return Err(MgmtError::Unexpected),
-                _ => return Err(MgmtError::Unexpected),
-            };
-            let batch =
-                flexsfp_apps::telemetry::parse_export(&value).ok_or(MgmtError::Unexpected)?;
-            if batch.is_empty() {
-                return Ok(all);
-            }
-            all.extend(batch);
-        }
-    }
-
-    /// Query the module's update FSM progress.
-    pub fn update_status<P: ModulePort>(&self, port: &mut P) -> Result<UpdateStatus, MgmtError> {
+    ) -> Result<UpdateStatus, MgmtError> {
         match self.call_retry(port, &ControlRequest::QueryUpdate)? {
             ControlResponse::UpdateStatus {
                 state,
@@ -401,7 +362,7 @@ impl ManagementClient {
     }
 
     /// Tear down any in-progress update on the module.
-    pub fn abort_update<P: ModulePort>(&self, port: &mut P) -> Result<(), MgmtError> {
+    pub(crate) fn abort_update<P: ModulePort>(&self, port: &mut P) -> Result<(), MgmtError> {
         self.counters.aborts_sent.fetch_add(1, Ordering::Relaxed);
         self.expect_ack(self.call_retry(port, &ControlRequest::AbortUpdate)?)
     }
@@ -650,27 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_records_read_via_client() {
-        use flexsfp_core::module::SimPacket;
-        use flexsfp_ppe::Direction;
-        let mut m = module();
-        let c = client();
-        // Disarmed recorder: an empty drain, not an error.
-        assert!(c.read_flight_records(&mut m).unwrap().is_empty());
-        m.enable_flight_recorder(1, 3, 64);
-        m.run_stream((0..10u64).map(|i| SimPacket {
-            arrival_ns: i * 1_000,
-            direction: Direction::EdgeToOptical,
-            frame: vec![0u8; 64],
-        }));
-        let records = c.read_flight_records(&mut m).unwrap();
-        assert_eq!(records.len(), 10);
-        assert!(records.windows(2).all(|w| w[0].seq < w[1].seq));
-        // The drain emptied the ring.
-        assert!(c.read_flight_records(&mut m).unwrap().is_empty());
-    }
-
-    #[test]
     fn deploy_via_client_reboots_module() {
         let mut m = module();
         let c = client();
@@ -708,43 +648,6 @@ mod tests {
         c.activate_slot(&mut m, 0).unwrap();
         assert_eq!(m.app_version(), 1);
         assert_eq!(m.boots(), 3);
-    }
-
-    #[test]
-    fn flow_collection_from_telemetry_module() {
-        use flexsfp_apps::TelemetryProbe;
-        use flexsfp_core::module::SimPacket;
-        use flexsfp_ppe::Direction;
-        let mut m = FlexSfp::new(
-            ModuleConfig::default(),
-            Box::new(TelemetryProbe::new(1024, 100_000, 1_000_000)),
-        );
-        // Push 80 distinct flows through the module.
-        let packets: Vec<SimPacket> = (0..80u16)
-            .map(|i| SimPacket {
-                arrival_ns: u64::from(i) * 1_000,
-                direction: Direction::EdgeToOptical,
-                frame: flexsfp_wire::builder::PacketBuilder::eth_ipv4_udp(
-                    flexsfp_wire::MacAddr([2; 6]),
-                    flexsfp_wire::MacAddr([4; 6]),
-                    0xc0a80001,
-                    0x08080808,
-                    10_000 + i,
-                    443,
-                    b"data",
-                ),
-            })
-            .collect();
-        m.run(packets);
-        // The host collector drains them in 32-record slices.
-        let flows = client().collect_flows(&mut m).unwrap();
-        assert_eq!(flows.len(), 80);
-        assert!(flows.iter().all(|f| f.record.packets == 1));
-        // Second collection finds nothing (read-and-evict).
-        assert!(client().collect_flows(&mut m).unwrap().is_empty());
-        // A non-telemetry module reports Unexpected.
-        let mut plain = FlexSfp::passthrough();
-        assert!(client().collect_flows(&mut plain).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_fabric::ClockDomain;
 
 /// What occupies the NIC's cage.
-pub enum CageState {
+pub(crate) enum CageState {
     /// Nothing inserted.
     Empty,
     /// A standard fixed-function SFP+.
@@ -27,7 +27,7 @@ pub struct HostNic {
     /// Calibrated to the paper's measured 3.800 W.
     pub baseline_w: f64,
     /// Cage contents.
-    pub cage: CageState,
+    cage: CageState,
 }
 
 impl Default for HostNic {

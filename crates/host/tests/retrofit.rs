@@ -121,7 +121,7 @@ fn retrofit_vlan_tagger_tags_egress() {
     sw.insert_flexsfp(1, FlexSfp::new(ModuleConfig::default(), Box::new(tagger)));
     let out = sw.inject(0, frame(HOST_B, HOST_A, 80), 1_000);
     assert_eq!(out.len(), 1);
-    let parsed = flexsfp_ppe::Parser::default().parse(&out[0].frame).unwrap();
+    let parsed = flexsfp_ppe::Parser.parse(&out[0].frame).unwrap();
     assert_eq!(parsed.vlans, vec![200]);
     assert!(sw.stats().conserved(), "{:?}", sw.stats());
 }

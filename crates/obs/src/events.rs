@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 /// Default ring capacity; matches a small on-module SRAM trace buffer.
 /// Flight records are bigger than trace events, so their ring holds as
 /// many rather than more.
-pub const DEFAULT_RING_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

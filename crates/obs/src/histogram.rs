@@ -264,11 +264,6 @@ impl LatencyHistogram {
         let counts = self.counts.iter().copied().enumerate();
         counts.filter(|&(_, c)| c > 0)
     }
-
-    /// Number of allocated buckets (memory-bound diagnostics).
-    pub fn bucket_capacity(&self) -> usize {
-        self.counts.len()
-    }
 }
 
 // Hand-written (not `impl_json_struct!`) because the in-tree JSON
@@ -520,7 +515,7 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(u64::MAX);
         h.record(0);
-        assert_eq!(h.bucket_capacity(), BUCKETS);
+        assert_eq!(h.counts.len(), BUCKETS);
         assert_eq!(index_for(u64::MAX), BUCKETS - 1);
         assert_eq!(h.max(), u64::MAX);
         // The p100 estimate stays within 1 % even at the top of range.

@@ -77,7 +77,7 @@ impl PartialEq for Value {
 
 impl Value {
     /// True for `null`.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -99,7 +99,7 @@ impl Value {
     }
 
     /// The value as an `i64`, when integral and in range.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Int(n) => Some(*n),
             Value::UInt(n) => i64::try_from(*n).ok(),
@@ -151,7 +151,7 @@ impl Value {
     }
 
     /// Element lookup that never panics.
-    pub fn get_index(&self, idx: usize) -> &Value {
+    pub(crate) fn get_index(&self, idx: usize) -> &Value {
         match self {
             Value::Array(a) => a.get(idx).unwrap_or(&NULL),
             _ => &NULL,

@@ -56,7 +56,7 @@ pub use events::{DataplaneEvent, DropReason, EventKind, EventRing, TraceRing};
 pub use histogram::LatencyHistogram;
 pub use json::{FromJson, ToJson, Value};
 pub use prometheus::PromText;
-pub use slo::{SloBreach, SloReport, SloSpec};
+pub use slo::{SloReport, SloSpec};
 pub use snapshot::{
     CacheStats, CtrlCounters, DomSnapshot, DropCounters, PortCounters, TableTelemetry,
     TelemetrySnapshot,

@@ -11,11 +11,11 @@ use crate::histogram::LatencyHistogram;
 
 /// Floor applied when converting a zero/negative optical power to dBm,
 /// standing in for the receiver sensitivity floor of a real module.
-pub const DBM_FLOOR: f64 = -40.0;
+pub(crate) const DBM_FLOOR: f64 = -40.0;
 
 /// Convert an optical power in milliwatts to dBm, clamped at
 /// [`DBM_FLOOR`] so a dark lane serializes as a finite number.
-pub fn mw_to_dbm(mw: f64) -> f64 {
+pub(crate) fn mw_to_dbm(mw: f64) -> f64 {
     if mw > 0.0 {
         (10.0 * mw.log10()).max(DBM_FLOOR)
     } else {

@@ -15,10 +15,10 @@
 use crate::histogram::LatencyHistogram;
 
 /// Default window width: 1 ms of simulated time.
-pub const DEFAULT_WINDOW_WIDTH_NS: u64 = 1_000_000;
+pub(crate) const DEFAULT_WINDOW_WIDTH_NS: u64 = 1_000_000;
 
 /// Default number of live windows retained before eviction.
-pub const DEFAULT_WINDOW_CAPACITY: usize = 32;
+pub(crate) const DEFAULT_WINDOW_CAPACITY: usize = 32;
 
 /// One fixed-width time bucket of dataplane activity.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -163,11 +163,6 @@ impl WindowedSeries {
     /// Live windows, oldest first.
     pub fn windows(&self) -> &[WindowBucket] {
         &self.windows
-    }
-
-    /// The catch-all bucket holding everything rotated out of the ring.
-    pub fn evicted(&self) -> &WindowBucket {
-        &self.evicted
     }
 
     fn aligned(&self, timestamp_ns: u64) -> u64 {
@@ -365,7 +360,7 @@ mod tests {
         }
         assert_eq!(s.windows().len(), 2);
         // Windows 0 and 100 rotated out; their packets survive.
-        assert_eq!(s.evicted().forwarded, 2);
+        assert_eq!(s.evicted.forwarded, 2);
         assert_eq!(s.lifetime().forwarded, 4);
         assert_eq!(s.lifetime().latency.count(), 4);
     }
@@ -378,7 +373,7 @@ mod tests {
         }
         // Oldest live window now starts at 200; t=20 is ancient.
         s.record_drop(20, true);
-        assert_eq!(s.evicted().drops_unexplained, 1);
+        assert_eq!(s.evicted.drops_unexplained, 1);
         assert_eq!(s.lifetime().drops_unexplained, 1);
     }
 
@@ -408,7 +403,7 @@ mod tests {
         assert_eq!(starts, vec![10, 20]);
         // The late sample went into the gap window, not the evicted one.
         assert_eq!(s.windows()[0].latency.max(), 10);
-        assert_eq!(s.evicted().forwarded, 1);
+        assert_eq!(s.evicted.forwarded, 1);
         assert_eq!(s.lifetime().forwarded, 3);
     }
 

@@ -257,7 +257,7 @@ mod tests {
     }
 
     fn apply(e: &mut ActionEngine, action: Action, pkt: &mut Vec<u8>) -> ActionOutcome {
-        let parsed = Parser::default().parse(pkt).unwrap();
+        let parsed = Parser.parse(pkt).unwrap();
         e.apply(action, pkt, &parsed, None)
     }
 
@@ -322,7 +322,7 @@ mod tests {
         let mut pkt = udp_frame();
         let orig = pkt.clone();
         apply(&mut e, Action::PushVlan { vid: 100, pcp: 3 }, &mut pkt);
-        let p = Parser::default().parse(&pkt).unwrap();
+        let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![100]);
         apply(&mut e, Action::PopVlan, &mut pkt);
         assert_eq!(pkt, orig);
@@ -334,7 +334,7 @@ mod tests {
         let mut pkt = udp_frame();
         apply(&mut e, Action::PushVlan { vid: 10, pcp: 0 }, &mut pkt);
         apply(&mut e, Action::PushSTag { vid: 500 }, &mut pkt);
-        let p = Parser::default().parse(&pkt).unwrap();
+        let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![500, 10]);
     }
 
@@ -362,7 +362,7 @@ mod tests {
             },
             &mut pkt,
         );
-        let p = Parser::default().parse(&pkt).unwrap();
+        let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.ipv4.unwrap().protocol, IpProtocol::Gre);
         assert_eq!(p.ipv4.unwrap().dst, 0x02020202);
         apply(&mut e, Action::DecapTunnel, &mut pkt);
@@ -382,7 +382,7 @@ mod tests {
             },
             &mut pkt,
         );
-        let p = Parser::default().parse(&pkt).unwrap();
+        let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.ipv4.unwrap().protocol, IpProtocol::IpIp);
         apply(&mut e, Action::DecapTunnel, &mut pkt);
         assert_eq!(pkt, orig);
@@ -402,7 +402,7 @@ mod tests {
             },
             &mut pkt,
         );
-        let p = Parser::default().parse(&pkt).unwrap();
+        let p = Parser.parse(&pkt).unwrap();
         match p.l4 {
             L4::Udp { dst_port, .. } => assert_eq!(dst_port, flexsfp_wire::vxlan::UDP_PORT),
             other => panic!("expected VXLAN UDP, got {other:?}"),

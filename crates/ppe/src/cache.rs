@@ -69,16 +69,16 @@ use flexsfp_obs::{CacheStats, FlightStamp};
 use flexsfp_wire::{checksum, EtherType};
 
 /// Associativity of the cache (entries per set).
-pub const WAYS: usize = 4;
+pub(crate) const WAYS: usize = 4;
 
 /// Default flow capacity (sets × ways) of a processor's cache.
-pub const DEFAULT_FLOWS: usize = 4096;
+pub(crate) const DEFAULT_FLOWS: usize = 4096;
 
 /// Packets a cache-owning processor's `process_batch` handles per
 /// two-pass window: touch every packet's cache set first, then run the
 /// per-packet logic in order. Equals the module's PPE batch, and is
 /// small enough that the window's keys stay on the stack.
-pub const BATCH_WINDOW: usize = 32;
+pub(crate) const BATCH_WINDOW: usize = 32;
 
 /// L4 classification bits of a [`FlowKey`] (mirrors what the full
 /// parser would produce for the same frame).
@@ -277,7 +277,7 @@ impl KeyHint {
     }
 
     /// The key, extracting now only if no attempt was recorded yet.
-    pub fn resolve(self, frame: &[u8], direction: Direction) -> Option<FlowKey> {
+    pub(crate) fn resolve(self, frame: &[u8], direction: Direction) -> Option<FlowKey> {
         match self {
             KeyHint::Unknown => FlowKey::extract(frame, direction),
             KeyHint::Absent => None,
@@ -352,7 +352,7 @@ pub struct ActionPlan {
 /// A cached plan's per-stage hit attribution: stages `0..n` in order —
 /// what the slow path records — with stage `i`'s hit in bit `i`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageStats {
+pub(crate) struct StageStats {
     /// Stages attributed.
     n: u8,
     /// Bit `i` set: stage `i` hit.
@@ -360,16 +360,6 @@ pub struct StageStats {
 }
 
 impl StageStats {
-    /// Number of attributions.
-    pub fn len(&self) -> usize {
-        usize::from(self.n)
-    }
-
-    /// True when no stage ran.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The `(stage, hit)` pairs in recording order.
     pub fn iter(&self) -> impl Iterator<Item = (u8, bool)> {
         let hits = self.hits;
@@ -386,16 +376,16 @@ pub struct PlanView<'a> {
     /// Final verdict.
     pub verdict: Verdict,
     /// Per-stage (index, hit) attribution.
-    pub stage_stats: StageStats,
+    stage_stats: StageStats,
 }
 
 /// Ops an [`InlinePlan`] holds: the NAT's translated-flow plan (address
 /// write, IP and L4 checksum patches, counter) exactly.
-pub const INLINE_OPS: usize = 4;
+pub(crate) const INLINE_OPS: usize = 4;
 
 /// Stage attributions an [`InlinePlan`] holds: one per stage of the
 /// deepest pipeline the fabric fits.
-pub const INLINE_STAGES: usize = crate::pipeline::MAX_STAGES;
+pub(crate) const INLINE_STAGES: usize = crate::pipeline::MAX_STAGES;
 
 const _: () = assert!(INLINE_STAGES <= 8 && INLINE_OPS < 0xf);
 const _: () = assert!(core::mem::size_of::<PlanOp>() == 8);
@@ -403,7 +393,7 @@ const _: () = assert!(core::mem::size_of::<PlanOp>() == 8);
 /// A plan in fixed-size `Copy` form: what a cache slot stores and what
 /// [`PlanRecorder`] records into, so neither a hit nor a miss touches
 /// the heap. 36 bytes: a 3-byte header, a byte of padding and
-/// [`INLINE_OPS`] ops. A plan with more ops, more than [`INLINE_STAGES`]
+/// `INLINE_OPS` ops. A plan with more ops, more than `INLINE_STAGES`
 /// stage attributions or attributions that are not stages `0..n` in
 /// order does not fit and is not cached.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -816,7 +806,7 @@ fn one_dependency(_key: &FlowKey) -> u32 {
     0
 }
 
-/// Fixed-capacity, [`WAYS`]-way set-associative microflow cache.
+/// Fixed-capacity, `WAYS`-way set-associative microflow cache.
 ///
 /// Laid out like [`HashTable`](crate::tables::HashTable): a dense array
 /// of 1-byte fingerprint tags (0 = empty way) scanned on every probe,
@@ -852,7 +842,7 @@ impl Default for FlowCache {
 
 impl FlowCache {
     /// A cache holding about `flows` plans (rounded up to a power-of-two
-    /// number of [`WAYS`]-way sets).
+    /// number of `WAYS`-way sets).
     pub fn new(flows: usize) -> FlowCache {
         let sets = flows.max(WAYS).div_ceil(WAYS).next_power_of_two();
         FlowCache {
@@ -984,7 +974,7 @@ impl FlowCache {
     ///
     /// [`lookup`]: Self::lookup
     /// [`insert`]: Self::insert
-    pub fn touch_window(&self, keys: &[Option<FlowKey>; BATCH_WINDOW]) -> u32 {
+    pub(crate) fn touch_window(&self, keys: &[Option<FlowKey>; BATCH_WINDOW]) -> u32 {
         const NONE: usize = usize::MAX;
         if self.resident <= L2_RESIDENT_PLANS {
             // The plans in use fit a core's L2: there is no miss to
@@ -1460,7 +1450,7 @@ mod tests {
         let kw = FlowKey::extract(&whole, Direction::EdgeToOptical).unwrap();
         let kf = FlowKey::extract(&frag, Direction::EdgeToOptical).unwrap();
         assert_ne!(kw, kf);
-        let parsed = Parser::default().parse(&frag).unwrap();
+        let parsed = Parser.parse(&frag).unwrap();
         assert_eq!(parsed.l4, L4::Other);
     }
 
@@ -1481,7 +1471,7 @@ mod tests {
         want[40..42].copy_from_slice(&checksum::update32(udp_check, SRC, new_src).to_be_bytes());
         // Slow path, recording.
         let mut slow = udp_frame();
-        let parsed = Parser::default().parse(&slow).unwrap();
+        let parsed = Parser.parse(&slow).unwrap();
         let mut engine = ActionEngine::new(4);
         let mut rec = PlanRecorder::new();
         for (action, modified) in [
@@ -1529,7 +1519,7 @@ mod tests {
             bytes: [0x81, 0x00, 0x00, 0x64],
         }]);
         replay(push.view(), &mut pkt, &mut bank);
-        assert_eq!(Parser::default().parse(&pkt).unwrap().vlans, vec![100u16]);
+        assert_eq!(Parser.parse(&pkt).unwrap().vlans, vec![100u16]);
         let pop = inline(vec![PlanOp::PopTag]);
         replay(pop.view(), &mut pkt, &mut bank);
         assert_eq!(pkt, orig);
@@ -1610,7 +1600,7 @@ mod tests {
     #[test]
     fn recorder_invalidation_blocks_caching() {
         let mut f = udp_frame();
-        let parsed = Parser::default().parse(&f).unwrap();
+        let parsed = Parser.parse(&f).unwrap();
         assert!(compile_action(&Action::DecapTunnel, &f, &parsed).is_none());
         let mut rec = PlanRecorder::new();
         crate::action::ActionEngine::new(0).apply(

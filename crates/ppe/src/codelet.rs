@@ -14,9 +14,9 @@ use crate::parser::{ParsedPacket, Parser, L4};
 use crate::tables::HashTable;
 
 /// Number of general-purpose registers.
-pub const NUM_REGS: usize = 11;
+pub(crate) const NUM_REGS: usize = 11;
 /// Maximum program length a codelet core can realize.
-pub const MAX_INSNS: usize = 512;
+pub(crate) const MAX_INSNS: usize = 512;
 
 /// Readable packet/metadata fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,9 +152,9 @@ pub enum Insn {
 /// Verification errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyError {
-    /// Program empty or longer than [`MAX_INSNS`].
+    /// Program empty or longer than `MAX_INSNS`.
     BadLength,
-    /// Register index ≥ [`NUM_REGS`].
+    /// Register index ≥ `NUM_REGS`.
     BadRegister(usize),
     /// Jump target outside the program.
     BadJump(usize),
@@ -266,7 +266,7 @@ impl Codelet {
             program,
             tables,
             engine: ActionEngine::new(64),
-            parser: Parser::default(),
+            parser: Parser,
         })
     }
 

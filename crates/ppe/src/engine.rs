@@ -17,16 +17,6 @@ pub enum Direction {
     OpticalToEdge,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::EdgeToOptical => Direction::OpticalToEdge,
-            Direction::OpticalToEdge => Direction::EdgeToOptical,
-        }
-    }
-}
-
 /// Per-packet processing context supplied by the shell.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcessContext {
@@ -354,12 +344,6 @@ impl PacketProcessor for DropAll {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn direction_reverse() {
-        assert_eq!(Direction::EdgeToOptical.reverse(), Direction::OpticalToEdge);
-        assert_eq!(Direction::OpticalToEdge.reverse(), Direction::EdgeToOptical);
-    }
 
     #[test]
     fn context_builders() {

@@ -11,7 +11,7 @@
 use crate::codelet::{Codelet, Insn};
 use crate::pipeline::{Matcher, Pipeline, Stage};
 use flexsfp_fabric::resources::ResourceManifest;
-use flexsfp_fabric::sram::{MemoryKind, MemoryPlanner, TableShape};
+use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
 
 /// Result of "synthesizing" a packet program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +63,7 @@ fn memory_manifest(shapes: &[TableShape]) -> ResourceManifest {
 }
 
 /// Estimate a match-action [`Pipeline`].
-pub fn estimate_pipeline(p: &Pipeline) -> ResourceManifest {
+pub(crate) fn estimate_pipeline(p: &Pipeline) -> ResourceManifest {
     let mut m = SKELETON + PARSER_LEVEL.scaled(4);
     for stage in p.stages() {
         m += estimate_stage(stage);
@@ -133,12 +133,6 @@ pub fn synthesize_codelet(c: &Codelet) -> SynthesisReport {
         fmax_hz: fmax_for_depth(depth),
         latency_cycles: 4 + c.program().len() as u64 / 2,
     }
-}
-
-/// Which memory kind a table of `shape` would land in (exposed for
-/// ablation studies).
-pub fn placement_kind(shape: TableShape) -> MemoryKind {
-    MemoryPlanner::place(shape).kind
 }
 
 #[cfg(test)]

@@ -76,11 +76,6 @@ impl TokenBucket {
             Color::Red
         }
     }
-
-    /// Current credit in whole bytes (diagnostics).
-    pub fn credit_bytes(&self) -> u64 {
-        (self.credit_byte_ns / 1_000_000_000) as u64
-    }
 }
 
 #[cfg(test)]
@@ -131,9 +126,9 @@ mod tests {
         assert_eq!(tb.meter(100, 0), Color::Green);
         // An oversized packet is red and must not take partial credit.
         tb.meter(1000, 1_000_000); // 1 ms -> +1 byte credit
-        let before = tb.credit_bytes();
+        let before = tb.credit_byte_ns;
         assert_eq!(tb.meter(1000, 1_000_000), Color::Red);
-        assert_eq!(tb.credit_bytes(), before);
+        assert_eq!(tb.credit_byte_ns, before);
     }
 
     #[test]
@@ -149,7 +144,7 @@ mod tests {
         let mut tb = TokenBucket::new(8_000_000, 500);
         // A long idle period cannot bank more than the burst.
         tb.refill(10_000_000_000);
-        assert_eq!(tb.credit_bytes(), 500);
+        assert_eq!(tb.credit_byte_ns, 500 * 1_000_000_000);
         assert_eq!(tb.meter(501, 10_000_000_000), Color::Red);
         assert_eq!(tb.meter(500, 10_000_000_000), Color::Green);
     }

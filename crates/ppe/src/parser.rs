@@ -13,7 +13,7 @@ use flexsfp_wire::{
 };
 
 /// Maximum VLAN tags the parser follows (QinQ = 2).
-pub const MAX_VLAN_TAGS: usize = 2;
+pub(crate) const MAX_VLAN_TAGS: usize = 2;
 
 /// L4 summary for the match stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +88,7 @@ pub struct ParsedPacket {
     pub dst_mac: MacAddr,
     /// Source MAC.
     pub src_mac: MacAddr,
-    /// VLAN IDs outermost-first (up to [`MAX_VLAN_TAGS`]).
+    /// VLAN IDs outermost-first (up to `MAX_VLAN_TAGS`).
     pub vlans: Vec<u16>,
     /// EtherType after any VLAN tags.
     pub ethertype: EtherType,
@@ -124,23 +124,10 @@ impl ParsedPacket {
     }
 }
 
-/// The parser block. Stateless; configuration selects how deep it walks.
-#[derive(Debug, Clone, Copy)]
-pub struct Parser {
-    /// Follow VLAN tags (disable for pure L3 pipelines to save LUTs).
-    pub parse_vlan: bool,
-    /// Parse into L4 headers.
-    pub parse_l4: bool,
-}
-
-impl Default for Parser {
-    fn default() -> Self {
-        Parser {
-            parse_vlan: true,
-            parse_l4: true,
-        }
-    }
-}
+/// The parser block. Stateless: it follows VLAN tags and parses into L4
+/// headers.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Parser;
 
 impl Parser {
     /// Parse a frame into the field bundle. Returns `None` only when the
@@ -161,27 +148,25 @@ impl Parser {
 
         let mut offset = ethernet::HEADER_LEN;
         let mut ethertype = eth.ethertype();
-        if self.parse_vlan {
-            while ethertype.is_vlan() && parsed.vlans.len() < MAX_VLAN_TAGS {
-                let Ok(v) = VlanFrame::new_checked(&frame[offset..]) else {
-                    return Some(parsed);
-                };
-                parsed.vlans.push(v.vid());
-                ethertype = v.inner_ethertype();
-                offset += vlan::TAG_LEN;
-            }
+        while ethertype.is_vlan() && parsed.vlans.len() < MAX_VLAN_TAGS {
+            let Ok(v) = VlanFrame::new_checked(&frame[offset..]) else {
+                return Some(parsed);
+            };
+            parsed.vlans.push(v.vid());
+            ethertype = v.inner_ethertype();
+            offset += vlan::TAG_LEN;
         }
         parsed.ethertype = ethertype;
 
         match ethertype {
-            EtherType::Ipv4 => self.parse_ipv4(frame, offset, &mut parsed),
-            EtherType::Ipv6 => self.parse_ipv6(frame, offset, &mut parsed),
+            EtherType::Ipv4 => Self::parse_ipv4(frame, offset, &mut parsed),
+            EtherType::Ipv6 => Self::parse_ipv6(frame, offset, &mut parsed),
             _ => {}
         }
         Some(parsed)
     }
 
-    fn parse_ipv4(&self, frame: &[u8], offset: usize, parsed: &mut ParsedPacket) {
+    fn parse_ipv4(frame: &[u8], offset: usize, parsed: &mut ParsedPacket) {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[offset..]) else {
             return;
         };
@@ -197,9 +182,6 @@ impl Parser {
             header_len: ip.header_len(),
         };
         parsed.ipv4 = Some(summary);
-        if !self.parse_l4 {
-            return;
-        }
         // A non-first fragment has no L4 header.
         if ip.frag_offset() != 0 {
             return;
@@ -209,7 +191,7 @@ impl Parser {
         parsed.l4 = Self::parse_l4_at(ip.protocol(), ip.payload());
     }
 
-    fn parse_ipv6(&self, frame: &[u8], offset: usize, parsed: &mut ParsedPacket) {
+    fn parse_ipv6(frame: &[u8], offset: usize, parsed: &mut ParsedPacket) {
         let Ok(ip) = Ipv6Packet::new_checked(&frame[offset..]) else {
             return;
         };
@@ -219,9 +201,6 @@ impl Parser {
             hop_limit: ip.hop_limit(),
             offset,
         });
-        if !self.parse_l4 {
-            return;
-        }
         let l4_off = offset + flexsfp_wire::ipv6::HEADER_LEN;
         parsed.l4_offset = Some(l4_off);
         parsed.l4 = Self::parse_l4_at(ip.next_header(), ip.payload());
@@ -282,7 +261,7 @@ mod tests {
 
     #[test]
     fn parses_plain_udp() {
-        let p = Parser::default().parse(&udp_frame()).unwrap();
+        let p = Parser.parse(&udp_frame()).unwrap();
         assert_eq!(p.dst_mac, MacAddr([1; 6]));
         assert_eq!(p.ethertype, EtherType::Ipv4);
         assert!(p.vlans.is_empty());
@@ -315,7 +294,7 @@ mod tests {
             TcpFlags::syn_only(),
             &[],
         );
-        let p = Parser::default().parse(&f).unwrap();
+        let p = Parser.parse(&f).unwrap();
         match p.l4 {
             L4::Tcp {
                 src_port,
@@ -333,7 +312,7 @@ mod tests {
     #[test]
     fn parses_single_vlan() {
         let f = PacketBuilder::with_vlan(&udp_frame(), 100, 3);
-        let p = Parser::default().parse(&f).unwrap();
+        let p = Parser.parse(&f).unwrap();
         assert_eq!(p.vlans, vec![100]);
         assert_eq!(p.ethertype, EtherType::Ipv4);
         assert!(p.ipv4.is_some());
@@ -353,22 +332,9 @@ mod tests {
             },
         )
         .unwrap();
-        let p = Parser::default().parse(&f).unwrap();
+        let p = Parser.parse(&f).unwrap();
         assert_eq!(p.vlans, vec![200, 10]);
         assert!(p.ipv4.is_some());
-    }
-
-    #[test]
-    fn vlan_parsing_disabled() {
-        let f = PacketBuilder::with_vlan(&udp_frame(), 100, 0);
-        let parser = Parser {
-            parse_vlan: false,
-            parse_l4: true,
-        };
-        let p = parser.parse(&f).unwrap();
-        assert!(p.vlans.is_empty());
-        assert_eq!(p.ethertype, EtherType::Vlan);
-        assert!(p.ipv4.is_none());
     }
 
     #[test]
@@ -379,7 +345,7 @@ mod tests {
             ip.set_fragment(false, true, 100);
             ip.fill_checksum();
         }
-        let p = Parser::default().parse(&f).unwrap();
+        let p = Parser.parse(&f).unwrap();
         let ip = p.ipv4.unwrap();
         assert!(ip.is_fragment);
         assert_eq!(p.l4, L4::Other);
@@ -392,7 +358,7 @@ mod tests {
         let short_ip = PacketBuilder::ipv4(SRC, DST, IpProtocol::Udp, &[1, 2, 3]);
         let f =
             PacketBuilder::ethernet(MacAddr([1; 6]), MacAddr([2; 6]), EtherType::Ipv4, &short_ip);
-        let p = Parser::default().parse(&f).unwrap();
+        let p = Parser.parse(&f).unwrap();
         assert!(p.ipv4.is_some());
         assert_eq!(p.l4, L4::Other);
     }
@@ -405,7 +371,7 @@ mod tests {
             EtherType::Other(0x1234),
             b"opaque",
         );
-        let p = Parser::default().parse(&f).unwrap();
+        let p = Parser.parse(&f).unwrap();
         assert!(p.ipv4.is_none());
         assert!(p.ipv6.is_none());
         assert_eq!(p.l4, L4::Other);
@@ -414,7 +380,7 @@ mod tests {
 
     #[test]
     fn too_short_frame_is_none() {
-        assert!(Parser::default().parse(&[0u8; 10]).is_none());
+        assert!(Parser.parse(&[0u8; 10]).is_none());
     }
 
     #[test]
@@ -438,7 +404,7 @@ mod tests {
             u.set_len(8);
         }
         let f = PacketBuilder::ethernet(MacAddr([1; 6]), MacAddr([2; 6]), EtherType::Ipv6, &ip6);
-        let p = Parser::default().parse(&f).unwrap();
+        let p = Parser.parse(&f).unwrap();
         let v6 = p.ipv6.unwrap();
         assert_eq!(v6.src_prefix64, 0x20010db8_00000001);
         assert_eq!(v6.next_header, IpProtocol::Udp);

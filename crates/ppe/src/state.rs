@@ -13,7 +13,7 @@ use crate::engine::Verdict;
 use crate::tables::{HashTable, TableError, TableKey};
 
 /// Number of per-flow registers (FlowBlaze uses a comparable budget).
-pub const REGISTERS: usize = 4;
+pub(crate) const REGISTERS: usize = 4;
 
 /// Per-flow context stored in the state table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +128,6 @@ pub struct Transition {
 pub struct EfsmTable<K: TableKey> {
     flows: HashTable<K, FlowContext>,
     transitions: Vec<Transition>,
-    /// Verdict when no transition matches (fail-open forward by default).
-    pub default_verdict: Verdict,
 }
 
 impl<K: TableKey> EfsmTable<K> {
@@ -138,12 +136,12 @@ impl<K: TableKey> EfsmTable<K> {
         EfsmTable {
             flows: HashTable::with_capacity(capacity),
             transitions,
-            default_verdict: Verdict::Forward,
         }
     }
 
     /// Process one packet of flow `key`: find the first transition whose
-    /// `from` and condition match, apply it, and return its verdict.
+    /// `from` and condition match, apply it, and return its verdict; with
+    /// no match the packet is forwarded (fail-open).
     /// Flows are created in state 0 on first sight. If the flow table
     /// bucket is full the packet is forwarded statelessly (fail-open),
     /// mirroring what the hardware must do.
@@ -161,11 +159,11 @@ impl<K: TableKey> EfsmTable<K> {
                 flow.state = t.to;
                 t.verdict
             }
-            None => self.default_verdict,
+            None => Verdict::Forward,
         };
         match self.flows.insert(key, flow) {
             Ok(()) => verdict,
-            Err(TableError::BucketFull) => self.default_verdict,
+            Err(TableError::BucketFull) => Verdict::Forward,
         }
     }
 
@@ -288,11 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_state_uses_default_verdict() {
+    fn unknown_state_forwards() {
         let mut t: EfsmTable<u32> = EfsmTable::new(16, vec![]);
         assert_eq!(t.step(5, &ev(0, 0)), Verdict::Forward);
-        t.default_verdict = Verdict::Drop;
-        assert_eq!(t.step(5, &ev(0, 0)), Verdict::Drop);
     }
 
     #[test]

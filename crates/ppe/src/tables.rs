@@ -186,7 +186,7 @@ impl<K: TableKey, V: Copy> HashTable<K, V> {
     /// The bucket `key` hashes to. Public so layout-pinning tests (and
     /// control-plane introspection) can prove which bucket an entry
     /// occupies without depending on the storage representation.
-    pub fn bucket_of(&self, key: &K) -> usize {
+    pub(crate) fn bucket_of(&self, key: &K) -> usize {
         (crc32(&key.key_bytes()) as usize) & self.bucket_mask
     }
 

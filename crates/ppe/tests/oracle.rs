@@ -399,9 +399,7 @@ fn apply(
     rec: Option<&mut PlanRecorder>,
 ) -> (ActionOutcome, Vec<u8>) {
     let mut packet = frame.to_vec();
-    let parsed = Parser::default()
-        .parse(&packet)
-        .expect("14 bytes and more parse");
+    let parsed = Parser.parse(&packet).expect("14 bytes and more parse");
     let out = engine.apply(action, &mut packet, &parsed, rec);
     (out, packet)
 }

@@ -86,7 +86,7 @@ pub enum ArrivalModel {
 
 /// One flow's immutable 5-tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowSpec {
+pub(crate) struct FlowSpec {
     /// Source address.
     pub src: u32,
     /// Destination address.
@@ -233,14 +233,6 @@ impl TraceBuilder {
             }
         }
         TcpSet(bits)
-    }
-
-    /// The flow population this builder will use.
-    pub fn flow_specs(&self) -> Vec<FlowSpec> {
-        let tcp = self.tcp_set();
-        (0..self.space.flows)
-            .map(|i| self.space.spec(i, tcp.contains(i)))
-            .collect()
     }
 
     /// Build one flow frame in place into `buf` (leased from an arena or
@@ -560,6 +552,14 @@ mod tests {
         assert!(a.iter().zip(&c).any(|(x, y)| x.frame != y.frame));
     }
 
+    /// The flow population `b` uses.
+    fn flow_specs(b: &TraceBuilder) -> Vec<FlowSpec> {
+        let tcp = b.tcp_set();
+        (0..b.space.flows)
+            .map(|i| b.space.spec(i, tcp.contains(i)))
+            .collect()
+    }
+
     /// What `stamp` must reproduce: the reference builder's frame.
     fn built(flow: &FlowSpec, len: usize) -> Vec<u8> {
         assert!(!flow.tcp);
@@ -633,7 +633,7 @@ mod tests {
             .flows(40)
             .tcp_share(0.3)
             .sizes(SizeModel::Uniform(60, 1_600));
-        let specs = b.flow_specs();
+        let specs = flow_specs(&b);
         let (mut udp, mut jumbo) = (0, 0);
         for p in b.stream(3_000) {
             let src = u32::from_be_bytes(p.frame[26..30].try_into().unwrap());
@@ -710,7 +710,7 @@ mod tests {
     #[test]
     fn flow_population_respected() {
         let b = TraceBuilder::new(9).flows(8);
-        let specs = b.flow_specs();
+        let specs = flow_specs(&b);
         assert_eq!(specs.len(), 8);
         let trace = b.build(1_000);
         let mut srcs = std::collections::HashSet::new();
@@ -742,9 +742,9 @@ mod tests {
 
     #[test]
     fn tcp_share_produces_tcp_flows() {
-        let specs = TraceBuilder::new(11).flows(100).tcp_share(1.0).flow_specs();
+        let specs = flow_specs(&TraceBuilder::new(11).flows(100).tcp_share(1.0));
         assert!(specs.iter().all(|f| f.tcp));
-        let none = TraceBuilder::new(11).flows(100).tcp_share(0.0).flow_specs();
+        let none = flow_specs(&TraceBuilder::new(11).flows(100).tcp_share(0.0));
         assert!(none.iter().all(|f| !f.tcp));
     }
 }

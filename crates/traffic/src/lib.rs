@@ -7,8 +7,8 @@
 //! * [`gen`] — seeded flow-based traffic generators with packet-size
 //!   models (fixed, uniform, IMIX) and paced or bursty arrival
 //!   processes;
-//! * [`profiles`] — scenario presets: FTTH subscriber mix, enterprise
-//!   edge, mobile fronthaul-like, DNS-heavy.
+//! * [`profiles`] — scenario presets: metro subscribers, flash crowd,
+//!   DDoS burst.
 //!
 //! All generators take an explicit seed and produce identical traces for
 //! identical inputs, so every experiment in `flexsfp-bench` is exactly
@@ -24,4 +24,4 @@ pub mod rng;
 
 pub use gen::{ArrivalModel, SizeModel, TraceBuilder, TracePacket, TraceStream};
 pub use rate::LineRateCalc;
-pub use rng::{SplitMix64, Xoshiro256};
+pub use rng::Xoshiro256;

@@ -1,64 +1,11 @@
 //! Scenario presets matching the paper's deployment stories.
 //!
-//! §2.1 motivates FlexSFP with telecom aggregation: FTTH subscribers,
-//! mobile fronthaul and enterprise edges. Each preset returns a
-//! configured [`TraceBuilder`] whose flow population and size mix
-//! resemble that environment, so experiments can say "an FTTH port"
+//! §2.1 motivates FlexSFP with telecom aggregation. Each preset returns
+//! a configured [`TraceBuilder`] whose flow population and size mix
+//! resemble a metro-ISP port, so experiments can say "a flash crowd"
 //! instead of hand-tuning distributions.
 
 use crate::gen::{ArrivalModel, SizeModel, TraceBuilder};
-
-/// A residential FTTH subscriber port: few flows, IMIX sizes, moderate
-/// load, a DNS-ish flow population toward port 53 mixed in by dport 80
-/// default (DNS-heavy variant below).
-pub fn ftth_subscriber(seed: u64) -> TraceBuilder {
-    TraceBuilder::new(seed)
-        .flows(32)
-        .sizes(SizeModel::Imix)
-        .arrivals(ArrivalModel::Poisson { utilization: 0.2 })
-        .src_base(0x0a64_0100) // CGNAT-style 10.100.1.0 block
-        .dport(443)
-}
-
-/// An enterprise edge uplink: many flows, IMIX, high sustained load.
-pub fn enterprise_edge(seed: u64) -> TraceBuilder {
-    TraceBuilder::new(seed)
-        .flows(512)
-        .sizes(SizeModel::Imix)
-        .arrivals(ArrivalModel::Paced { utilization: 0.7 })
-        .tcp_share(0.8)
-        .dport(443)
-}
-
-/// A fronthaul-like link (RU↔DU): few flows of large, rigidly paced
-/// frames — latency is everything here.
-pub fn fronthaul(seed: u64) -> TraceBuilder {
-    TraceBuilder::new(seed)
-        .flows(4)
-        .sizes(SizeModel::Fixed(1400))
-        .arrivals(ArrivalModel::Paced { utilization: 0.9 })
-        .src_base(0x0a0a_0000)
-        .dport(2152) // GTP-U-ish
-}
-
-/// A DNS-heavy access mix for the filtering use case: small UDP frames
-/// toward port 53.
-pub fn dns_heavy(seed: u64) -> TraceBuilder {
-    TraceBuilder::new(seed)
-        .flows(128)
-        .sizes(SizeModel::Uniform(70, 120))
-        .arrivals(ArrivalModel::Poisson { utilization: 0.1 })
-        .dport(53)
-}
-
-/// Worst-case stress: minimum-size frames at full line rate — the
-/// canonical 14.88 Mpps test of §5.1.
-pub fn min_frame_line_rate(seed: u64) -> TraceBuilder {
-    TraceBuilder::new(seed)
-        .flows(256)
-        .sizes(SizeModel::Fixed(60))
-        .arrivals(ArrivalModel::Paced { utilization: 1.0 })
-}
 
 /// A metro-ISP aggregation port: a city-scale CGNAT subscriber
 /// population (§2.1's FTTH story at aggregation rather than access
@@ -121,8 +68,12 @@ mod tests {
     use flexsfp_wire::EthernetFrame;
 
     #[test]
-    fn dns_heavy_targets_port_53() {
-        let trace = dns_heavy(1).build(100);
+    fn dport_sets_every_destination_port() {
+        let trace = TraceBuilder::new(1)
+            .flows(128)
+            .sizes(SizeModel::Uniform(70, 120))
+            .dport(53)
+            .build(100);
         for p in &trace {
             let eth = EthernetFrame::new_checked(&p.frame[..]).unwrap();
             let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
@@ -133,7 +84,10 @@ mod tests {
 
     #[test]
     fn min_frame_trace_is_line_rate_64b() {
-        let trace = min_frame_line_rate(1).build(1_000);
+        let trace = TraceBuilder::new(1)
+            .sizes(SizeModel::Fixed(60))
+            .arrivals(ArrivalModel::Paced { utilization: 1.0 })
+            .build(1_000);
         assert!(trace.iter().all(|p| p.frame.len() == 60));
         let span = trace.last().unwrap().arrival_ns - trace[0].arrival_ns;
         // 999 gaps × 67.2 ns ≈ 67.1 µs.
@@ -141,8 +95,12 @@ mod tests {
     }
 
     #[test]
-    fn fronthaul_is_rigidly_paced() {
-        let trace = fronthaul(1).build(100);
+    fn paced_large_frames_are_rigidly_spaced() {
+        let trace = TraceBuilder::new(1)
+            .flows(4)
+            .sizes(SizeModel::Fixed(1400))
+            .arrivals(ArrivalModel::Paced { utilization: 0.9 })
+            .build(100);
         let gaps: Vec<u64> = trace
             .windows(2)
             .map(|w| w[1].arrival_ns - w[0].arrival_ns)
@@ -153,12 +111,6 @@ mod tests {
 
     #[test]
     fn presets_are_deterministic() {
-        for f in [ftth_subscriber, enterprise_edge, fronthaul, dns_heavy] {
-            let a = f(5).build(50);
-            let b = f(5).build(50);
-            assert_eq!(a.len(), b.len());
-            assert!(a.iter().zip(&b).all(|(x, y)| x.frame == y.frame));
-        }
         let a = metro_subscribers(5, 4096, 0.4).build(200);
         let b = metro_subscribers(5, 4096, 0.4).build(200);
         assert!(a.iter().zip(&b).all(|(x, y)| x.frame == y.frame));

@@ -7,7 +7,7 @@
 //! these formulas.
 
 /// Per-frame wire overhead: 7 B preamble + 1 B SFD + 12 B IFG.
-pub const WIRE_OVERHEAD_BYTES: usize = 20;
+pub(crate) const WIRE_OVERHEAD_BYTES: usize = 20;
 
 /// Line-rate calculator for a given nominal bit rate.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -13,7 +13,7 @@
 /// SplitMix64: a tiny 64-bit generator used to expand one `u64` seed
 /// into the xoshiro state (the seeding procedure its authors recommend).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 

@@ -34,11 +34,6 @@ impl MacAddr {
         *self == Self::BROADCAST
     }
 
-    /// True if the locally-administered bit is set.
-    pub fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
-
     /// True for a plain unicast address (not multicast, not broadcast).
     pub fn is_unicast(&self) -> bool {
         !self.is_multicast()
@@ -190,7 +185,6 @@ mod tests {
     fn mac_display_and_flags() {
         let m = MacAddr([0x02, 0x00, 0x5e, 0x10, 0x20, 0x30]);
         assert_eq!(m.to_string(), "02:00:5e:10:20:30");
-        assert!(m.is_local());
         assert!(m.is_unicast());
         assert!(!m.is_broadcast());
         assert!(MacAddr::BROADCAST.is_broadcast());

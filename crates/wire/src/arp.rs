@@ -82,19 +82,9 @@ impl<T: AsRef<[u8]>> ArpPacket<T> {
         crate::be32(self.buffer.as_ref(), 14)
     }
 
-    /// Target hardware address.
-    pub fn target_mac(&self) -> MacAddr {
-        MacAddr::from_bytes(&self.buffer.as_ref()[18..24])
-    }
-
     /// Target protocol (IPv4) address.
     pub fn target_ip(&self) -> u32 {
         crate::be32(self.buffer.as_ref(), 24)
-    }
-
-    /// True for a gratuitous ARP (sender IP == target IP).
-    pub fn is_gratuitous(&self) -> bool {
-        self.sender_ip() == self.target_ip()
     }
 }
 
@@ -158,17 +148,6 @@ mod tests {
         assert_eq!(p.sender_mac(), MacAddr([1; 6]));
         assert_eq!(p.sender_ip(), 0x0a000001);
         assert_eq!(p.target_ip(), 0x0a000002);
-        assert!(!p.is_gratuitous());
-    }
-
-    #[test]
-    fn gratuitous_detection() {
-        let mut buf = sample();
-        {
-            let mut p = ArpPacket::new_unchecked(&mut buf);
-            p.set_target_ip(0x0a000001);
-        }
-        assert!(ArpPacket::new_checked(&buf[..]).unwrap().is_gratuitous());
     }
 
     #[test]

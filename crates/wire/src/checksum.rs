@@ -39,11 +39,6 @@ pub fn checksum(data: &[u8]) -> u16 {
     !(raw_sum(data) as u16)
 }
 
-/// Combine several partial raw sums (e.g. pseudo-header + payload).
-pub fn combine(sums: &[u32]) -> u16 {
-    !(fold(sums.iter().copied().fold(0u32, |a, s| a + fold(s))) as u16)
-}
-
 /// Raw sum of the IPv4/TCP/UDP pseudo-header.
 pub fn pseudo_header_sum(src: [u8; 4], dst: [u8; 4], protocol: u8, l4_len: u16) -> u32 {
     let mut sum = 0u32;
@@ -250,13 +245,5 @@ mod tests {
         let s = pseudo_header_sum([192, 168, 0, 1], [192, 168, 0, 199], 17, 0x5f);
         // Manual: c0a8 + 0001 + c0a8 + 00c7 + 0011 + 005f = 0x1_8288 -> 0x8289
         assert_eq!(s, 0x8289);
-    }
-
-    #[test]
-    fn combine_folds_partials() {
-        let a = [0x12u8, 0x34, 0x56, 0x78];
-        let b = [0x9au8, 0xbc];
-        let whole = checksum(&[0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc]);
-        assert_eq!(combine(&[raw_sum(&a), raw_sum(&b)]), whole);
     }
 }

@@ -12,7 +12,7 @@ use crate::{be16, check_len, Result, WireError};
 /// DNS fixed header length.
 pub const HEADER_LEN: usize = 12;
 /// Maximum length of a presentation-format name we will extract.
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 /// Bound on compression-pointer hops (loop protection).
 const MAX_POINTER_HOPS: usize = 8;
 
@@ -39,24 +39,9 @@ impl<T: AsRef<[u8]>> DnsHeader<T> {
         self.buffer.as_ref()[2] & 0x80 != 0
     }
 
-    /// Opcode (0 = standard query).
-    pub fn opcode(&self) -> u8 {
-        (self.buffer.as_ref()[2] >> 3) & 0x0f
-    }
-
-    /// Response code.
-    pub fn rcode(&self) -> u8 {
-        self.buffer.as_ref()[3] & 0x0f
-    }
-
     /// Question count.
-    pub fn qdcount(&self) -> u16 {
+    pub(crate) fn qdcount(&self) -> u16 {
         be16(self.buffer.as_ref(), 4)
-    }
-
-    /// Answer count.
-    pub fn ancount(&self) -> u16 {
-        be16(self.buffer.as_ref(), 6)
     }
 
     /// Parse the first question following the header.
@@ -77,15 +62,6 @@ pub struct DnsQuestion {
     pub qtype: u16,
     /// Query class (1 = IN).
     pub qclass: u16,
-}
-
-impl DnsQuestion {
-    /// True if `qname` equals `domain` or is a subdomain of it.
-    /// Comparison is case-insensitive (qname is already lowercased).
-    pub fn matches_domain(&self, domain: &str) -> bool {
-        let domain = domain.to_ascii_lowercase();
-        self.qname == domain || self.qname.ends_with(&format!(".{domain}"))
-    }
 }
 
 fn parse_question(buf: &[u8], qname_off: usize) -> Result<DnsQuestion> {
@@ -149,7 +125,7 @@ fn parse_name(buf: &[u8], mut off: usize) -> Result<(String, usize)> {
 }
 
 /// Encode a presentation-format name into wire format labels.
-pub fn encode_name(name: &str) -> Vec<u8> {
+pub(crate) fn encode_name(name: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(name.len() + 2);
     for label in name.split('.').filter(|l| !l.is_empty()) {
         out.push(label.len() as u8);
@@ -181,26 +157,11 @@ mod tests {
         let h = DnsHeader::new_checked(&q[..]).unwrap();
         assert_eq!(h.id(), 0x99aa);
         assert!(!h.is_response());
-        assert_eq!(h.opcode(), 0);
         assert_eq!(h.qdcount(), 1);
         let question = h.first_question().unwrap();
         assert_eq!(question.qname, "doh.example.com");
         assert_eq!(question.qtype, 28);
         assert_eq!(question.qclass, 1);
-    }
-
-    #[test]
-    fn domain_matching() {
-        let q = DnsQuestion {
-            qname: "dns.google.com".into(),
-            qtype: 1,
-            qclass: 1,
-        };
-        assert!(q.matches_domain("google.com"));
-        assert!(q.matches_domain("dns.google.com"));
-        assert!(q.matches_domain("GOOGLE.com"));
-        assert!(!q.matches_domain("oogle.com"));
-        assert!(!q.matches_domain("example.com"));
     }
 
     #[test]

@@ -5,14 +5,8 @@ use crate::{be16, check_len, set_be16, Result};
 
 /// Length of the Ethernet II header (dst + src + ethertype), excluding FCS.
 pub const HEADER_LEN: usize = 14;
-/// Minimum payload so the frame (with FCS) reaches the 64-byte minimum.
-pub const MIN_PAYLOAD: usize = 46;
-/// Standard maximum payload (non-jumbo).
-pub const MAX_PAYLOAD: usize = 1500;
 /// Minimum frame length on the wire excluding FCS (64 - 4).
 pub const MIN_FRAME_NO_FCS: usize = 60;
-/// Maximum standard frame length excluding FCS.
-pub const MAX_FRAME_NO_FCS: usize = HEADER_LEN + MAX_PAYLOAD;
 
 /// A typed view over an Ethernet II frame (without FCS).
 ///

@@ -5,7 +5,7 @@ use crate::addr::EtherType;
 use crate::{be16, be32, check_len, set_be16, set_be32, Result, WireError};
 
 /// Base GRE header length (flags + protocol).
-pub const BASE_HEADER_LEN: usize = 4;
+pub(crate) const BASE_HEADER_LEN: usize = 4;
 
 /// A typed view over a GRE packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,17 +36,17 @@ impl<T: AsRef<[u8]>> GrePacket<T> {
     }
 
     /// Checksum-present flag.
-    pub fn has_checksum(&self) -> bool {
+    pub(crate) fn has_checksum(&self) -> bool {
         self.buffer.as_ref()[0] & 0x80 != 0
     }
 
     /// Key-present flag (RFC 2890).
-    pub fn has_key(&self) -> bool {
+    pub(crate) fn has_key(&self) -> bool {
         self.buffer.as_ref()[0] & 0x20 != 0
     }
 
     /// Sequence-present flag (RFC 2890).
-    pub fn has_sequence(&self) -> bool {
+    pub(crate) fn has_sequence(&self) -> bool {
         self.buffer.as_ref()[0] & 0x10 != 0
     }
 

@@ -57,11 +57,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         self.buffer.as_ref()[1] >> 2
     }
 
-    /// Explicit congestion notification bits.
-    pub fn ecn(&self) -> u8 {
-        self.buffer.as_ref()[1] & 0x3
-    }
-
     /// Total length field (header + payload).
     pub fn total_len(&self) -> u16 {
         be16(self.buffer.as_ref(), 2)
@@ -70,11 +65,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     /// Identification field.
     pub fn ident(&self) -> u16 {
         be16(self.buffer.as_ref(), 4)
-    }
-
-    /// Don't-fragment flag.
-    pub fn dont_frag(&self) -> bool {
-        self.buffer.as_ref()[6] & 0x40 != 0
     }
 
     /// More-fragments flag.
@@ -161,12 +151,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         b[1] = (dscp << 2) | (b[1] & 0x3);
     }
 
-    /// Set the ECN field.
-    pub fn set_ecn(&mut self, ecn: u8) {
-        let b = self.buffer.as_mut();
-        b[1] = (b[1] & 0xfc) | (ecn & 0x3);
-    }
-
     /// Set the total length field.
     pub fn set_total_len(&mut self, len: u16) {
         set_be16(self.buffer.as_mut(), 2, len);
@@ -186,23 +170,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     /// Set the TTL.
     pub fn set_ttl(&mut self, ttl: u8) {
         self.buffer.as_mut()[8] = ttl;
-    }
-
-    /// Decrement TTL, updating the header checksum incrementally
-    /// (returns the new TTL; saturates at 0).
-    pub fn decrement_ttl(&mut self) -> u8 {
-        let old = self.ttl();
-        if old == 0 {
-            return 0;
-        }
-        let new = old - 1;
-        // TTL shares a 16-bit word with protocol; update that word.
-        let old_word = be16(self.buffer.as_ref(), 8);
-        self.buffer.as_mut()[8] = new;
-        let new_word = be16(self.buffer.as_ref(), 8);
-        let c = checksum::update16(self.header_checksum(), old_word, new_word);
-        self.set_header_checksum(c);
-        new
     }
 
     /// Set the L4 protocol.
@@ -368,30 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_decrement_patches_checksum() {
-        let mut buf = sample_packet();
-        let mut p = Ipv4Packet::new_unchecked(&mut buf);
-        let before = p.ttl();
-        let after = p.decrement_ttl();
-        assert_eq!(after, before - 1);
-        let p = Ipv4Packet::new_checked(&buf[..]).unwrap();
-        assert!(p.verify_checksum());
-    }
-
-    #[test]
-    fn ttl_zero_saturates() {
-        let mut buf = sample_packet();
-        {
-            let mut p = Ipv4Packet::new_unchecked(&mut buf);
-            p.set_ttl(0);
-            p.fill_checksum();
-            assert_eq!(p.decrement_ttl(), 0);
-        }
-        let p = Ipv4Packet::new_checked(&buf[..]).unwrap();
-        assert!(p.verify_checksum());
-    }
-
-    #[test]
     fn addr_parse_fmt() {
         assert_eq!(parse_addr("1.2.3.4"), Some(0x01020304));
         assert_eq!(parse_addr("255.255.255.255"), Some(0xffffffff));
@@ -407,7 +350,6 @@ mod tests {
         let mut buf = sample_packet();
         let mut p = Ipv4Packet::new_unchecked(&mut buf);
         p.set_fragment(true, false, 0);
-        assert!(p.dont_frag());
         assert!(!p.more_frags());
         assert!(!p.is_fragment());
         p.set_fragment(false, true, 185);
@@ -417,12 +359,10 @@ mod tests {
     }
 
     #[test]
-    fn dscp_ecn_fields() {
+    fn dscp_field() {
         let mut buf = sample_packet();
         let mut p = Ipv4Packet::new_unchecked(&mut buf);
         p.set_dscp(46); // EF
-        p.set_ecn(1);
         assert_eq!(p.dscp(), 46);
-        assert_eq!(p.ecn(), 1);
     }
 }

@@ -16,9 +16,6 @@ pub const HEADER_LEN: usize = 40;
 pub struct Ipv6Addr(pub [u8; 16]);
 
 impl Ipv6Addr {
-    /// The unspecified address `::`.
-    pub const UNSPECIFIED: Ipv6Addr = Ipv6Addr([0; 16]);
-
     /// Build from a slice; panics if `b.len() != 16`.
     pub fn from_bytes(b: &[u8]) -> Ipv6Addr {
         let mut out = [0u8; 16];
@@ -29,11 +26,6 @@ impl Ipv6Addr {
     /// True for multicast addresses (ff00::/8).
     pub fn is_multicast(&self) -> bool {
         self.0[0] == 0xff
-    }
-
-    /// True for link-local unicast (fe80::/10).
-    pub fn is_link_local(&self) -> bool {
-        self.0[0] == 0xfe && (self.0[1] & 0xc0) == 0x80
     }
 
     /// The /64 prefix as a u64 — used by per-subscriber prefix filters.
@@ -90,18 +82,6 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
         self.buffer.as_ref()[0] >> 4
     }
 
-    /// Traffic class.
-    pub fn traffic_class(&self) -> u8 {
-        let b = self.buffer.as_ref();
-        (b[0] << 4) | (b[1] >> 4)
-    }
-
-    /// 20-bit flow label.
-    pub fn flow_label(&self) -> u32 {
-        let b = self.buffer.as_ref();
-        (u32::from(b[1] & 0x0f) << 16) | (u32::from(b[2]) << 8) | u32::from(b[3])
-    }
-
     /// Payload length field.
     pub fn payload_len(&self) -> u16 {
         be16(self.buffer.as_ref(), 4)
@@ -140,21 +120,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv6Packet<T> {
         b[0] = (v << 4) | (b[0] & 0x0f);
     }
 
-    /// Set the traffic class.
-    pub fn set_traffic_class(&mut self, tc: u8) {
-        let b = self.buffer.as_mut();
-        b[0] = (b[0] & 0xf0) | (tc >> 4);
-        b[1] = (tc << 4) | (b[1] & 0x0f);
-    }
-
-    /// Set the 20-bit flow label.
-    pub fn set_flow_label(&mut self, fl: u32) {
-        let b = self.buffer.as_mut();
-        b[1] = (b[1] & 0xf0) | ((fl >> 16) as u8 & 0x0f);
-        b[2] = (fl >> 8) as u8;
-        b[3] = fl as u8;
-    }
-
     /// Set the payload length.
     pub fn set_payload_len(&mut self, len: u16) {
         set_be16(self.buffer.as_mut(), 4, len);
@@ -189,8 +154,6 @@ mod tests {
         let mut buf = vec![0u8; HEADER_LEN + 8];
         let mut p = Ipv6Packet::new_unchecked(&mut buf);
         p.set_version(6);
-        p.set_traffic_class(0xb8);
-        p.set_flow_label(0xabcde);
         p.set_payload_len(8);
         p.set_next_header(IpProtocol::Udp);
         p.set_hop_limit(64);
@@ -208,8 +171,6 @@ mod tests {
         let buf = sample();
         let p = Ipv6Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(p.version(), 6);
-        assert_eq!(p.traffic_class(), 0xb8);
-        assert_eq!(p.flow_label(), 0xabcde);
         assert_eq!(p.payload_len(), 8);
         assert_eq!(p.next_header(), IpProtocol::Udp);
         assert_eq!(p.hop_limit(), 64);
@@ -243,7 +204,6 @@ mod tests {
         let mut ll = [0u8; 16];
         ll[0] = 0xfe;
         ll[1] = 0x80;
-        assert!(Ipv6Addr(ll).is_link_local());
         assert!(!Ipv6Addr(ll).is_multicast());
         let pfx = Ipv6Addr::from_bytes(&[
             0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0x42, 0, 0, 0, 0, 0, 0, 0, 1,

@@ -39,7 +39,7 @@ pub use arena::PacketArena;
 pub use arp::{ArpOperation, ArpPacket};
 pub use builder::PacketBuilder;
 pub use checksum::{fnv1a, FNV1A_OFFSET};
-pub use dns::{DnsHeader, DnsQuestion};
+pub use dns::DnsHeader;
 pub use ethernet::EthernetFrame;
 pub use gre::GrePacket;
 pub use icmp::{IcmpPacket, IcmpType};

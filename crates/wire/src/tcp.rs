@@ -105,11 +105,6 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
         be32(self.buffer.as_ref(), 4)
     }
 
-    /// Acknowledgment number.
-    pub fn ack_num(&self) -> u32 {
-        be32(self.buffer.as_ref(), 8)
-    }
-
     /// Header length in bytes (data offset × 4).
     pub fn header_len(&self) -> usize {
         usize::from(self.buffer.as_ref()[12] >> 4) * 4
@@ -128,11 +123,6 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
     /// Checksum field.
     pub fn checksum_field(&self) -> u16 {
         be16(self.buffer.as_ref(), 16)
-    }
-
-    /// Urgent pointer.
-    pub fn urgent(&self) -> u16 {
-        be16(self.buffer.as_ref(), 18)
     }
 
     /// Options region.
@@ -169,11 +159,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpSegment<T> {
     /// Set the sequence number.
     pub fn set_seq(&mut self, v: u32) {
         set_be32(self.buffer.as_mut(), 4, v);
-    }
-
-    /// Set the acknowledgment number.
-    pub fn set_ack_num(&mut self, v: u32) {
-        set_be32(self.buffer.as_mut(), 8, v);
     }
 
     /// Set the header length in bytes (multiple of 4).
@@ -218,7 +203,6 @@ mod tests {
         s.set_src_port(443);
         s.set_dst_port(51000);
         s.set_seq(0xdeadbeef);
-        s.set_ack_num(0x01020304);
         s.set_header_len(20);
         s.set_flags(TcpFlags {
             ack: true,
@@ -239,7 +223,6 @@ mod tests {
         assert_eq!(s.src_port(), 443);
         assert_eq!(s.dst_port(), 51000);
         assert_eq!(s.seq(), 0xdeadbeef);
-        assert_eq!(s.ack_num(), 0x01020304);
         assert_eq!(s.header_len(), 20);
         assert!(s.flags().ack);
         assert!(s.flags().psh);

@@ -6,7 +6,7 @@
 //! "Packet Transformation" use cases.
 
 use crate::addr::EtherType;
-use crate::{be16, check_len, set_be16, Result};
+use crate::{be16, check_len, Result};
 
 /// Length of one 802.1Q tag (TCI + inner EtherType).
 pub const TAG_LEN: usize = 4;
@@ -84,16 +84,6 @@ impl<T: AsRef<[u8]>> VlanFrame<T> {
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> VlanFrame<T> {
-    /// Set the tag control information.
-    pub fn set_tci(&mut self, tci: Tci) {
-        set_be16(self.buffer.as_mut(), 0, tci.to_u16());
-    }
-
-    /// Set the encapsulated EtherType.
-    pub fn set_inner_ethertype(&mut self, ty: EtherType) {
-        set_be16(self.buffer.as_mut(), 2, ty.to_u16());
-    }
-
     /// Mutable payload following the tag.
     pub fn payload_mut(&mut self) -> &mut [u8] {
         &mut self.buffer.as_mut()[TAG_LEN..]
@@ -209,21 +199,5 @@ mod tests {
     #[test]
     fn pop_untagged_is_error() {
         assert!(pop_tag(&plain_frame()).is_err());
-    }
-
-    #[test]
-    fn vlan_setters() {
-        let mut buf = vec![0u8; 8];
-        let mut v = VlanFrame::new_unchecked(&mut buf);
-        v.set_tci(Tci {
-            pcp: 7,
-            dei: false,
-            vid: 42,
-        });
-        v.set_inner_ethertype(EtherType::Arp);
-        let v = VlanFrame::new_checked(&buf[..]).unwrap();
-        assert_eq!(v.tci().pcp, 7);
-        assert_eq!(v.vid(), 42);
-        assert_eq!(v.inner_ethertype(), EtherType::Arp);
     }
 }

@@ -51,7 +51,7 @@ impl<T: AsRef<[u8]>> VxlanPacket<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> VxlanPacket<T> {
     /// Write the valid-I-flag header and the VNI (masked to 24 bits).
-    pub fn init(&mut self, vni: u32) {
+    pub(crate) fn init(&mut self, vni: u32) {
         let b = self.buffer.as_mut();
         b[0] = 0x08;
         b[1] = 0;

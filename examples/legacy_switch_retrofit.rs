@@ -119,9 +119,7 @@ fn main() {
     // Legitimate DNS passes and leaves the uplink double-tagged.
     let out = sw.inject(SUBSCRIBER_PORT, dns_query("example.org"), 3_000);
     assert_eq!(out.len(), 1);
-    let parsed = flexsfp::ppe::Parser::default()
-        .parse(&out[0].frame)
-        .unwrap();
+    let parsed = flexsfp::ppe::Parser.parse(&out[0].frame).unwrap();
     println!(
         "DNS query for example.org -> uplink port {} with VLAN stack {:?}",
         out[0].port, parsed.vlans
