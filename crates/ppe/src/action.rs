@@ -21,8 +21,6 @@ pub enum Action {
     SetIpv4Src(u32),
     /// Rewrite the IPv4 destination address (incremental checksums).
     SetIpv4Dst(u32),
-    /// Set the DSCP codepoint (incremental IP checksum).
-    SetDscp(u8),
     /// Push an 802.1Q tag.
     PushVlan {
         /// VLAN id.
@@ -81,7 +79,6 @@ impl Action {
             self,
             Action::SetIpv4Src(_)
                 | Action::SetIpv4Dst(_)
-                | Action::SetDscp(_)
                 | Action::PushVlan { .. }
                 | Action::PushSTag { .. }
                 | Action::PopVlan
@@ -307,16 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn dscp_rewrite_keeps_ip_checksum() {
-        let mut e = engine();
-        let mut pkt = udp_frame();
-        apply(&mut e, Action::SetDscp(46), &mut pkt);
-        let ip = Ipv4Packet::new_checked(&pkt[14..]).unwrap();
-        assert_eq!(ip.dscp(), 46);
-        assert!(ip.verify_checksum());
-    }
-
-    #[test]
     fn vlan_push_pop() {
         let mut e = engine();
         let mut pkt = udp_frame();
@@ -436,7 +423,6 @@ mod tests {
         for a in [
             Action::SetIpv4Src(1),
             Action::SetIpv4Dst(1),
-            Action::SetDscp(1),
             Action::DecapTunnel,
             Action::EncapGre {
                 src: 1,

@@ -303,15 +303,14 @@ pub enum PlanOp {
     /// for one field change, carried as the change's precomputed
     /// one's-complement [`delta`](checksum::delta32) and run through
     /// [`checksum::apply_delta`] — bit-exact with
-    /// [`checksum::update16`]/[`update32`](checksum::update32) on the
-    /// same change, at a third of their operands' size. With `udp`, the
-    /// UDP special cases apply: a stored checksum of zero ("no
-    /// checksum") is left untouched, and a patched result of zero is
-    /// folded to `0xffff`.
+    /// [`checksum::update32`] on the same change, at a third of its
+    /// operands' size. With `udp`, the UDP special cases apply: a stored
+    /// checksum of zero ("no checksum") is left untouched, and a patched
+    /// result of zero is folded to `0xffff`.
     IncrCheck {
         /// Byte offset of the checksum field.
         offset: u16,
-        /// `checksum::delta16`/`delta32` of the field change.
+        /// `checksum::delta32` of the field change.
         delta: u16,
         /// Apply UDP zero-checksum semantics.
         udp: bool,
@@ -631,9 +630,10 @@ impl ActionOps {
 /// Compile one action against the packet it is about to edit (`parsed`
 /// describes `packet`): the ops that *are* the edit, or `None` for an
 /// action [`Action::is_pure`] excludes. The dynamic no-op and bounds
-/// conditions live here and nowhere else — no IPv4 layer, an address or
-/// DSCP already in place, no tag to pop, an L4 checksum field a
-/// truncated frame cuts off — and each compiles to fewer ops or none. [`ActionEngine::apply`](crate::action::ActionEngine::apply) is
+/// conditions live here and nowhere else — no IPv4 layer, an address
+/// already in place, no tag to pop, an L4 checksum field a truncated
+/// frame cuts off — and each compiles to fewer ops or none.
+/// [`ActionEngine::apply`](crate::action::ActionEngine::apply) is
 /// the one caller: it records the ops and runs them through
 /// [`run_ops`].
 #[inline(always)]
@@ -649,24 +649,6 @@ pub(crate) fn compile_action(
     match *action {
         Action::SetIpv4Src(new) => compile_rewrite_addr(packet, parsed, new, true, &mut ops),
         Action::SetIpv4Dst(new) => compile_rewrite_addr(packet, parsed, new, false, &mut ops),
-        Action::SetDscp(dscp) => {
-            if let Some(ip) = parsed.ipv4 {
-                let old_word = u16::from_be_bytes([packet[ip.offset], packet[ip.offset + 1]]);
-                let new_word = (old_word & 0xff03) | (u16::from(dscp) << 2 & 0x00fc);
-                if old_word != new_word {
-                    ops.push(PlanOp::Write {
-                        offset: (ip.offset + 1) as u16,
-                        len: 1,
-                        data: [(new_word & 0xff) as u8, 0, 0, 0],
-                    });
-                    ops.push(PlanOp::IncrCheck {
-                        offset: (ip.offset + 10) as u16,
-                        delta: checksum::delta16(old_word, new_word),
-                        udp: false,
-                    });
-                }
-            }
-        }
         Action::PushVlan { vid, pcp } => {
             let tci = (u16::from(pcp & 0x7) << 13) | (vid & 0x0fff);
             let mut bytes = [0u8; 4];

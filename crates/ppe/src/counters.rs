@@ -57,16 +57,6 @@ impl CounterBank {
     pub fn snapshot(&self) -> Vec<Counter> {
         self.counters.clone()
     }
-
-    /// Atomically latch and clear (read-and-reset semantics used by
-    /// telemetry export so deltas are never lost or double-counted).
-    pub fn snapshot_and_clear(&mut self) -> Vec<Counter> {
-        let snap = self.counters.clone();
-        for c in &mut self.counters {
-            *c = Counter::default();
-        }
-        snap
-    }
 }
 
 #[cfg(test)]
@@ -97,17 +87,5 @@ mod tests {
         b.count(5, 64);
         assert_eq!(b.get(5), Counter::default());
         assert_eq!(b.snapshot().iter().map(|c| c.packets).sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn snapshot_and_clear_is_lossless() {
-        let mut b = CounterBank::new(2);
-        b.count(0, 10);
-        let s1 = b.snapshot_and_clear();
-        b.count(0, 20);
-        let s2 = b.snapshot_and_clear();
-        // Every byte appears in exactly one snapshot.
-        assert_eq!(s1[0].bytes + s2[0].bytes, 30);
-        assert_eq!(b.get(0), Counter::default());
     }
 }

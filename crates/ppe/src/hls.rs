@@ -8,8 +8,7 @@
 //! same resource envelope as the measured NAT app row, so fit analyses of
 //! the other §3 use cases are credible in relative terms.
 
-use crate::codelet::{Codelet, Insn};
-use crate::pipeline::{Matcher, Pipeline, Stage};
+use crate::pipeline::{stage_start_cycle, Matcher, Pipeline, Stage};
 use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
 
@@ -48,18 +47,12 @@ const LPM_STAGE: ResourceManifest = ResourceManifest::new(3_400, 2_800, 8, 0);
 const TERNARY_PER_64: ResourceManifest = ResourceManifest::new(4_200, 1_400, 0, 0);
 /// Per-action edit unit.
 const ACTION_UNIT: ResourceManifest = ResourceManifest::new(650, 800, 2, 0);
-/// Per-codelet-instruction cost (unrolled dataflow, one ALU per insn).
-const INSN_UNIT: ResourceManifest = ResourceManifest::new(140, 190, 0, 0);
 
 /// Base fmax of a trivial core on the MPF200T fabric (28 nm).
 const FMAX_BASE_HZ: f64 = 500e6;
 
 fn fmax_for_depth(logic_depth: f64) -> u64 {
     (FMAX_BASE_HZ / (1.0 + 0.15 * logic_depth)) as u64
-}
-
-fn memory_manifest(shapes: &[TableShape]) -> ResourceManifest {
-    MemoryPlanner::plan(shapes)
 }
 
 /// Estimate a match-action [`Pipeline`].
@@ -81,13 +74,13 @@ fn estimate_stage(stage: &Stage) -> ResourceManifest {
             // aging metadata and valid/way state (matching the NAT's
             // 96 b/entry layout from the Table 1 footnote).
             let entry_bits = selector.key_bits() + 32 + 32;
-            m += memory_manifest(&[TableShape::new(entries as u64, entry_bits)]);
+            m += MemoryPlanner::plan(&[TableShape::new(entries as u64, entry_bits)]);
         }
         Matcher::Lpm { prefixes } => {
             m += LPM_STAGE;
             // Modelled as 1k-entry levels in LSRAM.
             let installed = prefixes.max(64) as u64;
-            m += memory_manifest(&[TableShape::new(installed.next_power_of_two(), 64)]);
+            m += MemoryPlanner::plan(&[TableShape::new(installed.next_power_of_two(), 64)]);
         }
         Matcher::Ternary { rows } => {
             m += TERNARY_PER_64.scaled((rows as u64).div_ceil(64));
@@ -97,48 +90,19 @@ fn estimate_stage(stage: &Stage) -> ResourceManifest {
     m
 }
 
-/// Full synthesis report for a pipeline at its natural depth.
+/// Full synthesis report for a pipeline at its natural depth; its
+/// latency is the PPE's, [`stage_start_cycle`] of the stage count.
 pub fn synthesize_pipeline(p: &Pipeline) -> SynthesisReport {
-    let manifest = estimate_pipeline(p);
-    let depth = p.stages().len() as f64;
-    // Each match stage adds ~3 pipeline registers of latency; parser 4.
-    let latency = 4 + p.stages().len() as u64 * 3;
     SynthesisReport {
-        manifest,
-        fmax_hz: fmax_for_depth(depth),
-        latency_cycles: latency,
-    }
-}
-
-/// Estimate a [`Codelet`] core: instructions unroll into a dataflow
-/// pipeline; tables map to memories.
-pub fn synthesize_codelet(c: &Codelet) -> SynthesisReport {
-    let mut m = SKELETON + PARSER_LEVEL.scaled(4);
-    m += INSN_UNIT.scaled(c.program().len() as u64);
-    let mut lookups = 0u64;
-    for insn in c.program() {
-        if matches!(insn, Insn::Lookup(..) | Insn::Update(..)) {
-            lookups += 1;
-        }
-    }
-    m += EXACT_STAGE.scaled(c.tables.len() as u64);
-    let shapes: Vec<TableShape> = c.tables.iter().map(|t| t.table_shape(64)).collect();
-    m += memory_manifest(&shapes);
-    // Logic depth grows with the longest dependency chain; approximate
-    // with program length / 4 (4-wide issue in the generated dataflow)
-    // plus one level per table access.
-    let depth = c.program().len() as f64 / 4.0 + lookups as f64;
-    SynthesisReport {
-        manifest: m,
-        fmax_hz: fmax_for_depth(depth),
-        latency_cycles: 4 + c.program().len() as u64 / 2,
+        manifest: estimate_pipeline(p),
+        fmax_hz: fmax_for_depth(p.stages().len() as f64),
+        latency_cycles: u64::from(stage_start_cycle(p.stages().len())),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codelet::{Cmp, Field, Operand, VerdictCode};
     use crate::pipeline::{KeySelector, PipelineBuilder, Stage};
     use flexsfp_fabric::resources::table1;
     use flexsfp_fabric::{ClockDomain, Device};
@@ -299,38 +263,6 @@ mod tests {
         // trivial stages.
         assert!(one.lut4 > two_always.lut4);
         assert!(one.lsram > two_always.lsram);
-    }
-
-    #[test]
-    fn codelet_synthesis_report() {
-        let program = vec![
-            Insn::LdField(2, Field::DstPort),
-            Insn::JmpIf(Cmp::Ne, 2, Operand::Imm(53), 2),
-            Insn::Return(VerdictCode::Drop),
-            Insn::Return(VerdictCode::Forward),
-        ];
-        let c = Codelet::new("tiny", program, vec![]).unwrap();
-        let rep = synthesize_codelet(&c);
-        assert!(rep.manifest.lut4 > 0);
-        assert!(rep.meets_timing(ClockDomain::XGMII_10G.hz()));
-        assert!(rep.latency_cycles >= 4);
-        // Fits comfortably.
-        assert!(Device::mpf200t().fit(rep.manifest).fits());
-    }
-
-    #[test]
-    fn bigger_codelets_cost_more_and_clock_lower() {
-        let small = Codelet::new("s", vec![Insn::Return(VerdictCode::Forward)], vec![]).unwrap();
-        let mut prog = Vec::new();
-        for i in 0..200 {
-            prog.push(Insn::LdImm(2, i));
-        }
-        prog.push(Insn::Return(VerdictCode::Forward));
-        let big = Codelet::new("b", prog, vec![]).unwrap();
-        let rs = synthesize_codelet(&small);
-        let rb = synthesize_codelet(&big);
-        assert!(rb.manifest.lut4 > rs.manifest.lut4);
-        assert!(rb.fmax_hz < rs.fmax_hz);
     }
 
     #[test]

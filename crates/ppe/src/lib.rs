@@ -2,8 +2,8 @@
 //!
 //! The Packet Processing Engine (PPE) — the programmable heart of a
 //! FlexSFP module (§4.2 of the paper) — and its programming model. What
-//! runs in it is the 11 §3 apps of `flexsfp_apps` and [`codelet`]s; a
-//! [`pipeline`] is a description the [`hls`] model only costs.
+//! runs in it is the 11 §3 apps of `flexsfp_apps`; a [`pipeline`] is a
+//! description the [`hls`] model only costs.
 //!
 //! * [`engine`] — the [`engine::PacketProcessor`] trait
 //!   every application implements, verdicts and processing context;
@@ -22,17 +22,14 @@
 //! * [`state`] — FlowBlaze-style per-flow EFSM state tables;
 //! * [`meter`] — token-bucket meters for rate limiting;
 //! * [`counters`] — counters with atomic snapshot semantics;
-//! * [`codelet`] — the XDP-like register VM a developer writes packet
-//!   functions in before "HLS" synthesis;
-//! * [`hls`] — the high-level-synthesis model mapping codelets and
-//!   pipelines to fabric resources and an achievable clock.
+//! * [`hls`] — the high-level-synthesis model mapping pipelines to
+//!   fabric resources and an achievable clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod action;
 pub mod cache;
-pub mod codelet;
 pub mod counters;
 pub mod engine;
 pub mod hls;

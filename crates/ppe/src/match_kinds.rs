@@ -6,7 +6,6 @@
 //! latter is a small TCAM or LUT-cascade; the model preserves its
 //! first-match-by-priority semantics and capacity accounting.
 
-use flexsfp_fabric::sram::TableShape;
 use std::collections::BTreeMap;
 
 /// A longest-prefix-match table over IPv4 prefixes.
@@ -153,11 +152,6 @@ impl<V: Copy> TernaryTable<V> {
     pub fn free(&self) -> usize {
         self.capacity - self.entries.len()
     }
-
-    /// Memory shape: TCAM rows cost value+mask bits per entry.
-    pub fn table_shape(&self) -> TableShape {
-        TableShape::new(self.capacity as u64, 2 * 13 * 8)
-    }
 }
 
 #[cfg(test)]
@@ -273,13 +267,5 @@ mod tests {
         });
         assert!(t.lookup(&key(&[0xaa, 0x12])).is_some());
         assert!(t.lookup(&key(&[0xab, 0xff])).is_none());
-    }
-
-    #[test]
-    fn shapes() {
-        let t: TernaryTable<u8> = TernaryTable::new(64);
-        let s = t.table_shape();
-        assert_eq!(s.entries, 64);
-        assert_eq!(s.entry_bits, 208);
     }
 }

@@ -4,8 +4,7 @@
 //! chains compact (about 3–4 stages)"), each a match structure and the
 //! actions its hit and miss lists hold. It is a description:
 //! [`crate::hls::synthesize_pipeline`] turns it into resources, f_max and
-//! latency, and nothing here runs a packet. What both runs and is costed
-//! is a [`Codelet`](crate::codelet::Codelet).
+//! latency, and nothing here runs a packet.
 //!
 //! The module also holds the PPE latency model every flight stamp and
 //! the module's PPE transit share ([`stage_start_cycle`],

@@ -8,7 +8,6 @@
 //! 32 768-flow source-IP table is exactly such a structure.
 
 use flexsfp_fabric::hash::crc32;
-use flexsfp_fabric::sram::TableShape;
 use std::cell::Cell;
 
 /// Fixed-width key material for hardware tables (13 bytes fits an IPv4
@@ -16,8 +15,6 @@ use std::cell::Cell;
 pub trait TableKey: Copy + Eq {
     /// Serialized key bytes (zero-padded to a fixed width in hardware).
     fn key_bytes(&self) -> [u8; 13];
-    /// Width of the meaningful key in bits (for memory planning).
-    fn key_bits() -> u64;
 }
 
 impl TableKey for u32 {
@@ -26,9 +23,6 @@ impl TableKey for u32 {
         b[..4].copy_from_slice(&self.to_be_bytes());
         b
     }
-    fn key_bits() -> u64 {
-        32
-    }
 }
 
 impl TableKey for u64 {
@@ -36,9 +30,6 @@ impl TableKey for u64 {
         let mut b = [0u8; 13];
         b[..8].copy_from_slice(&self.to_be_bytes());
         b
-    }
-    fn key_bits() -> u64 {
-        64
     }
 }
 
@@ -54,9 +45,6 @@ impl TableKey for FiveTuple {
         b[9..11].copy_from_slice(&self.3.to_be_bytes());
         b[11..13].copy_from_slice(&self.4.to_be_bytes());
         b
-    }
-    fn key_bits() -> u64 {
-        104
     }
 }
 
@@ -305,18 +293,11 @@ impl<K: TableKey, V: Copy> HashTable<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (K, V)> + '_ {
         self.slots.iter().flatten().map(|e| (e.key, e.value))
     }
-
-    /// Memory shape for the planner: one word per entry slot wide enough
-    /// for key + value + valid bit.
-    pub fn table_shape(&self, value_bits: u64) -> TableShape {
-        TableShape::new(self.capacity() as u64, K::key_bits() + value_bits + 1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexsfp_fabric::sram::{MemoryKind, MemoryPlanner};
 
     #[test]
     fn insert_lookup_remove() {
@@ -420,18 +401,6 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.lookup(&1), None);
-    }
-
-    #[test]
-    fn nat_table_memory_shape_matches_table1() {
-        // 32 768 entries of src-IP (32b key) + translated IP (32b) + a
-        // handful of metadata bits lands on the 160-LSRAM-block budget
-        // Table 1 attributes to the NAT.
-        let t: HashTable<u32, u32> = HashTable::with_capacity(32_768);
-        let shape = t.table_shape(63);
-        let p = MemoryPlanner::place(shape);
-        assert_eq!(p.kind, MemoryKind::Lsram);
-        assert_eq!(p.blocks, 160);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! inside the datapath there is one implementation and nothing to hold
 //! it against. The reference lives here instead, beside the platform:
 //! it is written with `flexsfp_wire` alone (`Ipv4Packet`'s incremental
-//! rewrites, `checksum::update32`/`update16`, `vlan::push_tag`/`pop_tag`,
+//! rewrites, `checksum::update32`, `vlan::push_tag`/`pop_tag`,
 //! `Tci`) and finds its headers with its own walk, not the PPE's parser.
 //!
 //! Every property runs [`FRAMES`] seeded flows per pure action; a
@@ -29,10 +29,9 @@ const FRAMES: u64 = 2_048;
 const COUNTERS: usize = 4;
 
 /// The pure actions, by the name a failure prints.
-const KINDS: [&str; 7] = [
+const KINDS: [&str; 6] = [
     "SetIpv4Src",
     "SetIpv4Dst",
-    "SetDscp",
     "PushVlan",
     "PushSTag",
     "PopVlan",
@@ -298,21 +297,6 @@ fn reference(action: Action, frame: &mut Vec<u8>, counters: &mut [(u64, u64)]) -
             }
             true
         }
-        Action::SetDscp(dscp) => {
-            let Some(off) = ipv4_offset(frame) else {
-                return false;
-            };
-            let old_word = be16(frame, off);
-            Ipv4Packet::new_unchecked(&mut frame[off..]).set_dscp(dscp);
-            let new_word = be16(frame, off);
-            if old_word == new_word {
-                return false;
-            }
-            let mut ip = Ipv4Packet::new_unchecked(&mut frame[off..]);
-            let patched = checksum::update16(ip.header_checksum(), old_word, new_word);
-            ip.set_header_checksum(patched);
-            true
-        }
         Action::PushVlan { vid, pcp } => {
             let tci = Tci {
                 pcp,
@@ -375,18 +359,14 @@ fn draw_action(kind: usize, flow: &Flow, frame: &[u8], rng: &mut Xoshiro256) -> 
     match kind {
         0 => Action::SetIpv4Src(address(flow.src)),
         1 => Action::SetIpv4Dst(address(flow.dst)),
-        2 => Action::SetDscp(match r % 8 {
-            0 => flow.tos >> 2, // the codepoint already there
-            _ => (r >> 8) as u8,
-        }),
-        3 => Action::PushVlan {
+        2 => Action::PushVlan {
             vid: (r >> 8) as u16,
             pcp: (r >> 24) as u8,
         },
-        4 => Action::PushSTag {
+        3 => Action::PushSTag {
             vid: (r >> 8) as u16,
         },
-        5 => Action::PopVlan,
+        4 => Action::PopVlan,
         _ => Action::Count((r >> 8) as usize % (COUNTERS + 2)),
     }
 }
@@ -449,7 +429,7 @@ fn apply_equals_the_wire_level_reference() {
                     _ => {}
                 }
             }
-            in_place += usize::from(kind < 3 && !modified && ipv4_offset(&frame).is_some());
+            in_place += usize::from(kind < 2 && !modified && ipv4_offset(&frame).is_some());
             cut += usize::from(flow.cut.is_some());
         }
         assert_eq!(counts(&engine.counters), model, "{name}");

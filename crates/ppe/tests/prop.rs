@@ -1,10 +1,9 @@
 //! Property tests for PPE invariants: tables vs a model, meters vs an
-//! analytic bound, codelet verifier robustness, LPM vs naive search.
+//! analytic bound, LPM vs naive search.
 //!
 //! Each property runs [`CASES`] seeded cases under plain `cargo test`;
 //! a failure names the case's seed, which reproduces it alone.
 
-use flexsfp_ppe::codelet::{self, AluOp, Cmp, Field, Insn, Operand, VerdictCode, WField};
 use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::match_kinds::LpmTable;
 use flexsfp_ppe::meter::{Color, TokenBucket};
@@ -120,53 +119,6 @@ fn token_bucket_long_run_bound() {
     });
 }
 
-/// The codelet verifier never panics on arbitrary instruction
-/// sequences, and every program it accepts terminates in the
-/// interpreter.
-#[test]
-fn verifier_total_and_sound() {
-    use flexsfp_ppe::{PacketProcessor, ProcessContext};
-    let mut accepted = 0;
-    for_each_case(0xc0de, |rng, _| {
-        let insns: Vec<Insn> = (0..rng.range_usize(1, 40))
-            .map(|_| {
-                let r = rng.next_u64();
-                let (a, b, off) = ((r >> 8) as u8, (r >> 16) as u8, (r >> 24) as u16 % 16);
-                let imm = rng.next_u64();
-                match r % 10 {
-                    0 => Insn::LdImm(a % 12, imm),
-                    1 => Insn::LdField(a % 12, Field::SrcIp),
-                    2 => Insn::Alu(AluOp::Add, a % 12, Operand::Imm(imm)),
-                    3 => Insn::Alu(AluOp::Xor, a % 12, Operand::Reg(b % 12)),
-                    4 => Insn::Jmp(off),
-                    5 => Insn::JmpIf(Cmp::Gt, a % 12, Operand::Imm(imm), off),
-                    6 => Insn::Lookup(a % 3, b % 12),
-                    7 => Insn::SetField(WField::Dscp, a % 12),
-                    8 => Insn::Count(u16::from(a)),
-                    _ => Insn::Return(VerdictCode::Forward),
-                }
-            })
-            .collect();
-        if codelet::verify(&insns, 1).is_ok() {
-            accepted += 1;
-            // Accepted programs must run to completion on a packet.
-            let table = HashTable::with_capacity(16);
-            let mut app = codelet::Codelet::new("fuzz", insns, vec![table]).unwrap();
-            let mut frame = flexsfp_wire::builder::PacketBuilder::eth_ipv4_udp(
-                flexsfp_wire::MacAddr([1; 6]),
-                flexsfp_wire::MacAddr([2; 6]),
-                0xc0a80001,
-                0x08080808,
-                1,
-                2,
-                b"x",
-            );
-            let _ = app.process(&ProcessContext::egress(), &mut frame);
-        }
-    });
-    assert!(accepted > 0, "no generated program passed the verifier");
-}
-
 /// LPM lookup equals the naive longest-match scan.
 #[test]
 fn lpm_vs_naive() {
@@ -228,30 +180,5 @@ fn counter_snapshot_consistent_under_interleaved_counts() {
                 }
             }
         }
-    });
-}
-
-/// Counters: count/snapshot_and_clear over arbitrary interleavings
-/// never lose or duplicate a byte.
-#[test]
-fn counter_export_lossless() {
-    for_each_case(0xe4b0, |rng, case| {
-        let mut bank = CounterBank::new(4);
-        let mut exported = [0u64; 4];
-        let mut total = [0u64; 4];
-        for _ in 0..rng.range_usize(0, 200) {
-            let (idx, bytes) = (rng.range_usize(0, 4), rng.range_usize(1, 2000));
-            bank.count(idx, bytes);
-            total[idx] += bytes as u64;
-            if rng.chance(0.5) {
-                for (i, c) in bank.snapshot_and_clear().into_iter().enumerate() {
-                    exported[i] += c.bytes;
-                }
-            }
-        }
-        for (i, c) in bank.snapshot().into_iter().enumerate() {
-            exported[i] += c.bytes;
-        }
-        assert_eq!(exported, total, "case {case:#x}");
     });
 }

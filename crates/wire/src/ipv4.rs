@@ -145,12 +145,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         b[0] = (b[0] & 0xf0) | ((len / 4) as u8 & 0x0f);
     }
 
-    /// Set the DSCP field.
-    pub fn set_dscp(&mut self, dscp: u8) {
-        let b = self.buffer.as_mut();
-        b[1] = (dscp << 2) | (b[1] & 0x3);
-    }
-
     /// Set the total length field.
     pub fn set_total_len(&mut self, len: u16) {
         set_be16(self.buffer.as_mut(), 2, len);
@@ -361,8 +355,7 @@ mod tests {
     #[test]
     fn dscp_field() {
         let mut buf = sample_packet();
-        let mut p = Ipv4Packet::new_unchecked(&mut buf);
-        p.set_dscp(46); // EF
-        assert_eq!(p.dscp(), 46);
+        buf[1] = 46 << 2 | 0b01; // EF, ECN ECT(1)
+        assert_eq!(Ipv4Packet::new_unchecked(&buf).dscp(), 46);
     }
 }

@@ -74,7 +74,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("obs::slo::SloBreach", "`SloReport::breaches`"),
     ("ppe::cache::InlinePlan", "what `FlowCache::insert` takes"),
     ("ppe::cache::PlanView", "what `FlowCache::lookup` returns"),
-    ("ppe::codelet::VerifyError", "what `Codelet::new` returns"),
     (
         "ppe::hls::SynthesisReport",
         "what `hls::synthesize_pipeline` returns",
