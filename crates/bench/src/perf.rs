@@ -541,7 +541,7 @@ pub fn chrome_trace(packets: usize, every: u64) -> flexsfp_obs::json::Value {
     module.run_stream_with(workload(packets, &arena), |out| arena.recycle(out.frame));
     let records = module.drain_flight_records();
     let config = ModuleConfig::default();
-    let cycle_ns = config.ppe_clock.period_fs() as f64 / 1e6;
+    let cycle_ns = config.ppe_clock.period_ps() as f64 / 1e3;
     flexsfp_obs::trace::chrome_trace(&config.id, &records, cycle_ns)
 }
 

@@ -5,8 +5,6 @@
 use crate::auth::AuthKey;
 use crate::shell::{ControlPlaneClass, ShellKind};
 use flexsfp_fabric::clock::ClockDomain;
-use flexsfp_fabric::serdes::LineRate;
-use flexsfp_fabric::stream::DatapathConfig;
 use flexsfp_obs::{DropCounters, LatencyHistogram};
 use flexsfp_ppe::Direction;
 use flexsfp_wire::{fnv1a, MacAddr, FNV1A_OFFSET};
@@ -47,16 +45,10 @@ pub struct ModuleConfig {
     pub shell: ShellKind,
     /// Control-plane class (§4.1): fabric softcore or hard SoC.
     pub cp_class: ControlPlaneClass,
-    /// Interface datapath (width/clock at the Ethernet cores).
-    pub datapath: DatapathConfig,
     /// PPE clock (the Two-Way-Core mitigation raises this to 2×).
     pub ppe_clock: ClockDomain,
-    /// Line rate of both interfaces.
-    pub line_rate: LineRate,
     /// Ingress FIFO capacity in bytes (per direction feeding the PPE).
     pub fifo_bytes: usize,
-    /// Per-crossing SerDes+PCS latency, ns.
-    pub serdes_latency_ns: f64,
     /// Management MAC address.
     pub mgmt_mac: MacAddr,
     /// Management IPv4 address.
@@ -71,12 +63,9 @@ impl Default for ModuleConfig {
             id: "FSFP-PROTO-001".into(),
             shell: ShellKind::one_way_egress(),
             cp_class: ControlPlaneClass::Softcore,
-            datapath: DatapathConfig::prototype_10g(),
             ppe_clock: ClockDomain::XGMII_10G,
-            line_rate: LineRate::TenGig,
             // 64 KiB of LSRAM-backed buffering per direction.
             fifo_bytes: 64 * 1024,
-            serdes_latency_ns: 100.0,
             mgmt_mac: MacAddr([0x02, 0xf5, 0x0f, 0x00, 0x00, 0x01]),
             mgmt_ip: 0x0a00_0164,
             auth_key: AuthKey::DEFAULT,

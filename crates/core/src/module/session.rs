@@ -7,6 +7,7 @@
 use super::flight::{FlightCapture, FlightState};
 use super::{FlexSfp, Interface, OutputPacket, SimPacket, SimReport};
 use flexsfp_fabric::serdes::Transceiver;
+use flexsfp_fabric::stream::DatapathConfig;
 use flexsfp_obs::{
     DropCounters, DropReason, EventKind, EventRing, FlightStamp, FlightVerdict, WindowedSeries,
 };
@@ -28,6 +29,18 @@ use std::ops::Range;
 /// perf harness enforces per thread.
 pub const PPE_BATCH: usize = 32;
 
+/// The prototype's 64 b datapath (§5.1): a packet holds the PPE one
+/// cycle per 8-byte beat.
+const DATAPATH: DatapathConfig = DatapathConfig::prototype_10g();
+
+/// One crossing of a 10GBASE-R SerDes + PCS, ps.
+const SERDES_PS: u64 = 100_000;
+
+/// Simulated time is `u64` picoseconds. Arrivals stop below 2⁶³ ps
+/// (≈ 106 days), leaving the upper half of the range to the service,
+/// pipeline and SerDes time a departure adds.
+const ARRIVAL_BOUND_PS: u64 = 1 << 63;
+
 /// Tag and timing of one dataplane packet on its way to dispatch. The
 /// queueing model runs at admit time (admission order is arrival
 /// order), so the departure time is already known when the packet joins
@@ -38,8 +51,8 @@ struct Transit {
     /// sharded runs), threaded through to the sink unchanged.
     tag: u64,
     arrival_ns: u64,
-    arrival_fs: u128,
-    departure_fs: u128,
+    arrival_ps: u64,
+    departure_ps: u64,
 }
 
 /// The one accounting context of the per-packet path: everything a
@@ -73,24 +86,6 @@ struct LatencyRun {
     window: Range<u64>,
     latency_ns: f64,
     n: u64,
-}
-
-/// A femtosecond span in nanoseconds, exactly `fs as f64 / 1e6`.
-/// Below 2⁶⁴ fs the u64 conversion is one instruction; the u128 one is
-/// a libcall that LLVM hoists above an inline branch, so it lives in
-/// [`wide_fs_to_ns`], which nothing can hoist out of.
-fn fs_to_ns(fs: u128) -> f64 {
-    match u64::try_from(fs) {
-        Ok(fs) => fs as f64 / 1e6,
-        Err(_) => wide_fs_to_ns(fs),
-    }
-}
-
-/// [`fs_to_ns`] at and above 2⁶⁴ fs (≈ 5 simulated hours).
-#[cold]
-#[inline(never)]
-fn wide_fs_to_ns(fs: u128) -> f64 {
-    fs as f64 / 1e6
 }
 
 /// The drop-reason table, counter half: which counter a reason bumps.
@@ -238,15 +233,8 @@ impl<'a> Accounts<'a> {
             return self.drop(DropReason::LinkDown, t.arrival_ns);
         }
 
-        // u128 division compiles to a libcall; simulated times fit u64
-        // femtoseconds (~5 h) in practice, so divide in u64 (a
-        // multiply-shift) and keep the wide division as the fallback.
-        let departure_ns = if t.departure_fs <= u128::from(u64::MAX) {
-            (t.departure_fs as u64) / 1_000_000
-        } else {
-            (t.departure_fs / 1_000_000) as u64
-        };
-        let latency_ns = fs_to_ns(t.departure_fs - t.arrival_fs);
+        let departure_ns = t.departure_ps / 1_000;
+        let latency_ns = (t.departure_ps - t.arrival_ps) as f64 / 1e3;
         self.forwarded(departure_ns, latency_ns);
         match egress {
             Interface::Edge => self.report.forwarded.0 += 1,
@@ -287,14 +275,14 @@ impl Drop for Accounts<'_> {
 /// One queued-entry record of the PPE server model.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
-    finish_fs: u128,
+    finish_ps: u64,
     bytes: usize,
 }
 
 /// A busy-server + finite-FIFO model of the PPE.
 #[derive(Debug, Default)]
 struct PpeServer {
-    free_fs: u128,
+    free_ps: u64,
     fifo_bytes: usize,
     in_flight: VecDeque<InFlight>,
     /// Running sum of `in_flight` bytes, so admission is O(1) instead
@@ -306,18 +294,18 @@ impl PpeServer {
     /// An idle server with an empty `fifo_bytes` FIFO, on the queue
     /// buffer it already has.
     fn reset(&mut self, fifo_bytes: usize) {
-        self.free_fs = 0;
+        self.free_ps = 0;
         self.fifo_bytes = fifo_bytes;
         self.in_flight.clear();
         self.backlog = 0;
     }
 
-    /// Entries that completed service by `arrival_fs` have left the
+    /// Entries that completed service by `arrival_ps` have left the
     /// FIFO. Idempotent, so observing the queue before admitting to it
     /// does not perturb the model.
-    fn retire(&mut self, arrival_fs: u128) {
+    fn retire(&mut self, arrival_ps: u64) {
         while let Some(front) = self.in_flight.front() {
-            if front.finish_fs > arrival_fs {
+            if front.finish_ps > arrival_ps {
                 break;
             }
             self.backlog -= front.bytes;
@@ -325,28 +313,28 @@ impl PpeServer {
         }
     }
 
-    /// Try to admit a packet arriving at `arrival_fs` needing
-    /// `service_fs` of PPE time. Returns the service start time, or
+    /// Try to admit a packet arriving at `arrival_ps` needing
+    /// `service_ps` of PPE time. Returns the service start time, or
     /// `None` on FIFO overflow.
-    fn admit(&mut self, arrival_fs: u128, len: usize, service_fs: u128) -> Option<u128> {
-        self.retire(arrival_fs);
+    fn admit(&mut self, arrival_ps: u64, len: usize, service_ps: u64) -> Option<u64> {
+        self.retire(arrival_ps);
         if self.backlog + len > self.fifo_bytes {
             return None;
         }
-        let start = self.free_fs.max(arrival_fs);
-        let finish = start + service_fs;
-        self.free_fs = finish;
+        let start = self.free_ps.max(arrival_ps);
+        let finish = start + service_ps;
+        self.free_ps = finish;
         self.backlog += len;
         self.in_flight.push_back(InFlight {
-            finish_fs: finish,
+            finish_ps: finish,
             bytes: len,
         });
         Some(start)
     }
 
-    /// The queue a packet arriving at `arrival_fs` would see.
-    fn depth_at(&mut self, arrival_fs: u128) -> FlightCapture {
-        self.retire(arrival_fs);
+    /// The queue a packet arriving at `arrival_ps` would see.
+    fn depth_at(&mut self, arrival_ps: u64) -> FlightCapture {
+        self.retire(arrival_ps);
         FlightCapture {
             queue_bytes: self.backlog as u64,
             queue_pkts: self.in_flight.len() as u64,
@@ -375,14 +363,10 @@ impl PpeServer {
 pub struct StreamSession {
     report: SimReport,
     server: PpeServer,
-    serdes_fs: u128,
-    ppe_period_fs: u128,
-    pipeline_cycles: u128,
+    ppe_period_ps: u64,
+    pipeline_cycles: u64,
     last_time_ns: u64,
     prev_arrival: u64,
-    /// One-entry memo of beats_for(len): the ceiling division has a
-    /// runtime divisor, and fixed-size workloads repeat one length.
-    last_beats: (usize, u128),
     batch: Vec<BatchPacket>,
     pending: Vec<Transit>,
 }
@@ -393,12 +377,10 @@ impl StreamSession {
         let mut session = StreamSession {
             report: SimReport::default(),
             server: PpeServer::default(),
-            serdes_fs: 0,
-            ppe_period_fs: 0,
+            ppe_period_ps: 0,
             pipeline_cycles: 0,
             last_time_ns: 0,
             prev_arrival: 0,
-            last_beats: (usize::MAX, 0),
             batch: Vec::with_capacity(PPE_BATCH),
             pending: Vec::with_capacity(PPE_BATCH),
         };
@@ -413,12 +395,10 @@ impl StreamSession {
         debug_assert!(self.batch.is_empty() && self.pending.is_empty());
         self.report = SimReport::default();
         self.server.reset(m.config.fifo_bytes);
-        self.serdes_fs = (m.config.serdes_latency_ns * 1e6) as u128;
-        self.ppe_period_fs = m.config.ppe_clock.period_fs() as u128;
-        self.pipeline_cycles = u128::from(stage_start_cycle(m.app.pipeline_depth() as usize));
+        self.ppe_period_ps = m.config.ppe_clock.period_ps();
+        self.pipeline_cycles = u64::from(stage_start_cycle(m.app.pipeline_depth() as usize));
         self.last_time_ns = 0;
         self.prev_arrival = 0;
-        self.last_beats = (usize::MAX, 0);
     }
 
     fn accounts<'a>(&'a mut self, m: &'a mut FlexSfp) -> Accounts<'a> {
@@ -534,7 +514,11 @@ impl StreamSession {
             return;
         }
 
-        let arrival_fs = u128::from(ts) * 1_000_000;
+        assert!(
+            ts < ARRIVAL_BOUND_PS.div_ceil(1_000),
+            "arrival at {ts} ns is at or past the 2^63 ps (about 106 days) bound of simulated time"
+        );
+        let arrival_ps = ts * 1_000;
         // One sampler draw per dataplane packet (PPE and bypass
         // alike), taken before the FIFO decision so overflow drops
         // are observable in the flight record too. Control and
@@ -549,8 +533,8 @@ impl StreamSession {
             let t = Transit {
                 tag,
                 arrival_ns: ts,
-                arrival_fs,
-                departure_fs: arrival_fs + 2 * self.serdes_fs,
+                arrival_ps,
+                departure_ps: arrival_ps + 2 * SERDES_PS,
             };
             let mut acct = self.accounts(m);
             let fate = acct.dispatch(t, pkt.frame, Verdict::Forward, pkt.direction, sink);
@@ -560,14 +544,11 @@ impl StreamSession {
         }
 
         let len = pkt.frame.len();
-        if self.last_beats.0 != len {
-            self.last_beats = (len, u128::from(m.config.datapath.beats_for(len)));
-        }
-        let service_fs = self.last_beats.1 * self.ppe_period_fs;
+        let service_ps = DATAPATH.beats_for(len) * self.ppe_period_ps;
         // Observe the queue a sampled packet meets before it is
         // admitted (admission changes the backlog).
-        let cap = sampled.then(|| self.server.depth_at(arrival_fs));
-        let Some(start_fs) = self.server.admit(arrival_fs, len, service_fs) else {
+        let cap = sampled.then(|| self.server.depth_at(arrival_ps));
+        let Some(start_ps) = self.server.admit(arrival_ps, len, service_ps) else {
             let mut acct = self.accounts(m);
             let fate = acct.drop(DropReason::FifoOverflow, ts);
             acct.postcard(cap, ts, FlightStamp::default(), fate);
@@ -581,11 +562,11 @@ impl StreamSession {
         self.pending.push(Transit {
             tag,
             arrival_ns: ts,
-            arrival_fs,
-            departure_fs: start_fs
-                + service_fs
-                + self.pipeline_cycles * self.ppe_period_fs
-                + 2 * self.serdes_fs,
+            arrival_ps,
+            departure_ps: start_ps
+                + service_ps
+                + self.pipeline_cycles * self.ppe_period_ps
+                + 2 * SERDES_PS,
         });
         // A sampled packet flushes immediately: batching is
         // semantically per-packet, so results are unchanged, and the
@@ -751,38 +732,19 @@ mod tests {
     use flexsfp_ppe::engine::{DropAll, PassThrough};
     use flexsfp_wire::MacAddr;
 
-    /// Both arms are the plain u128 conversion, bit for bit, at, just
-    /// below and just above 2⁶⁴ fs, and at the top of the range.
     #[test]
-    fn fs_to_ns_matches_the_u128_conversion_across_two_to_the_64_fs() {
-        let edge = 1u128 << 64;
-        let cases = [
-            0,
-            1,
-            999_999,
-            1_000_000,
-            315_000_000,
-            edge - 4097,
-            edge - 2048,
-            edge - 1,
-            edge,
-            edge + 1,
-            edge + 4096,
-            edge * 3,
-            u128::MAX,
-        ];
-        for fs in cases {
-            assert_eq!(
-                fs_to_ns(fs).to_bits(),
-                (fs as f64 / 1e6).to_bits(),
-                "{fs} fs"
-            );
-        }
-        assert_eq!(fs_to_ns(315_000_000), 315.0);
-        // 2⁶⁴ − 1 rounds up to 2⁶⁴ on either side of the branch.
-        assert_eq!(fs_to_ns(edge - 1), fs_to_ns(edge));
-        assert_eq!(fs_to_ns(edge), 2f64.powi(64) / 1e6);
-        assert_eq!(fs_to_ns(u128::MAX), 2f64.powi(128) / 1e6);
+    #[should_panic(expected = "2^63 ps")]
+    fn an_arrival_past_the_time_bound_panics() {
+        let last_ns = ARRIVAL_BOUND_PS.div_ceil(1_000) - 1;
+        let packet = |arrival_ns| SimPacket {
+            arrival_ns,
+            direction: Direction::EdgeToOptical,
+            frame: data_frame(64),
+        };
+        let mut m = FlexSfp::passthrough();
+        let report = m.run(vec![packet(last_ns)]);
+        assert_eq!(report.outputs[0].departure_ns, last_ns + 276);
+        m.run(vec![packet(last_ns + 1)]);
     }
 
     #[test]

@@ -83,8 +83,8 @@ impl FlexSfp {
     /// Assemble a module running `app` under `config`.
     pub fn new(config: ModuleConfig, app: Box<dyn PacketProcessor>) -> FlexSfp {
         let control = ControlPlane::new(config.mgmt_mac, config.mgmt_ip, config.auth_key);
-        let mut edge = Transceiver::new("electrical", config.line_rate);
-        let mut optical = Transceiver::new("optical", config.line_rate);
+        let mut edge = Transceiver::new("electrical");
+        let mut optical = Transceiver::new("optical");
         // The Mi-V startup sequence: configure transceivers, laser
         // driver and limiting amplifier (§5.1).
         edge.enable();

@@ -17,15 +17,11 @@ impl ClockDomain {
     /// The doubled clock the paper proposes for the Two-Way-Core PPE.
     pub const XGMII_10G_X2: ClockDomain = ClockDomain { hz: 312_500_000 };
 
-    /// A domain at `hz` hertz. Panics on a zero frequency.
-    pub(crate) fn from_hz(hz: u64) -> ClockDomain {
+    /// A domain at `mhz` megahertz. Panics on a zero frequency.
+    pub fn from_mhz(mhz: f64) -> ClockDomain {
+        let hz = (mhz * 1e6).round() as u64;
         assert!(hz > 0, "clock frequency must be non-zero");
         ClockDomain { hz }
-    }
-
-    /// A domain at `mhz` megahertz.
-    pub fn from_mhz(mhz: f64) -> ClockDomain {
-        ClockDomain::from_hz((mhz * 1e6).round() as u64)
     }
 
     /// Frequency in hertz.
@@ -38,16 +34,10 @@ impl ClockDomain {
         self.hz as f64 / 1e6
     }
 
-    /// Period of one cycle in femtoseconds (exact for frequencies that
-    /// divide 10^15, which all realistic fabric clocks do).
-    pub fn period_fs(&self) -> u64 {
-        1_000_000_000_000_000 / self.hz
-    }
-
-    /// A domain scaled by an integer multiplier (e.g. ×2 for the
-    /// Two-Way-Core PPE clock).
-    pub fn scaled(&self, factor: u64) -> ClockDomain {
-        ClockDomain::from_hz(self.hz * factor)
+    /// Period of one cycle in picoseconds (exact for frequencies that
+    /// divide 10^12, as the prototype's 156.25 and 312.5 MHz do).
+    pub fn period_ps(&self) -> u64 {
+        1_000_000_000_000 / self.hz
     }
 
     /// Bits per second moved by a `width_bits`-wide bus in this domain.
@@ -71,13 +61,12 @@ mod tests {
             ClockDomain::XGMII_10G_X2.bus_bits_per_sec(64),
             20_000_000_000
         );
-        assert_eq!(ClockDomain::XGMII_10G.scaled(2), ClockDomain::XGMII_10G_X2);
     }
 
     #[test]
     fn period_is_exact() {
-        assert_eq!(ClockDomain::XGMII_10G.period_fs(), 6_400_000);
-        assert_eq!(ClockDomain::XGMII_10G_X2.period_fs(), 3_200_000);
+        assert_eq!(ClockDomain::XGMII_10G.period_ps(), 6_400);
+        assert_eq!(ClockDomain::XGMII_10G_X2.period_ps(), 3_200);
     }
 
     #[test]
@@ -89,6 +78,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_frequency_panics() {
-        ClockDomain::from_hz(0);
+        ClockDomain::from_mhz(0.0);
     }
 }

@@ -3,45 +3,14 @@
 //! The prototype board exposes two bidirectional 12.7 Gb/s transceivers:
 //! one toward the host edge connector, one toward the optical cage. A
 //! 10GBASE-R lane signals at 10.3125 GBd and, after 64b/66b decoding,
-//! delivers exactly 10.0 Gb/s of MAC-layer bits. Line-rate feasibility
-//! throughout the workspace leans on this arithmetic.
+//! delivers exactly 10.0 Gb/s of MAC-layer bits. Per-frame line-rate
+//! arithmetic (preamble and IFG included) is `traffic::rate`'s.
 
-/// Ethernet per-packet line overhead: 7 B preamble + 1 B SFD + 12 B IFG.
-pub(crate) const LINE_OVERHEAD_BYTES: usize = 20;
+/// MAC-layer bit rate of a 10GBASE-R lane (after line coding).
+pub const MAC_BPS: u64 = 10_000_000_000;
 
-/// Nominal line rates the model supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LineRate {
-    /// 10GBASE-R: 10.3125 GBd, 10 Gb/s MAC rate.
-    TenGig,
-    /// 25GBASE-R: 25.78125 GBd, 25 Gb/s MAC rate.
-    TwentyFiveGig,
-    /// 4 × 25G (QSFP28-style): 100 Gb/s MAC rate.
-    HundredGig,
-}
-
-impl LineRate {
-    /// MAC-layer bit rate (after line coding).
-    pub fn mac_bps(&self) -> u64 {
-        match self {
-            LineRate::TenGig => 10_000_000_000,
-            LineRate::TwentyFiveGig => 25_000_000_000,
-            LineRate::HundredGig => 100_000_000_000,
-        }
-    }
-
-    /// Signalling rate in baud across all lanes (64b/66b coded).
-    pub fn baud(&self) -> u64 {
-        self.mac_bps() / 64 * 66
-    }
-
-    /// Maximum frames per second for `frame_len`-byte frames (incl. FCS),
-    /// accounting for preamble + IFG.
-    pub fn max_fps(&self, frame_len: usize) -> f64 {
-        let bits_per_frame = ((frame_len + LINE_OVERHEAD_BYTES) * 8) as f64;
-        self.mac_bps() as f64 / bits_per_frame
-    }
-}
+/// Signalling rate of a 10GBASE-R lane, 64b/66b coded: 10.3125 GBd.
+pub const BAUD: u64 = MAC_BPS / 64 * 66;
 
 /// Health state of one optical lane, driven by the failure model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,14 +41,12 @@ pub struct LaneCounters {
     pub errors: u64,
 }
 
-/// A bidirectional transceiver: the electrical-edge or optical-side
-/// SerDes of the module.
+/// A bidirectional 10GBASE-R transceiver: the electrical-edge or
+/// optical-side SerDes of the module.
 #[derive(Debug, Clone)]
 pub struct Transceiver {
     /// Identifying label ("electrical", "optical").
     pub name: String,
-    /// Configured line rate.
-    pub rate: LineRate,
     /// Receive-direction counters.
     pub rx: LaneCounters,
     /// Transmit-direction counters.
@@ -92,11 +59,10 @@ pub struct Transceiver {
 }
 
 impl Transceiver {
-    /// A healthy transceiver at `rate`.
-    pub fn new(name: &str, rate: LineRate) -> Transceiver {
+    /// A healthy transceiver.
+    pub fn new(name: &str) -> Transceiver {
         Transceiver {
             name: name.into(),
-            rate,
             rx: LaneCounters::default(),
             tx: LaneCounters::default(),
             health: OpticalHealth::default(),
@@ -158,27 +124,13 @@ mod tests {
 
     #[test]
     fn ten_gig_arithmetic() {
-        assert_eq!(LineRate::TenGig.mac_bps(), 10_000_000_000);
-        assert_eq!(LineRate::TenGig.baud(), 10_312_500_000);
-        // The canonical 14.88 Mpps at 64-byte frames.
-        let fps = LineRate::TenGig.max_fps(64);
-        assert!((fps - 14_880_952.38).abs() < 1.0);
-        // 812743 fps at 1518-byte frames.
-        let fps_big = LineRate::TenGig.max_fps(1518);
-        assert!((fps_big - 812_743.8).abs() < 1.0);
-    }
-
-    #[test]
-    fn hundred_gig_scales() {
-        assert_eq!(LineRate::HundredGig.baud(), 103_125_000_000);
-        assert!(
-            (LineRate::HundredGig.max_fps(64) / LineRate::TenGig.max_fps(64) - 10.0).abs() < 1e-9
-        );
+        assert_eq!(MAC_BPS, 10_000_000_000);
+        assert_eq!(BAUD, 10_312_500_000);
     }
 
     #[test]
     fn disabled_lane_drops() {
-        let mut t = Transceiver::new("optical", LineRate::TenGig);
+        let mut t = Transceiver::new("optical");
         assert!(!t.record_tx(64));
         assert_eq!(t.tx.errors, 1);
         t.enable();
@@ -190,7 +142,7 @@ mod tests {
 
     #[test]
     fn link_budget() {
-        let mut t = Transceiver::new("optical", LineRate::TenGig);
+        let mut t = Transceiver::new("optical");
         t.enable();
         // Healthy: -2 dBm - 3 dB loss = -5 dBm > -11.1 dBm.
         assert!(t.link_up(3.0));
@@ -203,7 +155,7 @@ mod tests {
 
     #[test]
     fn disabled_lane_is_down() {
-        let t = Transceiver::new("optical", LineRate::TenGig);
+        let t = Transceiver::new("optical");
         assert!(!t.link_up(0.0));
     }
 }

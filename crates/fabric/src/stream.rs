@@ -1,33 +1,11 @@
-//! The word-oriented streaming datapath.
+//! The streaming datapath's width × clock arithmetic.
 //!
-//! Inside the FPGA, packets move as a stream of fixed-width bus words
+//! Inside the FPGA, packets move as a stream of fixed-width bus beats
 //! (64 bit in the prototype; §5.3 discusses widening to 512 bit for
-//! 100 G). [`segment`] turns a packet into its word stream exactly as the
-//! Ethernet IP core's AXI-Stream output would, and [`DatapathConfig`]
-//! carries the width × clock arithmetic that decides whether a pipeline
-//! sustains line rate.
+//! 100 G). [`DatapathConfig`] decides whether a width and a clock
+//! sustain a line rate, and how many beats a packet takes.
 
 use crate::clock::ClockDomain;
-
-/// One beat of the streaming bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusWord {
-    /// Up to 64 bytes of data (512-bit maximum width).
-    pub data: [u8; 64],
-    /// Number of valid bytes in `data` (1..=width_bytes).
-    pub keep: u8,
-    /// First beat of a packet.
-    pub sof: bool,
-    /// Last beat of a packet.
-    pub eof: bool,
-}
-
-impl BusWord {
-    /// The valid bytes of this beat.
-    pub fn bytes(&self) -> &[u8] {
-        &self.data[..usize::from(self.keep)]
-    }
-}
 
 /// Datapath width in bits; only power-of-two widths realizable on the
 /// fabric are allowed.
@@ -45,7 +23,7 @@ pub enum BusWidth {
 
 impl BusWidth {
     /// Width in bits.
-    pub fn bits(&self) -> u32 {
+    pub const fn bits(&self) -> u32 {
         match self {
             BusWidth::W64 => 64,
             BusWidth::W128 => 128,
@@ -55,7 +33,7 @@ impl BusWidth {
     }
 
     /// Width in bytes.
-    pub fn bytes(&self) -> usize {
+    pub const fn bytes(&self) -> usize {
         self.bits() as usize / 8
     }
 
@@ -81,7 +59,7 @@ pub struct DatapathConfig {
 
 impl DatapathConfig {
     /// The prototype configuration: 64 b @ 156.25 MHz = 10 Gb/s.
-    pub fn prototype_10g() -> DatapathConfig {
+    pub const fn prototype_10g() -> DatapathConfig {
         DatapathConfig {
             width: BusWidth::W64,
             clock: ClockDomain::XGMII_10G,
@@ -95,13 +73,8 @@ impl DatapathConfig {
 
     /// Beats needed to stream a `len`-byte packet (ceiling division; a
     /// partial final beat still takes a cycle).
-    pub fn beats_for(&self, len: usize) -> u64 {
+    pub const fn beats_for(&self, len: usize) -> u64 {
         (len as u64).div_ceil(self.width.bytes() as u64)
-    }
-
-    /// Cycles the bus is occupied by a `len`-byte packet.
-    pub fn occupancy_cycles(&self, len: usize) -> u64 {
-        self.beats_for(len)
     }
 
     /// Maximum sustainable packet rate (packets/s) for fixed-size `len`
@@ -124,55 +97,9 @@ impl DatapathConfig {
     }
 }
 
-/// Segment a packet into bus words of the given width.
-pub fn segment(packet: &[u8], width: BusWidth) -> Vec<BusWord> {
-    let wb = width.bytes();
-    if packet.is_empty() {
-        return Vec::new();
-    }
-    let n = packet.len().div_ceil(wb);
-    let mut out = Vec::with_capacity(n);
-    for (i, chunk) in packet.chunks(wb).enumerate() {
-        let mut data = [0u8; 64];
-        data[..chunk.len()].copy_from_slice(chunk);
-        out.push(BusWord {
-            data,
-            keep: chunk.len() as u8,
-            sof: i == 0,
-            eof: i == n - 1,
-        });
-    }
-    out
-}
-
-/// Reassemble a packet from its word stream (inverse of [`segment`]).
-pub fn reassemble(words: &[BusWord]) -> Vec<u8> {
-    // Every beat but the last carries the full bus width, so the first
-    // beat's keep is the word size: reserving `beats × width` is exact
-    // (within one beat) for any bus, where the old `beats × 8` hint
-    // under-reserved up to 8× on W128–W512 and reallocated mid-copy.
-    let width_bytes = words.first().map_or(0, |w| usize::from(w.keep));
-    let mut out = Vec::with_capacity(words.len() * width_bytes);
-    for w in words {
-        out.extend_from_slice(w.bytes());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn segment_reassemble_round_trip() {
-        let pkt: Vec<u8> = (0..150u8).collect();
-        for width in BusWidth::all() {
-            let words = segment(&pkt, width);
-            assert!(words[0].sof);
-            assert!(words.last().unwrap().eof);
-            assert_eq!(reassemble(&words), pkt);
-        }
-    }
 
     #[test]
     fn beat_counts() {
@@ -181,23 +108,6 @@ mod tests {
         assert_eq!(cfg.beats_for(65), 9);
         assert_eq!(cfg.beats_for(1), 1);
         assert_eq!(cfg.beats_for(1518), 190);
-        let words = segment(&[0u8; 65], BusWidth::W64);
-        assert_eq!(words.len(), 9);
-        assert_eq!(words[8].keep, 1);
-    }
-
-    #[test]
-    fn empty_packet_produces_no_words() {
-        assert!(segment(&[], BusWidth::W64).is_empty());
-    }
-
-    #[test]
-    fn exact_multiple_has_full_final_beat() {
-        let words = segment(&[0u8; 128], BusWidth::W64);
-        assert_eq!(words.len(), 16);
-        assert_eq!(words[15].keep, 8);
-        assert!(words[15].eof);
-        assert!(!words[14].eof);
     }
 
     #[test]
@@ -228,26 +138,6 @@ mod tests {
         };
         assert!(cfg.bandwidth_bps() >= 100_000_000_000);
         assert!(cfg.sustains_line_rate(100_000_000_000, 64));
-    }
-
-    #[test]
-    fn w512_reassemble_reserves_exact_capacity() {
-        // A 1518 B frame on the 512-bit bus: 24 beats of 64 B. The old
-        // `beats × 8` hint reserved 192 B for a 1518 B packet and grew
-        // mid-copy; the width-derived hint must cover the frame without
-        // reallocation (capacity within one beat of the final length).
-        let pkt: Vec<u8> = (0..1518u32).map(|i| i as u8).collect();
-        let words = segment(&pkt, BusWidth::W512);
-        assert_eq!(words.len(), 24);
-        let out = reassemble(&words);
-        assert_eq!(out, pkt);
-        assert!(out.capacity() >= out.len());
-        assert!(out.capacity() <= out.len() + BusWidth::W512.bytes());
-        // Single-beat packets derive the width from keep alone and stay
-        // exact too.
-        let small = reassemble(&segment(&pkt[..40], BusWidth::W512));
-        assert_eq!(small.len(), 40);
-        assert!(small.capacity() >= 40);
     }
 
     #[test]

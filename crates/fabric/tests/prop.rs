@@ -8,7 +8,7 @@ use flexsfp_fabric::fifo::Fifo;
 use flexsfp_fabric::flash::{SpiFlash, FLASH_BYTES, SECTOR_BYTES};
 use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_fabric::sram::{MemoryKind, MemoryPlanner, TableShape};
-use flexsfp_fabric::stream::{reassemble, segment, BusWidth, DatapathConfig};
+use flexsfp_fabric::stream::{BusWidth, DatapathConfig};
 use flexsfp_fabric::ClockDomain;
 use flexsfp_traffic::rng::Xoshiro256;
 use std::collections::VecDeque;
@@ -65,32 +65,8 @@ fn fifo_order_and_accounting() {
     });
 }
 
-/// Segment → reassemble is the identity for every width.
-#[test]
-fn stream_round_trip() {
-    for_each_case(0x57e4, CASES, |rng, case| {
-        let data = bytes(rng, 0, 2_000);
-        let width = BusWidth::all()[rng.range_usize(0, 4)];
-        let words = segment(&data, width);
-        assert_eq!(reassemble(&words), data, "case {case:#x}");
-        if !data.is_empty() {
-            assert_eq!(
-                words.len(),
-                data.len().div_ceil(width.bytes()),
-                "case {case:#x}"
-            );
-            assert!(words[0].sof, "case {case:#x}");
-            assert!(words.last().unwrap().eof, "case {case:#x}");
-            // All non-final beats are full.
-            for w in &words[..words.len() - 1] {
-                assert_eq!(w.keep as usize, width.bytes(), "case {case:#x}");
-            }
-        }
-    });
-}
-
-/// Occupancy cycles are monotone in packet length and inversely
-/// monotone in width.
+/// Beats are monotone in packet length and inversely monotone in
+/// width.
 #[test]
 fn occupancy_monotonicity() {
     for_each_case(0x0cc0, CASES, |rng, case| {
@@ -99,13 +75,10 @@ fn occupancy_monotonicity() {
         let mut prev = u64::MAX;
         for width in BusWidth::all() {
             let cfg = DatapathConfig { width, clock };
-            let beats = cfg.occupancy_cycles(len);
+            let beats = cfg.beats_for(len);
             assert!(beats <= prev, "case {case:#x}: {width:?}");
             prev = beats;
-            assert!(
-                cfg.occupancy_cycles(len + 1) >= beats,
-                "case {case:#x}: {width:?}"
-            );
+            assert!(cfg.beats_for(len + 1) >= beats, "case {case:#x}: {width:?}");
         }
     });
 }

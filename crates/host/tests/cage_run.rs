@@ -516,7 +516,6 @@ fn assert_cage_is_one_run_per_frame(
                 let seated = sw.module_mut(CAGE).expect("seated");
                 for m in [seated, &mut twin.module] {
                     m.config.fifo_bytes = 600;
-                    m.config.serdes_latency_ns = 80.0;
                     m.config.ppe_clock = if m.config.ppe_clock == ClockDomain::XGMII_10G {
                         ClockDomain::XGMII_10G_X2
                     } else {

@@ -283,12 +283,11 @@ impl TraceBuilder {
     /// Generate `count` packets (plus any injected microbursts), sorted
     /// by arrival time, each frame's buffer sized to the frame.
     ///
-    /// Equivalent to `self.stream(count).collect()` — the materialized and
-    /// streaming paths share one generator, so they can never diverge.
+    /// This is [`stream`](Self::stream) collected: the materialized and
+    /// streaming paths share one generator, so they can never diverge,
+    /// and the stream's exact length sizes the vector, bursts included.
     pub fn build(&self, count: usize) -> Vec<TracePacket> {
-        let mut out: Vec<TracePacket> = Vec::with_capacity(count);
-        out.extend(self.stream(count));
-        out
+        self.stream(count).collect()
     }
 
     /// Stream the same trace [`build`](Self::build) materializes — same
@@ -338,7 +337,7 @@ impl TraceBuilder {
             arrival: self.arrival,
             rate: self.rate,
             arena,
-            t_fs: 0,
+            t_fs: Some(0),
             next_seq: 0,
             count,
             bursts: bursts.into(),
@@ -450,7 +449,9 @@ pub struct TraceStream {
     /// Paced frames are leased from here; without one each is a fresh
     /// buffer the builders size to the frame.
     arena: Option<PacketArena>,
-    t_fs: u128, // femtoseconds for exact pacing
+    /// The next paced arrival in femtoseconds, for exact pacing;
+    /// `None` once it lies at or past 2⁶⁴ fs (≈ 5.1 h).
+    t_fs: Option<u64>,
     next_seq: usize,
     count: usize,
     bursts: VecDeque<TracePacket>,
@@ -466,18 +467,12 @@ impl Iterator for TraceStream {
         // Merge the paced stream with pre-materialized bursts; on an
         // arrival-time tie the paced packet goes first (it preceded the
         // burst in the historical stable sort).
-        // u128 division is a libcall; paced clocks fit u64 femtoseconds
-        // (~5 h) in practice, so divide in u64 (a multiply-shift) and
-        // keep the wide division as the fallback.
-        let main_arrival = if self.next_seq < self.count {
-            Some(if self.t_fs <= u128::from(u64::MAX) {
-                (self.t_fs as u64) / 1_000_000
-            } else {
-                (self.t_fs / 1_000_000) as u64
-            })
-        } else {
-            None
-        };
+        let main_arrival = (self.next_seq < self.count).then(|| {
+            let t_fs = self
+                .t_fs
+                .expect("paced arrival at or past the 2^64 fs (about 5.1 h) bound of a trace");
+            t_fs / 1_000_000
+        });
         match (main_arrival, self.bursts.front()) {
             (None, None) => return None,
             (None, Some(_)) => return self.bursts.pop_front(),
@@ -513,14 +508,13 @@ impl Iterator for TraceStream {
             ArrivalModel::Paced { .. } => mean_gap,
             ArrivalModel::Poisson { .. } => self.rng.exp(mean_gap),
         };
-        // f64→u128 is a libcall too; go through u64 when the gap fits
-        // (it always does for sub-5-hour gaps).
+        // `as` saturates, so a gap that alone reaches 2⁶⁴ fs must not
+        // reach the sum.
         let gap_fs = mean_gap_ns * 1e6;
-        self.t_fs += if gap_fs < u64::MAX as f64 {
-            u128::from(gap_fs as u64)
-        } else {
-            gap_fs as u128
-        };
+        self.t_fs = self
+            .t_fs
+            .filter(|_| gap_fs < u64::MAX as f64)
+            .and_then(|t| t.checked_add(gap_fs as u64));
         self.next_seq += 1;
         Some(TracePacket { arrival_ns, frame })
     }
@@ -738,6 +732,37 @@ mod tests {
         // Back-to-back at line rate: ~1.23 µs per 1514+24 B frame.
         let gap = burst[1].arrival_ns - burst[0].arrival_ns;
         assert!((1_200..1_260).contains(&gap), "gap {gap}");
+    }
+
+    /// A 60 B stream at `utilization` of 10 G: one gap is `67.2 /
+    /// utilization` ns.
+    fn sparse(utilization: f64) -> TraceBuilder {
+        TraceBuilder::new(3)
+            .sizes(SizeModel::Fixed(60))
+            .arrivals(ArrivalModel::Paced { utilization })
+    }
+
+    #[test]
+    #[should_panic(expected = "2^64 fs")]
+    fn a_gap_past_two_to_the_64_fs_panics_at_the_arrival_it_delays() {
+        // 6.72e19 fs: the second arrival is past 2⁶⁴ fs.
+        sparse(1e-12).build(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^64 fs")]
+    fn gaps_summing_past_two_to_the_64_fs_panic() {
+        // 1.344e19 fs a gap: the second arrival fits, the third does not.
+        sparse(5e-12).build(3);
+    }
+
+    #[test]
+    fn a_stream_that_ends_below_the_bound_yields_every_packet() {
+        let one = sparse(1e-12).build(1);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].arrival_ns, 0);
+        let two = sparse(5e-12).build(2);
+        assert_eq!(two[1].arrival_ns, 13_440_000_000_000);
     }
 
     #[test]

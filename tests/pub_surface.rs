@@ -50,7 +50,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "`ablations::Report::table_size`",
     ),
     ("core::module::report::LatencyStats", "`SimReport::latency`"),
-    ("fabric::stream::BusWord", "what `stream::segment` returns"),
     (
         "host::baselines::PathStats",
         "what `ProcessingPath::run` returns",
