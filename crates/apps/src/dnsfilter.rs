@@ -234,7 +234,9 @@ mod tests {
     #[test]
     fn doh_resolver_blocked_on_443() {
         let mut f = filter();
-        let mut tls = PacketBuilder::eth_ipv4_tcp(
+        let mut tls = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut tls,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             CLIENT,
@@ -242,7 +244,10 @@ mod tests {
             50_000,
             443,
             0,
-            flexsfp_wire::tcp::TcpFlags::syn_only(),
+            flexsfp_wire::tcp::TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
         );
         assert_eq!(
@@ -251,7 +256,9 @@ mod tests {
         );
         assert_eq!(f.stats.blocked_doh, 1);
         // Ordinary HTTPS to another address passes.
-        let mut ok = PacketBuilder::eth_ipv4_tcp(
+        let mut ok = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut ok,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             CLIENT,
@@ -259,7 +266,10 @@ mod tests {
             50_000,
             443,
             0,
-            flexsfp_wire::tcp::TcpFlags::syn_only(),
+            flexsfp_wire::tcp::TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
         );
         assert_eq!(
@@ -285,7 +295,13 @@ mod tests {
             &resp_payload,
         );
         assert_eq!(
-            f.process(&ProcessContext::ingress(), &mut frame),
+            f.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: flexsfp_ppe::Direction::OpticalToEdge
+                },
+                &mut frame
+            ),
             Verdict::Forward
         );
     }

@@ -27,7 +27,7 @@ use flexsfp_ppe::PacketProcessor;
 /// Instantiate the application named by `meta`, honouring its JSON
 /// `config`. Unknown names return `None` (the module falls back to its
 /// golden image).
-pub fn build_app(meta: &BitstreamMeta) -> Option<Box<dyn PacketProcessor>> {
+fn build_app(meta: &BitstreamMeta) -> Option<Box<dyn PacketProcessor>> {
     let cfg = &meta.config;
     match meta.app.as_str() {
         "passthrough" => Some(Box::new(PassThrough)),

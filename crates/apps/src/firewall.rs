@@ -118,7 +118,7 @@ pub mod counters {
     /// Permitted packets.
     pub(crate) const PERMITTED: usize = 0;
     /// Denied packets.
-    pub const DENIED: usize = 1;
+    pub(crate) const DENIED: usize = 1;
     /// Punted packets.
     pub(crate) const PUNTED: usize = 2;
     /// Non-matchable (non-IPv4-TCP/UDP) packets.
@@ -275,7 +275,9 @@ mod tests {
     }
 
     fn tcp(src: u32, dst: u32, dport: u16) -> Vec<u8> {
-        PacketBuilder::eth_ipv4_tcp(
+        let mut frame = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut frame,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             src,
@@ -283,9 +285,13 @@ mod tests {
             1234,
             dport,
             0,
-            flexsfp_wire::tcp::TcpFlags::syn_only(),
+            flexsfp_wire::tcp::TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
-        )
+        );
+        frame
     }
 
     #[test]
@@ -369,7 +375,13 @@ mod tests {
         });
         let mut ssh = tcp(OUTSIDE, INSIDE, 22);
         assert_eq!(
-            fw.process(&ProcessContext::ingress(), &mut ssh),
+            fw.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut ssh
+            ),
             Verdict::ToControlPlane
         );
         assert_eq!(fw.counter(counters::PUNTED).packets, 1);
@@ -380,7 +392,7 @@ mod tests {
         let mut fw = AclFirewall::new(8);
         fw.default_action = AclAction::Deny;
         let mut arp = PacketBuilder::ethernet(
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             MacAddr([2; 6]),
             flexsfp_wire::EtherType::Arp,
             &[0u8; 28],
@@ -406,7 +418,13 @@ mod tests {
         // Ingress screened.
         let mut inbound = tcp(OUTSIDE, INSIDE, 80);
         assert_eq!(
-            fw.process(&ProcessContext::ingress(), &mut inbound),
+            fw.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut inbound
+            ),
             Verdict::Drop
         );
     }

@@ -156,18 +156,17 @@ mod tests {
     use super::*;
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::ipv6::{Ipv6Addr, Ipv6Packet};
-    use flexsfp_wire::{IpProtocol, MacAddr};
+    use flexsfp_wire::MacAddr;
 
     const SUB_PREFIX: u64 = 0x2001_0db8_0001_0000;
 
     fn v6_frame(src_prefix: u64) -> Vec<u8> {
         let mut ip6 = vec![0u8; 40 + 8];
+        // Payload length 8, next header UDP, hop limit 64.
+        ip6[4..8].copy_from_slice(&[0, 8, 17, 64]);
         {
             let mut p = Ipv6Packet::new_unchecked(&mut ip6);
             p.set_version(6);
-            p.set_payload_len(8);
-            p.set_next_header(IpProtocol::Udp);
-            p.set_hop_limit(64);
             let mut src = [0u8; 16];
             src[..8].copy_from_slice(&src_prefix.to_be_bytes());
             src[15] = 0x42;
@@ -249,7 +248,13 @@ mod tests {
         let mut f = filter();
         let mut pkt = v6_frame(0xdead_beef_0000_0000);
         assert_eq!(
-            f.process(&ProcessContext::ingress(), &mut pkt),
+            f.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut pkt
+            ),
             Verdict::Forward
         );
         assert_eq!(f.stats.unknown, 0);

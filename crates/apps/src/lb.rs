@@ -216,7 +216,9 @@ mod tests {
     }
 
     fn vip_frame(src: u32, sport: u16) -> Vec<u8> {
-        PacketBuilder::eth_ipv4_tcp(
+        let mut frame = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut frame,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             src,
@@ -224,9 +226,13 @@ mod tests {
             sport,
             80,
             0,
-            flexsfp_wire::tcp::TcpFlags::syn_only(),
+            flexsfp_wire::tcp::TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
-        )
+        );
+        frame
     }
 
     #[test]
@@ -261,7 +267,9 @@ mod tests {
     #[test]
     fn non_vip_traffic_passes() {
         let mut lb = lb();
-        let mut pkt = PacketBuilder::eth_ipv4_tcp(
+        let mut pkt = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut pkt,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             0xc0a80001,
@@ -269,7 +277,10 @@ mod tests {
             5000,
             80,
             0,
-            flexsfp_wire::tcp::TcpFlags::syn_only(),
+            flexsfp_wire::tcp::TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
         );
         let before = pkt.clone();
@@ -284,7 +295,9 @@ mod tests {
     #[test]
     fn wrong_port_passes() {
         let mut lb = lb();
-        let mut pkt = PacketBuilder::eth_ipv4_tcp(
+        let mut pkt = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut pkt,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             0xc0a80001,
@@ -292,7 +305,10 @@ mod tests {
             5000,
             8080,
             0,
-            flexsfp_wire::tcp::TcpFlags::syn_only(),
+            flexsfp_wire::tcp::TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
         );
         let before = pkt.clone();

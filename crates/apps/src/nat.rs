@@ -318,7 +318,9 @@ mod tests {
     #[test]
     fn translates_tcp_with_l4_checksum() {
         let mut n = nat_with_mapping();
-        let mut pkt = PacketBuilder::eth_ipv4_tcp(
+        let mut pkt = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut pkt,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             PRIVATE,
@@ -326,7 +328,10 @@ mod tests {
             4000,
             443,
             1,
-            TcpFlags::syn_only(),
+            TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
         );
         n.process(&ProcessContext::egress(), &mut pkt);
@@ -355,7 +360,13 @@ mod tests {
         let mut pkt = udp_frame(PRIVATE);
         let before = pkt.clone();
         assert_eq!(
-            n.process(&ProcessContext::ingress(), &mut pkt),
+            n.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut pkt
+            ),
             Verdict::Forward
         );
         assert_eq!(pkt, before);
@@ -365,7 +376,7 @@ mod tests {
     fn non_ip_counted_and_forwarded() {
         let mut n = nat_with_mapping();
         let mut arp = PacketBuilder::ethernet(
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             MacAddr([2; 6]),
             flexsfp_wire::EtherType::Arp,
             &[0u8; 28],
@@ -479,7 +490,9 @@ mod tests {
                     uncached.process(&ProcessContext::egress(), &mut b),
                 );
                 assert_eq!(a, b, "cache-on bytes must equal cache-off bytes");
-                let mut a = PacketBuilder::eth_ipv4_tcp(
+                let mut a = Vec::new();
+                PacketBuilder::eth_ipv4_tcp_into(
+                    &mut a,
                     MacAddr([1; 6]),
                     MacAddr([2; 6]),
                     src,
@@ -487,7 +500,10 @@ mod tests {
                     4000,
                     443,
                     7,
-                    TcpFlags::syn_only(),
+                    TcpFlags {
+                        syn: true,
+                        ..Default::default()
+                    },
                     b"hello",
                 );
                 let mut b = a.clone();
@@ -555,7 +571,9 @@ mod tests {
         n.process(&egress, &mut udp_frame(PRIVATE));
         assert_eq!(n.flight_stamp(), Some(translated(true)));
         // A new flow of the mapped source: the slow path.
-        let mut tcp = PacketBuilder::eth_ipv4_tcp(
+        let mut tcp = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut tcp,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             PRIVATE,
@@ -563,7 +581,10 @@ mod tests {
             4000,
             443,
             1,
-            TcpFlags::syn_only(),
+            TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
         );
         n.process(&egress, &mut tcp);
@@ -590,7 +611,13 @@ mod tests {
         let mut n = nat_with_mapping();
         n.set_flow_cache(true);
         let mut pkt = udp_frame(PRIVATE);
-        n.process(&ProcessContext::ingress(), &mut pkt);
+        n.process(
+            &ProcessContext {
+                timestamp_ns: 0,
+                direction: Direction::OpticalToEdge,
+            },
+            &mut pkt,
+        );
         assert_eq!(n.cache_stats().unwrap().lookups(), 0);
     }
 
@@ -626,13 +653,15 @@ mod tests {
         use flexsfp_ppe::engine::BatchPacket;
         let egress = ProcessContext::egress();
         let arp = PacketBuilder::ethernet(
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             MacAddr([2; 6]),
             flexsfp_wire::EtherType::Arp,
             &[0u8; 28],
         );
         let tcp = |src: u32| {
-            PacketBuilder::eth_ipv4_tcp(
+            let mut frame = Vec::new();
+            PacketBuilder::eth_ipv4_tcp_into(
+                &mut frame,
                 MacAddr([1; 6]),
                 MacAddr([2; 6]),
                 src,
@@ -640,9 +669,13 @@ mod tests {
                 4000,
                 443,
                 9,
-                TcpFlags::syn_only(),
+                TcpFlags {
+                    syn: true,
+                    ..Default::default()
+                },
                 b"x",
-            )
+            );
+            frame
         };
         let unmapped = 0x0a0b_0c0d;
         // (direction, frame) per packet, window by window.
@@ -653,7 +686,13 @@ mod tests {
                 (egress, udp_frame(PRIVATE)),
                 (egress, udp_frame(unmapped)),
                 (egress, arp.clone()),
-                (ProcessContext::ingress(), udp_frame(PRIVATE)),
+                (
+                    ProcessContext {
+                        timestamp_ns: 0,
+                        direction: Direction::OpticalToEdge,
+                    },
+                    udp_frame(PRIVATE),
+                ),
                 (egress, udp_frame(PRIVATE)),
                 (egress, tcp(PRIVATE)),
                 (egress, vec![0u8; 9]),
@@ -669,7 +708,14 @@ mod tests {
                 .map(|i| match i % 5 {
                     0 => (egress, udp_frame(PRIVATE + i % 3)),
                     1 => (egress, tcp(PRIVATE + i % 2)),
-                    2 => (ProcessContext::ingress().at(u64::from(i)), tcp(PRIVATE)),
+                    2 => (
+                        ProcessContext {
+                            timestamp_ns: 0,
+                            direction: Direction::OpticalToEdge,
+                        }
+                        .at(u64::from(i)),
+                        tcp(PRIVATE),
+                    ),
                     3 => (egress.at(u64::from(i)), arp.clone()),
                     _ => (egress, udp_frame(unmapped + i % 4)),
                 })

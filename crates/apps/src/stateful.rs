@@ -196,7 +196,9 @@ mod tests {
     const SERVER: u32 = 0x0a000050;
 
     fn tcp(src: u32, flags: TcpFlags, sport: u16) -> Vec<u8> {
-        PacketBuilder::eth_ipv4_tcp(
+        let mut frame = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut frame,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             src,
@@ -206,11 +208,15 @@ mod tests {
             0,
             flags,
             &[],
-        )
+        );
+        frame
     }
 
     fn syn() -> TcpFlags {
-        TcpFlags::syn_only()
+        TcpFlags {
+            syn: true,
+            ..Default::default()
+        }
     }
 
     fn ack() -> TcpFlags {

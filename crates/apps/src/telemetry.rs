@@ -83,9 +83,9 @@ impl MicroburstDetector {
 /// (40 bytes): src(4) dst(4) sport(2) dport(2) proto(1) pad(3)
 /// packets(8) bytes(8) first_us(4) last_us(4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExportRecord {
+pub(crate) struct ExportRecord {
     /// Flow key.
-    pub key: FiveTuple,
+    key: FiveTuple,
     /// The accounted record.
     record: FlowRecord,
 }
@@ -95,7 +95,7 @@ pub(crate) const EXPORT_RECORD_BYTES: usize = 40;
 
 impl ExportRecord {
     /// Serialize to the 40-byte wire layout.
-    pub fn to_bytes(&self) -> [u8; EXPORT_RECORD_BYTES] {
+    fn to_bytes(self) -> [u8; EXPORT_RECORD_BYTES] {
         let (src, dst, proto, sport, dport) = self.key;
         let mut b = [0u8; EXPORT_RECORD_BYTES];
         b[0..4].copy_from_slice(&src.to_be_bytes());
@@ -108,30 +108,6 @@ impl ExportRecord {
         b[32..36].copy_from_slice(&((self.record.first_ns / 1_000) as u32).to_be_bytes());
         b[36..40].copy_from_slice(&((self.record.last_ns / 1_000) as u32).to_be_bytes());
         b
-    }
-
-    /// Parse a 40-byte wire record.
-    pub fn from_bytes(b: &[u8]) -> Option<ExportRecord> {
-        if b.len() < EXPORT_RECORD_BYTES {
-            return None;
-        }
-        let u32be = |off: usize| u32::from_be_bytes(b[off..off + 4].try_into().unwrap());
-        let u64be = |off: usize| u64::from_be_bytes(b[off..off + 8].try_into().unwrap());
-        Some(ExportRecord {
-            key: (
-                u32be(0),
-                u32be(4),
-                b[12],
-                u16::from_be_bytes([b[8], b[9]]),
-                u16::from_be_bytes([b[10], b[11]]),
-            ),
-            record: FlowRecord {
-                packets: u64be(16),
-                bytes: u64be(24),
-                first_ns: u64::from(u32be(32)) * 1_000,
-                last_ns: u64::from(u32be(36)) * 1_000,
-            },
-        })
     }
 }
 
@@ -173,26 +149,6 @@ impl TelemetryProbe {
         }
         out
     }
-}
-
-/// Parse a `TelemetryProbe::export_wire` payload back into records
-/// (the host-side collector's decoder).
-pub fn parse_export(payload: &[u8]) -> Option<Vec<ExportRecord>> {
-    if payload.len() < 4 {
-        return None;
-    }
-    let count = u32::from_be_bytes(payload[..4].try_into().unwrap()) as usize;
-    if payload.len() < 4 + count * EXPORT_RECORD_BYTES {
-        return None;
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let off = 4 + i * EXPORT_RECORD_BYTES;
-        out.push(ExportRecord::from_bytes(
-            &payload[off..off + EXPORT_RECORD_BYTES],
-        )?);
-    }
-    Some(out)
 }
 
 impl PacketProcessor for TelemetryProbe {
@@ -279,6 +235,51 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::MacAddr;
 
+    impl ExportRecord {
+        /// Parse a 40-byte wire record.
+        fn from_bytes(b: &[u8]) -> Option<ExportRecord> {
+            if b.len() < EXPORT_RECORD_BYTES {
+                return None;
+            }
+            let u32be = |off: usize| u32::from_be_bytes(b[off..off + 4].try_into().unwrap());
+            let u64be = |off: usize| u64::from_be_bytes(b[off..off + 8].try_into().unwrap());
+            Some(ExportRecord {
+                key: (
+                    u32be(0),
+                    u32be(4),
+                    b[12],
+                    u16::from_be_bytes([b[8], b[9]]),
+                    u16::from_be_bytes([b[10], b[11]]),
+                ),
+                record: FlowRecord {
+                    packets: u64be(16),
+                    bytes: u64be(24),
+                    first_ns: u64::from(u32be(32)) * 1_000,
+                    last_ns: u64::from(u32be(36)) * 1_000,
+                },
+            })
+        }
+    }
+
+    /// Parse a `TelemetryProbe::export_wire` payload back into records.
+    fn parse_export(payload: &[u8]) -> Option<Vec<ExportRecord>> {
+        if payload.len() < 4 {
+            return None;
+        }
+        let count = u32::from_be_bytes(payload[..4].try_into().unwrap()) as usize;
+        if payload.len() < 4 + count * EXPORT_RECORD_BYTES {
+            return None;
+        }
+        let mut out = Vec::with_capacity(count);
+        for i in 0..count {
+            let off = 4 + i * EXPORT_RECORD_BYTES;
+            out.push(ExportRecord::from_bytes(
+                &payload[off..off + EXPORT_RECORD_BYTES],
+            )?);
+        }
+        Some(out)
+    }
+
     const SRC: u32 = 0xc0a80001;
     const DST: u32 = 0x08080808;
 
@@ -357,7 +358,7 @@ mod tests {
             Verdict::Forward
         );
         let mut arp = PacketBuilder::ethernet(
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             MacAddr([2; 6]),
             flexsfp_wire::EtherType::Arp,
             &[0u8; 28],

@@ -273,7 +273,13 @@ mod tests {
             view.fill_checksum();
         }
         assert_eq!(
-            gw.process(&ProcessContext::ingress(), &mut returning),
+            gw.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut returning
+            ),
             Verdict::Forward
         );
         assert_eq!(gw.counter(counters::DECAPPED).packets, 1);
@@ -302,7 +308,13 @@ mod tests {
         let mut pkt = host_frame();
         let before = pkt.clone();
         assert_eq!(
-            gw.process(&ProcessContext::ingress(), &mut pkt),
+            gw.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut pkt
+            ),
             Verdict::Forward
         );
         assert_eq!(pkt, before);
@@ -327,7 +339,13 @@ mod tests {
         let before = pkt.clone();
         // Key-2 gateway refuses to decap key-1 traffic.
         assert_eq!(
-            gw_b.process(&ProcessContext::ingress(), &mut pkt),
+            gw_b.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut pkt
+            ),
             Verdict::Forward
         );
         assert_eq!(pkt, before);
@@ -338,7 +356,7 @@ mod tests {
     fn non_ip_not_tunnelled_by_gre() {
         let mut gw = TunnelGateway::new(TunnelKind::Gre { key: 1 }, LOCAL, REMOTE);
         let mut arp = PacketBuilder::ethernet(
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             MacAddr([2; 6]),
             flexsfp_wire::EtherType::Arp,
             &[0u8; 28],
@@ -355,7 +373,7 @@ mod tests {
     fn vxlan_tunnels_any_frame() {
         let mut gw = TunnelGateway::new(TunnelKind::Vxlan { vni: 9 }, LOCAL, REMOTE);
         let mut arp = PacketBuilder::ethernet(
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             MacAddr([2; 6]),
             flexsfp_wire::EtherType::Arp,
             &[0u8; 28],

@@ -196,7 +196,13 @@ mod tests {
 
         // Now the frame comes back from the network.
         assert_eq!(
-            t.process(&ProcessContext::ingress(), &mut pkt),
+            t.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut pkt
+            ),
             Verdict::Forward
         );
         assert_eq!(pkt, orig);
@@ -212,14 +218,29 @@ mod tests {
         let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![500, 10]);
         // Full strip on the way back.
-        t.process(&ProcessContext::ingress(), &mut pkt);
+        t.process(
+            &ProcessContext {
+                timestamp_ns: 0,
+                direction: Direction::OpticalToEdge,
+            },
+            &mut pkt,
+        );
         assert_eq!(pkt, orig);
     }
 
     #[test]
     fn tagged_ingress_from_host_is_spoofing() {
         let mut t = VlanTagger::new(100);
-        let mut pkt = PacketBuilder::with_vlan(&frame(), 999, 0);
+        let mut pkt = flexsfp_wire::vlan::push_tag(
+            &frame(),
+            flexsfp_wire::EtherType::Vlan,
+            flexsfp_wire::vlan::Tci {
+                pcp: 0,
+                dei: false,
+                vid: 999,
+            },
+        )
+        .unwrap();
         assert_eq!(
             t.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
@@ -231,7 +252,16 @@ mod tests {
     fn tolerant_mode_passes_pretagged() {
         let mut t = VlanTagger::new(100);
         t.drop_tagged_ingress = false;
-        let mut pkt = PacketBuilder::with_vlan(&frame(), 999, 0);
+        let mut pkt = flexsfp_wire::vlan::push_tag(
+            &frame(),
+            flexsfp_wire::EtherType::Vlan,
+            flexsfp_wire::vlan::Tci {
+                pcp: 0,
+                dei: false,
+                vid: 999,
+            },
+        )
+        .unwrap();
         let before = pkt.clone();
         assert_eq!(
             t.process(&ProcessContext::egress(), &mut pkt),
@@ -246,7 +276,13 @@ mod tests {
         let mut pkt = frame();
         let before = pkt.clone();
         assert_eq!(
-            t.process(&ProcessContext::ingress(), &mut pkt),
+            t.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut pkt
+            ),
             Verdict::Forward
         );
         assert_eq!(pkt, before);

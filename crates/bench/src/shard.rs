@@ -1,7 +1,7 @@
 //! The sharded multicore dataplane: one simulation spread across every
 //! core, digest-identical to the serial path.
 //!
-//! `run_stream` drives one [`FlexSfp`] on one thread — `mpps` in the
+//! `run_stream_with` drives one [`FlexSfp`] on one thread — `mpps` in the
 //! committed `BENCH_throughput.json`, and the ceiling for every rack-
 //! and city-scale experiment built on top of it. This module splits a single workload
 //! across N per-core module instances the way an RSS-capable NIC
@@ -797,7 +797,7 @@ where
 /// dispatch-layer accounting.
 pub struct ShardedRun {
     /// Aggregate simulation report, field-for-field comparable to the
-    /// serial [`FlexSfp::run_stream`] report (outputs not retained).
+    /// serial [`FlexSfp::run_stream_with`] report (outputs not retained).
     pub report: SimReport,
     /// Merged telemetry snapshot across all shard modules.
     pub snapshot: TelemetrySnapshot,

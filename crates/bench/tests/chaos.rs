@@ -77,7 +77,7 @@ fn chaos_fleet(
 
 /// Check the §5.3 invariant for one module after a chaos deploy.
 /// Returns true when the module converged to the new image.
-fn assert_converged_or_golden(m: &mut FlexSfp, image: &[u8]) -> bool {
+fn assert_converged_or_golden(m: &FlexSfp, image: &[u8]) -> bool {
     // Never wedged mid-update, regardless of outcome.
     assert!(
         !matches!(m.control.update_state(), UpdateState::Receiving { .. }),
@@ -119,8 +119,7 @@ fn every_seed_converges_or_rolls_back_cleanly() {
         );
         assert!(report.quarantined.is_empty(), "fresh fleet, no quarantine");
         for i in 0..6 {
-            let converged =
-                fleet.with_module(i, |p| assert_converged_or_golden(p.inner_mut(), &image));
+            let converged = fleet.with_module(i, |p| assert_converged_or_golden(p.inner(), &image));
             if converged {
                 converged_total += 1;
             }
@@ -146,7 +145,7 @@ fn chaos_outcome_is_deterministic_per_seed() {
             .map(|i| fleet.with_module(i, |p| p.stats()))
             .collect();
         let versions: Vec<_> = (0..4)
-            .map(|i| fleet.with_module(i, |p| p.inner_mut().app_version()))
+            .map(|i| fleet.with_module(i, |p| p.inner().app_version()))
             .collect();
         (report, stats, versions)
     };
@@ -169,7 +168,7 @@ fn duplicate_heavy_channel_exercises_idempotent_acks() {
     for i in 0..3 {
         fleet.with_module(i, |p| {
             assert!(p.stats().duplicates > 0, "plan produced no duplicates");
-            let m = p.inner_mut();
+            let m = p.inner();
             assert_eq!(m.app_version(), NEW_VERSION);
             dup_acks += m.control.ctrl_counters().dup_chunk_acks;
         });
@@ -185,7 +184,11 @@ fn flapping_channel_never_wedges_and_counters_export() {
     // A flappy, lossy fleet swept for telemetry after a rollout: the
     // retry/abort/flap counters must surface in the Prometheus text.
     let image = update_image();
-    let fleet = chaos_fleet(4, |i| FaultPlan::lossy(9000 + i as u64).with_flap(0.05, 4));
+    let fleet = chaos_fleet(4, |i| FaultPlan {
+        flap_p: 0.05,
+        flap_len_max: 4,
+        ..FaultPlan::lossy(9000 + i as u64)
+    });
     let report = fleet.deploy_all(UPDATE_SLOT, &image, 2);
     assert_eq!(
         report.updated.len() + report.rolled_back.len() + report.failed.len(),
@@ -193,7 +196,7 @@ fn flapping_channel_never_wedges_and_counters_export() {
     );
     for i in 0..4 {
         fleet.with_module(i, |p| {
-            assert_converged_or_golden(p.inner_mut(), &image);
+            assert_converged_or_golden(p.inner(), &image);
         });
     }
 
@@ -201,7 +204,7 @@ fn flapping_channel_never_wedges_and_counters_export() {
     collector.ingest_sweep(fleet.telemetry_snapshots());
     collector.set_transport_stats(fleet.client().transport_stats());
     for i in 0..4 {
-        let (id, stats) = fleet.with_module(i, |p| (p.inner_mut().config.id.clone(), p.stats()));
+        let (id, stats) = fleet.with_module(i, |p| (p.inner().config.id.clone(), p.stats()));
         collector.set_channel_stats(&id, stats);
     }
     let text = collector.render_prometheus();
@@ -233,9 +236,11 @@ fn brutal_channel_degrades_to_golden_instead_of_wedging() {
         .map(|i| {
             ImpairedPort::new(
                 module(i),
-                FaultPlan::lossy(31_000 + i as u64)
-                    .with_drop(0.45)
-                    .with_flap(0.05, 6),
+                FaultPlan {
+                    flap_p: 0.05,
+                    flap_len_max: 6,
+                    ..FaultPlan::lossy(31_000 + i as u64).with_drop(0.45)
+                },
             )
         })
         .collect();
@@ -255,7 +260,7 @@ fn brutal_channel_degrades_to_golden_instead_of_wedging() {
     );
     for i in 0..6 {
         fleet.with_module(i, |p| {
-            assert_converged_or_golden(p.inner_mut(), &image);
+            assert_converged_or_golden(p.inner(), &image);
         });
     }
     // The teardown path ran: aborts were sent on the wire.
@@ -276,8 +281,8 @@ fn ideal_channel_control_arm_is_lossless() {
     assert_eq!(t.resyncs, 0);
     for i in 0..3 {
         fleet.with_module(i, |p| {
-            assert_eq!(p.inner_mut().app_version(), NEW_VERSION);
-            assert_eq!(p.inner_mut().boots(), 2);
+            assert_eq!(p.inner().app_version(), NEW_VERSION);
+            assert_eq!(p.inner().boots(), 2);
         });
     }
 }

@@ -120,10 +120,11 @@ fn run_stream_drop_sink_matches_run_aggregates() {
         .collect();
     let batch = nat_module().run(trace);
 
-    let streamed = nat_module().run_stream(
+    let streamed = nat_module().run_stream_with(
         golden_trace_builder()
             .stream(5_000)
             .map(|p| as_sim(p.arrival_ns, p.frame)),
+        |_| {},
     );
     assert_eq!(streamed.forwarded, batch.forwarded);
     assert_eq!(streamed.forwarded_bytes, batch.forwarded_bytes);

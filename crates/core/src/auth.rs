@@ -14,19 +14,6 @@ pub struct AuthKey(pub [u8; 16]);
 impl AuthKey {
     /// The all-zero key (factory default — rotate before deployment).
     pub const DEFAULT: AuthKey = AuthKey([0; 16]);
-
-    /// Derive a key from a passphrase (test/deployment convenience; a
-    /// real deployment provisions random keys).
-    pub fn from_passphrase(phrase: &str) -> AuthKey {
-        // Two chained SipHash invocations under fixed keys spread the
-        // phrase entropy across 16 bytes.
-        let k0 = siphash24(&AuthKey([0x5a; 16]), phrase.as_bytes());
-        let k1 = siphash24(&AuthKey([0xa5; 16]), phrase.as_bytes());
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&k0.to_le_bytes());
-        key[8..].copy_from_slice(&k1.to_le_bytes());
-        AuthKey(key)
-    }
 }
 
 fn sipround(v: &mut [u64; 4]) {
@@ -125,14 +112,14 @@ mod tests {
 
     #[test]
     fn tag_verify_round_trip() {
-        let key = AuthKey::from_passphrase("fleet-key-1");
+        let key = AuthKey([0x11; 16]);
         let payload = b"write table 0 entry";
         let t = tag(&key, payload);
         assert!(verify(&key, payload, &t));
         // Tampered payload fails.
         assert!(!verify(&key, b"write table 0 entrx", &t));
         // Wrong key fails.
-        let other = AuthKey::from_passphrase("fleet-key-2");
+        let other = AuthKey([0x12; 16]);
         assert!(!verify(&other, payload, &t));
         // Tampered tag fails.
         let mut bad = t;
@@ -141,18 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn passphrase_derivation_is_stable_and_distinct() {
-        let a = AuthKey::from_passphrase("alpha");
-        let b = AuthKey::from_passphrase("alpha");
-        let c = AuthKey::from_passphrase("beta");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, AuthKey::DEFAULT);
-    }
-
-    #[test]
     fn long_messages() {
-        let key = AuthKey::from_passphrase("k");
+        let key = AuthKey([0x6b; 16]);
         let long = vec![0xabu8; 10_000];
         let t1 = siphash24(&key, &long);
         let mut tweaked = long.clone();

@@ -475,7 +475,7 @@ mod tests {
     const HOST_IP: u32 = 0x0a00_0101;
 
     fn cp() -> ControlPlane {
-        ControlPlane::new(MGMT_MAC, MGMT_IP, AuthKey::from_passphrase("test"))
+        ControlPlane::new(MGMT_MAC, MGMT_IP, AuthKey([0x74; 16]))
     }
 
     fn ctx_parts() -> (PassThrough, SpiFlash) {
@@ -500,7 +500,7 @@ mod tests {
     }
 
     fn control_frame(cp: &ControlPlane, req: &ControlRequest) -> Vec<u8> {
-        let payload = ControlPlane::encode_request(&AuthKey::from_passphrase("test"), req);
+        let payload = ControlPlane::encode_request(&AuthKey([0x74; 16]), req);
         let _ = cp;
         PacketBuilder::eth_ipv4_udp(
             MGMT_MAC,
@@ -552,8 +552,7 @@ mod tests {
         assert_eq!(ip.src(), MGMT_IP);
         assert_eq!(ip.dst(), HOST_IP);
         let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
-        let resp = ControlPlane::decode_response(&AuthKey::from_passphrase("test"), udp.payload())
-            .unwrap();
+        let resp = ControlPlane::decode_response(&AuthKey([0x74; 16]), udp.payload()).unwrap();
         assert_eq!(resp, ControlResponse::Pong { nonce: 77 });
     }
 
@@ -564,7 +563,7 @@ mod tests {
         let mut ctx = make_ctx(&mut app, &mut flash);
         // Request signed with the wrong key.
         let payload = ControlPlane::encode_request(
-            &AuthKey::from_passphrase("attacker"),
+            &AuthKey([0x61; 16]),
             &ControlRequest::Activate { slot: 1 },
         );
         let frame = PacketBuilder::eth_ipv4_udp(
@@ -757,7 +756,7 @@ mod tests {
 
     #[test]
     fn new_control_messages_round_trip_through_codec() {
-        let key = AuthKey::from_passphrase("test");
+        let key = AuthKey([0x74; 16]);
         let req = ControlRequest::QueryUpdate;
         let payload = ControlPlane::encode_request(&key, &req);
         let cp = cp();

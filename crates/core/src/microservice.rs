@@ -98,7 +98,7 @@ mod tests {
         a.set_sender_ip(PEER_IP);
         a.set_target_mac(MacAddr::ZERO);
         a.set_target_ip(target_ip);
-        PacketBuilder::ethernet(MacAddr::BROADCAST, PEER_MAC, EtherType::Arp, &body)
+        PacketBuilder::ethernet(MacAddr([0xff; 6]), PEER_MAC, EtherType::Arp, &body)
     }
 
     fn ping_request(dst_ip: u32, payload: &[u8]) -> Vec<u8> {

@@ -71,6 +71,7 @@ impl FlightState {
     }
 
     /// Postcards lost to ring overwrite.
+    #[cfg(test)]
     pub(super) fn overwritten(&self) -> u64 {
         self.ring.overwritten()
     }
@@ -96,7 +97,10 @@ mod tests {
         let run = || {
             let mut m = FlexSfp::passthrough();
             m.enable_flight_recorder(64, 0xf00d, 4096);
-            m.run_stream(line_rate_trace(Direction::EdgeToOptical, 10_000, 64));
+            m.run_stream_with(
+                line_rate_trace(Direction::EdgeToOptical, 10_000, 64),
+                |_| {},
+            );
             m.drain_flight_records()
         };
         let a = run();
@@ -127,7 +131,7 @@ mod tests {
         let mut m = FlexSfp::passthrough();
         // Sample everything so the count is exact.
         m.enable_flight_recorder(1, 7, 512);
-        m.run_stream(line_rate_trace(Direction::EdgeToOptical, 100, 64));
+        m.run_stream_with(line_rate_trace(Direction::EdgeToOptical, 100, 64), |_| {});
         let payload =
             ControlPlane::encode_request(&AuthKey::DEFAULT, &ControlRequest::ReadFlightRecords);
         let resp_payload = m.handle_oob(&payload).expect("response due");
@@ -143,8 +147,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Disarmed modules answer with an empty drain, not an error.
-        m.disable_flight_recorder();
-        let disarmed = m.handle_oob(&payload).unwrap();
+        let disarmed = FlexSfp::passthrough().handle_oob(&payload).unwrap();
         match ControlPlane::decode_response(&AuthKey::DEFAULT, &disarmed).unwrap() {
             ControlResponse::FlightRecords(r) => assert!(r.is_empty()),
             other => panic!("unexpected {other:?}"),
@@ -176,7 +179,7 @@ mod tests {
             Box::new(PassThrough),
         );
         m.enable_flight_recorder(1, 1, 16_384);
-        let report = m.run_stream(trace);
+        let report = m.run_stream_with(trace, |_| {});
         assert!(report.drops.fifo_overflow > 0);
         let records = m.drain_flight_records();
         assert_eq!(records.len() as u64 + m.flight_overwritten(), 10_000);

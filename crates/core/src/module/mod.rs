@@ -19,11 +19,12 @@ mod flight;
 mod report;
 mod session;
 mod sfp;
-#[cfg(test)]
-mod testutil;
 
 pub use report::{
     Interface, LatencyStats, ModuleConfig, OutputDigest, OutputPacket, SimPacket, SimReport,
 };
 pub use session::{StreamSession, PPE_BATCH};
 pub use sfp::{AppFactory, FlexSfp};
+
+#[cfg(test)]
+mod testutil;

@@ -73,17 +73,6 @@ impl Default for ModuleConfig {
     }
 }
 
-impl ModuleConfig {
-    /// A Two-Way-Core configuration with the paper's 2× PPE clock.
-    pub fn two_way_2x() -> ModuleConfig {
-        ModuleConfig {
-            shell: ShellKind::TwoWayCore,
-            ppe_clock: ClockDomain::XGMII_10G_X2,
-            ..Default::default()
-        }
-    }
-}
-
 /// A packet offered to the module.
 #[derive(Debug, Clone)]
 pub struct SimPacket {
@@ -163,11 +152,6 @@ impl LatencyStats {
     /// Packets measured.
     pub fn count(&self) -> u64 {
         self.hist.count()
-    }
-
-    /// Minimum, ns (rounded to the nearest nanosecond).
-    pub fn min_ns(&self) -> f64 {
-        self.hist.min() as f64
     }
 
     /// Maximum, ns (rounded to the nearest nanosecond).

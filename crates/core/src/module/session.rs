@@ -816,7 +816,14 @@ mod tests {
             r_slow.drops
         );
 
-        let mut fast = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(PassThrough));
+        let mut fast = FlexSfp::new(
+            ModuleConfig {
+                shell: crate::shell::ShellKind::TwoWayCore,
+                ppe_clock: flexsfp_fabric::clock::ClockDomain::XGMII_10G_X2,
+                ..Default::default()
+            },
+            Box::new(PassThrough),
+        );
         let r_fast = fast.run(trace);
         assert_eq!(r_fast.drops.total(), 0, "{:?}", r_fast.drops);
         assert_eq!(r_fast.forwarded.0 + r_fast.forwarded.1, 2 * n as u64);
@@ -915,7 +922,14 @@ mod tests {
         // plane's own frames either: a ping from the fibre side gets no
         // answer and is booked as a link drop, while the same ping from
         // the host side is still answered out the electrical lane.
-        let mut m = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(PassThrough));
+        let mut m = FlexSfp::new(
+            ModuleConfig {
+                shell: crate::shell::ShellKind::TwoWayCore,
+                ppe_clock: flexsfp_fabric::clock::ClockDomain::XGMII_10G_X2,
+                ..Default::default()
+            },
+            Box::new(PassThrough),
+        );
         m.config.shell = ShellKind::ActiveControlPlane;
         m.set_laser_ttf_hours(10_000.0);
         m.age_laser(20_000.0);
@@ -961,7 +975,14 @@ mod tests {
 
     #[test]
     fn active_shell_answers_ping_from_the_wire() {
-        let mut m = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(PassThrough));
+        let mut m = FlexSfp::new(
+            ModuleConfig {
+                shell: crate::shell::ShellKind::TwoWayCore,
+                ppe_clock: flexsfp_fabric::clock::ClockDomain::XGMII_10G_X2,
+                ..Default::default()
+            },
+            Box::new(PassThrough),
+        );
         m.config.shell = crate::ShellKind::ActiveControlPlane;
         // An ICMP echo request to the module's own management IP,
         // arriving from the optical side.
@@ -1053,7 +1074,7 @@ mod tests {
         let mut a = FlexSfp::passthrough();
         let full = a.run(packets());
         let mut b = FlexSfp::passthrough();
-        let streamed = b.run_stream(packets());
+        let streamed = b.run_stream_with(packets(), |_| {});
         assert_eq!(streamed.offered, full.offered);
         assert_eq!(streamed.offered_bytes, full.offered_bytes);
         assert_eq!(streamed.forwarded, full.forwarded);

@@ -160,13 +160,6 @@ impl FlexSfp {
         self.app.set_flight_recording(true);
     }
 
-    /// Disarm the flight recorder, discarding any unread postcards and
-    /// turning the application's stage stamping back off.
-    pub fn disable_flight_recorder(&mut self) {
-        self.app.set_flight_recording(false);
-        self.flight = None;
-    }
-
     /// Drain the recorded postcards, oldest first — what a
     /// `ReadFlightRecords` request on the OOB port returns. Empty when
     /// the recorder is disarmed.
@@ -178,7 +171,8 @@ impl FlexSfp {
     }
 
     /// Postcards lost to ring overwrite since the recorder was armed.
-    pub fn flight_overwritten(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn flight_overwritten(&self) -> u64 {
         self.flight.as_ref().map_or(0, FlightState::overwritten)
     }
 
@@ -392,21 +386,10 @@ impl FlexSfp {
         report
     }
 
-    /// Run a packet stream through the module without retaining outputs:
-    /// aggregate statistics only, memory O(1) in trace length. This is
-    /// the throughput-measurement entry point — 10M+-packet runs are
-    /// feasible because neither the trace nor the outputs are ever
-    /// materialized.
-    pub fn run_stream<I>(&mut self, packets: I) -> SimReport
-    where
-        I: IntoIterator<Item = SimPacket>,
-    {
-        self.run_stream_with(packets, |_| {})
-    }
-
-    /// The streaming simulation core behind [`run`](Self::run) and
-    /// [`run_stream`](Self::run_stream): consume `packets` lazily and
-    /// emit each output packet to `sink` as it is produced.
+    /// The streaming simulation core behind [`run`](Self::run): consume
+    /// `packets` lazily and emit each output packet to `sink` as it is
+    /// produced. A sink that keeps nothing (`|_| {}`) runs in memory O(1)
+    /// in trace length.
     ///
     /// Outputs reach the sink in processing order, which is not globally
     /// departure order (control-plane replies depart 10 µs after their

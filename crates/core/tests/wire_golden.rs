@@ -212,19 +212,22 @@ fn every_response_variant() {
 fn telemetry_response_round_trips_a_real_snapshot() {
     let mut module = FlexSfp::passthrough();
     module.enable_flight_recorder(2, 7, 8);
-    module.run_stream((0..40u64).map(|i| SimPacket {
-        arrival_ns: i * 500,
-        direction: Direction::EdgeToOptical,
-        frame: PacketBuilder::eth_ipv4_udp(
-            MacAddr([2; 6]),
-            MacAddr([4; 6]),
-            0x0a00_0001,
-            0x0a00_0002 + i as u32,
-            1_000,
-            2_000,
-            &[0u8; 18],
-        ),
-    }));
+    module.run_stream_with(
+        (0..40u64).map(|i| SimPacket {
+            arrival_ns: i * 500,
+            direction: Direction::EdgeToOptical,
+            frame: PacketBuilder::eth_ipv4_udp(
+                MacAddr([2; 6]),
+                MacAddr([4; 6]),
+                0x0a00_0001,
+                0x0a00_0002 + i as u32,
+                1_000,
+                2_000,
+                &[0u8; 18],
+            ),
+        }),
+        |_| {},
+    );
     let snapshot = module.telemetry_snapshot();
     assert!(snapshot.latency.count() > 0 && !snapshot.windows.windows().is_empty());
     let response = ControlResponse::Telemetry(Box::new(snapshot));
@@ -485,7 +488,7 @@ fn tolerated_shapes_stay_accepted() {
 /// The frame around the JSON: magic, SipHash tag over the body, body.
 #[test]
 fn framing_is_magic_tag_body() {
-    let key = AuthKey::from_passphrase("golden");
+    let key = AuthKey([0x67; 16]);
     let plane = ControlPlane::new(MacAddr([2; 6]), 0x0a00_0164, key);
     let request = ControlPlane::encode_request(&key, &ControlRequest::Ping { nonce: 7 });
     assert_eq!(&request[..4], b"FSCP");
@@ -510,7 +513,7 @@ fn framing_is_magic_tag_body() {
         Some(ControlResponse::Ack)
     );
     // Both directions refuse the same damage.
-    let other = AuthKey::from_passphrase("other");
+    let other = AuthKey([0x6f; 16]);
     for (label, damaged) in [
         ("too short for a tag", request[..11].to_vec()),
         ("wrong magic", [b"FSCQ", &request[4..]].concat()),

@@ -28,11 +28,6 @@ impl Range {
         Range { min: v, max: v }
     }
 
-    /// Midpoint.
-    pub fn mid(&self) -> f64 {
-        (self.min + self.max) / 2.0
-    }
-
     /// Scale both ends.
     pub fn scaled(&self, k: f64) -> Range {
         Range {
@@ -81,7 +76,6 @@ mod tests {
     #[test]
     fn range_helpers() {
         let r = Range::new(1.0, 3.0);
-        assert_eq!(r.mid(), 2.0);
         assert!(r.contains(1.0));
         assert!(r.contains(3.0));
         assert!(!r.contains(3.01));

@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 /// Total size: 128 Mb = 16 MiB.
 pub const FLASH_BYTES: usize = 16 * 1024 * 1024;
 /// Erase sector size (typical 64 KiB for this class of part).
-pub const SECTOR_BYTES: usize = 64 * 1024;
+const SECTOR_BYTES: usize = 64 * 1024;
 /// Number of design slots the flash is partitioned into. Slot 0 is the
 /// golden (factory fallback) image.
 pub const SLOTS: usize = 4;
@@ -95,6 +95,10 @@ impl SpiFlash {
     }
 
     /// Enable write protection of slot 0.
+    ///
+    /// Test hook for `crates/fabric/src/flash.rs` and
+    /// `crates/core/src/reprogram.rs`: no product code protects the golden
+    /// slot yet.
     pub fn protect_golden(&mut self) {
         self.golden_protected = true;
     }
@@ -103,6 +107,10 @@ impl SpiFlash {
     /// with `err` instead of touching the array. Deterministic
     /// fault-injection hook for exercising flash-failure paths (a real
     /// part fails this way on a worn sector or a brown-out mid-write).
+    ///
+    /// Test hook for `crates/fabric/src/flash.rs` and
+    /// `crates/core/src/reprogram.rs`: a failing erase or program, which no
+    /// product input causes.
     pub fn inject_fault(&mut self, err: FlashError) {
         self.injected_fault = Some(err);
     }
@@ -124,7 +132,7 @@ impl SpiFlash {
     }
 
     /// Erase the sector containing `addr` (sets it to 0xFF).
-    pub fn erase_sector(&mut self, addr: usize) -> Result<(), FlashError> {
+    fn erase_sector(&mut self, addr: usize) -> Result<(), FlashError> {
         if addr >= FLASH_BYTES {
             return Err(FlashError::OutOfRange);
         }

@@ -37,6 +37,9 @@ impl TableShape {
     }
 
     /// Total bits stored.
+    ///
+    /// Reference for `crates/fabric/tests/prop.rs`: the bits a placement must
+    /// cover.
     pub fn total_bits(&self) -> u64 {
         self.entries * self.entry_bits
     }

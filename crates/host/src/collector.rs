@@ -77,7 +77,7 @@ impl FleetCollector {
     /// Ingest one snapshot, replacing the module's previous one. The
     /// snapshot's drained events are appended to the module's host-side
     /// event log.
-    pub fn ingest(&mut self, snapshot: TelemetrySnapshot) {
+    fn ingest(&mut self, snapshot: TelemetrySnapshot) {
         let mut events = self
             .modules
             .get_mut(&snapshot.module_id)
@@ -132,6 +132,11 @@ impl FleetCollector {
 
     /// Record one module's channel impairment accounting (from
     /// [`ImpairedPort::stats`](crate::chaos::ImpairedPort::stats)) for export.
+    ///
+    /// Test hook for `crates/host/tests/exposition.rs` and
+    /// `crates/bench/tests/chaos.rs`: no product program drives an impaired
+    /// channel yet, but the exported family stays for the fault-localisation
+    /// reader to use.
     pub fn set_channel_stats(&mut self, module_id: &str, stats: ImpairStats) {
         self.channels.insert(module_id.to_string(), stats);
     }
@@ -152,6 +157,10 @@ impl FleetCollector {
     /// Set (or replace) the fleet SLO spec. Subsequent renders include
     /// per-module `flexsfp_slo_*` families evaluated against each
     /// module's windowed time-series.
+    ///
+    /// Test hook for `crates/host/tests/exposition.rs`: no product program
+    /// sets a fleet SLO yet, but the exported `flexsfp_slo_*` families stay
+    /// for the fault-localisation reader to use.
     pub fn set_slo_spec(&mut self, spec: SloSpec) {
         self.slo = Some(spec);
     }
@@ -194,6 +203,9 @@ impl FleetCollector {
 
     /// Accumulated event trace for one module (most recent
     /// `EVENT_LOG_CAPACITY` entries).
+    ///
+    /// Reference for `crates/bench/tests/fleet_export.rs`: the host-side log
+    /// that the exported `recent_events` must decode to.
     pub fn recent_events(&self, module_id: &str) -> Option<&[DataplaneEvent]> {
         self.modules.get(module_id).map(|r| r.events.as_slice())
     }

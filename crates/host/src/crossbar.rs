@@ -46,6 +46,10 @@ pub(crate) const LINE_RATE_BITS_PER_NS: u64 = 10;
 pub(crate) const FRAME_OVERHEAD_BYTES: u64 = 20;
 
 /// Wire time of one frame at port line rate, ns.
+///
+/// Reference for `crates/host/tests/cage_run.rs` and
+/// `crates/host/tests/proportional.rs`: their crossbar models charge the
+/// same wire time.
 pub fn serialize_ns(frame_len: usize) -> u64 {
     ((frame_len as u64 + FRAME_OVERHEAD_BYTES) * 8).div_ceil(LINE_RATE_BITS_PER_NS)
 }

@@ -70,6 +70,9 @@ pub struct ModuleInfo {
 /// waits are accounted in [`TransportStats::backoff_ns`] instead of
 /// slept, keeping the test suite fast while the accounting stays
 /// faithful to what a real deployer would have waited.
+///
+/// Test hook for `crates/bench/tests/chaos.rs`, through
+/// [`ManagementClient::with_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts per call, including the first (1 = no retry).
@@ -171,6 +174,9 @@ impl ManagementClient {
     }
 
     /// A client with an explicit retry policy.
+    ///
+    /// Test hook for `crates/bench/tests/chaos.rs`: a retry policy other than
+    /// the default.
     pub fn with_policy(key: AuthKey, policy: RetryPolicy) -> ManagementClient {
         ManagementClient {
             key,
@@ -241,14 +247,6 @@ impl ManagementClient {
         }
     }
 
-    /// Liveness probe.
-    pub fn ping<P: ModulePort>(&self, port: &mut P, nonce: u64) -> Result<(), MgmtError> {
-        match self.call_retry(port, &ControlRequest::Ping { nonce })? {
-            ControlResponse::Pong { nonce: n } if n == nonce => Ok(()),
-            _ => Err(MgmtError::Unexpected),
-        }
-    }
-
     /// Identity/status.
     pub fn info<P: ModulePort>(&self, port: &mut P) -> Result<ModuleInfo, MgmtError> {
         match self.call_retry(port, &ControlRequest::GetInfo)? {
@@ -303,6 +301,9 @@ impl ManagementClient {
     }
 
     /// Execute a table operation.
+    ///
+    /// Test hook for `tests/end_to_end.rs`: a runtime table write over the
+    /// control channel, which no product program sends.
     pub fn table_op<P: ModulePort>(
         &self,
         port: &mut P,
@@ -570,10 +571,9 @@ mod tests {
     }
 
     #[test]
-    fn ping_and_info() {
+    fn info_names_the_running_app() {
         let mut m = module();
         let c = client();
-        c.ping(&mut m, 99).unwrap();
         let info = c.info(&mut m).unwrap();
         assert_eq!(info.app, "passthrough");
         assert_eq!(info.boots, 1);
@@ -583,8 +583,8 @@ mod tests {
     #[test]
     fn wrong_key_gets_no_response() {
         let mut m = module();
-        let c = ManagementClient::new(AuthKey::from_passphrase("wrong"));
-        assert_eq!(c.ping(&mut m, 1), Err(MgmtError::NoResponse));
+        let c = ManagementClient::new(AuthKey([0x77; 16]));
+        assert_eq!(c.info(&mut m).err(), Some(MgmtError::NoResponse));
     }
 
     #[test]
@@ -606,7 +606,7 @@ mod tests {
         assert_eq!(snap.seq, 1);
         assert!(snap.laser_healthy);
         // Telemetry is only served out-of-band; the wrong key gets nothing.
-        let bad = ManagementClient::new(AuthKey::from_passphrase("wrong"));
+        let bad = ManagementClient::new(AuthKey([0x77; 16]));
         assert_eq!(bad.read_telemetry(&mut m), Err(MgmtError::NoResponse));
     }
 

@@ -27,7 +27,7 @@
 //! [`flexsfp_apps::factory`], on alternating shells, and for an
 //! Active-Control-Plane module.
 
-use flexsfp_apps::factory::{app_factory, build_app};
+use flexsfp_apps::factory::app_factory;
 use flexsfp_apps::{AclAction, AclRule};
 use flexsfp_core::auth::AuthKey;
 use flexsfp_core::control::{ControlPlane, ControlRequest, CONTROL_PORT};
@@ -126,11 +126,12 @@ fn module(id: &str, shell: Option<ShellKind>, app: &str, config: &Value) -> Flex
         None => ModuleConfig::default(),
         Some(shell) => ModuleConfig {
             shell,
-            ..ModuleConfig::two_way_2x()
+            ppe_clock: ClockDomain::XGMII_10G_X2,
+            ..Default::default()
         },
     };
     cfg.id = id.into();
-    let app = build_app(&meta(app, 1, config.clone()).meta).expect("a registered app");
+    let app = app_factory()(&meta(app, 1, config.clone()).meta).expect("a registered app");
     let mut m = FlexSfp::new(cfg, app);
     m.set_factory(app_factory());
     m
@@ -169,7 +170,7 @@ fn arp_request(config: &ModuleConfig, from: MacAddr) -> Vec<u8> {
     a.set_sender_ip(MGMT_HOST_IP);
     a.set_target_mac(MacAddr::ZERO);
     a.set_target_ip(config.mgmt_ip);
-    PacketBuilder::ethernet(MacAddr::BROADCAST, from, EtherType::Arp, &body)
+    PacketBuilder::ethernet(MacAddr([0xff; 6]), from, EtherType::Arp, &body)
 }
 
 fn echo_request(config: &ModuleConfig, from: MacAddr) -> Vec<u8> {
@@ -334,11 +335,24 @@ fn script(config: &ModuleConfig, swap_to: &Bitstream, seed: u64) -> Vec<Step> {
                 ),
             ),
             _ if i % 19 == 5 => (port, ipv6_frame(dst, src)),
-            _ if i % 23 == 7 => (port, PacketBuilder::with_vlan(&data(), 42, 3)),
-            // A run of SYNs from one source, past the guard's threshold.
-            _ if (40..52).contains(&i) => (
+            _ if i % 23 == 7 => (
                 port,
-                PacketBuilder::eth_ipv4_tcp(
+                flexsfp_wire::vlan::push_tag(
+                    &data(),
+                    flexsfp_wire::EtherType::Vlan,
+                    flexsfp_wire::vlan::Tci {
+                        pcp: 3,
+                        dei: false,
+                        vid: 42,
+                    },
+                )
+                .unwrap(),
+            ),
+            // A run of SYNs from one source, past the guard's threshold.
+            _ if (40..52).contains(&i) => (port, {
+                let mut frame = Vec::new();
+                PacketBuilder::eth_ipv4_tcp_into(
+                    &mut frame,
                     dst,
                     src,
                     PRIVATE_BASE + 3,
@@ -348,8 +362,9 @@ fn script(config: &ModuleConfig, swap_to: &Bitstream, seed: u64) -> Vec<Step> {
                     1,
                     TcpFlags::from_u8(0x02),
                     b"",
-                ),
-            ),
+                );
+                frame
+            }),
             _ => (port, data()),
         };
         steps.push(Step::Inject { port, frame, t_ns });

@@ -99,7 +99,7 @@ fn fleet(modules: u64) -> FleetCollector {
             snapshot.latency.record(latency_ns);
             snapshot
                 .windows
-                .record_forwarded(i * 2_000, latency_ns as f64);
+                .record_forwarded_n(i * 2_000, latency_ns as f64, 1);
         }
         snapshot.events = (0..64)
             .map(|i| DataplaneEvent {
@@ -109,7 +109,7 @@ fn fleet(modules: u64) -> FleetCollector {
                 },
             })
             .collect();
-        c.ingest(snapshot);
+        c.ingest_all([snapshot]);
     }
     c
 }

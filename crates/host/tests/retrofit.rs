@@ -131,7 +131,17 @@ fn module_removal_restores_transparency() {
     let mut sw = learned_pair();
     let mut fw = AclFirewall::new(4);
     fw.default_action = AclAction::Deny;
-    sw.insert_flexsfp(0, FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(fw)));
+    sw.insert_flexsfp(
+        0,
+        FlexSfp::new(
+            ModuleConfig {
+                shell: flexsfp_core::ShellKind::TwoWayCore,
+                ppe_clock: flexsfp_fabric::clock::ClockDomain::XGMII_10G_X2,
+                ..Default::default()
+            },
+            Box::new(fw),
+        ),
+    );
     assert!(sw.inject(0, frame(HOST_B, HOST_A, 80), 1_000).is_empty());
     let removed = sw.remove_flexsfp(0);
     assert!(removed.is_some());
@@ -153,7 +163,17 @@ fn control_diversion_counts_to_control() {
     }
 
     let mut sw = learned_pair();
-    sw.insert_flexsfp(0, FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(Punt)));
+    sw.insert_flexsfp(
+        0,
+        FlexSfp::new(
+            ModuleConfig {
+                shell: flexsfp_core::ShellKind::TwoWayCore,
+                ppe_clock: flexsfp_fabric::clock::ClockDomain::XGMII_10G_X2,
+                ..Default::default()
+            },
+            Box::new(Punt),
+        ),
+    );
     // Every frame entering port 0 is consumed by the module's
     // control plane: counted, not leaked, and not a module "drop".
     let out = sw.inject(0, frame(HOST_B, HOST_A, 80), 1_000);
@@ -180,7 +200,14 @@ fn reflecting_module_counts_diverted_frames() {
     let mut sw = learned_pair();
     sw.insert_flexsfp(
         1,
-        FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(Reflector)),
+        FlexSfp::new(
+            ModuleConfig {
+                shell: flexsfp_core::ShellKind::TwoWayCore,
+                ppe_clock: flexsfp_fabric::clock::ClockDomain::XGMII_10G_X2,
+                ..Default::default()
+            },
+            Box::new(Reflector),
+        ),
     );
     // A→B hits port 1's egress module, which reflects it back
     // toward the fabric: nothing is delivered, and the frame is

@@ -184,6 +184,10 @@ impl LatencyHistogram {
 
     /// The raw fixed-point sum in 2^-20 ns quanta — the
     /// order-independent integer behind [`sum`](Self::sum).
+    ///
+    /// Test hook for `crates/obs/tests/prop.rs` and
+    /// `crates/core/tests/telemetry_pinned.rs`: the exact sum, which the
+    /// export carries only as two halves.
     pub fn sum_quanta(&self) -> u128 {
         self.sum_q
     }

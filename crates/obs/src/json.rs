@@ -236,7 +236,7 @@ impl Writer {
     }
 
     /// A writer of indented text, as [`Value::to_string_pretty`] renders.
-    pub fn pretty() -> Writer {
+    fn pretty() -> Writer {
         Writer::new(true)
     }
 
@@ -319,7 +319,7 @@ impl Writer {
     }
 
     /// `null`.
-    pub fn null(&mut self) {
+    fn null(&mut self) {
         self.separate();
         self.out.push_str("null");
     }
@@ -337,7 +337,7 @@ impl Writer {
     }
 
     /// A signed integer.
-    pub fn i64(&mut self, n: i64) {
+    fn i64(&mut self, n: i64) {
         self.separate();
         if n < 0 {
             self.out.push('-');

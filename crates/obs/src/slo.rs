@@ -146,7 +146,7 @@ mod tests {
     fn healthy_series_reports_healthy() {
         let mut s = WindowedSeries::new(1_000, 8);
         for t in 0..100u64 {
-            s.record_forwarded(t * 30, 500.0);
+            s.record_forwarded_n(t * 30, 500.0, 1);
         }
         s.record_cache(0, 90, 10, 0, 90);
         let report = evaluate(&spec(), &s);
@@ -158,8 +158,8 @@ mod tests {
     #[test]
     fn latency_breach_names_the_window() {
         let mut s = WindowedSeries::new(1_000, 8);
-        s.record_forwarded(100, 500.0);
-        s.record_forwarded(2_500, 50_000.0); // the bad millisecond
+        s.record_forwarded_n(100, 500.0, 1);
+        s.record_forwarded_n(2_500, 50_000.0, 1); // the bad millisecond
         let report = evaluate(&spec(), &s);
         assert!(!report.healthy);
         assert_eq!(report.breaches.len(), 1);
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn drop_rate_breach_detected() {
         let mut s = WindowedSeries::new(1_000, 8);
-        s.record_forwarded(10, 100.0);
+        s.record_forwarded_n(10, 100.0, 1);
         s.record_drop(20, true);
         let report = evaluate(&spec(), &s);
         assert!(!report.healthy);
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn app_drops_are_explained_and_pass() {
         let mut s = WindowedSeries::new(1_000, 8);
-        s.record_forwarded(10, 100.0);
+        s.record_forwarded_n(10, 100.0, 1);
         for _ in 0..9 {
             s.record_drop(20, false);
         }
@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn cache_floor_exempts_windows_without_lookups() {
         let mut s = WindowedSeries::new(1_000, 8);
-        s.record_forwarded(10, 100.0); // no lookups here
+        s.record_forwarded_n(10, 100.0, 1); // no lookups here
         s.record_cache(2_500, 1, 9, 0, 10); // 10% hit rate, floor is 50%
         let report = evaluate(&spec(), &s);
         assert_eq!(report.breaches.len(), 1);
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn one_window_can_breach_multiple_metrics() {
         let mut s = WindowedSeries::new(1_000, 8);
-        s.record_forwarded(10, 50_000.0);
+        s.record_forwarded_n(10, 50_000.0, 1);
         s.record_drop(20, true);
         s.record_cache(30, 0, 10, 0, 10);
         let report = evaluate(&spec(), &s);
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let mut s = WindowedSeries::new(1_000, 8);
-        s.record_forwarded(10, 50_000.0);
+        s.record_forwarded_n(10, 50_000.0, 1);
         s.record_drop(20, true);
         let report = evaluate(&spec(), &s);
         let json = report.to_json().to_string();
@@ -236,7 +236,7 @@ mod tests {
         let g = SloSpec::generous();
         let mut s = WindowedSeries::new(1_000_000, 8);
         for t in 0..1_000u64 {
-            s.record_forwarded(t * 900, 2_000.0);
+            s.record_forwarded_n(t * 900, 2_000.0, 1);
         }
         s.record_cache(0, 900, 100, 0, 100);
         assert!(evaluate(&g, &s).healthy);

@@ -462,8 +462,8 @@ mod tests {
             },
             windows: {
                 let mut w = crate::timeseries::WindowedSeries::new(1_000_000, 8);
-                w.record_forwarded(500, 300.0);
-                w.record_forwarded(1_200_000, 1_200.0);
+                w.record_forwarded_n(500, 300.0, 1);
+                w.record_forwarded_n(1_200_000, 1_200.0, 1);
                 w.record_drop(1_300_000, true);
                 w
             },
@@ -484,7 +484,7 @@ mod tests {
         let mut latency = LatencyHistogram::new();
         latency.record(100 * (shard + 1));
         let mut windows = crate::timeseries::WindowedSeries::new(1_000_000, 8);
-        windows.record_forwarded(500, 100.0 * (shard + 1) as f64);
+        windows.record_forwarded_n(500, 100.0 * (shard + 1) as f64, 1);
         TelemetrySnapshot {
             module_id: format!("FSFP-S{shard}"),
             seq: 1 + shard,

@@ -218,14 +218,7 @@ impl WindowedSeries {
         start..start.saturating_add(self.width_ns)
     }
 
-    /// Record a forwarded packet and its latency at `timestamp_ns`.
-    pub fn record_forwarded(&mut self, timestamp_ns: u64, latency_ns: f64) {
-        self.record_forwarded_n(timestamp_ns, latency_ns, 1);
-    }
-
-    /// Record `n` forwarded packets of one latency at `timestamp_ns`:
-    /// exactly what `n` calls of
-    /// [`record_forwarded`](Self::record_forwarded) leave.
+    /// Record `n` forwarded packets of one latency at `timestamp_ns`.
     pub fn record_forwarded_n(&mut self, timestamp_ns: u64, latency_ns: f64, n: u64) {
         if n == 0 {
             return;
@@ -333,9 +326,9 @@ mod tests {
     #[test]
     fn buckets_align_to_width() {
         let mut s = WindowedSeries::new(1_000, 4);
-        s.record_forwarded(0, 10.0);
-        s.record_forwarded(999, 20.0);
-        s.record_forwarded(1_000, 30.0);
+        s.record_forwarded_n(0, 10.0, 1);
+        s.record_forwarded_n(999, 20.0, 1);
+        s.record_forwarded_n(1_000, 30.0, 1);
         assert_eq!(s.windows().len(), 2);
         assert_eq!(s.windows()[0].start_ns, 0);
         assert_eq!(s.windows()[0].forwarded, 2);
@@ -346,8 +339,8 @@ mod tests {
     #[test]
     fn quiet_windows_are_skipped() {
         let mut s = WindowedSeries::new(1_000, 8);
-        s.record_forwarded(500, 1.0);
-        s.record_forwarded(10_500, 1.0);
+        s.record_forwarded_n(500, 1.0, 1);
+        s.record_forwarded_n(10_500, 1.0, 1);
         assert_eq!(s.windows().len(), 2);
         assert_eq!(s.windows()[1].start_ns, 10_000);
     }
@@ -356,7 +349,7 @@ mod tests {
     fn eviction_merges_into_catch_all() {
         let mut s = WindowedSeries::new(100, 2);
         for t in [0u64, 150, 250, 350] {
-            s.record_forwarded(t, t as f64);
+            s.record_forwarded_n(t, t as f64, 1);
         }
         assert_eq!(s.windows().len(), 2);
         // Windows 0 and 100 rotated out; their packets survive.
@@ -369,7 +362,7 @@ mod tests {
     fn late_samples_land_in_evicted_not_lost() {
         let mut s = WindowedSeries::new(100, 2);
         for t in [0u64, 150, 250, 350] {
-            s.record_forwarded(t, 1.0);
+            s.record_forwarded_n(t, 1.0, 1);
         }
         // Oldest live window now starts at 200; t=20 is ancient.
         s.record_drop(20, true);
@@ -380,9 +373,9 @@ mod tests {
     #[test]
     fn out_of_order_within_ring_finds_its_bucket() {
         let mut s = WindowedSeries::new(100, 8);
-        s.record_forwarded(50, 1.0);
-        s.record_forwarded(250, 1.0);
-        s.record_forwarded(80, 1.0); // back into the first window
+        s.record_forwarded_n(50, 1.0, 1);
+        s.record_forwarded_n(250, 1.0, 1);
+        s.record_forwarded_n(80, 1.0, 1); // back into the first window
         s.record_drop(150, false); // gap window between the two
         assert_eq!(s.windows().len(), 3);
         assert_eq!(
@@ -397,7 +390,7 @@ mod tests {
     fn a_gap_window_at_capacity_evicts_the_oldest() {
         let mut s = WindowedSeries::new(10, 2);
         for t in [0u64, 20, 10] {
-            s.record_forwarded(t, t as f64);
+            s.record_forwarded_n(t, t as f64, 1);
         }
         let starts: Vec<u64> = s.windows().iter().map(|w| w.start_ns).collect();
         assert_eq!(starts, vec![10, 20]);
@@ -410,10 +403,10 @@ mod tests {
     #[test]
     fn late_samples_between_live_windows_never_grow_the_ring() {
         let mut s = WindowedSeries::new(10, 4);
-        s.record_forwarded(0, 1.0);
+        s.record_forwarded_n(0, 1.0, 1);
         for pair in 1..=10_000u64 {
             // A new newest window, then a late sample in the gap it left.
-            s.record_forwarded(pair * 20, 1.0);
+            s.record_forwarded_n(pair * 20, 1.0, 1);
             s.record_drop(pair * 20 - 10, true);
             assert!(s.windows().len() <= s.capacity());
         }
@@ -427,7 +420,7 @@ mod tests {
         let mut reference = LatencyHistogram::new();
         for i in 0..500u64 {
             let lat = (i * 37 % 9_000 + 100) as f64;
-            s.record_forwarded(i * 61, lat);
+            s.record_forwarded_n(i * 61, lat, 1);
             reference.record_f64(lat);
         }
         assert_eq!(s.lifetime().latency, reference);
@@ -491,9 +484,9 @@ mod tests {
     fn fleet_merge_lines_up_buckets() {
         let mut a = WindowedSeries::new(1_000, 4);
         let mut b = WindowedSeries::new(1_000, 4);
-        a.record_forwarded(500, 10.0);
-        b.record_forwarded(700, 20.0);
-        b.record_forwarded(1_500, 30.0);
+        a.record_forwarded_n(500, 10.0, 1);
+        b.record_forwarded_n(700, 20.0, 1);
+        b.record_forwarded_n(1_500, 30.0, 1);
         a.merge(&b);
         assert_eq!(a.windows().len(), 2);
         assert_eq!(a.windows()[0].forwarded, 2);
@@ -505,7 +498,7 @@ mod tests {
     fn series_round_trips_through_json() {
         let mut s = WindowedSeries::new(100, 2);
         for t in [0u64, 150, 250, 350] {
-            s.record_forwarded(t, t as f64 + 1.0);
+            s.record_forwarded_n(t, t as f64 + 1.0, 1);
         }
         s.record_drop(300, true);
         s.record_cache(320, 4, 1, 2, 17);
@@ -518,8 +511,8 @@ mod tests {
     #[test]
     fn fields_that_disagree_do_not_decode() {
         let mut s = WindowedSeries::new(100, 2);
-        s.record_forwarded(150, 1.0);
-        s.record_forwarded(250, 1.0);
+        s.record_forwarded_n(150, 1.0, 1);
+        s.record_forwarded_n(250, 1.0, 1);
         let good = s.to_json();
         assert_eq!(WindowedSeries::from_json(&good), Some(s.clone()));
         let crafted = |key: &str, value: Value| {
@@ -557,7 +550,7 @@ mod tests {
         assert_eq!(s.window_of(1_234), 1_000..2_000);
         assert_eq!(s.window_of(999), 0..1_000);
         assert_eq!(s.window_of(u64::MAX), u64::MAX - u64::MAX % 1_000..u64::MAX);
-        s.record_forwarded(1_999, 1.0);
+        s.record_forwarded_n(1_999, 1.0, 1);
         assert_eq!(s.windows()[0].start_ns, s.window_of(1_999).start);
     }
 
@@ -579,7 +572,7 @@ mod tests {
             windows: vec![full.clone()],
             evicted: WindowBucket::default(),
         };
-        s.record_forwarded(50, 7.0);
+        s.record_forwarded_n(50, 7.0, 1);
         s.record_drop(50, true);
         s.record_drop(50, false);
         s.record_cache(50, 1, 1, 1, 3);

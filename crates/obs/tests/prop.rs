@@ -177,7 +177,7 @@ fn window_rotation_conserves_histogram() {
         let n = rng.range_usize(0, 400);
         for _ in 0..n {
             let (ts, lat) = (rng.range_u64(0, 1_000_000), rng.range_u64(0, 1_000_000));
-            series.record_forwarded(ts, lat as f64);
+            series.record_forwarded_n(ts, lat as f64, 1);
             lifetime.record_f64(lat as f64);
             assert!(series.windows().len() <= capacity, "case {case:#x}");
         }
@@ -210,7 +210,7 @@ fn window_rotation_conserves_counters() {
             let ts = rng.range_u64(0, 200_000);
             match rng.range_u64(0, 4) {
                 0 => {
-                    series.record_forwarded(ts, ts as f64);
+                    series.record_forwarded_n(ts, ts as f64, 1);
                     fwd += 1;
                 }
                 1 => {
@@ -288,7 +288,7 @@ fn record_n_equals_n_single_records() {
 }
 
 /// `record_forwarded_n(ts, lat, n)` leaves exactly what `n`
-/// `record_forwarded(ts, lat)` calls leave, interleaved with drops and
+/// `record_forwarded_n(ts, lat, 1)` calls leave, interleaved with drops and
 /// cache deltas at out-of-order timestamps that rotate the ring.
 #[test]
 fn record_forwarded_n_equals_n_single_records() {
@@ -301,7 +301,7 @@ fn record_forwarded_n_equals_n_single_records() {
                 0 | 1 => {
                     let (lat, n) = (any_latency(rng), rng.range_u64(0, 50));
                     once.record_forwarded_n(ts, lat, n);
-                    (0..n).for_each(|_| singly.record_forwarded(ts, lat));
+                    (0..n).for_each(|_| singly.record_forwarded_n(ts, lat, 1));
                 }
                 2 => {
                     let unexplained = rng.chance(0.5);

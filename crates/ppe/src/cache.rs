@@ -535,6 +535,9 @@ pub(crate) fn run_ops(ops: &[PlanOp], packet: &mut Vec<u8>, counters: &mut Count
 
 /// Replay a plan against a packet: run its ops, return its verdict.
 /// Counter increments land in `counters`.
+///
+/// Test hook for `crates/ppe/tests/oracle.rs`: it replays a plan recorded
+/// on one packet onto the flow's next, which the cache does only on a hit.
 pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBank) -> Verdict {
     run_ops(plan.ops, packet, counters);
     plan.verdict
@@ -850,7 +853,7 @@ impl FlowCache {
     /// Slots currently holding a plan, in O(1). Counts every valid
     /// entry including stale-epoch ones not yet discarded — the memory
     /// actually in use, which is what occupancy telemetry wants.
-    pub fn resident(&self) -> usize {
+    pub(crate) fn resident(&self) -> usize {
         self.resident
     }
 
@@ -1349,7 +1352,16 @@ mod tests {
         assert_eq!(k.src_port(), 1000);
         assert_eq!(k.dst_port(), 2000);
         // Tagged frame: vlan count tracks the stack.
-        let tagged = PacketBuilder::with_vlan(&f, 100, 3);
+        let tagged = flexsfp_wire::vlan::push_tag(
+            &f,
+            flexsfp_wire::EtherType::Vlan,
+            flexsfp_wire::vlan::Tci {
+                pcp: 3,
+                dei: false,
+                vid: 100,
+            },
+        )
+        .unwrap();
         let kt = FlowKey::extract(&tagged, Direction::EdgeToOptical).unwrap();
         assert_eq!(kt.vlan_count(), 1);
         assert_eq!(kt.src_ip(), SRC);
@@ -1385,7 +1397,7 @@ mod tests {
     fn key_rejects_non_canonical_frames() {
         // Non-IP.
         let arp = PacketBuilder::ethernet(
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             MacAddr([2; 6]),
             EtherType::Arp,
             &[0u8; 28],
@@ -1406,12 +1418,30 @@ mod tests {
     #[test]
     fn key_sees_vlan_stack() {
         let f = udp_frame();
-        let tagged = PacketBuilder::with_vlan(&f, 100, 3);
+        let tagged = flexsfp_wire::vlan::push_tag(
+            &f,
+            flexsfp_wire::EtherType::Vlan,
+            flexsfp_wire::vlan::Tci {
+                pcp: 3,
+                dei: false,
+                vid: 100,
+            },
+        )
+        .unwrap();
         let k0 = FlowKey::extract(&f, Direction::EdgeToOptical).unwrap();
         let k1 = FlowKey::extract(&tagged, Direction::EdgeToOptical).unwrap();
         assert_ne!(k0, k1);
         // Different VID: different key.
-        let tagged2 = PacketBuilder::with_vlan(&f, 101, 3);
+        let tagged2 = flexsfp_wire::vlan::push_tag(
+            &f,
+            flexsfp_wire::EtherType::Vlan,
+            flexsfp_wire::vlan::Tci {
+                pcp: 3,
+                dei: false,
+                vid: 101,
+            },
+        )
+        .unwrap();
         assert_ne!(
             FlowKey::extract(&tagged2, Direction::EdgeToOptical).unwrap(),
             k1

@@ -35,14 +35,6 @@ impl ProcessContext {
         }
     }
 
-    /// A context at time zero in the optical→edge direction (tests).
-    pub fn ingress() -> ProcessContext {
-        ProcessContext {
-            timestamp_ns: 0,
-            direction: Direction::OpticalToEdge,
-        }
-    }
-
     /// The same context at a different timestamp.
     pub fn at(self, timestamp_ns: u64) -> ProcessContext {
         ProcessContext {
@@ -328,6 +320,10 @@ impl PacketProcessor for PassThrough {
 }
 
 /// A processor that drops everything (used for fail-closed tests).
+///
+/// Test hook for `crates/core/src/module/session.rs`,
+/// `crates/core/src/module/sfp.rs` and `crates/host/src/collector.rs`: an
+/// app that drops every packet, which no shipped app does.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DropAll;
 
@@ -351,7 +347,11 @@ mod tests {
         assert_eq!(c.timestamp_ns, 1234);
         assert_eq!(c.direction, Direction::EdgeToOptical);
         assert_eq!(
-            ProcessContext::ingress().direction,
+            ProcessContext {
+                timestamp_ns: 0,
+                direction: Direction::OpticalToEdge
+            }
+            .direction,
             Direction::OpticalToEdge
         );
     }
@@ -377,7 +377,14 @@ mod tests {
         let mut p = DropAll;
         let mut batch = vec![
             BatchPacket::new(ProcessContext::egress(), vec![0; 64]),
-            BatchPacket::new(ProcessContext::ingress().at(5), vec![0; 64]),
+            BatchPacket::new(
+                ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge,
+                }
+                .at(5),
+                vec![0; 64],
+            ),
         ];
         assert_eq!(batch[0].verdict, Verdict::Forward);
         p.process_batch(&mut batch);
@@ -392,7 +399,13 @@ mod tests {
         let mut p = DropAll;
         let mut pkt = vec![0; 64];
         assert_eq!(
-            p.process(&ProcessContext::ingress(), &mut pkt),
+            p.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction: Direction::OpticalToEdge
+                },
+                &mut pkt
+            ),
             Verdict::Drop
         );
     }

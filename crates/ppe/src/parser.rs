@@ -283,7 +283,9 @@ mod tests {
 
     #[test]
     fn parses_tcp_flags() {
-        let f = PacketBuilder::eth_ipv4_tcp(
+        let mut f = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut f,
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             SRC,
@@ -291,7 +293,10 @@ mod tests {
             80,
             5000,
             7,
-            TcpFlags::syn_only(),
+            TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
             &[],
         );
         let p = Parser.parse(&f).unwrap();
@@ -311,7 +316,16 @@ mod tests {
 
     #[test]
     fn parses_single_vlan() {
-        let f = PacketBuilder::with_vlan(&udp_frame(), 100, 3);
+        let f = flexsfp_wire::vlan::push_tag(
+            &udp_frame(),
+            flexsfp_wire::EtherType::Vlan,
+            flexsfp_wire::vlan::Tci {
+                pcp: 3,
+                dei: false,
+                vid: 100,
+            },
+        )
+        .unwrap();
         let p = Parser.parse(&f).unwrap();
         assert_eq!(p.vlans, vec![100]);
         assert_eq!(p.ethertype, EtherType::Ipv4);
@@ -321,7 +335,16 @@ mod tests {
 
     #[test]
     fn parses_qinq() {
-        let inner = PacketBuilder::with_vlan(&udp_frame(), 10, 0);
+        let inner = flexsfp_wire::vlan::push_tag(
+            &udp_frame(),
+            flexsfp_wire::EtherType::Vlan,
+            flexsfp_wire::vlan::Tci {
+                pcp: 0,
+                dei: false,
+                vid: 10,
+            },
+        )
+        .unwrap();
         let f = flexsfp_wire::vlan::push_tag(
             &inner,
             EtherType::QinQ,
@@ -386,12 +409,11 @@ mod tests {
     #[test]
     fn ipv6_prefix_extraction() {
         let mut ip6 = vec![0u8; 40 + 8];
+        // Payload length 8, next header UDP, hop limit 64.
+        ip6[4..8].copy_from_slice(&[0, 8, 17, 64]);
         {
             let mut p = Ipv6Packet::new_unchecked(&mut ip6);
             p.set_version(6);
-            p.set_payload_len(8);
-            p.set_next_header(IpProtocol::Udp);
-            p.set_hop_limit(64);
             let mut src = [0u8; 16];
             src[..8].copy_from_slice(&0x20010db8_00000001u64.to_be_bytes());
             p.set_src(flexsfp_wire::ipv6::Ipv6Addr(src));

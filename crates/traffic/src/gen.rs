@@ -196,6 +196,9 @@ impl TraceBuilder {
     }
 
     /// Set the base of the destination address range.
+    ///
+    /// Test hook for `crates/host/tests/cage_run.rs`: traffic to one chosen
+    /// subnet, which no product workload needs.
     pub fn dst_base(mut self, base: u32) -> TraceBuilder {
         self.space.dst_base = base;
         self
@@ -666,7 +669,7 @@ mod tests {
         let rate = bits / (span_ns as f64 / 1e9);
         // Offered frame-bit rate should be ~0.5 × 10G × 1000/1024ths
         // of wire share; just assert the 10% band around goodput.
-        let expected = LineRateCalc::TEN_GIG.goodput_bps(1000, 0.5);
+        let expected = LineRateCalc::TEN_GIG.max_fps(1000) * 0.5 * 8_000.0;
         assert!(
             (rate - expected).abs() / expected < 0.05,
             "rate {rate:.3e} vs {expected:.3e}"

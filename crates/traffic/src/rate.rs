@@ -45,12 +45,6 @@ impl LineRateCalc {
     pub fn utilization(&self, len: usize, fps: f64) -> f64 {
         fps / self.max_fps(len)
     }
-
-    /// Effective goodput in bits/s when sending `len`-byte frames at
-    /// `utilization` of line rate (frame bits only, no preamble/IFG).
-    pub fn goodput_bps(&self, len: usize, utilization: f64) -> f64 {
-        self.max_fps(len) * utilization.min(1.0) * (len * 8) as f64
-    }
 }
 
 #[cfg(test)]
@@ -81,16 +75,6 @@ mod tests {
         let c = LineRateCalc::TEN_GIG;
         let fps = c.max_fps(1000) * 0.3;
         assert!((c.utilization(1000, fps) - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn goodput_below_line_rate() {
-        let c = LineRateCalc::TEN_GIG;
-        // At 100% with 60 B frames: 60/(60+24) of 10G.
-        let g = c.goodput_bps(60, 1.0);
-        let expected = 10e9 * 60.0 / 84.0;
-        assert!((g - expected).abs() / expected < 1e-12);
-        assert!(g < 10e9);
     }
 
     #[test]

@@ -8,7 +8,7 @@ pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
+    pub(crate) const BROADCAST: MacAddr = MacAddr([0xff; 6]);
     /// The all-zero address, used as "unset".
     pub const ZERO: MacAddr = MacAddr([0; 6]);
 

@@ -3,7 +3,7 @@
 //! [`PacketArena`] hands out `Vec<u8>` frame buffers in two size classes and
 //! takes them back once a packet leaves the simulation, so a streaming run
 //! touches a handful of buffers instead of allocating one per packet. A
-//! minimum-size frame leases 128 B, any other frame [`DEFAULT_FRAME_CAPACITY`].
+//! minimum-size frame leases 128 B, any other frame 1 536 B.
 //! The arena is a cheap clonable handle (internally reference-counted) for
 //! one thread; parallel sweeps create one arena per worker.
 //!
@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 /// Capacity of the full class: a 1514-byte Ethernet frame (no FCS) rounded
 /// up, with headroom for an encapsulation header or a VLAN tag.
-pub const DEFAULT_FRAME_CAPACITY: usize = 1536;
+pub(crate) const DEFAULT_FRAME_CAPACITY: usize = 1536;
 
 /// Capacity of the small class: a frame of at most [`SMALL_FRAME_MAX`]
 /// bytes plus 64 B of headroom, enough for a QinQ push or a VXLAN encap.
@@ -31,7 +31,6 @@ struct ArenaStats {
     leases: Cell<u64>,
     allocations: Cell<u64>,
     recycles: Cell<u64>,
-    discards: Cell<u64>,
 }
 
 /// One free list per class, each holding buffers whose capacity meets it.
@@ -60,7 +59,7 @@ impl PacketArena {
     }
 
     /// Lease an empty full-class buffer: `len() == 0` and at least
-    /// [`DEFAULT_FRAME_CAPACITY`] spare capacity.
+    /// 1 536 B of spare capacity.
     pub fn lease(&self) -> Vec<u8> {
         self.lease_class(false)
     }
@@ -89,13 +88,11 @@ impl PacketArena {
     }
 
     /// Return a buffer to the pool of the largest class its capacity
-    /// meets, cleared. It is dropped (and counted as a discard) below the
-    /// small class, or once as many buffers have come back as the arena
+    /// meets, cleared. It is dropped below the small class, or once as many buffers have come back as the arena
     /// lent, so the pools never hold more buffers than it has made.
     pub fn recycle(&self, mut buf: Vec<u8>) {
         let s = &self.inner.stats;
         if buf.capacity() < SMALL_FRAME_CAPACITY || s.recycles.get() >= s.leases.get() {
-            s.discards.set(s.discards.get() + 1);
             return;
         }
         buf.clear();
@@ -109,7 +106,8 @@ impl PacketArena {
     }
 
     /// Buffers currently sitting in the pools.
-    pub fn pooled(&self) -> usize {
+    #[cfg(test)]
+    fn pooled(&self) -> usize {
         let pools = self.inner.pools.borrow();
         pools.small.len() + pools.full.len()
     }
@@ -124,17 +122,6 @@ impl PacketArena {
     /// buffers simultaneously in flight, independent of trace length.
     pub fn allocations(&self) -> u64 {
         self.inner.stats.allocations.get()
-    }
-
-    /// Buffers successfully returned to the pool.
-    pub fn recycles(&self) -> u64 {
-        self.inner.stats.recycles.get()
-    }
-
-    /// Buffers dropped at recycle time: below the small class, or beyond
-    /// the buffers the arena has made.
-    pub fn discards(&self) -> u64 {
-        self.inner.stats.discards.get()
     }
 }
 
@@ -168,7 +155,7 @@ mod tests {
         }
         assert_eq!(arena.allocations(), 1, "one in-flight frame => one alloc");
         assert_eq!(arena.leases(), 10_000);
-        assert_eq!(arena.recycles(), 10_000);
+        assert_eq!(arena.pooled(), 1);
     }
 
     #[test]
@@ -176,7 +163,7 @@ mod tests {
         let arena = PacketArena::new();
         let (small, full) = (arena.lease_for(60), arena.lease());
         arena.recycle(Vec::with_capacity(SMALL_FRAME_CAPACITY - 1));
-        assert_eq!(arena.discards(), 1);
+        assert_eq!(arena.pooled(), 0);
         arena.recycle(full);
         arena.recycle(small);
         assert_eq!(arena.pooled(), 2);

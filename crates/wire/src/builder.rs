@@ -9,7 +9,6 @@ use crate::ethernet::{self, EthernetFrame};
 use crate::ipv4::Ipv4Packet;
 use crate::tcp::{TcpFlags, TcpSegment};
 use crate::udp::UdpDatagram;
-use crate::vlan::{self, Tci};
 use crate::{gre, vxlan};
 
 /// Builder for complete frames and packets.
@@ -56,33 +55,6 @@ impl PacketBuilder {
         Self::ipv4(src, dst, IpProtocol::Udp, &udp)
     }
 
-    /// An IPv4/TCP packet with correct checksums and a 20-byte TCP header.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ipv4_tcp(
-        src: u32,
-        dst: u32,
-        src_port: u16,
-        dst_port: u16,
-        seq: u32,
-        flags: TcpFlags,
-        payload: &[u8],
-    ) -> Vec<u8> {
-        let tcp_len = crate::tcp::MIN_HEADER_LEN + payload.len();
-        let mut tcp = vec![0u8; tcp_len];
-        {
-            let mut s = TcpSegment::new_unchecked(&mut tcp);
-            s.set_src_port(src_port);
-            s.set_dst_port(dst_port);
-            s.set_seq(seq);
-            s.set_header_len(crate::tcp::MIN_HEADER_LEN);
-            s.set_flags(flags);
-            s.set_window(0xffff);
-        }
-        tcp[crate::tcp::MIN_HEADER_LEN..].copy_from_slice(payload);
-        TcpSegment::new_unchecked(&mut tcp).fill_checksum_v4(src, dst);
-        Self::ipv4(src, dst, IpProtocol::Tcp, &tcp)
-    }
-
     /// An Ethernet II frame around `payload`, padded to the 60-byte
     /// minimum (frame length excluding FCS).
     pub fn ethernet(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
@@ -113,26 +85,6 @@ impl PacketBuilder {
         let mut buf = Vec::new();
         Self::eth_ipv4_udp_into(
             &mut buf, dst_mac, src_mac, src, dst, src_port, dst_port, payload,
-        );
-        buf
-    }
-
-    /// A full Ethernet/IPv4/TCP frame.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eth_ipv4_tcp(
-        dst_mac: MacAddr,
-        src_mac: MacAddr,
-        src: u32,
-        dst: u32,
-        src_port: u16,
-        dst_port: u16,
-        seq: u32,
-        flags: TcpFlags,
-        payload: &[u8],
-    ) -> Vec<u8> {
-        let mut buf = Vec::new();
-        Self::eth_ipv4_tcp_into(
-            &mut buf, dst_mac, src_mac, src, dst, src_port, dst_port, seq, flags, payload,
         );
         buf
     }
@@ -168,8 +120,8 @@ impl PacketBuilder {
     }
 
     /// Write a complete Ethernet/IPv4/TCP frame into `buf` in place,
-    /// reusing its existing capacity. Byte-for-byte identical to
-    /// [`PacketBuilder::eth_ipv4_tcp`].
+    /// reusing its existing capacity. A 20-byte TCP header, window
+    /// 0xffff, checksums filled.
     #[allow(clippy::too_many_arguments)]
     pub fn eth_ipv4_tcp_into(
         buf: &mut Vec<u8>,
@@ -239,20 +191,6 @@ impl PacketBuilder {
         body
     }
 
-    /// Add an 802.1Q tag to an existing frame.
-    pub fn with_vlan(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
-        vlan::push_tag(
-            frame,
-            EtherType::Vlan,
-            Tci {
-                pcp,
-                dei: false,
-                vid,
-            },
-        )
-        .expect("frame shorter than an Ethernet header")
-    }
-
     /// GRE-encapsulate an IPv4 packet inside a new outer IPv4 header.
     pub fn gre_encap(outer_src: u32, outer_dst: u32, key: Option<u32>, inner_ip: &[u8]) -> Vec<u8> {
         let mut gre_payload = gre::build_header(EtherType::Ipv4, key);
@@ -288,6 +226,34 @@ mod tests {
     const SRC: u32 = 0xc0a80001; // 192.168.0.1
     const DST: u32 = 0x0a000002; // 10.0.0.2
 
+    /// The nested reference `eth_ipv4_tcp_into` must equal: an IPv4/TCP
+    /// packet built by `PacketBuilder::ipv4` around a hand-set segment.
+    #[allow(clippy::too_many_arguments)]
+    fn ipv4_tcp(
+        src: u32,
+        dst: u32,
+        src_port: u16,
+        dst_port: u16,
+        seq: u32,
+        flags: TcpFlags,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let tcp_len = crate::tcp::MIN_HEADER_LEN + payload.len();
+        let mut tcp = vec![0u8; tcp_len];
+        {
+            let mut s = TcpSegment::new_unchecked(&mut tcp);
+            s.set_src_port(src_port);
+            s.set_dst_port(dst_port);
+            s.set_seq(seq);
+            s.set_header_len(crate::tcp::MIN_HEADER_LEN);
+            s.set_flags(flags);
+            s.set_window(0xffff);
+        }
+        tcp[crate::tcp::MIN_HEADER_LEN..].copy_from_slice(payload);
+        TcpSegment::new_unchecked(&mut tcp).fill_checksum_v4(src, dst);
+        PacketBuilder::ipv4(src, dst, IpProtocol::Tcp, &tcp)
+    }
+
     #[test]
     fn ipv4_udp_validates() {
         let buf = PacketBuilder::ipv4_udp(SRC, DST, 1111, 2222, b"data");
@@ -301,7 +267,18 @@ mod tests {
 
     #[test]
     fn ipv4_tcp_validates() {
-        let buf = PacketBuilder::ipv4_tcp(SRC, DST, 80, 5000, 42, TcpFlags::syn_only(), b"xyz");
+        let buf = ipv4_tcp(
+            SRC,
+            DST,
+            80,
+            5000,
+            42,
+            TcpFlags {
+                syn: true,
+                ..Default::default()
+            },
+            b"xyz",
+        );
         let ip = Ipv4Packet::new_checked(&buf[..]).unwrap();
         let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
         assert!(tcp.verify_checksum_v4(SRC, DST));
@@ -320,7 +297,16 @@ mod tests {
     #[test]
     fn vlan_tagging() {
         let f = PacketBuilder::eth_ipv4_udp(MacAddr([2; 6]), MacAddr([3; 6]), SRC, DST, 1, 2, b"p");
-        let tagged = PacketBuilder::with_vlan(&f, 300, 5);
+        let tagged = crate::vlan::push_tag(
+            &f,
+            crate::EtherType::Vlan,
+            crate::vlan::Tci {
+                pcp: 5,
+                dei: false,
+                vid: 300,
+            },
+        )
+        .unwrap();
         let eth = EthernetFrame::new_checked(&tagged[..]).unwrap();
         assert_eq!(eth.ethertype(), EtherType::Vlan);
         let v = crate::vlan::VlanFrame::new_checked(eth.payload()).unwrap();
@@ -395,8 +381,18 @@ mod tests {
             arena.recycle(buf);
 
             let nested_tcp = {
-                let ip =
-                    PacketBuilder::ipv4_tcp(SRC, DST, 80, 5000, 7, TcpFlags::syn_only(), &payload);
+                let ip = ipv4_tcp(
+                    SRC,
+                    DST,
+                    80,
+                    5000,
+                    7,
+                    TcpFlags {
+                        syn: true,
+                        ..Default::default()
+                    },
+                    &payload,
+                );
                 PacketBuilder::ethernet(MacAddr([1; 6]), MacAddr([2; 6]), EtherType::Ipv4, &ip)
             };
             let mut buf = arena.lease();
@@ -409,7 +405,10 @@ mod tests {
                 80,
                 5000,
                 7,
-                TcpFlags::syn_only(),
+                TcpFlags {
+                    syn: true,
+                    ..Default::default()
+                },
                 &payload,
             );
             assert_eq!(buf, nested_tcp, "TCP payload_len={payload_len}");

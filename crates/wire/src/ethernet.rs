@@ -14,7 +14,7 @@ pub const MIN_FRAME_NO_FCS: usize = 60;
 /// use flexsfp_wire::{EthernetFrame, EtherType, MacAddr};
 /// let mut buf = vec![0u8; 64];
 /// let mut f = EthernetFrame::new_unchecked(&mut buf);
-/// f.set_dst(MacAddr::BROADCAST);
+/// f.set_dst(MacAddr([0xff; 6]));
 /// f.set_ethertype(EtherType::Ipv4);
 /// assert_eq!(f.ethertype(), EtherType::Ipv4);
 /// ```

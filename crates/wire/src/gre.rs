@@ -84,17 +84,6 @@ impl<T: AsRef<[u8]>> GrePacket<T> {
         Some(be32(self.buffer.as_ref(), off))
     }
 
-    /// The sequence number, if present.
-    pub fn sequence(&self) -> Option<u32> {
-        if !self.has_sequence() {
-            return None;
-        }
-        let off = BASE_HEADER_LEN
-            + if self.has_checksum() { 4 } else { 0 }
-            + if self.has_key() { 4 } else { 0 };
-        Some(be32(self.buffer.as_ref(), off))
-    }
-
     /// Encapsulated payload.
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[self.header_len()..]
@@ -131,7 +120,6 @@ mod tests {
         assert_eq!(p.header_len(), 4);
         assert_eq!(p.payload(), b"inner");
         assert_eq!(p.key(), None);
-        assert_eq!(p.sequence(), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is IPv4-only.
 
 use crate::addr::IpProtocol;
-use crate::{be16, check_len, set_be16, Result, WireError};
+use crate::{be16, check_len, Result, WireError};
 
 /// Fixed IPv6 header length.
 pub const HEADER_LEN: usize = 40;
@@ -120,21 +120,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv6Packet<T> {
         b[0] = (v << 4) | (b[0] & 0x0f);
     }
 
-    /// Set the payload length.
-    pub fn set_payload_len(&mut self, len: u16) {
-        set_be16(self.buffer.as_mut(), 4, len);
-    }
-
-    /// Set the next header.
-    pub fn set_next_header(&mut self, p: IpProtocol) {
-        self.buffer.as_mut()[6] = p.to_u8();
-    }
-
-    /// Set the hop limit.
-    pub fn set_hop_limit(&mut self, hl: u8) {
-        self.buffer.as_mut()[7] = hl;
-    }
-
     /// Set the source address.
     pub fn set_src(&mut self, a: Ipv6Addr) {
         self.buffer.as_mut()[8..24].copy_from_slice(&a.0);
@@ -152,11 +137,10 @@ mod tests {
 
     fn sample() -> Vec<u8> {
         let mut buf = vec![0u8; HEADER_LEN + 8];
+        // Payload length 8, next header UDP, hop limit 64.
+        buf[4..8].copy_from_slice(&[0, 8, 17, 64]);
         let mut p = Ipv6Packet::new_unchecked(&mut buf);
         p.set_version(6);
-        p.set_payload_len(8);
-        p.set_next_header(IpProtocol::Udp);
-        p.set_hop_limit(64);
         let mut src = [0u8; 16];
         src[0] = 0x20;
         src[1] = 0x01;

@@ -84,18 +84,29 @@ fn parse_ipv4_udp_golden_image() {
     assert_eq!(udp.payload(), b"flexsfp");
 }
 
+/// The TCP packet above in an Ethernet II frame, padded to the 60-byte
+/// minimum: what `eth_ipv4_tcp_into` writes.
 #[test]
-fn emit_ipv4_tcp_matches_golden_image() {
-    let buf = PacketBuilder::ipv4_tcp(
+fn emit_eth_tcp_matches_golden_image() {
+    let mut frame = Vec::new();
+    PacketBuilder::eth_ipv4_tcp_into(
+        &mut frame,
+        MacAddr::from(0x02_00_00_00_00_01u64),
+        MacAddr::from(0x02_00_00_00_00_02u64),
         SRC_IP,
         DST_IP,
         80,
         443,
         0x0102_0304,
-        TcpFlags::syn_only(),
+        TcpFlags {
+            syn: true,
+            ..Default::default()
+        },
         &[],
     );
-    assert_eq!(buf, GOLDEN_IPV4_TCP);
+    assert_eq!(frame[..14], GOLDEN_ETH_UDP[..14], "MACs and EtherType");
+    assert_eq!(frame[14..54], GOLDEN_IPV4_TCP);
+    assert_eq!(frame[54..], [0; 6], "padding");
 }
 
 #[test]
@@ -142,7 +153,16 @@ fn parse_eth_udp_golden_image() {
 
 #[test]
 fn vlan_tag_insertion_matches_golden_image() {
-    let tagged = PacketBuilder::with_vlan(&GOLDEN_ETH_UDP, 100, 3);
+    let tagged = flexsfp_wire::vlan::push_tag(
+        &GOLDEN_ETH_UDP,
+        flexsfp_wire::EtherType::Vlan,
+        flexsfp_wire::vlan::Tci {
+            pcp: 3,
+            dei: false,
+            vid: 100,
+        },
+    )
+    .unwrap();
     assert_eq!(tagged, GOLDEN_ETH_VLAN_UDP);
 }
 

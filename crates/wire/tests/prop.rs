@@ -67,8 +67,20 @@ fn built_tcp_packets_validate() {
         let (seq, flag_byte) = ((p >> 32) as u32, rng.next_u64() as u8);
         let payload = bytes(rng, 0, 600);
         let flags = TcpFlags::from_u8(flag_byte);
-        let buf = PacketBuilder::ipv4_tcp(src, dst, sport, dport, seq, flags, &payload);
-        let ip = Ipv4Packet::new_checked(&buf[..]).unwrap();
+        let mut frame = Vec::new();
+        PacketBuilder::eth_ipv4_tcp_into(
+            &mut frame,
+            MacAddr([1; 6]),
+            MacAddr([2; 6]),
+            src,
+            dst,
+            sport,
+            dport,
+            seq,
+            flags,
+            &payload,
+        );
+        let ip = Ipv4Packet::new_checked(&frame[14..]).unwrap();
         let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
         assert!(tcp.verify_checksum_v4(src, dst), "case {case:#x}");
         assert_eq!(tcp.seq(), seq, "case {case:#x}");

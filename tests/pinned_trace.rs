@@ -49,7 +49,7 @@ fn arp_request(config: &ModuleConfig) -> Vec<u8> {
     a.set_sender_ip(HOST_IP);
     a.set_target_mac(MacAddr::ZERO);
     a.set_target_ip(config.mgmt_ip);
-    PacketBuilder::ethernet(MacAddr::BROADCAST, HOST_MAC, EtherType::Arp, &body)
+    PacketBuilder::ethernet(MacAddr([0xff; 6]), HOST_MAC, EtherType::Arp, &body)
 }
 
 fn echo_request(config: &ModuleConfig, seq: u16) -> Vec<u8> {
@@ -153,7 +153,7 @@ fn counters(r: &SimReport) -> Counters {
         cp_originated: r.cp_originated,
         latency_count: r.latency.count(),
         latency_ns: [
-            r.latency.min_ns() as u64,
+            r.latency.histogram().min(),
             r.latency.p50_ns() as u64,
             r.latency.p99_ns() as u64,
             r.latency.max_ns() as u64,

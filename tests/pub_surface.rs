@@ -1,16 +1,29 @@
 //! Public surface: every `pub` item under `crates/*/src` is something
-//! another file uses.
+//! the product uses.
 //!
-//! A declaration is a `pub fn|struct|enum|trait|type|const|static` line,
-//! methods in `impl` blocks included. A file's scan stops at its first
-//! `#[cfg(test)] mod … {`, and `core`'s `testutil.rs` is not scanned. An
-//! item is used when another `.rs` file under `crates/`, `src/`, `tests/`,
-//! `examples/` or `benchmark/src/` names it as a word outside comments and
-//! `pub use` statements: a re-export alone does not make an item used.
-//! An item no other file names is an orphan. It becomes `pub(crate)` or
-//! private, goes, or joins [`ALLOWED`] with the path that reaches it from
-//! outside. Like `tests/doc_paths.rs`, this is a name check, not name
-//! resolution.
+//! Every scanned file has a product part and a test part. The product
+//! part is everything before the first column-0 `#[cfg(test)]` of a
+//! `crates/*/src` file, and the whole of each file under `src/`,
+//! `examples/` and `benchmark/src/`. The test part is the rest of each
+//! `crates/*/src` file, `core`'s `testutil.rs` (compiled only under
+//! `cfg(test)`), and every file under `crates/*/tests/` and `tests/`.
+//!
+//! A declaration is a `pub fn|struct|enum|trait|type|const|static` line
+//! in the product part of a `crates/*/src` file, methods in `impl` blocks
+//! included. It is used when the product part of another file names it
+//! as a word outside comments and `pub use` statements: a re-export alone
+//! does not make an item used. An item that is not used fails, and the
+//! failure lists the test parts that name it. It becomes `pub(crate)`,
+//! private or `#[cfg(test)]`, goes, or stays because
+//! - its doc comment says what it is for a test: `Reference for <paths>`
+//!   (a slow, obvious model that a test compares against) or `Test hook
+//!   for <paths>` (how a test reaches a state that no product input
+//!   reaches), each path a backticked file whose test part names it; or
+//! - it is in [`ALLOWED`], with the public field or signature that
+//!   reaches it from outside.
+//!
+//! A declaration or an entry that no longer holds fails too. Like
+//! `tests/doc_paths.rs`, this is a name check, not name resolution.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs;
@@ -18,23 +31,16 @@ use std::path::{Path, PathBuf};
 
 const SOURCES: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
 const KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
-const NOT_SCANNED: [&str; 1] = ["crates/core/src/module/testutil.rs"];
+const TEST_ONLY: [&str; 1] = ["crates/core/src/module/testutil.rs"];
+const MARKERS: [&str; 2] = ["Reference for", "Test hook for"];
 
-/// Orphans that stay `pub`, each with the path that reaches it from
-/// outside its crate. An entry that is gone or that another file now
-/// names fails the test, so the list only shrinks.
+/// Items no product part names that stay `pub`, each with the path that
+/// reaches it from outside its crate. An entry that is gone or that a
+/// product part now names fails the test, so the list only shrinks.
 const ALLOWED: &[(&str, &str)] = &[
     (
         "apps::sanitizer::SanitizerStats",
         "`Sanitizer::stats`, read by `tests/props.rs`",
-    ),
-    (
-        "apps::telemetry::ExportRecord",
-        "what `parse_export` returns",
-    ),
-    (
-        "apps::telemetry::parse_export",
-        "decodes a table-2 read through `ManagementClient::table_op`",
     ),
     (
         "bench::ablations::ChainDepthPoint",
@@ -49,11 +55,20 @@ const ALLOWED: &[(&str, &str)] = &[
         "bench::ablations::TableSizePoint",
         "`ablations::Report::table_size`",
     ),
+    (
+        "core::bitstream::BitstreamError",
+        "what `Bitstream::from_bytes` returns",
+    ),
     ("core::module::report::LatencyStats", "`SimReport::latency`"),
+    (
+        "fabric::xbar::XbarTotals",
+        "what `CrosspointMatrix::totals` returns",
+    ),
     (
         "host::baselines::PathStats",
         "what `ProcessingPath::run` returns",
     ),
+    ("host::crossbar::SwitchStats", "`CrossbarStats::sw`"),
     (
         "host::fleet::DeployReport",
         "what `FleetManager::deploy_all` returns",
@@ -65,6 +80,11 @@ const ALLOWED: &[(&str, &str)] = &[
     (
         "host::mgmt::ModuleInfo",
         "what `ManagementClient::info` returns",
+    ),
+    ("host::rack::RackStats", "what `Rack::stats` returns"),
+    (
+        "obs::json::as_object",
+        "called by `impl_json_struct!` expansions",
     ),
     (
         "obs::json::sort_members",
@@ -84,6 +104,11 @@ const ALLOWED: &[(&str, &str)] = &[
     (
         "wire::dns::DnsQuestion",
         "what `DnsHeader::first_question` returns",
+    ),
+    ("wire::ipv6::Ipv6Addr", "what `Ipv6Packet::src` returns"),
+    (
+        "wire::vlan::Tci",
+        "what the `push_tag` and `pop_tag` references take and return",
     ),
 ];
 
@@ -172,13 +197,16 @@ fn literal_len(rest: &str) -> Option<usize> {
 }
 
 /// `code` (comments already stripped) without its `pub use` statements.
+/// The line breaks inside one stay, so line numbers still match the text.
 fn strip_pub_use(code: &str) -> String {
     let mut out = String::with_capacity(code.len());
     let mut rest = code;
     while let Some(at) = find_word(rest, "pub use") {
         out.push_str(&rest[..at]);
         rest = &rest[at..];
-        rest = &rest[rest.find(';').map_or(rest.len(), |end| end + 1)..];
+        let end = rest.find(';').map_or(rest.len(), |end| end + 1);
+        out.extend(rest[..end].chars().filter(|&c| c == '\n'));
+        rest = &rest[end..];
     }
     out.push_str(rest);
     out
@@ -211,19 +239,11 @@ fn words(code: &str) -> HashSet<&str> {
         .collect()
 }
 
-/// The names a file's product code declares `pub`: every line before its
-/// first `#[cfg(test)] mod … {` (a `#[cfg(test)] fn` does not stop it).
-fn declared(code: &str) -> Vec<&str> {
+/// The line index and name of every `pub` declaration in `code`.
+fn declared(code: &str) -> Vec<(usize, &str)> {
     let mut names = Vec::new();
-    let mut cfg_test = false;
-    for line in code.lines().map(str::trim) {
-        if cfg_test && line.starts_with("mod ") && line.ends_with('{') {
-            break;
-        }
-        if !line.is_empty() {
-            cfg_test = line == "#[cfg(test)]";
-        }
-        let Some(rest) = line.strip_prefix("pub ") else {
+    for (line_no, line) in code.lines().enumerate() {
+        let Some(rest) = line.trim().strip_prefix("pub ") else {
             continue;
         };
         let mut tokens = rest
@@ -241,10 +261,46 @@ fn declared(code: &str) -> Vec<&str> {
         let name = tokens.find(|t| *t != "mut");
         let Some(kind) = kind else { continue };
         if let Some(name) = name.filter(|_| KINDS.contains(&kind)) {
-            names.push(name);
+            names.push((line_no, name));
         }
     }
     names
+}
+
+/// The doc comment above line `at` of `text`, its lines joined by spaces;
+/// attributes between it and the declaration are skipped.
+fn doc_above(text: &str, at: usize) -> String {
+    let lines: Vec<&str> = text.lines().take(at).collect();
+    let mut doc: Vec<&str> = lines
+        .iter()
+        .rev()
+        .map(|l| l.trim())
+        .take_while(|l| l.starts_with("///") || l.starts_with("#["))
+        .filter_map(|l| l.strip_prefix("///"))
+        .map(str::trim)
+        .collect();
+    doc.reverse();
+    doc.join(" ")
+}
+
+/// The marker a doc comment declares and the backticked paths after it:
+/// ``Reference for `tests/a.rs` and `tests/b.rs`: …`` gives both.
+fn declaration(doc: &str) -> Option<(&'static str, Vec<&str>)> {
+    MARKERS.iter().find_map(|&marker| {
+        let mut rest = &doc[find_word(doc, marker)? + marker.len()..];
+        let mut paths = Vec::new();
+        loop {
+            rest = rest.trim_start().trim_start_matches(',').trim_start();
+            rest = rest.strip_prefix("and ").unwrap_or(rest);
+            let Some(quoted) = rest.strip_prefix('`') else {
+                break;
+            };
+            let Some(end) = quoted.find('`') else { break };
+            paths.push(&quoted[..end]);
+            rest = &quoted[end + 1..];
+        }
+        Some((marker, paths))
+    })
 }
 
 /// `crates/ppe/src/parser.rs` → `ppe::parser`.
@@ -261,30 +317,103 @@ fn module_path(file: &Path) -> String {
 
 struct Source {
     path: PathBuf,
-    code: String,
+    /// The product part as written, doc comments included.
+    text: String,
+    /// The product part without comments and `pub use` statements.
+    product: String,
+    /// The test part without comments and `pub use` statements.
+    test: String,
 }
 
-/// The `item path` of every declaration no other source names.
-fn orphans(sources: &[Source]) -> BTreeSet<String> {
-    let used: Vec<HashSet<&str>> = sources.iter().map(|s| words(&s.code)).collect();
-    let mut found = BTreeSet::new();
+impl Source {
+    fn new(path: PathBuf, text: &str) -> Self {
+        let in_crate =
+            |dir: &str| path.starts_with("crates") && path.iter().nth(2).is_some_and(|p| p == dir);
+        let split = if path.starts_with("tests")
+            || in_crate("tests")
+            || TEST_ONLY.iter().any(|t| path == Path::new(t))
+        {
+            0
+        } else if in_crate("src") {
+            text.match_indices("#[cfg(test)]")
+                .map(|(at, _)| at)
+                .find(|&at| at == 0 || text.as_bytes()[at - 1] == b'\n')
+                .unwrap_or(text.len())
+        } else {
+            text.len()
+        };
+        let code = |part: &str| strip_pub_use(&strip_comments(part));
+        Source {
+            text: text[..split].to_owned(),
+            product: code(&text[..split]),
+            test: code(&text[split..]),
+            path,
+        }
+    }
+
+    /// Whether this is a `crates/*/src` file whose declarations count.
+    fn scanned(&self) -> bool {
+        self.path.starts_with("crates") && self.path.iter().nth(2).is_some_and(|p| p == "src")
+    }
+}
+
+/// What fails: each undeclared `pub` item that no other file's product
+/// part names, with the test parts that do, and each declaration or
+/// [`ALLOWED`]-style entry in `allowed` that no longer holds.
+fn problems(sources: &[Source], allowed: &[&str]) -> Vec<String> {
+    let product: Vec<HashSet<&str>> = sources.iter().map(|s| words(&s.product)).collect();
+    let test: Vec<HashSet<&str>> = sources.iter().map(|s| words(&s.test)).collect();
+    let mut unused = BTreeSet::new();
+    let mut found = Vec::new();
     for (i, source) in sources.iter().enumerate() {
-        let scanned = source.path.starts_with("crates")
-            && source.path.iter().nth(2).is_some_and(|p| p == "src")
-            && !NOT_SCANNED.iter().any(|s| source.path == Path::new(s));
-        if !scanned {
+        if !source.scanned() || TEST_ONLY.iter().any(|t| source.path == Path::new(t)) {
             continue;
         }
-        for name in declared(&source.code) {
-            let named = used
-                .iter()
-                .enumerate()
-                .any(|(j, words)| j != i && words.contains(name));
-            if !named {
-                found.insert(format!("{}::{name}", module_path(&source.path)));
+        for (line, name) in declared(&source.product) {
+            let item = format!("{}::{name}", module_path(&source.path));
+            let used = (0..sources.len()).any(|j| j != i && product[j].contains(name));
+            let doc = doc_above(&source.text, line);
+            match (used, declaration(&doc)) {
+                (true, Some((marker, _))) => {
+                    found.push(format!("{item}: \"{marker}\", but product code names it"))
+                }
+                (true, None) => {}
+                (false, Some((marker, paths))) => {
+                    if paths.is_empty() {
+                        found.push(format!("{item}: \"{marker}\" names no path"));
+                    }
+                    for path in paths {
+                        let at = sources.iter().position(|s| s.path == Path::new(path));
+                        if !at.is_some_and(|j| test[j].contains(name)) {
+                            found.push(format!(
+                                "{item}: \"{marker}\" `{path}`, whose tests do not name it"
+                            ));
+                        }
+                    }
+                }
+                (false, None) => {
+                    unused.insert(item.clone());
+                    if !allowed.contains(&item.as_str()) {
+                        let tested_by: Vec<String> = (0..sources.len())
+                            .filter(|&j| test[j].contains(name))
+                            .map(|j| sources[j].path.display().to_string())
+                            .collect();
+                        found.push(if tested_by.is_empty() {
+                            format!("{item}: no other file names it")
+                        } else {
+                            format!("{item}: only tests name it ({})", tested_by.join(", "))
+                        });
+                    }
+                }
             }
         }
     }
+    for item in allowed.iter().filter(|item| !unused.contains(**item)) {
+        found.push(format!(
+            "{item}: allow-listed, but gone or named by product code"
+        ));
+    }
+    found.sort();
     found
 }
 
@@ -300,10 +429,7 @@ fn collect(root: &Path, dir: &Path, into: &mut Vec<Source>) {
                 continue;
             }
             let text = fs::read_to_string(root.join(&path)).unwrap();
-            into.push(Source {
-                path,
-                code: strip_pub_use(&strip_comments(&text)),
-            });
+            into.push(Source::new(path, &text));
         }
     }
 }
@@ -317,68 +443,70 @@ fn every_pub_item_is_named_by_another_file() {
     }
     let declarations: usize = sources
         .iter()
-        .filter(|s| s.path.starts_with("crates"))
-        .map(|s| declared(&s.code).len())
+        .filter(|s| s.scanned())
+        .map(|s| declared(&s.product).len())
         .sum();
-    // The crates declare over a thousand `pub` items; a scan that
-    // finds few is broken.
+    // The crates declare about a thousand `pub` items; a scan that finds
+    // few is broken.
     assert!(declarations > 500, "only {declarations} declarations found");
-    let found = orphans(&sources);
-    let allowed: BTreeSet<String> = ALLOWED.iter().map(|(item, _)| item.to_string()).collect();
-    let unlisted: Vec<&String> = found.difference(&allowed).collect();
-    let stale: Vec<&String> = allowed.difference(&found).collect();
-    assert!(
-        unlisted.is_empty() && stale.is_empty(),
-        "pub items no other file names (narrow, delete or allow-list them):\n{}\n\
-         allow-list entries that are gone or now named elsewhere:\n{}",
-        unlisted
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>()
-            .join("\n"),
-        stale
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>()
-            .join("\n"),
-    );
     assert!(
         ALLOWED.iter().all(|(_, reason)| !reason.trim().is_empty()),
         "every allow-list entry needs a reason"
+    );
+    let allowed: Vec<&str> = ALLOWED.iter().map(|(item, _)| *item).collect();
+    let found = problems(&sources, &allowed);
+    assert!(
+        found.is_empty(),
+        "pub items no product code names: narrow or delete each, or declare it \
+         (`Reference for` / `Test hook for` in its doc) or allow-list it; and \
+         declarations or entries that no longer hold:\n{}",
+        found.join("\n")
     );
 }
 
 #[test]
 fn the_scan_flags_only_items_no_other_file_names() {
-    let source = |path: &str, text: &str| Source {
-        path: PathBuf::from(path),
-        code: strip_pub_use(&strip_comments(text)),
-    };
     let sources = [
-        source(
-            "crates/a/src/lib.rs",
+        Source::new(
+            "crates/a/src/lib.rs".into(),
             "pub use x::{InPubUse,\n    Named as Renamed};\n\
              // Commented in a line comment, /* not a block */\n\
              /* Commented /* nested */ own_tests */\n\
-             fn f() { let _ = (\"http://x\", '\"', Named); }\n",
+             fn f() { let _ = (\"http://x\", '\"', Named, Stale, NowNamed); }\n",
         ),
-        source(
-            "crates/a/src/x.rs",
+        Source::new(
+            "crates/a/src/x.rs".into(),
             "pub struct InPubUse;\npub struct Commented;\npub const Named: u8 = 0;\n\
-             pub fn own_tests() {}\n#[cfg(test)]\nfn helper() {}\n\
-             pub(crate) fn narrowed() {}\npub fn after_helper() {}\n\
-             #[cfg(test)]\nmod tests {\n    pub fn in_tests() {}\n\
+             pub fn own_tests() {}\npub(crate) fn narrowed() {}\n\
+             /// Reference for `tests/t.rs` and `crates/a/src/x.rs`.\n\
+             #[inline]\npub fn model() {}\n\
+             /// Test hook for `tests/t.rs`, `tests/gone.rs`: a fault.\n\
+             pub fn hook() {}\n\
+             /// Test hook for `tests/t.rs`.\npub fn Stale() {}\n\
+             pub struct NowNamed;\npub struct Listed;\n\
+             #[cfg(test)]\nfn helper() { model(); }\npub fn after_helper() {}\n\
+             mod tests {\n    pub fn in_tests() {}\n\
              fn t() { super::own_tests(); }\n}\n",
         ),
-        source("tests/t.rs", "fn g() { after_helper_twin(); }\n"),
+        Source::new(
+            "crates/core/src/module/testutil.rs".into(),
+            "pub fn util() { Commented; }\n",
+        ),
+        Source::new(
+            "tests/t.rs".into(),
+            "fn g() { model(); hook(); Stale(); after_helper_twin(); }\n",
+        ),
     ];
     assert_eq!(
-        orphans(&sources).into_iter().collect::<Vec<_>>(),
+        problems(&sources, &["a::x::Listed", "a::x::NowNamed", "a::x::Gone"]),
         [
-            "a::x::Commented",
-            "a::x::InPubUse",
-            "a::x::after_helper",
-            "a::x::own_tests"
+            "a::x::Commented: only tests name it (crates/core/src/module/testutil.rs)",
+            "a::x::Gone: allow-listed, but gone or named by product code",
+            "a::x::InPubUse: no other file names it",
+            "a::x::NowNamed: allow-listed, but gone or named by product code",
+            "a::x::Stale: \"Test hook for\", but product code names it",
+            "a::x::hook: \"Test hook for\" `tests/gone.rs`, whose tests do not name it",
+            "a::x::own_tests: only tests name it (crates/a/src/x.rs)",
         ]
     );
 }
