@@ -75,6 +75,14 @@ fn chaos_fleet(
     FleetManager::with_client(ports, client)
 }
 
+/// Every exchange through every impaired port met exactly one fate.
+fn assert_conserved(fleet: &FleetManager<ImpairedPort<FlexSfp>>) {
+    for i in 0..fleet.len() {
+        let stats = fleet.with_module(i, |p| p.stats());
+        assert!(stats.conserved(), "module {i}: {stats:?}");
+    }
+}
+
 /// Check the §5.3 invariant for one module after a chaos deploy.
 /// Returns true when the module converged to the new image.
 fn assert_converged_or_golden(m: &FlexSfp, image: &[u8]) -> bool {
@@ -108,6 +116,7 @@ fn every_seed_converges_or_rolls_back_cleanly() {
     for seed in 1..=8u64 {
         let fleet = chaos_fleet(6, |i| FaultPlan::lossy(seed * 100 + i as u64));
         let report = fleet.deploy_all(UPDATE_SLOT, &image, 3);
+        assert_conserved(&fleet);
         // Every module accounted for exactly once.
         assert_eq!(
             report.updated.len()
@@ -141,6 +150,7 @@ fn chaos_outcome_is_deterministic_per_seed() {
     let run = || {
         let fleet = chaos_fleet(4, |i| FaultPlan::lossy(4242 + i as u64));
         let report = fleet.deploy_all(UPDATE_SLOT, &image, 1);
+        assert_conserved(&fleet);
         let stats: Vec<_> = (0..4)
             .map(|i| fleet.with_module(i, |p| p.stats()))
             .collect();
@@ -163,6 +173,7 @@ fn duplicate_heavy_channel_exercises_idempotent_acks() {
     let image = update_image();
     let fleet = chaos_fleet(3, |i| FaultPlan::ideal(77 + i as u64).with_duplicate(0.9));
     let report = fleet.deploy_all(UPDATE_SLOT, &image, 1);
+    assert_conserved(&fleet);
     assert_eq!(report.updated.len(), 3, "{report:?}");
     let mut dup_acks = 0;
     for i in 0..3 {
@@ -190,6 +201,7 @@ fn flapping_channel_never_wedges_and_counters_export() {
         ..FaultPlan::lossy(9000 + i as u64)
     });
     let report = fleet.deploy_all(UPDATE_SLOT, &image, 2);
+    assert_conserved(&fleet);
     assert_eq!(
         report.updated.len() + report.rolled_back.len() + report.failed.len(),
         4
@@ -254,6 +266,7 @@ fn brutal_channel_degrades_to_golden_instead_of_wedging() {
     );
     let fleet = FleetManager::with_client(ports, client);
     let report = fleet.deploy_all(UPDATE_SLOT, &image, 2);
+    assert_conserved(&fleet);
     assert!(
         !report.rolled_back.is_empty() || !report.failed.is_empty(),
         "brutal plan unexpectedly let every deploy through: {report:?}"
@@ -274,6 +287,7 @@ fn ideal_channel_control_arm_is_lossless() {
     let image = update_image();
     let fleet = chaos_fleet(3, |i| FaultPlan::ideal(i as u64));
     let report = fleet.deploy_all(UPDATE_SLOT, &image, 3);
+    assert_conserved(&fleet);
     assert_eq!(report.updated.len(), 3);
     let t = fleet.client().transport_stats();
     assert_eq!(t.retries, 0);

@@ -129,6 +129,21 @@ pub struct ImpairStats {
     /// Exchanges lost to an in-progress flap (including the one that
     /// started it).
     pub flap_losses: u64,
+    /// Requests the module answered with nothing (one that a flipped
+    /// bit made fail authentication, say).
+    pub unanswered: u64,
+}
+
+impl ImpairStats {
+    /// Every attempted exchange met exactly one fate.
+    pub fn conserved(&self) -> bool {
+        self.attempts
+            == self.delivered
+                + self.request_drops
+                + self.response_drops
+                + self.flap_losses
+                + self.unanswered
+    }
 }
 
 /// A [`ModulePort`] wrapper that applies a [`FaultPlan`] to every
@@ -228,7 +243,10 @@ impl<P: ModulePort> ModulePort for ImpairedPort<P> {
             self.stats.duplicates += 1;
             response = self.inner.request(&request);
         }
-        let mut response = response?;
+        let Some(mut response) = response else {
+            self.stats.unanswered += 1;
+            return None;
+        };
         if self.plan.drop_p > 0.0 && self.rng.chance(self.plan.drop_p) {
             self.stats.response_drops += 1;
             return None;
@@ -405,7 +423,10 @@ mod tests {
             // e.g. inside a string value) or the call fails cleanly.
             let _ = c.info(&mut port);
         }
-        assert!(port.stats().corruptions >= 32);
+        let s = port.stats();
+        assert!(s.corruptions >= 32);
+        // A corrupted request fails authentication: no response.
+        assert!(s.unanswered > 0 && s.conserved(), "{s:?}");
     }
 
     #[test]

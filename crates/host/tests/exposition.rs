@@ -117,6 +117,7 @@ fn full_fleet() -> FleetCollector {
             corruptions: 1,
             flaps: 1,
             flap_losses: 2,
+            unanswered: 1,
         },
     );
     c.set_channel_stats("FSFP-0002", ImpairStats::default());
