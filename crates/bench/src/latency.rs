@@ -107,12 +107,12 @@ pub fn run(n: usize) -> Report {
     .into_iter()
     .map(|mut path| {
         let name = path.name;
-        let stats = path.run(&arrivals);
+        let latency = path.run(&arrivals);
         PlacementLatency {
             placement: name.into(),
-            mean_ns: stats.mean_ns(),
-            p99_ns: stats.quantile_ns(0.99),
-            max_ns: stats.max_ns(),
+            mean_ns: latency.mean(),
+            p99_ns: latency.value_at_quantile(0.99) as f64,
+            max_ns: latency.max() as f64,
         }
     })
     .collect();

@@ -21,46 +21,6 @@ pub(crate) struct PathOutput {
     pub latency_ns: f64,
 }
 
-/// Latency aggregate with percentile support, backed by the shared
-/// log-linear histogram (bounded memory even over million-packet runs;
-/// quantiles within 1 %, mean/max exact).
-#[derive(Debug, Clone, Default)]
-pub struct PathStats {
-    hist: LatencyHistogram,
-}
-
-impl PathStats {
-    /// Record one latency.
-    pub fn record(&mut self, l: f64) {
-        self.hist.record_f64(l);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> usize {
-        self.hist.count() as usize
-    }
-
-    /// Mean latency, ns (exact).
-    pub fn mean_ns(&self) -> f64 {
-        self.hist.mean()
-    }
-
-    /// The `q`-quantile (0..=1), ns (≤1 % relative error).
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        self.hist.value_at_quantile(q) as f64
-    }
-
-    /// Maximum latency, ns (exact).
-    pub fn max_ns(&self) -> f64 {
-        self.hist.max() as f64
-    }
-
-    /// The underlying histogram, for merging or full-distribution dumps.
-    pub fn histogram(&self) -> &LatencyHistogram {
-        &self.hist
-    }
-}
-
 /// A generic processing placement: fixed path latency + a single server
 /// with a per-packet service time + seeded jitter.
 #[derive(Debug)]
@@ -137,13 +97,14 @@ impl ProcessingPath {
         }
     }
 
-    /// Run a whole arrival sequence, returning the stats.
-    pub fn run(&mut self, arrivals_ns: &[u64]) -> PathStats {
-        let mut stats = PathStats::default();
+    /// Run a whole arrival sequence, returning its latency population
+    /// (quantiles within 1 %, mean and max exact).
+    pub fn run(&mut self, arrivals_ns: &[u64]) -> LatencyHistogram {
+        let mut latency = LatencyHistogram::default();
         for &a in arrivals_ns {
-            stats.record(self.process(a).latency_ns);
+            latency.record_f64(self.process(a).latency_ns);
         }
-        stats
+        latency
     }
 }
 
@@ -162,9 +123,9 @@ mod tests {
         let flex = ProcessingPath::flexsfp(1).run(&a);
         let nic = ProcessingPath::smartnic(1).run(&a);
         let host = ProcessingPath::host_cpu(1).run(&a);
-        assert!(flex.mean_ns() < 500.0, "{}", flex.mean_ns());
-        assert!(nic.mean_ns() > 10.0 * flex.mean_ns());
-        assert!(host.mean_ns() > 5.0 * nic.mean_ns());
+        assert!(flex.mean() < 500.0, "{}", flex.mean());
+        assert!(nic.mean() > 10.0 * flex.mean());
+        assert!(host.mean() > 5.0 * nic.mean());
     }
 
     #[test]
@@ -172,10 +133,10 @@ mod tests {
         let a = arrivals(10_000, 2_000);
         let host = ProcessingPath::host_cpu(7).run(&a);
         // p99 well above the mean: scheduling jitter dominates.
-        assert!(host.quantile_ns(0.99) > 2.0 * host.mean_ns());
+        assert!(host.value_at_quantile(0.99) as f64 > 2.0 * host.mean());
         // FlexSFP's tail is its mean: deterministic pipeline.
         let flex = ProcessingPath::flexsfp(7).run(&a);
-        assert!((flex.quantile_ns(0.99) - flex.mean_ns()).abs() < 60.0);
+        assert!((flex.value_at_quantile(0.99) as f64 - flex.mean()).abs() < 60.0);
     }
 
     #[test]
@@ -191,7 +152,7 @@ mod tests {
         }
         assert!(last > 20.0 * first, "no queue growth: {last} vs {first}");
         let flex = ProcessingPath::flexsfp(3).run(&a);
-        assert!(flex.max_ns() < 1_000.0);
+        assert!(flex.max() < 1_000);
     }
 
     #[test]
@@ -199,19 +160,6 @@ mod tests {
         let a = arrivals(1_000, 1_000);
         let s1 = ProcessingPath::host_cpu(42).run(&a);
         let s2 = ProcessingPath::host_cpu(42).run(&a);
-        assert_eq!(s1.mean_ns(), s2.mean_ns());
-        assert_eq!(s1.max_ns(), s2.max_ns());
-    }
-
-    #[test]
-    fn quantile_edges() {
-        let mut s = PathStats::default();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.record(v);
-        }
-        assert_eq!(s.quantile_ns(0.0), 1.0);
-        assert_eq!(s.quantile_ns(1.0), 4.0);
-        assert_eq!(s.count(), 4);
-        assert_eq!(PathStats::default().quantile_ns(0.5), 0.0);
+        assert_eq!(s1, s2);
     }
 }

@@ -64,10 +64,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "fabric::xbar::XbarTotals",
         "what `CrosspointMatrix::totals` returns",
     ),
-    (
-        "host::baselines::PathStats",
-        "what `ProcessingPath::run` returns",
-    ),
     ("host::crossbar::SwitchStats", "`CrossbarStats::sw`"),
     (
         "host::fleet::DeployReport",
