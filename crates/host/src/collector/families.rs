@@ -468,6 +468,7 @@ static FAMILIES: &[Family] = &[
                 ("duplicate", s.duplicates),
                 ("corruption", s.corruptions),
                 ("flap", s.flaps),
+                ("unanswered", s.unanswered),
             ];
             out.by("kind", &counts);
         }),
