@@ -54,10 +54,6 @@ pub struct Ipv4Summary {
     pub dst: u32,
     /// Protocol.
     pub protocol: IpProtocol,
-    /// TTL.
-    pub ttl: u8,
-    /// DSCP.
-    pub dscp: u8,
     /// True if the packet is a fragment.
     pub is_fragment: bool,
     /// True if IP options are present.
@@ -100,8 +96,6 @@ pub struct ParsedPacket {
     pub l4: L4,
     /// Byte offset where the L4 header starts, when known.
     pub l4_offset: Option<usize>,
-    /// Total frame length.
-    pub frame_len: usize,
 }
 
 impl ParsedPacket {
@@ -143,7 +137,6 @@ impl Parser {
             ipv6: None,
             l4: L4::Other,
             l4_offset: None,
-            frame_len: frame.len(),
         };
 
         let mut offset = ethernet::HEADER_LEN;
@@ -174,8 +167,6 @@ impl Parser {
             src: ip.src(),
             dst: ip.dst(),
             protocol: ip.protocol(),
-            ttl: ip.ttl(),
-            dscp: ip.dscp(),
             is_fragment: ip.is_fragment(),
             has_options: ip.has_options(),
             offset,

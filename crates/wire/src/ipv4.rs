@@ -52,11 +52,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         usize::from(self.buffer.as_ref()[0] & 0x0f) * 4
     }
 
-    /// Differentiated services code point.
-    pub fn dscp(&self) -> u8 {
-        self.buffer.as_ref()[1] >> 2
-    }
-
     /// Total length field (header + payload).
     pub fn total_len(&self) -> u16 {
         be16(self.buffer.as_ref(), 2)
@@ -356,12 +351,5 @@ mod tests {
         assert!(p.more_frags());
         assert_eq!(p.frag_offset(), 185);
         assert!(p.is_fragment());
-    }
-
-    #[test]
-    fn dscp_field() {
-        let mut buf = sample_packet();
-        buf[1] = 46 << 2 | 0b01; // EF, ECN ECT(1)
-        assert_eq!(Ipv4Packet::new_unchecked(&buf).dscp(), 46);
     }
 }
