@@ -321,16 +321,19 @@ struct Source {
     test: String,
 }
 
+/// Whether `path` is under `crates/*/<dir>/`.
+fn in_crate(path: &Path, dir: &str) -> bool {
+    path.starts_with("crates") && path.iter().nth(2).is_some_and(|p| p == dir)
+}
+
 impl Source {
     fn new(path: PathBuf, text: &str) -> Self {
-        let in_crate =
-            |dir: &str| path.starts_with("crates") && path.iter().nth(2).is_some_and(|p| p == dir);
         let split = if path.starts_with("tests")
-            || in_crate("tests")
+            || in_crate(&path, "tests")
             || TEST_ONLY.iter().any(|t| path == Path::new(t))
         {
             0
-        } else if in_crate("src") {
+        } else if in_crate(&path, "src") {
             text.match_indices("#[cfg(test)]")
                 .map(|(at, _)| at)
                 .find(|&at| at == 0 || text.as_bytes()[at - 1] == b'\n')
@@ -346,11 +349,6 @@ impl Source {
             path,
         }
     }
-
-    /// Whether this is a `crates/*/src` file whose declarations count.
-    fn scanned(&self) -> bool {
-        self.path.starts_with("crates") && self.path.iter().nth(2).is_some_and(|p| p == "src")
-    }
 }
 
 /// What fails: each undeclared `pub` item that no other file's product
@@ -362,7 +360,7 @@ fn problems(sources: &[Source], allowed: &[&str]) -> Vec<String> {
     let mut unused = BTreeSet::new();
     let mut found = Vec::new();
     for (i, source) in sources.iter().enumerate() {
-        if !source.scanned() || TEST_ONLY.iter().any(|t| source.path == Path::new(t)) {
+        if !in_crate(&source.path, "src") {
             continue;
         }
         for (line, name) in declared(&source.product) {
@@ -439,7 +437,7 @@ fn every_pub_item_is_named_by_another_file() {
     }
     let declarations: usize = sources
         .iter()
-        .filter(|s| s.scanned())
+        .filter(|s| in_crate(&s.path, "src"))
         .map(|s| declared(&s.product).len())
         .sum();
     // The crates declare about a thousand `pub` items; a scan that finds
