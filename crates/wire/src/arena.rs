@@ -167,6 +167,9 @@ mod tests {
         arena.recycle(full);
         arena.recycle(small);
         assert_eq!(arena.pooled(), 2);
+        // Every buffer the arena made is back: one more is refused.
+        arena.recycle(Vec::with_capacity(DEFAULT_FRAME_CAPACITY));
+        assert_eq!(arena.pooled(), 2);
         // Each class hands back its own buffer.
         assert_eq!(
             arena.lease_for(SMALL_FRAME_MAX + 1).capacity(),
