@@ -259,6 +259,11 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::MacAddr;
 
+    const INGRESS: ProcessContext = ProcessContext {
+        timestamp_ns: 0,
+        direction: Direction::OpticalToEdge,
+    };
+
     const INSIDE: u32 = 0xc0a80101;
     const OUTSIDE: u32 = 0x2d2d2d2d;
 
@@ -374,16 +379,7 @@ mod tests {
             ..AclRule::any(1, AclAction::Punt)
         });
         let mut ssh = tcp(OUTSIDE, INSIDE, 22);
-        assert_eq!(
-            fw.process(
-                &ProcessContext {
-                    timestamp_ns: 0,
-                    direction: Direction::OpticalToEdge
-                },
-                &mut ssh
-            ),
-            Verdict::ToControlPlane
-        );
+        assert_eq!(fw.process(&INGRESS, &mut ssh), Verdict::ToControlPlane);
         assert_eq!(fw.counter(counters::PUNTED).packets, 1);
     }
 
@@ -417,16 +413,7 @@ mod tests {
         );
         // Ingress screened.
         let mut inbound = tcp(OUTSIDE, INSIDE, 80);
-        assert_eq!(
-            fw.process(
-                &ProcessContext {
-                    timestamp_ns: 0,
-                    direction: Direction::OpticalToEdge
-                },
-                &mut inbound
-            ),
-            Verdict::Drop
-        );
+        assert_eq!(fw.process(&INGRESS, &mut inbound), Verdict::Drop);
     }
 
     #[test]

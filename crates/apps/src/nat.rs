@@ -285,6 +285,11 @@ mod tests {
     use flexsfp_wire::udp::UdpDatagram;
     use flexsfp_wire::{MacAddr, TcpSegment};
 
+    const INGRESS: ProcessContext = ProcessContext {
+        timestamp_ns: 0,
+        direction: Direction::OpticalToEdge,
+    };
+
     const PRIVATE: u32 = 0xc0a80042; // 192.168.0.66
     const PUBLIC: u32 = 0x650a0001; // 101.10.0.1
     const DST: u32 = 0x08080808;
@@ -359,16 +364,7 @@ mod tests {
         let mut n = nat_with_mapping();
         let mut pkt = udp_frame(PRIVATE);
         let before = pkt.clone();
-        assert_eq!(
-            n.process(
-                &ProcessContext {
-                    timestamp_ns: 0,
-                    direction: Direction::OpticalToEdge
-                },
-                &mut pkt
-            ),
-            Verdict::Forward
-        );
+        assert_eq!(n.process(&INGRESS, &mut pkt), Verdict::Forward);
         assert_eq!(pkt, before);
     }
 
@@ -611,13 +607,7 @@ mod tests {
         let mut n = nat_with_mapping();
         n.set_flow_cache(true);
         let mut pkt = udp_frame(PRIVATE);
-        n.process(
-            &ProcessContext {
-                timestamp_ns: 0,
-                direction: Direction::OpticalToEdge,
-            },
-            &mut pkt,
-        );
+        n.process(&INGRESS, &mut pkt);
         assert_eq!(n.cache_stats().unwrap().lookups(), 0);
     }
 
@@ -686,13 +676,7 @@ mod tests {
                 (egress, udp_frame(PRIVATE)),
                 (egress, udp_frame(unmapped)),
                 (egress, arp.clone()),
-                (
-                    ProcessContext {
-                        timestamp_ns: 0,
-                        direction: Direction::OpticalToEdge,
-                    },
-                    udp_frame(PRIVATE),
-                ),
+                (INGRESS, udp_frame(PRIVATE)),
                 (egress, udp_frame(PRIVATE)),
                 (egress, tcp(PRIVATE)),
                 (egress, vec![0u8; 9]),
@@ -708,14 +692,7 @@ mod tests {
                 .map(|i| match i % 5 {
                     0 => (egress, udp_frame(PRIVATE + i % 3)),
                     1 => (egress, tcp(PRIVATE + i % 2)),
-                    2 => (
-                        ProcessContext {
-                            timestamp_ns: 0,
-                            direction: Direction::OpticalToEdge,
-                        }
-                        .at(u64::from(i)),
-                        tcp(PRIVATE),
-                    ),
+                    2 => (INGRESS.at(u64::from(i)), tcp(PRIVATE)),
                     3 => (egress.at(u64::from(i)), arp.clone()),
                     _ => (egress, udp_frame(unmapped + i % 4)),
                 })

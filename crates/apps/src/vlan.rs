@@ -168,6 +168,21 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::MacAddr;
 
+    /// `frame` with an 802.1Q tag pushed.
+    fn with_tag(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
+        let tci = flexsfp_wire::vlan::Tci {
+            pcp,
+            dei: false,
+            vid,
+        };
+        flexsfp_wire::vlan::push_tag(frame, flexsfp_wire::EtherType::Vlan, tci).unwrap()
+    }
+
+    const INGRESS: ProcessContext = ProcessContext {
+        timestamp_ns: 0,
+        direction: Direction::OpticalToEdge,
+    };
+
     fn frame() -> Vec<u8> {
         PacketBuilder::eth_ipv4_udp(
             MacAddr([1; 6]),
@@ -195,16 +210,7 @@ mod tests {
         assert_eq!(t.counter(counters::TAGGED).packets, 1);
 
         // Now the frame comes back from the network.
-        assert_eq!(
-            t.process(
-                &ProcessContext {
-                    timestamp_ns: 0,
-                    direction: Direction::OpticalToEdge
-                },
-                &mut pkt
-            ),
-            Verdict::Forward
-        );
+        assert_eq!(t.process(&INGRESS, &mut pkt), Verdict::Forward);
         assert_eq!(pkt, orig);
         assert_eq!(t.counter(counters::UNTAGGED).packets, 1);
     }
@@ -218,29 +224,14 @@ mod tests {
         let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![500, 10]);
         // Full strip on the way back.
-        t.process(
-            &ProcessContext {
-                timestamp_ns: 0,
-                direction: Direction::OpticalToEdge,
-            },
-            &mut pkt,
-        );
+        t.process(&INGRESS, &mut pkt);
         assert_eq!(pkt, orig);
     }
 
     #[test]
     fn tagged_ingress_from_host_is_spoofing() {
         let mut t = VlanTagger::new(100);
-        let mut pkt = flexsfp_wire::vlan::push_tag(
-            &frame(),
-            flexsfp_wire::EtherType::Vlan,
-            flexsfp_wire::vlan::Tci {
-                pcp: 0,
-                dei: false,
-                vid: 999,
-            },
-        )
-        .unwrap();
+        let mut pkt = with_tag(&frame(), 999, 0);
         assert_eq!(
             t.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
@@ -252,16 +243,7 @@ mod tests {
     fn tolerant_mode_passes_pretagged() {
         let mut t = VlanTagger::new(100);
         t.drop_tagged_ingress = false;
-        let mut pkt = flexsfp_wire::vlan::push_tag(
-            &frame(),
-            flexsfp_wire::EtherType::Vlan,
-            flexsfp_wire::vlan::Tci {
-                pcp: 0,
-                dei: false,
-                vid: 999,
-            },
-        )
-        .unwrap();
+        let mut pkt = with_tag(&frame(), 999, 0);
         let before = pkt.clone();
         assert_eq!(
             t.process(&ProcessContext::egress(), &mut pkt),
@@ -275,16 +257,7 @@ mod tests {
         let mut t = VlanTagger::new(100);
         let mut pkt = frame();
         let before = pkt.clone();
-        assert_eq!(
-            t.process(
-                &ProcessContext {
-                    timestamp_ns: 0,
-                    direction: Direction::OpticalToEdge
-                },
-                &mut pkt
-            ),
-            Verdict::Forward
-        );
+        assert_eq!(t.process(&INGRESS, &mut pkt), Verdict::Forward);
         assert_eq!(pkt, before);
         assert_eq!(t.counter(counters::UNTAGGED).packets, 0);
     }

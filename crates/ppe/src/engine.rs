@@ -346,15 +346,13 @@ mod tests {
         let c = ProcessContext::egress().at(1234);
         assert_eq!(c.timestamp_ns, 1234);
         assert_eq!(c.direction, Direction::EdgeToOptical);
-        assert_eq!(
-            ProcessContext {
-                timestamp_ns: 0,
-                direction: Direction::OpticalToEdge
-            }
-            .direction,
-            Direction::OpticalToEdge
-        );
+        assert_eq!(INGRESS.direction, Direction::OpticalToEdge);
     }
+
+    const INGRESS: ProcessContext = ProcessContext {
+        timestamp_ns: 0,
+        direction: Direction::OpticalToEdge,
+    };
 
     #[test]
     fn passthrough_forwards_unchanged() {
@@ -377,14 +375,7 @@ mod tests {
         let mut p = DropAll;
         let mut batch = vec![
             BatchPacket::new(ProcessContext::egress(), vec![0; 64]),
-            BatchPacket::new(
-                ProcessContext {
-                    timestamp_ns: 0,
-                    direction: Direction::OpticalToEdge,
-                }
-                .at(5),
-                vec![0; 64],
-            ),
+            BatchPacket::new(INGRESS.at(5), vec![0; 64]),
         ];
         assert_eq!(batch[0].verdict, Verdict::Forward);
         p.process_batch(&mut batch);
@@ -398,15 +389,6 @@ mod tests {
     fn drop_all_drops() {
         let mut p = DropAll;
         let mut pkt = vec![0; 64];
-        assert_eq!(
-            p.process(
-                &ProcessContext {
-                    timestamp_ns: 0,
-                    direction: Direction::OpticalToEdge
-                },
-                &mut pkt
-            ),
-            Verdict::Drop
-        );
+        assert_eq!(p.process(&INGRESS, &mut pkt), Verdict::Drop);
     }
 }

@@ -235,6 +235,16 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::tcp::TcpFlags;
 
+    /// `frame` with an 802.1Q tag pushed.
+    fn with_tag(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
+        let tci = flexsfp_wire::vlan::Tci {
+            pcp,
+            dei: false,
+            vid,
+        };
+        flexsfp_wire::vlan::push_tag(frame, flexsfp_wire::EtherType::Vlan, tci).unwrap()
+    }
+
     const SRC: u32 = 0xc0a80a01;
     const DST: u32 = 0x08080808;
 
@@ -307,16 +317,7 @@ mod tests {
 
     #[test]
     fn parses_single_vlan() {
-        let f = flexsfp_wire::vlan::push_tag(
-            &udp_frame(),
-            flexsfp_wire::EtherType::Vlan,
-            flexsfp_wire::vlan::Tci {
-                pcp: 3,
-                dei: false,
-                vid: 100,
-            },
-        )
-        .unwrap();
+        let f = with_tag(&udp_frame(), 100, 3);
         let p = Parser.parse(&f).unwrap();
         assert_eq!(p.vlans, vec![100]);
         assert_eq!(p.ethertype, EtherType::Ipv4);
@@ -326,16 +327,7 @@ mod tests {
 
     #[test]
     fn parses_qinq() {
-        let inner = flexsfp_wire::vlan::push_tag(
-            &udp_frame(),
-            flexsfp_wire::EtherType::Vlan,
-            flexsfp_wire::vlan::Tci {
-                pcp: 0,
-                dei: false,
-                vid: 10,
-            },
-        )
-        .unwrap();
+        let inner = with_tag(&udp_frame(), 10, 0);
         let f = flexsfp_wire::vlan::push_tag(
             &inner,
             EtherType::QinQ,

@@ -263,11 +263,10 @@ fn declared(code: &str) -> Vec<(usize, &str)> {
     names
 }
 
-/// The doc comment above line `at` of `text`, its lines joined by spaces;
+/// The doc comment above line `at`, its lines joined by spaces;
 /// attributes between it and the declaration are skipped.
-fn doc_above(text: &str, at: usize) -> String {
-    let lines: Vec<&str> = text.lines().take(at).collect();
-    let mut doc: Vec<&str> = lines
+fn doc_above(lines: &[&str], at: usize) -> String {
+    let mut doc: Vec<&str> = lines[..at]
         .iter()
         .rev()
         .map(|l| l.trim())
@@ -363,10 +362,11 @@ fn problems(sources: &[Source], allowed: &[&str]) -> Vec<String> {
         if !in_crate(&source.path, "src") {
             continue;
         }
+        let lines: Vec<&str> = source.text.lines().collect();
         for (line, name) in declared(&source.product) {
             let item = format!("{}::{name}", module_path(&source.path));
             let used = (0..sources.len()).any(|j| j != i && product[j].contains(name));
-            let doc = doc_above(&source.text, line);
+            let doc = doc_above(&lines, line);
             match (used, declaration(&doc)) {
                 (true, Some((marker, _))) => {
                     found.push(format!("{item}: \"{marker}\", but product code names it"))
