@@ -234,9 +234,7 @@ mod tests {
     #[test]
     fn doh_resolver_blocked_on_443() {
         let mut f = filter();
-        let mut tls = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut tls,
+        let mut tls = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             CLIENT,
@@ -244,10 +242,7 @@ mod tests {
             50_000,
             443,
             0,
-            flexsfp_wire::tcp::TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            flexsfp_wire::tcp::TcpFlags::syn_only(),
             &[],
         );
         assert_eq!(
@@ -256,9 +251,7 @@ mod tests {
         );
         assert_eq!(f.stats.blocked_doh, 1);
         // Ordinary HTTPS to another address passes.
-        let mut ok = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut ok,
+        let mut ok = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             CLIENT,
@@ -266,10 +259,7 @@ mod tests {
             50_000,
             443,
             0,
-            flexsfp_wire::tcp::TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            flexsfp_wire::tcp::TcpFlags::syn_only(),
             &[],
         );
         assert_eq!(
@@ -295,13 +285,7 @@ mod tests {
             &resp_payload,
         );
         assert_eq!(
-            f.process(
-                &ProcessContext {
-                    timestamp_ns: 0,
-                    direction: flexsfp_ppe::Direction::OpticalToEdge
-                },
-                &mut frame
-            ),
+            f.process(&ProcessContext::ingress(), &mut frame),
             Verdict::Forward
         );
     }

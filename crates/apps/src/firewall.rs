@@ -259,11 +259,6 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::MacAddr;
 
-    const INGRESS: ProcessContext = ProcessContext {
-        timestamp_ns: 0,
-        direction: Direction::OpticalToEdge,
-    };
-
     const INSIDE: u32 = 0xc0a80101;
     const OUTSIDE: u32 = 0x2d2d2d2d;
 
@@ -280,9 +275,7 @@ mod tests {
     }
 
     fn tcp(src: u32, dst: u32, dport: u16) -> Vec<u8> {
-        let mut frame = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut frame,
+        PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             src,
@@ -290,13 +283,9 @@ mod tests {
             1234,
             dport,
             0,
-            flexsfp_wire::tcp::TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            flexsfp_wire::tcp::TcpFlags::syn_only(),
             &[],
-        );
-        frame
+        )
     }
 
     #[test]
@@ -379,7 +368,10 @@ mod tests {
             ..AclRule::any(1, AclAction::Punt)
         });
         let mut ssh = tcp(OUTSIDE, INSIDE, 22);
-        assert_eq!(fw.process(&INGRESS, &mut ssh), Verdict::ToControlPlane);
+        assert_eq!(
+            fw.process(&ProcessContext::ingress(), &mut ssh),
+            Verdict::ToControlPlane
+        );
         assert_eq!(fw.counter(counters::PUNTED).packets, 1);
     }
 
@@ -413,7 +405,10 @@ mod tests {
         );
         // Ingress screened.
         let mut inbound = tcp(OUTSIDE, INSIDE, 80);
-        assert_eq!(fw.process(&INGRESS, &mut inbound), Verdict::Drop);
+        assert_eq!(
+            fw.process(&ProcessContext::ingress(), &mut inbound),
+            Verdict::Drop
+        );
     }
 
     #[test]

@@ -248,13 +248,7 @@ mod tests {
         let mut f = filter();
         let mut pkt = v6_frame(0xdead_beef_0000_0000);
         assert_eq!(
-            f.process(
-                &ProcessContext {
-                    timestamp_ns: 0,
-                    direction: Direction::OpticalToEdge
-                },
-                &mut pkt
-            ),
+            f.process(&ProcessContext::ingress(), &mut pkt),
             Verdict::Forward
         );
         assert_eq!(f.stats.unknown, 0);

@@ -216,9 +216,7 @@ mod tests {
     }
 
     fn vip_frame(src: u32, sport: u16) -> Vec<u8> {
-        let mut frame = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut frame,
+        PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             src,
@@ -226,13 +224,9 @@ mod tests {
             sport,
             80,
             0,
-            flexsfp_wire::tcp::TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            flexsfp_wire::tcp::TcpFlags::syn_only(),
             &[],
-        );
-        frame
+        )
     }
 
     #[test]
@@ -267,9 +261,7 @@ mod tests {
     #[test]
     fn non_vip_traffic_passes() {
         let mut lb = lb();
-        let mut pkt = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut pkt,
+        let mut pkt = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             0xc0a80001,
@@ -277,10 +269,7 @@ mod tests {
             5000,
             80,
             0,
-            flexsfp_wire::tcp::TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            flexsfp_wire::tcp::TcpFlags::syn_only(),
             &[],
         );
         let before = pkt.clone();
@@ -295,9 +284,7 @@ mod tests {
     #[test]
     fn wrong_port_passes() {
         let mut lb = lb();
-        let mut pkt = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut pkt,
+        let mut pkt = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             0xc0a80001,
@@ -305,10 +292,7 @@ mod tests {
             5000,
             8080,
             0,
-            flexsfp_wire::tcp::TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            flexsfp_wire::tcp::TcpFlags::syn_only(),
             &[],
         );
         let before = pkt.clone();

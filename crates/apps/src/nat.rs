@@ -285,11 +285,6 @@ mod tests {
     use flexsfp_wire::udp::UdpDatagram;
     use flexsfp_wire::{MacAddr, TcpSegment};
 
-    const INGRESS: ProcessContext = ProcessContext {
-        timestamp_ns: 0,
-        direction: Direction::OpticalToEdge,
-    };
-
     const PRIVATE: u32 = 0xc0a80042; // 192.168.0.66
     const PUBLIC: u32 = 0x650a0001; // 101.10.0.1
     const DST: u32 = 0x08080808;
@@ -323,9 +318,7 @@ mod tests {
     #[test]
     fn translates_tcp_with_l4_checksum() {
         let mut n = nat_with_mapping();
-        let mut pkt = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut pkt,
+        let mut pkt = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             PRIVATE,
@@ -333,10 +326,7 @@ mod tests {
             4000,
             443,
             1,
-            TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            TcpFlags::syn_only(),
             &[],
         );
         n.process(&ProcessContext::egress(), &mut pkt);
@@ -364,7 +354,10 @@ mod tests {
         let mut n = nat_with_mapping();
         let mut pkt = udp_frame(PRIVATE);
         let before = pkt.clone();
-        assert_eq!(n.process(&INGRESS, &mut pkt), Verdict::Forward);
+        assert_eq!(
+            n.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Forward
+        );
         assert_eq!(pkt, before);
     }
 
@@ -486,9 +479,7 @@ mod tests {
                     uncached.process(&ProcessContext::egress(), &mut b),
                 );
                 assert_eq!(a, b, "cache-on bytes must equal cache-off bytes");
-                let mut a = Vec::new();
-                PacketBuilder::eth_ipv4_tcp_into(
-                    &mut a,
+                let mut a = PacketBuilder::eth_ipv4_tcp(
                     MacAddr([1; 6]),
                     MacAddr([2; 6]),
                     src,
@@ -496,10 +487,7 @@ mod tests {
                     4000,
                     443,
                     7,
-                    TcpFlags {
-                        syn: true,
-                        ..Default::default()
-                    },
+                    TcpFlags::syn_only(),
                     b"hello",
                 );
                 let mut b = a.clone();
@@ -567,9 +555,7 @@ mod tests {
         n.process(&egress, &mut udp_frame(PRIVATE));
         assert_eq!(n.flight_stamp(), Some(translated(true)));
         // A new flow of the mapped source: the slow path.
-        let mut tcp = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut tcp,
+        let mut tcp = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             PRIVATE,
@@ -577,10 +563,7 @@ mod tests {
             4000,
             443,
             1,
-            TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            TcpFlags::syn_only(),
             &[],
         );
         n.process(&egress, &mut tcp);
@@ -607,7 +590,7 @@ mod tests {
         let mut n = nat_with_mapping();
         n.set_flow_cache(true);
         let mut pkt = udp_frame(PRIVATE);
-        n.process(&INGRESS, &mut pkt);
+        n.process(&ProcessContext::ingress(), &mut pkt);
         assert_eq!(n.cache_stats().unwrap().lookups(), 0);
     }
 
@@ -649,9 +632,7 @@ mod tests {
             &[0u8; 28],
         );
         let tcp = |src: u32| {
-            let mut frame = Vec::new();
-            PacketBuilder::eth_ipv4_tcp_into(
-                &mut frame,
+            PacketBuilder::eth_ipv4_tcp(
                 MacAddr([1; 6]),
                 MacAddr([2; 6]),
                 src,
@@ -659,13 +640,9 @@ mod tests {
                 4000,
                 443,
                 9,
-                TcpFlags {
-                    syn: true,
-                    ..Default::default()
-                },
+                TcpFlags::syn_only(),
                 b"x",
-            );
-            frame
+            )
         };
         let unmapped = 0x0a0b_0c0d;
         // (direction, frame) per packet, window by window.
@@ -676,7 +653,7 @@ mod tests {
                 (egress, udp_frame(PRIVATE)),
                 (egress, udp_frame(unmapped)),
                 (egress, arp.clone()),
-                (INGRESS, udp_frame(PRIVATE)),
+                (ProcessContext::ingress(), udp_frame(PRIVATE)),
                 (egress, udp_frame(PRIVATE)),
                 (egress, tcp(PRIVATE)),
                 (egress, vec![0u8; 9]),
@@ -692,7 +669,7 @@ mod tests {
                 .map(|i| match i % 5 {
                     0 => (egress, udp_frame(PRIVATE + i % 3)),
                     1 => (egress, tcp(PRIVATE + i % 2)),
-                    2 => (INGRESS.at(u64::from(i)), tcp(PRIVATE)),
+                    2 => (ProcessContext::ingress().at(u64::from(i)), tcp(PRIVATE)),
                     3 => (egress.at(u64::from(i)), arp.clone()),
                     _ => (egress, udp_frame(unmapped + i % 4)),
                 })

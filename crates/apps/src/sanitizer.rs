@@ -192,11 +192,6 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::{IpProtocol, MacAddr};
 
-    const INGRESS: ProcessContext = ProcessContext {
-        timestamp_ns: 0,
-        direction: flexsfp_ppe::Direction::OpticalToEdge,
-    };
-
     fn clean_frame(src: u32) -> Vec<u8> {
         PacketBuilder::eth_ipv4_udp(
             MacAddr([1; 6]),
@@ -213,7 +208,10 @@ mod tests {
     fn clean_traffic_passes() {
         let mut s = Sanitizer::default();
         let mut pkt = clean_frame(0x2d2d2d2d);
-        assert_eq!(s.process(&INGRESS, &mut pkt), Verdict::Forward);
+        assert_eq!(
+            s.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Forward
+        );
         assert_eq!(s.stats.passed, 1);
         assert_eq!(s.stats.dropped(), 0);
     }
@@ -223,7 +221,10 @@ mod tests {
         let mut s = Sanitizer::default();
         let mut pkt = clean_frame(0x2d2d2d2d);
         pkt[14 + 10] ^= 0xff; // flip checksum bits
-        assert_eq!(s.process(&INGRESS, &mut pkt), Verdict::Drop);
+        assert_eq!(
+            s.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Drop
+        );
         assert_eq!(s.stats.bad_ip_header, 1);
     }
 
@@ -237,7 +238,10 @@ mod tests {
             EtherType::Ipv4,
             &[0x45, 0, 0, 99, 0, 0],
         );
-        assert_eq!(s.process(&INGRESS, &mut pkt), Verdict::Drop);
+        assert_eq!(
+            s.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Drop
+        );
         assert_eq!(s.stats.bad_ip_header, 1);
     }
 
@@ -261,7 +265,10 @@ mod tests {
         ip[24..].copy_from_slice(payload);
         let mut pkt =
             PacketBuilder::ethernet(MacAddr([1; 6]), MacAddr([2; 6]), EtherType::Ipv4, &ip);
-        assert_eq!(s.process(&INGRESS, &mut pkt), Verdict::Drop);
+        assert_eq!(
+            s.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Drop
+        );
         assert_eq!(s.stats.ip_options, 1);
         // With the policy off, it passes.
         let mut lax = Sanitizer::new(SanitizerPolicy {
@@ -270,7 +277,10 @@ mod tests {
         });
         let mut pkt2 =
             PacketBuilder::ethernet(MacAddr([1; 6]), MacAddr([2; 6]), EtherType::Ipv4, &ip);
-        assert_eq!(lax.process(&INGRESS, &mut pkt2), Verdict::Forward);
+        assert_eq!(
+            lax.process(&ProcessContext::ingress(), &mut pkt2),
+            Verdict::Forward
+        );
     }
 
     #[test]
@@ -282,7 +292,10 @@ mod tests {
             ip.set_fragment(false, true, 1);
             ip.fill_checksum();
         }
-        assert_eq!(s.process(&INGRESS, &mut pkt), Verdict::Drop);
+        assert_eq!(
+            s.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Drop
+        );
         assert_eq!(s.stats.tiny_fragment, 1);
     }
 
@@ -291,7 +304,11 @@ mod tests {
         let mut s = Sanitizer::default();
         for src in [0x0a010101u32, 0xac100101, 0xc0a80101] {
             let mut pkt = clean_frame(src);
-            assert_eq!(s.process(&INGRESS, &mut pkt), Verdict::Drop, "{src:08x}");
+            assert_eq!(
+                s.process(&ProcessContext::ingress(), &mut pkt),
+                Verdict::Drop,
+                "{src:08x}"
+            );
         }
         assert_eq!(s.stats.spoofed_private, 3);
         // The same sources are fine from the edge (that's where they
@@ -312,7 +329,10 @@ mod tests {
             ip.set_ttl(0);
             ip.fill_checksum();
         }
-        assert_eq!(s.process(&INGRESS, &mut pkt), Verdict::Drop);
+        assert_eq!(
+            s.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Drop
+        );
         assert_eq!(s.stats.zero_ttl, 1);
     }
 
@@ -320,7 +340,10 @@ mod tests {
     fn runt_frames_dropped() {
         let mut s = Sanitizer::default();
         let mut runt = vec![0u8; 8];
-        assert_eq!(s.process(&INGRESS, &mut runt), Verdict::Drop);
+        assert_eq!(
+            s.process(&ProcessContext::ingress(), &mut runt),
+            Verdict::Drop
+        );
         assert_eq!(s.stats.runt, 1);
     }
 
@@ -333,14 +356,17 @@ mod tests {
             EtherType::Arp,
             &[0u8; 28],
         );
-        assert_eq!(s.process(&INGRESS, &mut arp), Verdict::Forward);
+        assert_eq!(
+            s.process(&ProcessContext::ingress(), &mut arp),
+            Verdict::Forward
+        );
     }
 
     #[test]
     fn counters_via_control_plane() {
         let mut s = Sanitizer::default();
         let mut pkt = clean_frame(0x0a000001);
-        s.process(&INGRESS, &mut pkt);
+        s.process(&ProcessContext::ingress(), &mut pkt);
         assert_eq!(
             s.control_op(&TableOp::ReadCounter { index: 4 }),
             TableOpResult::Counter {

@@ -196,9 +196,7 @@ mod tests {
     const SERVER: u32 = 0x0a000050;
 
     fn tcp(src: u32, flags: TcpFlags, sport: u16) -> Vec<u8> {
-        let mut frame = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut frame,
+        PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             src,
@@ -208,15 +206,11 @@ mod tests {
             0,
             flags,
             &[],
-        );
-        frame
+        )
     }
 
     fn syn() -> TcpFlags {
-        TcpFlags {
-            syn: true,
-            ..Default::default()
-        }
+        TcpFlags::syn_only()
     }
 
     fn ack() -> TcpFlags {

@@ -235,11 +235,6 @@ mod tests {
     use flexsfp_wire::ipv4::Ipv4Packet;
     use flexsfp_wire::MacAddr;
 
-    const INGRESS: ProcessContext = ProcessContext {
-        timestamp_ns: 0,
-        direction: Direction::OpticalToEdge,
-    };
-
     const LOCAL: u32 = 0x0a640001;
     const REMOTE: u32 = 0x0a640002;
 
@@ -277,7 +272,10 @@ mod tests {
             view.set_dst(LOCAL);
             view.fill_checksum();
         }
-        assert_eq!(gw.process(&INGRESS, &mut returning), Verdict::Forward);
+        assert_eq!(
+            gw.process(&ProcessContext::ingress(), &mut returning),
+            Verdict::Forward
+        );
         assert_eq!(gw.counter(counters::DECAPPED).packets, 1);
         // Inner frame recovered intact.
         assert_eq!(returning, orig);
@@ -303,7 +301,10 @@ mod tests {
         let mut gw = TunnelGateway::new(TunnelKind::Gre { key: 1 }, LOCAL, REMOTE);
         let mut pkt = host_frame();
         let before = pkt.clone();
-        assert_eq!(gw.process(&INGRESS, &mut pkt), Verdict::Forward);
+        assert_eq!(
+            gw.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Forward
+        );
         assert_eq!(pkt, before);
         assert_eq!(gw.counter(counters::PASSED).packets, 1);
     }
@@ -325,7 +326,10 @@ mod tests {
         }
         let before = pkt.clone();
         // Key-2 gateway refuses to decap key-1 traffic.
-        assert_eq!(gw_b.process(&INGRESS, &mut pkt), Verdict::Forward);
+        assert_eq!(
+            gw_b.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Forward
+        );
         assert_eq!(pkt, before);
         assert_eq!(gw_b.counter(counters::PASSED).packets, 1);
     }

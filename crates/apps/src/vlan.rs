@@ -168,21 +168,6 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::MacAddr;
 
-    /// `frame` with an 802.1Q tag pushed.
-    fn with_tag(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
-        let tci = flexsfp_wire::vlan::Tci {
-            pcp,
-            dei: false,
-            vid,
-        };
-        flexsfp_wire::vlan::push_tag(frame, flexsfp_wire::EtherType::Vlan, tci).unwrap()
-    }
-
-    const INGRESS: ProcessContext = ProcessContext {
-        timestamp_ns: 0,
-        direction: Direction::OpticalToEdge,
-    };
-
     fn frame() -> Vec<u8> {
         PacketBuilder::eth_ipv4_udp(
             MacAddr([1; 6]),
@@ -210,7 +195,10 @@ mod tests {
         assert_eq!(t.counter(counters::TAGGED).packets, 1);
 
         // Now the frame comes back from the network.
-        assert_eq!(t.process(&INGRESS, &mut pkt), Verdict::Forward);
+        assert_eq!(
+            t.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Forward
+        );
         assert_eq!(pkt, orig);
         assert_eq!(t.counter(counters::UNTAGGED).packets, 1);
     }
@@ -224,14 +212,14 @@ mod tests {
         let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![500, 10]);
         // Full strip on the way back.
-        t.process(&INGRESS, &mut pkt);
+        t.process(&ProcessContext::ingress(), &mut pkt);
         assert_eq!(pkt, orig);
     }
 
     #[test]
     fn tagged_ingress_from_host_is_spoofing() {
         let mut t = VlanTagger::new(100);
-        let mut pkt = with_tag(&frame(), 999, 0);
+        let mut pkt = PacketBuilder::with_vlan(&frame(), 999, 0);
         assert_eq!(
             t.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
@@ -243,7 +231,7 @@ mod tests {
     fn tolerant_mode_passes_pretagged() {
         let mut t = VlanTagger::new(100);
         t.drop_tagged_ingress = false;
-        let mut pkt = with_tag(&frame(), 999, 0);
+        let mut pkt = PacketBuilder::with_vlan(&frame(), 999, 0);
         let before = pkt.clone();
         assert_eq!(
             t.process(&ProcessContext::egress(), &mut pkt),
@@ -257,7 +245,10 @@ mod tests {
         let mut t = VlanTagger::new(100);
         let mut pkt = frame();
         let before = pkt.clone();
-        assert_eq!(t.process(&INGRESS, &mut pkt), Verdict::Forward);
+        assert_eq!(
+            t.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Forward
+        );
         assert_eq!(pkt, before);
         assert_eq!(t.counter(counters::UNTAGGED).packets, 0);
     }

@@ -73,6 +73,18 @@ impl Default for ModuleConfig {
     }
 }
 
+impl ModuleConfig {
+    /// A Two-Way-Core configuration with the paper's 2× PPE clock.
+    /// Test-only: `tests/props.rs`: no shipped program builds it.
+    pub fn two_way_2x() -> ModuleConfig {
+        ModuleConfig {
+            shell: ShellKind::TwoWayCore,
+            ppe_clock: ClockDomain::XGMII_10G_X2,
+            ..Default::default()
+        }
+    }
+}
+
 /// A packet offered to the module.
 #[derive(Debug, Clone)]
 pub struct SimPacket {

@@ -732,15 +732,6 @@ mod tests {
     use flexsfp_ppe::engine::{DropAll, PassThrough};
     use flexsfp_wire::MacAddr;
 
-    /// A Two-Way-Core module at the paper's 2× PPE clock.
-    fn two_way_2x() -> ModuleConfig {
-        ModuleConfig {
-            shell: ShellKind::TwoWayCore,
-            ppe_clock: ClockDomain::XGMII_10G_X2,
-            ..Default::default()
-        }
-    }
-
     #[test]
     #[should_panic(expected = "2^63 ps")]
     fn an_arrival_past_the_time_bound_panics() {
@@ -825,7 +816,7 @@ mod tests {
             r_slow.drops
         );
 
-        let mut fast = FlexSfp::new(two_way_2x(), Box::new(PassThrough));
+        let mut fast = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(PassThrough));
         let r_fast = fast.run(trace);
         assert_eq!(r_fast.drops.total(), 0, "{:?}", r_fast.drops);
         assert_eq!(r_fast.forwarded.0 + r_fast.forwarded.1, 2 * n as u64);
@@ -924,7 +915,7 @@ mod tests {
         // plane's own frames either: a ping from the fibre side gets no
         // answer and is booked as a link drop, while the same ping from
         // the host side is still answered out the electrical lane.
-        let mut m = FlexSfp::new(two_way_2x(), Box::new(PassThrough));
+        let mut m = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(PassThrough));
         m.config.shell = ShellKind::ActiveControlPlane;
         m.set_laser_ttf_hours(10_000.0);
         m.age_laser(20_000.0);
@@ -970,7 +961,7 @@ mod tests {
 
     #[test]
     fn active_shell_answers_ping_from_the_wire() {
-        let mut m = FlexSfp::new(two_way_2x(), Box::new(PassThrough));
+        let mut m = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(PassThrough));
         m.config.shell = crate::ShellKind::ActiveControlPlane;
         // An ICMP echo request to the module's own management IP,
         // arriving from the optical side.

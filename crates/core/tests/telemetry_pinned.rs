@@ -257,14 +257,7 @@ fn fifo_overflow_across_rotation() {
 /// opens a window ahead of them.)
 #[test]
 fn dead_laser_drops_between_forwards() {
-    let mut m = FlexSfp::new(
-        ModuleConfig {
-            shell: ShellKind::TwoWayCore,
-            ppe_clock: ClockDomain::XGMII_10G_X2,
-            ..Default::default()
-        },
-        Box::new(PassThrough),
-    );
+    let mut m = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(PassThrough));
     m.configure_windows(200, 4);
     m.set_laser_ttf_hours(10_000.0);
     let mut trace = two_way(0x54, 0.4, 2_000);
@@ -376,14 +369,7 @@ fn one_way_filter_bypass() {
 /// module's lifetime histogram, whose population is pinned.
 #[test]
 fn run_one_frames() {
-    let mut m = FlexSfp::new(
-        ModuleConfig {
-            shell: ShellKind::TwoWayCore,
-            ppe_clock: ClockDomain::XGMII_10G_X2,
-            ..Default::default()
-        },
-        nat(PRIVATE_BASE, 64),
-    );
+    let mut m = FlexSfp::new(ModuleConfig::two_way_2x(), nat(PRIVATE_BASE, 64));
     m.configure_windows(1_000, 6);
     let mut digest = OutputDigest::default();
     let mut sink = |_tag: u64, o: OutputPacket| digest.fold(&o);

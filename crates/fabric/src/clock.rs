@@ -18,10 +18,8 @@ impl ClockDomain {
     pub const XGMII_10G_X2: ClockDomain = ClockDomain { hz: 312_500_000 };
 
     /// A domain at `mhz` megahertz. Panics on a zero frequency.
-    ///
-    /// Test hook for `crates/fabric/src/clock.rs` and
-    /// `crates/fabric/src/stream.rs`: a clock that no shipped module runs.
-    pub fn from_mhz(mhz: f64) -> ClockDomain {
+    #[cfg(test)]
+    pub(crate) fn from_mhz(mhz: f64) -> ClockDomain {
         let hz = (mhz * 1e6).round() as u64;
         assert!(hz > 0, "clock frequency must be non-zero");
         ClockDomain { hz }

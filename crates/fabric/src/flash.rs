@@ -96,7 +96,7 @@ impl SpiFlash {
 
     /// Enable write protection of slot 0.
     ///
-    /// Test hook for `crates/fabric/src/flash.rs` and
+    /// Test-only: `crates/fabric/src/flash.rs` and
     /// `crates/core/src/reprogram.rs`: no product code protects the golden
     /// slot yet.
     pub fn protect_golden(&mut self) {
@@ -108,7 +108,7 @@ impl SpiFlash {
     /// fault-injection hook for exercising flash-failure paths (a real
     /// part fails this way on a worn sector or a brown-out mid-write).
     ///
-    /// Test hook for `crates/fabric/src/flash.rs` and
+    /// Test-only: `crates/fabric/src/flash.rs` and
     /// `crates/core/src/reprogram.rs`: a failing erase or program, which no
     /// product input causes.
     pub fn inject_fault(&mut self, err: FlashError) {

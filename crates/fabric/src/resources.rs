@@ -212,8 +212,8 @@ pub mod table1 {
 
     /// The paper's "Used" row (sum of the four components).
     ///
-    /// Reference for `crates/fabric/tests/prop.rs`: the paper's row that the
-    /// sum check compares against.
+    /// Test-only: `crates/fabric/tests/prop.rs`: the paper's row, the
+    /// reference that the sum check compares against.
     pub const USED: ResourceManifest = ResourceManifest::new(31_455, 25_518, 278, 164);
 }
 

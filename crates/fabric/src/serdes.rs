@@ -79,7 +79,7 @@ impl Transceiver {
 
     /// Disable the lane.
     ///
-    /// Test hook for `crates/host/tests/cage_run.rs` and
+    /// Test-only: `crates/host/tests/cage_run.rs` and
     /// `tests/pinned_trace.rs`: a dark transceiver, which no product input
     /// causes.
     pub fn disable(&mut self) {

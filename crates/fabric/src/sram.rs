@@ -38,8 +38,8 @@ impl TableShape {
 
     /// Total bits stored.
     ///
-    /// Reference for `crates/fabric/tests/prop.rs`: the bits a placement must
-    /// cover.
+    /// Test-only: `crates/fabric/tests/prop.rs`: the reference count of the
+    /// bits a placement must cover.
     pub fn total_bits(&self) -> u64 {
         self.entries * self.entry_bits
     }

@@ -135,7 +135,8 @@ pub struct ImpairStats {
 }
 
 impl ImpairStats {
-    /// Every attempted exchange met exactly one fate.
+    /// Every attempted exchange met exactly one fate. Test-only:
+    /// `crates/bench/tests/chaos.rs`: the identity each chaos run keeps.
     pub fn conserved(&self) -> bool {
         self.attempts
             == self.delivered
@@ -154,7 +155,7 @@ impl ImpairStats {
 /// corruption. A duplicated request returns the *second* response, so
 /// the module's idempotency (not the wrapper) must make replays safe.
 ///
-/// Test hook for `crates/bench/tests/chaos.rs`: a lossy control channel,
+/// Test-only: `crates/bench/tests/chaos.rs`: a lossy control channel,
 /// which no product program drives.
 #[derive(Debug)]
 pub struct ImpairedPort<P> {

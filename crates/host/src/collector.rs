@@ -133,7 +133,7 @@ impl FleetCollector {
     /// Record one module's channel impairment accounting (from
     /// [`ImpairedPort::stats`](crate::chaos::ImpairedPort::stats)) for export.
     ///
-    /// Test hook for `crates/host/tests/exposition.rs` and
+    /// Test-only: `crates/host/tests/exposition.rs` and
     /// `crates/bench/tests/chaos.rs`: no product program drives an impaired
     /// channel yet, but the exported family stays for the fault-localisation
     /// reader to use.
@@ -158,7 +158,7 @@ impl FleetCollector {
     /// per-module `flexsfp_slo_*` families evaluated against each
     /// module's windowed time-series.
     ///
-    /// Test hook for `crates/host/tests/exposition.rs`: no product program
+    /// Test-only: `crates/host/tests/exposition.rs`: no product program
     /// sets a fleet SLO yet, but the exported `flexsfp_slo_*` families stay
     /// for the fault-localisation reader to use.
     pub fn set_slo_spec(&mut self, spec: SloSpec) {
@@ -204,8 +204,8 @@ impl FleetCollector {
     /// Accumulated event trace for one module (most recent
     /// `EVENT_LOG_CAPACITY` entries).
     ///
-    /// Reference for `crates/bench/tests/fleet_export.rs`: the host-side log
-    /// that the exported `recent_events` must decode to.
+    /// Test-only: `crates/bench/tests/fleet_export.rs`: the host-side log,
+    /// the reference that the exported `recent_events` must decode to.
     pub fn recent_events(&self, module_id: &str) -> Option<&[DataplaneEvent]> {
         self.modules.get(module_id).map(|r| r.events.as_slice())
     }

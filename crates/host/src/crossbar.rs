@@ -47,7 +47,7 @@ pub(crate) const FRAME_OVERHEAD_BYTES: u64 = 20;
 
 /// Wire time of one frame at port line rate, ns.
 ///
-/// Reference for `crates/host/tests/cage_run.rs` and
+/// Test-only: `crates/host/tests/cage_run.rs` and
 /// `crates/host/tests/proportional.rs`: their crossbar models charge the
 /// same wire time.
 pub fn serialize_ns(frame_len: usize) -> u64 {

@@ -112,7 +112,7 @@ impl<P: ModulePort + Send> FleetManager<P> {
     /// Manage pre-wrapped ports (e.g. impaired channels) through an
     /// explicitly configured client.
     ///
-    /// Test hook for `crates/bench/tests/chaos.rs`: a fleet behind impaired
+    /// Test-only: `crates/bench/tests/chaos.rs`: a fleet behind impaired
     /// ports.
     pub fn with_client(modules: Vec<P>, client: ManagementClient) -> FleetManager<P> {
         let n = modules.len();

@@ -71,7 +71,7 @@ pub struct ModuleInfo {
 /// slept, keeping the test suite fast while the accounting stays
 /// faithful to what a real deployer would have waited.
 ///
-/// Test hook for `crates/bench/tests/chaos.rs`, through
+/// Test-only: `crates/bench/tests/chaos.rs`, through
 /// [`ManagementClient::with_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -175,7 +175,7 @@ impl ManagementClient {
 
     /// A client with an explicit retry policy.
     ///
-    /// Test hook for `crates/bench/tests/chaos.rs`: a retry policy other than
+    /// Test-only: `crates/bench/tests/chaos.rs`: a retry policy other than
     /// the default.
     pub fn with_policy(key: AuthKey, policy: RetryPolicy) -> ManagementClient {
         ManagementClient {
@@ -302,7 +302,7 @@ impl ManagementClient {
 
     /// Execute a table operation.
     ///
-    /// Test hook for `tests/end_to_end.rs`: a runtime table write over the
+    /// Test-only: `tests/end_to_end.rs`: a runtime table write over the
     /// control channel, which no product program sends.
     pub fn table_op<P: ModulePort>(
         &self,

@@ -126,8 +126,7 @@ fn module(id: &str, shell: Option<ShellKind>, app: &str, config: &Value) -> Flex
         None => ModuleConfig::default(),
         Some(shell) => ModuleConfig {
             shell,
-            ppe_clock: ClockDomain::XGMII_10G_X2,
-            ..Default::default()
+            ..ModuleConfig::two_way_2x()
         },
     };
     cfg.id = id.into();
@@ -335,24 +334,11 @@ fn script(config: &ModuleConfig, swap_to: &Bitstream, seed: u64) -> Vec<Step> {
                 ),
             ),
             _ if i % 19 == 5 => (port, ipv6_frame(dst, src)),
-            _ if i % 23 == 7 => (
-                port,
-                flexsfp_wire::vlan::push_tag(
-                    &data(),
-                    flexsfp_wire::EtherType::Vlan,
-                    flexsfp_wire::vlan::Tci {
-                        pcp: 3,
-                        dei: false,
-                        vid: 42,
-                    },
-                )
-                .unwrap(),
-            ),
+            _ if i % 23 == 7 => (port, PacketBuilder::with_vlan(&data(), 42, 3)),
             // A run of SYNs from one source, past the guard's threshold.
-            _ if (40..52).contains(&i) => (port, {
-                let mut frame = Vec::new();
-                PacketBuilder::eth_ipv4_tcp_into(
-                    &mut frame,
+            _ if (40..52).contains(&i) => (
+                port,
+                PacketBuilder::eth_ipv4_tcp(
                     dst,
                     src,
                     PRIVATE_BASE + 3,
@@ -362,9 +348,8 @@ fn script(config: &ModuleConfig, swap_to: &Bitstream, seed: u64) -> Vec<Step> {
                     1,
                     TcpFlags::from_u8(0x02),
                     b"",
-                );
-                frame
-            }),
+                ),
+            ),
             _ => (port, data()),
         };
         steps.push(Step::Inject { port, frame, t_ns });

@@ -11,15 +11,6 @@ use flexsfp_ppe::{Direction as Dir, PacketProcessor, ProcessContext, Verdict};
 use flexsfp_wire::builder::PacketBuilder;
 use flexsfp_wire::MacAddr;
 
-/// A Two-Way-Core module at the paper's 2× PPE clock.
-fn two_way_2x() -> ModuleConfig {
-    ModuleConfig {
-        shell: flexsfp_core::ShellKind::TwoWayCore,
-        ppe_clock: flexsfp_fabric::clock::ClockDomain::XGMII_10G_X2,
-        ..Default::default()
-    }
-}
-
 const HOST_A: MacAddr = MacAddr([0xa; 6]); // even first octet: unicast
 const HOST_B: MacAddr = MacAddr([0xc; 6]);
 
@@ -140,7 +131,7 @@ fn module_removal_restores_transparency() {
     let mut sw = learned_pair();
     let mut fw = AclFirewall::new(4);
     fw.default_action = AclAction::Deny;
-    sw.insert_flexsfp(0, FlexSfp::new(two_way_2x(), Box::new(fw)));
+    sw.insert_flexsfp(0, FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(fw)));
     assert!(sw.inject(0, frame(HOST_B, HOST_A, 80), 1_000).is_empty());
     let removed = sw.remove_flexsfp(0);
     assert!(removed.is_some());
@@ -162,7 +153,7 @@ fn control_diversion_counts_to_control() {
     }
 
     let mut sw = learned_pair();
-    sw.insert_flexsfp(0, FlexSfp::new(two_way_2x(), Box::new(Punt)));
+    sw.insert_flexsfp(0, FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(Punt)));
     // Every frame entering port 0 is consumed by the module's
     // control plane: counted, not leaked, and not a module "drop".
     let out = sw.inject(0, frame(HOST_B, HOST_A, 80), 1_000);
@@ -187,7 +178,10 @@ fn reflecting_module_counts_diverted_frames() {
     }
 
     let mut sw = learned_pair();
-    sw.insert_flexsfp(1, FlexSfp::new(two_way_2x(), Box::new(Reflector)));
+    sw.insert_flexsfp(
+        1,
+        FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(Reflector)),
+    );
     // A→B hits port 1's egress module, which reflects it back
     // toward the fabric: nothing is delivered, and the frame is
     // counted as diverted rather than vanishing.

@@ -185,7 +185,7 @@ impl LatencyHistogram {
     /// The raw fixed-point sum in 2^-20 ns quanta — the
     /// order-independent integer behind [`sum`](Self::sum).
     ///
-    /// Test hook for `crates/obs/tests/prop.rs` and
+    /// Test-only: `crates/obs/tests/prop.rs` and
     /// `crates/core/tests/telemetry_pinned.rs`: the exact sum, which the
     /// export carries only as two halves.
     pub fn sum_quanta(&self) -> u128 {

@@ -274,9 +274,7 @@ mod tests {
     #[test]
     fn dst_rewrite_on_tcp_fixes_l4() {
         let mut e = engine();
-        let mut pkt = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut pkt,
+        let mut pkt = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             SRC,
@@ -284,10 +282,7 @@ mod tests {
             80,
             1234,
             9,
-            flexsfp_wire::tcp::TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            flexsfp_wire::tcp::TcpFlags::syn_only(),
             b"x",
         );
         apply(&mut e, Action::SetIpv4Dst(NEW), &mut pkt);

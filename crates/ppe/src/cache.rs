@@ -536,7 +536,7 @@ pub(crate) fn run_ops(ops: &[PlanOp], packet: &mut Vec<u8>, counters: &mut Count
 /// Replay a plan against a packet: run its ops, return its verdict.
 /// Counter increments land in `counters`.
 ///
-/// Test hook for `crates/ppe/tests/oracle.rs`: it replays a plan recorded
+/// Test-only: `crates/ppe/tests/oracle.rs`: it replays a plan recorded
 /// on one packet onto the flow's next, which the cache does only on a hit.
 pub fn replay(plan: PlanView<'_>, packet: &mut Vec<u8>, counters: &mut CounterBank) -> Verdict {
     run_ops(plan.ops, packet, counters);
@@ -1280,16 +1280,6 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::MacAddr;
 
-    /// `frame` with an 802.1Q tag pushed.
-    fn with_tag(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
-        let tci = flexsfp_wire::vlan::Tci {
-            pcp,
-            dei: false,
-            vid,
-        };
-        flexsfp_wire::vlan::push_tag(frame, flexsfp_wire::EtherType::Vlan, tci).unwrap()
-    }
-
     const SRC: u32 = 0xc0a8_0001;
     const DST: u32 = 0x0a00_0002;
 
@@ -1362,7 +1352,7 @@ mod tests {
         assert_eq!(k.src_port(), 1000);
         assert_eq!(k.dst_port(), 2000);
         // Tagged frame: vlan count tracks the stack.
-        let tagged = with_tag(&f, 100, 3);
+        let tagged = PacketBuilder::with_vlan(&f, 100, 3);
         let kt = FlowKey::extract(&tagged, Direction::EdgeToOptical).unwrap();
         assert_eq!(kt.vlan_count(), 1);
         assert_eq!(kt.src_ip(), SRC);
@@ -1419,12 +1409,12 @@ mod tests {
     #[test]
     fn key_sees_vlan_stack() {
         let f = udp_frame();
-        let tagged = with_tag(&f, 100, 3);
+        let tagged = PacketBuilder::with_vlan(&f, 100, 3);
         let k0 = FlowKey::extract(&f, Direction::EdgeToOptical).unwrap();
         let k1 = FlowKey::extract(&tagged, Direction::EdgeToOptical).unwrap();
         assert_ne!(k0, k1);
         // Different VID: different key.
-        let tagged2 = with_tag(&f, 101, 3);
+        let tagged2 = PacketBuilder::with_vlan(&f, 101, 3);
         assert_ne!(
             FlowKey::extract(&tagged2, Direction::EdgeToOptical).unwrap(),
             k1

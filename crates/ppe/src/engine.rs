@@ -35,6 +35,15 @@ impl ProcessContext {
         }
     }
 
+    /// A context at time zero in the optical→edge direction. Test-only:
+    /// `crates/apps/src/nat.rs`: a frame from the fibre in an app's tests.
+    pub fn ingress() -> ProcessContext {
+        ProcessContext {
+            timestamp_ns: 0,
+            direction: Direction::OpticalToEdge,
+        }
+    }
+
     /// The same context at a different timestamp.
     pub fn at(self, timestamp_ns: u64) -> ProcessContext {
         ProcessContext {
@@ -321,7 +330,7 @@ impl PacketProcessor for PassThrough {
 
 /// A processor that drops everything (used for fail-closed tests).
 ///
-/// Test hook for `crates/core/src/module/session.rs`,
+/// Test-only: `crates/core/src/module/session.rs`,
 /// `crates/core/src/module/sfp.rs` and `crates/host/src/collector.rs`: an
 /// app that drops every packet, which no shipped app does.
 #[derive(Debug, Clone, Copy, Default)]
@@ -346,13 +355,11 @@ mod tests {
         let c = ProcessContext::egress().at(1234);
         assert_eq!(c.timestamp_ns, 1234);
         assert_eq!(c.direction, Direction::EdgeToOptical);
-        assert_eq!(INGRESS.direction, Direction::OpticalToEdge);
+        assert_eq!(
+            ProcessContext::ingress().direction,
+            Direction::OpticalToEdge
+        );
     }
-
-    const INGRESS: ProcessContext = ProcessContext {
-        timestamp_ns: 0,
-        direction: Direction::OpticalToEdge,
-    };
 
     #[test]
     fn passthrough_forwards_unchanged() {
@@ -375,7 +382,7 @@ mod tests {
         let mut p = DropAll;
         let mut batch = vec![
             BatchPacket::new(ProcessContext::egress(), vec![0; 64]),
-            BatchPacket::new(INGRESS.at(5), vec![0; 64]),
+            BatchPacket::new(ProcessContext::ingress().at(5), vec![0; 64]),
         ];
         assert_eq!(batch[0].verdict, Verdict::Forward);
         p.process_batch(&mut batch);
@@ -389,6 +396,9 @@ mod tests {
     fn drop_all_drops() {
         let mut p = DropAll;
         let mut pkt = vec![0; 64];
-        assert_eq!(p.process(&INGRESS, &mut pkt), Verdict::Drop);
+        assert_eq!(
+            p.process(&ProcessContext::ingress(), &mut pkt),
+            Verdict::Drop
+        );
     }
 }

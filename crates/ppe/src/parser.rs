@@ -235,16 +235,6 @@ mod tests {
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::tcp::TcpFlags;
 
-    /// `frame` with an 802.1Q tag pushed.
-    fn with_tag(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
-        let tci = flexsfp_wire::vlan::Tci {
-            pcp,
-            dei: false,
-            vid,
-        };
-        flexsfp_wire::vlan::push_tag(frame, flexsfp_wire::EtherType::Vlan, tci).unwrap()
-    }
-
     const SRC: u32 = 0xc0a80a01;
     const DST: u32 = 0x08080808;
 
@@ -284,9 +274,7 @@ mod tests {
 
     #[test]
     fn parses_tcp_flags() {
-        let mut f = Vec::new();
-        PacketBuilder::eth_ipv4_tcp_into(
-            &mut f,
+        let f = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
             MacAddr([2; 6]),
             SRC,
@@ -294,10 +282,7 @@ mod tests {
             80,
             5000,
             7,
-            TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
+            TcpFlags::syn_only(),
             &[],
         );
         let p = Parser.parse(&f).unwrap();
@@ -317,7 +302,7 @@ mod tests {
 
     #[test]
     fn parses_single_vlan() {
-        let f = with_tag(&udp_frame(), 100, 3);
+        let f = PacketBuilder::with_vlan(&udp_frame(), 100, 3);
         let p = Parser.parse(&f).unwrap();
         assert_eq!(p.vlans, vec![100]);
         assert_eq!(p.ethertype, EtherType::Ipv4);
@@ -327,7 +312,7 @@ mod tests {
 
     #[test]
     fn parses_qinq() {
-        let inner = with_tag(&udp_frame(), 10, 0);
+        let inner = PacketBuilder::with_vlan(&udp_frame(), 10, 0);
         let f = flexsfp_wire::vlan::push_tag(
             &inner,
             EtherType::QinQ,

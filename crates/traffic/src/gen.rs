@@ -197,7 +197,7 @@ impl TraceBuilder {
 
     /// Set the base of the destination address range.
     ///
-    /// Test hook for `crates/host/tests/cage_run.rs`: traffic to one chosen
+    /// Test-only: `crates/host/tests/cage_run.rs`: traffic to one chosen
     /// subnet, which no product workload needs.
     pub fn dst_base(mut self, base: u32) -> TraceBuilder {
         self.space.dst_base = base;

@@ -201,9 +201,12 @@ fn rack_shaped_traces_build_what_the_pooled_stream_yields() {
         assert_eq!(yielded, built.len());
         // Every paced frame goes back to the arena, so one buffer per
         // size class serves the whole stream. Burst frames are built
-        // before the stream starts, each to its own 1 514 B.
+        // before the stream starts, each to its own 1 514 B, and the
+        // arena, already holding every buffer it made, refuses them.
         assert_eq!(arena.allocations(), classes);
         assert_eq!(arena.leases(), n as u64);
+        assert_eq!(arena.recycles(), n as u64);
+        assert_eq!(arena.discards(), bursts as u64);
     }
 }
 

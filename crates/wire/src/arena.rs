@@ -31,6 +31,7 @@ struct ArenaStats {
     leases: Cell<u64>,
     allocations: Cell<u64>,
     recycles: Cell<u64>,
+    discards: Cell<u64>,
 }
 
 /// One free list per class, each holding buffers whose capacity meets it.
@@ -88,11 +89,13 @@ impl PacketArena {
     }
 
     /// Return a buffer to the pool of the largest class its capacity
-    /// meets, cleared. It is dropped below the small class, or once as many buffers have come back as the arena
+    /// meets, cleared. It is dropped (and counted as a discard) below the
+    /// small class, or once as many buffers have come back as the arena
     /// lent, so the pools never hold more buffers than it has made.
     pub fn recycle(&self, mut buf: Vec<u8>) {
         let s = &self.inner.stats;
         if buf.capacity() < SMALL_FRAME_CAPACITY || s.recycles.get() >= s.leases.get() {
+            s.discards.set(s.discards.get() + 1);
             return;
         }
         buf.clear();
@@ -103,13 +106,6 @@ impl PacketArena {
         } else {
             pools.small.push(buf);
         }
-    }
-
-    /// Buffers currently sitting in the pools.
-    #[cfg(test)]
-    fn pooled(&self) -> usize {
-        let pools = self.inner.pools.borrow();
-        pools.small.len() + pools.full.len()
     }
 
     /// Total leases served (pooled + freshly allocated).
@@ -123,11 +119,30 @@ impl PacketArena {
     pub fn allocations(&self) -> u64 {
         self.inner.stats.allocations.get()
     }
+
+    /// Buffers successfully returned to the pool. Test-only:
+    /// `crates/traffic/tests/golden_trace.rs`: a stream returns every frame.
+    pub fn recycles(&self) -> u64 {
+        self.inner.stats.recycles.get()
+    }
+
+    /// Buffers dropped at recycle time: below the small class, or beyond
+    /// the buffers the arena has made. Test-only:
+    /// `crates/traffic/tests/golden_trace.rs`: a stream refuses its bursts.
+    pub fn discards(&self) -> u64 {
+        self.inner.stats.discards.get()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Buffers currently sitting in the pools.
+    fn pooled(arena: &PacketArena) -> usize {
+        let pools = arena.inner.pools.borrow();
+        pools.small.len() + pools.full.len()
+    }
 
     #[test]
     fn lease_recycle_reuses_buffer() {
@@ -136,7 +151,7 @@ mod tests {
         a.extend_from_slice(&[1, 2, 3]);
         let ptr = a.as_ptr();
         arena.recycle(a);
-        assert_eq!(arena.pooled(), 1);
+        assert_eq!(pooled(&arena), 1);
         let b = arena.lease();
         assert_eq!(b.as_ptr(), ptr, "recycled buffer must be handed back");
         assert!(b.is_empty(), "recycled buffer must be cleared");
@@ -155,7 +170,7 @@ mod tests {
         }
         assert_eq!(arena.allocations(), 1, "one in-flight frame => one alloc");
         assert_eq!(arena.leases(), 10_000);
-        assert_eq!(arena.pooled(), 1);
+        assert_eq!(arena.recycles(), 10_000);
     }
 
     #[test]
@@ -163,13 +178,14 @@ mod tests {
         let arena = PacketArena::new();
         let (small, full) = (arena.lease_for(60), arena.lease());
         arena.recycle(Vec::with_capacity(SMALL_FRAME_CAPACITY - 1));
-        assert_eq!(arena.pooled(), 0);
+        assert_eq!(arena.discards(), 1);
         arena.recycle(full);
         arena.recycle(small);
-        assert_eq!(arena.pooled(), 2);
+        assert_eq!(pooled(&arena), 2);
         // Every buffer the arena made is back: one more is refused.
         arena.recycle(Vec::with_capacity(DEFAULT_FRAME_CAPACITY));
-        assert_eq!(arena.pooled(), 2);
+        assert_eq!(pooled(&arena), 2);
+        assert_eq!(arena.discards(), 2);
         // Each class hands back its own buffer.
         assert_eq!(
             arena.lease_for(SMALL_FRAME_MAX + 1).capacity(),
@@ -192,7 +208,7 @@ mod tests {
                 arena.recycle(vec![0xab; len]);
             }
         }
-        assert_eq!(arena.pooled(), 0);
+        assert_eq!(pooled(&arena), 0);
         assert_eq!(arena.allocations(), 0);
     }
 
@@ -205,7 +221,7 @@ mod tests {
             arena.recycle(f);
         }
         assert_eq!(arena.allocations(), 1);
-        assert_eq!(arena.pooled(), 1);
+        assert_eq!(pooled(&arena), 1);
     }
 
     #[test]
@@ -213,7 +229,7 @@ mod tests {
         let arena = PacketArena::new();
         let handle = arena.clone();
         handle.recycle(arena.lease());
-        assert_eq!(arena.pooled(), 1);
+        assert_eq!(pooled(&arena), 1);
         assert_eq!(arena.leases(), 1);
     }
 }

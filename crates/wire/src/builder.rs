@@ -9,6 +9,7 @@ use crate::ethernet::{self, EthernetFrame};
 use crate::ipv4::Ipv4Packet;
 use crate::tcp::{TcpFlags, TcpSegment};
 use crate::udp::UdpDatagram;
+use crate::vlan::{self, Tci};
 use crate::{gre, vxlan};
 
 /// Builder for complete frames and packets.
@@ -119,6 +120,27 @@ impl PacketBuilder {
         UdpDatagram::new_unchecked(udp).fill_checksum_v4(src, dst);
     }
 
+    /// A full Ethernet/IPv4/TCP frame. Test-only: `crates/apps/src/nat.rs`:
+    /// the product writes into an arena buffer with `eth_ipv4_tcp_into`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn eth_ipv4_tcp(
+        dst_mac: MacAddr,
+        src_mac: MacAddr,
+        src: u32,
+        dst: u32,
+        src_port: u16,
+        dst_port: u16,
+        seq: u32,
+        flags: TcpFlags,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Self::eth_ipv4_tcp_into(
+            &mut buf, dst_mac, src_mac, src, dst, src_port, dst_port, seq, flags, payload,
+        );
+        buf
+    }
+
     /// Write a complete Ethernet/IPv4/TCP frame into `buf` in place,
     /// reusing its existing capacity. A 20-byte TCP header, window
     /// 0xffff, checksums filled.
@@ -189,6 +211,21 @@ impl PacketBuilder {
             p.fill_checksum();
         }
         body
+    }
+
+    /// Add an 802.1Q tag to an existing frame. Test-only:
+    /// `crates/ppe/src/parser.rs`: tagged input for a parser's tests.
+    pub fn with_vlan(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
+        vlan::push_tag(
+            frame,
+            EtherType::Vlan,
+            Tci {
+                pcp,
+                dei: false,
+                vid,
+            },
+        )
+        .expect("frame shorter than an Ethernet header")
     }
 
     /// GRE-encapsulate an IPv4 packet inside a new outer IPv4 header.
@@ -267,18 +304,7 @@ mod tests {
 
     #[test]
     fn ipv4_tcp_validates() {
-        let buf = ipv4_tcp(
-            SRC,
-            DST,
-            80,
-            5000,
-            42,
-            TcpFlags {
-                syn: true,
-                ..Default::default()
-            },
-            b"xyz",
-        );
+        let buf = ipv4_tcp(SRC, DST, 80, 5000, 42, TcpFlags::syn_only(), b"xyz");
         let ip = Ipv4Packet::new_checked(&buf[..]).unwrap();
         let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
         assert!(tcp.verify_checksum_v4(SRC, DST));
@@ -297,16 +323,7 @@ mod tests {
     #[test]
     fn vlan_tagging() {
         let f = PacketBuilder::eth_ipv4_udp(MacAddr([2; 6]), MacAddr([3; 6]), SRC, DST, 1, 2, b"p");
-        let tagged = crate::vlan::push_tag(
-            &f,
-            crate::EtherType::Vlan,
-            crate::vlan::Tci {
-                pcp: 5,
-                dei: false,
-                vid: 300,
-            },
-        )
-        .unwrap();
+        let tagged = PacketBuilder::with_vlan(&f, 300, 5);
         let eth = EthernetFrame::new_checked(&tagged[..]).unwrap();
         assert_eq!(eth.ethertype(), EtherType::Vlan);
         let v = crate::vlan::VlanFrame::new_checked(eth.payload()).unwrap();
@@ -381,18 +398,7 @@ mod tests {
             arena.recycle(buf);
 
             let nested_tcp = {
-                let ip = ipv4_tcp(
-                    SRC,
-                    DST,
-                    80,
-                    5000,
-                    7,
-                    TcpFlags {
-                        syn: true,
-                        ..Default::default()
-                    },
-                    &payload,
-                );
+                let ip = ipv4_tcp(SRC, DST, 80, 5000, 7, TcpFlags::syn_only(), &payload);
                 PacketBuilder::ethernet(MacAddr([1; 6]), MacAddr([2; 6]), EtherType::Ipv4, &ip)
             };
             let mut buf = arena.lease();
@@ -405,10 +411,7 @@ mod tests {
                 80,
                 5000,
                 7,
-                TcpFlags {
-                    syn: true,
-                    ..Default::default()
-                },
+                TcpFlags::syn_only(),
                 &payload,
             );
             assert_eq!(buf, nested_tcp, "TCP payload_len={payload_len}");

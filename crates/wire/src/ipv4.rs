@@ -185,8 +185,8 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     /// RFC 1624 incremental update — the exact hardware operation the
     /// FlexSFP NAT performs at line rate.
     ///
-    /// Reference for `crates/ppe/tests/oracle.rs`: the NAT rewrite written
-    /// with this crate alone.
+    /// Test-only: `crates/ppe/tests/oracle.rs`: a reference NAT rewrite,
+    /// written with this crate alone.
     pub fn rewrite_src_incremental(&mut self, new_src: u32) {
         let old = self.src();
         let c = checksum::update32(self.header_checksum(), old, new_src);
@@ -196,8 +196,8 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
 
     /// Rewrite the destination address with incremental checksum patch.
     ///
-    /// Reference for `crates/ppe/tests/oracle.rs`: the NAT rewrite written
-    /// with this crate alone.
+    /// Test-only: `crates/ppe/tests/oracle.rs`: a reference NAT rewrite,
+    /// written with this crate alone.
     pub fn rewrite_dst_incremental(&mut self, new_dst: u32) {
         let old = self.dst();
         let c = checksum::update32(self.header_checksum(), old, new_dst);

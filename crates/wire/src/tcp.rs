@@ -52,6 +52,15 @@ impl TcpFlags {
             | u8::from(self.ece) << 6
             | u8::from(self.cwr) << 7
     }
+
+    /// Flags of a connection-opening segment. Test-only:
+    /// `crates/wire/tests/golden.rs`: the SYN of the test frames.
+    pub fn syn_only() -> TcpFlags {
+        TcpFlags {
+            syn: true,
+            ..Default::default()
+        }
+    }
 }
 
 /// A typed view over a TCP segment.
@@ -230,20 +239,8 @@ mod tests {
         for v in 0u8..=255 {
             assert_eq!(TcpFlags::from_u8(v).to_u8(), v);
         }
-        assert!(
-            TcpFlags {
-                syn: true,
-                ..Default::default()
-            }
-            .syn
-        );
-        assert!(
-            !TcpFlags {
-                syn: true,
-                ..Default::default()
-            }
-            .ack
-        );
+        assert!(TcpFlags::syn_only().syn);
+        assert!(!TcpFlags::syn_only().ack);
     }
 
     #[test]

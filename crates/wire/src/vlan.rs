@@ -93,9 +93,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> VlanFrame<T> {
 /// Insert a VLAN tag into a raw Ethernet frame buffer, returning the new
 /// frame. `tag_ethertype` is the tag's own ethertype (0x8100 C-tag or
 /// 0x88a8 S-tag for QinQ outer tags).
-///
-/// Reference for `crates/ppe/tests/oracle.rs`: the tag push written with
-/// this crate alone.
 pub fn push_tag(frame: &[u8], tag_ethertype: EtherType, tci: Tci) -> Result<Vec<u8>> {
     check_len(frame, crate::ethernet::HEADER_LEN)?;
     let mut out = Vec::with_capacity(frame.len() + TAG_LEN);
@@ -109,8 +106,8 @@ pub fn push_tag(frame: &[u8], tag_ethertype: EtherType, tci: Tci) -> Result<Vec<
 /// Remove the outermost VLAN tag from a raw Ethernet frame buffer.
 /// Returns `(tci, untagged_frame)`, or an error if the frame is untagged.
 ///
-/// Reference for `crates/ppe/tests/oracle.rs`: the tag pop written with
-/// this crate alone.
+/// Test-only: `crates/ppe/tests/oracle.rs`: a reference tag pop, written
+/// with this crate alone.
 pub fn pop_tag(frame: &[u8]) -> Result<(Tci, Vec<u8>)> {
     check_len(frame, crate::ethernet::HEADER_LEN + TAG_LEN)?;
     let ethertype = EtherType::from_u16(be16(frame, 12));

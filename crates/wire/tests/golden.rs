@@ -98,10 +98,7 @@ fn emit_eth_tcp_matches_golden_image() {
         80,
         443,
         0x0102_0304,
-        TcpFlags {
-            syn: true,
-            ..Default::default()
-        },
+        TcpFlags::syn_only(),
         &[],
     );
     assert_eq!(frame[..14], GOLDEN_ETH_UDP[..14], "MACs and EtherType");
@@ -153,16 +150,7 @@ fn parse_eth_udp_golden_image() {
 
 #[test]
 fn vlan_tag_insertion_matches_golden_image() {
-    let tagged = flexsfp_wire::vlan::push_tag(
-        &GOLDEN_ETH_UDP,
-        flexsfp_wire::EtherType::Vlan,
-        flexsfp_wire::vlan::Tci {
-            pcp: 3,
-            dei: false,
-            vid: 100,
-        },
-    )
-    .unwrap();
+    let tagged = PacketBuilder::with_vlan(&GOLDEN_ETH_UDP, 100, 3);
     assert_eq!(tagged, GOLDEN_ETH_VLAN_UDP);
 }
 

@@ -292,14 +292,7 @@ fn reflect_verdict_hairpins() {
             flexsfp::ppe::Verdict::Reflect
         }
     }
-    let mut module = FlexSfp::new(
-        ModuleConfig {
-            shell: ShellKind::TwoWayCore,
-            ppe_clock: flexsfp::fabric::clock::ClockDomain::XGMII_10G_X2,
-            ..Default::default()
-        },
-        Box::new(Reflector),
-    );
+    let mut module = FlexSfp::new(ModuleConfig::two_way_2x(), Box::new(Reflector));
     let frame = flexsfp::wire::builder::PacketBuilder::eth_ipv4_udp(
         flexsfp::wire::MacAddr([2; 6]),
         flexsfp::wire::MacAddr([4; 6]),

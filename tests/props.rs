@@ -160,11 +160,7 @@ fn sanitizer_partitions_traffic() {
 fn outputs_sorted_by_departure() {
     for_each_case(0x50b7, 32, |rng, case| {
         let cfg = if rng.chance(0.5) {
-            ModuleConfig {
-                shell: flexsfp::core::ShellKind::TwoWayCore,
-                ppe_clock: flexsfp::fabric::clock::ClockDomain::XGMII_10G_X2,
-                ..Default::default()
-            }
+            ModuleConfig::two_way_2x()
         } else {
             ModuleConfig::default()
         };

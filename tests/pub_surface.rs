@@ -2,10 +2,10 @@
 //! the product uses.
 //!
 //! Every scanned file has a product part and a test part. The product
-//! part is everything before the first column-0 `#[cfg(test)]` of a
-//! `crates/*/src` file, and the whole of each file under `src/`,
-//! `examples/` and `benchmark/src/`. The test part is the rest of each
-//! `crates/*/src` file, `core`'s `testutil.rs` (compiled only under
+//! part is everything before the first column-0 `#[cfg(test)]` on a
+//! `mod` of a `crates/*/src` file, and the whole of each file under
+//! `src/`, `examples/` and `benchmark/src/`. The test part is the rest of
+//! each `crates/*/src` file, `core`'s `testutil.rs` (compiled only under
 //! `cfg(test)`), and every file under `crates/*/tests/` and `tests/`.
 //!
 //! A declaration is a `pub fn|struct|enum|trait|type|const|static` line
@@ -15,15 +15,17 @@
 //! does not make an item used. An item that is not used fails, and the
 //! failure lists the test parts that name it. It becomes `pub(crate)`,
 //! private or `#[cfg(test)]`, goes, or stays because
-//! - its doc comment says what it is for a test: `Reference for <paths>`
-//!   (a slow, obvious model that a test compares against) or `Test hook
-//!   for <paths>` (how a test reaches a state that no product input
-//!   reaches), each path a backticked file whose test part names it; or
+//! - its doc comment says ``Test-only: `<path>` and `<path>`: why``, each
+//!   path a file whose test part names it, at least one outside the
+//!   item's own crate's `src` (an item only its own crate's tests use is
+//!   `#[cfg(test)] pub(crate)` instead); or
 //! - it is in [`ALLOWED`], with the public field or signature that
 //!   reaches it from outside.
 //!
 //! A declaration or an entry that no longer holds fails too. Like
-//! `tests/doc_paths.rs`, this is a name check, not name resolution.
+//! `tests/doc_paths.rs`, this is a name check, not name resolution: a
+//! product use of one item counts for every `pub` item of that name, so
+//! a declaration on such a name is not checked for staleness.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs;
@@ -32,7 +34,7 @@ use std::path::{Path, PathBuf};
 const SOURCES: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
 const KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
 const TEST_ONLY: [&str; 1] = ["crates/core/src/module/testutil.rs"];
-const MARKERS: [&str; 2] = ["Reference for", "Test hook for"];
+const MARKER: &str = "Test-only:";
 
 /// Items no product part names that stay `pub`, each with the path that
 /// reaches it from outside its crate. An entry that is gone or that a
@@ -102,10 +104,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "what `DnsHeader::first_question` returns",
     ),
     ("wire::ipv6::Ipv6Addr", "what `Ipv6Packet::src` returns"),
-    (
-        "wire::vlan::Tci",
-        "what the `push_tag` and `pop_tag` references take and return",
-    ),
 ];
 
 /// `text` without comments. String and character literals are kept whole,
@@ -278,24 +276,22 @@ fn doc_above(lines: &[&str], at: usize) -> String {
     doc.join(" ")
 }
 
-/// The marker a doc comment declares and the backticked paths after it:
-/// ``Reference for `tests/a.rs` and `tests/b.rs`: …`` gives both.
-fn declaration(doc: &str) -> Option<(&'static str, Vec<&str>)> {
-    MARKERS.iter().find_map(|&marker| {
-        let mut rest = &doc[find_word(doc, marker)? + marker.len()..];
-        let mut paths = Vec::new();
-        loop {
-            rest = rest.trim_start().trim_start_matches(',').trim_start();
-            rest = rest.strip_prefix("and ").unwrap_or(rest);
-            let Some(quoted) = rest.strip_prefix('`') else {
-                break;
-            };
-            let Some(end) = quoted.find('`') else { break };
-            paths.push(&quoted[..end]);
-            rest = &quoted[end + 1..];
-        }
-        Some((marker, paths))
-    })
+/// The backticked paths after a doc comment's [`MARKER`]:
+/// ``Test-only: `tests/a.rs` and `tests/b.rs`: …`` gives both.
+fn declaration(doc: &str) -> Option<Vec<&str>> {
+    let mut rest = &doc[find_word(doc, MARKER)? + MARKER.len()..];
+    let mut paths = Vec::new();
+    loop {
+        rest = rest.trim_start().trim_start_matches(',').trim_start();
+        rest = rest.strip_prefix("and ").unwrap_or(rest);
+        let Some(quoted) = rest.strip_prefix('`') else {
+            break;
+        };
+        let Some(end) = quoted.find('`') else { break };
+        paths.push(&quoted[..end]);
+        rest = &quoted[end + 1..];
+    }
+    Some(paths)
 }
 
 /// `crates/ppe/src/parser.rs` → `ppe::parser`.
@@ -335,7 +331,11 @@ impl Source {
         } else if in_crate(&path, "src") {
             text.match_indices("#[cfg(test)]")
                 .map(|(at, _)| at)
-                .find(|&at| at == 0 || text.as_bytes()[at - 1] == b'\n')
+                .find(|&at| {
+                    let column_0 = at == 0 || text.as_bytes()[at - 1] == b'\n';
+                    let next = text[at..].lines().skip(1).find(|l| !l.trim().is_empty());
+                    column_0 && next.is_some_and(|l| l.starts_with("mod "))
+                })
                 .unwrap_or(text.len())
         } else {
             text.len()
@@ -356,6 +356,13 @@ impl Source {
 fn problems(sources: &[Source], allowed: &[&str]) -> Vec<String> {
     let product: Vec<HashSet<&str>> = sources.iter().map(|s| words(&s.product)).collect();
     let test: Vec<HashSet<&str>> = sources.iter().map(|s| words(&s.test)).collect();
+    let mut names: Vec<&str> = sources
+        .iter()
+        .filter(|s| in_crate(&s.path, "src"))
+        .flat_map(|s| declared(&s.product).into_iter().map(|(_, name)| name))
+        .collect();
+    names.sort_unstable();
+    let shared = |name: &str| names.iter().filter(|n| **n == name).count() > 1;
     let mut unused = BTreeSet::new();
     let mut found = Vec::new();
     for (i, source) in sources.iter().enumerate() {
@@ -368,19 +375,24 @@ fn problems(sources: &[Source], allowed: &[&str]) -> Vec<String> {
             let used = (0..sources.len()).any(|j| j != i && product[j].contains(name));
             let doc = doc_above(&lines, line);
             match (used, declaration(&doc)) {
-                (true, Some((marker, _))) => {
-                    found.push(format!("{item}: \"{marker}\", but product code names it"))
+                (true, Some(_)) if shared(name) => {}
+                (true, Some(_)) => {
+                    found.push(format!("{item}: test-only, but product code names it"))
                 }
                 (true, None) => {}
-                (false, Some((marker, paths))) => {
-                    if paths.is_empty() {
-                        found.push(format!("{item}: \"{marker}\" names no path"));
+                (false, Some(paths)) => {
+                    let own_src: PathBuf = source.path.iter().take(3).collect();
+                    if paths.iter().all(|p| Path::new(p).starts_with(&own_src)) {
+                        found.push(format!(
+                            "{item}: test-only for its own crate's tests alone: \
+                             make it `#[cfg(test)] pub(crate)`"
+                        ));
                     }
                     for path in paths {
                         let at = sources.iter().position(|s| s.path == Path::new(path));
                         if !at.is_some_and(|j| test[j].contains(name)) {
                             found.push(format!(
-                                "{item}: \"{marker}\" `{path}`, whose tests do not name it"
+                                "{item}: test-only `{path}`, whose tests do not name it"
                             ));
                         }
                     }
@@ -452,7 +464,7 @@ fn every_pub_item_is_named_by_another_file() {
     assert!(
         found.is_empty(),
         "pub items no product code names: narrow or delete each, or declare it \
-         (`Reference for` / `Test hook for` in its doc) or allow-list it; and \
+         (`Test-only: <paths>: why` in its doc) or allow-list it; and \
          declarations or entries that no longer hold:\n{}",
         found.join("\n")
     );
@@ -466,29 +478,32 @@ fn the_scan_flags_only_items_no_other_file_names() {
             "pub use x::{InPubUse,\n    Named as Renamed};\n\
              // Commented in a line comment, /* not a block */\n\
              /* Commented /* nested */ own_tests */\n\
-             fn f() { let _ = (\"http://x\", '\"', Named, Stale, NowNamed); }\n",
+             fn f() { let _ = (\"http://x\", '\"', Named, Stale, NowNamed, shared); }\n",
         ),
         Source::new(
             "crates/a/src/x.rs".into(),
             "pub struct InPubUse;\npub struct Commented;\npub const Named: u8 = 0;\n\
              pub fn own_tests() {}\npub(crate) fn narrowed() {}\n\
-             /// Reference for `tests/t.rs` and `crates/a/src/x.rs`.\n\
+             /// Test-only: `tests/t.rs` and `crates/a/src/x.rs`: a model.\n\
              #[inline]\npub fn model() {}\n\
-             /// Test hook for `tests/t.rs`, `tests/gone.rs`: a fault.\n\
+             /// Test-only: `tests/t.rs`, `tests/gone.rs`: a fault.\n\
              pub fn hook() {}\n\
-             /// Test hook for `tests/t.rs`.\npub fn Stale() {}\n\
+             /// Test-only: `tests/t.rs`.\npub fn Stale() {}\n\
+             /// Test-only: `crates/a/src/x.rs`.\npub fn own_only() {}\n\
+             /// Test-only: `tests/t.rs`.\npub fn shared() {}\n\
              pub struct NowNamed;\npub struct Listed;\n\
-             #[cfg(test)]\nfn helper() { model(); }\npub fn after_helper() {}\n\
-             mod tests {\n    pub fn in_tests() {}\n\
-             fn t() { super::own_tests(); }\n}\n",
+             #[cfg(test)]\nfn helper() {}\npub fn after_helper() {}\n\
+             #[cfg(test)]\nmod tests {\n    pub fn in_tests() {}\n\
+             fn t() { super::own_tests(); model(); own_only(); }\n}\n",
         ),
+        Source::new("crates/b/src/y.rs".into(), "pub fn shared() {}\n"),
         Source::new(
             "crates/core/src/module/testutil.rs".into(),
             "pub fn util() { Commented; }\n",
         ),
         Source::new(
             "tests/t.rs".into(),
-            "fn g() { model(); hook(); Stale(); after_helper_twin(); }\n",
+            "fn g() { model(); hook(); Stale(); shared(); after_helper_twin(); }\n",
         ),
     ];
     assert_eq!(
@@ -498,8 +513,11 @@ fn the_scan_flags_only_items_no_other_file_names() {
             "a::x::Gone: allow-listed, but gone or named by product code",
             "a::x::InPubUse: no other file names it",
             "a::x::NowNamed: allow-listed, but gone or named by product code",
-            "a::x::Stale: \"Test hook for\", but product code names it",
-            "a::x::hook: \"Test hook for\" `tests/gone.rs`, whose tests do not name it",
+            "a::x::Stale: test-only, but product code names it",
+            "a::x::after_helper: no other file names it",
+            "a::x::hook: test-only `tests/gone.rs`, whose tests do not name it",
+            "a::x::own_only: test-only for its own crate's tests alone: \
+             make it `#[cfg(test)] pub(crate)`",
             "a::x::own_tests: only tests name it (crates/a/src/x.rs)",
         ]
     );
