@@ -110,11 +110,6 @@ impl SynFloodGuard {
             parser: Parser,
         }
     }
-
-    /// Tracked sources.
-    pub fn tracked(&self) -> usize {
-        self.efsm.len()
-    }
 }
 
 impl PacketProcessor for SynFloodGuard {
@@ -286,7 +281,7 @@ mod tests {
             g.process(&ProcessContext::egress().at(2_000), &mut s),
             Verdict::Forward
         );
-        assert_eq!(g.tracked(), 2);
+        assert_eq!(g.efsm.len(), 2, "tracked sources");
     }
 
     #[test]

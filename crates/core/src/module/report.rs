@@ -148,8 +148,8 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// The histogram itself: what the dispatch loop records into, and
-    /// what a run that records into a longer-lived one swaps out.
+    /// The histogram itself: what a stream's dispatch loop records
+    /// into.
     pub(super) fn histogram_mut(&mut self) -> &mut LatencyHistogram {
         &mut self.hist
     }

@@ -9,9 +9,10 @@ use super::{FlexSfp, Interface, OutputPacket, SimPacket, SimReport};
 use flexsfp_fabric::serdes::Transceiver;
 use flexsfp_fabric::stream::DatapathConfig;
 use flexsfp_obs::{
-    DropCounters, DropReason, EventKind, EventRing, FlightStamp, FlightVerdict, WindowedSeries,
+    CacheStats, DropCounters, DropReason, EventKind, EventRing, FlightStamp, FlightVerdict,
+    LatencyHistogram, Sample, WindowedSeries,
 };
-use flexsfp_ppe::{stage_start_cycle, BatchPacket, Direction, KeyHint, ProcessContext, Verdict};
+use flexsfp_ppe::{BatchPacket, Direction, KeyHint, ProcessContext, Verdict};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -56,36 +57,121 @@ struct Transit {
 }
 
 /// The one accounting context of the per-packet path: everything a
-/// packet's fate is booked into — the run's report and clock, both
-/// lanes, the event ring, the lifetime drop counters, the windowed
-/// series and the flight ring — borrowed for as long as one fate (or
-/// one batch of them) takes. Built only by [`Accounts::new`], the one
-/// place the module's fields are split.
+/// packet's fate is booked into — the run's report, clock and latency
+/// population, the egress lanes, the event ring, the lifetime drop
+/// counters, the windowed series, the cache baseline and the flight
+/// ring — borrowed for as long as one fate (or one batch of them)
+/// takes. Built only by [`Accounts::new`], the one place the module's
+/// fields are split.
 ///
-/// Forwarded latency is booked per run, not per packet: consecutive
-/// forwards with bit-identical latency that depart in one window are
-/// one `n`-fold insert into the run's histogram and the window's. The
-/// run settles before anything else writes the series (a drop) and when
-/// the context is dropped, so no bucket sees its writes reordered.
+/// Forwarded latency is booked per run, not per packet: the forwards of
+/// one latency (compared by bits) that depart in one window are one
+/// `n`-fold insert into the latency histogram and the window's, whatever
+/// other latencies come between them. A run holds a few latencies of one
+/// window; the inserts into one bucket commute, so the order they
+/// settle in shows nowhere. The run settles when a forward departs in
+/// another window and before anything else writes the series (a drop, a
+/// cache delta), so no bucket sees writes reordered across windows. A
+/// stream's run also settles when the context is dropped. A one-frame
+/// pass leaves its run on the module, where the next pass extends it,
+/// and the module settles it before anything reads or replaces its
+/// telemetry.
 struct Accounts<'a> {
     report: &'a mut SimReport,
     last_time_ns: &'a mut u64,
+    /// The module's lifetime latency population when the run is a
+    /// one-frame pass; `None` books into the report's.
+    latency: Option<&'a mut LatencyHistogram>,
+    run: &'a mut LatencyRun,
+    /// A one-frame pass: `run` stays unsettled on the module.
+    keep_run: bool,
     edge: &'a mut Transceiver,
     optical: &'a mut Transceiver,
     events: &'a mut EventRing,
     lifetime_drops: &'a mut DropCounters,
     windows: &'a mut WindowedSeries,
+    last_cache: &'a mut CacheStats,
     flight: Option<&'a mut FlightState>,
-    run: LatencyRun,
 }
 
-/// Forwards booked but not yet recorded: `n` of them, each `latency_ns`
-/// (compared by bits), departing in `window`.
+/// How many latencies one run holds: a cage module sees its bypass
+/// latency and one per frame size of an IMIX mix.
+const RUN_LATENCIES: usize = 4;
+
+/// Forwards booked but not yet recorded, all departing in `window`.
+/// The first forward of each latency (compared by bits) in a window is
+/// recorded when it is booked, which creates the window's bucket and
+/// sizes both histograms for it; the run counts the repeats,
+/// `(latency_ns, n)` for the first `len` entries of `repeats`. So
+/// settling never allocates, and a histogram grows when it would have
+/// grown had every forward been recorded at once.
 #[derive(Default)]
-struct LatencyRun {
+pub(super) struct LatencyRun {
     window: Range<u64>,
+    repeats: [(f64, u64); RUN_LATENCIES],
+    len: usize,
+}
+
+impl LatencyRun {
+    /// Count a repeat of a latency the run's window has already
+    /// recorded. False for one it has not, which the caller records;
+    /// the run counts its repeats from then on if it has room.
+    fn repeat(&mut self, latency_ns: f64) -> bool {
+        let seen = self.repeats[..self.len]
+            .iter_mut()
+            .find(|(l, _)| l.to_bits() == latency_ns.to_bits());
+        if let Some((_, n)) = seen {
+            *n += 1;
+            return true;
+        }
+        if self.len < RUN_LATENCIES {
+            self.repeats[self.len] = (latency_ns, 0);
+            self.len += 1;
+        }
+        false
+    }
+
+    /// Record the repeats into `latency` and the window they departed
+    /// in, and start over, the window forgotten too: the series may be
+    /// replaced before the next forward.
+    pub(super) fn settle(&mut self, latency: &mut LatencyHistogram, windows: &mut WindowedSeries) {
+        // No latency held: nothing departed since the last settle.
+        if self.len == 0 {
+            return;
+        }
+        for &(latency_ns, n) in &self.repeats[..self.len] {
+            record_forwards(latency, windows, self.window.start, latency_ns, n);
+        }
+        *self = LatencyRun::default();
+    }
+}
+
+/// Record `n` forwards of `latency_ns` that departed in the window
+/// starting at `window_ns` into `latency` and the series.
+fn record_forwards(
+    latency: &mut LatencyHistogram,
+    windows: &mut WindowedSeries,
+    window_ns: u64,
     latency_ns: f64,
     n: u64,
+) {
+    if n > 0 {
+        let sample = Sample::from(latency_ns);
+        latency.record_sample_n(sample, n);
+        windows.record_forwarded_n(window_ns, sample, n);
+    }
+}
+
+/// The population a run's forwarded latency goes to: the module's
+/// lifetime one for a one-frame pass, else the report's.
+fn population<'b>(
+    lifetime: &'b mut Option<&mut LatencyHistogram>,
+    report: &'b mut SimReport,
+) -> &'b mut LatencyHistogram {
+    match lifetime {
+        Some(lifetime) => lifetime,
+        None => report.latency.histogram_mut(),
+    }
 }
 
 /// The drop-reason table, counter half: which counter a reason bumps.
@@ -98,46 +184,78 @@ fn drop_counter(drops: &mut DropCounters, reason: DropReason) -> &mut u64 {
     }
 }
 
+/// What a run books into besides the module: its report and its
+/// clock.
+#[derive(Default)]
+struct RunBook {
+    report: SimReport,
+    last_time_ns: u64,
+    /// A one-frame pass: latency goes to the module's lifetime
+    /// histogram, and `report.latency` stays empty.
+    one_frame: bool,
+}
+
 impl<'a> Accounts<'a> {
-    /// Split the module into the accounting context of one run
-    /// (`report` and `last_time_ns` are the session's).
-    fn new(m: &'a mut FlexSfp, report: &'a mut SimReport, last_time_ns: &'a mut u64) -> Self {
+    /// Split the module and the session's run book into the accounting
+    /// context of one run.
+    fn new(m: &'a mut FlexSfp, book: &'a mut RunBook) -> Self {
+        let latency = if book.one_frame {
+            Some(&mut m.lifetime_latency)
+        } else {
+            // A stream's run goes to its report: what passes left for
+            // the lifetime population is recorded first.
+            m.settle_passes();
+            None
+        };
         Accounts {
-            report,
-            last_time_ns,
+            report: &mut book.report,
+            last_time_ns: &mut book.last_time_ns,
+            latency,
+            run: &mut m.latency_run,
+            keep_run: book.one_frame,
             edge: &mut m.edge,
             optical: &mut m.optical,
             events: &mut m.events,
             lifetime_drops: &mut m.lifetime_drops,
             windows: &mut m.windows,
+            last_cache: &mut m.last_cache,
             flight: m.flight.as_mut(),
-            run: LatencyRun::default(),
         }
     }
 
-    /// Book one forwarded packet's latency, extending the pending run
-    /// or settling it and starting the next.
+    /// Book one forwarded packet's latency: a repeat in the run's
+    /// window is counted, anything else recorded, the run settled first
+    /// when the packet departs in another window.
     fn forwarded(&mut self, departure_ns: u64, latency_ns: f64) {
-        let run = &self.run;
-        if latency_ns.to_bits() != run.latency_ns.to_bits() || !run.window.contains(&departure_ns) {
+        if !self.run.window.contains(&departure_ns) {
             self.settle();
             self.run.window = self.windows.window_of(departure_ns);
-            self.run.latency_ns = latency_ns;
         }
-        self.run.n += 1;
+        if !self.run.repeat(latency_ns) {
+            let latency = population(&mut self.latency, self.report);
+            record_forwards(latency, self.windows, self.run.window.start, latency_ns, 1);
+        }
     }
 
     /// Record the pending run, if any.
     fn settle(&mut self) {
-        let run = &mut self.run;
-        if run.n == 0 {
-            return;
-        }
-        let hist = self.report.latency.histogram_mut();
-        hist.record_f64_n(run.latency_ns, run.n);
-        self.windows
-            .record_forwarded_n(run.window.start, run.latency_ns, run.n);
-        run.n = 0;
+        let latency = population(&mut self.latency, self.report);
+        self.run.settle(latency, self.windows);
+    }
+
+    /// Fold a batch's cache-counter delta into the window `ts` falls
+    /// in. Saturating: a reboot swaps the application and resets its
+    /// counters mid-run.
+    fn cache(&mut self, ts: u64, stats: CacheStats, occupancy: u64) {
+        self.settle();
+        self.windows.record_cache(
+            ts,
+            stats.hits.saturating_sub(self.last_cache.hits),
+            stats.misses.saturating_sub(self.last_cache.misses),
+            stats.evictions.saturating_sub(self.last_cache.evictions),
+            occupancy,
+        );
+        *self.last_cache = stats;
     }
 
     /// Book one dropped packet: the run's and the lifetime counter, a
@@ -151,19 +269,6 @@ impl<'a> Accounts<'a> {
         self.settle();
         self.windows.record_drop(ts, reason != DropReason::App);
         FlightVerdict::Dropped { reason }
-    }
-
-    /// Ingress lane accounting. False when the lane is disabled: the
-    /// packet arriving at `ts` is then booked as a link drop.
-    fn receive(&mut self, direction: Direction, len: usize, ts: u64) -> bool {
-        let up = match direction {
-            Direction::EdgeToOptical => self.edge.record_rx(len),
-            Direction::OpticalToEdge => self.optical.record_rx(len),
-        };
-        if !up {
-            self.drop(DropReason::LinkDown, ts);
-        }
-        up
     }
 
     /// The egress gate: lane accounting, and on the optical lane the
@@ -268,7 +373,9 @@ impl<'a> Accounts<'a> {
 
 impl Drop for Accounts<'_> {
     fn drop(&mut self) {
-        self.settle();
+        if !self.keep_run {
+            self.settle();
+        }
     }
 }
 
@@ -361,11 +468,10 @@ impl PpeServer {
 /// interleaving two sessions over one module would share transceiver
 /// and window state in arrival-order-breaking ways.
 pub struct StreamSession {
-    report: SimReport,
+    book: RunBook,
     server: PpeServer,
     ppe_period_ps: u64,
     pipeline_cycles: u64,
-    last_time_ns: u64,
     prev_arrival: u64,
     batch: Vec<BatchPacket>,
     pending: Vec<Transit>,
@@ -375,11 +481,10 @@ impl StreamSession {
     /// A fresh run against `m`, with `m`'s clocks and FIFO geometry.
     pub(super) fn new(m: &FlexSfp) -> StreamSession {
         let mut session = StreamSession {
-            report: SimReport::default(),
+            book: RunBook::default(),
             server: PpeServer::default(),
             ppe_period_ps: 0,
             pipeline_cycles: 0,
-            last_time_ns: 0,
             prev_arrival: 0,
             batch: Vec::with_capacity(PPE_BATCH),
             pending: Vec::with_capacity(PPE_BATCH),
@@ -388,21 +493,20 @@ impl StreamSession {
         session
     }
 
-    /// Back to the first instant of a fresh run against `m` as it is
-    /// now — an OTA reboot may have swapped the application, and the
-    /// configuration is a public field — keeping only the buffers.
+    /// Back to the first instant of a run against `m` as it is now — an
+    /// OTA reboot may have swapped the application, and the
+    /// configuration is a public field — keeping the report's buffers.
     fn rewind(&mut self, m: &FlexSfp) {
         debug_assert!(self.batch.is_empty() && self.pending.is_empty());
-        self.report = SimReport::default();
         self.server.reset(m.config.fifo_bytes);
         self.ppe_period_ps = m.config.ppe_clock.period_ps();
-        self.pipeline_cycles = u64::from(stage_start_cycle(m.app.pipeline_depth() as usize));
-        self.last_time_ns = 0;
+        self.pipeline_cycles = m.pipeline_cycles;
+        self.book.last_time_ns = 0;
         self.prev_arrival = 0;
     }
 
     fn accounts<'a>(&'a mut self, m: &'a mut FlexSfp) -> Accounts<'a> {
-        Accounts::new(m, &mut self.report, &mut self.last_time_ns)
+        Accounts::new(m, &mut self.book)
     }
 
     /// Run the pending PPE batch (if any) through the application and
@@ -421,27 +525,26 @@ impl StreamSession {
             return;
         };
         m.app.process_batch(&mut self.batch);
-        // Fold this batch's cache-counter delta into the window its
-        // newest packet lands in. Saturating: a reboot swaps the
-        // application and resets its counters mid-run.
-        if let Some(stats) = m.app.cache_stats() {
-            m.windows.record_cache(
-                newest.arrival_ns,
-                stats.hits.saturating_sub(m.last_cache.hits),
-                stats.misses.saturating_sub(m.last_cache.misses),
-                stats.evictions.saturating_sub(m.last_cache.evictions),
-                m.app.cache_occupancy().unwrap_or(0),
-            );
-            m.last_cache = stats;
-        }
+        let cache = m
+            .app
+            .cache_stats()
+            .map(|stats| (stats, m.app.cache_occupancy().unwrap_or(0)));
         // The sampled packet is the newest slot, so the processor's most
         // recent stamp is its stage trace, and the last verdict
         // dispatched below is its fate.
         let stamp = cap.and_then(|_| m.app.flight_stamp()).unwrap_or_default();
-        let mut acct = Accounts::new(m, &mut self.report, &mut self.last_time_ns);
+        let mut acct = Accounts::new(m, &mut self.book);
+        // The batch's cache delta goes to the window its newest packet
+        // lands in.
+        if let Some((stats, occupancy)) = cache {
+            acct.cache(newest.arrival_ns, stats, occupancy);
+        }
         let mut fate = None;
         for (slot, t) in self.batch.drain(..).zip(self.pending.drain(..)) {
-            fate = Some(acct.dispatch(t, slot.frame, slot.verdict, slot.ctx.direction, sink));
+            let verdict = acct.dispatch(t, slot.frame, slot.verdict, slot.ctx.direction, sink);
+            if cap.is_some() {
+                fate = Some(verdict);
+            }
         }
         if let Some(fate) = fate {
             acct.postcard(cap, newest.arrival_ns, stamp, fate);
@@ -495,8 +598,8 @@ impl StreamSession {
         sink: &mut F,
     ) {
         let ts = pkt.arrival_ns;
-        self.report.offered += 1;
-        self.report.offered_bytes += pkt.frame.len() as u64;
+        self.book.report.offered += 1;
+        self.book.report.offered_bytes += pkt.frame.len() as u64;
         if ts < self.prev_arrival {
             // Straggler in a host-composed trace: drop and count
             // before it reaches ingress accounting.
@@ -504,8 +607,14 @@ impl StreamSession {
             return;
         }
         self.prev_arrival = ts;
-        self.last_time_ns = self.last_time_ns.max(ts);
-        if !self.accounts(m).receive(pkt.direction, pkt.frame.len(), ts) {
+        self.book.last_time_ns = self.book.last_time_ns.max(ts);
+        // Ingress lane accounting; a disabled lane is a link drop.
+        let lane = match pkt.direction {
+            Direction::EdgeToOptical => &mut m.edge,
+            Direction::OpticalToEdge => &mut m.optical,
+        };
+        if !lane.record_rx(pkt.frame.len()) {
+            self.accounts(m).drop(DropReason::LinkDown, ts);
             return;
         }
         if self.answer_microservice(m, tag, &pkt, hint, sink)
@@ -671,8 +780,8 @@ impl StreamSession {
     /// partial batch, stamp the duration, advance the module's clock.
     fn close<F: FnMut(u64, OutputPacket)>(&mut self, m: &mut FlexSfp, sink: &mut F) {
         self.flush_batch(m, None, sink);
-        self.report.duration_ns = self.last_time_ns;
-        m.clock_ns = m.clock_ns.max(self.last_time_ns);
+        self.book.report.duration_ns = self.book.last_time_ns;
+        m.clock_ns = m.clock_ns.max(self.book.last_time_ns);
     }
 
     /// Close the run: flush the final partial batch, stamp the
@@ -684,25 +793,31 @@ impl StreamSession {
         sink: &mut F,
     ) -> SimReport {
         self.close(m, sink);
-        m.lifetime_latency.merge(self.report.latency.histogram());
-        self.report
+        m.lifetime_latency
+            .merge(self.book.report.latency.histogram());
+        self.book.report
     }
 
     /// One packet as one whole, independent run on this session's
     /// buffers: what [`FlexSfp::run`]`(vec![pkt])` does to the module
-    /// and to the sink, without what it allocates. Whatever the session
-    /// was in the middle of must have been flushed; the run starts from
-    /// a fresh PPE server and a zero clock, re-reads the module's
-    /// configuration and pipeline depth, and ends like
-    /// [`finish`](Self::finish). This is how a switch cage carries one
-    /// frame: consecutive frames reach a cage with no ordering between
-    /// their timestamps, so they cannot share a stream.
+    /// and to the sink, without what it allocates. This is how a switch
+    /// cage carries one frame: consecutive frames reach a cage with no
+    /// ordering between their timestamps, so they cannot share a
+    /// stream. Whatever the session was in the middle of must have been
+    /// flushed.
     ///
-    /// The returned report is the run's, valid until the next call,
-    /// with `outputs` empty (they went to the sink, in processing
-    /// order) and `latency` empty: the run records straight into the
-    /// module's lifetime histogram, where `finish` would have merged
-    /// the sample a moment later.
+    /// A pass does only what changes the module. It starts from an idle
+    /// PPE server, an empty FIFO and a zero clock, under the module's
+    /// configuration as it is now and the pipeline depth of the
+    /// application it last booted, and zeroes the counters it reports.
+    /// It books through one accounting context per fate, and its
+    /// latency straight into the module's lifetime histogram, where
+    /// [`finish`](Self::finish) would have merged it: a repeat of a
+    /// latency already recorded in the same window waits on the module
+    /// and is recorded with the others before anything reads the
+    /// telemetry. So the returned report, valid until the next call,
+    /// has `latency` empty as well as `outputs` (they went to the sink,
+    /// in processing order).
     pub fn run_one<F: FnMut(u64, OutputPacket)>(
         &mut self,
         m: &mut FlexSfp,
@@ -710,11 +825,12 @@ impl StreamSession {
         sink: &mut F,
     ) -> &SimReport {
         self.rewind(m);
-        std::mem::swap(self.report.latency.histogram_mut(), &mut m.lifetime_latency);
+        self.book.report = SimReport::default();
+        self.book.one_frame = true;
         self.offer(m, 0, pkt, sink);
         self.close(m, sink);
-        std::mem::swap(self.report.latency.histogram_mut(), &mut m.lifetime_latency);
-        &self.report
+        self.book.one_frame = false;
+        &self.book.report
     }
 }
 

@@ -3,6 +3,7 @@
 //! telemetry snapshot.
 
 use super::flight::FlightState;
+use super::session::LatencyRun;
 use super::{ModuleConfig, OutputPacket, SimPacket, SimReport, StreamSession};
 use crate::bitstream::{Bitstream, BitstreamMeta};
 use crate::control::{ControlContext, ControlPlane, ControlRequest, ControlResponse};
@@ -18,7 +19,7 @@ use flexsfp_obs::{
     PortCounters, TelemetrySnapshot, WindowedSeries,
 };
 use flexsfp_ppe::engine::PassThrough;
-use flexsfp_ppe::PacketProcessor;
+use flexsfp_ppe::{stage_start_cycle, PacketProcessor};
 
 /// Constructs an application from bitstream metadata at boot.
 pub type AppFactory = Box<dyn Fn(&BitstreamMeta) -> Option<Box<dyn PacketProcessor>> + Send>;
@@ -29,6 +30,9 @@ pub struct FlexSfp {
     pub config: ModuleConfig,
     pub(super) app: Box<dyn PacketProcessor>,
     app_version: u32,
+    /// PPE cycles ahead of the running application's first stage,
+    /// taken from its pipeline depth whenever an application boots.
+    pub(super) pipeline_cycles: u64,
     /// Embedded control plane.
     pub control: ControlPlane,
     /// SPI flash.
@@ -52,6 +56,12 @@ pub struct FlexSfp {
     pub events: EventRing,
     pub(super) lifetime_drops: DropCounters,
     pub(super) lifetime_latency: LatencyHistogram,
+    /// Forwards booked and not yet recorded. A stream records its run
+    /// before the accounting context that booked it ends; one-frame
+    /// passes leave theirs here for `lifetime_latency` and `windows`,
+    /// and later passes in the same window extend it. Settled before
+    /// either is read, replaced or written by anything else.
+    pub(super) latency_run: LatencyRun,
     /// High-water mark of simulated time, used to stamp events raised
     /// on the control path (which carries no packet timestamps).
     pub(super) clock_ns: u64,
@@ -92,6 +102,7 @@ impl FlexSfp {
         let vcsel = VcselModel::default();
         let mut module = FlexSfp {
             config,
+            pipeline_cycles: pipeline_cycles(app.as_ref()),
             app,
             app_version: 1,
             control,
@@ -108,6 +119,7 @@ impl FlexSfp {
             events: EventRing::default(),
             lifetime_drops: DropCounters::default(),
             lifetime_latency: LatencyHistogram::new(),
+            latency_run: LatencyRun::default(),
             clock_ns: 0,
             snapshot_seq: 0,
             events_exported: 0,
@@ -177,9 +189,17 @@ impl FlexSfp {
     }
 
     /// The rolling windowed time-series (1 ms buckets by default) —
-    /// also exported with every telemetry snapshot.
-    pub fn windows(&self) -> &WindowedSeries {
+    /// also exported with every telemetry snapshot. Mutable because
+    /// what one-frame passes left unrecorded is recorded first.
+    pub fn windows(&mut self) -> &WindowedSeries {
+        self.settle_passes();
         &self.windows
+    }
+
+    /// Record what one-frame passes left pending.
+    pub(super) fn settle_passes(&mut self) {
+        self.latency_run
+            .settle(&mut self.lifetime_latency, &mut self.windows);
     }
 
     /// Replace the windowed-series geometry (bucket width × live-window
@@ -188,6 +208,7 @@ impl FlexSfp {
     /// 32 ms; call before offering traffic — swapping the series
     /// discards anything already recorded.
     pub fn configure_windows(&mut self, width_ns: u64, capacity: usize) {
+        self.settle_passes();
         self.windows = WindowedSeries::new(width_ns, capacity);
     }
 
@@ -336,10 +357,20 @@ impl FlexSfp {
         // Fallback: golden image.
         if !self.try_boot_slot(0) {
             // Last resort: a pass-through "factory" datapath.
-            self.app = Box::new(PassThrough);
-            self.app_version = 0;
+            self.boot(Box::new(PassThrough), 0);
         }
         true
+    }
+
+    /// Make `app` the running application at `version`. Recorder
+    /// settings survive a reboot: stage stamping is re-armed on it.
+    fn boot(&mut self, app: Box<dyn PacketProcessor>, version: u32) {
+        self.pipeline_cycles = pipeline_cycles(app.as_ref());
+        self.app = app;
+        self.app_version = version;
+        if self.flight.is_some() {
+            self.app.set_flight_recording(true);
+        }
     }
 
     fn try_boot_slot(&mut self, slot: usize) -> bool {
@@ -364,13 +395,7 @@ impl FlexSfp {
         let Some(app) = (self.factory)(&bs.meta) else {
             return false;
         };
-        self.app = app;
-        self.app_version = bs.meta.version;
-        // Recorder settings survive the reboot: re-arm stage stamping
-        // on the freshly booted application.
-        if self.flight.is_some() {
-            self.app.set_flight_recording(true);
-        }
+        self.boot(app, bs.meta.version);
         true
     }
 
@@ -431,6 +456,7 @@ impl FlexSfp {
     /// ring (module trace buffer plus the running app's own ring).
     /// This is what a `ReadTelemetry` request on the OOB port returns.
     pub fn telemetry_snapshot(&mut self) -> TelemetrySnapshot {
+        self.settle_passes();
         self.snapshot_seq += 1;
         self.refresh_dom();
         let dom = self.mgmt.read_dom();
@@ -468,6 +494,12 @@ impl FlexSfp {
             windows: self.windows.clone(),
         }
     }
+}
+
+/// What a packet's PPE transit adds to its service time, in cycles:
+/// the start of the stage past `app`'s last.
+fn pipeline_cycles(app: &dyn PacketProcessor) -> u64 {
+    u64::from(stage_start_cycle(app.pipeline_depth() as usize))
 }
 
 fn port_counters(lane: &flexsfp_fabric::serdes::LaneCounters) -> PortCounters {

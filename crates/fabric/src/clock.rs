@@ -9,20 +9,30 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockDomain {
     hz: u64,
+    /// `10^12 / hz`, divided once here: every packet a module admits
+    /// reads it.
+    period_ps: u64,
 }
 
 impl ClockDomain {
     /// The prototype datapath clock: 156.25 MHz.
-    pub const XGMII_10G: ClockDomain = ClockDomain { hz: 156_250_000 };
+    pub const XGMII_10G: ClockDomain = ClockDomain::at_hz(156_250_000);
     /// The doubled clock the paper proposes for the Two-Way-Core PPE.
-    pub const XGMII_10G_X2: ClockDomain = ClockDomain { hz: 312_500_000 };
+    pub const XGMII_10G_X2: ClockDomain = ClockDomain::at_hz(312_500_000);
+
+    const fn at_hz(hz: u64) -> ClockDomain {
+        ClockDomain {
+            hz,
+            period_ps: 1_000_000_000_000 / hz,
+        }
+    }
 
     /// A domain at `mhz` megahertz. Panics on a zero frequency.
     #[cfg(test)]
     pub(crate) fn from_mhz(mhz: f64) -> ClockDomain {
         let hz = (mhz * 1e6).round() as u64;
         assert!(hz > 0, "clock frequency must be non-zero");
-        ClockDomain { hz }
+        ClockDomain::at_hz(hz)
     }
 
     /// Frequency in hertz.
@@ -38,7 +48,7 @@ impl ClockDomain {
     /// Period of one cycle in picoseconds (exact for frequencies that
     /// divide 10^12, as the prototype's 156.25 and 312.5 MHz do).
     pub fn period_ps(&self) -> u64 {
-        1_000_000_000_000 / self.hz
+        self.period_ps
     }
 
     /// Bits per second moved by a `width_bits`-wide bus in this domain.

@@ -18,12 +18,17 @@
 //! before `now` grants its next parked frame at that earlier instant,
 //! so a cage sees egress grants stamped before ingress frames it has
 //! already carried, which a stream would drop as unsorted arrivals. So
-//! every pass starts from an idle PPE and an empty FIFO, re-reads the
-//! module's clocks, FIFO size and pipeline depth (an OTA reboot swaps
-//! the application; [`CrossbarSwitch::module_mut`](crate::CrossbarSwitch::module_mut)
-//! hands out the configuration), and a cage module's FIFO never carries
-//! backlog from one frame to the next. Queueing in the switch is the
-//! crosspoints' job.
+//! every pass starts from an idle PPE and an empty FIFO, under the
+//! module's clocks and FIFO size as they are now
+//! ([`CrossbarSwitch::module_mut`](crate::CrossbarSwitch::module_mut)
+//! hands out the configuration) and the pipeline depth the module took
+//! from the application it last booted; a cage module's FIFO never
+//! carries backlog from one frame to the next. Queueing in the switch is
+//! the crosspoints' job. Beyond that, a pass does only what changes the
+//! module: it zeroes the counters it reports, books its fates through
+//! one accounting context, and books its latency straight into the
+//! module's lifetime histogram, where a repeat of a latency in the same
+//! window waits to be recorded with the others.
 
 use flexsfp_core::module::{FlexSfp, Interface, OutputPacket, SimPacket, StreamSession};
 use flexsfp_ppe::Direction;

@@ -322,13 +322,22 @@ impl LossyLink {
     }
 
     /// Carry one module's optical egress across the impaired span:
-    /// the lossy-mode counterpart of [`FiberLink::carry`].
+    /// the lossy-mode counterpart of [`FiberLink::carry`], in one
+    /// `Vec` with one copy of each frame. The clean arrivals, in arrival
+    /// order, are impaired front to back; what each delivers is appended
+    /// behind them, and the clean prefix is dropped afterwards.
     pub fn carry(&mut self, outputs: &[OutputPacket]) -> Vec<SimPacket> {
-        let clean = self.link.carry(outputs);
-        let mut out: Vec<SimPacket> = Vec::with_capacity(clean.len());
-        for pkt in clean {
+        let mut out = Vec::with_capacity(2 * outputs.len());
+        self.link.carry_into(outputs.iter().cloned(), &mut out);
+        let clean = out.len();
+        for i in 0..clean {
+            let pkt = SimPacket {
+                frame: std::mem::take(&mut out[i].frame),
+                ..out[i]
+            };
             self.impair(pkt, |pkt| out.push(pkt));
         }
+        out.drain(..clean);
         out.sort_by_key(|p| p.arrival_ns);
         out
     }

@@ -38,6 +38,7 @@ use flexsfp_obs::{CrosspointCounters, LatencyHistogram, TelemetrySnapshot, XbarT
 use flexsfp_ppe::Direction;
 use flexsfp_wire::{EthernetFrame, MacAddr};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Port line rate, bits per nanosecond (10 Gb/s).
 pub(crate) const LINE_RATE_BITS_PER_NS: u64 = 10;
@@ -162,10 +163,32 @@ impl CrossbarStats {
     }
 }
 
+/// The learning table's hasher: one multiply-fold of the 48-bit
+/// address, with no per-process key, so a table fills the same way on
+/// every run. Every frame hashes twice (learn the source, look up the
+/// destination); SipHash made that a tenth of a rack hop. Nothing
+/// iterates the table, so its order is never seen.
+#[derive(Default)]
+struct MacHasher(u64);
+
+impl Hasher for MacHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |h, &b| h << 8 | u64::from(b));
+    }
+
+    /// The address array's length prefix, the same for every key.
+    fn write_usize(&mut self, _len: usize) {}
+
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.0) * 0x9e37_79b9_7f4a_7c15;
+        product as u64 ^ (product >> 64) as u64
+    }
+}
+
 /// The fixed-function half of the switch, everything but the cages:
 /// the learning table, the crosspoint fabric and the frame accounting.
 struct Bridge {
-    mac_table: HashMap<MacAddr, usize>,
+    mac_table: HashMap<MacAddr, usize, BuildHasherDefault<MacHasher>>,
     matrix: CrosspointMatrix<QueuedFrame>,
     /// One bit per output whose column holds a frame (a `u64` per 64
     /// outputs), so servicing visits the outputs with work to do and
@@ -250,7 +273,7 @@ impl CrossbarSwitch {
         CrossbarSwitch {
             cages: (0..ports).map(|_| Cage::StandardSfp).collect(),
             bridge: Bridge {
-                mac_table: HashMap::new(),
+                mac_table: HashMap::default(),
                 matrix: CrosspointMatrix::new(ports, depth),
                 backlogged: vec![0; ports.div_ceil(64)],
                 stats: SwitchStats::default(),
@@ -315,8 +338,8 @@ impl CrossbarSwitch {
     /// frame crossing a cage, on ingress here or on egress at its
     /// grant, is one independent run of that one frame through the
     /// module ([`StreamSession::run_one`](flexsfp_core::module::StreamSession::run_one)):
-    /// a fresh PPE server, lifetime telemetry carried over. It has to
-    /// be. An output that fell idle at `out_free_ns < t_ns` grants its
+    /// a fresh PPE server, latency booked into the module's lifetime
+    /// telemetry. It has to be. An output that fell idle at `out_free_ns < t_ns` grants its
     /// next parked frame at that earlier instant, so a cage can see a
     /// grant stamped *before* an ingress it has already carried; a
     /// stream would refuse it as an unsorted arrival. One consequence

@@ -35,31 +35,32 @@ impl FiberLink {
     }
 
     /// Convert one module's optical egress into the peer's optical
-    /// ingress trace (arrival-sorted, delay applied). Frames are cloned;
-    /// use `carry_owned` when the outputs are no
-    /// longer needed.
+    /// ingress trace (arrival-sorted, delay applied). Frames are cloned.
     pub fn carry(&self, outputs: &[OutputPacket]) -> Vec<SimPacket> {
-        self.carry_owned(outputs.iter().cloned())
+        let mut pkts = Vec::new();
+        self.carry_into(outputs.iter().cloned(), &mut pkts);
+        pkts
     }
 
-    /// Like [`carry`](Self::carry), but consume the outputs and move each
-    /// frame into the peer's ingress trace without copying — the
-    /// zero-clone path for chained fleet runs.
-    pub(crate) fn carry_owned<I>(&self, outputs: I) -> Vec<SimPacket>
+    /// What [`carry`](Self::carry) returns, appended to `pkts`: consume
+    /// the outputs and move each frame into the peer's ingress trace
+    /// without copying, the appended part sorted by arrival.
+    pub(crate) fn carry_into<I>(&self, outputs: I, pkts: &mut Vec<SimPacket>)
     where
         I: IntoIterator<Item = OutputPacket>,
     {
-        let mut pkts: Vec<SimPacket> = outputs
-            .into_iter()
-            .filter(|o| o.egress == Interface::Optical)
-            .map(|o| SimPacket {
-                arrival_ns: o.departure_ns + self.delay_ns() as u64,
-                direction: Direction::OpticalToEdge,
-                frame: o.frame,
-            })
-            .collect();
-        pkts.sort_by_key(|p| p.arrival_ns);
-        pkts
+        let from = pkts.len();
+        pkts.extend(
+            outputs
+                .into_iter()
+                .filter(|o| o.egress == Interface::Optical)
+                .map(|o| SimPacket {
+                    arrival_ns: o.departure_ns + self.delay_ns() as u64,
+                    direction: Direction::OpticalToEdge,
+                    frame: o.frame,
+                }),
+        );
+        pkts[from..].sort_by_key(|p| p.arrival_ns);
     }
 }
 
@@ -110,7 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn carry_owned_moves_frames() {
+    fn carry_into_moves_frames_behind_what_is_there() {
         let mut a = FlexSfp::passthrough();
         let report = a.run(vec![SimPacket {
             arrival_ns: 0,
@@ -118,10 +119,11 @@ mod tests {
             frame: frame(),
         }]);
         let by_ref = FiberLink::new(300.0).carry(&report.outputs);
-        let owned = FiberLink::new(300.0).carry_owned(report.outputs);
-        assert_eq!(by_ref.len(), owned.len());
-        assert_eq!(by_ref[0].arrival_ns, owned[0].arrival_ns);
-        assert_eq!(by_ref[0].frame, owned[0].frame);
+        let mut owned = FiberLink::new(1.0).carry(&report.outputs);
+        FiberLink::new(300.0).carry_into(report.outputs, &mut owned);
+        assert_eq!(owned.len(), 2);
+        assert_eq!(by_ref[0].arrival_ns, owned[1].arrival_ns);
+        assert_eq!(by_ref[0].frame, owned[1].frame);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use flexsfp_fabric::hash::crc32;
 use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_host::crossbar::serialize_ns;
 use flexsfp_host::CrossbarSwitch;
-use flexsfp_obs::{json, ToJson, Value};
+use flexsfp_obs::{json, FlightRecord, FlightVerdict, ToJson, Value};
 use flexsfp_ppe::{Direction, TableOp};
 use flexsfp_traffic::rng::Xoshiro256;
 use flexsfp_traffic::{SizeModel, TraceBuilder};
@@ -120,7 +120,17 @@ fn meta(app: &str, version: u32, config: Value) -> Bitstream {
     .with_config(config)
 }
 
-/// One module, built the same way twice.
+/// Flight recorder: one dataplane packet in three sampled, into a ring
+/// that holds every postcard of a script.
+const SAMPLE_EVERY: u64 = 3;
+const POSTCARDS: usize = 1_024;
+/// Window series: 20 µs buckets, six live, so a script of about 600 µs
+/// rotates its windows dozens of times.
+const WINDOW_NS: u64 = 20_000;
+const WINDOWS: usize = 6;
+
+/// One module, built the same way twice, with its flight recorder armed
+/// and its window series narrowed.
 fn module(id: &str, shell: Option<ShellKind>, app: &str, config: &Value) -> FlexSfp {
     let mut cfg = match shell {
         None => ModuleConfig::default(),
@@ -133,6 +143,8 @@ fn module(id: &str, shell: Option<ShellKind>, app: &str, config: &Value) -> Flex
     let app = app_factory()(&meta(app, 1, config.clone()).meta).expect("a registered app");
     let mut m = FlexSfp::new(cfg, app);
     m.set_factory(app_factory());
+    m.enable_flight_recorder(SAMPLE_EVERY, 0xf1_1647, POSTCARDS);
+    m.configure_windows(WINDOW_NS, WINDOWS);
     m
 }
 
@@ -477,7 +489,7 @@ fn assert_cage_is_one_run_per_frame(
     config: &Value,
     swap_to: &Bitstream,
     seed: u64,
-) -> Fates {
+) -> (Fates, Vec<FlightRecord>) {
     let mut sw = CrossbarSwitch::new(2, DEPTH);
     sw.insert_flexsfp(CAGE, module(name, shell, app, config));
     let mut twin = Twin::new(module(name, shell, app, config));
@@ -566,6 +578,22 @@ fn assert_cage_is_one_run_per_frame(
     assert!(twin.fates.diverted > 0, "{name}: no control reply");
     assert!(twin.fates.absorbed > 0, "{name}: no refused control frame");
 
+    let windows = seated.windows();
+    let live: u64 = windows.windows().iter().map(|w| w.packets()).sum();
+    assert!(
+        windows.lifetime().packets() > live,
+        "{name}: no window rotated out"
+    );
+
+    let got = seated.drain_flight_records();
+    let want = twin.module.drain_flight_records();
+    assert_eq!(got.len(), want.len(), "{name}: postcards");
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "{name}: postcard {i}");
+    }
+    assert!(got.len() < POSTCARDS, "{name}: raise POSTCARDS");
+    let postcards = got;
+
     let got = seated.telemetry_snapshot().to_json().to_string_pretty();
     let want = twin
         .module
@@ -585,7 +613,17 @@ fn assert_cage_is_one_run_per_frame(
             want.lines().nth(line)
         );
     }
-    twin.fates
+    (twin.fates, postcards)
+}
+
+/// How many postcards ended in each fate: (forwarded, dropped, to control).
+fn verdicts(postcards: &[FlightRecord]) -> (usize, usize, usize) {
+    let count = |f: fn(&FlightVerdict) -> bool| postcards.iter().filter(|r| f(&r.verdict)).count();
+    (
+        count(|v| matches!(v, FlightVerdict::Forwarded { .. })),
+        count(|v| matches!(v, FlightVerdict::Dropped { .. })),
+        count(|v| matches!(v, FlightVerdict::ToControl)),
+    )
 }
 
 #[test]
@@ -599,7 +637,7 @@ fn every_app_in_a_cage_behaves_as_one_run_per_frame() {
             "dns-filter" | "syn-flood-guard" => meta("vlan-tagger", 2, json!({"vid": 7})),
             _ => meta("dns-filter", 2, json!({"blocked": ["blocked.example"]})),
         };
-        let fates = assert_cage_is_one_run_per_frame(
+        let (fates, postcards) = assert_cage_is_one_run_per_frame(
             &format!("cage-{app}"),
             shell,
             app,
@@ -607,15 +645,37 @@ fn every_app_in_a_cage_behaves_as_one_run_per_frame() {
             &swap_to,
             0xca6e_0000 + i as u64,
         );
-        // The one application here with a punt rule reaches that fate.
+        // The one application here with a punt rule reaches that fate,
+        // and the sampler catches it there.
         assert_eq!(fates.to_control > 0, app == "firewall", "{app}: {fates:?}");
+        let (forwarded, dropped, to_control) = verdicts(&postcards);
+        assert!(
+            forwarded > 0 && dropped > 0,
+            "{app}: {:?}",
+            verdicts(&postcards)
+        );
+        assert_eq!(
+            to_control > 0,
+            app == "firewall",
+            "{app}: {to_control} punted postcards"
+        );
+        // On the One-Way-Filter the ingress pass takes the bypass,
+        // whose postcards record no queue.
+        if shell.is_none() {
+            assert!(
+                postcards
+                    .iter()
+                    .any(|r| r.queue_pkts == 0 && r.stages.is_empty()),
+                "{app}: no bypass postcard"
+            );
+        }
     }
 }
 
 #[test]
 fn an_active_control_plane_module_in_a_cage_behaves_as_one_run_per_frame() {
     let swap_to = meta("nat", 2, json!({"table_size": 64}));
-    let fates = assert_cage_is_one_run_per_frame(
+    let (fates, postcards) = assert_cage_is_one_run_per_frame(
         "cage-acp",
         Some(ShellKind::ActiveControlPlane),
         "passthrough",
@@ -625,4 +685,6 @@ fn an_active_control_plane_module_in_a_cage_behaves_as_one_run_per_frame() {
     );
     // Two ARP and two echo replies beside the six control replies.
     assert_eq!(fates.diverted, 10, "{fates:?}");
+    let (forwarded, dropped, _) = verdicts(&postcards);
+    assert!(forwarded > 0 && dropped > 0, "{:?}", verdicts(&postcards));
 }

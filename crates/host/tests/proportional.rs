@@ -11,6 +11,19 @@
 //! release builds alike; a walk over the backlogged outputs, each
 //! arbitrating over its column's valid bits, reads 1.0.
 //!
+//! A cage pass costs its frame, not a fresh module run. The same
+//! exchange is timed with pass-through FlexSFPs in both hosts' cages
+//! and with standard SFPs: two passes per injection, ingress on the
+//! bypass and egress through the PPE. A pass that reset a whole run
+//! report, swapped the lifetime histogram in and out and recorded
+//! every latency into two histograms read 2.35–3.39 in a release build
+//! (median 3.19 over five) and 2.22–2.37 in a debug one. Passes that
+//! book latency into the lifetime histogram, count the repeats of a
+//! latency in one window and record them together, and keep the
+//! pipeline depth on the module read 1.96–2.36 in release over ten
+//! runs and 2.02–3.21 in debug; each build is held to its worst plus
+//! 10 %.
+//!
 //! A fleet export costs less than reading it back. A rack-sized
 //! collector's `to_json()` is timed against `Value::parse` of the text
 //! it wrote. Building the document as a `Value` tree and rendering that
@@ -32,22 +45,28 @@ use flexsfp_wire::MacAddr;
 use std::time::{Duration, Instant};
 
 const INJECTIONS: u64 = 50_000;
+const PASSES: u64 = 200_000;
 const HOST_A: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0xa]);
 const HOST_B: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0xb]);
 
 /// Wall nanoseconds per injection of the ping-pong on a `ports`-port
-/// switch, hosts on the first and the last port.
-fn ns_per_inject(ports: usize) -> f64 {
+/// switch, hosts on the first and the last port, behind pass-through
+/// FlexSFPs when `seated`.
+fn ns_per_inject(ports: usize, seated: bool, injections: u64) -> f64 {
     let frame = |dst, src| PacketBuilder::eth_ipv4_udp(dst, src, 1, 2, 9, 80, &[0; 64]);
     let (ping, pong) = (frame(HOST_B, HOST_A), frame(HOST_A, HOST_B));
     let gap_ns = 2 * serialize_ns(ping.len());
     let mut sw = CrossbarSwitch::new(ports, 8);
+    if seated {
+        sw.insert_flexsfp(0, FlexSfp::passthrough());
+        sw.insert_flexsfp(ports - 1, FlexSfp::passthrough());
+    }
     sw.inject(0, ping.clone(), 0);
     sw.inject(ports - 1, pong.clone(), gap_ns);
     sw.drain();
     let start = Instant::now();
     let mut delivered = 0;
-    for i in 0..INJECTIONS {
+    for i in 0..injections {
         let (port, frame) = if i % 2 == 0 {
             (0, ping.clone())
         } else {
@@ -56,8 +75,8 @@ fn ns_per_inject(ports: usize) -> f64 {
         delivered += sw.inject(port, frame, (i + 2) * gap_ns).len() as u64;
     }
     let elapsed = start.elapsed();
-    assert_eq!(delivered, INJECTIONS, "every frame finds its output idle");
-    elapsed.as_nanos() as f64 / INJECTIONS as f64
+    assert_eq!(delivered, injections, "every frame finds its output idle");
+    elapsed.as_nanos() as f64 / injections as f64
 }
 
 #[test]
@@ -66,14 +85,31 @@ fn an_injection_costs_the_same_on_8_and_on_64_ports() {
     // lands on one round, not on one size.
     let (mut small, mut large) = (f64::MAX, f64::MAX);
     for _ in 0..3 {
-        small = small.min(ns_per_inject(8));
-        large = large.min(ns_per_inject(64));
+        small = small.min(ns_per_inject(8, false, INJECTIONS));
+        large = large.min(ns_per_inject(64, false, INJECTIONS));
     }
     let ratio = large / small;
     println!("8 ports {small:.0} ns, 64 ports {large:.0} ns per injection: ratio {ratio:.2}");
     assert!(
         ratio <= 8.0,
         "64 ports cost {ratio:.1}x what 8 ports do per injection ({large:.0} against {small:.0} ns)"
+    );
+}
+
+#[test]
+fn a_cage_pass_costs_a_frame_not_a_module_run() {
+    // Alternate the two and keep each one's best round, as above.
+    let (mut standard, mut seated) = (f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        standard = standard.min(ns_per_inject(8, false, PASSES));
+        seated = seated.min(ns_per_inject(8, true, PASSES));
+    }
+    let ratio = seated / standard;
+    println!("standard SFPs {standard:.0} ns, pass-through FlexSFPs {seated:.0} ns per injection: ratio {ratio:.2}");
+    let bound = if cfg!(debug_assertions) { 3.53 } else { 2.6 };
+    assert!(
+        ratio <= bound,
+        "two cage passes cost {ratio:.2}x a standard-SFP injection ({seated:.0} against {standard:.0} ns)"
     );
 }
 

@@ -9,7 +9,13 @@
 //! hermetic default build has no property-testing dependency, so this
 //! is the same exploration driven by `flexsfp_traffic::Xoshiro256`).
 //!
-//! A second, fully deterministic test overdrives one output through a
+//! A second seeded test holds the learning table itself to the model,
+//! injection by injection: stations that move port, broadcast and
+//! multicast sources, hairpins and unknown destinations must give the
+//! same deliveries in the same order, the same `learned()` and the same
+//! flood and hairpin counters.
+//!
+//! A third, fully deterministic test overdrives one output through a
 //! depth-2 matrix and pins the exact per-crosspoint drop counts.
 
 use flexsfp_host::crossbar::CrossbarSwitch;
@@ -23,6 +29,12 @@ use std::collections::BTreeMap;
 struct ModelBridge {
     ports: usize,
     table: BTreeMap<MacAddr, usize>,
+    /// Frames flooded, copies beyond the first, frames filtered as
+    /// hairpins, runts refused.
+    flooded: u64,
+    flood_copies: u64,
+    hairpins: u64,
+    malformed: u64,
 }
 
 impl ModelBridge {
@@ -30,12 +42,18 @@ impl ModelBridge {
         ModelBridge {
             ports,
             table: BTreeMap::new(),
+            flooded: 0,
+            flood_copies: 0,
+            hairpins: 0,
+            malformed: 0,
         }
     }
 
+    /// The deliveries of one frame, in port order.
     fn inject(&mut self, port: usize, frame: &[u8]) -> Vec<(usize, Vec<u8>)> {
         if frame.len() < 14 {
-            return Vec::new(); // malformed: no delivery
+            self.malformed += 1;
+            return Vec::new();
         }
         let mut dst = [0u8; 6];
         let mut src = [0u8; 6];
@@ -47,11 +65,18 @@ impl ModelBridge {
         }
         match self.table.get(&dst) {
             Some(&p) if p != port => vec![(p, frame.to_vec())],
-            Some(_) => Vec::new(),
-            None => (0..self.ports)
-                .filter(|&p| p != port)
-                .map(|p| (p, frame.to_vec()))
-                .collect(),
+            Some(_) => {
+                self.hairpins += 1;
+                Vec::new()
+            }
+            None => {
+                self.flooded += 1;
+                self.flood_copies += self.ports as u64 - 2;
+                (0..self.ports)
+                    .filter(|&p| p != port)
+                    .map(|p| (p, frame.to_vec()))
+                    .collect()
+            }
         }
     }
 }
@@ -111,6 +136,87 @@ fn crossbar_matches_model_bridge_for_random_sequences() {
             "seed {seed}: delivery multiset diverged from the model bridge"
         );
     }
+}
+
+#[test]
+fn learning_matches_the_model_bridge_as_stations_move() {
+    const PORTS: usize = 6;
+    const STATIONS: u64 = 12;
+    const INJECTIONS: usize = 3_000;
+    let broadcast = MacAddr([0xff; 6]);
+    let multicast = |i: u64| MacAddr([0x01, 0x00, 0x5e, 0x00, 0x00, i as u8]);
+    // Never a source: a destination nothing ever teaches the table.
+    let unknown = |i: u64| MacAddr([0x02, 0xee, 0x00, 0x00, 0x00, i as u8]);
+    let (mut moves, mut hairpins) = (0, 0);
+    for seed in 1..=4u64 {
+        let mut rng = Xoshiro256::seed_from_u64(0xb41d_6e00 + seed);
+        let mut model = ModelBridge::new(PORTS);
+        // Injections far apart: every output is idle, so each frame's
+        // deliveries come back from its own `inject`, in port order.
+        let mut xbar = CrossbarSwitch::new(PORTS, 8);
+        let mut home: Vec<usize> = (0..STATIONS).map(|_| rng.range_usize(0, PORTS)).collect();
+        for step in 0..INJECTIONS {
+            if rng.chance(0.04) {
+                let station = rng.range_usize(0, home.len());
+                home[station] = rng.range_usize(0, PORTS);
+                moves += 1;
+            }
+            let station = rng.range_u64(0, STATIONS);
+            let port = home[station as usize];
+            let src = match rng.range_u64(0, 20) {
+                0 => broadcast,
+                1 => multicast(rng.range_u64(0, 4)),
+                _ => mac(station),
+            };
+            let dst = match rng.range_u64(0, 10) {
+                0 => broadcast,
+                1 => multicast(rng.range_u64(0, 4)),
+                2 => unknown(rng.range_u64(0, 4)),
+                _ => mac(rng.range_u64(0, STATIONS)),
+            };
+            let frame = if step % 211 == 210 {
+                vec![0x55; 9]
+            } else {
+                test_frame(dst, src, step as u16)
+            };
+            let want = model.inject(port, &frame);
+            let got: Vec<(usize, Vec<u8>)> = xbar
+                .inject(port, frame, step as u64 * 10_000)
+                .into_iter()
+                .map(|d| (d.port, d.frame))
+                .collect();
+            assert_eq!(got, want, "seed {seed}, step {step}: deliveries");
+            assert_eq!(
+                xbar.learned(),
+                model.table.len(),
+                "seed {seed}, step {step}: learned"
+            );
+        }
+        let s = xbar.stats();
+        assert_eq!(
+            (
+                s.sw.flooded,
+                s.sw.flood_copies,
+                s.sw.filtered_hairpin,
+                s.sw.dropped_malformed
+            ),
+            (
+                model.flooded,
+                model.flood_copies,
+                model.hairpins,
+                model.malformed
+            ),
+            "seed {seed}: flooded, flood copies, hairpins, runts"
+        );
+        assert_eq!(s.queued, 0, "seed {seed}: a frame waited");
+        assert!(s.conserved(), "seed {seed}: {s:?}");
+        hairpins += model.hairpins;
+    }
+    // The sequences did what they are there to do.
+    assert!(
+        moves > 100 && hairpins > 100,
+        "{moves} moves, {hairpins} hairpins"
+    );
 }
 
 #[test]

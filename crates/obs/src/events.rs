@@ -195,6 +195,9 @@ impl<T> TraceRing<T> {
     }
 
     /// Lifetime count of items successfully drained.
+    ///
+    /// Test-only: `crates/obs/tests/prop.rs`: the drained share of the
+    /// ring's conservation identity.
     pub fn drained(&self) -> u64 {
         self.drained
     }

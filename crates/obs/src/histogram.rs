@@ -28,15 +28,59 @@ const BUCKETS: usize = 3_776;
 /// sharded-dataplane parity suite asserts down to the mean.
 const SUM_QUANTUM_BITS: u32 = 20;
 
+/// 2⁶³ as an `f64`: below it, [`round_half_away`] applies.
+const TWO_TO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `x.round() as u64` for `0 <= x < 2⁶³`. Baseline x86-64 has no
+/// rounding instruction, so `f64::round` is a call; this is two signed
+/// conversions, each one instruction in this range, and a compare.
+/// `x - trunc(x)` is exact, so comparing it with one half decides as
+/// round-half-away-from-zero does.
+fn round_half_away(x: f64) -> u64 {
+    let t = x as i64;
+    (t + i64::from(x - t as f64 >= 0.5)) as u64
+}
+
 /// Quantize a nonnegative finite nanosecond sample to sum quanta.
 fn quantize(v: f64) -> u128 {
-    let scaled = (v * (1u64 << SUM_QUANTUM_BITS) as f64).round();
+    let scaled = v * (1u64 << SUM_QUANTUM_BITS) as f64;
+    if scaled < TWO_TO_63 {
+        return u128::from(round_half_away(scaled));
+    }
+    let scaled = scaled.round();
     // f64→u128 is a libcall: go through u64 below 2⁶⁴ quanta (≈ 4.9
     // hours). Both casts saturate, so the top is `u128::MAX`.
     if scaled < u64::MAX as f64 {
         u128::from(scaled as u64)
     } else {
         scaled as u128
+    }
+}
+
+/// A floating-point nanosecond sample as a histogram books it: its
+/// bucket value (rounded to the nearest nanosecond) and its exact share
+/// of the sum. Converted once, one sample goes into several histograms
+/// (a module's lifetime population and its window's) for the price of
+/// one conversion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sample {
+    value: u64,
+    quanta: u128,
+}
+
+impl From<f64> for Sample {
+    /// Negative and non-finite samples book as 0 ns.
+    fn from(v: f64) -> Sample {
+        let clamped = if v.is_finite() { v.max(0.0) } else { 0.0 };
+        let value = if clamped < TWO_TO_63 {
+            round_half_away(clamped)
+        } else {
+            clamped.round().min(u64::MAX as f64) as u64
+        };
+        Sample {
+            value,
+            quanta: quantize(clamped),
+        }
     }
 }
 
@@ -107,15 +151,13 @@ impl LatencyHistogram {
     /// Record a floating-point nanosecond sample (rounded to the
     /// nearest integer bucket; the exact value still feeds the mean).
     pub fn record_f64(&mut self, v: f64) {
-        self.record_f64_n(v, 1);
+        self.record_sample_n(Sample::from(v), 1);
     }
 
-    /// Record `n` occurrences of the same floating-point sample: exactly
-    /// what `n` calls of [`record_f64`](Self::record_f64) leave.
-    pub fn record_f64_n(&mut self, v: f64, n: u64) {
-        let clamped = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        let rounded = clamped.round().min(u64::MAX as f64) as u64;
-        self.add(rounded, quantize(clamped), n);
+    /// Record `n` occurrences of the same sample: exactly what `n` calls
+    /// of [`record_f64`](Self::record_f64) leave.
+    pub fn record_sample_n(&mut self, s: Sample, n: u64) {
+        self.add(s.value, s.quanta, n);
     }
 
     /// The one recording body: `n` samples in `v`'s bucket, each adding
@@ -139,9 +181,13 @@ impl LatencyHistogram {
             self.max = self.max.max(v);
         }
         self.count = self.count.saturating_add(n);
-        self.sum_q = self
-            .sum_q
-            .saturating_add(quanta.saturating_mul(u128::from(n)));
+        // A sample below 2⁶⁴ quanta times a `u64` count cannot overflow
+        // the product: one widening multiply instead of a checked one.
+        let added = match u64::try_from(quanta) {
+            Ok(q) => u128::from(q) * u128::from(n),
+            Err(_) => quanta.saturating_mul(u128::from(n)),
+        };
+        self.sum_q = self.sum_q.saturating_add(added);
     }
 
     /// Total samples recorded.
@@ -393,6 +439,30 @@ mod tests {
         assert_eq!(quantize(edge), 1 << 64);
         assert_eq!(quantize(edge.next_up()), (1 << 64) + 4096);
         assert_eq!(quantize(f64::MAX), u128::MAX);
+    }
+
+    /// The rounding shortcut is `f64::round` wherever it is taken: at
+    /// and beside every half, where `x + 0.5` would already round, up to
+    /// 2⁵³ where every `f64` is whole, and up to the 2⁶³ edge.
+    #[test]
+    fn round_half_away_is_f64_round_below_two_to_the_63() {
+        let mut cases = vec![0.0, -0.0, 0.5, 1.5, 2.5, 0.25, 299.5, 1_234.567];
+        cases.extend([0.5f64, 1.5, 2.5, 4_503_599_627_370_495.5].map(f64::next_down));
+        cases.extend([0.5f64, 1.5, 2.5, 2f64.powi(52)].map(f64::next_up));
+        cases.extend([2f64.powi(52), 2f64.powi(53) + 2.0, TWO_TO_63.next_down()]);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Spread over every binade below 2⁶³.
+            let exponent = (x >> 58) as i32;
+            cases.push(f64::from_bits(x >> 12 | 0x3ff0_0000_0000_0000) * 2f64.powi(exponent - 1));
+        }
+        for v in cases {
+            assert!(v < TWO_TO_63);
+            assert_eq!(round_half_away(v), v.round() as u64, "{v:e}");
+        }
     }
 
     #[test]

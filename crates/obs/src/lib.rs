@@ -53,7 +53,7 @@ pub mod trace;
 pub mod xbar;
 
 pub use events::{DataplaneEvent, DropReason, EventKind, EventRing, TraceRing};
-pub use histogram::LatencyHistogram;
+pub use histogram::{LatencyHistogram, Sample};
 pub use json::{FromJson, ToJson, Value};
 pub use prometheus::PromText;
 pub use slo::{SloReport, SloSpec};

@@ -12,7 +12,7 @@
 //! aggregate, and the ring never holds more than its capacity (both
 //! checked bit for bit over seeded timestamp patterns in `tests/prop.rs`).
 
-use crate::histogram::LatencyHistogram;
+use crate::histogram::{LatencyHistogram, Sample};
 
 /// Default window width: 1 ms of simulated time.
 pub(crate) const DEFAULT_WINDOW_WIDTH_NS: u64 = 1_000_000;
@@ -169,6 +169,15 @@ impl WindowedSeries {
         timestamp_ns - timestamp_ns % self.width_ns
     }
 
+    /// The index of the newest live window when it covers
+    /// `timestamp_ns`: where nearly every sample lands, found without
+    /// the division `aligned` takes.
+    fn newest_covering(&self, timestamp_ns: u64) -> Option<usize> {
+        let newest = self.windows.len().checked_sub(1)?;
+        let start = self.windows[newest].start_ns;
+        (timestamp_ns >= start && timestamp_ns - start < self.width_ns).then_some(newest)
+    }
+
     /// What [`new`](Self::new) and recording guarantee and every method
     /// relies on (`aligned` divides by the width), asked of a decoded
     /// series: width and capacity at least 1, no more live windows than
@@ -188,9 +197,12 @@ impl WindowedSeries {
     /// needed. Timestamps older than the oldest live window land in the
     /// evicted catch-all so a late sample is counted, not lost.
     fn bucket_mut(&mut self, timestamp_ns: u64) -> &mut WindowBucket {
+        if let Some(newest) = self.newest_covering(timestamp_ns) {
+            return &mut self.windows[newest];
+        }
         let start = self.aligned(timestamp_ns);
-        // Reverse scan: packets arrive nearly in order, so the newest
-        // window almost always ends it at once.
+        // Reverse scan: packets arrive nearly in order, so a window
+        // near the newest ends it at once.
         let at = match self.windows.iter().rposition(|w| w.start_ns <= start) {
             Some(idx) if self.windows[idx].start_ns == start => return &mut self.windows[idx],
             Some(idx) => idx + 1,
@@ -214,18 +226,22 @@ impl WindowedSeries {
     /// timestamp in it is recorded into the same bucket until something
     /// else rotates the ring.
     pub fn window_of(&self, timestamp_ns: u64) -> std::ops::Range<u64> {
-        let start = self.aligned(timestamp_ns);
+        let start = match self.newest_covering(timestamp_ns) {
+            Some(newest) => self.windows[newest].start_ns,
+            None => self.aligned(timestamp_ns),
+        };
         start..start.saturating_add(self.width_ns)
     }
 
-    /// Record `n` forwarded packets of one latency at `timestamp_ns`.
-    pub fn record_forwarded_n(&mut self, timestamp_ns: u64, latency_ns: f64, n: u64) {
+    /// Record `n` forwarded packets of one latency (in nanoseconds) at
+    /// `timestamp_ns`.
+    pub fn record_forwarded_n(&mut self, timestamp_ns: u64, latency: impl Into<Sample>, n: u64) {
         if n == 0 {
             return;
         }
         let b = self.bucket_mut(timestamp_ns);
         b.forwarded = b.forwarded.saturating_add(n);
-        b.latency.record_f64_n(latency_ns, n);
+        b.latency.record_sample_n(latency.into(), n);
     }
 
     /// Record a dropped packet; `unexplained` is true for drops the app

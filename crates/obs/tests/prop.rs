@@ -6,8 +6,8 @@
 //! a failure names the case's seed, which reproduces it alone.
 
 use flexsfp_obs::{
-    DataplaneEvent, EventKind, FlightRecord, FlightVerdict, FromJson, LatencyHistogram, ToJson,
-    TraceRing, Value, WindowedSeries,
+    DataplaneEvent, EventKind, FlightRecord, FlightVerdict, FromJson, LatencyHistogram, Sample,
+    ToJson, TraceRing, Value, WindowedSeries,
 };
 use flexsfp_traffic::rng::Xoshiro256;
 
@@ -262,7 +262,7 @@ fn any_latency(rng: &mut Xoshiro256) -> f64 {
     }
 }
 
-/// `record_f64_n(v, n)` and `record_n(v, n)` leave exactly what `n`
+/// `record_sample_n(v.into(), n)` and `record_n(v, n)` leave exactly what `n`
 /// single records leave — counts, extrema and the saturating sum — from
 /// an empty, an ordinary, a `u64::MAX`-count or a saturated-sum
 /// histogram.
@@ -276,9 +276,9 @@ fn record_n_equals_n_single_records() {
         }
         let (v, n) = (any_latency(rng), rng.range_u64(0, 50));
         let (mut once, mut singly) = (start.clone(), start.clone());
-        once.record_f64_n(v, n);
+        once.record_sample_n(Sample::from(v), n);
         (0..n).for_each(|_| singly.record_f64(v));
-        assert_eq!(once, singly, "case {case:#x}: record_f64_n({v}, {n})");
+        assert_eq!(once, singly, "case {case:#x}: record_sample_n({v}, {n})");
         let v = any_u64(rng);
         let (mut once, mut singly) = (start.clone(), start);
         once.record_n(v, n);
