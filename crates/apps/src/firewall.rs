@@ -58,19 +58,6 @@ flexsfp_obs::impl_json_struct!(AclRule {
 });
 
 impl AclRule {
-    /// A wildcard rule with the given action and priority.
-    pub fn any(priority: u32, action: AclAction) -> AclRule {
-        AclRule {
-            src: None,
-            dst: None,
-            protocol: None,
-            src_port: None,
-            dst_port: None,
-            priority,
-            action,
-        }
-    }
-
     fn to_entry(self) -> TernaryEntry<AclAction> {
         let mut value = [0u8; 13];
         let mut mask = [0u8; 13];
@@ -155,13 +142,8 @@ impl AclFirewall {
     }
 
     /// Remove all rules at `priority`; returns how many were removed.
-    pub fn remove_priority(&mut self, priority: u32) -> usize {
+    fn remove_priority(&mut self, priority: u32) -> usize {
         self.table.remove_priority(priority)
-    }
-
-    /// Read a counter.
-    pub fn counter(&self, idx: usize) -> flexsfp_ppe::counters::Counter {
-        self.counters.get(idx)
     }
 }
 
@@ -208,7 +190,7 @@ impl PacketProcessor for AclFirewall {
 
     fn resource_manifest(&self) -> ResourceManifest {
         // Ternary rows are the cost driver (LUT-cascade TCAM emulation).
-        let rows = (self.table.len() + self.table.free()) as u64;
+        let rows = self.table.capacity() as u64;
         ResourceManifest::new(3_200, 4_100, 24, 2)
             + ResourceManifest::new(4_200, 1_400, 0, 0).scaled(rows.div_ceil(64))
     }
@@ -255,6 +237,19 @@ impl PacketProcessor for AclFirewall {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A wildcard rule with the given action and priority.
+    fn any(priority: u32, action: AclAction) -> AclRule {
+        AclRule {
+            src: None,
+            dst: None,
+            protocol: None,
+            src_port: None,
+            dst_port: None,
+            priority,
+            action,
+        }
+    }
     use flexsfp_obs::json::ToJson;
     use flexsfp_wire::builder::PacketBuilder;
     use flexsfp_wire::MacAddr;
@@ -310,8 +305,8 @@ mod tests {
             fw.process(&ProcessContext::egress(), &mut web),
             Verdict::Forward
         );
-        assert_eq!(fw.counter(counters::DENIED).packets, 1);
-        assert_eq!(fw.counter(counters::PERMITTED).packets, 1);
+        assert_eq!(fw.counters.get(counters::DENIED).packets, 1);
+        assert_eq!(fw.counters.get(counters::PERMITTED).packets, 1);
     }
 
     #[test]
@@ -320,11 +315,11 @@ mod tests {
         // Specific permit for one host overrides a broad deny.
         fw.add_rule(AclRule {
             src: Some((INSIDE, 32)),
-            ..AclRule::any(1, AclAction::Permit)
+            ..any(1, AclAction::Permit)
         });
         fw.add_rule(AclRule {
             src: Some((0xc0a80100, 24)),
-            ..AclRule::any(5, AclAction::Deny)
+            ..any(5, AclAction::Deny)
         });
         let mut ours = tcp(INSIDE, OUTSIDE, 80);
         assert_eq!(
@@ -345,7 +340,7 @@ mod tests {
         fw.add_rule(AclRule {
             dst_port: Some(443),
             protocol: Some(6),
-            ..AclRule::any(1, AclAction::Permit)
+            ..any(1, AclAction::Permit)
         });
         let mut https = tcp(INSIDE, OUTSIDE, 443);
         assert_eq!(
@@ -365,14 +360,14 @@ mod tests {
         fw.add_rule(AclRule {
             dst_port: Some(22),
             protocol: Some(6),
-            ..AclRule::any(1, AclAction::Punt)
+            ..any(1, AclAction::Punt)
         });
         let mut ssh = tcp(OUTSIDE, INSIDE, 22);
         assert_eq!(
             fw.process(&ProcessContext::ingress(), &mut ssh),
             Verdict::ToControlPlane
         );
-        assert_eq!(fw.counter(counters::PUNTED).packets, 1);
+        assert_eq!(fw.counters.get(counters::PUNTED).packets, 1);
     }
 
     #[test]
@@ -389,14 +384,14 @@ mod tests {
             fw.process(&ProcessContext::egress(), &mut arp),
             Verdict::Forward
         );
-        assert_eq!(fw.counter(counters::UNMATCHED).packets, 1);
+        assert_eq!(fw.counters.get(counters::UNMATCHED).packets, 1);
     }
 
     #[test]
     fn directional_screening() {
         let mut fw = AclFirewall::new(8);
         fw.screen_direction = Some(Direction::OpticalToEdge);
-        fw.add_rule(AclRule::any(1, AclAction::Deny));
+        fw.add_rule(any(1, AclAction::Deny));
         // Egress unscreened.
         let mut out = tcp(INSIDE, OUTSIDE, 80);
         assert_eq!(
@@ -417,7 +412,7 @@ mod tests {
         let rule = AclRule {
             protocol: Some(17),
             dst_port: Some(53),
-            ..AclRule::any(3, AclAction::Deny)
+            ..any(3, AclAction::Deny)
         };
         let r = fw.control_op(&TableOp::Insert {
             table: 0,
@@ -448,15 +443,12 @@ mod tests {
     #[test]
     fn capacity_exhaustion_reported() {
         let mut fw = AclFirewall::new(1);
-        assert!(fw.add_rule(AclRule::any(1, AclAction::Deny)));
-        assert!(!fw.add_rule(AclRule::any(2, AclAction::Deny)));
+        assert!(fw.add_rule(any(1, AclAction::Deny)));
+        assert!(!fw.add_rule(any(2, AclAction::Deny)));
         let r = fw.control_op(&TableOp::Insert {
             table: 0,
             key: vec![],
-            value: AclRule::any(3, AclAction::Deny)
-                .to_json()
-                .to_string()
-                .into_bytes(),
+            value: any(3, AclAction::Deny).to_json().to_string().into_bytes(),
         });
         assert_eq!(r, TableOpResult::TableFull);
     }

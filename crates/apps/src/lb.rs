@@ -22,7 +22,7 @@ pub mod counters {
     /// VIP packets steered.
     pub(crate) const STEERED: usize = 0;
     /// Non-VIP packets passed through.
-    pub const PASSED: usize = 1;
+    pub(crate) const PASSED: usize = 1;
     /// VIP packets dropped because no backend is healthy.
     pub(crate) const NO_BACKEND: usize = 2;
 }
@@ -92,11 +92,6 @@ impl L4LoadBalancer {
         }
     }
 
-    /// Current backends.
-    pub fn backends(&self) -> &[u32] {
-        &self.backends
-    }
-
     /// Replace the backend set (rebuilds the Maglev table).
     pub(crate) fn set_backends(&mut self, backends: Vec<u32>) {
         self.lookup = maglev_table(&backends, TABLE_SIZE);
@@ -111,11 +106,6 @@ impl L4LoadBalancer {
         let h = toeplitz_v4_4tuple(&RSS_DEFAULT_KEY, src, dst, sport, dport);
         let slot = (h as usize) % self.lookup.len();
         self.backends.get(self.lookup[slot] as usize).copied()
-    }
-
-    /// Read a counter.
-    pub fn counter(&self, idx: usize) -> flexsfp_ppe::counters::Counter {
-        self.engine.counters.get(idx)
     }
 }
 
@@ -240,7 +230,7 @@ mod tests {
         let ip = Ipv4Packet::new_checked(&pkt[14..]).unwrap();
         assert!([B1, B2, B3].contains(&ip.dst()));
         assert!(ip.verify_checksum());
-        assert_eq!(lb.counter(counters::STEERED).packets, 1);
+        assert_eq!(lb.engine.counters.get(counters::STEERED).packets, 1);
     }
 
     #[test]
@@ -278,7 +268,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(lb.counter(counters::PASSED).packets, 1);
+        assert_eq!(lb.engine.counters.get(counters::PASSED).packets, 1);
     }
 
     #[test]
@@ -308,7 +298,7 @@ mod tests {
             lb.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(lb.counter(counters::NO_BACKEND).packets, 1);
+        assert_eq!(lb.engine.counters.get(counters::NO_BACKEND).packets, 1);
     }
 
     #[test]
@@ -373,7 +363,7 @@ mod tests {
             }),
             TableOpResult::Ok
         );
-        assert_eq!(lb.backends(), &[B1, B2]);
+        assert_eq!(lb.backends, &[B1, B2]);
         assert_eq!(
             lb.control_op(&TableOp::Delete {
                 table: 0,
@@ -381,7 +371,7 @@ mod tests {
             }),
             TableOpResult::Ok
         );
-        assert_eq!(lb.backends(), &[B2]);
+        assert_eq!(lb.backends, &[B2]);
         assert_eq!(
             lb.control_op(&TableOp::Delete {
                 table: 0,

@@ -34,7 +34,7 @@ pub struct SanitizerStats {
 
 impl SanitizerStats {
     /// Total drops.
-    pub fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.runt
             + self.bad_ip_header
             + self.ip_options

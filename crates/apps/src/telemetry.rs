@@ -50,7 +50,7 @@ pub(crate) struct MicroburstDetector {
 impl MicroburstDetector {
     /// A detector with `window_ns` windows flagged above
     /// `threshold_bytes`.
-    pub fn new(window_ns: u64, threshold_bytes: u64) -> MicroburstDetector {
+    fn new(window_ns: u64, threshold_bytes: u64) -> MicroburstDetector {
         MicroburstDetector {
             window_ns,
             threshold_bytes,
@@ -63,7 +63,7 @@ impl MicroburstDetector {
 
     /// Account a packet; returns `true` if this packet tipped the
     /// current window over the threshold.
-    pub fn record(&mut self, now_ns: u64, len: usize) -> bool {
+    fn record(&mut self, now_ns: u64, len: usize) -> bool {
         if now_ns.saturating_sub(self.window_start_ns) >= self.window_ns {
             self.window_start_ns = now_ns - (now_ns % self.window_ns);
             self.window_bytes = 0;
@@ -346,7 +346,7 @@ mod tests {
         let ip = Ipv4Packet::new_checked(&pkt[14..]).unwrap();
         assert!(ip.verify_checksum());
         // 123 456 789 ns = 123 456 µs -> truncated to 16 bits.
-        assert_eq!(ip.ident(), (123_456 & 0xffff) as u16);
+        assert_eq!(pkt[18..20], ((123_456 & 0xffff) as u16).to_be_bytes());
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod counters {
     /// Frames decapsulated.
     pub(crate) const DECAPPED: usize = 1;
     /// Reverse-direction frames that were not our tunnel.
-    pub const PASSED: usize = 2;
+    pub(crate) const PASSED: usize = 2;
 }
 
 /// The tunnel gateway application.
@@ -61,11 +61,6 @@ impl TunnelGateway {
             engine: ActionEngine::new(4),
             parser: Parser,
         }
-    }
-
-    /// Read a counter.
-    pub fn counter(&self, idx: usize) -> flexsfp_ppe::counters::Counter {
-        self.engine.counters.get(idx)
     }
 
     fn encap_action(&self) -> Action {
@@ -260,7 +255,7 @@ mod tests {
             Verdict::Forward
         );
         assert_ne!(pkt, orig);
-        assert_eq!(gw.counter(counters::ENCAPPED).packets, 1);
+        assert_eq!(gw.engine.counters.get(counters::ENCAPPED).packets, 1);
         // The far-end module would decap; simulate the return path by
         // swapping outer addresses.
         let mut returning = pkt.clone();
@@ -276,7 +271,7 @@ mod tests {
             gw.process(&ProcessContext::ingress(), &mut returning),
             Verdict::Forward
         );
-        assert_eq!(gw.counter(counters::DECAPPED).packets, 1);
+        assert_eq!(gw.engine.counters.get(counters::DECAPPED).packets, 1);
         // Inner frame recovered intact.
         assert_eq!(returning, orig);
     }
@@ -306,7 +301,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(gw.counter(counters::PASSED).packets, 1);
+        assert_eq!(gw.engine.counters.get(counters::PASSED).packets, 1);
     }
 
     #[test]
@@ -331,7 +326,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(gw_b.counter(counters::PASSED).packets, 1);
+        assert_eq!(gw_b.engine.counters.get(counters::PASSED).packets, 1);
     }
 
     #[test]
@@ -364,7 +359,7 @@ mod tests {
             gw.process(&ProcessContext::egress(), &mut arp),
             Verdict::Forward
         );
-        assert_eq!(gw.counter(counters::ENCAPPED).packets, 1);
+        assert_eq!(gw.engine.counters.get(counters::ENCAPPED).packets, 1);
         let p = Parser.parse(&arp).unwrap();
         assert!(p.ipv4.is_some());
     }

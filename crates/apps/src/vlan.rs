@@ -55,11 +55,6 @@ impl VlanTagger {
         self
     }
 
-    /// Read a counter.
-    pub fn counter(&self, idx: usize) -> flexsfp_ppe::counters::Counter {
-        self.engine.counters.get(idx)
-    }
-
     fn apply(&mut self, action: Action, packet: &mut Vec<u8>) -> Option<Verdict> {
         let parsed = self.parser.parse(packet)?;
         match self.engine.apply(action, packet, &parsed, None) {
@@ -192,7 +187,7 @@ mod tests {
         );
         let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![100]);
-        assert_eq!(t.counter(counters::TAGGED).packets, 1);
+        assert_eq!(t.engine.counters.get(counters::TAGGED).packets, 1);
 
         // Now the frame comes back from the network.
         assert_eq!(
@@ -200,7 +195,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, orig);
-        assert_eq!(t.counter(counters::UNTAGGED).packets, 1);
+        assert_eq!(t.engine.counters.get(counters::UNTAGGED).packets, 1);
     }
 
     #[test]
@@ -224,7 +219,7 @@ mod tests {
             t.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(t.counter(counters::SPOOF_DROPPED).packets, 1);
+        assert_eq!(t.engine.counters.get(counters::SPOOF_DROPPED).packets, 1);
     }
 
     #[test]
@@ -250,7 +245,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(t.counter(counters::UNTAGGED).packets, 0);
+        assert_eq!(t.engine.counters.get(counters::UNTAGGED).packets, 0);
     }
 
     #[test]

@@ -42,19 +42,19 @@ use flexsfp_wire::builder::PacketBuilder;
 use flexsfp_wire::MacAddr;
 
 /// Ports per ToR.
-pub const TOR_PORTS: usize = 48;
+const TOR_PORTS: usize = 48;
 /// The uplink port index on both ToRs.
-pub const UPLINK: usize = TOR_PORTS - 1;
+const UPLINK: usize = TOR_PORTS - 1;
 /// Access (host-facing) ports per ToR.
-pub const ACCESS: usize = TOR_PORTS - 1;
+const ACCESS: usize = TOR_PORTS - 1;
 /// Subscriber hosts across the rack.
-pub const HOSTS: usize = 2 * ACCESS;
+const HOSTS: usize = 2 * ACCESS;
 /// Crosspoint queue depth — shallow enough that compressed microbursts
 /// overflow a crosspoint now and then, so the drop accounting is
 /// exercised by the workload itself, not only by unit tests.
-pub const XPOINT_DEPTH: usize = 12;
+const XPOINT_DEPTH: usize = 12;
 /// Flow population of the metro profile.
-pub const FLOWS: usize = 4_096;
+const FLOWS: usize = 4_096;
 /// Packets in the full run.
 pub const FULL_PACKETS: usize = 100_000;
 /// Packets in the `--quick` (CI) run.
@@ -322,6 +322,8 @@ pub fn run(packets: usize) -> Outcome {
 /// # Panics
 ///
 /// As [`run`], when a conservation identity fails to close.
+/// Test-only: `crates/bench/tests/fleet_export.rs`: the rack-shaped fleet a
+/// scrape is taken from.
 pub fn drive(packets: usize) -> Rack {
     let mut rack = Rack::new(topology());
 

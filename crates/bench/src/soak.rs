@@ -9,8 +9,8 @@
 //! block — all composed from [`flexsfp_traffic::profiles`] presets. NAT
 //! table churn is injected in-band at every phase boundary: batches of
 //! authenticated control frames remap and delete subscriber mappings
-//! mid-run, so the microflow cache is repeatedly epoch-invalidated at
-//! city scale while packets keep flowing.
+//! mid-run, invalidating the microflow-cache plans that read each
+//! touched subscriber at city scale while packets keep flowing.
 //!
 //! Every phase is *paced*: at utilization ≤ 1 the PPE service time
 //! never exceeds the wire time, so the server never backlogs and each
@@ -250,8 +250,10 @@ fn phases(packets: usize, subscribers: usize, attack_sources: usize) -> Vec<Phas
 
 /// The churn batch injected at phase boundary `boundary`: remap
 /// [`CHURN_REMAPS`] subscribers into a fresh public block, then delete
-/// [`CHURN_DELETES`] more. Every op bumps the microflow-cache epoch,
-/// so each boundary wipes every memoized plan in the module.
+/// [`CHURN_DELETES`] more. Each op bumps only its subscriber's
+/// dependency bucket in the microflow cache, so it invalidates the
+/// plans that read that key; the cache-wide epoch moves only on a
+/// `Clear`, which churn never sends.
 fn churn_ops(boundary: usize, subscribers: usize) -> Vec<TableOp> {
     let base = boundary * (CHURN_REMAPS + CHURN_DELETES);
     let key = |j: usize| {

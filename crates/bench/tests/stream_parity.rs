@@ -93,9 +93,15 @@ fn run_stream_matches_run_on_the_golden_nat_trace() {
     assert_eq!(streamed.control_handled, batch.control_handled);
     assert_eq!(streamed.cp_originated, batch.cp_originated);
     assert_eq!(streamed.duration_ns, batch.duration_ns);
-    assert_eq!(streamed.latency.count(), batch.latency.count());
+    assert_eq!(
+        streamed.latency.histogram().count(),
+        batch.latency.histogram().count()
+    );
     assert_eq!(streamed.latency.mean_ns(), batch.latency.mean_ns());
-    assert_eq!(streamed.latency.p99_ns(), batch.latency.p99_ns());
+    assert_eq!(
+        streamed.latency.histogram().p99(),
+        batch.latency.histogram().p99()
+    );
     assert_eq!(streamed.latency.max_ns(), batch.latency.max_ns());
 
     // Outputs agree packet for packet, byte for byte.
@@ -138,7 +144,7 @@ fn run_stream_drop_sink_matches_run_aggregates() {
 
 /// Packets per sharded-parity workload; crosses multiple reconciler
 /// barrier intervals on both transports (`shard::BARRIER_EVERY` =
-/// 4096 threaded, `shard::INLINE_BARRIER_EVERY` = 256 inline).
+/// 4096 threaded, `shard::INLINE_BARRIER_EVERY` = 1024 inline).
 const SHARD_PACKETS: usize = 10_000;
 
 /// Make `run_sharded` see `threads` effective threads for the holder of
@@ -288,8 +294,8 @@ fn assert_reports_match(app: &str, shards: usize, sharded: &SimReport, serial: &
         ctx("duration_ns")
     );
     assert_eq!(
-        sharded.latency.count(),
-        serial.latency.count(),
+        sharded.latency.histogram().count(),
+        serial.latency.histogram().count(),
         "{}",
         ctx("latency.count")
     );
@@ -302,8 +308,8 @@ fn assert_reports_match(app: &str, shards: usize, sharded: &SimReport, serial: &
         ctx("latency.mean")
     );
     assert_eq!(
-        sharded.latency.p99_ns(),
-        serial.latency.p99_ns(),
+        sharded.latency.histogram().p99(),
+        serial.latency.histogram().p99(),
         "{}",
         ctx("latency.p99")
     );

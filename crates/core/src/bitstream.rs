@@ -13,7 +13,7 @@ use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_obs::json::{self, FromJson, Value};
 
 /// Magic bytes introducing a FlexSFP bitstream image.
-pub const MAGIC: &[u8; 4] = b"FSBS";
+const MAGIC: &[u8; 4] = b"FSBS";
 
 /// Bitstream metadata.
 #[derive(Debug, Clone, PartialEq)]

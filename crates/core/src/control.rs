@@ -30,7 +30,7 @@ use flexsfp_wire::{EthernetFrame, Ipv4Packet, MacAddr, UdpDatagram};
 /// UDP port the control plane listens on.
 pub const CONTROL_PORT: u16 = 5577;
 /// Control payload magic.
-pub const MAGIC: &[u8; 4] = b"FSCP";
+const MAGIC: &[u8; 4] = b"FSCP";
 
 /// The name `benchmark/src/surface.rs` imports for [`TableOp`]; the
 /// benchmark's files are frozen to the PRs it judges, so this one line

@@ -96,7 +96,7 @@ mod tests {
         a.set_operation(ArpOperation::Request);
         a.set_sender_mac(PEER_MAC);
         a.set_sender_ip(PEER_IP);
-        a.set_target_mac(MacAddr::ZERO);
+        a.set_target_mac(MacAddr::default());
         a.set_target_ip(target_ip);
         PacketBuilder::ethernet(MacAddr([0xff; 6]), PEER_MAC, EtherType::Arp, &body)
     }

@@ -161,11 +161,6 @@ impl LatencyStats {
         self.hist.merge(&other.hist);
     }
 
-    /// Packets measured.
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
     /// Maximum, ns (rounded to the nearest nanosecond).
     pub fn max_ns(&self) -> f64 {
         self.hist.max() as f64
@@ -174,16 +169,6 @@ impl LatencyStats {
     /// Mean latency, ns (exact).
     pub fn mean_ns(&self) -> f64 {
         self.hist.mean()
-    }
-
-    /// Median latency, ns.
-    pub fn p50_ns(&self) -> f64 {
-        self.hist.p50() as f64
-    }
-
-    /// 99th-percentile latency, ns.
-    pub fn p99_ns(&self) -> f64 {
-        self.hist.p99() as f64
     }
 
     /// 99.9th-percentile latency, ns.

@@ -879,8 +879,9 @@ mod tests {
             report.latency.max_ns()
         );
         // Percentiles are ordered and bracketed by min/max.
-        assert!(report.latency.p50_ns() <= report.latency.p99_ns());
-        assert!(report.latency.p99_ns() <= report.latency.max_ns());
+        let hist = report.latency.histogram();
+        assert!(hist.p50() <= hist.p99());
+        assert!(hist.p99() as f64 <= report.latency.max_ns());
     }
 
     #[test]
@@ -1176,7 +1177,10 @@ mod tests {
         assert_eq!(streamed.forwarded_bytes, full.forwarded_bytes);
         assert_eq!(streamed.drops, full.drops);
         assert_eq!(streamed.duration_ns, full.duration_ns);
-        assert_eq!(streamed.latency.count(), full.latency.count());
+        assert_eq!(
+            streamed.latency.histogram().count(),
+            full.latency.histogram().count()
+        );
         assert!(streamed.outputs.is_empty());
         assert_eq!(
             full.outputs.len(),

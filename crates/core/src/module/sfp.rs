@@ -152,6 +152,8 @@ impl FlexSfp {
     }
 
     /// Boot count.
+    /// Test-only: `crates/bench/tests/chaos.rs` and `tests/end_to_end.rs`: a
+    /// reboot counted.
     pub fn boots(&self) -> u32 {
         self.boots
     }
@@ -374,13 +376,10 @@ impl FlexSfp {
     }
 
     fn try_boot_slot(&mut self, slot: usize) -> bool {
-        let Ok(raw) = self
-            .flash
-            .read_slot(slot, flexsfp_fabric::flash::SLOT_BYTES)
-        else {
+        let Ok(image) = self.flash.image(slot) else {
             return false;
         };
-        let Ok(bs) = Bitstream::from_bytes(trim_flash_image(raw)) else {
+        let Ok(bs) = Bitstream::from_bytes(image) else {
             return false;
         };
         // Fit check before activation.
@@ -519,17 +518,6 @@ fn fault_label(d: &FaultDiagnosis) -> &'static str {
         FaultDiagnosis::DriverFault => "driver_fault",
         FaultDiagnosis::RxLoss => "rx_loss",
     }
-}
-
-/// Strip the trailing 0xFF erase fill from a flash slot read so the
-/// bitstream parser sees only the image. The bitstream's own length
-/// fields + CRC make this safe.
-fn trim_flash_image(raw: &[u8]) -> &[u8] {
-    // Find the last non-0xFF byte; the CRC trailer is extremely unlikely
-    // to be 0xFFFFFFFF on a real image (and the golden images we write
-    // never are).
-    let end = raw.iter().rposition(|&b| b != 0xff).map_or(0, |p| p + 1);
-    &raw[..end]
 }
 
 fn default_factory(meta: &BitstreamMeta) -> Option<Box<dyn PacketProcessor>> {

@@ -74,14 +74,14 @@ pub fn solutions() -> Vec<Solution> {
     ]
 }
 
-/// The FlexSFP row for direct access.
-pub fn flexsfp() -> Solution {
-    solutions().pop().expect("catalog non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The FlexSFP row.
+    fn flexsfp() -> Solution {
+        solutions().pop().expect("catalog non-empty")
+    }
 
     fn mid(r: Range) -> f64 {
         (r.min + r.max) / 2.0

@@ -32,7 +32,7 @@ pub(crate) struct PublishedDesign {
 
 impl PublishedDesign {
     /// Logic in 4-input LE equivalents.
-    pub fn logic_le(&self) -> u64 {
+    fn logic_le(&self) -> u64 {
         match self.unit {
             LogicUnit::Lut6 => normalize::lut6_to_le(self.logic),
             LogicUnit::Alm => normalize::alm_to_le(self.logic),

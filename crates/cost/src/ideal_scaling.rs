@@ -29,16 +29,11 @@ impl Range {
     }
 
     /// Scale both ends.
-    pub fn scaled(&self, k: f64) -> Range {
+    fn scaled(&self, k: f64) -> Range {
         Range {
             min: self.min * k,
             max: self.max * k,
         }
-    }
-
-    /// True when `v` falls inside (inclusive).
-    pub fn contains(&self, v: f64) -> bool {
-        v >= self.min && v <= self.max
     }
 
     /// Format as "a-b" (or "a" when exact), trimming trailing zeros.
@@ -76,9 +71,6 @@ mod tests {
     #[test]
     fn range_helpers() {
         let r = Range::new(1.0, 3.0);
-        assert!(r.contains(1.0));
-        assert!(r.contains(3.0));
-        assert!(!r.contains(3.01));
         assert_eq!(r.fmt_band(0), "1-3");
         assert_eq!(Range::exact(1.5).fmt_band(1), "1.5");
     }

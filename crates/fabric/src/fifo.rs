@@ -43,7 +43,8 @@ impl<T> Fifo<T> {
         self.capacity
     }
 
-    /// Current occupancy.
+    /// Current occupancy. Test-only: `crates/fabric/tests/prop.rs`: the
+    /// occupancy a model queue checks.
     pub fn len(&self) -> usize {
         self.items.len()
     }
@@ -80,19 +81,9 @@ impl<T> Fifo<T> {
         item
     }
 
-    /// Peek at the oldest item without removing it.
-    pub fn peek(&self) -> Option<&T> {
-        self.items.front()
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> FifoStats {
         self.stats
-    }
-
-    /// Drop all contents (items are lost, not counted as overflows).
-    pub fn clear(&mut self) {
-        self.items.clear();
     }
 }
 
@@ -135,15 +126,6 @@ mod tests {
         f.push(9).unwrap();
         assert_eq!(f.stats().high_water, 5);
         assert_eq!(f.stats().popped, 5);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut f = Fifo::new(2);
-        f.push(7).unwrap();
-        assert_eq!(f.peek(), Some(&7));
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.pop(), Some(7));
     }
 
     #[test]

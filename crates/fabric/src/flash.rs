@@ -60,6 +60,9 @@ pub struct SpiFlash {
     /// Cumulative bytes programmed.
     pub programmed_bytes: u64,
     golden_protected: bool,
+    /// Length of the image [`SpiFlash::write_slot`] last committed to
+    /// each slot; 0 while none is (an erased or half-written slot).
+    committed: [usize; SLOTS],
     /// One-shot fault injected with [`SpiFlash::inject_fault`]; the next
     /// erase or program consumes it and fails.
     injected_fault: Option<FlashError>,
@@ -90,6 +93,7 @@ impl SpiFlash {
             erase_count: 0,
             programmed_bytes: 0,
             golden_protected: false,
+            committed: [0; SLOTS],
             injected_fault: None,
         }
     }
@@ -148,7 +152,7 @@ impl SpiFlash {
 
     /// Program `bytes` at `addr`. Flash programming can only clear bits
     /// (1→0); setting a 0 bit back to 1 requires an erase first.
-    pub fn program(&mut self, addr: usize, bytes: &[u8]) -> Result<(), FlashError> {
+    fn program(&mut self, addr: usize, bytes: &[u8]) -> Result<(), FlashError> {
         let end = addr
             .checked_add(bytes.len())
             .ok_or(FlashError::OutOfRange)?;
@@ -199,15 +203,27 @@ impl SpiFlash {
         if self.golden_protected && slot == 0 {
             return Err(FlashError::WriteProtected);
         }
+        self.committed[slot] = 0;
         let mut a = base;
         while a < base + SLOT_BYTES {
             self.erase_sector(a)?;
             a += SECTOR_BYTES;
         }
-        self.program(base, image)
+        self.program(base, image)?;
+        self.committed[slot] = image.len();
+        Ok(())
+    }
+
+    /// The image last committed to `slot`, exactly as long as it was
+    /// written: empty when the slot holds none.
+    pub fn image(&self, slot: usize) -> Result<&[u8], FlashError> {
+        let len = *self.committed.get(slot).ok_or(FlashError::BadSlot)?;
+        self.read_slot(slot, len)
     }
 
     /// Read back `len` bytes of slot `slot`.
+    /// Test-only: `crates/core/tests/prop.rs` and
+    /// `crates/bench/tests/chaos.rs`: staged bytes read back, committed or not.
     pub fn read_slot(&self, slot: usize, len: usize) -> Result<&[u8], FlashError> {
         if len > SLOT_BYTES {
             return Err(FlashError::ImageTooLarge);
@@ -220,6 +236,20 @@ impl SpiFlash {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_image_is_as_long_as_its_commit() {
+        let mut f = SpiFlash::new();
+        assert_eq!(f.image(1).unwrap(), b"");
+        // A trailing 0xFF is image, not erase fill.
+        f.write_slot(1, &[0x12, 0xff]).unwrap();
+        assert_eq!(f.image(1).unwrap(), &[0x12, 0xff]);
+        // A write that fails leaves no image behind.
+        f.inject_fault(FlashError::NotErased);
+        assert!(f.write_slot(1, &[0x34]).is_err());
+        assert_eq!(f.image(1).unwrap(), b"");
+        assert_eq!(f.image(SLOTS), Err(FlashError::BadSlot));
+    }
 
     #[test]
     fn array_materializes_on_first_access_only() {

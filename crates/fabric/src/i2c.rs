@@ -9,11 +9,6 @@
 
 use crate::serdes::OpticalHealth;
 
-/// I2C address of the identification EEPROM.
-pub(crate) const ADDR_A0: u8 = 0x50;
-/// I2C address of the diagnostics page.
-pub(crate) const ADDR_A2: u8 = 0x51;
-
 /// Decoded SFF-8472 diagnostic values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomReading {
@@ -34,11 +29,6 @@ impl DomReading {
     pub fn tx_power_dbm(&self) -> f64 {
         10.0 * self.tx_power_mw.max(1e-6).log10()
     }
-
-    /// RX power in dBm.
-    pub fn rx_power_dbm(&self) -> f64 {
-        10.0 * self.rx_power_mw.max(1e-6).log10()
-    }
 }
 
 /// The module's management EEPROM + diagnostics, as seen over I2C.
@@ -57,7 +47,7 @@ impl Default for ManagementInterface {
 impl ManagementInterface {
     /// Build an interface with identification strings in the standard
     /// SFF-8472 A0h layout (vendor at 20..36, PN at 40..56, SN at 68..84).
-    pub fn new(vendor: &str, part_number: &str, serial: &str) -> ManagementInterface {
+    fn new(vendor: &str, part_number: &str, serial: &str) -> ManagementInterface {
         let mut a0 = vec![0u8; 256];
         a0[0] = 0x03; // identifier: SFP/SFP+
         a0[2] = 0x07; // connector: LC
@@ -70,22 +60,6 @@ impl ManagementInterface {
             a0,
             a2: vec![0u8; 256],
         }
-    }
-
-    /// Raw read of `len` bytes at `offset` from device `addr`
-    /// (A0h or A2h). Reads wrap like real EEPROMs do not — out-of-range
-    /// requests are truncated at 256.
-    pub fn read(&self, addr: u8, offset: usize, len: usize) -> Option<&[u8]> {
-        let page = match addr {
-            ADDR_A0 => &self.a0,
-            ADDR_A2 => &self.a2,
-            _ => return None,
-        };
-        let end = (offset + len).min(page.len());
-        if offset >= page.len() {
-            return None;
-        }
-        Some(&page[offset..end])
     }
 
     /// Vendor name (trimmed).
@@ -160,8 +134,6 @@ mod tests {
         assert_eq!(m.vendor(), "AXBRYD");
         assert_eq!(m.part_number(), "FSFP-10G-PR");
         assert_eq!(m.serial(), "SN12345");
-        // SFP identifier byte.
-        assert_eq!(m.read(ADDR_A0, 0, 1).unwrap(), &[0x03]);
     }
 
     #[test]
@@ -185,18 +157,5 @@ mod tests {
         let mut m = ManagementInterface::default();
         m.update_dom(-10.5, 3.3, &OpticalHealth::default(), 0.1);
         assert!((m.read_dom().temperature_c - -10.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn unknown_address_rejected() {
-        let m = ManagementInterface::default();
-        assert!(m.read(0x42, 0, 4).is_none());
-        assert!(m.read(ADDR_A0, 300, 4).is_none());
-    }
-
-    #[test]
-    fn reads_truncate_at_page_end() {
-        let m = ManagementInterface::default();
-        assert_eq!(m.read(ADDR_A0, 250, 20).unwrap().len(), 6);
     }
 }

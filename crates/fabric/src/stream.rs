@@ -33,7 +33,7 @@ impl BusWidth {
     }
 
     /// Width in bytes.
-    pub const fn bytes(&self) -> usize {
+    const fn bytes(&self) -> usize {
         self.bits() as usize / 8
     }
 

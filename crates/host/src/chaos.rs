@@ -72,6 +72,8 @@ impl FaultPlan {
     /// A moderately hostile cable: ~8 % frame loss, occasional
     /// duplicates, bit errors and short flaps. Deploys still converge
     /// under this plan given a sane [`RetryPolicy`](crate::mgmt::RetryPolicy).
+    /// Test-only: `crates/bench/tests/chaos.rs`: the hostile cable deploys
+    /// converge under.
     pub fn lossy(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -168,6 +170,7 @@ pub struct ImpairedPort<P> {
 
 impl<P: ModulePort> ImpairedPort<P> {
     /// Wrap `inner` with the impairments described by `plan`.
+    /// Test-only: `crates/bench/tests/chaos.rs`: a fleet behind impaired ports.
     pub fn new(inner: P, plan: FaultPlan) -> ImpairedPort<P> {
         ImpairedPort {
             inner,
@@ -179,23 +182,16 @@ impl<P: ModulePort> ImpairedPort<P> {
     }
 
     /// The wrapped port.
+    /// Test-only: `crates/bench/tests/chaos.rs`: the module behind the
+    /// impairment read back.
     pub fn inner(&self) -> &P {
         &self.inner
     }
 
-    /// Unwrap, discarding the impairment state.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
     /// Fault accounting so far.
+    /// Test-only: `crates/bench/tests/chaos.rs`: the faults a run met.
     pub fn stats(&self) -> ImpairStats {
         self.stats
-    }
-
-    /// The plan this port was built with.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 }
 
@@ -302,7 +298,7 @@ pub struct LossyLink {
 
 impl LossyLink {
     /// Impair `link` according to `plan`.
-    pub fn new(link: FiberLink, plan: FaultPlan) -> LossyLink {
+    fn new(link: FiberLink, plan: FaultPlan) -> LossyLink {
         LossyLink {
             link,
             plan,

@@ -70,6 +70,7 @@ impl FleetCollector {
     }
 
     /// True before any snapshot has been ingested.
+    /// Test-only: `crates/host/tests/exposition.rs`: the empty collector.
     pub fn is_empty(&self) -> bool {
         self.modules.is_empty()
     }
@@ -119,6 +120,7 @@ impl FleetCollector {
 
     /// Lifetime count of failed scrape entries seen by
     /// [`ingest_sweep`](Self::ingest_sweep).
+    /// Test-only: `crates/host/tests/exposition.rs`: failed scrapes counted.
     pub fn scrape_failures(&self) -> u64 {
         self.scrape_failures
     }
@@ -150,6 +152,7 @@ impl FleetCollector {
     }
 
     /// Latest crossbar telemetry for one switch, if it has reported.
+    /// Test-only: `crates/host/tests/exposition.rs`: a switch report read back.
     pub fn xbar(&self, switch_id: &str) -> Option<&XbarTelemetry> {
         self.xbars.get(switch_id)
     }
@@ -197,6 +200,8 @@ impl FleetCollector {
     }
 
     /// Latest snapshot for one module, if it has reported.
+    /// Test-only: `crates/host/tests/exposition.rs` and
+    /// `crates/bench/tests/fleet_export.rs`: a module snapshot read back.
     pub fn module(&self, module_id: &str) -> Option<&TelemetrySnapshot> {
         self.modules.get(module_id).map(|r| &r.snapshot)
     }
@@ -549,7 +554,6 @@ mod tests {
         assert_eq!((latency.p50(), latency.max()), (700, 700));
         let lifetime = c.fleet_windows().lifetime();
         assert_eq!(lifetime.forwarded, u64::MAX);
-        assert_eq!(lifetime.packets(), u64::MAX);
         assert_eq!(lifetime.cache_hit_rate(), Some(1.0));
         assert_eq!(c.slo_reports().len(), 2);
         let text = c.render_prometheus();
@@ -657,7 +661,7 @@ mod tests {
             range
                 .map(|timestamp_ns| DataplaneEvent {
                     timestamp_ns,
-                    kind: flexsfp_obs::EventKind::ParseError,
+                    kind: flexsfp_obs::EventKind::AuthReject,
                 })
                 .collect()
         };

@@ -117,7 +117,7 @@ pub struct SwitchStats {
 impl SwitchStats {
     /// Frames that entered the pipeline: received plus every created
     /// copy.
-    pub fn sources(&self) -> u64 {
+    fn sources(&self) -> u64 {
         self.received + self.flood_copies + self.module_copies
     }
 
@@ -305,6 +305,8 @@ impl CrossbarSwitch {
 
     /// Access the module in `port`, if any (for management via the OOB
     /// path).
+    /// Test-only: `crates/host/tests/cage_run.rs` and
+    /// `crates/host/tests/retrofit.rs`: a seated module driven directly.
     pub fn module_mut(&mut self, port: usize) -> Option<&mut FlexSfp> {
         self.cages[port].module_mut()
     }

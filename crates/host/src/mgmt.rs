@@ -6,6 +6,7 @@
 //! forwards control frames) can carry it.
 
 use flexsfp_core::auth::AuthKey;
+use flexsfp_core::bitstream::Bitstream;
 use flexsfp_core::control::{ControlPlane, ControlRequest, ControlResponse};
 use flexsfp_core::module::FlexSfp;
 use flexsfp_core::reprogram::MAX_CHUNK;
@@ -183,11 +184,6 @@ impl ManagementClient {
             policy,
             counters: Arc::new(TransportCounters::default()),
         }
-    }
-
-    /// The active retry policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// Lifetime transport counters (shared across clones of this
@@ -445,14 +441,14 @@ impl ManagementClient {
         let mut attempts = 0u32;
         loop {
             match self.call(port, &ControlRequest::Activate { slot }) {
-                Ok(ControlResponse::Ack) => return Ok(()),
+                Ok(ControlResponse::Ack) => break,
                 Ok(ControlResponse::Error(e)) => return Err(MgmtError::Module(e)),
                 Ok(_) => return Err(MgmtError::Unexpected),
                 Err(MgmtError::NoResponse) => {
                     self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                     attempts += 1;
                     if !matches!(self.update_status(port)?.phase, UpdatePhase::Staged) {
-                        return Ok(());
+                        break;
                     }
                     if attempts >= self.policy.max_attempts.max(1) {
                         return Err(MgmtError::NoResponse);
@@ -461,6 +457,20 @@ impl ManagementClient {
                 }
                 Err(e) => return Err(e),
             }
+        }
+        // An activation that lands can still boot another image: one the
+        // module cannot run falls back to the golden slot. The version
+        // it runs now is the outcome.
+        let running = self.info(port)?.app_version;
+        match Bitstream::from_bytes(image) {
+            Ok(bs) if bs.meta.version == running => Ok(()),
+            Ok(bs) => Err(MgmtError::Module(format!(
+                "activated version {}, but the module runs version {running}",
+                bs.meta.version
+            ))),
+            Err(_) => Err(MgmtError::Module(format!(
+                "activated an image that is not a bitstream; the module runs version {running}"
+            ))),
         }
     }
 
@@ -620,6 +630,29 @@ mod tests {
         assert_eq!(m.boots(), 2);
         let info = c.info(&mut m).unwrap();
         assert_eq!(info.app_version, 5);
+    }
+
+    #[test]
+    fn an_image_whose_crc_ends_in_ff_boots_itself() {
+        // v693's CRC trailer ends in 0xFF, which the slot's erase fill
+        // also is: the boot must read the committed length, not trim.
+        let mut m = module();
+        let bs = Bitstream::new("passthrough", 693, ResourceManifest::ZERO, 156_250_000);
+        client().deploy(&mut m, 1, &bs.to_bytes()).unwrap();
+        assert_eq!(m.app_version(), 693);
+    }
+
+    #[test]
+    fn deploy_fails_when_the_module_boots_another_image() {
+        let mut m = module();
+        let bs = Bitstream::new("unknown-app", 9, ResourceManifest::ZERO, 156_250_000);
+        match client().deploy(&mut m, 1, &bs.to_bytes()) {
+            Err(MgmtError::Module(e)) => {
+                assert_eq!(e, "activated version 9, but the module runs version 0")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(m.app_version(), 0);
     }
 
     #[test]

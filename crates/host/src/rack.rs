@@ -226,6 +226,8 @@ impl Rack {
     /// Inject the next event (see *Event order* in the module docs) and
     /// hand every frame that left an access port to `sink` with its ToR
     /// index. False, and nothing done, when no event is pending.
+    /// Test-only: `crates/host/tests/rack_model.rs`: the rack stepped against a
+    /// model, event by event.
     pub fn step(&mut self, mut sink: impl FnMut(usize, TimedDelivery)) -> bool {
         let Some(Reverse(e)) = self.queue.heap.pop() else {
             return false;

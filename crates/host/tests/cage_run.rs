@@ -39,7 +39,7 @@ use flexsfp_fabric::hash::crc32;
 use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_host::crossbar::serialize_ns;
 use flexsfp_host::CrossbarSwitch;
-use flexsfp_obs::{json, FlightRecord, FlightVerdict, ToJson, Value};
+use flexsfp_obs::{json, FlightRecord, FlightVerdict, ToJson, Value, WindowBucket};
 use flexsfp_ppe::{Direction, TableOp};
 use flexsfp_traffic::rng::Xoshiro256;
 use flexsfp_traffic::{SizeModel, TraceBuilder};
@@ -179,7 +179,7 @@ fn arp_request(config: &ModuleConfig, from: MacAddr) -> Vec<u8> {
     a.set_operation(ArpOperation::Request);
     a.set_sender_mac(from);
     a.set_sender_ip(MGMT_HOST_IP);
-    a.set_target_mac(MacAddr::ZERO);
+    a.set_target_mac(MacAddr::default());
     a.set_target_ip(config.mgmt_ip);
     PacketBuilder::ethernet(MacAddr([0xff; 6]), from, EtherType::Arp, &body)
 }
@@ -358,7 +358,7 @@ fn script(config: &ModuleConfig, swap_to: &Bitstream, seed: u64) -> Vec<Step> {
                     2_000 + i as u16,
                     80,
                     1,
-                    TcpFlags::from_u8(0x02),
+                    TcpFlags::syn_only(),
                     b"",
                 ),
             ),
@@ -579,9 +579,10 @@ fn assert_cage_is_one_run_per_frame(
     assert!(twin.fates.absorbed > 0, "{name}: no refused control frame");
 
     let windows = seated.windows();
-    let live: u64 = windows.windows().iter().map(|w| w.packets()).sum();
+    let packets = |w: &WindowBucket| w.forwarded + w.drops_app + w.drops_unexplained;
+    let live: u64 = windows.windows().iter().map(packets).sum();
     assert!(
-        windows.lifetime().packets() > live,
+        packets(&windows.lifetime()) > live,
         "{name}: no window rotated out"
     );
 

@@ -185,7 +185,15 @@ fn full_fleet_matches_golden() {
 
 #[test]
 fn empty_collector_matches_golden() {
-    assert_matches_golden(&FleetCollector::new().render_prometheus(), "empty.prom");
+    // An empty fleet deploys nothing and sweeps nothing.
+    let fleet = FleetManager::new(vec![], AuthKey::DEFAULT);
+    assert!(fleet.is_empty());
+    let report = fleet.deploy_all(1, b"x", 4);
+    assert!(report.updated.is_empty() && report.failed.is_empty());
+    let mut collector = FleetCollector::new();
+    assert_eq!(collector.ingest_sweep(fleet.telemetry_snapshots()), 0);
+    assert!(collector.is_empty());
+    assert_matches_golden(&collector.render_prometheus(), "empty.prom");
 }
 
 #[test]

@@ -50,16 +50,6 @@ pub enum EventKind {
         /// Why the packet was dropped.
         reason: DropReason,
     },
-    /// The pipeline parser could not parse a packet.
-    ParseError,
-    /// A table lookup missed in a pipeline stage. The event carries the
-    /// stage *index* — a fixed-width field a line-rate producer can
-    /// emit without copying the stage's name; the name table lives with
-    /// whoever renders the trace (drain/export time).
-    TableMiss {
-        /// Index of the stage whose table missed.
-        stage: u8,
-    },
     /// A new app image was staged into a flash slot.
     Reprogram {
         /// Flash slot the image was written to.
@@ -74,24 +64,19 @@ pub enum EventKind {
     },
     /// A control frame failed authentication and was rejected.
     AuthReject,
-    /// An optical link dropped below its power budget.
-    LinkDown,
     /// An in-progress firmware update was torn down before activation
     /// (host-requested abort or error teardown).
     UpdateAbort,
 }
 
 impl EventKind {
-    /// Stable lowercase label used in Prometheus metric labels.
+    /// Stable lowercase label. Test-only: `tests/pinned_trace.rs`: the pinned event log.
     pub fn label(&self) -> &'static str {
         match self {
             EventKind::Drop { .. } => "drop",
-            EventKind::ParseError => "parse_error",
-            EventKind::TableMiss { .. } => "table_miss",
             EventKind::Reprogram { .. } => "reprogram",
             EventKind::Reboot { .. } => "reboot",
             EventKind::AuthReject => "auth_reject",
-            EventKind::LinkDown => "link_down",
             EventKind::UpdateAbort => "update_abort",
         }
     }
@@ -105,12 +90,9 @@ crate::impl_json_enum!(DropReason {
 });
 crate::impl_json_enum!(EventKind {
     Drop { reason },
-    ParseError,
-    TableMiss { stage },
     Reprogram { slot },
     Reboot { slot, ok },
     AuthReject,
-    LinkDown,
     UpdateAbort,
 });
 
@@ -173,21 +155,6 @@ impl<T> TraceRing<T> {
         out
     }
 
-    /// Items currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Maximum number of buffered items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lifetime count of items lost to overwrite — never resets, so a
     /// collector diffing successive snapshots sees every loss window.
     pub fn overwritten(&self) -> u64 {
@@ -217,7 +184,7 @@ mod tests {
     fn ev(t: u64) -> DataplaneEvent {
         DataplaneEvent {
             timestamp_ns: t,
-            kind: EventKind::ParseError,
+            kind: EventKind::AuthReject,
         }
     }
 
@@ -232,7 +199,7 @@ mod tests {
         assert!(out
             .windows(2)
             .all(|w| w[0].timestamp_ns < w[1].timestamp_ns));
-        assert!(r.is_empty());
+        assert!(r.ring.is_empty());
         assert_eq!(r.drained(), 5);
         assert_eq!(r.overwritten(), 0);
     }
@@ -243,7 +210,7 @@ mod tests {
         for t in 0..10 {
             r.push(ev(t));
         }
-        assert_eq!(r.len(), 4);
+        assert_eq!(r.ring.len(), 4);
         assert_eq!(r.overwritten(), 6);
         let out = r.drain();
         // The survivors are the newest four.
@@ -276,8 +243,8 @@ mod tests {
         let mut r = EventRing::new(0);
         r.push(ev(1));
         r.push(ev(2));
-        assert_eq!(r.capacity(), 1);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.capacity, 1);
+        assert_eq!(r.ring.len(), 1);
         assert_eq!(r.overwritten(), 1);
     }
 
@@ -291,7 +258,6 @@ mod tests {
             .label(),
             "drop"
         );
-        assert_eq!(EventKind::TableMiss { stage: 3 }.label(), "table_miss");
         assert_eq!(EventKind::Reboot { slot: 1, ok: true }.label(), "reboot");
     }
 }

@@ -201,6 +201,10 @@ impl LatencyHistogram {
     }
 
     /// Exact minimum recorded value (0 when empty).
+    /// Test-only: `crates/obs/tests/prop.rs` and `tests/pinned_trace.rs`: the
+    /// exact minimum checked and pinned.
+    /// Test-only: `crates/obs/tests/prop.rs` and `tests/pinned_trace.rs`: the
+    /// exact minimum checked and pinned.
     pub fn min(&self) -> u64 {
         self.min
     }

@@ -325,7 +325,7 @@ impl Writer {
     }
 
     /// `true` or `false`.
-    pub fn bool(&mut self, b: bool) {
+    fn bool(&mut self, b: bool) {
         self.separate();
         self.out.push_str(if b { "true" } else { "false" });
     }
@@ -347,7 +347,7 @@ impl Writer {
 
     /// A float: `40.0`, not `40`, so it parses back as a float; `null`
     /// when it is not finite.
-    pub fn f64(&mut self, f: f64) {
+    fn f64(&mut self, f: f64) {
         self.separate();
         if !f.is_finite() {
             self.out.push_str("null");

@@ -115,11 +115,6 @@ impl PromText {
     pub fn into_string(self) -> String {
         self.out
     }
-
-    /// Borrow the text rendered so far.
-    pub fn as_str(&self) -> &str {
-        &self.out
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +147,7 @@ mod tests {
         let mut p = PromText::new();
         p.sample(&["up"], [], 1.0);
         p.sample(&["lat", "_count"], [], 2.0);
-        assert_eq!(p.as_str(), "up 1\nlat_count 2\n");
+        assert_eq!(p.out, "up 1\nlat_count 2\n");
     }
 
     #[test]
@@ -162,7 +157,7 @@ mod tests {
         p.sample(&["m"], [("app", Label::Text("\\é\""))], 1.0);
         p.sample(&["m"], [("app", Label::Text(""))], 1.0);
         assert_eq!(
-            p.as_str(),
+            p.out,
             "m{app=\"a\\\"b\\\\c\\nd\"} 1\nm{app=\"\\\\é\\\"\"} 1\nm{app=\"\"} 1\n"
         );
     }
@@ -184,7 +179,7 @@ mod tests {
         }
         p.sample(&["v"], [], f64::NAN);
         assert_eq!(
-            p.as_str(),
+            p.out,
             "v 3\nv -12\nv 0\nv 0\nv 0.5\nv 314.159\nv 999999999999999\nv 1000000000000000\nv NaN\n"
         );
     }
@@ -199,7 +194,7 @@ mod tests {
         );
         p.sample(&["lat"], [("output", Label::Int(u64::MAX))], 0.0);
         assert_eq!(
-            p.as_str(),
+            p.out,
             "lat{module=\"2\",quantile=\"0.99\"} 312\nlat{output=\"18446744073709551615\"} 0\n"
         );
     }

@@ -71,7 +71,7 @@ pub struct PortCounters {
 
 impl PortCounters {
     /// Fold another port's counters into this one (shard merge).
-    pub fn merge(&mut self, other: &PortCounters) {
+    fn merge(&mut self, other: &PortCounters) {
         self.frames = self.frames.saturating_add(other.frames);
         self.bytes = self.bytes.saturating_add(other.bytes);
         self.errors = self.errors.saturating_add(other.errors);
@@ -102,7 +102,7 @@ impl DropCounters {
     }
 
     /// Fold another module's drop counters into this one (shard merge).
-    pub fn merge(&mut self, other: &DropCounters) {
+    fn merge(&mut self, other: &DropCounters) {
         self.fifo_overflow = self.fifo_overflow.saturating_add(other.fifo_overflow);
         self.app = self.app.saturating_add(other.app);
         self.link = self.link.saturating_add(other.link);
@@ -132,7 +132,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Fold another cache's counters into this one (shard merge).
-    pub fn merge(&mut self, other: &CacheStats) {
+    fn merge(&mut self, other: &CacheStats) {
         self.hits = self.hits.saturating_add(other.hits);
         self.misses = self.misses.saturating_add(other.misses);
         self.evictions = self.evictions.saturating_add(other.evictions);
@@ -140,7 +140,7 @@ impl CacheStats {
     }
 
     /// Total lookups (hits + misses).
-    pub fn lookups(&self) -> u64 {
+    fn lookups(&self) -> u64 {
         self.hits.saturating_add(self.misses)
     }
 
@@ -188,7 +188,7 @@ impl TableTelemetry {
     /// add, saturating; `capacity` and `occupied` take the maximum —
     /// shards hold *replicas* of the same table (control frames are
     /// broadcast), so summing them would multiply the apparent occupancy.
-    pub fn merge_shard(&mut self, other: &TableTelemetry) {
+    fn merge_shard(&mut self, other: &TableTelemetry) {
         self.capacity = self.capacity.max(other.capacity);
         self.occupied = self.occupied.max(other.occupied);
         self.hits = self.hits.saturating_add(other.hits);

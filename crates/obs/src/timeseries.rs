@@ -51,7 +51,7 @@ pub struct WindowBucket {
 
 impl WindowBucket {
     /// A bucket starting at `start_ns` with nothing recorded.
-    pub fn at(start_ns: u64) -> WindowBucket {
+    fn at(start_ns: u64) -> WindowBucket {
         WindowBucket {
             start_ns,
             ..WindowBucket::default()
@@ -70,7 +70,7 @@ impl WindowBucket {
     }
 
     /// Packets observed in this window (forwarded plus all drops).
-    pub fn packets(&self) -> u64 {
+    pub(crate) fn packets(&self) -> u64 {
         self.forwarded
             .saturating_add(self.drops_app)
             .saturating_add(self.drops_unexplained)
@@ -156,7 +156,7 @@ impl WindowedSeries {
     }
 
     /// Maximum number of live windows before eviction.
-    pub fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.capacity as usize
     }
 
@@ -283,6 +283,10 @@ impl WindowedSeries {
     /// Everything the series has ever absorbed, folded into one bucket
     /// (evicted catch-all plus all live windows). By construction this
     /// equals the lifetime aggregate bit-for-bit.
+    /// Test-only: `crates/obs/tests/prop.rs` and `tests/pinned_trace.rs`: the
+    /// windows folded equal the lifetime aggregate.
+    /// Test-only: `crates/obs/tests/prop.rs` and `tests/pinned_trace.rs`: the
+    /// windows folded equal the lifetime aggregate.
     pub fn lifetime(&self) -> WindowBucket {
         let mut total = self.evicted.clone();
         for w in &self.windows {

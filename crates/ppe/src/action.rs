@@ -397,8 +397,8 @@ mod tests {
         // The inner frame is recoverable.
         let ip = Ipv4Packet::new_checked(&pkt[14..]).unwrap();
         let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
-        let vx = flexsfp_wire::VxlanPacket::new_checked(udp.payload()).unwrap();
-        assert_eq!(vx.inner_frame(), &orig[..]);
+        flexsfp_wire::VxlanPacket::new_checked(udp.payload()).unwrap();
+        assert_eq!(&udp.payload()[flexsfp_wire::vxlan::HEADER_LEN..], &orig[..]);
     }
 
     #[test]

@@ -221,7 +221,8 @@ impl FlowKey {
 
     /// True when the frame is any fragment (more-fragments set or a
     /// nonzero fragment offset).
-    pub fn is_fragment(&self) -> bool {
+    #[cfg(test)]
+    fn is_fragment(&self) -> bool {
         self.0[0] & 0x60 != 0
     }
 
@@ -360,7 +361,7 @@ pub(crate) struct StageStats {
 
 impl StageStats {
     /// The `(stage, hit)` pairs in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = (u8, bool)> {
+    fn iter(&self) -> impl Iterator<Item = (u8, bool)> {
         let hits = self.hits;
         (0..self.n).map(move |i| (i, hits >> i & 1 != 0))
     }
@@ -445,7 +446,9 @@ impl InlinePlan {
         true
     }
 
-    /// Borrow the plan for [`replay`].
+    /// Borrow the plan for [`replay`]. Test-only:
+    /// `crates/ppe/tests/oracle.rs`: record on one packet, replay on the
+    /// next.
     pub fn view(&self) -> PlanView<'_> {
         PlanView {
             ops: &self.ops[..self.n_ops()],
@@ -563,7 +566,8 @@ impl Default for PlanRecorder {
 }
 
 impl PlanRecorder {
-    /// A fresh, valid recorder.
+    /// A fresh, valid recorder. Test-only: `crates/ppe/tests/oracle.rs`:
+    /// record on one packet, replay on the next.
     pub fn new() -> PlanRecorder {
         PlanRecorder {
             plan: InlinePlan::EMPTY,
@@ -587,6 +591,8 @@ impl PlanRecorder {
     }
 
     /// Finish recording. Returns `None` when the flow is uncacheable.
+    /// Test-only: `crates/ppe/tests/oracle.rs`: record on one packet,
+    /// replay on the next.
     pub fn finish(self, verdict: Verdict) -> Option<InlinePlan> {
         if self.invalid || verdict == Verdict::ToControlPlane {
             return None;
@@ -846,7 +852,8 @@ impl FlowCache {
     }
 
     /// Total plan capacity (sets × ways).
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.tags.len()
     }
 
@@ -860,7 +867,7 @@ impl FlowCache {
     /// Invalidate every cached plan in O(1): entries recorded before the
     /// bump are discarded lazily at lookup time. Call when a table is
     /// cleared or replaced wholesale.
-    pub fn bump_epoch(&mut self) {
+    fn bump_epoch(&mut self) {
         self.global += 1;
         self.count_bump();
     }
@@ -901,7 +908,7 @@ impl FlowCache {
     }
 
     /// Lifetime hit/miss/evict/invalidate counters.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         self.stats
     }
 

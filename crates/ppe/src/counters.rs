@@ -29,16 +29,6 @@ impl CounterBank {
         }
     }
 
-    /// Number of counters.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// True when the bank has no counters.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
     /// Count one packet of `bytes` length on counter `idx`.
     /// Out-of-range indices are ignored (hardware masks the address).
     pub fn count(&mut self, idx: usize, bytes: usize) {
@@ -51,11 +41,6 @@ impl CounterBank {
     /// Read one counter.
     pub fn get(&self, idx: usize) -> Counter {
         self.counters.get(idx).copied().unwrap_or_default()
-    }
-
-    /// Atomically latch the whole bank.
-    pub fn snapshot(&self) -> Vec<Counter> {
-        self.counters.clone()
     }
 }
 
@@ -78,7 +63,7 @@ mod tests {
         );
         assert_eq!(b.get(3).packets, 1);
         assert_eq!(b.get(1), Counter::default());
-        assert_eq!(b.len(), 4);
+        assert_eq!(b.counters.len(), 4);
     }
 
     #[test]
@@ -86,6 +71,6 @@ mod tests {
         let mut b = CounterBank::new(2);
         b.count(5, 64);
         assert_eq!(b.get(5), Counter::default());
-        assert_eq!(b.snapshot().iter().map(|c| c.packets).sum::<u64>(), 0);
+        assert_eq!(b.counters.iter().map(|c| c.packets).sum::<u64>(), 0);
     }
 }

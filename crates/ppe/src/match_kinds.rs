@@ -14,7 +14,6 @@ pub struct LpmTable<V: Copy> {
     // One exact-match map per prefix length, searched longest-first —
     // the classic "32 parallel tables" hardware decomposition.
     levels: BTreeMap<u8, std::collections::HashMap<u32, V>>,
-    entries: usize,
 }
 
 impl<V: Copy> LpmTable<V> {
@@ -22,7 +21,6 @@ impl<V: Copy> LpmTable<V> {
     pub fn new() -> LpmTable<V> {
         LpmTable {
             levels: BTreeMap::new(),
-            entries: 0,
         }
     }
 
@@ -38,20 +36,7 @@ impl<V: Copy> LpmTable<V> {
     pub fn insert(&mut self, prefix: u32, len: u8, value: V) {
         assert!(len <= 32, "prefix length out of range");
         let masked = prefix & Self::mask(len);
-        let level = self.levels.entry(len).or_default();
-        if level.insert(masked, value).is_none() {
-            self.entries += 1;
-        }
-    }
-
-    /// Remove `prefix/len`.
-    pub fn remove(&mut self, prefix: u32, len: u8) -> Option<V> {
-        let masked = prefix & Self::mask(len);
-        let v = self.levels.get_mut(&len)?.remove(&masked);
-        if v.is_some() {
-            self.entries -= 1;
-        }
-        v
+        self.levels.entry(len).or_default().insert(masked, value);
     }
 
     /// Longest-prefix lookup.
@@ -62,16 +47,6 @@ impl<V: Copy> LpmTable<V> {
             }
         }
         None
-    }
-
-    /// Number of installed prefixes.
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// True when no prefixes are installed.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
     }
 }
 
@@ -138,19 +113,9 @@ impl<V: Copy> TernaryTable<V> {
         before - self.entries.len()
     }
 
-    /// Installed entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are installed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Remaining rows.
-    pub fn free(&self) -> usize {
-        self.capacity - self.entries.len()
+    /// Rows the table holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 }
 
@@ -167,7 +132,6 @@ mod tests {
         assert_eq!(t.lookup(0x0a010203), Some((16, "ten-one")));
         assert_eq!(t.lookup(0x0a020304), Some((8, "ten-slash-8")));
         assert_eq!(t.lookup(0xc0a80001), Some((0, "default")));
-        assert_eq!(t.len(), 3);
     }
 
     #[test]
@@ -182,8 +146,6 @@ mod tests {
         let mut t = LpmTable::new();
         t.insert(0x0a0000ff, 24, 9u8); // host bits ignored
         assert_eq!(t.lookup(0x0a000001), Some((24, 9)));
-        assert_eq!(t.remove(0x0a000000, 24), Some(9));
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -219,7 +181,7 @@ mod tests {
         }));
         assert_eq!(t.lookup(&key(&[0x0a, 0x01])).unwrap().data, "ten-net");
         assert_eq!(t.lookup(&key(&[0x0b])).unwrap().data, "any");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.entries.len(), 2);
     }
 
     #[test]
@@ -237,7 +199,7 @@ mod tests {
             priority: 2,
             data: 1u8,
         }));
-        assert_eq!(t.free(), 0);
+        assert_eq!(t.entries.len(), 1);
     }
 
     #[test]
@@ -252,7 +214,7 @@ mod tests {
             });
         }
         assert_eq!(t.remove_priority(2), 2);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.entries.len(), 2);
         assert_eq!(t.lookup(&[0; 13]).unwrap().priority, 1);
     }
 

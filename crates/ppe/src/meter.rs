@@ -43,16 +43,6 @@ impl TokenBucket {
         }
     }
 
-    /// Configured rate in bits per second.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bytes_per_sec * 8
-    }
-
-    /// Configured burst in bytes.
-    pub fn burst_bytes(&self) -> u64 {
-        self.burst_bytes
-    }
-
     fn refill(&mut self, now_ns: u64) {
         if now_ns <= self.last_ns {
             return; // time never goes backwards in hardware
@@ -147,12 +137,5 @@ mod tests {
         assert_eq!(tb.credit_byte_ns, 500 * 1_000_000_000);
         assert_eq!(tb.meter(501, 10_000_000_000), Color::Red);
         assert_eq!(tb.meter(500, 10_000_000_000), Color::Green);
-    }
-
-    #[test]
-    fn getters() {
-        let tb = TokenBucket::new(10_000_000, 1500);
-        assert_eq!(tb.rate_bps(), 10_000_000);
-        assert_eq!(tb.burst_bytes(), 1500);
     }
 }

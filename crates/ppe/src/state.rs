@@ -167,7 +167,8 @@ impl<K: TableKey> EfsmTable<K> {
         }
     }
 
-    /// Control-plane read of a flow's context.
+    /// A flow's context. Test-only: `crates/apps/src/stateful.rs`: a
+    /// source's state read back.
     pub fn peek(&self, key: &K) -> Option<FlowContext> {
         self.flows.peek(key)
     }
@@ -175,16 +176,6 @@ impl<K: TableKey> EfsmTable<K> {
     /// Remove a flow (e.g. idle timeout sweep from the control plane).
     pub fn evict(&mut self, key: &K) -> Option<FlowContext> {
         self.flows.remove(key)
-    }
-
-    /// Number of tracked flows.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when no flows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
     }
 }
 
@@ -282,7 +273,7 @@ mod tests {
         // A different flow is unaffected.
         assert_eq!(t.step(11, &ev(SYN, 20)), Verdict::Forward);
         assert_eq!(t.peek(&11).unwrap().state, 1);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.flows.len(), 2);
     }
 
     #[test]
@@ -374,6 +365,6 @@ mod tests {
         let ctx = t.evict(&3).unwrap();
         assert_eq!(ctx.state, 1);
         assert!(t.peek(&3).is_none());
-        assert!(t.is_empty());
+        assert!(t.flows.is_empty());
     }
 }

@@ -127,7 +127,8 @@ pub struct HashTable<K: TableKey, V: Copy> {
 
 impl<K: TableKey, V: Copy> HashTable<K, V> {
     /// A table with `buckets` buckets (rounded up to a power of two) of
-    /// `ways` entries each.
+    /// `ways` entries each. Test-only: `crates/ppe/tests/prop.rs`: a
+    /// two-way geometry small enough to fill buckets.
     pub fn new(buckets: usize, ways: usize) -> HashTable<K, V> {
         assert!(buckets > 0 && ways > 0);
         let buckets = buckets.next_power_of_two();
@@ -160,15 +161,10 @@ impl<K: TableKey, V: Copy> HashTable<K, V> {
         self.occupied
     }
 
-    /// True when no entries are present.
+    /// True when no entries are present. Test-only:
+    /// `crates/ppe/tests/prop.rs`: emptiness against a model map.
     pub fn is_empty(&self) -> bool {
         self.occupied == 0
-    }
-
-    /// Occupancy as a fraction of capacity — O(1), read on every
-    /// telemetry scrape.
-    pub fn load_factor(&self) -> f64 {
-        self.occupied as f64 / self.capacity() as f64
     }
 
     /// The bucket `key` hashes to. Public so layout-pinning tests (and
@@ -421,18 +417,6 @@ mod tests {
     fn capacity_rounds_to_power_of_two_buckets() {
         let t: HashTable<u32, u32> = HashTable::new(10, 4);
         assert_eq!(t.capacity(), 16 * 4);
-    }
-
-    #[test]
-    fn load_factor_tracks_occupancy() {
-        let mut t: HashTable<u32, u32> = HashTable::with_capacity(64);
-        assert_eq!(t.load_factor(), 0.0);
-        for k in 0..16u32 {
-            t.insert(k, k).unwrap();
-        }
-        assert!((t.load_factor() - 0.25).abs() < 1e-12);
-        t.clear();
-        assert_eq!(t.load_factor(), 0.0);
     }
 
     /// Pinned CRC-32 bucket indices at the NAT's production geometry

@@ -139,14 +139,17 @@ impl Flow {
         match self.proto {
             17 => {
                 let len = l4.len() as u16;
+                // 0: checksum disabled, 1: noise, else a valid checksum.
+                let checksum = r % 4;
+                if checksum == 0 {
+                    l4[6..8].fill(0);
+                }
                 let mut udp = UdpDatagram::new_unchecked(&mut l4[..]);
                 udp.set_src_port(self.sport);
                 udp.set_dst_port(self.dport);
                 udp.set_len(len);
-                match r % 4 {
-                    0 => udp.set_checksum(0),
-                    1 => {} // noise
-                    _ => udp.fill_checksum_v4(self.src, self.dst),
+                if checksum > 1 {
+                    udp.fill_checksum_v4(self.src, self.dst);
                 }
             }
             6 => {
@@ -385,8 +388,8 @@ fn apply(
 }
 
 fn counts(bank: &CounterBank) -> Vec<(u64, u64)> {
-    bank.snapshot()
-        .iter()
+    (0..COUNTERS)
+        .map(|i| bank.get(i))
         .map(|c| (c.packets, c.bytes))
         .collect()
 }

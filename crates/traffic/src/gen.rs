@@ -58,15 +58,6 @@ impl SizeModel {
             },
         }
     }
-
-    /// Mean frame size of the model.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            SizeModel::Fixed(n) => n as f64,
-            SizeModel::Uniform(lo, hi) => (lo + hi) as f64 / 2.0,
-            SizeModel::Imix => (7.0 * 60.0 + 4.0 * 590.0 + 1514.0) / 12.0,
-        }
-    }
 }
 
 /// Arrival processes.
@@ -701,7 +692,6 @@ mod tests {
         assert!((small / total - 7.0 / 12.0).abs() < 0.03);
         assert!((mid / total - 4.0 / 12.0).abs() < 0.03);
         assert!((big / total - 1.0 / 12.0).abs() < 0.03);
-        assert!((SizeModel::Imix.mean() - 357.83).abs() < 0.01);
     }
 
     #[test]

@@ -22,11 +22,6 @@ impl LineRateCalc {
         rate_bps: 10_000_000_000,
     };
 
-    /// A calculator for `rate_bps`.
-    pub fn new(rate_bps: u64) -> LineRateCalc {
-        LineRateCalc { rate_bps }
-    }
-
     /// Maximum frames/s at frame length `len` (excluding FCS in `len`;
     /// the 4-byte FCS is part of the 64-byte minimum, so pass on-wire
     /// lengths consistently across the workspace: frame without FCS).
@@ -39,11 +34,6 @@ impl LineRateCalc {
     pub fn gap_ns(&self, len: usize, utilization: f64) -> f64 {
         assert!(utilization > 0.0, "zero utilization has no gap");
         1e9 / (self.max_fps(len) * utilization.min(1.0))
-    }
-
-    /// Utilization consumed by `fps` frames/s of `len`-byte frames.
-    pub fn utilization(&self, len: usize, fps: f64) -> f64 {
-        fps / self.max_fps(len)
     }
 }
 
@@ -68,13 +58,6 @@ mod tests {
         assert!((gap - 67.2).abs() < 0.01, "{gap}");
         // Half utilization doubles the gap.
         assert!((c.gap_ns(60, 0.5) - 2.0 * gap).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_round_trip() {
-        let c = LineRateCalc::TEN_GIG;
-        let fps = c.max_fps(1000) * 0.3;
-        assert!((c.utilization(1000, fps) - 0.3).abs() < 1e-12);
     }
 
     #[test]

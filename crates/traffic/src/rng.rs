@@ -19,12 +19,12 @@ pub(crate) struct SplitMix64 {
 
 impl SplitMix64 {
     /// A generator starting from `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
+    fn new(seed: u64) -> SplitMix64 {
         SplitMix64 { state: seed }
     }
 
     /// The next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -9,8 +9,6 @@ pub struct MacAddr(pub [u8; 6]);
 impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
     pub(crate) const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-    /// The all-zero address, used as "unset".
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
 
     /// Build from a byte slice; panics if `b.len() != 6`.
     pub fn from_bytes(b: &[u8]) -> MacAddr {
@@ -25,7 +23,7 @@ impl MacAddr {
     }
 
     /// True if the group (multicast) bit is set.
-    pub fn is_multicast(&self) -> bool {
+    fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
 

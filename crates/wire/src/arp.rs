@@ -20,7 +20,7 @@ pub enum ArpOperation {
 
 impl ArpOperation {
     /// Decode from the on-wire opcode.
-    pub fn from_u16(v: u16) -> ArpOperation {
+    fn from_u16(v: u16) -> ArpOperation {
         match v {
             1 => ArpOperation::Request,
             2 => ArpOperation::Reply,
@@ -29,7 +29,7 @@ impl ArpOperation {
     }
 
     /// Encode to the on-wire opcode.
-    pub fn to_u16(self) -> u16 {
+    fn to_u16(self) -> u16 {
         match self {
             ArpOperation::Request => 1,
             ArpOperation::Reply => 2,
@@ -60,11 +60,6 @@ impl<T: AsRef<[u8]>> ArpPacket<T> {
             return Err(WireError::Malformed);
         }
         Ok(p)
-    }
-
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
     }
 
     /// Operation (request/reply).
@@ -135,7 +130,7 @@ mod tests {
         p.set_operation(ArpOperation::Request);
         p.set_sender_mac(MacAddr([1; 6]));
         p.set_sender_ip(0x0a000001);
-        p.set_target_mac(MacAddr::ZERO);
+        p.set_target_mac(MacAddr::default());
         p.set_target_ip(0x0a000002);
         buf
     }

@@ -10,7 +10,7 @@
 use crate::{be16, check_len, Result, WireError};
 
 /// DNS fixed header length.
-pub const HEADER_LEN: usize = 12;
+const HEADER_LEN: usize = 12;
 /// Maximum length of a presentation-format name we will extract.
 pub(crate) const MAX_NAME_LEN: usize = 255;
 /// Bound on compression-pointer hops (loop protection).
@@ -27,11 +27,6 @@ impl<T: AsRef<[u8]>> DnsHeader<T> {
     pub fn new_checked(buffer: T) -> Result<Self> {
         check_len(buffer.as_ref(), HEADER_LEN)?;
         Ok(DnsHeader { buffer })
-    }
-
-    /// Transaction id.
-    pub fn id(&self) -> u16 {
-        be16(self.buffer.as_ref(), 0)
     }
 
     /// True if this is a response (QR bit).
@@ -155,7 +150,7 @@ mod tests {
     fn build_and_parse_query() {
         let q = build_query(0x99aa, "DoH.Example.COM", 28);
         let h = DnsHeader::new_checked(&q[..]).unwrap();
-        assert_eq!(h.id(), 0x99aa);
+        assert_eq!(q[..2], 0x99aa_u16.to_be_bytes());
         assert!(!h.is_response());
         assert_eq!(h.qdcount(), 1);
         let question = h.first_question().unwrap();

@@ -36,11 +36,6 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
         Ok(EthernetFrame { buffer })
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Destination MAC address.
     pub fn dst(&self) -> MacAddr {
         MacAddr::from_bytes(&self.buffer.as_ref()[0..6])
@@ -60,11 +55,6 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[HEADER_LEN..]
     }
-
-    /// Total frame length (header + payload), excluding FCS.
-    pub fn total_len(&self) -> usize {
-        self.buffer.as_ref().len()
-    }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
@@ -81,11 +71,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
     /// Set the EtherType.
     pub fn set_ethertype(&mut self, ty: EtherType) {
         set_be16(self.buffer.as_mut(), 12, ty.to_u16());
-    }
-
-    /// Mutable access to the payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
     }
 }
 
@@ -110,7 +95,6 @@ mod tests {
         assert_eq!(frame.src(), MacAddr([0xbb; 6]));
         assert_eq!(frame.ethertype(), EtherType::Ipv4);
         assert_eq!(frame.payload(), &[1, 2, 3, 4]);
-        assert_eq!(frame.total_len(), 18);
     }
 
     #[test]
@@ -120,7 +104,7 @@ mod tests {
         frame.set_dst(MacAddr([1; 6]));
         frame.set_src(MacAddr([2; 6]));
         frame.set_ethertype(EtherType::Ipv6);
-        frame.payload_mut()[0] = 0xee;
+        buf[HEADER_LEN] = 0xee;
         let frame = EthernetFrame::new_checked(&buf).unwrap();
         assert_eq!(frame.dst(), MacAddr([1; 6]));
         assert_eq!(frame.src(), MacAddr([2; 6]));

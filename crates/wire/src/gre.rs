@@ -2,7 +2,7 @@
 //! §3 "Packet Transformation" use case inserts at the optical edge.
 
 use crate::addr::EtherType;
-use crate::{be16, be32, check_len, set_be16, set_be32, Result, WireError};
+use crate::{be32, check_len, set_be16, set_be32, Result, WireError};
 
 /// Base GRE header length (flags + protocol).
 pub(crate) const BASE_HEADER_LEN: usize = 4;
@@ -14,11 +14,6 @@ pub struct GrePacket<T: AsRef<[u8]>> {
 }
 
 impl<T: AsRef<[u8]>> GrePacket<T> {
-    /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
-        GrePacket { buffer }
-    }
-
     /// Wrap `buffer`, validating version and that all optional fields fit.
     pub fn new_checked(buffer: T) -> Result<Self> {
         check_len(buffer.as_ref(), BASE_HEADER_LEN)?;
@@ -28,11 +23,6 @@ impl<T: AsRef<[u8]>> GrePacket<T> {
         }
         check_len(p.buffer.as_ref(), p.header_len())?;
         Ok(p)
-    }
-
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
     }
 
     /// Checksum-present flag.
@@ -51,13 +41,8 @@ impl<T: AsRef<[u8]>> GrePacket<T> {
     }
 
     /// GRE version (must be 0).
-    pub fn version(&self) -> u8 {
+    fn version(&self) -> u8 {
         self.buffer.as_ref()[1] & 0x07
-    }
-
-    /// EtherType of the encapsulated protocol.
-    pub fn protocol(&self) -> EtherType {
-        EtherType::from_u16(be16(self.buffer.as_ref(), 2))
     }
 
     /// Total header length including present optional fields.
@@ -85,6 +70,7 @@ impl<T: AsRef<[u8]>> GrePacket<T> {
     }
 
     /// Encapsulated payload.
+    /// Test-only: `crates/wire/tests/prop.rs`: the inner bytes of random tunnels.
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[self.header_len()..]
     }
@@ -116,7 +102,7 @@ mod tests {
         assert!(!p.has_key());
         assert!(!p.has_sequence());
         assert_eq!(p.version(), 0);
-        assert_eq!(p.protocol(), EtherType::Ipv4);
+        assert_eq!(buf[2..4], [0x08, 0x00]);
         assert_eq!(p.header_len(), 4);
         assert_eq!(p.payload(), b"inner");
         assert_eq!(p.key(), None);

@@ -22,7 +22,7 @@ pub enum IcmpType {
 
 impl IcmpType {
     /// Decode from the on-wire type byte.
-    pub fn from_u8(v: u8) -> IcmpType {
+    fn from_u8(v: u8) -> IcmpType {
         match v {
             0 => IcmpType::EchoReply,
             3 => IcmpType::DestUnreachable,
@@ -33,7 +33,7 @@ impl IcmpType {
     }
 
     /// Encode to the on-wire type byte.
-    pub fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             IcmpType::EchoReply => 0,
             IcmpType::DestUnreachable => 3,
@@ -62,24 +62,9 @@ impl<T: AsRef<[u8]>> IcmpPacket<T> {
         Ok(IcmpPacket { buffer })
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Message type.
     pub fn msg_type(&self) -> IcmpType {
         IcmpType::from_u8(self.buffer.as_ref()[0])
-    }
-
-    /// Message code.
-    pub fn code(&self) -> u8 {
-        self.buffer.as_ref()[1]
-    }
-
-    /// Checksum field.
-    pub fn checksum_field(&self) -> u16 {
-        be16(self.buffer.as_ref(), 2)
     }
 
     /// Echo identifier (valid for echo request/reply).

@@ -4,7 +4,7 @@ use crate::addr::IpProtocol;
 use crate::{be16, check_len, checksum, set_be16, Result, WireError};
 
 /// Minimum IPv4 header length (no options).
-pub const MIN_HEADER_LEN: usize = 20;
+const MIN_HEADER_LEN: usize = 20;
 
 /// A typed view over an IPv4 packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,13 +37,8 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         Ok(p)
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version field (must be 4).
-    pub fn version(&self) -> u8 {
+    fn version(&self) -> u8 {
         self.buffer.as_ref()[0] >> 4
     }
 
@@ -53,17 +48,12 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     }
 
     /// Total length field (header + payload).
-    pub fn total_len(&self) -> u16 {
+    fn total_len(&self) -> u16 {
         be16(self.buffer.as_ref(), 2)
     }
 
-    /// Identification field.
-    pub fn ident(&self) -> u16 {
-        be16(self.buffer.as_ref(), 4)
-    }
-
     /// More-fragments flag.
-    pub fn more_frags(&self) -> bool {
+    fn more_frags(&self) -> bool {
         self.buffer.as_ref()[6] & 0x20 != 0
     }
 
@@ -100,11 +90,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     /// Destination address.
     pub fn dst(&self) -> u32 {
         crate::be32(self.buffer.as_ref(), 16)
-    }
-
-    /// The options region (empty when IHL = 5).
-    pub fn options(&self) -> &[u8] {
-        &self.buffer.as_ref()[MIN_HEADER_LEN..self.header_len()]
     }
 
     /// True if any IP options are present — the paper's packet-sanitizer
@@ -211,13 +196,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         let ihl = self.header_len();
         let c = checksum::checksum(&self.buffer.as_ref()[..ihl]);
         self.set_header_checksum(c);
-    }
-
-    /// Mutable L4 payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let ihl = self.header_len();
-        let total = self.total_len() as usize;
-        &mut self.buffer.as_mut()[ihl..total]
     }
 }
 

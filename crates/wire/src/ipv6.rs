@@ -17,15 +17,10 @@ pub struct Ipv6Addr(pub [u8; 16]);
 
 impl Ipv6Addr {
     /// Build from a slice; panics if `b.len() != 16`.
-    pub fn from_bytes(b: &[u8]) -> Ipv6Addr {
+    fn from_bytes(b: &[u8]) -> Ipv6Addr {
         let mut out = [0u8; 16];
         out.copy_from_slice(b);
         Ipv6Addr(out)
-    }
-
-    /// True for multicast addresses (ff00::/8).
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] == 0xff
     }
 
     /// The /64 prefix as a u64 — used by per-subscriber prefix filters.
@@ -55,6 +50,8 @@ pub struct Ipv6Packet<T: AsRef<[u8]>> {
 
 impl<T: AsRef<[u8]>> Ipv6Packet<T> {
     /// Wrap without validation.
+    /// Test-only: `crates/apps/src/ipv6filter.rs` and `crates/ppe/src/parser.rs`: IPv6 test packets
+    /// (no builder writes IPv6).
     pub fn new_unchecked(buffer: T) -> Self {
         Ipv6Packet { buffer }
     }
@@ -72,18 +69,13 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
         Ok(p)
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version field (must be 6).
-    pub fn version(&self) -> u8 {
+    fn version(&self) -> u8 {
         self.buffer.as_ref()[0] >> 4
     }
 
     /// Payload length field.
-    pub fn payload_len(&self) -> u16 {
+    fn payload_len(&self) -> u16 {
         be16(self.buffer.as_ref(), 4)
     }
 
@@ -115,17 +107,23 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv6Packet<T> {
     /// Set version (upper nibble of byte 0).
+    /// Test-only: `crates/apps/src/ipv6filter.rs` and `crates/ppe/src/parser.rs`: IPv6 test packets
+    /// (no builder writes IPv6).
     pub fn set_version(&mut self, v: u8) {
         let b = self.buffer.as_mut();
         b[0] = (v << 4) | (b[0] & 0x0f);
     }
 
     /// Set the source address.
+    /// Test-only: `crates/apps/src/ipv6filter.rs` and `crates/ppe/src/parser.rs`: IPv6 test packets
+    /// (no builder writes IPv6).
     pub fn set_src(&mut self, a: Ipv6Addr) {
         self.buffer.as_mut()[8..24].copy_from_slice(&a.0);
     }
 
     /// Set the destination address.
+    /// Test-only: `crates/apps/src/ipv6filter.rs`: IPv6 test packets
+    /// (no builder writes IPv6).
     pub fn set_dst(&mut self, a: Ipv6Addr) {
         self.buffer.as_mut()[24..40].copy_from_slice(&a.0);
     }
@@ -158,8 +156,7 @@ mod tests {
         assert_eq!(p.payload_len(), 8);
         assert_eq!(p.next_header(), IpProtocol::Udp);
         assert_eq!(p.hop_limit(), 64);
-        assert!(p.dst().is_multicast());
-        assert!(!p.src().is_multicast());
+        assert_eq!((p.dst().0[0], p.src().0[0]), (0xff, 0x20));
         assert_eq!(p.payload().len(), 8);
     }
 
@@ -184,11 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn addr_classes() {
-        let mut ll = [0u8; 16];
-        ll[0] = 0xfe;
-        ll[1] = 0x80;
-        assert!(!Ipv6Addr(ll).is_multicast());
+    fn prefix64_is_the_top_half() {
         let pfx = Ipv6Addr::from_bytes(&[
             0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0x42, 0, 0, 0, 0, 0, 0, 0, 1,
         ]);

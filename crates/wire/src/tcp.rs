@@ -1,6 +1,6 @@
 //! TCP segment view.
 
-use crate::{be16, be32, check_len, checksum, set_be16, set_be32, Result, WireError};
+use crate::{be16, check_len, checksum, set_be16, set_be32, Result, WireError};
 
 /// Minimum TCP header length (no options).
 pub const MIN_HEADER_LEN: usize = 20;
@@ -27,7 +27,8 @@ pub struct TcpFlags {
 }
 
 impl TcpFlags {
-    /// Decode from the on-wire byte.
+    /// Decode from the on-wire byte. Test-only:
+    /// `crates/wire/tests/prop.rs`: segments with random flag bytes.
     pub fn from_u8(v: u8) -> TcpFlags {
         TcpFlags {
             fin: v & 0x01 != 0,
@@ -54,7 +55,8 @@ impl TcpFlags {
     }
 
     /// Flags of a connection-opening segment. Test-only:
-    /// `crates/wire/tests/golden.rs`: the SYN of the test frames.
+    /// `crates/wire/tests/golden.rs` and `crates/host/tests/cage_run.rs`:
+    /// the SYN of the test frames.
     pub fn syn_only() -> TcpFlags {
         TcpFlags {
             syn: true,
@@ -86,11 +88,6 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
         Ok(s)
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Source port.
     pub fn src_port(&self) -> u16 {
         be16(self.buffer.as_ref(), 0)
@@ -101,13 +98,8 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
         be16(self.buffer.as_ref(), 2)
     }
 
-    /// Sequence number.
-    pub fn seq(&self) -> u32 {
-        be32(self.buffer.as_ref(), 4)
-    }
-
     /// Header length in bytes (data offset × 4).
-    pub fn header_len(&self) -> usize {
+    fn header_len(&self) -> usize {
         usize::from(self.buffer.as_ref()[12] >> 4) * 4
     }
 
@@ -116,28 +108,17 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
         TcpFlags::from_u8(self.buffer.as_ref()[13])
     }
 
-    /// Receive window.
-    pub fn window(&self) -> u16 {
-        be16(self.buffer.as_ref(), 14)
-    }
-
-    /// Checksum field.
-    pub fn checksum_field(&self) -> u16 {
-        be16(self.buffer.as_ref(), 16)
-    }
-
-    /// Options region.
-    pub fn options(&self) -> &[u8] {
-        &self.buffer.as_ref()[MIN_HEADER_LEN..self.header_len()]
-    }
-
     /// Payload following the header (to end of buffer — the caller slices
     /// the buffer to the IP payload bounds first).
+    /// Test-only: `crates/wire/tests/golden.rs` and `crates/wire/tests/prop.rs`: the built segment
+    /// read back.
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[self.header_len()..]
     }
 
     /// Verify the checksum against an IPv4 pseudo-header.
+    /// Test-only: `crates/ppe/tests/oracle.rs` and `crates/wire/tests/prop.rs`: rewritten and built
+    /// segments keep a valid checksum.
     pub fn verify_checksum_v4(&self, src: u32, dst: u32) -> bool {
         let buf = self.buffer.as_ref();
         let ph =
@@ -179,7 +160,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpSegment<T> {
     }
 
     /// Set the checksum field.
-    pub fn set_checksum(&mut self, c: u16) {
+    fn set_checksum(&mut self, c: u16) {
         set_be16(self.buffer.as_mut(), 16, c);
     }
 
@@ -197,6 +178,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpSegment<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::be32;
 
     fn sample() -> Vec<u8> {
         let mut buf = vec![0u8; MIN_HEADER_LEN + 6];
@@ -223,12 +205,12 @@ mod tests {
         let s = TcpSegment::new_checked(&buf[..]).unwrap();
         assert_eq!(s.src_port(), 443);
         assert_eq!(s.dst_port(), 51000);
-        assert_eq!(s.seq(), 0xdeadbeef);
+        assert_eq!(be32(&buf, 4), 0xdeadbeef);
         assert_eq!(s.header_len(), 20);
         assert!(s.flags().ack);
         assert!(s.flags().psh);
         assert!(!s.flags().syn);
-        assert_eq!(s.window(), 65535);
+        assert_eq!(be16(&buf, 14), 65535);
         assert_eq!(s.payload(), &b"payloa"[..]);
         assert!(s.verify_checksum_v4(0xc0a80101, 0xc0a80102));
         assert!(!s.verify_checksum_v4(0xc0a80101, 0xc0a80103));

@@ -24,7 +24,7 @@ pub struct Tci {
 
 impl Tci {
     /// Decode from the on-wire 16-bit TCI.
-    pub fn from_u16(v: u16) -> Tci {
+    fn from_u16(v: u16) -> Tci {
         Tci {
             pcp: (v >> 13) as u8,
             dei: v & 0x1000 != 0,
@@ -33,7 +33,7 @@ impl Tci {
     }
 
     /// Encode to the on-wire 16-bit TCI. VID is masked to 12 bits.
-    pub fn to_u16(self) -> u16 {
+    fn to_u16(self) -> u16 {
         (u16::from(self.pcp & 0x7) << 13) | (u16::from(self.dei) << 12) | (self.vid & 0x0fff)
     }
 }
@@ -46,24 +46,14 @@ pub struct VlanFrame<T: AsRef<[u8]>> {
 }
 
 impl<T: AsRef<[u8]>> VlanFrame<T> {
-    /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
-        VlanFrame { buffer }
-    }
-
     /// Wrap `buffer`, validating the 4-byte tag fits.
     pub fn new_checked(buffer: T) -> Result<Self> {
         check_len(buffer.as_ref(), TAG_LEN)?;
         Ok(VlanFrame { buffer })
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// The tag control information.
-    pub fn tci(&self) -> Tci {
+    pub(crate) fn tci(&self) -> Tci {
         Tci::from_u16(be16(self.buffer.as_ref(), 0))
     }
 
@@ -78,15 +68,9 @@ impl<T: AsRef<[u8]>> VlanFrame<T> {
     }
 
     /// Payload following the tag.
+    /// Test-only: `crates/wire/tests/golden.rs`: the built tag read back.
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[TAG_LEN..]
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> VlanFrame<T> {
-    /// Mutable payload following the tag.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[TAG_LEN..]
     }
 }
 

@@ -16,7 +16,7 @@ pub struct VxlanPacket<T: AsRef<[u8]>> {
 
 impl<T: AsRef<[u8]>> VxlanPacket<T> {
     /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
+    fn new_unchecked(buffer: T) -> Self {
         VxlanPacket { buffer }
     }
 
@@ -32,11 +32,6 @@ impl<T: AsRef<[u8]>> VxlanPacket<T> {
         Ok(p)
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// The 24-bit VXLAN network identifier.
     pub fn vni(&self) -> u32 {
         let b = self.buffer.as_ref();
@@ -44,7 +39,8 @@ impl<T: AsRef<[u8]>> VxlanPacket<T> {
     }
 
     /// The encapsulated Ethernet frame.
-    pub fn inner_frame(&self) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn inner_frame(&self) -> &[u8] {
         &self.buffer.as_ref()[HEADER_LEN..]
     }
 }

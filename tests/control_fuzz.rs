@@ -17,11 +17,14 @@ use flexsfp::apps::{
     SynFloodGuard, TelemetryProbe, TunnelGateway, VlanTagger,
 };
 use flexsfp::core::auth::{self, AuthKey};
-use flexsfp::core::control::{ControlPlane, ControlRequest, MAGIC};
+use flexsfp::core::control::{ControlPlane, ControlRequest};
 use flexsfp::core::module::{FlexSfp, ModuleConfig};
 use flexsfp::obs::{FromJson, Value};
 use flexsfp::ppe::PacketProcessor;
 use flexsfp::traffic::rng::Xoshiro256;
+
+/// The control payload magic, as the wire carries it.
+const MAGIC: &[u8; 4] = b"FSCP";
 
 /// Mutants driven into a module running each app.
 const MUTANTS_PER_APP: usize = 1_000;

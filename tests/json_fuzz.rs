@@ -15,11 +15,14 @@
 
 use flexsfp::core::auth::AuthKey;
 use flexsfp::core::bitstream::Bitstream;
-use flexsfp::core::control::{ControlPlane, ControlRequest, MAGIC};
+use flexsfp::core::control::{ControlPlane, ControlRequest};
 use flexsfp::fabric::resources::ResourceManifest;
 use flexsfp::obs::{json, FromJson, TelemetrySnapshot, ToJson, Value};
 use flexsfp::ppe::engine::TableOp;
 use flexsfp::traffic::rng::Xoshiro256;
+
+/// The control payload magic, as the wire carries it.
+const MAGIC: &[u8; 4] = b"FSCP";
 
 #[allow(dead_code)] // only the vectors' text is fuzzed here
 #[path = "../crates/obs/tests/vectors/mod.rs"]

@@ -47,7 +47,7 @@ fn arp_request(config: &ModuleConfig) -> Vec<u8> {
     a.set_operation(ArpOperation::Request);
     a.set_sender_mac(HOST_MAC);
     a.set_sender_ip(HOST_IP);
-    a.set_target_mac(MacAddr::ZERO);
+    a.set_target_mac(MacAddr::default());
     a.set_target_ip(config.mgmt_ip);
     PacketBuilder::ethernet(MacAddr([0xff; 6]), HOST_MAC, EtherType::Arp, &body)
 }
@@ -151,11 +151,11 @@ fn counters(r: &SimReport) -> Counters {
         to_control: r.to_control,
         control_handled: r.control_handled,
         cp_originated: r.cp_originated,
-        latency_count: r.latency.count(),
+        latency_count: r.latency.histogram().count(),
         latency_ns: [
             r.latency.histogram().min(),
-            r.latency.p50_ns() as u64,
-            r.latency.p99_ns() as u64,
+            r.latency.histogram().p50(),
+            r.latency.histogram().p99(),
             r.latency.max_ns() as u64,
         ],
         duration_ns: r.duration_ns,
@@ -369,8 +369,13 @@ fn every_branch_trace_is_pinned() {
     let mut fw = AclFirewall::new(16);
     for (priority, dst_port, action) in [(1, 23, AclAction::Deny), (2, 179, AclAction::Punt)] {
         assert!(fw.add_rule(AclRule {
+            src: None,
+            dst: None,
+            protocol: None,
+            src_port: None,
             dst_port: Some(dst_port),
-            ..AclRule::any(priority, action)
+            priority,
+            action,
         }));
     }
     let mut b = FlexSfp::new(config, Box::new(fw));
