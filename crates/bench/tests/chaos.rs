@@ -94,7 +94,7 @@ fn assert_converged_or_golden(m: &FlexSfp, image: &[u8]) -> bool {
     );
     if m.app_version() == NEW_VERSION {
         // Byte-exact staged image in the target slot.
-        let staged = m.flash.read_slot(UPDATE_SLOT, image.len()).unwrap();
+        let staged = m.flash.image(UPDATE_SLOT).unwrap();
         assert_eq!(staged, image, "{} staged image corrupt", m.config.id);
         true
     } else {

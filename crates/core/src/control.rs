@@ -663,7 +663,7 @@ mod tests {
             );
         }
         assert_eq!(cp.pending_activation, Some(2));
-        assert_eq!(flash.read_slot(2, image.len()).unwrap(), &image[..]);
+        assert_eq!(flash.image(2).unwrap(), &image[..]);
     }
 
     #[test]

@@ -234,7 +234,7 @@ mod tests {
         let slot = fsm.commit(&mut flash).unwrap();
         assert_eq!(slot, 1);
         assert_eq!(fsm.state(), &UpdateState::Staged { slot: 1 });
-        assert_eq!(flash.read_slot(1, img.len()).unwrap(), &img[..]);
+        assert_eq!(flash.image(1).unwrap(), &img[..]);
         fsm.activated();
         assert_eq!(fsm.state(), &UpdateState::Idle);
     }
@@ -274,7 +274,7 @@ mod tests {
         fsm.chunk(1, chunks[1]).unwrap();
         fsm.chunk(2, chunks[2]).unwrap();
         assert_eq!(fsm.commit(&mut flash).unwrap(), 1);
-        assert_eq!(flash.read_slot(1, img.len()).unwrap(), &img[..]);
+        assert_eq!(flash.image(1).unwrap(), &img[..]);
         assert_eq!(fsm.dup_acks(), 3);
     }
 
@@ -326,7 +326,7 @@ mod tests {
         fsm.begin(2, img.len(), crc).unwrap();
         fsm.chunk(0, &img).unwrap();
         assert_eq!(fsm.commit(&mut flash).unwrap(), 2);
-        assert_eq!(flash.read_slot(2, img.len()).unwrap(), &img[..]);
+        assert_eq!(flash.image(2).unwrap(), &img[..]);
     }
 
     #[test]
@@ -338,8 +338,8 @@ mod tests {
         fsm.chunk(0, &img).unwrap();
         assert_eq!(fsm.commit(&mut flash), Err(UpdateError::BadCrc));
         assert_eq!(fsm.state(), &UpdateState::Idle);
-        // Flash slot untouched (still erased).
-        assert_eq!(flash.read_slot(2, 4).unwrap(), &[0xff; 4]);
+        // Flash untouched: nothing erased, no image committed.
+        assert_eq!((flash.erase_count, flash.image(2).unwrap()), (0, &[][..]));
     }
 
     #[test]

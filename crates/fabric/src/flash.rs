@@ -222,9 +222,7 @@ impl SpiFlash {
     }
 
     /// Read back `len` bytes of slot `slot`.
-    /// Test-only: `crates/core/tests/prop.rs` and
-    /// `crates/bench/tests/chaos.rs`: staged bytes read back, committed or not.
-    pub fn read_slot(&self, slot: usize, len: usize) -> Result<&[u8], FlashError> {
+    fn read_slot(&self, slot: usize, len: usize) -> Result<&[u8], FlashError> {
         if len > SLOT_BYTES {
             return Err(FlashError::ImageTooLarge);
         }

@@ -850,10 +850,7 @@ mod tests {
         let stats = c.transport_stats();
         assert!(stats.resyncs >= 1, "{stats:?}");
         // Byte-exact staged image in the slot.
-        assert_eq!(
-            port.inner.flash.read_slot(2, image.len()).unwrap(),
-            &image[..]
-        );
+        assert_eq!(port.inner.flash.image(2).unwrap(), &image[..]);
     }
 
     #[test]
