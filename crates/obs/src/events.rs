@@ -70,7 +70,8 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable lowercase label. Test-only: `tests/pinned_trace.rs`: the pinned event log.
+    /// Stable lowercase label. Test-only: `tests/pinned_trace.rs`: the
+    /// pinned event log.
     pub fn label(&self) -> &'static str {
         match self {
             EventKind::Drop { .. } => "drop",

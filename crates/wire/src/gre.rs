@@ -70,7 +70,8 @@ impl<T: AsRef<[u8]>> GrePacket<T> {
     }
 
     /// Encapsulated payload.
-    /// Test-only: `crates/wire/tests/prop.rs`: the inner bytes of random tunnels.
+    /// Test-only: `crates/wire/tests/prop.rs`: the inner bytes of random
+    /// tunnels.
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[self.header_len()..]
     }

@@ -50,8 +50,8 @@ pub struct Ipv6Packet<T: AsRef<[u8]>> {
 
 impl<T: AsRef<[u8]>> Ipv6Packet<T> {
     /// Wrap without validation.
-    /// Test-only: `crates/apps/src/ipv6filter.rs` and `crates/ppe/src/parser.rs`: IPv6 test packets
-    /// (no builder writes IPv6).
+    /// Test-only: `crates/apps/src/ipv6filter.rs` and
+    /// `crates/ppe/src/parser.rs`: IPv6 test packets (no builder writes IPv6).
     pub fn new_unchecked(buffer: T) -> Self {
         Ipv6Packet { buffer }
     }
@@ -107,16 +107,16 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv6Packet<T> {
     /// Set version (upper nibble of byte 0).
-    /// Test-only: `crates/apps/src/ipv6filter.rs` and `crates/ppe/src/parser.rs`: IPv6 test packets
-    /// (no builder writes IPv6).
+    /// Test-only: `crates/apps/src/ipv6filter.rs` and
+    /// `crates/ppe/src/parser.rs`: IPv6 test packets (no builder writes IPv6).
     pub fn set_version(&mut self, v: u8) {
         let b = self.buffer.as_mut();
         b[0] = (v << 4) | (b[0] & 0x0f);
     }
 
     /// Set the source address.
-    /// Test-only: `crates/apps/src/ipv6filter.rs` and `crates/ppe/src/parser.rs`: IPv6 test packets
-    /// (no builder writes IPv6).
+    /// Test-only: `crates/apps/src/ipv6filter.rs` and
+    /// `crates/ppe/src/parser.rs`: IPv6 test packets (no builder writes IPv6).
     pub fn set_src(&mut self, a: Ipv6Addr) {
         self.buffer.as_mut()[8..24].copy_from_slice(&a.0);
     }

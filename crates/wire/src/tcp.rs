@@ -110,15 +110,15 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
 
     /// Payload following the header (to end of buffer — the caller slices
     /// the buffer to the IP payload bounds first).
-    /// Test-only: `crates/wire/tests/golden.rs` and `crates/wire/tests/prop.rs`: the built segment
-    /// read back.
+    /// Test-only: `crates/wire/tests/golden.rs` and
+    /// `crates/wire/tests/prop.rs`: the built segment read back.
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[self.header_len()..]
     }
 
     /// Verify the checksum against an IPv4 pseudo-header.
-    /// Test-only: `crates/ppe/tests/oracle.rs` and `crates/wire/tests/prop.rs`: rewritten and built
-    /// segments keep a valid checksum.
+    /// Test-only: `crates/ppe/tests/oracle.rs` and `crates/wire/tests/prop.rs`:
+    /// rewritten and built segments keep a valid checksum.
     pub fn verify_checksum_v4(&self, src: u32, dst: u32) -> bool {
         let buf = self.buffer.as_ref();
         let ph =

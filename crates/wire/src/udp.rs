@@ -55,8 +55,8 @@ impl<T: AsRef<[u8]>> UdpDatagram<T> {
 
     /// Verify the checksum against an IPv4 pseudo-header. A zero checksum
     /// field counts as valid (checksum disabled).
-    /// Test-only: `crates/ppe/tests/oracle.rs` and `crates/wire/tests/prop.rs`: rewritten and built
-    /// datagrams keep a valid checksum.
+    /// Test-only: `crates/ppe/tests/oracle.rs` and `crates/wire/tests/prop.rs`:
+    /// rewritten and built datagrams keep a valid checksum.
     pub fn verify_checksum_v4(&self, src: u32, dst: u32) -> bool {
         if self.checksum_field() == 0 {
             return true;
