@@ -20,19 +20,30 @@ use crate::tunnel::{TunnelGateway, TunnelKind};
 use crate::vlan::VlanTagger;
 use flexsfp_core::bitstream::BitstreamMeta;
 use flexsfp_core::module::AppFactory;
+use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_obs::FromJson;
 use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::PacketProcessor;
 
 /// Instantiate the application named by `meta`, honouring its JSON
-/// `config`. Unknown names return `None` (the module falls back to its
+/// `config`. An unknown name, a table of no entries and a table whose
+/// design `fits` refuses return `None` (the module falls back to its
 /// golden image).
-fn build_app(meta: &BitstreamMeta) -> Option<Box<dyn PacketProcessor>> {
+fn build_app(
+    meta: &BitstreamMeta,
+    fits: &dyn Fn(ResourceManifest) -> bool,
+) -> Option<Box<dyn PacketProcessor>> {
     let cfg = &meta.config;
+    // The entries `key` asks for (`default` when absent), if the app
+    // `manifest` costs at that size fits: asked before allocating.
+    let capacity = |key: &str, default: u64, manifest: fn(usize) -> ResourceManifest| {
+        let entries = cfg[key].as_u64().unwrap_or(default) as usize;
+        (entries > 0 && fits(manifest(entries))).then_some(entries)
+    };
     match meta.app.as_str() {
         "passthrough" => Some(Box::new(PassThrough)),
         "nat" => {
-            let capacity = cfg["table_size"].as_u64().unwrap_or(32_768) as usize;
+            let capacity = capacity("table_size", 32_768, StaticNat::manifest)?;
             let mut nat = StaticNat::with_capacity(capacity);
             if let Some(mappings) = cfg["mappings"].as_array() {
                 for m in mappings {
@@ -47,8 +58,7 @@ fn build_app(meta: &BitstreamMeta) -> Option<Box<dyn PacketProcessor>> {
             Some(Box::new(nat))
         }
         "firewall" => {
-            let capacity = cfg["capacity"].as_u64().unwrap_or(256) as usize;
-            let mut fw = AclFirewall::new(capacity);
+            let mut fw = AclFirewall::new(capacity("capacity", 256, AclFirewall::manifest)?);
             if cfg["default"].as_str() == Some("deny") {
                 fw.default_action = crate::firewall::AclAction::Deny;
             }
@@ -99,7 +109,7 @@ fn build_app(meta: &BitstreamMeta) -> Option<Box<dyn PacketProcessor>> {
             Some(Box::new(L4LoadBalancer::new(vip, port, backends)))
         }
         "telemetry" => {
-            let flows = cfg["flows"].as_u64().unwrap_or(8_192) as usize;
+            let flows = capacity("flows", 8_192, TelemetryProbe::manifest)?;
             let window = cfg["window_ns"].as_u64().unwrap_or(100_000);
             let threshold = cfg["burst_bytes"].as_u64().unwrap_or(50_000);
             let mut t = TelemetryProbe::new(flows, window, threshold);
@@ -123,7 +133,7 @@ fn build_app(meta: &BitstreamMeta) -> Option<Box<dyn PacketProcessor>> {
         }
         "sanitizer" => Some(Box::new(Sanitizer::new(SanitizerPolicy::default()))),
         "syn-flood-guard" => {
-            let capacity = cfg["capacity"].as_u64().unwrap_or(4_096) as usize;
+            let capacity = capacity("capacity", 4_096, SynFloodGuard::manifest)?;
             let threshold = cfg["threshold"].as_u64().unwrap_or(64);
             let quarantine = cfg["quarantine_ns"].as_u64().unwrap_or(5_000_000_000);
             Some(Box::new(SynFloodGuard::new(
@@ -158,12 +168,15 @@ pub fn app_factory() -> AppFactory {
 mod tests {
     use super::*;
     use flexsfp_core::Bitstream;
-    use flexsfp_fabric::resources::ResourceManifest;
+    use std::cell::Cell;
 
     fn meta(app: &str, config: flexsfp_obs::Value) -> BitstreamMeta {
-        Bitstream::new(app, 1, ResourceManifest::ZERO, 156_250_000)
-            .with_config(config)
-            .meta
+        Bitstream::new(app, 1, 156_250_000).with_config(config).meta
+    }
+
+    /// `app` from `config`, on a device where everything fits.
+    fn build(app: &str, config: flexsfp_obs::Value) -> Option<Box<dyn PacketProcessor>> {
+        build_app(&meta(app, config), &|_| true)
     }
 
     #[test]
@@ -192,14 +205,14 @@ mod tests {
             ),
         ];
         for (name, cfg) in cases {
-            let app = build_app(&meta(name, cfg)).unwrap_or_else(|| panic!("{name} not built"));
+            let app = build(name, cfg).unwrap_or_else(|| panic!("{name} not built"));
             assert_eq!(app.name(), name);
         }
     }
 
     #[test]
     fn unknown_app_rejected() {
-        assert!(build_app(&meta("quantum-router", flexsfp_obs::json!({}))).is_none());
+        assert!(build("quantum-router", flexsfp_obs::json!({})).is_none());
     }
 
     #[test]
@@ -208,7 +221,7 @@ mod tests {
             "table_size": 64,
             "mappings": [{"private": 0xc0a80001u32, "public": 0x65000001u32}]
         });
-        let mut app = build_app(&meta("nat", cfg)).unwrap();
+        let mut app = build("nat", cfg).unwrap();
         // Verify via control-plane read.
         let r = app.control_op(&flexsfp_ppe::TableOp::Read {
             table: 0,
@@ -222,12 +235,42 @@ mod tests {
 
     #[test]
     fn tunnel_requires_endpoints() {
-        assert!(build_app(&meta("tunnel-gw", flexsfp_obs::json!({"kind": "gre"}))).is_none());
-        assert!(build_app(&meta(
+        assert!(build("tunnel-gw", flexsfp_obs::json!({"kind": "gre"})).is_none());
+        assert!(build(
             "tunnel-gw",
             flexsfp_obs::json!({"kind": "bad", "local": 1, "remote": 2})
-        ))
+        )
         .is_none());
+    }
+
+    #[test]
+    fn a_sized_app_is_costed_as_built_before_it_is_built() {
+        for (app, key) in [
+            ("nat", "table_size"),
+            ("firewall", "capacity"),
+            ("telemetry", "flows"),
+            ("syn-flood-guard", "capacity"),
+        ] {
+            for entries in [1u64, 63, 64, 1_000, 4_096, 32_768, 100_000] {
+                let config = flexsfp_obs::json!({ key: entries });
+                let asked = Cell::new(None);
+                let built = build_app(&meta(app, config.clone()), &|m| {
+                    asked.set(Some(m));
+                    true
+                })
+                .unwrap();
+                assert_eq!(
+                    asked.get(),
+                    Some(built.resource_manifest()),
+                    "{app} {entries}"
+                );
+                // A refused design allocates nothing and builds nothing.
+                assert!(build_app(&meta(app, config), &|_| false).is_none());
+            }
+            // A table of no entries is refused before it is costed.
+            let empty = meta(app, flexsfp_obs::json!({ key: 0 }));
+            assert!(build_app(&empty, &|_| panic!("{app} costed")).is_none());
+        }
     }
 
     #[test]
@@ -235,17 +278,12 @@ mod tests {
         use flexsfp_core::module::{FlexSfp, ModuleConfig};
         let mut m = FlexSfp::new(
             ModuleConfig::default(),
-            build_app(&meta("nat", flexsfp_obs::json!({}))).unwrap(),
+            build("nat", flexsfp_obs::json!({})).unwrap(),
         );
         m.set_factory(app_factory());
         // Stage a firewall bitstream and activate it.
-        let bs = Bitstream::new(
-            "firewall",
-            2,
-            ResourceManifest::new(8_000, 6_000, 24, 2),
-            156_250_000,
-        )
-        .with_config(flexsfp_obs::json!({"default": "deny"}));
+        let bs = Bitstream::new("firewall", 2, 156_250_000)
+            .with_config(flexsfp_obs::json!({"default": "deny"}));
         m.flash.write_slot(1, &bs.to_bytes()).unwrap();
         m.control.pending_activation = Some(1);
         assert!(m.maybe_reboot());

@@ -136,6 +136,13 @@ impl AclFirewall {
         }
     }
 
+    /// What [`new`](Self::new)`(capacity)` occupies. Ternary rows are
+    /// the cost driver (LUT-cascade TCAM emulation, 64 rows a block).
+    pub fn manifest(capacity: usize) -> ResourceManifest {
+        ResourceManifest::new(3_200, 4_100, 24, 2)
+            + ResourceManifest::new(4_200, 1_400, 0, 0).scaled(capacity.div_ceil(64) as u64)
+    }
+
     /// Install a rule; `false` when the table is full.
     pub fn add_rule(&mut self, rule: AclRule) -> bool {
         self.table.insert(rule.to_entry())
@@ -189,10 +196,7 @@ impl PacketProcessor for AclFirewall {
     }
 
     fn resource_manifest(&self) -> ResourceManifest {
-        // Ternary rows are the cost driver (LUT-cascade TCAM emulation).
-        let rows = self.table.capacity() as u64;
-        ResourceManifest::new(3_200, 4_100, 24, 2)
-            + ResourceManifest::new(4_200, 1_400, 0, 0).scaled(rows.div_ceil(64))
+        AclFirewall::manifest(self.table.capacity())
     }
 
     fn pipeline_depth(&self) -> u32 {

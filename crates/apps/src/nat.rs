@@ -9,12 +9,13 @@
 //! keys and values are 4-byte big-endian IPv4 addresses).
 
 use flexsfp_fabric::resources::{table1, ResourceManifest};
+use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
 use flexsfp_obs::{CacheStats, FlightStamp};
 use flexsfp_ppe::action::{Action, ActionEngine};
 use flexsfp_ppe::cache::{FlowFront, FlowKey, FlowProgram, PlanRecorder};
 use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::parser::Parser;
-use flexsfp_ppe::tables::{HashTable, TableError};
+use flexsfp_ppe::tables::{slots_for, HashTable, TableError};
 use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 
 /// Counter indices exposed by the NAT.
@@ -77,6 +78,18 @@ impl StaticNat {
                 parser: Parser,
             },
         }
+    }
+
+    /// What [`with_capacity`](Self::with_capacity)`(capacity)` occupies:
+    /// Table 1's "NAT app" logic and uSRAM, and the planner's LSRAM for
+    /// the table at 96 b an entry (exactly the row's 160 blocks at the
+    /// prototype's 32 768).
+    pub fn manifest(capacity: usize) -> ResourceManifest {
+        let table = TableShape::new(slots_for(capacity) as u64, 96);
+        ResourceManifest {
+            lsram: 0,
+            ..table1::NAT_APP
+        } + MemoryPlanner::plan(&[table])
     }
 
     /// Install a translation `private → public`.
@@ -205,18 +218,7 @@ impl PacketProcessor for StaticNat {
     }
 
     fn resource_manifest(&self) -> ResourceManifest {
-        // The calibrated synthesis result from Table 1 ("NAT app" row)
-        // for the prototype capacity; other capacities scale the LSRAM
-        // share via the memory planner.
-        if self.nat.table.capacity() == FLOW_CAPACITY {
-            table1::NAT_APP
-        } else {
-            let mem = flexsfp_fabric::sram::MemoryPlanner::plan(&[
-                flexsfp_fabric::sram::TableShape::new(self.nat.table.capacity() as u64, 96),
-            ]);
-            ResourceManifest::new(table1::NAT_APP.lut4, table1::NAT_APP.ff, mem.usram + 36, 0)
-                + ResourceManifest::new(0, 0, 0, mem.lsram)
-        }
+        StaticNat::manifest(self.nat.table.capacity())
     }
 
     fn pipeline_depth(&self) -> u32 {

@@ -12,8 +12,10 @@
 //! engine synthesizes.
 
 use flexsfp_fabric::resources::ResourceManifest;
+use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
 use flexsfp_ppe::parser::{Parser, L4};
 use flexsfp_ppe::state::{Condition, EfsmTable, PacketEvent, RegOp, Transition};
+use flexsfp_ppe::tables::slots_for;
 use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 
 /// EFSM states.
@@ -112,6 +114,16 @@ impl SynFloodGuard {
     }
 }
 
+impl SynFloodGuard {
+    /// What [`new`](Self::new)`(capacity, ..)` occupies: the EFSM engine
+    /// (condition evaluators + register ALUs) and the per-source state
+    /// table, 32 b key + 16 b state + 4×64 b registers a slot.
+    pub fn manifest(capacity: usize) -> ResourceManifest {
+        let table = TableShape::new(slots_for(capacity) as u64, 32 + 16 + 4 * 64);
+        ResourceManifest::new(6_200, 7_400, 32, 0) + MemoryPlanner::plan(&[table])
+    }
+}
+
 impl PacketProcessor for SynFloodGuard {
     fn name(&self) -> &str {
         "syn-flood-guard"
@@ -141,9 +153,7 @@ impl PacketProcessor for SynFloodGuard {
     }
 
     fn resource_manifest(&self) -> ResourceManifest {
-        // EFSM engine (condition evaluators + register ALUs) + the
-        // per-flow state table (32 b key + 16 b state + 4×64 b regs).
-        ResourceManifest::new(6_200, 7_400, 32, 44)
+        SynFloodGuard::manifest(self.efsm.capacity())
     }
 
     fn pipeline_depth(&self) -> u32 {

@@ -13,8 +13,9 @@
 //!    coarse SNMP polling can never see ("wire-level capillarity").
 
 use flexsfp_fabric::resources::ResourceManifest;
+use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
 use flexsfp_ppe::parser::Parser;
-use flexsfp_ppe::tables::{FiveTuple, HashTable};
+use flexsfp_ppe::tables::{slots_for, FiveTuple, HashTable};
 use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 use flexsfp_wire::checksum;
 use flexsfp_wire::ipv4::Ipv4Packet;
@@ -136,6 +137,13 @@ impl TelemetryProbe {
         }
     }
 
+    /// What [`new`](Self::new)`(flow_capacity, ..)` occupies. The flow
+    /// cache dominates: its slots × (104 b key + 192 b record).
+    pub fn manifest(flow_capacity: usize) -> ResourceManifest {
+        let cache = TableShape::new(slots_for(flow_capacity) as u64, 104 + 192);
+        ResourceManifest::new(5_400, 6_800, 28, 0) + MemoryPlanner::plan(&[cache])
+    }
+
     /// Serialize up to `max` flow records in the NetFlow-like wire
     /// format and evict them from the cache — the control plane reads
     /// this in slices so one export never exceeds a control frame.
@@ -193,13 +201,7 @@ impl PacketProcessor for TelemetryProbe {
     }
 
     fn resource_manifest(&self) -> ResourceManifest {
-        // Flow cache dominates: capacity × (104b key + 192b record).
-        let mem =
-            flexsfp_fabric::sram::MemoryPlanner::plan(&[flexsfp_fabric::sram::TableShape::new(
-                self.flows.capacity() as u64,
-                104 + 192,
-            )]);
-        ResourceManifest::new(5_400, 6_800, 28, 0) + mem
+        TelemetryProbe::manifest(self.flows.capacity())
     }
 
     fn pipeline_depth(&self) -> u32 {

@@ -16,7 +16,6 @@ use flexsfp_core::auth::AuthKey;
 use flexsfp_core::module::{FlexSfp, ModuleConfig};
 use flexsfp_core::reprogram::UpdateState;
 use flexsfp_core::Bitstream;
-use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_host::chaos::{FaultPlan, ImpairedPort};
 use flexsfp_host::mgmt::RetryPolicy;
 use flexsfp_host::{FleetCollector, FleetManager, ManagementClient};
@@ -27,25 +26,15 @@ const GOLDEN_VERSION: u32 = 1;
 
 /// The golden image every module ships with in slot 0.
 fn golden_image() -> Vec<u8> {
-    Bitstream::new(
-        "passthrough",
-        GOLDEN_VERSION,
-        ResourceManifest::ZERO,
-        156_250_000,
-    )
-    .to_bytes()
+    Bitstream::new("passthrough", GOLDEN_VERSION, 156_250_000).to_bytes()
 }
 
 /// The rollout image: a multi-chunk bitstream (~8 KB payload), so a
 /// deploy spans many exchanges and gives the channel room to misbehave.
 fn update_image() -> Vec<u8> {
-    let manifest = ResourceManifest {
-        lut4: 655,
-        ff: 400,
-        usram: 4,
-        lsram: 2,
-    };
-    Bitstream::new("passthrough", NEW_VERSION, manifest, 156_250_000).to_bytes()
+    let mut image = Bitstream::new("passthrough", NEW_VERSION, 156_250_000);
+    image.payload = image.payload.repeat(32);
+    image.to_bytes()
 }
 
 fn module(i: usize) -> FlexSfp {

@@ -2,14 +2,14 @@
 //!
 //! A real PolarFire bitstream is opaque vendor data; what the FlexSFP
 //! system needs from it is (a) identity — which application, which
-//! version, (b) the resource manifest for fit checking before activation,
-//! (c) the target clock, and (d) integrity. This container carries
-//! exactly that: a JSON-encoded metadata header (via the in-tree
-//! `flexsfp_obs::json` codec) followed by the payload, protected by a
-//! CRC-32.
+//! version, (b) the configuration that sizes it, (c) the target clock,
+//! and (d) integrity. This container carries exactly that: a
+//! JSON-encoded metadata header (via the in-tree `flexsfp_obs::json`
+//! codec) followed by the payload, protected by a CRC-32. Boot costs the
+//! design the configuration describes, so the image declares no
+//! resources; a `manifest` key older images carry is ignored.
 
 use flexsfp_fabric::hash::crc32;
-use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_obs::json::{self, FromJson, Value};
 
 /// Magic bytes introducing a FlexSFP bitstream image.
@@ -23,9 +23,6 @@ pub struct BitstreamMeta {
     pub app: String,
     /// Application version.
     pub version: u32,
-    /// Resources the design occupies — checked against the device
-    /// before activation.
-    pub manifest: ResourceManifest,
     /// Datapath clock the design closed timing at, Hz.
     pub clock_hz: u64,
     /// Free-form application configuration (e.g. initial table rules).
@@ -38,7 +35,6 @@ pub struct BitstreamMeta {
 flexsfp_obs::impl_json_struct!(BitstreamMeta {
     app,
     version,
-    manifest,
     clock_hz,
     config,
 });
@@ -74,19 +70,17 @@ impl core::fmt::Display for BitstreamError {
 impl std::error::Error for BitstreamError {}
 
 impl Bitstream {
-    /// Build a bitstream for `app`.
-    pub fn new(app: &str, version: u32, manifest: ResourceManifest, clock_hz: u64) -> Bitstream {
+    /// Build a bitstream for `app`, with a 256 B deterministic
+    /// synthetic payload.
+    pub fn new(app: &str, version: u32, clock_hz: u64) -> Bitstream {
         Bitstream {
             meta: BitstreamMeta {
                 app: app.into(),
                 version,
-                manifest,
                 clock_hz,
                 config: Value::Null,
             },
-            // A deterministic synthetic payload whose size scales with
-            // the design (roughly 100 bits of config per LUT).
-            payload: synth_payload(app, version, &manifest),
+            payload: synth_payload(app, version),
         }
     }
 
@@ -139,20 +133,18 @@ impl Bitstream {
     }
 }
 
-fn synth_payload(app: &str, version: u32, manifest: &ResourceManifest) -> Vec<u8> {
-    let n = (manifest.lut4 as usize * 100 / 8).clamp(256, 2 * 1024 * 1024);
-    let seed = crc32(app.as_bytes()) ^ version;
-    // A cheap xorshift fill — deterministic, incompressible enough.
-    let mut state = u64::from(seed) | 1;
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        out.extend_from_slice(&state.to_le_bytes());
-    }
-    out.truncate(n);
-    out
+/// 256 B standing in for the netlist: a cheap xorshift fill,
+/// deterministic and incompressible enough.
+fn synth_payload(app: &str, version: u32) -> Vec<u8> {
+    let mut state = u64::from(crc32(app.as_bytes()) ^ version) | 1;
+    (0..256 / 8)
+        .flat_map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.to_le_bytes()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -160,13 +152,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Bitstream {
-        Bitstream::new(
-            "nat",
-            3,
-            ResourceManifest::new(9_122, 11_294, 36, 160),
-            156_250_000,
-        )
-        .with_config(flexsfp_obs::json!({"table_size": 32768}))
+        Bitstream::new("nat", 3, 156_250_000).with_config(flexsfp_obs::json!({"table_size": 32768}))
     }
 
     #[test]
@@ -208,20 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn payload_scales_with_design_size() {
-        let small = Bitstream::new("a", 1, ResourceManifest::new(1_000, 0, 0, 0), 1);
-        let big = Bitstream::new("b", 1, ResourceManifest::new(100_000, 0, 0, 0), 1);
-        assert!(big.payload.len() > small.payload.len());
-        // Fits in a 4 MiB flash slot.
-        assert!(big.to_bytes().len() < flexsfp_fabric::flash::SLOT_BYTES);
-    }
-
-    #[test]
     fn payload_is_deterministic() {
-        let a = Bitstream::new("nat", 1, ResourceManifest::new(5_000, 0, 0, 0), 1);
-        let b = Bitstream::new("nat", 1, ResourceManifest::new(5_000, 0, 0, 0), 1);
-        assert_eq!(a.payload, b.payload);
-        let c = Bitstream::new("nat", 2, ResourceManifest::new(5_000, 0, 0, 0), 1);
-        assert_ne!(a.payload, c.payload);
+        let a = Bitstream::new("nat", 1, 1);
+        assert_eq!(a.payload.len(), 256);
+        assert_eq!(a.payload, Bitstream::new("nat", 1, 1).payload);
+        assert_ne!(a.payload, Bitstream::new("nat", 2, 1).payload);
     }
 }

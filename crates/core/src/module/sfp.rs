@@ -21,8 +21,13 @@ use flexsfp_obs::{
 use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::{stage_start_cycle, PacketProcessor};
 
-/// Constructs an application from bitstream metadata at boot.
-pub type AppFactory = Box<dyn Fn(&BitstreamMeta) -> Option<Box<dyn PacketProcessor>> + Send>;
+/// Constructs an application from bitstream metadata at boot, asking
+/// the module's fit predicate about the app's manifest before
+/// allocating anything the configuration sizes.
+pub type AppFactory = Box<
+    dyn Fn(&BitstreamMeta, &dyn Fn(ResourceManifest) -> bool) -> Option<Box<dyn PacketProcessor>>
+        + Send,
+>;
 
 /// The FlexSFP module.
 pub struct FlexSfp {
@@ -214,12 +219,13 @@ impl FlexSfp {
         self.windows = WindowedSeries::new(width_ns, capacity);
     }
 
-    /// Total design manifest: application + interfaces + control
-    /// plane + shell plumbing (the Table 1 decomposition; the
-    /// control-plane row is the Mi-V only for the softcore class).
-    pub(crate) fn design_manifest(&self) -> ResourceManifest {
-        self.app.resource_manifest()
-            + self.config.cp_class.manifest()
+    /// Total manifest of a design around an application of manifest
+    /// `app`: application + control plane + interfaces + shell plumbing
+    /// (the Table 1 decomposition; the control-plane row is the Mi-V
+    /// only for the softcore class). Boot, `fit_report` and `power` all
+    /// cost this.
+    pub(crate) fn design_manifest(&self, app: ResourceManifest) -> ResourceManifest {
+        app + self.config.cp_class.manifest()
             + table1::ELECTRICAL_IF
             + table1::OPTICAL_IF
             + self.config.shell.overhead_manifest()
@@ -227,7 +233,7 @@ impl FlexSfp {
 
     /// Fit report of the whole design against the MPF200T.
     pub fn fit_report(&self) -> FitReport {
-        Device::mpf200t().fit(self.design_manifest())
+        Device::mpf200t().fit(self.design_manifest(self.app.resource_manifest()))
     }
 
     /// Module power at the given operating point. An SoC-class control
@@ -235,7 +241,7 @@ impl FlexSfp {
     pub fn power(&self, line_utilization: f64, activity: f64) -> PowerBreakdown {
         let lanes = u32::from(self.edge.is_enabled()) + u32::from(self.optical.is_enabled());
         let mut p = self.power_model.power(
-            &self.design_manifest(),
+            &self.design_manifest(self.app.resource_manifest()),
             self.config.ppe_clock,
             lanes,
             line_utilization,
@@ -338,7 +344,11 @@ impl FlexSfp {
 
     /// Consume a pending activation and reboot from that flash slot.
     /// Falls back to the golden slot (0) when the staged image is
-    /// corrupt, unknown to the factory, or does not fit the device.
+    /// corrupt, unknown to the factory, or describes a design that does
+    /// not fit the device, and to a built-in passthrough v0 when slot 0
+    /// does not boot either. The fit is that of the design
+    /// [`fit_report`](Self::fit_report) would read: the factory asks it
+    /// before allocating, and the app it built is asked again.
     pub fn maybe_reboot(&mut self) -> bool {
         let Some(slot) = self.control.pending_activation.take() else {
             return false;
@@ -382,16 +392,9 @@ impl FlexSfp {
         let Ok(bs) = Bitstream::from_bytes(image) else {
             return false;
         };
-        // Fit check before activation.
-        let total = bs.meta.manifest
-            + table1::MI_V
-            + table1::ELECTRICAL_IF
-            + table1::OPTICAL_IF
-            + self.config.shell.overhead_manifest();
-        if !Device::mpf200t().fit(total).fits() {
-            return false;
-        }
-        let Some(app) = (self.factory)(&bs.meta) else {
+        let fits = |app| Device::mpf200t().fit(self.design_manifest(app)).fits();
+        let Some(app) = (self.factory)(&bs.meta, &fits).filter(|app| fits(app.resource_manifest()))
+        else {
             return false;
         };
         self.boot(app, bs.meta.version);
@@ -520,7 +523,10 @@ fn fault_label(d: &FaultDiagnosis) -> &'static str {
     }
 }
 
-fn default_factory(meta: &BitstreamMeta) -> Option<Box<dyn PacketProcessor>> {
+fn default_factory(
+    meta: &BitstreamMeta,
+    _fits: &dyn Fn(ResourceManifest) -> bool,
+) -> Option<Box<dyn PacketProcessor>> {
     match meta.app.as_str() {
         "passthrough" => Some(Box::new(PassThrough)),
         _ => None,
@@ -533,9 +539,10 @@ mod tests {
     use crate::auth::AuthKey;
     use crate::module::testutil::{line_rate_trace, ota_requests, passthrough_image};
     use crate::shell::ControlPlaneClass;
+    use flexsfp_obs::json;
     use flexsfp_obs::DropReason;
     use flexsfp_ppe::engine::DropAll;
-    use flexsfp_ppe::Direction;
+    use flexsfp_ppe::{Direction, ProcessContext, Verdict};
 
     #[test]
     fn oob_port_reaches_control_plane() {
@@ -577,7 +584,7 @@ mod tests {
     fn corrupt_staged_image_falls_back_to_golden() {
         let mut m = FlexSfp::passthrough();
         // Write a golden image first.
-        let golden = Bitstream::new("passthrough", 1, ResourceManifest::ZERO, 156_250_000);
+        let golden = Bitstream::new("passthrough", 1, 156_250_000);
         m.flash.write_slot(0, &golden.to_bytes()).unwrap();
         // Slot 2 contains garbage.
         m.flash.write_slot(2, b"not a bitstream").unwrap();
@@ -589,23 +596,81 @@ mod tests {
         assert_eq!(m.app_name(), "passthrough");
     }
 
-    #[test]
-    fn oversized_design_refused_at_boot() {
-        let mut m = FlexSfp::passthrough();
-        let golden = Bitstream::new("passthrough", 1, ResourceManifest::ZERO, 156_250_000);
+    /// A pass-through whose synthesized core occupies `.0` LUT4.
+    struct Luts(u64);
+
+    impl PacketProcessor for Luts {
+        fn name(&self) -> &str {
+            "luts"
+        }
+
+        fn process(&mut self, _: &ProcessContext, _: &mut Vec<u8>) -> Verdict {
+            Verdict::Forward
+        }
+
+        fn resource_manifest(&self) -> ResourceManifest {
+            ResourceManifest::new(self.0, 0, 0, 0)
+        }
+    }
+
+    /// A `cp_class` module whose factory builds a `Luts` of the image's
+    /// `lut4`, asking the fit predicate first when `asks`; its golden
+    /// image is a zero-LUT v1.
+    fn luts_module(cp_class: ControlPlaneClass, asks: bool) -> FlexSfp {
+        let config = ModuleConfig {
+            cp_class,
+            ..Default::default()
+        };
+        let mut m = FlexSfp::new(config, Box::new(PassThrough));
+        m.set_factory(Box::new(move |meta, fits| {
+            let lut4 = meta.config["lut4"].as_u64()?;
+            let asked = !asks || fits(ResourceManifest::new(lut4, 0, 0, 0));
+            asked.then(|| Box::new(Luts(lut4)) as Box<dyn PacketProcessor>)
+        }));
+        let golden = Bitstream::new("luts", 1, 156_250_000).with_config(json!({"lut4": 0}));
         m.flash.write_slot(0, &golden.to_bytes()).unwrap();
-        // A design claiming more LUTs than the device has.
-        let huge = Bitstream::new(
-            "passthrough",
-            9,
-            ResourceManifest::new(500_000, 0, 0, 0),
-            156_250_000,
-        );
-        m.flash.write_slot(1, &huge.to_bytes()).unwrap();
+        m
+    }
+
+    /// Reboot `m` into a v9 `Luts` image of `lut4`; the version it runs.
+    fn boot_luts(m: &mut FlexSfp, lut4: u64) -> u32 {
+        let image = Bitstream::new("luts", 9, 156_250_000).with_config(json!({"lut4": lut4}));
+        m.flash.write_slot(1, &image.to_bytes()).unwrap();
         m.control.pending_activation = Some(1);
-        m.maybe_reboot();
-        // Fell back to golden v1, not the huge v9.
-        assert_eq!(m.app_version(), 1);
+        assert!(m.maybe_reboot());
+        m.app_version()
+    }
+
+    /// LUT4 left for the application once `m`'s control plane,
+    /// interfaces and shell are placed.
+    fn headroom(m: &FlexSfp) -> u64 {
+        Device::mpf200t().capacity.lut4 - m.design_manifest(ResourceManifest::ZERO).lut4
+    }
+
+    #[test]
+    fn boot_refuses_a_design_that_does_not_fit() {
+        // Whether or not the factory asks first, the app it builds is
+        // costed before it runs.
+        for asks in [true, false] {
+            let mut m = luts_module(ControlPlaneClass::Softcore, asks);
+            let room = headroom(&m);
+            assert_eq!(boot_luts(&mut m, room + 1), 1, "asks: {asks}");
+            assert_eq!(boot_luts(&mut m, room), 9, "asks: {asks}");
+            assert!(m.fit_report().fits());
+            assert_eq!(m.fit_report().used.lut4, Device::mpf200t().capacity.lut4);
+        }
+    }
+
+    #[test]
+    fn boot_fit_counts_the_modules_control_plane() {
+        // The SoC class frees the Mi-V's fabric: a design that fills it
+        // boots on an SoC module and falls back to golden on a softcore.
+        let mut soc = luts_module(ControlPlaneClass::Soc, true);
+        let room = headroom(&soc);
+        assert_eq!(boot_luts(&mut soc, room), 9);
+        let mut softcore = luts_module(ControlPlaneClass::Softcore, true);
+        assert!(headroom(&softcore) < room);
+        assert_eq!(boot_luts(&mut softcore, room), 1);
     }
 
     #[test]
@@ -645,7 +710,7 @@ mod tests {
         assert!(PowerClass::classify(p_soft).is_some());
         assert!(PowerClass::classify(p_soc).is_none(), "SoC at {p_soc} W");
         // The SoC frees the Mi-V's fabric share.
-        assert!(soc.design_manifest().lut4 < softcore.design_manifest().lut4);
+        assert!(soc.fit_report().used.lut4 < softcore.fit_report().used.lut4);
     }
 
     #[test]

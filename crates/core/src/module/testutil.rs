@@ -3,7 +3,6 @@
 use super::{ModuleConfig, SimPacket};
 use crate::bitstream::Bitstream;
 use crate::control::{ControlPlane, ControlRequest};
-use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_ppe::Direction;
 use flexsfp_wire::builder::PacketBuilder;
 use flexsfp_wire::MacAddr;
@@ -75,13 +74,7 @@ pub(super) fn echo_request(config: &ModuleConfig) -> Vec<u8> {
 
 /// The §5.1 passthrough bitstream at `version`, with its CRC.
 pub(super) fn passthrough_image(version: u32) -> (Vec<u8>, u32) {
-    let bs = Bitstream::new(
-        "passthrough",
-        version,
-        ResourceManifest::new(100, 100, 0, 0),
-        156_250_000,
-    );
-    let image = bs.to_bytes();
+    let image = Bitstream::new("passthrough", version, 156_250_000).to_bytes();
     let crc = flexsfp_fabric::hash::crc32(&image);
     (image, crc)
 }

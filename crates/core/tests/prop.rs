@@ -10,7 +10,6 @@ use flexsfp_core::auth::{self, AuthKey};
 use flexsfp_core::bitstream::Bitstream;
 use flexsfp_core::reprogram::{UpdateFsm, MAX_CHUNK};
 use flexsfp_fabric::hash::crc32;
-use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_fabric::SpiFlash;
 use flexsfp_traffic::rng::Xoshiro256;
 
@@ -41,21 +40,8 @@ fn bitstream_round_trip() {
         let app: String = (0..rng.range_usize(1, 13))
             .map(|_| char::from(b'a' + rng.range_u64(0, 26) as u8))
             .collect();
-        // The payload is 100 bits per LUT, up to 2 MiB, and a round trip
-        // CRCs every byte twice: draw the LUT count's magnitude uniformly
-        // so most images stay small and a few reach full size.
-        let manifest = ResourceManifest::new(
-            rng.range_u64(0, 200_000) >> rng.range_u64(0, 18),
-            rng.range_u64(0, 200_000),
-            rng.range_u64(0, 2_000),
-            rng.range_u64(0, 700),
-        );
-        let bs = Bitstream::new(
-            &app,
-            rng.next_u64() as u32,
-            manifest,
-            rng.range_u64(1, 500_000_000),
-        );
+        let mut bs = Bitstream::new(&app, rng.next_u64() as u32, rng.range_u64(1, 500_000_000));
+        bs.payload = bytes(rng, 0, 3 * MAX_CHUNK);
         let parsed = Bitstream::from_bytes(&bs.to_bytes());
         assert_eq!(parsed, Ok(bs), "case {case:#x}");
     });
@@ -65,7 +51,7 @@ fn bitstream_round_trip() {
 /// flip of a valid image is detected.
 #[test]
 fn bitstream_integrity() {
-    let valid = Bitstream::new("app", 1, ResourceManifest::ZERO, 1).to_bytes();
+    let valid = Bitstream::new("app", 1, 1).to_bytes();
     for_each_case(0x1d7e6, CASES, |rng, case| {
         let _ = Bitstream::from_bytes(&bytes(rng, 0, 300));
         let mut image = valid.clone();

@@ -23,8 +23,8 @@ pub struct ResourceManifest {
     pub lsram: u64,
 }
 
-// The manifest travels inside the bitstream container's JSON header, so
-// it needs the in-tree codec (the impl must live here, next to the type).
+// Reports (Table 1's JSON) carry manifests, so the type needs the
+// in-tree codec (the impl must live here, next to the type).
 flexsfp_obs::impl_json_struct!(ResourceManifest {
     lut4,
     ff,
@@ -60,22 +60,24 @@ impl ResourceManifest {
     /// number of stages).
     pub fn scaled(&self, factor: u64) -> ResourceManifest {
         ResourceManifest {
-            lut4: self.lut4 * factor,
-            ff: self.ff * factor,
-            usram: self.usram * factor,
-            lsram: self.lsram * factor,
+            lut4: self.lut4.saturating_mul(factor),
+            ff: self.ff.saturating_mul(factor),
+            usram: self.usram.saturating_mul(factor),
+            lsram: self.lsram.saturating_mul(factor),
         }
     }
 }
 
+// The algebra saturates: a manifest costed from a size an image asks
+// for reads "more than any device", never a wrapped small number.
 impl Add for ResourceManifest {
     type Output = ResourceManifest;
     fn add(self, rhs: ResourceManifest) -> ResourceManifest {
         ResourceManifest {
-            lut4: self.lut4 + rhs.lut4,
-            ff: self.ff + rhs.ff,
-            usram: self.usram + rhs.usram,
-            lsram: self.lsram + rhs.lsram,
+            lut4: self.lut4.saturating_add(rhs.lut4),
+            ff: self.ff.saturating_add(rhs.ff),
+            usram: self.usram.saturating_add(rhs.usram),
+            lsram: self.lsram.saturating_add(rhs.lsram),
         }
     }
 }

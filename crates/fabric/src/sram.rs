@@ -85,11 +85,14 @@ impl MemoryPlanner {
         // Small-but-wide or shallow register files still prefer uSRAM if
         // they fit in a handful of blocks more economically than a 20 kb
         // LSRAM would.
-        let usram_blocks =
-            shape.entries.div_ceil(USRAM_WORDS) * shape.entry_bits.div_ceil(USRAM_WIDTH);
-        let lsram_blocks =
-            shape.entries.div_ceil(LSRAM_WORDS) * shape.entry_bits.div_ceil(LSRAM_WIDTH);
-        if usram_blocks * USRAM_BLOCK_BITS <= lsram_blocks * LSRAM_BLOCK_BITS / 4 {
+        // Saturating, like the manifest algebra it feeds.
+        let usram_blocks = (shape.entries.div_ceil(USRAM_WORDS))
+            .saturating_mul(shape.entry_bits.div_ceil(USRAM_WIDTH));
+        let lsram_blocks = (shape.entries.div_ceil(LSRAM_WORDS))
+            .saturating_mul(shape.entry_bits.div_ceil(LSRAM_WIDTH));
+        if usram_blocks.saturating_mul(USRAM_BLOCK_BITS)
+            <= lsram_blocks.saturating_mul(LSRAM_BLOCK_BITS) / 4
+        {
             Placement {
                 kind: MemoryKind::Usram,
                 blocks: usram_blocks,

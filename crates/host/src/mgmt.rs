@@ -570,7 +570,6 @@ mod tests {
     use super::*;
     use flexsfp_core::module::ModuleConfig;
     use flexsfp_core::Bitstream;
-    use flexsfp_fabric::resources::ResourceManifest;
 
     fn module() -> FlexSfp {
         FlexSfp::passthrough()
@@ -624,7 +623,7 @@ mod tests {
     fn deploy_via_client_reboots_module() {
         let mut m = module();
         let c = client();
-        let bs = Bitstream::new("passthrough", 5, ResourceManifest::ZERO, 156_250_000);
+        let bs = Bitstream::new("passthrough", 5, 156_250_000);
         c.deploy(&mut m, 1, &bs.to_bytes()).unwrap();
         assert_eq!(m.app_version(), 5);
         assert_eq!(m.boots(), 2);
@@ -637,7 +636,7 @@ mod tests {
         // v693's CRC trailer ends in 0xFF, which the slot's erase fill
         // also is: the boot must read the committed length, not trim.
         let mut m = module();
-        let bs = Bitstream::new("passthrough", 693, ResourceManifest::ZERO, 156_250_000);
+        let bs = Bitstream::new("passthrough", 693, 156_250_000);
         client().deploy(&mut m, 1, &bs.to_bytes()).unwrap();
         assert_eq!(m.app_version(), 693);
     }
@@ -645,7 +644,7 @@ mod tests {
     #[test]
     fn deploy_fails_when_the_module_boots_another_image() {
         let mut m = module();
-        let bs = Bitstream::new("unknown-app", 9, ResourceManifest::ZERO, 156_250_000);
+        let bs = Bitstream::new("unknown-app", 9, 156_250_000);
         match client().deploy(&mut m, 1, &bs.to_bytes()) {
             Err(MgmtError::Module(e)) => {
                 assert_eq!(e, "activated version 9, but the module runs version 0")
@@ -659,7 +658,7 @@ mod tests {
     fn deploy_to_golden_slot_fails_cleanly() {
         let mut m = module();
         let c = client();
-        let bs = Bitstream::new("passthrough", 5, ResourceManifest::ZERO, 1);
+        let bs = Bitstream::new("passthrough", 5, 1);
         match c.deploy(&mut m, 0, &bs.to_bytes()) {
             Err(MgmtError::Module(e)) => assert!(e.contains("BadSlot"), "{e}"),
             other => panic!("unexpected {other:?}"),
@@ -672,10 +671,10 @@ mod tests {
         let mut m = module();
         let c = client();
         // Write a golden image at the factory.
-        let golden = Bitstream::new("passthrough", 1, ResourceManifest::ZERO, 156_250_000);
+        let golden = Bitstream::new("passthrough", 1, 156_250_000);
         m.flash.write_slot(0, &golden.to_bytes()).unwrap();
         // Deploy v9, then roll back.
-        let v9 = Bitstream::new("passthrough", 9, ResourceManifest::ZERO, 156_250_000);
+        let v9 = Bitstream::new("passthrough", 9, 156_250_000);
         c.deploy(&mut m, 2, &v9.to_bytes()).unwrap();
         assert_eq!(m.app_version(), 9);
         c.activate_slot(&mut m, 0).unwrap();
@@ -751,7 +750,7 @@ mod tests {
                 ..RetryPolicy::default()
             },
         );
-        let bs = Bitstream::new("passthrough", 5, ResourceManifest::ZERO, 156_250_000);
+        let bs = Bitstream::new("passthrough", 5, 156_250_000);
         let image = bs.to_bytes();
         // No chunk ever arrives: the deploy gives up after max_resyncs.
         assert_eq!(c.deploy(&mut port, 1, &image), Err(MgmtError::NoResponse));
@@ -797,7 +796,7 @@ mod tests {
             calls: 0,
         };
         let c = client();
-        let bs = Bitstream::new("passthrough", 6, ResourceManifest::ZERO, 156_250_000);
+        let bs = Bitstream::new("passthrough", 6, 156_250_000);
         c.deploy(&mut port, 1, &bs.to_bytes()).unwrap();
         assert_eq!(port.inner.app_version(), 6);
         assert_eq!(port.inner.control.ctrl_counters().dup_chunk_acks, 1);
@@ -825,14 +824,9 @@ mod tests {
 
     #[test]
     fn deploy_resumes_from_last_acked_chunk_after_blackout() {
-        // A multi-chunk image: lut4=240 → ~3 KB payload → 3-4 chunks.
-        let manifest = ResourceManifest {
-            lut4: 240,
-            ff: 100,
-            usram: 2,
-            lsram: 1,
-        };
-        let bs = Bitstream::new("passthrough", 7, manifest, 156_250_000);
+        // A multi-chunk image: a 3 KB payload → 3-4 chunks.
+        let mut bs = Bitstream::new("passthrough", 7, 156_250_000);
+        bs.payload = vec![0xa5; 3_000];
         let image = bs.to_bytes();
         assert!(image.len() > MAX_CHUNK, "test needs a multi-chunk image");
         // Calls: 0=Begin, 1=chunk0, then the channel dies for all
@@ -859,7 +853,7 @@ mod tests {
         // lost the module has already rebooted into the new image. The
         // client must notice (FSM reads Idle) and declare success, not
         // re-activate or fail.
-        let bs = Bitstream::new("passthrough", 8, ResourceManifest::ZERO, 156_250_000);
+        let bs = Bitstream::new("passthrough", 8, 156_250_000);
         // Calls: 0=Begin, 1=chunk0, 2=Commit, 3=Activate.
         let mut port = LostAckPort {
             inner: module(),

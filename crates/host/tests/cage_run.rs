@@ -36,7 +36,6 @@ use flexsfp_core::reprogram::MAX_CHUNK;
 use flexsfp_core::{Bitstream, ShellKind};
 use flexsfp_fabric::clock::ClockDomain;
 use flexsfp_fabric::hash::crc32;
-use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_host::crossbar::serialize_ns;
 use flexsfp_host::CrossbarSwitch;
 use flexsfp_obs::{json, FlightRecord, FlightVerdict, ToJson, Value, WindowBucket};
@@ -111,13 +110,7 @@ fn apps() -> Vec<(&'static str, Value)> {
 }
 
 fn meta(app: &str, version: u32, config: Value) -> Bitstream {
-    Bitstream::new(
-        app,
-        version,
-        ResourceManifest::new(60, 60, 0, 0),
-        156_250_000,
-    )
-    .with_config(config)
+    Bitstream::new(app, version, 156_250_000).with_config(config)
 }
 
 /// Flight recorder: one dataplane packet in three sampled, into a ring
@@ -140,7 +133,8 @@ fn module(id: &str, shell: Option<ShellKind>, app: &str, config: &Value) -> Flex
         },
     };
     cfg.id = id.into();
-    let app = app_factory()(&meta(app, 1, config.clone()).meta).expect("a registered app");
+    let app =
+        app_factory()(&meta(app, 1, config.clone()).meta, &|_| true).expect("a registered app");
     let mut m = FlexSfp::new(cfg, app);
     m.set_factory(app_factory());
     m.enable_flight_recorder(SAMPLE_EVERY, 0xf1_1647, POSTCARDS);

@@ -139,6 +139,11 @@ impl<K: TableKey> EfsmTable<K> {
         }
     }
 
+    /// Flows the table holds.
+    pub fn capacity(&self) -> usize {
+        self.flows.capacity()
+    }
+
     /// Process one packet of flow `key`: find the first transition whose
     /// `from` and condition match, apply it, and return its verdict; with
     /// no match the packet is forwarded (fail-open).

@@ -125,6 +125,22 @@ pub struct HashTable<K: TableKey, V: Copy> {
     insert_failures: u64,
 }
 
+/// Ways per bucket of a [`HashTable::with_capacity`] table.
+const WAYS: usize = 4;
+
+/// Entries a [`HashTable::with_capacity`] table of `capacity` holds:
+/// 4-way buckets, their count rounded up to a power of two. An app
+/// costs its table with this before allocating it, so it saturates
+/// where the table could not be built; it is idempotent, so the built
+/// table's capacity costs the same.
+pub fn slots_for(capacity: usize) -> usize {
+    capacity
+        .div_ceil(WAYS)
+        .checked_next_power_of_two()
+        .and_then(|buckets| buckets.checked_mul(WAYS))
+        .unwrap_or(usize::MAX)
+}
+
 impl<K: TableKey, V: Copy> HashTable<K, V> {
     /// A table with `buckets` buckets (rounded up to a power of two) of
     /// `ways` entries each. Test-only: `crates/ppe/tests/prop.rs`: a
@@ -145,10 +161,10 @@ impl<K: TableKey, V: Copy> HashTable<K, V> {
     }
 
     /// A table sized for `capacity` total entries with 4-way buckets —
-    /// the layout used for the NAT's 32 768-flow table.
+    /// the layout used for the NAT's 32 768-flow table. It holds
+    /// [`slots_for`]`(capacity)` entries.
     pub fn with_capacity(capacity: usize) -> HashTable<K, V> {
-        let ways = 4;
-        HashTable::new(capacity.div_ceil(ways), ways)
+        HashTable::new(capacity.div_ceil(WAYS), WAYS)
     }
 
     /// Total entry capacity.
@@ -417,6 +433,17 @@ mod tests {
     fn capacity_rounds_to_power_of_two_buckets() {
         let t: HashTable<u32, u32> = HashTable::new(10, 4);
         assert_eq!(t.capacity(), 16 * 4);
+    }
+
+    #[test]
+    fn slots_for_is_the_capacity_with_capacity_builds() {
+        for capacity in (1..=300).chain([4_095, 4_096, 4_097, 32_768, 100_000]) {
+            let t: HashTable<u32, u32> = HashTable::with_capacity(capacity);
+            assert_eq!(slots_for(capacity), t.capacity(), "{capacity}");
+        }
+        assert_eq!(slots_for(usize::MAX), usize::MAX);
+        assert_eq!(slots_for((1 << 63) + 1), usize::MAX);
+        assert_eq!(slots_for(1 << 63), 1 << 63);
     }
 
     /// Pinned CRC-32 bucket indices at the NAT's production geometry

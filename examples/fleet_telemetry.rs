@@ -10,7 +10,6 @@ use flexsfp::apps::factory::app_factory;
 use flexsfp::apps::TelemetryProbe;
 use flexsfp::core::bitstream::Bitstream;
 use flexsfp::core::module::{FlexSfp, ModuleConfig, SimPacket};
-use flexsfp::fabric::resources::ResourceManifest;
 use flexsfp::host::{FleetCollector, FleetManager};
 use flexsfp::obs::Value;
 use flexsfp::ppe::Direction;
@@ -149,17 +148,14 @@ fn main() {
     assert!(fleet_hist.count() > 0 && fleet_hist.p99() >= fleet_hist.p50());
 
     // Roll out a new telemetry build fleet-wide, four modules at a time.
-    let image = Bitstream::new(
-        "telemetry",
-        2,
-        ResourceManifest::new(5_400, 6_800, 28, 44),
-        156_250_000,
-    )
-    .with_config(flexsfp_obs::json!({"flows": 16_384, "window_ns": 50_000, "burst_bytes": 40_000}))
-    .to_bytes();
+    let image = Bitstream::new("telemetry", 2, 156_250_000)
+        .with_config(
+            flexsfp_obs::json!({"flows": 16_384, "window_ns": 50_000, "burst_bytes": 40_000}),
+        )
+        .to_bytes();
     println!(
-        "\nrolling out telemetry v2 ({} kB image) across the fleet...",
-        image.len() / 1024
+        "\nrolling out telemetry v2 ({} B image) across the fleet...",
+        image.len()
     );
     let report = fleet.deploy_all(1, &image, 4);
     println!(

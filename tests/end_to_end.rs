@@ -7,7 +7,6 @@ use flexsfp::apps::{AclAction, AclFirewall, AclRule, StaticNat};
 use flexsfp::core::bitstream::Bitstream;
 use flexsfp::core::module::{FlexSfp, Interface, ModuleConfig, SimPacket};
 use flexsfp::core::ShellKind;
-use flexsfp::fabric::resources::ResourceManifest;
 use flexsfp::host::{FiberLink, ManagementClient};
 use flexsfp::ppe::Direction;
 use flexsfp::traffic::{SizeModel, TraceBuilder};
@@ -86,13 +85,8 @@ fn ota_swap_from_nat_to_firewall_changes_behaviour() {
 
     // Phase 2: deploy a default-deny firewall bitstream over the OOB
     // port and activate it.
-    let fw_bs = Bitstream::new(
-        "firewall",
-        2,
-        ResourceManifest::new(8_000, 6_000, 24, 2),
-        156_250_000,
-    )
-    .with_config(flexsfp_obs::json!({"default": "deny", "capacity": 16}));
+    let fw_bs = Bitstream::new("firewall", 2, 156_250_000)
+        .with_config(flexsfp_obs::json!({"default": "deny", "capacity": 16}));
     client.deploy(&mut module, 1, &fw_bs.to_bytes()).unwrap();
     assert_eq!(module.app_name(), "firewall");
     assert_eq!(module.boots(), 2);

@@ -16,7 +16,6 @@
 use flexsfp::core::auth::AuthKey;
 use flexsfp::core::bitstream::Bitstream;
 use flexsfp::core::control::{ControlPlane, ControlRequest};
-use flexsfp::fabric::resources::ResourceManifest;
 use flexsfp::obs::{json, FromJson, TelemetrySnapshot, ToJson, Value};
 use flexsfp::ppe::engine::TableOp;
 use flexsfp::traffic::rng::Xoshiro256;
@@ -45,14 +44,8 @@ fn corpus() -> Vec<(String, String)> {
     // What goes on the wire is `MAGIC | tag | body`; the body is JSON.
     let sealed = ControlPlane::encode_request(&key, &request);
     let body = String::from_utf8(sealed[MAGIC.len() + 8..].to_vec()).expect("JSON text");
-    let manifest = ResourceManifest {
-        lut4: 9_872,
-        ff: 7_310,
-        usram: 24,
-        lsram: 12,
-    };
     let rules = json!({"rules": [{"action": "Deny", "dst_port": 53}], "ratio": 0.25});
-    let meta = Bitstream::new("firewall", 3, manifest, 156_250_000).with_config(rules);
+    let meta = Bitstream::new("firewall", 3, 156_250_000).with_config(rules);
     let mut corpus = vec![
         (
             FLEET.to_string(),
