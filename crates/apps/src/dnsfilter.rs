@@ -26,7 +26,13 @@ pub(crate) struct FilterStats {
     pub blocked_doh: u64,
 }
 
-/// The DNS/DoH filter application.
+/// Blocked domains the qname matcher is synthesised for.
+const DOMAIN_CAPACITY: usize = 256;
+/// DoH resolver addresses the exact-match table holds.
+const DOH_CAPACITY: usize = 1_024;
+
+/// The DNS/DoH filter application, sized for 256 blocked domains and
+/// 1 024 DoH resolvers whatever it holds.
 pub struct DnsFilter {
     blocked_domains: Vec<String>,
     doh_resolvers: HashTable<u32, u32>,
@@ -46,26 +52,40 @@ impl DnsFilter {
     pub fn new() -> DnsFilter {
         DnsFilter {
             blocked_domains: Vec::new(),
-            doh_resolvers: HashTable::with_capacity(1024),
+            doh_resolvers: HashTable::with_capacity(DOH_CAPACITY),
             stats: FilterStats::default(),
             parser: Parser,
         }
     }
 
-    /// Block `domain` and all its subdomains.
-    pub fn block_domain(&mut self, domain: &str) {
-        self.blocked_domains.push(domain.to_ascii_lowercase());
+    /// Block `domain` and all its subdomains; `false` when all 256
+    /// slots hold other domains.
+    pub fn block_domain(&mut self, domain: &str) -> bool {
+        let domain = domain.to_ascii_lowercase();
+        if self.blocked_domains.contains(&domain) {
+            return true;
+        }
+        if self.blocked_domains.len() == DOMAIN_CAPACITY {
+            return false;
+        }
+        self.blocked_domains.push(domain);
+        true
     }
 
-    /// Block TCP/443 to a known DoH resolver address.
-    pub fn block_doh_resolver(&mut self, addr: u32) {
-        let _ = self.doh_resolvers.insert(addr, 1);
+    /// Block TCP/443 to a known DoH resolver address; `false` when the
+    /// table has no room for it.
+    pub fn block_doh_resolver(&mut self, addr: u32) -> bool {
+        self.doh_resolvers.insert(addr, 1).is_ok()
     }
 
+    /// `qname` is a blocked domain or one of its subdomains.
     fn is_blocked_name(&self, qname: &str) -> bool {
-        self.blocked_domains
-            .iter()
-            .any(|d| qname == d || qname.ends_with(&format!(".{d}")))
+        self.blocked_domains.iter().any(|d| {
+            qname
+                .as_bytes()
+                .strip_suffix(d.as_bytes())
+                .is_some_and(|rest| rest.is_empty() || rest.ends_with(b"."))
+        })
     }
 }
 
@@ -118,13 +138,9 @@ impl PacketProcessor for DnsFilter {
 
     fn resource_manifest(&self) -> ResourceManifest {
         // The qname matcher is the expensive part: a label-walking FSM
-        // plus a suffix-comparison table per blocked domain.
-        ResourceManifest::new(
-            7_200 + 220 * self.blocked_domains.len() as u64,
-            8_500 + 180 * self.blocked_domains.len() as u64,
-            40,
-            6,
-        )
+        // plus a suffix-comparison table per domain slot.
+        const SLOTS: u64 = DOMAIN_CAPACITY as u64;
+        ResourceManifest::new(7_200 + 220 * SLOTS, 8_500 + 180 * SLOTS, 40, 6)
     }
 
     fn pipeline_depth(&self) -> u32 {
@@ -138,16 +154,14 @@ impl PacketProcessor for DnsFilter {
                 let Ok(domain) = std::str::from_utf8(key) else {
                     return TableOpResult::BadEncoding;
                 };
-                self.block_domain(domain);
-                TableOpResult::Ok
+                crate::installed(self.block_domain(domain))
             }
             // Table 1: DoH resolver addresses.
             TableOp::Insert { table: 1, key, .. } => {
                 let Ok(bytes) = <[u8; 4]>::try_from(&key[..]) else {
                     return TableOpResult::BadEncoding;
                 };
-                self.block_doh_resolver(u32::from_be_bytes(bytes));
-                TableOpResult::Ok
+                crate::installed(self.block_doh_resolver(u32::from_be_bytes(bytes)))
             }
             TableOp::ReadCounter { index } => {
                 let packets = match index {
@@ -335,6 +349,86 @@ mod tests {
                 packets: 1,
                 bytes: 0
             }
+        );
+    }
+
+    #[test]
+    fn a_suffix_matches_only_at_a_label_boundary() {
+        let mut f = DnsFilter::new();
+        f.block_domain("example.com");
+        for (name, verdict) in [
+            ("example.com", Verdict::Drop),
+            ("www.example.com", Verdict::Drop),
+            ("notexample.com", Verdict::Forward),
+            ("example.com.evil", Verdict::Forward),
+            ("xample.com", Verdict::Forward),
+        ] {
+            let mut q = dns_query(name);
+            assert_eq!(
+                f.process(&ProcessContext::egress(), &mut q),
+                verdict,
+                "{name}"
+            );
+        }
+    }
+
+    fn insert(table: u8, key: impl Into<Vec<u8>>) -> TableOp {
+        TableOp::Insert {
+            table,
+            key: key.into(),
+            value: vec![],
+        }
+    }
+
+    #[test]
+    fn a_domain_takes_one_slot_and_the_slots_are_fixed() {
+        let mut f = DnsFilter::new();
+        let cost = f.resource_manifest();
+        for i in 0..DOMAIN_CAPACITY {
+            assert_eq!(
+                f.control_op(&insert(0, format!("d{i}.example"))),
+                TableOpResult::Ok
+            );
+        }
+        // Blocking a blocked domain again takes no slot, even when full.
+        assert_eq!(f.control_op(&insert(0, "D0.Example")), TableOpResult::Ok);
+        assert_eq!(f.blocked_domains.len(), DOMAIN_CAPACITY);
+        assert_eq!(
+            f.control_op(&insert(0, "one-more.example")),
+            TableOpResult::TableFull
+        );
+        let mut q = dns_query("one-more.example");
+        assert_eq!(
+            f.process(&ProcessContext::egress(), &mut q),
+            Verdict::Forward
+        );
+        assert_eq!(f.resource_manifest(), cost);
+    }
+
+    #[test]
+    fn a_refused_doh_resolver_answers_table_full() {
+        let mut f = DnsFilter::new();
+        let refused = (0..=DOH_CAPACITY as u32)
+            .find(|&addr| f.control_op(&insert(1, addr.to_be_bytes())) != TableOpResult::Ok)
+            .expect("a full table refuses");
+        assert_eq!(
+            f.control_op(&insert(1, refused.to_be_bytes())),
+            TableOpResult::TableFull
+        );
+        let mut tls = PacketBuilder::eth_ipv4_tcp(
+            MacAddr([1; 6]),
+            MacAddr([2; 6]),
+            CLIENT,
+            refused,
+            50_000,
+            443,
+            0,
+            flexsfp_wire::tcp::TcpFlags::syn_only(),
+            &[],
+        );
+        assert_eq!(
+            f.process(&ProcessContext::egress(), &mut tls),
+            Verdict::Forward
         );
     }
 

@@ -26,9 +26,9 @@ use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::PacketProcessor;
 
 /// Instantiate the application named by `meta`, honouring its JSON
-/// `config`. An unknown name, a table of no entries and a table whose
-/// design `fits` refuses return `None` (the module falls back to its
-/// golden image).
+/// `config`. An unknown name, a table of no entries, a table whose
+/// design `fits` refuses and a listed entry the app refuses return
+/// `None` (the module falls back to its golden image).
 fn build_app(
     meta: &BitstreamMeta,
     fits: &dyn Fn(ResourceManifest) -> bool,
@@ -52,7 +52,7 @@ fn build_app(
                     else {
                         continue;
                     };
-                    let _ = nat.add_mapping(private as u32, public as u32);
+                    nat.add_mapping(private as u32, public as u32).ok()?;
                 }
             }
             Some(Box::new(nat))
@@ -65,7 +65,7 @@ fn build_app(
             if let Some(rules) = cfg["rules"].as_array() {
                 for r in rules {
                     if let Some(rule) = AclRule::from_json(r) {
-                        fw.add_rule(rule);
+                        fw.add_rule(rule).then_some(())?;
                     }
                 }
             }
@@ -106,6 +106,9 @@ fn build_app(
                         .collect()
                 })
                 .unwrap_or_default();
+            if backends.len() > crate::lb::MAX_BACKENDS {
+                return None;
+            }
             Some(Box::new(L4LoadBalancer::new(vip, port, backends)))
         }
         "telemetry" => {
@@ -121,12 +124,12 @@ fn build_app(
             let mut f = DnsFilter::new();
             if let Some(domains) = cfg["blocked"].as_array() {
                 for d in domains.iter().filter_map(|v| v.as_str()) {
-                    f.block_domain(d);
+                    f.block_domain(d).then_some(())?;
                 }
             }
             if let Some(resolvers) = cfg["doh_resolvers"].as_array() {
                 for r in resolvers.iter().filter_map(|v| v.as_u64()) {
-                    f.block_doh_resolver(r as u32);
+                    f.block_doh_resolver(r as u32).then_some(())?;
                 }
             }
             Some(Box::new(f))
@@ -150,7 +153,7 @@ fn build_app(
                     else {
                         continue;
                     };
-                    f.delegate(prefix, sub as u32);
+                    f.delegate(prefix, sub as u32).then_some(())?;
                 }
             }
             Some(Box::new(f))

@@ -215,11 +215,7 @@ impl PacketProcessor for AclFirewall {
                 else {
                     return TableOpResult::BadEncoding;
                 };
-                if self.add_rule(rule) {
-                    TableOpResult::Ok
-                } else {
-                    TableOpResult::TableFull
-                }
+                crate::installed(self.add_rule(rule))
             }
             TableOp::Delete { table: 0, key } => {
                 let Ok(bytes) = <[u8; 4]>::try_from(&key[..]) else {

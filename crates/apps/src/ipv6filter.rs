@@ -122,11 +122,7 @@ impl PacketProcessor for Ipv6SubscriberFilter {
                 ) else {
                     return TableOpResult::BadEncoding;
                 };
-                if self.delegate(u64::from_be_bytes(p), u32::from_be_bytes(s)) {
-                    TableOpResult::Ok
-                } else {
-                    TableOpResult::TableFull
-                }
+                crate::installed(self.delegate(u64::from_be_bytes(p), u32::from_be_bytes(s)))
             }
             TableOp::Delete { table: 0, key } => {
                 let Ok(p) = <[u8; 8]>::try_from(&key[..]) else {

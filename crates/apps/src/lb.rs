@@ -16,6 +16,8 @@ use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdi
 
 /// Size of the Maglev lookup table (a prime, per the Maglev paper).
 pub(crate) const TABLE_SIZE: usize = 65_537;
+/// Backends the 8-bit lookup entries can index.
+pub(crate) const MAX_BACKENDS: usize = 256;
 
 /// Counter indices.
 pub mod counters {
@@ -79,8 +81,13 @@ pub struct L4LoadBalancer {
 }
 
 impl L4LoadBalancer {
-    /// A balancer for `vip:vip_port` over `backends`.
+    /// A balancer for `vip:vip_port` over `backends`. Panics with more
+    /// than 256 of them.
     pub fn new(vip: u32, vip_port: u16, backends: Vec<u32>) -> L4LoadBalancer {
+        assert!(
+            backends.len() <= MAX_BACKENDS,
+            "more than {MAX_BACKENDS} backends"
+        );
         let lookup = maglev_table(&backends, TABLE_SIZE);
         L4LoadBalancer {
             vip,
@@ -163,11 +170,15 @@ impl PacketProcessor for L4LoadBalancer {
                     return TableOpResult::BadEncoding;
                 };
                 let b = u32::from_be_bytes(bytes);
-                if !self.backends.contains(&b) {
-                    let mut next = self.backends.clone();
-                    next.push(b);
-                    self.set_backends(next);
+                if self.backends.contains(&b) {
+                    return TableOpResult::Ok;
                 }
+                if self.backends.len() == MAX_BACKENDS {
+                    return TableOpResult::TableFull;
+                }
+                let mut next = self.backends.clone();
+                next.push(b);
+                self.set_backends(next);
                 TableOpResult::Ok
             }
             TableOp::Delete { table: 0, key } => {
@@ -350,6 +361,26 @@ mod tests {
         for (_, c) in counts {
             assert!(c > 700, "uneven flow split: {c}");
         }
+    }
+
+    #[test]
+    fn a_257th_backend_is_refused() {
+        let mut lb = L4LoadBalancer::new(VIP, 80, (1..=MAX_BACKENDS as u32).collect());
+        let insert = |b: u32| TableOp::Insert {
+            table: 0,
+            key: vec![],
+            value: b.to_be_bytes().to_vec(),
+        };
+        // A backend already present is no new entry.
+        assert_eq!(lb.control_op(&insert(1)), TableOpResult::Ok);
+        assert_eq!(lb.control_op(&insert(0)), TableOpResult::TableFull);
+        assert_eq!(lb.backends.len(), MAX_BACKENDS);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 256 backends")]
+    fn a_balancer_is_built_over_at_most_256_backends() {
+        L4LoadBalancer::new(VIP, 80, (0..=MAX_BACKENDS as u32).collect());
     }
 
     #[test]

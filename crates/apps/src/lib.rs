@@ -48,3 +48,13 @@ pub use stateful::SynFloodGuard;
 pub use telemetry::TelemetryProbe;
 pub use tunnel::TunnelGateway;
 pub use vlan::VlanTagger;
+
+/// What a control-plane insert answers: `Ok` when the entry is
+/// installed, `TableFull` when the app's fixed capacity refused it.
+fn installed(ok: bool) -> flexsfp_ppe::TableOpResult {
+    if ok {
+        flexsfp_ppe::TableOpResult::Ok
+    } else {
+        flexsfp_ppe::TableOpResult::TableFull
+    }
+}

@@ -23,7 +23,11 @@ pub(crate) struct LimiterStats {
     pub unlimited: u64,
 }
 
-/// The per-source rate limiter application.
+/// Token buckets the limiter is synthesised with.
+const BUCKETS: usize = 256;
+
+/// The per-source rate limiter application, sized for 256 limited
+/// prefixes whatever it holds.
 pub struct PerSourceRateLimiter {
     // prefix -> bucket index
     classifier: LpmTable<u32>,
@@ -50,13 +54,21 @@ impl PerSourceRateLimiter {
         }
     }
 
-    /// Limit `prefix/len` to `rate_bps` with `burst_bytes` of burst.
-    /// Returns the bucket index.
-    pub fn add_limit(&mut self, prefix: u32, len: u8, rate_bps: u64, burst_bytes: u64) -> usize {
-        let idx = self.buckets.len();
-        self.buckets.push(TokenBucket::new(rate_bps, burst_bytes));
-        self.classifier.insert(prefix, len, idx as u32);
-        idx
+    /// Limit `prefix/len` to `rate_bps` with `burst_bytes` of burst; a
+    /// prefix already limited gets a fresh bucket in its slot. `false`
+    /// when every bucket is taken.
+    pub fn add_limit(&mut self, prefix: u32, len: u8, rate_bps: u64, burst_bytes: u64) -> bool {
+        let bucket = TokenBucket::new(rate_bps, burst_bytes);
+        if let Some(idx) = self.classifier.get(prefix, len) {
+            self.buckets[idx as usize] = bucket;
+        } else if self.buckets.len() < BUCKETS {
+            self.classifier
+                .insert(prefix, len, self.buckets.len() as u32);
+            self.buckets.push(bucket);
+        } else {
+            return false;
+        }
+        true
     }
 }
 
@@ -91,12 +103,8 @@ impl PacketProcessor for PerSourceRateLimiter {
 
     fn resource_manifest(&self) -> ResourceManifest {
         // LPM classifier + one credit register pair per bucket.
-        ResourceManifest::new(
-            4_600 + 40 * self.buckets.len() as u64,
-            5_200 + 96 * self.buckets.len() as u64,
-            16 + self.buckets.len() as u64 / 4,
-            2,
-        )
+        const N: u64 = BUCKETS as u64;
+        ResourceManifest::new(4_600 + 40 * N, 5_200 + 96 * N, 16 + N / 4, 2)
     }
 
     fn pipeline_depth(&self) -> u32 {
@@ -124,8 +132,7 @@ impl PacketProcessor for PerSourceRateLimiter {
                 if rate < 8 || burst == 0 {
                     return TableOpResult::BadEncoding;
                 }
-                self.add_limit(prefix, len, rate, burst);
-                TableOpResult::Ok
+                crate::installed(self.add_limit(prefix, len, rate, burst))
             }
             TableOp::ReadCounter { index } => match index {
                 0 => TableOpResult::Counter {
@@ -279,6 +286,37 @@ mod tests {
                 bytes: 0
             }
         );
+    }
+
+    #[test]
+    fn re_limiting_a_prefix_replaces_its_bucket() {
+        let mut rl = PerSourceRateLimiter::new();
+        assert!(rl.add_limit(0x0a000000, 8, 8_000, 60));
+        // The same /8, written another way, with a burst that passes two
+        // 60 B frames where the first passed one.
+        assert!(rl.add_limit(0x0a123456, 8, 8_000, 120));
+        assert_eq!(rl.buckets.len(), 1);
+        for verdict in [Verdict::Forward, Verdict::Forward, Verdict::Drop] {
+            let mut pkt = frame(0x0a000001, 60);
+            assert_eq!(
+                rl.process(&ProcessContext::egress().at(0), &mut pkt),
+                verdict
+            );
+        }
+    }
+
+    #[test]
+    fn buckets_are_fixed() {
+        let mut rl = PerSourceRateLimiter::new();
+        let cost = rl.resource_manifest();
+        for i in 0..BUCKETS as u32 {
+            assert!(rl.add_limit(i << 8, 24, 8_000, 60));
+        }
+        assert!(!rl.add_limit(0x0a000000, 8, 8_000, 60));
+        // A limited prefix can still be re-limited when every bucket is taken.
+        assert!(rl.add_limit(0, 24, 16_000, 60));
+        assert_eq!(rl.buckets.len(), BUCKETS);
+        assert_eq!(rl.resource_manifest(), cost);
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //!    Two-Way-Core at 1× clock (it cannot: the deficit is sustained).
 
 use crate::ctl::control_frame;
+use flexsfp_apps::StaticNat;
 use flexsfp_core::control::ControlRequest;
 use flexsfp_core::module::{FlexSfp, ModuleConfig, SimPacket};
 use flexsfp_core::ShellKind;
-use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
 use flexsfp_fabric::{ClockDomain, Device};
 use flexsfp_ppe::engine::PassThrough;
+use flexsfp_ppe::pipeline::{fmax_hz, MAX_STAGES};
 use flexsfp_ppe::Direction;
 use flexsfp_traffic::{SizeModel, TraceBuilder};
 
@@ -160,47 +161,37 @@ fn control_share_sweep(n: usize) -> Vec<ControlSharePoint> {
         .collect()
 }
 
+/// The NAT's table at each capacity, costed and fit-checked by a
+/// default module holding it.
 fn table_size_sweep() -> Vec<TableSizePoint> {
     let device = Device::mpf200t();
     [1_024usize, 4_096, 16_384, 32_768, 65_536, 131_072]
         .into_iter()
         .map(|capacity| {
-            let placement = MemoryPlanner::place(TableShape::new(capacity as u64, 96));
-            let lsram = match placement.kind {
-                flexsfp_fabric::sram::MemoryKind::Lsram => placement.blocks,
-                flexsfp_fabric::sram::MemoryKind::Usram => 0,
-            };
-            // Other design components consume 4 LSRAM (Mi-V) + rest.
-            let total_lsram = lsram + 4;
+            let lsram = StaticNat::manifest(capacity).lsram;
+            let module = FlexSfp::new(
+                ModuleConfig::default(),
+                Box::new(StaticNat::with_capacity(capacity)),
+            );
             TableSizePoint {
                 capacity,
                 lsram_blocks: lsram,
                 lsram_share: lsram as f64 / device.capacity.lsram as f64,
-                fits: total_lsram <= device.capacity.lsram,
+                fits: module.fit_report().fits(),
             }
         })
         .collect()
 }
 
 fn chain_depth_sweep() -> Vec<ChainDepthPoint> {
-    use flexsfp_ppe::hls::synthesize_pipeline;
-    use flexsfp_ppe::pipeline::{KeySelector, Matcher, PipelineBuilder, Stage};
-    let stage = Stage {
-        matcher: Matcher::Exact {
-            selector: KeySelector::FiveTuple,
-            entries: 1024,
-        },
-        actions: 1,
-    };
-    (1..=6)
+    (1..=MAX_STAGES)
         .map(|depth| {
-            let chain = (0..depth).fold(PipelineBuilder::default(), |b, _| b.stage(stage));
-            let rep = synthesize_pipeline(&chain.build());
+            let fmax = fmax_hz(depth);
             ChainDepthPoint {
                 depth,
-                fmax_mhz: rep.fmax_hz as f64 / 1e6,
-                closes_1x: rep.meets_timing(ClockDomain::XGMII_10G.hz()),
-                closes_2x: rep.meets_timing(ClockDomain::XGMII_10G_X2.hz()),
+                fmax_mhz: fmax as f64 / 1e6,
+                closes_1x: fmax >= ClockDomain::XGMII_10G.hz(),
+                closes_2x: fmax >= ClockDomain::XGMII_10G_X2.hz(),
             }
         })
         .collect()

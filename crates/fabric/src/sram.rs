@@ -11,7 +11,7 @@ use crate::resources::{ResourceManifest, LSRAM_BLOCK_BITS, USRAM_BLOCK_BITS};
 
 /// The two embedded memory types of the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoryKind {
+enum MemoryKind {
     /// 64×12 b distributed blocks.
     Usram,
     /// 20 kb block RAM.
@@ -47,11 +47,11 @@ impl TableShape {
 
 /// Placement decision for one table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
+struct Placement {
     /// Chosen memory kind.
-    pub kind: MemoryKind,
+    kind: MemoryKind,
     /// Blocks consumed.
-    pub blocks: u64,
+    blocks: u64,
 }
 
 /// Plans table placements onto uSRAM/LSRAM blocks.
@@ -75,7 +75,7 @@ pub(crate) const USRAM_WIDTH: u64 = 12;
 
 impl MemoryPlanner {
     /// Decide a placement for `shape`.
-    pub fn place(shape: TableShape) -> Placement {
+    fn place(shape: TableShape) -> Placement {
         if shape.entries <= USRAM_WORDS && shape.entry_bits <= USRAM_WIDTH {
             return Placement {
                 kind: MemoryKind::Usram,

@@ -7,7 +7,7 @@
 use flexsfp_fabric::fifo::Fifo;
 use flexsfp_fabric::flash::{SpiFlash, SLOTS};
 use flexsfp_fabric::resources::{FitReport, ResourceManifest};
-use flexsfp_fabric::sram::{MemoryKind, MemoryPlanner, TableShape};
+use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
 use flexsfp_fabric::stream::{BusWidth, DatapathConfig};
 use flexsfp_fabric::ClockDomain;
 use flexsfp_traffic::rng::Xoshiro256;
@@ -130,11 +130,8 @@ fn planner_never_underallocates() {
     for_each_case(0x91a2, CASES, |rng, case| {
         let (entries, bits) = (rng.range_u64(1, 100_000), rng.range_u64(1, 256));
         let shape = TableShape::new(entries, bits);
-        let placement = MemoryPlanner::place(shape);
-        let allocated = match placement.kind {
-            MemoryKind::Usram => placement.blocks * 768,
-            MemoryKind::Lsram => placement.blocks * 20 * 1024,
-        };
+        let placed = MemoryPlanner::plan(&[shape]);
+        let allocated = placed.usram * 768 + placed.lsram * 20 * 1024;
         assert!(
             allocated >= shape.total_bits(),
             "case {case:#x}: {entries}x{bits}: allocated {allocated} < needed {}",

@@ -39,6 +39,12 @@ impl<V: Copy> LpmTable<V> {
         self.levels.entry(len).or_default().insert(masked, value);
     }
 
+    /// The value at exactly `prefix/len`, if one is installed.
+    pub fn get(&self, prefix: u32, len: u8) -> Option<V> {
+        let level = self.levels.get(&len)?;
+        level.get(&(prefix & Self::mask(len))).copied()
+    }
+
     /// Longest-prefix lookup.
     pub fn lookup(&self, addr: u32) -> Option<(u8, V)> {
         for (&len, level) in self.levels.iter().rev() {

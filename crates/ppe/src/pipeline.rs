@@ -1,15 +1,11 @@
-//! Match-action pipelines as the HLS model costs them.
+//! The PPE's timing, in one place, and the fields a match keys on.
 //!
-//! A pipeline is a short chain of stages (the paper's §5.3: "keeping
-//! chains compact (about 3–4 stages)"), each a match structure and the
-//! actions its hit and miss lists hold. It is a description:
-//! [`crate::hls::synthesize_pipeline`] turns it into resources, f_max and
-//! latency, and nothing here runs a packet.
-//!
-//! The module also holds the PPE latency model every flight stamp and
-//! the module's PPE transit share ([`stage_start_cycle`],
-//! [`stamp_stages`]), and [`KeySelector`], the parsed fields a stage (or
-//! the firewall's ACL) keys on.
+//! A packet program is a short chain of match-action stages (the
+//! paper's §5.3: "keeping chains compact (about 3–4 stages)").
+//! [`stage_start_cycle`] and [`stamp_stages`] give every flight stamp
+//! and the module's PPE transit share their cycles; [`fmax_hz`] is the
+//! clock a chain of a given depth closes at. [`KeySelector`] names the
+//! parsed fields a match (the firewall's ACL) keys on.
 
 use crate::parser::{ParsedPacket, L4};
 use flexsfp_obs::{FlightStamp, StageStamp};
@@ -81,54 +77,6 @@ impl KeySelector {
         }
         Some(k)
     }
-
-    /// Width of the meaningful key in bits — what the synthesized table
-    /// actually stores per entry (the generic 13-byte key is a software
-    /// convenience; hardware stores only the selected fields).
-    pub fn key_bits(&self) -> u64 {
-        match self {
-            KeySelector::SrcIp | KeySelector::DstIp => 32,
-            KeySelector::FiveTuple => 104,
-            KeySelector::OuterVlan => 12,
-            KeySelector::EtherType | KeySelector::L4DstPort => 16,
-            KeySelector::SrcMac => 48,
-            KeySelector::SrcPrefix64 => 64,
-        }
-    }
-}
-
-/// The match structure of a stage: its kind and the geometry its memory
-/// is planned for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Matcher {
-    /// Unconditional hit; no table.
-    Always,
-    /// Exact match in a hardware hash table.
-    Exact {
-        /// Field(s) to key on; only the selected bits are stored.
-        selector: KeySelector,
-        /// Entries the table holds (buckets × ways).
-        entries: usize,
-    },
-    /// Longest-prefix match over an IPv4 address.
-    Lpm {
-        /// Prefixes installed.
-        prefixes: usize,
-    },
-    /// Ternary (ACL) match with priorities.
-    Ternary {
-        /// Rows the table holds.
-        rows: usize,
-    },
-}
-
-/// One match-action stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stage {
-    /// The match structure.
-    pub matcher: Matcher,
-    /// Actions on the stage's hit and miss lists together.
-    pub actions: usize,
 }
 
 /// The PPE latency model, in one place: 4 fixed cycles, then 3 per
@@ -158,58 +106,26 @@ pub fn stamp_stages(cache_hit: bool, stages: impl IntoIterator<Item = (u8, bool)
     }
 }
 
-/// A chain of at most [`MAX_STAGES`] stages, built by [`PipelineBuilder`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pipeline {
-    stages: Vec<Stage>,
-}
-
-impl Pipeline {
-    /// The stages, in order.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
-    }
-}
-
-/// Builder for [`Pipeline`].
-#[derive(Debug, Default)]
-pub struct PipelineBuilder {
-    stages: Vec<Stage>,
-}
-
-impl PipelineBuilder {
-    /// Append a stage. Panics beyond [`MAX_STAGES`] — the fabric cannot
-    /// fit deeper chains at speed (§5.3).
-    pub fn stage(mut self, stage: Stage) -> PipelineBuilder {
-        assert!(
-            self.stages.len() < MAX_STAGES,
-            "pipeline exceeds MAX_STAGES ({MAX_STAGES})"
-        );
-        self.stages.push(stage);
-        self
-    }
-
-    /// Finish the pipeline.
-    pub fn build(self) -> Pipeline {
-        Pipeline {
-            stages: self.stages,
-        }
-    }
+/// The clock, in Hz, a chain of `stages` match-action stages closes
+/// timing at on the MPF200T's 28 nm fabric: a trivial core's 500 MHz,
+/// divided by 1 + 0.15 per stage of logic depth.
+pub fn fmax_hz(stages: usize) -> u64 {
+    (500e6 / (1.0 + 0.15 * stages as f64)) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexsfp_fabric::ClockDomain;
 
     #[test]
-    #[should_panic(expected = "MAX_STAGES")]
-    fn depth_limit_enforced() {
-        let mut b = PipelineBuilder::default();
-        for _ in 0..=MAX_STAGES {
-            b = b.stage(Stage {
-                matcher: Matcher::Always,
-                actions: 0,
-            });
-        }
+    fn compact_chains_close_at_2x_deep_chains_do_not() {
+        // §5.3: "keeping chains compact (about 3–4 stages)" to run at 2×.
+        let two_x = ClockDomain::XGMII_10G_X2.hz();
+        assert!(fmax_hz(3) >= two_x);
+        assert!(fmax_hz(4) >= two_x);
+        assert!(fmax_hz(5) < two_x);
+        // At 1× even deep chains close.
+        assert!(fmax_hz(MAX_STAGES) >= ClockDomain::XGMII_10G.hz());
     }
 }

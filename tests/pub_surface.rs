@@ -95,10 +95,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ),
     ("core::module::report::LatencyStats", "`SimReport::latency`"),
     (
-        "fabric::sram::Placement",
-        "what `MemoryPlanner::place` returns",
-    ),
-    (
         "fabric::xbar::XbarTotals",
         "what `CrosspointMatrix::totals` returns",
     ),
@@ -120,10 +116,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("obs::slo::SloBreach", "`SloReport::breaches`"),
     ("ppe::cache::InlinePlan", "what `FlowCache::insert` takes"),
     ("ppe::cache::PlanView", "what `FlowCache::lookup` returns"),
-    (
-        "ppe::hls::SynthesisReport",
-        "what `hls::synthesize_pipeline` returns",
-    ),
     ("ppe::parser::Ipv4Summary", "`ParsedPacket::ipv4`"),
     ("ppe::parser::Ipv6Summary", "`ParsedPacket::ipv6`"),
     ("ppe::state::FlowContext", "what `EfsmTable::evict` returns"),
