@@ -106,6 +106,48 @@ fn a_syn_flood_guard_of_no_entries_boots_golden() {
     assert_golden("syn-flood-guard", json!({"capacity": 0}));
 }
 
+#[test]
+fn malformed_listed_entries_boot_golden() {
+    // An entry the factory cannot read is refused like one the app
+    // refuses: the image does not boot with fewer entries than it lists.
+    let rule = r#"{"action":"Deny","dst":null,"dst_port":53,"priority":1,"protocol":17,"src":null,"src_port":null}"#;
+    let cases = [
+        (
+            "nat",
+            r#"{"mappings": [{"private": 1, "public": 2}, {"private": 3}]}"#,
+        ),
+        ("nat", r#"{"mappings": [{"private": 1, "public": "2"}]}"#),
+        ("nat", r#"{"mappings": {"private": 1, "public": 2}}"#),
+        ("dns-filter", r#"{"blocked": ["a.example", 7]}"#),
+        ("dns-filter", r#"{"doh_resolvers": [16843009, "1.1.1.1"]}"#),
+        ("dns-filter", r#"{"doh_resolvers": [-1]}"#),
+        ("l4-lb", r#"{"vip": 1, "port": 80, "backends": [1, 2.5]}"#),
+        ("l4-lb", r#"{"vip": 1, "port": 80, "backends": "1"}"#),
+        (
+            "firewall",
+            &format!(r#"{{"rules": [{rule}, {{"action": "Deny"}}]}}"#),
+        ),
+        ("ipv6-filter", r#"{"delegations": [{"prefix64": 1}]}"#),
+    ];
+    for (app, config) in cases {
+        let config = Value::parse(config).unwrap();
+        assert_golden(app, config);
+    }
+    // The same images without the bad entry boot.
+    for (app, config) in [
+        ("nat", r#"{"mappings": [{"private": 1, "public": 2}]}"#),
+        (
+            "dns-filter",
+            r#"{"blocked": ["a.example"], "doh_resolvers": [16843009]}"#,
+        ),
+        ("l4-lb", r#"{"vip": 1, "port": 80, "backends": [1]}"#),
+        ("firewall", &format!(r#"{{"rules": [{rule}]}}"#)),
+    ] {
+        let m = boot(app, 0, Value::parse(config).unwrap());
+        assert_eq!((m.app_name(), m.app_version()), (app, STAGED), "{config}");
+    }
+}
+
 /// `n` distinct blocked domains.
 fn domains(n: usize) -> Value {
     Value::from(
