@@ -10,20 +10,22 @@
 //!    resolver addresses (the operational state of the art).
 
 use flexsfp_fabric::resources::ResourceManifest;
+use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::parser::{Parser, L4};
 use flexsfp_ppe::tables::HashTable;
 use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 use flexsfp_wire::dns::DnsHeader;
 
-/// Filter statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FilterStats {
+/// Counter indices.
+pub mod counters {
     /// DNS queries inspected.
-    pub inspected: u64,
+    pub(crate) const INSPECTED: usize = 0;
     /// Queries dropped on a blocklist hit.
-    pub blocked_dns: u64,
+    pub(crate) const BLOCKED_DNS: usize = 1;
     /// TCP/443 packets to blocked DoH resolvers dropped.
-    pub blocked_doh: u64,
+    pub(crate) const BLOCKED_DOH: usize = 2;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 3;
 }
 
 /// Blocked domains the qname matcher is synthesised for.
@@ -36,8 +38,7 @@ const DOH_CAPACITY: usize = 1_024;
 pub struct DnsFilter {
     blocked_domains: Vec<String>,
     doh_resolvers: HashTable<u32, u32>,
-    /// Statistics.
-    stats: FilterStats,
+    counters: CounterBank,
     parser: Parser,
 }
 
@@ -53,7 +54,7 @@ impl DnsFilter {
         DnsFilter {
             blocked_domains: Vec::new(),
             doh_resolvers: HashTable::with_capacity(DOH_CAPACITY),
-            stats: FilterStats::default(),
+            counters: CounterBank::new(counters::LEN),
             parser: Parser,
         }
     }
@@ -103,7 +104,7 @@ impl PacketProcessor for DnsFilter {
         };
         match parsed.l4 {
             L4::Udp { dst_port: 53, .. } => {
-                self.stats.inspected += 1;
+                self.counters.count(counters::INSPECTED, packet.len());
                 let Some(l4_off) = parsed.l4_offset else {
                     return Verdict::Forward;
                 };
@@ -115,7 +116,7 @@ impl PacketProcessor for DnsFilter {
                 match question {
                     Some(q) => {
                         if self.is_blocked_name(&q.qname) {
-                            self.stats.blocked_dns += 1;
+                            self.counters.count(counters::BLOCKED_DNS, packet.len());
                             return Verdict::Drop;
                         }
                         Verdict::Forward
@@ -126,7 +127,7 @@ impl PacketProcessor for DnsFilter {
             }
             L4::Tcp { dst_port: 443, .. } => {
                 if self.doh_resolvers.lookup(&ip.dst).is_some() {
-                    self.stats.blocked_doh += 1;
+                    self.counters.count(counters::BLOCKED_DOH, packet.len());
                     Verdict::Drop
                 } else {
                     Verdict::Forward
@@ -163,15 +164,7 @@ impl PacketProcessor for DnsFilter {
                 };
                 crate::installed(self.block_doh_resolver(u32::from_be_bytes(bytes)))
             }
-            TableOp::ReadCounter { index } => {
-                let packets = match index {
-                    0 => self.stats.inspected,
-                    1 => self.stats.blocked_dns,
-                    2 => self.stats.blocked_doh,
-                    _ => return TableOpResult::NotFound,
-                };
-                TableOpResult::Counter { packets, bytes: 0 }
-            }
+            TableOp::ReadCounter { index } => self.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }
@@ -213,7 +206,7 @@ mod tests {
         let mut f = filter();
         let mut q = dns_query("ads.example");
         assert_eq!(f.process(&ProcessContext::egress(), &mut q), Verdict::Drop);
-        assert_eq!(f.stats.blocked_dns, 1);
+        assert_eq!(crate::packets(&f.counters, counters::BLOCKED_DNS), 1);
     }
 
     #[test]
@@ -234,8 +227,8 @@ mod tests {
                 "{name}"
             );
         }
-        assert_eq!(f.stats.blocked_dns, 0);
-        assert_eq!(f.stats.inspected, 3);
+        assert_eq!(crate::packets(&f.counters, counters::BLOCKED_DNS), 0);
+        assert_eq!(crate::packets(&f.counters, counters::INSPECTED), 3);
     }
 
     #[test]
@@ -263,7 +256,7 @@ mod tests {
             f.process(&ProcessContext::egress(), &mut tls),
             Verdict::Drop
         );
-        assert_eq!(f.stats.blocked_doh, 1);
+        assert_eq!(crate::packets(&f.counters, counters::BLOCKED_DOH), 1);
         // Ordinary HTTPS to another address passes.
         let mut ok = PacketBuilder::eth_ipv4_tcp(
             MacAddr([1; 6]),
@@ -347,7 +340,7 @@ mod tests {
             f.control_op(&TableOp::ReadCounter { index: 1 }),
             TableOpResult::Counter {
                 packets: 1,
-                bytes: 0
+                bytes: q.len() as u64
             }
         );
     }
@@ -448,6 +441,6 @@ mod tests {
             f.process(&ProcessContext::egress(), &mut ntp),
             Verdict::Forward
         );
-        assert_eq!(f.stats.inspected, 0);
+        assert_eq!(crate::packets(&f.counters, counters::INSPECTED), 0);
     }
 }

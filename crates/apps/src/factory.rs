@@ -21,14 +21,24 @@ use crate::vlan::VlanTagger;
 use flexsfp_core::bitstream::BitstreamMeta;
 use flexsfp_core::module::AppFactory;
 use flexsfp_fabric::resources::ResourceManifest;
-use flexsfp_obs::FromJson;
+use flexsfp_obs::{FromJson, Value};
 use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::PacketProcessor;
 
+/// The entries `config[key]` lists: none when the key is absent, `None`
+/// when it is not a list.
+fn entries<'a>(config: &'a Value, key: &str) -> Option<&'a [Value]> {
+    match &config[key] {
+        Value::Null => Some(&[]),
+        list => list.as_array().map(Vec::as_slice),
+    }
+}
+
 /// Instantiate the application named by `meta`, honouring its JSON
 /// `config`. An unknown name, a table of no entries, a table whose
-/// design `fits` refuses and a listed entry the app refuses return
-/// `None` (the module falls back to its golden image).
+/// design `fits` refuses and a listed entry the factory cannot read or
+/// the app refuses return `None` (the module falls back to its golden
+/// image).
 fn build_app(
     meta: &BitstreamMeta,
     fits: &dyn Fn(ResourceManifest) -> bool,
@@ -45,15 +55,9 @@ fn build_app(
         "nat" => {
             let capacity = capacity("table_size", 32_768, StaticNat::manifest)?;
             let mut nat = StaticNat::with_capacity(capacity);
-            if let Some(mappings) = cfg["mappings"].as_array() {
-                for m in mappings {
-                    let (Some(private), Some(public)) =
-                        (m["private"].as_u64(), m["public"].as_u64())
-                    else {
-                        continue;
-                    };
-                    nat.add_mapping(private as u32, public as u32).ok()?;
-                }
+            for m in entries(cfg, "mappings")? {
+                let (private, public) = (m["private"].as_u64()?, m["public"].as_u64()?);
+                nat.add_mapping(private as u32, public as u32).ok()?;
             }
             Some(Box::new(nat))
         }
@@ -62,12 +66,8 @@ fn build_app(
             if cfg["default"].as_str() == Some("deny") {
                 fw.default_action = crate::firewall::AclAction::Deny;
             }
-            if let Some(rules) = cfg["rules"].as_array() {
-                for r in rules {
-                    if let Some(rule) = AclRule::from_json(r) {
-                        fw.add_rule(rule).then_some(())?;
-                    }
-                }
+            for r in entries(cfg, "rules")? {
+                fw.add_rule(AclRule::from_json(r)?).then_some(())?;
             }
             Some(Box::new(fw))
         }
@@ -97,15 +97,10 @@ fn build_app(
         "l4-lb" => {
             let vip = cfg["vip"].as_u64()? as u32;
             let port = cfg["port"].as_u64().unwrap_or(0) as u16;
-            let backends: Vec<u32> = cfg["backends"]
-                .as_array()
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|v| v.as_u64())
-                        .map(|v| v as u32)
-                        .collect()
-                })
-                .unwrap_or_default();
+            let backends = entries(cfg, "backends")?
+                .iter()
+                .map(|v| Some(v.as_u64()? as u32))
+                .collect::<Option<Vec<u32>>>()?;
             if backends.len() > crate::lb::MAX_BACKENDS {
                 return None;
             }
@@ -122,15 +117,11 @@ fn build_app(
         "rate-limiter" => Some(Box::new(PerSourceRateLimiter::new())),
         "dns-filter" => {
             let mut f = DnsFilter::new();
-            if let Some(domains) = cfg["blocked"].as_array() {
-                for d in domains.iter().filter_map(|v| v.as_str()) {
-                    f.block_domain(d).then_some(())?;
-                }
+            for d in entries(cfg, "blocked")? {
+                f.block_domain(d.as_str()?).then_some(())?;
             }
-            if let Some(resolvers) = cfg["doh_resolvers"].as_array() {
-                for r in resolvers.iter().filter_map(|v| v.as_u64()) {
-                    f.block_doh_resolver(r as u32).then_some(())?;
-                }
+            for r in entries(cfg, "doh_resolvers")? {
+                f.block_doh_resolver(r.as_u64()? as u32).then_some(())?;
             }
             Some(Box::new(f))
         }
@@ -146,15 +137,9 @@ fn build_app(
         "ipv6-filter" => {
             let mut f = Ipv6SubscriberFilter::new();
             f.block_all_v6 = cfg["block_all"].as_bool().unwrap_or(false);
-            if let Some(delegations) = cfg["delegations"].as_array() {
-                for d in delegations {
-                    let (Some(prefix), Some(sub)) =
-                        (d["prefix64"].as_u64(), d["subscriber"].as_u64())
-                    else {
-                        continue;
-                    };
-                    f.delegate(prefix, sub as u32).then_some(())?;
-                }
+            for d in entries(cfg, "delegations")? {
+                let (prefix, sub) = (d["prefix64"].as_u64()?, d["subscriber"].as_u64()?);
+                f.delegate(prefix, sub as u32).then_some(())?;
             }
             Some(Box::new(f))
         }

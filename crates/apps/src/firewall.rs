@@ -12,7 +12,7 @@ use flexsfp_obs::json::{FromJson, Value};
 use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::match_kinds::{TernaryEntry, TernaryTable};
 use flexsfp_ppe::parser::Parser;
-use flexsfp_ppe::pipeline::KeySelector;
+use flexsfp_ppe::tables::TableKey;
 use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 
 /// What a matching rule does.
@@ -58,6 +58,8 @@ flexsfp_obs::impl_json_struct!(AclRule {
 });
 
 impl AclRule {
+    /// The ternary row over a five-tuple's key bytes
+    /// ([`TableKey::key_bytes`]).
     fn to_entry(self) -> TernaryEntry<AclAction> {
         let mut value = [0u8; 13];
         let mut mask = [0u8; 13];
@@ -110,6 +112,8 @@ pub mod counters {
     pub(crate) const PUNTED: usize = 2;
     /// Non-matchable (non-IPv4-TCP/UDP) packets.
     pub(crate) const UNMATCHED: usize = 3;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 4;
 }
 
 /// The ACL firewall application.
@@ -129,7 +133,7 @@ impl AclFirewall {
     pub fn new(capacity: usize) -> AclFirewall {
         AclFirewall {
             table: TernaryTable::new(capacity),
-            counters: CounterBank::new(8),
+            counters: CounterBank::new(counters::LEN),
             parser: Parser,
             default_action: AclAction::Permit,
             screen_direction: None,
@@ -168,10 +172,10 @@ impl PacketProcessor for AclFirewall {
         let Some(parsed) = self.parser.parse(packet) else {
             return Verdict::Drop;
         };
-        let Some(key) = KeySelector::FiveTuple.extract(&parsed) else {
-            // Not an IPv4 TCP/UDP packet: fail according to policy on
-            // the L3 source alone when IPv4, else forward L2 control
-            // traffic (ARP must keep working on a retrofit port).
+        let Some(key) = parsed.five_tuple().map(|t| t.key_bytes()) else {
+            // Not an IPv4 TCP/UDP packet: no rule can match it, so it
+            // is forwarded whatever the policy (ARP must keep working
+            // on a retrofit port) and counted unmatched.
             self.counters.count(counters::UNMATCHED, packet.len());
             return Verdict::Forward;
         };
@@ -305,8 +309,8 @@ mod tests {
             fw.process(&ProcessContext::egress(), &mut web),
             Verdict::Forward
         );
-        assert_eq!(fw.counters.get(counters::DENIED).packets, 1);
-        assert_eq!(fw.counters.get(counters::PERMITTED).packets, 1);
+        assert_eq!(crate::packets(&fw.counters, counters::DENIED), 1);
+        assert_eq!(crate::packets(&fw.counters, counters::PERMITTED), 1);
     }
 
     #[test]
@@ -367,7 +371,7 @@ mod tests {
             fw.process(&ProcessContext::ingress(), &mut ssh),
             Verdict::ToControlPlane
         );
-        assert_eq!(fw.counters.get(counters::PUNTED).packets, 1);
+        assert_eq!(crate::packets(&fw.counters, counters::PUNTED), 1);
     }
 
     #[test]
@@ -384,7 +388,7 @@ mod tests {
             fw.process(&ProcessContext::egress(), &mut arp),
             Verdict::Forward
         );
-        assert_eq!(fw.counters.get(counters::UNMATCHED).packets, 1);
+        assert_eq!(crate::packets(&fw.counters, counters::UNMATCHED), 1);
     }
 
     #[test]

@@ -9,22 +9,24 @@
 //! (the crude legacy "IPv6 filtering").
 
 use flexsfp_fabric::resources::ResourceManifest;
+use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::tables::HashTable;
 use flexsfp_ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 use flexsfp_wire::EtherType;
 
-/// Filter statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct V6FilterStats {
+/// Counter indices.
+pub mod counters {
     /// IPv6 packets from delegated prefixes.
-    pub valid: u64,
+    pub(crate) const VALID: usize = 0;
     /// IPv6 packets from unknown prefixes.
-    pub unknown: u64,
+    pub(crate) const UNKNOWN: usize = 1;
     /// IPv6 packets dropped by the block-all policy.
-    pub blocked_all: u64,
+    pub(crate) const BLOCKED_ALL: usize = 2;
     /// Non-IPv6 traffic passed through.
-    pub non_v6: u64,
+    pub(crate) const NON_V6: usize = 3;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 4;
 }
 
 /// The per-subscriber IPv6 source filter.
@@ -35,8 +37,7 @@ pub struct Ipv6SubscriberFilter {
     pub block_all_v6: bool,
     /// Direction screened (upstream: edge→optical).
     pub screen_direction: Direction,
-    /// Statistics.
-    stats: V6FilterStats,
+    counters: CounterBank,
     parser: Parser,
 }
 
@@ -53,7 +54,7 @@ impl Ipv6SubscriberFilter {
             prefixes: HashTable::with_capacity(4_096),
             block_all_v6: false,
             screen_direction: Direction::EdgeToOptical,
-            stats: V6FilterStats::default(),
+            counters: CounterBank::new(counters::LEN),
             parser: Parser,
         }
     }
@@ -77,23 +78,23 @@ impl PacketProcessor for Ipv6SubscriberFilter {
             return Verdict::Drop;
         };
         if parsed.ethertype != EtherType::Ipv6 {
-            self.stats.non_v6 += 1;
+            self.counters.count(counters::NON_V6, packet.len());
             return Verdict::Forward;
         }
         if self.block_all_v6 {
-            self.stats.blocked_all += 1;
+            self.counters.count(counters::BLOCKED_ALL, packet.len());
             return Verdict::Drop;
         }
         let Some(v6) = parsed.ipv6 else {
             // Claimed IPv6 but malformed: never let it upstream.
-            self.stats.unknown += 1;
+            self.counters.count(counters::UNKNOWN, packet.len());
             return Verdict::Drop;
         };
         if self.prefixes.lookup(&v6.src_prefix64).is_some() {
-            self.stats.valid += 1;
+            self.counters.count(counters::VALID, packet.len());
             return Verdict::Forward;
         }
-        self.stats.unknown += 1;
+        self.counters.count(counters::UNKNOWN, packet.len());
         Verdict::Drop
     }
 
@@ -133,15 +134,7 @@ impl PacketProcessor for Ipv6SubscriberFilter {
                     None => TableOpResult::NotFound,
                 }
             }
-            TableOp::ReadCounter { index } => {
-                let packets = match index {
-                    0 => self.stats.valid,
-                    1 => self.stats.unknown,
-                    2 => self.stats.blocked_all,
-                    _ => return TableOpResult::NotFound,
-                };
-                TableOpResult::Counter { packets, bytes: 0 }
-            }
+            TableOp::ReadCounter { index } => self.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }
@@ -194,7 +187,7 @@ mod tests {
             f.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Forward
         );
-        assert_eq!(f.stats.valid, 1);
+        assert_eq!(crate::packets(&f.counters, counters::VALID), 1);
     }
 
     #[test]
@@ -205,7 +198,7 @@ mod tests {
             f.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(f.stats.unknown, 1);
+        assert_eq!(crate::packets(&f.counters, counters::UNKNOWN), 1);
     }
 
     #[test]
@@ -217,7 +210,7 @@ mod tests {
             f.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(f.stats.blocked_all, 1);
+        assert_eq!(crate::packets(&f.counters, counters::BLOCKED_ALL), 1);
     }
 
     #[test]
@@ -236,7 +229,7 @@ mod tests {
             f.process(&ProcessContext::egress(), &mut v4),
             Verdict::Forward
         );
-        assert_eq!(f.stats.non_v6, 1);
+        assert_eq!(f.counters.get(counters::NON_V6).unwrap().packets, 1);
     }
 
     #[test]
@@ -247,7 +240,7 @@ mod tests {
             f.process(&ProcessContext::ingress(), &mut pkt),
             Verdict::Forward
         );
-        assert_eq!(f.stats.unknown, 0);
+        assert_eq!(crate::packets(&f.counters, counters::UNKNOWN), 0);
     }
 
     #[test]
@@ -297,7 +290,7 @@ mod tests {
             f.control_op(&TableOp::ReadCounter { index: 1 }),
             TableOpResult::Counter {
                 packets: 1,
-                bytes: 0
+                bytes: pkt.len() as u64
             }
         );
     }

@@ -27,6 +27,8 @@ pub mod counters {
     pub(crate) const PASSED: usize = 1;
     /// VIP packets dropped because no backend is healthy.
     pub(crate) const NO_BACKEND: usize = 2;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 3;
 }
 
 /// Build a Maglev lookup table mapping `TABLE_SIZE` slots onto the given
@@ -94,15 +96,14 @@ impl L4LoadBalancer {
             vip_port,
             backends,
             lookup,
-            engine: ActionEngine::new(4),
+            engine: ActionEngine::new(counters::LEN),
             parser: Parser,
         }
     }
 
-    /// Replace the backend set (rebuilds the Maglev table).
-    pub(crate) fn set_backends(&mut self, backends: Vec<u32>) {
-        self.lookup = maglev_table(&backends, TABLE_SIZE);
-        self.backends = backends;
+    /// Rebuild the Maglev table over the backend set as it now stands.
+    fn rebuild(&mut self) {
+        self.lookup = maglev_table(&self.backends, TABLE_SIZE);
     }
 
     /// The backend a given 4-tuple steers to (diagnostics / tests).
@@ -176,9 +177,8 @@ impl PacketProcessor for L4LoadBalancer {
                 if self.backends.len() == MAX_BACKENDS {
                     return TableOpResult::TableFull;
                 }
-                let mut next = self.backends.clone();
-                next.push(b);
-                self.set_backends(next);
+                self.backends.push(b);
+                self.rebuild();
                 TableOpResult::Ok
             }
             TableOp::Delete { table: 0, key } => {
@@ -187,11 +187,11 @@ impl PacketProcessor for L4LoadBalancer {
                 };
                 let b = u32::from_be_bytes(bytes);
                 let before = self.backends.len();
-                let next: Vec<u32> = self.backends.iter().copied().filter(|x| *x != b).collect();
-                if next.len() == before {
+                self.backends.retain(|x| *x != b);
+                if self.backends.len() == before {
                     return TableOpResult::NotFound;
                 }
-                self.set_backends(next);
+                self.rebuild();
                 TableOpResult::Ok
             }
             TableOp::ReadCounter { index } => self.engine.counters.get(*index as usize).into(),
@@ -241,7 +241,7 @@ mod tests {
         let ip = Ipv4Packet::new_checked(&pkt[14..]).unwrap();
         assert!([B1, B2, B3].contains(&ip.dst()));
         assert!(ip.verify_checksum());
-        assert_eq!(lb.engine.counters.get(counters::STEERED).packets, 1);
+        assert_eq!(crate::packets(&lb.engine.counters, counters::STEERED), 1);
     }
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(lb.engine.counters.get(counters::PASSED).packets, 1);
+        assert_eq!(crate::packets(&lb.engine.counters, counters::PASSED), 1);
     }
 
     #[test]
@@ -309,7 +309,7 @@ mod tests {
             lb.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(lb.engine.counters.get(counters::NO_BACKEND).packets, 1);
+        assert_eq!(crate::packets(&lb.engine.counters, counters::NO_BACKEND), 1);
     }
 
     #[test]

@@ -58,3 +58,9 @@ fn installed(ok: bool) -> flexsfp_ppe::TableOpResult {
         flexsfp_ppe::TableOpResult::TableFull
     }
 }
+
+/// Packets counter `idx` of `bank` has counted.
+#[cfg(test)]
+fn packets(bank: &flexsfp_ppe::counters::CounterBank, idx: usize) -> u64 {
+    bank.get(idx).expect("a counter of the bank").packets
+}

@@ -26,6 +26,8 @@ pub mod counters {
     pub(crate) const MISSED: usize = 1;
     /// Non-IPv4 packets passed through.
     pub(crate) const NON_IP: usize = 2;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 3;
 }
 
 /// The flow capacity of the §5.1 prototype table.
@@ -74,7 +76,7 @@ impl StaticNat {
             front: FlowFront::new(table.capacity()),
             nat: Translator {
                 table,
-                engine: ActionEngine::new(4),
+                engine: ActionEngine::new(counters::LEN),
                 parser: Parser,
             },
         }
@@ -207,14 +209,7 @@ impl PacketProcessor for StaticNat {
     }
 
     fn table_stats(&self) -> Option<flexsfp_obs::TableTelemetry> {
-        let s = self.nat.table.stats();
-        Some(flexsfp_obs::TableTelemetry {
-            capacity: self.nat.table.capacity() as u64,
-            occupied: self.nat.table.len() as u64,
-            hits: s.hits,
-            misses: s.misses,
-            insert_failures: s.insert_failures,
-        })
+        Some(self.nat.table.stats())
     }
 
     fn resource_manifest(&self) -> ResourceManifest {
@@ -309,7 +304,10 @@ mod tests {
         assert!(ip.verify_checksum());
         let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
         assert!(udp.verify_checksum_v4(PUBLIC, DST));
-        assert_eq!(n.nat.engine.counters.get(counters::TRANSLATED).packets, 1);
+        assert_eq!(
+            crate::packets(&n.nat.engine.counters, counters::TRANSLATED),
+            1
+        );
     }
 
     #[test]
@@ -343,7 +341,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(n.nat.engine.counters.get(counters::MISSED).packets, 1);
+        assert_eq!(crate::packets(&n.nat.engine.counters, counters::MISSED), 1);
     }
 
     #[test]
@@ -371,7 +369,7 @@ mod tests {
             n.process(&ProcessContext::egress(), &mut arp),
             Verdict::Forward
         );
-        assert_eq!(n.nat.engine.counters.get(counters::NON_IP).packets, 1);
+        assert_eq!(crate::packets(&n.nat.engine.counters, counters::NON_IP), 1);
     }
 
     #[test]
@@ -537,7 +535,7 @@ mod tests {
         let before = pkt.clone();
         n.process(&ProcessContext::egress(), &mut pkt);
         assert_eq!(pkt, before);
-        assert_eq!(n.nat.engine.counters.get(counters::MISSED).packets, 1);
+        assert_eq!(crate::packets(&n.nat.engine.counters, counters::MISSED), 1);
     }
 
     /// Stamping is off until asked for and cleared when turned off. A

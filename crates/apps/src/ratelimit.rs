@@ -7,20 +7,22 @@
 //! default bucket).
 
 use flexsfp_fabric::resources::ResourceManifest;
+use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::match_kinds::LpmTable;
 use flexsfp_ppe::meter::{Color, TokenBucket};
 use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 
-/// Counter-style statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LimiterStats {
+/// Counter indices.
+pub mod counters {
     /// Packets passed (green).
-    pub passed: u64,
+    pub(crate) const PASSED: usize = 0;
     /// Packets dropped (red).
-    pub dropped: u64,
+    pub(crate) const DROPPED: usize = 1;
     /// Packets from sources with no limit configured.
-    pub unlimited: u64,
+    pub(crate) const UNLIMITED: usize = 2;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 3;
 }
 
 /// Token buckets the limiter is synthesised with.
@@ -32,8 +34,7 @@ pub struct PerSourceRateLimiter {
     // prefix -> bucket index
     classifier: LpmTable<u32>,
     buckets: Vec<TokenBucket>,
-    /// Statistics.
-    stats: LimiterStats,
+    counters: CounterBank,
     parser: Parser,
 }
 
@@ -49,7 +50,7 @@ impl PerSourceRateLimiter {
         PerSourceRateLimiter {
             classifier: LpmTable::new(),
             buckets: Vec::new(),
-            stats: LimiterStats::default(),
+            counters: CounterBank::new(counters::LEN),
             parser: Parser,
         }
     }
@@ -82,20 +83,20 @@ impl PacketProcessor for PerSourceRateLimiter {
             return Verdict::Drop;
         };
         let Some(ip) = parsed.ipv4 else {
-            self.stats.unlimited += 1;
+            self.counters.count(counters::UNLIMITED, packet.len());
             return Verdict::Forward;
         };
         let Some((_len, bucket_idx)) = self.classifier.lookup(ip.src) else {
-            self.stats.unlimited += 1;
+            self.counters.count(counters::UNLIMITED, packet.len());
             return Verdict::Forward;
         };
         match self.buckets[bucket_idx as usize].meter(packet.len(), ctx.timestamp_ns) {
             Color::Green => {
-                self.stats.passed += 1;
+                self.counters.count(counters::PASSED, packet.len());
                 Verdict::Forward
             }
             Color::Red => {
-                self.stats.dropped += 1;
+                self.counters.count(counters::DROPPED, packet.len());
                 Verdict::Drop
             }
         }
@@ -134,17 +135,7 @@ impl PacketProcessor for PerSourceRateLimiter {
                 }
                 crate::installed(self.add_limit(prefix, len, rate, burst))
             }
-            TableOp::ReadCounter { index } => match index {
-                0 => TableOpResult::Counter {
-                    packets: self.stats.passed,
-                    bytes: 0,
-                },
-                1 => TableOpResult::Counter {
-                    packets: self.stats.dropped,
-                    bytes: 0,
-                },
-                _ => TableOpResult::NotFound,
-            },
+            TableOp::ReadCounter { index } => self.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }
@@ -188,7 +179,7 @@ mod tests {
         }
         assert_eq!(passed, 5);
         assert_eq!(dropped, 95);
-        assert_eq!(rl.stats.passed, 5);
+        assert_eq!(crate::packets(&rl.counters, counters::PASSED), 5);
     }
 
     #[test]
@@ -224,8 +215,8 @@ mod tests {
                 Verdict::Forward
             );
         }
-        assert_eq!(rl.stats.unlimited, 50);
-        assert_eq!(rl.stats.dropped, 0);
+        assert_eq!(crate::packets(&rl.counters, counters::UNLIMITED), 50);
+        assert_eq!(crate::packets(&rl.counters, counters::DROPPED), 0);
     }
 
     #[test]
@@ -283,7 +274,7 @@ mod tests {
             rl.control_op(&TableOp::ReadCounter { index: 1 }),
             TableOpResult::Counter {
                 packets: 1,
-                bytes: 0
+                bytes: pkt.len() as u64
             }
         );
     }

@@ -8,40 +8,33 @@
 //! touch the switch.
 
 use flexsfp_fabric::resources::ResourceManifest;
+use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 use flexsfp_wire::ipv4::Ipv4Packet;
 use flexsfp_wire::EtherType;
 
-/// Reasons a packet can be rejected, with independent counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SanitizerStats {
-    /// Frames shorter than an Ethernet header / unparseable L2.
-    pub runt: u64,
-    /// IPv4 header failed validation (version/length/checksum).
-    pub bad_ip_header: u64,
-    /// IPv4 options present.
-    pub ip_options: u64,
-    /// Fragment with a tiny offset (overlap-attack signature).
-    pub tiny_fragment: u64,
-    /// RFC 1918 source seen on the optical (public) side.
-    pub spoofed_private: u64,
-    /// TTL of zero on arrival.
-    pub zero_ttl: u64,
+/// Counter indices: the clean packets, every drop, and each drop by the
+/// reason it was rejected for.
+pub mod counters {
     /// Clean packets passed.
-    pub passed: u64,
-}
-
-impl SanitizerStats {
-    /// Total drops.
-    fn dropped(&self) -> u64 {
-        self.runt
-            + self.bad_ip_header
-            + self.ip_options
-            + self.tiny_fragment
-            + self.spoofed_private
-            + self.zero_ttl
-    }
+    pub(crate) const PASSED: usize = 0;
+    /// Packets dropped, whatever the reason.
+    pub(crate) const DROPPED: usize = 1;
+    /// IPv4 header failed validation (version/length/checksum).
+    pub(crate) const BAD_IP_HEADER: usize = 2;
+    /// IPv4 options present.
+    pub(crate) const IP_OPTIONS: usize = 3;
+    /// RFC 1918 source seen on the optical (public) side.
+    pub(crate) const SPOOFED_PRIVATE: usize = 4;
+    /// Frames shorter than an Ethernet header / unparseable L2.
+    pub(crate) const RUNT: usize = 5;
+    /// Fragment with a tiny offset (overlap-attack signature).
+    pub(crate) const TINY_FRAGMENT: usize = 6;
+    /// TTL of zero on arrival.
+    pub(crate) const ZERO_TTL: usize = 7;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 8;
 }
 
 /// Policy switches.
@@ -82,8 +75,7 @@ fn is_rfc1918(addr: u32) -> bool {
 pub struct Sanitizer {
     /// Policy in force.
     pub policy: SanitizerPolicy,
-    /// Statistics.
-    pub stats: SanitizerStats,
+    counters: CounterBank,
     parser: Parser,
 }
 
@@ -98,8 +90,45 @@ impl Sanitizer {
     pub fn new(policy: SanitizerPolicy) -> Sanitizer {
         Sanitizer {
             policy,
-            stats: SanitizerStats::default(),
+            counters: CounterBank::new(counters::LEN),
             parser: Parser,
+        }
+    }
+
+    /// The counter of the reason `packet` is rejected for, `None` when
+    /// it is clean.
+    fn reject(&self, ctx: &ProcessContext, packet: &[u8]) -> Option<usize> {
+        let Some(parsed) = self.parser.parse(packet) else {
+            return Some(counters::RUNT);
+        };
+        if parsed.ethertype != EtherType::Ipv4 {
+            return None;
+        }
+        // Re-validate at full strictness (the parser is tolerant). An
+        // IPv4 frame the parser could not place failed structural
+        // validation.
+        let ip = parsed
+            .ipv4
+            .and_then(|ip| Ipv4Packet::new_checked(&packet[ip.offset..]).ok());
+        let p = &self.policy;
+        match ip {
+            None => Some(counters::BAD_IP_HEADER),
+            Some(ip) if p.check_ip_checksum && !ip.verify_checksum() => {
+                Some(counters::BAD_IP_HEADER)
+            }
+            Some(ip) if p.drop_zero_ttl && ip.ttl() == 0 => Some(counters::ZERO_TTL),
+            Some(ip) if p.drop_ip_options && ip.has_options() => Some(counters::IP_OPTIONS),
+            Some(ip) if p.drop_tiny_fragments && ip.frag_offset() == 1 => {
+                Some(counters::TINY_FRAGMENT)
+            }
+            Some(ip)
+                if p.drop_private_from_optical
+                    && ctx.direction == flexsfp_ppe::Direction::OpticalToEdge
+                    && is_rfc1918(ip.src()) =>
+            {
+                Some(counters::SPOOFED_PRIVATE)
+            }
+            Some(_) => None,
         }
     }
 }
@@ -110,53 +139,17 @@ impl PacketProcessor for Sanitizer {
     }
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
-        let Some(parsed) = self.parser.parse(packet) else {
-            self.stats.runt += 1;
-            return Verdict::Drop;
-        };
-        if parsed.ethertype == EtherType::Ipv4 {
-            // Re-validate at full strictness (the parser is tolerant).
-            let ip_off = match parsed.ipv4 {
-                Some(ip) => ip.offset,
-                None => {
-                    // Claimed IPv4 but failed structural validation.
-                    self.stats.bad_ip_header += 1;
-                    return Verdict::Drop;
-                }
-            };
-            let ip = match Ipv4Packet::new_checked(&packet[ip_off..]) {
-                Ok(ip) => ip,
-                Err(_) => {
-                    self.stats.bad_ip_header += 1;
-                    return Verdict::Drop;
-                }
-            };
-            if self.policy.check_ip_checksum && !ip.verify_checksum() {
-                self.stats.bad_ip_header += 1;
-                return Verdict::Drop;
+        match self.reject(ctx, packet) {
+            None => {
+                self.counters.count(counters::PASSED, packet.len());
+                Verdict::Forward
             }
-            if self.policy.drop_zero_ttl && ip.ttl() == 0 {
-                self.stats.zero_ttl += 1;
-                return Verdict::Drop;
-            }
-            if self.policy.drop_ip_options && ip.has_options() {
-                self.stats.ip_options += 1;
-                return Verdict::Drop;
-            }
-            if self.policy.drop_tiny_fragments && ip.frag_offset() == 1 {
-                self.stats.tiny_fragment += 1;
-                return Verdict::Drop;
-            }
-            if self.policy.drop_private_from_optical
-                && ctx.direction == flexsfp_ppe::Direction::OpticalToEdge
-                && is_rfc1918(ip.src())
-            {
-                self.stats.spoofed_private += 1;
-                return Verdict::Drop;
+            Some(reason) => {
+                self.counters.count(reason, packet.len());
+                self.counters.count(counters::DROPPED, packet.len());
+                Verdict::Drop
             }
         }
-        self.stats.passed += 1;
-        Verdict::Forward
     }
 
     fn resource_manifest(&self) -> ResourceManifest {
@@ -170,17 +163,7 @@ impl PacketProcessor for Sanitizer {
 
     fn control_op(&mut self, op: &TableOp) -> TableOpResult {
         match op {
-            TableOp::ReadCounter { index } => {
-                let packets = match index {
-                    0 => self.stats.passed,
-                    1 => self.stats.dropped(),
-                    2 => self.stats.bad_ip_header,
-                    3 => self.stats.ip_options,
-                    4 => self.stats.spoofed_private,
-                    _ => return TableOpResult::NotFound,
-                };
-                TableOpResult::Counter { packets, bytes: 0 }
-            }
+            TableOp::ReadCounter { index } => self.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }
@@ -212,8 +195,8 @@ mod tests {
             s.process(&ProcessContext::ingress(), &mut pkt),
             Verdict::Forward
         );
-        assert_eq!(s.stats.passed, 1);
-        assert_eq!(s.stats.dropped(), 0);
+        assert_eq!(crate::packets(&s.counters, counters::PASSED), 1);
+        assert_eq!(crate::packets(&s.counters, counters::DROPPED), 0);
     }
 
     #[test]
@@ -225,7 +208,7 @@ mod tests {
             s.process(&ProcessContext::ingress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(s.stats.bad_ip_header, 1);
+        assert_eq!(crate::packets(&s.counters, counters::BAD_IP_HEADER), 1);
     }
 
     #[test]
@@ -242,7 +225,7 @@ mod tests {
             s.process(&ProcessContext::ingress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(s.stats.bad_ip_header, 1);
+        assert_eq!(crate::packets(&s.counters, counters::BAD_IP_HEADER), 1);
     }
 
     #[test]
@@ -269,7 +252,7 @@ mod tests {
             s.process(&ProcessContext::ingress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(s.stats.ip_options, 1);
+        assert_eq!(crate::packets(&s.counters, counters::IP_OPTIONS), 1);
         // With the policy off, it passes.
         let mut lax = Sanitizer::new(SanitizerPolicy {
             drop_ip_options: false,
@@ -296,7 +279,7 @@ mod tests {
             s.process(&ProcessContext::ingress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(s.stats.tiny_fragment, 1);
+        assert_eq!(crate::packets(&s.counters, counters::TINY_FRAGMENT), 1);
     }
 
     #[test]
@@ -310,7 +293,7 @@ mod tests {
                 "{src:08x}"
             );
         }
-        assert_eq!(s.stats.spoofed_private, 3);
+        assert_eq!(crate::packets(&s.counters, counters::SPOOFED_PRIVATE), 3);
         // The same sources are fine from the edge (that's where they
         // legitimately live).
         let mut pkt = clean_frame(0x0a010101);
@@ -333,7 +316,7 @@ mod tests {
             s.process(&ProcessContext::ingress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(s.stats.zero_ttl, 1);
+        assert_eq!(crate::packets(&s.counters, counters::ZERO_TTL), 1);
     }
 
     #[test]
@@ -344,7 +327,7 @@ mod tests {
             s.process(&ProcessContext::ingress(), &mut runt),
             Verdict::Drop
         );
-        assert_eq!(s.stats.runt, 1);
+        assert_eq!(crate::packets(&s.counters, counters::RUNT), 1);
     }
 
     #[test]
@@ -371,7 +354,7 @@ mod tests {
             s.control_op(&TableOp::ReadCounter { index: 4 }),
             TableOpResult::Counter {
                 packets: 1,
-                bytes: 0
+                bytes: pkt.len() as u64
             }
         );
     }

@@ -13,6 +13,7 @@
 
 use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
+use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::parser::{Parser, L4};
 use flexsfp_ppe::state::{Condition, EfsmTable, PacketEvent, RegOp, Transition};
 use flexsfp_ppe::tables::slots_for;
@@ -30,24 +31,22 @@ const R_QUARANTINE_T: usize = 1;
 const SYN: u8 = 0x02;
 const ACK: u8 = 0x10;
 
-/// Guard statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct GuardStats {
+/// Counter indices.
+pub mod counters {
     /// TCP packets inspected.
-    pub inspected: u64,
+    pub(crate) const INSPECTED: usize = 0;
     /// Packets dropped while a source was quarantined.
-    pub dropped: u64,
+    pub(crate) const DROPPED: usize = 1;
     /// Non-TCP traffic passed through.
-    pub passed_non_tcp: u64,
+    pub(crate) const PASSED_NON_TCP: usize = 2;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 3;
 }
 
 /// The SYN-flood guard application.
 pub struct SynFloodGuard {
     efsm: EfsmTable<u32>,
-    /// Statistics.
-    stats: GuardStats,
-    /// Deficit (SYNs minus ACKs) that triggers quarantine.
-    pub threshold: u64,
+    counters: CounterBank,
     parser: Parser,
 }
 
@@ -107,8 +106,7 @@ impl SynFloodGuard {
         ];
         SynFloodGuard {
             efsm: EfsmTable::new(capacity, transitions),
-            stats: GuardStats::default(),
-            threshold,
+            counters: CounterBank::new(counters::LEN),
             parser: Parser,
         }
     }
@@ -134,10 +132,10 @@ impl PacketProcessor for SynFloodGuard {
             return Verdict::Drop;
         };
         let (Some(ip), L4::Tcp { flags, .. }) = (parsed.ipv4, parsed.l4) else {
-            self.stats.passed_non_tcp += 1;
+            self.counters.count(counters::PASSED_NON_TCP, packet.len());
             return Verdict::Forward;
         };
-        self.stats.inspected += 1;
+        self.counters.count(counters::INSPECTED, packet.len());
         let verdict = self.efsm.step(
             ip.src,
             &PacketEvent {
@@ -147,7 +145,7 @@ impl PacketProcessor for SynFloodGuard {
             },
         );
         if verdict == Verdict::Drop {
-            self.stats.dropped += 1;
+            self.counters.count(counters::DROPPED, packet.len());
         }
         verdict
     }
@@ -172,14 +170,7 @@ impl PacketProcessor for SynFloodGuard {
                     None => TableOpResult::NotFound,
                 }
             }
-            TableOp::ReadCounter { index } => {
-                let packets = match index {
-                    0 => self.stats.inspected,
-                    1 => self.stats.dropped,
-                    _ => return TableOpResult::NotFound,
-                };
-                TableOpResult::Counter { packets, bytes: 0 }
-            }
+            TableOp::ReadCounter { index } => self.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }
@@ -246,7 +237,7 @@ mod tests {
             );
         }
         assert!(!quarantined(&g, CLIENT));
-        assert_eq!(g.stats.dropped, 0);
+        assert_eq!(crate::packets(&g.counters, counters::DROPPED), 0);
     }
 
     #[test]
@@ -310,8 +301,8 @@ mod tests {
             g.process(&ProcessContext::egress(), &mut udp),
             Verdict::Forward
         );
-        assert_eq!(g.stats.passed_non_tcp, 1);
-        assert_eq!(g.stats.inspected, 0);
+        assert_eq!(crate::packets(&g.counters, counters::PASSED_NON_TCP), 1);
+        assert_eq!(crate::packets(&g.counters, counters::INSPECTED), 0);
     }
 
     #[test]

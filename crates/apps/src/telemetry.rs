@@ -14,6 +14,7 @@
 
 use flexsfp_fabric::resources::ResourceManifest;
 use flexsfp_fabric::sram::{MemoryPlanner, TableShape};
+use flexsfp_ppe::counters::CounterBank;
 use flexsfp_ppe::parser::Parser;
 use flexsfp_ppe::tables::{slots_for, FiveTuple, HashTable};
 use flexsfp_ppe::{PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
@@ -42,8 +43,6 @@ pub(crate) struct MicroburstDetector {
     pub threshold_bytes: u64,
     window_start_ns: u64,
     window_bytes: u64,
-    /// Bursty windows observed.
-    pub bursts: u64,
     /// Peak single-window byte count.
     pub peak_bytes: u64,
 }
@@ -57,7 +56,6 @@ impl MicroburstDetector {
             threshold_bytes,
             window_start_ns: 0,
             window_bytes: 0,
-            bursts: 0,
             peak_bytes: 0,
         }
     }
@@ -72,11 +70,7 @@ impl MicroburstDetector {
         let before = self.window_bytes;
         self.window_bytes += len as u64;
         self.peak_bytes = self.peak_bytes.max(self.window_bytes);
-        let crossed = before < self.threshold_bytes && self.window_bytes >= self.threshold_bytes;
-        if crossed {
-            self.bursts += 1;
-        }
-        crossed
+        before < self.threshold_bytes && self.window_bytes >= self.threshold_bytes
     }
 }
 
@@ -112,6 +106,19 @@ impl ExportRecord {
     }
 }
 
+/// Counter indices.
+pub mod counters {
+    /// Packets observed (every frame that parses).
+    pub(crate) const OBSERVED: usize = 0;
+    /// Packets whose flow could not be tracked (hash bucket full).
+    pub(crate) const UNTRACKED: usize = 1;
+    /// Packets that tipped a window over the burst threshold: one per
+    /// bursty window.
+    pub(crate) const BURSTS: usize = 2;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 3;
+}
+
 /// The telemetry probe application.
 pub struct TelemetryProbe {
     flows: HashTable<FiveTuple, FlowRecord>,
@@ -120,8 +127,7 @@ pub struct TelemetryProbe {
     /// Enable in-band timestamp tagging (IPv4 ID rewrite).
     pub tag_timestamps: bool,
     parser: Parser,
-    /// Flows that could not be tracked (hash bucket full).
-    pub untracked: u64,
+    counters: CounterBank,
 }
 
 impl TelemetryProbe {
@@ -133,7 +139,7 @@ impl TelemetryProbe {
             microburst: MicroburstDetector::new(window_ns, burst_threshold_bytes),
             tag_timestamps: false,
             parser: Parser,
-            untracked: 0,
+            counters: CounterBank::new(counters::LEN),
         }
     }
 
@@ -157,6 +163,11 @@ impl TelemetryProbe {
         }
         out
     }
+
+    /// Bursty windows observed.
+    fn bursts(&self) -> u64 {
+        self.counters.get(counters::BURSTS).map_or(0, |c| c.packets)
+    }
 }
 
 impl PacketProcessor for TelemetryProbe {
@@ -168,7 +179,10 @@ impl PacketProcessor for TelemetryProbe {
         let Some(parsed) = self.parser.parse(packet) else {
             return Verdict::Forward; // observe, never interfere
         };
-        self.microburst.record(ctx.timestamp_ns, packet.len());
+        self.counters.count(counters::OBSERVED, packet.len());
+        if self.microburst.record(ctx.timestamp_ns, packet.len()) {
+            self.counters.count(counters::BURSTS, packet.len());
+        }
         if let Some(key) = parsed.five_tuple() {
             let mut rec = self.flows.lookup(&key).unwrap_or(FlowRecord {
                 first_ns: ctx.timestamp_ns,
@@ -178,7 +192,7 @@ impl PacketProcessor for TelemetryProbe {
             rec.bytes += packet.len() as u64;
             rec.last_ns = ctx.timestamp_ns;
             if self.flows.insert(key, rec).is_err() {
-                self.untracked += 1;
+                self.counters.count(counters::UNTRACKED, packet.len());
             }
         }
         if self.tag_timestamps {
@@ -215,7 +229,7 @@ impl PacketProcessor for TelemetryProbe {
             TableOp::Read { table: 1, .. } => {
                 let mut out = Vec::with_capacity(24);
                 out.extend_from_slice(&(self.flows.len() as u64).to_be_bytes());
-                out.extend_from_slice(&self.microburst.bursts.to_be_bytes());
+                out.extend_from_slice(&self.bursts().to_be_bytes());
                 out.extend_from_slice(&self.microburst.peak_bytes.to_be_bytes());
                 TableOpResult::Value(out)
             }
@@ -226,6 +240,7 @@ impl PacketProcessor for TelemetryProbe {
                 self.flows.clear();
                 TableOpResult::Ok
             }
+            TableOp::ReadCounter { index } => self.counters.get(*index as usize).into(),
             _ => TableOpResult::Unsupported,
         }
     }
@@ -318,14 +333,14 @@ mod tests {
         for i in 0..20u64 {
             let mut pkt = frame(5000);
             pkt.resize(1000, 0);
-            let before = p.microburst.bursts;
+            let before = p.bursts();
             p.process(&ProcessContext::egress().at(i * 1_000), &mut pkt);
-            if p.microburst.bursts > before {
+            if p.bursts() > before {
                 burst_flagged = true;
             }
         }
         assert!(burst_flagged);
-        assert_eq!(p.microburst.bursts, 1);
+        assert_eq!(p.bursts(), 1);
         assert!(p.microburst.peak_bytes >= 10_000);
         // Spread the same bytes over many windows: no new burst.
         for i in 0..20u64 {
@@ -336,7 +351,7 @@ mod tests {
                 &mut pkt,
             );
         }
-        assert_eq!(p.microburst.bursts, 1);
+        assert_eq!(p.bursts(), 1);
     }
 
     #[test]

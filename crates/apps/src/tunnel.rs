@@ -37,6 +37,8 @@ pub mod counters {
     pub(crate) const DECAPPED: usize = 1;
     /// Reverse-direction frames that were not our tunnel.
     pub(crate) const PASSED: usize = 2;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 3;
 }
 
 /// The tunnel gateway application.
@@ -58,7 +60,7 @@ impl TunnelGateway {
             kind,
             local,
             remote,
-            engine: ActionEngine::new(4),
+            engine: ActionEngine::new(counters::LEN),
             parser: Parser,
         }
     }
@@ -255,7 +257,7 @@ mod tests {
             Verdict::Forward
         );
         assert_ne!(pkt, orig);
-        assert_eq!(gw.engine.counters.get(counters::ENCAPPED).packets, 1);
+        assert_eq!(crate::packets(&gw.engine.counters, counters::ENCAPPED), 1);
         // The far-end module would decap; simulate the return path by
         // swapping outer addresses.
         let mut returning = pkt.clone();
@@ -271,7 +273,7 @@ mod tests {
             gw.process(&ProcessContext::ingress(), &mut returning),
             Verdict::Forward
         );
-        assert_eq!(gw.engine.counters.get(counters::DECAPPED).packets, 1);
+        assert_eq!(crate::packets(&gw.engine.counters, counters::DECAPPED), 1);
         // Inner frame recovered intact.
         assert_eq!(returning, orig);
     }
@@ -301,7 +303,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(gw.engine.counters.get(counters::PASSED).packets, 1);
+        assert_eq!(crate::packets(&gw.engine.counters, counters::PASSED), 1);
     }
 
     #[test]
@@ -326,7 +328,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(gw_b.engine.counters.get(counters::PASSED).packets, 1);
+        assert_eq!(crate::packets(&gw_b.engine.counters, counters::PASSED), 1);
     }
 
     #[test]
@@ -359,7 +361,7 @@ mod tests {
             gw.process(&ProcessContext::egress(), &mut arp),
             Verdict::Forward
         );
-        assert_eq!(gw.engine.counters.get(counters::ENCAPPED).packets, 1);
+        assert_eq!(crate::packets(&gw.engine.counters, counters::ENCAPPED), 1);
         let p = Parser.parse(&arp).unwrap();
         assert!(p.ipv4.is_some());
     }

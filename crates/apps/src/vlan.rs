@@ -20,6 +20,8 @@ pub mod counters {
     /// Frames dropped because they arrived already-tagged on an access
     /// port (tag spoofing).
     pub(crate) const SPOOF_DROPPED: usize = 2;
+    /// Counters in the bank.
+    pub(crate) const LEN: usize = 3;
 }
 
 /// The VLAN access tagger / QinQ application.
@@ -44,7 +46,7 @@ impl VlanTagger {
             pcp: 0,
             s_tag: None,
             drop_tagged_ingress: true,
-            engine: ActionEngine::new(4),
+            engine: ActionEngine::new(counters::LEN),
             parser: Parser,
         }
     }
@@ -187,7 +189,7 @@ mod tests {
         );
         let p = Parser.parse(&pkt).unwrap();
         assert_eq!(p.vlans, vec![100]);
-        assert_eq!(t.engine.counters.get(counters::TAGGED).packets, 1);
+        assert_eq!(crate::packets(&t.engine.counters, counters::TAGGED), 1);
 
         // Now the frame comes back from the network.
         assert_eq!(
@@ -195,7 +197,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, orig);
-        assert_eq!(t.engine.counters.get(counters::UNTAGGED).packets, 1);
+        assert_eq!(crate::packets(&t.engine.counters, counters::UNTAGGED), 1);
     }
 
     #[test]
@@ -219,7 +221,10 @@ mod tests {
             t.process(&ProcessContext::egress(), &mut pkt),
             Verdict::Drop
         );
-        assert_eq!(t.engine.counters.get(counters::SPOOF_DROPPED).packets, 1);
+        assert_eq!(
+            crate::packets(&t.engine.counters, counters::SPOOF_DROPPED),
+            1
+        );
     }
 
     #[test]
@@ -245,7 +250,7 @@ mod tests {
             Verdict::Forward
         );
         assert_eq!(pkt, before);
-        assert_eq!(t.engine.counters.get(counters::UNTAGGED).packets, 0);
+        assert_eq!(crate::packets(&t.engine.counters, counters::UNTAGGED), 0);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::reprogram::{UpdateError, UpdateFsm, UpdateState};
 use flexsfp_fabric::flash::SpiFlash;
 use flexsfp_fabric::i2c::DomReading;
 use flexsfp_obs::json::{self, FromJson, ToJson, Value};
+use flexsfp_obs::CtrlCounters;
 use flexsfp_ppe::{PacketProcessor, TableOp, TableOpResult};
 use flexsfp_wire::builder::PacketBuilder;
 use flexsfp_wire::{EthernetFrame, Ipv4Packet, MacAddr, UdpDatagram};
@@ -232,9 +233,7 @@ pub struct ControlPlane {
     /// Set when an `Activate` was accepted; the module consumes it and
     /// reboots from the slot.
     pub pending_activation: Option<usize>,
-    update_aborts: u64,
-    update_errors: u64,
-    status_queries: u64,
+    ctrl: CtrlCounters,
 }
 
 impl ControlPlane {
@@ -246,9 +245,7 @@ impl ControlPlane {
             key,
             fsm: UpdateFsm::new(),
             pending_activation: None,
-            update_aborts: 0,
-            update_errors: 0,
-            status_queries: 0,
+            ctrl: CtrlCounters::default(),
         }
     }
 
@@ -258,13 +255,8 @@ impl ControlPlane {
     }
 
     /// Lifetime control-plane resilience counters for telemetry export.
-    pub fn ctrl_counters(&self) -> flexsfp_obs::CtrlCounters {
-        flexsfp_obs::CtrlCounters {
-            dup_chunk_acks: self.fsm.dup_acks(),
-            update_aborts: self.update_aborts,
-            update_errors: self.update_errors,
-            status_queries: self.status_queries,
-        }
+    pub fn ctrl_counters(&self) -> CtrlCounters {
+        self.ctrl
     }
 
     /// Tear down any in-progress update without counting it as a
@@ -388,6 +380,7 @@ impl ControlPlane {
             }
             ControlRequest::UpdateChunk { seq, data } => {
                 let r = self.fsm.chunk(seq, &data);
+                let r = r.map(|dup| self.ctrl.dup_chunk_acks += u64::from(dup));
                 self.fsm_result(r)
             }
             ControlRequest::CommitUpdate => {
@@ -406,13 +399,13 @@ impl ControlPlane {
             }
             ControlRequest::AbortUpdate => {
                 if !matches!(self.fsm.state(), UpdateState::Idle) {
-                    self.update_aborts += 1;
+                    self.ctrl.update_aborts += 1;
                 }
                 self.fsm.abort();
                 ControlResponse::Ack
             }
             ControlRequest::QueryUpdate => {
-                self.status_queries += 1;
+                self.ctrl.status_queries += 1;
                 match *self.fsm.state() {
                     UpdateState::Idle => ControlResponse::UpdateStatus {
                         state: "idle".into(),
@@ -457,7 +450,7 @@ impl ControlPlane {
         match r {
             Ok(()) => ControlResponse::Ack,
             Err(e) => {
-                self.update_errors += 1;
+                self.ctrl.update_errors += 1;
                 ControlResponse::Error(e.to_string())
             }
         }

@@ -16,7 +16,7 @@ use flexsfp_fabric::serdes::Transceiver;
 use flexsfp_fabric::SpiFlash;
 use flexsfp_obs::{
     CacheStats, DomSnapshot, DropCounters, EventKind, EventRing, FlightRecord, LatencyHistogram,
-    PortCounters, TelemetrySnapshot, WindowedSeries,
+    TelemetrySnapshot, WindowedSeries,
 };
 use flexsfp_ppe::engine::PassThrough;
 use flexsfp_ppe::{stage_start_cycle, PacketProcessor};
@@ -473,10 +473,10 @@ impl FlexSfp {
             app: self.app.name().to_string(),
             app_version: self.app_version,
             boots: self.boots,
-            edge_rx: port_counters(&self.edge.rx),
-            edge_tx: port_counters(&self.edge.tx),
-            optical_rx: port_counters(&self.optical.rx),
-            optical_tx: port_counters(&self.optical.tx),
+            edge_rx: self.edge.rx,
+            edge_tx: self.edge.tx,
+            optical_rx: self.optical.rx,
+            optical_tx: self.optical.tx,
             drops: self.lifetime_drops,
             latency: self.lifetime_latency.clone(),
             dom: DomSnapshot::from_milliwatts(
@@ -502,14 +502,6 @@ impl FlexSfp {
 /// the start of the stage past `app`'s last.
 fn pipeline_cycles(app: &dyn PacketProcessor) -> u64 {
     u64::from(stage_start_cycle(app.pipeline_depth() as usize))
-}
-
-fn port_counters(lane: &flexsfp_fabric::serdes::LaneCounters) -> PortCounters {
-    PortCounters {
-        frames: lane.frames,
-        bytes: lane.bytes,
-        errors: lane.errors,
-    }
 }
 
 /// Stable lowercase label for a fault diagnosis (Prometheus-friendly).

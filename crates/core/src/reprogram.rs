@@ -76,7 +76,6 @@ impl std::error::Error for UpdateError {}
 pub struct UpdateFsm {
     state: UpdateState,
     buffer: Vec<u8>,
-    dup_acks: u64,
 }
 
 impl Default for UpdateFsm {
@@ -91,19 +90,12 @@ impl UpdateFsm {
         UpdateFsm {
             state: UpdateState::Idle,
             buffer: Vec::new(),
-            dup_acks: 0,
         }
     }
 
     /// Current state.
     pub fn state(&self) -> &UpdateState {
         &self.state
-    }
-
-    /// Lifetime count of duplicate last-chunk retransmits acknowledged
-    /// idempotently (each one is a lost ack the sender had to resend).
-    pub fn dup_acks(&self) -> u64 {
-        self.dup_acks
     }
 
     /// Begin an update targeting `slot` (1..SLOTS; 0 is golden).
@@ -134,8 +126,10 @@ impl UpdateFsm {
         Ok(())
     }
 
-    /// Feed chunk `seq`.
-    pub fn chunk(&mut self, seq: u32, data: &[u8]) -> Result<(), UpdateError> {
+    /// Feed chunk `seq`. `Ok(true)` when it retransmits the last
+    /// accepted chunk, acknowledged idempotently (a lost ack the sender
+    /// had to resend).
+    pub fn chunk(&mut self, seq: u32, data: &[u8]) -> Result<bool, UpdateError> {
         let UpdateState::Receiving {
             total_len,
             next_seq,
@@ -149,8 +143,7 @@ impl UpdateFsm {
             // Retransmit of the last accepted chunk: its ack was lost in
             // flight. The bytes are already in the buffer, so acknowledge
             // idempotently instead of wedging the sender with an error.
-            self.dup_acks += 1;
-            return Ok(());
+            return Ok(true);
         }
         if seq != *next_seq {
             return Err(UpdateError::BadSequence {
@@ -164,7 +157,7 @@ impl UpdateFsm {
         self.buffer.extend_from_slice(data);
         *received += data.len();
         *next_seq += 1;
-        Ok(())
+        Ok(false)
     }
 
     /// Verify the assembled image and commit it to flash. On success the
@@ -263,26 +256,26 @@ mod tests {
         let crc = crc32(&img);
         fsm.begin(1, img.len(), crc).unwrap();
         let chunks: Vec<&[u8]> = img.chunks(MAX_CHUNK).collect();
-        fsm.chunk(0, chunks[0]).unwrap();
+        assert_eq!(fsm.chunk(0, chunks[0]), Ok(false));
         // The ack for chunk 0 was lost; the sender retransmits it.
-        fsm.chunk(0, chunks[0]).unwrap();
-        fsm.chunk(0, chunks[0]).unwrap();
-        assert_eq!(fsm.dup_acks(), 2);
+        assert_eq!(fsm.chunk(0, chunks[0]), Ok(true));
+        assert_eq!(fsm.chunk(0, chunks[0]), Ok(true));
         // The buffer took the bytes exactly once: the rest of the image
         // still fits and the commit CRC still matches.
-        fsm.chunk(1, chunks[1]).unwrap();
-        fsm.chunk(1, chunks[1]).unwrap();
-        fsm.chunk(2, chunks[2]).unwrap();
+        assert_eq!(fsm.chunk(1, chunks[1]), Ok(false));
+        assert_eq!(fsm.chunk(1, chunks[1]), Ok(true));
+        assert_eq!(fsm.chunk(2, chunks[2]), Ok(false));
         assert_eq!(fsm.commit(&mut flash).unwrap(), 1);
         assert_eq!(flash.image(1).unwrap(), &img[..]);
-        assert_eq!(fsm.dup_acks(), 3);
     }
 
     #[test]
     fn genuinely_out_of_order_chunk_still_rejected() {
         let mut fsm = UpdateFsm::new();
         fsm.begin(1, 4096, 0).unwrap();
-        fsm.chunk(0, &[0u8; 1024]).unwrap();
+        // A duplicate before any chunk was accepted cannot exist; seq 0
+        // at next_seq 0 is simply the first chunk.
+        assert_eq!(fsm.chunk(0, &[0u8; 1024]), Ok(false));
         fsm.chunk(1, &[0u8; 1024]).unwrap();
         // Ahead of the window: rejected.
         assert_eq!(
@@ -300,9 +293,6 @@ mod tests {
                 got: 0
             })
         );
-        // A duplicate before any chunk was accepted cannot exist; seq 0
-        // at next_seq 0 is simply the first chunk.
-        assert_eq!(fsm.dup_acks(), 0);
     }
 
     #[test]

@@ -48,4 +48,4 @@ pub use power::PowerModel;
 pub use resources::{Device, FitReport, ResourceManifest};
 pub use serdes::Transceiver;
 pub use stream::DatapathConfig;
-pub use xbar::{CrosspointMatrix, XbarTotals};
+pub use xbar::CrosspointMatrix;

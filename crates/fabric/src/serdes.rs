@@ -6,6 +6,8 @@
 //! delivers exactly 10.0 Gb/s of MAC-layer bits. Per-frame line-rate
 //! arithmetic (preamble and IFG included) is `traffic::rate`'s.
 
+use flexsfp_obs::PortCounters;
+
 /// MAC-layer bit rate of a 10GBASE-R lane (after line coding).
 pub const MAC_BPS: u64 = 10_000_000_000;
 
@@ -30,27 +32,17 @@ impl Default for OpticalHealth {
     }
 }
 
-/// One direction of a transceiver lane, with frame/byte counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaneCounters {
-    /// Frames transferred.
-    pub frames: u64,
-    /// Frame bytes transferred (excluding preamble/IFG).
-    pub bytes: u64,
-    /// Frames dropped due to signal errors.
-    pub errors: u64,
-}
-
 /// A bidirectional 10GBASE-R transceiver: the electrical-edge or
 /// optical-side SerDes of the module.
 #[derive(Debug, Clone)]
 pub struct Transceiver {
     /// Identifying label ("electrical", "optical").
     pub name: String,
-    /// Receive-direction counters.
-    pub rx: LaneCounters,
-    /// Transmit-direction counters.
-    pub tx: LaneCounters,
+    /// Receive-direction counters: frames, frame bytes (excluding
+    /// preamble/IFG) and frames lost to a dark lane.
+    pub rx: PortCounters,
+    /// Transmit-direction counters, likewise.
+    pub tx: PortCounters,
     /// Optical health (meaningful for the optical-side lane).
     pub health: OpticalHealth,
     /// Receiver sensitivity threshold in dBm: below this, frames are lost.
@@ -63,8 +55,8 @@ impl Transceiver {
     pub fn new(name: &str) -> Transceiver {
         Transceiver {
             name: name.into(),
-            rx: LaneCounters::default(),
-            tx: LaneCounters::default(),
+            rx: PortCounters::default(),
+            tx: PortCounters::default(),
             health: OpticalHealth::default(),
             rx_sensitivity_dbm: -11.1, // 10GBASE-SR receiver sensitivity
             enabled: false,

@@ -12,7 +12,8 @@
 //! the queued item so the host layer can queue timestamped frames while
 //! unit tests queue integers. Buffering reuses [`crate::fifo::Fifo`],
 //! so per-crosspoint occupancy, high-water and overflow statistics come
-//! for free and flow into the `flexsfp_xbar_*` telemetry family.
+//! for free; [`CrosspointMatrix::telemetry`] reads them into the
+//! [`XbarTelemetry`] the `flexsfp_xbar_*` family renders.
 //!
 //! An arbiter in hardware does not visit its column's queues: each
 //! crosspoint raises a valid bit and a priority encoder picks the first
@@ -25,19 +26,7 @@
 //! what the matrix could hold.
 
 use crate::fifo::{Fifo, FifoStats};
-
-/// Aggregate counters across the whole matrix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XbarTotals {
-    /// Items accepted into some crosspoint queue.
-    pub enqueued: u64,
-    /// Items rejected because their crosspoint queue was full.
-    pub dropped: u64,
-    /// Items granted (popped) by output arbitration.
-    pub granted: u64,
-    /// Deepest occupancy any single crosspoint ever reached.
-    pub high_water: usize,
-}
+use flexsfp_obs::{CrosspointCounters, XbarTelemetry};
 
 /// An N×N matrix of bounded crosspoint queues with per-output
 /// round-robin arbitration.
@@ -111,11 +100,6 @@ impl<T> CrosspointMatrix<T> {
         self.ports
     }
 
-    /// Slots per crosspoint queue.
-    pub fn depth(&self) -> usize {
-        self.queues[0].capacity()
-    }
-
     #[inline]
     fn idx(&self, input: usize, output: usize) -> usize {
         debug_assert!(input < self.ports && output < self.ports);
@@ -176,26 +160,41 @@ impl<T> CrosspointMatrix<T> {
         self.occupancy
     }
 
-    /// Lifetime statistics of one crosspoint queue.
-    pub fn crosspoint_stats(&self, input: usize, output: usize) -> FifoStats {
-        self.queues[self.idx(input, output)].stats()
-    }
-
-    /// Lifetime grants issued by `output`'s arbiter.
-    pub fn grants(&self, output: usize) -> u64 {
-        self.grants[output]
-    }
-
-    /// Aggregate counters across every crosspoint.
-    pub fn totals(&self) -> XbarTotals {
-        let mut t = XbarTotals::default();
-        for q in &self.queues {
-            let s = q.stats();
-            t.enqueued += s.pushed;
-            t.dropped += s.overflows;
-            t.high_water = t.high_water.max(s.high_water);
+    /// Lifetime telemetry: geometry, aggregates, per-output grants and
+    /// the counters of every crosspoint that ever held a frame, in
+    /// (input, output) order.
+    pub fn telemetry(&self) -> XbarTelemetry {
+        let mut t = XbarTelemetry {
+            ports: self.ports as u64,
+            depth: self.queues[0].capacity() as u64,
+            granted: self.grants.iter().sum(),
+            output_grants: self.grants.clone(),
+            ..XbarTelemetry::default()
+        };
+        for (i, q) in self.queues.iter().enumerate() {
+            // Every FIFO counter, by name: one the export lacks does not
+            // compile.
+            let FifoStats {
+                pushed,
+                popped,
+                overflows,
+                high_water,
+            } = q.stats();
+            if pushed == 0 && overflows == 0 {
+                continue;
+            }
+            t.enqueued += pushed;
+            t.dropped += overflows;
+            t.high_water = t.high_water.max(high_water as u64);
+            t.crosspoints.push(CrosspointCounters {
+                input: (i / self.ports) as u64,
+                output: (i % self.ports) as u64,
+                enqueued: pushed,
+                granted: popped,
+                dropped: overflows,
+                high_water: high_water as u64,
+            });
         }
-        t.granted = self.grants.iter().sum();
         t
     }
 }
@@ -217,7 +216,7 @@ mod tests {
         // input before touching the next.
         let order: Vec<usize> = (0..12).map(|_| m.arbitrate(3).unwrap().0).collect();
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]);
-        assert_eq!(m.grants(3), 12);
+        assert_eq!(m.telemetry().output_grants, [0, 0, 0, 12]);
         assert_eq!(m.occupancy(), 0);
     }
 
@@ -242,23 +241,44 @@ mod tests {
         // …but input 0 → output 1 still accepts: no HOL coupling.
         m.offer(0, 1, 3).unwrap();
         assert_eq!(m.arbitrate(1), Some((0, 3)));
-        assert_eq!(m.crosspoint_stats(0, 0).overflows, 1);
-        assert_eq!(m.crosspoint_stats(0, 1).overflows, 0);
+        let dropped: Vec<_> = m
+            .telemetry()
+            .crosspoints
+            .iter()
+            .map(|c| (c.input, c.output, c.dropped))
+            .collect();
+        assert_eq!(dropped, [(0, 0, 1), (0, 1, 0)]);
     }
 
     #[test]
-    fn totals_aggregate_per_crosspoint_counters() {
-        let mut m: CrosspointMatrix<u32> = CrosspointMatrix::new(2, 2);
+    fn telemetry_lists_only_crosspoints_that_held_a_frame() {
+        let mut m: CrosspointMatrix<u32> = CrosspointMatrix::new(3, 2);
         for k in 0..3 {
             let _ = m.offer(0, 1, k); // third push overflows
         }
         m.offer(1, 0, 9).unwrap();
         m.arbitrate(1).unwrap();
-        let t = m.totals();
-        assert_eq!(t.enqueued, 3);
-        assert_eq!(t.dropped, 1);
-        assert_eq!(t.granted, 1);
-        assert_eq!(t.high_water, 2);
+        let cell = |input, output, enqueued, granted, dropped, high_water| CrosspointCounters {
+            input,
+            output,
+            enqueued,
+            granted,
+            dropped,
+            high_water,
+        };
+        assert_eq!(
+            m.telemetry(),
+            XbarTelemetry {
+                ports: 3,
+                depth: 2,
+                enqueued: 3,
+                granted: 1,
+                dropped: 1,
+                high_water: 2,
+                output_grants: vec![0, 1, 0],
+                crosspoints: vec![cell(0, 1, 2, 1, 1, 2), cell(1, 0, 1, 0, 0, 1)],
+            }
+        );
         assert_eq!(m.occupancy(), 2);
         assert_eq!(m.column_len(1), 1);
         assert_eq!(m.column_len(0), 1);

@@ -5,17 +5,17 @@
 //! column one input at a time from the round-robin pointer,
 //! `(start + step) % ports`. Seeded offer/arbitrate sequences run
 //! against both, and after every call every observable must agree: the
-//! grant or the refusal itself, the statistics of every crosspoint in
-//! the touched column, the output's grant counter, the matrix totals,
-//! the occupancy, the column length and emptiness. Port counts sit on
+//! grant or the refusal itself, the telemetry (the counters of every
+//! crosspoint that ever held a frame, each output's grant counter and
+//! the aggregates), the occupancy and the column length. Port counts sit on
 //! both sides of every 64-input boundary, so an implementation that
 //! keeps per-column state in machine words is held to the same answers
 //! as one that visits the queues.
 //!
 //! A failure names the case's seed, which reproduces it alone.
 
-use flexsfp_fabric::fifo::FifoStats;
-use flexsfp_fabric::xbar::{CrosspointMatrix, XbarTotals};
+use flexsfp_fabric::xbar::CrosspointMatrix;
+use flexsfp_obs::{CrosspointCounters, XbarTelemetry};
 use flexsfp_traffic::rng::Xoshiro256;
 use std::collections::VecDeque;
 
@@ -23,9 +23,9 @@ use std::collections::VecDeque;
 struct Model {
     ports: usize,
     depth: usize,
-    /// Row-major, `input * ports + output`.
+    /// Row-major, `input * ports + output`, each with its counters.
     queues: Vec<VecDeque<u32>>,
-    stats: Vec<FifoStats>,
+    stats: Vec<CrosspointCounters>,
     rr_next: Vec<usize>,
     grants: Vec<u64>,
 }
@@ -36,7 +36,13 @@ impl Model {
             ports,
             depth,
             queues: vec![VecDeque::new(); ports * ports],
-            stats: vec![FifoStats::default(); ports * ports],
+            stats: (0..ports * ports)
+                .map(|i| CrosspointCounters {
+                    input: (i / ports) as u64,
+                    output: (i % ports) as u64,
+                    ..CrosspointCounters::default()
+                })
+                .collect(),
             rr_next: vec![0; ports],
             grants: vec![0; ports],
         }
@@ -45,12 +51,13 @@ impl Model {
     fn offer(&mut self, input: usize, output: usize, item: u32) -> Result<(), u32> {
         let i = input * self.ports + output;
         if self.queues[i].len() >= self.depth {
-            self.stats[i].overflows += 1;
+            self.stats[i].dropped += 1;
             return Err(item);
         }
         self.queues[i].push_back(item);
-        self.stats[i].pushed += 1;
-        self.stats[i].high_water = self.stats[i].high_water.max(self.queues[i].len());
+        self.stats[i].enqueued += 1;
+        let len = self.queues[i].len() as u64;
+        self.stats[i].high_water = self.stats[i].high_water.max(len);
         Ok(())
     }
 
@@ -60,7 +67,7 @@ impl Model {
             let input = (start + step) % self.ports;
             let i = input * self.ports + output;
             if let Some(item) = self.queues[i].pop_front() {
-                self.stats[i].popped += 1;
+                self.stats[i].granted += 1;
                 self.rr_next[output] = (input + 1) % self.ports;
                 self.grants[output] += 1;
                 return Some((input, item));
@@ -79,17 +86,25 @@ impl Model {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
-    fn totals(&self) -> XbarTotals {
-        let mut t = XbarTotals {
-            granted: self.grants.iter().sum(),
-            ..XbarTotals::default()
-        };
-        for s in &self.stats {
-            t.enqueued += s.pushed;
-            t.dropped += s.overflows;
-            t.high_water = t.high_water.max(s.high_water);
+    /// The crosspoints that ever accepted or refused a frame, and what
+    /// they add up to.
+    fn telemetry(&self) -> XbarTelemetry {
+        let crosspoints: Vec<CrosspointCounters> = self
+            .stats
+            .iter()
+            .filter(|c| c.enqueued + c.dropped > 0)
+            .copied()
+            .collect();
+        XbarTelemetry {
+            ports: self.ports as u64,
+            depth: self.depth as u64,
+            enqueued: crosspoints.iter().map(|c| c.enqueued).sum(),
+            granted: crosspoints.iter().map(|c| c.granted).sum(),
+            dropped: crosspoints.iter().map(|c| c.dropped).sum(),
+            high_water: crosspoints.iter().map(|c| c.high_water).max().unwrap_or(0),
+            output_grants: self.grants.clone(),
+            crosspoints,
         }
-        t
     }
 }
 
@@ -120,15 +135,7 @@ impl std::fmt::Display for Ctx {
 
 /// Everything observable after a call that touched `output`'s column.
 fn assert_same_view(m: &CrosspointMatrix<u32>, model: &Model, output: usize, ctx: Ctx) {
-    for input in 0..model.ports {
-        assert_eq!(
-            m.crosspoint_stats(input, output),
-            model.stats[input * model.ports + output],
-            "{ctx}: crosspoint ({input}, {output})"
-        );
-    }
-    assert_eq!(m.grants(output), model.grants[output], "{ctx}: grants");
-    assert_eq!(m.totals(), model.totals(), "{ctx}: totals");
+    assert_eq!(m.telemetry(), model.telemetry(), "{ctx}: telemetry");
     let occupancy = model.occupancy();
     assert_eq!(m.occupancy(), occupancy, "{ctx}: occupancy");
     assert_eq!(
@@ -149,7 +156,7 @@ fn run_case(ports: usize, depth: usize, steps: usize, seed: u64) {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut m: CrosspointMatrix<u32> = CrosspointMatrix::new(ports, depth);
     let mut model = Model::new(ports, depth);
-    assert_eq!((m.ports(), m.depth()), (ports, depth));
+    assert_eq!(m.ports(), ports);
     let mut ctx = Ctx {
         seed,
         ports,
@@ -224,15 +231,7 @@ fn run_case(ports: usize, depth: usize, steps: usize, seed: u64) {
         assert_same_view(&m, &model, output, ctx);
     }
     assert_eq!(m.occupancy(), 0, "{ctx}");
-    for input in 0..ports {
-        for output in 0..ports {
-            assert_eq!(
-                m.crosspoint_stats(input, output),
-                model.stats[input * ports + output],
-                "{ctx}: final ({input}, {output})"
-            );
-        }
-    }
+    assert_eq!(m.telemetry(), model.telemetry(), "{ctx}: final telemetry");
 
     // The sequence reached what it is there to reach.
     assert!(grants > 0 && refusals > 0, "{ctx}: {grants} / {refusals}");

@@ -34,7 +34,7 @@
 use crate::cage::{through_cage, Cage, ModulePass};
 use flexsfp_core::module::FlexSfp;
 use flexsfp_fabric::xbar::CrosspointMatrix;
-use flexsfp_obs::{CrosspointCounters, LatencyHistogram, TelemetrySnapshot, XbarTelemetry};
+use flexsfp_obs::{LatencyHistogram, TelemetrySnapshot, XbarTelemetry};
 use flexsfp_ppe::Direction;
 use flexsfp_wire::{EthernetFrame, MacAddr};
 use std::collections::HashMap;
@@ -426,35 +426,7 @@ impl CrossbarSwitch {
     /// Switch-level crossbar telemetry: geometry, aggregates,
     /// per-output grants and the sparse per-crosspoint counters.
     pub fn telemetry(&self) -> XbarTelemetry {
-        let ports = self.cages.len();
-        let totals = self.bridge.matrix.totals();
-        let mut crosspoints = Vec::new();
-        for input in 0..ports {
-            for output in 0..ports {
-                let s = self.bridge.matrix.crosspoint_stats(input, output);
-                if s.pushed == 0 && s.overflows == 0 {
-                    continue;
-                }
-                crosspoints.push(CrosspointCounters {
-                    input: input as u64,
-                    output: output as u64,
-                    enqueued: s.pushed,
-                    granted: s.popped,
-                    dropped: s.overflows,
-                    high_water: s.high_water as u64,
-                });
-            }
-        }
-        XbarTelemetry {
-            ports: ports as u64,
-            depth: self.bridge.matrix.depth() as u64,
-            enqueued: totals.enqueued,
-            granted: totals.granted,
-            dropped: totals.dropped,
-            high_water: totals.high_water as u64,
-            output_grants: (0..ports).map(|p| self.bridge.matrix.grants(p)).collect(),
-            crosspoints,
-        }
+        self.bridge.matrix.telemetry()
     }
 
     /// Telemetry snapshots of every FlexSFP in a cage, for collector

@@ -407,7 +407,7 @@ mod tests {
         let mut pkt = udp_frame();
         apply(&mut e, Action::Count(2), &mut pkt);
         apply(&mut e, Action::Count(2), &mut pkt);
-        assert_eq!(e.counters.get(2).packets, 2);
+        assert_eq!(e.counters.get(2).unwrap().packets, 2);
     }
 
     #[test]

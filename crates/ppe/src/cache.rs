@@ -1482,7 +1482,7 @@ mod tests {
         assert_eq!(replay(plan.view(), &mut fast, &mut bank), Verdict::Forward);
         assert_eq!(fast, want, "replayed bytes must equal the reference");
         assert_eq!(bank.get(0), engine.counters.get(0));
-        assert_eq!(bank.get(0).packets, 1);
+        assert_eq!(bank.get(0).unwrap().packets, 1);
     }
 
     #[test]

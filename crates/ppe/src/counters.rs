@@ -38,9 +38,9 @@ impl CounterBank {
         }
     }
 
-    /// Read one counter.
-    pub fn get(&self, idx: usize) -> Counter {
-        self.counters.get(idx).copied().unwrap_or_default()
+    /// Read one counter; `None` past the bank.
+    pub fn get(&self, idx: usize) -> Option<Counter> {
+        self.counters.get(idx).copied()
     }
 }
 
@@ -56,21 +56,21 @@ mod tests {
         b.count(3, 100);
         assert_eq!(
             b.get(0),
-            Counter {
+            Some(Counter {
                 packets: 2,
                 bytes: 1564
-            }
+            })
         );
-        assert_eq!(b.get(3).packets, 1);
-        assert_eq!(b.get(1), Counter::default());
-        assert_eq!(b.counters.len(), 4);
+        assert_eq!(b.get(3).unwrap().packets, 1);
+        assert_eq!(b.get(1), Some(Counter::default()));
+        assert_eq!(b.get(4), None);
     }
 
     #[test]
     fn out_of_range_ignored() {
         let mut b = CounterBank::new(2);
         b.count(5, 64);
-        assert_eq!(b.get(5), Counter::default());
+        assert_eq!(b.get(5), None);
         assert_eq!(b.counters.iter().map(|c| c.packets).sum::<u64>(), 0);
     }
 }

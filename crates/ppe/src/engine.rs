@@ -132,12 +132,16 @@ pub enum TableOpResult {
     Unsupported,
 }
 
-/// What [`TableOp::ReadCounter`] answers with.
-impl From<crate::counters::Counter> for TableOpResult {
-    fn from(c: crate::counters::Counter) -> TableOpResult {
-        TableOpResult::Counter {
-            packets: c.packets,
-            bytes: c.bytes,
+/// What [`TableOp::ReadCounter`] answers with: the counter, or
+/// `NotFound` past the bank.
+impl From<Option<crate::counters::Counter>> for TableOpResult {
+    fn from(c: Option<crate::counters::Counter>) -> TableOpResult {
+        match c {
+            Some(c) => TableOpResult::Counter {
+                packets: c.packets,
+                bytes: c.bytes,
+            },
+            None => TableOpResult::NotFound,
         }
     }
 }

@@ -111,11 +111,6 @@ impl ParsedPacket {
             _ => None,
         }
     }
-
-    /// The outermost VLAN id, if tagged.
-    pub fn outer_vlan(&self) -> Option<u16> {
-        self.vlans.first().copied()
-    }
 }
 
 /// The parser block. Stateless: it follows VLAN tags and parses into L4
@@ -307,7 +302,6 @@ mod tests {
         assert_eq!(p.vlans, vec![100]);
         assert_eq!(p.ethertype, EtherType::Ipv4);
         assert!(p.ipv4.is_some());
-        assert_eq!(p.outer_vlan(), Some(100));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! 32 768-flow source-IP table is exactly such a structure.
 
 use flexsfp_fabric::hash::crc32;
+use flexsfp_obs::TableTelemetry;
 use std::cell::Cell;
 
 /// Fixed-width key material for hardware tables (13 bytes fits an IPv4
@@ -69,17 +70,6 @@ impl std::error::Error for TableError {}
 struct Entry<K, V> {
     key: K,
     value: V,
-}
-
-/// Statistics of a hardware hash table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TableStats {
-    /// Successful lookups.
-    pub hits: u64,
-    /// Failed lookups.
-    pub misses: u64,
-    /// Inserts rejected with a full bucket.
-    pub insert_failures: u64,
 }
 
 /// Map a key's CRC-32 to a nonzero 1-byte fingerprint. The high byte is
@@ -292,9 +282,11 @@ impl<K: TableKey, V: Copy> HashTable<K, V> {
         self.occupied = 0;
     }
 
-    /// Statistics snapshot.
-    pub fn stats(&self) -> TableStats {
-        TableStats {
+    /// Geometry and lifetime counters, as telemetry exports them.
+    pub fn stats(&self) -> TableTelemetry {
+        TableTelemetry {
+            capacity: self.capacity() as u64,
+            occupied: self.occupied as u64,
             hits: self.hits.get(),
             misses: self.misses.get(),
             insert_failures: self.insert_failures,
@@ -319,12 +311,12 @@ mod tests {
         assert_eq!(t.lookup(&0xc0a80001), Some(42));
         assert_eq!(t.lookup(&0xc0a80002), None);
         assert_eq!(t.len(), 1);
+        assert_eq!((t.stats().capacity, t.stats().occupied), (1024, 1));
         assert_eq!(t.remove(&0xc0a80001), Some(42));
         assert_eq!(t.lookup(&0xc0a80001), None);
         assert!(t.is_empty());
         let s = t.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 2);
+        assert_eq!((s.hits, s.misses, s.occupied), (1, 2, 0));
     }
 
     #[test]

@@ -389,7 +389,7 @@ fn apply(
 
 fn counts(bank: &CounterBank) -> Vec<(u64, u64)> {
     (0..COUNTERS)
-        .map(|i| bank.get(i))
+        .map(|i| bank.get(i).expect("in the bank"))
         .map(|c| (c.packets, c.bytes))
         .collect()
 }

@@ -73,10 +73,6 @@ const COPIED: [&str; 10] = [
 /// product part now names fails the test, so the list only shrinks.
 const ALLOWED: &[(&str, &str)] = &[
     (
-        "apps::sanitizer::SanitizerStats",
-        "`Sanitizer::stats`, read by `tests/props.rs`",
-    ),
-    (
         "bench::ablations::ChainDepthPoint",
         "`ablations::Report::chain_depth`",
     ),
@@ -94,10 +90,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "what `Bitstream::from_bytes` returns",
     ),
     ("core::module::report::LatencyStats", "`SimReport::latency`"),
-    (
-        "fabric::xbar::XbarTotals",
-        "what `CrosspointMatrix::totals` returns",
-    ),
     ("host::crossbar::SwitchStats", "`CrossbarStats::sw`"),
     (
         "host::fleet::DeployReport",
@@ -119,7 +111,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("ppe::parser::Ipv4Summary", "`ParsedPacket::ipv4`"),
     ("ppe::parser::Ipv6Summary", "`ParsedPacket::ipv6`"),
     ("ppe::state::FlowContext", "what `EfsmTable::evict` returns"),
-    ("ppe::tables::TableStats", "what `HashTable::stats` returns"),
     (
         "wire::dns::DnsQuestion",
         "what `DnsHeader::first_question` returns",
