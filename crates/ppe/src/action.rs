@@ -144,7 +144,7 @@ impl ActionEngine {
         if let Some(rec) = rec {
             ops.iter().for_each(|&op| rec.push(op));
         }
-        cache::run_ops(ops, packet, &mut self.counters);
+        cache::run_ops(ops.iter().copied(), packet, &mut self.counters);
         ActionOutcome::Continue {
             modified: ops.iter().any(|op| !matches!(op, PlanOp::Count { .. })),
         }
