@@ -36,9 +36,10 @@ fn entries<'a>(config: &'a Value, key: &str) -> Option<&'a [Value]> {
 
 /// Instantiate the application named by `meta`, honouring its JSON
 /// `config`. An unknown name, a table of no entries, a table whose
-/// design `fits` refuses and a listed entry the factory cannot read or
-/// the app refuses return `None` (the module falls back to its golden
-/// image).
+/// design `fits` refuses, a value its field cannot hold (an address past
+/// `u32::MAX`, a port or VLAN id past `u16::MAX`) and a listed entry the
+/// factory cannot read or the app refuses return `None` (the module
+/// falls back to its golden image).
 fn build_app(
     meta: &BitstreamMeta,
     fits: &dyn Fn(ResourceManifest) -> bool,
@@ -56,8 +57,9 @@ fn build_app(
             let capacity = capacity("table_size", 32_768, StaticNat::manifest)?;
             let mut nat = StaticNat::with_capacity(capacity);
             for m in entries(cfg, "mappings")? {
-                let (private, public) = (m["private"].as_u64()?, m["public"].as_u64()?);
-                nat.add_mapping(private as u32, public as u32).ok()?;
+                let private = u32::try_from(m["private"].as_u64()?).ok()?;
+                let public = u32::try_from(m["public"].as_u64()?).ok()?;
+                nat.add_mapping(private, public).ok()?;
             }
             Some(Box::new(nat))
         }
@@ -72,22 +74,22 @@ fn build_app(
             Some(Box::new(fw))
         }
         "vlan-tagger" => {
-            let vid = cfg["vid"].as_u64().unwrap_or(1) as u16;
+            let vid = u16::try_from(cfg["vid"].as_u64().unwrap_or(1)).ok()?;
             let mut t = VlanTagger::new(vid);
             if let Some(s) = cfg["s_tag"].as_u64() {
-                t = t.with_s_tag(s as u16);
+                t = t.with_s_tag(u16::try_from(s).ok()?);
             }
             Some(Box::new(t))
         }
         "tunnel-gw" => {
-            let local = cfg["local"].as_u64()? as u32;
-            let remote = cfg["remote"].as_u64()? as u32;
+            let local = u32::try_from(cfg["local"].as_u64()?).ok()?;
+            let remote = u32::try_from(cfg["remote"].as_u64()?).ok()?;
             let kind = match cfg["kind"].as_str()? {
                 "gre" => TunnelKind::Gre {
-                    key: cfg["key"].as_u64().unwrap_or(0) as u32,
+                    key: u32::try_from(cfg["key"].as_u64().unwrap_or(0)).ok()?,
                 },
                 "vxlan" => TunnelKind::Vxlan {
-                    vni: cfg["vni"].as_u64().unwrap_or(0) as u32,
+                    vni: u32::try_from(cfg["vni"].as_u64().unwrap_or(0)).ok()?,
                 },
                 "ipip" => TunnelKind::IpIp,
                 _ => return None,
@@ -95,11 +97,11 @@ fn build_app(
             Some(Box::new(TunnelGateway::new(kind, local, remote)))
         }
         "l4-lb" => {
-            let vip = cfg["vip"].as_u64()? as u32;
-            let port = cfg["port"].as_u64().unwrap_or(0) as u16;
+            let vip = u32::try_from(cfg["vip"].as_u64()?).ok()?;
+            let port = u16::try_from(cfg["port"].as_u64().unwrap_or(0)).ok()?;
             let backends = entries(cfg, "backends")?
                 .iter()
-                .map(|v| Some(v.as_u64()? as u32))
+                .map(|v| u32::try_from(v.as_u64()?).ok())
                 .collect::<Option<Vec<u32>>>()?;
             if backends.len() > crate::lb::MAX_BACKENDS {
                 return None;
@@ -121,7 +123,8 @@ fn build_app(
                 f.block_domain(d.as_str()?).then_some(())?;
             }
             for r in entries(cfg, "doh_resolvers")? {
-                f.block_doh_resolver(r.as_u64()? as u32).then_some(())?;
+                f.block_doh_resolver(u32::try_from(r.as_u64()?).ok()?)
+                    .then_some(())?;
             }
             Some(Box::new(f))
         }
@@ -138,8 +141,9 @@ fn build_app(
             let mut f = Ipv6SubscriberFilter::new();
             f.block_all_v6 = cfg["block_all"].as_bool().unwrap_or(false);
             for d in entries(cfg, "delegations")? {
-                let (prefix, sub) = (d["prefix64"].as_u64()?, d["subscriber"].as_u64()?);
-                f.delegate(prefix, sub as u32).then_some(())?;
+                let prefix = d["prefix64"].as_u64()?;
+                let subscriber = u32::try_from(d["subscriber"].as_u64()?).ok()?;
+                f.delegate(prefix, subscriber).then_some(())?;
             }
             Some(Box::new(f))
         }
