@@ -24,8 +24,10 @@ pub mod counters {
     pub(crate) const BLOCKED_DNS: usize = 1;
     /// TCP/443 packets to blocked DoH resolvers dropped.
     pub(crate) const BLOCKED_DOH: usize = 2;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 3;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 3;
+    pub(crate) const LEN: usize = 4;
 }
 
 /// Blocked domains the qname matcher is synthesised for.
@@ -97,6 +99,7 @@ impl PacketProcessor for DnsFilter {
 
     fn process(&mut self, _ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
         let Some(parsed) = self.parser.parse(packet) else {
+            self.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Drop;
         };
         let Some(ip) = parsed.ipv4 else {

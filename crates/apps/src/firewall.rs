@@ -112,8 +112,10 @@ pub mod counters {
     pub(crate) const PUNTED: usize = 2;
     /// Non-matchable (non-IPv4-TCP/UDP) packets.
     pub(crate) const UNMATCHED: usize = 3;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 4;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 4;
+    pub(crate) const LEN: usize = 5;
 }
 
 /// The ACL firewall application.
@@ -170,6 +172,7 @@ impl PacketProcessor for AclFirewall {
             }
         }
         let Some(parsed) = self.parser.parse(packet) else {
+            self.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Drop;
         };
         let Some(key) = parsed.five_tuple().map(|t| t.key_bytes()) else {

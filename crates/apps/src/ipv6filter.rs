@@ -25,8 +25,10 @@ pub mod counters {
     pub(crate) const BLOCKED_ALL: usize = 2;
     /// Non-IPv6 traffic passed through.
     pub(crate) const NON_V6: usize = 3;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 4;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 4;
+    pub(crate) const LEN: usize = 5;
 }
 
 /// The per-subscriber IPv6 source filter.
@@ -75,6 +77,7 @@ impl PacketProcessor for Ipv6SubscriberFilter {
             return Verdict::Forward;
         }
         let Some(parsed) = self.parser.parse(packet) else {
+            self.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Drop;
         };
         if parsed.ethertype != EtherType::Ipv6 {

@@ -27,8 +27,10 @@ pub mod counters {
     pub(crate) const PASSED: usize = 1;
     /// VIP packets dropped because no backend is healthy.
     pub(crate) const NO_BACKEND: usize = 2;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 3;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 3;
+    pub(crate) const LEN: usize = 4;
 }
 
 /// Build a Maglev lookup table mapping `TABLE_SIZE` slots onto the given
@@ -124,6 +126,7 @@ impl PacketProcessor for L4LoadBalancer {
 
     fn process(&mut self, _ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
         let Some(parsed) = self.parser.parse(packet) else {
+            self.engine.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Drop;
         };
         let Some((src, dst, _proto, sport, dport)) = parsed.five_tuple() else {

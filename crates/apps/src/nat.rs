@@ -26,8 +26,10 @@ pub mod counters {
     pub(crate) const MISSED: usize = 1;
     /// Non-IPv4 packets passed through.
     pub(crate) const NON_IP: usize = 2;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 3;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 3;
+    pub(crate) const LEN: usize = 4;
 }
 
 /// The flow capacity of the §5.1 prototype table.
@@ -147,6 +149,7 @@ impl FlowProgram for Translator {
             if let Some(r) = rec {
                 r.invalidate();
             }
+            self.engine.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Drop;
         };
         // The stage footprint, the rewrite and the counter of each outcome.

@@ -21,8 +21,10 @@ pub mod counters {
     pub(crate) const DROPPED: usize = 1;
     /// Packets from sources with no limit configured.
     pub(crate) const UNLIMITED: usize = 2;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 3;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 3;
+    pub(crate) const LEN: usize = 4;
 }
 
 /// Token buckets the limiter is synthesised with.
@@ -80,6 +82,7 @@ impl PacketProcessor for PerSourceRateLimiter {
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
         let Some(parsed) = self.parser.parse(packet) else {
+            self.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Drop;
         };
         let Some(ip) = parsed.ipv4 else {

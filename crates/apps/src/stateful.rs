@@ -39,8 +39,10 @@ pub mod counters {
     pub(crate) const DROPPED: usize = 1;
     /// Non-TCP traffic passed through.
     pub(crate) const PASSED_NON_TCP: usize = 2;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 3;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 3;
+    pub(crate) const LEN: usize = 4;
 }
 
 /// The SYN-flood guard application.
@@ -129,6 +131,7 @@ impl PacketProcessor for SynFloodGuard {
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
         let Some(parsed) = self.parser.parse(packet) else {
+            self.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Drop;
         };
         let (Some(ip), L4::Tcp { flags, .. }) = (parsed.ipv4, parsed.l4) else {

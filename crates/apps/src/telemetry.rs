@@ -115,8 +115,10 @@ pub mod counters {
     /// Packets that tipped a window over the burst threshold: one per
     /// bursty window.
     pub(crate) const BURSTS: usize = 2;
+    /// Frames the parser refused (forwarded untouched).
+    pub(crate) const UNPARSED: usize = 3;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 3;
+    pub(crate) const LEN: usize = 4;
 }
 
 /// The telemetry probe application.
@@ -177,6 +179,7 @@ impl PacketProcessor for TelemetryProbe {
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
         let Some(parsed) = self.parser.parse(packet) else {
+            self.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Forward; // observe, never interfere
         };
         self.counters.count(counters::OBSERVED, packet.len());

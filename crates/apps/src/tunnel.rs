@@ -37,8 +37,10 @@ pub mod counters {
     pub(crate) const DECAPPED: usize = 1;
     /// Reverse-direction frames that were not our tunnel.
     pub(crate) const PASSED: usize = 2;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 3;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 3;
+    pub(crate) const LEN: usize = 4;
 }
 
 /// The tunnel gateway application.
@@ -164,6 +166,7 @@ impl PacketProcessor for TunnelGateway {
         match ctx.direction {
             Direction::EdgeToOptical => {
                 let Some(parsed) = self.parser.parse(packet) else {
+                    self.engine.counters.count(counters::UNPARSED, packet.len());
                     return Verdict::Drop;
                 };
                 // Only IP traffic is tunnelled for GRE/IPIP; VXLAN can

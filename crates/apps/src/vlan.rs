@@ -20,8 +20,10 @@ pub mod counters {
     /// Frames dropped because they arrived already-tagged on an access
     /// port (tag spoofing).
     pub(crate) const SPOOF_DROPPED: usize = 2;
+    /// Frames the parser refused (dropped).
+    pub(crate) const UNPARSED: usize = 3;
     /// Counters in the bank.
-    pub(crate) const LEN: usize = 3;
+    pub(crate) const LEN: usize = 4;
 }
 
 /// The VLAN access tagger / QinQ application.
@@ -73,6 +75,7 @@ impl PacketProcessor for VlanTagger {
 
     fn process(&mut self, ctx: &ProcessContext, packet: &mut Vec<u8>) -> Verdict {
         let Some(parsed) = self.parser.parse(packet) else {
+            self.engine.counters.count(counters::UNPARSED, packet.len());
             return Verdict::Drop;
         };
         match ctx.direction {

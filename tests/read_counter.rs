@@ -8,6 +8,8 @@
 //! directions. A counter's bytes must lie between its packets times the
 //! shortest frame offered and its packets times the longest frame plus
 //! what an encapsulation adds, and every app must count something.
+//! The runt, which no app's parser accepts, is counted too: alone, in
+//! every direction an app inspects, at its own length.
 
 use flexsfp::apps::sanitizer::SanitizerPolicy;
 use flexsfp::apps::tunnel::TunnelKind;
@@ -15,7 +17,7 @@ use flexsfp::apps::{
     AclFirewall, DnsFilter, Ipv6SubscriberFilter, L4LoadBalancer, PerSourceRateLimiter, Sanitizer,
     StaticNat, SynFloodGuard, TelemetryProbe, TunnelGateway, VlanTagger,
 };
-use flexsfp::ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult};
+use flexsfp::ppe::{Direction, PacketProcessor, ProcessContext, TableOp, TableOpResult, Verdict};
 use flexsfp::wire::dns;
 use flexsfp::wire::tcp::TcpFlags;
 use flexsfp::wire::{EtherType, MacAddr, PacketBuilder};
@@ -60,25 +62,37 @@ fn apps() -> Vec<(Box<dyn PacketProcessor>, u32)> {
     let mut limiter = PerSourceRateLimiter::new();
     assert!(limiter.add_limit(CLIENT, 32, 8_000, 200));
     vec![
-        (Box::new(nat), 3),
-        (Box::new(AclFirewall::new(8)), 4),
-        (Box::new(VlanTagger::new(100)), 3),
+        (Box::new(nat), 4),
+        (Box::new(AclFirewall::new(8)), 5),
+        (Box::new(VlanTagger::new(100)), 4),
         (
             Box::new(TunnelGateway::new(
                 TunnelKind::Vxlan { vni: 9 },
                 0x0a00_0001,
                 0x0a00_0002,
             )),
-            3,
+            4,
         ),
-        (Box::new(L4LoadBalancer::new(VIP, 80, vec![0x0a00_0101])), 3),
-        (Box::new(TelemetryProbe::new(64, 1_000, 200)), 3),
-        (Box::new(limiter), 3),
-        (Box::new(dns), 3),
+        (Box::new(L4LoadBalancer::new(VIP, 80, vec![0x0a00_0101])), 4),
+        (Box::new(TelemetryProbe::new(64, 1_000, 200)), 4),
+        (Box::new(limiter), 4),
+        (Box::new(dns), 4),
         (Box::new(Sanitizer::new(SanitizerPolicy::default())), 8),
-        (Box::new(SynFloodGuard::new(64, 1, 1_000_000)), 3),
-        (Box::new(Ipv6SubscriberFilter::new()), 4),
+        (Box::new(SynFloodGuard::new(64, 1, 1_000_000)), 4),
+        (Box::new(Ipv6SubscriberFilter::new()), 5),
     ]
+}
+
+/// Packets and bytes over `app`'s `bank` counters.
+fn totals(app: &mut dyn PacketProcessor, bank: u32) -> (u64, u64) {
+    (0..bank)
+        .map(
+            |index| match app.control_op(&TableOp::ReadCounter { index }) {
+                TableOpResult::Counter { packets, bytes } => (packets, bytes),
+                other => panic!("{}: counter {index} reads {other:?}", app.name()),
+            },
+        )
+        .fold((0, 0), |(p, b), (packets, bytes)| (p + packets, b + bytes))
 }
 
 #[test]
@@ -120,6 +134,36 @@ fn every_counter_reads_real_bytes_and_none_past_the_bank() {
             app.control_op(&TableOp::ReadCounter { index: bank }),
             TableOpResult::NotFound,
             "{name}: one past its {bank} counters"
+        );
+    }
+    // The runt alone, through a fresh app. The NAT, the firewall and the
+    // IPv6 filter leave one direction untouched and uncounted; every app
+    // counts what it inspects.
+    let runt = frames.last().unwrap().clone();
+    assert_eq!(runt.len(), 10);
+    for (mut app, bank) in apps() {
+        let name = app.name().to_string();
+        for direction in [Direction::EdgeToOptical, Direction::OpticalToEdge] {
+            let before = totals(app.as_mut(), bank);
+            let verdict = app.process(
+                &ProcessContext {
+                    timestamp_ns: 0,
+                    direction,
+                },
+                &mut runt.clone(),
+            );
+            let after = totals(app.as_mut(), bank);
+            let counted = (after.0 - before.0, after.1 - before.1);
+            let inspected = counted.0 > 0 && counted.1 == 10 * counted.0;
+            assert!(
+                inspected || counted == (0, 0) && verdict == Verdict::Forward,
+                "{name} {direction:?}: the runt {verdict:?}, counted {counted:?}"
+            );
+        }
+        assert_ne!(
+            totals(app.as_mut(), bank),
+            (0, 0),
+            "{name} never counted the runt"
         );
     }
 }
